@@ -51,7 +51,10 @@ pub struct RetryPolicy {
     /// attempt's deadline would burn the remaining budget idling).
     pub backoff: Duration,
     /// Deadline applied to each attempt's collective; `None` waits
-    /// forever (legacy blocking semantics).
+    /// forever (legacy blocking semantics). A retry's window opens where
+    /// the failed attempt's window closed, so a rank that failed early
+    /// still meets peers that waited theirs out; attempt `k` ends at the
+    /// latest `(k + 1)` timeouts (plus backoff) into the call.
     pub attempt_timeout: Option<Duration>,
     /// Fall back to the host ring when the INC switch tree reports
     /// `SwitchDown`, instead of failing the call.

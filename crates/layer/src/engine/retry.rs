@@ -17,6 +17,10 @@ pub(crate) struct RetryCtl {
     pub(crate) attempt: u64,
     retries_left: u32,
     backoff: Duration,
+    /// Deadline handed to the most recent attempt.
+    last_deadline: Option<Instant>,
+    /// Set by a retry decision: where the next attempt's window opens.
+    window_opens: Option<Instant>,
 }
 
 /// What the retry controller decided after a block-level failure.
@@ -36,12 +40,32 @@ impl RetryCtl {
             attempt: 0,
             retries_left: policy.max_attempts.saturating_sub(1),
             backoff: policy.backoff,
+            last_deadline: None,
+            window_opens: None,
         }
     }
 
-    /// Deadline for the attempt about to start.
-    pub(crate) fn deadline(&self) -> Option<Instant> {
-        self.policy.attempt_timeout.map(|t| Instant::now() + t)
+    /// Deadline for the attempt about to start: one `attempt_timeout`
+    /// from now — or, for a retry, from the close of the failed
+    /// attempt's window if that is later.
+    ///
+    /// Ranks do not fail an attempt at the same moment. One that is
+    /// handed garbage (a dropped ring hop shifts every later hop on the
+    /// link one step up) fails verification within microseconds; one
+    /// that saw only silence waits its whole window out. Were the fast
+    /// rank's retry window to open when it failed, it would close just
+    /// as the slow ranks arrive on the new attempt's tags — and the two
+    /// groups would chase each other one window apart, attempt after
+    /// attempt, each round decided by microseconds. Anchoring on the old
+    /// deadline gives the late arrivals a full window. The call's worst
+    /// case is unchanged: attempt `k` still ends by `(k + 1)` timeouts
+    /// (plus backoff) after the call began.
+    pub(crate) fn deadline(&mut self) -> Option<Instant> {
+        let timeout = self.policy.attempt_timeout?;
+        let now = Instant::now();
+        let opens = self.window_opens.take().map_or(now, |at| at.max(now));
+        self.last_deadline = Some(opens + timeout);
+        self.last_deadline
     }
 
     /// Advance to the next attempt's tag slot; errors when the per-call
@@ -70,6 +94,7 @@ impl RetryCtl {
                 if self.policy.degrade_on_switch_down =>
             {
                 return if self.bump().is_ok() {
+                    self.window_opens = self.last_deadline;
                     Step::Degrade
                 } else {
                     Step::Fail(e)
@@ -83,6 +108,7 @@ impl RetryCtl {
             return Step::Fail(e);
         }
         self.retries_left -= 1;
+        self.window_opens = self.last_deadline;
         hear_telemetry::incr(hear_telemetry::Metric::RetriesTotal);
         if !self.backoff.is_zero() {
             // Cap the sleep by the per-attempt deadline: a backoff that
@@ -135,6 +161,31 @@ mod tests {
             start.elapsed()
         );
         assert!(matches!(ctl.on_error(timeout_err()), Step::Fail(_)));
+    }
+
+    /// A retry's window opens where the failed attempt's window closed:
+    /// an attempt that failed at once gets a deadline a full timeout past
+    /// the old one (so peers still waiting the old window out find it
+    /// open), one that failed by running out its window starts from now,
+    /// and a first attempt (of any block) is never stretched.
+    #[test]
+    fn retry_window_opens_where_the_failed_one_closed() {
+        let t = Duration::from_millis(20);
+        let mut ctl = RetryCtl::new(RetryPolicy::retries(3).with_attempt_timeout(t));
+        let first = ctl.deadline().unwrap();
+        assert!(first <= Instant::now() + t);
+        // Failed within microseconds: the retry inherits the rest.
+        assert!(matches!(ctl.on_error(timeout_err()), Step::Retry));
+        let second = ctl.deadline().unwrap();
+        assert_eq!(second, first + t);
+        // No failure in between (the next block's first attempt).
+        let fresh = ctl.deadline().unwrap();
+        assert!(fresh <= Instant::now() + t && fresh < second);
+        // Failed after its window had closed: nothing to inherit.
+        std::thread::sleep(t + Duration::from_millis(2));
+        assert!(matches!(ctl.on_error(timeout_err()), Step::Retry));
+        let late = ctl.deadline().unwrap();
+        assert!(late > fresh + t && late <= Instant::now() + t);
     }
 
     /// Without a deadline the configured backoff still applies (and keeps

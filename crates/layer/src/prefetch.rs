@@ -189,13 +189,26 @@ mod tests {
     use hear_prf::{Backend, Prf};
     use std::time::{Duration, Instant};
 
-    fn wait_for_hit(cache: &KeystreamCache, epoch: u64, base: u128, n: usize) -> Option<Vec<u128>> {
+    /// Poll `cache` until `pf`'s parked plan has been generated. The
+    /// pool's background lane is one slot shared by every prefetcher in
+    /// the process, and a newer submission — another test's — displaces a
+    /// task no worker has claimed yet. Production shrugs (a miss generates
+    /// inline); a test that *waits* for the hit must nudge the pool again.
+    /// The plan itself is still parked in the task's job cell.
+    fn wait_for_hit(
+        pf: &Prefetcher,
+        cache: &KeystreamCache,
+        epoch: u64,
+        base: u128,
+        n: usize,
+    ) -> Option<Vec<u128>> {
         let deadline = Instant::now() + Duration::from_secs(10);
         while Instant::now() < deadline {
             if let Some(blocks) = cache.with_blocks(epoch, base, 0, n, <[u128]>::to_vec) {
                 return Some(blocks);
             }
             std::thread::sleep(Duration::from_millis(1));
+            WorkerPool::global().submit_bg(Arc::clone(&pf.task) as Arc<dyn BgTask>);
         }
         None
     }
@@ -217,7 +230,7 @@ mod tests {
             nblocks: 6,
         });
         pf.submit(PrefetchJob { epoch: 3, streams });
-        let got = wait_for_hit(&cache, 3, 500, 20).expect("stream 0 published");
+        let got = wait_for_hit(&pf, &cache, 3, 500, 20).expect("stream 0 published");
         for (i, b) in got.iter().enumerate() {
             assert_eq!(*b, prf.eval_block(500 + i as u128));
         }
@@ -244,7 +257,7 @@ mod tests {
                 nblocks: 8,
             });
             pf.submit(PrefetchJob { epoch, streams });
-            assert!(wait_for_hit(&cache, epoch, epoch as u128 * 1000, 8).is_some());
+            assert!(wait_for_hit(&pf, &cache, epoch, epoch as u128 * 1000, 8).is_some());
         }
         // Only the two newest generations survive.
         assert!(cache.with_blocks(5, 5000, 0, 8, |_| ()).is_some());
@@ -265,7 +278,7 @@ mod tests {
         });
         pf.submit(PrefetchJob { epoch: 1, streams });
         assert!(
-            wait_for_hit(&cache, 1, 7, MAX_PREFETCH_BLOCKS).is_some(),
+            wait_for_hit(&pf, &cache, 1, 7, MAX_PREFETCH_BLOCKS).is_some(),
             "clamped range is served"
         );
         assert!(cache

@@ -104,6 +104,12 @@ pub struct SecureComm {
     pub(crate) membership_epoch: u64,
     /// Shrinks not yet collected by the caller.
     pub(crate) membership_changes: Vec<crate::engine::MembershipChange>,
+    /// Collective calls entered through the shrink loop; lockstep across
+    /// ranks, so membership agreement can tell who stands at which call.
+    pub(crate) calls: u64,
+    /// Survivor set of a shrink this rank agreed to at the end of a call
+    /// it had completed; applied on entry to the next call.
+    pub(crate) deferred_shrink: Option<Vec<usize>>,
 }
 
 impl SecureComm {
@@ -141,6 +147,8 @@ impl SecureComm {
             lineage: (0..comm_world).collect(),
             membership_epoch: 0,
             membership_changes: Vec::new(),
+            calls: 0,
+            deferred_shrink: None,
         }
     }
 

@@ -224,6 +224,33 @@ mod tests {
         assert_eq!(back.downcast_ref::<Vec<Packet<Hfp>>>().unwrap()[0].c, h);
     }
 
+    /// The verified path's packets cross a real socket as a direct
+    /// message: read whole into one byte buffer by the connection's reader,
+    /// decoded when the receiver asks (`Packet` is private to this crate,
+    /// so this row lives here and not in `tests/socket.rs`).
+    #[test]
+    fn packet_vector_crosses_the_tcp_mesh() {
+        use hear_mpi::{NetConfig, TcpTransport, Transport};
+        register_wire_codecs();
+        let t = TcpTransport::mesh(2, NetConfig::instant(), None).expect("loopback mesh");
+        let sent: Vec<Packet<u32>> = (0..300u32)
+            .map(|i| Packet {
+                c: i.wrapping_mul(0x9E37_79B9),
+                d: [i as u64, 1, 2, u64::MAX],
+                s: [3, 4, u64::MAX - i as u64, 5],
+            })
+            .collect();
+        let bytes = sent.len() * std::mem::size_of::<Packet<u32>>();
+        t.send_boxed(0, 1, 9, Box::new(sent.clone()), bytes);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let env = t.recv_on(1, 0, 9, Some(deadline)).expect("delivered");
+        let got = env.payload.downcast::<Vec<Packet<u32>>>().expect("typed");
+        assert_eq!(got.len(), sent.len());
+        for (g, s) in got.iter().zip(&sent) {
+            assert_eq!((g.c, g.d, g.s), (s.c, s.d, s.s));
+        }
+    }
+
     #[test]
     fn tagged_cell_vectors_roundtrip_bitexact() {
         register_wire_codecs();

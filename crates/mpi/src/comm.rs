@@ -266,6 +266,14 @@ impl Communicator {
         self.transport.name()
     }
 
+    /// How many `(source, tag)` queues this rank's mailbox holds: 0 once
+    /// every message sent to it has been received (test hook, see
+    /// [`Transport::pending_queues`](crate::Transport::pending_queues)).
+    #[doc(hidden)]
+    pub fn pending_queues(&self) -> usize {
+        self.transport.pending_queues(self.endpoint(self.rank))
+    }
+
     /// Allocate the tag block for the next collective operation. All ranks
     /// call collectives in the same program order, so the per-rank counters
     /// stay aligned without any coordination.

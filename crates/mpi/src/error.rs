@@ -27,7 +27,7 @@ pub enum CommError {
     /// itself was killed mid-operation.
     PeerDead { peer: usize },
     /// The connection to `peer` dropped messages but the transport is
-    /// still trying to heal it (write-retry backoff, a fault plan's
+    /// still trying to heal it (a stalled socket write, a fault plan's
     /// transient-disconnect window). Retryable: the resend lands once
     /// the link reconnects. Hardens into [`CommError::PeerDead`] if the
     /// supervision miss budget runs out instead.

@@ -150,8 +150,17 @@ struct MailboxState {
 }
 
 impl MailboxState {
+    /// Take the oldest envelope of `(source, tag)`. A drained queue is
+    /// removed with it: collective tags are unique per call, so an empty
+    /// queue left behind is never used again and the map would grow by one
+    /// entry per call for the life of the world.
     fn pop_match(&mut self, source: usize, tag: u64) -> Option<Envelope> {
-        self.queues.get_mut(&(source, tag))?.pop_front()
+        let queue = self.queues.get_mut(&(source, tag))?;
+        let env = queue.pop_front();
+        if queue.is_empty() {
+            self.queues.remove(&(source, tag));
+        }
+        env
     }
 
     fn push_front(&mut self, source: usize, tag: u64, env: Envelope) {
@@ -180,6 +189,11 @@ impl Mailbox {
     /// re-check death flags instead of sleeping out their slice).
     pub fn wake(&self) {
         self.signal.notify_all();
+    }
+
+    /// Number of `(source, tag)` queues currently held (each non-empty).
+    pub fn pending_queues(&self) -> usize {
+        lock_unpoisoned(&self.state).queues.len()
     }
 
     /// Block until a message matching `(source, tag)` is present, then take
@@ -216,10 +230,7 @@ impl Mailbox {
     /// Non-blocking probe.
     #[cfg(test)]
     pub fn try_take(&self, source: usize, tag: u64) -> Option<Envelope> {
-        let env = {
-            let mut st = lock_unpoisoned(&self.state);
-            st.queues.get_mut(&(source, tag))?.pop_front()?
-        };
+        let env = lock_unpoisoned(&self.state).pop_match(source, tag)?;
         let now = Instant::now();
         if env.available_at > now {
             std::thread::sleep(env.available_at - now);
@@ -243,8 +254,8 @@ impl Mailbox {
 /// the message is late, not lost.
 ///
 /// `is_suspect` reports whether an endpoint's link is in a known
-/// transient-disconnect window (a fault plan's injected window, or the
-/// TCP backend's write-retry backoff): a deadline that expires with no
+/// transient-disconnect window (a fault plan's injected window, or a TCP
+/// write stalled on a full socket buffer): a deadline that expires with no
 /// message *and* a suspect source is reported as `Disconnected` — the
 /// retryable "resend once the link heals" verdict — instead of a bare
 /// `Timeout`.
@@ -327,9 +338,9 @@ pub(crate) fn recv_on_mailboxes(
     Ok(env)
 }
 
-/// Count one delivered message in the global telemetry registry (shared
-/// by every transport backend so dashboards do not care which wire moved
-/// the bytes).
+/// Count one delivered message in the calling thread's telemetry registry
+/// (shared by every transport backend so dashboards do not care which
+/// wire moved the bytes). Both backends call it on the *sending* thread.
 pub(crate) fn count_delivery(bytes: usize) {
     hear_telemetry::incr(hear_telemetry::Metric::FabricMsgs);
     hear_telemetry::add(hear_telemetry::Metric::FabricBytes, bytes as u64);
@@ -513,6 +524,10 @@ impl Transport for Fabric {
         Fabric::recv_on(self, me, source, tag, deadline)
     }
 
+    fn pending_queues(&self, endpoint: usize) -> usize {
+        self.mailboxes[endpoint].pending_queues()
+    }
+
     fn is_dead(&self, endpoint: usize) -> bool {
         Fabric::is_dead(self, endpoint)
     }
@@ -575,6 +590,32 @@ mod tests {
         assert!(mb.try_take(0, 3).is_none());
         assert_eq!(*mb.take(0, 2).payload.downcast::<u8>().unwrap(), 20);
         assert_eq!(*mb.take(0, 1).payload.downcast::<u8>().unwrap(), 10);
+    }
+
+    /// Collective tags are unique per call: a drained `(source, tag)`
+    /// queue must leave nothing behind, or the mailbox grows for the life
+    /// of the world.
+    #[test]
+    fn drained_queues_leave_no_entry_behind() {
+        let fab = Fabric::new(2, NetConfig::instant());
+        for tag in 0..10_000u64 {
+            fab.send_boxed(0, 1, tag, Box::new(tag), 8);
+            let env = fab.recv_on(1, 0, tag, None).unwrap();
+            assert_eq!(*env.payload.downcast::<u64>().unwrap(), tag);
+        }
+        assert_eq!(fab.mailboxes[1].pending_queues(), 0);
+        // A late message pushed back to the front re-creates its queue.
+        let late = NetConfig {
+            alpha: Duration::from_millis(40),
+            beta_ns_per_byte: 0.0,
+        };
+        let fab = Fabric::new(2, late);
+        fab.send_boxed(0, 1, 7, Box::new(1u8), 1);
+        let soon = Instant::now() + Duration::from_millis(2);
+        assert!(fab.recv_on(1, 0, 7, Some(soon)).is_err());
+        assert_eq!(fab.mailboxes[1].pending_queues(), 1);
+        fab.recv_on(1, 0, 7, None).unwrap();
+        assert_eq!(fab.mailboxes[1].pending_queues(), 0);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! * **Loopback mesh** ([`TcpTransport::mesh`]): every endpoint lives in
 //!   this process (exactly like the in-memory fabric), but each unordered
 //!   endpoint pair is joined by a genuine `127.0.0.1` socket pair and every
-//!   non-self message is framed, written to the kernel, and reassembled by
-//!   a progress thread on the other side. This is what
+//!   non-self message is framed, written to the kernel, and read back by
+//!   the connection's reader thread on the other side. This is what
 //!   `HEAR_TRANSPORT=tcp` selects under the [`Simulator`](crate::Simulator):
-//!   the whole existing test matrix runs with real syscalls, real frame
-//!   torn-reads, and real socket buffering in the path.
+//!   the whole existing test matrix runs with real syscalls, real torn
+//!   reads, and real socket buffering in the path.
 //! * **Multi-process** ([`TcpTransport::connect`]): one OS process per
 //!   rank. Every rank binds an ephemeral data listener; rank 0 additionally
 //!   binds a rendezvous listener (fixed port via `HEAR_PORT_BASE`, or an
@@ -21,30 +21,44 @@
 //!
 //! After the mesh exists, a ring RTT probe (`Ping`/`Pong` to the next
 //! rank) measures the real round trip so deadline budgets derived from
-//! [`Transport::rtt_estimate`] stay meaningful over sockets. A single
-//! progress thread then owns the read side of every connection:
-//! nonblocking reads feed per-connection [`FrameDecoder`]s, decoded
-//! messages are deposited into the same [`Mailbox`] array the in-memory
-//! fabric uses (so `recv_on` semantics — FIFO per `(source, tag)`, typed
-//! deadlines, death flags — are shared code, not reimplemented).
+//! [`Transport::rtt_estimate`] stay meaningful over sockets.
+//!
+//! **The live data path is event-driven and single-copy.** Every socket is
+//! blocking. Each inbound connection has one reader thread parked in
+//! `read`: it reads the 32-byte header, then reads the payload straight
+//! into its final buffer — a typed, aligned `Vec<T>` for the built-in
+//! primitive codecs, one exact-size `Vec<u8>` (decoded lazily at
+//! `recv_on`) for registered user codecs — and deposits it into the same
+//! [`Mailbox`] array the in-memory fabric uses (so `recv_on` semantics —
+//! FIFO per `(source, tag)`, typed deadlines, death flags — are shared
+//! code, not reimplemented). A send writes header and payload with one
+//! vectored write under the connection's writer lock, primitive payloads
+//! borrowed in place. Readers never write and never wait for a rank
+//! thread, so every inbound byte is always drained and two ranks blocked
+//! in large writes to each other cannot deadlock.
 //!
 //! Failure mapping: EOF / read error / corrupt frame header on a
 //! connection marks the attributed peer dead and wakes every waiter, so
 //! blocked receives resolve to `CommError::PeerDead`; a payload that
 //! cannot be decoded poisons only its own message (the matching receive
-//! gets `CommError::TypeMismatch`). Deadline expiry stays `Timeout`, same
-//! as the in-memory fabric. Fault plans are applied *before* encoding,
-//! while the payload is still typed, so the chaos suite's corrupt /
-//! duplicate / drop / delay / kill injections work unchanged over sockets.
+//! gets `CommError::TypeMismatch`). A write that makes no progress for one
+//! heartbeat interval marks the peer *suspect* (slow, not dead); progress
+//! clears it, and only a hard I/O error or a stall that outlives the
+//! heartbeat silence budget hardens into `PeerDead`. Deadline expiry stays
+//! `Timeout`, same as the in-memory fabric. Fault plans are applied
+//! *before* encoding, while the payload is still typed, so the chaos
+//! suite's corrupt / duplicate / drop / delay / kill injections work
+//! unchanged over sockets.
 
 pub mod wire;
 
 use std::any::Any;
-use std::io::{Read, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::{IoSlice, Read, Write};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, TryLockError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::error::CommError;
@@ -53,8 +67,7 @@ use crate::fabric::{
 };
 use crate::fault::{filter_send, FaultPlan, FaultState, SendDecision, SendVerdict};
 use crate::transport::{Envelope, Transport};
-use std::sync::atomic::AtomicU64;
-use wire::{encode_frame, Frame, FrameDecoder, FrameHeader, FrameKind};
+use wire::{encode_frame, Frame, FrameHeader, FrameKind, HEADER_LEN};
 
 /// Default ceiling on connection establishment (bind + rendezvous + mesh
 /// + RTT probe), overridable with `HEAR_TCP_SETUP_TIMEOUT_MS`.
@@ -67,6 +80,15 @@ const RTT_FLOOR: Duration = Duration::from_micros(50);
 /// Ping/pong iterations of the setup RTT probe.
 const RTT_PROBES: u32 = 4;
 
+/// Stack of a reader (or the timer) thread: it holds a header, calls into
+/// the codec and the mailbox, and keeps every payload on the heap. A mesh
+/// of `n` endpoints parks `n × (n − 1)` readers.
+const SERVICE_STACK: usize = 128 << 10;
+
+/// A connection's encode scratch is kept between sends up to this size;
+/// one larger message does not pin its buffer for the life of the world.
+const SCRATCH_KEEP: usize = 4 << 20;
+
 fn setup_timeout() -> Duration {
     std::env::var("HEAR_TCP_SETUP_TIMEOUT_MS")
         .ok()
@@ -75,20 +97,17 @@ fn setup_timeout() -> Duration {
         .unwrap_or(DEFAULT_SETUP_TIMEOUT)
 }
 
-/// Bounded retries a failing frame write gets (exponential backoff from
-/// [`WRITE_RETRY_BACKOFF`]) before the peer is declared dead. During the
-/// retry window the peer is *suspect*: receivers see the retryable
-/// `Disconnected` instead of `Timeout`.
-const WRITE_RETRIES: u32 = 3;
-const WRITE_RETRY_BACKOFF: Duration = Duration::from_millis(1);
-
-/// Heartbeat supervision of the multi-process mesh: the progress thread
-/// pings every peer each `interval`, and a peer not heard from (any
-/// frame, including the `Pong` replies) for `interval × miss_budget` is
-/// declared dead. Hung-open sockets (a peer stopped by SIGSTOP, a
-/// half-broken NAT path) therefore harden into a typed `PeerDead`
-/// instead of an unbounded hang; an outright SIGKILL is still caught
-/// faster by EOF.
+/// The one liveness constant pair of the transport. A peer not heard from
+/// (any inbound byte) for `interval × miss_budget` is dead; a frame write
+/// that makes no progress for the same span is talking to a dead peer.
+///
+/// In the multi-process mesh a timer thread pings every peer each
+/// `interval` and checks the silence budget, so hung-open sockets (a peer
+/// stopped by SIGSTOP, a half-broken NAT path) harden into a typed
+/// `PeerDead` instead of an unbounded hang; an outright SIGKILL is still
+/// caught faster by EOF. In both topologies `interval` is the socket write
+/// timeout: a write that expires with the buffer still full marks the peer
+/// suspect, and `miss_budget` such expiries in a row declare it dead.
 #[derive(Debug, Clone, Copy)]
 struct Heartbeat {
     interval: Duration,
@@ -140,24 +159,48 @@ impl Rendezvous {
     }
 }
 
-/// Which endpoints this process hosts, and how frames route out.
-enum Topology {
-    /// All endpoints in-process; `writers[from * total + to]` is the
-    /// from-side of the socket pair joining the two.
-    Mesh {
-        writers: Vec<Option<Mutex<TcpStream>>>,
-    },
-    /// One process per rank; `writers[peer]` is the connection to `peer`.
-    Proc {
-        me: usize,
-        writers: Vec<Option<Mutex<TcpStream>>>,
-    },
+/// The write side of one connection. The read side is a clone of
+/// `stream` owned by the connection's reader thread.
+struct Conn {
+    stream: TcpStream,
+    /// Held for the whole of a frame write, so frames never interleave;
+    /// the buffer is the scratch a user-codec payload is encoded into.
+    /// (`shutdown` goes through `stream` directly and needs no lock, so it
+    /// also unblocks a writer stalled mid-frame.)
+    tx: Mutex<Vec<u8>>,
 }
 
-/// An inbound payload still in wire form. Frames are deposited encoded
-/// and decoded at `recv_on` time, so codec registration only has to
-/// happen before the *receiver* asks — not before the sender's bytes hit
-/// this process (multi-process setup races otherwise).
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            tx: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+/// Which endpoints this process hosts, and how frames route out.
+enum Topology {
+    /// All endpoints in-process; `conns[from * total + to]` is the
+    /// from-side of the socket pair joining the two.
+    Mesh { conns: Vec<Option<Conn>> },
+    /// One process per rank; `conns[peer]` is the connection to `peer`.
+    Proc { me: usize, conns: Vec<Option<Conn>> },
+}
+
+impl Topology {
+    fn conns(&self) -> &[Option<Conn>] {
+        match self {
+            Topology::Mesh { conns } | Topology::Proc { conns, .. } => conns,
+        }
+    }
+}
+
+/// An inbound user-codec payload still in wire form. It is decoded at
+/// `recv_on` time, so codec registration only has to happen before the
+/// *receiver* asks — not before the sender's bytes hit this process
+/// (multi-process setup races otherwise). Built-in primitive payloads
+/// need no registration and arrive already typed.
 struct RawPayload {
     wire_id: u32,
     bytes: Vec<u8>,
@@ -168,41 +211,60 @@ struct Inner {
     topo: Topology,
     mailboxes: Vec<Mailbox>,
     dead: Vec<AtomicBool>,
-    /// Endpoints whose link is mid-heal (write-retry backoff, injected
-    /// disconnect window): receivers report `Disconnected` (retryable)
-    /// instead of `Timeout` while the flag is up.
+    /// Endpoints inside a fault plan's injected disconnect window:
+    /// receivers report `Disconnected` (retryable) instead of `Timeout`
+    /// while the flag is up.
     suspect: Vec<AtomicBool>,
+    /// Endpoints a frame write to which is stalled right now. Read as
+    /// suspect too, but kept apart so a write that resumes cannot close
+    /// an injected window early.
+    stalled: Vec<AtomicBool>,
     /// Milliseconds since `start` at which each peer was last heard from
-    /// (any inbound frame). Drives the heartbeat miss budget.
+    /// (any inbound bytes). Drives the heartbeat miss budget.
     last_heard: Vec<AtomicU64>,
     start: Instant,
-    /// Armed only in multi-process (`Proc`) topology; the in-process mesh
-    /// learns of deaths by EOF and explicit kills.
-    heartbeat: Option<Heartbeat>,
+    heartbeat: Heartbeat,
     clock: LinkClock,
     faults: Option<(FaultPlan, FaultState)>,
     rtt: Duration,
     shutdown: AtomicBool,
 }
 
-/// One connection's read side, owned by the progress thread.
-struct ReadConn {
-    stream: TcpStream,
-    dec: FrameDecoder,
-    /// The endpoint whose outbound frames appear here; EOF or a corrupt
-    /// stream implicates this endpoint.
-    peer: usize,
-    alive: bool,
-}
-
 /// See the [module docs](self) for the protocol; see [`Transport`] for
 /// the contract this satisfies.
 pub struct TcpTransport {
     inner: Arc<Inner>,
-    progress: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// One reader per inbound connection, plus the heartbeat timer in the
+    /// multi-process topology.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Inner {
+    /// A healthy world of `total` endpoints over `topo`, not yet live.
+    fn new(
+        topo: Topology,
+        total: usize,
+        net: NetConfig,
+        faults: Option<FaultPlan>,
+        rtt: Duration,
+    ) -> Inner {
+        Inner {
+            total,
+            topo,
+            mailboxes: (0..total).map(|_| Mailbox::default()).collect(),
+            dead: (0..total).map(|_| AtomicBool::new(false)).collect(),
+            suspect: (0..total).map(|_| AtomicBool::new(false)).collect(),
+            stalled: (0..total).map(|_| AtomicBool::new(false)).collect(),
+            last_heard: (0..total).map(|_| AtomicU64::new(0)).collect(),
+            start: Instant::now(),
+            heartbeat: Heartbeat::from_env(),
+            clock: LinkClock::new(net),
+            faults: faults.map(|p| (p, FaultState::new(total))),
+            rtt: rtt.max(net.alpha * 2),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
     fn mark_dead(&self, endpoint: usize) {
         if endpoint < self.total && !self.dead[endpoint].swap(true, Ordering::SeqCst) {
             for mb in &self.mailboxes {
@@ -216,14 +278,17 @@ impl Inner {
     }
 
     fn is_suspect(&self, endpoint: usize) -> bool {
-        endpoint < self.total && self.suspect[endpoint].load(Ordering::SeqCst)
+        endpoint < self.total
+            && (self.suspect[endpoint].load(Ordering::SeqCst)
+                || self.stalled[endpoint].load(Ordering::SeqCst))
     }
 
-    fn mark_suspect(&self, endpoint: usize, flag: bool) {
+    /// Raise or lower one of the two suspicion flags of `endpoint`.
+    fn set_suspicion(&self, flags: &[AtomicBool], endpoint: usize, flag: bool) {
         if endpoint >= self.total {
             return;
         }
-        if self.suspect[endpoint].swap(flag, Ordering::SeqCst) && !flag {
+        if flags[endpoint].swap(flag, Ordering::SeqCst) && !flag {
             // The link healed: wake parked receivers so they stop
             // resolving to `Disconnected`.
             for mb in &self.mailboxes {
@@ -240,10 +305,10 @@ impl Inner {
         }
     }
 
-    fn writer_for(&self, from: usize, to: usize) -> Option<&Mutex<TcpStream>> {
+    fn conn_for(&self, from: usize, to: usize) -> Option<&Conn> {
         match &self.topo {
-            Topology::Mesh { writers } => writers.get(from * self.total + to)?.as_ref(),
-            Topology::Proc { writers, .. } => writers.get(to)?.as_ref(),
+            Topology::Mesh { conns } => conns.get(from * self.total + to)?.as_ref(),
+            Topology::Proc { conns, .. } => conns.get(to)?.as_ref(),
         }
     }
 
@@ -266,7 +331,6 @@ impl Inner {
         bytes: usize,
         extra: Duration,
     ) {
-        count_delivery(bytes);
         let available_at = self.clock.available_at(from, to, bytes, extra);
         self.mailboxes[to].deposit(
             from,
@@ -278,8 +342,13 @@ impl Inner {
         );
     }
 
-    /// Frame a typed message and push it down the right socket; a write
-    /// failure means the connection is gone, so the peer is marked dead.
+    /// Route a typed message: a local deposit, or one frame down the right
+    /// socket with the payload's bytes borrowed in place (primitives) or
+    /// encoded once into the connection's scratch (user codecs).
+    ///
+    /// Deliveries are counted here, on the sending rank's thread — once
+    /// per local deposit, once per frame fully written — so a registry
+    /// installed on the rank threads sees socket traffic too.
     fn ship(
         &self,
         from: usize,
@@ -298,10 +367,21 @@ impl Inner {
             return;
         }
         if self.deposits_locally(from, to) {
+            count_delivery(bytes);
             self.deposit(from, to, tag, payload, bytes, extra);
             return;
         }
-        let (type_id, body) = wire::encode_payload(payload.as_ref());
+        let Some(conn) = self.conn_for(from, to) else {
+            return;
+        };
+        let mut scratch = lock_unpoisoned(&conn.tx);
+        let (type_id, body) = match wire::primitive_bytes(payload.as_ref()) {
+            Some(borrowed) => borrowed,
+            None => {
+                let id = wire::encode_payload_into(payload.as_ref(), &mut scratch);
+                (id, &scratch[..])
+            }
+        };
         let header = FrameHeader {
             kind: FrameKind::Msg,
             type_id,
@@ -313,214 +393,217 @@ impl Inner {
                 .min(u32::MAX as u64) as u32,
             len: 0,
         };
-        self.write_frame(from, to, &encode_frame(header, &body));
+        if self.write_frame(to, &conn.stream, header, body, false) {
+            count_delivery(body.len());
+        }
+        if scratch.capacity() > SCRATCH_KEEP {
+            *scratch = Vec::new();
+        }
     }
 
-    /// Push raw frame bytes down the `from → to` socket. Transient write
-    /// failures (`WouldBlock`/`TimedOut`) get [`WRITE_RETRIES`] bounded
-    /// exponential-backoff retries, resuming from the exact byte offset
-    /// reached (so a partial write never desyncs the frame stream), with
-    /// the peer marked suspect for the duration; only an unrecoverable
-    /// error (or an exhausted budget) declares the peer dead.
-    fn write_frame(&self, from: usize, to: usize, bytes: &[u8]) {
-        let Some(w) = self.writer_for(from, to) else {
-            return;
-        };
-        let mut s = lock_unpoisoned(w);
+    /// Write one frame — header and body in a single vectored write,
+    /// resumed from the exact byte reached after a short write — to a
+    /// blocking socket whose write timeout is one heartbeat interval. The
+    /// caller holds the connection's `tx` lock.
+    ///
+    /// Slow is not dead: a timeout with the buffer still full marks the
+    /// peer suspect (the `stalled` flag), any progress clears it and
+    /// resets the stall budget, a frame that stalled and still got
+    /// through counts one reconnect, and only a hard error or
+    /// `miss_budget` timeouts in a row (the heartbeat silence budget)
+    /// declare the peer dead. A `skippable`
+    /// frame (a heartbeat) is instead abandoned at the first timeout if
+    /// not one byte of it was accepted. Returns whether the whole frame
+    /// reached the kernel.
+    fn write_frame(
+        &self,
+        to: usize,
+        mut stream: &TcpStream,
+        mut header: FrameHeader,
+        body: &[u8],
+        skippable: bool,
+    ) -> bool {
+        assert!(
+            body.len() <= wire::MAX_FRAME_LEN as usize,
+            "frame payload too large"
+        );
+        header.len = body.len() as u32;
+        let head = header.encode();
+        let total = HEADER_LEN + body.len();
         let mut off = 0usize;
-        let mut backoff = WRITE_RETRY_BACKOFF;
-        for attempt in 0..=WRITE_RETRIES {
-            match write_from_offset(&mut s, bytes, &mut off) {
-                Ok(()) => {
-                    if attempt > 0 {
-                        self.mark_suspect(to, false);
-                        hear_telemetry::incr(hear_telemetry::Metric::ReconnectsTotal);
+        // Timeouts in a row, and whether this frame ever stalled.
+        let (mut stalls, mut stalled) = (0u32, false);
+        while off < total {
+            let res = if off < HEADER_LEN {
+                stream.write_vectored(&[IoSlice::new(&head[off..]), IoSlice::new(body)])
+            } else {
+                stream.write(&body[off - HEADER_LEN..])
+            };
+            match res {
+                Ok(0) => break,
+                Ok(n) => {
+                    off += n;
+                    if stalls > 0 {
+                        stalls = 0;
+                        self.set_suspicion(&self.stalled, to, false);
                     }
-                    return;
                 }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e)
-                    if attempt < WRITE_RETRIES
-                        && matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
                 {
-                    self.mark_suspect(to, true);
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
+                    if skippable && off == 0 {
+                        return false;
+                    }
+                    stalls += 1;
+                    if stalls >= self.heartbeat.miss_budget {
+                        break;
+                    }
+                    stalled = true;
+                    self.set_suspicion(&self.stalled, to, true);
                 }
                 Err(_) => break,
             }
         }
-        drop(s);
-        self.mark_suspect(to, false);
-        self.mark_dead(to);
-    }
-
-    /// Ping every live peer connection (multi-process topology only).
-    fn emit_heartbeats(&self) {
-        let Topology::Proc { me, writers } = &self.topo else {
-            return;
-        };
-        for (peer, w) in writers.iter().enumerate() {
-            if w.is_none() || peer == *me || self.is_dead(peer) {
-                continue;
-            }
-            self.write_frame(
-                *me,
-                peer,
-                &encode_frame(FrameHeader::control(FrameKind::Ping, *me), &[]),
-            );
-            hear_telemetry::incr(hear_telemetry::Metric::HeartbeatsTotal);
+        if stalls > 0 {
+            self.set_suspicion(&self.stalled, to, false);
         }
+        if off == total {
+            if stalled {
+                // One healed link per frame, however often it hiccuped.
+                hear_telemetry::incr(hear_telemetry::Metric::ReconnectsTotal);
+            }
+            return true;
+        }
+        self.mark_dead(to);
+        false
     }
 
-    /// Declare dead any peer silent past the heartbeat miss budget.
-    fn check_heartbeat_misses(&self, hb: Heartbeat) {
-        let Topology::Proc { me, writers } = &self.topo else {
+    /// One tick of the multi-process supervision timer: declare dead any
+    /// peer silent past the heartbeat miss budget, ping the others. A
+    /// connection whose writer lock is taken is not pinged: whoever holds
+    /// it is moving bytes to that peer right now, which is all a ping
+    /// would prove.
+    fn supervise(&self) {
+        let Topology::Proc { me, conns } = &self.topo else {
             return;
         };
+        let hb = self.heartbeat;
         let elapsed = self.start.elapsed().as_millis() as u64;
         let budget = (hb.interval.as_millis() as u64).saturating_mul(hb.miss_budget as u64);
-        for (peer, w) in writers.iter().enumerate() {
-            if w.is_none() || peer == *me || self.is_dead(peer) {
+        for (peer, conn) in conns.iter().enumerate() {
+            let Some(conn) = conn else { continue };
+            if self.is_dead(peer) {
                 continue;
             }
             let heard = self.last_heard[peer].load(Ordering::Relaxed);
             if elapsed.saturating_sub(heard) > budget {
                 self.mark_dead(peer);
+                continue;
+            }
+            let _tx = match conn.tx.try_lock() {
+                Ok(tx) => tx,
+                Err(TryLockError::Poisoned(tx)) => tx.into_inner(),
+                Err(TryLockError::WouldBlock) => continue,
+            };
+            let ping = FrameHeader::control(FrameKind::Ping, *me);
+            if self.write_frame(peer, &conn.stream, ping, &[], true) {
+                hear_telemetry::incr(hear_telemetry::Metric::HeartbeatsTotal);
             }
         }
     }
 
-    /// Progress-thread handler for one reassembled frame.
-    fn handle_frame(&self, frame: Frame) {
-        let from = frame.header.from as usize;
-        let to = frame.header.to as usize;
-        match frame.header.kind {
-            FrameKind::Msg => {
-                if to >= self.total {
-                    return;
-                }
-                // Deposit the *encoded* bytes and decode lazily at
-                // `recv_on`: a peer's first frames can arrive before this
-                // process has registered its payload codecs (codec
-                // registration rides application setup, e.g.
-                // `SecureComm::new`), and by the time a receiver asks for
-                // the message, its codecs are necessarily in place.
-                let len = frame.payload.len();
-                let raw = RawPayload {
-                    wire_id: frame.header.type_id,
-                    bytes: frame.payload,
-                };
-                let extra = Duration::from_nanos(frame.header.delay_ns as u64);
-                self.deposit(from, to, frame.header.tag, Box::new(raw), len, extra);
-            }
-            FrameKind::Ping => {
-                // A live-phase probe: answer from the pinged endpoint.
-                self.write_frame(
-                    to,
-                    from,
-                    &encode_frame(FrameHeader::control(FrameKind::Pong, to), &[]),
-                );
-            }
-            // `Pong` replies already refreshed `last_heard` when their
-            // bytes were read; setup-phase kinds (`Hello`/`Table`)
-            // arriving late are stale — FIFO per connection means this
-            // cannot happen for a well-behaved peer.
-            FrameKind::Hello | FrameKind::Table | FrameKind::Pong => {}
+    /// Read one frame off a connection and act on it: a `Msg` payload goes
+    /// into its final buffer and then the destination mailbox; control
+    /// frames only count as liveness evidence (their bytes were noted by
+    /// the reader), so a reader never has to write.
+    fn read_frame(&self, r: &mut impl Read) -> std::io::Result<()> {
+        let mut head = [0u8; HEADER_LEN];
+        r.read_exact(&mut head)?;
+        let header = FrameHeader::decode(&head)?;
+        let len = header.len as usize;
+        if header.kind != FrameKind::Msg {
+            // Live-phase `Ping`s, `Pong`s from older peers, stale setup
+            // kinds: skip whatever payload the frame declares.
+            std::io::copy(&mut r.by_ref().take(len as u64), &mut std::io::sink())?;
+            return Ok(());
         }
+        let payload = match wire::read_primitive(header.type_id, len, r) {
+            Some(typed) => typed?,
+            None => {
+                let mut bytes = vec![0u8; len];
+                r.read_exact(&mut bytes)?;
+                Box::new(RawPayload {
+                    wire_id: header.type_id,
+                    bytes,
+                })
+            }
+        };
+        let to = header.to as usize;
+        if to < self.total {
+            let extra = Duration::from_nanos(header.delay_ns as u64);
+            self.deposit(header.from as usize, to, header.tag, payload, len, extra);
+        }
+        Ok(())
     }
 }
 
-/// Write `bytes[*off..]`, advancing `off` past every byte the kernel
-/// accepted, then flush. On error `off` records exactly how far the
-/// frame got, so a retry resumes mid-frame instead of resending (and
-/// desyncing) the stream. `Interrupted` is absorbed here.
-fn write_from_offset(s: &mut TcpStream, bytes: &[u8], off: &mut usize) -> std::io::Result<()> {
-    while *off < bytes.len() {
-        match s.write(&bytes[*off..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "socket accepted zero bytes",
-                ))
-            }
-            Ok(n) => *off += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    s.flush()
+/// A connection's read side as its reader thread sees it: every
+/// successful read is liveness evidence for the peer.
+struct PeerStream<'a> {
+    inner: &'a Inner,
+    stream: &'a TcpStream,
+    peer: usize,
 }
 
-/// The progress engine: nonblocking reads over every connection, frame
-/// reassembly, and mailbox deposit. One thread per transport.
-fn progress_loop(inner: Arc<Inner>, mut conns: Vec<ReadConn>) {
-    let mut buf = vec![0u8; 64 << 10];
-    // First heartbeat goes out immediately: short-lived worlds still
-    // record supervision activity, and `last_heard` gets its first
-    // refresh within one RTT of the mesh going live.
-    let mut next_ping = Instant::now();
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
+impl Read for PeerStream<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        if n > 0 {
+            self.inner.note_heard(self.peer);
         }
-        if let Some(hb) = inner.heartbeat {
-            let now = Instant::now();
-            if now >= next_ping {
-                inner.emit_heartbeats();
-                next_ping = now + hb.interval;
-            }
-            inner.check_heartbeat_misses(hb);
-        }
-        let mut idle = true;
-        for c in conns.iter_mut().filter(|c| c.alive) {
-            loop {
-                match c.stream.read(&mut buf) {
-                    Ok(0) => {
-                        c.alive = false;
-                        if !inner.shutdown.load(Ordering::SeqCst) {
-                            inner.mark_dead(c.peer);
-                        }
-                        break;
-                    }
-                    Ok(n) => {
-                        idle = false;
-                        inner.note_heard(c.peer);
-                        c.dec.push(&buf[..n]);
-                        loop {
-                            match c.dec.next_frame() {
-                                Ok(Some(frame)) => inner.handle_frame(frame),
-                                Ok(None) => break,
-                                Err(_) => {
-                                    // Corrupt stream: unrecoverable desync.
-                                    c.alive = false;
-                                    inner.mark_dead(c.peer);
-                                    break;
-                                }
-                            }
-                        }
-                        if !c.alive || n < buf.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        c.alive = false;
-                        if !inner.shutdown.load(Ordering::SeqCst) {
-                            inner.mark_dead(c.peer);
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        if idle {
-            std::thread::sleep(Duration::from_micros(100));
-        }
+        Ok(n)
     }
+}
+
+/// One inbound connection's reader: parked in a blocking `read` until the
+/// peer's next frame, until the peer goes away (EOF, reset, or a corrupt
+/// header — an unrecoverable desync — all implicate `peer`), or until
+/// `Drop` shuts the socket down.
+fn reader_loop(inner: Arc<Inner>, stream: TcpStream, peer: usize) {
+    let mut r = PeerStream {
+        inner: &inner,
+        stream: &stream,
+        peer,
+    };
+    while inner.read_frame(&mut r).is_ok() {}
+    if !inner.shutdown.load(Ordering::SeqCst) {
+        inner.mark_dead(peer);
+    }
+}
+
+/// The multi-process topology's supervision timer: once per heartbeat
+/// interval, ping every peer and check who has gone silent. The first
+/// ping goes out immediately, so short-lived worlds still record
+/// supervision activity. `Drop` unparks it.
+fn heartbeat_loop(inner: Arc<Inner>) {
+    while !inner.shutdown.load(Ordering::SeqCst) {
+        inner.supervise();
+        std::thread::park_timeout(inner.heartbeat.interval);
+    }
+}
+
+fn spawn_service(
+    name: &str,
+    body: impl FnOnce() + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name(name.into())
+        .stack_size(SERVICE_STACK)
+        .spawn(body)
 }
 
 /// A connected loopback socket pair.
@@ -534,20 +617,13 @@ fn socket_pair() -> std::io::Result<(TcpStream, TcpStream)> {
     Ok((client, server))
 }
 
-/// Blocking frame read with an absolute deadline (setup phase only; the
-/// live phase is nonblocking inside the progress thread).
-fn read_frame_deadline(
+/// `read_exact` with an absolute deadline (setup phase only).
+fn read_exact_deadline(
     stream: &mut TcpStream,
-    dec: &mut FrameDecoder,
+    mut buf: &mut [u8],
     deadline: Instant,
-) -> std::io::Result<Frame> {
-    let mut buf = [0u8; 4096];
-    loop {
-        match dec.next_frame() {
-            Ok(Some(frame)) => return Ok(frame),
-            Ok(None) => {}
-            Err(e) => return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
-        }
+) -> std::io::Result<()> {
+    while !buf.is_empty() {
         let now = Instant::now();
         if now >= deadline {
             return Err(std::io::Error::new(
@@ -556,21 +632,37 @@ fn read_frame_deadline(
             ));
         }
         stream.set_read_timeout(Some((deadline - now).min(Duration::from_millis(100))))?;
-        match stream.read(&mut buf) {
+        match stream.read(buf) {
             Ok(0) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "peer closed during setup",
                 ))
             }
-            Ok(n) => dec.push(&buf[..n]),
+            Ok(n) => buf = &mut buf[n..],
             Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) => {}
             Err(e) => return Err(e),
         }
     }
+    Ok(())
+}
+
+/// Read exactly one setup frame (`Hello`, `Table`, `Ping`, `Pong`) — and
+/// not one byte more, so nothing the peer sends next is stranded in a
+/// buffer when the connection is handed to its reader thread.
+fn read_frame_deadline(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<Frame> {
+    let mut head = [0u8; HEADER_LEN];
+    read_exact_deadline(stream, &mut head, deadline)?;
+    let header = FrameHeader::decode(&head)?;
+    let mut payload = vec![0u8; header.len as usize];
+    read_exact_deadline(stream, &mut payload, deadline)?;
+    Ok(Frame { header, payload })
 }
 
 fn expect_kind(frame: &Frame, kind: FrameKind) -> std::io::Result<()> {
@@ -668,89 +760,58 @@ impl TcpTransport {
         faults: Option<FaultPlan>,
     ) -> std::io::Result<TcpTransport> {
         let total = endpoints;
-        let mut writers: Vec<Option<Mutex<TcpStream>>> = (0..total * total).map(|_| None).collect();
-        let mut readers: Vec<ReadConn> = Vec::with_capacity(total.saturating_sub(1) * total);
+        let mut conns: Vec<Option<Conn>> = (0..total * total).map(|_| None).collect();
         for a in 0..total {
             for b in a + 1..total {
-                let (sa, sb) = socket_pair()?;
                 // Frames written into `sa` (by endpoint a) surface on `sb`
-                // and vice versa; each end is read-cloned for the progress
-                // thread and write-owned by its endpoint.
-                readers.push(ReadConn {
-                    stream: sa.try_clone()?,
-                    dec: FrameDecoder::new(),
-                    peer: b,
-                    alive: true,
-                });
-                readers.push(ReadConn {
-                    stream: sb.try_clone()?,
-                    dec: FrameDecoder::new(),
-                    peer: a,
-                    alive: true,
-                });
-                writers[a * total + b] = Some(Mutex::new(sa));
-                writers[b * total + a] = Some(Mutex::new(sb));
+                // and vice versa.
+                let (sa, sb) = socket_pair()?;
+                conns[a * total + b] = Some(Conn::new(sa));
+                conns[b * total + a] = Some(Conn::new(sb));
             }
         }
 
-        // RTT probe over the (0, 1) pair before anything goes nonblocking.
+        // RTT probe over the (0, 1) pair, before any reader owns it.
         let mut rtt = RTT_FLOOR;
         if total >= 2 {
             let deadline = Instant::now() + setup_timeout();
             let ping01 = encode_frame(FrameHeader::control(FrameKind::Ping, 0), &[]);
             let pong10 = encode_frame(FrameHeader::control(FrameKind::Pong, 1), &[]);
+            let mut s01 = conns[1]
+                .as_ref()
+                .expect("pair (0,1) exists")
+                .stream
+                .try_clone()?;
+            let mut s10 = conns[total]
+                .as_ref()
+                .expect("pair (1,0) exists")
+                .stream
+                .try_clone()?;
             let t0 = Instant::now();
             for _ in 0..RTT_PROBES {
-                lock_unpoisoned(writers[1].as_ref().expect("pair (0,1) exists"))
-                    .write_all(&ping01)?;
-                // readers[1] is the b-side clone of pair (0, 1): endpoint
-                // 0's frames surface here.
-                let r1 = &mut readers[1];
-                let f = read_frame_deadline(&mut r1.stream, &mut r1.dec, deadline)?;
-                expect_kind(&f, FrameKind::Ping)?;
-                lock_unpoisoned(writers[total].as_ref().expect("pair (1,0) exists"))
-                    .write_all(&pong10)?;
-                let r0 = &mut readers[0];
-                let f = read_frame_deadline(&mut r0.stream, &mut r0.dec, deadline)?;
-                expect_kind(&f, FrameKind::Pong)?;
+                s01.write_all(&ping01)?;
+                expect_kind(&read_frame_deadline(&mut s10, deadline)?, FrameKind::Ping)?;
+                s10.write_all(&pong10)?;
+                expect_kind(&read_frame_deadline(&mut s01, deadline)?, FrameKind::Pong)?;
             }
             rtt = (t0.elapsed() / RTT_PROBES).max(RTT_FLOOR);
         }
 
+        let inner = Inner::new(Topology::Mesh { conns }, total, net, faults, rtt);
         // Mirror `Fabric::with_faults`: endpoints scheduled to die before
         // their first send are dead from the start, not merely on first use.
-        let dead: Vec<AtomicBool> = (0..total).map(|_| AtomicBool::new(false)).collect();
-        if let Some(plan) = &faults {
+        if let Some((plan, _)) = &inner.faults {
             for ep in plan.dead_on_arrival() {
-                dead[ep].store(true, Ordering::SeqCst);
+                inner.dead[ep].store(true, Ordering::SeqCst);
             }
         }
-
-        Self::finish(
-            Inner {
-                total,
-                topo: Topology::Mesh { writers },
-                mailboxes: (0..total).map(|_| Mailbox::default()).collect(),
-                dead,
-                suspect: (0..total).map(|_| AtomicBool::new(false)).collect(),
-                last_heard: (0..total).map(|_| AtomicU64::new(0)).collect(),
-                start: Instant::now(),
-                heartbeat: None,
-                clock: LinkClock::new(net),
-                faults: faults.map(|p| {
-                    let st = FaultState::new(total);
-                    (p, st)
-                }),
-                rtt: rtt.max(net.alpha * 2),
-                shutdown: AtomicBool::new(false),
-            },
-            readers,
-        )
+        Self::finish(inner)
     }
 
     /// Join a multi-process world as `rank` of `world`: full-mesh
     /// connection establishment through the rendezvous rank (see the
-    /// [module docs](self)), a ring RTT probe, then the progress engine.
+    /// [module docs](self)), a ring RTT probe, then the reader threads
+    /// and the heartbeat timer.
     ///
     /// The returned transport serves exactly the `world` rank endpoints;
     /// in-network switch endpoints are a single-process (mesh/fabric)
@@ -763,7 +824,7 @@ impl TcpTransport {
     ) -> std::io::Result<TcpTransport> {
         assert!(rank < world, "rank {rank} outside world {world}");
         let deadline = Instant::now() + setup_timeout();
-        let mut conns: Vec<Option<(TcpStream, FrameDecoder)>> = (0..world).map(|_| None).collect();
+        let mut conns: Vec<Option<TcpStream>> = (0..world).map(|_| None).collect();
 
         if world > 1 {
             if rank == 0 {
@@ -778,8 +839,7 @@ impl TcpTransport {
                 let mut ports = vec![0u16; world];
                 for _ in 1..world {
                     let mut s = accept_deadline(&listener, deadline)?;
-                    let mut dec = FrameDecoder::new();
-                    let hello = read_frame_deadline(&mut s, &mut dec, deadline)?;
+                    let hello = read_frame_deadline(&mut s, deadline)?;
                     expect_kind(&hello, FrameKind::Hello)?;
                     let peer = hello.header.from as usize;
                     if peer == 0
@@ -793,11 +853,11 @@ impl TcpTransport {
                         ));
                     }
                     ports[peer] = u16::from_le_bytes([hello.payload[0], hello.payload[1]]);
-                    conns[peer] = Some((s, dec));
+                    conns[peer] = Some(s);
                 }
                 let table: Vec<u8> = ports.iter().flat_map(|p| p.to_le_bytes()).collect();
                 let frame = encode_frame(FrameHeader::control(FrameKind::Table, 0), &table);
-                for (s, _) in conns.iter_mut().flatten() {
+                for s in conns.iter_mut().flatten() {
                     s.write_all(&frame)?;
                 }
             } else {
@@ -814,8 +874,7 @@ impl TcpTransport {
                     FrameHeader::control(FrameKind::Hello, rank),
                     &my_port.to_le_bytes(),
                 ))?;
-                let mut dec = FrameDecoder::new();
-                let table = read_frame_deadline(&mut s, &mut dec, deadline)?;
+                let table = read_frame_deadline(&mut s, deadline)?;
                 expect_kind(&table, FrameKind::Table)?;
                 let ports: Vec<u16> = table
                     .payload
@@ -828,7 +887,7 @@ impl TcpTransport {
                         "rendezvous table has the wrong arity",
                     ));
                 }
-                conns[0] = Some((s, dec));
+                conns[0] = Some(s);
                 // Mesh among non-zero ranks: dial every lower rank, accept
                 // from every higher one.
                 for (j, port) in ports.iter().enumerate().take(rank).skip(1) {
@@ -837,12 +896,11 @@ impl TcpTransport {
                         FrameHeader::control(FrameKind::Hello, rank),
                         &[],
                     ))?;
-                    conns[j] = Some((s, FrameDecoder::new()));
+                    conns[j] = Some(s);
                 }
                 for _ in rank + 1..world {
                     let mut s = accept_deadline(&listener, deadline)?;
-                    let mut dec = FrameDecoder::new();
-                    let hello = read_frame_deadline(&mut s, &mut dec, deadline)?;
+                    let hello = read_frame_deadline(&mut s, deadline)?;
                     expect_kind(&hello, FrameKind::Hello)?;
                     let peer = hello.header.from as usize;
                     if peer <= rank || peer >= world || conns[peer].is_some() {
@@ -851,7 +909,7 @@ impl TcpTransport {
                             format!("bad mesh hello from alleged rank {peer}"),
                         ));
                     }
-                    conns[peer] = Some((s, dec));
+                    conns[peer] = Some(s);
                 }
             }
         }
@@ -859,7 +917,7 @@ impl TcpTransport {
         // Ring RTT probe: ping the next rank, serve the previous one.
         // First writes are unconditional, so the ring cannot deadlock; per
         // connection FIFO guarantees the probe frames drain before any
-        // data frame the progress thread should see.
+        // data frame a reader thread should see.
         let mut rtt = RTT_FLOOR;
         if world > 1 {
             let next = (rank + 1) % world;
@@ -867,62 +925,33 @@ impl TcpTransport {
             let t0 = Instant::now();
             for _ in 0..RTT_PROBES {
                 {
-                    let (s, _) = conns[next].as_mut().expect("ring neighbour connected");
+                    let s = conns[next].as_mut().expect("ring neighbour connected");
                     s.write_all(&encode_frame(
                         FrameHeader::control(FrameKind::Ping, rank),
                         &[],
                     ))?;
                 }
                 {
-                    let (s, dec) = conns[prev].as_mut().expect("ring neighbour connected");
-                    let f = read_frame_deadline(s, dec, deadline)?;
-                    expect_kind(&f, FrameKind::Ping)?;
+                    let s = conns[prev].as_mut().expect("ring neighbour connected");
+                    expect_kind(&read_frame_deadline(s, deadline)?, FrameKind::Ping)?;
                     s.write_all(&encode_frame(
                         FrameHeader::control(FrameKind::Pong, rank),
                         &[],
                     ))?;
                 }
                 {
-                    let (s, dec) = conns[next].as_mut().expect("ring neighbour connected");
-                    let f = read_frame_deadline(s, dec, deadline)?;
-                    expect_kind(&f, FrameKind::Pong)?;
+                    let s = conns[next].as_mut().expect("ring neighbour connected");
+                    expect_kind(&read_frame_deadline(s, deadline)?, FrameKind::Pong)?;
                 }
             }
             rtt = (t0.elapsed() / RTT_PROBES).max(RTT_FLOOR);
         }
 
-        let mut writers: Vec<Option<Mutex<TcpStream>>> = (0..world).map(|_| None).collect();
-        let mut readers: Vec<ReadConn> = Vec::with_capacity(world.saturating_sub(1));
-        for (peer, slot) in conns.into_iter().enumerate() {
-            if let Some((s, dec)) = slot {
-                s.set_read_timeout(None)?;
-                readers.push(ReadConn {
-                    stream: s.try_clone()?,
-                    dec,
-                    peer,
-                    alive: true,
-                });
-                writers[peer] = Some(Mutex::new(s));
-            }
-        }
-
-        Self::finish(
-            Inner {
-                total: world,
-                topo: Topology::Proc { me: rank, writers },
-                mailboxes: (0..world).map(|_| Mailbox::default()).collect(),
-                dead: (0..world).map(|_| AtomicBool::new(false)).collect(),
-                suspect: (0..world).map(|_| AtomicBool::new(false)).collect(),
-                last_heard: (0..world).map(|_| AtomicU64::new(0)).collect(),
-                start: Instant::now(),
-                heartbeat: Some(Heartbeat::from_env()),
-                clock: LinkClock::new(net),
-                faults: None,
-                rtt: rtt.max(net.alpha * 2),
-                shutdown: AtomicBool::new(false),
-            },
-            readers,
-        )
+        let topo = Topology::Proc {
+            me: rank,
+            conns: conns.into_iter().map(|s| s.map(Conn::new)).collect(),
+        };
+        Self::finish(Inner::new(topo, world, net, None, rtt))
     }
 
     /// [`TcpTransport::connect`] configured entirely from the environment
@@ -940,21 +969,41 @@ impl TcpTransport {
         )
     }
 
-    fn finish(inner: Inner, mut readers: Vec<ReadConn>) -> std::io::Result<TcpTransport> {
-        for c in &mut readers {
-            c.stream.set_nonblocking(true)?;
-        }
+    /// Go live: every socket fully blocking on the read side and bounded
+    /// by one heartbeat interval per stalled write, one reader thread per
+    /// connection, and — in the multi-process topology only — the
+    /// heartbeat timer. On an error part-way, dropping the transport stops
+    /// the threads that already started.
+    fn finish(inner: Inner) -> std::io::Result<TcpTransport> {
         let inner = Arc::new(inner);
-        let handle = {
-            let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("hear-tcp-progress".into())
-                .spawn(move || progress_loop(inner, readers))?
+        let mut transport = TcpTransport {
+            inner: inner.clone(),
+            threads: Vec::new(),
         };
-        Ok(TcpTransport {
-            inner,
-            progress: Mutex::new(Some(handle)),
-        })
+        for (slot, conn) in inner.topo.conns().iter().enumerate() {
+            let Some(conn) = conn else { continue };
+            conn.stream.set_read_timeout(None)?;
+            conn.stream
+                .set_write_timeout(Some(inner.heartbeat.interval))?;
+            // Frames on `conns[from * total + to]` (mesh) or `conns[to]`
+            // (multi-process) come from endpoint `to`.
+            let (inner, stream, peer) =
+                (inner.clone(), conn.stream.try_clone()?, slot % inner.total);
+            transport
+                .threads
+                .push(spawn_service("hear-tcp-reader", move || {
+                    reader_loop(inner, stream, peer)
+                })?);
+        }
+        if let Topology::Proc { .. } = inner.topo {
+            let inner = inner.clone();
+            transport
+                .threads
+                .push(spawn_service("hear-tcp-heartbeat", move || {
+                    heartbeat_loop(inner)
+                })?);
+        }
+        Ok(transport)
     }
 }
 
@@ -988,7 +1037,7 @@ impl Transport for TcpTransport {
             &mut payload,
         );
         if let Some(flag) = suspect {
-            inner.mark_suspect(from, flag);
+            inner.set_suspicion(&inner.suspect, from, flag);
         }
         if let SendDecision::Deliver { dup, extra_delay } = decision {
             if let Some(copy) = dup {
@@ -1019,9 +1068,9 @@ impl Transport for TcpTransport {
             tag,
             deadline,
         )?;
-        // Socket-borne messages arrive encoded (see `handle_frame`);
-        // local deposits (self-sends, mesh-mode short circuits) are
-        // already typed and pass through untouched.
+        // Socket-borne user-codec messages arrive encoded (see
+        // `RawPayload`); primitive payloads and local deposits are already
+        // typed and pass through untouched.
         if env.payload.is::<RawPayload>() {
             let raw = env
                 .payload
@@ -1032,6 +1081,10 @@ impl Transport for TcpTransport {
         Ok(env)
     }
 
+    fn pending_queues(&self, endpoint: usize) -> usize {
+        self.inner.mailboxes[endpoint].pending_queues()
+    }
+
     fn is_dead(&self, endpoint: usize) -> bool {
         self.inner.is_dead(endpoint)
     }
@@ -1040,11 +1093,11 @@ impl Transport for TcpTransport {
         self.inner.mark_dead(endpoint);
         // In multi-process mode, killing the *local* rank must be visible
         // to the other processes: shutting the sockets gives every peer an
-        // EOF, which their progress threads map to a dead endpoint.
-        if let Topology::Proc { me, writers } = &self.inner.topo {
+        // EOF, which their reader threads map to a dead endpoint.
+        if let Topology::Proc { me, conns } = &self.inner.topo {
             if endpoint == *me {
-                for w in writers.iter().flatten() {
-                    let _ = lock_unpoisoned(w).shutdown(std::net::Shutdown::Both);
+                for conn in conns.iter().flatten() {
+                    let _ = conn.stream.shutdown(Shutdown::Both);
                 }
             }
         }
@@ -1062,17 +1115,14 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        let shutdown_all = |writers: &[Option<Mutex<TcpStream>>]| {
-            for w in writers.iter().flatten() {
-                let _ = lock_unpoisoned(w).shutdown(std::net::Shutdown::Both);
-            }
-        };
-        match &self.inner.topo {
-            Topology::Mesh { writers } => shutdown_all(writers),
-            Topology::Proc { writers, .. } => shutdown_all(writers),
+        // Shutting a socket down wakes its reader out of `read` (and a
+        // writer stalled on it out of `write`); the timer is parked.
+        for conn in self.inner.topo.conns().iter().flatten() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
-        if let Some(h) = lock_unpoisoned(&self.progress).take() {
-            let _ = h.join();
+        for t in self.threads.drain(..) {
+            t.thread().unpark();
+            let _ = t.join();
         }
     }
 }
@@ -1083,6 +1133,230 @@ mod tests {
 
     fn mesh(n: usize) -> TcpTransport {
         TcpTransport::mesh(n, NetConfig::instant(), None).expect("loopback mesh")
+    }
+
+    /// A live transport of `total` endpoints whose only connection, 0 → 1,
+    /// ends in a raw socket the test drives by hand: what the test writes
+    /// there the connection's reader thread sees as coming from endpoint
+    /// 1, and what endpoint 0 sends to 1 piles up there until the test
+    /// reads it.
+    fn raw_link(total: usize, heartbeat: Heartbeat) -> (TcpTransport, TcpStream) {
+        let (near, far) = socket_pair().expect("loopback pair");
+        let mut conns: Vec<Option<Conn>> = (0..total * total).map(|_| None).collect();
+        conns[1] = Some(Conn::new(near));
+        let mut inner = Inner::new(
+            Topology::Mesh { conns },
+            total,
+            NetConfig::instant(),
+            None,
+            RTT_FLOOR,
+        );
+        inner.heartbeat = heartbeat;
+        (TcpTransport::finish(inner).expect("go live"), far)
+    }
+
+    const PATIENT: Heartbeat = Heartbeat {
+        interval: Duration::from_millis(100),
+        miss_budget: 10,
+    };
+
+    fn msg_frame(from: u32, to: u32, tag: u64, payload: &[u64]) -> Vec<u8> {
+        let (type_id, body) = wire::encode_payload(&payload.to_vec());
+        let header = FrameHeader {
+            kind: FrameKind::Msg,
+            type_id,
+            from,
+            to,
+            tag,
+            delay_ns: 0,
+            len: 0,
+        };
+        encode_frame(header, &body)
+    }
+
+    fn far_future() -> Option<Instant> {
+        Some(Instant::now() + Duration::from_secs(10))
+    }
+
+    /// Pin: no timed sleep on the receive path. 2 000 round trips of 16
+    /// bytes must fit in 200 ms (100 µs each) in the best of three tries —
+    /// loose enough for a busy runner, but a 100 µs poll sleep per hop
+    /// needs ≈ 770 ms.
+    #[test]
+    fn mesh_ping_pong_has_no_timed_sleep_in_the_hop() {
+        const ROUNDS: u64 = 2_000;
+        let t = Arc::new(mesh(2));
+        let best = (0..3)
+            .map(|_| {
+                let echo = {
+                    let t = t.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..ROUNDS {
+                            let env = t.recv_on(1, 0, i, far_future()).unwrap();
+                            t.send_boxed(1, 0, i, env.payload, 16);
+                        }
+                    })
+                };
+                let t0 = Instant::now();
+                for i in 0..ROUNDS {
+                    t.send_boxed(0, 1, i, Box::new(vec![i, !i]), 16);
+                    let env = t.recv_on(0, 1, i, far_future()).unwrap();
+                    assert_eq!(*env.payload.downcast::<Vec<u64>>().unwrap(), vec![i, !i]);
+                }
+                let took = t0.elapsed();
+                echo.join().unwrap();
+                took
+            })
+            .min()
+            .unwrap();
+        assert!(
+            best < Duration::from_millis(200),
+            "{ROUNDS} round trips took {best:?}: something sleeps on the hop"
+        );
+    }
+
+    /// Torn delivery straight off a socket: a header split across two
+    /// writes and a payload dribbled one byte at a time reassemble, and
+    /// the frame behind them is still in step.
+    #[test]
+    fn torn_delivery_reassembles_off_a_raw_socket() {
+        let (t, mut far) = raw_link(2, PATIENT);
+        let first = msg_frame(1, 0, 5, &[0xDEAD_BEEF, 7, u64::MAX]);
+        far.write_all(&first[..13]).unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        far.write_all(&first[13..HEADER_LEN]).unwrap();
+        for b in &first[HEADER_LEN..] {
+            far.write_all(std::slice::from_ref(b)).unwrap();
+        }
+        far.write_all(&msg_frame(1, 0, 5, &[1])).unwrap();
+        for want in [vec![0xDEAD_BEEF, 7, u64::MAX], vec![1]] {
+            let env = t.recv_on(0, 1, 5, far_future()).unwrap();
+            assert_eq!(*env.payload.downcast::<Vec<u64>>().unwrap(), want);
+        }
+        assert!(!t.is_dead(1));
+    }
+
+    /// A corrupt header is an unrecoverable desync of that one stream: the
+    /// peer behind it is dead, nobody else is.
+    #[test]
+    fn corrupt_header_kills_exactly_that_peer() {
+        let (t, mut far) = raw_link(3, PATIENT);
+        far.write_all(&msg_frame(1, 0, 1, &[9])).unwrap();
+        let mut bad = msg_frame(1, 0, 2, &[9]);
+        bad[0] ^= 0xFF;
+        far.write_all(&bad).unwrap();
+        let env = t.recv_on(0, 1, 1, far_future()).unwrap();
+        assert_eq!(*env.payload.downcast::<Vec<u64>>().unwrap(), vec![9]);
+        assert_eq!(
+            t.recv_on(0, 1, 2, far_future()).unwrap_err(),
+            CommError::PeerDead { peer: 1 }
+        );
+        assert!(t.is_dead(1));
+        assert!(!t.is_dead(0) && !t.is_dead(2));
+    }
+
+    /// A frame with a `type_id` nobody registered is read off the stream
+    /// whole and fails only its own receive, as a `TypeMismatch`; the
+    /// frame behind it and the connection are fine.
+    #[test]
+    fn unregistered_type_id_is_a_type_mismatch_for_one_receive_only() {
+        let (t, mut far) = raw_link(2, PATIENT);
+        let mut alien = msg_frame(1, 0, 1, &[1, 2]);
+        alien[4..8].copy_from_slice(&0x3FFF_FFF0u32.to_le_bytes());
+        far.write_all(&alien).unwrap();
+        far.write_all(&msg_frame(1, 0, 2, &[3])).unwrap();
+        let comm = crate::Communicator::new(0, 2, Arc::new(t));
+        let wait = Duration::from_secs(10);
+        assert!(matches!(
+            comm.recv_timeout::<u64>(1, 1, wait),
+            Err(CommError::TypeMismatch {
+                source: 1,
+                tag: 1,
+                ..
+            })
+        ));
+        assert_eq!(comm.recv_timeout::<u64>(1, 2, wait), Ok(vec![3]));
+        assert!(!comm.is_peer_dead(1));
+    }
+
+    /// Every reader of a 4-endpoint mesh (12 of them) is parked in `read`
+    /// with nothing to read; `Drop` must get them all out promptly.
+    #[test]
+    fn drop_unparks_readers_blocked_in_read() {
+        let t = mesh(4);
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        drop(t);
+        assert!(
+            t0.elapsed() < Duration::from_millis(100),
+            "drop took {:?}",
+            t0.elapsed()
+        );
+    }
+
+    /// Slow is not dead: a write into a full socket buffer marks the peer
+    /// suspect while it makes no progress, and finishes — peer alive, no
+    /// longer suspect, frame intact, one reconnect counted however often
+    /// the write hiccuped — once the far end drains. A fault plan's
+    /// disconnect window on the same endpoint is a separate flag: the
+    /// write healing must not close it.
+    #[test]
+    fn stalled_write_is_suspect_then_heals() {
+        const LEN: usize = 32 << 20;
+        let hb = Heartbeat {
+            interval: Duration::from_millis(20),
+            miss_budget: 500,
+        };
+        let (t, mut far) = raw_link(2, hb);
+        let t = Arc::new(t);
+        let sender = {
+            let t = t.clone();
+            std::thread::spawn(move || {
+                let reg = hear_telemetry::Registry::new_enabled();
+                let _g = reg.install(None);
+                t.send_boxed(0, 1, 3, Box::new(vec![0xA5u8; LEN]), LEN);
+                reg.counter(hear_telemetry::Metric::ReconnectsTotal)
+            })
+        };
+        let t0 = Instant::now();
+        while !t.inner.is_suspect(1) {
+            assert!(t0.elapsed() < Duration::from_secs(5), "never went suspect");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!t.is_dead(1));
+        t.inner.set_suspicion(&t.inner.suspect, 1, true);
+        let mut frame = vec![0u8; HEADER_LEN + LEN];
+        // Drain in two gulps with a pause, so the write stalls twice.
+        far.read_exact(&mut frame[..LEN / 2]).unwrap();
+        std::thread::sleep(Duration::from_millis(60));
+        far.read_exact(&mut frame[LEN / 2..]).unwrap();
+        assert_eq!(sender.join().unwrap(), 1, "one reconnect per frame");
+        assert!(t.inner.is_suspect(1), "the injected window was closed");
+        t.inner.set_suspicion(&t.inner.suspect, 1, false);
+        assert!(!t.is_dead(1) && !t.inner.is_suspect(1));
+        assert_eq!(
+            FrameHeader::decode(frame[..HEADER_LEN].try_into().unwrap())
+                .unwrap()
+                .len as usize,
+            LEN
+        );
+        assert!(frame[HEADER_LEN..].iter().all(|b| *b == 0xA5));
+    }
+
+    /// A stall that outlives `interval × miss_budget` is a dead peer, and
+    /// the blocked send returns.
+    #[test]
+    fn stall_past_the_silence_budget_is_peer_dead() {
+        const LEN: usize = 32 << 20;
+        let hb = Heartbeat {
+            interval: Duration::from_millis(10),
+            miss_budget: 3,
+        };
+        let (t, _far) = raw_link(2, hb);
+        let t0 = Instant::now();
+        t.send_boxed(0, 1, 3, Box::new(vec![0u8; LEN]), LEN);
+        assert!(t0.elapsed() >= Duration::from_millis(30));
+        assert!(t.is_dead(1) && !t.inner.is_suspect(1));
     }
 
     #[test]

@@ -37,6 +37,7 @@
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
+use std::io::Read;
 use std::sync::{LazyLock, RwLock};
 
 /// First two bytes of every frame.
@@ -106,6 +107,14 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// For connection owners that read frames off a socket: a corrupt header
+/// ends the stream the same way an I/O error does.
+impl From<WireError> for std::io::Error {
+    fn from(e: WireError) -> std::io::Error {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
 
 /// The parsed fixed-size frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,7 +270,9 @@ pub struct WireUndecodable {
     pub len: usize,
 }
 
-type EncodeFn = Box<dyn Fn(&(dyn Any + Send)) -> Option<Vec<u8>> + Send + Sync>;
+/// Appends the payload's wire image to the buffer; `false` when handed a
+/// type other than the one it was registered for.
+type EncodeFn = Box<dyn Fn(&(dyn Any + Send), &mut Vec<u8>) -> bool + Send + Sync>;
 type DecodeFn = Box<dyn Fn(&[u8]) -> Option<Box<dyn Any + Send>> + Send + Sync>;
 
 struct Registry {
@@ -278,12 +289,13 @@ static REGISTRY: LazyLock<RwLock<Registry>> = LazyLock::new(|| {
     RwLock::new(reg)
 });
 
-fn registry_insert<T: Send + 'static>(
+/// Bind `Vec<T>` to `wire_id` in both directions, refusing a second,
+/// different binding of either.
+fn registry_bind<T: Send + 'static>(
     reg: &mut Registry,
     wire_id: u32,
-    elem_bytes: usize,
-    write: fn(&T, &mut Vec<u8>),
-    read: fn(&[u8]) -> Option<T>,
+    encode: EncodeFn,
+    decode: DecodeFn,
 ) {
     let name = std::any::type_name::<Vec<T>>();
     if let Some((existing, _)) = reg.by_type.get(&TypeId::of::<Vec<T>>()) {
@@ -296,19 +308,34 @@ fn registry_insert<T: Send + 'static>(
     if let Some((other, _)) = reg.by_wire.get(&wire_id) {
         panic!("wire id {wire_id:#x} already taken by {other}, cannot assign it to {name}");
     }
-    let encode: EncodeFn = Box::new(move |payload| {
-        let v = payload.downcast_ref::<Vec<T>>()?;
-        let mut out = Vec::with_capacity(v.len() * elem_bytes);
+    reg.by_type
+        .insert(TypeId::of::<Vec<T>>(), (wire_id, encode));
+    reg.by_wire.insert(wire_id, (name, decode));
+}
+
+fn registry_insert<T: Send + 'static>(
+    reg: &mut Registry,
+    wire_id: u32,
+    elem_bytes: usize,
+    write: fn(&T, &mut Vec<u8>),
+    read: fn(&[u8]) -> Option<T>,
+) {
+    let name = std::any::type_name::<Vec<T>>();
+    let encode: EncodeFn = Box::new(move |payload, out| {
+        let Some(v) = payload.downcast_ref::<Vec<T>>() else {
+            return false;
+        };
+        out.reserve(v.len() * elem_bytes);
         for item in v {
             let before = out.len();
-            write(item, &mut out);
+            write(item, out);
             debug_assert_eq!(
                 out.len() - before,
                 elem_bytes,
                 "codec {name} wrote a wrong-width element"
             );
         }
-        Some(out)
+        true
     });
     let decode: DecodeFn = Box::new(move |bytes| {
         if elem_bytes == 0 || bytes.len() % elem_bytes != 0 {
@@ -320,9 +347,7 @@ fn registry_insert<T: Send + 'static>(
         }
         Some(Box::new(v) as Box<dyn Any + Send>)
     });
-    reg.by_type
-        .insert(TypeId::of::<Vec<T>>(), (wire_id, encode));
-    reg.by_wire.insert(wire_id, (name, decode));
+    registry_bind::<T>(reg, wire_id, encode, decode);
 }
 
 /// Register a codec for `Vec<T>` under `wire_id`, where every element
@@ -344,30 +369,150 @@ pub fn register_vec_codec<T: Send + 'static>(
     registry_insert(&mut reg, wire_id, elem_bytes, write, read);
 }
 
-macro_rules! builtin_le_codec {
-    ($reg:expr, $id:expr, $t:ty) => {
-        registry_insert::<$t>(
-            $reg,
-            $id,
-            std::mem::size_of::<$t>(),
-            |v, out| out.extend_from_slice(&v.to_le_bytes()),
-            |b| Some(<$t>::from_le_bytes(b.try_into().ok()?)),
-        );
+/// A built-in primitive element: fixed width, no padding, every bit
+/// pattern valid, and a wire image that is the value's little-endian
+/// bytes — so a whole `Vec<T>` moves as one byte run instead of element
+/// by element.
+///
+/// # Safety
+///
+/// Implementors must be primitive integers or floats: [`bytes_of`] and
+/// [`bytes_of_mut`] reinterpret slices of them as bytes, which is sound
+/// only without padding and without invalid bit patterns.
+unsafe trait Pod: Copy + Default + Send + 'static {
+    /// Native value ↔ little-endian wire image: the identity on
+    /// little-endian hosts, a byte swap on big-endian ones.
+    fn swap_le(self) -> Self;
+}
+
+fn bytes_of<T: Pod>(v: &[T]) -> &[u8] {
+    // SAFETY: `T: Pod` has no padding, so all `size_of_val(v)` bytes are
+    // initialised; `u8` has alignment 1; the result borrows `v`.
+    unsafe { std::slice::from_raw_parts(v.as_ptr().cast(), std::mem::size_of_val(v)) }
+}
+
+fn bytes_of_mut<T: Pod>(v: &mut [T]) -> &mut [u8] {
+    // SAFETY: as `bytes_of`; every bit pattern is a valid `T`, so no write
+    // through the byte view can leave an invalid value behind, and the
+    // result holds the exclusive borrow of `v`.
+    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast(), std::mem::size_of_val(v)) }
+}
+
+fn pod_encode<T: Pod>(payload: &(dyn Any + Send), out: &mut Vec<u8>) -> bool {
+    let Some(v) = payload.downcast_ref::<Vec<T>>() else {
+        return false;
+    };
+    if cfg!(target_endian = "little") {
+        out.extend_from_slice(bytes_of(v));
+    } else {
+        for x in v {
+            out.extend_from_slice(bytes_of(&[x.swap_le()]));
+        }
+    }
+    true
+}
+
+/// A zeroed `Vec<T>` whose byte image is `bytes` long, ready to be filled
+/// through [`bytes_of_mut`]; `None` when `bytes` is not a whole number of
+/// elements.
+fn pod_zeroed<T: Pod>(bytes: usize) -> Option<Vec<T>> {
+    bytes
+        .is_multiple_of(std::mem::size_of::<T>())
+        .then(|| vec![T::default(); bytes / std::mem::size_of::<T>()])
+}
+
+/// Turn a wire image just written through [`bytes_of_mut`] into native
+/// values (nothing to do on a little-endian host).
+fn pod_from_wire<T: Pod>(v: &mut [T]) {
+    if cfg!(target_endian = "big") {
+        for x in v {
+            *x = x.swap_le();
+        }
+    }
+}
+
+fn pod_decode<T: Pod>(bytes: &[u8]) -> Option<Box<dyn Any + Send>> {
+    let mut v = pod_zeroed::<T>(bytes.len())?;
+    bytes_of_mut(&mut v).copy_from_slice(bytes);
+    pod_from_wire(&mut v);
+    Some(Box::new(v))
+}
+
+fn pod_read<T: Pod>(len: usize, r: &mut impl Read) -> Option<std::io::Result<Box<dyn Any + Send>>> {
+    let mut v = pod_zeroed::<T>(len)?;
+    Some(r.read_exact(bytes_of_mut(&mut v)).map(|()| {
+        pod_from_wire(&mut v);
+        Box::new(v) as Box<dyn Any + Send>
+    }))
+}
+
+/// The primitive codecs, once: `(wire id, element type)`. Everything that
+/// moves these as bulk bytes — the registry entries, the transport's
+/// borrowed send and its typed receive — is generated from this one list.
+macro_rules! le_primitives {
+    ($(($id:literal, $t:ty)),+ $(,)?) => {
+        $(
+            // SAFETY: a primitive number — no padding, every bit pattern valid.
+            unsafe impl Pod for $t {
+                fn swap_le(self) -> Self {
+                    <$t>::from_le_bytes(self.to_ne_bytes())
+                }
+            }
+        )+
+
+        fn primitive_codecs(reg: &mut Registry) {
+            $(registry_bind::<$t>(reg, $id, Box::new(pod_encode::<$t>), Box::new(pod_decode::<$t>));)+
+        }
+
+        /// The payload's wire image borrowed in place: `(type_id, bytes)`
+        /// when it is a primitive vector on a little-endian host, where
+        /// memory already holds the wire form. `None` sends the caller to
+        /// [`encode_payload_into`].
+        pub(super) fn primitive_bytes(payload: &(dyn Any + Send)) -> Option<(u32, &[u8])> {
+            if cfg!(target_endian = "big") {
+                return None;
+            }
+            $(
+                if let Some(v) = payload.downcast_ref::<Vec<$t>>() {
+                    return Some(($id, bytes_of(v)));
+                }
+            )+
+            None
+        }
+
+        /// Read a `len`-byte primitive payload from `r` straight into the
+        /// typed, aligned `Vec<T>` the receiver will downcast to. `None`
+        /// (nothing consumed) when `type_id` is not a primitive codec or
+        /// `len` is not a whole number of elements.
+        pub(super) fn read_primitive(
+            type_id: u32,
+            len: usize,
+            r: &mut impl Read,
+        ) -> Option<std::io::Result<Box<dyn Any + Send>>> {
+            match type_id {
+                $($id => pod_read::<$t>(len, r),)+
+                _ => None,
+            }
+        }
     };
 }
 
+le_primitives!(
+    (0x01, u8),
+    (0x02, u16),
+    (0x03, u32),
+    (0x04, u64),
+    (0x05, u128),
+    (0x06, i8),
+    (0x07, i16),
+    (0x08, i32),
+    (0x09, i64),
+    (0x0A, f32),
+    (0x0B, f64),
+);
+
 fn builtin_codecs(reg: &mut Registry) {
-    builtin_le_codec!(reg, 0x01, u8);
-    builtin_le_codec!(reg, 0x02, u16);
-    builtin_le_codec!(reg, 0x03, u32);
-    builtin_le_codec!(reg, 0x04, u64);
-    builtin_le_codec!(reg, 0x05, u128);
-    builtin_le_codec!(reg, 0x06, i8);
-    builtin_le_codec!(reg, 0x07, i16);
-    builtin_le_codec!(reg, 0x08, i32);
-    builtin_le_codec!(reg, 0x09, i64);
-    builtin_le_codec!(reg, 0x0A, f32);
-    builtin_le_codec!(reg, 0x0B, f64);
+    primitive_codecs(reg);
     // usize travels as u64 so 32- and 64-bit peers agree on the width.
     registry_insert::<usize>(
         reg,
@@ -412,13 +557,25 @@ fn builtin_codecs(reg: &mut Registry) {
 /// wiring bug (a new payload type reached the TCP backend without a
 /// matching [`register_vec_codec`] call), not a runtime condition.
 pub fn encode_payload(payload: &(dyn Any + Send)) -> (u32, Vec<u8>) {
+    let mut bytes = Vec::new();
+    let wire_id = encode_payload_into(payload, &mut bytes);
+    (wire_id, bytes)
+}
+
+/// [`encode_payload`] into a caller-owned buffer (cleared first), so the
+/// transport can reuse one scratch allocation per connection.
+pub(super) fn encode_payload_into(payload: &(dyn Any + Send), out: &mut Vec<u8>) -> u32 {
+    out.clear();
     let reg = REGISTRY.read().unwrap_or_else(|e| e.into_inner());
     let tid = payload.type_id();
     match reg.by_type.get(&tid) {
-        Some((wire_id, encode)) => match encode(payload) {
-            Some(bytes) => (*wire_id, bytes),
-            None => unreachable!("codec registered for {tid:?} refused its own type"),
-        },
+        Some((wire_id, encode)) => {
+            assert!(
+                encode(payload, out),
+                "codec registered for {tid:?} refused its own type"
+            );
+            *wire_id
+        }
         None => panic!(
             "payload type {tid:?} has no TCP wire codec; register one with \
              hear_mpi::tcp::wire::register_vec_codec (ids >= {WIRE_ID_USER_BASE:#x})"

@@ -17,7 +17,9 @@
 //! then switch nodes), so a backend never needs to know about
 //! communicators, contexts, or collectives:
 //!
-//! * `send_boxed` is fire-and-forget and must never block indefinitely;
+//! * `send_boxed` is fire-and-forget and must never block indefinitely
+//!   (over sockets it may wait for kernel flow control, bounded by the
+//!   heartbeat silence budget, but never for the receiving rank);
 //! * `recv_on` matches `(source, tag)` with MPI's non-overtaking rule per
 //!   pair, honours an optional deadline, and resolves waits on dead
 //!   endpoints to [`CommError::PeerDead`] instead of hanging;
@@ -75,6 +77,16 @@ pub trait Transport: Send + Sync {
         tag: u64,
         deadline: Option<Instant>,
     ) -> Result<Envelope, CommError>;
+
+    /// How many `(source, tag)` queues `endpoint`'s mailbox holds. A queue
+    /// exists only while it has an undelivered message in it, so an
+    /// endpoint that has received everything sent to it reports 0. A test
+    /// hook for the mailbox-leak pins, not part of the contract: a backend
+    /// without mailboxes need not override it.
+    #[doc(hidden)]
+    fn pending_queues(&self, _endpoint: usize) -> usize {
+        0
+    }
 
     /// Whether `endpoint` has been marked dead.
     fn is_dead(&self, endpoint: usize) -> bool;

@@ -18,8 +18,11 @@ cargo test -q "$@"
 
 # The same matrix, chaos, and collective-composition suites again, with
 # the transport swapped for the loopback TCP socket mesh by the one
-# environment switch — the suites themselves are unchanged.
-HEAR_TRANSPORT=tcp cargo test -q -p hear --test matrix --test chaos --test collectives
+# environment switch — the suites themselves are unchanged — plus the
+# socket and telemetry suites, whose TCP rows must not care about the
+# switch either. (Keep this list identical to the workflow's.)
+HEAR_TRANSPORT=tcp cargo test -q -p hear \
+    --test matrix --test chaos --test collectives --test socket --test telemetry_e2e
 
 # Traced smoke run: quickstart under HEAR_TRACE=1 must emit all three
 # telemetry formats, and they must pass the in-repo schema validator.

@@ -380,6 +380,11 @@ fn check_shrink_reports<T>(
     results: &[(Result<Vec<T>, EngineError>, usize, Vec<MembershipChange>)],
     victim: usize,
 ) {
+    // Shown only if an assertion below fails: the whole picture.
+    for (rank, (res, world, changes)) in results.iter().enumerate() {
+        let res = res.as_ref().map(Vec::len);
+        eprintln!("rank {rank}: {res:?}, world {world}, changes {changes:?}");
+    }
     let (res, _, changes) = &results[victim];
     assert!(
         matches!(res, Err(EngineError::Comm(_))),
@@ -458,8 +463,7 @@ fn shrink_and_continue_mid_reduce_scatter() {
 /// A rank killed mid-allgather (counts exchanged, first payload hop out,
 /// then dead): survivors re-run and get the rank-ordered concatenation
 /// of the *survivors'* contributions.
-#[test]
-fn shrink_and_continue_mid_allgather() {
+fn shrink_mid_allgather(chunk: EngineCfg) {
     let victim = WORLD - 1;
     let (int_in, _) = int_inputs();
     let expected: Vec<u32> = int_in[..WORLD - 1].concat();
@@ -470,7 +474,7 @@ fn shrink_and_continue_mid_allgather() {
     let results = Simulator::with_config(WORLD, cfg).run(|comm| {
         let mut sc = shrink_sc(comm, 0xA64A);
         let mut s = IntSumScheme::<u32>::default();
-        let ecfg = EngineCfg::sync().verified().with_retry(shrink_policy(comm));
+        let ecfg = chunk.verified().with_retry(shrink_policy(comm));
         let res = sc.allgather_with(&mut s, &int_in[comm.rank()], ecfg);
         (res, sc.world(), sc.take_membership_changes())
     });
@@ -480,6 +484,24 @@ fn shrink_and_continue_mid_allgather() {
             assert_eq!(res.as_ref().unwrap(), &expected, "survivor {rank} gather");
         }
     }
+}
+
+/// One round: the victim's only cell is already on the ring when it
+/// dies, so the survivor upstream of it — which receives nothing from
+/// the victim directly — can *complete* the full-world gather if it runs
+/// two hops ahead of the kill. It must still join the agreement, discard
+/// that result and re-run with the others; were it to return, they would
+/// wait out the agreement deadline and evict it as well.
+#[test]
+fn shrink_and_continue_mid_allgather() {
+    shrink_mid_allgather(EngineCfg::sync());
+}
+
+/// Two rounds: the second needs a cell the victim never sends, so every
+/// survivor fails its attempt.
+#[test]
+fn shrink_and_continue_mid_allgather_two_rounds() {
+    shrink_mid_allgather(EngineCfg::blocked(BLOCK));
 }
 
 /// A *leader* killed mid-hierarchical allreduce (group contribution
@@ -559,10 +581,13 @@ fn transient_disconnect_heals_within_retry_budget() {
     let results = Simulator::with_config(WORLD, cfg).run(|comm| {
         let mut sc = shrink_sc(comm, 0xD15C);
         let mut s = IntSumScheme::<u32>::default();
-        // A dropped ring hop heals only once every rank has cycled onto
-        // the same retry attempt (the re-drive is a whole-block replay);
-        // under scheduler pressure the ranks' deadline windows can
-        // stagger for a couple of rounds, so give the cascade room.
+        // The two dropped hops shift rank 0's later hops one step up on
+        // that link, so two ranks are handed garbage and fail
+        // verification at once while the other two see only silence and
+        // wait their window out. The retry window is anchored on the
+        // failed attempt's deadline (`RetryCtl::deadline`), so all four
+        // meet on the first retry; the extra attempts are headroom for a
+        // starved runner, not something the heal needs.
         let mut policy = shrink_policy(comm);
         policy.max_attempts = 8;
         let ecfg = EngineCfg::sync()

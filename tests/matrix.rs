@@ -12,7 +12,7 @@ use hear::core::{
     FloatSumScheme, HfpFormat, Homac, IntProdScheme, IntSumScheme, IntXorScheme, Scheme,
 };
 use hear::layer::{EngineCfg, ReduceAlgo, SecureComm};
-use hear::mpi::{SimConfig, Simulator};
+use hear::mpi::{SimConfig, Simulator, TransportKind};
 
 const WORLD: usize = 4;
 const SEED: u64 = 0xA117;
@@ -520,14 +520,26 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // `try_with`, not `with`: the allocator runs during TLS teardown too,
 // where touching a destroyed thread-local would abort the process.
+fn count_alloc(bytes: usize) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count_alloc(layout.size());
         System.alloc(layout)
+    }
+
+    // `vec![0; n]` comes through here, not through `alloc`.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc(layout.size());
+        System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -535,7 +547,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -545,6 +557,10 @@ static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocs_on_this_thread() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn alloc_bytes_on_this_thread() -> u64 {
+    ALLOC_BYTES.with(Cell::get)
 }
 
 #[test]
@@ -751,6 +767,104 @@ fn steady_state_hierarchical_allocations_stay_flat_at_world_four() {
             "rank {rank}: hierarchical per-iteration allocation counts drift: {counts:?}"
         );
     }
+}
+
+#[test]
+fn steady_state_allreduce_over_tcp_allocates_flat_and_sends_in_place() {
+    // The socket hop holds to the same discipline as the in-memory one.
+    // Per call, the rank thread's allocation count *and* bytes are flat
+    // (small slack for a mailbox table rehash), and at 1 MiB it allocates
+    // nothing the size of the payload: the send borrows the ring segment
+    // in place — no encode copy, no frame copy — and the one payload-sized
+    // allocation per hop, the received `Vec`, is made by the connection's
+    // reader thread, not here. (The large case runs the ring, the
+    // large-message algorithm, whose segment buffer is the recycled
+    // previous receive; recursive doubling clones its accumulator for
+    // every exchange above the transport, on either fabric.)
+    const ITERS: usize = 10;
+    const SLACK: u64 = 8;
+    const SLACK_BYTES: u64 = 4 << 10;
+    const MIB_ELEMS: u32 = (1 << 20) / 4;
+    let tcp = SimConfig::default().with_transport(TransportKind::Tcp);
+    let per_rank = Simulator::with_config(2, tcp).run(|comm| {
+        assert_eq!(comm.transport_name(), "tcp");
+        let keys = CommKeys::generate(2, 0x7C9A, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let mut sc = SecureComm::new(comm.clone(), keys);
+        let mut s = IntSumScheme::<u32>::default();
+        let mut out = Vec::new();
+        let mut steady = |elems: u32, cfg: EngineCfg| {
+            let data: Vec<u32> = (0..elems)
+                .map(|j| j.wrapping_mul(0x27D4_EB2F).wrapping_add(comm.rank() as u32))
+                .collect();
+            for _ in 0..4 {
+                sc.allreduce_with_into(&mut s, &data, &mut out, cfg)
+                    .unwrap();
+            }
+            (0..ITERS)
+                .map(|_| {
+                    let before = (allocs_on_this_thread(), alloc_bytes_on_this_thread());
+                    sc.allreduce_with_into(&mut s, &data, &mut out, cfg)
+                        .unwrap();
+                    (
+                        allocs_on_this_thread() - before.0,
+                        alloc_bytes_on_this_thread() - before.1,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let small = steady(1024, EngineCfg::sync());
+        let large = steady(MIB_ELEMS, EngineCfg::sync().with_algo(ReduceAlgo::Ring));
+        (small, large)
+    });
+    for (rank, (small, large)) in per_rank.iter().enumerate() {
+        for (what, calls) in [("4 KiB", small), ("1 MiB", large)] {
+            let counts = calls.iter().map(|c| c.0);
+            let bytes = calls.iter().map(|c| c.1);
+            assert!(
+                counts.clone().max().unwrap() <= counts.min().unwrap() + SLACK,
+                "rank {rank}, {what}: allocation counts drift over TCP: {calls:?}"
+            );
+            assert!(
+                bytes.clone().max().unwrap() <= bytes.min().unwrap() + SLACK_BYTES,
+                "rank {rank}, {what}: allocated bytes drift over TCP: {calls:?}"
+            );
+        }
+        let worst = large.iter().map(|c| c.1).max().unwrap();
+        assert!(
+            worst < 64 << 10,
+            "rank {rank}: {worst} bytes allocated on the rank thread per 1 MiB call: {large:?}"
+        );
+    }
+}
+
+#[test]
+fn mailboxes_are_empty_after_five_thousand_collectives() {
+    // Collective tags are unique per call, so a mailbox that kept a
+    // drained `(source, tag)` queue would hold one more entry after every
+    // call, for the life of the world.
+    let mem = SimConfig::default().with_transport(TransportKind::Memory);
+    let left_behind = Simulator::with_config(2, mem).run(|comm| {
+        let keys = CommKeys::generate(2, 0x1EAC, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let mut sc = SecureComm::new(comm.clone(), keys);
+        let mut s = IntSumScheme::<u32>::default();
+        let data = [comm.rank() as u32, 7, 11, 13];
+        let mut out = Vec::new();
+        for _ in 0..5_000 {
+            sc.allreduce_with_into(&mut s, &data, &mut out, EngineCfg::sync())
+                .unwrap();
+        }
+        assert_eq!(out, vec![1, 14, 22, 26]);
+        // Every message sent to this rank has been received by now: the
+        // last call returned only after its receive.
+        comm.pending_queues()
+    });
+    assert_eq!(left_behind, vec![0, 0]);
 }
 
 // ---- docs stay in sync with the generators (satellite #4) ---------------

@@ -1,7 +1,7 @@
 //! The socket transport, end to end: the same engine stack that runs on
 //! the in-memory fabric, pushed over real TCP connections.
 //!
-//! Three layers of coverage:
+//! Four layers of coverage:
 //!
 //! 1. **Loopback mesh** (one process, one socket pair per endpoint pair):
 //!    verified allreduce for an integer and a float scheme, selected with
@@ -10,11 +10,14 @@
 //! 2. **Typed failure over sockets**: a type-confused receive must come
 //!    back as [`CommError::TypeMismatch`], never a panic, even though the
 //!    payload crossed a codec boundary on the way.
-//! 3. **Real multi-process world**: the test binary re-spawns itself
+//! 3. **Large frames and lazily decoded payloads**: 32 MiB frames both
+//!    ways at once, repeated 2 MiB frames of an unchunked ring allreduce,
+//!    and a user-codec (`Vec<Hfp>`) message between primitive ones.
+//! 4. **Real multi-process world**: the test binary re-spawns itself
 //!    through [`hear::mpi::Launcher`] (rank-per-process, ephemeral-port
 //!    rendezvous) and runs a verified allreduce across OS processes.
 
-use hear::core::{Backend, CommKeys, FloatSumExpScheme, HfpFormat, Homac, IntSumScheme};
+use hear::core::{Backend, CommKeys, FloatSumExpScheme, Hfp, HfpFormat, Homac, IntSumScheme};
 use hear::layer::{EngineCfg, ReduceAlgo, SecureComm};
 use hear::mpi::{launch, CommError, Launcher, SimConfig, Simulator, TransportKind};
 use std::time::Duration;
@@ -132,6 +135,107 @@ fn tcp_type_confusion_is_a_typed_error() {
         }
         other => panic!("wanted TypeMismatch, got {other:?}"),
     }
+}
+
+/// Two ranks blocked in a 32 MiB write to each other at the same time:
+/// the frames are far larger than both socket buffers together, so this
+/// completes only because every inbound byte is drained by a reader thread
+/// no matter what the rank threads are doing. Five fresh worlds, each
+/// bit-exact, none ending in `PeerDead`.
+#[test]
+fn tcp_mesh_exchanges_32_mib_frames_both_ways_at_once() {
+    const N: usize = (32 << 20) / 4;
+    let pattern = |rank: usize, j: usize| (j as u32).wrapping_mul(0x9E37_79B9) ^ rank as u32;
+    for world in 0..5 {
+        let results = tcp_sim(2).run(|comm| {
+            let me = comm.rank();
+            comm.send(
+                1 - me,
+                11,
+                (0..N).map(|j| pattern(me, j)).collect::<Vec<u32>>(),
+            );
+            comm.recv_timeout::<u32>(1 - me, 11, Duration::from_secs(60))
+        });
+        for (rank, got) in results.iter().enumerate() {
+            let got = got
+                .as_ref()
+                .unwrap_or_else(|e| panic!("world {world} rank {rank}: {e}"));
+            assert_eq!(got.len(), N);
+            assert!(
+                got.iter()
+                    .enumerate()
+                    .all(|(j, v)| *v == pattern(1 - rank, j)),
+                "world {world} rank {rank}: 32 MiB frame not bit-exact"
+            );
+        }
+    }
+}
+
+/// An unchunked (`sync()`) ring allreduce of 4 MiB puts 2 MiB frames on
+/// the sockets; twenty calls in one world must all succeed and be exact.
+#[test]
+fn tcp_mesh_sync_ring_allreduce_of_4_mib_repeats() {
+    const N: usize = (4 << 20) / 4;
+    let results = tcp_sim(2).run(|comm| {
+        let keys = CommKeys::generate(2, 0x4A1B, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let mut sc = SecureComm::new(comm.clone(), keys);
+        let mut s = IntSumScheme::<u32>::default();
+        let cfg = EngineCfg::sync().with_algo(ReduceAlgo::Ring);
+        let mut out = Vec::new();
+        for call in 0..20u32 {
+            let data: Vec<u32> = (0..N as u32)
+                .map(|j| j.wrapping_mul(call + 3) ^ comm.rank() as u32)
+                .collect();
+            sc.allreduce_with_into(&mut s, &data, &mut out, cfg)
+                .unwrap_or_else(|e| panic!("call {call}: {e}"));
+            let exact = out.iter().enumerate().all(|(j, v)| {
+                let j = j as u32;
+                *v == j
+                    .wrapping_mul(call + 3)
+                    .wrapping_add(j.wrapping_mul(call + 3) ^ 1)
+            });
+            assert!(exact, "call {call}: aggregate not exact");
+        }
+    });
+    assert_eq!(results.len(), 2);
+}
+
+/// A user-codec payload (`Vec<Hfp>`: read off the socket as one exact-size
+/// byte buffer, decoded only when the receiver asks) survives the hop as a
+/// direct message, ahead of and behind primitive traffic on the same link.
+#[test]
+fn tcp_mesh_roundtrips_a_lazily_decoded_hfp_message() {
+    hear::layer::wire::register_wire_codecs();
+    let cells: Vec<Hfp> = (0..257u64)
+        .map(|i| Hfp {
+            sign: i % 3 == 0,
+            exp: 0xFFFF_0000_0000_0000 | i,
+            sig: u64::MAX - i,
+            ew: 11,
+            mw: 52,
+        })
+        .collect();
+    let cells = &cells;
+    let results = tcp_sim(2).run(|comm| {
+        if comm.rank() == 0 {
+            comm.send(1, 1, vec![1u8, 2, 3]);
+            comm.send(1, 2, cells.clone());
+            comm.send(1, 3, vec![4u64]);
+            None
+        } else {
+            let wait = Duration::from_secs(10);
+            let before = comm.recv_timeout::<u8>(0, 1, wait).unwrap();
+            let got = comm.recv_timeout::<Hfp>(0, 2, wait).unwrap();
+            let after = comm.recv_timeout::<u64>(0, 3, wait).unwrap();
+            Some((before, got, after))
+        }
+    });
+    let (before, got, after) = results[1].as_ref().unwrap();
+    assert_eq!((before, after), (&vec![1u8, 2, 3], &vec![4u64]));
+    assert_eq!(got, cells);
 }
 
 /// Rank body for the multi-process test below: joins the world through

@@ -8,7 +8,7 @@
 
 use hear::core::{Backend, CommKeys};
 use hear::layer::SecureComm;
-use hear::mpi::Simulator;
+use hear::mpi::{SimConfig, Simulator, TransportKind};
 use hear::telemetry::{export, parse, Gauge, Metric, Registry};
 
 const WORLD: usize = 4;
@@ -28,10 +28,11 @@ const fn ring_msgs(p: u64, blocks: u64) -> u64 {
     blocks * 2 * (p - 1) * p
 }
 
-fn run_traced_pipeline() -> Registry {
+fn run_traced_pipeline(transport: TransportKind) -> Registry {
     let reg = Registry::new_enabled();
     let _ctx = reg.install(None);
-    let results = Simulator::new(WORLD).run(|comm| {
+    let config = SimConfig::default().with_transport(transport);
+    let results = Simulator::with_config(WORLD, config).run(|comm| {
         let keys = CommKeys::generate(WORLD, 0xe2e, Backend::AesSoft)
             .into_iter()
             .nth(comm.rank())
@@ -52,11 +53,9 @@ fn run_traced_pipeline() -> Registry {
     reg
 }
 
-#[test]
-fn traced_pipelined_allreduce_covers_every_phase_on_every_rank() {
-    let reg = run_traced_pipeline();
-
-    // --- exact fabric schedule ------------------------------------------
+/// The fabric counters of one run equal the ring collective's message
+/// schedule exactly, whichever wire moved the bytes.
+fn assert_exact_ring_schedule(reg: &Registry) {
     let p = WORLD as u64;
     assert_eq!(
         reg.counter(Metric::FabricBytes),
@@ -69,6 +68,27 @@ fn traced_pipelined_allreduce_covers_every_phase_on_every_rank() {
         reg.counter(Metric::MailboxSpinHits) + reg.counter(Metric::MailboxParks),
         ring_msgs(p, BLOCKS)
     );
+    // Histogram totals agree with the byte counter.
+    let (count, sum) = reg.hist_totals(hear::telemetry::Hist::FabricMsgBytes);
+    assert_eq!(count, ring_msgs(p, BLOCKS));
+    assert_eq!(sum, ring_bytes(p, ELEMS as u64));
+}
+
+/// Socket-borne messages are counted on the sending rank's thread, so a
+/// privately installed registry sees them — the same exact schedule as on
+/// the in-memory fabric, with `HEAR_TRANSPORT` playing no part.
+#[test]
+fn tcp_deliveries_land_in_the_installed_registry() {
+    assert_exact_ring_schedule(&run_traced_pipeline(TransportKind::Tcp));
+}
+
+#[test]
+fn traced_pipelined_allreduce_covers_every_phase_on_every_rank() {
+    let reg = run_traced_pipeline(TransportKind::FromEnv);
+
+    // --- exact fabric schedule ------------------------------------------
+    let p = WORLD as u64;
+    assert_exact_ring_schedule(&reg);
     // One pipelined call per rank: one key advance and BLOCKS blocks each.
     assert_eq!(reg.counter(Metric::KeyAdvances), p);
     assert_eq!(reg.counter(Metric::PipelineBlocks), p * BLOCKS);
@@ -76,10 +96,6 @@ fn traced_pipelined_allreduce_covers_every_phase_on_every_rank() {
     assert_eq!(reg.counter(Metric::Collectives), p * BLOCKS);
     // The pipeline fully drained.
     assert_eq!(reg.gauge(Gauge::PipelineInFlight), 0);
-    // Histogram totals agree with the byte counter.
-    let (count, sum) = reg.hist_totals(hear::telemetry::Hist::FabricMsgBytes);
-    assert_eq!(count, ring_msgs(p, BLOCKS));
-    assert_eq!(sum, ring_bytes(p, ELEMS as u64));
 
     // --- chrome trace: every phase on every rank's lane -----------------
     let trace = export::chrome_trace(&reg);
@@ -146,7 +162,7 @@ fn concurrent_ranks_keep_lanes_rank_correct() {
     // All four ranks record concurrently into one registry; spans must not
     // interleave across lanes and counters must be attributed somewhere
     // exactly once (totals already checked above — here: attribution).
-    let reg = run_traced_pipeline();
+    let reg = run_traced_pipeline(TransportKind::FromEnv);
     let evs = reg.span_events();
     // The rank threads and their collective progress threads carry rank
     // lanes; only the installing main thread may be rankless, and it
