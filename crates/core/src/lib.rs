@@ -42,7 +42,7 @@ pub use keys::{CommKeys, KeyRegistry};
 pub use prefetch::{CacheSlot, KeystreamCache, StreamPlan};
 pub use scheme::{
     FixedSumScheme, FloatProdScheme, FloatSumExpScheme, FloatSumScheme, IntProdScheme,
-    IntSumScheme, IntXorScheme, Scheme, DIGEST_BASE, DIGEST_LANES,
+    IntSumScheme, IntXorScheme, LaneArray, Scheme, DIGEST_BASE, DIGEST_LANES,
 };
 pub use security::{map_adversary, MapStats};
 pub use word::RingWord;

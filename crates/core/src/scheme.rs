@@ -15,7 +15,9 @@
 //! regardless of the payload cipher and (b) let the receiver re-check the
 //! decrypted result against the HoMAC-authenticated lane sums. Integer and
 //! fixed-point digests are exact; float digests are quantized with the
-//! scheme's Table 2 lossiness tolerance.
+//! scheme's Table 2 lossiness tolerance. Each scheme states how many of the
+//! four lanes it fills ([`Scheme::Lanes`]); the engine seals, ships and
+//! verifies only those.
 
 use crate::fixed::FixedCodec;
 use crate::float::{FloatProd, FloatSum, FloatSumExp};
@@ -27,10 +29,33 @@ use hear_hfp::{Hfp, HfpError, HfpFormat};
 /// Number of `u64` digest lanes per element in verified mode.
 pub const DIGEST_LANES: usize = 4;
 
-/// PRF index base for the digest side-channel: digest lanes of element `j`
-/// are encrypted at indices `DIGEST_BASE + j·4 + lane`, far above any
-/// payload index, so payload and digest keystreams never collide.
+/// PRF index base for the digest side-channel: the `L` used digest lanes
+/// of element `j` are encrypted at indices `DIGEST_BASE + j·L + lane`, far
+/// above any payload index, so payload and digest keystreams never collide.
 pub const DIGEST_BASE: u64 = 1 << 48;
+
+/// The digest lanes a scheme actually fills, as the array the engine's
+/// packets carry: `[u64; 1]` … `[u64; DIGEST_LANES]`. (An associated type
+/// rather than a const because stable Rust cannot size an array by
+/// `S::LANES`.)
+pub trait LaneArray:
+    Copy + Send + Sync + PartialEq + std::fmt::Debug + AsRef<[u64]> + AsMut<[u64]> + 'static
+{
+    /// Number of lanes, `1..=DIGEST_LANES`.
+    const LANES: usize;
+    /// All lanes zero.
+    const ZERO: Self;
+}
+
+macro_rules! impl_lane_array {
+    ($($n:literal),+) => {$(
+        impl LaneArray for [u64; $n] {
+            const LANES: usize = $n;
+            const ZERO: Self = [0; $n];
+        }
+    )+};
+}
+impl_lane_array!(1, 2, 3, 4);
 
 /// A HEAR cipher as seen by the generic allreduce engine.
 ///
@@ -43,6 +68,10 @@ pub trait Scheme {
     type Input: Clone + Send + 'static;
     /// On-the-wire element type the network reduces.
     type Wire: Clone + Send + PartialEq + std::fmt::Debug + 'static;
+    /// The prefix of the digest lanes this scheme uses: [`Scheme::digest`]
+    /// must leave every lane at or past `Lanes::LANES` zero, which is what
+    /// lets the engine drop them from the verified packet.
+    type Lanes: LaneArray;
 
     /// Stable name for telemetry and the composition matrix.
     const NAME: &'static str;
@@ -177,6 +206,7 @@ impl<W: RingWord> IntSumScheme<W> {
 impl<W: RingWord> Scheme for IntSumScheme<W> {
     type Input = W;
     type Wire = W;
+    type Lanes = [u64; 1];
 
     const NAME: &'static str = "int-sum";
     const TABLE2_ROW: usize = 0;
@@ -264,6 +294,7 @@ impl<W: RingWord> IntProdScheme<W> {
 impl<W: RingWord> Scheme for IntProdScheme<W> {
     type Input = W;
     type Wire = W;
+    type Lanes = [u64; 3];
 
     const NAME: &'static str = "int-prod";
     const TABLE2_ROW: usize = 1;
@@ -423,6 +454,7 @@ impl<W: RingWord> IntXorScheme<W> {
 impl<W: RingWord> Scheme for IntXorScheme<W> {
     type Input = W;
     type Wire = W;
+    type Lanes = [u64; 4];
 
     const NAME: &'static str = "int-xor";
     const TABLE2_ROW: usize = 2;
@@ -538,6 +570,7 @@ impl FixedSumScheme {
 impl Scheme for FixedSumScheme {
     type Input = f64;
     type Wire = u64;
+    type Lanes = [u64; 1];
 
     const NAME: &'static str = "fixed-sum";
     const TABLE2_ROW: usize = 0;
@@ -634,6 +667,7 @@ impl FloatSumScheme {
 impl Scheme for FloatSumScheme {
     type Input = f64;
     type Wire = Hfp;
+    type Lanes = [u64; 1];
 
     const NAME: &'static str = "float-sum-v1";
     const TABLE2_ROW: usize = 3;
@@ -704,6 +738,7 @@ impl FloatSumExpScheme {
 impl Scheme for FloatSumExpScheme {
     type Input = f64;
     type Wire = Hfp;
+    type Lanes = [u64; 1];
 
     const NAME: &'static str = "float-sum-v2";
     const TABLE2_ROW: usize = 4;
@@ -774,6 +809,7 @@ impl FloatProdScheme {
 impl Scheme for FloatProdScheme {
     type Input = f64;
     type Wire = Hfp;
+    type Lanes = [u64; 2];
 
     const NAME: &'static str = "float-prod";
     const TABLE2_ROW: usize = 5;
@@ -1110,6 +1146,38 @@ mod tests {
         let sums = digest_sums(&sp, &col);
         assert!(!sp.digest_check(&6.0, &sums, 2), "sign flip must fail");
         assert!(!sp.digest_check(&-12.0, &sums, 2), "magnitude must fail");
+    }
+
+    /// The invariant that makes dropping unsent lanes sound: a scheme's
+    /// digest never writes past the lane count it declares, and (so the
+    /// declaration is not padded) it does use its last declared lane.
+    fn lanes_match_declaration<S: Scheme>(scheme: &S, draw: impl Fn(u64) -> S::Input) {
+        let mut rng = proptest::TestRng::new(0x1A9E5);
+        let mut top_lane_used = false;
+        for _ in 0..10_000 {
+            let mut lanes = [u64::MAX; DIGEST_LANES];
+            scheme.digest(&draw(rng.next_u64()), &mut lanes);
+            let (used, rest) = lanes.split_at(S::Lanes::LANES);
+            assert!(rest.iter().all(|l| *l == 0), "{}: {lanes:x?}", S::NAME);
+            top_lane_used |= used[S::Lanes::LANES - 1] != 0;
+        }
+        assert!(top_lane_used, "{} declares a lane it never fills", S::NAME);
+    }
+
+    #[test]
+    fn declared_lane_counts_match_what_digests_write() {
+        let float = |bits: u64| (bits as i64 as f64) * 2f64.powi(-40);
+        lanes_match_declaration(&IntSumScheme::<u8>::default(), |b| b as u8);
+        lanes_match_declaration(&IntSumScheme::<u64>::default(), |b| b);
+        lanes_match_declaration(&IntProdScheme::<u16>::default(), |b| b as u16);
+        lanes_match_declaration(&IntProdScheme::<u64>::default(), |b| b);
+        lanes_match_declaration(&IntXorScheme::<u64>::default(), |b| b);
+        lanes_match_declaration(&FixedSumScheme::new(FixedCodec::new(20)), float);
+        lanes_match_declaration(&FloatSumScheme::new(HfpFormat::fp32(2, 2)), float);
+        lanes_match_declaration(&FloatSumExpScheme::new(HfpFormat::fp64(0, 0)), float);
+        lanes_match_declaration(&FloatProdScheme::new(HfpFormat::fp64(0, 0)), float);
+        // Narrow XOR words leave high lanes empty but share the 4-lane shape.
+        assert_eq!(<IntXorScheme<u8> as Scheme>::Lanes::LANES, DIGEST_LANES);
     }
 
     #[test]

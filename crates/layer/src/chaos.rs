@@ -8,19 +8,25 @@
 //! ciphertext bit is caught by the digest check, a flipped digest lane or
 //! tag by the HoMAC itself.
 
-use crate::engine::Packet;
-use hear_core::Hfp;
+use crate::engine::{for_each_packet_shape, Packet};
+use hear_core::{Hfp, LaneArray};
 use hear_mpi::FaultPlan;
 use std::any::Any;
 use std::sync::Arc;
 
-/// Arm `plan` with corruptors and cloners for the verified packet
-/// payloads of the integer (`u32` wire) and float (`Hfp` wire) schemes.
+macro_rules! packet_hooks {
+    ($(($w:ty, $l:literal)),+ $(,)?) => {
+        |plan: FaultPlan| plan$(
+            .with_corruptor(Arc::new(corrupt_packets::<$w, [u64; $l]>))
+            .with_cloner(Arc::new(clone_packets::<$w, [u64; $l]>))
+        )+
+    };
+}
+
+/// Arm `plan` with a corruptor and a cloner for every verified packet
+/// shape the seven schemes ship (the engine's one shape list).
 pub fn with_packet_hooks(plan: FaultPlan) -> FaultPlan {
-    plan.with_corruptor(Arc::new(corrupt_u32_packets))
-        .with_cloner(Arc::new(clone_packets::<u32>))
-        .with_corruptor(Arc::new(corrupt_hfp_packets))
-        .with_cloner(Arc::new(clone_packets::<Hfp>))
+    for_each_packet_shape!(packet_hooks)(plan)
 }
 
 /// Which packet the fault word singles out.
@@ -32,44 +38,58 @@ fn pick(len: usize, word: u64) -> Option<usize> {
     }
 }
 
-fn corrupt_u32_packets(payload: &mut dyn Any, word: u64) -> bool {
-    let Some(v) = payload.downcast_mut::<Vec<Packet<u32>>>() else {
+/// A payload ciphertext the corruptor can damage past any tolerance.
+pub(crate) trait Damage {
+    fn damage(&mut self, word: u64);
+}
+
+macro_rules! impl_damage_int {
+    ($($t:ty),+) => {$(
+        impl Damage for $t {
+            fn damage(&mut self, word: u64) {
+                *self ^= 1 << (word % <$t>::BITS as u64);
+            }
+        }
+    )+};
+}
+impl_damage_int!(u8, u16, u32, u64);
+
+impl Damage for Hfp {
+    /// An exponent bit-flip stays inside the `ew`-bit ring and shifts the
+    /// decoded value by a power of two — far past any Table 2 tolerance.
+    fn damage(&mut self, _word: u64) {
+        self.exp ^= 1;
+    }
+}
+
+/// Flip one bit of one packet: payload ciphertext, one digest lane, or
+/// that lane's tag, as `word`'s high bits pick. `false` for a payload of
+/// any other type.
+pub(crate) fn corrupt_packets<W: Damage + 'static, L: LaneArray>(
+    payload: &mut dyn Any,
+    word: u64,
+) -> bool {
+    let Some(v) = payload.downcast_mut::<Vec<Packet<W, L>>>() else {
         return false;
     };
     if let Some(i) = pick(v.len(), word) {
+        let lane = (word >> 40) as usize % L::LANES;
         // The high bits choose the channel so a seed sweep exercises all
         // three detection paths.
         match (word >> 61) % 3 {
-            0 => v[i].c ^= 1 << ((word >> 32) & 31),
-            1 => v[i].d[0] ^= 1,
-            _ => v[i].s[0] ^= 1,
+            0 => v[i].c.damage(word >> 32),
+            1 => v[i].d.as_mut()[lane] ^= 1,
+            _ => v[i].s.as_mut()[lane] ^= 1,
         }
     }
     true
 }
 
-fn corrupt_hfp_packets(payload: &mut dyn Any, word: u64) -> bool {
-    let Some(v) = payload.downcast_mut::<Vec<Packet<Hfp>>>() else {
-        return false;
-    };
-    if let Some(i) = pick(v.len(), word) {
-        match (word >> 61) % 3 {
-            // An exponent bit-flip stays inside the `ew`-bit ring and
-            // shifts the decoded value by a power of two — far past any
-            // Table 2 tolerance.
-            0 => v[i].c.exp ^= 1,
-            1 => v[i].d[0] ^= 1,
-            _ => v[i].s[0] ^= 1,
-        }
-    }
-    true
-}
-
-fn clone_packets<W: Clone + Send + 'static>(
+fn clone_packets<W: Clone + Send + 'static, L: LaneArray>(
     payload: &(dyn Any + Send),
 ) -> Option<Box<dyn Any + Send>> {
     payload
-        .downcast_ref::<Vec<Packet<W>>>()
+        .downcast_ref::<Vec<Packet<W, L>>>()
         .map(|v| Box::new(v.clone()) as Box<dyn Any + Send>)
 }
 
@@ -77,12 +97,14 @@ fn clone_packets<W: Clone + Send + 'static>(
 mod tests {
     use super::*;
 
-    fn packets_u32(n: usize) -> Vec<Packet<u32>> {
+    type IntSumPacket = Packet<u32, [u64; 1]>;
+
+    fn packets_u32(n: usize) -> Vec<IntSumPacket> {
         (0..n)
             .map(|i| Packet {
                 c: i as u32,
-                d: [i as u64; hear_core::DIGEST_LANES],
-                s: [!(i as u64); hear_core::DIGEST_LANES],
+                d: [i as u64],
+                s: [!(i as u64)],
             })
             .collect()
     }
@@ -91,35 +113,35 @@ mod tests {
     fn corruptor_flips_exactly_one_packet() {
         let clean = packets_u32(4);
         let mut dirty = clean.clone();
-        assert!(corrupt_u32_packets(&mut dirty as &mut dyn Any, 0x7));
-        let changed = clean
-            .iter()
-            .zip(&dirty)
-            .filter(|(a, b)| a.c != b.c || a.d != b.d || a.s != b.s)
-            .count();
+        assert!(corrupt_packets::<u32, [u64; 1]>(
+            &mut dirty as &mut dyn Any,
+            0x7
+        ));
+        let changed = clean.iter().zip(&dirty).filter(|(a, b)| a != b).count();
         assert_eq!(changed, 1);
     }
 
     #[test]
     fn corruptor_rejects_foreign_payloads() {
         let mut other = vec![1u32, 2, 3];
-        assert!(!corrupt_u32_packets(&mut other as &mut dyn Any, 0));
+        assert!(!corrupt_packets::<u32, [u64; 1]>(
+            &mut other as &mut dyn Any,
+            0
+        ));
     }
 
     #[test]
     fn cloner_deep_copies() {
         let v = packets_u32(3);
         let boxed: Box<dyn Any + Send> = Box::new(v.clone());
-        let copy = clone_packets::<u32>(boxed.as_ref()).expect("known type");
-        let copy = copy.downcast::<Vec<Packet<u32>>>().expect("same type");
-        assert_eq!(copy.len(), 3);
-        assert!(v.iter().zip(copy.iter()).all(|(a, b)| a.c == b.c));
+        let copy = clone_packets::<u32, [u64; 1]>(boxed.as_ref()).expect("known type");
+        assert_eq!(*copy.downcast::<Vec<IntSumPacket>>().expect("same type"), v);
     }
 
     #[test]
     fn hooks_attach_to_a_plan() {
-        // Debug output carries the hook counts: 2 custom corruptors and
-        // 2 custom cloners on top of the seeded built-ins.
+        // Debug output carries the hook counts: one custom corruptor and
+        // one custom cloner per packet shape on top of the seeded built-ins.
         let plan = with_packet_hooks(FaultPlan::seeded(7));
         let dbg = format!("{plan:?}");
         assert!(dbg.contains("corruptors"), "{dbg}");
@@ -151,7 +173,7 @@ mod tests {
         let one_shot: hear_mpi::Corruptor = Arc::new({
             let hit = Arc::clone(&hit);
             move |payload: &mut dyn Any, _word: u64| {
-                let Some(v) = payload.downcast_mut::<Vec<Packet<u32>>>() else {
+                let Some(v) = payload.downcast_mut::<Vec<IntSumPacket>>() else {
                     return false;
                 };
                 if !hit.swap(true, Ordering::SeqCst) {

@@ -8,7 +8,7 @@
 //! never drift apart.
 
 use super::cfg::{ChunkMode, EngineCfg, EngineError};
-use super::packet::{open_block, packet_op, seal_block, Packet, VerifyScratch};
+use super::packet::{open_block, packet_op, seal_block, SchemePacket, VerifyScratch};
 use super::retry::{attempt_tag, RetryCtl, Step};
 use super::DEPTH;
 use crate::secure::{ReduceAlgo, SecureComm};
@@ -87,21 +87,7 @@ impl SecureComm {
             )),
             ChunkMode::Blocked(_) => None,
         };
-        let homac = if cfg.verified {
-            assert!(
-                self.world() <= S::MAX_VERIFIED_WORLD,
-                "{} digest verification is sound only up to {} ranks",
-                S::NAME,
-                S::MAX_VERIFIED_WORLD
-            );
-            Some(
-                self.homac
-                    .clone()
-                    .expect("enable verification with with_homac()"),
-            )
-        } else {
-            None
-        };
+        let homac = cfg.verified.then(|| self.verified_homac::<S>());
         self.keys.advance();
         out.clear();
         if data.is_empty() {
@@ -361,7 +347,7 @@ impl SecureComm {
         base_tag: u64,
         ctl: &mut RetryCtl,
         vs: &mut VerifyScratch<S>,
-        seg: &mut Vec<Packet<S::Wire>>,
+        seg: &mut Vec<SchemePacket<S>>,
     ) -> Result<(), EngineError> {
         let world = self.world();
         let end = (offset + block).min(data.len());
@@ -413,7 +399,7 @@ impl SecureComm {
         homac: &Homac,
     ) -> Result<(), EngineError> {
         let mut vs = VerifyScratch::<S>::lease(&mut self.arena);
-        let mut seg: Vec<Packet<S::Wire>> = self.arena.take_vec();
+        let mut seg: Vec<SchemePacket<S>> = self.arena.take_vec();
         let mut failed = None;
         let mut offset = 0usize;
         let mut block_idx = 0u64;
@@ -446,12 +432,12 @@ impl SecureComm {
         block: usize,
         offset: usize,
         block_idx: u64,
-        req: Request<Result<Vec<Packet<S::Wire>>, CommError>>,
+        req: Request<Result<Vec<SchemePacket<S>>, CommError>>,
         algo: &mut ReduceAlgo,
         base_tag: u64,
         ctl: &mut RetryCtl,
         vs: &mut VerifyScratch<S>,
-        seg: &mut Vec<Packet<S::Wire>>,
+        seg: &mut Vec<SchemePacket<S>>,
     ) -> Result<(), EngineError> {
         let world = self.world();
         let res = {
@@ -499,10 +485,10 @@ impl SecureComm {
         let mut inflight: VecDeque<(
             usize,
             u64,
-            Request<Result<Vec<Packet<S::Wire>>, CommError>>,
+            Request<Result<Vec<SchemePacket<S>>, CommError>>,
         )> = VecDeque::with_capacity(DEPTH);
         let mut vs = VerifyScratch::<S>::lease(&mut self.arena);
-        let mut seg: Vec<Packet<S::Wire>> = self.arena.take_vec();
+        let mut seg: Vec<SchemePacket<S>> = self.arena.take_vec();
         let mut failed = None;
         let mut offset = 0usize;
         let mut block_idx = 0u64;

@@ -85,11 +85,11 @@ mod retry;
 
 pub use cfg::{ChunkMode, EngineCfg, EngineError, PeerDeadPolicy, RetryPolicy};
 pub use membership::MembershipChange;
-pub(crate) use packet::Packet;
+pub(crate) use packet::{for_each_packet_shape, Packet, SchemePacket};
 
 use crate::prefetch::{PrefetchJob, MAX_PREFETCH_BLOCKS, MAX_STREAMS};
 use crate::secure::{ReduceAlgo, SecureComm};
-use hear_core::{Scheme, StreamPlan};
+use hear_core::{Homac, Scheme, StreamPlan};
 use hear_mpi::{CommError, Request};
 use std::time::Instant;
 
@@ -104,6 +104,23 @@ impl SecureComm {
     fn note_degraded(&mut self) {
         self.degraded = true;
         hear_telemetry::incr(hear_telemetry::Metric::DegradedEpochs);
+    }
+
+    /// What every verified reduction of scheme `S` starts with: the world
+    /// must be one its digest is sound for, its packet shape needs a TCP
+    /// codec (bound on first use, so a program pays only for the shapes it
+    /// ships), and the communicator must carry HoMAC state.
+    fn verified_homac<S: Scheme + 'static>(&self) -> Homac {
+        assert!(
+            self.world() <= S::MAX_VERIFIED_WORLD,
+            "{} digest verification is sound only up to {} ranks",
+            S::NAME,
+            S::MAX_VERIFIED_WORLD
+        );
+        crate::wire::ensure_packet_codec::<S>();
+        self.homac
+            .clone()
+            .expect("enable verification with with_homac()")
     }
 
     /// Plan the next epoch's noise streams for the prefetch worker. The

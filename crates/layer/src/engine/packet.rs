@@ -1,38 +1,60 @@
 //! Wire shapes and seal/open codecs for the engine's two transports.
 //!
 //! *Reductions* (allreduce, reduce-scatter) ship [`Packet`]s: the payload
-//! ciphertext plus encrypted digest lanes and HoMAC tags, all of which the
-//! network combines homomorphically. *Single-origin* collectives
-//! (allgather, alltoall) ship plain `u64` cells — each element bit-encoded
-//! losslessly ([`Scheme::cell_encode`]) and XOR-padded on the epoch's
-//! collective keystream — optionally as [`Tagged`] pairs carrying a
-//! shared-stream HoMAC tag per cell.
+//! ciphertext plus the encrypted digest lanes the scheme uses and their
+//! HoMAC tags, all of which the network combines homomorphically.
+//! *Single-origin* collectives (allgather, alltoall) ship plain `u64` cells
+//! — each element bit-encoded losslessly ([`Scheme::cell_encode`]) and
+//! XOR-padded on the epoch's collective keystream — optionally as
+//! [`Tagged`] pairs carrying a shared-stream HoMAC tag per cell.
 
 use super::cfg::EngineError;
 use crate::arena::ScratchArena;
 use crate::secure::{Tagged, VerificationError};
-use hear_core::{CommKeys, Homac, IntSum, Scheme, Scratch, DIGEST_BASE, DIGEST_LANES};
+use hear_core::{CommKeys, Homac, IntSum, LaneArray, Scheme, Scratch, DIGEST_BASE, DIGEST_LANES};
 use hear_prf::keystream_u64;
 
 /// What the network reduces in verified mode: the payload ciphertext plus
 /// the encrypted digest lanes and their HoMAC tags (§5.5's "(σ, c)" pair,
-/// widened with the digest channel).
-#[derive(Debug, Clone)]
-pub(crate) struct Packet<W> {
+/// widened with the digest channel). `L` is the scheme's
+/// [`Scheme::Lanes`] — only the lanes its digest fills exist at all.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Packet<W, L> {
     pub(crate) c: W,
-    pub(crate) d: [u64; DIGEST_LANES],
-    pub(crate) s: [u64; DIGEST_LANES],
+    pub(crate) d: L,
+    pub(crate) s: L,
 }
+
+/// The packet a scheme's verified transport carries.
+pub(crate) type SchemePacket<S> = Packet<<S as Scheme>::Wire, <S as Scheme>::Lanes>;
+
+/// Every `(wire word, lane count)` shape a [`SchemePacket`] takes across
+/// the seven schemes — the one list the TCP codecs ([`crate::wire`]) and
+/// the fault hooks ([`crate::chaos`]) are generated from. A shape's
+/// position is part of its TCP type id: append, never reorder.
+macro_rules! for_each_packet_shape {
+    ($m:ident) => {
+        $m! {
+            (u8, 1), (u16, 1), (u32, 1), (u64, 1), // int-sum; fixed-sum (u64)
+            (u8, 3), (u16, 3), (u32, 3), (u64, 3), // int-prod
+            (u8, 4), (u16, 4), (u32, 4), (u64, 4), // int-xor
+            (hear_core::Hfp, 1),                   // float-sum v1, v2
+            (hear_core::Hfp, 2),                   // float-prod
+        }
+    };
+}
+pub(crate) use for_each_packet_shape;
 
 /// The combiner for [`Packet`] streams. A non-capturing generic `fn`, so
 /// every transport — including the key-less switch service threads — can
 /// carry it as a plain function pointer.
-pub(crate) fn packet_op<S: Scheme>(a: &Packet<S::Wire>, b: &Packet<S::Wire>) -> Packet<S::Wire> {
-    let mut d = [0u64; DIGEST_LANES];
-    let mut s = [0u64; DIGEST_LANES];
-    for i in 0..DIGEST_LANES {
-        d[i] = a.d[i].wrapping_add(b.d[i]);
-        s[i] = Homac::combine(a.s[i], b.s[i]);
+pub(crate) fn packet_op<S: Scheme>(a: &SchemePacket<S>, b: &SchemePacket<S>) -> SchemePacket<S> {
+    let (mut d, mut s) = (a.d, a.s);
+    for (d, bd) in d.as_mut().iter_mut().zip(b.d.as_ref()) {
+        *d = d.wrapping_add(*bd);
+    }
+    for (s, bs) in s.as_mut().iter_mut().zip(b.s.as_ref()) {
+        *s = Homac::combine(*s, *bs);
     }
     Packet {
         c: S::op(&a.c, &b.c),
@@ -41,10 +63,13 @@ pub(crate) fn packet_op<S: Scheme>(a: &Packet<S::Wire>, b: &Packet<S::Wire>) -> 
     }
 }
 
-/// PRF index of the first digest lane of the block starting at `offset`.
+/// PRF index of the first digest lane of the block starting at `offset`:
+/// element `j`'s `L` lanes sit at `DIGEST_BASE + j·L + lane`, so a block's
+/// lanes are one contiguous run of the digest stream. Indices stay
+/// distinct within the epoch and at or above 2^48, as with four lanes.
 #[inline]
-pub(crate) fn digest_first(offset: usize) -> u64 {
-    DIGEST_BASE + offset as u64 * DIGEST_LANES as u64
+pub(crate) fn digest_first<S: Scheme>(offset: usize) -> u64 {
+    DIGEST_BASE + (offset * S::Lanes::LANES) as u64
 }
 
 /// The verified path's staging set, leased from the [`ScratchArena`] for
@@ -58,7 +83,7 @@ pub(crate) struct VerifyScratch<S: Scheme + 'static> {
     pub(crate) sigmas: Vec<u64>,
     pub(crate) d_agg: Vec<u64>,
     pub(crate) s_agg: Vec<u64>,
-    pub(crate) packets: Vec<Packet<S::Wire>>,
+    pub(crate) packets: Vec<SchemePacket<S>>,
     pub(crate) dscratch: Scratch<u64>,
 }
 
@@ -87,8 +112,19 @@ impl<S: Scheme + 'static> VerifyScratch<S> {
     }
 }
 
+/// Copy one element's lanes out of a flat lane vector.
+#[inline]
+fn lanes_at<L: LaneArray>(flat: &[u64], i: usize) -> L {
+    let mut lanes = L::ZERO;
+    lanes
+        .as_mut()
+        .copy_from_slice(&flat[i * L::LANES..(i + 1) * L::LANES]);
+    lanes
+}
+
 /// Mask one block and wrap it into verified-transport packets (left in
-/// `vs.packets`).
+/// `vs.packets`). Only the scheme's used digest lanes are sealed: the
+/// lane cipher and the tags each run once over one contiguous vector.
 pub(crate) fn seal_block<S: Scheme + 'static>(
     scheme: &mut S,
     homac: &Homac,
@@ -102,26 +138,19 @@ pub(crate) fn seal_block<S: Scheme + 'static>(
     let mut lanes = [0u64; DIGEST_LANES];
     for x in input {
         scheme.digest(x, &mut lanes);
-        vs.dlanes.extend_from_slice(&lanes);
+        debug_assert!(lanes[S::Lanes::LANES..].iter().all(|l| *l == 0));
+        vs.dlanes.extend_from_slice(&lanes[..S::Lanes::LANES]);
     }
-    let first_d = digest_first(offset);
+    let first_d = digest_first::<S>(offset);
     IntSum::encrypt_in_place(keys, first_d, &mut vs.dlanes, &mut vs.dscratch);
     homac.tag_into(keys, first_d, &vs.dlanes, &mut vs.sigmas);
     vs.packets.clear();
-    vs.packets.extend(
-        vs.wire
-            .drain(..)
-            .zip(
-                vs.dlanes
-                    .chunks_exact(DIGEST_LANES)
-                    .zip(vs.sigmas.chunks_exact(DIGEST_LANES)),
-            )
-            .map(|(c, (d, s))| Packet {
-                c,
-                d: d.try_into().expect("chunks_exact yields DIGEST_LANES"),
-                s: s.try_into().expect("chunks_exact yields DIGEST_LANES"),
-            }),
-    );
+    vs.packets
+        .extend(vs.wire.drain(..).enumerate().map(|(i, c)| Packet {
+            c,
+            d: lanes_at(&vs.dlanes, i),
+            s: lanes_at(&vs.sigmas, i),
+        }));
     Ok(())
 }
 
@@ -132,7 +161,7 @@ pub(crate) fn open_block<S: Scheme + 'static>(
     keys: &CommKeys,
     world: usize,
     offset: usize,
-    agg: &[Packet<S::Wire>],
+    agg: &[SchemePacket<S>],
     vs: &mut VerifyScratch<S>,
 ) -> Result<(), EngineError> {
     vs.wire.clear();
@@ -140,19 +169,19 @@ pub(crate) fn open_block<S: Scheme + 'static>(
     vs.s_agg.clear();
     for p in agg {
         vs.wire.push(p.c.clone());
-        vs.d_agg.extend_from_slice(&p.d);
-        vs.s_agg.extend_from_slice(&p.s);
+        vs.d_agg.extend_from_slice(p.d.as_ref());
+        vs.s_agg.extend_from_slice(p.s.as_ref());
     }
-    let first_d = digest_first(offset);
+    let first_d = digest_first::<S>(offset);
     if !homac.verify(keys, first_d, &vs.d_agg, &vs.s_agg) {
         return Err(EngineError::Verification(VerificationError));
     }
     IntSum::decrypt_in_place(keys, first_d, &mut vs.d_agg, &mut vs.dscratch);
     scheme.unmask_block(keys, offset as u64, &vs.wire, &mut vs.dec);
-    for (i, r) in vs.dec.iter().enumerate() {
-        let lanes: [u64; DIGEST_LANES] = vs.d_agg[i * DIGEST_LANES..(i + 1) * DIGEST_LANES]
-            .try_into()
-            .expect("lane slice has DIGEST_LANES words");
+    // The lanes the scheme never fills were never sent: zero-extend.
+    let mut lanes = [0u64; DIGEST_LANES];
+    for (r, used) in vs.dec.iter().zip(vs.d_agg.chunks_exact(S::Lanes::LANES)) {
+        lanes[..S::Lanes::LANES].copy_from_slice(used);
         if !scheme.digest_check(r, &lanes, world) {
             return Err(EngineError::Verification(VerificationError));
         }
@@ -291,4 +320,68 @@ pub(crate) fn open_cells_tagged<S: Scheme>(
         *o = S::cell_decode(t.c ^ p);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chaos::{corrupt_packets, Damage};
+    use hear_core::{FloatProdScheme, HfpFormat, IntProdScheme, IntSumScheme, IntXorScheme};
+    use hear_prf::Backend;
+
+    /// Two ranks seal a block, the "network" folds the packets, rank 0
+    /// opens the aggregate — then again with one bit flipped in every
+    /// channel the chaos corruptor knows (payload, each used digest lane,
+    /// each lane's tag): the honest aggregate opens, no tampered one does.
+    fn every_channel_is_guarded<S, MS>(mk: MS, inputs: [Vec<S::Input>; 2])
+    where
+        S: Scheme + 'static,
+        S::Wire: Damage,
+        MS: Fn() -> S,
+    {
+        let keys = CommKeys::generate(2, 0x7A3B, Backend::best_available());
+        let homac = Homac::generate(0x7A3C, Backend::best_available());
+        let mut arena = ScratchArena::default();
+        let mut vs = VerifyScratch::<S>::lease(&mut arena);
+        let (mut scheme, offset) = (mk(), 5);
+        let sealed = [0, 1].map(|r| {
+            seal_block(&mut scheme, &homac, &keys[r], offset, &inputs[r], &mut vs).unwrap();
+            std::mem::take(&mut vs.packets)
+        });
+        let agg: Vec<SchemePacket<S>> = (sealed[0].iter().zip(&sealed[1]))
+            .map(|(a, b)| packet_op::<S>(a, b))
+            .collect();
+        open_block(&mut scheme, &homac, &keys[0], 2, offset, &agg, &mut vs)
+            .unwrap_or_else(|e| panic!("{}: honest aggregate rejected: {e}", S::NAME));
+        assert_eq!(vs.dec.len(), inputs[0].len());
+        for channel in 0..3u64 {
+            for lane in 0..S::Lanes::LANES as u64 {
+                let mut bad: Vec<SchemePacket<S>> = agg.clone();
+                let word = channel << 61 | lane << 40 | 9 << 32 | 2;
+                assert!(corrupt_packets::<S::Wire, S::Lanes>(&mut bad, word));
+                assert_eq!(bad.iter().zip(&agg).filter(|(a, b)| a != b).count(), 1);
+                let opened = open_block(&mut scheme, &homac, &keys[0], 2, offset, &bad, &mut vs);
+                assert!(
+                    matches!(opened, Err(EngineError::Verification(_))),
+                    "{}: channel {channel} lane {lane} tampering opened: {opened:?}",
+                    S::NAME
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tampering_is_caught_in_every_channel_of_every_lane_count() {
+        let ints = |r: u64| (0..7).map(|j| 3 + 2 * j + r).collect::<Vec<u64>>();
+        every_channel_is_guarded(
+            IntSumScheme::<u32>::default,
+            [0, 1].map(|r| ints(r).iter().map(|x| *x as u32).collect()),
+        );
+        every_channel_is_guarded(
+            || FloatProdScheme::new(HfpFormat::fp64(0, 0)),
+            [0, 1].map(|r| ints(r).iter().map(|x| *x as f64 * -0.75).collect()),
+        );
+        every_channel_is_guarded(IntProdScheme::<u64>::default, [0, 1].map(ints));
+        every_channel_is_guarded(IntXorScheme::<u64>::default, [0, 1].map(ints));
+    }
 }

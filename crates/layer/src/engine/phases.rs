@@ -13,7 +13,7 @@
 use super::cfg::{ChunkMode, EngineCfg, EngineError};
 use super::packet::{
     open_block, open_cells, open_cells_tagged, packet_op, seal_block, seal_cells,
-    seal_cells_tagged, CellScratch, Packet, VerifyScratch,
+    seal_cells_tagged, CellScratch, SchemePacket, VerifyScratch,
 };
 use super::retry::{attempt_tag, RetryCtl, Step};
 use super::DEPTH;
@@ -108,21 +108,7 @@ impl SecureComm {
         } else {
             hear_telemetry::span!("secure_reduce_scatter", elems = data.len())
         };
-        let homac = if cfg.verified {
-            assert!(
-                self.world() <= S::MAX_VERIFIED_WORLD,
-                "{} digest verification is sound only up to {} ranks",
-                S::NAME,
-                S::MAX_VERIFIED_WORLD
-            );
-            Some(
-                self.homac
-                    .clone()
-                    .expect("enable verification with with_homac()"),
-            )
-        } else {
-            None
-        };
+        let homac = cfg.verified.then(|| self.verified_homac::<S>());
         self.keys.advance();
         out.clear();
         if data.is_empty() {
@@ -341,7 +327,7 @@ impl SecureComm {
         base_tag: u64,
         ctl: &mut RetryCtl,
         vs: &mut VerifyScratch<S>,
-        seg: &mut Vec<Packet<S::Wire>>,
+        seg: &mut Vec<SchemePacket<S>>,
     ) -> Result<(), EngineError> {
         let world = self.world();
         let end = (offset + block).min(data.len());
@@ -385,7 +371,7 @@ impl SecureComm {
         homac: &Homac,
     ) -> Result<(), EngineError> {
         let mut vs = VerifyScratch::<S>::lease(&mut self.arena);
-        let mut seg: Vec<Packet<S::Wire>> = self.arena.take_vec();
+        let mut seg: Vec<SchemePacket<S>> = self.arena.take_vec();
         let mut failed = None;
         let (mut offset, mut block_idx) = (0usize, 0u64);
         while offset < data.len() {
@@ -419,10 +405,10 @@ impl SecureComm {
         let mut inflight: VecDeque<(
             usize,
             u64,
-            Request<Result<Vec<Packet<S::Wire>>, CommError>>,
+            Request<Result<Vec<SchemePacket<S>>, CommError>>,
         )> = VecDeque::with_capacity(DEPTH);
         let mut vs = VerifyScratch::<S>::lease(&mut self.arena);
-        let mut seg: Vec<Packet<S::Wire>> = self.arena.take_vec();
+        let mut seg: Vec<SchemePacket<S>> = self.arena.take_vec();
         let mut failed = None;
         let (mut offset, mut block_idx) = (0usize, 0u64);
         let world = self.world();
@@ -431,10 +417,10 @@ impl SecureComm {
                      scheme: &mut S,
                      o: usize,
                      bi: u64,
-                     req: Request<Result<Vec<Packet<S::Wire>>, CommError>>,
+                     req: Request<Result<Vec<SchemePacket<S>>, CommError>>,
                      ctl: &mut RetryCtl,
                      vs: &mut VerifyScratch<S>,
-                     seg: &mut Vec<Packet<S::Wire>>,
+                     seg: &mut Vec<SchemePacket<S>>,
                      out: &mut Vec<S::Input>|
          -> Result<(), EngineError> {
             let res = {

@@ -63,6 +63,10 @@ timeout 300 cargo run --release -q -p hear-bench --bin socket_smoke
 # parseable BENCH_crypto.json (the per-commit trajectory artifact), and
 # the fused one-pass mask kernels must not be slower than the split
 # fill-then-combine path (generous 1.25x tolerance — CI shares a core).
+# The same --gate run then holds the tiled HoMAC tag/verify kernel to
+# >= 2x its scalar reference at 64 Ki u64 words on one thread (same
+# tolerance; "homac_gate: SKIP" and exit 0 without AES-NI). The sweep's
+# homac_64Ki rows land in BENCH_crypto.json.
 HEAR_BENCH_FAST=1 HEAR_BENCH_DIR="$smoke_dir" \
     cargo run --release -q -p hear-bench --bin crypto_throughput
 test -s "$smoke_dir/BENCH_crypto.json"

@@ -11,8 +11,10 @@ use hear::core::{
     Backend, CommKeys, FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumExpScheme,
     FloatSumScheme, HfpFormat, Homac, IntProdScheme, IntSumScheme, IntXorScheme, Scheme,
 };
-use hear::layer::{EngineCfg, ReduceAlgo, SecureComm};
-use hear::mpi::{SimConfig, Simulator, TransportKind};
+use hear::layer::chaos::with_packet_hooks;
+use hear::layer::{EngineCfg, EngineError, ReduceAlgo, RetryPolicy, SecureComm};
+use hear::mpi::{FaultPlan, SimConfig, Simulator, TransportKind};
+use std::time::Duration;
 
 const WORLD: usize = 4;
 const SEED: u64 = 0xA117;
@@ -343,6 +345,128 @@ fn float_prod_full_matrix() {
 
 // ---- uniform edge cases (satellite #1) ---------------------------------
 
+// ---- tampering, once per packet lane count --------------------------------
+
+/// Verified ring allreduce at world 2 with one message in four corrupted
+/// by `hear-layer`'s packet hooks — which flip, as the fault word picks,
+/// a payload ciphertext bit, a bit of one *used* digest lane, or a bit of
+/// that lane's tag. Over the seed sweep every channel is hit several times
+/// (each run corrupts about one of its four messages per attempt), and
+/// every run must end in the exact aggregate (a clean attempt, or a
+/// healed retry) or in a typed verification/transport error — never in a
+/// wrong result.
+fn tamper_row<S, MS, CL>(mk: MS, inputs: [Vec<S::Input>; 2], expected: Vec<S::Input>, close: CL)
+where
+    S: Scheme + 'static,
+    S::Input: std::fmt::Debug + Send + Sync,
+    MS: Fn() -> S + Send + Sync,
+    CL: Fn(&S::Input, &S::Input) -> bool,
+{
+    const SEEDS: u64 = 16;
+    let reg = hear::telemetry::Registry::new_enabled();
+    let _g = reg.install(None);
+    for seed in 0..SEEDS {
+        let plan = with_packet_hooks(FaultPlan::seeded(seed).corrupt_one_in(4));
+        let cfg = SimConfig::default().with_faults(plan);
+        let results = Simulator::with_config(2, cfg).run(|comm| {
+            let keys = CommKeys::generate(2, SEED ^ seed, Backend::best_available())
+                .into_iter()
+                .nth(comm.rank())
+                .unwrap();
+            let homac = Homac::generate(SEED ^ 0x7A3, Backend::best_available());
+            let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
+            // A rank whose peer verified a clean copy and left retries
+            // alone until the deadline: keep that wait short.
+            let retry = RetryPolicy::retries(2).with_attempt_timeout(Duration::from_millis(150));
+            let ecfg = EngineCfg::sync()
+                .verified()
+                .with_algo(ReduceAlgo::Ring)
+                .with_retry(retry);
+            sc.allreduce_with(&mut mk(), &inputs[comm.rank()], ecfg)
+        });
+        for (rank, res) in results.iter().enumerate() {
+            match res {
+                Ok(got) => {
+                    assert_eq!(got.len(), expected.len());
+                    for (j, (g, e)) in got.iter().zip(&expected).enumerate() {
+                        assert!(
+                            close(g, e),
+                            "{} seed {seed} rank {rank} elem {j}: {g:?} != {e:?} — tampering \
+                             leaked a wrong aggregate past verification",
+                            S::NAME
+                        );
+                    }
+                }
+                Err(e) => assert!(
+                    matches!(e, EngineError::Verification(_) | EngineError::Comm(_)),
+                    "{} seed {seed} rank {rank}: wrong error class: {e}",
+                    S::NAME
+                ),
+            }
+        }
+    }
+    // The sweep did tamper, and the verified path did notice.
+    assert!(reg.counter(hear::telemetry::Metric::FaultCorrupt) >= SEEDS);
+    assert!(reg.counter(hear::telemetry::Metric::HomacVerifyFail) > 0);
+    assert!(reg.counter(hear::telemetry::Metric::RetriesTotal) > 0);
+}
+
+#[test]
+fn tampered_one_lane_packets_never_yield_a_wrong_sum() {
+    let inputs = [0u32, 1].map(|r| {
+        (0..24u32)
+            .map(|j| j.wrapping_mul(0x9E37_79B9) + r)
+            .collect::<Vec<u32>>()
+    });
+    let expected = (0..24)
+        .map(|j| inputs[0][j].wrapping_add(inputs[1][j]))
+        .collect();
+    tamper_row(IntSumScheme::<u32>::default, inputs, expected, |g, e| {
+        g == e
+    });
+}
+
+#[test]
+fn tampered_two_lane_packets_never_yield_a_wrong_float_product() {
+    // Both signs on both ranks, so the sign-count lane carries weight.
+    let inputs = [0usize, 1].map(|r| {
+        (0..24)
+            .map(|j| (1.25 + 0.125 * j as f64) * [-1.0, 1.0, 1.0][(j + r) % 3])
+            .collect::<Vec<f64>>()
+    });
+    let expected = (0..24).map(|j| inputs[0][j] * inputs[1][j]).collect();
+    tamper_row(
+        || FloatProdScheme::new(HfpFormat::fp64(0, 0)),
+        inputs,
+        expected,
+        rel_close(tol_for(FloatProdScheme::TABLE2_ROW)),
+    );
+}
+
+#[test]
+fn tampered_three_lane_packets_never_yield_a_wrong_product() {
+    let inputs = [0u64, 1].map(|r| (0..24).map(|j| 1 + (j + r) % 9).collect::<Vec<u64>>());
+    let expected = (0..24)
+        .map(|j| inputs[0][j].wrapping_mul(inputs[1][j]))
+        .collect();
+    tamper_row(IntProdScheme::<u64>::default, inputs, expected, |g, e| {
+        g == e
+    });
+}
+
+#[test]
+fn tampered_four_lane_packets_never_yield_a_wrong_xor() {
+    let inputs = [0u64, 1].map(|r| {
+        (0..24)
+            .map(|j| (j as u64).wrapping_mul(0xDEAD_BEEF_CAFE_F00D) ^ r << 61)
+            .collect::<Vec<u64>>()
+    });
+    let expected = (0..24).map(|j| inputs[0][j] ^ inputs[1][j]).collect();
+    tamper_row(IntXorScheme::<u64>::default, inputs, expected, |g, e| {
+        g == e
+    });
+}
+
 #[test]
 fn empty_input_is_empty_everywhere() {
     // Zero-length reductions short-circuit inside the engine for every
@@ -561,6 +685,38 @@ fn allocs_on_this_thread() -> u64 {
 
 fn alloc_bytes_on_this_thread() -> u64 {
     ALLOC_BYTES.with(Cell::get)
+}
+
+/// `(allocations, bytes)` this thread made while `call` ran.
+fn allocations_during(call: impl FnOnce()) -> (u64, u64) {
+    let before = (allocs_on_this_thread(), alloc_bytes_on_this_thread());
+    call();
+    (
+        allocs_on_this_thread() - before.0,
+        alloc_bytes_on_this_thread() - before.1,
+    )
+}
+
+/// Steady state: per-call allocation counts and bytes do not drift (small
+/// slack for a mailbox table rehash), and no call allocates anything the
+/// size of a 1 MiB payload on the rank thread.
+fn assert_allocations_flat(what: &str, calls: &[(u64, u64)]) {
+    const SLACK: u64 = 8;
+    const SLACK_BYTES: u64 = 4 << 10;
+    let counts = calls.iter().map(|c| c.0);
+    let bytes = calls.iter().map(|c| c.1);
+    assert!(
+        counts.clone().max().unwrap() <= counts.min().unwrap() + SLACK,
+        "{what}: allocation counts drift: {calls:?}"
+    );
+    assert!(
+        bytes.clone().max().unwrap() <= bytes.clone().min().unwrap() + SLACK_BYTES,
+        "{what}: allocated bytes drift: {calls:?}"
+    );
+    assert!(
+        bytes.max().unwrap() < 64 << 10,
+        "{what}: payload-sized allocation on the rank thread: {calls:?}"
+    );
 }
 
 #[test]
@@ -782,8 +938,6 @@ fn steady_state_allreduce_over_tcp_allocates_flat_and_sends_in_place() {
     // previous receive; recursive doubling clones its accumulator for
     // every exchange above the transport, on either fabric.)
     const ITERS: usize = 10;
-    const SLACK: u64 = 8;
-    const SLACK_BYTES: u64 = 4 << 10;
     const MIB_ELEMS: u32 = (1 << 20) / 4;
     let tcp = SimConfig::default().with_transport(TransportKind::Tcp);
     let per_rank = Simulator::with_config(2, tcp).run(|comm| {
@@ -805,13 +959,10 @@ fn steady_state_allreduce_over_tcp_allocates_flat_and_sends_in_place() {
             }
             (0..ITERS)
                 .map(|_| {
-                    let before = (allocs_on_this_thread(), alloc_bytes_on_this_thread());
-                    sc.allreduce_with_into(&mut s, &data, &mut out, cfg)
-                        .unwrap();
-                    (
-                        allocs_on_this_thread() - before.0,
-                        alloc_bytes_on_this_thread() - before.1,
-                    )
+                    allocations_during(|| {
+                        sc.allreduce_with_into(&mut s, &data, &mut out, cfg)
+                            .unwrap()
+                    })
                 })
                 .collect::<Vec<_>>()
         };
@@ -820,23 +971,50 @@ fn steady_state_allreduce_over_tcp_allocates_flat_and_sends_in_place() {
         (small, large)
     });
     for (rank, (small, large)) in per_rank.iter().enumerate() {
-        for (what, calls) in [("4 KiB", small), ("1 MiB", large)] {
-            let counts = calls.iter().map(|c| c.0);
-            let bytes = calls.iter().map(|c| c.1);
-            assert!(
-                counts.clone().max().unwrap() <= counts.min().unwrap() + SLACK,
-                "rank {rank}, {what}: allocation counts drift over TCP: {calls:?}"
-            );
-            assert!(
-                bytes.clone().max().unwrap() <= bytes.min().unwrap() + SLACK_BYTES,
-                "rank {rank}, {what}: allocated bytes drift over TCP: {calls:?}"
-            );
+        assert_allocations_flat(&format!("tcp rank {rank}, 4 KiB"), small);
+        assert_allocations_flat(&format!("tcp rank {rank}, 1 MiB"), large);
+    }
+}
+
+#[test]
+fn steady_state_verified_allreduce_allocations_stay_flat() {
+    // The verified path stages through `VerifyScratch`: seven arena
+    // vectors, three of them packet-sized, leased per call. They must come
+    // back to the arena under their lane-sized packet type, or every call
+    // would grow the staging set again: per call, the rank thread's
+    // allocation count and bytes are flat, and nothing the size of the
+    // 6 MiB packet vector is allocated here (the fabric's per-message
+    // envelopes are all that is left — a few hundred bytes).
+    const ITERS: usize = 6;
+    let mem = SimConfig::default().with_transport(TransportKind::Memory);
+    let per_rank = Simulator::with_config(2, mem).run(|comm| {
+        let keys = CommKeys::generate(2, 0x7E21, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let homac = Homac::generate(0x7E22, Backend::best_available());
+        let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
+        let mut s = IntSumScheme::<u32>::default();
+        let data: Vec<u32> = (0..(1u32 << 18))
+            .map(|j| j.wrapping_mul(0x27D4_EB2F).wrapping_add(comm.rank() as u32))
+            .collect();
+        let cfg = EngineCfg::sync().verified().with_algo(ReduceAlgo::Ring);
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            sc.allreduce_with_into(&mut s, &data, &mut out, cfg)
+                .unwrap();
         }
-        let worst = large.iter().map(|c| c.1).max().unwrap();
-        assert!(
-            worst < 64 << 10,
-            "rank {rank}: {worst} bytes allocated on the rank thread per 1 MiB call: {large:?}"
-        );
+        (0..ITERS)
+            .map(|_| {
+                allocations_during(|| {
+                    sc.allreduce_with_into(&mut s, &data, &mut out, cfg)
+                        .unwrap()
+                })
+            })
+            .collect::<Vec<_>>()
+    });
+    for (rank, calls) in per_rank.iter().enumerate() {
+        assert_allocations_flat(&format!("verified rank {rank}, 1 MiB"), calls);
     }
 }
 

@@ -14,9 +14,10 @@
 
 use hear::core::{
     Backend, CommKeys, FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumExpScheme,
-    FloatSumScheme, HfpFormat, Homac, IntProdScheme, IntSumScheme, IntXorScheme, Scheme,
+    FloatSumScheme, HfpFormat, Homac, IntProdScheme, IntSumScheme, IntXorScheme, Scheme, HOMAC_P,
 };
 use hear::prf::{with_pool, WorkerPool, PAR_MIN_BYTES};
+use proptest::TestRng;
 
 const SEED: u64 = 0x009A_5CED;
 /// Odd element count whose smallest wire encoding (u32) still clears
@@ -177,5 +178,175 @@ fn homac_tags_parallel_match_serial() {
                 "HoMAC tags diverge from serial at {threads} threads"
             ),
         }
+    }
+}
+
+// ---- the tiled HoMAC kernel against its scalar oracles -------------------
+
+/// Batch lengths around every boundary the bulk kernel has: empty, one
+/// element, a partial tile, one tile (256) and either side of it, the
+/// fan-out threshold (2^15) and either side of it, and a long odd batch
+/// that shards unevenly.
+const KERNEL_LENS: [usize; 9] = [0, 1, 7, 255, 256, 257, 32_767, 32_768, 100_003];
+
+fn random_words(rng: &mut TestRng, n: usize) -> Vec<u64> {
+    (0..n).map(|_| rng.next_u64()).collect()
+}
+
+/// `f` under a 1-, 2- and 4-thread pool.
+fn on_every_pool(mut f: impl FnMut(usize)) {
+    for threads in [1usize, 2, 4] {
+        with_pool(&WorkerPool::new(threads), || f(threads));
+    }
+}
+
+/// Where a flipped bit must still be caught: the first element, the last
+/// (the end of a partial tile for most lengths), and both sides of every
+/// cut a 2- or 4-shard fan-out makes.
+fn tamper_points(n: usize) -> Vec<usize> {
+    let mut at = vec![0, n - 1];
+    for shards in [2, 4] {
+        let chunk = n.div_ceil(shards);
+        at.extend((1..shards).flat_map(|k| [k * chunk - 1, k * chunk]));
+    }
+    at.retain(|i| *i < n);
+    at.sort_unstable();
+    at.dedup();
+    at
+}
+
+/// Bulk `tag_into` equals the scalar per-element path for both kinds of
+/// rank. The last rank's cancelling tag *is* its plain tag; any other
+/// rank's is `(s_r − s_{r+1} − c)/Z`, i.e. its plain tag minus the next
+/// rank's plain tag of an all-zero block (`tag_plain` evaluates one PRF
+/// block per key and shares none of the tiled kernel's code).
+#[test]
+fn bulk_tags_equal_the_scalar_oracle() {
+    let keys = CommKeys::generate(3, SEED ^ 0x0AC1, Backend::best_available());
+    let homac = Homac::generate(SEED ^ 0x0AC2, Backend::best_available());
+    let mut rng = TestRng::new(SEED);
+    for n in KERNEL_LENS {
+        let first = rng.next_u64() >> 20;
+        let cipher = random_words(&mut rng, n);
+        let zeros = vec![0u64; n];
+        for rank in [0usize, 2] {
+            assert_eq!(keys[rank].is_last(), rank == 2);
+            let mut oracle = homac.tag_plain(&keys[rank], first, &cipher);
+            if rank != 2 {
+                let next = homac.tag_plain(&keys[rank + 1], first, &zeros);
+                for (o, s) in oracle.iter_mut().zip(next) {
+                    *o = Homac::combine(*o, HOMAC_P - s);
+                }
+            }
+            on_every_pool(|threads| {
+                let mut tags = vec![0xDEAD; 3];
+                homac.tag_into(&keys[rank], first, &cipher, &mut tags);
+                assert!(tags == oracle, "n={n} rank={rank} threads={threads}");
+            });
+        }
+        // The shared-stream tag on a rank's own base is its plain tag.
+        let oracle = homac.tag_plain(&keys[1], first, &cipher);
+        on_every_pool(|threads| {
+            let mut tags = Vec::new();
+            homac.tag_shared(keys[1].base_own(), first, &cipher, &mut tags);
+            assert!(tags == oracle, "shared n={n} threads={threads}");
+        });
+    }
+}
+
+/// Tags computed by the parent commit (software AES, `u128 %` arithmetic,
+/// one `eval_block` per key): the kernel rewrite changed no bit of them.
+#[test]
+fn tags_are_bit_identical_to_the_pre_kernel_implementation() {
+    let keys = CommKeys::generate(3, 0x601D, Backend::AesSoft);
+    let homac = Homac::generate(0x7A65, Backend::AesSoft);
+    let c32: Vec<u32> = vec![0xdead_beef, 7, u32::MAX, 0];
+    let c64: Vec<u64> = vec![u64::MAX, 1 << 63, 0x0123_4567_89ab_cdef, 0];
+    let mut out = Vec::new();
+    homac.tag_into(&keys[0], 5, &c32, &mut out);
+    let rank0 = [
+        0x1f03_32ec_6b68_5f08,
+        0x1661_ad5f_60d0_a958,
+        0x059f_c16d_93fa_c1ab,
+        0x085b_b0e3_d11e_607d,
+    ];
+    assert_eq!(out, rank0);
+    homac.tag_into(&keys[2], 5, &c64, &mut out);
+    let last = [
+        0x1c36_dc3c_7c02_beef,
+        0x0c75_f57b_40ec_2959,
+        0x0031_443d_b5e5_f496,
+        0x1b0e_6ab3_3882_e1b8,
+    ];
+    assert_eq!(out, last);
+    homac.tag_shared(keys[1].base_collective(), (1 << 48) + 9, &c64, &mut out);
+    let shared = [
+        0x1eaa_5a04_ac32_197c,
+        0x0827_c7dc_b980_e7f4,
+        0x1ad1_a1af_441f_c229,
+        0x1e25_4cf3_5dad_04a5,
+    ];
+    assert_eq!(out, shared);
+}
+
+/// `verify` accepts the honest two-rank aggregate and rejects one flipped
+/// bit — in the ciphertext or in the tag — wherever it sits relative to
+/// tiles and shards, on every pool; so does `verify_shared`.
+#[test]
+fn bulk_verify_accepts_honest_batches_and_rejects_one_flipped_bit_anywhere() {
+    let keys = CommKeys::generate(2, SEED ^ 0x0AC3, Backend::best_available());
+    let homac = Homac::generate(SEED ^ 0x0AC4, Backend::best_available());
+    let mut rng = TestRng::new(SEED ^ 1);
+    for n in KERNEL_LENS {
+        let first = rng.next_u64() >> 20;
+        // Summed: two ranks' ciphertexts and cancelling tags.
+        let (c0, c1) = (random_words(&mut rng, n), random_words(&mut rng, n));
+        let (t0, t1) = (
+            homac.tag(&keys[0], first, &c0),
+            homac.tag(&keys[1], first, &c1),
+        );
+        let agg: Vec<u64> = c0
+            .iter()
+            .zip(&c1)
+            .map(|(a, b)| a.wrapping_add(*b))
+            .collect();
+        let tags: Vec<u64> = (t0.iter().zip(&t1))
+            .map(|(a, b)| Homac::combine(*a, *b))
+            .collect();
+        // Single-origin: one rank's cells on the shared stream.
+        let base = keys[1].base_collective();
+        let mut shared_tags = Vec::new();
+        homac.tag_shared(base, first, &c0, &mut shared_tags);
+        let points = if n == 0 { Vec::new() } else { tamper_points(n) };
+        on_every_pool(|threads| {
+            let ctx = format!("n={n} threads={threads}");
+            assert!(homac.verify(&keys[0], first, &agg, &tags), "{ctx}");
+            assert!(homac.verify_shared(base, first, &c0, &shared_tags), "{ctx}");
+            let (mut agg, mut tags) = (agg.clone(), tags.clone());
+            let (mut cells, mut shared_tags) = (c0.clone(), shared_tags.clone());
+            for &i in &points {
+                // Any bit but 3: 2^64 ≡ 8 (mod p), so ±8 on a 64-bit word is
+                // one legal wrap of the data channel, by construction.
+                let bit = 1u64 << (4 + i % 57);
+                agg[i] ^= bit;
+                assert!(!homac.verify(&keys[0], first, &agg, &tags), "{ctx} c[{i}]");
+                agg[i] ^= bit;
+                tags[i] ^= bit;
+                assert!(!homac.verify(&keys[0], first, &agg, &tags), "{ctx} σ[{i}]");
+                tags[i] ^= bit;
+                cells[i] ^= bit;
+                assert!(
+                    !homac.verify_shared(base, first, &cells, &shared_tags),
+                    "{ctx} shared c[{i}]"
+                );
+                cells[i] ^= bit;
+                shared_tags[i] ^= bit;
+                assert!(
+                    !homac.verify_shared(base, first, &cells, &shared_tags),
+                    "{ctx} shared σ[{i}]"
+                );
+                shared_tags[i] ^= bit;
+            }
+        });
     }
 }

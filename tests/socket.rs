@@ -16,9 +16,21 @@
 //! 4. **Real multi-process world**: the test binary re-spawns itself
 //!    through [`hear::mpi::Launcher`] (rank-per-process, ephemeral-port
 //!    rendezvous) and runs a verified allreduce across OS processes.
+//! 5. **Verified packets of every lane count**: one verified allreduce per
+//!    digest-lane count (1–4) over the mesh, and a stale peer process
+//!    still framing the retired fixed four-lane packet type — a
+//!    `TypeMismatch` for that one receive, never a mis-parsed packet.
+//!    (The bit-exact mesh round trip of one packet vector per registered
+//!    shape is a unit test in `hear-layer`'s `wire.rs`: the packet type
+//!    is private to that crate.)
 
-use hear::core::{Backend, CommKeys, FloatSumExpScheme, Hfp, HfpFormat, Homac, IntSumScheme};
+use hear::core::{
+    Backend, CommKeys, FloatProdScheme, FloatSumExpScheme, Hfp, HfpFormat, Homac, IntProdScheme,
+    IntSumScheme, IntXorScheme, Scheme,
+};
+use hear::layer::wire::PacketShape;
 use hear::layer::{EngineCfg, ReduceAlgo, SecureComm};
+use hear::mpi::tcp::wire::{register_vec_codec, WIRE_ID_USER_BASE};
 use hear::mpi::{launch, CommError, Launcher, SimConfig, Simulator, TransportKind};
 use std::time::Duration;
 
@@ -303,6 +315,130 @@ fn tcp_multi_process_verified_allreduce() {
         !outcome.watchdog_fired,
         "multi-process world hung past the watchdog"
     );
+    assert!(outcome.success(), "rank exit codes: {:?}", outcome.codes);
+}
+
+/// One verified ring allreduce at world 2 over the socket mesh; the
+/// scheme's packet shape must be one the layer registered a codec for.
+fn verified_over_mesh<S, MS>(mk: MS, lanes: usize, inputs: [Vec<S::Input>; 2]) -> Vec<S::Input>
+where
+    S: Scheme + 'static,
+    S::Input: Send + Sync,
+    MS: Fn() -> S + Send + Sync,
+{
+    assert_eq!(PacketShape::of::<S>().lanes, lanes, "{}", S::NAME);
+    let (mk, inputs) = (&mk, &inputs);
+    let mut results = tcp_sim(2).run(|comm| {
+        let keys = CommKeys::generate(2, 0x1A9E, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let homac = Homac::generate(0x1A9F, Backend::best_available());
+        let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
+        let ecfg = EngineCfg::pipelined(5)
+            .verified()
+            .with_algo(ReduceAlgo::Ring);
+        sc.allreduce_with(&mut mk(), &inputs[comm.rank()], ecfg)
+            .unwrap_or_else(|e| panic!("{} verified over tcp: {e}", S::NAME))
+    });
+    results.swap_remove(0)
+}
+
+/// Every digest-lane count the schemes use — hence every packet width —
+/// survives seal → codec → socket → codec → open.
+#[test]
+fn tcp_mesh_carries_verified_packets_of_every_lane_count() {
+    let ints = |r: u64| (0..13).map(|j| 2 + 3 * j + r).collect::<Vec<u64>>();
+    let (a, b) = (ints(0), ints(1));
+    let sum = verified_over_mesh(
+        IntSumScheme::<u32>::default,
+        1,
+        [0, 1].map(|r| ints(r).iter().map(|x| *x as u32).collect()),
+    );
+    let want: Vec<u32> = a.iter().zip(&b).map(|(x, y)| (x + y) as u32).collect();
+    assert_eq!(sum, want);
+    let prod = verified_over_mesh(
+        || FloatProdScheme::new(HfpFormat::fp64(0, 0)),
+        2,
+        [0, 1].map(|r| ints(r).iter().map(|x| *x as f64 * -0.5).collect()),
+    );
+    for ((g, x), y) in prod.iter().zip(&a).zip(&b) {
+        let e = (*x * *y) as f64 * 0.25;
+        assert!((g - e).abs() / e < 1e-3, "float product {g} vs {e}");
+    }
+    let prod = verified_over_mesh(IntProdScheme::<u64>::default, 3, [0, 1].map(ints));
+    let want: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x * y).collect();
+    assert_eq!(prod, want);
+    let xor = verified_over_mesh(IntXorScheme::<u64>::default, 4, [0, 1].map(ints));
+    let want: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
+    assert_eq!(xor, want);
+}
+
+/// The wire image of the retired fixed four-lane `Packet<u32>`: a 4-byte
+/// ciphertext, four digest lanes and four tags, under the type id the
+/// layer used to bind for it.
+#[derive(Clone, Debug, PartialEq)]
+struct StalePacket([u8; 68]);
+const STALE_WIRE_ID: u32 = WIRE_ID_USER_BASE + 3;
+
+/// Rank 0 is a peer from before the lane-sized packets: it (alone)
+/// registers the old packet type under its old id and sends one, then a
+/// primitive message. Rank 1 is current. The old frame must fail exactly
+/// its own receive as a `TypeMismatch` — not parse as some new packet —
+/// and leave the message behind it and the connection intact.
+fn stale_peer_child(rank: usize) {
+    let comm = launch::child_comm()
+        .expect("launcher env present")
+        .expect("rendezvous and mesh establishment");
+    if rank == 0 {
+        register_vec_codec::<StalePacket>(
+            STALE_WIRE_ID,
+            68,
+            |p, out| out.extend_from_slice(&p.0),
+            |b| Some(StalePacket(b.try_into().ok()?)),
+        );
+        comm.send(1, 1, vec![StalePacket([0xA5; 68]); 3]);
+        comm.send(1, 2, vec![7u64, 8]);
+    } else {
+        hear::layer::wire::register_wire_codecs();
+        let wait = Duration::from_secs(20);
+        let stale = comm.recv_timeout::<u32>(0, 1, wait);
+        assert!(
+            matches!(
+                stale,
+                Err(CommError::TypeMismatch {
+                    source: 0,
+                    tag: 1,
+                    ..
+                })
+            ),
+            "a retired packet type id must be a TypeMismatch, got {stale:?}"
+        );
+        assert_eq!(comm.recv_timeout::<u64>(0, 2, wait), Ok(vec![7, 8]));
+        assert!(!comm.is_peer_dead(0));
+    }
+    comm.barrier();
+}
+
+#[test]
+fn tcp_stale_peer_with_retired_packet_type_id_is_a_type_mismatch() {
+    if let Some(rank) = launch::child_rank() {
+        return stale_peer_child(rank);
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let outcome = Launcher::new(2)
+        .watchdog(Duration::from_secs(120))
+        .program(exe)
+        .args([
+            "tcp_stale_peer_with_retired_packet_type_id_is_a_type_mismatch",
+            "--exact",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .spawn()
+        .expect("spawn rank processes")
+        .wait();
+    assert!(!outcome.watchdog_fired, "stale-peer world hung");
     assert!(outcome.success(), "rank exit codes: {:?}", outcome.codes);
 }
 
