@@ -15,7 +15,7 @@ use crate::keys::CommKeys;
 use hear_hfp::format::{Hfp, HfpError, HfpFormat};
 use hear_hfp::ops;
 use hear_hfp::ringexp::mask;
-use hear_prf::Prf;
+use hear_prf::{blocks_metric, Prf};
 
 /// Derive an HFP noise value from one PRF block: uniform sign, uniform
 /// ring exponent, uniform mantissa (hidden one attached).
@@ -39,31 +39,50 @@ pub fn noise_at(prf: &dyn Prf, base: u128, j: u64, ew: u32, mw: u32) -> Hfp {
     noise_from_block(prf.eval_block(base.wrapping_add(j as u128)), ew, mw)
 }
 
-/// Bulk noise derivation of exactly `n` values starting at element `first`.
-pub fn noise_fill_n(
-    prf: &dyn Prf,
-    base: u128,
+/// PRF blocks per refill of the fused loop's stack tile (4 KiB a stream).
+const TILE: usize = 256;
+
+/// The one loop under every float cipher: `out[i] = f(input[i], noise)`
+/// where the noise of element `i` is block `base + first + i` of each
+/// stream in `bases` — the coordinates [`noise_at`] uses, so blocks
+/// compose across calls. Blocks are generated a tile at a time on the
+/// stack and consumed at once; results go straight into `out`, whose
+/// growth is the only allocation.
+///
+/// On an `Err` from `f` the pass stops and `out` is left empty. PRF
+/// blocks are attributed up front, one per element and stream.
+fn fused_noise_pass<const STREAMS: usize, I, O>(
+    keys: &CommKeys,
+    bases: [u128; STREAMS],
     first: u64,
-    n: usize,
-    ew: u32,
-    mw: u32,
-    out: &mut Vec<Hfp>,
-) {
+    (ew, mw): (u32, u32),
+    input: &[I],
+    out: &mut Vec<O>,
+    f: impl Fn(&I, [Hfp; STREAMS]) -> Result<O, HfpError>,
+) -> Result<(), HfpError> {
+    let prf = keys.prf();
+    hear_telemetry::add(blocks_metric(prf.backend()), (STREAMS * input.len()) as u64);
     out.clear();
-    out.reserve(n);
-    const BATCH: usize = 256;
-    let mut blocks = [0u128; BATCH];
-    let mut j = first;
-    let mut left = n;
-    while left > 0 {
-        let take = left.min(BATCH);
-        prf.fill_blocks(base.wrapping_add(j as u128), &mut blocks[..take]);
-        for b in &blocks[..take] {
-            out.push(noise_from_block(*b, ew, mw));
+    out.reserve(input.len());
+    let mut tiles = [[0u128; TILE]; STREAMS];
+    for (t, xs) in input.chunks(TILE).enumerate() {
+        let j = (first + (t * TILE) as u64) as u128;
+        for (tile, base) in tiles.iter_mut().zip(bases) {
+            prf.fill_blocks_uncounted(base.wrapping_add(j), &mut tile[..xs.len()]);
         }
-        j += take as u64;
-        left -= take;
+        let blocks = tiles.each_ref().map(|tile| &tile[..xs.len()]);
+        for (i, x) in xs.iter().enumerate() {
+            let noise = std::array::from_fn(|s| noise_from_block(blocks[s][i], ew, mw));
+            match f(x, noise) {
+                Ok(o) => out.push(o),
+                Err(e) => {
+                    out.clear();
+                    return Err(e);
+                }
+            }
+        }
     }
+    Ok(())
 }
 
 /// Homomorphic float summation, Eq. (7).
@@ -83,7 +102,8 @@ impl FloatSum {
     }
 
     /// Encrypt: encode each f64 into the plaintext layout, then ⊗ with the
-    /// collective noise stream (no per-rank key — Eq. 7).
+    /// collective noise stream (no per-rank key — Eq. 7). On `Err`, `out`
+    /// is empty.
     pub fn encrypt_f64(
         &self,
         keys: &CommKeys,
@@ -94,44 +114,17 @@ impl FloatSum {
         let _s = hear_telemetry::span!("encrypt", elems = x.len());
         let (le, lm) = self.fmt.plain_widths();
         let (cew, cmw) = self.fmt.cipher_widths();
-        let mut noise = Vec::new();
-        noise_fill_n(
-            keys.prf(),
-            keys.base_collective(),
-            first,
-            x.len(),
-            cew,
-            cmw,
-            &mut noise,
-        );
-        out.clear();
-        out.reserve(x.len());
-        for (&v, n) in x.iter().zip(&noise) {
-            let plain = Hfp::from_f64(v, le, lm)?;
-            out.push(ops::mul(&plain, n, cew, cmw));
-        }
-        Ok(())
+        let bases = [keys.base_collective()];
+        fused_noise_pass(keys, bases, first, (cew, cmw), x, out, |&v, [n]| {
+            Ok(ops::mul(&Hfp::from_f64(v, le, lm)?, &n, cew, cmw))
+        })
     }
 
     /// Decrypt an aggregated vector: divide by the collective noise.
     pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         let (cew, cmw) = self.fmt.cipher_widths();
-        let mut noise = Vec::new();
-        noise_fill_n(
-            keys.prf(),
-            keys.base_collective(),
-            first,
-            agg.len(),
-            cew,
-            cmw,
-            &mut noise,
-        );
-        out.clear();
-        out.reserve(agg.len());
-        for (c, n) in agg.iter().zip(&noise) {
-            out.push(ops::div(c, n, cew, cmw).to_f64());
-        }
+        strip_noise(keys, keys.base_collective(), first, (cew, cmw), agg, out);
     }
 
     /// The operation the network applies: ring-exponent addition.
@@ -139,6 +132,21 @@ impl FloatSum {
     pub fn combine(a: &Hfp, b: &Hfp) -> Hfp {
         ops::add(a, b)
     }
+}
+
+/// Shared decryption tail: `out[i] = (agg[i] ⊘ noise).to_f64()`.
+fn strip_noise(
+    keys: &CommKeys,
+    base: u128,
+    first: u64,
+    (cew, cmw): (u32, u32),
+    agg: &[Hfp],
+    out: &mut Vec<f64>,
+) {
+    fused_noise_pass(keys, [base], first, (cew, cmw), agg, out, |c, [n]| {
+        Ok(ops::div(c, &n, cew, cmw).to_f64())
+    })
+    .expect("stripping noise cannot fail");
 }
 
 /// Homomorphic float product, Eq. (6) (telescoping orientation).
@@ -157,6 +165,9 @@ impl FloatProd {
         self.fmt
     }
 
+    /// Encrypt: ⊗ with this rank's noise and, on every rank but the last,
+    /// ⊘ by the next rank's (the cancelling pair). On `Err`, `out` is
+    /// empty.
     pub fn encrypt_f64(
         &self,
         keys: &CommKeys,
@@ -164,64 +175,40 @@ impl FloatProd {
         x: &[f64],
         out: &mut Vec<Hfp>,
     ) -> Result<(), HfpError> {
+        self.encrypt_mapped(keys, first, x, out, Ok)
+    }
+
+    /// [`FloatProd::encrypt_f64`] of `pre(x[i])` — the hook through which
+    /// [`FloatSumExp`] exponentiates inside the same pass.
+    fn encrypt_mapped(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        x: &[f64],
+        out: &mut Vec<Hfp>,
+        pre: impl Fn(f64) -> Result<f64, HfpError>,
+    ) -> Result<(), HfpError> {
         let _s = hear_telemetry::span!("encrypt", elems = x.len());
         let (le, lm) = self.fmt.plain_widths();
         let (cew, cmw) = self.fmt.cipher_widths();
-        let mut own = Vec::new();
-        noise_fill_n(
-            keys.prf(),
-            keys.base_own(),
-            first,
-            x.len(),
-            cew,
-            cmw,
-            &mut own,
-        );
-        let mut next = Vec::new();
-        if !keys.is_last() {
-            noise_fill_n(
-                keys.prf(),
-                keys.base_next(),
-                first,
-                x.len(),
-                cew,
-                cmw,
-                &mut next,
-            );
+        let own = |v: f64, n: &Hfp| -> Result<Hfp, HfpError> {
+            Ok(ops::mul(&Hfp::from_f64(pre(v)?, le, lm)?, n, cew, cmw))
+        };
+        if keys.is_last() {
+            let bases = [keys.base_own()];
+            fused_noise_pass(keys, bases, first, (cew, cmw), x, out, |&v, [n]| own(v, &n))
+        } else {
+            let bases = [keys.base_own(), keys.base_next()];
+            fused_noise_pass(keys, bases, first, (cew, cmw), x, out, |&v, [n, next]| {
+                Ok(ops::div(&own(v, &n)?, &next, cew, cmw))
+            })
         }
-        out.clear();
-        out.reserve(x.len());
-        for (i, &v) in x.iter().enumerate() {
-            let plain = Hfp::from_f64(v, le, lm)?;
-            let c = ops::mul(&plain, &own[i], cew, cmw);
-            let c = if keys.is_last() {
-                c
-            } else {
-                ops::div(&c, &next[i], cew, cmw)
-            };
-            out.push(c);
-        }
-        Ok(())
     }
 
     pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         let (cew, cmw) = self.fmt.cipher_widths();
-        let mut zero = Vec::new();
-        noise_fill_n(
-            keys.prf(),
-            keys.base_zero(),
-            first,
-            agg.len(),
-            cew,
-            cmw,
-            &mut zero,
-        );
-        out.clear();
-        out.reserve(agg.len());
-        for (c, z) in agg.iter().zip(&zero) {
-            out.push(ops::div(c, z, cew, cmw).to_f64());
-        }
+        strip_noise(keys, keys.base_zero(), first, (cew, cmw), agg, out);
     }
 
     #[inline]
@@ -249,6 +236,8 @@ impl FloatSumExp {
         self.prod.format()
     }
 
+    /// On `Err` — including an `exp()` that leaves the scheme's dynamic
+    /// range — `out` is empty.
     pub fn encrypt_f64(
         &self,
         keys: &CommKeys,
@@ -256,15 +245,16 @@ impl FloatSumExp {
         x: &[f64],
         out: &mut Vec<Hfp>,
     ) -> Result<(), HfpError> {
-        let encoded: Vec<f64> = x.iter().map(|v| v.exp()).collect();
-        for e in &encoded {
-            if !e.is_finite() || *e == 0.0 {
-                // exp() over/underflowed: the value is outside the scheme's
-                // dynamic range.
-                return Err(HfpError::ExponentOverflow(0));
+        self.prod.encrypt_mapped(keys, first, x, out, |v| {
+            let e = v.exp();
+            if e.is_finite() && e != 0.0 {
+                Ok(e)
+            } else {
+                // exp() over/underflowed: the value is outside the
+                // scheme's dynamic range.
+                Err(HfpError::ExponentOverflow(0))
             }
-        }
-        self.prod.encrypt_f64(keys, first, &encoded, out)
+        })
     }
 
     pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
@@ -550,6 +540,330 @@ mod tests {
         scheme.encrypt_f64(&ks[0], 3, &x[3..], &mut p2).unwrap();
         assert_eq!(&whole[..3], &p1[..]);
         assert_eq!(&whole[3..], &p2[..]);
+    }
+}
+
+/// The float ciphers as first written — noise staged into a `Vec<Hfp>`,
+/// then a second pass over it with the scalar [`ops::reference`] kernels —
+/// kept as what the fused loop is tested against, bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use hear_hfp::ops::reference::{div, mul};
+
+    fn noise_fill_n(keys: &CommKeys, base: u128, first: u64, n: usize, fmt: HfpFormat) -> Vec<Hfp> {
+        let (ew, mw) = fmt.cipher_widths();
+        let mut out = Vec::with_capacity(n);
+        const BATCH: usize = 256;
+        let mut blocks = [0u128; BATCH];
+        let mut j = first;
+        let mut left = n;
+        while left > 0 {
+            let take = left.min(BATCH);
+            keys.prf()
+                .fill_blocks(base.wrapping_add(j as u128), &mut blocks[..take]);
+            for b in &blocks[..take] {
+                out.push(noise_from_block(*b, ew, mw));
+            }
+            j += take as u64;
+            left -= take;
+        }
+        out
+    }
+
+    pub fn sum_encrypt(
+        fmt: HfpFormat,
+        keys: &CommKeys,
+        first: u64,
+        x: &[f64],
+    ) -> Result<Vec<Hfp>, HfpError> {
+        let (le, lm) = fmt.plain_widths();
+        let (cew, cmw) = fmt.cipher_widths();
+        let noise = noise_fill_n(keys, keys.base_collective(), first, x.len(), fmt);
+        let mut out = Vec::new();
+        for (&v, n) in x.iter().zip(&noise) {
+            let plain = Hfp::from_f64(v, le, lm)?;
+            out.push(mul(&plain, n, cew, cmw));
+        }
+        Ok(out)
+    }
+
+    pub fn prod_encrypt(
+        fmt: HfpFormat,
+        keys: &CommKeys,
+        first: u64,
+        x: &[f64],
+    ) -> Result<Vec<Hfp>, HfpError> {
+        let (le, lm) = fmt.plain_widths();
+        let (cew, cmw) = fmt.cipher_widths();
+        let own = noise_fill_n(keys, keys.base_own(), first, x.len(), fmt);
+        let next = if keys.is_last() {
+            Vec::new()
+        } else {
+            noise_fill_n(keys, keys.base_next(), first, x.len(), fmt)
+        };
+        let mut out = Vec::new();
+        for (i, &v) in x.iter().enumerate() {
+            let plain = Hfp::from_f64(v, le, lm)?;
+            let c = mul(&plain, &own[i], cew, cmw);
+            out.push(if keys.is_last() {
+                c
+            } else {
+                div(&c, &next[i], cew, cmw)
+            });
+        }
+        Ok(out)
+    }
+
+    pub fn sum_exp_encrypt(
+        fmt: HfpFormat,
+        keys: &CommKeys,
+        first: u64,
+        x: &[f64],
+    ) -> Result<Vec<Hfp>, HfpError> {
+        let encoded: Vec<f64> = x.iter().map(|v| v.exp()).collect();
+        for e in &encoded {
+            if !e.is_finite() || *e == 0.0 {
+                return Err(HfpError::ExponentOverflow(0));
+            }
+        }
+        prod_encrypt(fmt, keys, first, &encoded)
+    }
+
+    /// Decryption of all three: divide by the stream at `base`.
+    pub fn decrypt(
+        fmt: HfpFormat,
+        keys: &CommKeys,
+        base: u128,
+        first: u64,
+        agg: &[Hfp],
+    ) -> Vec<f64> {
+        let (cew, cmw) = fmt.cipher_widths();
+        let noise = noise_fill_n(keys, base, first, agg.len(), fmt);
+        agg.iter()
+            .zip(&noise)
+            .map(|(c, n)| div(c, n, cew, cmw).to_f64_by_scaling())
+            .collect()
+    }
+}
+
+/// The fused loop against [`reference`], over fp16 / fp32 / fp64 × γ ∈
+/// {0, 2} at each cipher's δ, every rank position (first, middle, last —
+/// the product cipher's one- and two-stream passes), and slice lengths
+/// around the 256-block tile.
+#[cfg(test)]
+mod bit_identity {
+    use super::*;
+    use hear_prf::Backend;
+    use hear_telemetry::Registry;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    const LENGTHS: [usize; 6] = [0, 1, 255, 256, 257, 600];
+
+    fn formats(delta: u32) -> Vec<HfpFormat> {
+        let mut v = Vec::new();
+        for gamma in [0, 2] {
+            v.push(HfpFormat::fp16(delta, gamma));
+            v.push(HfpFormat::fp32(delta, gamma));
+            if gamma <= delta {
+                // fp64's ciphertext mantissa is capped at 52 bits.
+                v.push(HfpFormat::fp64(delta, gamma));
+            }
+        }
+        v
+    }
+
+    /// Plaintexts that fit `fmt`'s exponent field, with the encoder's
+    /// special inputs mixed in: ±0, f64 subnormals, values that underflow
+    /// the layout and clamp to its smallest magnitude.
+    fn plaintexts(rng: &mut TestRng, fmt: HfpFormat, n: usize) -> Vec<f64> {
+        let max_e = (1i32 << (fmt.le - 1)) - 2;
+        (0..n)
+            .map(|_| match rng.next_u64() % 16 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::from_bits(rng.next_u64() >> 12), // subnormal
+                3 => -f64::MIN_POSITIVE,
+                4 => f64::powi(2.0, -max_e - 3),
+                _ => {
+                    let m = 1.0 + rng.next_f64();
+                    let e = rng.gen_range(-max_e..=max_e);
+                    let v = m * f64::powi(2.0, e);
+                    if rng.gen_bool(0.5) {
+                        -v
+                    } else {
+                        v
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Aggregates as the network would hand them back: any canonical
+    /// ciphertext, plus exact zeros (a full cancellation).
+    fn aggregates(rng: &mut TestRng, fmt: HfpFormat, n: usize) -> Vec<Hfp> {
+        let (ew, mw) = fmt.cipher_widths();
+        (0..n)
+            .map(|_| {
+                if rng.next_u64().is_multiple_of(16) {
+                    Hfp::zero(ew, mw)
+                } else {
+                    noise_from_block(rng.next_u128(), ew, mw)
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn float_sum_equals_reference(seed in any::<u64>(), first in 0u64..1 << 40) {
+            let mut rng = TestRng::new(seed);
+            let keys = CommKeys::generate(3, seed, Backend::best_available());
+            for fmt in formats(2) {
+                let cipher = FloatSum::new(fmt);
+                for (n, k) in LENGTHS.into_iter().zip(keys.iter().cycle()) {
+                    let x = plaintexts(&mut rng, fmt, n);
+                    let mut ct = vec![Hfp::zero(1, 1)]; // stale content must go
+                    cipher.encrypt_f64(k, first, &x, &mut ct).unwrap();
+                    prop_assert_eq!(&ct, &reference::sum_encrypt(fmt, k, first, &x).unwrap());
+                    let agg = aggregates(&mut rng, fmt, n);
+                    let mut pt = vec![f64::NAN];
+                    cipher.decrypt_f64(k, first, &agg, &mut pt);
+                    let want = reference::decrypt(fmt, k, k.base_collective(), first, &agg);
+                    prop_assert_eq!(bits(&pt), bits(&want));
+                }
+            }
+        }
+
+        #[test]
+        fn float_prod_and_sum_exp_equal_reference(seed in any::<u64>(), first in 0u64..1 << 40) {
+            let mut rng = TestRng::new(seed);
+            let keys = CommKeys::generate(3, seed, Backend::best_available());
+            for fmt in formats(0) {
+                let (prod, sum_exp) = (FloatProd::new(fmt), FloatSumExp::new(fmt));
+                for (n, k) in LENGTHS.into_iter().zip(keys.iter().cycle()) {
+                    let x = plaintexts(&mut rng, fmt, n);
+                    let mut ct = Vec::new();
+                    prod.encrypt_f64(k, first, &x, &mut ct).unwrap();
+                    prop_assert_eq!(&ct, &reference::prod_encrypt(fmt, k, first, &x).unwrap());
+                    // e^x must stay inside the layout's exponent range.
+                    let span = f64::from(1u32 << (fmt.le - 1)) * 0.6;
+                    let small: Vec<f64> = (0..n).map(|_| (rng.next_f64() - 0.5) * span).collect();
+                    sum_exp.encrypt_f64(k, first, &small, &mut ct).unwrap();
+                    prop_assert_eq!(&ct, &reference::sum_exp_encrypt(fmt, k, first, &small).unwrap());
+                    let agg = aggregates(&mut rng, fmt, n);
+                    let mut pt = Vec::new();
+                    prod.decrypt_f64(k, first, &agg, &mut pt);
+                    let want = reference::decrypt(fmt, k, k.base_zero(), first, &agg);
+                    prop_assert_eq!(bits(&pt), bits(&want));
+                    sum_exp.decrypt_f64(k, first, &agg, &mut pt);
+                    let want: Vec<f64> = want.iter().map(|v| v.ln()).collect();
+                    prop_assert_eq!(bits(&pt), bits(&want));
+                }
+            }
+        }
+
+        #[test]
+        fn blocks_compose_at_any_offset(seed in any::<u64>(), first in 1u64..1 << 40, split in 0usize..600) {
+            // [a, b] @ first ++ [c] @ first + 2 == [a, b, c] @ first, with
+            // the split anywhere relative to the tile.
+            let mut rng = TestRng::new(seed);
+            let keys = CommKeys::generate(2, seed, Backend::best_available());
+            let fmt = HfpFormat::fp64(2, 2);
+            let cipher = FloatSum::new(fmt);
+            let x = plaintexts(&mut rng, fmt, 600);
+            let (mut whole, mut head, mut tail) = (Vec::new(), Vec::new(), Vec::new());
+            cipher.encrypt_f64(&keys[0], first, &x, &mut whole).unwrap();
+            cipher.encrypt_f64(&keys[0], first, &x[..split], &mut head).unwrap();
+            cipher.encrypt_f64(&keys[0], first + split as u64, &x[split..], &mut tail).unwrap();
+            head.extend_from_slice(&tail);
+            prop_assert_eq!(&whole, &head);
+            let (mut whole_pt, mut head_pt, mut tail_pt) = (Vec::new(), Vec::new(), Vec::new());
+            cipher.decrypt_f64(&keys[1], first, &whole, &mut whole_pt);
+            cipher.decrypt_f64(&keys[1], first, &whole[..split], &mut head_pt);
+            cipher.decrypt_f64(&keys[1], first + split as u64, &whole[split..], &mut tail_pt);
+            head_pt.extend_from_slice(&tail_pt);
+            prop_assert_eq!(bits(&whole_pt), bits(&head_pt));
+        }
+    }
+
+    #[test]
+    fn one_prf_block_per_element_and_stream() {
+        // The fused loop fills tiles uncounted and attributes once: the
+        // totals must be what the per-block counted fills added up to.
+        let keys = CommKeys::generate(2, 0xB10C, Backend::best_available());
+        let metric = blocks_metric(keys[0].prf().backend());
+        let x = vec![1.5; 777];
+        let counted = |run: &dyn Fn()| {
+            let reg = Registry::new_enabled();
+            let _ctx = reg.install(Some(0));
+            run();
+            reg.counter(metric)
+        };
+        let sum = FloatSum::new(HfpFormat::fp64(2, 2));
+        let prod = FloatProd::new(HfpFormat::fp64(0, 0));
+        let mut ct = Vec::new();
+        assert_eq!(
+            counted(&|| sum.encrypt_f64(&keys[0], 5, &x, &mut Vec::new()).unwrap()),
+            777
+        );
+        sum.encrypt_f64(&keys[0], 5, &x, &mut ct).unwrap();
+        assert_eq!(
+            counted(&|| sum.decrypt_f64(&keys[0], 5, &ct, &mut Vec::new())),
+            777
+        );
+        // Own + next stream on rank 0, own alone on the last rank.
+        assert_eq!(
+            counted(&|| prod.encrypt_f64(&keys[0], 5, &x, &mut Vec::new()).unwrap()),
+            2 * 777
+        );
+        assert_eq!(
+            counted(&|| prod.encrypt_f64(&keys[1], 5, &x, &mut Vec::new()).unwrap()),
+            777
+        );
+        prod.encrypt_f64(&keys[1], 5, &x, &mut ct).unwrap();
+        assert_eq!(
+            counted(&|| prod.decrypt_f64(&keys[1], 5, &ct, &mut Vec::new())),
+            777
+        );
+    }
+
+    #[test]
+    fn an_encode_error_leaves_no_partial_ciphertext() {
+        let keys = CommKeys::generate(2, 0xE44, Backend::best_available());
+        // The offender sits past the first tile, after 300 good elements.
+        let mut x = vec![0.25; 400];
+        let stale = vec![Hfp::one(4, 4); 3];
+        for (bad, err) in [
+            (f64::NAN, HfpError::NonFinite),
+            (f64::NEG_INFINITY, HfpError::NonFinite),
+            (f64::powi(2.0, 200), HfpError::ExponentOverflow(200)),
+        ] {
+            x[300] = bad;
+            for k in &keys {
+                let mut out = stale.clone();
+                let sum = FloatSum::new(HfpFormat::fp32(2, 2));
+                assert_eq!(sum.encrypt_f64(k, 0, &x, &mut out), Err(err));
+                assert!(out.is_empty(), "FloatSum left {} elements", out.len());
+                let mut out = stale.clone();
+                let prod = FloatProd::new(HfpFormat::fp32(0, 0));
+                assert_eq!(prod.encrypt_f64(k, 0, &x, &mut out), Err(err));
+                assert!(out.is_empty(), "FloatProd left {} elements", out.len());
+            }
+        }
+        // e^1000 overflows f64 before the encoder ever sees it.
+        x[300] = 1000.0;
+        let mut out = stale.clone();
+        let sum_exp = FloatSumExp::new(HfpFormat::fp64(0, 0));
+        assert!(sum_exp.encrypt_f64(&keys[0], 0, &x, &mut out).is_err());
+        assert!(out.is_empty(), "FloatSumExp left {} elements", out.len());
     }
 }
 

@@ -35,7 +35,7 @@ pub mod word;
 
 pub use derived::{MpiOp, UnsupportedOp};
 pub use fixed::FixedCodec;
-pub use float::{noise_at, noise_fill_n, FloatProd, FloatSum, FloatSumExp};
+pub use float::{noise_at, FloatProd, FloatSum, FloatSumExp};
 pub use homac::{Homac, HOMAC_P};
 pub use int::{IntProd, IntSum, IntXor, NaiveIntSum, Scratch};
 pub use keys::{CommKeys, KeyRegistry};

@@ -82,7 +82,8 @@ pub trait Scheme {
     const MAX_VERIFIED_WORLD: usize = usize::MAX;
 
     /// Encrypt one block; element `j` of the global vector is
-    /// `input[j - first]`.
+    /// `input[j - first]`. On `Err` (a value the cipher cannot encode),
+    /// `out` is empty — never a prefix of a ciphertext.
     fn mask_block(
         &mut self,
         keys: &CommKeys,
@@ -117,11 +118,11 @@ pub trait Scheme {
         world: usize,
     ) -> bool;
 
-    /// Encrypt an arbitrarily long slice in one call. The default loops
-    /// over [`Scheme::mask_block`] in bounded chunks through a staging
-    /// vector; schemes whose masking is a single fused keystream pass
-    /// override this with one direct `mask_block` call, which allocates
-    /// nothing beyond `out`'s growth.
+    /// Encrypt an arbitrarily long slice in one call. Every cipher here
+    /// masks in a single fused pass that allocates nothing beyond `out`'s
+    /// growth, so this is [`Scheme::mask_block`] under the name the engine
+    /// uses for whole-call buffers; a scheme that needed bounded staging
+    /// would override it. On `Err`, `out` is empty.
     fn mask_slice(
         &mut self,
         keys: &CommKeys,
@@ -129,17 +130,11 @@ pub trait Scheme {
         input: &[Self::Input],
         out: &mut Vec<Self::Wire>,
     ) -> Result<(), HfpError> {
-        out.clear();
-        let mut staged = Vec::new();
-        for (i, chunk) in input.chunks(SLICE_CHUNK).enumerate() {
-            self.mask_block(keys, first + (i * SLICE_CHUNK) as u64, chunk, &mut staged)?;
-            out.extend_from_slice(&staged);
-        }
-        Ok(())
+        self.mask_block(keys, first, input, out)
     }
 
     /// Decrypt an arbitrarily long aggregated slice in one call; same
-    /// contract and default strategy as [`Scheme::mask_slice`].
+    /// contract as [`Scheme::mask_slice`].
     fn unmask_slice(
         &mut self,
         keys: &CommKeys,
@@ -147,12 +142,7 @@ pub trait Scheme {
         agg: &[Self::Wire],
         out: &mut Vec<Self::Input>,
     ) {
-        out.clear();
-        let mut staged = Vec::new();
-        for (i, chunk) in agg.chunks(SLICE_CHUNK).enumerate() {
-            self.unmask_block(keys, first + (i * SLICE_CHUNK) as u64, chunk, &mut staged);
-            out.extend_from_slice(&staged);
-        }
+        self.unmask_block(keys, first, agg, out);
     }
 
     /// Byte width of the noise words this scheme draws from the payload
@@ -176,9 +166,6 @@ pub trait Scheme {
     /// Inverse of [`Scheme::cell_encode`].
     fn cell_decode(cell: u64) -> Self::Input;
 }
-
-/// Chunk size (elements) of the default `mask_slice`/`unmask_slice` loops.
-const SLICE_CHUNK: usize = 1 << 14;
 
 // ---------------------------------------------------------------------------
 // Integer sum
@@ -241,20 +228,6 @@ impl<W: RingWord> Scheme for IntSumScheme<W> {
     fn digest_check(&self, result: &W, lane_sums: &[u64; DIGEST_LANES], _world: usize) -> bool {
         // The wire sum and the lane sum wrap identically mod 2^b.
         W::from_u64_trunc(lane_sums[0]) == *result
-    }
-
-    fn mask_slice(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[W],
-        out: &mut Vec<W>,
-    ) -> Result<(), HfpError> {
-        self.mask_block(keys, first, input, out)
-    }
-
-    fn unmask_slice(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        self.unmask_block(keys, first, agg, out);
     }
 
     fn noise_width(&self) -> Option<usize> {
@@ -325,20 +298,6 @@ impl<W: RingWord> Scheme for IntProdScheme<W> {
     fn digest(&self, x: &W, out: &mut [u64; DIGEST_LANES]) {
         let (e, v, s) = prod_digest(x.to_u64(), W::BITS);
         *out = [e, v, s, 0];
-    }
-
-    fn mask_slice(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[W],
-        out: &mut Vec<W>,
-    ) -> Result<(), HfpError> {
-        self.mask_block(keys, first, input, out)
-    }
-
-    fn unmask_slice(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        self.unmask_block(keys, first, agg, out);
     }
 
     fn digest_check(&self, result: &W, lane_sums: &[u64; DIGEST_LANES], _world: usize) -> bool {
@@ -505,20 +464,6 @@ impl<W: RingWord> Scheme for IntXorScheme<W> {
         true
     }
 
-    fn mask_slice(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[W],
-        out: &mut Vec<W>,
-    ) -> Result<(), HfpError> {
-        self.mask_block(keys, first, input, out)
-    }
-
-    fn unmask_slice(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        self.unmask_block(keys, first, agg, out);
-    }
-
     fn noise_width(&self) -> Option<usize> {
         Some(std::mem::size_of::<W>())
     }
@@ -604,20 +549,6 @@ impl Scheme for FixedSumScheme {
 
     fn digest_check(&self, result: &f64, lane_sums: &[u64; DIGEST_LANES], _world: usize) -> bool {
         self.codec.decode(lane_sums[0]) == *result
-    }
-
-    fn mask_slice(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[f64],
-        out: &mut Vec<u64>,
-    ) -> Result<(), HfpError> {
-        self.mask_block(keys, first, input, out)
-    }
-
-    fn unmask_slice(&mut self, keys: &CommKeys, first: u64, agg: &[u64], out: &mut Vec<f64>) {
-        self.unmask_block(keys, first, agg, out);
     }
 
     fn noise_width(&self) -> Option<usize> {
@@ -1198,8 +1129,8 @@ mod tests {
 
     #[test]
     fn slice_forms_equal_block_forms() {
-        // Both the default chunking implementation (float) and the fused
-        // overrides (int) must mask exactly like mask_block.
+        // The slice forms must mask exactly like the block forms, past a
+        // tile boundary of the float loop and for the integer kernels.
         let keys = CommKeys::generate(2, 0x51ce, Backend::AesSoft);
 
         let mut fscheme = FloatSumScheme::new(HfpFormat::fp32(2, 2));
@@ -1219,6 +1150,40 @@ mod tests {
         ischeme.mask_block(&keys[1], 7, &ix, &mut by_block).unwrap();
         ischeme.mask_slice(&keys[1], 7, &ix, &mut by_slice).unwrap();
         assert_eq!(by_block, by_slice);
+    }
+
+    #[test]
+    fn a_failed_mask_leaves_the_wire_buffer_empty() {
+        // The engine reuses `wire` across blocks and attempts: an encode
+        // error must not leave a prefix of a ciphertext (or the previous
+        // block) in it, through either entry point of any float scheme.
+        fn check<S: Scheme<Input = f64, Wire = Hfp>>(mut scheme: S, bad: f64) {
+            let keys = CommKeys::generate(2, 0xE77, Backend::AesSoft);
+            let mut x = vec![0.5; 300];
+            let mut wire = Vec::new();
+            scheme.mask_slice(&keys[0], 0, &x, &mut wire).unwrap();
+            assert_eq!(wire.len(), 300);
+            x[280] = bad;
+            assert!(scheme.mask_block(&keys[0], 0, &x, &mut wire).is_err());
+            assert!(
+                wire.is_empty(),
+                "{}: mask_block left {}",
+                S::NAME,
+                wire.len()
+            );
+            wire.push(Hfp::one(4, 4));
+            assert!(scheme.mask_slice(&keys[0], 0, &x, &mut wire).is_err());
+            assert!(
+                wire.is_empty(),
+                "{}: mask_slice left {}",
+                S::NAME,
+                wire.len()
+            );
+        }
+        check(FloatSumScheme::new(HfpFormat::fp32(2, 2)), f64::NAN);
+        check(FloatSumScheme::new(HfpFormat::fp32(2, 2)), 1e300);
+        check(FloatProdScheme::new(HfpFormat::fp32(0, 0)), f64::INFINITY);
+        check(FloatSumExpScheme::new(HfpFormat::fp64(0, 0)), 1000.0);
     }
 
     #[test]

@@ -56,6 +56,12 @@ pub struct ShardedSgd {
     lr: f64,
     scheme: FloatSumScheme,
     verified: bool,
+    // Per-step buffers, kept so a step allocates nothing of its own: the
+    // reduced gradients of the owned shard, the updated shard, and the
+    // replica the allgather writes (swapped with `params` each step).
+    shard_grads: Vec<f64>,
+    shard: Vec<f64>,
+    gathered: Vec<f64>,
 }
 
 impl ShardedSgd {
@@ -69,6 +75,9 @@ impl ShardedSgd {
             // quantisation at Table 2's "minor" level.
             scheme: FloatSumScheme::new(HfpFormat::fp64(2, 2)),
             verified: false,
+            shard_grads: Vec::new(),
+            shard: Vec::new(),
+            gathered: Vec::new(),
         }
     }
 
@@ -105,29 +114,31 @@ impl ShardedSgd {
         let mut stats = StepStats::default();
 
         let t = Instant::now();
-        let shard_grads = sc.reduce_scatter_with(&mut self.scheme, grads, cfg)?;
+        sc.reduce_scatter_with_into(&mut self.scheme, grads, &mut self.shard_grads, cfg)?;
         stats.reduce_scatter = t.elapsed();
 
         let t = Instant::now();
         let (lo, hi) = sc.shard_bounds(self.params.len());
-        debug_assert_eq!(shard_grads.len(), hi - lo);
+        debug_assert_eq!(self.shard_grads.len(), hi - lo);
         let scale = self.lr / sc.world() as f64;
-        let shard: Vec<f64> = self.params[lo..hi]
-            .iter()
-            .zip(&shard_grads)
-            .map(|(p, g)| p - scale * g)
-            .collect();
+        self.shard.clear();
+        self.shard.extend(
+            self.params[lo..hi]
+                .iter()
+                .zip(&self.shard_grads)
+                .map(|(p, g)| p - scale * g),
+        );
         stats.local_update = t.elapsed();
 
         let t = Instant::now();
-        let gathered = sc.allgather_with(&mut self.scheme, &shard, cfg)?;
+        sc.allgather_with_into(&mut self.scheme, &self.shard, &mut self.gathered, cfg)?;
         stats.allgather = t.elapsed();
 
         // The allgather layout is rank-contiguous and the shard bounds
         // are the per-rank prefix partition, so the gathered vector *is*
         // the updated replica.
-        debug_assert_eq!(gathered.len(), self.params.len());
-        self.params = gathered;
+        debug_assert_eq!(self.gathered.len(), self.params.len());
+        std::mem::swap(&mut self.params, &mut self.gathered);
         Ok(stats)
     }
 }

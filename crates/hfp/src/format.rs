@@ -222,7 +222,26 @@ impl Hfp {
 
     /// Decode to `f64`, interpreting the exponent as two's complement of
     /// width `ew`. Values beyond the f64 range saturate naturally.
+    ///
+    /// A canonical significand whose exponent lies in f64's normal range
+    /// is exactly an f64 (`mw ≤ 52`), so its bits are assembled directly;
+    /// everything else — subnormal and saturating results, tampered
+    /// significands — goes through [`Hfp::to_f64_by_scaling`].
+    #[inline]
     pub fn to_f64(&self) -> f64 {
+        let e = to_signed(self.exp, self.ew);
+        if self.mw <= 52 && self.sig >> self.mw == 1 && (-1022..=1023).contains(&e) {
+            let frac = (self.sig ^ (1u64 << self.mw)) << (52 - self.mw);
+            return f64::from_bits((self.sign as u64) << 63 | ((e + 1023) as u64) << 52 | frac);
+        }
+        self.to_f64_by_scaling()
+    }
+
+    /// [`Hfp::to_f64`] for any value: the significand as a float, scaled by
+    /// powers of two in steps f64 can represent. Also the reference the
+    /// direct bit assembly is tested against.
+    #[doc(hidden)]
+    pub fn to_f64_by_scaling(&self) -> f64 {
         if self.is_zero() {
             return 0.0;
         }

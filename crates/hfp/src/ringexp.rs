@@ -48,13 +48,10 @@ pub fn ring_from_i64(v: i64, w: u32) -> u64 {
 /// Interpret a `w`-bit ring element as a signed (two's complement) value.
 #[inline]
 pub fn to_signed(v: u64, w: u32) -> i64 {
-    let m = mask(w);
-    let v = v & m;
-    if w < 64 && (v >> (w - 1)) & 1 == 1 {
-        (v | !m) as i64
-    } else {
-        v as i64
-    }
+    debug_assert!((1..=64).contains(&w));
+    // Move the ring's sign bit to bit 63 and shift it back arithmetically.
+    let unused = 64 - w;
+    ((v << unused) as i64) >> unused
 }
 
 /// Sign-extend a two's-complement value from width `from_w` to width `to_w`.

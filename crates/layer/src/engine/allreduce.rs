@@ -34,9 +34,9 @@ impl SecureComm {
 
     /// [`SecureComm::allreduce_with`] writing into a caller-provided
     /// vector. `out` is cleared and filled with the aggregate; its capacity
-    /// is reused across calls, which makes the integer hot path free of
-    /// heap allocation in steady state (the staging buffers come from the
-    /// arena, the output from the caller). Under
+    /// is reused across calls, which makes the integer and float hot
+    /// paths free of heap allocation in steady state (the staging buffers
+    /// come from the arena, the output from the caller). Under
     /// [`PeerDeadPolicy::ShrinkAndContinue`](super::cfg::PeerDeadPolicy)
     /// a dead member triggers membership reconfiguration and a re-run
     /// over the survivors (see [`super::membership`]).

@@ -69,8 +69,11 @@ impl SecureComm {
 
     /// [`SecureComm::reduce_scatter_with`] writing into a caller-provided
     /// vector (cleared, then the per-block shares are appended in block
-    /// order). Steady-state allocation-free on the integer paths, like
-    /// the other `*_into` entry points. Under
+    /// order). Steady-state allocation-free on the integer and float
+    /// paths, like the other `*_into` entry points: the staging vectors
+    /// are arena leases, and the ring hands the share back as its trimmed
+    /// accumulator, so the wire buffer keeps the whole block's capacity
+    /// from call to call (`tests/matrix.rs` counts both). Under
     /// [`PeerDeadPolicy::ShrinkAndContinue`](super::cfg::PeerDeadPolicy)
     /// a dead member triggers membership reconfiguration and a re-run
     /// over the survivors — note the share layout then follows the

@@ -300,13 +300,13 @@ impl Communicator {
             return Ok(acc);
         }
         let bounds = ring_chunk_bounds(acc.len(), world);
-        // Reduce-scatter phase: after world-1 steps, rank owns the fully
-        // reduced chunk (rank+1) mod world.
+        // Reduce-scatter phase: circulating from the chunk one behind its
+        // own, after world-1 steps rank r owns the fully reduced chunk r.
         self.try_ring_circulate(
             tag,
             &mut acc,
             &bounds,
-            rank,
+            (rank + world - 1) % world,
             |dst, src| fold_into(dst, src, &op),
             seg,
             deadline,
@@ -316,7 +316,7 @@ impl Communicator {
             tag,
             &mut acc,
             &bounds,
-            (rank + 1) % world,
+            rank,
             |dst, src| dst.clone_from_slice(src),
             seg,
             deadline,
@@ -330,9 +330,11 @@ impl Communicator {
     /// rank forwards the chunk it took in on the previous step: at step
     /// `s` the rank sends chunk `(start + world − s) % world` and
     /// receives chunk `(start + world − s − 1) % world`, where `start` is
-    /// the chunk this rank holds on entry. `absorb` merges each received
-    /// chunk into `acc` — a fold for the reduce-scatter phase, an
-    /// overwrite for the allgather phase.
+    /// the chunk this rank sends first; the last chunk it receives — the
+    /// one it ends up owning — is `start + 1`. `absorb` merges each
+    /// received chunk into `acc` — a fold for the reduce-scatter phase
+    /// (`start = rank − 1`, so rank `r` ends owning chunk `r`), an
+    /// overwrite for the allgather phase (`start = rank`, the owned chunk).
     ///
     /// `seg` is one reusable segment buffer per hop: each received
     /// segment's allocation becomes the next hop's send buffer, halving
@@ -480,7 +482,7 @@ impl Communicator {
                 nleaders,
                 next,
                 prev,
-                li,
+                (li + nleaders - 1) % nleaders,
                 |dst, src| fold_into(dst, src, &op),
                 seg,
                 deadline,
@@ -492,7 +494,7 @@ impl Communicator {
                 nleaders,
                 next,
                 prev,
-                (li + 1) % nleaders,
+                li,
                 |dst, src| dst.clone_from_slice(src),
                 seg,
                 deadline,
@@ -509,9 +511,10 @@ impl Communicator {
     /// Fallible tagged ring reduce-scatter on a deadline: every rank
     /// passes the full vector; rank `r` returns the fully reduced
     /// elements of chunk `r` (the [`ring_chunk_bounds`] layout). This is
-    /// the ring allreduce's first phase plus one rotation hop — after the
-    /// circulation rank `r` holds chunk `(r+1) mod world`, which it
-    /// forwards once so chunk index == owning rank (the MPI layout).
+    /// exactly the ring allreduce's first phase: circulating from chunk
+    /// `r − 1` leaves rank `r` owning chunk `r` (the MPI layout), so the
+    /// share is the accumulator trimmed in place — the returned vector
+    /// keeps the full-block capacity for the caller to reuse.
     pub fn try_reduce_scatter_tagged_with_seg<T, F>(
         &self,
         tag: u64,
@@ -535,26 +538,15 @@ impl Communicator {
             tag,
             &mut acc,
             &bounds,
-            rank,
+            (rank + world - 1) % world,
             |dst, src| fold_into(dst, src, &op),
             seg,
             deadline,
         )?;
-        let owned = (rank + 1) % world;
-        let (s, e) = bounds[owned];
-        seg.clear();
-        seg.extend_from_slice(&acc[s..e]);
-        // Chunk `rank` sits one hop behind (on rank−1); trade the owned
-        // chunk forward for it. Tag +1 stays inside this collective's
-        // attempt slot (attempt tags stride by 8).
-        self.try_sendrecv_internal(
-            owned,
-            tag + 1,
-            std::mem::take(seg),
-            (rank + world - 1) % world,
-            tag + 1,
-            deadline,
-        )
+        let (s, e) = bounds[rank];
+        acc.truncate(e);
+        acc.drain(..s);
+        Ok(acc)
     }
 
     /// Fallible tagged ring allgather with per-rank counts: `mine` is

@@ -65,8 +65,10 @@ timeout 300 cargo run --release -q -p hear-bench --bin socket_smoke
 # fill-then-combine path (generous 1.25x tolerance — CI shares a core).
 # The same --gate run then holds the tiled HoMAC tag/verify kernel to
 # >= 2x its scalar reference at 64 Ki u64 words on one thread (same
-# tolerance; "homac_gate: SKIP" and exit 0 without AES-NI). The sweep's
-# homac_64Ki rows land in BENCH_crypto.json.
+# tolerance; "homac_gate: SKIP" and exit 0 without AES-NI), and after it
+# the fused FloatSum encrypt/decrypt to >= 1.5x theirs at 64 Ki fp64(2,2)
+# elements ("float_gate: SKIP" likewise). The sweep's homac_64Ki and
+# float_64Ki rows land in BENCH_crypto.json.
 HEAR_BENCH_FAST=1 HEAR_BENCH_DIR="$smoke_dir" \
     cargo run --release -q -p hear-bench --bin crypto_throughput
 test -s "$smoke_dir/BENCH_crypto.json"

@@ -698,8 +698,7 @@ fn allocations_during(call: impl FnOnce()) -> (u64, u64) {
 }
 
 /// Steady state: per-call allocation counts and bytes do not drift (small
-/// slack for a mailbox table rehash), and no call allocates anything the
-/// size of a 1 MiB payload on the rank thread.
+/// slack for a mailbox table rehash).
 fn assert_allocations_flat(what: &str, calls: &[(u64, u64)]) {
     const SLACK: u64 = 8;
     const SLACK_BYTES: u64 = 4 << 10;
@@ -710,46 +709,93 @@ fn assert_allocations_flat(what: &str, calls: &[(u64, u64)]) {
         "{what}: allocation counts drift: {calls:?}"
     );
     assert!(
-        bytes.clone().max().unwrap() <= bytes.clone().min().unwrap() + SLACK_BYTES,
+        bytes.clone().max().unwrap() <= bytes.min().unwrap() + SLACK_BYTES,
         "{what}: allocated bytes drift: {calls:?}"
     );
+}
+
+/// [`assert_allocations_flat`], and no call allocates anything the size of
+/// a ≥ 1 MiB payload on the rank thread.
+fn assert_allocations_flat_and_small(what: &str, calls: &[(u64, u64)]) {
+    assert_allocations_flat(what, calls);
     assert!(
-        bytes.max().unwrap() < 64 << 10,
+        calls.iter().all(|c| c.1 < 64 << 10),
         "{what}: payload-sized allocation on the rank thread: {calls:?}"
     );
+}
+
+/// Allocations of 8 steady-state calls at world 1, after 3 warm-ups, of
+/// `allreduce_with_into` or (`scatter`) `reduce_scatter_with_into`; and the
+/// output length.
+fn world_one_allocations<S: Scheme + 'static>(
+    mk: impl Fn() -> S + Send + Sync + 'static,
+    data: Vec<S::Input>,
+    scatter: bool,
+) -> (u64, usize)
+where
+    S::Input: Sync,
+{
+    Simulator::new(1).run(move |comm| {
+        let keys = CommKeys::generate(1, 0xA110C, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let mut sc = SecureComm::new(comm.clone(), keys);
+        let mut s = mk();
+        let mut out = Vec::new();
+        let mut call = |sc: &mut SecureComm| {
+            if scatter {
+                sc.reduce_scatter_with_into(&mut s, &data, &mut out, EngineCfg::sync())
+            } else {
+                sc.allreduce_with_into(&mut s, &data, &mut out, EngineCfg::sync())
+            }
+            .unwrap()
+        };
+        for _ in 0..3 {
+            call(&mut sc);
+        }
+        let before = allocs_on_this_thread();
+        for _ in 0..8 {
+            call(&mut sc);
+        }
+        (allocs_on_this_thread() - before, out.len())
+    })[0]
 }
 
 #[test]
 fn steady_state_allreduce_is_allocation_free_at_world_one() {
     // World of one skips the transport entirely, so the mask → unmask
     // round trip through the arena must be *exactly* allocation-free once
-    // the scratch buffers have been sized by a few warmup calls.
-    let zero_after_warmup = Simulator::new(1).run(|comm| {
-        let keys = CommKeys::generate(1, 0xA110C, Backend::best_available())
-            .into_iter()
-            .nth(comm.rank())
-            .unwrap();
-        let mut sc = SecureComm::new(comm.clone(), keys);
-        let mut s = IntSumScheme::<u32>::default();
-        let data: Vec<u32> = (0..512u32).map(|j| j.wrapping_mul(0x9E37_79B9)).collect();
-        let mut out = Vec::new();
-        for _ in 0..3 {
-            sc.allreduce_with_into(&mut s, &data, &mut out, EngineCfg::sync())
-                .unwrap();
-        }
-        let before = allocs_on_this_thread();
-        for _ in 0..8 {
-            sc.allreduce_with_into(&mut s, &data, &mut out, EngineCfg::sync())
-                .unwrap();
-        }
-        (allocs_on_this_thread() - before, out)
-    });
-    let (allocs, out) = &zero_after_warmup[0];
-    assert_eq!(out.len(), 512);
-    assert_eq!(
-        *allocs, 0,
-        "steady-state allreduce_with_into allocated {allocs} times on the rank thread"
-    );
+    // the scratch buffers have been sized by a few warmup calls — on the
+    // integer kernels and on the fused float loop alike (its noise tiles
+    // live on the stack; it writes straight into the arena's vectors).
+    let ints: Vec<u32> = (0..512u32).map(|j| j.wrapping_mul(0x9E37_79B9)).collect();
+    let floats: Vec<f64> = (0..700).map(|j| f64::from(j).sin() * 3.0).collect();
+    let float_sum = || FloatSumScheme::new(HfpFormat::fp64(2, 2));
+    let runs = [
+        (
+            "int allreduce",
+            world_one_allocations(IntSumScheme::<u32>::default, ints, false),
+            512,
+        ),
+        (
+            "float allreduce",
+            world_one_allocations(float_sum, floats.clone(), false),
+            700,
+        ),
+        (
+            "float reduce-scatter",
+            world_one_allocations(float_sum, floats, true),
+            700,
+        ),
+    ];
+    for (what, (allocs, out_len), len) in runs {
+        assert_eq!(out_len, len, "{what}");
+        assert_eq!(
+            allocs, 0,
+            "steady-state {what} allocated {allocs} times on the rank thread"
+        );
+    }
 }
 
 #[test]
@@ -971,8 +1017,8 @@ fn steady_state_allreduce_over_tcp_allocates_flat_and_sends_in_place() {
         (small, large)
     });
     for (rank, (small, large)) in per_rank.iter().enumerate() {
-        assert_allocations_flat(&format!("tcp rank {rank}, 4 KiB"), small);
-        assert_allocations_flat(&format!("tcp rank {rank}, 1 MiB"), large);
+        assert_allocations_flat_and_small(&format!("tcp rank {rank}, 4 KiB"), small);
+        assert_allocations_flat_and_small(&format!("tcp rank {rank}, 1 MiB"), large);
     }
 }
 
@@ -1014,7 +1060,62 @@ fn steady_state_verified_allreduce_allocations_stay_flat() {
             .collect::<Vec<_>>()
     });
     for (rank, calls) in per_rank.iter().enumerate() {
-        assert_allocations_flat(&format!("verified rank {rank}, 1 MiB"), calls);
+        assert_allocations_flat_and_small(&format!("verified rank {rank}, 1 MiB"), calls);
+    }
+}
+
+#[test]
+fn steady_state_float_ring_allocations_stay_flat() {
+    // The float path holds to the integer path's discipline: the fused
+    // loop writes ciphertexts straight into the arena's wire vector, the
+    // ring recycles its segment buffer, and the reduce-scatter's share
+    // comes back as the trimmed accumulator — so `wire` keeps the full
+    // block's capacity and never regrows. Per call, the rank thread's
+    // allocation count and bytes are flat on whichever transport the run
+    // selected (`HEAR_TRANSPORT=tcp` reruns this over sockets). On the
+    // in-memory fabric nothing payload-sized (4 MiB of ciphertext here) is
+    // allocated at all; over TCP the `Vec<Hfp>` codec decodes each
+    // received segment into a fresh vector on this thread, the same one
+    // every call.
+    const ITERS: usize = 6;
+    const ELEMS: usize = 1 << 17;
+    let per_rank = Simulator::new(2).run(|comm| {
+        let keys = CommKeys::generate(2, 0xF10A, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let mut sc = SecureComm::new(comm.clone(), keys);
+        let mut s = FloatSumScheme::new(HfpFormat::fp64(2, 2));
+        let data: Vec<f64> = (0..ELEMS)
+            .map(|j| ((comm.rank() * 31 + j) as f64 * 0.13).sin() * 0.8)
+            .collect();
+        let cfg = EngineCfg::sync().with_algo(ReduceAlgo::Ring);
+        let mut out = Vec::new();
+        let mut steady = |call: &mut dyn FnMut(&mut SecureComm, &mut Vec<f64>)| {
+            for _ in 0..3 {
+                call(&mut sc, &mut out);
+            }
+            (0..ITERS)
+                .map(|_| allocations_during(|| call(&mut sc, &mut out)))
+                .collect::<Vec<_>>()
+        };
+        let allreduce =
+            steady(&mut |sc, out| sc.allreduce_with_into(&mut s, &data, out, cfg).unwrap());
+        let reduce_scatter = steady(&mut |sc, out| {
+            sc.reduce_scatter_with_into(&mut s, &data, out, cfg)
+                .unwrap()
+        });
+        (comm.transport_name(), allreduce, reduce_scatter)
+    });
+    for (rank, (transport, allreduce, reduce_scatter)) in per_rank.iter().enumerate() {
+        for (what, calls) in [("allreduce", allreduce), ("reduce-scatter", reduce_scatter)] {
+            let what = format!("float {what}, {transport} rank {rank}");
+            if *transport == "mem" {
+                assert_allocations_flat_and_small(&what, calls);
+            } else {
+                assert_allocations_flat(&what, calls);
+            }
+        }
     }
 }
 
