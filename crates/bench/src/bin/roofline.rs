@@ -10,22 +10,29 @@
 //! Three measurements:
 //!
 //! 1. **STREAM triad** (`a[i] = b[i] + s·c[i]`, f64): the classic memory
-//!    bandwidth ceiling. Masking reads and writes the payload once while
-//!    generating the keystream in registers, so a saturated machine masks
-//!    at a bandwidth-shaped rate — that is the roofline the JSON records.
-//! 2. **Masked throughput** at 1/4/16/64 MiB for 1..N worker threads,
-//!    each size on an explicit [`WorkerPool`] (the global pool is left
-//!    alone so `HEAR_THREADS` still governs production behavior).
+//!    bandwidth ceiling. A mask reads the plaintext once and writes the
+//!    ciphertext once while generating *both* §5.1.4 keystreams in
+//!    registers — 2 w bytes of memory traffic per w-byte element per
+//!    call, whatever the stream count (it used to be a copy plus 2 w per
+//!    stream) — so a saturated machine masks at a bandwidth-shaped rate.
+//!    "% of triad" is that traffic against the ceiling: the roofline the
+//!    JSON records.
+//! 2. **Masked throughput** at 1/4/16/64 MiB for 1..N worker threads:
+//!    the engine's mask as it runs it, the two-stream out-of-place pass
+//!    (`par_fused_pass` appending into a `Vec`), each size on an explicit
+//!    [`WorkerPool`] (the global pool is left alone so `HEAR_THREADS`
+//!    still governs production behavior).
 //! 3. **Scaling curve**: throughput(t)/throughput(1) per size. `--gate`
 //!    asserts ≥[`GATE_MIN_SPEEDUP`]× at 4 threads on the 64 MiB payload,
 //!    best-of-3; on hosts with fewer than 4 cores the gate prints a
 //!    skip notice and exits 0 (a 1-core CI runner cannot scale).
 //!
-//! Every parallel pass is checked bit-for-bit against the serial kernel
-//! before timing — a roofline number for a wrong kernel is worthless.
+//! Every parallel pass is checked bit-for-bit against the serial kernels
+//! (copy, then one stream at a time) before timing — a roofline number for
+//! a wrong kernel is worthless.
 
-use hear::prf::kernels::add_keystream_into;
-use hear::prf::{par_add_keystream_into, Backend, PrfCipher, WorkerPool};
+use hear::prf::kernels::{add_keystream_into, sub_keystream_into};
+use hear::prf::{par_fused_pass, Backend, Payload, PrfCipher, Stream, WorkerPool};
 use std::io::Write as _;
 use std::time::Instant;
 
@@ -67,18 +74,36 @@ fn stream_triad() -> f64 {
     (24 * n) as f64 / secs
 }
 
-/// Masked throughput in bytes/second on `pool`, after checking the
-/// parallel pass is bit-identical to the serial kernel.
+/// Memory traffic of one mask per payload byte: each byte is read once and
+/// written once, however many noise streams fold into it.
+const TRAFFIC_PER_PAYLOAD_BYTE: f64 = 2.0;
+
+/// Masked throughput in payload bytes/second on `pool`: the two-stream
+/// out-of-place pass, after checking it is bit-identical to copy + the
+/// serial kernels one stream at a time.
 fn masked_bps(pool: &WorkerPool, prf: &PrfCipher, bytes: usize, reps: usize) -> f64 {
     let n = bytes / 4;
-    let base: u128 = 0xf00f;
-    let mut buf: Vec<u32> = (0..n as u32).collect();
-    let mut reference = buf.clone();
-    add_keystream_into(prf, base, 0, &mut reference[..]);
-    par_add_keystream_into(pool, prf, base, 0, &mut buf[..]);
-    assert_eq!(buf, reference, "parallel mask diverged from serial");
+    let (own, next): (u128, u128) = (0xf00f, 0xf00f << 64);
+    let streams = [own, next].map(|base| Stream::Cipher { prf, base });
+    let src: Vec<u32> = (0..n as u32).collect();
+    let mut reference = src.clone();
+    add_keystream_into(prf, own, 0, &mut reference[..]);
+    sub_keystream_into(prf, next, 0, &mut reference[..]);
+    let mut buf: Vec<u32> = Vec::with_capacity(n);
+    let mask = |buf: &mut Vec<u32>| {
+        buf.clear();
+        par_fused_pass(
+            pool,
+            &streams,
+            0,
+            Payload::Extend(&src, buf),
+            |x, [a, b]| x.wrapping_add(a).wrapping_sub(b),
+        );
+    };
+    mask(&mut buf);
+    assert!(buf == reference, "parallel mask diverged from serial");
     let secs = best_of(reps, || {
-        par_add_keystream_into(pool, prf, base, 0, &mut buf[..]);
+        mask(&mut buf);
         std::hint::black_box(&buf);
     });
     bytes as f64 / secs
@@ -170,11 +195,12 @@ fn main() {
                 t,
                 bps / 1e9,
                 speedup,
-                100.0 * bps / triad
+                100.0 * TRAFFIC_PER_PAYLOAD_BYTE * bps / triad
             );
             rows.push(format!(
                 "{{\"bytes\":{bytes},\"threads\":{t},\"mask_bps\":{bps:.0},\
-                 \"speedup\":{speedup:.4}}}"
+                 \"traffic_bps\":{:.0},\"speedup\":{speedup:.4}}}",
+                TRAFFIC_PER_PAYLOAD_BYTE * bps
             ));
         }
     }

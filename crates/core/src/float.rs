@@ -49,8 +49,9 @@ const TILE: usize = 256;
 /// stack and consumed at once; results go straight into `out`, whose
 /// growth is the only allocation.
 ///
-/// On an `Err` from `f` the pass stops and `out` is left empty. PRF
-/// blocks are attributed up front, one per element and stream.
+/// The results are **appended** to `out`; on an `Err` from `f` the pass
+/// stops and `out` is back at its entry length. PRF blocks are attributed
+/// up front, one per element and stream.
 fn fused_noise_pass<const STREAMS: usize, I, O>(
     keys: &CommKeys,
     bases: [u128; STREAMS],
@@ -62,7 +63,7 @@ fn fused_noise_pass<const STREAMS: usize, I, O>(
 ) -> Result<(), HfpError> {
     let prf = keys.prf();
     hear_telemetry::add(blocks_metric(prf.backend()), (STREAMS * input.len()) as u64);
-    out.clear();
+    let entry_len = out.len();
     out.reserve(input.len());
     let mut tiles = [[0u128; TILE]; STREAMS];
     for (t, xs) in input.chunks(TILE).enumerate() {
@@ -76,7 +77,7 @@ fn fused_noise_pass<const STREAMS: usize, I, O>(
             match f(x, noise) {
                 Ok(o) => out.push(o),
                 Err(e) => {
-                    out.clear();
+                    out.truncate(entry_len);
                     return Err(e);
                 }
             }
@@ -115,13 +116,21 @@ impl FloatSum {
         let (le, lm) = self.fmt.plain_widths();
         let (cew, cmw) = self.fmt.cipher_widths();
         let bases = [keys.base_collective()];
+        out.clear();
         fused_noise_pass(keys, bases, first, (cew, cmw), x, out, |&v, [n]| {
             Ok(ops::mul(&Hfp::from_f64(v, le, lm)?, &n, cew, cmw))
         })
     }
 
-    /// Decrypt an aggregated vector: divide by the collective noise.
+    /// Decrypt an aggregated vector into `out` (cleared and filled):
+    /// divide by the collective noise.
     pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
+        out.clear();
+        self.decrypt_f64_extend(keys, first, agg, out);
+    }
+
+    /// [`FloatSum::decrypt_f64`], appending to `out`.
+    pub fn decrypt_f64_extend(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         let (cew, cmw) = self.fmt.cipher_widths();
         strip_noise(keys, keys.base_collective(), first, (cew, cmw), agg, out);
@@ -134,7 +143,7 @@ impl FloatSum {
     }
 }
 
-/// Shared decryption tail: `out[i] = (agg[i] ⊘ noise).to_f64()`.
+/// Shared decryption tail: appends `(agg[i] ⊘ noise).to_f64()` to `out`.
 fn strip_noise(
     keys: &CommKeys,
     base: u128,
@@ -194,6 +203,7 @@ impl FloatProd {
         let own = |v: f64, n: &Hfp| -> Result<Hfp, HfpError> {
             Ok(ops::mul(&Hfp::from_f64(pre(v)?, le, lm)?, n, cew, cmw))
         };
+        out.clear();
         if keys.is_last() {
             let bases = [keys.base_own()];
             fused_noise_pass(keys, bases, first, (cew, cmw), x, out, |&v, [n]| own(v, &n))
@@ -205,7 +215,14 @@ impl FloatProd {
         }
     }
 
+    /// Decrypt an aggregated vector into `out` (cleared and filled).
     pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
+        out.clear();
+        self.decrypt_f64_extend(keys, first, agg, out);
+    }
+
+    /// [`FloatProd::decrypt_f64`], appending to `out`.
+    pub fn decrypt_f64_extend(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         let (cew, cmw) = self.fmt.cipher_widths();
         strip_noise(keys, keys.base_zero(), first, (cew, cmw), agg, out);
@@ -257,9 +274,17 @@ impl FloatSumExp {
         })
     }
 
+    /// Decrypt an aggregated vector into `out` (cleared and filled).
     pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
-        self.prod.decrypt_f64(keys, first, agg, out);
-        for v in out.iter_mut() {
+        out.clear();
+        self.decrypt_f64_extend(keys, first, agg, out);
+    }
+
+    /// [`FloatSumExp::decrypt_f64`], appending to `out`.
+    pub fn decrypt_f64_extend(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
+        let entry_len = out.len();
+        self.prod.decrypt_f64_extend(keys, first, agg, out);
+        for v in &mut out[entry_len..] {
             *v = v.ln();
         }
     }

@@ -11,83 +11,74 @@
 
 use crate::keys::{CommKeys, KeyRegistry};
 use crate::word::RingWord;
-use hear_prf::{
-    par_add_blocks_into, par_add_keystream_into, par_sub_blocks_into, par_sub_keystream_into,
-    par_xor_blocks_into, par_xor_keystream_into, WorkerPool,
-};
+use hear_prf::{par_fused_pass, Payload, Stream, WorkerPool};
 use hear_telemetry::Metric;
 
-/// The three group operations the fused kernels implement.
-#[derive(Clone, Copy)]
-enum FusedOp {
-    Add,
-    Sub,
-    Xor,
-}
-
-/// Fold one noise stream into `buf` with a single fused pass, consulting
-/// the prefetch cache first.
+/// Fold the noise streams at `bases` into a payload — in place, or out of
+/// place straight into a `Vec`'s spare capacity — with **one** fused pass:
+/// `dst[i] ← f(src[i], [A[first + i], B[first + i]])`, each payload word
+/// read once and written once however many streams fold into it.
 ///
-/// On a cache hit the blocks were generated uncounted by the producer
-/// thread, so this consumer attributes them here — per-backend block
-/// count, keystream bytes and masked bytes — which keeps every counter
-/// total identical whether or not the prefetcher is running. Any miss
-/// falls back to inline fused generation, which does its own accounting.
+/// The prefetch cache is consulted first, once for all streams; a stream
+/// it holds is read from those blocks, a stream it misses is generated
+/// inline, chosen per stream inside the same pass. Cached blocks were
+/// generated uncounted by the producer thread, so this consumer attributes
+/// them here — per-backend block count, keystream bytes and masked bytes —
+/// which keeps every counter total identical whether or not the prefetcher
+/// is running. Inline streams are accounted by the kernel.
 ///
-/// Both passes go through the parallel kernels of `hear-prf::par`: large
-/// buffers are cut at PRF-block boundaries and masked across the shared
-/// worker pool (bit-identical by pad purity in `(epoch, offset)`), while
-/// small buffers and single-thread budgets take the serial kernels
-/// unchanged.
-fn apply_stream<W: RingWord>(keys: &CommKeys, base: u128, first: u64, buf: &mut [W], op: FusedOp) {
-    if buf.is_empty() {
+/// The pass goes through `hear-prf::par`: large buffers are cut at
+/// PRF-block boundaries and masked across the shared worker pool
+/// (bit-identical by pad purity in `(epoch, offset)`), while small buffers
+/// and single-thread budgets run the one shard inline.
+fn fused_pass<W: RingWord, const N: usize>(
+    keys: &CommKeys,
+    bases: [u128; N],
+    first: u64,
+    payload: Payload<'_, W>,
+    f: impl Fn(W, [W; N]) -> W + Copy + Send + Sync,
+) {
+    let len = match &payload {
+        Payload::InPlace(buf) => buf.len(),
+        Payload::Extend(src, _) => src.len(),
+    };
+    if len == 0 {
         return;
     }
-    WorkerPool::with_current(|pool| apply_stream_on(pool, keys, base, first, buf, op))
-}
-
-fn apply_stream_on<W: RingWord>(
-    pool: &WorkerPool,
-    keys: &CommKeys,
-    base: u128,
-    first: u64,
-    buf: &mut [W],
-    op: FusedOp,
-) {
-    if let Some(cache) = keys.cache() {
-        let per = W::PER_BLOCK as u64;
-        let first_block = first / per;
-        let last_word = first + buf.len() as u64 - 1;
-        let nblocks = (last_word / per - first_block + 1) as usize;
-        let skip = first - first_block * per;
-        let hit = cache.with_blocks(
-            keys.epoch(),
-            base,
-            first_block,
-            nblocks,
-            |blocks| match op {
-                FusedOp::Add => par_add_blocks_into(pool, blocks, skip, buf),
-                FusedOp::Sub => par_sub_blocks_into(pool, blocks, skip, buf),
-                FusedOp::Xor => par_xor_blocks_into(pool, blocks, skip, buf),
+    let per = W::PER_BLOCK as u64;
+    let first_block = first / per;
+    let nblocks = ((first + len as u64 - 1) / per - first_block + 1) as usize;
+    let bytes = (len * std::mem::size_of::<W>()) as u64;
+    let backend = keys.prf().backend();
+    let run = |cached: [Option<&[u128]>; N]| {
+        let streams: [Stream<'_>; N] = std::array::from_fn(|s| match cached[s] {
+            Some(blocks) => Stream::Blocks {
+                blocks,
+                first_block,
             },
-        );
-        if hit.is_some() {
-            let backend = keys.prf().backend();
-            hear_telemetry::incr(Metric::PrefetchHits);
-            hear_telemetry::add(hear_prf::blocks_metric(backend), nblocks as u64);
-            hear_telemetry::add(Metric::KeystreamBytes, std::mem::size_of_val(buf) as u64);
-            hear_telemetry::add(
-                hear_prf::masked_metric(backend),
-                std::mem::size_of_val(buf) as u64,
-            );
-            return;
+            None => Stream::Cipher {
+                prf: keys.prf(),
+                base: bases[s],
+            },
+        });
+        WorkerPool::with_current(|pool| par_fused_pass(pool, &streams, first, payload, f));
+        let hits = cached.iter().flatten().count() as u64;
+        if hits > 0 {
+            hear_telemetry::add(Metric::PrefetchHits, hits);
+            hear_telemetry::add(hear_prf::blocks_metric(backend), hits * nblocks as u64);
+            hear_telemetry::add(Metric::KeystreamBytes, hits * bytes);
+            hear_telemetry::add(hear_prf::masked_metric(backend), hits * bytes);
         }
-        hear_telemetry::incr(Metric::PrefetchMisses);
-    }
-    match op {
-        FusedOp::Add => par_add_keystream_into(pool, keys.prf(), base, first, buf),
-        FusedOp::Sub => par_sub_keystream_into(pool, keys.prf(), base, first, buf),
-        FusedOp::Xor => par_xor_keystream_into(pool, keys.prf(), base, first, buf),
+        hits
+    };
+    match keys.cache() {
+        Some(cache) => {
+            let hits = cache.with_streams(keys.epoch(), bases, first_block, nblocks, run);
+            hear_telemetry::add(Metric::PrefetchMisses, N as u64 - hits);
+        }
+        None => {
+            run([None; N]);
+        }
     }
 }
 
@@ -127,6 +118,29 @@ impl<W: RingWord> Scratch<W> {
 pub struct IntSum;
 
 impl IntSum {
+    /// `+F(own) − F(next)` (the §5.1.4 cancelling pair; the last rank has
+    /// no successor) folded into `payload` in one pass. The order of the
+    /// two terms cannot change a bit: `Z_{2^w}` addition is commutative.
+    fn encrypt<W: RingWord>(keys: &CommKeys, first: u64, payload: Payload<'_, W>) {
+        if keys.is_last() {
+            fused_pass(keys, [keys.base_own()], first, payload, |x, [own]| {
+                x.wadd(own)
+            });
+        } else {
+            let bases = [keys.base_own(), keys.base_next()];
+            fused_pass(keys, bases, first, payload, |x, [own, next]| {
+                x.wadd(own).wsub(next)
+            });
+        }
+    }
+
+    /// `−F(zero)`: what survives the telescoping sum is rank 0's noise.
+    fn decrypt<W: RingWord>(keys: &CommKeys, first: u64, payload: Payload<'_, W>) {
+        fused_pass(keys, [keys.base_zero()], first, payload, |x, [zero]| {
+            x.wsub(zero)
+        });
+    }
+
     /// Encrypt `buf` in place for this rank; element `j` of the global
     /// vector is `buf[j - first]` (callers encrypting a pipelined block
     /// pass the block's base index as `first`).
@@ -138,10 +152,15 @@ impl IntSum {
     ) {
         let _s = hear_telemetry::span!("encrypt", elems = buf.len());
         let _ = scratch; // fused path needs no noise staging
-        apply_stream(keys, keys.base_own(), first, buf, FusedOp::Add);
-        if !keys.is_last() {
-            apply_stream(keys, keys.base_next(), first, buf, FusedOp::Sub);
-        }
+        Self::encrypt(keys, first, Payload::InPlace(buf));
+    }
+
+    /// Append the encryption of `input` to `out` — the bits
+    /// `extend_from_slice` + [`IntSum::encrypt_in_place`] would leave, with
+    /// each byte read once and written once.
+    pub fn encrypt_into<W: RingWord>(keys: &CommKeys, first: u64, input: &[W], out: &mut Vec<W>) {
+        let _s = hear_telemetry::span!("encrypt", elems = input.len());
+        Self::encrypt(keys, first, Payload::Extend(input, out));
     }
 
     /// Decrypt an aggregated vector in place: subtract rank 0's noise.
@@ -153,7 +172,14 @@ impl IntSum {
     ) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         let _ = scratch;
-        apply_stream(keys, keys.base_zero(), first, agg, FusedOp::Sub);
+        Self::decrypt(keys, first, Payload::InPlace(agg));
+    }
+
+    /// Append the decryption of `agg` to `out` (see
+    /// [`IntSum::encrypt_into`]).
+    pub fn decrypt_into<W: RingWord>(keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
+        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
+        Self::decrypt(keys, first, Payload::Extend(agg, out));
     }
 
     /// The associative operation the (untrusted) network applies.
@@ -169,6 +195,45 @@ impl IntSum {
 pub struct IntProd;
 
 impl IntProd {
+    /// The per-element mask factors `g^(own − next)` (`g^own` on the last
+    /// rank) for `n` elements at `first`, staged in `scratch`.
+    fn mask_factors<'s, W: RingWord>(
+        keys: &CommKeys,
+        first: u64,
+        n: usize,
+        scratch: &'s mut Scratch<W>,
+    ) -> &'s [W] {
+        scratch.ensure(n);
+        let (own, next) = (&mut scratch.own[..n], &mut scratch.next[..n]);
+        W::fill_noise(keys.prf(), keys.base_own(), first, own);
+        if !keys.is_last() {
+            W::fill_noise(keys.prf(), keys.base_next(), first, next);
+            for (o, m) in own.iter_mut().zip(next.iter()) {
+                *o = o.wsub(*m);
+            }
+        }
+        for o in own.iter_mut() {
+            *o = W::GENERATOR.wpow(*o);
+        }
+        own
+    }
+
+    /// The per-element unmask factors `g^(−zero)`, staged in `scratch`.
+    fn unmask_factors<'s, W: RingWord>(
+        keys: &CommKeys,
+        first: u64,
+        n: usize,
+        scratch: &'s mut Scratch<W>,
+    ) -> &'s [W] {
+        scratch.ensure(n);
+        let zero = &mut scratch.own[..n];
+        W::fill_noise(keys.prf(), keys.base_zero(), first, zero);
+        for z in zero.iter_mut() {
+            *z = W::GENERATOR.wpow(*z).inv_odd();
+        }
+        zero
+    }
+
     pub fn encrypt_in_place<W: RingWord>(
         keys: &CommKeys,
         first: u64,
@@ -176,20 +241,24 @@ impl IntProd {
         scratch: &mut Scratch<W>,
     ) {
         let _s = hear_telemetry::span!("encrypt", elems = buf.len());
-        scratch.ensure(buf.len());
-        let own = &mut scratch.own[..buf.len()];
-        W::fill_noise(keys.prf(), keys.base_own(), first, own);
-        if keys.is_last() {
-            for (b, n) in buf.iter_mut().zip(own.iter()) {
-                *b = b.wmul(W::GENERATOR.wpow(*n));
-            }
-        } else {
-            let next = &mut scratch.next[..buf.len()];
-            W::fill_noise(keys.prf(), keys.base_next(), first, next);
-            for ((b, n), m) in buf.iter_mut().zip(own.iter()).zip(next.iter()) {
-                *b = b.wmul(W::GENERATOR.wpow(n.wsub(*m)));
-            }
+        let factors = Self::mask_factors(keys, first, buf.len(), scratch);
+        for (b, g) in buf.iter_mut().zip(factors) {
+            *b = b.wmul(*g);
         }
+    }
+
+    /// Append the encryption of `input` to `out`: `out[i] = input[i] ·
+    /// g^(own − next)`, without copying `input` first.
+    pub fn encrypt_into<W: RingWord>(
+        keys: &CommKeys,
+        first: u64,
+        input: &[W],
+        out: &mut Vec<W>,
+        scratch: &mut Scratch<W>,
+    ) {
+        let _s = hear_telemetry::span!("encrypt", elems = input.len());
+        let factors = Self::mask_factors(keys, first, input.len(), scratch);
+        out.extend(input.iter().zip(factors).map(|(x, g)| x.wmul(*g)));
     }
 
     pub fn decrypt_in_place<W: RingWord>(
@@ -199,12 +268,23 @@ impl IntProd {
         scratch: &mut Scratch<W>,
     ) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        scratch.ensure(agg.len());
-        let zero = &mut scratch.own[..agg.len()];
-        W::fill_noise(keys.prf(), keys.base_zero(), first, zero);
-        for (a, n) in agg.iter_mut().zip(zero.iter()) {
-            *a = a.wmul(W::GENERATOR.wpow(*n).inv_odd());
+        let factors = Self::unmask_factors(keys, first, agg.len(), scratch);
+        for (a, g) in agg.iter_mut().zip(factors) {
+            *a = a.wmul(*g);
         }
+    }
+
+    /// Append the decryption of `agg` to `out`.
+    pub fn decrypt_into<W: RingWord>(
+        keys: &CommKeys,
+        first: u64,
+        agg: &[W],
+        out: &mut Vec<W>,
+        scratch: &mut Scratch<W>,
+    ) {
+        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
+        let factors = Self::unmask_factors(keys, first, agg.len(), scratch);
+        out.extend(agg.iter().zip(factors).map(|(a, g)| a.wmul(*g)));
     }
 
     #[inline]
@@ -217,6 +297,27 @@ impl IntProd {
 pub struct IntXor;
 
 impl IntXor {
+    /// `^F(own) ^F(next)` folded into `payload` in one pass.
+    fn encrypt<W: RingWord>(keys: &CommKeys, first: u64, payload: Payload<'_, W>) {
+        if keys.is_last() {
+            fused_pass(keys, [keys.base_own()], first, payload, |x, [own]| {
+                x.bxor(own)
+            });
+        } else {
+            let bases = [keys.base_own(), keys.base_next()];
+            fused_pass(keys, bases, first, payload, |x, [own, next]| {
+                x.bxor(own).bxor(next)
+            });
+        }
+    }
+
+    /// `^F(zero)`.
+    fn decrypt<W: RingWord>(keys: &CommKeys, first: u64, payload: Payload<'_, W>) {
+        fused_pass(keys, [keys.base_zero()], first, payload, |x, [zero]| {
+            x.bxor(zero)
+        });
+    }
+
     pub fn encrypt_in_place<W: RingWord>(
         keys: &CommKeys,
         first: u64,
@@ -225,10 +326,14 @@ impl IntXor {
     ) {
         let _s = hear_telemetry::span!("encrypt", elems = buf.len());
         let _ = scratch;
-        apply_stream(keys, keys.base_own(), first, buf, FusedOp::Xor);
-        if !keys.is_last() {
-            apply_stream(keys, keys.base_next(), first, buf, FusedOp::Xor);
-        }
+        Self::encrypt(keys, first, Payload::InPlace(buf));
+    }
+
+    /// Append the encryption of `input` to `out` (see
+    /// [`IntSum::encrypt_into`]).
+    pub fn encrypt_into<W: RingWord>(keys: &CommKeys, first: u64, input: &[W], out: &mut Vec<W>) {
+        let _s = hear_telemetry::span!("encrypt", elems = input.len());
+        Self::encrypt(keys, first, Payload::Extend(input, out));
     }
 
     pub fn decrypt_in_place<W: RingWord>(
@@ -239,7 +344,13 @@ impl IntXor {
     ) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         let _ = scratch;
-        apply_stream(keys, keys.base_zero(), first, agg, FusedOp::Xor);
+        Self::decrypt(keys, first, Payload::InPlace(agg));
+    }
+
+    /// Append the decryption of `agg` to `out`.
+    pub fn decrypt_into<W: RingWord>(keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
+        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
+        Self::decrypt(keys, first, Payload::Extend(agg, out));
     }
 
     #[inline]
@@ -263,7 +374,10 @@ impl NaiveIntSum {
     ) {
         let _s = hear_telemetry::span!("encrypt", elems = buf.len());
         let _ = scratch;
-        apply_stream(keys, keys.base_own(), first, buf, FusedOp::Add);
+        let bases = [keys.base_own()];
+        fused_pass(keys, bases, first, Payload::InPlace(buf), |x, [own]| {
+            x.wadd(own)
+        });
     }
 
     /// Θ(P) decryption: needs the full key registry.
@@ -368,6 +482,97 @@ mod tests {
         IntSum::encrypt_in_place(&keys[0], 5, &mut part2, &mut scratch);
         assert_eq!(&whole[..5], &part1[..]);
         assert_eq!(&whole[5..], &part2[..]);
+    }
+
+    /// The appending form against "copy, then the in-place form": same
+    /// bits, prefix untouched, and composable at every split of the block.
+    fn check_forms<W: RingWord>(
+        keys: &CommKeys,
+        input: &[W],
+        in_place: impl Fn(&CommKeys, u64, &mut [W]),
+        into: impl Fn(&CommKeys, u64, &[W], &mut Vec<W>),
+    ) -> Vec<W> {
+        const FIRST: u64 = 5;
+        let mut want = input.to_vec();
+        in_place(keys, FIRST, &mut want);
+
+        let sentinel = W::from_u64_trunc(0xA5);
+        let mut got = vec![sentinel];
+        into(keys, FIRST, input, &mut got);
+        assert_eq!(got[0], sentinel, "prefix overwritten");
+        assert_eq!(got[1..], want);
+
+        for split in 0..=input.len() {
+            let mut parts = Vec::new();
+            into(keys, FIRST, &input[..split], &mut parts);
+            into(keys, FIRST + split as u64, &input[split..], &mut parts);
+            assert_eq!(parts, want, "split at {split}");
+        }
+        want
+    }
+
+    #[test]
+    fn into_forms_equal_copy_then_in_place_at_every_rank() {
+        fn width<W: RingWord>() {
+            let input: Vec<W> = (0..37u64)
+                .map(|i| W::from_u64_trunc(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7))
+                .collect();
+            for world in 1..=4usize {
+                // The last rank masks with one stream, the others with two.
+                for keys in CommKeys::generate(world, 0xC0DE + world as u64, Backend::AesSoft) {
+                    let sum = check_forms(
+                        &keys,
+                        &input,
+                        |k, f, b| IntSum::encrypt_in_place(k, f, b, &mut Scratch::default()),
+                        IntSum::encrypt_into,
+                    );
+                    // Eq. (1) word by word from the scalar PRF: the wire bits
+                    // are `x + F(own) − F(next)` whatever the kernel does.
+                    for (i, (c, x)) in sum.iter().zip(&input).enumerate() {
+                        let j = 5 + i as u64;
+                        let mut want = x.wadd(W::noise(keys.prf(), keys.base_own(), j));
+                        if !keys.is_last() {
+                            want = want.wsub(W::noise(keys.prf(), keys.base_next(), j));
+                        }
+                        assert_eq!(*c, want, "world={world} j={j}");
+                    }
+                    check_forms(
+                        &keys,
+                        &input,
+                        |k, f, b| IntSum::decrypt_in_place(k, f, b, &mut Scratch::default()),
+                        IntSum::decrypt_into,
+                    );
+                    check_forms(
+                        &keys,
+                        &input,
+                        |k, f, b| IntXor::encrypt_in_place(k, f, b, &mut Scratch::default()),
+                        IntXor::encrypt_into,
+                    );
+                    check_forms(
+                        &keys,
+                        &input,
+                        |k, f, b| IntXor::decrypt_in_place(k, f, b, &mut Scratch::default()),
+                        IntXor::decrypt_into,
+                    );
+                    check_forms(
+                        &keys,
+                        &input,
+                        |k, f, b| IntProd::encrypt_in_place(k, f, b, &mut Scratch::default()),
+                        |k, f, x, out| IntProd::encrypt_into(k, f, x, out, &mut Scratch::default()),
+                    );
+                    check_forms(
+                        &keys,
+                        &input,
+                        |k, f, b| IntProd::decrypt_in_place(k, f, b, &mut Scratch::default()),
+                        |k, f, x, out| IntProd::decrypt_into(k, f, x, out, &mut Scratch::default()),
+                    );
+                }
+            }
+        }
+        width::<u8>();
+        width::<u16>();
+        width::<u32>();
+        width::<u64>();
     }
 
     #[test]

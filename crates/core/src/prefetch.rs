@@ -58,6 +58,8 @@ struct Generation {
 struct Inner {
     /// Oldest first; at most [`LIVE_GENERATIONS`] entries.
     gens: Vec<Generation>,
+    /// Generations ever published.
+    published: u64,
 }
 
 /// Shared keystream cache (one per communicator and rank) holding the two
@@ -83,6 +85,7 @@ impl KeystreamCache {
     pub fn publish(&self, epoch: u64, slots: Vec<CacheSlot>) -> Vec<CacheSlot> {
         let mut inner = lock_unpoisoned(&self.inner);
         inner.gens.push(Generation { epoch, slots });
+        inner.published += 1;
         if inner.gens.len() > LIVE_GENERATIONS {
             inner.gens.remove(0).slots
         } else {
@@ -90,11 +93,50 @@ impl KeystreamCache {
         }
     }
 
-    /// Run `f` over the cached blocks `[first_block, first_block + nblocks)`
-    /// of the stream at `base`, if some live generation holds exactly
-    /// `epoch` and the full range. Returns `None` (a miss) otherwise; the
+    /// How many generations the producer has published so far — what the
+    /// background lane has spent on this communicator.
+    pub fn generations(&self) -> u64 {
+        lock_unpoisoned(&self.inner).published
+    }
+
+    /// Look up the block range `[first_block, first_block + nblocks)` of
+    /// every stream in `bases` under **one** lock and run `f` over what was
+    /// found: `Some(blocks)` where a live generation holds exactly `epoch`
+    /// and the stream's full range, `None` (a miss) otherwise — per stream,
+    /// so one fused pass can serve a hit on one stream and generate the
+    /// other inline. The lock is held across `f` only while some stream
+    /// hit; an all-miss pass must not make the producer wait for it. The
     /// caller counts the hit/miss telemetry since only scheme-level callers
     /// know a lookup happened on the hot path.
+    pub fn with_streams<const N: usize, R>(
+        &self,
+        epoch: u64,
+        bases: [u128; N],
+        first_block: u64,
+        nblocks: usize,
+        f: impl FnOnce([Option<&[u128]>; N]) -> R,
+    ) -> R {
+        let inner = lock_unpoisoned(&self.inner);
+        // Newest generation first: it is the one a healthy steady state hits.
+        let gen = inner.gens.iter().rev().find(|g| g.epoch == epoch);
+        let found = bases.map(|base| {
+            let slot = gen?.slots.iter().find(|s| s.base == base)?;
+            let end = first_block.checked_add(nblocks as u64)?;
+            if first_block < slot.first_block || end > slot.first_block + slot.blocks.len() as u64 {
+                return None;
+            }
+            let off = (first_block - slot.first_block) as usize;
+            Some(&slot.blocks[off..off + nblocks])
+        });
+        if found.iter().all(Option::is_none) {
+            drop(inner);
+            return f([None; N]);
+        }
+        f(found)
+    }
+
+    /// One-stream [`KeystreamCache::with_streams`]: run `f` over the cached
+    /// range, or return `None` on a miss.
     pub fn with_blocks<R>(
         &self,
         epoch: u64,
@@ -103,16 +145,9 @@ impl KeystreamCache {
         nblocks: usize,
         f: impl FnOnce(&[u128]) -> R,
     ) -> Option<R> {
-        let inner = lock_unpoisoned(&self.inner);
-        // Newest generation first: it is the one a healthy steady state hits.
-        let gen = inner.gens.iter().rev().find(|g| g.epoch == epoch)?;
-        let slot = gen.slots.iter().find(|s| s.base == base)?;
-        let end = first_block.checked_add(nblocks as u64)?;
-        if first_block < slot.first_block || end > slot.first_block + slot.blocks.len() as u64 {
-            return None;
-        }
-        let off = (first_block - slot.first_block) as usize;
-        Some(f(&slot.blocks[off..off + nblocks]))
+        self.with_streams(epoch, [base], first_block, nblocks, |[blocks]| {
+            blocks.map(f)
+        })
     }
 }
 
@@ -154,6 +189,19 @@ mod tests {
     }
 
     #[test]
+    fn streams_resolve_independently_under_one_lookup() {
+        let cache = KeystreamCache::new();
+        cache.publish(7, vec![slot(100, 0, 10), slot(200, 4, 2)]);
+        // Stream 100 covers the range, stream 200 does not, 300 is unknown.
+        let got = cache.with_streams(7, [100, 200, 300], 2, 5, |found| {
+            found.map(|blocks| blocks.map(|b| (b.len(), b[0])))
+        });
+        assert_eq!(got, [Some((5, 100 * 1000 + 2)), None, None]);
+        // An all-miss lookup still runs the pass (with the lock released).
+        assert!(cache.with_streams(8, [100, 200], 0, 1, |found| found == [None, None]));
+    }
+
+    #[test]
     fn two_generations_stay_live() {
         let cache = KeystreamCache::new();
         assert!(cache.publish(1, vec![slot(1, 0, 4)]).is_empty());
@@ -172,6 +220,7 @@ mod tests {
         let old = cache.publish(3, vec![slot(3, 0, 4)]);
         assert_eq!(old.len(), 1);
         assert_eq!(old[0].base, 1);
+        assert_eq!(cache.generations(), 3);
         // Epoch 1 is gone; 2 and 3 are live.
         assert_eq!(cache.with_blocks(1, 1, 0, 4, |_| ()), None);
         assert_eq!(cache.with_blocks(2, 2, 0, 4, |_| ()), Some(()));

@@ -92,14 +92,28 @@ pub trait Scheme {
         out: &mut Vec<Self::Wire>,
     ) -> Result<(), HfpError>;
 
-    /// Decrypt one aggregated block.
-    fn unmask_block(
+    /// Decrypt one aggregated block, **appending** the plaintexts to `out`
+    /// (what is already there stays untouched): the engine drains blocks
+    /// in order straight into the caller's result vector.
+    fn unmask_extend(
         &mut self,
         keys: &CommKeys,
         first: u64,
         agg: &[Self::Wire],
         out: &mut Vec<Self::Input>,
     );
+
+    /// Decrypt one aggregated block into `out`, cleared and filled.
+    fn unmask_block(
+        &mut self,
+        keys: &CommKeys,
+        first: u64,
+        agg: &[Self::Wire],
+        out: &mut Vec<Self::Input>,
+    ) {
+        out.clear();
+        self.unmask_extend(keys, first, agg, out);
+    }
 
     /// The associative combiner the (untrusted) network applies. An
     /// associated function — `S::op` is a plain `fn` pointer, which every
@@ -133,8 +147,9 @@ pub trait Scheme {
         self.mask_block(keys, first, input, out)
     }
 
-    /// Decrypt an arbitrarily long aggregated slice in one call; same
-    /// contract as [`Scheme::mask_slice`].
+    /// Decrypt an arbitrarily long aggregated slice in one call into `out`,
+    /// cleared and filled; [`Scheme::unmask_block`] under the whole-call
+    /// name, like [`Scheme::mask_slice`].
     fn unmask_slice(
         &mut self,
         keys: &CommKeys,
@@ -206,15 +221,12 @@ impl<W: RingWord> Scheme for IntSumScheme<W> {
         out: &mut Vec<W>,
     ) -> Result<(), HfpError> {
         out.clear();
-        out.extend_from_slice(input);
-        IntSum::encrypt_in_place(keys, first, out, &mut self.scratch);
+        IntSum::encrypt_into(keys, first, input, out);
         Ok(())
     }
 
-    fn unmask_block(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        out.clear();
-        out.extend_from_slice(agg);
-        IntSum::decrypt_in_place(keys, first, out, &mut self.scratch);
+    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
+        IntSum::decrypt_into(keys, first, agg, out);
     }
 
     fn op(a: &W, b: &W) -> W {
@@ -280,15 +292,12 @@ impl<W: RingWord> Scheme for IntProdScheme<W> {
         out: &mut Vec<W>,
     ) -> Result<(), HfpError> {
         out.clear();
-        out.extend_from_slice(input);
-        IntProd::encrypt_in_place(keys, first, out, &mut self.scratch);
+        IntProd::encrypt_into(keys, first, input, out, &mut self.scratch);
         Ok(())
     }
 
-    fn unmask_block(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        out.clear();
-        out.extend_from_slice(agg);
-        IntProd::decrypt_in_place(keys, first, out, &mut self.scratch);
+    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
+        IntProd::decrypt_into(keys, first, agg, out, &mut self.scratch);
     }
 
     fn op(a: &W, b: &W) -> W {
@@ -428,15 +437,12 @@ impl<W: RingWord> Scheme for IntXorScheme<W> {
         out: &mut Vec<W>,
     ) -> Result<(), HfpError> {
         out.clear();
-        out.extend_from_slice(input);
-        IntXor::encrypt_in_place(keys, first, out, &mut self.scratch);
+        IntXor::encrypt_into(keys, first, input, out);
         Ok(())
     }
 
-    fn unmask_block(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        out.clear();
-        out.extend_from_slice(agg);
-        IntXor::decrypt_in_place(keys, first, out, &mut self.scratch);
+    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
+        IntXor::decrypt_into(keys, first, agg, out);
     }
 
     fn op(a: &W, b: &W) -> W {
@@ -532,11 +538,10 @@ impl Scheme for FixedSumScheme {
         Ok(())
     }
 
-    fn unmask_block(&mut self, keys: &CommKeys, first: u64, agg: &[u64], out: &mut Vec<f64>) {
+    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[u64], out: &mut Vec<f64>) {
         self.lanes.clear();
-        self.lanes.extend_from_slice(agg);
-        IntSum::decrypt_in_place(keys, first, &mut self.lanes, &mut self.scratch);
-        self.codec.decode_slice(&self.lanes, out);
+        IntSum::decrypt_into(keys, first, agg, &mut self.lanes);
+        out.extend(self.lanes.iter().map(|l| self.codec.decode(*l)));
     }
 
     fn op(a: &u64, b: &u64) -> u64 {
@@ -613,8 +618,8 @@ impl Scheme for FloatSumScheme {
         self.inner.encrypt_f64(keys, first, input, out)
     }
 
-    fn unmask_block(&mut self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
-        self.inner.decrypt_f64(keys, first, agg, out);
+    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
+        self.inner.decrypt_f64_extend(keys, first, agg, out);
     }
 
     fn op(a: &Hfp, b: &Hfp) -> Hfp {
@@ -684,8 +689,8 @@ impl Scheme for FloatSumExpScheme {
         self.inner.encrypt_f64(keys, first, input, out)
     }
 
-    fn unmask_block(&mut self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
-        self.inner.decrypt_f64(keys, first, agg, out);
+    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
+        self.inner.decrypt_f64_extend(keys, first, agg, out);
     }
 
     fn op(a: &Hfp, b: &Hfp) -> Hfp {
@@ -755,8 +760,8 @@ impl Scheme for FloatProdScheme {
         self.inner.encrypt_f64(keys, first, input, out)
     }
 
-    fn unmask_block(&mut self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
-        self.inner.decrypt_f64(keys, first, agg, out);
+    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
+        self.inner.decrypt_f64_extend(keys, first, agg, out);
     }
 
     fn op(a: &Hfp, b: &Hfp) -> Hfp {
@@ -1150,6 +1155,45 @@ mod tests {
         ischeme.mask_block(&keys[1], 7, &ix, &mut by_block).unwrap();
         ischeme.mask_slice(&keys[1], 7, &ix, &mut by_slice).unwrap();
         assert_eq!(by_block, by_slice);
+    }
+
+    #[test]
+    fn unmask_extend_appends_and_the_block_forms_clear() {
+        // The engine appends blocks as they drain: what `out` already holds
+        // must survive, bit for bit, for every scheme; the `unmask_block` /
+        // `unmask_slice` wrappers keep their cleared-and-filled contract.
+        fn check<S: Scheme>(mut scheme: S, data: Vec<S::Input>) {
+            let cells = |v: &[S::Input]| v.iter().map(S::cell_encode).collect::<Vec<u64>>();
+            let keys = &CommKeys::generate(1, 0xE47, Backend::AesSoft)[0];
+            let mut wire = Vec::new();
+            scheme.mask_block(keys, 3, &data, &mut wire).unwrap();
+            let mut fresh = Vec::new();
+            scheme.unmask_block(keys, 3, &wire, &mut fresh);
+            assert_eq!(fresh.len(), data.len(), "{}", S::NAME);
+
+            let mut out = data[..2].to_vec();
+            scheme.unmask_extend(keys, 3, &wire, &mut out);
+            assert_eq!(cells(&out[..2]), cells(&data[..2]), "{} prefix", S::NAME);
+            assert_eq!(cells(&out[2..]), cells(&fresh), "{} tail", S::NAME);
+
+            scheme.unmask_block(keys, 3, &wire, &mut out);
+            assert_eq!(cells(&out), cells(&fresh), "{} unmask_block", S::NAME);
+            out.truncate(1);
+            scheme.unmask_slice(keys, 3, &wire, &mut out);
+            assert_eq!(cells(&out), cells(&fresh), "{} unmask_slice", S::NAME);
+        }
+        let ints: Vec<u32> = (0..300u32).map(|i| i.wrapping_mul(977) | 1).collect();
+        let floats: Vec<f64> = (0..300).map(|i| f64::from(i) * 0.125 + 0.5).collect();
+        check(IntSumScheme::<u32>::default(), ints.clone());
+        check(IntProdScheme::<u32>::default(), ints.clone());
+        check(IntXorScheme::<u32>::default(), ints);
+        check(FixedSumScheme::new(FixedCodec::new(20)), floats.clone());
+        check(FloatSumScheme::new(HfpFormat::fp32(2, 2)), floats.clone());
+        check(
+            FloatSumExpScheme::new(HfpFormat::fp64(0, 0)),
+            floats.clone(),
+        );
+        check(FloatProdScheme::new(HfpFormat::fp64(0, 0)), floats);
     }
 
     #[test]

@@ -33,10 +33,13 @@ impl SecureComm {
     }
 
     /// [`SecureComm::allreduce_with`] writing into a caller-provided
-    /// vector. `out` is cleared and filled with the aggregate; its capacity
+    /// vector. `out` is cleared and filled with the aggregate — blocks are
+    /// unmasked straight into it as they drain, in order — and its capacity
     /// is reused across calls, which makes the integer and float hot
     /// paths free of heap allocation in steady state (the staging buffers
-    /// come from the arena, the output from the caller). Under
+    /// come from the arena, the output from the caller). On `Err`, `out`
+    /// is empty (capacity kept): never the caller's input, never a prefix
+    /// of a result. Under
     /// [`PeerDeadPolicy::ShrinkAndContinue`](super::cfg::PeerDeadPolicy)
     /// a dead member triggers membership reconfiguration and a re-run
     /// over the survivors (see [`super::membership`]).
@@ -48,6 +51,7 @@ impl SecureComm {
         cfg: EngineCfg,
     ) -> Result<(), EngineError> {
         self.with_shrink(cfg.retry, |sc| sc.allreduce_attempt(scheme, data, out, cfg))
+            .inspect_err(|_| out.clear())
     }
 
     /// One full attempt of the fused allreduce over the *current*
@@ -93,14 +97,13 @@ impl SecureComm {
         if data.is_empty() {
             return Ok(());
         }
-        self.submit_prefetch(scheme.noise_width(), data.len());
+        self.submit_prefetch(scheme.noise_width(), data.len(), block);
         if self.world() == 1 {
             // Nothing crosses the network: mask/unmask locally so every
             // algorithm (even Switch without a switch fabric) degenerates
             // to the identity, and verification has nothing to check.
             return self.run_local(scheme, data, out);
         }
-        out.extend(data.iter().cloned());
         // Tags for the whole epoch are reserved up front so retries and
         // degraded re-runs stay inside this call's tag block: block `b`,
         // attempt `a` runs on `base + b·256 + a·8` on every rank.
@@ -131,15 +134,16 @@ impl SecureComm {
     }
 
     /// One plain block, synchronously, with the attempt loop: mask →
-    /// transport → unmask, retrying or degrading per the policy.
-    /// Re-masking on a retry reproduces the identical ciphertext (same
-    /// epoch, same offsets), so a resend is never a two-time pad.
+    /// transport → unmask onto the end of `out`, retrying or degrading per
+    /// the policy. Re-masking on a retry reproduces the identical
+    /// ciphertext (same epoch, same offsets), so a resend is never a
+    /// two-time pad; only the attempt that succeeds appends.
     #[allow(clippy::too_many_arguments)]
     fn plain_block_sync<S: Scheme + 'static>(
         &mut self,
         scheme: &mut S,
         data: &[S::Input],
-        out: &mut [S::Input],
+        out: &mut Vec<S::Input>,
         block: usize,
         offset: usize,
         block_idx: u64,
@@ -147,7 +151,6 @@ impl SecureComm {
         base_tag: u64,
         ctl: &mut RetryCtl,
         wire: &mut Vec<S::Wire>,
-        dec: &mut Vec<S::Input>,
         seg: &mut Vec<S::Wire>,
     ) -> Result<(), EngineError> {
         let end = (offset + block).min(data.len());
@@ -157,8 +160,7 @@ impl SecureComm {
             let deadline = ctl.deadline();
             match self.try_transport_sync(tag, std::mem::take(wire), *algo, S::op, seg, deadline) {
                 Ok(agg) => {
-                    scheme.unmask_slice(&self.keys, offset as u64, &agg, dec);
-                    out[offset..end].clone_from_slice(dec);
+                    scheme.unmask_extend(&self.keys, offset as u64, &agg, out);
                     // The aggregate's buffer becomes the next attempt's or
                     // block's wire buffer.
                     *wire = agg;
@@ -181,14 +183,13 @@ impl SecureComm {
         &mut self,
         scheme: &mut S,
         data: &[S::Input],
-        out: &mut [S::Input],
+        out: &mut Vec<S::Input>,
         block: usize,
         algo: &mut ReduceAlgo,
         base_tag: u64,
         ctl: &mut RetryCtl,
     ) -> Result<(), EngineError> {
         let mut wire: Vec<S::Wire> = self.arena.take_vec();
-        let mut dec: Vec<S::Input> = self.arena.take_vec();
         let mut seg: Vec<S::Wire> = self.arena.take_vec();
         let mut failed = None;
         let mut offset = 0usize;
@@ -196,7 +197,7 @@ impl SecureComm {
         while offset < data.len() {
             if let Err(e) = self.plain_block_sync(
                 scheme, data, out, block, offset, block_idx, algo, base_tag, ctl, &mut wire,
-                &mut dec, &mut seg,
+                &mut seg,
             ) {
                 failed = Some(e);
                 break;
@@ -205,7 +206,6 @@ impl SecureComm {
             block_idx += 1;
         }
         self.arena.put_vec(wire);
-        self.arena.put_vec(dec);
         self.arena.put_vec(seg);
         failed.map_or(Ok(()), Err)
     }
@@ -218,7 +218,7 @@ impl SecureComm {
         &mut self,
         scheme: &mut S,
         data: &[S::Input],
-        out: &mut [S::Input],
+        out: &mut Vec<S::Input>,
         block: usize,
         offset: usize,
         block_idx: u64,
@@ -227,7 +227,6 @@ impl SecureComm {
         base_tag: u64,
         ctl: &mut RetryCtl,
         wire: &mut Vec<S::Wire>,
-        dec: &mut Vec<S::Input>,
         seg: &mut Vec<S::Wire>,
     ) -> Result<(), EngineError> {
         let res = {
@@ -237,8 +236,7 @@ impl SecureComm {
         hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, -1);
         match res {
             Ok(agg) => {
-                scheme.unmask_block(&self.keys, offset as u64, &agg, dec);
-                out[offset..offset + dec.len()].clone_from_slice(dec);
+                scheme.unmask_extend(&self.keys, offset as u64, &agg, out);
                 *wire = agg;
                 Ok(())
             }
@@ -252,8 +250,7 @@ impl SecureComm {
                     Step::Fail(err) => return Err(err),
                 }
                 self.plain_block_sync(
-                    scheme, data, out, block, offset, block_idx, algo, base_tag, ctl, wire, dec,
-                    seg,
+                    scheme, data, out, block, offset, block_idx, algo, base_tag, ctl, wire, seg,
                 )
             }
         }
@@ -264,7 +261,7 @@ impl SecureComm {
         &mut self,
         scheme: &mut S,
         data: &[S::Input],
-        out: &mut [S::Input],
+        out: &mut Vec<S::Input>,
         block: usize,
         algo: &mut ReduceAlgo,
         base_tag: u64,
@@ -274,7 +271,6 @@ impl SecureComm {
         let mut inflight: VecDeque<(usize, u64, Request<Result<Vec<S::Wire>, CommError>>)> =
             VecDeque::with_capacity(DEPTH);
         let mut wire: Vec<S::Wire> = self.arena.take_vec();
-        let mut dec: Vec<S::Input> = self.arena.take_vec();
         let mut seg: Vec<S::Wire> = self.arena.take_vec();
         let mut failed = None;
         let mut offset = 0usize;
@@ -301,8 +297,7 @@ impl SecureComm {
             if inflight.len() >= DEPTH {
                 let (o, bi, req) = inflight.pop_front().expect("non-empty");
                 if let Err(e) = self.drain_plain_block(
-                    scheme, data, out, block, o, bi, req, algo, base_tag, ctl, &mut wire, &mut dec,
-                    &mut seg,
+                    scheme, data, out, block, o, bi, req, algo, base_tag, ctl, &mut wire, &mut seg,
                 ) {
                     failed = Some(e);
                     break;
@@ -314,8 +309,7 @@ impl SecureComm {
         if failed.is_none() {
             while let Some((o, bi, req)) = inflight.pop_front() {
                 if let Err(e) = self.drain_plain_block(
-                    scheme, data, out, block, o, bi, req, algo, base_tag, ctl, &mut wire, &mut dec,
-                    &mut seg,
+                    scheme, data, out, block, o, bi, req, algo, base_tag, ctl, &mut wire, &mut seg,
                 ) {
                     failed = Some(e);
                     break;
@@ -323,13 +317,16 @@ impl SecureComm {
             }
         }
         self.arena.put_vec(wire);
-        self.arena.put_vec(dec);
         self.arena.put_vec(seg);
         failed.map_or(Ok(()), Err)
     }
 
     /// One verified block, synchronously, with the attempt loop: seal →
-    /// transport → open. A verification failure is retryable — the
+    /// transport → open → append. The block decrypts into `vs.dec` and only
+    /// reaches `out` once its digest check has passed, so no unverified
+    /// plaintext is ever in the caller's buffer — which is why this path
+    /// keeps the staging copy the plain one dropped. A verification
+    /// failure is retryable — the
     /// per-block §5.5 digest already localized the damage to this block,
     /// so the resend retransmits exactly the failing packets (re-sealed to
     /// the identical ciphertext) and nothing else.
@@ -339,7 +336,7 @@ impl SecureComm {
         scheme: &mut S,
         homac: &Homac,
         data: &[S::Input],
-        out: &mut [S::Input],
+        out: &mut Vec<S::Input>,
         block: usize,
         offset: usize,
         block_idx: u64,
@@ -365,7 +362,7 @@ impl SecureComm {
             ) {
                 Ok(agg) => match open_block(scheme, homac, &self.keys, world, offset, &agg, vs) {
                     Ok(()) => {
-                        out[offset..end].clone_from_slice(&vs.dec);
+                        out.extend_from_slice(&vs.dec);
                         // The aggregate becomes the next block's packet
                         // staging.
                         vs.packets = agg;
@@ -391,7 +388,7 @@ impl SecureComm {
         &mut self,
         scheme: &mut S,
         data: &[S::Input],
-        out: &mut [S::Input],
+        out: &mut Vec<S::Input>,
         block: usize,
         algo: &mut ReduceAlgo,
         base_tag: u64,
@@ -428,7 +425,7 @@ impl SecureComm {
         scheme: &mut S,
         homac: &Homac,
         data: &[S::Input],
-        out: &mut [S::Input],
+        out: &mut Vec<S::Input>,
         block: usize,
         offset: usize,
         block_idx: u64,
@@ -448,7 +445,7 @@ impl SecureComm {
         let step = match res {
             Ok(agg) => match open_block(scheme, homac, &self.keys, world, offset, &agg, vs) {
                 Ok(()) => {
-                    out[offset..offset + vs.dec.len()].clone_from_slice(&vs.dec);
+                    out.extend_from_slice(&vs.dec);
                     vs.packets = agg;
                     return Ok(());
                 }
@@ -474,7 +471,7 @@ impl SecureComm {
         &mut self,
         scheme: &mut S,
         data: &[S::Input],
-        out: &mut [S::Input],
+        out: &mut Vec<S::Input>,
         block: usize,
         algo: &mut ReduceAlgo,
         base_tag: u64,

@@ -32,13 +32,22 @@
 //!
 //! ## Steady-state memory behavior
 //!
-//! Every staging vector the engine needs — wire ciphertexts, decrypted
-//! blocks, digest lanes, HoMAC tags, verified packets, ring segments,
-//! pads and cells — is leased from the per-communicator [`ScratchArena`]
-//! and returned after the call, and the aggregate buffer coming back from
-//! the transport is recycled as the next block's wire buffer. Combined
-//! with the callee-provided output of the `*_into` variants, the integer
-//! hot paths perform **zero heap allocation** after warmup.
+//! Every staging vector the engine needs — wire ciphertexts, digest
+//! lanes, HoMAC tags, verified packets and their decrypted blocks, ring
+//! segments, pads and cells — is leased from the per-communicator
+//! [`ScratchArena`] and returned after the call, and the aggregate buffer
+//! coming back from the transport is recycled as the next block's wire
+//! buffer. Combined with the callee-provided output of the `*_into`
+//! variants, the integer hot paths perform **zero heap allocation** after
+//! warmup.
+//!
+//! The plain reductions touch each payload byte once per phase: a block is
+//! masked out of place from the caller's input into the wire buffer (all
+//! noise streams folded in one pass), and its aggregate is unmasked
+//! straight onto the end of the caller's `out` as blocks drain in order —
+//! there is no pre-filled output and no decrypted staging copy. The
+//! verified reductions keep one (`VerifyScratch::dec`), because a block
+//! may reach `out` only after its digest check. On `Err`, `out` is empty.
 //!
 //! ## Keystream prefetch
 //!
@@ -125,16 +134,22 @@ impl SecureComm {
 
     /// Plan the next epoch's noise streams for the prefetch worker. The
     /// plan predicts that the next call reuses this call's scheme lane
-    /// width and element count — a misprediction is a cache miss, never an
-    /// error. Schemes without a fixed noise width (floats, products) skip
-    /// planning entirely.
-    fn submit_prefetch(&mut self, noise_width: Option<usize>, elems: usize) {
+    /// width, element count and engine block length (`block` elements per
+    /// mask) — a misprediction is a cache miss, never an error. Schemes
+    /// without a fixed noise width (floats, products) skip planning
+    /// entirely, and so does a call whose *first* block needs more than
+    /// [`MAX_PREFETCH_BLOCKS`] per stream: the cache only hits on
+    /// full-range coverage, so a capped plan for it could never hit and
+    /// would only burn the background lane.
+    fn submit_prefetch(&mut self, noise_width: Option<usize>, elems: usize, block: usize) {
         let (Some(w), Some(pf)) = (noise_width, self.prefetch.as_mut()) else {
             return;
         };
-        let per = (16 / w).max(1) as u64;
-        let nblocks = (elems as u64).div_ceil(per) as usize;
-        let nblocks = nblocks.min(MAX_PREFETCH_BLOCKS);
+        let per = (16 / w).max(1);
+        if block.min(elems).div_ceil(per) > MAX_PREFETCH_BLOCKS {
+            return;
+        }
+        let nblocks = elems.div_ceil(per).min(MAX_PREFETCH_BLOCKS);
         let epoch = self.keys.peek_next_epoch();
         let (own, next, zero) = self.keys.bases_at(epoch);
         let mut streams: [Option<StreamPlan>; MAX_STREAMS] = [None; MAX_STREAMS];
@@ -167,7 +182,7 @@ impl SecureComm {
         let sealed = scheme.mask_slice(&self.keys, 0, data, &mut wire);
         let result = match sealed {
             Ok(()) => {
-                scheme.unmask_slice(&self.keys, 0, &wire, out);
+                scheme.unmask_extend(&self.keys, 0, &wire, out);
                 Ok(())
             }
             Err(e) => Err(e.into()),

@@ -77,7 +77,9 @@ impl SecureComm {
     /// [`PeerDeadPolicy::ShrinkAndContinue`](super::cfg::PeerDeadPolicy)
     /// a dead member triggers membership reconfiguration and a re-run
     /// over the survivors — note the share layout then follows the
-    /// *shrunk* world ([`SecureComm::shard_bounds`] reflects it).
+    /// *shrunk* world ([`SecureComm::shard_bounds`] reflects it). On
+    /// `Err`, `out` is empty (capacity kept), as for
+    /// [`SecureComm::allreduce_with_into`].
     pub fn reduce_scatter_with_into<S: Scheme + 'static>(
         &mut self,
         scheme: &mut S,
@@ -88,6 +90,7 @@ impl SecureComm {
         self.with_shrink(cfg.retry, |sc| {
             sc.reduce_scatter_attempt(scheme, data, out, cfg)
         })
+        .inspect_err(|_| out.clear())
     }
 
     /// One full reduce-scatter attempt over the current membership (the
@@ -117,7 +120,7 @@ impl SecureComm {
         if data.is_empty() {
             return Ok(());
         }
-        self.submit_prefetch(scheme.noise_width(), data.len());
+        self.submit_prefetch(scheme.noise_width(), data.len(), block);
         if self.world() == 1 {
             // The single rank owns the whole vector; mask/unmask locally
             // so encode/decode lossiness still applies, like allreduce.
@@ -153,7 +156,6 @@ impl SecureComm {
         base_tag: u64,
         ctl: &mut RetryCtl,
         wire: &mut Vec<S::Wire>,
-        dec: &mut Vec<S::Input>,
         seg: &mut Vec<S::Wire>,
     ) -> Result<(), EngineError> {
         let end = (offset + block).min(data.len());
@@ -170,8 +172,7 @@ impl SecureComm {
                 deadline,
             ) {
                 Ok(share) => {
-                    scheme.unmask_slice(&self.keys, (offset + s_r) as u64, &share, dec);
-                    out.extend_from_slice(dec);
+                    scheme.unmask_extend(&self.keys, (offset + s_r) as u64, &share, out);
                     *wire = share;
                     return Ok(());
                 }
@@ -190,14 +191,12 @@ impl SecureComm {
         ctl: &mut RetryCtl,
     ) -> Result<(), EngineError> {
         let mut wire: Vec<S::Wire> = self.arena.take_vec();
-        let mut dec: Vec<S::Input> = self.arena.take_vec();
         let mut seg: Vec<S::Wire> = self.arena.take_vec();
         let mut failed = None;
         let (mut offset, mut block_idx) = (0usize, 0u64);
         while offset < data.len() {
             if let Err(e) = self.rs_plain_block_sync(
-                scheme, data, out, block, offset, block_idx, base_tag, ctl, &mut wire, &mut dec,
-                &mut seg,
+                scheme, data, out, block, offset, block_idx, base_tag, ctl, &mut wire, &mut seg,
             ) {
                 failed = Some(e);
                 break;
@@ -206,7 +205,6 @@ impl SecureComm {
             block_idx += 1;
         }
         self.arena.put_vec(wire);
-        self.arena.put_vec(dec);
         self.arena.put_vec(seg);
         failed.map_or(Ok(()), Err)
     }
@@ -225,7 +223,6 @@ impl SecureComm {
         let mut inflight: VecDeque<(usize, u64, Request<Result<Vec<S::Wire>, CommError>>)> =
             VecDeque::with_capacity(DEPTH);
         let mut wire: Vec<S::Wire> = self.arena.take_vec();
-        let mut dec: Vec<S::Input> = self.arena.take_vec();
         let mut seg: Vec<S::Wire> = self.arena.take_vec();
         let mut failed = None;
         let (mut offset, mut block_idx) = (0usize, 0u64);
@@ -236,7 +233,6 @@ impl SecureComm {
                      req: Request<Result<Vec<S::Wire>, CommError>>,
                      ctl: &mut RetryCtl,
                      wire: &mut Vec<S::Wire>,
-                     dec: &mut Vec<S::Input>,
                      seg: &mut Vec<S::Wire>,
                      out: &mut Vec<S::Input>|
          -> Result<(), EngineError> {
@@ -249,15 +245,14 @@ impl SecureComm {
                 Ok(share) => {
                     let end = (o + block).min(data.len());
                     let (s_r, _) = share_bounds(end - o, sc.world(), sc.rank());
-                    scheme.unmask_slice(&sc.keys, (o + s_r) as u64, &share, dec);
-                    out.extend_from_slice(dec);
+                    scheme.unmask_extend(&sc.keys, (o + s_r) as u64, &share, out);
                     *wire = share;
                     Ok(())
                 }
                 Err(e) => {
                     ring_step(ctl.on_error(EngineError::Comm(e)))?;
                     sc.rs_plain_block_sync(
-                        scheme, data, out, block, o, bi, base_tag, ctl, wire, dec, seg,
+                        scheme, data, out, block, o, bi, base_tag, ctl, wire, seg,
                     )
                 }
             }
@@ -286,9 +281,7 @@ impl SecureComm {
             ));
             if inflight.len() >= DEPTH {
                 let (o, bi, req) = inflight.pop_front().expect("non-empty");
-                if let Err(e) = drain(
-                    self, scheme, o, bi, req, ctl, &mut wire, &mut dec, &mut seg, out,
-                ) {
+                if let Err(e) = drain(self, scheme, o, bi, req, ctl, &mut wire, &mut seg, out) {
                     failed = Some(e);
                     break;
                 }
@@ -298,16 +291,13 @@ impl SecureComm {
         }
         if failed.is_none() {
             while let Some((o, bi, req)) = inflight.pop_front() {
-                if let Err(e) = drain(
-                    self, scheme, o, bi, req, ctl, &mut wire, &mut dec, &mut seg, out,
-                ) {
+                if let Err(e) = drain(self, scheme, o, bi, req, ctl, &mut wire, &mut seg, out) {
                     failed = Some(e);
                     break;
                 }
             }
         }
         self.arena.put_vec(wire);
-        self.arena.put_vec(dec);
         self.arena.put_vec(seg);
         failed.map_or(Ok(()), Err)
     }

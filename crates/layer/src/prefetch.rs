@@ -287,6 +287,57 @@ mod tests {
     }
 
     #[test]
+    fn a_call_whose_first_block_outgrows_the_cap_plans_nothing() {
+        // The cache hits only on full-range coverage and a plan stops at
+        // `MAX_PREFETCH_BLOCKS` a stream, so a `Sync` call over more than
+        // that could only ever generate keystream that is guaranteed to
+        // miss. It must not reach the background lane at all; the same
+        // vector in blocks the cap covers keeps its plan.
+        use crate::{EngineCfg, SecureComm};
+        use hear_core::{CommKeys, IntSumScheme};
+        const ELEMS: usize = 2 * MAX_PREFETCH_BLOCKS * 4; // 2 MiB a stream
+        let planned = hear_mpi::Simulator::new(2).run(|comm| {
+            let keys = CommKeys::generate(2, 0x9F37, Backend::AesSoft)
+                .into_iter()
+                .nth(comm.rank())
+                .unwrap();
+            let mut sc = SecureComm::new(comm.clone(), keys);
+            let cache = Arc::clone(sc.keys.cache().expect("prefetch is on by default"));
+            let mut s = IntSumScheme::<u32>::default();
+            let data = vec![comm.rank() as u32 + 1; ELEMS];
+            let mut out = Vec::new();
+            for _ in 0..2 {
+                sc.allreduce_with_into(&mut s, &data, &mut out, EngineCfg::sync())
+                    .unwrap();
+            }
+            let task = Arc::clone(&sc.prefetch.as_ref().expect("prefetch is on").task);
+            let parked = lock_unpoisoned(&task.state).job.is_some();
+            let after_sync = (parked, cache.generations());
+
+            let blocked = EngineCfg::blocked(MAX_PREFETCH_BLOCKS * 4);
+            sc.allreduce_with_into(&mut s, &data, &mut out, blocked)
+                .unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while cache.generations() == 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+                WorkerPool::global().submit_bg(Arc::clone(&task) as Arc<dyn BgTask>);
+            }
+            (after_sync, cache.generations())
+        });
+        for (rank, (after_sync, after_blocked)) in planned.iter().enumerate() {
+            assert_eq!(
+                *after_sync,
+                (false, 0),
+                "rank {rank}: the Sync calls planned"
+            );
+            assert!(
+                *after_blocked >= 1,
+                "rank {rank}: the Blocked call lost its plan"
+            );
+        }
+    }
+
+    #[test]
     fn drop_without_submit_is_a_no_op() {
         let prf = PrfCipher::new(Backend::AesSoft, 3).unwrap();
         let pf = Prefetcher::new(prf, KeystreamCache::new());

@@ -34,12 +34,12 @@ pub mod shani;
 pub use kernels::masked_metric;
 pub use kernels::{
     add_blocks_into, add_keystream_into, sub_blocks_into, sub_keystream_into, xor_blocks_into,
-    xor_keystream_into, KernelWord,
+    xor_keystream_into, KernelWord, Stream,
 };
 pub use par::{
     configured_threads, for_each_shard, par_add_blocks_into, par_add_keystream_into,
-    par_sub_blocks_into, par_sub_keystream_into, par_xor_blocks_into, par_xor_keystream_into,
-    with_pool, BgTask, WorkerPool, PAR_MIN_BYTES, SHARD_BYTES,
+    par_fused_pass, par_sub_blocks_into, par_sub_keystream_into, par_xor_blocks_into,
+    par_xor_keystream_into, with_pool, BgTask, Payload, WorkerPool, PAR_MIN_BYTES, SHARD_BYTES,
 };
 
 /// A keyed pseudorandom function producing 128-bit blocks.

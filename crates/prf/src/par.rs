@@ -30,10 +30,10 @@
 //! from the submitting thread, keeping every counter identical to the
 //! serial path.
 
-use crate::kernels::{fused_blocks, fused_into_uncounted, masked_metric};
-use crate::{blocks_metric, KernelWord, PrfCipher};
-use hear_telemetry::Metric;
+use crate::kernels::{as_uninit, count_pass, fused_blocks, pass_uncounted, pregenerated, Stream};
+use crate::{KernelWord, PrfCipher};
 use std::cell::Cell;
+use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
@@ -437,46 +437,81 @@ where
     });
 }
 
-/// Fused combine across the pool: count the exact serial telemetry totals
-/// on the submitting thread, then run uncounted kernels over disjoint
-/// block-aligned shards. Falls back to the serial counted kernel below
-/// [`PAR_MIN_BYTES`] or on a single-thread budget.
-fn par_fused<W, F>(
+/// What one fused pass reads and where its results land.
+pub enum Payload<'a, W> {
+    /// `buf[i] ← f(buf[i], …)`.
+    InPlace(&'a mut [W]),
+    /// `f(src[i], …)` appended to `out`, written straight into its spare
+    /// capacity: no copy of `src` first, no zero-fill of `out`.
+    Extend(&'a [W], &'a mut Vec<W>),
+}
+
+/// The N-stream fused pass across the pool: `dst[i] ← f(src[i], [A[first +
+/// i], B[first + i]])` for the word streams `A`, `B` of `streams`, each
+/// payload word read once and written once. The exact serial telemetry
+/// totals are counted on the submitting thread, then uncounted kernels run
+/// over disjoint block-aligned shards; below [`PAR_MIN_BYTES`] or on a
+/// single-thread budget the one shard runs inline. Output and telemetry are
+/// identical to folding the streams one at a time with the serial
+/// [`crate::kernels`] wrappers.
+pub fn par_fused_pass<W, const N: usize, F>(
     pool: &WorkerPool,
-    prf: &PrfCipher,
-    base: u128,
+    streams: &[Stream<'_>; N],
     first: u64,
-    buf: &mut [W],
-    serial: impl Fn(&PrfCipher, u128, u64, &mut [W]),
+    payload: Payload<'_, W>,
     f: F,
 ) where
     W: KernelWord,
-    F: Fn(W, W) -> W + Copy + Send + Sync,
+    F: Fn(W, [W; N]) -> W + Copy + Send + Sync,
 {
-    let bytes = std::mem::size_of_val(buf);
-    let nshards = pool.shards_for(bytes);
-    if bytes < PAR_MIN_BYTES || pool.threads() == 1 || nshards == 1 {
-        serial(prf, base, first, buf);
-        return;
+    match payload {
+        // SAFETY: `buf` is initialised.
+        Payload::InPlace(buf) => unsafe { par_pass(pool, streams, first, None, as_uninit(buf), f) },
+        Payload::Extend(src, out) => {
+            out.reserve(src.len());
+            let dst = &mut out.spare_capacity_mut()[..src.len()];
+            // SAFETY: `src` is given, so `dst` need not be initialised.
+            unsafe { par_pass(pool, streams, first, Some(src), dst, f) };
+            // SAFETY: the pass above wrote every one of these words.
+            unsafe { out.set_len(out.len() + src.len()) };
+        }
     }
-    hear_telemetry::add(Metric::KeystreamBytes, bytes as u64);
-    hear_telemetry::add(masked_metric(prf.backend()), bytes as u64);
-    hear_telemetry::add(
-        blocks_metric(prf.backend()),
-        fused_blocks::<W>(first, buf.len()),
-    );
+}
 
-    let len = buf.len();
-    let ptr = SendPtr(buf.as_mut_ptr());
+/// # Safety
+///
+/// As [`pass_uncounted`]: with `src = None`, `dst` must be initialised.
+unsafe fn par_pass<W, const N: usize, F>(
+    pool: &WorkerPool,
+    streams: &[Stream<'_>; N],
+    first: u64,
+    src: Option<&[W]>,
+    dst: &mut [MaybeUninit<W>],
+    f: F,
+) where
+    W: KernelWord,
+    F: Fn(W, [W; N]) -> W + Copy + Send + Sync,
+{
+    let len = dst.len();
+    let bytes = std::mem::size_of_val(dst);
+    let nshards = pool.shards_for(bytes);
+    count_pass::<W>(streams, first, len);
+    if bytes < PAR_MIN_BYTES || pool.threads() == 1 || nshards == 1 {
+        // SAFETY: forwarded contract.
+        return unsafe { pass_uncounted(streams, first, src, dst, f) };
+    }
+    assert!(src.is_none_or(|s| s.len() == len));
+    let ptr = SendPtr(dst.as_mut_ptr());
     pool.run(nshards, &|k| {
         let (s, e) = shard_word_range::<W>(first, len, nshards, k);
         if s >= e {
             return;
         }
-        // SAFETY: shard ranges are disjoint, within `len`, and `buf`
+        // SAFETY: shard ranges are disjoint, within `len`, and `dst`
         // outlives `run` (which joins before returning).
         let shard = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(s), e - s) };
-        fused_into_uncounted(prf, base, first + s as u64, shard, f);
+        // SAFETY: forwarded contract, on this shard's sub-range.
+        unsafe { pass_uncounted(streams, first + s as u64, src.map(|x| &x[s..e]), shard, f) };
     });
 }
 
@@ -488,15 +523,10 @@ pub fn par_add_keystream_into<W: KernelWord>(
     first: u64,
     buf: &mut [W],
 ) {
-    par_fused(
-        pool,
-        prf,
-        base,
-        first,
-        buf,
-        crate::add_keystream_into,
-        |a, b| a.wrapping_add(b),
-    );
+    let streams = [Stream::Cipher { prf, base }];
+    par_fused_pass(pool, &streams, first, Payload::InPlace(buf), |x, [a]| {
+        x.wrapping_add(a)
+    });
 }
 
 /// Parallel [`crate::sub_keystream_into`] (identical output and telemetry).
@@ -507,15 +537,10 @@ pub fn par_sub_keystream_into<W: KernelWord>(
     first: u64,
     buf: &mut [W],
 ) {
-    par_fused(
-        pool,
-        prf,
-        base,
-        first,
-        buf,
-        crate::sub_keystream_into,
-        |a, b| a.wrapping_sub(b),
-    );
+    let streams = [Stream::Cipher { prf, base }];
+    par_fused_pass(pool, &streams, first, Payload::InPlace(buf), |x, [a]| {
+        x.wrapping_sub(a)
+    });
 }
 
 /// Parallel [`crate::xor_keystream_into`] (identical output and telemetry).
@@ -526,53 +551,25 @@ pub fn par_xor_keystream_into<W: KernelWord>(
     first: u64,
     buf: &mut [W],
 ) {
-    par_fused(
-        pool,
-        prf,
-        base,
-        first,
-        buf,
-        crate::xor_keystream_into,
-        |a, b| a.bxor(b),
-    );
-}
-
-/// Parallel combine from pregenerated blocks (the prefetch cache-hit
-/// path). Uncounted like the serial `*_blocks_into`: the consumer
-/// attributes the totals. `skip` is the offset of `buf[0]` in the word
-/// stream of `blocks`.
-fn par_blocks<W, F>(pool: &WorkerPool, blocks: &[u128], skip: u64, buf: &mut [W], f: F)
-where
-    W: KernelWord,
-    F: Fn(W, W) -> W + Copy + Send + Sync,
-{
-    let bytes = std::mem::size_of_val(buf);
-    let nshards = pool.shards_for(bytes);
-    if bytes < PAR_MIN_BYTES || pool.threads() == 1 || nshards == 1 {
-        crate::kernels::blocks_combine(blocks, skip, buf, f);
-        return;
-    }
-    let len = buf.len();
-    let ptr = SendPtr(buf.as_mut_ptr());
-    pool.run(nshards, &|k| {
-        let (s, e) = shard_word_range::<W>(skip, len, nshards, k);
-        if s >= e {
-            return;
-        }
-        // SAFETY: disjoint in-bounds shard ranges; see `par_fused`.
-        let shard = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(s), e - s) };
-        crate::kernels::blocks_combine(blocks, skip + s as u64, shard, f);
+    let streams = [Stream::Cipher { prf, base }];
+    par_fused_pass(pool, &streams, first, Payload::InPlace(buf), |x, [a]| {
+        x.bxor(a)
     });
 }
 
-/// Parallel [`crate::add_blocks_into`].
+/// Parallel [`crate::add_blocks_into`]: combine from pregenerated blocks
+/// (the prefetch cache-hit path), uncounted like the serial form. `skip`
+/// is the offset of `buf[0]` in the word stream of `blocks`.
 pub fn par_add_blocks_into<W: KernelWord>(
     pool: &WorkerPool,
     blocks: &[u128],
     skip: u64,
     buf: &mut [W],
 ) {
-    par_blocks(pool, blocks, skip, buf, |a, b| a.wrapping_add(b));
+    let streams = pregenerated(blocks);
+    par_fused_pass(pool, &streams, skip, Payload::InPlace(buf), |x, [a]| {
+        x.wrapping_add(a)
+    });
 }
 
 /// Parallel [`crate::sub_blocks_into`].
@@ -582,7 +579,10 @@ pub fn par_sub_blocks_into<W: KernelWord>(
     skip: u64,
     buf: &mut [W],
 ) {
-    par_blocks(pool, blocks, skip, buf, |a, b| a.wrapping_sub(b));
+    let streams = pregenerated(blocks);
+    par_fused_pass(pool, &streams, skip, Payload::InPlace(buf), |x, [a]| {
+        x.wrapping_sub(a)
+    });
 }
 
 /// Parallel [`crate::xor_blocks_into`].
@@ -592,7 +592,10 @@ pub fn par_xor_blocks_into<W: KernelWord>(
     skip: u64,
     buf: &mut [W],
 ) {
-    par_blocks(pool, blocks, skip, buf, |a, b| a.bxor(b));
+    let streams = pregenerated(blocks);
+    par_fused_pass(pool, &streams, skip, Payload::InPlace(buf), |x, [a]| {
+        x.bxor(a)
+    });
 }
 
 #[cfg(test)]
@@ -804,7 +807,7 @@ mod tests {
 
     #[test]
     fn parallel_telemetry_totals_match_serial() {
-        use hear_telemetry::Registry;
+        use hear_telemetry::{Metric, Registry};
         let prf = PrfCipher::new(Backend::AesSoft, KEY).unwrap();
         let pool = WorkerPool::new(4);
         let len = PAR_MIN_BYTES / 4 + 5;
@@ -814,12 +817,24 @@ mod tests {
             let _ctx = serial.install(None);
             let mut buf = vec![0u32; len];
             add_keystream_into(&prf, 9, 2, &mut buf);
+            // The two-stream pass's serial twin: one stream at a time.
+            add_keystream_into(&prf, 9, 2, &mut buf);
+            sub_keystream_into(&prf, 11, 2, &mut buf);
         }
         let par = Registry::new_enabled();
         {
             let _ctx = par.install(None);
             let mut buf = vec![0u32; len];
             par_add_keystream_into(&pool, &prf, 9, 2, &mut buf);
+            let streams = [9, 11].map(|base| Stream::Cipher { prf: &prf, base });
+            let mut out = Vec::new();
+            par_fused_pass(
+                &pool,
+                &streams,
+                2,
+                Payload::Extend(&buf, &mut out),
+                |x, [a, b]| x.wrapping_add(a).wrapping_sub(b),
+            );
         }
         for m in [
             Metric::KeystreamBytes,

@@ -67,8 +67,10 @@ timeout 300 cargo run --release -q -p hear-bench --bin socket_smoke
 # >= 2x its scalar reference at 64 Ki u64 words on one thread (same
 # tolerance; "homac_gate: SKIP" and exit 0 without AES-NI), and after it
 # the fused FloatSum encrypt/decrypt to >= 1.5x theirs at 64 Ki fp64(2,2)
-# elements ("float_gate: SKIP" likewise). The sweep's homac_64Ki and
-# float_64Ki rows land in BENCH_crypto.json.
+# elements ("float_gate: SKIP" likewise), and last the two-stream
+# out-of-place mask to >= 1.3x copy + two in-place passes at 64 MiB of u32
+# ("mask_gate: SKIP" likewise). The sweep's homac_64Ki, float_64Ki,
+# mask_64Mi and mask_1Mi rows land in BENCH_crypto.json.
 HEAR_BENCH_FAST=1 HEAR_BENCH_DIR="$smoke_dir" \
     cargo run --release -q -p hear-bench --bin crypto_throughput
 test -s "$smoke_dir/BENCH_crypto.json"
@@ -76,6 +78,7 @@ HEAR_BENCH_FAST=1 \
     cargo run --release -q -p hear-bench --bin crypto_throughput -- --gate
 
 # Roofline sweep + scaling gate: STREAM triad and masked-bytes throughput
+# (the two-stream out-of-place pass, 2 w bytes of traffic per element)
 # at 1..N threads must land in BENCH_roofline.json, and on a >=4-core
 # host 4 threads must beat 1 thread by >=3x at 64 MiB (the gate prints
 # SKIP and exits 0 on smaller runners, so shared-core CI stays green).

@@ -99,11 +99,15 @@ fn run_cell<S, MS, CL>(
             .verified()
             .with_algo(algo)
             .with_retry(chaos_policy(comm));
-        sc.allreduce_with(&mut s, &inputs[comm.rank()], ecfg)
+        // A dirty output vector: blocks append as they drain, so a retried
+        // block must land exactly once and nothing stale may survive.
+        let mut out = inputs[comm.rank()].clone();
+        let res = sc.allreduce_with_into(&mut s, &inputs[comm.rank()], &mut out, ecfg);
+        (res, out)
     });
-    for (rank, res) in results.iter().enumerate() {
+    for (rank, (res, got)) in results.iter().enumerate() {
         match res {
-            Ok(got) => {
+            Ok(()) => {
                 assert_eq!(
                     got.len(),
                     expected.len(),
@@ -121,12 +125,21 @@ fn run_cell<S, MS, CL>(
             }
             // Typed failure is an accepted outcome — but it must be a
             // transport or verification error, never a float-encode one
-            // (the inputs are all encodable).
-            Err(e) => assert!(
-                !matches!(e, EngineError::Hfp(_)),
-                "{} {kind:?}/{algo:?} rank {rank}: wrong error class: {e}",
-                S::NAME
-            ),
+            // (the inputs are all encodable), and it leaves nothing that
+            // could pass for a result.
+            Err(e) => {
+                assert!(
+                    !matches!(e, EngineError::Hfp(_)),
+                    "{} {kind:?}/{algo:?} rank {rank}: wrong error class: {e}",
+                    S::NAME
+                );
+                assert!(
+                    got.is_empty(),
+                    "{} {kind:?}/{algo:?} rank {rank}: {} elements left in `out` on Err",
+                    S::NAME,
+                    got.len()
+                );
+            }
         }
     }
 }
@@ -164,9 +177,11 @@ fn run_rs_cell<S, MS, CL>(
         let ecfg = EngineCfg::blocked(BLOCK)
             .verified()
             .with_retry(chaos_policy(comm));
-        sc.reduce_scatter_with(&mut s, &inputs[comm.rank()], ecfg)
+        let mut out = inputs[comm.rank()].clone();
+        let res = sc.reduce_scatter_with_into(&mut s, &inputs[comm.rank()], &mut out, ecfg);
+        (res, out)
     });
-    for (rank, res) in results.iter().enumerate() {
+    for (rank, (res, got)) in results.iter().enumerate() {
         // Blocked reduce-scatter appends this rank's chunk of each block.
         let mut want: Vec<S::Input> = Vec::new();
         let mut offset = 0;
@@ -177,7 +192,7 @@ fn run_rs_cell<S, MS, CL>(
             offset = end;
         }
         match res {
-            Ok(got) => {
+            Ok(()) => {
                 assert_eq!(
                     got.len(),
                     want.len(),
@@ -193,11 +208,19 @@ fn run_rs_cell<S, MS, CL>(
                     );
                 }
             }
-            Err(e) => assert!(
-                !matches!(e, EngineError::Hfp(_)),
-                "{} {kind:?} rank {rank}: wrong error class: {e}",
-                S::NAME
-            ),
+            Err(e) => {
+                assert!(
+                    !matches!(e, EngineError::Hfp(_)),
+                    "{} {kind:?} rank {rank}: wrong error class: {e}",
+                    S::NAME
+                );
+                assert!(
+                    got.is_empty(),
+                    "{} {kind:?} rank {rank}: {} elements left in `out` on Err",
+                    S::NAME,
+                    got.len()
+                );
+            }
         }
     }
 }
@@ -533,6 +556,168 @@ fn shrink_and_continue_mid_hierarchical_broadcast() {
     for (rank, (res, ..)) in results.iter().enumerate() {
         if rank != victim {
             assert_eq!(res.as_ref().unwrap(), &expected, "survivor {rank} sum");
+        }
+    }
+}
+
+/// The plain (unverified) runners unmask each block straight onto the end
+/// of the caller's `out`. A member killed in the *middle* block of a
+/// chunked call — after every survivor has appended block 0 — triggers a
+/// shrink and a re-run of the whole call: the survivors must end with
+/// exactly one copy of every block (the survivor-set sum, `LEN` elements),
+/// not block 0 twice.
+#[test]
+fn shrink_and_continue_mid_plain_chunked_allreduce_appends_each_block_once() {
+    let victim = WORLD - 1;
+    let (int_in, _) = int_inputs();
+    let expected = survivor_sum(&int_in, &[0, 1, 2]);
+    let int_in = &int_in;
+    for chunk in [EngineCfg::blocked(BLOCK), EngineCfg::pipelined(BLOCK)] {
+        // A ring block is 2·(WORLD − 1) = 6 sends a rank: the victim dies
+        // two hops into block 1.
+        let cfg = SimConfig::default().with_faults(with_packet_hooks(
+            FaultPlan::seeded(0x9A1B).kill_endpoint_after(victim, 8),
+        ));
+        let results = Simulator::with_config(WORLD, cfg).run(|comm| {
+            let mut sc = shrink_sc(comm, 0x9A1B);
+            let mut s = IntSumScheme::<u32>::default();
+            let ecfg = chunk
+                .with_algo(ReduceAlgo::Ring)
+                .with_retry(shrink_policy(comm));
+            let mut out = int_in[comm.rank()].clone();
+            let res = sc.allreduce_with_into(&mut s, &int_in[comm.rank()], &mut out, ecfg);
+            (res.map(|()| out), sc.world(), sc.take_membership_changes())
+        });
+        check_shrink_reports(&results, victim);
+        for (rank, (res, ..)) in results.iter().enumerate() {
+            if rank != victim {
+                assert_eq!(
+                    res.as_ref().unwrap(),
+                    &expected,
+                    "survivor {rank} ({chunk:?})"
+                );
+            }
+        }
+    }
+}
+
+/// What `out` holds when a call fails: nothing. The parent handed back the
+/// caller's own plaintext input with whatever blocks had decrypted spliced
+/// over its front — indistinguishable from a result. Under
+/// [`PeerDeadPolicy::Fail`] a rank killed mid-call makes its peers fail
+/// typed, in every chunk mode, plain and verified, for the allreduce and
+/// the reduce-scatter: each failed call leaves `out` empty, and a rank
+/// that did complete holds the exact result.
+#[test]
+fn a_failed_call_leaves_out_empty() {
+    let victim = WORLD - 1;
+    let (int_in, int_exp) = int_inputs();
+    let int_in = &int_in;
+    let chunks = [
+        EngineCfg::sync(),
+        EngineCfg::blocked(BLOCK),
+        EngineCfg::pipelined(BLOCK),
+    ];
+    let mut failures = 0;
+    for scatter in [false, true] {
+        for verified in [false, true] {
+            for (c, chunk) in chunks.into_iter().enumerate() {
+                // Die on the first hop of a one-block call, two hops into
+                // block 1 of a chunked one (survivors hold block 0 by then).
+                let hops = if scatter { WORLD - 1 } else { 2 * (WORLD - 1) } as u64;
+                let after = if c == 0 { 1 } else { hops + 2 };
+                let cfg = SimConfig::default().with_faults(with_packet_hooks(
+                    FaultPlan::seeded(0xE3B7).kill_endpoint_after(victim, after),
+                ));
+                let results = Simulator::with_config(WORLD, cfg).run(|comm| {
+                    let mut sc = shrink_sc(comm, 0xE3B7);
+                    let mut s = IntSumScheme::<u32>::default();
+                    let mut ecfg = chunk
+                        .with_algo(ReduceAlgo::Ring)
+                        .with_retry(chaos_policy(comm));
+                    if verified {
+                        ecfg = ecfg.verified();
+                    }
+                    let data = &int_in[comm.rank()];
+                    let mut out = data.clone();
+                    let res = if scatter {
+                        sc.reduce_scatter_with_into(&mut s, data, &mut out, ecfg)
+                    } else {
+                        sc.allreduce_with_into(&mut s, data, &mut out, ecfg)
+                    };
+                    (res, out)
+                });
+                for (rank, (res, out)) in results.iter().enumerate() {
+                    let cell =
+                        format!("scatter={scatter} verified={verified} {chunk:?} rank {rank}");
+                    match res {
+                        Err(e) => {
+                            failures += 1;
+                            assert!(matches!(e, EngineError::Comm(_)), "{cell}: {e}");
+                            assert!(out.is_empty(), "{cell}: `out` holds {} elements", out.len());
+                            assert!(out.capacity() >= LEN, "{cell}: capacity dropped");
+                        }
+                        Ok(()) if scatter => {
+                            // Per-block shares, in block order.
+                            let block = if c == 0 { LEN } else { BLOCK };
+                            let mut want = Vec::new();
+                            for lo in (0..LEN).step_by(block) {
+                                let n = block.min(LEN - lo);
+                                let (s, e) = hear::mpi::ring_chunk_bounds(n, WORLD)[rank];
+                                want.extend_from_slice(&int_exp[lo + s..lo + e]);
+                            }
+                            assert_eq!(out, &want, "{cell}: a completed share is exact");
+                        }
+                        Ok(()) => assert_eq!(out, &int_exp, "{cell}: a completed sum is exact"),
+                    }
+                }
+            }
+        }
+    }
+    assert!(failures >= 12, "the kills failed only {failures} calls");
+}
+
+/// The same contract when the failure is the caller's own: an unencodable
+/// float in block 2 of a chunked call fails that rank's mask after blocks
+/// 0 and 1 were appended, and its peer starves into a typed timeout.
+#[test]
+fn an_unencodable_float_in_a_late_block_leaves_out_empty() {
+    use hear::core::FloatSumScheme;
+    let (flt_in, _) = float_inputs();
+    let flt_in = &flt_in;
+    for verified in [false, true] {
+        for chunk in [EngineCfg::blocked(BLOCK), EngineCfg::pipelined(BLOCK)] {
+            let results = Simulator::new(2).run(|comm| {
+                let keys = CommKeys::generate(2, 0xF10A, Backend::best_available())
+                    .into_iter()
+                    .nth(comm.rank())
+                    .unwrap();
+                let homac = Homac::generate(0xF10A ^ 0x5a5a, Backend::best_available());
+                let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
+                let mut s = FloatSumScheme::new(HfpFormat::fp32(2, 2));
+                let mut data: Vec<f64> = flt_in[comm.rank()]
+                    .iter()
+                    .cycle()
+                    .take(40)
+                    .copied()
+                    .collect();
+                if comm.rank() == 0 {
+                    data[2 * BLOCK + 1] = f64::NAN;
+                }
+                let mut ecfg = chunk.with_retry(chaos_policy(comm));
+                if verified {
+                    ecfg = ecfg.verified();
+                }
+                let mut out = data.clone();
+                let res = sc.allreduce_with_into(&mut s, &data, &mut out, ecfg);
+                (res, out)
+            });
+            let (res, out) = &results[0];
+            assert!(matches!(res, Err(EngineError::Hfp(_))), "rank 0: {res:?}");
+            assert!(out.is_empty(), "rank 0 ({chunk:?}, verified={verified})");
+            let (res, out) = &results[1];
+            assert!(matches!(res, Err(EngineError::Comm(_))), "rank 1: {res:?}");
+            assert!(out.is_empty(), "rank 1 ({chunk:?}, verified={verified})");
         }
     }
 }

@@ -563,6 +563,91 @@ fn fewer_elements_than_ranks_on_the_ring() {
     }
 }
 
+/// Chunked plain calls unmask each block straight onto the end of `out`
+/// as it drains. With a block length that does not divide the vector, on
+/// every algorithm, `Blocked(b)` and `Pipelined(b)` must still produce the
+/// `Sync` result bit for bit — same elements, same order, same length —
+/// into a reused (dirty) output vector. Exact-ring schemes only: an HFP
+/// combine's rounding depends on how a block is cut into ring chunks.
+fn chunked_rows_equal_sync<S>(mk: impl Fn() -> S + Send + Sync, inputs: Vec<Vec<S::Input>>)
+where
+    S: Scheme + 'static,
+    S::Input: Sync,
+{
+    let inputs = &inputs;
+    let mk = &mk;
+    let results = Simulator::with_config(WORLD, SimConfig::default().with_switch(4)).run(|comm| {
+        let keys = CommKeys::generate(WORLD, SEED ^ 0xB10C, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let mut sc = SecureComm::new(comm.clone(), keys);
+        let data = &inputs[comm.rank()];
+        let mut out = data.clone();
+        let mut rows = Vec::new();
+        for algo in [
+            ReduceAlgo::RecursiveDoubling,
+            ReduceAlgo::Ring,
+            ReduceAlgo::Switch,
+            ReduceAlgo::Hierarchical { group: 2 },
+        ] {
+            let mut row = Vec::new();
+            for chunk in [
+                EngineCfg::sync(),
+                EngineCfg::blocked(5),
+                EngineCfg::pipelined(5),
+                EngineCfg::blocked(7),
+                EngineCfg::pipelined(7),
+            ] {
+                sc.allreduce_with_into(&mut mk(), data, &mut out, chunk.with_algo(algo))
+                    .unwrap();
+                row.push(out.iter().map(S::cell_encode).collect::<Vec<u64>>());
+            }
+            rows.push((algo, row));
+        }
+        rows
+    });
+    for (rank, rows) in results.iter().enumerate() {
+        for (algo, row) in rows {
+            assert_eq!(row[0].len(), inputs[0].len(), "{} {algo:?}", S::NAME);
+            for (c, chunked) in row.iter().enumerate().skip(1) {
+                assert_eq!(
+                    chunked,
+                    &row[0],
+                    "{} rank={rank} {algo:?} chunk mode #{c} diverged from Sync",
+                    S::NAME
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn chunked_plain_rows_equal_sync_bit_for_bit() {
+    let ints = |r: usize, j: u64| (j + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ r as u64;
+    let per_rank = |f: &dyn Fn(usize, u64) -> u64| -> Vec<Vec<u64>> {
+        (0..WORLD)
+            .map(|r| (0..23).map(|j| f(r, j)).collect())
+            .collect()
+    };
+    let narrow = |v: Vec<Vec<u64>>| -> Vec<Vec<u32>> {
+        v.into_iter()
+            .map(|row| row.into_iter().map(|x| x as u32).collect())
+            .collect()
+    };
+    chunked_rows_equal_sync(IntSumScheme::<u32>::default, narrow(per_rank(&ints)));
+    chunked_rows_equal_sync(IntProdScheme::<u64>::default, per_rank(&ints));
+    chunked_rows_equal_sync(IntXorScheme::<u64>::default, per_rank(&ints));
+    let fixed: Vec<Vec<f64>> = (0..WORLD)
+        .map(|r| {
+            (0..23)
+                .map(|j| (j as f64 - 11.0) * 0.375 + r as f64)
+                .collect()
+        })
+        .collect();
+    chunked_rows_equal_sync(|| FixedSumScheme::new(FixedCodec::new(20)), fixed);
+}
+
 // ---- randomized cell picking (satellite #3) ----------------------------
 
 mod random_cells {
@@ -882,6 +967,53 @@ fn steady_state_allreduce_allocations_stay_flat_across_ranks() {
             max <= min + SLACK,
             "rank {rank}: per-iteration allocation counts drift in steady state: {counts:?}"
         );
+    }
+}
+
+#[test]
+fn a_cold_ring_allreduce_requests_under_three_payloads_from_the_allocator() {
+    // What a rank thread asks the allocator for on its *first* world-2 ring
+    // call of `n` payload bytes: `out` (n, unmasked into directly), the
+    // wire buffer (n, masked into directly) and the ring's half-vector hop
+    // segment — 2.5 n measured, gated at 2.75 n. There is no pre-filled
+    // output and no decrypted staging copy: the `dec` vector that used to
+    // sit between the aggregate and `out` put this at 3.5 n. After that,
+    // calls stay flat in counts and bytes.
+    const ELEMS: usize = 1 << 18;
+    const N: u64 = (ELEMS * 4) as u64;
+    let per_rank = Simulator::new(2).run(|comm| {
+        let keys = CommKeys::generate(2, 0xC01D, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let mut sc = SecureComm::new(comm.clone(), keys);
+        let mut s = IntSumScheme::<u32>::default();
+        let data: Vec<u32> = (0..ELEMS as u32)
+            .map(|j| j.wrapping_mul(0x2545_F491).wrapping_add(comm.rank() as u32))
+            .collect();
+        let cfg = EngineCfg::sync().with_algo(ReduceAlgo::Ring);
+        let mut out = Vec::new();
+        let mut call = || {
+            allocations_during(|| {
+                sc.allreduce_with_into(&mut s, &data, &mut out, cfg)
+                    .unwrap()
+            })
+        };
+        let cold = call();
+        for _ in 0..3 {
+            call();
+        }
+        let steady: Vec<_> = (0..8).map(|_| call()).collect();
+        (cold, steady)
+    });
+    for (rank, (cold, steady)) in per_rank.iter().enumerate() {
+        assert!(
+            cold.1 <= N * 11 / 4,
+            "rank {rank}: the cold call requested {} bytes, {:.2} payloads",
+            cold.1,
+            cold.1 as f64 / N as f64
+        );
+        assert_allocations_flat(&format!("mem ring rank {rank}, 1 MiB"), steady);
     }
 }
 
