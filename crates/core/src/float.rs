@@ -11,11 +11,14 @@
 //!   `e^x` and reduced multiplicatively, trading precision and dynamic
 //!   range for global safety.
 
+use crate::extend_with;
 use crate::keys::CommKeys;
 use hear_hfp::format::{Hfp, HfpError, HfpFormat};
 use hear_hfp::ops;
 use hear_hfp::ringexp::mask;
 use hear_prf::{blocks_metric, Prf};
+use std::convert::Infallible;
+use std::mem::MaybeUninit;
 
 /// Derive an HFP noise value from one PRF block: uniform sign, uniform
 /// ring exponent, uniform mantissa (hidden one attached).
@@ -42,48 +45,60 @@ pub fn noise_at(prf: &dyn Prf, base: u128, j: u64, ew: u32, mw: u32) -> Hfp {
 /// PRF blocks per refill of the fused loop's stack tile (4 KiB a stream).
 const TILE: usize = 256;
 
-/// The one loop under every float cipher: `out[i] = f(input[i], noise)`
+/// The one loop under every float cipher: `dst[i] = f(input[i], noise)`
 /// where the noise of element `i` is block `base + first + i` of each
 /// stream in `bases` — the coordinates [`noise_at`] uses, so blocks
 /// compose across calls. Blocks are generated a tile at a time on the
-/// stack and consumed at once; results go straight into `out`, whose
-/// growth is the only allocation.
+/// stack and consumed at once; results go straight into `dst`, which need
+/// not be initialised and has `input`'s length.
 ///
-/// The results are **appended** to `out`; on an `Err` from `f` the pass
-/// stops and `out` is back at its entry length. PRF blocks are attributed
-/// up front, one per element and stream.
+/// On `Ok` every element of `dst` is initialised; on an `Err` from `f` the
+/// pass stops. PRF blocks are attributed up front, one per element and
+/// stream.
 fn fused_noise_pass<const STREAMS: usize, I, O>(
     keys: &CommKeys,
     bases: [u128; STREAMS],
     first: u64,
     (ew, mw): (u32, u32),
     input: &[I],
-    out: &mut Vec<O>,
+    dst: &mut [MaybeUninit<O>],
     f: impl Fn(&I, [Hfp; STREAMS]) -> Result<O, HfpError>,
 ) -> Result<(), HfpError> {
+    assert_eq!(input.len(), dst.len(), "one result slot per input element");
     let prf = keys.prf();
     hear_telemetry::add(blocks_metric(prf.backend()), (STREAMS * input.len()) as u64);
-    let entry_len = out.len();
-    out.reserve(input.len());
     let mut tiles = [[0u128; TILE]; STREAMS];
-    for (t, xs) in input.chunks(TILE).enumerate() {
+    for (t, (xs, os)) in input.chunks(TILE).zip(dst.chunks_mut(TILE)).enumerate() {
         let j = (first + (t * TILE) as u64) as u128;
         for (tile, base) in tiles.iter_mut().zip(bases) {
             prf.fill_blocks_uncounted(base.wrapping_add(j), &mut tile[..xs.len()]);
         }
         let blocks = tiles.each_ref().map(|tile| &tile[..xs.len()]);
-        for (i, x) in xs.iter().enumerate() {
+        for (i, (x, o)) in xs.iter().zip(os).enumerate() {
             let noise = std::array::from_fn(|s| noise_from_block(blocks[s][i], ew, mw));
-            match f(x, noise) {
-                Ok(o) => out.push(o),
-                Err(e) => {
-                    out.truncate(entry_len);
-                    return Err(e);
-                }
-            }
+            o.write(f(x, noise)?);
         }
     }
     Ok(())
+}
+
+/// [`fused_noise_pass`] appending its results to `out`; on `Err`, `out` is
+/// back at its entry length (it never left it).
+fn fused_noise_extend<const STREAMS: usize, I, O>(
+    keys: &CommKeys,
+    bases: [u128; STREAMS],
+    first: u64,
+    widths: (u32, u32),
+    input: &[I],
+    out: &mut Vec<O>,
+    f: impl Fn(&I, [Hfp; STREAMS]) -> Result<O, HfpError>,
+) -> Result<(), HfpError> {
+    // SAFETY: `fused_noise_pass` initialises all of `dst` on `Ok`.
+    unsafe {
+        extend_with(out, input.len(), |dst| {
+            fused_noise_pass(keys, bases, first, widths, input, dst, f)
+        })
+    }
 }
 
 /// Homomorphic float summation, Eq. (7).
@@ -117,7 +132,7 @@ impl FloatSum {
         let (cew, cmw) = self.fmt.cipher_widths();
         let bases = [keys.base_collective()];
         out.clear();
-        fused_noise_pass(keys, bases, first, (cew, cmw), x, out, |&v, [n]| {
+        fused_noise_extend(keys, bases, first, (cew, cmw), x, out, |&v, [n]| {
             Ok(ops::mul(&Hfp::from_f64(v, le, lm)?, &n, cew, cmw))
         })
     }
@@ -126,14 +141,23 @@ impl FloatSum {
     /// divide by the collective noise.
     pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
         out.clear();
-        self.decrypt_f64_extend(keys, first, agg, out);
+        decrypt_extend(out, agg.len(), |dst| {
+            self.decrypt_f64_to(keys, first, agg, dst)
+        });
     }
 
-    /// [`FloatSum::decrypt_f64`], appending to `out`.
-    pub fn decrypt_f64_extend(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
+    /// [`FloatSum::decrypt_f64`] into `dst` (same length as `agg`, need not
+    /// be initialised; every element of it is on return).
+    pub fn decrypt_f64_to(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        agg: &[Hfp],
+        dst: &mut [MaybeUninit<f64>],
+    ) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        let (cew, cmw) = self.fmt.cipher_widths();
-        strip_noise(keys, keys.base_collective(), first, (cew, cmw), agg, out);
+        let widths = self.fmt.cipher_widths();
+        strip_noise(keys, keys.base_collective(), first, widths, agg, dst, |v| v);
     }
 
     /// The operation the network applies: ring-exponent addition.
@@ -143,19 +167,33 @@ impl FloatSum {
     }
 }
 
-/// Shared decryption tail: appends `(agg[i] ⊘ noise).to_f64()` to `out`.
+/// Shared decryption tail: `dst[i] = post((agg[i] ⊘ noise).to_f64())`,
+/// initialising all of `dst`.
 fn strip_noise(
     keys: &CommKeys,
     base: u128,
     first: u64,
     (cew, cmw): (u32, u32),
     agg: &[Hfp],
-    out: &mut Vec<f64>,
+    dst: &mut [MaybeUninit<f64>],
+    post: impl Fn(f64) -> f64,
 ) {
-    fused_noise_pass(keys, [base], first, (cew, cmw), agg, out, |c, [n]| {
-        Ok(ops::div(c, &n, cew, cmw).to_f64())
+    fused_noise_pass(keys, [base], first, (cew, cmw), agg, dst, |c, [n]| {
+        Ok(post(ops::div(c, &n, cew, cmw).to_f64()))
     })
     .expect("stripping noise cannot fail");
+}
+
+/// The appending form of a float cipher's `decrypt_f64_to`.
+fn decrypt_extend(out: &mut Vec<f64>, n: usize, to: impl FnOnce(&mut [MaybeUninit<f64>])) {
+    // SAFETY: every `decrypt_f64_to` initialises all of `dst`
+    // ([`strip_noise`] cannot fail part-way).
+    let Ok(()) = unsafe {
+        extend_with::<_, Infallible>(out, n, |dst| {
+            to(dst);
+            Ok(())
+        })
+    };
 }
 
 /// Homomorphic float product, Eq. (6) (telescoping orientation).
@@ -206,10 +244,10 @@ impl FloatProd {
         out.clear();
         if keys.is_last() {
             let bases = [keys.base_own()];
-            fused_noise_pass(keys, bases, first, (cew, cmw), x, out, |&v, [n]| own(v, &n))
+            fused_noise_extend(keys, bases, first, (cew, cmw), x, out, |&v, [n]| own(v, &n))
         } else {
             let bases = [keys.base_own(), keys.base_next()];
-            fused_noise_pass(keys, bases, first, (cew, cmw), x, out, |&v, [n, next]| {
+            fused_noise_extend(keys, bases, first, (cew, cmw), x, out, |&v, [n, next]| {
                 Ok(ops::div(&own(v, &n)?, &next, cew, cmw))
             })
         }
@@ -218,14 +256,36 @@ impl FloatProd {
     /// Decrypt an aggregated vector into `out` (cleared and filled).
     pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
         out.clear();
-        self.decrypt_f64_extend(keys, first, agg, out);
+        decrypt_extend(out, agg.len(), |dst| {
+            self.decrypt_f64_to(keys, first, agg, dst)
+        });
     }
 
-    /// [`FloatProd::decrypt_f64`], appending to `out`.
-    pub fn decrypt_f64_extend(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
+    /// [`FloatProd::decrypt_f64`] into `dst` (see
+    /// [`FloatSum::decrypt_f64_to`]).
+    pub fn decrypt_f64_to(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        agg: &[Hfp],
+        dst: &mut [MaybeUninit<f64>],
+    ) {
+        self.decrypt_mapped(keys, first, agg, dst, |v| v);
+    }
+
+    /// [`FloatProd::decrypt_f64_to`] of `post(result[i])` — the hook through
+    /// which [`FloatSumExp`] takes the logarithm inside the same pass.
+    fn decrypt_mapped(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        agg: &[Hfp],
+        dst: &mut [MaybeUninit<f64>],
+        post: impl Fn(f64) -> f64,
+    ) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        let (cew, cmw) = self.fmt.cipher_widths();
-        strip_noise(keys, keys.base_zero(), first, (cew, cmw), agg, out);
+        let widths = self.fmt.cipher_widths();
+        strip_noise(keys, keys.base_zero(), first, widths, agg, dst, post);
     }
 
     #[inline]
@@ -277,16 +337,21 @@ impl FloatSumExp {
     /// Decrypt an aggregated vector into `out` (cleared and filled).
     pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
         out.clear();
-        self.decrypt_f64_extend(keys, first, agg, out);
+        decrypt_extend(out, agg.len(), |dst| {
+            self.decrypt_f64_to(keys, first, agg, dst)
+        });
     }
 
-    /// [`FloatSumExp::decrypt_f64`], appending to `out`.
-    pub fn decrypt_f64_extend(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
-        let entry_len = out.len();
-        self.prod.decrypt_f64_extend(keys, first, agg, out);
-        for v in &mut out[entry_len..] {
-            *v = v.ln();
-        }
+    /// [`FloatSumExp::decrypt_f64`] into `dst` (see
+    /// [`FloatSum::decrypt_f64_to`]).
+    pub fn decrypt_f64_to(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        agg: &[Hfp],
+        dst: &mut [MaybeUninit<f64>],
+    ) {
+        self.prod.decrypt_mapped(keys, first, agg, dst, f64::ln);
     }
 
     #[inline]

@@ -9,13 +9,17 @@
 //! non-cancelling variant of Fig. 1 is provided as [`NaiveIntSum`] for the
 //! ablation benchmark (its decryption is Θ(P)).
 
+use crate::extend_with;
 use crate::keys::{CommKeys, KeyRegistry};
 use crate::word::RingWord;
 use hear_prf::{par_fused_pass, Payload, Stream, WorkerPool};
 use hear_telemetry::Metric;
+use std::convert::Infallible;
+use std::mem::MaybeUninit;
 
 /// Fold the noise streams at `bases` into a payload — in place, or out of
-/// place straight into a `Vec`'s spare capacity — with **one** fused pass:
+/// place straight into a `Vec`'s spare capacity or a window of it — with
+/// **one** fused pass:
 /// `dst[i] ← f(src[i], [A[first + i], B[first + i]])`, each payload word
 /// read once and written once however many streams fold into it.
 ///
@@ -40,7 +44,7 @@ fn fused_pass<W: RingWord, const N: usize>(
 ) {
     let len = match &payload {
         Payload::InPlace(buf) => buf.len(),
-        Payload::Extend(src, _) => src.len(),
+        Payload::Extend(src, _) | Payload::Into(src, _) => src.len(),
     };
     if len == 0 {
         return;
@@ -182,6 +186,19 @@ impl IntSum {
         Self::decrypt(keys, first, Payload::Extend(agg, out));
     }
 
+    /// Decrypt `agg` into `dst` (same length), initialising every element
+    /// of it: the positional form of [`IntSum::decrypt_into`], for a window
+    /// of spare capacity the caller commits itself.
+    pub fn decrypt_to<W: RingWord>(
+        keys: &CommKeys,
+        first: u64,
+        agg: &[W],
+        dst: &mut [MaybeUninit<W>],
+    ) {
+        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
+        Self::decrypt(keys, first, Payload::Into(agg, dst));
+    }
+
     /// The associative operation the (untrusted) network applies.
     #[inline]
     pub fn combine<W: RingWord>(a: W, b: W) -> W {
@@ -282,9 +299,30 @@ impl IntProd {
         out: &mut Vec<W>,
         scratch: &mut Scratch<W>,
     ) {
+        // SAFETY: `decrypt_to` initialises all of `dst`.
+        let Ok(()) = unsafe {
+            extend_with::<_, Infallible>(out, agg.len(), |dst| {
+                Self::decrypt_to(keys, first, agg, dst, scratch);
+                Ok(())
+            })
+        };
+    }
+
+    /// Decrypt `agg` into `dst` (same length), initialising every element
+    /// of it (see [`IntSum::decrypt_to`]).
+    pub fn decrypt_to<W: RingWord>(
+        keys: &CommKeys,
+        first: u64,
+        agg: &[W],
+        dst: &mut [MaybeUninit<W>],
+        scratch: &mut Scratch<W>,
+    ) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
+        assert_eq!(agg.len(), dst.len());
         let factors = Self::unmask_factors(keys, first, agg.len(), scratch);
-        out.extend(agg.iter().zip(factors).map(|(a, g)| a.wmul(*g)));
+        for ((d, a), g) in dst.iter_mut().zip(agg).zip(factors) {
+            d.write(a.wmul(*g));
+        }
     }
 
     #[inline]
@@ -351,6 +389,18 @@ impl IntXor {
     pub fn decrypt_into<W: RingWord>(keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         Self::decrypt(keys, first, Payload::Extend(agg, out));
+    }
+
+    /// Decrypt `agg` into `dst` (same length), initialising every element
+    /// of it (see [`IntSum::decrypt_to`]).
+    pub fn decrypt_to<W: RingWord>(
+        keys: &CommKeys,
+        first: u64,
+        agg: &[W],
+        dst: &mut [MaybeUninit<W>],
+    ) {
+        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
+        Self::decrypt(keys, first, Payload::Into(agg, dst));
     }
 
     #[inline]

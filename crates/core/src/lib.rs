@@ -51,3 +51,25 @@ pub use word::RingWord;
 // naming every substrate crate.
 pub use hear_hfp::{Hfp, HfpError, HfpFormat};
 pub use hear_prf::Backend;
+
+use std::mem::MaybeUninit;
+
+/// Append `n` elements to `out` by letting `fill` write them straight into
+/// its spare capacity; on `Err`, `out` keeps its entry length.
+///
+/// # Safety
+///
+/// On `Ok`, `fill` must have initialised every element of the slice it was
+/// given.
+pub(crate) unsafe fn extend_with<T, E>(
+    out: &mut Vec<T>,
+    n: usize,
+    fill: impl FnOnce(&mut [MaybeUninit<T>]) -> Result<(), E>,
+) -> Result<(), E> {
+    out.reserve(n);
+    fill(&mut out.spare_capacity_mut()[..n])?;
+    // SAFETY: `fill` initialised these `n` elements (the caller's contract),
+    // and `reserve` made room for them.
+    unsafe { out.set_len(out.len() + n) };
+    Ok(())
+}

@@ -3,7 +3,7 @@
 //! The paper's libhear exposes one interposed `MPI_Allreduce` and picks the
 //! cipher internally (§5, Table 2). This module gives that choice a type:
 //! a [`Scheme`] turns a plaintext block into wire values (`mask_block`),
-//! recovers plaintexts from an aggregated wire block (`unmask_block`) and
+//! recovers plaintexts from an aggregated wire block (`unmask_into`) and
 //! names the associative operation the untrusted network applies (`op`).
 //! Everything else — reduction algorithm, blocked/pipelined chunking,
 //! HoMAC verification — composes orthogonally on top in the layer crate's
@@ -19,12 +19,15 @@
 //! four lanes it fills ([`Scheme::Lanes`]); the engine seals, ships and
 //! verifies only those.
 
+use crate::extend_with;
 use crate::fixed::FixedCodec;
 use crate::float::{FloatProd, FloatSum, FloatSumExp};
 use crate::int::{IntProd, IntSum, IntXor, Scratch};
 use crate::keys::CommKeys;
 use crate::word::RingWord;
 use hear_hfp::{Hfp, HfpError, HfpFormat};
+use std::convert::Infallible;
+use std::mem::MaybeUninit;
 
 /// Number of `u64` digest lanes per element in verified mode.
 pub const DIGEST_LANES: usize = 4;
@@ -59,11 +62,17 @@ impl_lane_array!(1, 2, 3, 4);
 
 /// A HEAR cipher as seen by the generic allreduce engine.
 ///
-/// `mask_block`/`unmask_block` are block-composable: masking `[a, b]` at
+/// `mask_block`/`unmask_into` are block-composable: masking `[a, b]` at
 /// `first` and `[c]` at `first + 2` must equal masking `[a, b, c]` at
-/// `first` (pipelining relies on this, and every underlying cipher already
-/// guarantees it).
-pub trait Scheme {
+/// `first` (pipelining and the ring's per-chunk masking rely on this, and
+/// every underlying cipher already guarantees it).
+///
+/// # Safety
+///
+/// [`Scheme::unmask_into`] must initialise **every** element of the `dst`
+/// it is given: [`Scheme::unmask_extend`] and the engine commit that memory
+/// (`Vec::set_len`) on its return without looking at it again.
+pub unsafe trait Scheme {
     /// Caller-facing element type.
     type Input: Clone + Send + 'static;
     /// On-the-wire element type the network reduces.
@@ -92,16 +101,39 @@ pub trait Scheme {
         out: &mut Vec<Self::Wire>,
     ) -> Result<(), HfpError>;
 
+    /// Decrypt one aggregated block into `dst`, which has `agg`'s length
+    /// and need not be initialised — the positional primitive: the engine
+    /// points it at the block's place in the spare capacity of the caller's
+    /// result vector, so ring chunks can be decrypted as they arrive, in any
+    /// order. Initialises every element of `dst` (the trait's safety
+    /// contract); panics if the lengths differ.
+    fn unmask_into(
+        &mut self,
+        keys: &CommKeys,
+        first: u64,
+        agg: &[Self::Wire],
+        dst: &mut [MaybeUninit<Self::Input>],
+    );
+
     /// Decrypt one aggregated block, **appending** the plaintexts to `out`
-    /// (what is already there stays untouched): the engine drains blocks
-    /// in order straight into the caller's result vector.
+    /// (what is already there stays untouched): reserve,
+    /// [`Scheme::unmask_into`] the spare capacity, commit.
     fn unmask_extend(
         &mut self,
         keys: &CommKeys,
         first: u64,
         agg: &[Self::Wire],
         out: &mut Vec<Self::Input>,
-    );
+    ) {
+        // SAFETY: `unmask_into` initialises all of `dst` — the contract an
+        // `unsafe impl Scheme` signs.
+        let Ok(()) = unsafe {
+            extend_with::<_, Infallible>(out, agg.len(), |dst| {
+                self.unmask_into(keys, first, agg, dst);
+                Ok(())
+            })
+        };
+    }
 
     /// Decrypt one aggregated block into `out`, cleared and filled.
     fn unmask_block(
@@ -205,7 +237,8 @@ impl<W: RingWord> IntSumScheme<W> {
     }
 }
 
-impl<W: RingWord> Scheme for IntSumScheme<W> {
+// SAFETY: `unmask_into` initialises all of `dst` (the cipher's `decrypt_to`).
+unsafe impl<W: RingWord> Scheme for IntSumScheme<W> {
     type Input = W;
     type Wire = W;
     type Lanes = [u64; 1];
@@ -225,8 +258,8 @@ impl<W: RingWord> Scheme for IntSumScheme<W> {
         Ok(())
     }
 
-    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        IntSum::decrypt_into(keys, first, agg, out);
+    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
+        IntSum::decrypt_to(keys, first, agg, dst);
     }
 
     fn op(a: &W, b: &W) -> W {
@@ -276,7 +309,8 @@ impl<W: RingWord> IntProdScheme<W> {
     }
 }
 
-impl<W: RingWord> Scheme for IntProdScheme<W> {
+// SAFETY: `unmask_into` initialises all of `dst` (the cipher's `decrypt_to`).
+unsafe impl<W: RingWord> Scheme for IntProdScheme<W> {
     type Input = W;
     type Wire = W;
     type Lanes = [u64; 3];
@@ -296,8 +330,8 @@ impl<W: RingWord> Scheme for IntProdScheme<W> {
         Ok(())
     }
 
-    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        IntProd::decrypt_into(keys, first, agg, out, &mut self.scratch);
+    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
+        IntProd::decrypt_to(keys, first, agg, dst, &mut self.scratch);
     }
 
     fn op(a: &W, b: &W) -> W {
@@ -419,7 +453,8 @@ impl<W: RingWord> IntXorScheme<W> {
     }
 }
 
-impl<W: RingWord> Scheme for IntXorScheme<W> {
+// SAFETY: `unmask_into` initialises all of `dst` (the cipher's `decrypt_to`).
+unsafe impl<W: RingWord> Scheme for IntXorScheme<W> {
     type Input = W;
     type Wire = W;
     type Lanes = [u64; 4];
@@ -441,8 +476,8 @@ impl<W: RingWord> Scheme for IntXorScheme<W> {
         Ok(())
     }
 
-    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        IntXor::decrypt_into(keys, first, agg, out);
+    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
+        IntXor::decrypt_to(keys, first, agg, dst);
     }
 
     fn op(a: &W, b: &W) -> W {
@@ -518,7 +553,9 @@ impl FixedSumScheme {
     }
 }
 
-impl Scheme for FixedSumScheme {
+// SAFETY: `unmask_into` writes one decoded lane to each element of `dst`,
+// whose length it asserts.
+unsafe impl Scheme for FixedSumScheme {
     type Input = f64;
     type Wire = u64;
     type Lanes = [u64; 1];
@@ -538,10 +575,19 @@ impl Scheme for FixedSumScheme {
         Ok(())
     }
 
-    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[u64], out: &mut Vec<f64>) {
+    fn unmask_into(
+        &mut self,
+        keys: &CommKeys,
+        first: u64,
+        agg: &[u64],
+        dst: &mut [MaybeUninit<f64>],
+    ) {
+        assert_eq!(agg.len(), dst.len());
         self.lanes.clear();
         IntSum::decrypt_into(keys, first, agg, &mut self.lanes);
-        out.extend(self.lanes.iter().map(|l| self.codec.decode(*l)));
+        for (d, l) in dst.iter_mut().zip(&self.lanes) {
+            d.write(self.codec.decode(*l));
+        }
     }
 
     fn op(a: &u64, b: &u64) -> u64 {
@@ -600,7 +646,9 @@ impl FloatSumScheme {
     }
 }
 
-impl Scheme for FloatSumScheme {
+// SAFETY: `unmask_into` initialises all of `dst` (the cipher's
+// `decrypt_f64_to`).
+unsafe impl Scheme for FloatSumScheme {
     type Input = f64;
     type Wire = Hfp;
     type Lanes = [u64; 1];
@@ -618,8 +666,14 @@ impl Scheme for FloatSumScheme {
         self.inner.encrypt_f64(keys, first, input, out)
     }
 
-    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
-        self.inner.decrypt_f64_extend(keys, first, agg, out);
+    fn unmask_into(
+        &mut self,
+        keys: &CommKeys,
+        first: u64,
+        agg: &[Hfp],
+        dst: &mut [MaybeUninit<f64>],
+    ) {
+        self.inner.decrypt_f64_to(keys, first, agg, dst);
     }
 
     fn op(a: &Hfp, b: &Hfp) -> Hfp {
@@ -671,7 +725,9 @@ impl FloatSumExpScheme {
     }
 }
 
-impl Scheme for FloatSumExpScheme {
+// SAFETY: `unmask_into` initialises all of `dst` (the cipher's
+// `decrypt_f64_to`).
+unsafe impl Scheme for FloatSumExpScheme {
     type Input = f64;
     type Wire = Hfp;
     type Lanes = [u64; 1];
@@ -689,8 +745,14 @@ impl Scheme for FloatSumExpScheme {
         self.inner.encrypt_f64(keys, first, input, out)
     }
 
-    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
-        self.inner.decrypt_f64_extend(keys, first, agg, out);
+    fn unmask_into(
+        &mut self,
+        keys: &CommKeys,
+        first: u64,
+        agg: &[Hfp],
+        dst: &mut [MaybeUninit<f64>],
+    ) {
+        self.inner.decrypt_f64_to(keys, first, agg, dst);
     }
 
     fn op(a: &Hfp, b: &Hfp) -> Hfp {
@@ -742,7 +804,9 @@ impl FloatProdScheme {
     }
 }
 
-impl Scheme for FloatProdScheme {
+// SAFETY: `unmask_into` initialises all of `dst` (the cipher's
+// `decrypt_f64_to`).
+unsafe impl Scheme for FloatProdScheme {
     type Input = f64;
     type Wire = Hfp;
     type Lanes = [u64; 2];
@@ -760,8 +824,14 @@ impl Scheme for FloatProdScheme {
         self.inner.encrypt_f64(keys, first, input, out)
     }
 
-    fn unmask_extend(&mut self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
-        self.inner.decrypt_f64_extend(keys, first, agg, out);
+    fn unmask_into(
+        &mut self,
+        keys: &CommKeys,
+        first: u64,
+        agg: &[Hfp],
+        dst: &mut [MaybeUninit<f64>],
+    ) {
+        self.inner.decrypt_f64_to(keys, first, agg, dst);
     }
 
     fn op(a: &Hfp, b: &Hfp) -> Hfp {
@@ -1181,6 +1251,22 @@ mod tests {
             out.truncate(1);
             scheme.unmask_slice(keys, 3, &wire, &mut out);
             assert_eq!(cells(&out), cells(&fresh), "{} unmask_slice", S::NAME);
+
+            // The positional primitive, the way the ring engine drives it:
+            // uneven chunks of the block, last chunk first, each into its
+            // own place in the spare capacity, committed once at the end.
+            let mut out = data[..2].to_vec();
+            out.reserve(wire.len());
+            let cuts = [0, 1, 100, 257, wire.len()];
+            for w in cuts.windows(2).rev() {
+                let dst = &mut out.spare_capacity_mut()[w[0]..w[1]];
+                scheme.unmask_into(keys, 3 + w[0] as u64, &wire[w[0]..w[1]], dst);
+            }
+            // SAFETY: the chunks above cover `0..wire.len()` of the spare
+            // capacity and `unmask_into` initialises all it is given.
+            unsafe { out.set_len(2 + wire.len()) };
+            assert_eq!(cells(&out[..2]), cells(&data[..2]), "{} prefix", S::NAME);
+            assert_eq!(cells(&out[2..]), cells(&fresh), "{} positional", S::NAME);
         }
         let ints: Vec<u32> = (0..300u32).map(|i| i.wrapping_mul(977) | 1).collect();
         let floats: Vec<f64> = (0..300).map(|i| f64::from(i) * 0.125 + 0.5).collect();

@@ -1,12 +1,12 @@
-//! Typed scratch arena: the engine-side companion to the byte-level
-//! [`crate::pool::MemoryPool`].
+//! Typed scratch arena (paper §6, "Memory allocation"): libhear
+//! pre-allocates its intermediate buffers so no `malloc` sits on the
+//! critical path (the `mem_alloc` / `mem_free` phases of Fig. 4).
 //!
-//! The pool recycles fixed-size page-aligned transfer blocks; the arena
-//! recycles the *typed* staging vectors the engine needs per call — wire
-//! ciphertexts, decrypted blocks, digest lanes, HoMAC tags, verified
-//! packets, ring segments. Every lease is a plain `Vec<T>` whose capacity
-//! survives round trips, so after a short warmup the allreduce hot path
-//! performs no heap allocation for staging.
+//! The arena recycles the *typed* staging vectors the engine needs per
+//! call — the wire chunk vectors a block travels in, decrypted blocks,
+//! digest lanes, HoMAC tags, verified packets. Every lease is a plain
+//! `Vec<T>` whose capacity survives round trips, so after a short warmup
+//! the allreduce hot path performs no heap allocation for staging.
 //!
 //! Slots are keyed by element type and created lazily: the first
 //! [`ScratchArena::put_vec`] of a type boxes one persistent `Option<Vec<T>>`
@@ -15,10 +15,10 @@
 //! Multiple concurrent leases of the same type are supported — each extra
 //! one warms up its own cell.
 //!
-//! Takes and puts are attributed to the same telemetry families as the
-//! memory pool (`hear_pool_takes_total` with `source=reuse|fresh`,
-//! `hear_pool_puts_total`), so Fig. 4-style breakdowns see one unified
-//! picture of buffer recycling.
+//! Takes and puts are attributed to the `hear_pool_*` telemetry families
+//! (`hear_pool_takes_total` with `source=reuse|fresh`,
+//! `hear_pool_puts_total`), so Fig. 4-style breakdowns see buffer
+//! recycling.
 
 use hear_telemetry::Metric;
 use std::any::{Any, TypeId};

@@ -29,6 +29,45 @@ pub fn with_packet_hooks(plan: FaultPlan) -> FaultPlan {
     for_each_packet_shape!(packet_hooks)(plan)
 }
 
+/// Where [`with_wire_recorder`] shows each payload: its `Debug` rendering.
+pub type WireSink = Arc<dyn Fn(String) + Send + Sync>;
+
+/// A "corruptor" that shows `sink` a `Vec<T>` payload and leaves it alone.
+fn recorder<T: std::fmt::Debug + 'static>(sink: &WireSink) -> hear_mpi::Corruptor {
+    let sink = Arc::clone(sink);
+    Arc::new(move |payload, _| {
+        let seen = payload.downcast_ref::<Vec<T>>();
+        seen.map(|v| sink(format!("{v:?}"))).is_some()
+    })
+}
+
+macro_rules! packet_recorders {
+    ($(($w:ty, $l:literal)),+ $(,)?) => {
+        |plan: FaultPlan, sink: &WireSink| plan$(
+            .with_corruptor(recorder::<Packet<$w, [u64; $l]>>(sink))
+        )+
+    };
+}
+
+/// Arm `plan` to *show* `sink` every reduction payload the fabric carries
+/// — plain ciphertext vectors of every wire word, verified packet vectors
+/// of every shape, bare and tagged cells — without touching it. The recorders sit in the
+/// corruptor chain, so the plan must select messages with
+/// `corrupt_one_in(1)`; what the eavesdropper sees is then exactly what
+/// the wire carried. How the test suite checks that a change to the data
+/// path left the ciphertext alone.
+#[doc(hidden)]
+pub fn with_wire_recorder(plan: FaultPlan, sink: WireSink) -> FaultPlan {
+    let plan = plan
+        .with_corruptor(recorder::<u8>(&sink))
+        .with_corruptor(recorder::<u16>(&sink))
+        .with_corruptor(recorder::<u32>(&sink))
+        .with_corruptor(recorder::<u64>(&sink))
+        .with_corruptor(recorder::<Hfp>(&sink))
+        .with_corruptor(recorder::<crate::secure::Tagged<u64>>(&sink));
+    for_each_packet_shape!(packet_recorders)(plan, &sink)
+}
+
 /// Which packet the fault word singles out.
 fn pick(len: usize, word: u64) -> Option<usize> {
     if len == 0 {

@@ -1,20 +1,36 @@
-//! The fused allreduce entry point and its four chunk-mode runners.
+//! The fused allreduce entry point and the four chunk-mode runners it
+//! shares with [`SecureComm::reduce_scatter_with`].
 //!
 //! On [`ReduceAlgo::Ring`] the transport underneath is literally
-//! reduce-scatter followed by allgather — one shared hop loop in
-//! `hear_mpi` drives both phases — so this entry point and the factored
-//! [`SecureComm::reduce_scatter_with`] /
+//! reduce-scatter followed by allgather — one chunk-owned hop loop in
+//! `hear_mpi` drives both phases — and the reduce-scatter collective is
+//! the same runners stopped halfway ([`Route::Scatter`]), so this entry
+//! point and the factored [`SecureComm::reduce_scatter_with`] /
 //! [`SecureComm::allgather_with`](crate::secure::SecureComm) pair can
 //! never drift apart.
+//!
+//! A block travels as owned chunk vectors ([`chunk_count`] of them: one
+//! per rank under the ring, one otherwise). The synchronous runners mask
+//! straight into the chunks and unmask each aggregated chunk straight out
+//! of it, as the ring hands it over, into its place in the caller's `out`
+//! ([`OutWindow`]); a posted block cannot touch `out` from its helper
+//! thread, so it brings its chunks back and the drain unmasks them in
+//! order.
 
 use super::cfg::{ChunkMode, EngineCfg, EngineError};
-use super::packet::{open_block, packet_op, seal_block, SchemePacket, VerifyScratch};
+use super::packet::{open_block, packet_op, seal_chunks, SchemePacket, VerifyScratch};
+use super::phases::share_bounds;
 use super::retry::{attempt_tag, RetryCtl, Step};
-use super::DEPTH;
+use super::window::OutWindow;
+use super::{
+    chunk_count, mask_chunks, post_transport_chunks, transport_chunks, PostedChunks, Route, DEPTH,
+};
 use crate::secure::{ReduceAlgo, SecureComm};
 use hear_core::{Homac, Scheme};
-use hear_mpi::{CommError, Request};
 use std::collections::VecDeque;
+
+/// One posted block in flight: its global offset, its index, its request.
+type InFlight<T> = VecDeque<(usize, u64, PostedChunks<T>)>;
 
 impl SecureComm {
     /// The generic secured allreduce: any [`Scheme`] × any [`ReduceAlgo`] ×
@@ -117,27 +133,93 @@ impl SecureComm {
             hear_telemetry::incr(hear_telemetry::Metric::DegradedEpochs);
         }
         let mut ctl = RetryCtl::new(cfg.retry);
-        match (cfg.chunk, homac) {
+        self.run_blocks(
+            scheme,
+            data,
+            out,
+            block,
+            cfg.chunk,
+            &mut Route::All(algo),
+            base_tag,
+            &mut ctl,
+            homac.as_ref(),
+        )
+    }
+
+    /// Dispatch a reduction's blocks to the runner for its chunk mode and
+    /// integrity setting.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_blocks<S: Scheme + 'static>(
+        &mut self,
+        scheme: &mut S,
+        data: &[S::Input],
+        out: &mut Vec<S::Input>,
+        block: usize,
+        chunk: ChunkMode,
+        route: &mut Route,
+        base_tag: u64,
+        ctl: &mut RetryCtl,
+        homac: Option<&Homac>,
+    ) -> Result<(), EngineError> {
+        match (chunk, homac) {
             (ChunkMode::Pipelined(_), None) => {
-                self.run_plain_pipelined(scheme, data, out, block, &mut algo, base_tag, &mut ctl)
+                self.run_plain_pipelined(scheme, data, out, block, route, base_tag, ctl)
             }
-            (ChunkMode::Pipelined(_), Some(h)) => self.run_verified_pipelined(
-                scheme, data, out, block, &mut algo, base_tag, &mut ctl, &h,
-            ),
-            (_, None) => {
-                self.run_plain_sync(scheme, data, out, block, &mut algo, base_tag, &mut ctl)
+            (ChunkMode::Pipelined(_), Some(h)) => {
+                self.run_verified_pipelined(scheme, data, out, block, route, base_tag, ctl, h)
             }
+            (_, None) => self.run_plain_sync(scheme, data, out, block, route, base_tag, ctl),
             (_, Some(h)) => {
-                self.run_verified_sync(scheme, data, out, block, &mut algo, base_tag, &mut ctl, &h)
+                self.run_verified_sync(scheme, data, out, block, route, base_tag, ctl, h)
             }
         }
     }
 
-    /// One plain block, synchronously, with the attempt loop: mask →
-    /// transport → unmask onto the end of `out`, retrying or degrading per
-    /// the policy. Re-masking on a retry reproduces the identical
-    /// ciphertext (same epoch, same offsets), so a resend is never a
-    /// two-time pad; only the attempt that succeeds appends.
+    /// Act on a retry decision inside an attempt loop: `Ok` to go round
+    /// again (on the host ring from now on, after a `Degrade`).
+    fn take_step(&mut self, step: Step, route: &mut Route) -> Result<(), EngineError> {
+        match (step, route) {
+            (Step::Fail(e), _) => Err(e),
+            (Step::Degrade, Route::All(algo)) => {
+                self.note_degraded();
+                *algo = ReduceAlgo::Ring;
+                Ok(())
+            }
+            // The factored phase is ring-native: a `Degrade` (which can
+            // only mean "leave the switch") is just another retry there.
+            _ => Ok(()),
+        }
+    }
+
+    /// Where the result of the `len`-element block at global `offset`
+    /// lands: the global index of its first element, its length, and the
+    /// number of chunks it arrives in. The whole block for an allreduce;
+    /// this rank's share, as one piece, for a reduce-scatter.
+    fn landing(&self, route: Route, offset: usize, len: usize) -> (usize, usize, usize) {
+        match route {
+            Route::All(_) => (offset, len, chunk_count(route, self.world())),
+            Route::Scatter => {
+                let (s, e) = share_bounds(len, self.world(), self.rank());
+                (offset + s, e - s, 1)
+            }
+        }
+    }
+
+    /// The chunks of a posted block that hold this rank's result, in order
+    /// from [`SecureComm::landing`]'s first element.
+    fn landed<'c, T>(&self, route: Route, chunks: &'c [Vec<T>]) -> &'c [Vec<T>] {
+        match route {
+            Route::All(_) => chunks,
+            Route::Scatter => &chunks[self.rank()..=self.rank()],
+        }
+    }
+
+    /// One plain block, synchronously, with the attempt loop: mask into the
+    /// chunk vectors → transport → unmask each aggregated chunk into its
+    /// place past the end of `out`, retrying or degrading per the policy.
+    /// Re-masking on a retry reproduces the identical ciphertext (same
+    /// epoch, same offsets), so a resend is never a two-time pad; `out`
+    /// grows only when an attempt has delivered every chunk.
     #[allow(clippy::too_many_arguments)]
     fn plain_block_sync<S: Scheme + 'static>(
         &mut self,
@@ -147,33 +229,31 @@ impl SecureComm {
         block: usize,
         offset: usize,
         block_idx: u64,
-        algo: &mut ReduceAlgo,
+        route: &mut Route,
         base_tag: u64,
         ctl: &mut RetryCtl,
-        wire: &mut Vec<S::Wire>,
-        seg: &mut Vec<S::Wire>,
+        chunks: &mut Vec<Vec<S::Wire>>,
     ) -> Result<(), EngineError> {
-        let end = (offset + block).min(data.len());
+        let input = &data[offset..(offset + block).min(data.len())];
         loop {
-            scheme.mask_slice(&self.keys, offset as u64, &data[offset..end], wire)?;
+            let n = chunk_count(*route, self.world());
+            self.fit_chunks(chunks, n);
+            mask_chunks(scheme, &self.keys, offset, input, chunks)?;
             let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
             let deadline = ctl.deadline();
-            match self.try_transport_sync(tag, std::mem::take(wire), *algo, S::op, seg, deadline) {
-                Ok(agg) => {
-                    scheme.unmask_extend(&self.keys, offset as u64, &agg, out);
-                    // The aggregate's buffer becomes the next attempt's or
-                    // block's wire buffer.
-                    *wire = agg;
+            let (at, len, pieces) = self.landing(*route, offset, input.len());
+            let mut window = OutWindow::new(out, len, pieces);
+            let keys = &self.keys;
+            let unmask = |c: usize, agg: &[S::Wire]| window.unmask(scheme, keys, at, c, agg);
+            match transport_chunks(&self.comm, tag, chunks, *route, S::op, unmask, deadline) {
+                Ok(()) => {
+                    window.commit();
                     return Ok(());
                 }
-                Err(e) => match ctl.on_error(EngineError::Comm(e)) {
-                    Step::Retry => {}
-                    Step::Degrade => {
-                        self.note_degraded();
-                        *algo = ReduceAlgo::Ring;
-                    }
-                    Step::Fail(err) => return Err(err),
-                },
+                Err(e) => {
+                    let step = ctl.on_error(EngineError::Comm(e));
+                    self.take_step(step, route)?;
+                }
             }
         }
     }
@@ -185,34 +265,37 @@ impl SecureComm {
         data: &[S::Input],
         out: &mut Vec<S::Input>,
         block: usize,
-        algo: &mut ReduceAlgo,
+        route: &mut Route,
         base_tag: u64,
         ctl: &mut RetryCtl,
     ) -> Result<(), EngineError> {
-        let mut wire: Vec<S::Wire> = self.arena.take_vec();
-        let mut seg: Vec<S::Wire> = self.arena.take_vec();
-        let mut failed = None;
-        let mut offset = 0usize;
-        let mut block_idx = 0u64;
-        while offset < data.len() {
-            if let Err(e) = self.plain_block_sync(
-                scheme, data, out, block, offset, block_idx, algo, base_tag, ctl, &mut wire,
-                &mut seg,
-            ) {
-                failed = Some(e);
-                break;
-            }
-            offset = (offset + block).min(data.len());
+        let mut chunks = self.lease_chunks();
+        let mut result = Ok(());
+        let (mut offset, mut block_idx) = (0usize, 0u64);
+        while offset < data.len() && result.is_ok() {
+            result = self.plain_block_sync(
+                scheme,
+                data,
+                out,
+                block,
+                offset,
+                block_idx,
+                route,
+                base_tag,
+                ctl,
+                &mut chunks,
+            );
+            offset += block;
             block_idx += 1;
         }
-        self.arena.put_vec(wire);
-        self.arena.put_vec(seg);
-        failed.map_or(Ok(()), Err)
+        self.restore_chunks(chunks);
+        result
     }
 
-    /// Complete one posted plain block: wait on the request, and on
-    /// failure fall back to synchronous per-block recovery (which retries
-    /// and/or degrades per the policy).
+    /// Complete one posted plain block: wait on the request and unmask the
+    /// chunks it brought back onto the end of `out`; on failure fall back
+    /// to synchronous per-block recovery (which retries and/or degrades
+    /// per the policy).
     #[allow(clippy::too_many_arguments)]
     fn drain_plain_block<S: Scheme + 'static>(
         &mut self,
@@ -222,38 +305,47 @@ impl SecureComm {
         block: usize,
         offset: usize,
         block_idx: u64,
-        req: Request<Result<Vec<S::Wire>, CommError>>,
-        algo: &mut ReduceAlgo,
+        req: PostedChunks<S::Wire>,
+        route: &mut Route,
         base_tag: u64,
         ctl: &mut RetryCtl,
-        wire: &mut Vec<S::Wire>,
-        seg: &mut Vec<S::Wire>,
     ) -> Result<(), EngineError> {
         let res = {
             let _w = hear_telemetry::span!("pipeline_wait", offset = offset);
             req.wait()
         };
         hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, -1);
-        match res {
-            Ok(agg) => {
-                scheme.unmask_extend(&self.keys, offset as u64, &agg, out);
-                *wire = agg;
-                Ok(())
+        let mut chunks = match res {
+            Ok(chunks) => {
+                let len = block.min(data.len() - offset);
+                let (mut at, _, _) = self.landing(*route, offset, len);
+                for chunk in self.landed(*route, &chunks) {
+                    scheme.unmask_extend(&self.keys, at as u64, chunk, out);
+                    at += chunk.len();
+                }
+                self.restore_chunks(chunks);
+                return Ok(());
             }
             Err(e) => {
-                match ctl.on_error(EngineError::Comm(e)) {
-                    Step::Retry => {}
-                    Step::Degrade => {
-                        self.note_degraded();
-                        *algo = ReduceAlgo::Ring;
-                    }
-                    Step::Fail(err) => return Err(err),
-                }
-                self.plain_block_sync(
-                    scheme, data, out, block, offset, block_idx, algo, base_tag, ctl, wire, seg,
-                )
+                let step = ctl.on_error(EngineError::Comm(e));
+                self.take_step(step, route)?;
+                self.lease_chunks()
             }
-        }
+        };
+        let result = self.plain_block_sync(
+            scheme,
+            data,
+            out,
+            block,
+            offset,
+            block_idx,
+            route,
+            base_tag,
+            ctl,
+            &mut chunks,
+        );
+        self.restore_chunks(chunks);
+        result
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -263,73 +355,58 @@ impl SecureComm {
         data: &[S::Input],
         out: &mut Vec<S::Input>,
         block: usize,
-        algo: &mut ReduceAlgo,
+        route: &mut Route,
         base_tag: u64,
         ctl: &mut RetryCtl,
     ) -> Result<(), EngineError> {
-        #[allow(clippy::type_complexity)]
-        let mut inflight: VecDeque<(usize, u64, Request<Result<Vec<S::Wire>, CommError>>)> =
-            VecDeque::with_capacity(DEPTH);
-        let mut wire: Vec<S::Wire> = self.arena.take_vec();
-        let mut seg: Vec<S::Wire> = self.arena.take_vec();
-        let mut failed = None;
-        let mut offset = 0usize;
-        let mut block_idx = 0u64;
-        while offset < data.len() {
+        let mut inflight: InFlight<S::Wire> = VecDeque::with_capacity(DEPTH);
+        let mut result = Ok(());
+        let (mut offset, mut block_idx) = (0usize, 0u64);
+        while offset < data.len() && result.is_ok() {
             let end = (offset + block).min(data.len());
+            let mut chunks = self.lease_chunks();
+            let n = chunk_count(*route, self.world());
+            self.fit_chunks(&mut chunks, n);
             // An encode error aborts the call; already-posted blocks are
             // detached and complete in the background on every rank.
-            if let Err(e) =
-                scheme.mask_block(&self.keys, offset as u64, &data[offset..end], &mut wire)
+            if let Err(e) = mask_chunks(scheme, &self.keys, offset, &data[offset..end], &mut chunks)
             {
-                failed = Some(EngineError::from(e));
-                break;
+                self.restore_chunks(chunks);
+                return Err(e.into());
             }
             hear_telemetry::incr(hear_telemetry::Metric::PipelineBlocks);
             hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, 1);
             let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
             let deadline = ctl.deadline();
-            inflight.push_back((
-                offset,
-                block_idx,
-                self.try_transport_nb(tag, std::mem::take(&mut wire), *algo, S::op, deadline),
-            ));
+            let req = post_transport_chunks(&self.comm, tag, chunks, *route, S::op, deadline);
+            inflight.push_back((offset, block_idx, req));
             if inflight.len() >= DEPTH {
                 let (o, bi, req) = inflight.pop_front().expect("non-empty");
-                if let Err(e) = self.drain_plain_block(
-                    scheme, data, out, block, o, bi, req, algo, base_tag, ctl, &mut wire, &mut seg,
-                ) {
-                    failed = Some(e);
-                    break;
-                }
+                result = self
+                    .drain_plain_block(scheme, data, out, block, o, bi, req, route, base_tag, ctl);
             }
             offset = end;
             block_idx += 1;
         }
-        if failed.is_none() {
-            while let Some((o, bi, req)) = inflight.pop_front() {
-                if let Err(e) = self.drain_plain_block(
-                    scheme, data, out, block, o, bi, req, algo, base_tag, ctl, &mut wire, &mut seg,
-                ) {
-                    failed = Some(e);
-                    break;
-                }
-            }
+        while let (Ok(()), Some((o, bi, req))) = (&result, inflight.pop_front()) {
+            result =
+                self.drain_plain_block(scheme, data, out, block, o, bi, req, route, base_tag, ctl);
         }
-        self.arena.put_vec(wire);
-        self.arena.put_vec(seg);
-        failed.map_or(Ok(()), Err)
+        result
     }
 
-    /// One verified block, synchronously, with the attempt loop: seal →
-    /// transport → open → append. The block decrypts into `vs.dec` and only
-    /// reaches `out` once its digest check has passed, so no unverified
-    /// plaintext is ever in the caller's buffer — which is why this path
-    /// keeps the staging copy the plain one dropped. A verification
-    /// failure is retryable — the
-    /// per-block §5.5 digest already localized the damage to this block,
-    /// so the resend retransmits exactly the failing packets (re-sealed to
-    /// the identical ciphertext) and nothing else.
+    /// One verified block, synchronously, with the attempt loop: seal into
+    /// the chunk vectors → transport → open each aggregated chunk as it
+    /// passes. A chunk decrypts into `vs.dec` and is copied to its place
+    /// past the end of `out` only once its digest check has passed, and
+    /// `out` grows only when every chunk of the block has — so no
+    /// unverified plaintext is ever in the caller's vector, which is why
+    /// this path keeps the staging copy the plain one dropped. A chunk that
+    /// fails is still forwarded (the ring must keep moving; the next rank
+    /// runs its own check) and fails the attempt. A verification failure
+    /// is retryable — the per-block §5.5 digest already localized the
+    /// damage to this block, so the resend retransmits exactly the failing
+    /// packets (re-sealed to the identical ciphertext) and nothing else.
     #[allow(clippy::too_many_arguments)]
     fn verified_block_sync<S: Scheme + 'static>(
         &mut self,
@@ -340,46 +417,52 @@ impl SecureComm {
         block: usize,
         offset: usize,
         block_idx: u64,
-        algo: &mut ReduceAlgo,
+        route: &mut Route,
         base_tag: u64,
         ctl: &mut RetryCtl,
         vs: &mut VerifyScratch<S>,
-        seg: &mut Vec<SchemePacket<S>>,
+        chunks: &mut Vec<Vec<SchemePacket<S>>>,
     ) -> Result<(), EngineError> {
         let world = self.world();
-        let end = (offset + block).min(data.len());
+        let input = &data[offset..(offset + block).min(data.len())];
         loop {
-            seal_block(scheme, homac, &self.keys, offset, &data[offset..end], vs)?;
+            let n = chunk_count(*route, world);
+            self.fit_chunks(chunks, n);
+            seal_chunks(scheme, homac, &self.keys, offset, input, vs, chunks)?;
             let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
             let deadline = ctl.deadline();
-            let step = match self.try_transport_sync(
-                tag,
-                std::mem::take(&mut vs.packets),
-                *algo,
-                packet_op::<S>,
-                seg,
-                deadline,
-            ) {
-                Ok(agg) => match open_block(scheme, homac, &self.keys, world, offset, &agg, vs) {
-                    Ok(()) => {
-                        out.extend_from_slice(&vs.dec);
-                        // The aggregate becomes the next block's packet
-                        // staging.
-                        vs.packets = agg;
-                        return Ok(());
-                    }
-                    Err(e) => ctl.on_error(e),
-                },
-                Err(e) => ctl.on_error(EngineError::Comm(e)),
-            };
-            match step {
-                Step::Retry => {}
-                Step::Degrade => {
-                    self.note_degraded();
-                    *algo = ReduceAlgo::Ring;
+            let (at, len, pieces) = self.landing(*route, offset, input.len());
+            let mut window = OutWindow::new(out, len, pieces);
+            let mut rejected = None;
+            let keys = &self.keys;
+            let open = |c: usize, agg: &[SchemePacket<S>]| {
+                if rejected.is_some() {
+                    return;
                 }
-                Step::Fail(err) => return Err(err),
-            }
+                let (s, _) = share_bounds(len, pieces, c);
+                match open_block(scheme, homac, keys, world, at + s, agg, vs) {
+                    Ok(()) => window.place(c, &vs.dec),
+                    Err(e) => rejected = Some(e),
+                }
+            };
+            let sent = transport_chunks(
+                &self.comm,
+                tag,
+                chunks,
+                *route,
+                packet_op::<S>,
+                open,
+                deadline,
+            );
+            let step = match (sent, rejected) {
+                (Ok(()), None) => {
+                    window.commit();
+                    return Ok(());
+                }
+                (Ok(()), Some(e)) => ctl.on_error(e),
+                (Err(e), _) => ctl.on_error(EngineError::Comm(e)),
+            };
+            self.take_step(step, route)?;
         }
     }
 
@@ -390,33 +473,41 @@ impl SecureComm {
         data: &[S::Input],
         out: &mut Vec<S::Input>,
         block: usize,
-        algo: &mut ReduceAlgo,
+        route: &mut Route,
         base_tag: u64,
         ctl: &mut RetryCtl,
         homac: &Homac,
     ) -> Result<(), EngineError> {
         let mut vs = VerifyScratch::<S>::lease(&mut self.arena);
-        let mut seg: Vec<SchemePacket<S>> = self.arena.take_vec();
-        let mut failed = None;
-        let mut offset = 0usize;
-        let mut block_idx = 0u64;
-        while offset < data.len() {
-            if let Err(e) = self.verified_block_sync(
-                scheme, homac, data, out, block, offset, block_idx, algo, base_tag, ctl, &mut vs,
-                &mut seg,
-            ) {
-                failed = Some(e);
-                break;
-            }
-            offset = (offset + block).min(data.len());
+        let mut chunks = self.lease_chunks();
+        let mut result = Ok(());
+        let (mut offset, mut block_idx) = (0usize, 0u64);
+        while offset < data.len() && result.is_ok() {
+            result = self.verified_block_sync(
+                scheme,
+                homac,
+                data,
+                out,
+                block,
+                offset,
+                block_idx,
+                route,
+                base_tag,
+                ctl,
+                &mut vs,
+                &mut chunks,
+            );
+            offset += block;
             block_idx += 1;
         }
         vs.restore(&mut self.arena);
-        self.arena.put_vec(seg);
-        failed.map_or(Ok(()), Err)
+        self.restore_chunks(chunks);
+        result
     }
 
-    /// Complete one posted verified block: wait, open, and on either a
+    /// Complete one posted verified block: wait, open the chunks it
+    /// brought back in order (appending each only after its digest check,
+    /// and taking them all back if a later one fails), and on either a
     /// transport error or a verification failure fall back to synchronous
     /// per-block recovery.
     #[allow(clippy::too_many_arguments)]
@@ -429,12 +520,11 @@ impl SecureComm {
         block: usize,
         offset: usize,
         block_idx: u64,
-        req: Request<Result<Vec<SchemePacket<S>>, CommError>>,
-        algo: &mut ReduceAlgo,
+        req: PostedChunks<SchemePacket<S>>,
+        route: &mut Route,
         base_tag: u64,
         ctl: &mut RetryCtl,
         vs: &mut VerifyScratch<S>,
-        seg: &mut Vec<SchemePacket<S>>,
     ) -> Result<(), EngineError> {
         let world = self.world();
         let res = {
@@ -443,27 +533,48 @@ impl SecureComm {
         };
         hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, -1);
         let step = match res {
-            Ok(agg) => match open_block(scheme, homac, &self.keys, world, offset, &agg, vs) {
-                Ok(()) => {
+            Ok(chunks) => {
+                let entry = out.len();
+                let len = block.min(data.len() - offset);
+                let (mut at, _, _) = self.landing(*route, offset, len);
+                let mut opened = Ok(());
+                for chunk in self.landed(*route, &chunks) {
+                    opened = open_block(scheme, homac, &self.keys, world, at, chunk, vs);
+                    if opened.is_err() {
+                        break;
+                    }
                     out.extend_from_slice(&vs.dec);
-                    vs.packets = agg;
-                    return Ok(());
+                    at += chunk.len();
                 }
-                Err(e) => ctl.on_error(e),
-            },
+                self.restore_chunks(chunks);
+                match opened {
+                    Ok(()) => return Ok(()),
+                    Err(e) => {
+                        out.truncate(entry);
+                        ctl.on_error(e)
+                    }
+                }
+            }
             Err(e) => ctl.on_error(EngineError::Comm(e)),
         };
-        match step {
-            Step::Retry => {}
-            Step::Degrade => {
-                self.note_degraded();
-                *algo = ReduceAlgo::Ring;
-            }
-            Step::Fail(err) => return Err(err),
-        }
-        self.verified_block_sync(
-            scheme, homac, data, out, block, offset, block_idx, algo, base_tag, ctl, vs, seg,
-        )
+        self.take_step(step, route)?;
+        let mut chunks = self.lease_chunks();
+        let result = self.verified_block_sync(
+            scheme,
+            homac,
+            data,
+            out,
+            block,
+            offset,
+            block_idx,
+            route,
+            base_tag,
+            ctl,
+            vs,
+            &mut chunks,
+        );
+        self.restore_chunks(chunks);
+        result
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -473,76 +584,56 @@ impl SecureComm {
         data: &[S::Input],
         out: &mut Vec<S::Input>,
         block: usize,
-        algo: &mut ReduceAlgo,
+        route: &mut Route,
         base_tag: u64,
         ctl: &mut RetryCtl,
         homac: &Homac,
     ) -> Result<(), EngineError> {
-        #[allow(clippy::type_complexity)]
-        let mut inflight: VecDeque<(
-            usize,
-            u64,
-            Request<Result<Vec<SchemePacket<S>>, CommError>>,
-        )> = VecDeque::with_capacity(DEPTH);
+        let mut inflight: InFlight<SchemePacket<S>> = VecDeque::with_capacity(DEPTH);
         let mut vs = VerifyScratch::<S>::lease(&mut self.arena);
-        let mut seg: Vec<SchemePacket<S>> = self.arena.take_vec();
-        let mut failed = None;
-        let mut offset = 0usize;
-        let mut block_idx = 0u64;
-        while offset < data.len() {
+        let mut result = Ok(());
+        let (mut offset, mut block_idx) = (0usize, 0u64);
+        while offset < data.len() && result.is_ok() {
             let end = (offset + block).min(data.len());
-            if let Err(e) = seal_block(
+            let mut chunks = self.lease_chunks();
+            let n = chunk_count(*route, self.world());
+            self.fit_chunks(&mut chunks, n);
+            let input = &data[offset..end];
+            if let Err(e) = seal_chunks(
                 scheme,
                 homac,
                 &self.keys,
                 offset,
-                &data[offset..end],
+                input,
                 &mut vs,
+                &mut chunks,
             ) {
-                failed = Some(e);
+                self.restore_chunks(chunks);
+                result = Err(e);
                 break;
             }
             hear_telemetry::incr(hear_telemetry::Metric::PipelineBlocks);
             hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, 1);
             let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
             let deadline = ctl.deadline();
-            inflight.push_back((
-                offset,
-                block_idx,
-                self.try_transport_nb(
-                    tag,
-                    std::mem::take(&mut vs.packets),
-                    *algo,
-                    packet_op::<S>,
-                    deadline,
-                ),
-            ));
+            let req =
+                post_transport_chunks(&self.comm, tag, chunks, *route, packet_op::<S>, deadline);
+            inflight.push_back((offset, block_idx, req));
             if inflight.len() >= DEPTH {
                 let (o, bi, req) = inflight.pop_front().expect("non-empty");
-                if let Err(e) = self.drain_verified_block(
-                    scheme, homac, data, out, block, o, bi, req, algo, base_tag, ctl, &mut vs,
-                    &mut seg,
-                ) {
-                    failed = Some(e);
-                    break;
-                }
+                result = self.drain_verified_block(
+                    scheme, homac, data, out, block, o, bi, req, route, base_tag, ctl, &mut vs,
+                );
             }
             offset = end;
             block_idx += 1;
         }
-        if failed.is_none() {
-            while let Some((o, bi, req)) = inflight.pop_front() {
-                if let Err(e) = self.drain_verified_block(
-                    scheme, homac, data, out, block, o, bi, req, algo, base_tag, ctl, &mut vs,
-                    &mut seg,
-                ) {
-                    failed = Some(e);
-                    break;
-                }
-            }
+        while let (Ok(()), Some((o, bi, req))) = (&result, inflight.pop_front()) {
+            result = self.drain_verified_block(
+                scheme, homac, data, out, block, o, bi, req, route, base_tag, ctl, &mut vs,
+            );
         }
         vs.restore(&mut self.arena);
-        self.arena.put_vec(seg);
-        failed.map_or(Ok(()), Err)
+        result
     }
 }

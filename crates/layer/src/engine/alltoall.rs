@@ -254,10 +254,16 @@ impl SecureComm {
             let post = if let Some(h) = homac {
                 let chunks =
                     seal_round_tagged::<S>(&self.keys, h, data, world, me, chunk_len, lo, hi, cs);
-                Post::Tagged(self.comm.try_ialltoall_tagged(tag, chunks, deadline))
+                Post::Tagged(
+                    self.comm
+                        .post(move |comm| comm.try_alltoall_tagged(tag, chunks, deadline)),
+                )
             } else {
                 let chunks = seal_round::<S>(&self.keys, data, world, me, chunk_len, lo, hi, cs);
-                Post::Plain(self.comm.try_ialltoall_tagged(tag, chunks, deadline))
+                Post::Plain(
+                    self.comm
+                        .post(move |comm| comm.try_alltoall_tagged(tag, chunks, deadline)),
+                )
             };
             inflight.push_back((round, post));
             if inflight.len() >= DEPTH {

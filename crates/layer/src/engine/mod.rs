@@ -32,22 +32,29 @@
 //!
 //! ## Steady-state memory behavior
 //!
-//! Every staging vector the engine needs — wire ciphertexts, digest
-//! lanes, HoMAC tags, verified packets and their decrypted blocks, ring
-//! segments, pads and cells — is leased from the per-communicator
-//! [`ScratchArena`] and returned after the call, and the aggregate buffer
-//! coming back from the transport is recycled as the next block's wire
-//! buffer. Combined with the callee-provided output of the `*_into`
-//! variants, the integer hot paths perform **zero heap allocation** after
-//! warmup.
+//! Every staging vector the engine needs — digest lanes, HoMAC tags,
+//! verified packets and their decrypted blocks, pads and cells — is leased
+//! from the per-communicator [`ScratchArena`] and returned after the call,
+//! and so are the *chunk vectors* a block travels in: one owned vector per
+//! ring chunk (one in all for the whole-vector algorithms), which the ring
+//! moves from rank to rank instead of copying, so a rank returns as many
+//! as it leased — though not the same ones. Combined with the
+//! callee-provided output of the `*_into` variants, the integer hot paths
+//! perform **zero heap allocation** after warmup.
 //!
 //! The plain reductions touch each payload byte once per phase: a block is
-//! masked out of place from the caller's input into the wire buffer (all
-//! noise streams folded in one pass), and its aggregate is unmasked
-//! straight onto the end of the caller's `out` as blocks drain in order —
-//! there is no pre-filled output and no decrypted staging copy. The
-//! verified reductions keep one (`VerifyScratch::dec`), because a block
-//! may reach `out` only after its digest check. On `Err`, `out` is empty.
+//! masked out of place from the caller's input straight into its chunk
+//! vectors (all noise streams folded in one pass, chunk `c` at pad offset
+//! `offset + s_c`), and each aggregated chunk is unmasked straight out of
+//! the vector it arrived in, as the ring hands it over, into its place in
+//! the spare capacity of the caller's `out` (`engine::window::OutWindow`) — there
+//! is no contiguous wire buffer, no pre-filled output and no decrypted
+//! staging copy. `out`'s length moves once per block, after the last chunk.
+//! The verified reductions keep one staging copy (`VerifyScratch::dec`),
+//! because a chunk may reach `out` only after its digest check. A posted
+//! (pipelined) block cannot touch `out` from its helper thread: it brings
+//! its chunks back and the drain unmasks them in order. On `Err`, `out` is
+//! empty.
 //!
 //! ## Keystream prefetch
 //!
@@ -91,6 +98,7 @@ mod membership;
 mod packet;
 mod phases;
 mod retry;
+mod window;
 
 pub use cfg::{ChunkMode, EngineCfg, EngineError, PeerDeadPolicy, RetryPolicy};
 pub use membership::MembershipChange;
@@ -99,7 +107,7 @@ pub(crate) use packet::{for_each_packet_shape, Packet, SchemePacket};
 use crate::prefetch::{PrefetchJob, MAX_PREFETCH_BLOCKS, MAX_STREAMS};
 use crate::secure::{ReduceAlgo, SecureComm};
 use hear_core::{Homac, Scheme, StreamPlan};
-use hear_mpi::{CommError, Request};
+use hear_mpi::{CommError, Communicator, Request};
 use std::time::Instant;
 
 /// Two blocks in flight overlap encrypt(n+1) and decrypt(n−1) with the
@@ -191,61 +199,161 @@ impl SecureComm {
         result
     }
 
-    /// The algorithm-selected blocking transport on an explicit attempt
-    /// tag and deadline. `seg` is the ring algorithm's hop staging buffer
-    /// (arena-leased by the caller); the other algorithms ignore it.
-    fn try_transport_sync<T, F>(
-        &self,
-        tag: u64,
-        data: Vec<T>,
-        algo: ReduceAlgo,
-        op: F,
-        seg: &mut Vec<T>,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<T>, CommError>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T + Send + Sync + Clone + 'static,
-    {
-        match algo {
-            ReduceAlgo::RecursiveDoubling => self
-                .comm
-                .try_allreduce_owned_tagged(tag, data, op, deadline),
-            ReduceAlgo::Ring => self
-                .comm
-                .try_allreduce_ring_owned_tagged_with_seg(tag, data, op, seg, deadline),
-            ReduceAlgo::Switch => self.comm.try_allreduce_inc_tagged(tag, data, op, deadline),
-            ReduceAlgo::Hierarchical { group } => self
-                .comm
-                .try_allreduce_hier_owned_tagged_with_seg(tag, data, op, group, seg, deadline),
+    /// Lease an (empty) set of wire chunk vectors from the arena; see
+    /// [`SecureComm::fit_chunks`].
+    fn lease_chunks<T: Send + 'static>(&mut self) -> Vec<Vec<T>> {
+        self.arena.take_vec()
+    }
+
+    /// Make `chunks` exactly `n` leased vectors — one per piece the
+    /// transport moves a block in: `world` of them under the ring (at world
+    /// 2 these are what used to be the wire buffer and the ring's segment
+    /// buffer), one for the whole-vector algorithms. Whoever fills one
+    /// sizes it first ([`make_room`]).
+    fn fit_chunks<T: Send + 'static>(&mut self, chunks: &mut Vec<Vec<T>>, n: usize) {
+        while chunks.len() < n {
+            chunks.push(self.arena.take_vec());
+        }
+        while chunks.len() > n {
+            self.arena.put_vec(chunks.pop().expect("longer than n"));
         }
     }
 
-    /// The algorithm-selected nonblocking transport on an explicit attempt
-    /// tag and deadline.
-    fn try_transport_nb<T, F>(
-        &self,
-        tag: u64,
-        data: Vec<T>,
-        algo: ReduceAlgo,
-        op: F,
-        deadline: Option<Instant>,
-    ) -> Request<Result<Vec<T>, CommError>>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T + Send + Sync + Clone + 'static,
-    {
-        match algo {
-            ReduceAlgo::RecursiveDoubling => {
-                self.comm.try_iallreduce_tagged(tag, data, op, deadline)
-            }
-            ReduceAlgo::Ring => self
-                .comm
-                .try_iallreduce_ring_tagged(tag, data, op, deadline),
-            ReduceAlgo::Switch => self.comm.try_iallreduce_inc_tagged(tag, data, op, deadline),
-            ReduceAlgo::Hierarchical { group } => self
-                .comm
-                .try_iallreduce_hier_tagged(tag, data, op, group, deadline),
+    /// Return leased chunk vectors — whichever allocations the ring left in
+    /// the slots — and their holder to the arena.
+    fn restore_chunks<T: Send + 'static>(&mut self, mut chunks: Vec<Vec<T>>) {
+        for chunk in chunks.drain(..) {
+            self.arena.put_vec(chunk);
         }
+        self.arena.put_vec(chunks);
     }
+}
+
+/// What the block runners are reducing towards, and over which transport.
+#[derive(Clone, Copy)]
+pub(crate) enum Route {
+    /// Every rank gets the whole aggregate, over this algorithm.
+    All(ReduceAlgo),
+    /// Rank `r` gets chunk `r` of every block: the ring's first phase
+    /// alone ([`SecureComm::reduce_scatter_with`]).
+    Scatter,
+}
+
+/// How many owned vectors a block travels as: the ring — both phases, or
+/// the first alone — moves one per [`hear_mpi::ring_chunk_bounds`] chunk,
+/// every other algorithm exchanges the whole vector.
+fn chunk_count(route: Route, world: usize) -> usize {
+    match route {
+        Route::All(ReduceAlgo::Ring) | Route::Scatter => world,
+        Route::All(_) => 1,
+    }
+}
+
+/// Empty `v` and give it room for `room` elements, exactly: a vector the
+/// ring moves comes back in any slot (and from any rank), so each is sized
+/// for the largest piece it may be dealt, and growing one by a single
+/// element must not double a payload-sized allocation.
+fn make_room<T>(v: &mut Vec<T>, room: usize) {
+    v.clear();
+    if v.capacity() < room {
+        v.reserve_exact(room);
+    }
+}
+
+/// Mask the block `input` (at global `offset`) into `chunks`, chunk `c` at
+/// `offset + s_c`: masking is block-composable (the [`Scheme`] contract),
+/// so the chunk ciphertexts are exactly the slices of the whole block's —
+/// same pad coordinates `(base, offset + s_c + j)`, same bits on the wire.
+/// Every vector is given room for the largest chunk ([`make_room`]).
+fn mask_chunks<S: Scheme>(
+    scheme: &mut S,
+    keys: &hear_core::CommKeys,
+    offset: usize,
+    input: &[S::Input],
+    chunks: &mut [Vec<S::Wire>],
+) -> Result<(), hear_core::HfpError> {
+    let n = chunks.len();
+    let room = input.len().div_ceil(n);
+    for (c, chunk) in chunks.iter_mut().enumerate() {
+        let (s, e) = phases::share_bounds(input.len(), n, c);
+        make_room(chunk, room);
+        scheme.mask_slice(keys, (offset + s) as u64, &input[s..e], chunk)?;
+    }
+    Ok(())
+}
+
+/// The route-selected blocking transport over a block's chunk vectors
+/// ([`chunk_count`] of them) on an explicit attempt tag and deadline.
+/// `visit(c, chunk)` sees every piece of this rank's result exactly once:
+/// each aggregated chunk as it passes, under the ring; the one whole
+/// vector after the exchange, under the other algorithms; the own chunk —
+/// as piece 0 — after a reduce-scatter. A free function so a posted block
+/// can run it on its helper thread.
+fn transport_chunks<T, F, V>(
+    comm: &Communicator,
+    tag: u64,
+    chunks: &mut [Vec<T>],
+    route: Route,
+    op: F,
+    mut visit: V,
+    deadline: Option<Instant>,
+) -> Result<(), CommError>
+where
+    T: Clone + Send + 'static,
+    F: Fn(&T, &T) -> T + Send + Sync + Clone + 'static,
+    V: FnMut(usize, &[T]),
+{
+    let whole = |chunks: &mut [Vec<T>]| std::mem::take(&mut chunks[0]);
+    let agg = match route {
+        Route::All(ReduceAlgo::Ring) => {
+            return comm.try_allreduce_ring_chunks(tag, chunks, op, visit, deadline);
+        }
+        Route::Scatter => {
+            comm.try_reduce_scatter_chunks(tag, chunks, op, deadline)?;
+            visit(0, &chunks[comm.rank()]);
+            return Ok(());
+        }
+        Route::All(ReduceAlgo::RecursiveDoubling) => {
+            comm.try_allreduce_owned_tagged(tag, whole(chunks), op, deadline)?
+        }
+        Route::All(ReduceAlgo::Switch) => {
+            comm.try_allreduce_inc_tagged(tag, whole(chunks), op, deadline)?
+        }
+        Route::All(ReduceAlgo::Hierarchical { group }) => {
+            comm.try_allreduce_hier_owned_tagged(tag, whole(chunks), op, group, deadline)?
+        }
+    };
+    visit(0, &agg);
+    chunks[0] = agg;
+    Ok(())
+}
+
+/// What a posted block hands back to the thread that waits on it: its
+/// aggregated chunk vectors, every slot holding its chunk.
+pub(crate) type PostedChunks<T> = Request<Result<Vec<Vec<T>>, CommError>>;
+
+/// [`transport_chunks`] posted to a helper thread. Nothing can be unmasked
+/// there, so the ring keeps its chunks (one copy per forwarded chunk) for
+/// the drain to unmask in order.
+fn post_transport_chunks<T, F>(
+    comm: &Communicator,
+    tag: u64,
+    mut chunks: Vec<Vec<T>>,
+    route: Route,
+    op: F,
+    deadline: Option<Instant>,
+) -> PostedChunks<T>
+where
+    T: Clone + Send + 'static,
+    F: Fn(&T, &T) -> T + Send + Sync + Clone + 'static,
+{
+    comm.post(move |comm| {
+        match route {
+            Route::All(ReduceAlgo::Ring) => {
+                comm.try_allreduce_ring_chunks_kept(tag, &mut chunks, op, deadline)?
+            }
+            _ => transport_chunks(comm, tag, &mut chunks, route, op, |_, _| {}, deadline)?,
+        }
+        Ok(chunks)
+    })
 }

@@ -9,6 +9,8 @@
 //! [`Tagged`] pairs carrying a shared-stream HoMAC tag per cell.
 
 use super::cfg::EngineError;
+use super::make_room;
+use super::phases::share_bounds;
 use crate::arena::ScratchArena;
 use crate::secure::{Tagged, VerificationError};
 use hear_core::{CommKeys, Homac, IntSum, LaneArray, Scheme, Scratch, DIGEST_BASE, DIGEST_LANES};
@@ -151,6 +153,32 @@ pub(crate) fn seal_block<S: Scheme + 'static>(
             d: lanes_at(&vs.dlanes, i),
             s: lanes_at(&vs.sigmas, i),
         }));
+    Ok(())
+}
+
+/// [`seal_block`] chunk by chunk into the vectors the transport moves:
+/// chunk `c` of the block `input` (at global `offset`) is sealed at
+/// `offset + s_c`, so payload pads, digest-lane pads and tag indices are
+/// the whole block's — the packets on the wire do not change. Like
+/// [`super::mask_chunks`], every vector gets room for the largest chunk.
+pub(crate) fn seal_chunks<S: Scheme + 'static>(
+    scheme: &mut S,
+    homac: &Homac,
+    keys: &CommKeys,
+    offset: usize,
+    input: &[S::Input],
+    vs: &mut VerifyScratch<S>,
+    chunks: &mut [Vec<SchemePacket<S>>],
+) -> Result<(), EngineError> {
+    let n = chunks.len();
+    let room = input.len().div_ceil(n);
+    for (c, chunk) in chunks.iter_mut().enumerate() {
+        let (s, e) = share_bounds(input.len(), n, c);
+        std::mem::swap(&mut vs.packets, chunk);
+        make_room(&mut vs.packets, room);
+        seal_block(scheme, homac, keys, offset + s, &input[s..e], vs)?;
+        std::mem::swap(&mut vs.packets, chunk);
+    }
     Ok(())
 }
 
@@ -368,6 +396,91 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// What the ring ships must not depend on how a block is cut: masking
+    /// or sealing it chunk by chunk into the transport's vectors yields,
+    /// concatenated, exactly the whole-block ciphertext / packets — for
+    /// every scheme, at every rank position, for chunk counts that leave
+    /// chunks empty, uneven and unaligned to the 128-bit PRF block.
+    fn chunked_wire_equals_whole_block<S: Scheme + 'static>(
+        mk: impl Fn() -> S,
+        input: Vec<S::Input>,
+    ) {
+        let world = 3;
+        let homac = Homac::generate(0x5EA1, Backend::best_available());
+        let mut arena = ScratchArena::default();
+        for keys in CommKeys::generate(world, 0x5EA0, Backend::best_available()) {
+            let (mut scheme, offset) = (mk(), 13);
+            let mut whole = Vec::new();
+            scheme
+                .mask_slice(&keys, offset as u64, &input, &mut whole)
+                .unwrap();
+            let mut vs = VerifyScratch::<S>::lease(&mut arena);
+            seal_block(&mut scheme, &homac, &keys, offset, &input, &mut vs).unwrap();
+            let sealed = std::mem::take(&mut vs.packets);
+            for nchunks in [1, 2, 3, 5, input.len() + 2] {
+                let mut plain: Vec<Vec<S::Wire>> = vec![vec![]; nchunks];
+                crate::engine::mask_chunks(&mut scheme, &keys, offset, &input, &mut plain).unwrap();
+                assert_eq!(plain.concat(), whole, "{} mask, {nchunks} chunks", S::NAME);
+                let mut packets: Vec<Vec<SchemePacket<S>>> = vec![vec![]; nchunks];
+                seal_chunks(
+                    &mut scheme,
+                    &homac,
+                    &keys,
+                    offset,
+                    &input,
+                    &mut vs,
+                    &mut packets,
+                )
+                .unwrap();
+                assert_eq!(
+                    packets.concat(),
+                    sealed,
+                    "{} seal, {nchunks} chunks",
+                    S::NAME
+                );
+                let lens: Vec<usize> = packets.iter().map(Vec::len).collect();
+                let want: Vec<usize> = (0..nchunks)
+                    .map(|c| share_bounds(input.len(), nchunks, c))
+                    .map(|(s, e)| e - s)
+                    .collect();
+                assert_eq!(lens, want, "{} chunk layout", S::NAME);
+            }
+            vs.restore(&mut arena);
+        }
+    }
+
+    #[test]
+    fn the_wire_does_not_depend_on_the_chunking() {
+        use hear_core::{FixedCodec, FixedSumScheme, FloatSumExpScheme, FloatSumScheme};
+        let ints: Vec<u64> = (1..24u64)
+            .map(|j| j.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let floats: Vec<f64> = (0..23).map(|j| 0.5 + 0.125 * j as f64).collect();
+        chunked_wire_equals_whole_block(
+            IntSumScheme::<u8>::default,
+            ints.iter().map(|x| *x as u8).collect(),
+        );
+        chunked_wire_equals_whole_block(
+            IntSumScheme::<u32>::default,
+            ints.iter().map(|x| *x as u32).collect(),
+        );
+        chunked_wire_equals_whole_block(IntProdScheme::<u64>::default, ints.clone());
+        chunked_wire_equals_whole_block(IntXorScheme::<u64>::default, ints);
+        chunked_wire_equals_whole_block(
+            || FixedSumScheme::new(FixedCodec::new(20)),
+            floats.clone(),
+        );
+        chunked_wire_equals_whole_block(
+            || FloatSumScheme::new(HfpFormat::fp32(2, 2)),
+            floats.clone(),
+        );
+        chunked_wire_equals_whole_block(
+            || FloatSumExpScheme::new(HfpFormat::fp64(0, 0)),
+            floats.clone(),
+        );
+        chunked_wire_equals_whole_block(|| FloatProdScheme::new(HfpFormat::fp64(0, 0)), floats);
     }
 
     #[test]

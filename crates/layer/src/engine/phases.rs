@@ -8,24 +8,22 @@
 //! transport (no combine happens, so elements ride as lossless XOR-padded
 //! `u64` cells with optional shared-stream HoMAC tags). Composing the two
 //! reproduces the fused ring allreduce bit for bit; underneath they share
-//! one hop loop in `hear_mpi`, so the three can never drift apart.
+//! one chunk-owned hop loop in `hear_mpi` — and the reduce-scatter shares
+//! the allreduce's block runners outright ([`Route::Scatter`]) — so the
+//! three can never drift apart.
 
 use super::cfg::{ChunkMode, EngineCfg, EngineError};
-use super::packet::{
-    open_block, open_cells, open_cells_tagged, packet_op, seal_block, seal_cells,
-    seal_cells_tagged, CellScratch, SchemePacket, VerifyScratch,
-};
+use super::packet::{open_cells, open_cells_tagged, seal_cells, seal_cells_tagged, CellScratch};
 use super::retry::{attempt_tag, RetryCtl, Step};
-use super::DEPTH;
+use super::{make_room, PostedChunks, Route, DEPTH};
 use crate::secure::{SecureComm, Tagged};
 use hear_core::{Homac, Scheme};
-use hear_mpi::{CommError, Request};
 use std::collections::VecDeque;
 
 /// Bounds `(start, end)` of rank `r`'s reduce-scatter share of an
 /// `n`-element block — the same chunking as
 /// [`hear_mpi::ring_chunk_bounds`], computed without the per-rank vector.
-fn share_bounds(n: usize, world: usize, r: usize) -> (usize, usize) {
+pub(crate) fn share_bounds(n: usize, world: usize, r: usize) -> (usize, usize) {
     let base = n / world;
     let extra = n % world;
     let start = r * base + r.min(extra);
@@ -70,10 +68,10 @@ impl SecureComm {
     /// [`SecureComm::reduce_scatter_with`] writing into a caller-provided
     /// vector (cleared, then the per-block shares are appended in block
     /// order). Steady-state allocation-free on the integer and float
-    /// paths, like the other `*_into` entry points: the staging vectors
-    /// are arena leases, and the ring hands the share back as its trimmed
-    /// accumulator, so the wire buffer keeps the whole block's capacity
-    /// from call to call (`tests/matrix.rs` counts both). Under
+    /// paths, like the other `*_into` entry points: the chunk vectors the
+    /// block is masked into are arena leases, and the ring hands the share
+    /// back as the chunk vector it ends owning (`tests/matrix.rs` counts
+    /// both). Under
     /// [`PeerDeadPolicy::ShrinkAndContinue`](super::cfg::PeerDeadPolicy)
     /// a dead member triggers membership reconfiguration and a re-run
     /// over the survivors — note the share layout then follows the
@@ -129,364 +127,17 @@ impl SecureComm {
         let nblocks = (data.len() as u64).div_ceil(block as u64);
         let base_tag = self.comm.reserve_coll_tags(nblocks);
         let mut ctl = RetryCtl::new(cfg.retry);
-        match (cfg.chunk, homac) {
-            (ChunkMode::Pipelined(_), None) => {
-                self.rs_plain_pipelined(scheme, data, out, block, base_tag, &mut ctl)
-            }
-            (ChunkMode::Pipelined(_), Some(h)) => {
-                self.rs_verified_pipelined(scheme, data, out, block, base_tag, &mut ctl, &h)
-            }
-            (_, None) => self.rs_plain_sync(scheme, data, out, block, base_tag, &mut ctl),
-            (_, Some(h)) => self.rs_verified_sync(scheme, data, out, block, base_tag, &mut ctl, &h),
-        }
-    }
-
-    /// One plain reduce-scatter block with the attempt loop: mask the
-    /// whole block → ring reduce-scatter → unmask this rank's share at
-    /// its global offset, appending to `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn rs_plain_block_sync<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        offset: usize,
-        block_idx: u64,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-        wire: &mut Vec<S::Wire>,
-        seg: &mut Vec<S::Wire>,
-    ) -> Result<(), EngineError> {
-        let end = (offset + block).min(data.len());
-        let (s_r, _) = share_bounds(end - offset, self.world(), self.rank());
-        loop {
-            scheme.mask_slice(&self.keys, offset as u64, &data[offset..end], wire)?;
-            let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
-            let deadline = ctl.deadline();
-            match self.comm.try_reduce_scatter_tagged_with_seg(
-                tag,
-                std::mem::take(wire),
-                S::op,
-                seg,
-                deadline,
-            ) {
-                Ok(share) => {
-                    scheme.unmask_extend(&self.keys, (offset + s_r) as u64, &share, out);
-                    *wire = share;
-                    return Ok(());
-                }
-                Err(e) => ring_step(ctl.on_error(EngineError::Comm(e)))?,
-            }
-        }
-    }
-
-    fn rs_plain_sync<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-    ) -> Result<(), EngineError> {
-        let mut wire: Vec<S::Wire> = self.arena.take_vec();
-        let mut seg: Vec<S::Wire> = self.arena.take_vec();
-        let mut failed = None;
-        let (mut offset, mut block_idx) = (0usize, 0u64);
-        while offset < data.len() {
-            if let Err(e) = self.rs_plain_block_sync(
-                scheme, data, out, block, offset, block_idx, base_tag, ctl, &mut wire, &mut seg,
-            ) {
-                failed = Some(e);
-                break;
-            }
-            offset = (offset + block).min(data.len());
-            block_idx += 1;
-        }
-        self.arena.put_vec(wire);
-        self.arena.put_vec(seg);
-        failed.map_or(Ok(()), Err)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rs_plain_pipelined<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-    ) -> Result<(), EngineError> {
-        #[allow(clippy::type_complexity)]
-        let mut inflight: VecDeque<(usize, u64, Request<Result<Vec<S::Wire>, CommError>>)> =
-            VecDeque::with_capacity(DEPTH);
-        let mut wire: Vec<S::Wire> = self.arena.take_vec();
-        let mut seg: Vec<S::Wire> = self.arena.take_vec();
-        let mut failed = None;
-        let (mut offset, mut block_idx) = (0usize, 0u64);
-        let drain = |sc: &mut Self,
-                     scheme: &mut S,
-                     o: usize,
-                     bi: u64,
-                     req: Request<Result<Vec<S::Wire>, CommError>>,
-                     ctl: &mut RetryCtl,
-                     wire: &mut Vec<S::Wire>,
-                     seg: &mut Vec<S::Wire>,
-                     out: &mut Vec<S::Input>|
-         -> Result<(), EngineError> {
-            let res = {
-                let _w = hear_telemetry::span!("pipeline_wait", offset = o);
-                req.wait()
-            };
-            hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, -1);
-            match res {
-                Ok(share) => {
-                    let end = (o + block).min(data.len());
-                    let (s_r, _) = share_bounds(end - o, sc.world(), sc.rank());
-                    scheme.unmask_extend(&sc.keys, (o + s_r) as u64, &share, out);
-                    *wire = share;
-                    Ok(())
-                }
-                Err(e) => {
-                    ring_step(ctl.on_error(EngineError::Comm(e)))?;
-                    sc.rs_plain_block_sync(
-                        scheme, data, out, block, o, bi, base_tag, ctl, wire, seg,
-                    )
-                }
-            }
-        };
-        while offset < data.len() {
-            let end = (offset + block).min(data.len());
-            if let Err(e) =
-                scheme.mask_block(&self.keys, offset as u64, &data[offset..end], &mut wire)
-            {
-                failed = Some(EngineError::from(e));
-                break;
-            }
-            hear_telemetry::incr(hear_telemetry::Metric::PipelineBlocks);
-            hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, 1);
-            let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
-            let deadline = ctl.deadline();
-            inflight.push_back((
-                offset,
-                block_idx,
-                self.comm.try_ireduce_scatter_tagged(
-                    tag,
-                    std::mem::take(&mut wire),
-                    S::op,
-                    deadline,
-                ),
-            ));
-            if inflight.len() >= DEPTH {
-                let (o, bi, req) = inflight.pop_front().expect("non-empty");
-                if let Err(e) = drain(self, scheme, o, bi, req, ctl, &mut wire, &mut seg, out) {
-                    failed = Some(e);
-                    break;
-                }
-            }
-            offset = end;
-            block_idx += 1;
-        }
-        if failed.is_none() {
-            while let Some((o, bi, req)) = inflight.pop_front() {
-                if let Err(e) = drain(self, scheme, o, bi, req, ctl, &mut wire, &mut seg, out) {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        self.arena.put_vec(wire);
-        self.arena.put_vec(seg);
-        failed.map_or(Ok(()), Err)
-    }
-
-    /// One verified reduce-scatter block: seal the whole block (digest
-    /// lanes at global indices), ring-reduce the packets, then open this
-    /// rank's share at its share offset — the per-element digest PRF
-    /// indices line up because they are functions of the global element
-    /// index alone.
-    #[allow(clippy::too_many_arguments)]
-    fn rs_verified_block_sync<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        homac: &Homac,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        offset: usize,
-        block_idx: u64,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-        vs: &mut VerifyScratch<S>,
-        seg: &mut Vec<SchemePacket<S>>,
-    ) -> Result<(), EngineError> {
-        let world = self.world();
-        let end = (offset + block).min(data.len());
-        let (s_r, _) = share_bounds(end - offset, world, self.rank());
-        loop {
-            seal_block(scheme, homac, &self.keys, offset, &data[offset..end], vs)?;
-            let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
-            let deadline = ctl.deadline();
-            let step = match self.comm.try_reduce_scatter_tagged_with_seg(
-                tag,
-                std::mem::take(&mut vs.packets),
-                packet_op::<S>,
-                seg,
-                deadline,
-            ) {
-                Ok(agg) => {
-                    match open_block(scheme, homac, &self.keys, world, offset + s_r, &agg, vs) {
-                        Ok(()) => {
-                            out.extend_from_slice(&vs.dec);
-                            vs.packets = agg;
-                            return Ok(());
-                        }
-                        Err(e) => ctl.on_error(e),
-                    }
-                }
-                Err(e) => ctl.on_error(EngineError::Comm(e)),
-            };
-            ring_step(step)?;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rs_verified_sync<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-        homac: &Homac,
-    ) -> Result<(), EngineError> {
-        let mut vs = VerifyScratch::<S>::lease(&mut self.arena);
-        let mut seg: Vec<SchemePacket<S>> = self.arena.take_vec();
-        let mut failed = None;
-        let (mut offset, mut block_idx) = (0usize, 0u64);
-        while offset < data.len() {
-            if let Err(e) = self.rs_verified_block_sync(
-                scheme, homac, data, out, block, offset, block_idx, base_tag, ctl, &mut vs,
-                &mut seg,
-            ) {
-                failed = Some(e);
-                break;
-            }
-            offset = (offset + block).min(data.len());
-            block_idx += 1;
-        }
-        vs.restore(&mut self.arena);
-        self.arena.put_vec(seg);
-        failed.map_or(Ok(()), Err)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rs_verified_pipelined<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-        homac: &Homac,
-    ) -> Result<(), EngineError> {
-        #[allow(clippy::type_complexity)]
-        let mut inflight: VecDeque<(
-            usize,
-            u64,
-            Request<Result<Vec<SchemePacket<S>>, CommError>>,
-        )> = VecDeque::with_capacity(DEPTH);
-        let mut vs = VerifyScratch::<S>::lease(&mut self.arena);
-        let mut seg: Vec<SchemePacket<S>> = self.arena.take_vec();
-        let mut failed = None;
-        let (mut offset, mut block_idx) = (0usize, 0u64);
-        let world = self.world();
-        let rank = self.rank();
-        let drain = |sc: &mut Self,
-                     scheme: &mut S,
-                     o: usize,
-                     bi: u64,
-                     req: Request<Result<Vec<SchemePacket<S>>, CommError>>,
-                     ctl: &mut RetryCtl,
-                     vs: &mut VerifyScratch<S>,
-                     seg: &mut Vec<SchemePacket<S>>,
-                     out: &mut Vec<S::Input>|
-         -> Result<(), EngineError> {
-            let res = {
-                let _w = hear_telemetry::span!("pipeline_wait", offset = o);
-                req.wait()
-            };
-            hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, -1);
-            let end = (o + block).min(data.len());
-            let (s_r, _) = share_bounds(end - o, world, rank);
-            let step = match res {
-                Ok(agg) => match open_block(scheme, homac, &sc.keys, world, o + s_r, &agg, vs) {
-                    Ok(()) => {
-                        out.extend_from_slice(&vs.dec);
-                        vs.packets = agg;
-                        return Ok(());
-                    }
-                    Err(e) => ctl.on_error(e),
-                },
-                Err(e) => ctl.on_error(EngineError::Comm(e)),
-            };
-            ring_step(step)?;
-            sc.rs_verified_block_sync(
-                scheme, homac, data, out, block, o, bi, base_tag, ctl, vs, seg,
-            )
-        };
-        while offset < data.len() {
-            let end = (offset + block).min(data.len());
-            if let Err(e) = seal_block(
-                scheme,
-                homac,
-                &self.keys,
-                offset,
-                &data[offset..end],
-                &mut vs,
-            ) {
-                failed = Some(e);
-                break;
-            }
-            hear_telemetry::incr(hear_telemetry::Metric::PipelineBlocks);
-            hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, 1);
-            let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
-            let deadline = ctl.deadline();
-            inflight.push_back((
-                offset,
-                block_idx,
-                self.comm.try_ireduce_scatter_tagged(
-                    tag,
-                    std::mem::take(&mut vs.packets),
-                    packet_op::<S>,
-                    deadline,
-                ),
-            ));
-            if inflight.len() >= DEPTH {
-                let (o, bi, req) = inflight.pop_front().expect("non-empty");
-                if let Err(e) = drain(self, scheme, o, bi, req, ctl, &mut vs, &mut seg, out) {
-                    failed = Some(e);
-                    break;
-                }
-            }
-            offset = end;
-            block_idx += 1;
-        }
-        if failed.is_none() {
-            while let Some((o, bi, req)) = inflight.pop_front() {
-                if let Err(e) = drain(self, scheme, o, bi, req, ctl, &mut vs, &mut seg, out) {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        vs.restore(&mut self.arena);
-        self.arena.put_vec(seg);
-        failed.map_or(Ok(()), Err)
+        self.run_blocks(
+            scheme,
+            data,
+            out,
+            block,
+            cfg.chunk,
+            &mut Route::Scatter,
+            base_tag,
+            &mut ctl,
+            homac.as_ref(),
+        )
     }
 
     /// Encrypted ring allgather: contributions may differ in length per
@@ -557,405 +208,361 @@ impl SecureComm {
         // uneven contributions agree on the layout (and on how many data
         // tags to reserve) before any payload moves.
         let counts_tag = self.comm.reserve_coll_tags(1);
-        let mut cseg: Vec<u64> = self.arena.take_vec();
         let mut ones: Vec<usize> = self.arena.take_vec();
-        ones.clear();
         ones.resize(world, 1);
-        let counts: Vec<u64> = loop {
+        let exchanged = loop {
             let tag = attempt_tag(counts_tag, 0, ctl.attempt);
-            let deadline = ctl.deadline();
-            match self.comm.try_allgather_tagged_with_seg(
-                tag,
-                vec![mine.len() as u64],
-                &ones,
-                &mut cseg,
-                deadline,
-            ) {
-                Ok(c) => break c,
+            let own = vec![mine.len() as u64];
+            match (self.comm).try_allgather_tagged(tag, own, &ones, ctl.deadline()) {
+                Ok(counts) => break Ok(counts),
                 Err(e) => {
                     if let Err(err) = ring_step(ctl.on_error(EngineError::Comm(e))) {
-                        self.arena.put_vec(cseg);
-                        self.arena.put_vec(ones);
-                        return Err(err);
+                        break Err(err);
                     }
                 }
             }
         };
-        self.arena.put_vec(cseg);
         self.arena.put_vec(ones);
+        let counts = exchanged?;
         let mut starts: Vec<u64> = self.arena.take_vec();
-        starts.clear();
         let mut total = 0u64;
         for c in &counts {
             starts.push(total);
             total += c;
         }
-        if total == 0 {
-            self.arena.put_vec(starts);
-            return Ok(());
-        }
+        let res = if total > 0 {
+            self.ag_layout::<S>(mine, out, cfg, &mut ctl, &counts, &starts, homac.as_ref())
+        } else {
+            Ok(())
+        };
+        self.arena.put_vec(starts);
+        res
+    }
+
+    /// Fix the round structure from the agreed counts, size `out`, and run
+    /// the rounds on the cell flavour the integrity setting calls for.
+    #[allow(clippy::too_many_arguments)]
+    fn ag_layout<S: Scheme + 'static>(
+        &mut self,
+        mine: &[S::Input],
+        out: &mut Vec<S::Input>,
+        cfg: EngineCfg,
+        ctl: &mut RetryCtl,
+        counts: &[u64],
+        starts: &[u64],
+        homac: Option<&Homac>,
+    ) -> Result<(), EngineError> {
+        let longest = counts.iter().copied().max().unwrap_or(0);
         let b = match cfg.chunk {
-            ChunkMode::Sync => counts.iter().copied().max().unwrap_or(0).max(1) as usize,
+            ChunkMode::Sync => longest.max(1) as usize,
             ChunkMode::Blocked(x) | ChunkMode::Pipelined(x) => {
                 assert!(x > 0, "block size must be positive");
                 x
             }
         };
-        let nrounds = counts
-            .iter()
-            .map(|c| c.div_ceil(b as u64))
-            .max()
-            .unwrap_or(1)
-            .max(1);
+        let nrounds = longest.div_ceil(b as u64).max(1);
         let base_tag = self.comm.reserve_coll_tags(nrounds);
-        out.resize(total as usize, S::cell_decode(0));
-        let pipelined = matches!(cfg.chunk, ChunkMode::Pipelined(_));
-        let res = self.ag_rounds::<S>(
+        let total = (starts[starts.len() - 1] + counts[counts.len() - 1]) as usize;
+        out.resize(total, S::cell_decode(0));
+        let round = Rounds {
             mine,
-            out,
             b,
-            nrounds,
+            room: b.min(longest as usize),
             base_tag,
-            &mut ctl,
-            &counts,
-            &starts,
-            homac.as_ref(),
-            pipelined,
-        );
-        self.arena.put_vec(starts);
-        res
+            counts,
+            starts,
+            homac,
+        };
+        let pipelined = matches!(cfg.chunk, ChunkMode::Pipelined(_));
+        match homac {
+            Some(_) => self.ag_rounds::<S, Tagged<u64>>(&round, out, nrounds, ctl, pipelined),
+            None => self.ag_rounds::<S, u64>(&round, out, nrounds, ctl, pipelined),
+        }
     }
 
     /// Run the allgather rounds: sequential when `pipelined` is false,
     /// otherwise up to [`DEPTH`] rounds posted nonblocking with FIFO
     /// drain (failed posts fall back to the synchronous round, which
     /// retries per the policy).
-    #[allow(clippy::too_many_arguments)]
-    fn ag_rounds<S: Scheme + 'static>(
+    fn ag_rounds<S: Scheme + 'static, C: WireCell>(
         &mut self,
-        mine: &[S::Input],
+        rounds: &Rounds<'_, S>,
         out: &mut [S::Input],
-        b: usize,
         nrounds: u64,
-        base_tag: u64,
         ctl: &mut RetryCtl,
-        counts: &[u64],
-        starts: &[u64],
-        homac: Option<&Homac>,
         pipelined: bool,
     ) -> Result<(), EngineError> {
         let mut cs = CellScratch::lease(&mut self.arena);
-        let mut seg: Vec<u64> = self.arena.take_vec();
-        let mut tseg: Vec<Tagged<u64>> = self.arena.take_vec();
-        let mut rcounts: Vec<usize> = self.arena.take_vec();
-        let mut failed = None;
+        let mut result = Ok(());
         if pipelined {
-            failed = self
-                .ag_rounds_pipelined::<S>(
-                    mine,
-                    out,
-                    b,
-                    nrounds,
-                    base_tag,
-                    ctl,
-                    counts,
-                    starts,
-                    homac,
-                    &mut cs,
-                    &mut seg,
-                    &mut tseg,
-                    &mut rcounts,
-                )
-                .err();
+            result = self.ag_rounds_pipelined::<S, C>(rounds, out, nrounds, ctl, &mut cs);
         } else {
+            let mut hops: Vec<Vec<C>> = self.lease_chunks();
             for k in 0..nrounds {
-                if let Err(e) = self.ag_round_sync::<S>(
-                    mine,
-                    out,
-                    b,
-                    k,
-                    base_tag,
-                    ctl,
-                    counts,
-                    starts,
-                    homac,
-                    &mut cs,
-                    &mut seg,
-                    &mut tseg,
-                    &mut rcounts,
-                ) {
-                    failed = Some(e);
+                result = self.ag_round_sync::<S, C>(rounds, out, k, ctl, &mut cs, &mut hops);
+                if result.is_err() {
                     break;
                 }
             }
+            self.restore_chunks(hops);
         }
         cs.restore(&mut self.arena);
-        self.arena.put_vec(seg);
-        self.arena.put_vec(tseg);
-        self.arena.put_vec(rcounts);
-        failed.map_or(Ok(()), Err)
+        result
     }
 
-    /// One allgather round, synchronously, with the attempt loop.
-    #[allow(clippy::too_many_arguments)]
-    fn ag_round_sync<S: Scheme + 'static>(
+    /// One allgather round, synchronously, with the attempt loop: seal the
+    /// own piece into its chunk vector, circulate, and open every rank's
+    /// piece into its place in `out` as the ring hands it over — nothing is
+    /// gathered into a buffer first. A piece that fails its MAC is still
+    /// forwarded and fails the attempt.
+    fn ag_round_sync<S: Scheme + 'static, C: WireCell>(
         &mut self,
-        mine: &[S::Input],
+        rounds: &Rounds<'_, S>,
         out: &mut [S::Input],
-        b: usize,
         round: u64,
-        base_tag: u64,
         ctl: &mut RetryCtl,
-        counts: &[u64],
-        starts: &[u64],
-        homac: Option<&Homac>,
         cs: &mut CellScratch,
-        seg: &mut Vec<u64>,
-        tseg: &mut Vec<Tagged<u64>>,
-        rcounts: &mut Vec<usize>,
+        hops: &mut Vec<Vec<C>>,
     ) -> Result<(), EngineError> {
-        let _world = self.world();
-        let rank = self.rank();
-        let lo = round as usize * b;
-        rcounts.clear();
-        rcounts.extend(
-            counts
-                .iter()
-                .map(|c| (*c as usize).saturating_sub(lo).min(b)),
-        );
-        let piece = &mine[lo.min(mine.len())..(lo + b).min(mine.len())];
-        let first = starts[rank] + lo as u64;
+        self.fit_chunks(hops, self.world());
         loop {
-            let tag = attempt_tag(base_tag, round, ctl.attempt);
+            rounds.seal(&self.keys, self.rank(), round, cs, &mut hops[self.rank()]);
+            let tag = attempt_tag(rounds.base_tag, round, ctl.attempt);
             let deadline = ctl.deadline();
-            let step = if let Some(h) = homac {
-                seal_cells_tagged::<S>(&self.keys, h, first, piece, cs);
-                match self.comm.try_allgather_tagged_with_seg(
-                    tag,
-                    std::mem::take(&mut cs.tagged),
-                    rcounts,
-                    tseg,
-                    deadline,
-                ) {
-                    Ok(gathered) => {
-                        match open_gathered_tagged::<S>(
-                            &self.keys, h, &gathered, lo, rcounts, starts, cs, out,
-                        ) {
-                            Ok(()) => {
-                                cs.tagged = gathered;
-                                return Ok(());
-                            }
-                            Err(e) => ctl.on_error(e),
-                        }
-                    }
-                    Err(e) => ctl.on_error(EngineError::Comm(e)),
+            let mut rejected = None;
+            let keys = &self.keys;
+            let open = |r: usize, piece: &[C]| {
+                if rejected.is_none() {
+                    rejected = rounds.open(keys, r, round, piece, cs, out).err();
                 }
-            } else {
-                seal_cells::<S>(&self.keys, first, piece, cs);
-                match self.comm.try_allgather_tagged_with_seg(
-                    tag,
-                    std::mem::take(&mut cs.cells),
-                    rcounts,
-                    seg,
-                    deadline,
-                ) {
-                    Ok(gathered) => {
-                        open_gathered::<S>(&self.keys, &gathered, lo, rcounts, starts, cs, out);
-                        cs.cells = gathered;
-                        return Ok(());
-                    }
-                    Err(e) => ctl.on_error(EngineError::Comm(e)),
-                }
+            };
+            let gathered = self.comm.try_allgather_chunks(tag, hops, open, deadline);
+            let step = match (gathered, rejected) {
+                (Ok(()), None) => return Ok(()),
+                (Ok(()), Some(e)) => ctl.on_error(e),
+                (Err(e), _) => ctl.on_error(EngineError::Comm(e)),
             };
             ring_step(step)?;
         }
     }
 
-    /// Pipelined allgather rounds: posts carry owned copies of the round's
-    /// cells and counts; drains scatter into place (order-independent) and
-    /// fall back to [`SecureComm::ag_round_sync`] on failure.
-    #[allow(clippy::too_many_arguments)]
-    fn ag_rounds_pipelined<S: Scheme + 'static>(
+    /// Pipelined allgather rounds: a posted round keeps its chunks and
+    /// brings them back; drains open them into place (order-independent)
+    /// and fall back to [`SecureComm::ag_round_sync`] on failure.
+    fn ag_rounds_pipelined<S: Scheme + 'static, C: WireCell>(
         &mut self,
-        mine: &[S::Input],
+        rounds: &Rounds<'_, S>,
         out: &mut [S::Input],
-        b: usize,
         nrounds: u64,
-        base_tag: u64,
         ctl: &mut RetryCtl,
-        counts: &[u64],
-        starts: &[u64],
-        homac: Option<&Homac>,
         cs: &mut CellScratch,
-        seg: &mut Vec<u64>,
-        tseg: &mut Vec<Tagged<u64>>,
-        rcounts: &mut Vec<usize>,
     ) -> Result<(), EngineError> {
-        enum Post {
-            Plain(Request<Result<Vec<u64>, CommError>>),
-            Tagged(Request<Result<Vec<Tagged<u64>>, CommError>>),
-        }
-        let rank = self.rank();
-        let mut inflight: VecDeque<(u64, Post)> = VecDeque::with_capacity(DEPTH);
-        let drain = |sc: &mut Self,
-                     round: u64,
-                     post: Post,
-                     ctl: &mut RetryCtl,
-                     cs: &mut CellScratch,
-                     seg: &mut Vec<u64>,
-                     tseg: &mut Vec<Tagged<u64>>,
-                     rcounts: &mut Vec<usize>,
-                     out: &mut [S::Input]|
+        let mut inflight: VecDeque<(u64, PostedChunks<C>)> = VecDeque::with_capacity(DEPTH);
+        let mut drain = |sc: &mut Self,
+                         round: u64,
+                         req: PostedChunks<C>,
+                         ctl: &mut RetryCtl,
+                         cs: &mut CellScratch|
          -> Result<(), EngineError> {
-            let lo = round as usize * b;
-            rcounts.clear();
-            rcounts.extend(
-                counts
-                    .iter()
-                    .map(|c| (*c as usize).saturating_sub(lo).min(b)),
-            );
             hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, -1);
-            let step = match post {
-                Post::Plain(req) => match req.wait() {
-                    Ok(gathered) => {
-                        open_gathered::<S>(&sc.keys, &gathered, lo, rcounts, starts, cs, out);
-                        cs.cells = gathered;
-                        return Ok(());
-                    }
-                    Err(e) => ctl.on_error(EngineError::Comm(e)),
-                },
-                Post::Tagged(req) => match req.wait() {
-                    Ok(gathered) => match open_gathered_tagged::<S>(
-                        &sc.keys,
-                        homac.expect("tagged post implies homac"),
-                        &gathered,
-                        lo,
-                        rcounts,
-                        starts,
-                        cs,
-                        out,
-                    ) {
-                        Ok(()) => {
-                            cs.tagged = gathered;
-                            return Ok(());
-                        }
+            let step = match req.wait() {
+                Ok(hops) => {
+                    let opened = (hops.iter().enumerate())
+                        .try_for_each(|(r, piece)| rounds.open(&sc.keys, r, round, piece, cs, out));
+                    sc.restore_chunks(hops);
+                    match opened {
+                        Ok(()) => return Ok(()),
                         Err(e) => ctl.on_error(e),
-                    },
-                    Err(e) => ctl.on_error(EngineError::Comm(e)),
-                },
+                    }
+                }
+                Err(e) => ctl.on_error(EngineError::Comm(e)),
             };
             ring_step(step)?;
-            sc.ag_round_sync::<S>(
-                mine, out, b, round, base_tag, ctl, counts, starts, homac, cs, seg, tseg, rcounts,
-            )
+            let mut hops = sc.lease_chunks();
+            let result = sc.ag_round_sync::<S, C>(rounds, out, round, ctl, cs, &mut hops);
+            sc.restore_chunks(hops);
+            result
         };
-        let mut failed = None;
+        let mut result = Ok(());
         for round in 0..nrounds {
-            let lo = round as usize * b;
-            let piece = &mine[lo.min(mine.len())..(lo + b).min(mine.len())];
-            let first = starts[rank] + lo as u64;
-            let round_counts: Vec<usize> = counts
-                .iter()
-                .map(|c| (*c as usize).saturating_sub(lo).min(b))
-                .collect();
+            let mut hops: Vec<Vec<C>> = self.lease_chunks();
+            self.fit_chunks(&mut hops, self.world());
+            rounds.seal(&self.keys, self.rank(), round, cs, &mut hops[self.rank()]);
             hear_telemetry::incr(hear_telemetry::Metric::PipelineBlocks);
             hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, 1);
-            let tag = attempt_tag(base_tag, round, ctl.attempt);
+            let tag = attempt_tag(rounds.base_tag, round, ctl.attempt);
             let deadline = ctl.deadline();
-            let post = if let Some(h) = homac {
-                seal_cells_tagged::<S>(&self.keys, h, first, piece, cs);
-                Post::Tagged(self.comm.try_iallgather_tagged(
-                    tag,
-                    std::mem::take(&mut cs.tagged),
-                    round_counts,
-                    deadline,
-                ))
-            } else {
-                seal_cells::<S>(&self.keys, first, piece, cs);
-                Post::Plain(self.comm.try_iallgather_tagged(
-                    tag,
-                    std::mem::take(&mut cs.cells),
-                    round_counts,
-                    deadline,
-                ))
-            };
-            inflight.push_back((round, post));
+            let req = self.comm.post(move |comm| {
+                comm.try_allgather_chunks_kept(tag, &mut hops, deadline)?;
+                Ok(hops)
+            });
+            inflight.push_back((round, req));
             if inflight.len() >= DEPTH {
-                let (r, post) = inflight.pop_front().expect("non-empty");
-                if let Err(e) = drain(self, r, post, ctl, cs, seg, tseg, rcounts, out) {
-                    failed = Some(e);
+                let (r, req) = inflight.pop_front().expect("non-empty");
+                result = drain(self, r, req, ctl, cs);
+                if result.is_err() {
                     break;
                 }
             }
         }
-        if failed.is_none() {
-            while let Some((r, post)) = inflight.pop_front() {
-                if let Err(e) = drain(self, r, post, ctl, cs, seg, tseg, rcounts, out) {
-                    failed = Some(e);
-                    break;
-                }
-            }
+        while let (Ok(()), Some((r, req))) = (&result, inflight.pop_front()) {
+            result = drain(self, r, req, ctl, cs);
         }
-        failed.map_or(Ok(()), Err)
+        result
     }
 }
 
-/// Scatter one gathered plain round into the output: rank `r`'s piece
-/// lands at `starts[r] + lo`, unpadded at its global pad indices.
-fn open_gathered<S: Scheme>(
-    keys: &hear_core::CommKeys,
-    gathered: &[u64],
-    lo: usize,
-    rcounts: &[usize],
-    starts: &[u64],
-    cs: &mut CellScratch,
-    out: &mut [S::Input],
-) {
-    let mut pos = 0usize;
-    for (r, cnt) in rcounts.iter().enumerate() {
-        if *cnt == 0 {
-            continue;
-        }
-        let g0 = starts[r] as usize + lo;
-        open_cells::<S>(
+/// A cell as the single-origin ring ships it: bare, or with its
+/// shared-stream HoMAC tag. The two flavours differ only in how a piece is
+/// sealed and opened.
+pub(crate) trait WireCell: Clone + Send + Sized + 'static {
+    /// Seal `piece` at global cell index `first` into `sealed`.
+    fn seal<S: Scheme>(
+        keys: &hear_core::CommKeys,
+        homac: Option<&Homac>,
+        first: u64,
+        piece: &[S::Input],
+        cs: &mut CellScratch,
+        sealed: &mut Vec<Self>,
+    );
+
+    /// Open `cells` (sealed at `first`) into `out`, of the same length;
+    /// nothing is written unless the whole piece checks out.
+    fn open<S: Scheme>(
+        keys: &hear_core::CommKeys,
+        homac: Option<&Homac>,
+        first: u64,
+        cells: &[Self],
+        cs: &mut CellScratch,
+        out: &mut [S::Input],
+    ) -> Result<(), EngineError>;
+}
+
+impl WireCell for u64 {
+    fn seal<S: Scheme>(
+        keys: &hear_core::CommKeys,
+        _homac: Option<&Homac>,
+        first: u64,
+        piece: &[S::Input],
+        cs: &mut CellScratch,
+        sealed: &mut Vec<u64>,
+    ) {
+        std::mem::swap(&mut cs.cells, sealed);
+        seal_cells::<S>(keys, first, piece, cs);
+        std::mem::swap(&mut cs.cells, sealed);
+    }
+
+    fn open<S: Scheme>(
+        keys: &hear_core::CommKeys,
+        _homac: Option<&Homac>,
+        first: u64,
+        cells: &[u64],
+        cs: &mut CellScratch,
+        out: &mut [S::Input],
+    ) -> Result<(), EngineError> {
+        open_cells::<S>(keys, first, cells, cs, out);
+        Ok(())
+    }
+}
+
+impl WireCell for Tagged<u64> {
+    fn seal<S: Scheme>(
+        keys: &hear_core::CommKeys,
+        homac: Option<&Homac>,
+        first: u64,
+        piece: &[S::Input],
+        cs: &mut CellScratch,
+        sealed: &mut Vec<Tagged<u64>>,
+    ) {
+        let homac = homac.expect("tagged cells imply HoMAC state");
+        std::mem::swap(&mut cs.tagged, sealed);
+        seal_cells_tagged::<S>(keys, homac, first, piece, cs);
+        std::mem::swap(&mut cs.tagged, sealed);
+    }
+
+    fn open<S: Scheme>(
+        keys: &hear_core::CommKeys,
+        homac: Option<&Homac>,
+        first: u64,
+        cells: &[Tagged<u64>],
+        cs: &mut CellScratch,
+        out: &mut [S::Input],
+    ) -> Result<(), EngineError> {
+        let homac = homac.expect("tagged cells imply HoMAC state");
+        open_cells_tagged::<S>(keys, homac, first, cells, cs, out)
+    }
+}
+
+/// The round structure of one allgather call: every rank's contribution
+/// is cut into pieces of `b` cells, round `k` circulates piece `k` of
+/// each, and rank `r`'s piece lands at `starts[r] + k·b` — which is also
+/// its pad (and MAC) index, so every (origin, position) pair draws a
+/// distinct keystream word.
+struct Rounds<'a, S: Scheme> {
+    mine: &'a [S::Input],
+    b: usize,
+    /// Cells in the longest piece any rank ships in any round.
+    room: usize,
+    base_tag: u64,
+    counts: &'a [u64],
+    starts: &'a [u64],
+    homac: Option<&'a Homac>,
+}
+
+impl<S: Scheme> Rounds<'_, S> {
+    /// Global index and length of rank `r`'s piece in `round`.
+    fn piece(&self, r: usize, round: u64) -> (usize, usize) {
+        let lo = round as usize * self.b;
+        let len = (self.counts[r] as usize).saturating_sub(lo).min(self.b);
+        (self.starts[r] as usize + lo, len)
+    }
+
+    /// Seal this rank's piece of `round` into `sealed`.
+    fn seal<C: WireCell>(
+        &self,
+        keys: &hear_core::CommKeys,
+        rank: usize,
+        round: u64,
+        cs: &mut CellScratch,
+        sealed: &mut Vec<C>,
+    ) {
+        let (g0, len) = self.piece(rank, round);
+        // A contribution shorter than `round · b` has an empty piece here.
+        let lo = (g0 - self.starts[rank] as usize).min(self.mine.len());
+        make_room(sealed, self.room);
+        C::seal::<S>(
             keys,
+            self.homac,
             g0 as u64,
-            &gathered[pos..pos + cnt],
+            &self.mine[lo..lo + len],
             cs,
-            &mut out[g0..g0 + cnt],
+            sealed,
         );
-        pos += cnt;
     }
-}
 
-/// Scatter one gathered verified round into the output, rejecting the
-/// round if any rank's segment fails its shared-stream MAC.
-#[allow(clippy::too_many_arguments)]
-fn open_gathered_tagged<S: Scheme>(
-    keys: &hear_core::CommKeys,
-    homac: &Homac,
-    gathered: &[Tagged<u64>],
-    lo: usize,
-    rcounts: &[usize],
-    starts: &[u64],
-    cs: &mut CellScratch,
-    out: &mut [S::Input],
-) -> Result<(), EngineError> {
-    let mut pos = 0usize;
-    for (r, cnt) in rcounts.iter().enumerate() {
-        if *cnt == 0 {
-            continue;
+    /// Open rank `r`'s piece of `round` into its place in `out`, rejecting
+    /// it if it fails its shared-stream MAC.
+    fn open<C: WireCell>(
+        &self,
+        keys: &hear_core::CommKeys,
+        r: usize,
+        round: u64,
+        piece: &[C],
+        cs: &mut CellScratch,
+        out: &mut [S::Input],
+    ) -> Result<(), EngineError> {
+        let (g0, len) = self.piece(r, round);
+        assert_eq!(piece.len(), len, "rank {r}'s piece has the wrong length");
+        if len == 0 {
+            return Ok(());
         }
-        let g0 = starts[r] as usize + lo;
-        open_cells_tagged::<S>(
+        C::open::<S>(
             keys,
-            homac,
+            self.homac,
             g0 as u64,
-            &gathered[pos..pos + cnt],
+            piece,
             cs,
-            &mut out[g0..g0 + cnt],
-        )?;
-        pos += cnt;
+            &mut out[g0..g0 + len],
+        )
     }
-    Ok(())
 }

@@ -6,9 +6,9 @@
 //! supported datatype/op, with optional HoMAC verification), the single
 //! generic [`engine`] behind every method
 //! ([`SecureComm::allreduce_with`]: scheme × algorithm × chunking ×
-//! verification, all orthogonal), the page-aligned [`pool::MemoryPool`]
-//! and its typed companion [`arena::ScratchArena`] (allocation-free
-//! steady-state staging), the [`prefetch::Prefetcher`] worker that
+//! verification, all orthogonal), the typed [`arena::ScratchArena`]
+//! (allocation-free steady-state staging: paper §6's memory pool, as
+//! recycled `Vec`s), the [`prefetch::Prefetcher`] worker that
 //! generates the next epoch's keystream during the current epoch's
 //! communication phase, pipelined large-message transfers
 //! ([`SecureComm::allreduce_sum_u32_pipelined`], Fig. 6), and the
@@ -21,7 +21,6 @@ pub mod dispatch;
 pub mod engine;
 pub mod extensions;
 pub mod pipeline;
-pub mod pool;
 pub mod prefetch;
 pub mod secure;
 pub mod wire;
@@ -33,6 +32,5 @@ pub use engine::{
     ChunkMode, EngineCfg, EngineError, MembershipChange, PeerDeadPolicy, RetryPolicy,
 };
 pub use extensions::SecureP2p;
-pub use pool::{AlignedBuf, MemoryPool};
 pub use prefetch::{PrefetchJob, Prefetcher};
 pub use secure::{ReduceAlgo, SecureComm, Tagged, VerificationError};

@@ -26,6 +26,72 @@ pub fn ring_chunk_bounds(n: usize, world: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// `data` copied into one owned vector per [`ring_chunk_bounds`] chunk —
+/// how a caller holding one `Vec<T>` enters the chunk-owned ring core.
+/// Vectors already in `chunks` are refilled, keeping their allocations.
+fn split_chunks<T: Clone>(chunks: &mut Vec<Vec<T>>, data: &[T], bounds: &[(usize, usize)]) {
+    chunks.resize_with(bounds.len(), Vec::new);
+    for (chunk, &(s, e)) in chunks.iter_mut().zip(bounds) {
+        chunk.clear();
+        chunk.extend_from_slice(&data[s..e]);
+    }
+}
+
+/// How a caller that wants one `Vec<T>` back leaves the chunk-owned core:
+/// the ring's `visit` hands over each chunk once, in ring order, and
+/// [`Assembly::place`] clones it to its bounds in the spare capacity of one
+/// allocation — no default-fill, no per-chunk copies to concatenate later.
+struct Assembly<T> {
+    out: Vec<T>,
+    bounds: Vec<(usize, usize)>,
+    placed: Vec<bool>,
+}
+
+impl<T: Clone> Assembly<T> {
+    /// `bounds` must tile `0..total` in order, as [`ring_chunk_bounds`] and
+    /// a running sum of counts do.
+    fn new(bounds: Vec<(usize, usize)>) -> Assembly<T> {
+        debug_assert!(bounds.windows(2).all(|w| w[0].1 == w[1].0) && bounds[0].0 == 0);
+        Assembly {
+            out: Vec::with_capacity(bounds[bounds.len() - 1].1),
+            placed: vec![false; bounds.len()],
+            bounds,
+        }
+    }
+
+    fn place(&mut self, c: usize, chunk: &[T]) {
+        let (s, e) = self.bounds[c];
+        assert_eq!(chunk.len(), e - s, "chunk {c} has the wrong length");
+        assert!(
+            !std::mem::replace(&mut self.placed[c], true),
+            "chunk {c} placed twice"
+        );
+        for (slot, x) in self.out.spare_capacity_mut()[s..e].iter_mut().zip(chunk) {
+            slot.write(x.clone());
+        }
+    }
+
+    fn finish(mut self) -> Vec<T> {
+        assert!(self.placed.iter().all(|&p| p), "a chunk never arrived");
+        // SAFETY: the bounds tile `0..total`, `total ≤ capacity`, and every
+        // chunk has been written to its bounds exactly once.
+        unsafe { self.out.set_len(self.bounds[self.bounds.len() - 1].1) };
+        self.out
+    }
+}
+
+/// One participant's view of a ring: its position `me` among `npeers`, and
+/// the global ranks it sends to (`next`) and receives from (`prev`). The
+/// flat ring is all `world` ranks; the hierarchical allreduce runs its
+/// inter-leader phase on the sub-ring of group leaders at stride `group`.
+#[derive(Clone, Copy)]
+struct RingPeers {
+    npeers: usize,
+    me: usize,
+    next: usize,
+    prev: usize,
+}
+
 /// Element-wise fold of `src` into `dst`.
 fn fold_into<T, F: Fn(&T, &T) -> T>(dst: &mut [T], src: &[T], op: &F) {
     assert_eq!(
@@ -133,17 +199,6 @@ impl Communicator {
         self.allreduce_owned_tagged(tag, data.to_vec(), op)
     }
 
-    /// Recursive-doubling allreduce consuming the input buffer — the
-    /// copy-free entry the HEAR engine chunks over.
-    pub fn allreduce_owned<T, F>(&self, data: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let tag = self.next_coll_tag();
-        self.allreduce_owned_tagged(tag, data, op)
-    }
-
     pub(crate) fn allreduce_owned_tagged<T, F>(&self, tag: u64, data: Vec<T>, op: F) -> Vec<T>
     where
         T: Clone + Send + 'static,
@@ -214,193 +269,292 @@ impl Communicator {
     }
 
     /// Ring allreduce: reduce-scatter followed by allgather — the
-    /// bandwidth-optimal algorithm used for large messages.
+    /// bandwidth-optimal algorithm used for large messages. A split/concat
+    /// wrapper over the chunk-owned ring core.
     pub fn allreduce_ring<T, F>(&self, data: &[T], op: F) -> Vec<T>
     where
         T: Clone + Send + 'static,
         F: Fn(&T, &T) -> T,
     {
         let tag = self.next_coll_tag();
-        self.allreduce_ring_owned_tagged(tag, data.to_vec(), op)
+        self.allreduce_ring_tagged(tag, data, op)
     }
 
-    /// Ring allreduce consuming the input buffer — the copy-free entry the
-    /// HEAR engine chunks over.
-    pub fn allreduce_ring_owned<T, F>(&self, data: Vec<T>, op: F) -> Vec<T>
+    pub(crate) fn allreduce_ring_tagged<T, F>(&self, tag: u64, data: &[T], op: F) -> Vec<T>
     where
         T: Clone + Send + 'static,
         F: Fn(&T, &T) -> T,
     {
-        let tag = self.next_coll_tag();
-        self.allreduce_ring_owned_tagged(tag, data, op)
-    }
-
-    pub(crate) fn allreduce_ring_owned_tagged<T, F>(&self, tag: u64, data: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let mut seg = Vec::new();
-        self.allreduce_ring_owned_tagged_with_seg(tag, data, op, &mut seg)
-    }
-
-    /// Ring allreduce with a caller-provided segment staging buffer: the
-    /// hop-to-hop send segments are staged in `seg`, whose capacity
-    /// survives the call, so an upper layer's buffer arena can absorb the
-    /// per-call scratch of the ring schedule.
-    pub fn allreduce_ring_owned_with_seg<T, F>(
-        &self,
-        data: Vec<T>,
-        op: F,
-        seg: &mut Vec<T>,
-    ) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let tag = self.next_coll_tag();
-        self.allreduce_ring_owned_tagged_with_seg(tag, data, op, seg)
-    }
-
-    pub(crate) fn allreduce_ring_owned_tagged_with_seg<T, F>(
-        &self,
-        tag: u64,
-        data: Vec<T>,
-        op: F,
-        seg: &mut Vec<T>,
-    ) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        self.try_allreduce_ring_owned_tagged_with_seg(tag, data, op, seg, None)
-            .unwrap_or_else(|e| panic!("ring allreduce (tag {tag:#x}) failed: {e}"))
-    }
-
-    /// Fallible ring allreduce: every hop is bounded by `deadline` and a
-    /// dead neighbour surfaces as a typed error instead of a hang. On
-    /// error `acc` is lost mid-schedule; retries restart from the
-    /// caller's own input.
-    pub fn try_allreduce_ring_owned_tagged_with_seg<T, F>(
-        &self,
-        tag: u64,
-        data: Vec<T>,
-        op: F,
-        seg: &mut Vec<T>,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<Vec<T>, crate::CommError>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let (world, rank) = (self.world(), self.rank());
-        let _s = hear_telemetry::span!("allreduce_ring", elems = data.len(), tag = tag);
-        let mut acc: Vec<T> = data;
-        if world == 1 || acc.is_empty() {
-            return Ok(acc);
+        if self.world() == 1 || data.is_empty() {
+            return data.to_vec();
         }
-        let bounds = ring_chunk_bounds(acc.len(), world);
-        // Reduce-scatter phase: circulating from the chunk one behind its
-        // own, after world-1 steps rank r owns the fully reduced chunk r.
-        self.try_ring_circulate(
-            tag,
-            &mut acc,
-            &bounds,
-            (rank + world - 1) % world,
-            |dst, src| fold_into(dst, src, &op),
-            seg,
-            deadline,
-        )?;
-        // Allgather phase: circulate the reduced chunks.
-        self.try_ring_circulate(
-            tag,
-            &mut acc,
-            &bounds,
-            rank,
-            |dst, src| dst.clone_from_slice(src),
-            seg,
-            deadline,
-        )?;
-        Ok(acc)
+        let bounds = ring_chunk_bounds(data.len(), self.world());
+        let mut chunks = Vec::new();
+        split_chunks(&mut chunks, data, &bounds);
+        let mut out = Assembly::new(bounds);
+        let place = |c: usize, chunk: &[T]| out.place(c, chunk);
+        self.try_allreduce_ring_chunks(tag, &mut chunks, op, place, None)
+            .unwrap_or_else(|e| panic!("ring allreduce (tag {tag:#x}) failed: {e}"));
+        out.finish()
     }
 
-    /// One ring circulation — THE ring hop loop, shared by both phases of
-    /// the fused allreduce and by the standalone reduce-scatter and
-    /// allgather collectives. `world − 1` neighbour hops in which every
-    /// rank forwards the chunk it took in on the previous step: at step
-    /// `s` the rank sends chunk `(start + world − s) % world` and
-    /// receives chunk `(start + world − s − 1) % world`, where `start` is
-    /// the chunk this rank sends first; the last chunk it receives — the
-    /// one it ends up owning — is `start + 1`. `absorb` merges each
-    /// received chunk into `acc` — a fold for the reduce-scatter phase
-    /// (`start = rank − 1`, so rank `r` ends owning chunk `r`), an
-    /// overwrite for the allgather phase (`start = rank`, the owned chunk).
-    ///
-    /// `seg` is one reusable segment buffer per hop: each received
-    /// segment's allocation becomes the next hop's send buffer, halving
-    /// the per-step allocations without changing the message schedule.
-    /// The buffer is the caller's, so its capacity outlives the call.
-    #[allow(clippy::too_many_arguments)]
-    fn try_ring_circulate<T, A>(
+    /// This rank's view of the flat ring over all `world` ranks.
+    fn flat_ring(&self) -> RingPeers {
+        let (world, rank) = (self.world(), self.rank());
+        RingPeers {
+            npeers: world,
+            me: rank,
+            next: (rank + 1) % world,
+            prev: (rank + world - 1) % world,
+        }
+    }
+
+    /// One ring circulation — THE ring hop loop, under both phases of the
+    /// fused allreduce, the standalone reduce-scatter and allgather, the
+    /// hierarchical inter-leader ring and every posted form. The vector is
+    /// held as one **owned** `Vec` per chunk, and chunks move, never copy:
+    /// at step `s` the participant takes chunk `(start − s) mod n` out of
+    /// its slot, sends it by move, and hands the vector that arrives —
+    /// chunk `(start − s − 1) mod n` of its predecessor — to `absorb`
+    /// together with both slot indices. `absorb` ends by parking some
+    /// allocation in the vacated `send` slot, so a participant holds `n`
+    /// vectors before and after every hop and a steady-state caller that
+    /// recycles its chunk vectors never allocates. `n − 1` hops; the last
+    /// chunk received is `start + 1`.
+    fn ring_circulate<T, A>(
         &self,
+        ring: RingPeers,
         tag: u64,
-        acc: &mut [T],
-        bounds: &[(usize, usize)],
+        chunks: &mut [Vec<T>],
         start: usize,
-        absorb: A,
-        seg: &mut Vec<T>,
+        mut absorb: A,
         deadline: Option<std::time::Instant>,
     ) -> Result<(), crate::CommError>
     where
-        T: Clone + Send + 'static,
-        A: FnMut(&mut [T], &[T]),
+        T: Send + 'static,
+        A: FnMut(&mut [Vec<T>], usize, usize, Vec<T>),
     {
-        let (world, rank) = (self.world(), self.rank());
-        let next = (rank + 1) % world;
-        let prev = (rank + world - 1) % world;
-        self.try_ring_circulate_among(
-            tag, acc, bounds, world, next, prev, start, absorb, seg, deadline,
+        let n = ring.npeers;
+        assert_eq!(chunks.len(), n, "one chunk vector per ring participant");
+        for step in 0..n - 1 {
+            let send = (start + n - step) % n;
+            let recv = (start + n - step - 1) % n;
+            let outgoing = std::mem::take(&mut chunks[send]);
+            let incoming =
+                self.try_sendrecv_internal(ring.next, tag, outgoing, ring.prev, tag, deadline)?;
+            absorb(chunks, send, recv, incoming);
+        }
+        Ok(())
+    }
+
+    /// Reduce-scatter phase: circulating from the chunk one behind its own,
+    /// each participant folds the incoming vector into its local chunk and
+    /// parks the incoming allocation in the slot it just vacated. After
+    /// `n − 1` hops `chunks[me]` is fully reduced; the other slots hold
+    /// allocations with stale contents.
+    fn ring_reduce_scatter<T, F>(
+        &self,
+        ring: RingPeers,
+        tag: u64,
+        chunks: &mut [Vec<T>],
+        op: &F,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<(), crate::CommError>
+    where
+        T: Send + 'static,
+        F: Fn(&T, &T) -> T,
+    {
+        let start = (ring.me + ring.npeers - 1) % ring.npeers;
+        self.ring_circulate(
+            ring,
+            tag,
+            chunks,
+            start,
+            |chunks, send, recv, incoming| {
+                fold_into(&mut chunks[recv], &incoming, op);
+                chunks[send] = incoming;
+            },
+            deadline,
         )
     }
 
-    /// [`Communicator::try_ring_circulate`] over an explicit sub-ring: the
-    /// `npeers` participants are identified only by their `next`/`prev`
-    /// global ranks and the chunk index `start` this participant holds on
-    /// entry. The hierarchical allreduce runs its inter-leader phase on
-    /// this — the leaders of a grouped communicator form a ring of
-    /// `⌈world/group⌉` peers at stride `group` — while the flat ring is
-    /// the degenerate sub-ring of all `world` ranks.
-    #[allow(clippy::too_many_arguments)]
-    fn try_ring_circulate_among<T, A>(
+    /// Allgather phase: `chunks[me]` is this participant's contribution.
+    /// `visit(c, chunk)` is called exactly once per chunk — the own chunk
+    /// first, every received chunk before it is forwarded — and is the only
+    /// time this participant sees the chunk: forwarding moves it on. The
+    /// allocation a received chunk displaces moves to the slot just
+    /// vacated. Afterwards `chunks[me + 1]` holds the chunk that arrived
+    /// last (nobody to forward it to); every other slot is stale.
+    fn ring_allgather<T, V>(
         &self,
+        ring: RingPeers,
         tag: u64,
-        acc: &mut [T],
-        bounds: &[(usize, usize)],
-        npeers: usize,
-        next: usize,
-        prev: usize,
-        start: usize,
-        mut absorb: A,
-        seg: &mut Vec<T>,
+        chunks: &mut [Vec<T>],
+        mut visit: V,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<(), crate::CommError>
+    where
+        T: Send + 'static,
+        V: FnMut(usize, &[T]),
+    {
+        visit(ring.me, &chunks[ring.me]);
+        self.ring_circulate(
+            ring,
+            tag,
+            chunks,
+            ring.me,
+            |chunks, send, recv, incoming| {
+                visit(recv, &incoming);
+                chunks[send] = std::mem::replace(&mut chunks[recv], incoming);
+            },
+            deadline,
+        )
+    }
+
+    /// [`Communicator::ring_allgather`] for a caller that wants the chunks
+    /// themselves: afterwards every slot holds its chunk. A chunk that is
+    /// forwarded has to be copied to be kept, so this costs `n − 1` chunk
+    /// copies — made in `visit`, into the allocations the other slots held
+    /// on entry, not on the hop.
+    fn ring_allgather_kept<T>(
+        &self,
+        ring: RingPeers,
+        tag: u64,
+        chunks: &mut [Vec<T>],
         deadline: Option<std::time::Instant>,
     ) -> Result<(), crate::CommError>
     where
         T: Clone + Send + 'static,
-        A: FnMut(&mut [T], &[T]),
     {
-        for step in 0..npeers - 1 {
-            let send_chunk = (start + npeers - step) % npeers;
-            let recv_chunk = (start + npeers - step - 1) % npeers;
-            let (s, e) = bounds[send_chunk];
-            seg.clear();
-            seg.extend_from_slice(&acc[s..e]);
-            let incoming =
-                self.try_sendrecv_internal(next, tag, std::mem::take(seg), prev, tag, deadline)?;
-            let (s, e) = bounds[recv_chunk];
-            absorb(&mut acc[s..e], &incoming);
-            *seg = incoming;
+        let (n, me) = (ring.npeers, ring.me);
+        let last = (me + 1) % n;
+        if n == 1 {
+            return Ok(());
+        }
+        let mut kept: Vec<Vec<T>> = chunks.iter_mut().map(std::mem::take).collect();
+        chunks[me] = std::mem::take(&mut kept[me]);
+        self.ring_allgather(
+            ring,
+            tag,
+            chunks,
+            |c, chunk| {
+                // Chunk `last` arrives to stay; until then its slot's
+                // allocation carries the copy of the own chunk.
+                if c != last {
+                    let copy = &mut kept[if c == me { last } else { c }];
+                    copy.clear();
+                    copy.extend_from_slice(chunk);
+                }
+            },
+            deadline,
+        )?;
+        kept.swap(me, last);
+        kept[last] = std::mem::take(&mut chunks[last]);
+        for (slot, chunk) in chunks.iter_mut().zip(kept) {
+            *slot = chunk;
         }
         Ok(())
+    }
+
+    /// Fallible ring reduce-scatter on chunk vectors: `chunks[c]` is this
+    /// rank's contribution to chunk `c` of the vector (any partition all
+    /// ranks agree on — [`ring_chunk_bounds`] for the engine; empty chunks
+    /// travel like any other). On `Ok`, `chunks[rank]` is the fully reduced
+    /// chunk `rank` and the other slots hold reusable allocations with
+    /// stale contents. Every hop is bounded by `deadline` and a dead
+    /// neighbour surfaces as a typed error; on `Err` the chunks are lost
+    /// mid-schedule and a retry refills them from the caller's own input.
+    pub fn try_reduce_scatter_chunks<T, F>(
+        &self,
+        tag: u64,
+        chunks: &mut [Vec<T>],
+        op: F,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<(), crate::CommError>
+    where
+        T: Send + 'static,
+        F: Fn(&T, &T) -> T,
+    {
+        let _s = hear_telemetry::span!("reduce_scatter_ring", tag = tag);
+        self.ring_reduce_scatter(self.flat_ring(), tag, chunks, &op, deadline)
+    }
+
+    /// Fallible ring allgather on chunk vectors: `chunks[rank]` is this
+    /// rank's contribution (the other slots' contents are ignored, their
+    /// allocations reused). `visit(c, chunk)` sees every rank's chunk
+    /// exactly once, the own one first, each received one before it moves
+    /// on to the next rank; nothing is gathered into a buffer.
+    pub fn try_allgather_chunks<T, V>(
+        &self,
+        tag: u64,
+        chunks: &mut [Vec<T>],
+        visit: V,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<(), crate::CommError>
+    where
+        T: Send + 'static,
+        V: FnMut(usize, &[T]),
+    {
+        let _s = hear_telemetry::span!("allgather_ring", tag = tag);
+        self.ring_allgather(self.flat_ring(), tag, chunks, visit, deadline)
+    }
+
+    /// [`Communicator::try_allgather_chunks`] that keeps the chunks: on
+    /// `Ok`, `chunks[c]` is rank `c`'s contribution, for every `c`.
+    pub fn try_allgather_chunks_kept<T>(
+        &self,
+        tag: u64,
+        chunks: &mut [Vec<T>],
+        deadline: Option<std::time::Instant>,
+    ) -> Result<(), crate::CommError>
+    where
+        T: Clone + Send + 'static,
+    {
+        let _s = hear_telemetry::span!("allgather_ring", tag = tag);
+        self.ring_allgather_kept(self.flat_ring(), tag, chunks, deadline)
+    }
+
+    /// Fallible ring allreduce on chunk vectors — reduce-scatter, then
+    /// allgather, on one tag: `visit(c, chunk)` sees every fully reduced
+    /// chunk exactly once (see [`Communicator::try_allgather_chunks`]).
+    /// This is what the HEAR engine masks into and unmasks out of.
+    pub fn try_allreduce_ring_chunks<T, F, V>(
+        &self,
+        tag: u64,
+        chunks: &mut [Vec<T>],
+        op: F,
+        visit: V,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<(), crate::CommError>
+    where
+        T: Send + 'static,
+        F: Fn(&T, &T) -> T,
+        V: FnMut(usize, &[T]),
+    {
+        let _s = hear_telemetry::span!("allreduce_ring", tag = tag);
+        let ring = self.flat_ring();
+        self.ring_reduce_scatter(ring, tag, chunks, &op, deadline)?;
+        self.ring_allgather(ring, tag, chunks, visit, deadline)
+    }
+
+    /// [`Communicator::try_allreduce_ring_chunks`] that keeps the chunks:
+    /// on `Ok`, `chunks[c]` is the fully reduced chunk `c`, for every `c`
+    /// (what a posted ring hands back to the thread that waits on it).
+    pub fn try_allreduce_ring_chunks_kept<T, F>(
+        &self,
+        tag: u64,
+        chunks: &mut [Vec<T>],
+        op: F,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<(), crate::CommError>
+    where
+        T: Clone + Send + 'static,
+        F: Fn(&T, &T) -> T,
+    {
+        let _s = hear_telemetry::span!("allreduce_ring", tag = tag);
+        let ring = self.flat_ring();
+        self.ring_reduce_scatter(ring, tag, chunks, &op, deadline)?;
+        self.ring_allgather_kept(ring, tag, chunks, deadline)
     }
 
     /// Hierarchical allreduce: ranks are partitioned into leader groups of
@@ -422,8 +576,7 @@ impl Communicator {
         F: Fn(&T, &T) -> T,
     {
         let tag = self.next_coll_tag();
-        let mut seg = Vec::new();
-        self.try_allreduce_hier_owned_tagged_with_seg(tag, data.to_vec(), op, group, &mut seg, None)
+        self.try_allreduce_hier_owned_tagged(tag, data.to_vec(), op, group, None)
             .unwrap_or_else(|e| panic!("hierarchical allreduce (tag {tag:#x}) failed: {e}"))
     }
 
@@ -431,13 +584,12 @@ impl Communicator {
     /// deadline — see [`Communicator::allreduce_hier`] for the topology.
     /// On error the accumulator is lost mid-schedule; retries restart
     /// from the caller's own input.
-    pub fn try_allreduce_hier_owned_tagged_with_seg<T, F>(
+    pub fn try_allreduce_hier_owned_tagged<T, F>(
         &self,
         tag: u64,
         data: Vec<T>,
         op: F,
         group: usize,
-        seg: &mut Vec<T>,
         deadline: Option<std::time::Instant>,
     ) -> Result<Vec<T>, crate::CommError>
     where
@@ -461,42 +613,37 @@ impl Communicator {
             return self.try_recv_internal::<T>(leader, tag + 2, deadline);
         }
 
-        // Phase 1 (leader): fold the group members' contributions.
+        // Phase 1 (leader): fold the group members' contributions, keeping
+        // their allocations as phase 2's chunk vectors.
+        let nleaders = world.div_ceil(g);
+        let mut chunks: Vec<Vec<T>> = Vec::with_capacity(nleaders);
         for r in leader + 1..members_end {
             let other = self.try_recv_internal::<T>(r, tag, deadline)?;
             fold_into(&mut acc, &other, &op);
-            *seg = other; // recycle the allocation for the ring phase
+            if nleaders > 1 && chunks.len() < nleaders {
+                chunks.push(other);
+            }
         }
 
-        // Phase 2: reduce-scatter + allgather ring among the leaders.
-        let nleaders = world.div_ceil(g);
+        // Phase 2: the ring core over the sub-ring of leaders (stride `g`),
+        // on the accumulator split into one chunk per leader; the allgather
+        // visit copies each reduced chunk back to its place.
         if nleaders > 1 {
             let li = rank / g;
-            let next = ((li + 1) % nleaders) * g;
-            let prev = ((li + nleaders - 1) % nleaders) * g;
+            let ring = RingPeers {
+                npeers: nleaders,
+                me: li,
+                next: ((li + 1) % nleaders) * g,
+                prev: ((li + nleaders - 1) % nleaders) * g,
+            };
             let bounds = ring_chunk_bounds(acc.len(), nleaders);
-            self.try_ring_circulate_among(
+            split_chunks(&mut chunks, &acc, &bounds);
+            self.ring_reduce_scatter(ring, tag + 1, &mut chunks, &op, deadline)?;
+            self.ring_allgather(
+                ring,
                 tag + 1,
-                &mut acc,
-                &bounds,
-                nleaders,
-                next,
-                prev,
-                (li + nleaders - 1) % nleaders,
-                |dst, src| fold_into(dst, src, &op),
-                seg,
-                deadline,
-            )?;
-            self.try_ring_circulate_among(
-                tag + 1,
-                &mut acc,
-                &bounds,
-                nleaders,
-                next,
-                prev,
-                li,
-                |dst, src| dst.clone_from_slice(src),
-                seg,
+                &mut chunks,
+                |c, chunk| acc[bounds[c].0..bounds[c].1].clone_from_slice(chunk),
                 deadline,
             )?;
         }
@@ -510,60 +657,44 @@ impl Communicator {
 
     /// Fallible tagged ring reduce-scatter on a deadline: every rank
     /// passes the full vector; rank `r` returns the fully reduced
-    /// elements of chunk `r` (the [`ring_chunk_bounds`] layout). This is
-    /// exactly the ring allreduce's first phase: circulating from chunk
-    /// `r − 1` leaves rank `r` owning chunk `r` (the MPI layout), so the
-    /// share is the accumulator trimmed in place — the returned vector
-    /// keeps the full-block capacity for the caller to reuse.
-    pub fn try_reduce_scatter_tagged_with_seg<T, F>(
+    /// elements of chunk `r` (the [`ring_chunk_bounds`] layout) — the
+    /// ring allreduce's first phase, and the chunk vector it ends owning.
+    pub fn try_reduce_scatter_tagged<T, F>(
         &self,
         tag: u64,
-        data: Vec<T>,
+        data: &[T],
         op: F,
-        seg: &mut Vec<T>,
         deadline: Option<std::time::Instant>,
     ) -> Result<Vec<T>, crate::CommError>
     where
         T: Clone + Send + 'static,
         F: Fn(&T, &T) -> T,
     {
-        let (world, rank) = (self.world(), self.rank());
-        let _s = hear_telemetry::span!("reduce_scatter_ring", elems = data.len(), tag = tag);
-        let mut acc: Vec<T> = data;
-        if world == 1 || acc.is_empty() {
-            return Ok(acc);
+        if self.world() == 1 || data.is_empty() {
+            return Ok(data.to_vec());
         }
-        let bounds = ring_chunk_bounds(acc.len(), world);
-        self.try_ring_circulate(
-            tag,
-            &mut acc,
-            &bounds,
-            (rank + world - 1) % world,
-            |dst, src| fold_into(dst, src, &op),
-            seg,
-            deadline,
-        )?;
-        let (s, e) = bounds[rank];
-        acc.truncate(e);
-        acc.drain(..s);
-        Ok(acc)
+        let mut chunks = Vec::new();
+        split_chunks(
+            &mut chunks,
+            data,
+            &ring_chunk_bounds(data.len(), self.world()),
+        );
+        self.try_reduce_scatter_chunks(tag, &mut chunks, op, deadline)?;
+        Ok(chunks.swap_remove(self.rank()))
     }
 
     /// Fallible tagged ring allgather with per-rank counts: `mine` is
     /// this rank's `counts[rank]`-element contribution; every rank
-    /// returns the rank-ordered concatenation. Runs the same circulate
-    /// loop as the fused ring's second phase, over (possibly uneven)
-    /// rank-sized chunks.
-    pub fn try_allgather_tagged_with_seg<T>(
+    /// returns the rank-ordered concatenation.
+    pub fn try_allgather_tagged<T>(
         &self,
         tag: u64,
         mine: Vec<T>,
         counts: &[usize],
-        seg: &mut Vec<T>,
         deadline: Option<std::time::Instant>,
     ) -> Result<Vec<T>, crate::CommError>
     where
-        T: Clone + Default + Send + 'static,
+        T: Clone + Send + 'static,
     {
         let (world, rank) = (self.world(), self.rank());
         assert_eq!(counts.len(), world, "need one count per rank");
@@ -572,29 +703,20 @@ impl Communicator {
             counts[rank],
             "contribution must match counts[rank]"
         );
-        let _s = hear_telemetry::span!("allgather_ring", elems = mine.len(), tag = tag);
         if world == 1 {
             return Ok(mine);
         }
-        let mut bounds = Vec::with_capacity(world);
-        let mut total = 0usize;
-        for &c in counts {
-            bounds.push((total, total + c));
-            total += c;
-        }
-        let mut acc = vec![T::default(); total];
-        let (s, e) = bounds[rank];
-        acc[s..e].clone_from_slice(&mine);
-        self.try_ring_circulate(
-            tag,
-            &mut acc,
-            &bounds,
-            rank,
-            |dst, src| dst.clone_from_slice(src),
-            seg,
-            deadline,
-        )?;
-        Ok(acc)
+        let mut chunks: Vec<Vec<T>> = (0..world).map(|_| Vec::new()).collect();
+        chunks[rank] = mine;
+        let bounds = counts.iter().scan(0, |at, n| {
+            let start = *at;
+            *at += n;
+            Some((start, *at))
+        });
+        let mut out = Assembly::new(bounds.collect());
+        let place = |c: usize, chunk: &[T]| out.place(c, chunk);
+        self.try_allgather_chunks(tag, &mut chunks, place, deadline)?;
+        Ok(out.finish())
     }
 
     /// Fallible tagged personalized all-to-all on a deadline:
@@ -626,21 +748,13 @@ impl Communicator {
     }
 
     /// Ring allgather: every rank contributes `data`, everyone returns the
-    /// concatenation ordered by rank.
+    /// contributions ordered by rank.
     pub fn allgather<T: Clone + Send + 'static>(&self, data: Vec<T>) -> Vec<Vec<T>> {
         let tag = self.next_coll_tag();
-        let (world, rank) = (self.world(), self.rank());
-        let mut slots: Vec<Vec<T>> = vec![Vec::new(); world];
-        slots[rank] = data;
-        let next = (rank + 1) % world;
-        let prev = (rank + world - 1) % world;
-        for step in 0..world.saturating_sub(1) {
-            let send_slot = (rank + world - step) % world;
-            let recv_slot = (rank + world - step - 1) % world;
-            let out = slots[send_slot].clone();
-            let incoming = self.sendrecv_internal(next, tag, out, prev, tag);
-            slots[recv_slot] = incoming;
-        }
+        let mut slots: Vec<Vec<T>> = vec![Vec::new(); self.world()];
+        slots[self.rank()] = data;
+        self.try_allgather_chunks_kept(tag, &mut slots, None)
+            .unwrap_or_else(|e| panic!("allgather (tag {tag:#x}) failed: {e}"));
         slots
     }
 
@@ -687,25 +801,8 @@ impl Communicator {
     /// slot `r` is what rank `r` sent to us.
     pub fn alltoall<T: Clone + Send + 'static>(&self, chunks: Vec<Vec<T>>) -> Vec<Vec<T>> {
         let tag = self.next_coll_tag();
-        let (world, rank) = (self.world(), self.rank());
-        assert_eq!(chunks.len(), world, "need one chunk per rank");
-        let mut out: Vec<Vec<T>> = vec![Vec::new(); world];
-        // Pairwise exchange pattern: step s exchanges with rank ^ s where
-        // possible; for generality use send-all then receive-all with
-        // eager buffering (the fabric is unbounded).
-        for (r, chunk) in chunks.into_iter().enumerate() {
-            if r == rank {
-                out[r] = chunk;
-            } else {
-                self.send_internal(r, tag, chunk);
-            }
-        }
-        for (r, slot) in out.iter_mut().enumerate() {
-            if r != rank {
-                *slot = self.recv_internal::<T>(r, tag);
-            }
-        }
-        out
+        self.try_alltoall_tagged(tag, chunks, None)
+            .unwrap_or_else(|e| panic!("alltoall (tag {tag:#x}) failed: {e}"))
     }
 }
 
@@ -825,7 +922,10 @@ mod tests {
         let results = Simulator::new(6).run(|comm| {
             let data: Vec<u32> = (0..17).map(|j| comm.rank() as u32 * 31 + j).collect();
             let tag = comm.next_coll_tag();
-            let req = comm.try_iallreduce_hier_tagged(tag, data.clone(), |a, b| a ^ b, 2, None);
+            let posted = data.clone();
+            let req = comm.post(move |comm| {
+                comm.try_allreduce_hier_owned_tagged(tag, posted, |a, b| a ^ b, 2, None)
+            });
             let blocking = comm.allreduce_hier(&data, 2, |a, b| a ^ b);
             let nb = req.wait().expect("nonblocking hier allreduce failed");
             (nb, blocking)
@@ -916,9 +1016,8 @@ mod tests {
                         .collect();
                     let blocking = comm.reduce_scatter(&data, |a, b| a + b);
                     let tag = comm.reserve_coll_tags(1);
-                    let mut seg = Vec::new();
                     let tagged = comm
-                        .try_reduce_scatter_tagged_with_seg(tag, data, |a, b| a + b, &mut seg, None)
+                        .try_reduce_scatter_tagged(tag, &data, |a, b| a + b, None)
                         .unwrap();
                     (blocking, tagged)
                 });
@@ -945,12 +1044,95 @@ mod tests {
                 .map(|j| comm.rank() as u32 * 10 + j)
                 .collect();
             let tag = comm.reserve_coll_tags(1);
-            let mut seg = Vec::new();
-            comm.try_allgather_tagged_with_seg(tag, mine, &counts, &mut seg, None)
-                .unwrap()
+            comm.try_allgather_tagged(tag, mine, &counts, None).unwrap()
         });
         for v in &results {
             assert_eq!(*v, vec![0, 1, 2, 20, 21, 30]);
+        }
+    }
+
+    /// The chunk-owned ring core against a scalar reference fold: every
+    /// world 1–5 × vector length (empty chunks must travel, so 0, 1 and
+    /// `world − 1` are in) × three commutative-associative operators. The
+    /// allgather's `visit` must see every chunk exactly once, the own chunk
+    /// first, and what it sees must be the reference; the reduce-scatter
+    /// alone must leave the own chunk reduced; the kept forms must leave
+    /// every slot holding its chunk.
+    #[test]
+    fn chunk_ring_core_matches_a_scalar_reference_fold() {
+        use super::ring_chunk_bounds;
+        type Op = fn(&u64, &u64) -> u64;
+        let ops: [(&str, Op); 3] = [
+            ("wrapping-add", |a, b| a.wrapping_add(*b)),
+            ("xor", |a, b| a ^ b),
+            ("min", |a, b| *a.min(b)),
+        ];
+        let input = |rank: usize, j: usize| {
+            ((rank as u64 + 1) << 60 | j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        };
+        for world in 1usize..=5 {
+            for n in [0, 1, world - 1, world, world + 1, 1000] {
+                for (name, op) in ops {
+                    let reference: Vec<u64> = (0..n)
+                        .map(|j| (1..world).fold(input(0, j), |acc, r| op(&acc, &input(r, j))))
+                        .collect();
+                    let bounds = ring_chunk_bounds(n, world);
+                    let split = move |rank: usize| -> Vec<Vec<u64>> {
+                        ring_chunk_bounds(n, world)
+                            .into_iter()
+                            .map(|(s, e)| (s..e).map(|j| input(rank, j)).collect())
+                            .collect()
+                    };
+                    let results = Simulator::new(world).run(move |comm| {
+                        let rank = comm.rank();
+                        let tag = comm.reserve_coll_tags(4);
+
+                        let mut chunks = split(rank);
+                        let mut seen: Vec<(usize, Vec<u64>)> = Vec::new();
+                        comm.try_allreduce_ring_chunks(
+                            tag,
+                            &mut chunks,
+                            op,
+                            |c, chunk| seen.push((c, chunk.to_vec())),
+                            None,
+                        )
+                        .unwrap();
+                        assert_eq!(chunks.len(), world, "vector count is conserved");
+
+                        let mut scattered = split(rank);
+                        comm.try_reduce_scatter_chunks(tag + 1, &mut scattered, op, None)
+                            .unwrap();
+                        let own = std::mem::take(&mut scattered[rank]);
+
+                        let mut kept = split(rank);
+                        comm.try_allreduce_ring_chunks_kept(tag + 2, &mut kept, op, None)
+                            .unwrap();
+
+                        let mut gathered: Vec<Vec<u64>> = vec![Vec::new(); world];
+                        gathered[rank] = own.clone();
+                        comm.try_allgather_chunks_kept(tag + 3, &mut gathered, None)
+                            .unwrap();
+                        (seen, own, kept, gathered)
+                    });
+                    let what = format!("world={world} n={n} op={name}");
+                    for (rank, (seen, own, kept, gathered)) in results.into_iter().enumerate() {
+                        // Own chunk first, then the ring's arrival order:
+                        // rank − 1, rank − 2, … — each chunk exactly once.
+                        let order: Vec<usize> = seen.iter().map(|(c, _)| *c).collect();
+                        let expect: Vec<usize> =
+                            (0..world).map(|k| (rank + world - k) % world).collect();
+                        assert_eq!(order, expect, "{what} rank={rank}: visit order");
+                        for (c, chunk) in &seen {
+                            let (s, e) = bounds[*c];
+                            assert_eq!(chunk[..], reference[s..e], "{what} rank={rank} chunk {c}");
+                        }
+                        let (s, e) = bounds[rank];
+                        assert_eq!(own[..], reference[s..e], "{what} rank={rank}: own chunk");
+                        assert_eq!(kept.concat(), reference, "{what} rank={rank}: kept");
+                        assert_eq!(gathered.concat(), reference, "{what} rank={rank}: gathered");
+                    }
+                }
+            }
         }
     }
 
@@ -997,8 +1179,7 @@ impl Communicator {
         F: Fn(&T, &T) -> T,
     {
         let tag = self.next_coll_tag();
-        let mut seg = Vec::new();
-        self.try_reduce_scatter_tagged_with_seg(tag, data.to_vec(), op, &mut seg, None)
+        self.try_reduce_scatter_tagged(tag, data, op, None)
             .unwrap_or_else(|e| panic!("reduce_scatter (tag {tag:#x}) failed: {e}"))
     }
 

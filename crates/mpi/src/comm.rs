@@ -409,18 +409,6 @@ impl Communicator {
         self.recv(src, recv_tag)
     }
 
-    pub(crate) fn sendrecv_internal<T: Send + 'static>(
-        &self,
-        dst: usize,
-        send_tag: u64,
-        data: Vec<T>,
-        src: usize,
-        recv_tag: u64,
-    ) -> Vec<T> {
-        self.send_internal(dst, send_tag, data);
-        self.recv_internal(src, recv_tag)
-    }
-
     pub(crate) fn try_sendrecv_internal<T: Send + 'static>(
         &self,
         dst: usize,

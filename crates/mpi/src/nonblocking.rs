@@ -12,9 +12,7 @@
 //! long as every rank posts them in the same order — the usual MPI rule.
 
 use crate::comm::Communicator;
-use crate::error::CommError;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Handle to an in-flight collective. Dropping a request without waiting
 /// detaches the progress thread (the operation still completes).
@@ -37,6 +35,27 @@ impl<R: Send + 'static> Request<R> {
 }
 
 impl Communicator {
+    /// Post `f` — any blocking collective on a tag reserved by the caller,
+    /// in program order — to a helper thread that runs it on a clone of
+    /// this communicator under the caller's telemetry context. `f`'s waits
+    /// should be bounded by a deadline and its failures returned typed, so
+    /// they come back through `wait()` instead of poisoning the join. The
+    /// HEAR engine posts every pipelined block through this.
+    pub fn post<R, F>(&self, f: F) -> Request<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&Communicator) -> R + Send + 'static,
+    {
+        let comm = self.clone();
+        let tele = hear_telemetry::spawn_context();
+        Request {
+            handle: std::thread::spawn(move || {
+                let _tele = tele.map(|(reg, rank)| reg.install(rank));
+                f(&comm)
+            }),
+        }
+    }
+
     /// Nonblocking recursive-doubling allreduce.
     pub fn iallreduce<T, F>(&self, data: Vec<T>, op: F) -> Request<Vec<T>>
     where
@@ -44,14 +63,7 @@ impl Communicator {
         F: Fn(&T, &T) -> T + Send + 'static,
     {
         let tag = self.next_coll_tag();
-        let comm = self.clone();
-        let tele = hear_telemetry::spawn_context();
-        Request {
-            handle: std::thread::spawn(move || {
-                let _tele = tele.map(|(reg, rank)| reg.install(rank));
-                comm.allreduce_owned_tagged(tag, data, op)
-            }),
-        }
+        self.post(move |comm| comm.allreduce_owned_tagged(tag, data, op))
     }
 
     /// Nonblocking ring allreduce (bandwidth-optimal; the variant libhear
@@ -62,200 +74,18 @@ impl Communicator {
         F: Fn(&T, &T) -> T + Send + 'static,
     {
         let tag = self.next_coll_tag();
-        let comm = self.clone();
-        let tele = hear_telemetry::spawn_context();
-        Request {
-            handle: std::thread::spawn(move || {
-                let _tele = tele.map(|(reg, rank)| reg.install(rank));
-                comm.allreduce_ring_owned_tagged(tag, data, op)
-            }),
-        }
+        self.post(move |comm| comm.allreduce_ring_tagged(tag, &data, op))
     }
 
     /// Nonblocking switch-tree allreduce — the INC counterpart of
-    /// [`Communicator::iallreduce_ring`], letting the HEAR engine pipeline
-    /// blocks over the switch just like over the ring.
+    /// [`Communicator::iallreduce_ring`].
     pub fn iallreduce_inc<T, F>(&self, data: Vec<T>, op: F) -> Request<Vec<T>>
     where
         T: Clone + Send + 'static,
         F: Fn(&T, &T) -> T + Send + Sync + Clone + 'static,
     {
         let tag = self.next_coll_tag();
-        let comm = self.clone();
-        let tele = hear_telemetry::spawn_context();
-        Request {
-            handle: std::thread::spawn(move || {
-                let _tele = tele.map(|(reg, rank)| reg.install(rank));
-                comm.allreduce_inc_tagged(tag, data, op)
-            }),
-        }
-    }
-
-    /// Fallible nonblocking recursive-doubling allreduce on a caller-
-    /// reserved tag: the progress thread's waits are bounded by `deadline`
-    /// and failures come back typed through `wait()` instead of poisoning
-    /// the join. The engine's retry loop posts these.
-    pub fn try_iallreduce_tagged<T, F>(
-        &self,
-        tag: u64,
-        data: Vec<T>,
-        op: F,
-        deadline: Option<Instant>,
-    ) -> Request<Result<Vec<T>, CommError>>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T + Send + 'static,
-    {
-        let comm = self.clone();
-        let tele = hear_telemetry::spawn_context();
-        Request {
-            handle: std::thread::spawn(move || {
-                let _tele = tele.map(|(reg, rank)| reg.install(rank));
-                comm.try_allreduce_owned_tagged(tag, data, op, deadline)
-            }),
-        }
-    }
-
-    /// Fallible nonblocking ring allreduce on a caller-reserved tag.
-    pub fn try_iallreduce_ring_tagged<T, F>(
-        &self,
-        tag: u64,
-        data: Vec<T>,
-        op: F,
-        deadline: Option<Instant>,
-    ) -> Request<Result<Vec<T>, CommError>>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T + Send + 'static,
-    {
-        let comm = self.clone();
-        let tele = hear_telemetry::spawn_context();
-        Request {
-            handle: std::thread::spawn(move || {
-                let _tele = tele.map(|(reg, rank)| reg.install(rank));
-                let mut seg = Vec::new();
-                comm.try_allreduce_ring_owned_tagged_with_seg(tag, data, op, &mut seg, deadline)
-            }),
-        }
-    }
-
-    /// Fallible nonblocking hierarchical allreduce on a caller-reserved
-    /// tag block (`tag..tag+2`): intra-group reduce, inter-leader ring,
-    /// intra-group broadcast. See
-    /// [`Communicator::allreduce_hier`](crate::comm::Communicator) for the
-    /// topology.
-    pub fn try_iallreduce_hier_tagged<T, F>(
-        &self,
-        tag: u64,
-        data: Vec<T>,
-        op: F,
-        group: usize,
-        deadline: Option<Instant>,
-    ) -> Request<Result<Vec<T>, CommError>>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T + Send + 'static,
-    {
-        let comm = self.clone();
-        let tele = hear_telemetry::spawn_context();
-        Request {
-            handle: std::thread::spawn(move || {
-                let _tele = tele.map(|(reg, rank)| reg.install(rank));
-                let mut seg = Vec::new();
-                comm.try_allreduce_hier_owned_tagged_with_seg(
-                    tag, data, op, group, &mut seg, deadline,
-                )
-            }),
-        }
-    }
-
-    /// Fallible nonblocking ring reduce-scatter on a caller-reserved tag:
-    /// the result is this rank's fully reduced chunk (MPI layout).
-    pub fn try_ireduce_scatter_tagged<T, F>(
-        &self,
-        tag: u64,
-        data: Vec<T>,
-        op: F,
-        deadline: Option<Instant>,
-    ) -> Request<Result<Vec<T>, CommError>>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T + Send + 'static,
-    {
-        let comm = self.clone();
-        let tele = hear_telemetry::spawn_context();
-        Request {
-            handle: std::thread::spawn(move || {
-                let _tele = tele.map(|(reg, rank)| reg.install(rank));
-                let mut seg = Vec::new();
-                comm.try_reduce_scatter_tagged_with_seg(tag, data, op, &mut seg, deadline)
-            }),
-        }
-    }
-
-    /// Fallible nonblocking ring allgather on a caller-reserved tag.
-    pub fn try_iallgather_tagged<T>(
-        &self,
-        tag: u64,
-        mine: Vec<T>,
-        counts: Vec<usize>,
-        deadline: Option<Instant>,
-    ) -> Request<Result<Vec<T>, CommError>>
-    where
-        T: Clone + Default + Send + 'static,
-    {
-        let comm = self.clone();
-        let tele = hear_telemetry::spawn_context();
-        Request {
-            handle: std::thread::spawn(move || {
-                let _tele = tele.map(|(reg, rank)| reg.install(rank));
-                let mut seg = Vec::new();
-                comm.try_allgather_tagged_with_seg(tag, mine, &counts, &mut seg, deadline)
-            }),
-        }
-    }
-
-    /// Fallible nonblocking personalized all-to-all on a caller-reserved
-    /// tag.
-    pub fn try_ialltoall_tagged<T>(
-        &self,
-        tag: u64,
-        chunks: Vec<Vec<T>>,
-        deadline: Option<Instant>,
-    ) -> Request<Result<Vec<Vec<T>>, CommError>>
-    where
-        T: Clone + Send + 'static,
-    {
-        let comm = self.clone();
-        let tele = hear_telemetry::spawn_context();
-        Request {
-            handle: std::thread::spawn(move || {
-                let _tele = tele.map(|(reg, rank)| reg.install(rank));
-                comm.try_alltoall_tagged(tag, chunks, deadline)
-            }),
-        }
-    }
-
-    /// Fallible nonblocking switch-tree allreduce on a caller-reserved tag.
-    pub fn try_iallreduce_inc_tagged<T, F>(
-        &self,
-        tag: u64,
-        data: Vec<T>,
-        op: F,
-        deadline: Option<Instant>,
-    ) -> Request<Result<Vec<T>, CommError>>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T + Send + Sync + Clone + 'static,
-    {
-        let comm = self.clone();
-        let tele = hear_telemetry::spawn_context();
-        Request {
-            handle: std::thread::spawn(move || {
-                let _tele = tele.map(|(reg, rank)| reg.install(rank));
-                comm.try_allreduce_inc_tagged(tag, data, op, deadline)
-            }),
-        }
+        self.post(move |comm| comm.allreduce_inc_tagged(tag, data, op))
     }
 }
 

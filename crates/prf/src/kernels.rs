@@ -393,7 +393,7 @@ pub fn sub_keystream_into<W: KernelWord>(prf: &PrfCipher, base: u128, first: u64
 /// The stream of `blocks` whose word `skip` lines up with a buffer's first
 /// element — how the `*_blocks_into` wrappers name their source.
 #[inline]
-pub(crate) fn pregenerated(blocks: &[u128]) -> [Stream<'_>; 1] {
+fn pregenerated(blocks: &[u128]) -> [Stream<'_>; 1] {
     [Stream::Blocks {
         blocks,
         first_block: 0,
@@ -442,6 +442,8 @@ mod tests {
         let mut v = vec![PrfCipher::new(Backend::AesSoft, KEY).unwrap()];
         if Backend::AesNi.is_available() {
             v.push(PrfCipher::new(Backend::AesNi, KEY).unwrap());
+            // Where `new` picked the VAES tile, keep the 128-bit one covered.
+            v.push(PrfCipher::aesni_narrow(KEY).unwrap());
         }
         if Backend::Sha1Ni.is_available() {
             v.push(PrfCipher::new(Backend::Sha1Ni, KEY).unwrap());

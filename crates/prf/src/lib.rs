@@ -5,8 +5,9 @@
 //! provides that substrate:
 //!
 //! * [`aes::Aes128`] — portable software AES-128 (FIPS-197, T-tables),
-//! * [`aesni::AesNi128`] — hardware AES-NI path with a 4-block pipeline
-//!   (the `AES-NI + SSE2` backend of paper §6),
+//! * [`aesni::AesNi128`] — hardware AES-NI path with an 8-block pipeline
+//!   (the `AES-NI + SSE2` backend of paper §6), two blocks per instruction
+//!   where the CPU has VAES,
 //! * [`sha1::Sha1Prf`] — the SHA-1 backend the paper measured and rejected,
 //! * [`PrfCipher`] — a backend-erased PRF with runtime CPU detection,
 //! * counter-mode keystream helpers ([`keystream_u32`], [`keystream_u64`],
@@ -37,9 +38,9 @@ pub use kernels::{
     xor_keystream_into, KernelWord, Stream,
 };
 pub use par::{
-    configured_threads, for_each_shard, par_add_blocks_into, par_add_keystream_into,
-    par_fused_pass, par_sub_blocks_into, par_sub_keystream_into, par_xor_blocks_into,
-    par_xor_keystream_into, with_pool, BgTask, Payload, WorkerPool, PAR_MIN_BYTES, SHARD_BYTES,
+    configured_threads, for_each_shard, par_add_keystream_into, par_fused_pass,
+    par_sub_keystream_into, par_xor_keystream_into, with_pool, BgTask, Payload, WorkerPool,
+    PAR_MIN_BYTES, SHARD_BYTES,
 };
 
 /// A keyed pseudorandom function producing 128-bit blocks.
@@ -165,6 +166,35 @@ impl PrfCipher {
             }
         };
         Some(PrfCipher { backend, inner })
+    }
+
+    /// [`Backend::AesNi`] pinned to its 128-bit bulk tile even where VAES
+    /// would widen it (see [`aesni::AesNi128::new_narrow`]). For tests and
+    /// the throughput bench only; deliberately not a [`Backend`].
+    #[doc(hidden)]
+    pub fn aesni_narrow(key: u128) -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            Some(PrfCipher {
+                backend: Backend::AesNi,
+                inner: PrfImpl::Ni(aesni::AesNi128::new_narrow(key)?),
+            })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = key;
+            None
+        }
+    }
+
+    /// True when this cipher's bulk AES tile runs on VAES (two blocks per
+    /// instruction) rather than 128-bit AES-NI.
+    pub fn has_wide_tile(&self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if let PrfImpl::Ni(a) = &self.inner {
+            return a.is_wide();
+        }
+        false
     }
 
     /// Construct the fastest available backend.

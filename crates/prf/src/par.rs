@@ -30,7 +30,7 @@
 //! from the submitting thread, keeping every counter identical to the
 //! serial path.
 
-use crate::kernels::{as_uninit, count_pass, fused_blocks, pass_uncounted, pregenerated, Stream};
+use crate::kernels::{as_uninit, count_pass, fused_blocks, pass_uncounted, Stream};
 use crate::{KernelWord, PrfCipher};
 use std::cell::Cell;
 use std::mem::MaybeUninit;
@@ -444,6 +444,11 @@ pub enum Payload<'a, W> {
     /// `f(src[i], …)` appended to `out`, written straight into its spare
     /// capacity: no copy of `src` first, no zero-fill of `out`.
     Extend(&'a [W], &'a mut Vec<W>),
+    /// `dst[i] ← f(src[i], …)` for a destination of `src`'s length that
+    /// need not be initialised — a window of some vector's spare capacity
+    /// the caller commits (`set_len`) itself. The pass initialises every
+    /// element of `dst`.
+    Into(&'a [W], &'a mut [MaybeUninit<W>]),
 }
 
 /// The N-stream fused pass across the pool: `dst[i] ← f(src[i], [A[first +
@@ -475,6 +480,8 @@ pub fn par_fused_pass<W, const N: usize, F>(
             // SAFETY: the pass above wrote every one of these words.
             unsafe { out.set_len(out.len() + src.len()) };
         }
+        // SAFETY: `src` is given, so `dst` need not be initialised.
+        Payload::Into(src, dst) => unsafe { par_pass(pool, streams, first, Some(src), dst, f) },
     }
 }
 
@@ -553,47 +560,6 @@ pub fn par_xor_keystream_into<W: KernelWord>(
 ) {
     let streams = [Stream::Cipher { prf, base }];
     par_fused_pass(pool, &streams, first, Payload::InPlace(buf), |x, [a]| {
-        x.bxor(a)
-    });
-}
-
-/// Parallel [`crate::add_blocks_into`]: combine from pregenerated blocks
-/// (the prefetch cache-hit path), uncounted like the serial form. `skip`
-/// is the offset of `buf[0]` in the word stream of `blocks`.
-pub fn par_add_blocks_into<W: KernelWord>(
-    pool: &WorkerPool,
-    blocks: &[u128],
-    skip: u64,
-    buf: &mut [W],
-) {
-    let streams = pregenerated(blocks);
-    par_fused_pass(pool, &streams, skip, Payload::InPlace(buf), |x, [a]| {
-        x.wrapping_add(a)
-    });
-}
-
-/// Parallel [`crate::sub_blocks_into`].
-pub fn par_sub_blocks_into<W: KernelWord>(
-    pool: &WorkerPool,
-    blocks: &[u128],
-    skip: u64,
-    buf: &mut [W],
-) {
-    let streams = pregenerated(blocks);
-    par_fused_pass(pool, &streams, skip, Payload::InPlace(buf), |x, [a]| {
-        x.wrapping_sub(a)
-    });
-}
-
-/// Parallel [`crate::xor_blocks_into`].
-pub fn par_xor_blocks_into<W: KernelWord>(
-    pool: &WorkerPool,
-    blocks: &[u128],
-    skip: u64,
-    buf: &mut [W],
-) {
-    let streams = pregenerated(blocks);
-    par_fused_pass(pool, &streams, skip, Payload::InPlace(buf), |x, [a]| {
         x.bxor(a)
     });
 }
@@ -762,7 +728,17 @@ mod tests {
         let mut want = data.clone();
         crate::add_blocks_into(&blocks, skip, &mut want);
         let mut got = data.clone();
-        par_add_blocks_into(&pool, &blocks, skip, &mut got);
+        let streams = [Stream::Blocks {
+            blocks: &blocks,
+            first_block: 0,
+        }];
+        par_fused_pass(
+            &pool,
+            &streams,
+            skip,
+            Payload::InPlace(&mut got),
+            |x, [a]| x.wrapping_add(a),
+        );
         assert_eq!(want, got);
     }
 

@@ -67,10 +67,13 @@ timeout 300 cargo run --release -q -p hear-bench --bin socket_smoke
 # >= 2x its scalar reference at 64 Ki u64 words on one thread (same
 # tolerance; "homac_gate: SKIP" and exit 0 without AES-NI), and after it
 # the fused FloatSum encrypt/decrypt to >= 1.5x theirs at 64 Ki fp64(2,2)
-# elements ("float_gate: SKIP" likewise), and last the two-stream
+# elements ("float_gate: SKIP" likewise), then the two-stream
 # out-of-place mask to >= 1.3x copy + two in-place passes at 64 MiB of u32
-# ("mask_gate: SKIP" likewise). The sweep's homac_64Ki, float_64Ki,
-# mask_64Mi and mask_1Mi rows land in BENCH_crypto.json.
+# ("mask_gate: SKIP" likewise), and last the VAES keystream tile to
+# >= 1.2x the 128-bit AES-NI tile on the two-stream mask at 1 MiB
+# ("tile_gate: SKIP" without VAES). The sweep's homac_64Ki, float_64Ki,
+# mask_64Mi and mask_1Mi rows — the last two with a fused_narrow_tile row
+# beside each fused one on a VAES host — land in BENCH_crypto.json.
 HEAR_BENCH_FAST=1 HEAR_BENCH_DIR="$smoke_dir" \
     cargo run --release -q -p hear-bench --bin crypto_throughput
 test -s "$smoke_dir/BENCH_crypto.json"

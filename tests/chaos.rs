@@ -677,6 +677,154 @@ fn a_failed_call_leaves_out_empty() {
     assert!(failures >= 12, "the kills failed only {failures} calls");
 }
 
+/// The ring hands each aggregated chunk to the engine once, as it passes,
+/// and the engine unmasks it there and then — so when a rank dies *during
+/// the allgather phase*, every survivor has already decrypted at least its
+/// own chunk (the first thing the phase does) into the spare capacity of
+/// `out`. None of that may be visible: under [`PeerDeadPolicy::Fail`] a
+/// failed call leaves `out` empty (its length never moved), plain and
+/// verified, one block or several; a rank that was served every chunk
+/// before the death holds the exact sum.
+#[test]
+fn a_kill_during_the_allgather_phase_leaves_out_empty() {
+    let victim = WORLD - 1;
+    let (int_in, int_exp) = int_inputs();
+    let int_in = &int_in;
+    let mut failures = 0;
+    for verified in [false, true] {
+        for (chunk, blocks_before) in [(EngineCfg::sync(), 0), (EngineCfg::blocked(BLOCK), 1)] {
+            // A ring block is WORLD − 1 reduce-scatter sends, then WORLD − 1
+            // allgather sends: the victim dies one hop into the allgather
+            // phase (of block 1, for the chunked call).
+            let after = (blocks_before * 2 * (WORLD - 1) + WORLD) as u64;
+            let cfg = SimConfig::default().with_faults(with_packet_hooks(
+                FaultPlan::seeded(0xA6D1).kill_endpoint_after(victim, after),
+            ));
+            let results = Simulator::with_config(WORLD, cfg).run(|comm| {
+                let mut sc = shrink_sc(comm, 0xA6D1);
+                let mut s = IntSumScheme::<u32>::default();
+                let mut ecfg = chunk
+                    .with_algo(ReduceAlgo::Ring)
+                    .with_retry(chaos_policy(comm));
+                if verified {
+                    ecfg = ecfg.verified();
+                }
+                let data = &int_in[comm.rank()];
+                let mut out = data.clone();
+                let res = sc.allreduce_with_into(&mut s, data, &mut out, ecfg);
+                (res, out)
+            });
+            for (rank, (res, out)) in results.iter().enumerate() {
+                let cell = format!("verified={verified} {chunk:?} rank {rank}");
+                match res {
+                    Err(e) => {
+                        failures += 1;
+                        assert!(matches!(e, EngineError::Comm(_)), "{cell}: {e}");
+                        assert!(out.is_empty(), "{cell}: `out` holds {} elements", out.len());
+                        assert!(out.capacity() >= LEN, "{cell}: capacity dropped");
+                    }
+                    Ok(()) => assert_eq!(out, &int_exp, "{cell}: a completed sum is exact"),
+                }
+            }
+        }
+    }
+    // Every chunk but the victim's own reaches the victim's successor
+    // through the victim: at least that rank fails every cell.
+    assert!(failures >= 4, "the kills failed only {failures} calls");
+}
+
+/// The same death under [`PeerDeadPolicy::ShrinkAndContinue`]: the
+/// survivors — each with chunks of the dead attempt already decrypted
+/// past the end of `out` — agree on the shrunk world and re-run. The
+/// re-run rewrites the same window, so every survivor ends with exactly
+/// one copy of every block: the survivor-set sum, `LEN` elements.
+#[test]
+fn shrink_and_continue_mid_allgather_phase_appends_each_block_once() {
+    let victim = WORLD - 1;
+    let (int_in, _) = int_inputs();
+    let expected = survivor_sum(&int_in, &[0, 1, 2]);
+    let int_in = &int_in;
+    for (chunk, blocks_before) in [(EngineCfg::sync(), 0), (EngineCfg::blocked(BLOCK), 1)] {
+        let after = (blocks_before * 2 * (WORLD - 1) + WORLD) as u64;
+        let cfg = SimConfig::default().with_faults(with_packet_hooks(
+            FaultPlan::seeded(0xA6D2).kill_endpoint_after(victim, after),
+        ));
+        let results = Simulator::with_config(WORLD, cfg).run(|comm| {
+            let mut sc = shrink_sc(comm, 0xA6D2);
+            let mut s = IntSumScheme::<u32>::default();
+            let ecfg = chunk
+                .with_algo(ReduceAlgo::Ring)
+                .with_retry(shrink_policy(comm));
+            let mut out = int_in[comm.rank()].clone();
+            let res = sc.allreduce_with_into(&mut s, &int_in[comm.rank()], &mut out, ecfg);
+            (res.map(|()| out), sc.world(), sc.take_membership_changes())
+        });
+        check_shrink_reports(&results, victim);
+        for (rank, (res, ..)) in results.iter().enumerate() {
+            if rank != victim {
+                assert_eq!(
+                    res.as_ref().unwrap(),
+                    &expected,
+                    "survivor {rank} ({chunk:?})"
+                );
+            }
+        }
+    }
+}
+
+/// A verified chunk is decrypted into staging, checked against its
+/// authenticated digest, and only then copied to its place — and `out`
+/// grows only when every chunk of the block passed. With a single attempt
+/// (no retry to heal it) and one message in sixteen tampered with, every
+/// call must end either with the exact sum or with a verification /
+/// transport error **and an empty `out`**: a tampered chunk never reaches
+/// the caller, not even as a prefix.
+#[test]
+fn a_tampered_chunk_never_reaches_out() {
+    let (int_in, int_exp) = int_inputs();
+    let int_in = &int_in;
+    let (mut rejected, mut exact) = (0, 0);
+    for seed in 0..24u64 {
+        let plan = with_packet_hooks(FaultPlan::seeded(0x7A3B ^ seed).corrupt_one_in(16));
+        let cfg = SimConfig::default().with_faults(plan);
+        let results = Simulator::with_config(WORLD, cfg).run(|comm| {
+            let mut sc = shrink_sc(comm, 0x7A3B);
+            let mut s = IntSumScheme::<u32>::default();
+            let retry = RetryPolicy::retries(0).with_attempt_timeout(Duration::from_millis(150));
+            let chunk = if seed % 2 == 0 {
+                EngineCfg::sync()
+            } else {
+                EngineCfg::blocked(BLOCK)
+            };
+            let ecfg = chunk
+                .verified()
+                .with_algo(ReduceAlgo::Ring)
+                .with_retry(retry);
+            let mut out = int_in[comm.rank()].clone();
+            let res = sc.allreduce_with_into(&mut s, &int_in[comm.rank()], &mut out, ecfg);
+            (res, out)
+        });
+        for (rank, (res, out)) in results.iter().enumerate() {
+            match res {
+                Ok(()) => {
+                    exact += 1;
+                    assert_eq!(out, &int_exp, "seed {seed} rank {rank}: wrong verified sum");
+                }
+                Err(e) => {
+                    rejected += usize::from(matches!(e, EngineError::Verification(_)));
+                    assert!(
+                        matches!(e, EngineError::Verification(_) | EngineError::Comm(_)),
+                        "seed {seed} rank {rank}: wrong error class: {e}"
+                    );
+                    assert!(out.is_empty(), "seed {seed} rank {rank}: {out:?} leaked");
+                }
+            }
+        }
+    }
+    assert!(rejected > 0, "the sweep never tampered with a chunk");
+    assert!(exact > 0, "the sweep never let a call through");
+}
+
 /// The same contract when the failure is the caller's own: an unencodable
 /// float in block 2 of a chunked call fails that rank's mask after blocks
 /// 0 and 1 were appended, and its peer starves into a typed timeout.
