@@ -1,36 +1,34 @@
-//! The fused allreduce entry point and the four chunk-mode runners it
-//! shares with [`SecureComm::reduce_scatter_with`].
+//! The fused allreduce entry point and the reduction it shares with
+//! [`SecureComm::reduce_scatter_with`]: one [`Blocks`] impl, `Reduce`,
+//! over a plain or a verified `Codec`.
 //!
 //! On [`ReduceAlgo::Ring`] the transport underneath is literally
 //! reduce-scatter followed by allgather — one chunk-owned hop loop in
 //! `hear_mpi` drives both phases — and the reduce-scatter collective is
-//! the same runners stopped halfway ([`Route::Scatter`]), so this entry
+//! the same reduction stopped halfway ([`Route::Scatter`]), so this entry
 //! point and the factored [`SecureComm::reduce_scatter_with`] /
 //! [`SecureComm::allgather_with`](crate::secure::SecureComm) pair can
 //! never drift apart.
 //!
 //! A block travels as owned chunk vectors ([`chunk_count`] of them: one
-//! per rank under the ring, one otherwise). The synchronous runners mask
-//! straight into the chunks and unmask each aggregated chunk straight out
-//! of it, as the ring hands it over, into its place in the caller's `out`
-//! ([`OutWindow`]); a posted block cannot touch `out` from its helper
-//! thread, so it brings its chunks back and the drain unmasks them in
-//! order.
+//! per rank under the ring, one otherwise). The codec seals straight into
+//! them and opens each aggregated chunk straight out of it into its place
+//! in the caller's `out` ([`OutWindow`]): as the ring hands it over, or,
+//! for a posted block, when the drain opens the chunks it brought back.
 
 use super::cfg::{ChunkMode, EngineCfg, EngineError};
+use super::driver::Blocks;
 use super::packet::{open_block, packet_op, seal_chunks, SchemePacket, VerifyScratch};
 use super::phases::share_bounds;
-use super::retry::{attempt_tag, RetryCtl, Step};
+use super::retry::RetryCtl;
 use super::window::OutWindow;
 use super::{
-    chunk_count, mask_chunks, post_transport_chunks, transport_chunks, PostedChunks, Route, DEPTH,
+    chunk_count, mask_chunks, post_transport_chunks, transport_chunks, PostedChunks, Route,
 };
 use crate::secure::{ReduceAlgo, SecureComm};
-use hear_core::{Homac, Scheme};
-use std::collections::VecDeque;
-
-/// One posted block in flight: its global offset, its index, its request.
-type InFlight<T> = VecDeque<(usize, u64, PostedChunks<T>)>;
+use hear_core::{CommKeys, Homac, Scheme};
+use hear_telemetry::span;
+use std::time::Instant;
 
 impl SecureComm {
     /// The generic secured allreduce: any [`Scheme`] × any [`ReduceAlgo`] ×
@@ -48,13 +46,13 @@ impl SecureComm {
     }
 
     /// [`SecureComm::allreduce_with`] writing into a caller-provided
-    /// vector. `out` is cleared and filled with the aggregate — blocks are
-    /// unmasked straight into it as they drain, in order — and its capacity
-    /// is reused across calls, which makes the integer and float hot
-    /// paths free of heap allocation in steady state (the staging buffers
-    /// come from the arena, the output from the caller). On `Err`, `out`
-    /// is empty (capacity kept): never the caller's input, never a prefix
-    /// of a result. Under
+    /// vector. `out` is cleared and filled with the aggregate — each block
+    /// is unmasked straight into it, in order — and its capacity is reused
+    /// across calls, which makes the integer and float hot paths free of
+    /// heap allocation in steady state (the staging buffers come from the
+    /// arena, the output from the caller). On `Err`, `out` is empty
+    /// (capacity kept): never the caller's input, never a prefix of a
+    /// result. Under
     /// [`PeerDeadPolicy::ShrinkAndContinue`](super::cfg::PeerDeadPolicy)
     /// a dead member triggers membership reconfiguration and a re-run
     /// over the survivors (see the engine's `membership` module).
@@ -65,54 +63,58 @@ impl SecureComm {
         out: &mut Vec<S::Input>,
         cfg: EngineCfg,
     ) -> Result<(), EngineError> {
-        self.with_shrink(cfg.retry, |sc| sc.allreduce_attempt(scheme, data, out, cfg))
-            .inspect_err(|_| out.clear())
+        self.run_into(out, Some(cfg.retry), |sc, out| {
+            let route = Route::All(cfg.algo.unwrap_or(sc.algo));
+            sc.reduce_attempt(scheme, data, out, cfg, route)
+        })
     }
 
-    /// One full attempt of the fused allreduce over the *current*
-    /// membership. [`SecureComm::allreduce_with_into`] (the public
-    /// wrapper in [`super::membership`]) re-runs this after a
-    /// shrink-and-continue reconfiguration; `out` is cleared at entry so
-    /// a re-run starts from a clean slate.
-    pub(crate) fn allreduce_attempt<S: Scheme + 'static>(
+    /// One full attempt of a reduction towards `route` over the *current*
+    /// membership — the allreduce, or the reduce-scatter on
+    /// [`Route::Scatter`]. The public wrappers re-run it after a
+    /// shrink-and-continue reconfiguration; `out` is cleared at entry so a
+    /// re-run starts from a clean slate.
+    pub(crate) fn reduce_attempt<S: Scheme + 'static>(
         &mut self,
         scheme: &mut S,
         data: &[S::Input],
         out: &mut Vec<S::Input>,
         cfg: EngineCfg,
+        mut route: Route,
     ) -> Result<(), EngineError> {
-        let block = match cfg.chunk {
-            ChunkMode::Sync => data.len().max(1),
-            ChunkMode::Blocked(b) | ChunkMode::Pipelined(b) => {
-                assert!(b > 0, "block size must be positive");
-                b
+        let (n, block) = (data.len(), cfg.block_len(data.len()));
+        // The Fig. 6 baseline (a `Blocked` allreduce) runs unspanned.
+        let _span = match (route, cfg.chunk) {
+            (Route::Scatter, _) if cfg.verified => {
+                Some(span!("secure_reduce_scatter_verified", elems = n))
             }
+            (Route::Scatter, _) => Some(span!("secure_reduce_scatter", elems = n)),
+            (_, ChunkMode::Pipelined(b)) => Some(span!("pipeline", elems = n, block = b)),
+            (_, ChunkMode::Sync) if cfg.verified => {
+                Some(span!("secure_allreduce_verified", elems = n))
+            }
+            (_, ChunkMode::Sync) => Some(span!("secure_allreduce", elems = n)),
+            (_, ChunkMode::Blocked(_)) => None,
         };
-        // The span mirrors the legacy per-method instrumentation: the
-        // Fig. 6 baseline (`Blocked`) intentionally ran unspanned.
-        let _span = match cfg.chunk {
-            ChunkMode::Pipelined(b) => Some(hear_telemetry::span!(
-                "pipeline",
-                elems = data.len(),
-                block = b
-            )),
-            ChunkMode::Sync if cfg.verified => Some(hear_telemetry::span!(
-                "secure_allreduce_verified",
-                elems = data.len()
-            )),
-            ChunkMode::Sync => Some(hear_telemetry::span!(
-                "secure_allreduce",
-                elems = data.len()
-            )),
-            ChunkMode::Blocked(_) => None,
-        };
-        let homac = cfg.verified.then(|| self.verified_homac::<S>());
+        let homac = self.homac_for(cfg);
+        if homac.is_some() {
+            // A digest is sound only up to some world, and the packet shape
+            // needs a TCP codec (bound on first use, so a program pays only
+            // for the shapes it ships).
+            assert!(
+                self.world() <= S::MAX_VERIFIED_WORLD,
+                "{} digest verification is sound only up to {} ranks",
+                S::NAME,
+                S::MAX_VERIFIED_WORLD
+            );
+            crate::wire::ensure_packet_codec::<S>();
+        }
         self.keys.advance();
         out.clear();
         if data.is_empty() {
             return Ok(());
         }
-        self.submit_prefetch(scheme.noise_width(), data.len(), block);
+        self.submit_prefetch(scheme.noise_width(), n, block);
         if self.world() == 1 {
             // Nothing crosses the network: mask/unmask locally so every
             // algorithm (even Switch without a switch fabric) degenerates
@@ -122,518 +124,287 @@ impl SecureComm {
         // Tags for the whole epoch are reserved up front so retries and
         // degraded re-runs stay inside this call's tag block: block `b`,
         // attempt `a` runs on `base + b·256 + a·8` on every rank.
-        let nblocks = (data.len() as u64).div_ceil(block as u64);
+        let nblocks = (n as u64).div_ceil(block as u64);
         let base_tag = self.comm.reserve_coll_tags(nblocks);
-        let mut algo = cfg.algo.unwrap_or(self.algo);
-        if algo == ReduceAlgo::Switch && self.degraded {
+        if route == Route::All(ReduceAlgo::Switch) && self.degraded {
             // A previous epoch lost the switch tree: stay on the host
             // ring instead of re-probing a dead fabric every call.
-            algo = ReduceAlgo::Ring;
+            route = Route::All(ReduceAlgo::Ring);
             hear_telemetry::incr(hear_telemetry::Metric::DegradedEpochs);
         }
-        let mut ctl = RetryCtl::new(cfg.retry);
-        self.run_blocks(
+        let ctl = &mut RetryCtl::new(cfg.retry);
+        match homac {
+            None => {
+                let mut r = Reduce::new(scheme, data, out, block, route, Plain);
+                self.run_blocks(&mut r, nblocks, base_tag, ctl, cfg.chunk)
+            }
+            Some(homac) => {
+                let vs = VerifyScratch::lease(&mut self.arena);
+                let mut r = Reduce::new(scheme, data, out, block, route, Verified { homac, vs });
+                let result = self.run_blocks(&mut r, nblocks, base_tag, ctl, cfg.chunk);
+                r.codec.vs.restore(&mut self.arena);
+                result
+            }
+        }
+    }
+}
+
+/// How a reduction of scheme `S` ships a block: as plain ciphertexts
+/// ([`Plain`]) or as verified packets ([`Verified`]).
+trait Codec<S: Scheme>: 'static {
+    type Wire: Clone + Send + 'static;
+
+    /// The combiner the (untrusted) network folds chunks with.
+    fn op(a: &Self::Wire, b: &Self::Wire) -> Self::Wire;
+
+    /// Seal the block `input` at global `offset` into `chunks`, chunk `c`
+    /// at `offset + s_c`: the same pad coordinates, and so the same wire
+    /// bytes, as the whole block sealed at once.
+    fn seal(
+        &mut self,
+        scheme: &mut S,
+        keys: &CommKeys,
+        offset: usize,
+        input: &[S::Input],
+        chunks: &mut [Vec<Self::Wire>],
+    ) -> Result<(), EngineError>;
+
+    /// Open aggregated chunk `c` into its place in `window`, or reject it
+    /// (and write nothing there).
+    fn open(
+        &mut self,
+        scheme: &mut S,
+        keys: &CommKeys,
+        world: usize,
+        c: usize,
+        agg: &[Self::Wire],
+        window: &mut OutWindow<'_, S::Input>,
+    ) -> Result<(), EngineError>;
+}
+
+/// Masked ciphertexts, combined by `S::op` and unmasked straight into the
+/// caller's `out`. Never rejects.
+struct Plain;
+
+impl<S: Scheme + 'static> Codec<S> for Plain {
+    type Wire = S::Wire;
+
+    fn op(a: &S::Wire, b: &S::Wire) -> S::Wire {
+        S::op(a, b)
+    }
+
+    fn seal(
+        &mut self,
+        scheme: &mut S,
+        keys: &CommKeys,
+        offset: usize,
+        input: &[S::Input],
+        chunks: &mut [Vec<S::Wire>],
+    ) -> Result<(), EngineError> {
+        Ok(mask_chunks(scheme, keys, offset, input, chunks)?)
+    }
+
+    fn open(
+        &mut self,
+        scheme: &mut S,
+        keys: &CommKeys,
+        _world: usize,
+        c: usize,
+        agg: &[S::Wire],
+        window: &mut OutWindow<'_, S::Input>,
+    ) -> Result<(), EngineError> {
+        window.unmask(scheme, keys, c, agg);
+        Ok(())
+    }
+}
+
+/// Verified packets (§5.5). A chunk decrypts into `vs.dec` and is copied to
+/// its place only once its digest check has passed — so no unverified
+/// plaintext is ever in the caller's vector, which is why this codec keeps
+/// the staging copy the plain one dropped. A rejected chunk fails the
+/// attempt; the ring still forwards it (the next rank runs its own check).
+/// A verification failure is retryable: the per-block digest already
+/// localized the damage to this block, so the resend retransmits exactly
+/// the failing packets (re-sealed to the identical ciphertext).
+struct Verified<S: Scheme + 'static> {
+    homac: Homac,
+    vs: VerifyScratch<S>,
+}
+
+impl<S: Scheme + 'static> Codec<S> for Verified<S> {
+    type Wire = SchemePacket<S>;
+
+    fn op(a: &SchemePacket<S>, b: &SchemePacket<S>) -> SchemePacket<S> {
+        packet_op::<S>(a, b)
+    }
+
+    fn seal(
+        &mut self,
+        scheme: &mut S,
+        keys: &CommKeys,
+        offset: usize,
+        input: &[S::Input],
+        chunks: &mut [Vec<SchemePacket<S>>],
+    ) -> Result<(), EngineError> {
+        seal_chunks(
+            scheme,
+            &self.homac,
+            keys,
+            offset,
+            input,
+            &mut self.vs,
+            chunks,
+        )
+    }
+
+    fn open(
+        &mut self,
+        scheme: &mut S,
+        keys: &CommKeys,
+        world: usize,
+        c: usize,
+        agg: &[SchemePacket<S>],
+        window: &mut OutWindow<'_, S::Input>,
+    ) -> Result<(), EngineError> {
+        let first = window.first(c);
+        open_block(scheme, &self.homac, keys, world, first, agg, &mut self.vs)?;
+        window.place(c, &self.vs.dec);
+        Ok(())
+    }
+}
+
+/// A reduction of `data` in `block`-element blocks towards `route`,
+/// shipped by codec `K`.
+struct Reduce<'a, S: Scheme, K> {
+    scheme: &'a mut S,
+    data: &'a [S::Input],
+    out: &'a mut Vec<S::Input>,
+    block: usize,
+    route: Route,
+    codec: K,
+}
+
+impl<'a, S: Scheme, K> Reduce<'a, S, K> {
+    fn new(
+        scheme: &'a mut S,
+        data: &'a [S::Input],
+        out: &'a mut Vec<S::Input>,
+        block: usize,
+        route: Route,
+        codec: K,
+    ) -> Self {
+        Reduce {
             scheme,
             data,
             out,
             block,
-            cfg.chunk,
-            &mut Route::All(algo),
-            base_tag,
-            &mut ctl,
-            homac.as_ref(),
-        )
-    }
-
-    /// Dispatch a reduction's blocks to the runner for its chunk mode and
-    /// integrity setting.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_blocks<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        chunk: ChunkMode,
-        route: &mut Route,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-        homac: Option<&Homac>,
-    ) -> Result<(), EngineError> {
-        match (chunk, homac) {
-            (ChunkMode::Pipelined(_), None) => {
-                self.run_plain_pipelined(scheme, data, out, block, route, base_tag, ctl)
-            }
-            (ChunkMode::Pipelined(_), Some(h)) => {
-                self.run_verified_pipelined(scheme, data, out, block, route, base_tag, ctl, h)
-            }
-            (_, None) => self.run_plain_sync(scheme, data, out, block, route, base_tag, ctl),
-            (_, Some(h)) => {
-                self.run_verified_sync(scheme, data, out, block, route, base_tag, ctl, h)
-            }
+            route,
+            codec,
         }
     }
 
-    /// Act on a retry decision inside an attempt loop: `Ok` to go round
-    /// again (on the host ring from now on, after a `Degrade`).
-    fn take_step(&mut self, step: Step, route: &mut Route) -> Result<(), EngineError> {
-        match (step, route) {
-            (Step::Fail(e), _) => Err(e),
-            (Step::Degrade, Route::All(algo)) => {
-                self.note_degraded();
-                *algo = ReduceAlgo::Ring;
-                Ok(())
-            }
-            // The factored phase is ring-native: a `Degrade` (which can
-            // only mean "leave the switch") is just another retry there.
-            _ => Ok(()),
-        }
+    /// Block `k`'s global offset and input.
+    fn input(&self, k: u64) -> (usize, &'a [S::Input]) {
+        let offset = k as usize * self.block;
+        let data: &'a [S::Input] = self.data;
+        (offset, &data[offset..(offset + self.block).min(data.len())])
     }
 
-    /// Where the result of the `len`-element block at global `offset`
-    /// lands: the global index of its first element, its length, and the
-    /// number of chunks it arrives in. The whole block for an allreduce;
-    /// this rank's share, as one piece, for a reduce-scatter.
-    fn landing(&self, route: Route, offset: usize, len: usize) -> (usize, usize, usize) {
-        match route {
-            Route::All(_) => (offset, len, chunk_count(route, self.world())),
+    /// Where block `k`, moved as `nchunks` chunks, lands (global first
+    /// index, length, pieces): the whole block, one piece per chunk, for an
+    /// allreduce; this rank's share of it, as one piece, for a
+    /// reduce-scatter. The pieces are counted from the chunks, not from
+    /// `route`: a block posted on the switch can drain after a degrade has
+    /// moved `route` to the ring.
+    fn landing(&self, sc: &SecureComm, k: u64, nchunks: usize) -> (usize, usize, usize) {
+        let (offset, input) = self.input(k);
+        match self.route {
+            Route::All(_) => (offset, input.len(), nchunks),
             Route::Scatter => {
-                let (s, e) = share_bounds(len, self.world(), self.rank());
+                let (s, e) = share_bounds(input.len(), sc.world(), sc.rank());
                 (offset + s, e - s, 1)
             }
         }
     }
+}
 
-    /// The chunks of a posted block that hold this rank's result, in order
-    /// from [`SecureComm::landing`]'s first element.
-    fn landed<'c, T>(&self, route: Route, chunks: &'c [Vec<T>]) -> &'c [Vec<T>] {
-        match route {
+impl<S: Scheme + 'static, K: Codec<S>> Blocks for Reduce<'_, S, K> {
+    type Wire = K::Wire;
+
+    fn nchunks(&self, sc: &SecureComm) -> usize {
+        chunk_count(self.route, sc.world())
+    }
+
+    fn seal(
+        &mut self,
+        sc: &SecureComm,
+        k: u64,
+        chunks: &mut [Vec<K::Wire>],
+    ) -> Result<(), EngineError> {
+        let (offset, input) = self.input(k);
+        self.codec
+            .seal(self.scheme, &sc.keys, offset, input, chunks)
+    }
+
+    fn exchange(
+        &mut self,
+        sc: &SecureComm,
+        k: u64,
+        tag: u64,
+        deadline: Option<Instant>,
+        chunks: &mut Vec<Vec<K::Wire>>,
+    ) -> Result<(), EngineError> {
+        let (at, len, pieces) = self.landing(sc, k, chunks.len());
+        let mut window = OutWindow::new(self.out, at, len, pieces);
+        let (scheme, codec) = (&mut *self.scheme, &mut self.codec);
+        let mut opened = Ok(());
+        let open = |c: usize, agg: &[K::Wire]| {
+            if opened.is_ok() {
+                opened = codec.open(scheme, &sc.keys, sc.world(), c, agg, &mut window);
+            }
+        };
+        transport_chunks(&sc.comm, tag, chunks, self.route, K::op, open, deadline)?;
+        opened?;
+        window.commit();
+        Ok(())
+    }
+
+    fn post(
+        &self,
+        sc: &SecureComm,
+        tag: u64,
+        deadline: Option<Instant>,
+        chunks: Vec<Vec<K::Wire>>,
+    ) -> PostedChunks<K::Wire> {
+        post_transport_chunks(&sc.comm, tag, chunks, self.route, K::op, deadline)
+    }
+
+    fn open(
+        &mut self,
+        sc: &SecureComm,
+        k: u64,
+        chunks: &[Vec<K::Wire>],
+    ) -> Result<(), EngineError> {
+        let landed = match self.route {
             Route::All(_) => chunks,
-            Route::Scatter => &chunks[self.rank()..=self.rank()],
-        }
-    }
-
-    /// One plain block, synchronously, with the attempt loop: mask into the
-    /// chunk vectors → transport → unmask each aggregated chunk into its
-    /// place past the end of `out`, retrying or degrading per the policy.
-    /// Re-masking on a retry reproduces the identical ciphertext (same
-    /// epoch, same offsets), so a resend is never a two-time pad; `out`
-    /// grows only when an attempt has delivered every chunk.
-    #[allow(clippy::too_many_arguments)]
-    fn plain_block_sync<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        offset: usize,
-        block_idx: u64,
-        route: &mut Route,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-        chunks: &mut Vec<Vec<S::Wire>>,
-    ) -> Result<(), EngineError> {
-        let input = &data[offset..(offset + block).min(data.len())];
-        loop {
-            let n = chunk_count(*route, self.world());
-            self.fit_chunks(chunks, n);
-            mask_chunks(scheme, &self.keys, offset, input, chunks)?;
-            let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
-            let deadline = ctl.deadline();
-            let (at, len, pieces) = self.landing(*route, offset, input.len());
-            let mut window = OutWindow::new(out, len, pieces);
-            let keys = &self.keys;
-            let unmask = |c: usize, agg: &[S::Wire]| window.unmask(scheme, keys, at, c, agg);
-            match transport_chunks(&self.comm, tag, chunks, *route, S::op, unmask, deadline) {
-                Ok(()) => {
-                    window.commit();
-                    return Ok(());
-                }
-                Err(e) => {
-                    let step = ctl.on_error(EngineError::Comm(e));
-                    self.take_step(step, route)?;
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_plain_sync<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        route: &mut Route,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-    ) -> Result<(), EngineError> {
-        let mut chunks = self.lease_chunks();
-        let mut result = Ok(());
-        let (mut offset, mut block_idx) = (0usize, 0u64);
-        while offset < data.len() && result.is_ok() {
-            result = self.plain_block_sync(
-                scheme,
-                data,
-                out,
-                block,
-                offset,
-                block_idx,
-                route,
-                base_tag,
-                ctl,
-                &mut chunks,
-            );
-            offset += block;
-            block_idx += 1;
-        }
-        self.restore_chunks(chunks);
-        result
-    }
-
-    /// Complete one posted plain block: wait on the request and unmask the
-    /// chunks it brought back onto the end of `out`; on failure fall back
-    /// to synchronous per-block recovery (which retries and/or degrades
-    /// per the policy).
-    #[allow(clippy::too_many_arguments)]
-    fn drain_plain_block<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        offset: usize,
-        block_idx: u64,
-        req: PostedChunks<S::Wire>,
-        route: &mut Route,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-    ) -> Result<(), EngineError> {
-        let res = {
-            let _w = hear_telemetry::span!("pipeline_wait", offset = offset);
-            req.wait()
+            Route::Scatter => &chunks[sc.rank()..=sc.rank()],
         };
-        hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, -1);
-        let mut chunks = match res {
-            Ok(chunks) => {
-                let len = block.min(data.len() - offset);
-                let (mut at, _, _) = self.landing(*route, offset, len);
-                for chunk in self.landed(*route, &chunks) {
-                    scheme.unmask_extend(&self.keys, at as u64, chunk, out);
-                    at += chunk.len();
-                }
-                self.restore_chunks(chunks);
-                return Ok(());
-            }
-            Err(e) => {
-                let step = ctl.on_error(EngineError::Comm(e));
-                self.take_step(step, route)?;
-                self.lease_chunks()
-            }
-        };
-        let result = self.plain_block_sync(
-            scheme,
-            data,
-            out,
-            block,
-            offset,
-            block_idx,
-            route,
-            base_tag,
-            ctl,
-            &mut chunks,
-        );
-        self.restore_chunks(chunks);
-        result
+        let (at, len, pieces) = self.landing(sc, k, landed.len());
+        let mut window = OutWindow::new(self.out, at, len, pieces);
+        // Last chunk first: the descending order the window's claims check.
+        for (c, agg) in landed.iter().enumerate().rev() {
+            (self.codec).open(self.scheme, &sc.keys, sc.world(), c, agg, &mut window)?;
+        }
+        window.commit();
+        Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_plain_pipelined<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        route: &mut Route,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-    ) -> Result<(), EngineError> {
-        let mut inflight: InFlight<S::Wire> = VecDeque::with_capacity(DEPTH);
-        let mut result = Ok(());
-        let (mut offset, mut block_idx) = (0usize, 0u64);
-        while offset < data.len() && result.is_ok() {
-            let end = (offset + block).min(data.len());
-            let mut chunks = self.lease_chunks();
-            let n = chunk_count(*route, self.world());
-            self.fit_chunks(&mut chunks, n);
-            // An encode error aborts the call; already-posted blocks are
-            // detached and complete in the background on every rank.
-            if let Err(e) = mask_chunks(scheme, &self.keys, offset, &data[offset..end], &mut chunks)
-            {
-                self.restore_chunks(chunks);
-                return Err(e.into());
-            }
-            hear_telemetry::incr(hear_telemetry::Metric::PipelineBlocks);
-            hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, 1);
-            let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
-            let deadline = ctl.deadline();
-            let req = post_transport_chunks(&self.comm, tag, chunks, *route, S::op, deadline);
-            inflight.push_back((offset, block_idx, req));
-            if inflight.len() >= DEPTH {
-                let (o, bi, req) = inflight.pop_front().expect("non-empty");
-                result = self
-                    .drain_plain_block(scheme, data, out, block, o, bi, req, route, base_tag, ctl);
-            }
-            offset = end;
-            block_idx += 1;
-        }
-        while let (Ok(()), Some((o, bi, req))) = (&result, inflight.pop_front()) {
-            result =
-                self.drain_plain_block(scheme, data, out, block, o, bi, req, route, base_tag, ctl);
-        }
-        result
+    fn route(&mut self) -> Option<&mut Route> {
+        Some(&mut self.route)
     }
 
-    /// One verified block, synchronously, with the attempt loop: seal into
-    /// the chunk vectors → transport → open each aggregated chunk as it
-    /// passes. A chunk decrypts into `vs.dec` and is copied to its place
-    /// past the end of `out` only once its digest check has passed, and
-    /// `out` grows only when every chunk of the block has — so no
-    /// unverified plaintext is ever in the caller's vector, which is why
-    /// this path keeps the staging copy the plain one dropped. A chunk that
-    /// fails is still forwarded (the ring must keep moving; the next rank
-    /// runs its own check) and fails the attempt. A verification failure
-    /// is retryable — the per-block §5.5 digest already localized the
-    /// damage to this block, so the resend retransmits exactly the failing
-    /// packets (re-sealed to the identical ciphertext) and nothing else.
-    #[allow(clippy::too_many_arguments)]
-    fn verified_block_sync<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        homac: &Homac,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        offset: usize,
-        block_idx: u64,
-        route: &mut Route,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-        vs: &mut VerifyScratch<S>,
-        chunks: &mut Vec<Vec<SchemePacket<S>>>,
-    ) -> Result<(), EngineError> {
-        let world = self.world();
-        let input = &data[offset..(offset + block).min(data.len())];
-        loop {
-            let n = chunk_count(*route, world);
-            self.fit_chunks(chunks, n);
-            seal_chunks(scheme, homac, &self.keys, offset, input, vs, chunks)?;
-            let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
-            let deadline = ctl.deadline();
-            let (at, len, pieces) = self.landing(*route, offset, input.len());
-            let mut window = OutWindow::new(out, len, pieces);
-            let mut rejected = None;
-            let keys = &self.keys;
-            let open = |c: usize, agg: &[SchemePacket<S>]| {
-                if rejected.is_some() {
-                    return;
-                }
-                let (s, _) = share_bounds(len, pieces, c);
-                match open_block(scheme, homac, keys, world, at + s, agg, vs) {
-                    Ok(()) => window.place(c, &vs.dec),
-                    Err(e) => rejected = Some(e),
-                }
-            };
-            let sent = transport_chunks(
-                &self.comm,
-                tag,
-                chunks,
-                *route,
-                packet_op::<S>,
-                open,
-                deadline,
-            );
-            let step = match (sent, rejected) {
-                (Ok(()), None) => {
-                    window.commit();
-                    return Ok(());
-                }
-                (Ok(()), Some(e)) => ctl.on_error(e),
-                (Err(e), _) => ctl.on_error(EngineError::Comm(e)),
-            };
-            self.take_step(step, route)?;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_verified_sync<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        route: &mut Route,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-        homac: &Homac,
-    ) -> Result<(), EngineError> {
-        let mut vs = VerifyScratch::<S>::lease(&mut self.arena);
-        let mut chunks = self.lease_chunks();
-        let mut result = Ok(());
-        let (mut offset, mut block_idx) = (0usize, 0u64);
-        while offset < data.len() && result.is_ok() {
-            result = self.verified_block_sync(
-                scheme,
-                homac,
-                data,
-                out,
-                block,
-                offset,
-                block_idx,
-                route,
-                base_tag,
-                ctl,
-                &mut vs,
-                &mut chunks,
-            );
-            offset += block;
-            block_idx += 1;
-        }
-        vs.restore(&mut self.arena);
-        self.restore_chunks(chunks);
-        result
-    }
-
-    /// Complete one posted verified block: wait, open the chunks it
-    /// brought back in order (appending each only after its digest check,
-    /// and taking them all back if a later one fails), and on either a
-    /// transport error or a verification failure fall back to synchronous
-    /// per-block recovery.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_verified_block<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        homac: &Homac,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        offset: usize,
-        block_idx: u64,
-        req: PostedChunks<SchemePacket<S>>,
-        route: &mut Route,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-        vs: &mut VerifyScratch<S>,
-    ) -> Result<(), EngineError> {
-        let world = self.world();
-        let res = {
-            let _w = hear_telemetry::span!("pipeline_wait", offset = offset);
-            req.wait()
-        };
-        hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, -1);
-        let step = match res {
-            Ok(chunks) => {
-                let entry = out.len();
-                let len = block.min(data.len() - offset);
-                let (mut at, _, _) = self.landing(*route, offset, len);
-                let mut opened = Ok(());
-                for chunk in self.landed(*route, &chunks) {
-                    opened = open_block(scheme, homac, &self.keys, world, at, chunk, vs);
-                    if opened.is_err() {
-                        break;
-                    }
-                    out.extend_from_slice(&vs.dec);
-                    at += chunk.len();
-                }
-                self.restore_chunks(chunks);
-                match opened {
-                    Ok(()) => return Ok(()),
-                    Err(e) => {
-                        out.truncate(entry);
-                        ctl.on_error(e)
-                    }
-                }
-            }
-            Err(e) => ctl.on_error(EngineError::Comm(e)),
-        };
-        self.take_step(step, route)?;
-        let mut chunks = self.lease_chunks();
-        let result = self.verified_block_sync(
-            scheme,
-            homac,
-            data,
-            out,
-            block,
-            offset,
-            block_idx,
-            route,
-            base_tag,
-            ctl,
-            vs,
-            &mut chunks,
-        );
-        self.restore_chunks(chunks);
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_verified_pipelined<S: Scheme + 'static>(
-        &mut self,
-        scheme: &mut S,
-        data: &[S::Input],
-        out: &mut Vec<S::Input>,
-        block: usize,
-        route: &mut Route,
-        base_tag: u64,
-        ctl: &mut RetryCtl,
-        homac: &Homac,
-    ) -> Result<(), EngineError> {
-        let mut inflight: InFlight<SchemePacket<S>> = VecDeque::with_capacity(DEPTH);
-        let mut vs = VerifyScratch::<S>::lease(&mut self.arena);
-        let mut result = Ok(());
-        let (mut offset, mut block_idx) = (0usize, 0u64);
-        while offset < data.len() && result.is_ok() {
-            let end = (offset + block).min(data.len());
-            let mut chunks = self.lease_chunks();
-            let n = chunk_count(*route, self.world());
-            self.fit_chunks(&mut chunks, n);
-            let input = &data[offset..end];
-            if let Err(e) = seal_chunks(
-                scheme,
-                homac,
-                &self.keys,
-                offset,
-                input,
-                &mut vs,
-                &mut chunks,
-            ) {
-                self.restore_chunks(chunks);
-                result = Err(e);
-                break;
-            }
-            hear_telemetry::incr(hear_telemetry::Metric::PipelineBlocks);
-            hear_telemetry::gauge_add(hear_telemetry::Gauge::PipelineInFlight, 1);
-            let tag = attempt_tag(base_tag, block_idx, ctl.attempt);
-            let deadline = ctl.deadline();
-            let req =
-                post_transport_chunks(&self.comm, tag, chunks, *route, packet_op::<S>, deadline);
-            inflight.push_back((offset, block_idx, req));
-            if inflight.len() >= DEPTH {
-                let (o, bi, req) = inflight.pop_front().expect("non-empty");
-                result = self.drain_verified_block(
-                    scheme, homac, data, out, block, o, bi, req, route, base_tag, ctl, &mut vs,
-                );
-            }
-            offset = end;
-            block_idx += 1;
-        }
-        while let (Ok(()), Some((o, bi, req))) = (&result, inflight.pop_front()) {
-            result = self.drain_verified_block(
-                scheme, homac, data, out, block, o, bi, req, route, base_tag, ctl, &mut vs,
-            );
-        }
-        vs.restore(&mut self.arena);
-        result
+    fn wait_offset(&self, k: u64) -> Option<usize> {
+        Some(k as usize * self.block)
     }
 }
 

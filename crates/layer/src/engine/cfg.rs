@@ -169,6 +169,18 @@ impl EngineCfg {
         self.retry = retry;
         self
     }
+
+    /// Elements per engine block: the configured size, or under
+    /// [`ChunkMode::Sync`] the `natural` one (the whole call; at least 1).
+    pub(crate) fn block_len(&self, natural: usize) -> usize {
+        match self.chunk {
+            ChunkMode::Sync => natural.max(1),
+            ChunkMode::Blocked(b) | ChunkMode::Pipelined(b) => {
+                assert!(b > 0, "block size must be positive");
+                b
+            }
+        }
+    }
 }
 
 /// Why an engine call failed.

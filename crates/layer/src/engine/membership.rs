@@ -348,7 +348,7 @@ impl SecureComm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineCfg;
+    use crate::engine::{EngineCfg, Route};
     use hear_core::{CommKeys, IntSumScheme};
     use hear_mpi::{Communicator, FaultPlan, SimConfig, Simulator};
     use hear_prf::Backend;
@@ -405,7 +405,10 @@ mod tests {
                     sc.keys.advance();
                     *canned
                 }
-                None => sc.allreduce_attempt(&mut scheme, &mine, &mut out, EngineCfg::sync()),
+                None => {
+                    let route = Route::All(sc.algo);
+                    sc.reduce_attempt(&mut scheme, &mine, &mut out, EngineCfg::sync(), route)
+                }
             }
         });
         (res, attempts, out)

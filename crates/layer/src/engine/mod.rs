@@ -4,8 +4,7 @@
 //! entry points (or a runtime-typed front door or derived operation over
 //! one), which compose four orthogonal choices:
 //!
-//! * **cipher** — any [`Scheme`] (Table 2's six rows
-//!   plus fixed point),
+//! * **cipher** — any [`Scheme`] (Table 2's six rows plus fixed point),
 //! * **algorithm** — [`ReduceAlgo`]: recursive doubling, ring, or the
 //!   in-network switch tree (allreduce only; the factored phases are
 //!   ring-native),
@@ -30,31 +29,40 @@
 //! * [`SecureComm::alltoall_with`] — personalized exchange on the same
 //!   cell transport, one disjoint pad slice per directed pair.
 //!
-//! ## Steady-state memory behavior
+//! ## One driver, four codecs
 //!
-//! Every staging vector the engine needs — digest lanes, HoMAC tags,
-//! verified packets and their decrypted blocks, pads and cells — is leased
-//! from the per-communicator [`ScratchArena`](crate::ScratchArena) and
-//! returned after the call, and so are the *chunk vectors* a block travels
-//! in: one owned vector per ring chunk (one in all for the whole-vector
-//! algorithms), which the ring moves from rank to rank instead of copying,
-//! so a rank returns as many as it leased — though not the same ones. Combined with the
+//! All four run on one block driver (the `driver` module): a call is cut
+//! into blocks, and the attempt loop — seal, move on the attempt's tag
+//! under its deadline, open, retry / degrade / fail — and the depth-2
+//! post/drain pipeline with its FIFO drain and synchronous fallback are
+//! written once. Each collective supplies only what differs: its wire
+//! element, how a block is sealed into chunk vectors, the transport that
+//! moves them, and how an arrived chunk is opened. The two reductions share
+//! one of these — ring, recursive doubling, switch tree or hierarchy, whole
+//! result or this rank's share — over a plain or a verified codec (masked
+//! ciphertexts combined by `S::op`, or verified packets); the allgather and
+//! the alltoall are generic over the cell flavour, bare or tagged.
+//!
+//! A block travels as owned chunk vectors leased from the per-communicator
+//! [`ScratchArena`](crate::ScratchArena) — one per ring chunk (one in all
+//! for the whole-vector algorithms), which the ring moves from rank to rank
+//! instead of copying, so a rank returns as many as it leased, though not
+//! the same ones — and so is every other staging vector. With the
 //! callee-provided output of the `*_into` variants, the integer hot paths
 //! perform **zero heap allocation** after warmup.
 //!
 //! The plain reductions touch each payload byte once per phase: a block is
 //! masked out of place from the caller's input straight into its chunk
-//! vectors (all noise streams folded in one pass, chunk `c` at pad offset
-//! `offset + s_c`), and each aggregated chunk is unmasked straight out of
-//! the vector it arrived in, as the ring hands it over, into its place in
-//! the spare capacity of the caller's `out` (`engine::window::OutWindow`) — there
-//! is no contiguous wire buffer, no pre-filled output and no decrypted
-//! staging copy. `out`'s length moves once per block, after the last chunk.
-//! The verified reductions keep one staging copy (`VerifyScratch::dec`),
-//! because a chunk may reach `out` only after its digest check. A posted
-//! (pipelined) block cannot touch `out` from its helper thread: it brings
-//! its chunks back and the drain unmasks them in order. On `Err`, `out` is
-//! empty.
+//! vectors (chunk `c` at pad offset `offset + s_c`), and each aggregated
+//! chunk is unmasked straight out of the vector it arrived in into its
+//! place in the spare capacity of the caller's `out`
+//! (`engine::window::OutWindow`). The verified reductions keep one staging
+//! copy (`VerifyScratch::dec`), because a chunk may reach `out` only after
+//! its digest check. Either way `out`'s length moves once per block, after
+//! its last chunk — as the ring hands them over, or, for a posted block,
+//! whose helper thread can open nothing, when the drain opens the chunks it
+//! brought back. Whatever fails, every `*_into` entry point returns `Err`
+//! with `out` empty.
 //!
 //! ## Keystream prefetch
 //!
@@ -94,6 +102,7 @@
 mod allreduce;
 mod alltoall;
 mod cfg;
+mod driver;
 mod membership;
 mod packet;
 mod phases;
@@ -115,29 +124,30 @@ use std::time::Instant;
 pub(crate) const DEPTH: usize = 2;
 
 impl SecureComm {
-    /// Record the INC→host fallback: the rest of this epoch (and every
-    /// later one) runs on the ring, and the degradation is counted once
-    /// per affected epoch.
-    fn note_degraded(&mut self) {
-        self.degraded = true;
-        hear_telemetry::incr(hear_telemetry::Metric::DegradedEpochs);
+    /// The contract every `*_with_into` entry point shares: run `attempt`
+    /// — inside the shrink-and-continue loop when `shrink` names the
+    /// policy — and on `Err` leave `out` empty (capacity kept): never the
+    /// caller's input, never part of a result.
+    fn run_into<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        shrink: Option<RetryPolicy>,
+        mut attempt: impl FnMut(&mut SecureComm, &mut Vec<T>) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        match shrink {
+            Some(policy) => self.with_shrink(policy, |sc| attempt(sc, out)),
+            None => attempt(self, out),
+        }
+        .inspect_err(|_| out.clear())
     }
 
-    /// What every verified reduction of scheme `S` starts with: the world
-    /// must be one its digest is sound for, its packet shape needs a TCP
-    /// codec (bound on first use, so a program pays only for the shapes it
-    /// ships), and the communicator must carry HoMAC state.
-    fn verified_homac<S: Scheme + 'static>(&self) -> Homac {
-        assert!(
-            self.world() <= S::MAX_VERIFIED_WORLD,
-            "{} digest verification is sound only up to {} ranks",
-            S::NAME,
-            S::MAX_VERIFIED_WORLD
-        );
-        crate::wire::ensure_packet_codec::<S>();
-        self.homac
-            .clone()
-            .expect("enable verification with with_homac()")
+    /// The HoMAC state a call runs under: `None` unless `cfg.verified`,
+    /// and then the communicator must carry it.
+    fn homac_for(&self, cfg: EngineCfg) -> Option<Homac> {
+        cfg.verified.then(|| {
+            let homac = self.homac.clone();
+            homac.expect("enable verification with with_homac()")
+        })
     }
 
     /// Plan the next epoch's noise streams for the prefetch worker. The
@@ -229,8 +239,8 @@ impl SecureComm {
     }
 }
 
-/// What the block runners are reducing towards, and over which transport.
-#[derive(Clone, Copy)]
+/// What a reduction is reducing towards, and over which transport.
+#[derive(Clone, Copy, PartialEq)]
 pub(crate) enum Route {
     /// Every rank gets the whole aggregate, over this algorithm.
     All(ReduceAlgo),

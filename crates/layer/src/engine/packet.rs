@@ -6,7 +6,9 @@
 //! *Single-origin* collectives (allgather, alltoall) ship plain `u64` cells
 //! — each element bit-encoded losslessly ([`Scheme::cell_encode`]) and
 //! XOR-padded on the epoch's collective keystream — optionally as
-//! [`Tagged`] pairs carrying a shared-stream HoMAC tag per cell.
+//! [`Tagged`] pairs carrying a shared-stream HoMAC tag per cell; a
+//! [`CellCodec`] ([`BareCells`] or [`TaggedCells`]) is all those
+//! collectives know of the difference.
 
 use super::cfg::EngineError;
 use super::make_room;
@@ -76,8 +78,8 @@ pub(crate) fn digest_first<S: Scheme>(offset: usize) -> u64 {
 
 /// The verified path's staging set, leased from the [`ScratchArena`] for
 /// one call: wire ciphertexts, the decrypted block, digest lanes and tags
-/// (seal side), aggregate lane/tag splits (open side), and the packet
-/// vector that shuttles to and from the transport.
+/// (seal side), and aggregate lane/tag splits (open side). The packets
+/// themselves are sealed straight into the transport's chunk vectors.
 pub(crate) struct VerifyScratch<S: Scheme + 'static> {
     pub(crate) wire: Vec<S::Wire>,
     pub(crate) dec: Vec<S::Input>,
@@ -85,7 +87,6 @@ pub(crate) struct VerifyScratch<S: Scheme + 'static> {
     pub(crate) sigmas: Vec<u64>,
     pub(crate) d_agg: Vec<u64>,
     pub(crate) s_agg: Vec<u64>,
-    pub(crate) packets: Vec<SchemePacket<S>>,
 }
 
 impl<S: Scheme + 'static> VerifyScratch<S> {
@@ -97,7 +98,6 @@ impl<S: Scheme + 'static> VerifyScratch<S> {
             sigmas: arena.take_vec(),
             d_agg: arena.take_vec(),
             s_agg: arena.take_vec(),
-            packets: arena.take_vec(),
         }
     }
 
@@ -108,7 +108,6 @@ impl<S: Scheme + 'static> VerifyScratch<S> {
         arena.put_vec(self.sigmas);
         arena.put_vec(self.d_agg);
         arena.put_vec(self.s_agg);
-        arena.put_vec(self.packets);
     }
 }
 
@@ -122,9 +121,9 @@ fn lanes_at<L: LaneArray>(flat: &[u64], i: usize) -> L {
     lanes
 }
 
-/// Mask one block and wrap it into verified-transport packets (left in
-/// `vs.packets`). Only the scheme's used digest lanes are sealed: the
-/// lane cipher and the tags each run once over one contiguous vector.
+/// Mask one block and wrap it into verified-transport `packets` (cleared
+/// first). Only the scheme's used digest lanes are sealed: the lane cipher
+/// and the tags each run once over one contiguous vector.
 pub(crate) fn seal_block<S: Scheme + 'static>(
     scheme: &mut S,
     homac: &Homac,
@@ -132,6 +131,7 @@ pub(crate) fn seal_block<S: Scheme + 'static>(
     offset: usize,
     input: &[S::Input],
     vs: &mut VerifyScratch<S>,
+    packets: &mut Vec<SchemePacket<S>>,
 ) -> Result<(), EngineError> {
     scheme.mask_block(keys, offset as u64, input, &mut vs.wire)?;
     vs.dlanes.clear();
@@ -144,13 +144,12 @@ pub(crate) fn seal_block<S: Scheme + 'static>(
     let first_d = digest_first::<S>(offset);
     IntSum::encrypt_in_place(keys, first_d, &mut vs.dlanes, &mut Scratch::default());
     homac.tag_into(keys, first_d, &vs.dlanes, &mut vs.sigmas);
-    vs.packets.clear();
-    vs.packets
-        .extend(vs.wire.drain(..).enumerate().map(|(i, c)| Packet {
-            c,
-            d: lanes_at(&vs.dlanes, i),
-            s: lanes_at(&vs.sigmas, i),
-        }));
+    packets.clear();
+    packets.extend(vs.wire.drain(..).enumerate().map(|(i, c)| Packet {
+        c,
+        d: lanes_at(&vs.dlanes, i),
+        s: lanes_at(&vs.sigmas, i),
+    }));
     Ok(())
 }
 
@@ -172,10 +171,8 @@ pub(crate) fn seal_chunks<S: Scheme + 'static>(
     let room = input.len().div_ceil(n);
     for (c, chunk) in chunks.iter_mut().enumerate() {
         let (s, e) = share_bounds(input.len(), n, c);
-        std::mem::swap(&mut vs.packets, chunk);
-        make_room(&mut vs.packets, room);
-        seal_block(scheme, homac, keys, offset + s, &input[s..e], vs)?;
-        std::mem::swap(&mut vs.packets, chunk);
+        make_room(chunk, room);
+        seal_block(scheme, homac, keys, offset + s, &input[s..e], vs, chunk)?;
     }
     Ok(())
 }
@@ -218,13 +215,11 @@ pub(crate) fn open_block<S: Scheme + 'static>(
 // ---- single-origin cell transport (allgather / alltoall) ----------------
 
 /// Staging set for the cell transport, leased for one call: the XOR pad
-/// slice, the outbound/recycled cell buffer, and (verified mode) the
-/// split ciphertext/tag buffers.
+/// slice and (verified mode) the split ciphertext/tag buffers.
 pub(crate) struct CellScratch {
-    pub(crate) pad: Vec<u64>,
-    pub(crate) cells: Vec<u64>,
-    pub(crate) sigmas: Vec<u64>,
-    pub(crate) tagged: Vec<Tagged<u64>>,
+    pad: Vec<u64>,
+    cells: Vec<u64>,
+    sigmas: Vec<u64>,
 }
 
 impl CellScratch {
@@ -233,7 +228,6 @@ impl CellScratch {
             pad: arena.take_vec(),
             cells: arena.take_vec(),
             sigmas: arena.take_vec(),
-            tagged: arena.take_vec(),
         }
     }
 
@@ -241,111 +235,159 @@ impl CellScratch {
         arena.put_vec(self.pad);
         arena.put_vec(self.cells);
         arena.put_vec(self.sigmas);
-        arena.put_vec(self.tagged);
     }
 }
 
-/// Fill `cs.pad` with `n` words of the epoch's collective keystream
-/// starting at word index `first`.
-fn fill_pad(keys: &CommKeys, first: u64, n: usize, cs: &mut CellScratch) {
-    cs.pad.clear();
-    cs.pad.resize(n, 0);
-    keystream_u64(keys.prf(), keys.base_collective(), first, &mut cs.pad);
+/// Fill `pad` with `n` words of the epoch's collective keystream starting
+/// at word index `first`.
+fn fill_pad(keys: &CommKeys, first: u64, n: usize, pad: &mut Vec<u64>) {
+    pad.clear();
+    pad.resize(n, 0);
+    keystream_u64(keys.prf(), keys.base_collective(), first, pad);
 }
 
-/// Encode `input` into padded cells (left in `cs.cells`): cell `j` is
-/// `cell_encode(input[j]) XOR pad(first + j)`. Pad word indices are the
+/// `sealed` ← the bare cells of `piece`: cell `j` is
+/// `cell_encode(piece[j]) XOR pad(first + j)`. Pad word indices are the
 /// element's position in the collective's global coordinate space, so
 /// every (origin, position) pair draws a distinct keystream word.
-pub(crate) fn seal_cells<S: Scheme>(
+fn pad_cells<S: Scheme>(
     keys: &CommKeys,
     first: u64,
-    input: &[S::Input],
-    cs: &mut CellScratch,
+    piece: &[S::Input],
+    pad: &mut Vec<u64>,
+    sealed: &mut Vec<u64>,
 ) {
-    fill_pad(keys, first, input.len(), cs);
-    cs.cells.clear();
-    cs.cells.extend(
-        input
-            .iter()
-            .zip(&cs.pad)
-            .map(|(x, p)| S::cell_encode(x) ^ p),
-    );
+    fill_pad(keys, first, piece.len(), pad);
+    sealed.clear();
+    sealed.extend(piece.iter().zip(&*pad).map(|(x, p)| S::cell_encode(x) ^ p));
 }
 
-/// Decode padded cells into `out` (which must be pre-sized to
-/// `cells.len()`), the inverse of [`seal_cells`] at the same `first`.
-pub(crate) fn open_cells<S: Scheme>(
+/// The inverse of [`pad_cells`] at the same `first`, into `out` (of
+/// `cells`' length).
+fn unpad_cells<S: Scheme>(
     keys: &CommKeys,
     first: u64,
     cells: &[u64],
-    cs: &mut CellScratch,
+    pad: &mut Vec<u64>,
     out: &mut [S::Input],
 ) {
     debug_assert_eq!(cells.len(), out.len());
-    fill_pad(keys, first, cells.len(), cs);
-    for ((o, c), p) in out.iter_mut().zip(cells).zip(&cs.pad) {
+    fill_pad(keys, first, cells.len(), pad);
+    for ((o, c), p) in out.iter_mut().zip(cells).zip(&*pad) {
         *o = S::cell_decode(c ^ p);
     }
 }
 
-/// [`seal_cells`] plus a shared-stream HoMAC tag per cell (left in
-/// `cs.tagged`). Tags are computed over the *padded* cell at MAC index
-/// `DIGEST_BASE + first + j` — offset from the pad indices so the tag
-/// stream never reuses a pad word — and verify on any rank, because the
-/// collective stream is common to the whole communicator.
-pub(crate) fn seal_cells_tagged<S: Scheme>(
-    keys: &CommKeys,
-    homac: &Homac,
-    first: u64,
-    input: &[S::Input],
-    cs: &mut CellScratch,
-) {
-    seal_cells::<S>(keys, first, input, cs);
-    homac.tag_shared(
-        keys.base_collective(),
-        DIGEST_BASE + first,
-        &cs.cells,
-        &mut cs.sigmas,
+/// How the single-origin transport ships a cell: bare ([`BareCells`]), or
+/// with its shared-stream HoMAC tag ([`TaggedCells`], which holds the HoMAC
+/// state). The two differ only in how a piece is sealed and opened.
+pub(crate) trait CellCodec {
+    type Cell: Clone + Send + 'static;
+
+    /// Seal `piece`, whose first cell sits at global index `first`, into
+    /// `sealed` (cleared first).
+    fn seal<S: Scheme>(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        piece: &[S::Input],
+        cs: &mut CellScratch,
+        sealed: &mut Vec<Self::Cell>,
     );
-    cs.tagged.clear();
-    cs.tagged.extend(
-        cs.cells
-            .iter()
-            .zip(&cs.sigmas)
-            .map(|(c, s)| Tagged { c: *c, sigma: *s }),
-    );
+
+    /// Open `cells` (sealed at `first`) into `out`, of the same length;
+    /// nothing is written unless the whole piece checks out.
+    fn open<S: Scheme>(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        cells: &[Self::Cell],
+        cs: &mut CellScratch,
+        out: &mut [S::Input],
+    ) -> Result<(), EngineError>;
 }
 
-/// Verify and decode tagged cells into `out` (pre-sized to
-/// `cells.len()`); rejects the whole segment if any tag fails.
-pub(crate) fn open_cells_tagged<S: Scheme>(
-    keys: &CommKeys,
-    homac: &Homac,
-    first: u64,
-    cells: &[Tagged<u64>],
-    cs: &mut CellScratch,
-    out: &mut [S::Input],
-) -> Result<(), EngineError> {
-    cs.cells.clear();
-    cs.sigmas.clear();
-    for t in cells {
-        cs.cells.push(t.c);
-        cs.sigmas.push(t.sigma);
-    }
-    if !homac.verify_shared(
-        keys.base_collective(),
-        DIGEST_BASE + first,
-        &cs.cells,
-        &cs.sigmas,
+/// Padded `u64` cells ([`pad_cells`]), nothing else.
+pub(crate) struct BareCells;
+
+impl CellCodec for BareCells {
+    type Cell = u64;
+
+    fn seal<S: Scheme>(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        piece: &[S::Input],
+        cs: &mut CellScratch,
+        sealed: &mut Vec<u64>,
     ) {
-        return Err(EngineError::Verification(VerificationError));
+        pad_cells::<S>(keys, first, piece, &mut cs.pad, sealed);
     }
-    fill_pad(keys, first, cells.len(), cs);
-    for ((o, t), p) in out.iter_mut().zip(cells).zip(&cs.pad) {
-        *o = S::cell_decode(t.c ^ p);
+
+    fn open<S: Scheme>(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        cells: &[u64],
+        cs: &mut CellScratch,
+        out: &mut [S::Input],
+    ) -> Result<(), EngineError> {
+        unpad_cells::<S>(keys, first, cells, &mut cs.pad, out);
+        Ok(())
     }
-    Ok(())
+}
+
+/// Padded cells, each with its shared-stream HoMAC tag. Tags are computed
+/// over the *padded* cell at MAC index `DIGEST_BASE + first + j` — offset
+/// from the pad indices so the tag stream never reuses a pad word — and
+/// verify on any rank, because the collective stream is common to the
+/// whole communicator. A piece is rejected whole if any tag fails.
+pub(crate) struct TaggedCells(pub(crate) Homac);
+
+impl CellCodec for TaggedCells {
+    type Cell = Tagged<u64>;
+
+    fn seal<S: Scheme>(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        piece: &[S::Input],
+        cs: &mut CellScratch,
+        sealed: &mut Vec<Tagged<u64>>,
+    ) {
+        pad_cells::<S>(keys, first, piece, &mut cs.pad, &mut cs.cells);
+        let collective = keys.base_collective();
+        self.0
+            .tag_shared(collective, DIGEST_BASE + first, &cs.cells, &mut cs.sigmas);
+        sealed.clear();
+        let tagged = cs.cells.iter().zip(&cs.sigmas);
+        sealed.extend(tagged.map(|(c, s)| Tagged { c: *c, sigma: *s }));
+    }
+
+    fn open<S: Scheme>(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        cells: &[Tagged<u64>],
+        cs: &mut CellScratch,
+        out: &mut [S::Input],
+    ) -> Result<(), EngineError> {
+        cs.cells.clear();
+        cs.sigmas.clear();
+        for t in cells {
+            cs.cells.push(t.c);
+            cs.sigmas.push(t.sigma);
+        }
+        let collective = keys.base_collective();
+        if !self
+            .0
+            .verify_shared(collective, DIGEST_BASE + first, &cs.cells, &cs.sigmas)
+        {
+            return Err(EngineError::Verification(VerificationError));
+        }
+        unpad_cells::<S>(keys, first, &cs.cells, &mut cs.pad, out);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -371,8 +413,18 @@ mod tests {
         let mut vs = VerifyScratch::<S>::lease(&mut arena);
         let (mut scheme, offset) = (mk(), 5);
         let sealed = [0, 1].map(|r| {
-            seal_block(&mut scheme, &homac, &keys[r], offset, &inputs[r], &mut vs).unwrap();
-            std::mem::take(&mut vs.packets)
+            let mut packets = Vec::new();
+            seal_block(
+                &mut scheme,
+                &homac,
+                &keys[r],
+                offset,
+                &inputs[r],
+                &mut vs,
+                &mut packets,
+            )
+            .unwrap();
+            packets
         });
         let agg: Vec<SchemePacket<S>> = (sealed[0].iter().zip(&sealed[1]))
             .map(|(a, b)| packet_op::<S>(a, b))
@@ -415,8 +467,17 @@ mod tests {
                 .mask_slice(&keys, offset as u64, &input, &mut whole)
                 .unwrap();
             let mut vs = VerifyScratch::<S>::lease(&mut arena);
-            seal_block(&mut scheme, &homac, &keys, offset, &input, &mut vs).unwrap();
-            let sealed = std::mem::take(&mut vs.packets);
+            let mut sealed = Vec::new();
+            seal_block(
+                &mut scheme,
+                &homac,
+                &keys,
+                offset,
+                &input,
+                &mut vs,
+                &mut sealed,
+            )
+            .unwrap();
             for nchunks in [1, 2, 3, 5, input.len() + 2] {
                 let mut plain: Vec<Vec<S::Wire>> = vec![vec![]; nchunks];
                 crate::engine::mask_chunks(&mut scheme, &keys, offset, &input, &mut plain).unwrap();

@@ -18,6 +18,8 @@ use std::mem::MaybeUninit;
 
 pub(crate) struct OutWindow<'a, T> {
     out: &'a mut Vec<T>,
+    /// Global index of the window's first element.
+    at: usize,
     len: usize,
     nchunks: usize,
     /// Chunks placed so far, and the last one placed.
@@ -26,14 +28,16 @@ pub(crate) struct OutWindow<'a, T> {
 }
 
 impl<'a, T> OutWindow<'a, T> {
-    /// A window of `len` elements past the end of `out`, in `nchunks`
-    /// chunks ([`hear_mpi::ring_chunk_bounds`] layout; one chunk for the
+    /// A window of `len` elements past the end of `out`, holding global
+    /// elements `at..at + len` in `nchunks` chunks
+    /// ([`hear_mpi::ring_chunk_bounds`] layout; one chunk for the
     /// whole-vector algorithms).
-    pub(crate) fn new(out: &'a mut Vec<T>, len: usize, nchunks: usize) -> Self {
+    pub(crate) fn new(out: &'a mut Vec<T>, at: usize, len: usize, nchunks: usize) -> Self {
         assert!(nchunks > 0, "a block travels as at least one chunk");
         out.reserve(len);
         OutWindow {
             out,
+            at,
             len,
             nchunks,
             placed: 0,
@@ -41,7 +45,12 @@ impl<'a, T> OutWindow<'a, T> {
         }
     }
 
-    /// Chunk `c`'s start in the window and its uninitialised place. Each
+    /// Global index of chunk `c`'s first element — its pad coordinate.
+    pub(crate) fn first(&self, c: usize) -> usize {
+        self.at + share_bounds(self.len, self.nchunks, c).0
+    }
+
+    /// Chunk `c`'s global first index and its uninitialised place. Each
     /// chunk can be claimed once: the first claim is free, every later one
     /// must be the cyclic predecessor of the one before — the ring's arrival
     /// order — so `nchunks` claims are `nchunks` distinct chunks, i.e. the
@@ -61,27 +70,26 @@ impl<'a, T> OutWindow<'a, T> {
         self.placed += 1;
         self.last = c;
         let (s, e) = share_bounds(self.len, self.nchunks, c);
-        (s, &mut self.out.spare_capacity_mut()[s..e])
+        (self.at + s, &mut self.out.spare_capacity_mut()[s..e])
     }
 
-    /// Decrypt aggregated chunk `c` of the block at global `offset` into
-    /// its place. The pad coordinate of its element `j` is `offset + s + j`
-    /// — what a whole-block unmask would have used.
+    /// Decrypt aggregated chunk `c` into its place. The pad coordinate of
+    /// its element `j` is [`OutWindow::first`]` + j` — what a whole-block
+    /// unmask would have used.
     pub(crate) fn unmask<S: Scheme<Input = T>>(
         &mut self,
         scheme: &mut S,
         keys: &CommKeys,
-        offset: usize,
         c: usize,
         agg: &[S::Wire],
     ) {
-        let (s, dst) = self.claim(c);
+        let (first, dst) = self.claim(c);
         assert_eq!(
             agg.len(),
             dst.len(),
             "chunk {c} arrived with a wrong length"
         );
-        scheme.unmask_into(keys, (offset + s) as u64, agg, dst);
+        scheme.unmask_into(keys, first as u64, agg, dst);
     }
 
     /// Copy the already decrypted (and, on the verified path, already
@@ -121,7 +129,7 @@ mod tests {
     #[test]
     fn chunks_land_in_place_in_ring_order_and_commit_once() {
         let mut out = vec![7u32, 8];
-        let mut w = OutWindow::new(&mut out, 10, 3); // chunks 0..4, 4..7, 7..10
+        let mut w = OutWindow::new(&mut out, 0, 10, 3); // chunks 0..4, 4..7, 7..10
         w.place(1, &[14, 15, 16]);
         w.place(0, &[10, 11, 12, 13]);
         w.place(2, &[17, 18, 19]);
@@ -132,7 +140,7 @@ mod tests {
     #[test]
     fn an_abandoned_window_leaves_out_untouched() {
         let mut out = vec![1u8];
-        OutWindow::new(&mut out, 4, 2).place(0, &[9, 9]);
+        OutWindow::new(&mut out, 0, 4, 2).place(0, &[9, 9]);
         assert_eq!(out, [1]);
     }
 
@@ -140,7 +148,7 @@ mod tests {
     #[should_panic(expected = "descending order")]
     fn a_repeated_chunk_is_refused() {
         let mut out: Vec<u8> = Vec::new();
-        let mut w = OutWindow::new(&mut out, 4, 2);
+        let mut w = OutWindow::new(&mut out, 0, 4, 2);
         w.place(0, &[1, 2]);
         w.place(0, &[1, 2]);
     }
@@ -149,7 +157,7 @@ mod tests {
     #[should_panic(expected = "never arrived")]
     fn a_missing_chunk_refuses_the_commit() {
         let mut out: Vec<u8> = Vec::new();
-        let mut w = OutWindow::new(&mut out, 4, 2);
+        let mut w = OutWindow::new(&mut out, 0, 4, 2);
         w.place(1, &[3, 4]);
         w.commit();
     }

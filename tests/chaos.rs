@@ -14,8 +14,11 @@ use hear::core::{Backend, CommKeys, FloatSumExpScheme, HfpFormat, Homac, IntSumS
 use hear::layer::chaos::with_packet_hooks;
 use hear::layer::{
     EngineCfg, EngineError, MembershipChange, PeerDeadPolicy, ReduceAlgo, RetryPolicy, SecureComm,
+    Tagged,
 };
 use hear::mpi::{FaultPlan, SimConfig, Simulator};
+use std::any::Any;
+use std::sync::Arc;
 use std::time::Duration;
 
 const WORLD: usize = 4;
@@ -67,14 +70,29 @@ fn plan_for(kind: FaultKind, seed: u64) -> FaultPlan {
     with_packet_hooks(plan)
 }
 
-/// Run one (fault, algo, scheme) cell at world 4 on a switch-enabled
-/// fabric and check the robustness contract on every rank.
+/// The chunk modes a fault kind is swept over: blocked for every kind, and
+/// pipelined as well for the kinds that damage a block in flight, so that a
+/// posted block's drain meets both a transport failure and a rejected
+/// chunk and has to fall back to synchronous recovery.
+fn chunk_modes(kind: FaultKind) -> Vec<EngineCfg> {
+    match kind {
+        FaultKind::Drop | FaultKind::Corrupt => {
+            vec![EngineCfg::blocked(BLOCK), EngineCfg::pipelined(BLOCK)]
+        }
+        _ => vec![EngineCfg::blocked(BLOCK)],
+    }
+}
+
+/// Run one (fault, algo, scheme, chunk mode) cell at world 4 on a
+/// switch-enabled fabric and check the robustness contract on every rank.
+#[allow(clippy::too_many_arguments)]
 fn run_cell<S, MS, CL>(
     mk_scheme: MS,
     inputs: &[Vec<S::Input>],
     expected: &[S::Input],
     close: CL,
     algo: ReduceAlgo,
+    chunk: EngineCfg,
     kind: FaultKind,
     seed: u64,
 ) where
@@ -95,7 +113,7 @@ fn run_cell<S, MS, CL>(
         let homac = Homac::generate(seed ^ 0x5a5a, Backend::best_available());
         let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
         let mut s = mk_scheme();
-        let ecfg = EngineCfg::blocked(BLOCK)
+        let ecfg = chunk
             .verified()
             .with_algo(algo)
             .with_retry(chaos_policy(comm));
@@ -105,21 +123,20 @@ fn run_cell<S, MS, CL>(
         let res = sc.allreduce_with_into(&mut s, &inputs[comm.rank()], &mut out, ecfg);
         (res, out)
     });
+    let cell = format!("{} {kind:?}/{algo:?}/{:?}", S::NAME, chunk.chunk);
     for (rank, (res, got)) in results.iter().enumerate() {
         match res {
             Ok(()) => {
                 assert_eq!(
                     got.len(),
                     expected.len(),
-                    "{} {kind:?}/{algo:?} rank {rank}: truncated result",
-                    S::NAME
+                    "{cell} rank {rank}: truncated result"
                 );
                 for (j, (g, e)) in got.iter().zip(expected).enumerate() {
                     assert!(
                         close(g, e),
-                        "{} {kind:?}/{algo:?} rank {rank} elem {j}: got {g:?}, expected {e:?} \
-                         — a fault leaked a wrong aggregate past verification",
-                        S::NAME
+                        "{cell} rank {rank} elem {j}: got {g:?}, expected {e:?} \
+                         — a fault leaked a wrong aggregate past verification"
                     );
                 }
             }
@@ -130,13 +147,11 @@ fn run_cell<S, MS, CL>(
             Err(e) => {
                 assert!(
                     !matches!(e, EngineError::Hfp(_)),
-                    "{} {kind:?}/{algo:?} rank {rank}: wrong error class: {e}",
-                    S::NAME
+                    "{cell} rank {rank}: wrong error class: {e}"
                 );
                 assert!(
                     got.is_empty(),
-                    "{} {kind:?}/{algo:?} rank {rank}: {} elements left in `out` on Err",
-                    S::NAME,
+                    "{cell} rank {rank}: {} elements left in `out` on Err",
                     got.len()
                 );
             }
@@ -154,6 +169,7 @@ fn run_rs_cell<S, MS, CL>(
     inputs: &[Vec<S::Input>],
     expected: &[S::Input],
     close: CL,
+    chunk: EngineCfg,
     kind: FaultKind,
     seed: u64,
 ) where
@@ -174,35 +190,26 @@ fn run_rs_cell<S, MS, CL>(
         let homac = Homac::generate(seed ^ 0x5a5a, Backend::best_available());
         let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
         let mut s = mk_scheme();
-        let ecfg = EngineCfg::blocked(BLOCK)
-            .verified()
-            .with_retry(chaos_policy(comm));
+        let ecfg = chunk.verified().with_retry(chaos_policy(comm));
         let mut out = inputs[comm.rank()].clone();
         let res = sc.reduce_scatter_with_into(&mut s, &inputs[comm.rank()], &mut out, ecfg);
         (res, out)
     });
+    let kind = format!("{kind:?}/{:?}", chunk.chunk);
     for (rank, (res, got)) in results.iter().enumerate() {
-        // Blocked reduce-scatter appends this rank's chunk of each block.
-        let mut want: Vec<S::Input> = Vec::new();
-        let mut offset = 0;
-        while offset < LEN {
-            let end = (offset + BLOCK).min(LEN);
-            let (lo, hi) = hear::mpi::ring_chunk_bounds(end - offset, WORLD)[rank];
-            want.extend_from_slice(&expected[offset + lo..offset + hi]);
-            offset = end;
-        }
+        let want = shares(expected, BLOCK, rank);
         match res {
             Ok(()) => {
                 assert_eq!(
                     got.len(),
                     want.len(),
-                    "{} {kind:?} rank {rank}: truncated share",
+                    "{} {kind} rank {rank}: truncated share",
                     S::NAME
                 );
                 for (j, (g, e)) in got.iter().zip(&want).enumerate() {
                     assert!(
                         close(g, e),
-                        "{} {kind:?} rank {rank} share elem {j}: got {g:?}, expected {e:?} \
+                        "{} {kind} rank {rank} share elem {j}: got {g:?}, expected {e:?} \
                          — a fault leaked a wrong share past verification",
                         S::NAME
                     );
@@ -211,12 +218,12 @@ fn run_rs_cell<S, MS, CL>(
             Err(e) => {
                 assert!(
                     !matches!(e, EngineError::Hfp(_)),
-                    "{} {kind:?} rank {rank}: wrong error class: {e}",
+                    "{} {kind} rank {rank}: wrong error class: {e}",
                     S::NAME
                 );
                 assert!(
                     got.is_empty(),
-                    "{} {kind:?} rank {rank}: {} elements left in `out` on Err",
+                    "{} {kind} rank {rank}: {} elements left in `out` on Err",
                     S::NAME,
                     got.len()
                 );
@@ -225,32 +232,56 @@ fn run_rs_cell<S, MS, CL>(
     }
 }
 
-#[test]
-fn chaos_reduce_scatter_drop_and_kill() {
+/// Sweep the reduce-scatter over `kinds` (seeds from `seed0`), each in the
+/// chunk modes [`chunk_modes`] gives it.
+fn sweep_rs(kinds: &[FaultKind], seed0: u64) {
     let (int_in, int_exp) = int_inputs();
     let (flt_in, flt_exp) = float_inputs();
-    for (k, kind) in [FaultKind::Drop, FaultKind::RankKill]
-        .into_iter()
-        .enumerate()
-    {
-        let seed = 0x25C0 + k as u64 * 100;
-        run_rs_cell(
-            IntSumScheme::<u32>::default,
-            &int_in,
-            &int_exp,
-            |g: &u32, e: &u32| g == e,
-            kind,
-            seed,
-        );
-        run_rs_cell(
-            || FloatSumExpScheme::new(HfpFormat::fp64(0, 0)),
-            &flt_in,
-            &flt_exp,
-            float_close,
-            kind,
-            seed + 1,
-        );
+    for (k, &kind) in kinds.iter().enumerate() {
+        let seed = seed0 + k as u64 * 100;
+        for chunk in chunk_modes(kind) {
+            run_rs_cell(
+                IntSumScheme::<u32>::default,
+                &int_in,
+                &int_exp,
+                |g: &u32, e: &u32| g == e,
+                chunk,
+                kind,
+                seed,
+            );
+            run_rs_cell(
+                || FloatSumExpScheme::new(HfpFormat::fp64(0, 0)),
+                &flt_in,
+                &flt_exp,
+                float_close,
+                chunk,
+                kind,
+                seed + 1,
+            );
+        }
     }
+}
+
+/// What a reduce-scatter in `block`-element blocks hands `rank` when the
+/// reduced vector is `expected`: its share of each block, in block order.
+fn shares<T: Clone>(expected: &[T], block: usize, rank: usize) -> Vec<T> {
+    let mut want = Vec::new();
+    for lo in (0..expected.len()).step_by(block) {
+        let n = block.min(expected.len() - lo);
+        let (s, e) = hear::mpi::ring_chunk_bounds(n, WORLD)[rank];
+        want.extend_from_slice(&expected[lo + s..lo + e]);
+    }
+    want
+}
+
+#[test]
+fn chaos_reduce_scatter_drop_and_kill() {
+    sweep_rs(&[FaultKind::Drop, FaultKind::RankKill], 0x25C0);
+}
+
+#[test]
+fn chaos_reduce_scatter_corrupt() {
+    sweep_rs(&[FaultKind::Corrupt], 0x25C0 + 200);
 }
 
 fn int_inputs() -> (Vec<Vec<u32>>, Vec<u32>) {
@@ -305,26 +336,30 @@ const ALGOS: [ReduceAlgo; 4] = [
 fn sweep_kind(kind: FaultKind, kind_idx: u64) {
     let (int_in, int_exp) = int_inputs();
     let (flt_in, flt_exp) = float_inputs();
-    for (a, algo) in ALGOS.into_iter().enumerate() {
-        let seed = 0xC0A5 + kind_idx * 100 + a as u64 * 10;
-        run_cell(
-            IntSumScheme::<u32>::default,
-            &int_in,
-            &int_exp,
-            |g: &u32, e: &u32| g == e,
-            algo,
-            kind,
-            seed,
-        );
-        run_cell(
-            || FloatSumExpScheme::new(HfpFormat::fp64(0, 0)),
-            &flt_in,
-            &flt_exp,
-            float_close,
-            algo,
-            kind,
-            seed + 1,
-        );
+    for chunk in chunk_modes(kind) {
+        for (a, algo) in ALGOS.into_iter().enumerate() {
+            let seed = 0xC0A5 + kind_idx * 100 + a as u64 * 10;
+            run_cell(
+                IntSumScheme::<u32>::default,
+                &int_in,
+                &int_exp,
+                |g: &u32, e: &u32| g == e,
+                algo,
+                chunk,
+                kind,
+                seed,
+            );
+            run_cell(
+                || FloatSumExpScheme::new(HfpFormat::fp64(0, 0)),
+                &flt_in,
+                &flt_exp,
+                float_close,
+                algo,
+                chunk,
+                kind,
+                seed + 1,
+            );
+        }
     }
 }
 
@@ -356,6 +391,96 @@ fn chaos_rank_kill() {
 #[test]
 fn chaos_switch_kill() {
     sweep_kind(FaultKind::SwitchKill, 5);
+}
+
+// ---- the single-origin cell collectives ---------------------------------
+
+/// What a cell collective hands `rank` when rank `r` contributes
+/// `inputs[r]`: the rank-ordered concatenation (allgather), or the
+/// `rank`-th `LEN / WORLD`-element chunk of every contribution, in source
+/// order (alltoall).
+fn cell_result(alltoall: bool, inputs: &[Vec<u32>], rank: usize) -> Vec<u32> {
+    if !alltoall {
+        return inputs.concat();
+    }
+    let l = LEN / WORLD;
+    inputs
+        .iter()
+        .flat_map(|row| row[rank * l..(rank + 1) * l].iter().copied())
+        .collect()
+}
+
+/// Corrupt the verified cell transport: flip one bit of one tagged cell,
+/// in its ciphertext or in its tag as the fault word picks. The counts the
+/// allgather exchanges first travel as a bare `Vec<u64>` that no MAC
+/// covers; this hook claims them and leaves them whole, so what the
+/// corrupt rows exercise is the cell MAC.
+fn corrupt_tagged_cells(payload: &mut dyn Any, word: u64) -> bool {
+    let Some(cells) = payload.downcast_mut::<Vec<Tagged<u64>>>() else {
+        return payload.is::<Vec<u64>>();
+    };
+    if !cells.is_empty() {
+        let i = word as usize % cells.len();
+        match word >> 63 {
+            0 => cells[i].c ^= 1 << ((word >> 32) % 64),
+            _ => cells[i].sigma ^= 1,
+        }
+    }
+    true
+}
+
+/// The robustness contract on the verified cell collectives: dropped and
+/// corrupted messages in the allgather and the alltoall, one round or
+/// several pipelined, at world 4. Every rank ends with the exact result,
+/// or with a typed error and an empty `out`.
+#[test]
+fn chaos_cell_collectives_drop_and_corrupt() {
+    let (int_in, _) = int_inputs();
+    let int_in = &int_in;
+    for (k, kind) in [FaultKind::Drop, FaultKind::Corrupt]
+        .into_iter()
+        .enumerate()
+    {
+        for alltoall in [false, true] {
+            // Pipelined(4): eight allgather rounds, two alltoall rounds.
+            for chunk in [EngineCfg::sync(), EngineCfg::pipelined(4)] {
+                let seed = 0xCE11 + k as u64 * 100 + u64::from(alltoall) * 10;
+                let plan = match kind {
+                    FaultKind::Drop => FaultPlan::seeded(seed).drop_one_in(6),
+                    _ => FaultPlan::seeded(seed)
+                        .corrupt_one_in(5)
+                        .with_corruptor(Arc::new(corrupt_tagged_cells)),
+                };
+                let cfg = SimConfig::default().with_faults(plan);
+                let results = Simulator::with_config(WORLD, cfg).run(|comm| {
+                    let mut sc = shrink_sc(comm, seed);
+                    let mut s = IntSumScheme::<u32>::default();
+                    let ecfg = chunk.verified().with_retry(chaos_policy(comm));
+                    let data = &int_in[comm.rank()];
+                    let mut out = data.clone();
+                    let res = if alltoall {
+                        sc.alltoall_with_into(&mut s, data, &mut out, ecfg)
+                    } else {
+                        sc.allgather_with_into(&mut s, data, &mut out, ecfg)
+                    };
+                    (res, out)
+                });
+                for (rank, (res, out)) in results.iter().enumerate() {
+                    let cell = format!("{kind:?} alltoall={alltoall} {chunk:?} rank {rank}");
+                    match res {
+                        Ok(()) => assert_eq!(out, &cell_result(alltoall, int_in, rank), "{cell}"),
+                        Err(e) => {
+                            assert!(
+                                matches!(e, EngineError::Comm(_) | EngineError::Verification(_)),
+                                "{cell}: wrong error class: {e}"
+                            );
+                            assert!(out.is_empty(), "{cell}: `out` holds {} elements", out.len());
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---- shrink-and-continue: rank death becomes membership shrink --------
@@ -601,31 +726,64 @@ fn shrink_and_continue_mid_plain_chunked_allreduce_appends_each_block_once() {
     }
 }
 
+/// The four collectives' `*_with_into` entry points, for the rows that pin
+/// their shared contract.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Coll {
+    Allreduce,
+    ReduceScatter,
+    Allgather,
+    Alltoall,
+}
+
 /// What `out` holds when a call fails: nothing. The parent handed back the
 /// caller's own plaintext input with whatever blocks had decrypted spliced
 /// over its front — indistinguishable from a result. Under
 /// [`PeerDeadPolicy::Fail`] a rank killed mid-call makes its peers fail
-/// typed, in every chunk mode, plain and verified, for the allreduce and
-/// the reduce-scatter: each failed call leaves `out` empty, and a rank
-/// that did complete holds the exact result.
+/// typed, in every chunk mode, plain and verified, for all four
+/// collectives: each failed call leaves `out` empty, and a rank that did
+/// complete holds the exact result. The alltoall never reconfigures, so it
+/// fails the same way under [`PeerDeadPolicy::ShrinkAndContinue`].
 #[test]
 fn a_failed_call_leaves_out_empty() {
     let victim = WORLD - 1;
     let (int_in, int_exp) = int_inputs();
     let int_in = &int_in;
-    let chunks = [
+    let reductions = [
         EngineCfg::sync(),
         EngineCfg::blocked(BLOCK),
         EngineCfg::pipelined(BLOCK),
     ];
-    let mut failures = 0;
-    for scatter in [false, true] {
+    // Pipelined(4): eight allgather rounds, two alltoall rounds.
+    let cells = [EngineCfg::sync(), EngineCfg::pipelined(4)];
+    let rows = [
+        (Coll::Allreduce, PeerDeadPolicy::Fail),
+        (Coll::ReduceScatter, PeerDeadPolicy::Fail),
+        (Coll::Allgather, PeerDeadPolicy::Fail),
+        (Coll::Alltoall, PeerDeadPolicy::Fail),
+        (Coll::Alltoall, PeerDeadPolicy::ShrinkAndContinue),
+    ];
+    let (mut failures, mut calls) = (0, 0);
+    for (coll, on_dead) in rows {
+        let chunks: &[EngineCfg] = match coll {
+            Coll::Allreduce | Coll::ReduceScatter => &reductions,
+            Coll::Allgather | Coll::Alltoall => &cells,
+        };
         for verified in [false, true] {
-            for (c, chunk) in chunks.into_iter().enumerate() {
+            for (c, &chunk) in chunks.iter().enumerate() {
                 // Die on the first hop of a one-block call, two hops into
-                // block 1 of a chunked one (survivors hold block 0 by then).
-                let hops = if scatter { WORLD - 1 } else { 2 * (WORLD - 1) } as u64;
-                let after = if c == 0 { 1 } else { hops + 2 };
+                // block 1 of a chunked one (survivors hold block 0 by then);
+                // for the allgather, one hop past the counts exchange and
+                // the rounds before. An alltoall round is one send to each
+                // peer.
+                let hops = (WORLD - 1) as u64;
+                let after = match (coll, c) {
+                    (Coll::Allreduce | Coll::ReduceScatter | Coll::Alltoall, 0) => 1,
+                    (Coll::Allreduce, _) => 2 * hops + 2,
+                    (Coll::ReduceScatter, _) => hops + 2,
+                    (Coll::Allgather, _) => (c as u64 + 1) * hops + 1,
+                    (Coll::Alltoall, _) => hops + 1,
+                };
                 let cfg = SimConfig::default().with_faults(with_packet_hooks(
                     FaultPlan::seeded(0xE3B7).kill_endpoint_after(victim, after),
                 ));
@@ -634,22 +792,27 @@ fn a_failed_call_leaves_out_empty() {
                     let mut s = IntSumScheme::<u32>::default();
                     let mut ecfg = chunk
                         .with_algo(ReduceAlgo::Ring)
-                        .with_retry(chaos_policy(comm));
+                        .with_retry(chaos_policy(comm).on_peer_dead(on_dead));
                     if verified {
                         ecfg = ecfg.verified();
                     }
                     let data = &int_in[comm.rank()];
                     let mut out = data.clone();
-                    let res = if scatter {
-                        sc.reduce_scatter_with_into(&mut s, data, &mut out, ecfg)
-                    } else {
-                        sc.allreduce_with_into(&mut s, data, &mut out, ecfg)
+                    let res = match coll {
+                        Coll::Allreduce => sc.allreduce_with_into(&mut s, data, &mut out, ecfg),
+                        Coll::ReduceScatter => {
+                            sc.reduce_scatter_with_into(&mut s, data, &mut out, ecfg)
+                        }
+                        Coll::Allgather => sc.allgather_with_into(&mut s, data, &mut out, ecfg),
+                        Coll::Alltoall => sc.alltoall_with_into(&mut s, data, &mut out, ecfg),
                     };
-                    (res, out)
+                    (res, out, sc.is_shrunk())
                 });
-                for (rank, (res, out)) in results.iter().enumerate() {
+                calls += 1;
+                for (rank, (res, out, shrunk)) in results.iter().enumerate() {
                     let cell =
-                        format!("scatter={scatter} verified={verified} {chunk:?} rank {rank}");
+                        format!("{coll:?} {on_dead:?} verified={verified} {chunk:?} rank {rank}");
+                    assert!(!shrunk, "{cell}: reconfigured");
                     match res {
                         Err(e) => {
                             failures += 1;
@@ -657,24 +820,26 @@ fn a_failed_call_leaves_out_empty() {
                             assert!(out.is_empty(), "{cell}: `out` holds {} elements", out.len());
                             assert!(out.capacity() >= LEN, "{cell}: capacity dropped");
                         }
-                        Ok(()) if scatter => {
-                            // Per-block shares, in block order.
-                            let block = if c == 0 { LEN } else { BLOCK };
-                            let mut want = Vec::new();
-                            for lo in (0..LEN).step_by(block) {
-                                let n = block.min(LEN - lo);
-                                let (s, e) = hear::mpi::ring_chunk_bounds(n, WORLD)[rank];
-                                want.extend_from_slice(&int_exp[lo + s..lo + e]);
-                            }
-                            assert_eq!(out, &want, "{cell}: a completed share is exact");
+                        Ok(()) => {
+                            let want = match coll {
+                                Coll::Allreduce => int_exp.clone(),
+                                Coll::ReduceScatter => {
+                                    shares(&int_exp, if c == 0 { LEN } else { BLOCK }, rank)
+                                }
+                                Coll::Allgather => cell_result(false, int_in, rank),
+                                Coll::Alltoall => cell_result(true, int_in, rank),
+                            };
+                            assert_eq!(out, &want, "{cell}: a completed call is exact");
                         }
-                        Ok(()) => assert_eq!(out, &int_exp, "{cell}: a completed sum is exact"),
                     }
                 }
             }
         }
     }
-    assert!(failures >= 12, "the kills failed only {failures} calls");
+    assert!(
+        failures >= calls,
+        "the kills failed only {failures} of {calls} calls"
+    );
 }
 
 /// The ring hands each aggregated chunk to the engine once, as it passes,
@@ -776,36 +941,49 @@ fn shrink_and_continue_mid_allgather_phase_appends_each_block_once() {
 /// authenticated digest, and only then copied to its place — and `out`
 /// grows only when every chunk of the block passed. With a single attempt
 /// (no retry to heal it) and one message in sixteen tampered with, every
-/// call must end either with the exact sum or with a verification /
+/// call must end either with the exact result or with a verification /
 /// transport error **and an empty `out`**: a tampered chunk never reaches
-/// the caller, not even as a prefix.
+/// the caller, not even as a prefix. The seeds rotate through the three
+/// chunk modes, so a posted block's drain is tampered with too, and each
+/// seed runs the allreduce and the reduce-scatter.
 #[test]
 fn a_tampered_chunk_never_reaches_out() {
     let (int_in, int_exp) = int_inputs();
     let int_in = &int_in;
     let (mut rejected, mut exact) = (0, 0);
-    for seed in 0..24u64 {
+    for (seed, scatter) in (0..24u64).flat_map(|seed| [(seed, false), (seed, true)]) {
         let plan = with_packet_hooks(FaultPlan::seeded(0x7A3B ^ seed).corrupt_one_in(16));
         let cfg = SimConfig::default().with_faults(plan);
+        let chunk = match seed % 3 {
+            0 => EngineCfg::sync(),
+            1 => EngineCfg::blocked(BLOCK),
+            _ => EngineCfg::pipelined(BLOCK),
+        };
         let results = Simulator::with_config(WORLD, cfg).run(|comm| {
             let mut sc = shrink_sc(comm, 0x7A3B);
             let mut s = IntSumScheme::<u32>::default();
             let retry = RetryPolicy::retries(0).with_attempt_timeout(Duration::from_millis(150));
-            let chunk = if seed % 2 == 0 {
-                EngineCfg::sync()
-            } else {
-                EngineCfg::blocked(BLOCK)
-            };
             let ecfg = chunk
                 .verified()
                 .with_algo(ReduceAlgo::Ring)
                 .with_retry(retry);
-            let mut out = int_in[comm.rank()].clone();
-            let res = sc.allreduce_with_into(&mut s, &int_in[comm.rank()], &mut out, ecfg);
+            let data = &int_in[comm.rank()];
+            let mut out = data.clone();
+            let res = if scatter {
+                sc.reduce_scatter_with_into(&mut s, data, &mut out, ecfg)
+            } else {
+                sc.allreduce_with_into(&mut s, data, &mut out, ecfg)
+            };
             (res, out)
         });
         for (rank, (res, out)) in results.iter().enumerate() {
             match res {
+                Ok(()) if scatter => {
+                    exact += 1;
+                    let block = if seed % 3 == 0 { LEN } else { BLOCK };
+                    let want = shares(&int_exp, block, rank);
+                    assert_eq!(out, &want, "seed {seed} rank {rank}: wrong verified share");
+                }
                 Ok(()) => {
                     exact += 1;
                     assert_eq!(out, &int_exp, "seed {seed} rank {rank}: wrong verified sum");
@@ -1012,5 +1190,45 @@ fn switch_kill_degrades_to_host_ring_and_completes() {
             degraded_epochs >= WORLD as u64,
             "degraded epochs counted {degraded_epochs}, expected at least {WORLD}"
         );
+    }
+}
+
+/// A pipelined Switch allreduce degrades to the ring while a later block
+/// is still posted on the switch. Rank 0's first send is lost — its
+/// contribution to block 0 or block 1, whichever helper sends first — so
+/// that block times out on every rank and the call moves to the ring; the
+/// block posted after it completes on the switch. Its drain must open the
+/// one switch chunk it brought back, not the ring's per-rank chunks: every
+/// rank ends with the exact sum.
+#[test]
+fn a_block_posted_on_the_switch_drains_after_the_ring_degrade() {
+    let (int_in, int_exp) = int_inputs();
+    let int_in = &int_in;
+    for verified in [false, true] {
+        let cfg = SimConfig::default()
+            .with_switch(WORLD)
+            .with_faults(FaultPlan::seeded(0x5D0E).disconnect_endpoint_after(0, 0, 1));
+        let results = Simulator::with_config(WORLD, cfg).run(|comm| {
+            let mut sc = shrink_sc(comm, 0x5D0E);
+            let mut s = IntSumScheme::<u32>::default();
+            // Eight blocks: the failed one is followed by a switch-posted one.
+            let mut ecfg = EngineCfg::pipelined(LEN / 8)
+                .with_algo(ReduceAlgo::Switch)
+                .with_retry(chaos_policy(comm));
+            if verified {
+                ecfg = ecfg.verified();
+            }
+            let res = sc.allreduce_with(&mut s, &int_in[comm.rank()], ecfg);
+            (res, sc.is_degraded())
+        });
+        for (rank, (res, degraded)) in results.iter().enumerate() {
+            let cell = format!("verified={verified} rank {rank}");
+            let got = res.as_ref().unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert_eq!(got, &int_exp, "{cell}: wrong sum");
+            assert!(
+                degraded,
+                "{cell}: the lost send never moved the call to the ring"
+            );
+        }
     }
 }
