@@ -64,7 +64,7 @@ impl SecureComm {
         cfg: EngineCfg,
     ) -> Result<(), EngineError> {
         self.run_into(out, Some(cfg.retry), |sc, out| {
-            let route = Route::All(cfg.algo.unwrap_or(sc.algo));
+            let route = Route::All(cfg.algo.unwrap_or_default());
             sc.reduce_attempt(scheme, data, out, cfg, route)
         })
     }

@@ -37,14 +37,17 @@ pub enum PeerDeadPolicy {
 
 /// How the engine reacts to communication and verification failures.
 ///
-/// Defaults reproduce the legacy behavior: one attempt, no deadline, but
-/// graceful INC→host degradation stays on (it only triggers when the
-/// switch tree is actually unreachable, which a healthy run never sees).
+/// Defaults reproduce the legacy behavior: one attempt, no deadline. A
+/// `SwitchDown` from the INC switch tree always degrades the rest of the
+/// call to the host ring (a healthy run never sees one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempts per block (1 = no retries). Timeouts and
-    /// verification failures consume retries; `SwitchDown` degradation
-    /// does not.
+    /// One more than the retry budget of the whole call (1 = no retries).
+    /// The budget is shared by all the call's blocks: each block's first
+    /// attempt is free, every retry of any block spends one, and a block
+    /// that succeeds gives nothing back. A retry re-sends only the block
+    /// that failed. Timeouts and verification failures consume retries;
+    /// `SwitchDown` degradation does not.
     pub max_attempts: u32,
     /// Sleep before the first retry; doubled after each one but never
     /// beyond [`RetryPolicy::attempt_timeout`] (sleeping longer than one
@@ -53,12 +56,10 @@ pub struct RetryPolicy {
     /// Deadline applied to each attempt's collective; `None` waits
     /// forever (legacy blocking semantics). A retry's window opens where
     /// the failed attempt's window closed, so a rank that failed early
-    /// still meets peers that waited theirs out; attempt `k` ends at the
-    /// latest `(k + 1)` timeouts (plus backoff) into the call.
+    /// still meets peers that waited theirs out; counting attempts across
+    /// all the call's blocks, attempt `k` ends at the latest `(k + 1)`
+    /// timeouts (plus backoff) into the call.
     pub attempt_timeout: Option<Duration>,
-    /// Fall back to the host ring when the INC switch tree reports
-    /// `SwitchDown`, instead of failing the call.
-    pub degrade_on_switch_down: bool,
     /// React to a dead member: fail fast (default) or shrink the
     /// membership and continue over the survivors.
     pub on_peer_dead: PeerDeadPolicy,
@@ -70,7 +71,6 @@ impl Default for RetryPolicy {
             max_attempts: 1,
             backoff: Duration::ZERO,
             attempt_timeout: None,
-            degrade_on_switch_down: true,
             on_peer_dead: PeerDeadPolicy::Fail,
         }
     }
@@ -98,12 +98,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Fail the call on `SwitchDown` instead of degrading to the ring.
-    pub fn no_degrade(mut self) -> RetryPolicy {
-        self.degrade_on_switch_down = false;
-        self
-    }
-
     /// Choose the reaction to a dead member rank
     /// ([`PeerDeadPolicy::ShrinkAndContinue`] opts into membership
     /// reconfiguration).
@@ -119,10 +113,9 @@ pub struct EngineCfg {
     pub chunk: ChunkMode,
     /// Attach the HoMAC-authenticated digest side-channel (§5.5).
     pub verified: bool,
-    /// Reduction algorithm override; `None` uses the communicator's
-    /// [`SecureComm::with_algo`](crate::secure::SecureComm::with_algo)
-    /// setting. The factored phases and alltoall are ring/pairwise-native
-    /// and ignore this field.
+    /// Reduction algorithm of this call; `None` runs recursive doubling
+    /// ([`ReduceAlgo::default`]). The factored phases and alltoall are
+    /// ring/pairwise-native and ignore this field.
     pub algo: Option<ReduceAlgo>,
     /// Failure handling: bounded retries, per-attempt deadlines, and
     /// INC→host degradation.
@@ -158,7 +151,7 @@ impl EngineCfg {
         self
     }
 
-    /// Override the reduction algorithm for this call only.
+    /// Choose the reduction algorithm for this call.
     pub fn with_algo(mut self, algo: ReduceAlgo) -> EngineCfg {
         self.algo = Some(algo);
         self

@@ -14,9 +14,9 @@
 //!    exchange is needed and no pad position collides with pre-shrink
 //!    traffic.
 //! 3. **Shrink** the communicator — [`Communicator::shrink`] remaps the
-//!    survivor ranks onto a fresh context id (ring and hierarchical
-//!    neighbor tables, `shard_bounds`, and tag lanes all follow the new
-//!    world transparently).
+//!    survivor ranks onto a fresh context id (ring neighbours,
+//!    `shard_bounds`, and tag lanes all follow the new world
+//!    transparently).
 //! 4. **Re-run** the collective over the survivors: the caller gets a
 //!    correct aggregate of the survivors' contributions plus a
 //!    [`MembershipChange`] report instead of an error.
@@ -340,6 +340,7 @@ impl SecureComm {
 mod tests {
     use super::*;
     use crate::engine::{EngineCfg, Route};
+    use crate::secure::ReduceAlgo;
     use hear_core::{CommKeys, IntSumScheme};
     use hear_mpi::{Communicator, FaultPlan, SimConfig, Simulator};
     use hear_prf::Backend;
@@ -395,7 +396,7 @@ mod tests {
                     *canned
                 }
                 None => {
-                    let route = Route::All(sc.algo);
+                    let route = Route::All(ReduceAlgo::default());
                     sc.reduce_attempt(&mut scheme, &mine, &mut out, EngineCfg::sync(), route)
                 }
             }

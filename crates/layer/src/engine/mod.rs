@@ -38,8 +38,8 @@
 //! written once. Each collective supplies only what differs: its wire
 //! element, how a block is sealed into chunk vectors, the transport that
 //! moves them, and how an arrived chunk is opened. The two reductions share
-//! one of these — ring, recursive doubling, switch tree or hierarchy, whole
-//! result or this rank's share — over a plain or a verified codec (masked
+//! one of these — ring, recursive doubling or switch tree, whole result or
+//! this rank's share — over a plain or a verified codec (masked
 //! ciphertexts combined by `S::op`, or verified packets); the allgather and
 //! the alltoall are generic over the cell flavour, bare or tagged.
 //!
@@ -274,9 +274,6 @@ where
         }
         Route::All(ReduceAlgo::Switch) => {
             comm.try_allreduce_inc_tagged(tag, whole(chunks), op, deadline)?
-        }
-        Route::All(ReduceAlgo::Hierarchical { group }) => {
-            comm.try_allreduce_hier_owned_tagged(tag, whole(chunks), op, group, deadline)?
         }
     };
     visit(0, &agg);

@@ -7,14 +7,19 @@ use std::time::{Duration, Instant};
 
 /// Mutable retry state for one engine call: the call-wide attempt counter
 /// (which drives tag selection so a retry can never match a failed
-/// attempt's stale wires), the remaining retry budget, and the growing
-/// backoff.
+/// attempt's stale wires), the retry budget, and the growing backoff.
+///
+/// The budget is per call, the retry unit per block: a failed block is
+/// re-sent alone, but every block's retries draw on the one
+/// `max_attempts − 1` budget set at the start of the call, which a
+/// successful block does not refill.
 pub(crate) struct RetryCtl {
     policy: RetryPolicy,
     /// Attempts consumed call-wide (monotonic across blocks, retries and
     /// degradations); attempt `a` of block `b` runs on tag
     /// `base + b·COLL_BLOCK_TAG_STRIDE + a·ATTEMPT_TAG_STRIDE`.
     pub(crate) attempt: u64,
+    /// Retries the rest of the call may still spend, on any block.
     retries_left: u32,
     backoff: Duration,
     /// Deadline handed to the most recent attempt.
@@ -90,9 +95,7 @@ impl RetryCtl {
             // a pipelined call posts several blocks on the INC path before
             // the first failure drains, and those stale posts still come
             // back as `SwitchDown` after the call fell back to the ring.
-            EngineError::Comm(CommError::SwitchDown { .. })
-                if self.policy.degrade_on_switch_down =>
-            {
+            EngineError::Comm(CommError::SwitchDown { .. }) => {
                 return if self.bump().is_ok() {
                     self.window_opens = self.last_deadline;
                     Step::Degrade

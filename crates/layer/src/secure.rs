@@ -30,15 +30,6 @@ pub enum ReduceAlgo {
     Ring,
     /// In-network switch tree (requires a switch-enabled simulator).
     Switch,
-    /// Two-level hierarchy: groups of `group` consecutive ranks reduce to
-    /// a leader, the leaders run a ring, leaders broadcast back. Matches
-    /// the flat ring bit-for-bit (all HEAR combines are exactly
-    /// associative-commutative) while concentrating inter-node traffic on
-    /// one rank per node.
-    Hierarchical {
-        /// Ranks per leader group (clamped to `1..=world` at call time).
-        group: usize,
-    },
 }
 
 /// Error returned when HoMAC verification rejects a reduction result.
@@ -71,7 +62,6 @@ pub struct SecureComm {
     pub(crate) comm: Communicator,
     pub(crate) keys: CommKeys,
     pub(crate) homac: Option<Homac>,
-    pub(crate) algo: ReduceAlgo,
     /// Typed staging-buffer recycler threaded through the engine so the
     /// hot path stops allocating after warmup.
     pub(crate) arena: ScratchArena,
@@ -117,7 +107,6 @@ impl SecureComm {
             comm,
             keys,
             homac: None,
-            algo: ReduceAlgo::default(),
             arena: ScratchArena::new(),
             degraded: false,
             evicted: Vec::new(),
@@ -149,11 +138,6 @@ impl SecureComm {
     /// entry reports one shrink (who left, old and new world size).
     pub fn take_membership_changes(&mut self) -> Vec<crate::engine::MembershipChange> {
         std::mem::take(&mut self.membership_changes)
-    }
-
-    pub fn with_algo(mut self, algo: ReduceAlgo) -> Self {
-        self.algo = algo;
-        self
     }
 
     pub fn with_homac(mut self, homac: Homac) -> Self {
@@ -240,8 +224,11 @@ mod tests {
             let data: Vec<u32> = (0..50).map(|j| comm.rank() as u32 * 1000 + j).collect();
             let run = |algo| {
                 secure(comm, 3)
-                    .with_algo(algo)
-                    .allreduce_with(&mut IntSumScheme::default(), &data, EngineCfg::sync())
+                    .allreduce_with(
+                        &mut IntSumScheme::default(),
+                        &data,
+                        EngineCfg::sync().with_algo(algo),
+                    )
                     .unwrap()
             };
             let rd = run(ReduceAlgo::RecursiveDoubling);

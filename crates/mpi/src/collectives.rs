@@ -80,18 +80,6 @@ impl<T: Clone> Assembly<T> {
     }
 }
 
-/// One participant's view of a ring: its position `me` among `npeers`, and
-/// the global ranks it sends to (`next`) and receives from (`prev`). The
-/// flat ring is all `world` ranks; the hierarchical allreduce runs its
-/// inter-leader phase on the sub-ring of group leaders at stride `group`.
-#[derive(Clone, Copy)]
-struct RingPeers {
-    npeers: usize,
-    me: usize,
-    next: usize,
-    prev: usize,
-}
-
 /// Element-wise fold of `src` into `dst`.
 fn fold_into<T, F: Fn(&T, &T) -> T>(dst: &mut [T], src: &[T], op: &F) {
     assert_eq!(
@@ -298,32 +286,21 @@ impl Communicator {
         out.finish()
     }
 
-    /// This rank's view of the flat ring over all `world` ranks.
-    fn flat_ring(&self) -> RingPeers {
-        let (world, rank) = (self.world(), self.rank());
-        RingPeers {
-            npeers: world,
-            me: rank,
-            next: (rank + 1) % world,
-            prev: (rank + world - 1) % world,
-        }
-    }
-
     /// One ring circulation — THE ring hop loop, under both phases of the
-    /// fused allreduce, the standalone reduce-scatter and allgather, the
-    /// hierarchical inter-leader ring and every posted form. The vector is
-    /// held as one **owned** `Vec` per chunk, and chunks move, never copy:
-    /// at step `s` the participant takes chunk `(start − s) mod n` out of
-    /// its slot, sends it by move, and hands the vector that arrives —
-    /// chunk `(start − s − 1) mod n` of its predecessor — to `absorb`
-    /// together with both slot indices. `absorb` ends by parking some
-    /// allocation in the vacated `send` slot, so a participant holds `n`
-    /// vectors before and after every hop and a steady-state caller that
-    /// recycles its chunk vectors never allocates. `n − 1` hops; the last
-    /// chunk received is `start + 1`.
+    /// fused allreduce, the standalone reduce-scatter and allgather and
+    /// every posted form. The ring is all `n = world` ranks, rank `r`
+    /// sending to `r + 1` and receiving from `r − 1`. The vector is held as
+    /// one **owned** `Vec` per chunk, and chunks move, never copy: at step
+    /// `s` the rank takes chunk `(start − s) mod n` out of its slot, sends
+    /// it by move, and hands the vector that arrives — chunk
+    /// `(start − s − 1) mod n` of its predecessor — to `absorb` together
+    /// with both slot indices. `absorb` ends by parking some allocation in
+    /// the vacated `send` slot, so a rank holds `n` vectors before and
+    /// after every hop and a steady-state caller that recycles its chunk
+    /// vectors never allocates. `n − 1` hops; the last chunk received is
+    /// `start + 1`.
     fn ring_circulate<T, A>(
         &self,
-        ring: RingPeers,
         tag: u64,
         chunks: &mut [Vec<T>],
         start: usize,
@@ -334,27 +311,26 @@ impl Communicator {
         T: Send + 'static,
         A: FnMut(&mut [Vec<T>], usize, usize, Vec<T>),
     {
-        let n = ring.npeers;
-        assert_eq!(chunks.len(), n, "one chunk vector per ring participant");
+        let (n, rank) = (self.world(), self.rank());
+        let (next, prev) = ((rank + 1) % n, (rank + n - 1) % n);
+        assert_eq!(chunks.len(), n, "one chunk vector per rank");
         for step in 0..n - 1 {
             let send = (start + n - step) % n;
             let recv = (start + n - step - 1) % n;
             let outgoing = std::mem::take(&mut chunks[send]);
-            let incoming =
-                self.try_sendrecv_internal(ring.next, tag, outgoing, ring.prev, tag, deadline)?;
+            let incoming = self.try_sendrecv_internal(next, tag, outgoing, prev, tag, deadline)?;
             absorb(chunks, send, recv, incoming);
         }
         Ok(())
     }
 
     /// Reduce-scatter phase: circulating from the chunk one behind its own,
-    /// each participant folds the incoming vector into its local chunk and
+    /// each rank folds the incoming vector into its local chunk and
     /// parks the incoming allocation in the slot it just vacated. After
-    /// `n − 1` hops `chunks[me]` is fully reduced; the other slots hold
+    /// `n − 1` hops `chunks[rank]` is fully reduced; the other slots hold
     /// allocations with stale contents.
     fn ring_reduce_scatter<T, F>(
         &self,
-        ring: RingPeers,
         tag: u64,
         chunks: &mut [Vec<T>],
         op: &F,
@@ -364,9 +340,8 @@ impl Communicator {
         T: Send + 'static,
         F: Fn(&T, &T) -> T,
     {
-        let start = (ring.me + ring.npeers - 1) % ring.npeers;
+        let start = (self.rank() + self.world() - 1) % self.world();
         self.ring_circulate(
-            ring,
             tag,
             chunks,
             start,
@@ -378,16 +353,15 @@ impl Communicator {
         )
     }
 
-    /// Allgather phase: `chunks[me]` is this participant's contribution.
+    /// Allgather phase: `chunks[rank]` is this rank's contribution.
     /// `visit(c, chunk)` is called exactly once per chunk — the own chunk
     /// first, every received chunk before it is forwarded — and is the only
-    /// time this participant sees the chunk: forwarding moves it on. The
+    /// time this rank sees the chunk: forwarding moves it on. The
     /// allocation a received chunk displaces moves to the slot just
-    /// vacated. Afterwards `chunks[me + 1]` holds the chunk that arrived
+    /// vacated. Afterwards `chunks[rank + 1]` holds the chunk that arrived
     /// last (nobody to forward it to); every other slot is stale.
     fn ring_allgather<T, V>(
         &self,
-        ring: RingPeers,
         tag: u64,
         chunks: &mut [Vec<T>],
         mut visit: V,
@@ -397,12 +371,12 @@ impl Communicator {
         T: Send + 'static,
         V: FnMut(usize, &[T]),
     {
-        visit(ring.me, &chunks[ring.me]);
+        let me = self.rank();
+        visit(me, &chunks[me]);
         self.ring_circulate(
-            ring,
             tag,
             chunks,
-            ring.me,
+            me,
             |chunks, send, recv, incoming| {
                 visit(recv, &incoming);
                 chunks[send] = std::mem::replace(&mut chunks[recv], incoming);
@@ -418,7 +392,6 @@ impl Communicator {
     /// on entry, not on the hop.
     fn ring_allgather_kept<T>(
         &self,
-        ring: RingPeers,
         tag: u64,
         chunks: &mut [Vec<T>],
         deadline: Option<std::time::Instant>,
@@ -426,7 +399,7 @@ impl Communicator {
     where
         T: Clone + Send + 'static,
     {
-        let (n, me) = (ring.npeers, ring.me);
+        let (n, me) = (self.world(), self.rank());
         let last = (me + 1) % n;
         if n == 1 {
             return Ok(());
@@ -434,7 +407,6 @@ impl Communicator {
         let mut kept: Vec<Vec<T>> = chunks.iter_mut().map(std::mem::take).collect();
         chunks[me] = std::mem::take(&mut kept[me]);
         self.ring_allgather(
-            ring,
             tag,
             chunks,
             |c, chunk| {
@@ -476,7 +448,7 @@ impl Communicator {
         F: Fn(&T, &T) -> T,
     {
         let _s = hear_telemetry::span!("reduce_scatter_ring", tag = tag);
-        self.ring_reduce_scatter(self.flat_ring(), tag, chunks, &op, deadline)
+        self.ring_reduce_scatter(tag, chunks, &op, deadline)
     }
 
     /// Fallible ring allgather on chunk vectors: `chunks[rank]` is this
@@ -496,7 +468,7 @@ impl Communicator {
         V: FnMut(usize, &[T]),
     {
         let _s = hear_telemetry::span!("allgather_ring", tag = tag);
-        self.ring_allgather(self.flat_ring(), tag, chunks, visit, deadline)
+        self.ring_allgather(tag, chunks, visit, deadline)
     }
 
     /// [`Communicator::try_allgather_chunks`] that keeps the chunks: on
@@ -511,7 +483,7 @@ impl Communicator {
         T: Clone + Send + 'static,
     {
         let _s = hear_telemetry::span!("allgather_ring", tag = tag);
-        self.ring_allgather_kept(self.flat_ring(), tag, chunks, deadline)
+        self.ring_allgather_kept(tag, chunks, deadline)
     }
 
     /// Fallible ring allreduce on chunk vectors — reduce-scatter, then
@@ -532,9 +504,8 @@ impl Communicator {
         V: FnMut(usize, &[T]),
     {
         let _s = hear_telemetry::span!("allreduce_ring", tag = tag);
-        let ring = self.flat_ring();
-        self.ring_reduce_scatter(ring, tag, chunks, &op, deadline)?;
-        self.ring_allgather(ring, tag, chunks, visit, deadline)
+        self.ring_reduce_scatter(tag, chunks, &op, deadline)?;
+        self.ring_allgather(tag, chunks, visit, deadline)
     }
 
     /// [`Communicator::try_allreduce_ring_chunks`] that keeps the chunks:
@@ -552,107 +523,8 @@ impl Communicator {
         F: Fn(&T, &T) -> T,
     {
         let _s = hear_telemetry::span!("allreduce_ring", tag = tag);
-        let ring = self.flat_ring();
-        self.ring_reduce_scatter(ring, tag, chunks, &op, deadline)?;
-        self.ring_allgather_kept(ring, tag, chunks, deadline)
-    }
-
-    /// Hierarchical allreduce: ranks are partitioned into leader groups of
-    /// `group` consecutive ranks ("nodes"); each group reduces to its
-    /// leader, the leaders run a reduce-scatter + allgather ring among
-    /// themselves, and each leader broadcasts the result back to its
-    /// group. For exactly associative-commutative operators (every HEAR
-    /// combine) the regrouped fold is bit-identical to the flat ring.
-    ///
-    /// The intra-group phases are plain send/recv, which the transport
-    /// shapes: in-process channel hops under the `mem` transport (the
-    /// shared-memory case), socket hops under `tcp`. Three sub-tags are
-    /// used — `tag` (intra reduce), `tag+1` (inter-leader ring), `tag+2`
-    /// (intra broadcast) — staying inside one attempt slot of the engine's
-    /// retry ladder (attempt tags stride by 8).
-    pub fn allreduce_hier<T, F>(&self, data: &[T], group: usize, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let tag = self.next_coll_tag();
-        self.try_allreduce_hier_owned_tagged(tag, data.to_vec(), op, group, None)
-            .unwrap_or_else(|e| panic!("hierarchical allreduce (tag {tag:#x}) failed: {e}"))
-    }
-
-    /// Fallible hierarchical allreduce on a caller-reserved tag and
-    /// deadline — see [`Communicator::allreduce_hier`] for the topology.
-    /// On error the accumulator is lost mid-schedule; retries restart
-    /// from the caller's own input.
-    pub fn try_allreduce_hier_owned_tagged<T, F>(
-        &self,
-        tag: u64,
-        data: Vec<T>,
-        op: F,
-        group: usize,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<Vec<T>, crate::CommError>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let (world, rank) = (self.world(), self.rank());
-        let _s = hear_telemetry::span!("allreduce_hier", elems = data.len(), tag = tag);
-        let mut acc: Vec<T> = data;
-        if world == 1 || acc.is_empty() {
-            return Ok(acc);
-        }
-        let g = group.clamp(1, world);
-        let leader = rank - rank % g;
-        let members_end = (leader + g).min(world);
-
-        if rank != leader {
-            // Phase 1 (member): hand the contribution to the leader, then
-            // wait for the reduced vector in phase 3.
-            self.try_send_internal(leader, tag, std::mem::take(&mut acc))?;
-            return self.try_recv_internal::<T>(leader, tag + 2, deadline);
-        }
-
-        // Phase 1 (leader): fold the group members' contributions, keeping
-        // their allocations as phase 2's chunk vectors.
-        let nleaders = world.div_ceil(g);
-        let mut chunks: Vec<Vec<T>> = Vec::with_capacity(nleaders);
-        for r in leader + 1..members_end {
-            let other = self.try_recv_internal::<T>(r, tag, deadline)?;
-            fold_into(&mut acc, &other, &op);
-            if nleaders > 1 && chunks.len() < nleaders {
-                chunks.push(other);
-            }
-        }
-
-        // Phase 2: the ring core over the sub-ring of leaders (stride `g`),
-        // on the accumulator split into one chunk per leader; the allgather
-        // visit copies each reduced chunk back to its place.
-        if nleaders > 1 {
-            let li = rank / g;
-            let ring = RingPeers {
-                npeers: nleaders,
-                me: li,
-                next: ((li + 1) % nleaders) * g,
-                prev: ((li + nleaders - 1) % nleaders) * g,
-            };
-            let bounds = ring_chunk_bounds(acc.len(), nleaders);
-            split_chunks(&mut chunks, &acc, &bounds);
-            self.ring_reduce_scatter(ring, tag + 1, &mut chunks, &op, deadline)?;
-            self.ring_allgather(
-                ring,
-                tag + 1,
-                &mut chunks,
-                |c, chunk| acc[bounds[c].0..bounds[c].1].clone_from_slice(chunk),
-                deadline,
-            )?;
-        }
-
-        // Phase 3: broadcast the result back into the group.
-        for r in leader + 1..members_end {
-            self.try_send_internal(r, tag + 2, acc.clone())?;
-        }
-        Ok(acc)
+        self.ring_reduce_scatter(tag, chunks, &op, deadline)?;
+        self.ring_allgather_kept(tag, chunks, deadline)
     }
 
     /// Fallible tagged ring reduce-scatter on a deadline: every rank
@@ -890,48 +762,6 @@ mod tests {
                     assert_eq!(ring, rd, "world={world} len={len}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn allreduce_hier_matches_ring_across_groupings() {
-        // Every grouping — degenerate (g=1 and g>=world), even, uneven
-        // (last group short) — must be bit-identical to the flat ring for
-        // an exactly associative-commutative op.
-        for world in [1usize, 2, 3, 4, 5, 6, 8] {
-            for group in [1usize, 2, 3, 4, 8] {
-                for len in [1usize, 3, 7, 33] {
-                    let results = Simulator::new(world).run(move |comm| {
-                        let data: Vec<u64> = (0..len as u64)
-                            .map(|j| (comm.rank() as u64).wrapping_mul(0x9e37) ^ (j * j))
-                            .collect();
-                        let hier = comm.allreduce_hier(&data, group, |a, b| a.wrapping_add(*b));
-                        let ring = comm.allreduce_ring(&data, |a, b| a.wrapping_add(*b));
-                        (hier, ring)
-                    });
-                    for (r, (hier, ring)) in results.iter().enumerate() {
-                        assert_eq!(hier, ring, "world={world} group={group} len={len} rank={r}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_hier_nonblocking_matches_blocking() {
-        let results = Simulator::new(6).run(|comm| {
-            let data: Vec<u32> = (0..17).map(|j| comm.rank() as u32 * 31 + j).collect();
-            let tag = comm.next_coll_tag();
-            let posted = data.clone();
-            let req = comm.post(move |comm| {
-                comm.try_allreduce_hier_owned_tagged(tag, posted, |a, b| a ^ b, 2, None)
-            });
-            let blocking = comm.allreduce_hier(&data, 2, |a, b| a ^ b);
-            let nb = req.wait().expect("nonblocking hier allreduce failed");
-            (nb, blocking)
-        });
-        for (nb, blocking) in &results {
-            assert_eq!(nb, blocking);
         }
     }
 

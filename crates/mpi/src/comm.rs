@@ -310,19 +310,6 @@ impl Communicator {
         );
     }
 
-    /// Like [`Communicator::send`] but reports a dead destination (or a
-    /// dead caller) as [`CommError::PeerDead`] instead of silently
-    /// dropping the message on the fabric floor.
-    pub fn send_checked<T: Send + 'static>(
-        &self,
-        dst: usize,
-        tag: u64,
-        data: Vec<T>,
-    ) -> Result<(), CommError> {
-        assert!(tag < COLL_TAG_BASE, "user tags must be below 2^32");
-        self.try_send_internal(dst, tag, data)
-    }
-
     pub(crate) fn try_send_internal<T: Send + 'static>(
         &self,
         dst: usize,

@@ -243,26 +243,7 @@ impl Communicator {
         F: Fn(&T, &T) -> T + Send + Sync + Clone + 'static,
     {
         let tag = self.next_coll_tag();
-        self.allreduce_inc_tagged(tag, data.to_vec(), op)
-    }
-
-    /// Switch-tree allreduce consuming the input buffer — the copy-free
-    /// entry the HEAR engine chunks over.
-    pub fn allreduce_inc_owned<T, F>(&self, data: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T + Send + Sync + Clone + 'static,
-    {
-        let tag = self.next_coll_tag();
-        self.allreduce_inc_tagged(tag, data, op)
-    }
-
-    pub(crate) fn allreduce_inc_tagged<T, F>(&self, tag: u64, data: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T + Send + Sync + Clone + 'static,
-    {
-        self.try_allreduce_inc_tagged(tag, data, op, None)
+        self.try_allreduce_inc_tagged(tag, data.to_vec(), op, None)
             .unwrap_or_else(|e| panic!("INC allreduce (tag {tag:#x}) failed: {e}"))
     }
 

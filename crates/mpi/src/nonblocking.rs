@@ -76,17 +76,6 @@ impl Communicator {
         let tag = self.next_coll_tag();
         self.post(move |comm| comm.allreduce_ring_tagged(tag, &data, op))
     }
-
-    /// Nonblocking switch-tree allreduce — the INC counterpart of
-    /// [`Communicator::iallreduce_ring`].
-    pub fn iallreduce_inc<T, F>(&self, data: Vec<T>, op: F) -> Request<Vec<T>>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T + Send + Sync + Clone + 'static,
-    {
-        let tag = self.next_coll_tag();
-        self.post(move |comm| comm.allreduce_inc_tagged(tag, data, op))
-    }
 }
 
 #[cfg(test)]
@@ -141,20 +130,6 @@ mod tests {
                 ready,
                 "request should have completed during the overlap window"
             );
-        }
-    }
-
-    #[test]
-    fn iallreduce_inc_matches_blocking_inc() {
-        use crate::simulator::SimConfig;
-        let results = Simulator::with_config(4, SimConfig::default().with_switch(4)).run(|comm| {
-            let data: Vec<u64> = (0..9).map(|j| comm.rank() as u64 * 10 + j).collect();
-            let req = comm.iallreduce_inc(data.clone(), |a: &u64, b: &u64| a + b);
-            let blocking = comm.allreduce_inc(&data, |a: &u64, b: &u64| a + b);
-            (req.wait(), blocking)
-        });
-        for (nb, blocking) in &results {
-            assert_eq!(nb, blocking);
         }
     }
 

@@ -52,8 +52,7 @@ fn main() {
             .into_iter()
             .nth(comm.rank())
             .unwrap();
-        // Gradients ride the INC switch — encrypted, as HEAR intends.
-        let mut secure = SecureComm::new(comm.clone(), keys).with_algo(ReduceAlgo::Switch);
+        let mut secure = SecureComm::new(comm.clone(), keys);
         let data = dataset(comm.rank());
         let mut w = [0.0f64; DIM];
         let mut last_loss = f64::INFINITY;
@@ -73,8 +72,10 @@ fn main() {
             // SGD). FP32 layout with γ=2 — the paper's accuracy-friendly
             // setting.
             let mut float_sum = FloatSumScheme::new(HfpFormat::fp32(2, 2));
+            // Gradients ride the INC switch — encrypted, as HEAR intends.
+            let cfg = EngineCfg::sync().with_algo(ReduceAlgo::Switch);
             let summed = secure
-                .allreduce_with(&mut float_sum, &grad, EngineCfg::sync())
+                .allreduce_with(&mut float_sum, &grad, cfg)
                 .expect("gradients are finite");
             for (wi, g) in w.iter_mut().zip(&summed) {
                 *wi -= LR * g / WORLD as f64;

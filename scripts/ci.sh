@@ -62,13 +62,6 @@ cargo run --release -q -p hear-bench --bin trace_validate -- \
 # Exits nonzero on any mismatch.
 cargo run --release -q -p hear-bench --bin matrix_smoke
 
-# Factored-collective trajectory: reduce-scatter / allgather / alltoall /
-# fused allreduce / sharded-SGD step, measured over the in-memory world —
-# must emit a parseable BENCH_collectives.json per commit.
-HEAR_BENCH_FAST=1 HEAR_BENCH_DIR="$smoke_dir" \
-    cargo run --release -q -p hear-bench --bin collectives
-test -s "$smoke_dir/BENCH_collectives.json"
-
 # Chaos smoke: seeded, offline, deterministic fault-injection scenarios
 # (drop / corrupt / switch-kill) asserting the self-healing contract —
 # correct result or typed error, never a hang (the bin's own watchdog

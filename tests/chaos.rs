@@ -323,15 +323,10 @@ fn float_close(g: &f64, e: &f64) -> bool {
     (g - e).abs() / e.abs().max(1.0) < 1e-3
 }
 
-const ALGOS: [ReduceAlgo; 4] = [
+const ALGOS: [ReduceAlgo; 3] = [
     ReduceAlgo::RecursiveDoubling,
     ReduceAlgo::Ring,
     ReduceAlgo::Switch,
-    // Two leaders at world 4: faults land in every hierarchical stage —
-    // including the RankKill row, where the dying rank 3 takes out a
-    // group member *and* the inter-leader ring's traffic sources, so the
-    // cell must degrade to a correct result or fail typed, never hang.
-    ReduceAlgo::Hierarchical { group: 2 },
 ];
 
 fn sweep_kind(kind: FaultKind, kind_idx: u64) {
@@ -723,14 +718,12 @@ fn shrink_and_continue_mid_allgather_two_rounds() {
     shrink_mid_allgather(EngineCfg::blocked(BLOCK));
 }
 
-/// A *leader* killed mid-hierarchical allreduce (group contribution
-/// collected, then dead during the inter-leader ring, before its group
-/// broadcast): survivors — including the dead leader's orphaned group
-/// member — shrink around it and converge on the survivor-set sum. Also
-/// exercises a non-suffix eviction (rank 2 of 4), so the lineage remap
-/// is pinned too.
+/// A middle rank (2 of 4) killed one hop into a verified ring allreduce:
+/// the survivors shrink around it and converge on the survivor-set sum,
+/// and every report names it in original-world numbering — the one
+/// non-suffix eviction, so the lineage remap is pinned too.
 #[test]
-fn shrink_and_continue_mid_hierarchical_broadcast() {
+fn shrink_and_continue_evicts_a_middle_rank() {
     let victim = 2;
     let (int_in, _) = int_inputs();
     let expected = survivor_sum(&int_in, &[0, 1, 3]);
@@ -743,7 +736,7 @@ fn shrink_and_continue_mid_hierarchical_broadcast() {
         let mut s = IntSumScheme::<u32>::default();
         let ecfg = EngineCfg::sync()
             .verified()
-            .with_algo(ReduceAlgo::Hierarchical { group: 2 })
+            .with_algo(ReduceAlgo::Ring)
             .with_retry(shrink_policy(comm));
         let res = sc.allreduce_with(&mut s, &int_in[comm.rank()], ecfg);
         (res, sc.world(), sc.take_membership_changes())
@@ -1210,6 +1203,71 @@ fn transient_disconnect_heals_within_retry_budget() {
         reg.counter(Metric::ReconnectsTotal) >= 1,
         "reconnect uncounted"
     );
+}
+
+/// The retry budget belongs to the call, not to each block: a retry
+/// re-sends only the block that failed, but every block's retries draw on
+/// the one `max_attempts − 1` budget. World 2, ring, four verified blocks:
+/// rank 0's first send in block 0 and its first send in block 2 are lost.
+/// A ring block attempt at world 2 is two sends a rank, so block 0's
+/// failed attempt and its retry are sends 1–4, block 1 is 5–6 and block 2
+/// opens on send 7. The lost hop hands rank 1 rank 0's allgather chunk as
+/// its reduce-scatter input, so rank 0 fails verification and rank 1 waits
+/// its window out: each fault costs every rank one retry. One retry per
+/// call is spent by block 0, and block 2 fails typed with `out` empty; two
+/// retries cover both faults and every rank ends with the exact sum.
+#[test]
+fn the_retry_budget_is_spent_across_the_blocks_of_a_call() {
+    use hear::telemetry::{Metric, Registry};
+    const WORLD2: usize = 2;
+    let (int_in, _) = int_inputs();
+    let expected = survivor_sum(&int_in, &[0, 1]);
+    let int_in = &int_in;
+    for retries in [1, 2] {
+        let cfg = SimConfig::default().with_faults(with_packet_hooks(
+            FaultPlan::seeded(0xB0D6)
+                .disconnect_endpoint_after(0, 0, 1)
+                .disconnect_endpoint_after(0, 6, 1),
+        ));
+        let results = Simulator::with_config(WORLD2, cfg).run(|comm| {
+            let reg = Registry::new_enabled();
+            let _g = reg.install(Some(comm.rank()));
+            let keys = CommKeys::generate(WORLD2, 0xB0D6, Backend::best_available())
+                .into_iter()
+                .nth(comm.rank())
+                .unwrap();
+            let homac = Homac::generate(0xB0D6 ^ 0x5a5a, Backend::best_available());
+            let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
+            let mut s = IntSumScheme::<u32>::default();
+            let attempt = (comm.transport_rtt() * 1000).max(Duration::from_millis(1000));
+            let ecfg = EngineCfg::blocked(LEN / 4)
+                .verified()
+                .with_algo(ReduceAlgo::Ring)
+                .with_retry(RetryPolicy::retries(retries).with_attempt_timeout(attempt));
+            let data = &int_in[comm.rank()];
+            let mut out = data.clone();
+            let res = sc.allreduce_with_into(&mut s, data, &mut out, ecfg);
+            (res, out, reg.counter(Metric::RetriesTotal))
+        });
+        for (rank, (res, out, spent)) in results.iter().enumerate() {
+            let cell = format!("retries({retries}) rank {rank}");
+            if retries == 1 {
+                let e = res.expect_err(&format!("{cell}: a second fault fit the budget"));
+                let retryable = match e {
+                    EngineError::Comm(c) => c.is_retryable(),
+                    EngineError::Verification(_) => true,
+                    EngineError::Hfp(_) => false,
+                };
+                assert!(retryable, "{cell}: {e}");
+                assert!(out.is_empty(), "{cell}: `out` holds {} elements", out.len());
+                assert_eq!(*spent, 1, "{cell}: block 0 spent the budget");
+            } else {
+                assert!(res.is_ok(), "{cell}: {res:?}");
+                assert_eq!(out, &expected, "{cell}: wrong sum");
+                assert_eq!(*spent, 2, "{cell}: retries spent");
+            }
+        }
+    }
 }
 
 /// The graceful-degradation pin: with the switch tree dead on arrival,

@@ -31,10 +31,11 @@ fn min_max_rejected_with_rationale() {
 fn logical_reduction_over_switch_tree() {
     let cfg = SimConfig::default().with_switch(4);
     let results = Simulator::with_config(8, cfg).run(|comm| {
-        let mut sc = secure(comm, 1).with_algo(hear::layer::ReduceAlgo::Switch);
+        let mut sc = secure(comm, 1);
         // Element k true on ranks < k (so AND false for k < 8, OR true for k > 0).
         let bits: Vec<bool> = (0..10).map(|k| comm.rank() < k).collect();
-        match sc.pmpi_allreduce(TypedSlice::Bool(&bits), MpiOp::Land, EngineCfg::sync()) {
+        let cfg = EngineCfg::sync().with_algo(hear::layer::ReduceAlgo::Switch);
+        match sc.pmpi_allreduce(TypedSlice::Bool(&bits), MpiOp::Land, cfg) {
             Ok(TypedVec::Logical(v)) => v,
             other => panic!("{other:?}"),
         }

@@ -130,8 +130,9 @@ fn switch_allreduce_without_switch_infrastructure_panics() {
         Simulator::new(2).run(|comm| {
             use hear::layer::ReduceAlgo;
             let keys = keys(2, 7).into_iter().nth(comm.rank()).unwrap();
-            let mut sc = SecureComm::new(comm.clone(), keys).with_algo(ReduceAlgo::Switch);
-            let _ = sc.allreduce_with(&mut IntSumScheme::default(), &[1u32], EngineCfg::sync());
+            let mut sc = SecureComm::new(comm.clone(), keys);
+            let cfg = EngineCfg::sync().with_algo(ReduceAlgo::Switch);
+            let _ = sc.allreduce_with(&mut IntSumScheme::default(), &[1u32], cfg);
         });
     });
     assert!(caught.is_err());

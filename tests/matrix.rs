@@ -26,9 +26,6 @@ fn cells() -> Vec<(ReduceAlgo, bool, bool)> {
         ReduceAlgo::RecursiveDoubling,
         ReduceAlgo::Ring,
         ReduceAlgo::Switch,
-        // Group size 2 at world 4: two leaders, so every stage (intra
-        // reduce, inter-leader ring, broadcast) actually runs.
-        ReduceAlgo::Hierarchical { group: 2 },
     ] {
         for pipelined in [false, true] {
             for verified in [false, true] {
@@ -55,22 +52,10 @@ fn cfg_for(algo: ReduceAlgo, pipelined: bool, verified: bool) -> EngineCfg {
     }
 }
 
-/// Run one scheme through all 16 cells at world = 4 on a switch-enabled
+/// Run one scheme through all 12 cells at world = 4 on a switch-enabled
 /// simulator and compare every rank's every cell against `expected`.
-///
-/// `hier_bitwise` pins Hierarchical against the flat ring **bit for bit**;
-/// set it for every scheme whose wire op is an exact ring operation
-/// (wrapping add/mul, xor — reassociation is invisible). The HFP float
-/// schemes round during exponent alignment, so their combine is only
-/// approximately associative: for those the pin is the scheme's `close`
-/// tolerance instead.
-fn sweep<S, MS, CL>(
-    mk_scheme: MS,
-    inputs: Vec<Vec<S::Input>>,
-    expected: Vec<S::Input>,
-    close: CL,
-    hier_bitwise: bool,
-) where
+fn sweep<S, MS, CL>(mk_scheme: MS, inputs: Vec<Vec<S::Input>>, expected: Vec<S::Input>, close: CL)
+where
     S: Scheme + 'static,
     S::Input: PartialEq + std::fmt::Debug + Sync,
     MS: Fn() -> S + Send + Sync,
@@ -118,46 +103,6 @@ fn sweep<S, MS, CL>(
                 );
             }
         }
-        // The hierarchical pin: regrouping the reduction (intra-group →
-        // inter-leader ring → broadcast) must match the flat Ring cell of
-        // the same (chunking, verification) — bit for bit when the wire op
-        // is an exact ring operation, within the scheme tolerance when the
-        // HFP combine rounds (see `sweep` docs).
-        for pipelined in [false, true] {
-            for verified in [false, true] {
-                let pick = |want_hier: bool| {
-                    cells
-                        .iter()
-                        .find(|(a, p, v, _)| {
-                            *p == pipelined
-                                && *v == verified
-                                && matches!(a, ReduceAlgo::Hierarchical { .. }) == want_hier
-                                && (want_hier || *a == ReduceAlgo::Ring)
-                        })
-                        .map(|(_, _, _, got)| got)
-                        .unwrap()
-                };
-                let (hier, ring) = (pick(true), pick(false));
-                if hier_bitwise {
-                    assert_eq!(
-                        hier,
-                        ring,
-                        "{} rank={rank} (pipelined={pipelined}, verified={verified}): \
-                         Hierarchical diverged bitwise from the flat ring",
-                        S::NAME
-                    );
-                } else {
-                    for (j, (h, r)) in hier.iter().zip(ring).enumerate() {
-                        assert!(
-                            close(h, r),
-                            "{} rank={rank} (pipelined={pipelined}, verified={verified}) \
-                             elem {j}: Hierarchical {h:?} vs ring {r:?} outside tolerance",
-                            S::NAME
-                        );
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -199,7 +144,6 @@ fn int_sum_full_matrix() {
         inputs,
         expected,
         |g: &u32, e: &u32| g == e,
-        true,
     );
 }
 
@@ -221,7 +165,6 @@ fn int_prod_full_matrix() {
         inputs,
         expected,
         |g: &u64, e: &u64| g == e,
-        true,
     );
 }
 
@@ -243,7 +186,6 @@ fn int_xor_full_matrix() {
         inputs,
         expected,
         |g: &u32, e: &u32| g == e,
-        true,
     );
 }
 
@@ -265,8 +207,6 @@ fn fixed_sum_full_matrix() {
         inputs,
         expected,
         rel_close(1e-3),
-        // Fixed-point wires reduce with exact wrapping u64 addition.
-        true,
     );
 }
 
@@ -290,7 +230,6 @@ fn float_sum_v1_full_matrix() {
         inputs,
         expected,
         rel_close(tol),
-        false,
     );
 }
 
@@ -314,7 +253,6 @@ fn float_sum_v2_full_matrix() {
         inputs,
         expected,
         rel_close(tol),
-        false,
     );
 }
 
@@ -339,7 +277,6 @@ fn float_prod_full_matrix() {
         inputs,
         expected,
         rel_close(tol),
-        false,
     );
 }
 
@@ -611,7 +548,6 @@ where
             ReduceAlgo::RecursiveDoubling,
             ReduceAlgo::Ring,
             ReduceAlgo::Switch,
-            ReduceAlgo::Hierarchical { group: 2 },
         ] {
             let mut row = Vec::new();
             for chunk in [
@@ -876,15 +812,14 @@ mod random_cells {
             len in 0usize..60,
             block in 1usize..16,
             seed in any::<u64>(),
-            algo_pick in 0u8..4,
+            algo_pick in 0u8..3,
             pipelined in any::<bool>(),
             verified in any::<bool>(),
         ) {
             let algo = match algo_pick {
                 0 => ReduceAlgo::RecursiveDoubling,
                 1 => ReduceAlgo::Ring,
-                2 => ReduceAlgo::Switch,
-                _ => ReduceAlgo::Hierarchical { group: 2 },
+                _ => ReduceAlgo::Switch,
             };
             let results = Simulator::with_config(world, SimConfig::default().with_switch(2))
                 .run(move |comm| {
@@ -1338,11 +1273,10 @@ fn steady_state_parallel_masking_is_allocation_free_at_world_one() {
 }
 
 #[test]
-fn steady_state_hierarchical_allocations_stay_flat_at_world_four() {
-    // Same flatness discipline as the ring test, but at world 4 over the
-    // hierarchical cell: the inter-leader ring runs on chunk vectors the
-    // leader refills per call (the allocations its members' contributions
-    // arrived in first), so per-iteration allocation counts must not drift
+fn steady_state_ring_allocations_stay_flat_at_world_four() {
+    // Same flatness discipline as the world-2 ring test, but at world 4:
+    // four chunk vectors circulate, each rank holding a different set
+    // after every call, so per-iteration allocation counts must not drift
     // even though the simulated fabric allocates per message.
     const ITERS: usize = 10;
     const SLACK: u64 = 8;
@@ -1356,7 +1290,7 @@ fn steady_state_hierarchical_allocations_stay_flat_at_world_four() {
         let data: Vec<u32> = (0..1024u32)
             .map(|j| j.wrapping_mul(0xC2B2_AE35).wrapping_add(comm.rank() as u32))
             .collect();
-        let cfg = EngineCfg::pipelined(64).with_algo(ReduceAlgo::Hierarchical { group: 2 });
+        let cfg = EngineCfg::pipelined(64).with_algo(ReduceAlgo::Ring);
         let mut out = Vec::new();
         for _ in 0..4 {
             sc.allreduce_with_into(&mut s, &data, &mut out, cfg)
@@ -1376,7 +1310,7 @@ fn steady_state_hierarchical_allocations_stay_flat_at_world_four() {
         let max = *counts.iter().max().unwrap();
         assert!(
             max <= min + SLACK,
-            "rank {rank}: hierarchical per-iteration allocation counts drift: {counts:?}"
+            "rank {rank}: ring per-iteration allocation counts drift: {counts:?}"
         );
     }
 }

@@ -63,9 +63,11 @@ fn switch_tree_with_delay_model() {
         })
         .with_switch(2);
     let results = Simulator::with_config(6, cfg).run(|comm| {
-        let mut sc = secure(comm, 2).with_algo(ReduceAlgo::Switch);
+        let mut sc = secure(comm, 2);
         let data: Vec<u32> = (0..257).map(|j| j + comm.rank() as u32).collect();
-        sum_u32(&mut sc, &data)
+        let cfg = EngineCfg::sync().with_algo(ReduceAlgo::Switch);
+        sc.allreduce_with(&mut IntSumScheme::default(), &data, cfg)
+            .unwrap()
     });
     for got in &results {
         for (j, v) in got.iter().enumerate() {
@@ -176,13 +178,15 @@ fn large_vector_through_every_algorithm() {
         let data: Vec<u32> = (0..n as u32)
             .map(|j| j.wrapping_mul(2_654_435_761))
             .collect();
-        let rd = sum_u32(&mut secure(comm, 5), &data);
-        let ring = sum_u32(&mut secure(comm, 5).with_algo(ReduceAlgo::Ring), &data);
-        let inc = sum_u32(&mut secure(comm, 5).with_algo(ReduceAlgo::Switch), &data);
-        let cfg = EngineCfg::pipelined(4096).with_algo(ReduceAlgo::Ring);
-        let piped = secure(comm, 5)
-            .allreduce_with(&mut IntSumScheme::default(), &data, cfg)
-            .unwrap();
+        let run = |cfg| {
+            secure(comm, 5)
+                .allreduce_with(&mut IntSumScheme::default(), &data, cfg)
+                .unwrap()
+        };
+        let rd = run(EngineCfg::sync());
+        let ring = run(EngineCfg::sync().with_algo(ReduceAlgo::Ring));
+        let inc = run(EngineCfg::sync().with_algo(ReduceAlgo::Switch));
+        let piped = run(EngineCfg::pipelined(4096).with_algo(ReduceAlgo::Ring));
         (rd, ring, inc, piped)
     });
     for (rd, ring, inc, piped) in &results {

@@ -36,12 +36,16 @@ proptest! {
                     1 => ReduceAlgo::Ring,
                     _ => ReduceAlgo::Switch,
                 };
-                let mut sc = secure(comm, seed).with_algo(algo);
+                let mut sc = secure(comm, seed);
                 let data: Vec<u32> = (0..len as u32)
                     .map(|j| j.wrapping_mul(seed as u32 | 1).wrapping_add(comm.rank() as u32))
                     .collect();
                 let enc = sc
-                    .allreduce_with(&mut IntSumScheme::default(), &data, EngineCfg::sync())
+                    .allreduce_with(
+                        &mut IntSumScheme::default(),
+                        &data,
+                        EngineCfg::sync().with_algo(algo),
+                    )
                     .unwrap();
                 let reference = comm.allreduce(&data, |a, b| a.wrapping_add(*b));
                 (enc, reference)
