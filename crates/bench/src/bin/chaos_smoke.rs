@@ -10,7 +10,6 @@
 //! is distinguishable from a wrong answer in CI logs.
 
 use hear::core::{Backend, CommKeys, Homac, IntSumScheme};
-use hear::layer::chaos::with_packet_hooks;
 use hear::layer::{EngineCfg, EngineError, ReduceAlgo, RetryPolicy, SecureComm};
 use hear::mpi::{FaultPlan, SimConfig, Simulator};
 use hear::telemetry::{Metric, Registry};
@@ -99,7 +98,7 @@ fn check_contract(name: &str, results: &[Result<Vec<u32>, EngineError>], expecte
 /// aggregate.
 fn scenario_drop() -> u32 {
     let (_, expected) = inputs();
-    let plan = with_packet_hooks(FaultPlan::seeded(SEED).drop_one_in(8));
+    let plan = FaultPlan::seeded(SEED).drop_one_in(8);
     let results = run_world(plan, ReduceAlgo::Ring);
     check_contract("drop", &results, &expected)
 }
@@ -110,7 +109,7 @@ fn scenario_drop() -> u32 {
 /// verification failure).
 fn scenario_corrupt() -> u32 {
     let (_, expected) = inputs();
-    let plan = with_packet_hooks(FaultPlan::seeded(SEED ^ 1).corrupt_one_in(5));
+    let plan = FaultPlan::seeded(SEED ^ 1).corrupt_one_in(5);
     let results = run_world(plan, ReduceAlgo::RecursiveDoubling);
     check_contract("corrupt", &results, &expected)
 }
@@ -122,8 +121,7 @@ fn scenario_switch_kill() -> u32 {
     let (_, expected) = inputs();
     let reg = Registry::new_enabled();
     let _g = reg.install(None);
-    let plan =
-        with_packet_hooks(FaultPlan::seeded(SEED ^ 2).kill_endpoint_after(SWITCH_ENDPOINT, 0));
+    let plan = FaultPlan::seeded(SEED ^ 2).kill_endpoint_after(SWITCH_ENDPOINT, 0);
     let results = run_world(plan, ReduceAlgo::Switch);
     let mut failures = 0;
     for (rank, res) in results.iter().enumerate() {

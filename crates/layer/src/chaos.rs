@@ -1,189 +1,119 @@
-//! Fault-plan hooks for this crate's private wire types.
+//! Chaos tests over this crate's private wire types.
 //!
-//! The fabric's fault injector mutates `Box<dyn Any>` payloads and only
-//! knows the types it has corruptor/cloner hooks for; the built-ins
-//! cover primitive vectors. This module teaches a
-//! [`FaultPlan`] about the verified transport's `Packet` payloads, so
-//! chaos suites can corrupt and duplicate §5.5 traffic: a flipped
-//! ciphertext bit is caught by the digest check, a flipped digest lane or
-//! tag by the HoMAC itself.
+//! Every payload type the engine puts on a transport has an entry in the
+//! wire-type table ([`crate::wire`]), so any [`FaultPlan`] can corrupt,
+//! duplicate and record the verified transport's `Packet` payloads: a
+//! flipped ciphertext bit is caught by the digest check, a flipped digest
+//! lane or tag by the HoMAC itself. `Packet` is private to this crate, so
+//! the tests that name it live here rather than in `tests/chaos.rs`.
 
-use crate::engine::{for_each_packet_shape, Packet};
-use hear_core::{Hfp, LaneArray};
-use hear_mpi::FaultPlan;
+use crate::engine::{EngineCfg, EngineError, Packet, RetryPolicy};
+use crate::secure::{ReduceAlgo, SecureComm};
+use hear_core::{CommKeys, Homac, IntSumScheme, HOMAC_P};
+use hear_mpi::{payload, FaultPlan, SimConfig, Simulator};
+use hear_prf::Backend;
 use std::any::Any;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-macro_rules! packet_hooks {
-    ($(($w:ty, $l:literal)),+ $(,)?) => {
-        |plan: FaultPlan| plan$(
-            .with_corruptor(Arc::new(corrupt_packets::<$w, [u64; $l]>))
-            .with_cloner(Arc::new(clone_packets::<$w, [u64; $l]>))
-        )+
-    };
+type IntSumPacket = Packet<u32, [u64; 1]>;
+
+fn packets_u32(n: usize) -> Vec<IntSumPacket> {
+    (0..n)
+        .map(|i| Packet {
+            c: i as u32,
+            d: [i as u64],
+            s: [!(i as u64)],
+        })
+        .collect()
 }
 
-/// Arm `plan` with a corruptor and a cloner for every verified packet
-/// shape the seven schemes ship (the engine's one shape list).
-pub fn with_packet_hooks(plan: FaultPlan) -> FaultPlan {
-    for_each_packet_shape!(packet_hooks)(plan)
+/// Bind the int-sum packet's table entry, as its first verified use would.
+fn bind_int_sum_packets() {
+    crate::wire::ensure_packet_type::<IntSumScheme<u32>>();
 }
 
-/// Where [`with_wire_recorder`] shows each payload: its `Debug` rendering.
-pub type WireSink = Arc<dyn Fn(String) + Send + Sync>;
-
-/// A "corruptor" that shows `sink` a `Vec<T>` payload and leaves it alone.
-fn recorder<T: std::fmt::Debug + 'static>(sink: &WireSink) -> hear_mpi::Corruptor {
-    let sink = Arc::clone(sink);
-    Arc::new(move |payload, _| {
-        let seen = payload.downcast_ref::<Vec<T>>();
-        seen.map(|v| sink(format!("{v:?}"))).is_some()
-    })
-}
-
-macro_rules! packet_recorders {
-    ($(($w:ty, $l:literal)),+ $(,)?) => {
-        |plan: FaultPlan, sink: &WireSink| plan$(
-            .with_corruptor(recorder::<Packet<$w, [u64; $l]>>(sink))
-        )+
-    };
-}
-
-/// Arm `plan` to *show* `sink` every reduction payload the fabric carries
-/// — plain ciphertext vectors of every wire word, verified packet vectors
-/// of every shape, bare and tagged cells — without touching it. The recorders sit in the
-/// corruptor chain, so the plan must select messages with
-/// `corrupt_one_in(1)`; what the eavesdropper sees is then exactly what
-/// the wire carried. How the test suite checks that a change to the data
-/// path left the ciphertext alone.
-#[doc(hidden)]
-pub fn with_wire_recorder(plan: FaultPlan, sink: WireSink) -> FaultPlan {
-    let plan = plan
-        .with_corruptor(recorder::<u8>(&sink))
-        .with_corruptor(recorder::<u16>(&sink))
-        .with_corruptor(recorder::<u32>(&sink))
-        .with_corruptor(recorder::<u64>(&sink))
-        .with_corruptor(recorder::<Hfp>(&sink))
-        .with_corruptor(recorder::<crate::secure::Tagged<u64>>(&sink));
-    for_each_packet_shape!(packet_recorders)(plan, &sink)
-}
-
-/// Which packet the fault word singles out.
-fn pick(len: usize, word: u64) -> Option<usize> {
-    if len == 0 {
-        None
-    } else {
-        Some((word as usize) % len)
-    }
-}
-
-/// A payload ciphertext the corruptor can damage past any tolerance.
-pub(crate) trait Damage {
-    fn damage(&mut self, word: u64);
-}
-
-macro_rules! impl_damage_int {
-    ($($t:ty),+) => {$(
-        impl Damage for $t {
-            fn damage(&mut self, word: u64) {
-                *self ^= 1 << (word % <$t>::BITS as u64);
-            }
-        }
-    )+};
-}
-impl_damage_int!(u8, u16, u32, u64);
-
-impl Damage for Hfp {
-    /// An exponent bit-flip stays inside the `ew`-bit ring and shifts the
-    /// decoded value by a power of two — far past any Table 2 tolerance.
-    fn damage(&mut self, _word: u64) {
-        self.exp ^= 1;
-    }
-}
-
-/// Flip one bit of one packet: payload ciphertext, one digest lane, or
-/// that lane's tag, as `word`'s high bits pick. `false` for a payload of
-/// any other type.
-pub(crate) fn corrupt_packets<W: Damage + 'static, L: LaneArray>(
-    payload: &mut dyn Any,
-    word: u64,
-) -> bool {
-    let Some(v) = payload.downcast_mut::<Vec<Packet<W, L>>>() else {
-        return false;
-    };
-    if let Some(i) = pick(v.len(), word) {
-        let lane = (word >> 40) as usize % L::LANES;
-        // The high bits choose the channel so a seed sweep exercises all
-        // three detection paths.
-        match (word >> 61) % 3 {
-            0 => v[i].c.damage(word >> 32),
-            1 => v[i].d.as_mut()[lane] ^= 1,
-            _ => v[i].s.as_mut()[lane] ^= 1,
-        }
-    }
-    true
-}
-
-fn clone_packets<W: Clone + Send + 'static, L: LaneArray>(
-    payload: &(dyn Any + Send),
-) -> Option<Box<dyn Any + Send>> {
-    payload
-        .downcast_ref::<Vec<Packet<W, L>>>()
-        .map(|v| Box::new(v.clone()) as Box<dyn Any + Send>)
+/// World-`world` verified int-sum allreduces of `len` elements under
+/// `plan`: every rank's result, and the exact sum.
+fn verified_sum_under(
+    plan: FaultPlan,
+    world: usize,
+    len: u32,
+    cfg: EngineCfg,
+) -> (Vec<Result<Vec<u32>, EngineError>>, Vec<u32>) {
+    let sim = SimConfig::default().with_switch(4).with_faults(plan);
+    let results = Simulator::with_config(world, sim).run(|comm| {
+        let keys = CommKeys::generate(world, 0xBEEF, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let homac = Homac::generate(0xBEEF ^ 0x5a5a, Backend::best_available());
+        let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
+        let data: Vec<u32> = (0..len).map(|j| j * 3 + comm.rank() as u32).collect();
+        sc.allreduce_with(&mut IntSumScheme::<u32>::default(), &data, cfg)
+    });
+    let expected = (0..len)
+        .map(|j| (0..world as u32).map(|r| j * 3 + r).sum())
+        .collect();
+    (results, expected)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    type IntSumPacket = Packet<u32, [u64; 1]>;
-
-    fn packets_u32(n: usize) -> Vec<IntSumPacket> {
-        (0..n)
-            .map(|i| Packet {
-                c: i as u32,
-                d: [i as u64],
-                s: [!(i as u64)],
-            })
-            .collect()
-    }
-
     #[test]
     fn corruptor_flips_exactly_one_packet() {
+        bind_int_sum_packets();
         let clean = packets_u32(4);
         let mut dirty = clean.clone();
-        assert!(corrupt_packets::<u32, [u64; 1]>(
-            &mut dirty as &mut dyn Any,
-            0x7
-        ));
+        assert!(payload::corrupt(&mut dirty, 0x7));
         let changed = clean.iter().zip(&dirty).filter(|(a, b)| a != b).count();
         assert_eq!(changed, 1);
     }
 
     #[test]
     fn corruptor_rejects_foreign_payloads() {
-        let mut other = vec![1u32, 2, 3];
-        assert!(!corrupt_packets::<u32, [u64; 1]>(
-            &mut other as &mut dyn Any,
-            0
-        ));
+        // Two lanes on a u32 word is no scheme's shape: never bound.
+        let mut other: Vec<Packet<u32, [u64; 2]>> = vec![Packet {
+            c: 1,
+            d: [2, 3],
+            s: [4, 5],
+        }];
+        assert!(!payload::corrupt(&mut other, 0));
+        assert_eq!(other[0].c, 1);
     }
 
     #[test]
     fn cloner_deep_copies() {
+        bind_int_sum_packets();
         let v = packets_u32(3);
-        let boxed: Box<dyn Any + Send> = Box::new(v.clone());
-        let copy = clone_packets::<u32, [u64; 1]>(boxed.as_ref()).expect("known type");
+        let copy = payload::duplicate(&v).expect("known type");
         assert_eq!(*copy.downcast::<Vec<IntSumPacket>>().expect("same type"), v);
     }
 
+    /// A plan needs no per-type hooks: a seeded plan damages a packet
+    /// vector through the table as soon as the packet type is bound.
     #[test]
     fn hooks_attach_to_a_plan() {
-        // Debug output carries the hook counts: one custom corruptor and
-        // one custom cloner per packet shape on top of the seeded built-ins.
-        let plan = with_packet_hooks(FaultPlan::seeded(7));
-        let dbg = format!("{plan:?}");
-        assert!(dbg.contains("corruptors"), "{dbg}");
+        bind_int_sum_packets();
+        let cfg = SimConfig::default().with_faults(FaultPlan::seeded(7).corrupt_one_in(1));
+        let got = Simulator::with_config(2, cfg).run(|comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 1, packets_u32(8));
+                None
+            } else {
+                Some(comm.recv_timeout::<IntSumPacket>(0, 1, Duration::from_secs(10)))
+            }
+        });
+        let got = got[1].clone().unwrap().expect("delivered");
+        let changed = packets_u32(8)
+            .iter()
+            .zip(&got)
+            .filter(|(a, b)| a != b)
+            .count();
+        assert_eq!(changed, 1, "{got:?}");
     }
 
     #[test]
@@ -196,14 +126,6 @@ mod tests {
         // every rank symmetrically, so all four fail the digest check on
         // the same block, all retry on the next attempt tag, and the
         // clean resend converges: every rank ends Ok and exact.
-        use crate::engine::{EngineCfg, RetryPolicy};
-        use crate::secure::{ReduceAlgo, SecureComm};
-        use hear_core::{CommKeys, Homac, IntSumScheme};
-        use hear_mpi::{SimConfig, Simulator};
-        use hear_prf::Backend;
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::time::Duration;
-
         const WORLD: usize = 4;
         let reg = hear_telemetry::Registry::new_enabled();
         let _g = reg.install(None);
@@ -223,32 +145,16 @@ mod tests {
                 true // later offers are recognised but left intact
             }
         });
-        // corrupt_one_in(1) routes EVERY message through the corruptor
-        // chain; the one-shot hook (tried first) makes exactly one flip.
-        let plan =
-            with_packet_hooks(FaultPlan::seeded(11).corrupt_one_in(1)).with_corruptor(one_shot);
-
-        let cfg = SimConfig::default().with_switch(4).with_faults(plan);
-        let results = Simulator::with_config(WORLD, cfg).run(|comm| {
-            let keys = CommKeys::generate(WORLD, 0xBEEF, Backend::best_available())
-                .into_iter()
-                .nth(comm.rank())
-                .unwrap();
-            let homac = Homac::generate(0xBEEF ^ 0x5a5a, Backend::best_available());
-            let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
-            let data: Vec<u32> = (0..16).map(|j| j * 3 + comm.rank() as u32).collect();
-            let ecfg = EngineCfg::blocked(16)
-                .verified()
-                .with_algo(ReduceAlgo::Switch)
-                .with_retry(
-                    RetryPolicy::retries(1).with_attempt_timeout(Duration::from_millis(500)),
-                );
-            let mut s = IntSumScheme::<u32>::default();
-            sc.allreduce_with(&mut s, &data, ecfg)
-        });
-        let expected: Vec<u32> = (0..16)
-            .map(|j| (0..WORLD as u32).map(|r| j * 3 + r).sum())
-            .collect();
+        // corrupt_one_in(1) offers EVERY message to the corruptor, which
+        // is tried before the table: exactly one flip.
+        let plan = FaultPlan::seeded(11)
+            .corrupt_one_in(1)
+            .with_corruptor(one_shot);
+        let ecfg = EngineCfg::blocked(16)
+            .verified()
+            .with_algo(ReduceAlgo::Switch)
+            .with_retry(RetryPolicy::retries(1).with_attempt_timeout(Duration::from_millis(500)));
+        let (results, expected) = verified_sum_under(plan, WORLD, 16, ecfg);
         for (rank, res) in results.iter().enumerate() {
             let got = res
                 .as_ref()
@@ -261,5 +167,47 @@ mod tests {
             retries >= WORLD as u64,
             "expected every rank to retry once, counted {retries}"
         );
+    }
+
+    /// The 2⁶⁴ ≡ 8 (mod p) forgery of DESIGN.md "The overflow test",
+    /// mounted: every packet's digest lane moves by ±p, which the HoMAC
+    /// fold cannot see (`c` and `c ± p` are one residue), and its payload
+    /// word by ∓1, which keeps the int-sum digest check (p ≡ −1 mod 2³²)
+    /// consistent. No honest wrap is needed, at any world. Contract: the
+    /// exact sum or a `Verification` error on every rank.
+    #[test]
+    #[ignore = "open forgery, ROADMAP 1(a)"]
+    fn a_digest_lane_shifted_by_p_is_not_a_verified_sum() {
+        let shift_by_p: hear_mpi::Corruptor = Arc::new(|payload: &mut dyn Any, _| {
+            let Some(v) = payload.downcast_mut::<Vec<IntSumPacket>>() else {
+                return false;
+            };
+            for p in v {
+                match p.d[0].checked_add(HOMAC_P) {
+                    Some(d) => (p.d[0], p.c) = (d, p.c.wrapping_sub(1)),
+                    None => (p.d[0], p.c) = (p.d[0] - HOMAC_P, p.c.wrapping_add(1)),
+                }
+            }
+            true
+        });
+        let plan = FaultPlan::seeded(3)
+            .corrupt_one_in(1)
+            .with_corruptor(shift_by_p);
+        let ecfg = EngineCfg::sync()
+            .verified()
+            .with_algo(ReduceAlgo::RecursiveDoubling);
+        let (results, expected) = verified_sum_under(plan, 2, 64, ecfg);
+        for (rank, res) in results.iter().enumerate() {
+            match res {
+                Ok(got) => {
+                    let wrong = got.iter().zip(&expected).filter(|(a, b)| a != b).count();
+                    assert_eq!(wrong, 0, "rank {rank}: {wrong} of 64 elements forged");
+                }
+                Err(e) => assert!(
+                    matches!(e, EngineError::Verification(_)),
+                    "rank {rank}: {e}"
+                ),
+            }
+        }
     }
 }

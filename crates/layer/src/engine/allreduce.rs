@@ -107,7 +107,7 @@ impl SecureComm {
                 S::NAME,
                 S::MAX_VERIFIED_WORLD
             );
-            crate::wire::ensure_packet_codec::<S>();
+            crate::wire::ensure_packet_type::<S>();
         }
         self.keys.advance();
         out.clear();

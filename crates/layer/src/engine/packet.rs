@@ -393,20 +393,20 @@ impl CellCodec for TaggedCells {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{corrupt_packets, Damage};
     use hear_core::{FloatProdScheme, HfpFormat, IntProdScheme, IntSumScheme, IntXorScheme};
     use hear_prf::Backend;
 
     /// Two ranks seal a block, the "network" folds the packets, rank 0
     /// opens the aggregate — then again with one bit flipped in every
-    /// channel the chaos corruptor knows (payload, each used digest lane,
-    /// each lane's tag): the honest aggregate opens, no tampered one does.
+    /// channel the packet's wire-type entry damages (payload, each used
+    /// digest lane, each lane's tag): the honest aggregate opens, no
+    /// tampered one does.
     fn every_channel_is_guarded<S, MS>(mk: MS, inputs: [Vec<S::Input>; 2])
     where
         S: Scheme + 'static,
-        S::Wire: Damage,
         MS: Fn() -> S,
     {
+        crate::wire::ensure_packet_type::<S>();
         let keys = CommKeys::generate(2, 0x7A3B, Backend::best_available());
         let homac = Homac::generate(0x7A3C, Backend::best_available());
         let mut arena = ScratchArena::default();
@@ -436,7 +436,7 @@ mod tests {
             for lane in 0..S::Lanes::LANES as u64 {
                 let mut bad: Vec<SchemePacket<S>> = agg.clone();
                 let word = channel << 61 | lane << 40 | 9 << 32 | 2;
-                assert!(corrupt_packets::<S::Wire, S::Lanes>(&mut bad, word));
+                assert!(hear_mpi::payload::corrupt(&mut bad, word));
                 assert_eq!(bad.iter().zip(&agg).filter(|(a, b)| a != b).count(), 1);
                 let opened = open_block(&mut scheme, &homac, &keys[0], 2, offset, &bad, &mut vs);
                 assert!(

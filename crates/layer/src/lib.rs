@@ -17,7 +17,8 @@
 
 pub mod arena;
 pub mod breakdown;
-pub mod chaos;
+#[cfg(test)]
+mod chaos;
 pub mod dispatch;
 pub mod engine;
 pub mod extensions;

@@ -98,10 +98,10 @@ impl SecureComm {
             "keys generated for a different communicator"
         );
         assert_eq!(comm.rank(), keys.rank(), "keys belong to a different rank");
-        // Make this communicator transport-portable: the TCP backend can
-        // only ship types its codec registry knows, and the engine's
-        // packet payloads are private to this crate.
-        crate::wire::register_wire_codecs();
+        // Make this communicator transport-portable: the TCP backend and
+        // the fault injector know only the types in the wire-type table,
+        // and the engine's payload types are this crate's to declare.
+        crate::wire::register_wire_types();
         let comm_world = comm.world();
         SecureComm {
             comm,

@@ -1,9 +1,10 @@
-//! TCP wire codecs for this crate's private transport payloads.
+//! The engine's entries in the wire-type table ([`hear_mpi::payload`]).
 //!
-//! The TCP backend ([`hear_mpi::tcp`]) serializes `Box<dyn Any>` payloads
-//! through a runtime codec registry; the primitive `Vec<uN>` payloads of
-//! the host collectives are built in, but the HEAR engine additionally
-//! puts three of its own types on the wire:
+//! hear-mpi declares the primitive vectors of the host collectives; the
+//! HEAR engine puts three more kinds of payload on a transport, and each
+//! is declared here once, as one [`WireType`] — its TCP codec, the damage
+//! a corrupt fault does to it, its clone and its recorder rendering all
+//! come from that one entry:
 //!
 //! * `Vec<Hfp>` — unverified float-scheme ciphertexts (one HFP ring
 //!   element per value);
@@ -13,32 +14,30 @@
 //!   the `Hfp` float ring with 1 or 2) — generated from the engine's one
 //!   shape list, on type ids that do not overlap the retired fixed
 //!   four-lane packets', so a stale peer's frame is a `TypeMismatch`.
-//!   A shape's codec is bound when a communicator first runs a verified
-//!   reduction of a scheme that ships it (`ensure_packet_codec`):
-//!   binding all fourteen up front costs every program ≈ 60 KiB of
-//!   resident code it may never run;
+//!   A shape is bound when a communicator first runs a verified reduction
+//!   of a scheme that ships it (`ensure_packet_type`): binding all
+//!   fourteen up front costs every program ≈ 60 KiB of resident code it
+//!   may never run;
 //! * `Vec<Tagged<u64>>` — the verified single-origin cell transport of
 //!   allgather/alltoall (padded cell + shared-stream MAC tag).
 //!
-//! [`register_wire_codecs`] (the `Hfp` and `Tagged` codecs) is idempotent
-//! (guarded by a [`Once`]) and is invoked from `SecureComm::new`, so any
-//! program that constructs a secure communicator can run over sockets
-//! without extra wiring — the mirror of how
-//! [`crate::chaos::with_packet_hooks`] teaches the fault injector about
-//! the same types.
+//! [`register_wire_types`] (the `Hfp` and `Tagged` entries) is idempotent
+//! and is invoked from `SecureComm::new`, so any program that constructs a
+//! secure communicator can run over sockets and under a fault plan without
+//! extra wiring.
 
 use crate::engine::{for_each_packet_shape, Packet, SchemePacket};
 use crate::secure::Tagged;
 use hear_core::{Hfp, LaneArray, Scheme};
-use hear_mpi::tcp::wire::{can_encode, register_vec_codec, WIRE_ID_USER_BASE};
-use std::sync::Once;
+use hear_mpi::payload::{self, WireType, WIRE_ID_USER_BASE};
 
-/// Fixed-width wire image for one element: the codec registry encodes
-/// `Vec<T>` as a flat run of equal-sized cells.
-trait WireElem: Sized {
+/// A packet's payload word: its fixed-width wire image, and the damage a
+/// corrupt fault does to it — past any scheme's tolerance.
+trait WireElem: Clone + std::fmt::Debug + Send + Sized + 'static {
     const BYTES: usize;
     fn put(&self, out: &mut Vec<u8>);
     fn get(b: &[u8]) -> Option<Self>;
+    fn damage(&mut self, word: u64);
 }
 
 macro_rules! impl_wire_elem_int {
@@ -50,6 +49,9 @@ macro_rules! impl_wire_elem_int {
             }
             fn get(b: &[u8]) -> Option<$t> {
                 Some(<$t>::from_le_bytes(b.try_into().ok()?))
+            }
+            fn damage(&mut self, word: u64) {
+                *self ^= 1 << (word % <$t>::BITS as u64);
             }
         }
     )+};
@@ -82,14 +84,11 @@ impl WireElem for Hfp {
             mw: u32::from_le_bytes(b[21..25].try_into().ok()?),
         })
     }
-}
-
-fn hfp_put(v: &Hfp, out: &mut Vec<u8>) {
-    v.put(out);
-}
-
-fn hfp_get(b: &[u8]) -> Option<Hfp> {
-    Hfp::get(b)
+    /// An exponent bit-flip stays inside the `ew`-bit ring and shifts the
+    /// decoded value by a power of two — far past any Table 2 tolerance.
+    fn damage(&mut self, _word: u64) {
+        self.exp ^= 1;
+    }
 }
 
 /// `c`, then the `L` digest lanes, then their `L` tags, all little-endian.
@@ -110,13 +109,30 @@ fn packet_get<W: WireElem, L: LaneArray>(b: &[u8]) -> Option<Packet<W, L>> {
     Some(Packet { c, d, s })
 }
 
+/// Flip one bit of the packet: payload ciphertext, one digest lane, or
+/// that lane's tag, as `word`'s high bits pick — so a seed sweep
+/// exercises all three detection paths.
+fn packet_damage<W: WireElem, L: LaneArray>(p: &mut Packet<W, L>, word: u64) {
+    let lane = (word >> 8) as usize % L::LANES;
+    match (word >> 29) % 3 {
+        0 => p.c.damage(word),
+        1 => p.d.as_mut()[lane] ^= 1,
+        _ => p.s.as_mut()[lane] ^= 1,
+    }
+}
+
+/// Packed size: the wire word, then a lane and a tag per digest lane.
+const fn packet_wire_bytes<W: WireElem, L: LaneArray>() -> usize {
+    W::BYTES + 2 * L::LANES * 8
+}
+
 /// Type ids `WIRE_ID_USER_BASE + 1 ..= + 5` carried the fixed four-lane
 /// packets; they stay unbound, and the lane-sized shapes start here.
 const PACKET_WIRE_ID_BASE: u32 = WIRE_ID_USER_BASE + 0x10;
 
-/// One registered verified-packet shape: what a scheme's `(c, d, σ)`
-/// packet costs in memory (what the in-process fabric moves, padding
-/// included) and on the TCP wire (packed).
+/// One verified-packet shape: what a scheme's `(c, d, σ)` packet costs in
+/// memory (what the in-process fabric moves, padding included) and on the
+/// TCP wire (packed).
 #[derive(Debug, Clone, Copy)]
 pub struct PacketShape {
     /// Type name of the payload wire word.
@@ -127,7 +143,7 @@ pub struct PacketShape {
     pub wire_bytes: usize,
     /// TCP codec type id.
     pub wire_id: u32,
-    register: fn(u32),
+    bind: fn(u32),
 }
 
 impl PacketShape {
@@ -140,27 +156,29 @@ impl PacketShape {
         found.unwrap_or_else(|| panic!("{} ships an unlisted packet shape {key:?}", S::NAME))
     }
 
-    /// Register this shape's codec under its type id (idempotent).
+    /// Add this shape to the wire-type table under its type id
+    /// (idempotent).
     fn bind(&self) {
-        (self.register)(self.wire_id);
+        (self.bind)(self.wire_id);
     }
 }
 
-/// Packed size: the wire word, then a lane and a tag per digest lane.
-const fn packet_wire_bytes<W: WireElem, L: LaneArray>() -> usize {
-    W::BYTES + 2 * L::LANES * 8
-}
-
-fn packet_shape<W: WireElem + Send + 'static, L: LaneArray>(index: usize) -> PacketShape {
+fn packet_shape<W: WireElem, L: LaneArray>(index: usize) -> PacketShape {
     PacketShape {
         wire: std::any::type_name::<W>(),
         lanes: L::LANES,
         mem_bytes: std::mem::size_of::<Packet<W, L>>(),
         wire_bytes: packet_wire_bytes::<W, L>(),
         wire_id: PACKET_WIRE_ID_BASE + index as u32,
-        register: |wire_id| {
-            let bytes = packet_wire_bytes::<W, L>();
-            register_vec_codec::<Packet<W, L>>(wire_id, bytes, packet_put, packet_get);
+        bind: |id| {
+            WireType::<Packet<W, L>> {
+                id,
+                bytes: packet_wire_bytes::<W, L>(),
+                put: packet_put,
+                get: packet_get,
+                damage: packet_damage,
+            }
+            .register()
         },
     }
 }
@@ -178,13 +196,13 @@ pub fn packet_shapes() -> Vec<PacketShape> {
     rows.iter().enumerate().map(|(i, row)| row(i)).collect()
 }
 
-/// Bind the TCP codec for scheme `S`'s verified packets unless it is bound
-/// already (one registry read per call in steady state). The receiving
-/// side decodes at its own receive, inside the same verified call, so both
-/// ends have bound the codec by the time a frame needs it.
-pub(crate) fn ensure_packet_codec<S: Scheme + 'static>() {
-    let probe: Vec<SchemePacket<S>> = Vec::new();
-    if !can_encode(&probe) {
+/// Bind scheme `S`'s verified packet type on first use (one table read per
+/// call afterwards). The receiving side decodes at its own receive, inside
+/// the same verified call, so both ends have bound the type by the time a
+/// frame needs it, and the fault injector, which sees the payload at the
+/// sender, after the sender bound it.
+pub(crate) fn ensure_packet_type<S: Scheme + 'static>() {
+    if !payload::knows::<SchemePacket<S>>() {
         PacketShape::of::<S>().bind();
     }
 }
@@ -203,26 +221,48 @@ fn tagged_get(b: &[u8]) -> Option<Tagged<u64>> {
     })
 }
 
-/// Register the `Vec<Hfp>` and `Vec<Tagged<u64>>` codecs with the TCP
-/// transport's registry (the packet codecs follow on first verified use).
-/// Idempotent and thread-safe; called by `SecureComm::new`, and callable
-/// directly by tests that drive the transport below the engine.
-pub fn register_wire_codecs() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        register_vec_codec::<Hfp>(WIRE_ID_USER_BASE, Hfp::BYTES, hfp_put, hfp_get);
-        register_vec_codec::<Tagged<u64>>(WIRE_ID_USER_BASE + 6, 16, tagged_put, tagged_get);
-    });
+/// Flip one bit of the cell, or the low bit of its tag, as `word`'s top
+/// bit picks.
+fn tagged_damage(t: &mut Tagged<u64>, word: u64) {
+    match (word >> 31) & 1 {
+        0 => t.c ^= 1 << (word % 64),
+        _ => t.sigma ^= 1,
+    }
+}
+
+/// Add `Vec<Hfp>` and `Vec<Tagged<u64>>` to the wire-type table (the
+/// packet types follow on first verified use). Idempotent and
+/// thread-safe; called by `SecureComm::new`, and callable directly by
+/// tests that drive the transport below the engine.
+pub fn register_wire_types() {
+    WireType::<Hfp> {
+        id: WIRE_ID_USER_BASE,
+        bytes: Hfp::BYTES,
+        put: <Hfp as WireElem>::put,
+        get: <Hfp as WireElem>::get,
+        damage: <Hfp as WireElem>::damage,
+    }
+    .register();
+    WireType::<Tagged<u64>> {
+        id: WIRE_ID_USER_BASE + 6,
+        bytes: 16,
+        put: tagged_put,
+        get: tagged_get,
+        damage: tagged_damage,
+    }
+    .register();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hear_mpi::tcp::wire::{decode_payload, encode_payload};
+    use hear_mpi::payload::Row;
+    use hear_mpi::tcp::wire::{decode_payload, encode_payload, WireUndecodable};
+    use hear_testkit::TestRng;
 
     #[test]
     fn hfp_vectors_roundtrip_bitexact() {
-        register_wire_codecs();
+        register_wire_types();
         let v: Vec<Hfp> = (0..9)
             .map(|i| Hfp {
                 sign: i % 2 == 0,
@@ -239,9 +279,85 @@ mod tests {
     }
 
     /// Bind every packet shape, as a program using all seven schemes would.
-    fn register_all_codecs() {
-        register_wire_codecs();
+    fn register_all_types() {
+        register_wire_types();
         packet_shapes().iter().for_each(PacketShape::bind);
+    }
+
+    fn random_bytes(rng: &mut TestRng, n: usize) -> Vec<u8> {
+        (0..n).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    /// A valid wire image of `n` elements of `row`'s type: each element's
+    /// bytes are drawn at random until the table's codec accepts them.
+    fn valid_image(rng: &mut TestRng, row: &Row, n: usize) -> Vec<u8> {
+        let mut image = Vec::with_capacity(n * row.bytes);
+        for _ in 0..n {
+            let elem = std::iter::repeat_with(|| random_bytes(rng, row.bytes))
+                .find(|b| !decode_payload(row.id, b).is::<WireUndecodable>())
+                .expect("an endless search");
+            image.extend(elem);
+        }
+        image
+    }
+
+    /// The wire-type table, walked entry by entry once every type is
+    /// bound: the codec round-trips, the cloner's copy encodes the same,
+    /// and every corrupt fault changes the value.
+    #[test]
+    fn every_table_entry_round_trips_damages_and_clones() {
+        register_all_types();
+        let rows = payload::rows();
+        // 14 primitives, `Hfp`, `Tagged<u64>` and the packet shapes.
+        assert_eq!(rows.len(), 16 + packet_shapes().len(), "{rows:?}");
+        let mut rng = TestRng::new(0x7AB1E);
+        for row in &rows {
+            let image = valid_image(&mut rng, row, 5);
+            let sent = decode_payload(row.id, &image);
+            assert_eq!(
+                encode_payload(sent.as_ref()),
+                (row.id, image.clone()),
+                "{row:?}"
+            );
+            let copy = payload::duplicate(sent.as_ref()).expect("a registered type");
+            assert_eq!(encode_payload(copy.as_ref()).1, image, "{row:?} clone");
+            for _ in 0..16 {
+                let mut hit = payload::duplicate(sent.as_ref()).expect("a registered type");
+                assert!(payload::corrupt(hit.as_mut(), rng.next_u64()), "{row:?}");
+                assert_ne!(encode_payload(hit.as_ref()).1, image, "{row:?} damage");
+            }
+            assert!(payload::show(sent.as_ref()).is_some(), "{row:?}");
+        }
+    }
+
+    /// Every registered decoder, fed random bytes, a valid image cut by
+    /// one byte and a valid image with one byte added, returns a value or
+    /// `WireUndecodable` — never panics — and a torn element is always
+    /// undecodable.
+    #[test]
+    fn every_registered_decoder_survives_fuzzing() {
+        register_all_types();
+        let mut rng = TestRng::new(0xF022);
+        for row in payload::rows() {
+            let torn = |len: usize| row.bytes > 1 && !len.is_multiple_of(row.bytes);
+            for _ in 0..64 {
+                let len = (rng.next_u64() % (4 * row.bytes as u64 + 4)) as usize;
+                let got = decode_payload(row.id, &random_bytes(&mut rng, len));
+                assert!(!torn(len) || got.is::<WireUndecodable>(), "{row:?} {len} B");
+            }
+            let mut image = valid_image(&mut rng, &row, 3);
+            let cut = decode_payload(row.id, &image[..image.len() - 1]);
+            assert!(
+                !torn(image.len() - 1) || cut.is::<WireUndecodable>(),
+                "{row:?} cut"
+            );
+            image.push(rng.next_u64() as u8);
+            let long = decode_payload(row.id, &image);
+            assert!(
+                !torn(image.len()) || long.is::<WireUndecodable>(),
+                "{row:?} long"
+            );
+        }
     }
 
     /// Test values for a packet's payload word.
@@ -302,7 +418,7 @@ mod tests {
 
     #[test]
     fn packet_vectors_roundtrip_in_every_shape() {
-        register_all_codecs();
+        register_all_types();
         for_each_packet_shape!(codec_roundtrip_each);
     }
 
@@ -328,7 +444,7 @@ mod tests {
                 |t: &TcpTransport| { let mut tag = 0; $( tag += 1; cross::<$w, [u64; $l]>(t, tag); )+ }
             };
         }
-        register_all_codecs();
+        register_all_types();
         let t = TcpTransport::mesh(2, NetConfig::instant(), None).expect("loopback mesh");
         for_each_packet_shape!(cross_each)(&t);
     }
@@ -376,7 +492,7 @@ mod tests {
     /// (a `TypeMismatch` at the receive) instead of being mis-parsed.
     #[test]
     fn retired_four_lane_type_ids_are_undecodable() {
-        register_all_codecs();
+        register_all_types();
         for retired in 1..=5 {
             let back = decode_payload(WIRE_ID_USER_BASE + retired, &[0u8; 68]);
             assert!(back
@@ -387,7 +503,7 @@ mod tests {
 
     #[test]
     fn tagged_cell_vectors_roundtrip_bitexact() {
-        register_wire_codecs();
+        register_wire_types();
         let v: Vec<Tagged<u64>> = (0..5)
             .map(|i| Tagged {
                 c: 0xDEAD_BEEF_0000_0000 | i,
@@ -402,7 +518,7 @@ mod tests {
 
     #[test]
     fn corrupt_sign_byte_poisons_the_message() {
-        register_wire_codecs();
+        register_wire_types();
         let v = vec![Hfp::zero(8, 23)];
         let (id, mut bytes) = encode_payload(&v);
         bytes[0] = 9; // not a boolean

@@ -10,23 +10,18 @@
 //! outbound send count, which is likewise schedule-independent.
 //!
 //! Payloads cross the fabric as `Box<dyn Any + Send>`, which can neither
-//! be cloned nor inspected generically, so mutation ("corrupt") and
-//! duplication each go through registered hooks:
-//!
-//! * a [`Corruptor`] flips bits in place and reports whether it handled
-//!   the concrete payload type;
-//! * a [`Cloner`] returns a boxed deep copy, or `None` if the type is
-//!   foreign to it.
-//!
-//! Hooks for the primitive `Vec<uN>` payloads used by the collectives are
-//! registered automatically; higher layers (e.g. the HoMAC packet types
-//! in `hear-layer`) append their own.
+//! be cloned nor inspected generically, so a corrupt fault damages and a
+//! duplicate fault copies the payload through its entry in the wire-type
+//! table ([`crate::payload`]): every type that can cross a transport can
+//! be corrupted, duplicated and recorded. A test that needs a sharper
+//! fault installs a [`Corruptor`], tried before the table.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::payload;
 use hear_testkit::TestRng;
 
 /// In-place payload mutator. Receives the payload and a per-message
@@ -34,9 +29,9 @@ use hear_testkit::TestRng;
 /// applied a corruption.
 pub type Corruptor = Arc<dyn Fn(&mut dyn Any, u64) -> bool + Send + Sync>;
 
-/// Payload deep-copier for the duplicate fault. Returns `None` when the
-/// concrete type is not one it knows how to clone.
-pub type Cloner = Arc<dyn Fn(&(dyn Any + Send)) -> Option<Box<dyn Any + Send>> + Send + Sync>;
+/// Where a plan's [`FaultPlan::with_wire_recorder`] observer shows each
+/// payload: its `Debug` rendering.
+pub type WireSink = Arc<dyn Fn(String) + Send + Sync>;
 
 /// What the plan decided to do with one message (before kills are
 /// considered). `Deliver` means "no fault sampled".
@@ -72,7 +67,7 @@ pub struct FaultPlan {
     /// in-memory mirror of a transient TCP disconnect + reconnect.
     disconnects: Vec<(usize, u64, u64)>,
     corruptors: Vec<Corruptor>,
-    cloners: Vec<Cloner>,
+    recorder: Option<WireSink>,
 }
 
 impl std::fmt::Debug for FaultPlan {
@@ -87,21 +82,18 @@ impl std::fmt::Debug for FaultPlan {
             .field("kills", &self.kills)
             .field("disconnects", &self.disconnects)
             .field("corruptors", &self.corruptors.len())
-            .field("cloners", &self.cloners.len())
+            .field("recorder", &self.recorder.is_some())
             .finish()
     }
 }
 
 impl FaultPlan {
-    /// A plan with the given seed, no faults armed, and the built-in
-    /// primitive-`Vec` corruptors/cloners registered.
+    /// A plan with the given seed and no faults armed.
     pub fn seeded(seed: u64) -> Self {
-        let mut plan = FaultPlan {
+        FaultPlan {
             seed,
             ..FaultPlan::default()
-        };
-        register_primitive_hooks(&mut plan);
-        plan
+        }
     }
 
     /// Drop one in `n` messages (0 disables).
@@ -123,7 +115,8 @@ impl FaultPlan {
         self
     }
 
-    /// Bit-flip one in `n` messages (via the registered corruptors).
+    /// Damage one in `n` messages (through the wire-type table, or a
+    /// [`FaultPlan::with_corruptor`] override).
     pub fn corrupt_one_in(mut self, n: u64) -> Self {
         self.corrupt_one_in = n;
         self
@@ -152,15 +145,18 @@ impl FaultPlan {
         self
     }
 
-    /// Register an additional payload corruptor (tried before built-ins).
+    /// Register a payload corruptor, tried before the wire-type table (and
+    /// before corruptors registered earlier).
     pub fn with_corruptor(mut self, c: Corruptor) -> Self {
         self.corruptors.insert(0, c);
         self
     }
 
-    /// Register an additional payload cloner (tried before built-ins).
-    pub fn with_cloner(mut self, c: Cloner) -> Self {
-        self.cloners.insert(0, c);
+    /// Show `sink` every payload the plan sees, before any fault is
+    /// decided and untouched: what an eavesdropper on the wire reads. Types
+    /// with no wire-type entry are not shown.
+    pub fn with_wire_recorder(mut self, sink: WireSink) -> Self {
+        self.recorder = Some(sink);
         self
     }
 
@@ -249,16 +245,10 @@ impl FaultPlan {
         rng.next_u64()
     }
 
-    /// Run the payload through the registered corruptors; returns true if
-    /// one of them handled the concrete type.
+    /// Run the payload through the corruptors, then the wire-type table;
+    /// returns true if one of them handled the concrete type.
     pub(crate) fn corrupt_payload(&self, payload: &mut dyn Any, word: u64) -> bool {
-        self.corruptors.iter().any(|c| c(payload, word))
-    }
-
-    /// Deep-copy the payload via the registered cloners, if any knows the
-    /// concrete type.
-    pub(crate) fn clone_payload(&self, payload: &(dyn Any + Send)) -> Option<Box<dyn Any + Send>> {
-        self.cloners.iter().find_map(|c| c(payload))
+        self.corruptors.iter().any(|c| c(payload, word)) || payload::corrupt(payload, word)
     }
 }
 
@@ -333,7 +323,7 @@ pub(crate) struct SendVerdict {
 /// the single fault-decision point shared by every transport backend: the
 /// in-memory fabric applies it just before mailbox deposit, the TCP
 /// backend just before wire encoding (while the payload is still typed, so
-/// the corruptor/cloner hooks work unchanged over sockets).
+/// the table's corruptor and cloner work unchanged over sockets).
 ///
 /// Returns the decision plus whether this send triggers the sender's
 /// kill. When `to` is already dead the message is dropped without
@@ -357,6 +347,11 @@ pub(crate) fn filter_send(
             suspect: None,
         };
     };
+    if let Some(sink) = &plan.recorder {
+        if let Some(seen) = payload::show(payload.as_ref()) {
+            sink(seen);
+        }
+    }
     // The send ordinal is the victim's own outbound count, so kill
     // triggers are independent of cross-thread scheduling. The
     // triggering send itself still completes ("dies after N sends").
@@ -405,7 +400,7 @@ pub(crate) fn filter_send(
             }
         }
         FaultAction::Duplicate => {
-            let dup = plan.clone_payload(payload.as_ref());
+            let dup = payload::duplicate(payload.as_ref());
             if dup.is_some() {
                 hear_telemetry::incr(hear_telemetry::Metric::FaultDuplicate);
             }
@@ -441,39 +436,6 @@ fn mix_identity(seed: u64, from: u64, to: u64, tag: u64, link_seq: u64) -> u64 {
     }
     h ^= h >> 31;
     h.wrapping_mul(0x94d049bb133111eb)
-}
-
-/// Flip one bit (chosen by `word`) somewhere in a primitive vector, and
-/// clone such vectors for the duplicate fault.
-macro_rules! primitive_hooks {
-    ($plan:expr, $($t:ty),+) => {{
-        $plan.corruptors.push(Arc::new(|payload: &mut dyn Any, word: u64| {
-            $(
-                if let Some(v) = payload.downcast_mut::<Vec<$t>>() {
-                    if v.is_empty() {
-                        return true; // recognised; nothing to flip
-                    }
-                    let idx = (word as usize) % v.len();
-                    let bit = (word >> 32) % (8 * std::mem::size_of::<$t>() as u64);
-                    v[idx] ^= (1 as $t) << bit;
-                    return true;
-                }
-            )+
-            false
-        }));
-        $plan.cloners.push(Arc::new(|payload: &(dyn Any + Send)| {
-            $(
-                if let Some(v) = payload.downcast_ref::<Vec<$t>>() {
-                    return Some(Box::new(v.clone()) as Box<dyn Any + Send>);
-                }
-            )+
-            None
-        }));
-    }};
-}
-
-fn register_primitive_hooks(plan: &mut FaultPlan) {
-    primitive_hooks!(plan, u8, u16, u32, u64, u128);
 }
 
 #[cfg(test)]
@@ -525,14 +487,11 @@ mod tests {
 
     #[test]
     fn builtin_cloner_round_trips() {
-        let plan = FaultPlan::seeded(0).duplicate_one_in(1);
         let v: Box<dyn Any + Send> = Box::new(vec![1u64, 2, 3]);
-        let copy = plan
-            .clone_payload(v.as_ref())
-            .expect("Vec<u64> is cloneable");
+        let copy = payload::duplicate(v.as_ref()).expect("Vec<u64> is cloneable");
         assert_eq!(*copy.downcast::<Vec<u64>>().unwrap(), vec![1u64, 2, 3]);
         let foreign: Box<dyn Any + Send> = Box::new(String::from("nope"));
-        assert!(plan.clone_payload(foreign.as_ref()).is_none());
+        assert!(payload::duplicate(foreign.as_ref()).is_none());
     }
 
     #[test]

@@ -30,6 +30,7 @@ mod fault;
 pub mod inc;
 pub mod launch;
 mod nonblocking;
+pub mod payload;
 mod simulator;
 pub mod tcp;
 mod transport;
@@ -38,7 +39,7 @@ pub use collectives::ring_chunk_bounds;
 pub use comm::{Communicator, ATTEMPT_TAG_STRIDE, COLL_BLOCK_TAG_STRIDE, MAX_TAG_ATTEMPTS};
 pub use error::CommError;
 pub use fabric::{thread_transit_wait_nanos, NetConfig};
-pub use fault::{Cloner, Corruptor, FaultPlan};
+pub use fault::{Corruptor, FaultPlan, WireSink};
 pub use inc::SwitchTopology;
 pub use launch::Launcher;
 pub use nonblocking::Request;

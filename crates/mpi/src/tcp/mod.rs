@@ -66,6 +66,7 @@ use crate::fabric::{
     count_delivery, lock_unpoisoned, recv_on_mailboxes, LinkClock, Mailbox, NetConfig,
 };
 use crate::fault::{filter_send, FaultPlan, FaultState, SendDecision, SendVerdict};
+use crate::payload;
 use crate::transport::{Envelope, Transport};
 use wire::{encode_frame, Frame, FrameHeader, FrameKind, HEADER_LEN};
 
@@ -375,7 +376,7 @@ impl Inner {
             return;
         };
         let mut scratch = lock_unpoisoned(&conn.tx);
-        let (type_id, body) = match wire::primitive_bytes(payload.as_ref()) {
+        let (type_id, body) = match payload::primitive_bytes(payload.as_ref()) {
             Some(borrowed) => borrowed,
             None => {
                 let id = wire::encode_payload_into(payload.as_ref(), &mut scratch);
@@ -531,7 +532,7 @@ impl Inner {
             std::io::copy(&mut r.by_ref().take(len as u64), &mut std::io::sink())?;
             return Ok(());
         }
-        let payload = match wire::read_primitive(header.type_id, len, r) {
+        let payload = match payload::read_primitive(header.type_id, len, r) {
             Some(typed) => typed?,
             None => {
                 let mut bytes = vec![0u8; len];

@@ -28,17 +28,12 @@
 //!   [`WireUndecodable`] envelope, so the receiver's typed downcast fails
 //!   and surfaces [`CommError::TypeMismatch`](crate::CommError::TypeMismatch).
 //!
-//! Payloads are `Box<dyn Any + Send>` above this layer, so encoding needs a
-//! runtime registry: [`register_vec_codec`] maps a concrete `Vec<T>` to a
-//! stable `type_id` with fixed-width per-element encode/decode functions.
-//! Primitive vectors are pre-registered; downstream crates (hear-layer's
-//! HoMAC packets, `Vec<Hfp>`) register theirs at startup using ids at or
-//! above [`WIRE_ID_USER_BASE`].
+//! Payloads are `Box<dyn Any + Send>` above this layer, so the codec for
+//! each concrete `Vec<T>` and its stable `type_id` come from the
+//! wire-type table ([`crate::payload`]).
 
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
-use std::io::Read;
-use std::sync::{LazyLock, RwLock};
+use crate::payload::{self, WIRE_ID_USER_BASE};
+use std::any::Any;
 
 /// First two bytes of every frame.
 pub const MAGIC: u16 = 0xAE57;
@@ -50,8 +45,6 @@ pub const HEADER_LEN: usize = 32;
 /// a corrupt header (a genuine 256 MiB message should be chunked far
 /// upstream of the transport).
 pub const MAX_FRAME_LEN: u32 = 256 << 20;
-/// First `type_id` available to codecs registered outside this crate.
-pub const WIRE_ID_USER_BASE: u32 = 0x40;
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,292 +263,12 @@ pub struct WireUndecodable {
     pub len: usize,
 }
 
-/// Appends the payload's wire image to the buffer; `false` when handed a
-/// type other than the one it was registered for.
-type EncodeFn = Box<dyn Fn(&(dyn Any + Send), &mut Vec<u8>) -> bool + Send + Sync>;
-type DecodeFn = Box<dyn Fn(&[u8]) -> Option<Box<dyn Any + Send>> + Send + Sync>;
-
-struct Registry {
-    by_type: HashMap<TypeId, (u32, EncodeFn)>,
-    by_wire: HashMap<u32, (&'static str, DecodeFn)>,
-}
-
-static REGISTRY: LazyLock<RwLock<Registry>> = LazyLock::new(|| {
-    let mut reg = Registry {
-        by_type: HashMap::new(),
-        by_wire: HashMap::new(),
-    };
-    builtin_codecs(&mut reg);
-    RwLock::new(reg)
-});
-
-/// Bind `Vec<T>` to `wire_id` in both directions, refusing a second,
-/// different binding of either.
-fn registry_bind<T: Send + 'static>(
-    reg: &mut Registry,
-    wire_id: u32,
-    encode: EncodeFn,
-    decode: DecodeFn,
-) {
-    let name = std::any::type_name::<Vec<T>>();
-    if let Some((existing, _)) = reg.by_type.get(&TypeId::of::<Vec<T>>()) {
-        assert!(
-            *existing == wire_id,
-            "codec for {name} already registered under wire id {existing:#x}, now {wire_id:#x}"
-        );
-        return; // idempotent re-registration
-    }
-    if let Some((other, _)) = reg.by_wire.get(&wire_id) {
-        panic!("wire id {wire_id:#x} already taken by {other}, cannot assign it to {name}");
-    }
-    reg.by_type
-        .insert(TypeId::of::<Vec<T>>(), (wire_id, encode));
-    reg.by_wire.insert(wire_id, (name, decode));
-}
-
-fn registry_insert<T: Send + 'static>(
-    reg: &mut Registry,
-    wire_id: u32,
-    elem_bytes: usize,
-    write: fn(&T, &mut Vec<u8>),
-    read: fn(&[u8]) -> Option<T>,
-) {
-    let name = std::any::type_name::<Vec<T>>();
-    let encode: EncodeFn = Box::new(move |payload, out| {
-        let Some(v) = payload.downcast_ref::<Vec<T>>() else {
-            return false;
-        };
-        out.reserve(v.len() * elem_bytes);
-        for item in v {
-            let before = out.len();
-            write(item, out);
-            debug_assert_eq!(
-                out.len() - before,
-                elem_bytes,
-                "codec {name} wrote a wrong-width element"
-            );
-        }
-        true
-    });
-    let decode: DecodeFn = Box::new(move |bytes| {
-        if elem_bytes == 0 || bytes.len() % elem_bytes != 0 {
-            return None;
-        }
-        let mut v: Vec<T> = Vec::with_capacity(bytes.len() / elem_bytes);
-        for chunk in bytes.chunks_exact(elem_bytes) {
-            v.push(read(chunk)?);
-        }
-        Some(Box::new(v) as Box<dyn Any + Send>)
-    });
-    registry_bind::<T>(reg, wire_id, encode, decode);
-}
-
-/// Register a codec for `Vec<T>` under `wire_id`, where every element
-/// occupies exactly `elem_bytes` on the wire. `write` must append exactly
-/// `elem_bytes`; `read` gets exactly `elem_bytes` and returns `None` for
-/// bit patterns that are not a valid `T` (the whole message then poisons
-/// to [`WireUndecodable`]).
-///
-/// Idempotent for an identical re-registration; panics if `Vec<T>` or
-/// `wire_id` is already bound differently. Downstream crates must use ids
-/// at or above [`WIRE_ID_USER_BASE`].
-pub fn register_vec_codec<T: Send + 'static>(
-    wire_id: u32,
-    elem_bytes: usize,
-    write: fn(&T, &mut Vec<u8>),
-    read: fn(&[u8]) -> Option<T>,
-) {
-    let mut reg = REGISTRY.write().unwrap_or_else(|e| e.into_inner());
-    registry_insert(&mut reg, wire_id, elem_bytes, write, read);
-}
-
-/// A built-in primitive element: fixed width, no padding, every bit
-/// pattern valid, and a wire image that is the value's little-endian
-/// bytes — so a whole `Vec<T>` moves as one byte run instead of element
-/// by element.
-///
-/// # Safety
-///
-/// Implementors must be primitive integers or floats: [`bytes_of`] and
-/// [`bytes_of_mut`] reinterpret slices of them as bytes, which is sound
-/// only without padding and without invalid bit patterns.
-unsafe trait Pod: Copy + Default + Send + 'static {
-    /// Native value ↔ little-endian wire image: the identity on
-    /// little-endian hosts, a byte swap on big-endian ones.
-    fn swap_le(self) -> Self;
-}
-
-fn bytes_of<T: Pod>(v: &[T]) -> &[u8] {
-    // SAFETY: `T: Pod` has no padding, so all `size_of_val(v)` bytes are
-    // initialised; `u8` has alignment 1; the result borrows `v`.
-    unsafe { std::slice::from_raw_parts(v.as_ptr().cast(), std::mem::size_of_val(v)) }
-}
-
-fn bytes_of_mut<T: Pod>(v: &mut [T]) -> &mut [u8] {
-    // SAFETY: as `bytes_of`; every bit pattern is a valid `T`, so no write
-    // through the byte view can leave an invalid value behind, and the
-    // result holds the exclusive borrow of `v`.
-    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast(), std::mem::size_of_val(v)) }
-}
-
-fn pod_encode<T: Pod>(payload: &(dyn Any + Send), out: &mut Vec<u8>) -> bool {
-    let Some(v) = payload.downcast_ref::<Vec<T>>() else {
-        return false;
-    };
-    if cfg!(target_endian = "little") {
-        out.extend_from_slice(bytes_of(v));
-    } else {
-        for x in v {
-            out.extend_from_slice(bytes_of(&[x.swap_le()]));
-        }
-    }
-    true
-}
-
-/// A zeroed `Vec<T>` whose byte image is `bytes` long, ready to be filled
-/// through [`bytes_of_mut`]; `None` when `bytes` is not a whole number of
-/// elements.
-fn pod_zeroed<T: Pod>(bytes: usize) -> Option<Vec<T>> {
-    bytes
-        .is_multiple_of(std::mem::size_of::<T>())
-        .then(|| vec![T::default(); bytes / std::mem::size_of::<T>()])
-}
-
-/// Turn a wire image just written through [`bytes_of_mut`] into native
-/// values (nothing to do on a little-endian host).
-fn pod_from_wire<T: Pod>(v: &mut [T]) {
-    if cfg!(target_endian = "big") {
-        for x in v {
-            *x = x.swap_le();
-        }
-    }
-}
-
-fn pod_decode<T: Pod>(bytes: &[u8]) -> Option<Box<dyn Any + Send>> {
-    let mut v = pod_zeroed::<T>(bytes.len())?;
-    bytes_of_mut(&mut v).copy_from_slice(bytes);
-    pod_from_wire(&mut v);
-    Some(Box::new(v))
-}
-
-fn pod_read<T: Pod>(len: usize, r: &mut impl Read) -> Option<std::io::Result<Box<dyn Any + Send>>> {
-    let mut v = pod_zeroed::<T>(len)?;
-    Some(r.read_exact(bytes_of_mut(&mut v)).map(|()| {
-        pod_from_wire(&mut v);
-        Box::new(v) as Box<dyn Any + Send>
-    }))
-}
-
-/// The primitive codecs, once: `(wire id, element type)`. Everything that
-/// moves these as bulk bytes — the registry entries, the transport's
-/// borrowed send and its typed receive — is generated from this one list.
-macro_rules! le_primitives {
-    ($(($id:literal, $t:ty)),+ $(,)?) => {
-        $(
-            // SAFETY: a primitive number — no padding, every bit pattern valid.
-            unsafe impl Pod for $t {
-                fn swap_le(self) -> Self {
-                    <$t>::from_le_bytes(self.to_ne_bytes())
-                }
-            }
-        )+
-
-        fn primitive_codecs(reg: &mut Registry) {
-            $(registry_bind::<$t>(reg, $id, Box::new(pod_encode::<$t>), Box::new(pod_decode::<$t>));)+
-        }
-
-        /// The payload's wire image borrowed in place: `(type_id, bytes)`
-        /// when it is a primitive vector on a little-endian host, where
-        /// memory already holds the wire form. `None` sends the caller to
-        /// [`encode_payload_into`].
-        pub(super) fn primitive_bytes(payload: &(dyn Any + Send)) -> Option<(u32, &[u8])> {
-            if cfg!(target_endian = "big") {
-                return None;
-            }
-            $(
-                if let Some(v) = payload.downcast_ref::<Vec<$t>>() {
-                    return Some(($id, bytes_of(v)));
-                }
-            )+
-            None
-        }
-
-        /// Read a `len`-byte primitive payload from `r` straight into the
-        /// typed, aligned `Vec<T>` the receiver will downcast to. `None`
-        /// (nothing consumed) when `type_id` is not a primitive codec or
-        /// `len` is not a whole number of elements.
-        pub(super) fn read_primitive(
-            type_id: u32,
-            len: usize,
-            r: &mut impl Read,
-        ) -> Option<std::io::Result<Box<dyn Any + Send>>> {
-            match type_id {
-                $($id => pod_read::<$t>(len, r),)+
-                _ => None,
-            }
-        }
-    };
-}
-
-le_primitives!(
-    (0x01, u8),
-    (0x02, u16),
-    (0x03, u32),
-    (0x04, u64),
-    (0x05, u128),
-    (0x06, i8),
-    (0x07, i16),
-    (0x08, i32),
-    (0x09, i64),
-    (0x0A, f32),
-    (0x0B, f64),
-);
-
-fn builtin_codecs(reg: &mut Registry) {
-    primitive_codecs(reg);
-    // usize travels as u64 so 32- and 64-bit peers agree on the width.
-    registry_insert::<usize>(
-        reg,
-        0x0C,
-        8,
-        |v, out| out.extend_from_slice(&(*v as u64).to_le_bytes()),
-        |b| usize::try_from(u64::from_le_bytes(b.try_into().ok()?)).ok(),
-    );
-    registry_insert::<bool>(
-        reg,
-        0x0D,
-        1,
-        |v, out| out.push(*v as u8),
-        |b| match b[0] {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        },
-    );
-    // The (color, key, rank) triple Communicator::split allgathers.
-    registry_insert::<(u64, i64, usize)>(
-        reg,
-        0x0E,
-        24,
-        |(c, k, r), out| {
-            out.extend_from_slice(&c.to_le_bytes());
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&(*r as u64).to_le_bytes());
-        },
-        |b| {
-            let c = u64::from_le_bytes(b[0..8].try_into().ok()?);
-            let k = i64::from_le_bytes(b[8..16].try_into().ok()?);
-            let r = usize::try_from(u64::from_le_bytes(b[16..24].try_into().ok()?)).ok()?;
-            Some((c, k, r))
-        },
-    );
-}
-
 /// Encode a boxed payload for a `Msg` frame: `(type_id, bytes)`.
 ///
-/// Panics when the concrete type has no registered codec — that is a build
-/// wiring bug (a new payload type reached the TCP backend without a
-/// matching [`register_vec_codec`] call), not a runtime condition.
+/// Panics when the concrete type has no entry in the wire-type table —
+/// that is a build wiring bug (a new payload type reached the TCP backend
+/// without a [`WireType::register`](payload::WireType::register) call), not
+/// a runtime condition.
 pub fn encode_payload(payload: &(dyn Any + Send)) -> (u32, Vec<u8>) {
     let mut bytes = Vec::new();
     let wire_id = encode_payload_into(payload, &mut bytes);
@@ -566,27 +279,13 @@ pub fn encode_payload(payload: &(dyn Any + Send)) -> (u32, Vec<u8>) {
 /// transport can reuse one scratch allocation per connection.
 pub(super) fn encode_payload_into(payload: &(dyn Any + Send), out: &mut Vec<u8>) -> u32 {
     out.clear();
-    let reg = REGISTRY.read().unwrap_or_else(|e| e.into_inner());
-    let tid = payload.type_id();
-    match reg.by_type.get(&tid) {
-        Some((wire_id, encode)) => {
-            assert!(
-                encode(payload, out),
-                "codec registered for {tid:?} refused its own type"
-            );
-            *wire_id
-        }
-        None => panic!(
-            "payload type {tid:?} has no TCP wire codec; register one with \
-             hear_mpi::tcp::wire::register_vec_codec (ids >= {WIRE_ID_USER_BASE:#x})"
-        ),
-    }
-}
-
-/// True if `payload`'s concrete type has a registered codec.
-pub fn can_encode(payload: &(dyn Any + Send)) -> bool {
-    let reg = REGISTRY.read().unwrap_or_else(|e| e.into_inner());
-    reg.by_type.contains_key(&payload.type_id())
+    payload::encode(payload, out).unwrap_or_else(|| {
+        panic!(
+            "payload type {:?} has no TCP wire codec; register one with \
+             hear_mpi::payload::WireType::register (ids >= {WIRE_ID_USER_BASE:#x})",
+            (*payload).type_id()
+        )
+    })
 }
 
 /// Decode a `Msg` frame's payload. Unknown `type_id`s and codec rejections
@@ -594,20 +293,12 @@ pub fn can_encode(payload: &(dyn Any + Send)) -> bool {
 /// only the receive that matches this message should fail, as a
 /// `TypeMismatch`, not the connection.
 pub fn decode_payload(wire_id: u32, bytes: &[u8]) -> Box<dyn Any + Send> {
-    let reg = REGISTRY.read().unwrap_or_else(|e| e.into_inner());
-    match reg.by_wire.get(&wire_id) {
-        Some((_, decode)) => match decode(bytes) {
-            Some(payload) => payload,
-            None => Box::new(WireUndecodable {
-                wire_id,
-                len: bytes.len(),
-            }),
-        },
-        None => Box::new(WireUndecodable {
+    payload::decode(wire_id, bytes).unwrap_or_else(|| {
+        Box::new(WireUndecodable {
             wire_id,
             len: bytes.len(),
-        }),
-    }
+        })
+    })
 }
 
 #[cfg(test)]
@@ -818,17 +509,18 @@ mod tests {
 
     #[test]
     fn registration_is_idempotent_but_conflicts_panic() {
-        fn w(v: &u64, out: &mut Vec<u8>) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn r(b: &[u8]) -> Option<u64> {
-            Some(u64::from_le_bytes(b.try_into().ok()?))
-        }
+        let ty = |id| payload::WireType::<u64> {
+            id,
+            bytes: 8,
+            put: |v, out| out.extend_from_slice(&v.to_le_bytes()),
+            get: |b| Some(u64::from_le_bytes(b.try_into().ok()?)),
+            damage: |v, _| *v ^= 1,
+        };
         // Same binding twice: fine.
-        register_vec_codec::<u64>(0x04, 8, w, r);
-        register_vec_codec::<u64>(0x04, 8, w, r);
+        ty(0x04).register();
+        ty(0x04).register();
         // Same type under a new id: refused.
-        let clash = std::panic::catch_unwind(|| register_vec_codec::<u64>(0x99, 8, w, r));
+        let clash = std::panic::catch_unwind(|| ty(0x99).register());
         assert!(
             clash.is_err(),
             "rebinding Vec<u64> to a second id must panic"
@@ -845,7 +537,7 @@ mod tests {
                 .expect_err("unregistered type must panic at send");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(
-            msg.contains("register_vec_codec"),
+            msg.contains("WireType::register"),
             "panic must name the fix: {msg}"
         );
     }

@@ -11,10 +11,8 @@
 //! answer on every rank.
 
 use hear::core::{Backend, CommKeys, FloatSumExpScheme, HfpFormat, Homac, IntSumScheme, Scheme};
-use hear::layer::chaos::with_packet_hooks;
 use hear::layer::{
     EngineCfg, EngineError, MembershipChange, PeerDeadPolicy, ReduceAlgo, RetryPolicy, SecureComm,
-    Tagged,
 };
 use hear::mpi::{FaultPlan, SimConfig, Simulator};
 use std::any::Any;
@@ -56,7 +54,7 @@ fn chaos_policy(comm: &hear_mpi::Communicator) -> RetryPolicy {
 
 fn plan_for(kind: FaultKind, seed: u64) -> FaultPlan {
     let plan = FaultPlan::seeded(seed);
-    let plan = match kind {
+    match kind {
         FaultKind::Drop => plan.drop_one_in(6),
         // Shorter than the attempt timeout: delayed traffic arrives.
         FaultKind::Delay => plan.delay_one_in(3, Duration::from_millis(5)),
@@ -66,9 +64,7 @@ fn plan_for(kind: FaultKind, seed: u64) -> FaultPlan {
         FaultKind::RankKill => plan.kill_endpoint_after(WORLD - 1, 3),
         // The switch tree is gone before the first packet.
         FaultKind::SwitchKill => plan.kill_endpoint_after(SWITCH_ENDPOINT, 0),
-    };
-    // Teach the injector the verified transport's packet payloads.
-    with_packet_hooks(plan)
+    }
 }
 
 /// The chunk modes a fault kind is swept over: blocked for every kind, and
@@ -406,46 +402,34 @@ fn cell_result(alltoall: bool, inputs: &[Vec<u32>], rank: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Corrupt the verified cell transport: flip one bit of one tagged cell,
-/// in its ciphertext or in its tag as the fault word picks. The counts the
-/// allgather exchanges first travel as a bare `Vec<u64>` that no MAC
-/// covers; this hook claims them and leaves them whole, so what the
-/// corrupt rows exercise is the cell MAC.
-fn corrupt_tagged_cells(payload: &mut dyn Any, word: u64) -> bool {
-    let Some(cells) = payload.downcast_mut::<Vec<Tagged<u64>>>() else {
-        return payload.is::<Vec<u64>>();
-    };
-    if !cells.is_empty() {
-        let i = word as usize % cells.len();
-        match word >> 63 {
-            0 => cells[i].c ^= 1 << ((word >> 32) % 64),
-            _ => cells[i].sigma ^= 1,
-        }
-    }
-    true
+/// Spare the allgather's counts from a corrupt fault. They travel first,
+/// as a bare `Vec<u64>` that no MAC covers; claiming them and leaving them
+/// whole means the corrupt rows exercise the cell MAC, which the tagged
+/// cells' wire-type entry damages (one bit of one cell, or its tag).
+fn spare_the_counts(payload: &mut dyn Any, _word: u64) -> bool {
+    payload.is::<Vec<u64>>()
 }
 
-/// The robustness contract on the verified cell collectives: dropped and
-/// corrupted messages in the allgather and the alltoall, one round or
-/// several pipelined, at world 4. Every rank ends with the exact result,
-/// or with a typed error and an empty `out`.
+/// The robustness contract on the verified cell collectives: dropped,
+/// corrupted and duplicated messages in the allgather and the alltoall,
+/// one round or several pipelined, at world 4. Every rank ends with the
+/// exact result, or with a typed error and an empty `out`.
 #[test]
 fn chaos_cell_collectives_drop_and_corrupt() {
     let (int_in, _) = int_inputs();
     let int_in = &int_in;
-    for (k, kind) in [FaultKind::Drop, FaultKind::Corrupt]
-        .into_iter()
-        .enumerate()
-    {
+    let kinds = [FaultKind::Drop, FaultKind::Corrupt, FaultKind::Duplicate];
+    for (k, kind) in kinds.into_iter().enumerate() {
         for alltoall in [false, true] {
             // Pipelined(4): eight allgather rounds, two alltoall rounds.
             for chunk in [EngineCfg::sync(), EngineCfg::pipelined(4)] {
                 let seed = 0xCE11 + k as u64 * 100 + u64::from(alltoall) * 10;
                 let plan = match kind {
                     FaultKind::Drop => FaultPlan::seeded(seed).drop_one_in(6),
-                    _ => FaultPlan::seeded(seed)
+                    FaultKind::Corrupt => FaultPlan::seeded(seed)
                         .corrupt_one_in(5)
-                        .with_corruptor(Arc::new(corrupt_tagged_cells)),
+                        .with_corruptor(Arc::new(spare_the_counts)),
+                    _ => FaultPlan::seeded(seed).duplicate_one_in(4),
                 };
                 let cfg = SimConfig::default().with_faults(plan);
                 let results = Simulator::with_config(WORLD, cfg).run(|comm| {
@@ -639,9 +623,8 @@ fn shrink_and_continue_mid_reduce_scatter() {
     let expected = survivor_sum(&int_in, &[0, 1, 2]);
     let reg = Registry::new_enabled();
     let _g = reg.install(None);
-    let cfg = SimConfig::default().with_faults(with_packet_hooks(
-        FaultPlan::seeded(0x51C1).kill_endpoint_after(victim, 1),
-    ));
+    let cfg =
+        SimConfig::default().with_faults(FaultPlan::seeded(0x51C1).kill_endpoint_after(victim, 1));
     let int_in = &int_in;
     let results = Simulator::with_config(WORLD, cfg).run(|comm| {
         let mut sc = shrink_sc(comm, 0x51C1);
@@ -681,9 +664,8 @@ fn shrink_mid_allgather(chunk: EngineCfg) {
     let victim = WORLD - 1;
     let (int_in, _) = int_inputs();
     let expected: Vec<u32> = int_in[..WORLD - 1].concat();
-    let cfg = SimConfig::default().with_faults(with_packet_hooks(
-        FaultPlan::seeded(0xA64A).kill_endpoint_after(victim, 4),
-    ));
+    let cfg =
+        SimConfig::default().with_faults(FaultPlan::seeded(0xA64A).kill_endpoint_after(victim, 4));
     let int_in = &int_in;
     let results = Simulator::with_config(WORLD, cfg).run(|comm| {
         let mut sc = shrink_sc(comm, 0xA64A);
@@ -727,9 +709,8 @@ fn shrink_and_continue_evicts_a_middle_rank() {
     let victim = 2;
     let (int_in, _) = int_inputs();
     let expected = survivor_sum(&int_in, &[0, 1, 3]);
-    let cfg = SimConfig::default().with_faults(with_packet_hooks(
-        FaultPlan::seeded(0x41E2).kill_endpoint_after(victim, 1),
-    ));
+    let cfg =
+        SimConfig::default().with_faults(FaultPlan::seeded(0x41E2).kill_endpoint_after(victim, 1));
     let int_in = &int_in;
     let results = Simulator::with_config(WORLD, cfg).run(|comm| {
         let mut sc = shrink_sc(comm, 0x41E2);
@@ -764,9 +745,8 @@ fn shrink_and_continue_mid_plain_chunked_allreduce_appends_each_block_once() {
     for chunk in [EngineCfg::blocked(BLOCK), EngineCfg::pipelined(BLOCK)] {
         // A ring block is 2·(WORLD − 1) = 6 sends a rank: the victim dies
         // two hops into block 1.
-        let cfg = SimConfig::default().with_faults(with_packet_hooks(
-            FaultPlan::seeded(0x9A1B).kill_endpoint_after(victim, 8),
-        ));
+        let cfg = SimConfig::default()
+            .with_faults(FaultPlan::seeded(0x9A1B).kill_endpoint_after(victim, 8));
         let results = Simulator::with_config(WORLD, cfg).run(|comm| {
             let mut sc = shrink_sc(comm, 0x9A1B);
             let mut s = IntSumScheme::<u32>::default();
@@ -848,9 +828,8 @@ fn a_failed_call_leaves_out_empty() {
                     (Coll::Allgather, _) => (c as u64 + 1) * hops + 1,
                     (Coll::Alltoall, _) => hops + 1,
                 };
-                let cfg = SimConfig::default().with_faults(with_packet_hooks(
-                    FaultPlan::seeded(0xE3B7).kill_endpoint_after(victim, after),
-                ));
+                let cfg = SimConfig::default()
+                    .with_faults(FaultPlan::seeded(0xE3B7).kill_endpoint_after(victim, after));
                 let results = Simulator::with_config(WORLD, cfg).run(|comm| {
                     let mut sc = shrink_sc(comm, 0xE3B7);
                     let mut s = IntSumScheme::<u32>::default();
@@ -926,9 +905,8 @@ fn a_kill_during_the_allgather_phase_leaves_out_empty() {
             // allgather sends: the victim dies one hop into the allgather
             // phase (of block 1, for the chunked call).
             let after = (blocks_before * 2 * (WORLD - 1) + WORLD) as u64;
-            let cfg = SimConfig::default().with_faults(with_packet_hooks(
-                FaultPlan::seeded(0xA6D1).kill_endpoint_after(victim, after),
-            ));
+            let cfg = SimConfig::default()
+                .with_faults(FaultPlan::seeded(0xA6D1).kill_endpoint_after(victim, after));
             let results = Simulator::with_config(WORLD, cfg).run(|comm| {
                 let mut sc = shrink_sc(comm, 0xA6D1);
                 let mut s = IntSumScheme::<u32>::default();
@@ -975,9 +953,8 @@ fn shrink_and_continue_mid_allgather_phase_appends_each_block_once() {
     let int_in = &int_in;
     for (chunk, blocks_before) in [(EngineCfg::sync(), 0), (EngineCfg::blocked(BLOCK), 1)] {
         let after = (blocks_before * 2 * (WORLD - 1) + WORLD) as u64;
-        let cfg = SimConfig::default().with_faults(with_packet_hooks(
-            FaultPlan::seeded(0xA6D2).kill_endpoint_after(victim, after),
-        ));
+        let cfg = SimConfig::default()
+            .with_faults(FaultPlan::seeded(0xA6D2).kill_endpoint_after(victim, after));
         let results = Simulator::with_config(WORLD, cfg).run(|comm| {
             let mut sc = shrink_sc(comm, 0xA6D2);
             let mut s = IntSumScheme::<u32>::default();
@@ -1016,7 +993,7 @@ fn a_tampered_chunk_never_reaches_out() {
     let int_in = &int_in;
     let (mut rejected, mut exact) = (0, 0);
     for (seed, scatter) in (0..24u64).flat_map(|seed| [(seed, false), (seed, true)]) {
-        let plan = with_packet_hooks(FaultPlan::seeded(0x7A3B ^ seed).corrupt_one_in(16));
+        let plan = FaultPlan::seeded(0x7A3B ^ seed).corrupt_one_in(16);
         let cfg = SimConfig::default().with_faults(plan);
         let chunk = match seed % 3 {
             0 => EngineCfg::sync(),
@@ -1125,9 +1102,8 @@ fn an_unencodable_float_in_a_late_block_leaves_out_empty() {
 fn fail_mode_surfaces_typed_error_on_rank_death() {
     let victim = WORLD - 1;
     let (int_in, int_exp) = int_inputs();
-    let cfg = SimConfig::default().with_faults(with_packet_hooks(
-        FaultPlan::seeded(0xFA11).kill_endpoint_after(victim, 1),
-    ));
+    let cfg =
+        SimConfig::default().with_faults(FaultPlan::seeded(0xFA11).kill_endpoint_after(victim, 1));
     let int_in = &int_in;
     let results = Simulator::with_config(WORLD, cfg).run(|comm| {
         let mut sc = shrink_sc(comm, 0xFA11);
@@ -1164,9 +1140,8 @@ fn transient_disconnect_heals_within_retry_budget() {
     let (int_in, int_exp) = int_inputs();
     let reg = Registry::new_enabled();
     let _g = reg.install(None);
-    let cfg = SimConfig::default().with_faults(with_packet_hooks(
-        FaultPlan::seeded(0xD15C).disconnect_endpoint_after(0, 0, 2),
-    ));
+    let cfg = SimConfig::default()
+        .with_faults(FaultPlan::seeded(0xD15C).disconnect_endpoint_after(0, 0, 2));
     let int_in = &int_in;
     let results = Simulator::with_config(WORLD, cfg).run(|comm| {
         let mut sc = shrink_sc(comm, 0xD15C);
@@ -1224,11 +1199,11 @@ fn the_retry_budget_is_spent_across_the_blocks_of_a_call() {
     let expected = survivor_sum(&int_in, &[0, 1]);
     let int_in = &int_in;
     for retries in [1, 2] {
-        let cfg = SimConfig::default().with_faults(with_packet_hooks(
+        let cfg = SimConfig::default().with_faults(
             FaultPlan::seeded(0xB0D6)
                 .disconnect_endpoint_after(0, 0, 1)
                 .disconnect_endpoint_after(0, 6, 1),
-        ));
+        );
         let results = Simulator::with_config(WORLD2, cfg).run(|comm| {
             let reg = Registry::new_enabled();
             let _g = reg.install(Some(comm.rank()));

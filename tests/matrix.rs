@@ -11,7 +11,6 @@ use hear::core::{
     Backend, CommKeys, FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumExpScheme,
     FloatSumScheme, HfpFormat, Homac, IntProdScheme, IntSumScheme, IntXorScheme, Scheme,
 };
-use hear::layer::chaos::{with_packet_hooks, with_wire_recorder};
 use hear::layer::{EngineCfg, EngineError, ReduceAlgo, RetryPolicy, SecureComm};
 use hear::mpi::{FaultPlan, SimConfig, Simulator, TransportKind};
 use std::time::Duration;
@@ -303,7 +302,7 @@ where
     let reg = hear::telemetry::Registry::new_enabled();
     let _g = reg.install(None);
     for seed in 0..SEEDS {
-        let plan = with_packet_hooks(FaultPlan::seeded(seed).corrupt_one_in(4));
+        let plan = FaultPlan::seeded(seed).corrupt_one_in(4);
         let cfg = SimConfig::default().with_faults(plan);
         let results = Simulator::with_config(2, cfg).run(|comm| {
             let keys = CommKeys::generate(2, SEED ^ seed, Backend::best_available())
@@ -687,8 +686,7 @@ fn ring_equals_recursive_doubling_bit_for_bit() {
 /// What crosses the fabric in one ring collective at world 3 under fixed
 /// keys, as an eavesdropper's fingerprint: (messages, order-independent sum
 /// of per-message FNV-1a hashes of the payload's `Debug` rendering). Every
-/// reduction payload is shown to the recorder by the fault injector's
-/// corruptor chain, untouched.
+/// payload is shown to the fault plan's wire recorder, untouched.
 fn wire_fingerprint<S>(
     mk: impl Fn() -> S + Send + Sync,
     input: impl Fn(usize, u64) -> S::Input + Send + Sync,
@@ -711,7 +709,7 @@ where
             *seen = (seen.0 + 1, seen.1.wrapping_add(hash));
         })
     };
-    let plan = with_wire_recorder(FaultPlan::seeded(1).corrupt_one_in(1), sink);
+    let plan = FaultPlan::seeded(1).with_wire_recorder(sink);
     Simulator::with_config(WORLD, SimConfig::default().with_faults(plan)).run(|comm| {
         let keys = CommKeys::generate(WORLD, 0x0057_A71C, Backend::best_available())
             .into_iter()

@@ -30,7 +30,7 @@ use hear::core::{
 };
 use hear::layer::wire::PacketShape;
 use hear::layer::{EngineCfg, ReduceAlgo, SecureComm};
-use hear::mpi::tcp::wire::{register_vec_codec, WIRE_ID_USER_BASE};
+use hear::mpi::payload::{WireType, WIRE_ID_USER_BASE};
 use hear::mpi::{launch, CommError, Launcher, SimConfig, Simulator, TransportKind};
 use std::time::Duration;
 
@@ -220,7 +220,7 @@ fn tcp_mesh_sync_ring_allreduce_of_4_mib_repeats() {
 /// direct message, ahead of and behind primitive traffic on the same link.
 #[test]
 fn tcp_mesh_roundtrips_a_lazily_decoded_hfp_message() {
-    hear::layer::wire::register_wire_codecs();
+    hear::layer::wire::register_wire_types();
     let cells: Vec<Hfp> = (0..257u64)
         .map(|i| Hfp {
             sign: i % 3 == 0,
@@ -391,16 +391,18 @@ fn stale_peer_child(rank: usize) {
         .expect("launcher env present")
         .expect("rendezvous and mesh establishment");
     if rank == 0 {
-        register_vec_codec::<StalePacket>(
-            STALE_WIRE_ID,
-            68,
-            |p, out| out.extend_from_slice(&p.0),
-            |b| Some(StalePacket(b.try_into().ok()?)),
-        );
+        WireType::<StalePacket> {
+            id: STALE_WIRE_ID,
+            bytes: 68,
+            put: |p, out| out.extend_from_slice(&p.0),
+            get: |b| Some(StalePacket(b.try_into().ok()?)),
+            damage: |p, _| p.0[0] ^= 1,
+        }
+        .register();
         comm.send(1, 1, vec![StalePacket([0xA5; 68]); 3]);
         comm.send(1, 2, vec![7u64, 8]);
     } else {
-        hear::layer::wire::register_wire_codecs();
+        hear::layer::wire::register_wire_types();
         let wait = Duration::from_secs(20);
         let stale = comm.recv_timeout::<u32>(0, 1, wait);
         assert!(
