@@ -85,6 +85,22 @@ fn overflow_ok(d: u64, shift: u32, world: u64) -> bool {
     d & ((1 << shift) - 1) == 0 && d >> shift < world
 }
 
+/// The field element a tag authenticates for word `c`, keyed by its PRF
+/// block `k`: the word itself for a summed ciphertext, and for a
+/// single-origin cell (`CELL`) `lo32(c) + Y·hi32(c)`, `Y` the high half of
+/// the block whose low half gives `s`. The word alone is not enough for a
+/// cell: `c` and `c ± p` are one residue, so a cell shifted by `p` would
+/// keep its tag; two halves below 2³² under a secret `Y` collide only
+/// when the cells are equal (or with probability 1/p).
+#[inline(always)]
+fn message<const CELL: bool>(c: u64, k: u128) -> u64 {
+    if CELL {
+        (c & 0xFFFF_FFFF) + mul_p((k >> 64) as u64, c >> 32)
+    } else {
+        c
+    }
+}
+
 fn record_verdict(ok: bool) -> bool {
     hear_telemetry::incr(if ok { HomacVerifyPass } else { HomacVerifyFail });
     ok
@@ -143,8 +159,9 @@ impl Homac {
     /// Fanned out over the current worker pool above [`PAR_MIN_ELEMS`]: tags
     /// are pure in `(base, j)` like the pads, so index ranges compute
     /// bit-identically on any thread. Workers have no registry context; this
-    /// thread attributes the exact block total up front.
-    fn tag_batch<W: RingWord>(
+    /// thread attributes the exact block total up front. `CELL` tags
+    /// single-origin cells ([`message`]).
+    fn tag_batch<W: RingWord, const CELL: bool>(
         &self,
         own: u128,
         next: Option<u128>,
@@ -173,7 +190,7 @@ impl Homac {
                     // s − n − c over the integers is k − 2^64·borrows, and
                     // 2^64 ≡ 8; left unreduced, `mul_p` takes any u64.
                     let (k, b1) = (*s as u64).overflowing_sub(*n as u64);
-                    let (k, b2) = k.overflowing_sub(c.to_u64());
+                    let (k, b2) = k.overflowing_sub(message::<CELL>(c.to_u64(), *s));
                     let diff = fold(k) + HOMAC_P - 8 * (b1 as u64 + b2 as u64);
                     *o = mul_p(diff, self.z_inv);
                 }
@@ -189,7 +206,7 @@ impl Homac {
     /// (`world = 1` demands it be zero). Fans out like [`Homac::tag_batch`];
     /// one block per element is attributed even when a failing shard stops
     /// early (failures abort the collective — only honest totals matter).
-    fn verify_batch<W: RingWord>(
+    fn verify_batch<W: RingWord, const CELL: bool>(
         &self,
         base: u128,
         first: u64,
@@ -210,7 +227,8 @@ impl Homac {
                 self.prf.fill_blocks_uncounted(base.wrapping_add(j), ks);
                 // Branch-free within the tile: a failure costs at most one tile.
                 (cs.iter().zip(sigmas).zip(ks)).fold(true, |ok, ((c, sigma), s)| {
-                    let got = fold(c.to_u64()) + mul_p(*sigma, self.z); // < 2p + 7
+                    let m = message::<CELL>(c.to_u64(), *s);
+                    let got = fold(m) + mul_p(*sigma, self.z); // < 2p + 7
                     ok & overflow_ok(reduce(fold(*s as u64) + 3 * HOMAC_P - got), shift, world)
                 })
             })
@@ -246,7 +264,7 @@ impl Homac {
         out: &mut Vec<u64>,
     ) {
         let next = (!keys.is_last()).then(|| keys.base_next());
-        self.tag_batch(keys.base_own(), next, first, cipher, out);
+        self.tag_batch::<W, false>(keys.base_own(), next, first, cipher, out);
     }
 
     /// Non-cancelling tags (Θ(P) verification via [`Homac::verify_plain`]).
@@ -281,7 +299,7 @@ impl Homac {
             world.saturating_sub(1) <= (HOMAC_P - 1) >> shift,
             "HoMAC overflow test needs (world − 1)·2^{shift} < p; world = {world}"
         );
-        self.verify_batch(keys.base_zero(), first, (shift, world), agg, tags)
+        self.verify_batch::<W, false>(keys.base_zero(), first, (shift, world), agg, tags)
     }
 
     /// Verify non-cancelling tags: reconstructs all `P` key streams and scans
@@ -310,15 +328,18 @@ impl Homac {
     /// summed, so every rank derives the same key `s(base, first+i)` and any
     /// rank can verify any chunk. The MAC stream index must be disjoint from
     /// the pad indices (callers offset by `DIGEST_BASE`), or σ leaks pad words.
+    /// A cell is authenticated through its two 32-bit halves, so no cell
+    /// other than the tagged one verifies (a tag over the bare word would
+    /// also accept the cell shifted by `p`).
     pub fn tag_shared(&self, base: u128, first: u64, cipher: &[u64], out: &mut Vec<u64>) {
-        self.tag_batch(base, None, first, cipher, out);
+        self.tag_batch::<u64, true>(base, None, first, cipher, out);
     }
 
     /// Verify single-origin ciphertexts against [`Homac::tag_shared`]
-    /// tags. One contributor means no wrap-around: `c + σ·Z ≡ s (mod p)`
-    /// must hold exactly.
+    /// tags. One contributor means no wrap-around: `m + σ·Z ≡ s (mod p)`
+    /// must hold exactly for the cell's message `m`.
     pub fn verify_shared(&self, base: u128, first: u64, cipher: &[u64], tags: &[u64]) -> bool {
-        self.verify_batch(base, first, (0, 1), cipher, tags)
+        self.verify_batch::<u64, true>(base, first, (0, 1), cipher, tags)
     }
 
     /// Wire overhead of *one tag* relative to one data word, as a fraction
@@ -428,6 +449,53 @@ mod tests {
         let mut bad_tags = tags.clone();
         bad_tags[0] = add_p(bad_tags[0], 1);
         assert!(!homac.verify_shared(base, 1 << 20, &cipher, &bad_tags));
+    }
+
+    /// The bulk cell tag against its definition, one `eval_block` per cell:
+    /// `σ = (s − (lo32 + Y·hi32)) / Z` with `s` and `Y` the low and high
+    /// halves of the cell's PRF block.
+    #[test]
+    fn shared_tags_match_the_scalar_definition() {
+        let homac = Homac::generate(0x5EED, Backend::AesSoft);
+        let (base, first) = (0x0123_4567_89ab_cdef_u128 << 32, 1 << 48);
+        let cipher: Vec<u64> = (0..300u64)
+            .map(|j| j.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let mut tags = Vec::new();
+        homac.tag_shared(base, first, &cipher, &mut tags);
+        for (i, (c, sigma)) in cipher.iter().zip(&tags).enumerate() {
+            let k = homac.prf.eval_block(base + (first + i as u64) as u128);
+            let m = add_p(c & 0xFFFF_FFFF, mul_p((k >> 64) as u64, c >> 32));
+            let want = mul_p(sub_p(reduce(k as u64), m), homac.z_inv);
+            assert_eq!(*sigma, want, "cell {i}");
+        }
+    }
+
+    /// `c` and `c ± p` are one residue mod p: a tag over the bare word
+    /// would verify the shifted cell. Every cell shifted by ±p (whichever
+    /// does not wrap the word), and by ±2p, must be rejected.
+    #[test]
+    fn a_shared_cell_shifted_by_p_is_rejected() {
+        let homac = Homac::generate(0x5EED, Backend::AesSoft);
+        let base = 0x0123_4567_89ab_cdef_u128 << 32;
+        let cipher: Vec<u64> = (0..64u64)
+            .map(|j| j.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let mut tags = Vec::new();
+        homac.tag_shared(base, 1 << 48, &cipher, &mut tags);
+        assert!(homac.verify_shared(base, 1 << 48, &cipher, &tags));
+        for i in 0..cipher.len() {
+            for k in [1, 2] {
+                let c = cipher[i];
+                let shifted = c.checked_add(k * HOMAC_P).or(c.checked_sub(k * HOMAC_P));
+                let mut bad = cipher.clone();
+                bad[i] = shifted.expect("one direction fits");
+                assert!(
+                    !homac.verify_shared(base, 1 << 48, &bad, &tags),
+                    "cell {i} shifted by {k}p verified"
+                );
+            }
+        }
     }
 
     #[test]

@@ -785,11 +785,13 @@ fn the_ring_ships_the_ciphertext_it_always_did() {
     );
 }
 
-/// See [`the_ring_ships_the_ciphertext_it_always_did`].
+/// See [`the_ring_ships_the_ciphertext_it_always_did`]. The verified
+/// allgather's entry was re-recorded when cell tags began to authenticate
+/// a cell through its two 32-bit halves: same messages, new tags.
 const WIRE_GOLDEN: [[(u64, u64); 2]; 3] = [
     [(360, 586154157334700590), (360, 2184753041571345148)],
     [(180, 12457890671684293508), (180, 2753460644357268465)],
-    [(234, 7176228208755082272), (234, 14978471435887031402)],
+    [(234, 7176228208755082272), (234, 7291702589270701377)],
 ];
 
 // ---- randomized cell picking (satellite #3) ----------------------------

@@ -244,8 +244,17 @@ fn bulk_tags_equal_the_scalar_oracle() {
                 assert!(tags == oracle, "n={n} rank={rank} threads={threads}");
             });
         }
-        // The shared-stream tag on a rank's own base is its plain tag.
-        let oracle = homac.tag_plain(&keys[1], first, &cipher);
+        // The shared-stream cell tag, one element per call: no tile or
+        // shard boundary to get wrong (its scalar definition is pinned in
+        // hear-core's own tests).
+        let oracle: Vec<u64> = (0..n)
+            .flat_map(|i| {
+                let mut one = Vec::new();
+                let at = first + i as u64;
+                homac.tag_shared(keys[1].base_own(), at, &cipher[i..=i], &mut one);
+                one
+            })
+            .collect();
         on_every_pool(|threads| {
             let mut tags = Vec::new();
             homac.tag_shared(keys[1].base_own(), first, &cipher, &mut tags);
@@ -280,10 +289,12 @@ fn tags_are_bit_identical_to_the_pre_kernel_implementation() {
     ];
     assert_eq!(out, last);
     homac.tag_shared(keys[1].base_collective(), (1 << 48) + 9, &c64, &mut out);
+    // Re-recorded when cells became authenticated through their two 32-bit
+    // halves (the zero cell's tag is unchanged).
     let shared = [
-        0x1eaa_5a04_ac32_197c,
-        0x0827_c7dc_b980_e7f4,
-        0x1ad1_a1af_441f_c229,
+        0x0ab4_9837_041d_8beb,
+        0x0970_13c3_0b54_98e5,
+        0x1a7f_5e11_139b_f52c,
         0x1e25_4cf3_5dad_04a5,
     ];
     assert_eq!(out, shared);
