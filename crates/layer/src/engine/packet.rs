@@ -33,9 +33,9 @@ pub(crate) struct Packet<W, L> {
 pub(crate) type SchemePacket<S> = Packet<<S as Scheme>::Wire, <S as Scheme>::Lanes>;
 
 /// Every `(wire word, lane count)` shape a [`SchemePacket`] takes across
-/// the seven schemes — the one list the TCP codecs ([`crate::wire`]) and
-/// the fault hooks ([`crate::chaos`]) are generated from. A shape's
-/// position is part of its TCP type id: append, never reorder.
+/// the seven schemes — the one list the packets' wire-type entries
+/// ([`crate::wire`]) are generated from. A shape's position is part of its
+/// TCP type id: append, never reorder.
 macro_rules! for_each_packet_shape {
     ($m:ident) => {
         $m! {

@@ -121,11 +121,6 @@ fn packet_damage<W: WireElem, L: LaneArray>(p: &mut Packet<W, L>, word: u64) {
     }
 }
 
-/// Packed size: the wire word, then a lane and a tag per digest lane.
-const fn packet_wire_bytes<W: WireElem, L: LaneArray>() -> usize {
-    W::BYTES + 2 * L::LANES * 8
-}
-
 /// Type ids `WIRE_ID_USER_BASE + 1 ..= + 5` carried the fixed four-lane
 /// packets; they stay unbound, and the lane-sized shapes start here.
 const PACKET_WIRE_ID_BASE: u32 = WIRE_ID_USER_BASE + 0x10;
@@ -161,6 +156,11 @@ impl PacketShape {
     fn bind(&self) {
         (self.bind)(self.wire_id);
     }
+}
+
+/// Packed size: the wire word, then a lane and a tag per digest lane.
+const fn packet_wire_bytes<W: WireElem, L: LaneArray>() -> usize {
+    W::BYTES + 2 * L::LANES * 8
 }
 
 fn packet_shape<W: WireElem, L: LaneArray>(index: usize) -> PacketShape {

@@ -19,13 +19,13 @@
 //!
 //! The primitive vectors are built in. The eleven fixed-width numbers move
 //! as bulk bytes — their wire image is their little-endian memory image,
-//! so on a little-endian host a send borrows the vector in place
-//! ([`primitive_bytes`]) and a receive fills a typed `Vec<T>` directly
-//! ([`read_primitive`]). Downstream crates register their own types (the
-//! HEAR engine's float ciphertexts, tagged cells and verified packets)
-//! under ids at or above [`WIRE_ID_USER_BASE`]; a type whose entry a
-//! program may never use can be bound on first use, since
-//! [`WireType::register`] costs one read lock once the entry exists.
+//! so on a little-endian host an encode (or the TCP send) borrows the
+//! vector in place (`primitive_bytes`) and a decode (or the TCP
+//! receive) fills a typed `Vec<T>` directly (`read_primitive`).
+//! Downstream crates register their own types (the HEAR engine's float
+//! ciphertexts, tagged cells and verified packets) under ids at or above
+//! [`WIRE_ID_USER_BASE`]; a type a program may never use can be bound on
+//! first use, behind a [`knows`] check.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -38,7 +38,6 @@ pub const WIRE_ID_USER_BASE: u32 = 0x40;
 
 /// One payload element type's declaration: how a `Vec<T>` crosses a
 /// socket and how the fault injector damages it.
-#[derive(Clone, Copy)]
 pub struct WireType<T> {
     /// The TCP frame's `type_id` for `Vec<T>`.
     pub id: u32,
@@ -56,15 +55,21 @@ pub struct WireType<T> {
 }
 
 impl<T: Clone + Debug + Send + 'static> WireType<T> {
-    /// Add `Vec<T>` to the table under [`WireType::id`]. Idempotent: an
-    /// entry already bound to the same id costs one read lock. Panics if
-    /// `Vec<T>` or the id is already bound differently.
+    /// Add `Vec<T>` to the table under [`WireType::id`]. Idempotent for
+    /// the same id; panics if `Vec<T>` or the id is already bound
+    /// differently.
     pub fn register(self) {
-        if lookup_id(TypeId::of::<Vec<T>>()) == Some(self.id) {
-            return;
-        }
-        let mut table = TABLE.write().unwrap_or_else(|e| e.into_inner());
-        table.insert::<T>(self.id, self.bytes, Box::new(self));
+        self.add_to(&mut TABLE.write().unwrap_or_else(|e| e.into_inner()));
+    }
+
+    fn add_to(self, table: &mut Table) {
+        let name = std::any::type_name::<Vec<T>>();
+        let row = Row {
+            id: self.id,
+            name,
+            bytes: self.bytes,
+        };
+        table.insert(row, TypeId::of::<Vec<T>>(), Box::new(self));
     }
 }
 
@@ -79,16 +84,14 @@ trait Services: Send + Sync {
     fn show(&self, payload: &dyn Any) -> String;
 }
 
+const KEYED: &str = "table entries are keyed by TypeId";
+
 fn vec_of<T: 'static>(payload: &dyn Any) -> &Vec<T> {
-    payload
-        .downcast_ref()
-        .expect("table entries are keyed by TypeId")
+    payload.downcast_ref().expect(KEYED)
 }
 
 fn vec_of_mut<T: 'static>(payload: &mut dyn Any) -> &mut Vec<T> {
-    payload
-        .downcast_mut()
-        .expect("table entries are keyed by TypeId")
+    payload.downcast_mut().expect(KEYED)
 }
 
 impl<T: Clone + Debug + Send + 'static> Services for WireType<T> {
@@ -104,8 +107,11 @@ impl<T: Clone + Debug + Send + 'static> Services for WireType<T> {
         if self.bytes == 0 || !bytes.len().is_multiple_of(self.bytes) {
             return None;
         }
-        let v: Option<Vec<T>> = bytes.chunks_exact(self.bytes).map(self.get).collect();
-        Some(Box::new(v?))
+        let mut v = Vec::with_capacity(bytes.len() / self.bytes);
+        for b in bytes.chunks_exact(self.bytes) {
+            v.push((self.get)(b)?);
+        }
+        Some(Box::new(v))
     }
 
     /// Element `word mod len` goes through `damage` with the word's high
@@ -124,42 +130,6 @@ impl<T: Clone + Debug + Send + 'static> Services for WireType<T> {
 
     fn show(&self, payload: &dyn Any) -> String {
         format!("{:?}", vec_of::<T>(payload))
-    }
-}
-
-/// A primitive number's entry: the [`WireType`] services, with the codec
-/// replaced by one bulk copy of the vector's byte image.
-struct Bulk<T>(WireType<T>);
-
-impl<T: Pod + Debug> Services for Bulk<T> {
-    fn encode(&self, payload: &dyn Any, out: &mut Vec<u8>) {
-        let v = vec_of::<T>(payload);
-        if cfg!(target_endian = "little") {
-            out.extend_from_slice(bytes_of(v));
-        } else {
-            for x in v {
-                out.extend_from_slice(bytes_of(&[x.swap_le()]));
-            }
-        }
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Option<Box<dyn Any + Send>> {
-        let mut v = pod_zeroed::<T>(bytes.len())?;
-        bytes_of_mut(&mut v).copy_from_slice(bytes);
-        pod_from_wire(&mut v);
-        Some(Box::new(v))
-    }
-
-    fn corrupt(&self, payload: &mut dyn Any, word: u64) {
-        self.0.corrupt(payload, word);
-    }
-
-    fn duplicate(&self, payload: &dyn Any) -> Box<dyn Any + Send> {
-        self.0.duplicate(payload)
-    }
-
-    fn show(&self, payload: &dyn Any) -> String {
-        self.0.show(payload)
     }
 }
 
@@ -187,11 +157,11 @@ struct Table {
 }
 
 impl Table {
-    /// Bind `Vec<T>` to `id` in both directions, refusing a second,
-    /// different binding of either.
-    fn insert<T: 'static>(&mut self, id: u32, bytes: usize, services: Box<dyn Services>) {
-        let name = std::any::type_name::<Vec<T>>();
-        if let Some(&at) = self.by_type.get(&TypeId::of::<Vec<T>>()) {
+    /// Bind the payload type `ty` to `row.id` in both directions, refusing
+    /// a second, different binding of either.
+    fn insert(&mut self, row: Row, ty: TypeId, services: Box<dyn Services>) {
+        let Row { id, name, .. } = row;
+        if let Some(&at) = self.by_type.get(&ty) {
             let existing = self.entries[at].row.id;
             assert!(
                 existing == id,
@@ -203,10 +173,8 @@ impl Table {
             let other = self.entries[at].row.name;
             panic!("wire id {id:#x} is already taken by {other}, cannot assign it to {name}");
         }
-        self.by_type
-            .insert(TypeId::of::<Vec<T>>(), self.entries.len());
+        self.by_type.insert(ty, self.entries.len());
         self.by_id.insert(id, self.entries.len());
-        let row = Row { id, name, bytes };
         self.entries.push(Entry { row, services });
     }
 }
@@ -223,10 +191,6 @@ fn with_entry<R>(ty: TypeId, f: impl FnOnce(&Entry) -> R) -> Option<R> {
     table.by_type.get(&ty).map(|&at| f(&table.entries[at]))
 }
 
-fn lookup_id(ty: TypeId) -> Option<u32> {
-    with_entry(ty, |e| e.row.id)
-}
-
 /// Every registered type, in registration order.
 pub fn rows() -> Vec<Row> {
     let table = TABLE.read().unwrap_or_else(|e| e.into_inner());
@@ -235,12 +199,16 @@ pub fn rows() -> Vec<Row> {
 
 /// Whether `Vec<T>` has an entry.
 pub fn knows<T: 'static>() -> bool {
-    lookup_id(TypeId::of::<Vec<T>>()).is_some()
+    with_entry(TypeId::of::<Vec<T>>(), |_| ()).is_some()
 }
 
 /// Append `payload`'s wire image to `out`: its type id, or `None` for a
-/// type with no entry.
+/// type with no entry. A primitive vector is one bulk copy.
 pub(crate) fn encode(payload: &dyn Any, out: &mut Vec<u8>) -> Option<u32> {
+    if let Some((id, image)) = primitive_bytes(payload) {
+        out.extend_from_slice(image);
+        return Some(id);
+    }
     with_entry((*payload).type_id(), |e| {
         e.services.encode(payload, out);
         e.row.id
@@ -250,6 +218,9 @@ pub(crate) fn encode(payload: &dyn Any, out: &mut Vec<u8>) -> Option<u32> {
 /// Parse a payload of type id `id`: `None` for an unknown id or bytes its
 /// codec rejects.
 pub(crate) fn decode(id: u32, bytes: &[u8]) -> Option<Box<dyn Any + Send>> {
+    if let Some(typed) = read_primitive(id, bytes.len(), &mut &*bytes) {
+        return typed.ok();
+    }
     let table = TABLE.read().unwrap_or_else(|e| e.into_inner());
     let &at = table.by_id.get(&id)?;
     table.entries[at].services.decode(bytes)
@@ -330,13 +301,11 @@ fn pod_get<T: Pod>(b: &[u8]) -> Option<T> {
     Some(x[0].swap_le())
 }
 
-/// Flip bit `word mod width` of the value.
+/// Flip bit `word mod width` of the value's memory image.
 fn pod_damage<T: Pod>(x: &mut T, word: u64) {
-    let mut wire = [x.swap_le()];
-    let image = bytes_of_mut(&mut wire);
+    let image = bytes_of_mut(std::slice::from_mut(x));
     let bit = (word % (8 * image.len() as u64)) as usize;
     image[bit / 8] ^= 1 << (bit % 8);
-    *x = wire[0].swap_le();
 }
 
 fn pod_read<T: Pod>(len: usize, r: &mut impl Read) -> Option<std::io::Result<Box<dyn Any + Send>>> {
@@ -363,14 +332,14 @@ macro_rules! le_primitives {
 
         fn primitive_types(table: &mut Table) {
             $(
-                let ty = WireType::<$t> {
+                WireType::<$t> {
                     id: $id,
                     bytes: std::mem::size_of::<$t>(),
                     put: pod_put,
                     get: pod_get,
                     damage: pod_damage,
-                };
-                table.insert::<$t>($id, ty.bytes, Box::new(Bulk(ty)));
+                }
+                .add_to(table);
             )+
         }
 
@@ -378,7 +347,7 @@ macro_rules! le_primitives {
         /// when it is a primitive vector on a little-endian host, where
         /// memory already holds the wire form. `None` sends the caller to
         /// the table's element-wise codec.
-        pub(crate) fn primitive_bytes(payload: &(dyn Any + Send)) -> Option<(u32, &[u8])> {
+        pub(crate) fn primitive_bytes(payload: &dyn Any) -> Option<(u32, &[u8])> {
             if cfg!(target_endian = "big") {
                 return None;
             }
@@ -428,14 +397,15 @@ fn u64_at(b: &[u8], at: usize) -> Option<u64> {
 fn builtin_types(table: &mut Table) {
     primitive_types(table);
     // usize travels as u64 so 32- and 64-bit peers agree on the width.
-    let usize_type = WireType::<usize> {
+    WireType::<usize> {
         id: 0x0C,
         bytes: 8,
         put: |v, out| out.extend_from_slice(&(*v as u64).to_le_bytes()),
         get: |b| usize::try_from(u64_at(b, 0)?).ok(),
         damage: |v, word| *v ^= 1 << (word % usize::BITS as u64),
-    };
-    let bool_type = WireType::<bool> {
+    }
+    .add_to(table);
+    WireType::<bool> {
         id: 0x0D,
         bytes: 1,
         put: |v, out| out.push(*v as u8),
@@ -445,9 +415,10 @@ fn builtin_types(table: &mut Table) {
             _ => None,
         },
         damage: |v, _| *v = !*v,
-    };
+    }
+    .add_to(table);
     // The (color, key, rank) triple Communicator::split allgathers.
-    let split_type = WireType::<(u64, i64, usize)> {
+    WireType::<(u64, i64, usize)> {
         id: 0x0E,
         bytes: 24,
         put: |(c, k, r), out| {
@@ -460,41 +431,13 @@ fn builtin_types(table: &mut Table) {
             Some((u64_at(b, 0)?, u64_at(b, 8)? as i64, r))
         },
         damage: |(c, _, _), word| *c ^= 1 << (word % 64),
-    };
-    table.insert::<usize>(0x0C, 8, Box::new(usize_type));
-    table.insert::<bool>(0x0D, 1, Box::new(bool_type));
-    table.insert::<(u64, i64, usize)>(0x0E, 24, Box::new(split_type));
+    }
+    .add_to(table);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every built-in entry, walked through its type-erased services: the
-    /// codec round-trips, a duplicate encodes identically, and a corrupt
-    /// fault changes the wire image.
-    #[test]
-    fn every_builtin_entry_serves_all_four_services() {
-        let rows = rows();
-        assert!(rows.len() >= 14, "{rows:?}");
-        for row in rows.iter().filter(|r| r.id < WIRE_ID_USER_BASE) {
-            // All-zero bytes are a valid image of every built-in type.
-            let image = vec![0u8; 3 * row.bytes];
-            let mut v = decode(row.id, &image).unwrap_or_else(|| panic!("{row:?}"));
-            let mut again = Vec::new();
-            assert_eq!(encode(v.as_ref(), &mut again), Some(row.id));
-            assert_eq!(again, image, "{row:?}");
-            let copy = duplicate(v.as_ref()).expect("registered");
-            again.clear();
-            encode(copy.as_ref(), &mut again);
-            assert_eq!(again, image, "{row:?} duplicate");
-            assert!(corrupt(v.as_mut(), 0x0000_0005_0000_0002));
-            again.clear();
-            encode(v.as_ref(), &mut again);
-            assert_ne!(again, image, "{row:?} damage");
-            assert!(show(v.as_ref()).is_some());
-        }
-    }
 
     #[test]
     fn unknown_types_are_refused_by_every_service() {
@@ -505,15 +448,5 @@ mod tests {
         assert!(show(&foreign).is_none());
         assert_eq!(encode(&foreign, &mut Vec::new()), None);
         assert!(decode(0x3FFF_FFFF, &[]).is_none());
-    }
-
-    #[test]
-    fn primitive_damage_flips_exactly_one_bit() {
-        let mut x = 0u32;
-        pod_damage(&mut x, 37);
-        assert_eq!(x, 1 << 5);
-        let mut f = 1.5f64;
-        pod_damage(&mut f, 63);
-        assert_eq!(f, -1.5);
     }
 }
