@@ -1,5 +1,6 @@
 //! §5.5 experiment: HoMAC result-verification cost — tag generation /
-//! verification throughput, wire inflation (the paper's per-tag estimate
+//! verification throughput of the ring-word API and of the field lanes the
+//! engine seals and opens, wire inflation (the paper's per-tag estimate
 //! next to the packet the engine really ships, per scheme), and a live
 //! tamper-detection demonstration.
 
@@ -45,12 +46,32 @@ fn main() {
     let ok = homac.verify(&keys[0], 0, &ct, &tags);
     let verify_rate = n as f64 * 4.0 / t0.elapsed().as_secs_f64();
 
+    // The engine's digest lanes: 32-bit halves sealed to field elements.
+    let halves: Vec<u64> = ct.iter().map(|c| u64::from(*c)).collect();
+    let mut sealed = Vec::new();
+    let t0 = Instant::now();
+    homac.seal_lanes(&keys[0], 0, &halves, &mut sealed);
+    let seal_rate = n as f64 * 4.0 / t0.elapsed().as_secs_f64();
+    let (lanes, lane_tags): (Vec<u64>, Vec<u64>) = sealed.iter().map(|[d, s]| (*d, *s)).unzip();
+    let mut opened = Vec::new();
+    let t0 = Instant::now();
+    let lanes_ok = homac.open_lanes(&keys[0], 0, &lanes, &lane_tags, &mut opened);
+    let open_rate = n as f64 * 4.0 / t0.elapsed().as_secs_f64();
+
     println!("# §5.5 HoMAC: homomorphic result verification");
     println!(
         "tag generation : {:>8.3} GB/s of 32-bit ciphertext words",
         tag_rate / 1e9
     );
     println!("verification   : {:>8.3} GB/s", verify_rate / 1e9);
+    println!(
+        "lane seal      : {:>8.3} GB/s of 32-bit digest halves (pad + tag, one PRF pass)",
+        seal_rate / 1e9
+    );
+    println!(
+        "lane open      : {:>8.3} GB/s (exact verify + unpad, one PRF pass)",
+        open_rate / 1e9
+    );
     println!(
         "tag inflation  : {}x for 32-bit data, {}x for 64-bit (one 61-bit field tag per word; \
          the paper's estimate)",
@@ -78,6 +99,22 @@ fn main() {
     println!(
         "single flipped bit detected: {}",
         !homac.verify(&keys[0], 0, &tampered, &tags)
+    );
+    println!(
+        "lanes open to the sealed halves: {}",
+        lanes_ok && opened == halves
+    );
+    // A lane is a field element: +8 (2^64 mod p) is a different residue,
+    // and +p is the same one, opening to the same sum.
+    let mut shifted = lanes.clone();
+    shifted[n / 2] += 8;
+    let plus_8 = homac.open_lanes(&keys[0], 0, &shifted, &lane_tags, &mut opened);
+    shifted[n / 2] += hear::core::HOMAC_P - 8;
+    let plus_p = homac.open_lanes(&keys[0], 0, &shifted, &lane_tags, &mut opened);
+    println!(
+        "lane shifted by +8 detected: {}; by +p opens unchanged: {}",
+        !plus_8,
+        plus_p && opened == halves
     );
     println!(
         "# paper: >200% inflation for a 64-bit p — one 61-bit tag per word matches that; the \

@@ -8,19 +8,29 @@
 //! must hold. The cancelling variant replaces `s_i` with `s_i − s_{i+1}`
 //! so verification needs only `s_0` — the same Θ(1) trick as encryption.
 //!
-//! One honest bookkeeping detail: the data channel reduces ciphertexts
-//! modulo `2^b`, while tags live modulo `p`, so the true integer sum
-//! `Σ c_i` equals the transported `c_t` plus `k·2^b` for some overflow
-//! count `k < P`. Because `p = 2^61 − 1`, `2^b mod p = 2^(b mod 61)`, and
-//! the `P` candidates collapse into one test (`overflow_ok`): the residual
-//! `d = s_0 − (c_t + σ_t·Z)` must be a multiple of that power of two with
-//! quotient below `P`.
+//! Two algebras meet in that equation when the tagged word is a ring word:
+//! the data channel reduces modulo `2^b`, tags modulo `p`, so the true
+//! integer sum `Σ c_i` equals the transported `c_t` plus `k·2^b` for some
+//! overflow count `k < P`. Because `p = 2^61 − 1`, `2^b mod p =
+//! 2^(b mod 61)`, and the `P` candidates collapse into one test
+//! (`overflow_ok`). The public ring-word API ([`Homac::tag`],
+//! [`Homac::verify`]) keeps that test; it is exact for words of 32 bits or
+//! fewer and blind to `+8·k` and `±p` on 64-bit words.
 //!
-//! The bulk entry points run one kernel per side (`tag_chunk`,
-//! `verify_chunk`): keys come a `TILE` at a time through the bulk PRF fill
-//! (8-wide on AES-NI) and the field arithmetic is the Mersenne fold, no
-//! division. [`Homac::tag_plain`] / [`Homac::verify_plain`] stay scalar, one
-//! `eval_block` per key: the reference the kernels are tested against.
+//! The engine's verified packet does not use it. Its digest lanes are
+//! field elements from the start ([`Homac::seal_lanes`],
+//! [`Homac::open_lanes`]): a lane carries one 32-bit half of a digest
+//! word, its pad is the high half of the PRF block whose low half is the
+//! tag key, the network adds lanes and tags alike modulo `p`, and opening
+//! demands a zero residual — one algebra, no candidates.
+//!
+//! The bulk entry points run one kernel per side (`tag_batch`,
+//! `verify_batch`, each with a const mode: ring word, cell or lane): keys
+//! come a `TILE` at a time through the bulk PRF fill (8-wide on AES-NI)
+//! and the field arithmetic is the Mersenne fold, no division.
+//! [`Homac::tag_plain`] / [`Homac::verify_plain`] and the `*_scalar` lane
+//! functions stay scalar, one `eval_block` per key: the references the
+//! kernels are tested and gated against.
 
 use crate::keys::{CommKeys, KeyRegistry};
 use crate::word::RingWord;
@@ -76,28 +86,76 @@ fn pow_p(mut base: u64, mut e: u64) -> u64 {
     acc
 }
 
-/// The overflow test: is the canonical residual `d = Σs − (c_t + σ_t·Z)` one
-/// of `k·2^b mod p`, `k < world`? With `shift = b mod 61` and
-/// `(world − 1)·2^shift < p` (asserted in [`Homac::verify`]) no candidate wraps
-/// the field: "the low `shift` bits are clear, the quotient is below `world`".
+/// The overflow test of the ring-word API: is the canonical residual
+/// `d = Σs − (c_t + σ_t·Z)` one of `k·2^b mod p`, `k < world`? With
+/// `shift = b mod 61` and `(world − 1)·2^shift < p` (asserted in
+/// [`Homac::verify`]) no candidate wraps the field: "the low `shift` bits
+/// are clear, the quotient is below `world`". Cells and lanes call it with
+/// `(0, 1)`: the residual must be zero.
 #[inline]
 fn overflow_ok(d: u64, shift: u32, world: u64) -> bool {
     d & ((1 << shift) - 1) == 0 && d >> shift < world
 }
 
+/// What the tile kernels take an element's word for: a summed ring word
+/// (the public `tag`/`verify`), a single-origin cell, or a digest lane.
+const RING: u8 = 0;
+const CELL: u8 = 1;
+const LANE: u8 = 2;
+
 /// The field element a tag authenticates for word `c`, keyed by its PRF
-/// block `k`: the word itself for a summed ciphertext, and for a
-/// single-origin cell (`CELL`) `lo32(c) + Y·hi32(c)`, `Y` the high half of
-/// the block whose low half gives `s`. The word alone is not enough for a
-/// cell: `c` and `c ± p` are one residue, so a cell shifted by `p` would
-/// keep its tag; two halves below 2³² under a secret `Y` collide only
-/// when the cells are equal (or with probability 1/p).
+/// block `k` (own stream) and `n` (next stream, zero without one): the
+/// word itself for a ring word; for a cell `lo32(c) + Y·hi32(c)`, `Y` the
+/// high half of the block whose low half gives `s` (`c` and `c ± p` are
+/// one residue, so the bare word would let a cell shifted by `p` keep its
+/// tag; two halves below 2³² under a secret `Y` collide only when the
+/// cells are equal, or with probability 1/p); for a lane half `m < 2³²`
+/// the sealed lane `m + pad mod p` ([`lane_pad`]). A received lane is
+/// already that sum: verification passes lanes through as ring words.
 #[inline(always)]
-fn message<const CELL: bool>(c: u64, k: u128) -> u64 {
-    if CELL {
-        (c & 0xFFFF_FFFF) + mul_p((k >> 64) as u64, c >> 32)
-    } else {
-        c
+fn message<const MODE: u8>(c: u64, k: u128, n: u128) -> u64 {
+    match MODE {
+        CELL => (c & 0xFFFF_FFFF) + mul_p((k >> 64) as u64, c >> 32),
+        LANE => reduce(c + lane_pad(k, n)),
+        _ => c,
+    }
+}
+
+/// A lane's pad: the high halves of its own and next PRF blocks, as the
+/// tag key `s − n` is their low halves. The network's sum of every rank's
+/// pad cancels to rank 0's `high64(F(base_zero + j))`.
+#[inline(always)]
+fn lane_pad(k: u128, n: u128) -> u64 {
+    sub_p((k >> 64) as u64, (n >> 64) as u64)
+}
+
+/// Where a kernel puts an element's result: a tag (`u64`), a sealed lane
+/// and its tag (`[u64; 2]`), an opened lane sum (`u64`), or nothing (`()`,
+/// a verdict alone).
+trait Slot: Copy + Default + Send {
+    #[inline(always)]
+    fn sealed(&mut self, _lane: u64, _tag: u64) {}
+    #[inline(always)]
+    fn opened(&mut self, _sum: u64) {}
+}
+
+impl Slot for () {}
+
+impl Slot for u64 {
+    #[inline(always)]
+    fn sealed(&mut self, _lane: u64, tag: u64) {
+        *self = tag;
+    }
+    #[inline(always)]
+    fn opened(&mut self, sum: u64) {
+        *self = sum;
+    }
+}
+
+impl Slot for [u64; 2] {
+    #[inline(always)]
+    fn sealed(&mut self, lane: u64, tag: u64) {
+        *self = [lane, tag];
     }
 }
 
@@ -151,30 +209,36 @@ impl Homac {
     /// Per-ciphertext key `s(base, j) = low64(F(base + j)) mod p`.
     #[inline]
     fn s_at(&self, base: u128, j: u64) -> u64 {
-        reduce(self.prf.eval_block(base.wrapping_add(j as u128)) as u64)
+        reduce(self.block_at(base, j) as u64)
     }
 
-    /// Tag a batch into `out`: `out[i] = (s(own, j) − s(next, j) − c[i]) / Z`
-    /// at `j = first + i`, the second stream only for the cancelling variant.
-    /// Fanned out over the current worker pool above [`PAR_MIN_ELEMS`]: tags
-    /// are pure in `(base, j)` like the pads, so index ranges compute
-    /// bit-identically on any thread. Workers have no registry context; this
-    /// thread attributes the exact block total up front. `CELL` tags
-    /// single-origin cells ([`message`]).
-    fn tag_batch<W: RingWord, const CELL: bool>(
+    /// The PRF block at index `j` of the stream at `base`, alone.
+    fn block_at(&self, base: u128, j: u64) -> u128 {
+        self.prf.eval_block(base.wrapping_add(j as u128))
+    }
+
+    /// Tag a batch into `out`: `out[i] = (s(own, j) − s(next, j) − m[i]) / Z`
+    /// at `j = first + i`, `m` the [`message`] of `cipher[i]` in `MODE`,
+    /// the second stream only for the cancelling variant; a lane's slot
+    /// also receives the sealed lane `m`. Fanned out over the current
+    /// worker pool above [`PAR_MIN_ELEMS`]: tags are pure in `(base, j)`
+    /// like the pads, so index ranges compute bit-identically on any
+    /// thread. Workers have no registry context; this thread attributes the
+    /// exact block total up front.
+    fn tag_batch<W: RingWord, O: Slot, const MODE: u8>(
         &self,
         own: u128,
         next: Option<u128>,
         first: u64,
         cipher: &[W],
-        out: &mut Vec<u64>,
+        out: &mut Vec<O>,
     ) {
         let _s = hear_telemetry::span!("homac_tag", elems = cipher.len());
         let blocks = (1 + next.is_some() as u64) * cipher.len() as u64;
         hear_telemetry::add(blocks_metric(self.prf.backend()), blocks);
-        out.resize(cipher.len(), 0); // every slot is overwritten below
-                                     // The chunk kernel: one contiguous run, keys a tile at a time.
-        let kernel = |start: usize, out: &mut [u64]| {
+        out.resize(cipher.len(), O::default()); // every slot is overwritten below
+                                                // The chunk kernel: one contiguous run, keys a tile at a time.
+        let kernel = |start: usize, out: &mut [O]| {
             let mut ks = [0u128; TILE];
             // Stays zero without a second stream: nothing to subtract below.
             let mut kn = [0u128; TILE];
@@ -187,12 +251,13 @@ impl Homac {
                     self.prf.fill_blocks_uncounted(next.wrapping_add(j), kn);
                 }
                 for (((c, o), s), n) in cs.iter().zip(os).zip(ks).zip(kn) {
-                    // s − n − c over the integers is k − 2^64·borrows, and
+                    // s − n − m over the integers is k − 2^64·borrows, and
                     // 2^64 ≡ 8; left unreduced, `mul_p` takes any u64.
+                    let m = message::<MODE>(c.to_u64(), *s, *n);
                     let (k, b1) = (*s as u64).overflowing_sub(*n as u64);
-                    let (k, b2) = k.overflowing_sub(message::<CELL>(c.to_u64(), *s));
+                    let (k, b2) = k.overflowing_sub(m);
                     let diff = fold(k) + HOMAC_P - 8 * (b1 as u64 + b2 as u64);
-                    *o = mul_p(diff, self.z_inv);
+                    o.sealed(m, mul_p(diff, self.z_inv));
                 }
             }
         };
@@ -202,47 +267,62 @@ impl Homac {
     }
 
     /// Check a batch against the key stream at `base`: every residual
-    /// `s(base, first + i) − (c[i] + σ[i]·Z)` must pass [`overflow_ok`]
-    /// (`world = 1` demands it be zero). Fans out like [`Homac::tag_batch`];
-    /// one block per element is attributed even when a failing shard stops
-    /// early (failures abort the collective — only honest totals matter).
-    fn verify_batch<W: RingWord, const CELL: bool>(
+    /// `s(base, first + i) − (m[i] + σ[i]·Z)` must pass [`overflow_ok`]
+    /// (`world = 1` demands it be zero). A lane's slot receives the opened
+    /// sum `c[i] − pad(base, first + i) mod p`; whatever the slots hold
+    /// after a failing batch is meaningless. Fans out like
+    /// [`Homac::tag_batch`]; one block per element is attributed even when
+    /// a failing shard stops early (failures abort the collective — only
+    /// honest totals matter).
+    fn verify_batch<W: RingWord, O: Slot, const MODE: u8>(
         &self,
         base: u128,
         first: u64,
         (shift, world): (u32, u64),
         agg: &[W],
         tags: &[u64],
+        out: &mut [O],
     ) -> bool {
         assert_eq!(agg.len(), tags.len());
+        assert_eq!(agg.len(), out.len());
         let _s = hear_telemetry::span!("homac_verify", elems = agg.len());
         hear_telemetry::add(blocks_metric(self.prf.backend()), agg.len() as u64);
+        let all_ok = AtomicBool::new(true);
         // The chunk kernel: one contiguous run, keys a tile at a time.
-        let kernel = |start: usize, end: usize| {
+        let kernel = |start: usize, out: &mut [O]| {
+            if !all_ok.load(Ordering::Relaxed) {
+                return;
+            }
             let mut ks = [0u128; TILE];
+            let end = start + out.len();
             let (cs, sigmas) = (agg[start..end].chunks(TILE), tags[start..end].chunks(TILE));
-            cs.zip(sigmas).enumerate().all(|(t, (cs, sigmas))| {
+            let tiles = cs.zip(sigmas).zip(out.chunks_mut(TILE)).enumerate();
+            let ok = tiles.into_iter().all(|(t, ((cs, sigmas), os))| {
                 let j = (first + (start + t * TILE) as u64) as u128;
                 let ks = &mut ks[..cs.len()];
                 self.prf.fill_blocks_uncounted(base.wrapping_add(j), ks);
                 // Branch-free within the tile: a failure costs at most one tile.
-                (cs.iter().zip(sigmas).zip(ks)).fold(true, |ok, ((c, sigma), s)| {
-                    let m = message::<CELL>(c.to_u64(), *s);
+                let elems = cs.iter().zip(sigmas).zip(os).zip(ks);
+                elems.fold(true, |ok, (((c, sigma), o), s)| {
+                    let c = c.to_u64();
+                    let m = if MODE == LANE {
+                        c
+                    } else {
+                        message::<MODE>(c, *s, 0)
+                    };
+                    if MODE == LANE {
+                        o.opened(sub_p(c, lane_pad(*s, 0)));
+                    }
                     let got = fold(m) + mul_p(*sigma, self.z); // < 2p + 7
                     ok & overflow_ok(reduce(fold(*s as u64) + 3 * HOMAC_P - got), shift, world)
                 })
-            })
+            });
+            if !ok {
+                all_ok.store(false, Ordering::Relaxed);
+            }
         };
-        let all_ok = AtomicBool::new(true);
         WorkerPool::with_current(|pool| {
-            let nshards = digest_shards(pool, agg.len());
-            let chunk = agg.len().div_ceil(nshards);
-            pool.run(nshards, &|k| {
-                let (s, e) = (k * chunk, ((k + 1) * chunk).min(agg.len()));
-                if all_ok.load(Ordering::Relaxed) && s < e && !kernel(s, e) {
-                    all_ok.store(false, Ordering::Relaxed);
-                }
-            })
+            for_each_shard(pool, out, digest_shards(pool, agg.len()), kernel)
         });
         record_verdict(all_ok.load(Ordering::Relaxed))
     }
@@ -264,7 +344,7 @@ impl Homac {
         out: &mut Vec<u64>,
     ) {
         let next = (!keys.is_last()).then(|| keys.base_next());
-        self.tag_batch::<W, false>(keys.base_own(), next, first, cipher, out);
+        self.tag_batch::<W, u64, RING>(keys.base_own(), next, first, cipher, out);
     }
 
     /// Non-cancelling tags (Θ(P) verification via [`Homac::verify_plain`]).
@@ -286,7 +366,16 @@ impl Homac {
     }
 
     /// Verify an aggregated block against its aggregated tags (cancelling
-    /// variant: only rank 0's key stream is reconstructed).
+    /// variant: only rank 0's key stream is reconstructed), through the
+    /// overflow test: the residual must be one of the `world` candidates
+    /// `k·2^b mod p`.
+    ///
+    /// Exact for words of 32 bits or fewer, where every candidate stays
+    /// below `p` and a word cannot move by `p`. On 64-bit words it is not:
+    /// `2^64 ≡ 8 (mod p)`, so adding `8·k` to the aggregate is
+    /// indistinguishable from `k` fewer honest wraps, and `c ± p` is the
+    /// same residue as `c` — this check sees neither. Authenticate field
+    /// lanes instead ([`Homac::seal_lanes`]) where that matters.
     pub fn verify<W: RingWord>(
         &self,
         keys: &CommKeys,
@@ -299,7 +388,15 @@ impl Homac {
             world.saturating_sub(1) <= (HOMAC_P - 1) >> shift,
             "HoMAC overflow test needs (world − 1)·2^{shift} < p; world = {world}"
         );
-        self.verify_batch::<W, false>(keys.base_zero(), first, (shift, world), agg, tags)
+        let verdict = &mut vec![(); agg.len()];
+        self.verify_batch::<W, (), RING>(
+            keys.base_zero(),
+            first,
+            (shift, world),
+            agg,
+            tags,
+            verdict,
+        )
     }
 
     /// Verify non-cancelling tags: reconstructs all `P` key streams and scans
@@ -332,14 +429,87 @@ impl Homac {
     /// other than the tagged one verifies (a tag over the bare word would
     /// also accept the cell shifted by `p`).
     pub fn tag_shared(&self, base: u128, first: u64, cipher: &[u64], out: &mut Vec<u64>) {
-        self.tag_batch::<u64, true>(base, None, first, cipher, out);
+        self.tag_batch::<u64, u64, CELL>(base, None, first, cipher, out);
     }
 
     /// Verify single-origin ciphertexts against [`Homac::tag_shared`]
     /// tags. One contributor means no wrap-around: `m + σ·Z ≡ s (mod p)`
     /// must hold exactly for the cell's message `m`.
     pub fn verify_shared(&self, base: u128, first: u64, cipher: &[u64], tags: &[u64]) -> bool {
-        self.verify_batch::<u64, true>(base, first, (0, 1), cipher, tags)
+        let verdict = &mut vec![(); cipher.len()];
+        self.verify_batch::<u64, (), CELL>(base, first, (0, 1), cipher, tags, verdict)
+    }
+
+    /// Seal a run of digest lanes into `out`, one `[lane, tag]` per half:
+    /// `halves[i] < 2³²` (one 32-bit half of a digest word) becomes the
+    /// field element `m + pad` and gets the cancelling tag of that lane, at
+    /// PRF index `first + i` of this rank's own and next streams. Pad and
+    /// tag key are the high and low halves of one block, so this is one
+    /// pass over the PRF — the same tile kernel as [`Homac::tag_into`].
+    /// The network adds lanes and tags with [`Homac::combine`].
+    pub fn seal_lanes(&self, keys: &CommKeys, first: u64, halves: &[u64], out: &mut Vec<[u64; 2]>) {
+        debug_assert!(
+            halves.iter().all(|h| h >> 32 == 0),
+            "a lane carries 32 bits"
+        );
+        let next = (!keys.is_last()).then(|| keys.base_next());
+        self.tag_batch::<u64, [u64; 2], LANE>(keys.base_own(), next, first, halves, out);
+    }
+
+    /// Open aggregated lanes sealed by [`Homac::seal_lanes`] at `first`:
+    /// every tag must verify exactly (residual zero, no overflow
+    /// candidates), and `out` (resized to `lanes`' length) receives each
+    /// lane with rank 0's pad removed — the sum over ranks of the sealed
+    /// halves, an exact integer while `world·2³² < p`. One verify-and-
+    /// decrypt pass over `base_zero`. On `false`, `out` is meaningless.
+    pub fn open_lanes(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        lanes: &[u64],
+        tags: &[u64],
+        out: &mut Vec<u64>,
+    ) -> bool {
+        out.resize(lanes.len(), 0);
+        self.verify_batch::<u64, u64, LANE>(keys.base_zero(), first, (0, 1), lanes, tags, out)
+    }
+
+    /// [`Homac::seal_lanes`] by its definition, one `eval_block` per key
+    /// block: the scalar reference the kernel is tested and gated against.
+    pub fn seal_lanes_scalar(&self, keys: &CommKeys, first: u64, halves: &[u64]) -> Vec<[u64; 2]> {
+        (halves.iter().enumerate())
+            .map(|(i, m)| {
+                let j = first + i as u64;
+                let own = self.block_at(keys.base_own(), j);
+                let next = match keys.is_last() {
+                    true => 0,
+                    false => self.block_at(keys.base_next(), j),
+                };
+                let lane = add_p(*m, sub_p((own >> 64) as u64, (next >> 64) as u64));
+                let key = sub_p(own as u64, next as u64);
+                [lane, mul_p(sub_p(key, lane), self.z_inv)]
+            })
+            .collect()
+    }
+
+    /// [`Homac::open_lanes`] by its definition, one `eval_block` per lane:
+    /// `None` unless `lane + σ·Z ≡ low64(k)` for every lane, else each
+    /// `lane − high64(k) mod p`, `k = F(base_zero + first + i)`.
+    pub fn open_lanes_scalar(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        lanes: &[u64],
+        tags: &[u64],
+    ) -> Option<Vec<u64>> {
+        assert_eq!(lanes.len(), tags.len());
+        (lanes.iter().zip(tags).enumerate())
+            .map(|(i, (d, sigma))| {
+                let k = self.block_at(keys.base_zero(), first + i as u64);
+                let ok = add_p(*d, mul_p(*sigma, self.z)) == reduce(k as u64);
+                ok.then(|| sub_p(*d, (k >> 64) as u64))
+            })
+            .collect()
     }
 
     /// Wire overhead of *one tag* relative to one data word, as a fraction

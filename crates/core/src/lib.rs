@@ -39,8 +39,8 @@ pub use homac::{Homac, HOMAC_P};
 pub use int::{IntProd, IntSum, IntXor, NaiveIntSum, Scratch};
 pub use keys::{CommKeys, KeyRegistry};
 pub use scheme::{
-    FixedSumScheme, FloatProdScheme, FloatSumExpScheme, FloatSumScheme, IntProdScheme,
-    IntSumScheme, IntXorScheme, LaneArray, Scheme, DIGEST_BASE, DIGEST_LANES,
+    join_lanes, split_lanes, FixedSumScheme, FloatProdScheme, FloatSumExpScheme, FloatSumScheme,
+    IntProdScheme, IntSumScheme, IntXorScheme, LaneArray, Scheme, DIGEST_BASE, DIGEST_LANES,
 };
 pub use security::{map_adversary, MapStats};
 pub use word::RingWord;

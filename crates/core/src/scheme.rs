@@ -11,13 +11,14 @@
 //! needs no hand-rolled method.
 //!
 //! For verified mode every scheme also defines a *digest*: up to four `u64`
-//! summation lanes per element that (a) ride the lossless [`IntSum`] cipher
+//! summation words per element that (a) ride the HoMAC's field lanes
 //! regardless of the payload cipher and (b) let the receiver re-check the
-//! decrypted result against the HoMAC-authenticated lane sums. Integer and
+//! decrypted result against the authenticated sums. Integer and
 //! fixed-point digests are exact; float digests are quantized with the
-//! scheme's Table 2 lossiness tolerance. Each scheme states how many of the
-//! four lanes it fills ([`Scheme::Lanes`]); the engine seals, ships and
-//! verifies only those.
+//! scheme's Table 2 lossiness tolerance. A word travels as its two 32-bit
+//! halves ([`split_lanes`]), each a lane of its own, and each scheme
+//! states how many of those eight lanes it fills ([`Scheme::Lanes`]); the
+//! engine seals, ships and verifies only those.
 
 use crate::extend_with;
 use crate::fixed::FixedCodec;
@@ -30,22 +31,22 @@ use std::convert::Infallible;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 
-/// Number of `u64` digest lanes per element in verified mode.
+/// Number of `u64` digest words per element in verified mode.
 pub const DIGEST_LANES: usize = 4;
 
-/// PRF index base for the digest side-channel: the `L` used digest lanes
-/// of element `j` are encrypted at indices `DIGEST_BASE + j·L + lane`, far
-/// above any payload index, so payload and digest keystreams never collide.
+/// PRF index base for the digest side-channel: the `L` used lanes of
+/// element `j` are sealed at indices `DIGEST_BASE + j·L + lane`, far above
+/// any payload index, so payload and digest keystreams never collide.
 pub const DIGEST_BASE: u64 = 1 << 48;
 
-/// The digest lanes a scheme actually fills, as the array the engine's
-/// packets carry: `[u64; 1]` … `[u64; DIGEST_LANES]`. (An associated type
-/// rather than a const because stable Rust cannot size an array by
-/// `S::LANES`.)
+/// The lanes a scheme actually fills, as the array the engine's packets
+/// carry: `[u64; 1]` … `[u64; 2·DIGEST_LANES]`, one field element per
+/// 32-bit half of a digest word. (An associated type rather than a const
+/// because stable Rust cannot size an array by `S::LANES`.)
 pub trait LaneArray:
     Copy + Send + Sync + PartialEq + std::fmt::Debug + AsRef<[u64]> + AsMut<[u64]> + 'static
 {
-    /// Number of lanes, `1..=DIGEST_LANES`.
+    /// Number of lanes, `1..=2·DIGEST_LANES`.
     const LANES: usize;
     /// All lanes zero.
     const ZERO: Self;
@@ -59,7 +60,29 @@ macro_rules! impl_lane_array {
         }
     )+};
 }
-impl_lane_array!(1, 2, 3, 4);
+impl_lane_array!(1, 2, 3, 4, 5, 6, 7, 8);
+
+/// A digest's words as lanes: lane `2w` is `lo32(words[w])`, lane `2w + 1`
+/// is `hi32(words[w])`. Each lane is below 2³², so `world` ranks' lane
+/// sum is an exact integer below `p = 2⁶¹ − 1` for `world < 2²⁹`.
+pub fn split_lanes(words: &[u64; DIGEST_LANES]) -> [u64; 2 * DIGEST_LANES] {
+    let mut lanes = [0; 2 * DIGEST_LANES];
+    for (pair, w) in lanes.chunks_exact_mut(2).zip(words) {
+        pair.copy_from_slice(&[w & 0xFFFF_FFFF, w >> 32]);
+    }
+    lanes
+}
+
+/// The inverse of [`split_lanes`] on lane *sums* (a prefix; missing lanes
+/// are zero): word `w` is `lanes[2w] + (lanes[2w + 1] ≪ 32)`, wrapping —
+/// exactly the wrapping sum of the words the lanes came from.
+pub fn join_lanes(lanes: &[u64]) -> [u64; DIGEST_LANES] {
+    let mut words = [0; DIGEST_LANES];
+    for (w, pair) in words.iter_mut().zip(lanes.chunks(2)) {
+        *w = pair[0].wrapping_add(pair.get(1).map_or(0, |hi| hi << 32));
+    }
+    words
+}
 
 /// A HEAR cipher as seen by the generic allreduce engine.
 ///
@@ -78,18 +101,21 @@ pub unsafe trait Scheme {
     type Input: Clone + Send + 'static;
     /// On-the-wire element type the network reduces.
     type Wire: Clone + Send + PartialEq + std::fmt::Debug + 'static;
-    /// The prefix of the digest lanes this scheme uses: [`Scheme::digest`]
-    /// must leave every lane at or past `Lanes::LANES` zero, which is what
-    /// lets the engine drop them from the verified packet.
+    /// The prefix of the digest's lanes ([`split_lanes`]) this scheme
+    /// uses: [`Scheme::digest`] must leave every lane at or past
+    /// `Lanes::LANES` zero, which is what lets the engine drop them from
+    /// the verified packet.
     type Lanes: LaneArray;
 
     /// Stable name for telemetry and the composition matrix.
     const NAME: &'static str;
     /// Row of [`crate::properties::TABLE2`] describing this scheme.
     const TABLE2_ROW: usize;
-    /// Largest world size the digest stays sound for (only [`IntXor`]'s
-    /// nibble counters saturate; everything else is unbounded).
-    const MAX_VERIFIED_WORLD: usize = usize::MAX;
+    /// Largest world size the digest stays sound for: the world whose
+    /// honest lane sums stay exact in the HoMAC field (`world·2³² < p`,
+    /// `world < 2²⁹`), lower where the digest itself saturates first (only
+    /// [`IntXor`]'s nibble counters do).
+    const MAX_VERIFIED_WORLD: usize = (1 << 29) - 1;
 
     /// Encrypt one block; element `j` of the global vector is
     /// `input[j - first]`. On `Err` (a value the cipher cannot encode),
@@ -153,8 +179,9 @@ pub unsafe trait Scheme {
     /// transport (including the switch tree's service threads) can carry.
     fn op(a: &Self::Wire, b: &Self::Wire) -> Self::Wire;
 
-    /// Fill the four digest lanes for one plaintext element. Lane sums
-    /// accumulate with wrapping `u64` addition across ranks.
+    /// Fill the four digest words for one plaintext element. The words
+    /// reach [`Scheme::digest_check`] summed across ranks with wrapping
+    /// `u64` addition.
     fn digest(&self, x: &Self::Input, out: &mut [u64; DIGEST_LANES]);
 
     /// Check a decrypted result element against the aggregated lane sums.
@@ -217,7 +244,7 @@ pub struct IntSumScheme<W: RingWord>(PhantomData<W>);
 unsafe impl<W: RingWord> Scheme for IntSumScheme<W> {
     type Input = W;
     type Wire = W;
-    type Lanes = [u64; 1];
+    type Lanes = W::Halves;
 
     const NAME: &'static str = "int-sum";
     const TABLE2_ROW: usize = 0;
@@ -273,7 +300,8 @@ pub struct IntProdScheme<W: RingWord>(PhantomData<W>);
 unsafe impl<W: RingWord> Scheme for IntProdScheme<W> {
     type Input = W;
     type Wire = W;
-    type Lanes = [u64; 3];
+    /// Exponent (both halves), valuation and sign count (low halves).
+    type Lanes = [u64; 5];
 
     const NAME: &'static str = "int-prod";
     const TABLE2_ROW: usize = 1;
@@ -405,7 +433,7 @@ pub struct IntXorScheme<W: RingWord>(PhantomData<W>);
 unsafe impl<W: RingWord> Scheme for IntXorScheme<W> {
     type Input = W;
     type Wire = W;
-    type Lanes = [u64; 4];
+    type Lanes = [u64; 8];
 
     const NAME: &'static str = "int-xor";
     const TABLE2_ROW: usize = 2;
@@ -488,7 +516,7 @@ impl FixedSumScheme {
 unsafe impl Scheme for FixedSumScheme {
     type Input = f64;
     type Wire = u64;
-    type Lanes = [u64; 1];
+    type Lanes = [u64; 2];
 
     const NAME: &'static str = "fixed-sum";
     const TABLE2_ROW: usize = 0;
@@ -576,7 +604,7 @@ impl FloatSumScheme {
 unsafe impl Scheme for FloatSumScheme {
     type Input = f64;
     type Wire = Hfp;
-    type Lanes = [u64; 1];
+    type Lanes = [u64; 2];
 
     const NAME: &'static str = "float-sum-v1";
     const TABLE2_ROW: usize = 3;
@@ -655,7 +683,7 @@ impl FloatSumExpScheme {
 unsafe impl Scheme for FloatSumExpScheme {
     type Input = f64;
     type Wire = Hfp;
-    type Lanes = [u64; 1];
+    type Lanes = [u64; 2];
 
     const NAME: &'static str = "float-sum-v2";
     const TABLE2_ROW: usize = 4;
@@ -734,7 +762,7 @@ impl FloatProdScheme {
 unsafe impl Scheme for FloatProdScheme {
     type Input = f64;
     type Wire = Hfp;
-    type Lanes = [u64; 2];
+    type Lanes = [u64; 4];
 
     const NAME: &'static str = "float-prod";
     const TABLE2_ROW: usize = 5;
@@ -1086,8 +1114,10 @@ mod tests {
         let mut rng = proptest::TestRng::new(0x1A9E5);
         let mut top_lane_used = false;
         for _ in 0..10_000 {
-            let mut lanes = [u64::MAX; DIGEST_LANES];
-            scheme.digest(&draw(rng.next_u64()), &mut lanes);
+            let mut words = [u64::MAX; DIGEST_LANES];
+            scheme.digest(&draw(rng.next_u64()), &mut words);
+            let lanes = split_lanes(&words);
+            assert_eq!(join_lanes(&lanes), words);
             let (used, rest) = lanes.split_at(S::Lanes::LANES);
             assert!(rest.iter().all(|l| *l == 0), "{}: {lanes:x?}", S::NAME);
             top_lane_used |= used[S::Lanes::LANES - 1] != 0;
@@ -1097,7 +1127,11 @@ mod tests {
 
     #[test]
     fn declared_lane_counts_match_what_digests_write() {
-        let float = |bits: u64| (bits as i64 as f64) * 2f64.powi(-40);
+        // Zero one draw in 64: float-prod's zero counter is its top lane.
+        let float = |bits: u64| match bits % 64 {
+            0 => 0.0,
+            _ => (bits as i64 as f64) * 2f64.powi(-40),
+        };
         lanes_match_declaration(&IntSumScheme::<u8>::default(), |b| b as u8);
         lanes_match_declaration(&IntSumScheme::<u64>::default(), |b| b);
         lanes_match_declaration(&IntProdScheme::<u16>::default(), |b| b as u16);
@@ -1107,8 +1141,10 @@ mod tests {
         lanes_match_declaration(&FloatSumScheme::new(HfpFormat::fp32(2, 2)), float);
         lanes_match_declaration(&FloatSumExpScheme::new(HfpFormat::fp64(0, 0)), float);
         lanes_match_declaration(&FloatProdScheme::new(HfpFormat::fp64(0, 0)), float);
-        // Narrow XOR words leave high lanes empty but share the 4-lane shape.
-        assert_eq!(<IntXorScheme<u8> as Scheme>::Lanes::LANES, DIGEST_LANES);
+        // Narrow XOR words leave high lanes empty but share the 8-lane shape.
+        assert_eq!(<IntXorScheme<u8> as Scheme>::Lanes::LANES, 2 * DIGEST_LANES);
+        // Narrow sum words fill one lane, 64-bit ones both halves.
+        assert_eq!(<IntSumScheme<u32> as Scheme>::Lanes::LANES, 1);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! complement: the bit patterns of a wrapped unsigned sum and a wrapped
 //! signed sum coincide, so `i32`/`i64` buffers are encrypted by casting.
 
+use crate::scheme::LaneArray;
 use hear_prf::{KernelWord, Prf};
 
 /// An unsigned machine word with the ring operations the schemes need.
@@ -20,6 +21,9 @@ pub trait RingWord:
     const BITS: u32;
     /// Generator of the 2^{b-2}-order multiplicative subgroup (always 3).
     const GENERATOR: Self;
+    /// The digest lanes one word spans, one per 32-bit half: `[u64; 1]`
+    /// up to 32 bits, `[u64; 2]` for 64 ([`crate::scheme::split_lanes`]).
+    type Halves: LaneArray;
 
     fn zero() -> Self;
     fn one() -> Self;
@@ -71,6 +75,7 @@ pub trait RingWord:
 }
 
 impl RingWord for u32 {
+    type Halves = [u64; 1];
     const BITS: u32 = 32;
     const GENERATOR: u32 = 3;
 
@@ -104,6 +109,7 @@ impl RingWord for u32 {
 }
 
 impl RingWord for u64 {
+    type Halves = [u64; 2];
     const BITS: u32 = 64;
     const GENERATOR: u64 = 3;
 
@@ -258,6 +264,7 @@ mod proptests {
 }
 
 impl RingWord for u16 {
+    type Halves = [u64; 1];
     const BITS: u32 = 16;
     const GENERATOR: u16 = 3;
 
@@ -291,6 +298,7 @@ impl RingWord for u16 {
 }
 
 impl RingWord for u8 {
+    type Halves = [u64; 1];
     const BITS: u32 = 8;
     const GENERATOR: u8 = 3;
 

@@ -169,14 +169,14 @@ mod tests {
         );
     }
 
-    /// The 2⁶⁴ ≡ 8 (mod p) forgery of DESIGN.md "The overflow test",
-    /// mounted: every packet's digest lane moves by ±p, which the HoMAC
-    /// fold cannot see (`c` and `c ± p` are one residue), and its payload
-    /// word by ∓1, which keeps the int-sum digest check (p ≡ −1 mod 2³²)
-    /// consistent. No honest wrap is needed, at any world. Contract: the
-    /// exact sum or a `Verification` error on every rank.
+    /// The ±p forgery of DESIGN.md "The overflow test", mounted: every
+    /// packet's digest lane moves by ±p and its payload word by ∓1, which
+    /// kept a 64-bit ring lane's int-sum digest check (p ≡ −1 mod 2³²)
+    /// consistent while the HoMAC fold could not see the lane move. A lane
+    /// is a field element now: `d ± p` opens to the honest lane sum, and
+    /// the payload's ∓1 fails the digest check. Contract: the exact sum or
+    /// a `Verification` error on every rank.
     #[test]
-    #[ignore = "open forgery, ROADMAP 1(a)"]
     fn a_digest_lane_shifted_by_p_is_not_a_verified_sum() {
         let shift_by_p: hear_mpi::Corruptor = Arc::new(|payload: &mut dyn Any, _| {
             let Some(v) = payload.downcast_mut::<Vec<IntSumPacket>>() else {

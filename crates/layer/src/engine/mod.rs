@@ -69,16 +69,17 @@
 //! Verification must work for wire formats (like [`hear_core::Hfp`])
 //! whose reduction is not a ring addition, so it does not tag the payload
 //! cipher directly. Instead each element carries a *digest*: up to four
-//! `u64` summation lanes of the plaintext (defined per scheme, exact for
+//! `u64` summation words of the plaintext (defined per scheme, exact for
 //! integer and fixed-point data, quantized within the Table 2 lossiness
-//! for floats). The lanes are encrypted under the lossless
-//! [`hear_core::IntSum`] cipher at PRF indices offset by
-//! [`hear_core::DIGEST_BASE`] — disjoint from every payload index — then
-//! HoMAC-tagged. The network reduces `(c, d, σ)` packets component-wise;
-//! on receipt the engine verifies the tags (any tampering with `d` or `σ`
-//! is caught by the MAC), decrypts the lane sums, and checks the
-//! decrypted payload against them (any tampering with `c` is caught by
-//! the digest). The single-origin collectives use the lighter
+//! for floats). Each word travels as its two 32-bit halves, and each half
+//! is a lane: a field element modulo the HoMAC prime, padded and tagged in
+//! one pass of the HoMAC kernel ([`hear_core::Homac::seal_lanes`]) at PRF
+//! indices offset by [`hear_core::DIGEST_BASE`] — disjoint from every
+//! payload index. The network reduces `(c, d, σ)` packets component-wise,
+//! lanes and tags modulo p; on receipt one kernel pass verifies every tag
+//! exactly and removes the pads (any tampering with `d` or `σ` is caught
+//! by the MAC), and the engine checks the decrypted payload against the
+//! rejoined lane sums (any tampering with `c` is caught by the digest). The single-origin collectives use the lighter
 //! [`Tagged`](crate::secure::Tagged) shape instead: a shared-stream MAC
 //! over each padded cell, verifiable by every rank. Zero-length inputs
 //! and single-rank communicators short-circuit uniformly before any

@@ -1,8 +1,10 @@
 //! Wire shapes and seal/open codecs for the engine's two transports.
 //!
 //! *Reductions* (allreduce, reduce-scatter) ship [`Packet`]s: the payload
-//! ciphertext plus the encrypted digest lanes the scheme uses and their
-//! HoMAC tags, all of which the network combines homomorphically.
+//! ciphertext plus the sealed digest lanes the scheme uses and their
+//! HoMAC tags, all of which the network combines homomorphically — the
+//! payload with the scheme's operation, lanes and tags alike modulo the
+//! HoMAC prime.
 //! *Single-origin* collectives (allgather, alltoall) ship plain `u64` cells
 //! — each element bit-encoded losslessly ([`Scheme::cell_encode`]) and
 //! XOR-padded on the epoch's collective keystream — optionally as
@@ -15,13 +17,17 @@ use super::make_room;
 use super::phases::share_bounds;
 use crate::arena::ScratchArena;
 use crate::secure::{Tagged, VerificationError};
-use hear_core::{CommKeys, Homac, IntSum, LaneArray, Scheme, Scratch, DIGEST_BASE, DIGEST_LANES};
+use hear_core::{
+    join_lanes, split_lanes, CommKeys, Homac, LaneArray, Scheme, DIGEST_BASE, DIGEST_LANES,
+};
 use hear_prf::keystream_u64;
 
 /// What the network reduces in verified mode: the payload ciphertext plus
-/// the encrypted digest lanes and their HoMAC tags (§5.5's "(σ, c)" pair,
+/// the sealed digest lanes and their HoMAC tags (§5.5's "(σ, c)" pair,
 /// widened with the digest channel). `L` is the scheme's
-/// [`Scheme::Lanes`] — only the lanes its digest fills exist at all.
+/// [`Scheme::Lanes`] — only the lanes its digest fills exist at all. A
+/// lane is a field element: one 32-bit half of a digest word under a pad,
+/// sealed and opened by the HoMAC kernel ([`Homac::seal_lanes`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Packet<W, L> {
     pub(crate) c: W,
@@ -39,26 +45,25 @@ pub(crate) type SchemePacket<S> = Packet<<S as Scheme>::Wire, <S as Scheme>::Lan
 macro_rules! for_each_packet_shape {
     ($m:ident) => {
         $m! {
-            (u8, 1), (u16, 1), (u32, 1), (u64, 1), // int-sum; fixed-sum (u64)
-            (u8, 3), (u16, 3), (u32, 3), (u64, 3), // int-prod
-            (u8, 4), (u16, 4), (u32, 4), (u64, 4), // int-xor
-            (hear_core::Hfp, 1),                   // float-sum v1, v2
-            (hear_core::Hfp, 2),                   // float-prod
+            (u8, 1), (u16, 1), (u32, 1), (u64, 2), // int-sum; fixed-sum (u64)
+            (u8, 5), (u16, 5), (u32, 5), (u64, 5), // int-prod
+            (u8, 8), (u16, 8), (u32, 8), (u64, 8), // int-xor
+            (hear_core::Hfp, 2),                   // float-sum v1, v2
+            (hear_core::Hfp, 4),                   // float-prod
         }
     };
 }
 pub(crate) use for_each_packet_shape;
 
-/// The combiner for [`Packet`] streams. A non-capturing generic `fn`, so
-/// every transport — including the key-less switch service threads — can
-/// carry it as a plain function pointer.
+/// The combiner for [`Packet`] streams: the scheme's operation on the
+/// payload, field addition on every lane and tag. A non-capturing generic
+/// `fn`, so every transport — including the key-less switch service
+/// threads — can carry it as a plain function pointer.
 pub(crate) fn packet_op<S: Scheme>(a: &SchemePacket<S>, b: &SchemePacket<S>) -> SchemePacket<S> {
     let (mut d, mut s) = (a.d, a.s);
-    for (d, bd) in d.as_mut().iter_mut().zip(b.d.as_ref()) {
-        *d = d.wrapping_add(*bd);
-    }
-    for (s, bs) in s.as_mut().iter_mut().zip(b.s.as_ref()) {
-        *s = Homac::combine(*s, *bs);
+    let ours = d.as_mut().iter_mut().chain(s.as_mut());
+    for (x, y) in ours.zip(b.d.as_ref().iter().chain(b.s.as_ref())) {
+        *x = Homac::combine(*x, *y);
     }
     Packet {
         c: S::op(&a.c, &b.c),
@@ -70,21 +75,23 @@ pub(crate) fn packet_op<S: Scheme>(a: &SchemePacket<S>, b: &SchemePacket<S>) -> 
 /// PRF index of the first digest lane of the block starting at `offset`:
 /// element `j`'s `L` lanes sit at `DIGEST_BASE + j·L + lane`, so a block's
 /// lanes are one contiguous run of the digest stream. Indices stay
-/// distinct within the epoch and at or above 2^48, as with four lanes.
+/// distinct within the epoch and at or above 2^48.
 #[inline]
 pub(crate) fn digest_first<S: Scheme>(offset: usize) -> u64 {
     DIGEST_BASE + (offset * S::Lanes::LANES) as u64
 }
 
 /// The verified path's staging set, leased from the [`ScratchArena`] for
-/// one call: wire ciphertexts, the decrypted block, digest lanes and tags
-/// (seal side), and aggregate lane/tag splits (open side). The packets
-/// themselves are sealed straight into the transport's chunk vectors.
+/// one call: wire ciphertexts, the decrypted block, the digest lanes
+/// (plain halves on the seal side, opened sums on the open side), the
+/// sealed `[lane, tag]` pairs, and the aggregate's lane/tag columns. The
+/// packets themselves are sealed straight into the transport's chunk
+/// vectors.
 pub(crate) struct VerifyScratch<S: Scheme + 'static> {
     pub(crate) wire: Vec<S::Wire>,
     pub(crate) dec: Vec<S::Input>,
-    pub(crate) dlanes: Vec<u64>,
-    pub(crate) sigmas: Vec<u64>,
+    pub(crate) lanes: Vec<u64>,
+    pub(crate) sealed: Vec<[u64; 2]>,
     pub(crate) d_agg: Vec<u64>,
     pub(crate) s_agg: Vec<u64>,
 }
@@ -94,8 +101,8 @@ impl<S: Scheme + 'static> VerifyScratch<S> {
         VerifyScratch {
             wire: arena.take_vec(),
             dec: arena.take_vec(),
-            dlanes: arena.take_vec(),
-            sigmas: arena.take_vec(),
+            lanes: arena.take_vec(),
+            sealed: arena.take_vec(),
             d_agg: arena.take_vec(),
             s_agg: arena.take_vec(),
         }
@@ -104,26 +111,27 @@ impl<S: Scheme + 'static> VerifyScratch<S> {
     pub(crate) fn restore(self, arena: &mut ScratchArena) {
         arena.put_vec(self.wire);
         arena.put_vec(self.dec);
-        arena.put_vec(self.dlanes);
-        arena.put_vec(self.sigmas);
+        arena.put_vec(self.lanes);
+        arena.put_vec(self.sealed);
         arena.put_vec(self.d_agg);
         arena.put_vec(self.s_agg);
     }
 }
 
-/// Copy one element's lanes out of a flat lane vector.
+/// One column (`0`: lane, `1`: tag) of an element's sealed pairs.
 #[inline]
-fn lanes_at<L: LaneArray>(flat: &[u64], i: usize) -> L {
-    let mut lanes = L::ZERO;
-    lanes
-        .as_mut()
-        .copy_from_slice(&flat[i * L::LANES..(i + 1) * L::LANES]);
-    lanes
+fn column<L: LaneArray>(sealed: &[[u64; 2]], at: usize) -> L {
+    let mut out = L::ZERO;
+    for (o, pair) in out.as_mut().iter_mut().zip(sealed) {
+        *o = pair[at];
+    }
+    out
 }
 
 /// Mask one block and wrap it into verified-transport `packets` (cleared
-/// first). Only the scheme's used digest lanes are sealed: the lane cipher
-/// and the tags each run once over one contiguous vector.
+/// first). Each element's digest words are split into 32-bit halves
+/// ([`split_lanes`]), of which the scheme's used lanes are sealed in one
+/// HoMAC kernel pass over one contiguous vector.
 pub(crate) fn seal_block<S: Scheme + 'static>(
     scheme: &mut S,
     homac: &Homac,
@@ -134,28 +142,28 @@ pub(crate) fn seal_block<S: Scheme + 'static>(
     packets: &mut Vec<SchemePacket<S>>,
 ) -> Result<(), EngineError> {
     scheme.mask_block(keys, offset as u64, input, &mut vs.wire)?;
-    vs.dlanes.clear();
-    let mut lanes = [0u64; DIGEST_LANES];
+    vs.lanes.clear();
+    let mut words = [0u64; DIGEST_LANES];
     for x in input {
-        scheme.digest(x, &mut lanes);
+        scheme.digest(x, &mut words);
+        let lanes = split_lanes(&words);
         debug_assert!(lanes[S::Lanes::LANES..].iter().all(|l| *l == 0));
-        vs.dlanes.extend_from_slice(&lanes[..S::Lanes::LANES]);
+        vs.lanes.extend_from_slice(&lanes[..S::Lanes::LANES]);
     }
-    let first_d = digest_first::<S>(offset);
-    IntSum::encrypt_in_place(keys, first_d, &mut vs.dlanes, &mut Scratch::default());
-    homac.tag_into(keys, first_d, &vs.dlanes, &mut vs.sigmas);
+    homac.seal_lanes(keys, digest_first::<S>(offset), &vs.lanes, &mut vs.sealed);
     packets.clear();
-    packets.extend(vs.wire.drain(..).enumerate().map(|(i, c)| Packet {
+    let sealed = vs.sealed.chunks_exact(S::Lanes::LANES);
+    packets.extend(vs.wire.drain(..).zip(sealed).map(|(c, lanes)| Packet {
         c,
-        d: lanes_at(&vs.dlanes, i),
-        s: lanes_at(&vs.sigmas, i),
+        d: column(lanes, 0),
+        s: column(lanes, 1),
     }));
     Ok(())
 }
 
 /// [`seal_block`] chunk by chunk into the vectors the transport moves:
 /// chunk `c` of the block `input` (at global `offset`) is sealed at
-/// `offset + s_c`, so payload pads, digest-lane pads and tag indices are
+/// `offset + s_c`, so payload pads and lane indices are
 /// the whole block's — the packets on the wire do not change. Like
 /// [`super::mask_chunks`], every vector gets room for the largest chunk.
 pub(crate) fn seal_chunks<S: Scheme + 'static>(
@@ -177,7 +185,9 @@ pub(crate) fn seal_chunks<S: Scheme + 'static>(
     Ok(())
 }
 
-/// Verify, decrypt and digest-check one aggregated block into `vs.dec`.
+/// Verify, decrypt and digest-check one aggregated block into `vs.dec`:
+/// one HoMAC pass opens the lanes to exact sums, which are rejoined into
+/// the wrapping digest-word sums [`Scheme::digest_check`] takes.
 pub(crate) fn open_block<S: Scheme + 'static>(
     scheme: &mut S,
     homac: &Homac,
@@ -195,17 +205,15 @@ pub(crate) fn open_block<S: Scheme + 'static>(
         vs.d_agg.extend_from_slice(p.d.as_ref());
         vs.s_agg.extend_from_slice(p.s.as_ref());
     }
-    let first_d = digest_first::<S>(offset);
-    if !homac.verify(keys, first_d, &vs.d_agg, &vs.s_agg) {
+    let first = digest_first::<S>(offset);
+    if !homac.open_lanes(keys, first, &vs.d_agg, &vs.s_agg, &mut vs.lanes) {
         return Err(EngineError::Verification(VerificationError));
     }
-    IntSum::decrypt_in_place(keys, first_d, &mut vs.d_agg, &mut Scratch::default());
     scheme.unmask_block(keys, offset as u64, &vs.wire, &mut vs.dec);
-    // The lanes the scheme never fills were never sent: zero-extend.
-    let mut lanes = [0u64; DIGEST_LANES];
-    for (r, used) in vs.dec.iter().zip(vs.d_agg.chunks_exact(S::Lanes::LANES)) {
-        lanes[..S::Lanes::LANES].copy_from_slice(used);
-        if !scheme.digest_check(r, &lanes, world) {
+    // The lanes the scheme never fills were never sent: `join_lanes`
+    // zero-extends.
+    for (r, sums) in vs.dec.iter().zip(vs.lanes.chunks_exact(S::Lanes::LANES)) {
+        if !scheme.digest_check(r, &join_lanes(sums), world) {
             return Err(EngineError::Verification(VerificationError));
         }
     }

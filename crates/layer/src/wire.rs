@@ -10,10 +10,11 @@
 //!   element per value);
 //! * `Vec<Packet<W, [u64; L]>>` — the verified path's §5.5 `(c, d, σ)`
 //!   triples, for every `(wire word, lane count)` shape the schemes
-//!   produce (`u8/u16/u32/u64` integer rings with 1, 3 or 4 digest lanes,
-//!   the `Hfp` float ring with 1 or 2) — generated from the engine's one
-//!   shape list, on type ids that do not overlap the retired fixed
-//!   four-lane packets', so a stale peer's frame is a `TypeMismatch`.
+//!   produce (`u8/u16/u32/u64` integer rings with 1, 2, 5 or 8 field
+//!   lanes, the `Hfp` float ring with 2 or 4) — generated from the
+//!   engine's one shape list, on type ids that overlap neither the retired
+//!   fixed four-lane packets' nor the retired 64-bit-lane shapes', so a
+//!   stale peer's frame is a `TypeMismatch`.
 //!   A shape is bound when a communicator first runs a verified reduction
 //!   of a scheme that ships it (`ensure_packet_type`): binding all
 //!   fourteen up front costs every program ≈ 60 KiB of resident code it
@@ -122,8 +123,9 @@ fn packet_damage<W: WireElem, L: LaneArray>(p: &mut Packet<W, L>, word: u64) {
 }
 
 /// Type ids `WIRE_ID_USER_BASE + 1 ..= + 5` carried the fixed four-lane
-/// packets; they stay unbound, and the lane-sized shapes start here.
-const PACKET_WIRE_ID_BASE: u32 = WIRE_ID_USER_BASE + 0x10;
+/// packets and `+ 0x10 ..= + 0x1D` the shapes whose lanes were 64-bit
+/// ring words; they stay unbound, and the field-lane shapes start here.
+const PACKET_WIRE_ID_BASE: u32 = WIRE_ID_USER_BASE + 0x20;
 
 /// One verified-packet shape: what a scheme's `(c, d, σ)` packet costs in
 /// memory (what the in-process fabric moves, padding included) and on the
@@ -132,7 +134,7 @@ const PACKET_WIRE_ID_BASE: u32 = WIRE_ID_USER_BASE + 0x10;
 pub struct PacketShape {
     /// Type name of the payload wire word.
     pub wire: &'static str,
-    /// Digest lanes carried (each with one tag).
+    /// Field lanes carried (each with one tag).
     pub lanes: usize,
     pub mem_bytes: usize,
     pub wire_bytes: usize,
@@ -484,7 +486,7 @@ mod tests {
         let sum = PacketShape::of::<IntSumScheme<u32>>();
         assert_eq!((sum.lanes, sum.mem_bytes, sum.wire_bytes), (1, 24, 20));
         let xor = PacketShape::of::<IntXorScheme<u32>>();
-        assert_eq!((xor.lanes, xor.mem_bytes, xor.wire_bytes), (4, 72, 68));
+        assert_eq!((xor.lanes, xor.mem_bytes, xor.wire_bytes), (8, 136, 132));
     }
 
     /// A stale peer still framing the fixed four-lane packets uses type
@@ -495,6 +497,19 @@ mod tests {
         register_all_types();
         for retired in 1..=5 {
             let back = decode_payload(WIRE_ID_USER_BASE + retired, &[0u8; 68]);
+            assert!(back
+                .downcast_ref::<hear_mpi::tcp::wire::WireUndecodable>()
+                .is_some());
+        }
+    }
+
+    /// Likewise for a peer still framing the shapes whose digest lanes
+    /// were 64-bit ring words: their ids stay unbound.
+    #[test]
+    fn retired_ring_lane_shape_ids_are_undecodable() {
+        register_all_types();
+        for retired in 0x10..=0x1D {
+            let back = decode_payload(WIRE_ID_USER_BASE + retired, &[0u8; 24]);
             assert!(back
                 .downcast_ref::<hear_mpi::tcp::wire::WireUndecodable>()
                 .is_some());

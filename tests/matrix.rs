@@ -787,10 +787,14 @@ fn the_ring_ships_the_ciphertext_it_always_did() {
 
 /// See [`the_ring_ships_the_ciphertext_it_always_did`]. The verified
 /// allgather's entry was re-recorded when cell tags began to authenticate
-/// a cell through its two 32-bit halves: same messages, new tags.
+/// a cell through its two 32-bit halves: same messages, new tags. The
+/// verified allreduce and reduce-scatter entries were re-recorded when
+/// digest lanes became field elements sealed by the HoMAC kernel (32-bit
+/// halves under a pad from the tag's own PRF block, added modulo p): same
+/// messages, new lanes and tags.
 const WIRE_GOLDEN: [[(u64, u64); 2]; 3] = [
-    [(360, 586154157334700590), (360, 2184753041571345148)],
-    [(180, 12457890671684293508), (180, 2753460644357268465)],
+    [(360, 586154157334700590), (360, 1273394434798148319)],
+    [(180, 12457890671684293508), (180, 7360872030798294580)],
     [(234, 7176228208755082272), (234, 7291702589270701377)],
 ];
 

@@ -17,7 +17,7 @@
 //!    through [`hear::mpi::Launcher`] (rank-per-process, ephemeral-port
 //!    rendezvous) and runs a verified allreduce across OS processes.
 //! 5. **Verified packets of every lane count**: one verified allreduce per
-//!    digest-lane count (1–4) over the mesh, and a stale peer process
+//!    field-lane count (1, 2, 4, 5, 8) over the mesh, and a stale peer process
 //!    still framing the retired fixed four-lane packet type — a
 //!    `TypeMismatch` for that one receive, never a mis-parsed packet.
 //!    (The bit-exact mesh round trip of one packet vector per registered
@@ -357,19 +357,22 @@ fn tcp_mesh_carries_verified_packets_of_every_lane_count() {
     );
     let want: Vec<u32> = a.iter().zip(&b).map(|(x, y)| (x + y) as u32).collect();
     assert_eq!(sum, want);
+    let wide = verified_over_mesh(IntSumScheme::<u64>::default, 2, [0, 1].map(ints));
+    let want: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
+    assert_eq!(wide, want);
     let prod = verified_over_mesh(
         || FloatProdScheme::new(HfpFormat::fp64(0, 0)),
-        2,
+        4,
         [0, 1].map(|r| ints(r).iter().map(|x| *x as f64 * -0.5).collect()),
     );
     for ((g, x), y) in prod.iter().zip(&a).zip(&b) {
         let e = (*x * *y) as f64 * 0.25;
         assert!((g - e).abs() / e < 1e-3, "float product {g} vs {e}");
     }
-    let prod = verified_over_mesh(IntProdScheme::<u64>::default, 3, [0, 1].map(ints));
+    let prod = verified_over_mesh(IntProdScheme::<u64>::default, 5, [0, 1].map(ints));
     let want: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x * y).collect();
     assert_eq!(prod, want);
-    let xor = verified_over_mesh(IntXorScheme::<u64>::default, 4, [0, 1].map(ints));
+    let xor = verified_over_mesh(IntXorScheme::<u64>::default, 8, [0, 1].map(ints));
     let want: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
     assert_eq!(xor, want);
 }
