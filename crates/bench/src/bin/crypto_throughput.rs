@@ -6,7 +6,7 @@
 //! ```text
 //! crypto_throughput            # full sweep, writes BENCH_crypto.json
 //! crypto_throughput --gate     # fused must not be slower than split,
-//!                              # bulk HoMAC ≥ 2× the scalar reference,
+//!                              # bulk HoMAC lanes ≥ 2× the scalar reference,
 //!                              # fused float cipher ≥ 1.5× its reference,
 //!                              # two-stream out-of-place mask ≥ 1.3× copy
 //!                              # + two in-place passes at 64 MiB,
@@ -21,11 +21,15 @@
 //! blocks stay in SSE registers through the 8-wide pipeline. `HEAR_SCALE`
 //! and `HEAR_BENCH_FAST` budgets apply as for every other bench target.
 //!
-//! The `homac_64Ki` rows time §5.5's tag/verify over 64 Ki `u64` words on
-//! one thread: the bulk kernel (`Homac::tag_into` / `verify`: tiled PRF
-//! fill, Mersenne fold, Θ(1) overflow test) against the scalar reference
-//! it is tested against (`tag_plain` / `verify_plain`: one block and one
-//! counter bump per key).
+//! The `homac_64Ki` rows time §5.5's HoMAC over 64 Ki elements on one
+//! thread, the bulk kernel against the scalar reference it is tested
+//! against. The `lanes/*` rows are what the engine runs and what the gate
+//! holds: `Homac::seal_lanes` / `open_lanes` (tiled PRF fill, pad and tag
+//! from one block, exact residual) against `seal_lanes_scalar` /
+//! `open_lanes_scalar` (one block per key), on a two-rank aggregate. The
+//! `tag/*` and `verify/*` rows are the public ring-word API
+//! (`Homac::tag_into` / `verify` with the Θ(1) overflow test against
+//! `tag_plain` / `verify_plain`), reported only.
 //!
 //! The `float_64Ki` rows time §5.3's float SUM over 64 Ki fp64(2, 2)
 //! elements on one thread: the fused `FloatSum` encrypt / decrypt and the
@@ -71,18 +75,18 @@ const BIG_PAYLOAD_BYTES: usize = 4 * 1024 * 1024;
 /// `BENCH_crypto.json` tracks).
 const GATE_TOLERANCE: f64 = 1.25;
 
-/// HoMAC batch: 64 Ki `u64` words — above the kernel's fan-out threshold,
-/// so the rows pin a one-thread pool.
+/// HoMAC batch: 64 Ki elements — above the kernel's fan-out threshold, so
+/// the rows pin a one-thread pool.
 const HOMAC_WORDS: usize = 64 * 1024;
 
-/// `--gate` floor for the bulk HoMAC kernel over the scalar reference
-/// (before [`GATE_TOLERANCE`]). Measured ≈ 2.0–2.3× tag / ≈ 2.6–3× verify on
-/// AES-NI: the reference shares the folded field arithmetic, so what the
-/// gate guards is the tiled 8-wide key derivation.
+/// `--gate` floor for the bulk HoMAC lane kernel over the scalar reference
+/// (before [`GATE_TOLERANCE`]): the reference shares the folded field
+/// arithmetic, so what the gate guards is the tiled 8-wide key derivation.
 const HOMAC_MIN_SPEEDUP: f64 = 2.0;
 
-/// Tag and verify rows, bulk vs scalar, in a one-rank world (the rank's
-/// ciphertext is the whole aggregate, and `tag_plain` equals `tag_into`).
+/// The ring-word tag and verify rows, bulk vs scalar, in a one-rank world
+/// (the rank's ciphertext is the whole aggregate, and `tag_plain` equals
+/// `tag_into`). Reported, not gated: the engine does not run them.
 fn bench_homac(c: &mut Criterion, group: &str, backend: Backend) {
     let (keys, registry) = CommKeys::generate_with_registry(1, 0x5E5, backend);
     let homac = Homac::generate(0xFACE, backend);
@@ -104,6 +108,42 @@ fn bench_homac(c: &mut Criterion, group: &str, backend: Backend) {
         });
         g.bench_function("verify/scalar", |b| {
             b.iter(|| assert!(homac.verify_plain(&registry, 0, &cipher, &tags)))
+        });
+    });
+    g.finish();
+}
+
+/// The engine's lane rows, bulk vs scalar: rank 0 of a two-rank world
+/// seals 64 Ki 32-bit halves (own and next stream), and opens the two
+/// ranks' aggregate.
+fn bench_homac_lanes(c: &mut Criterion, group: &str, backend: Backend) {
+    let keys = CommKeys::generate(2, 0x5E5, backend);
+    let homac = Homac::generate(0xFACE, backend);
+    let halves: Vec<u64> = (0..HOMAC_WORDS as u64)
+        .map(|j| j.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32)
+        .collect();
+    let sealed: Vec<_> = keys
+        .iter()
+        .map(|k| homac.seal_lanes_scalar(k, 0, &halves))
+        .collect();
+    let agg: Vec<[u64; 2]> = (sealed[0].iter().zip(&sealed[1]))
+        .map(|([d0, s0], [d1, s1])| [Homac::combine(*d0, *d1), Homac::combine(*s0, *s1)])
+        .collect();
+    let (mut out, mut opened) = (Vec::new(), Vec::new());
+    let mut g = c.benchmark_group(group);
+    g.throughput(Throughput::Bytes(4 * HOMAC_WORDS as u64));
+    with_pool(&WorkerPool::new(1), || {
+        g.bench_function("lanes/seal/bulk", |b| {
+            b.iter(|| homac.seal_lanes(&keys[0], 0, &halves, &mut out))
+        });
+        g.bench_function("lanes/seal/scalar", |b| {
+            b.iter(|| black_box(homac.seal_lanes_scalar(&keys[0], 0, &halves)))
+        });
+        g.bench_function("lanes/open/bulk", |b| {
+            b.iter(|| assert!(homac.open_lanes(&keys[0], 0, &agg, &mut opened)))
+        });
+        g.bench_function("lanes/open/scalar", |b| {
+            b.iter(|| assert!(homac.open_lanes_scalar(&keys[0], 0, &agg).is_some()))
         });
     });
     g.finish();
@@ -338,6 +378,7 @@ fn sweep(c: &mut Criterion) {
         bench_width!(g, &prf, BIG_PAYLOAD_BYTES, u64, keystream_u64);
         g.finish();
     }
+    bench_homac_lanes(c, "homac_64Ki", Backend::best_available());
     bench_homac(c, "homac_64Ki", Backend::best_available());
     bench_float(c, "float_64Ki", Backend::best_available());
     bench_mask(c, "mask_64Mi", 64 << 20, Backend::best_available());
@@ -381,10 +422,11 @@ fn run_gate() -> ! {
     std::process::exit(1);
 }
 
-/// `--gate`, second half: the bulk HoMAC kernel must beat the scalar
-/// reference by [`HOMAC_MIN_SPEEDUP`] (within [`GATE_TOLERANCE`]) on both
-/// sides. Without AES-NI the bulk fill has no wide pipeline to feed, so
-/// the gate skips with a notice, like the roofline gate on a small host.
+/// `--gate`, second half: the bulk HoMAC lane kernel — the one the
+/// engine's verified packets run — must beat the scalar reference by
+/// [`HOMAC_MIN_SPEEDUP`] (within [`GATE_TOLERANCE`]) on both sides. Without
+/// AES-NI the bulk fill has no wide pipeline to feed, so the gate skips
+/// with a notice, like the roofline gate on a small host.
 fn run_homac_gate(backend: Backend) -> ! {
     if backend != Backend::AesNi {
         println!(
@@ -400,18 +442,20 @@ fn run_homac_gate(backend: Backend) -> ! {
     let mut best = [0f64; 2];
     for attempt in 1..=3 {
         let mut c = Criterion::default();
-        bench_homac(&mut c, "gate_homac", backend);
+        bench_homac_lanes(&mut c, "gate_homac", backend);
         let ns = |row: &str| {
-            let stats = c.stats(&format!("gate_homac/{row}")).expect("recorded");
+            let stats = c
+                .stats(&format!("gate_homac/lanes/{row}"))
+                .expect("recorded");
             stats.median_ns
         };
         let speedup = [
-            ns("tag/scalar") / ns("tag/bulk"),
-            ns("verify/scalar") / ns("verify/bulk"),
+            ns("seal/scalar") / ns("seal/bulk"),
+            ns("open/scalar") / ns("open/bulk"),
         ];
         println!(
-            "homac_gate attempt {attempt}: bulk is {:.2}x (tag) / {:.2}x (verify) the scalar \
-             reference at {HOMAC_WORDS} u64 words, floor {floor:.2}x",
+            "homac_gate attempt {attempt}: bulk is {:.2}x (seal) / {:.2}x (open) the scalar \
+             reference at {HOMAC_WORDS} lanes, floor {floor:.2}x",
             speedup[0], speedup[1]
         );
         if speedup.iter().all(|s| *s >= floor) {
@@ -421,7 +465,7 @@ fn run_homac_gate(backend: Backend) -> ! {
         best = [best[0].max(speedup[0]), best[1].max(speedup[1])];
     }
     eprintln!(
-        "homac_gate: FAIL — bulk tag/verify reached {:.2}x / {:.2}x the scalar reference \
+        "homac_gate: FAIL — bulk lane seal/open reached {:.2}x / {:.2}x the scalar reference \
          (floor {floor:.2}x); the tiled HoMAC kernel has regressed",
         best[0], best[1]
     );

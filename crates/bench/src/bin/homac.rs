@@ -52,10 +52,9 @@ fn main() {
     let t0 = Instant::now();
     homac.seal_lanes(&keys[0], 0, &halves, &mut sealed);
     let seal_rate = n as f64 * 4.0 / t0.elapsed().as_secs_f64();
-    let (lanes, lane_tags): (Vec<u64>, Vec<u64>) = sealed.iter().map(|[d, s]| (*d, *s)).unzip();
     let mut opened = Vec::new();
     let t0 = Instant::now();
-    let lanes_ok = homac.open_lanes(&keys[0], 0, &lanes, &lane_tags, &mut opened);
+    let lanes_ok = homac.open_lanes(&keys[0], 0, &sealed, &mut opened);
     let open_rate = n as f64 * 4.0 / t0.elapsed().as_secs_f64();
 
     println!("# §5.5 HoMAC: homomorphic result verification");
@@ -106,11 +105,11 @@ fn main() {
     );
     // A lane is a field element: +8 (2^64 mod p) is a different residue,
     // and +p is the same one, opening to the same sum.
-    let mut shifted = lanes.clone();
-    shifted[n / 2] += 8;
-    let plus_8 = homac.open_lanes(&keys[0], 0, &shifted, &lane_tags, &mut opened);
-    shifted[n / 2] += hear::core::HOMAC_P - 8;
-    let plus_p = homac.open_lanes(&keys[0], 0, &shifted, &lane_tags, &mut opened);
+    let mut shifted = sealed.clone();
+    shifted[n / 2][0] += 8;
+    let plus_8 = homac.open_lanes(&keys[0], 0, &shifted, &mut opened);
+    shifted[n / 2][0] += hear::core::HOMAC_P - 8;
+    let plus_p = homac.open_lanes(&keys[0], 0, &shifted, &mut opened);
     println!(
         "lane shifted by +8 detected: {}; by +p opens unchanged: {}",
         !plus_8,

@@ -123,10 +123,13 @@ fn message<const MODE: u8>(c: u64, k: u128, n: u128) -> u64 {
 
 /// A lane's pad: the high halves of its own and next PRF blocks, as the
 /// tag key `s − n` is their low halves. The network's sum of every rank's
-/// pad cancels to rank 0's `high64(F(base_zero + j))`.
+/// pad cancels to rank 0's `high64(F(base_zero + j))`. Unreduced, in
+/// `[p − 8, 2p + 7]`: the integer difference is the wrapping one less
+/// 2^64 on a borrow, and 2^64 ≡ 8.
 #[inline(always)]
 fn lane_pad(k: u128, n: u128) -> u64 {
-    sub_p((k >> 64) as u64, (n >> 64) as u64)
+    let (t, borrow) = ((k >> 64) as u64).overflowing_sub((n >> 64) as u64);
+    fold(t) + HOMAC_P - 8 * borrow as u64
 }
 
 /// Where a kernel puts an element's result: a tag (`u64`), a sealed lane
@@ -156,6 +159,33 @@ impl Slot for [u64; 2] {
     #[inline(always)]
     fn sealed(&mut self, lane: u64, tag: u64) {
         *self = [lane, tag];
+    }
+}
+
+/// What a verify pass reads per element: its word and its tag — a ring
+/// word and tag column side by side, or sealed `[lane, tag]` pairs.
+trait Words: Sync {
+    fn len(&self) -> usize;
+    fn at(&self, i: usize) -> (u64, u64);
+}
+
+impl<W: RingWord> Words for (&[W], &[u64]) {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    #[inline(always)]
+    fn at(&self, i: usize) -> (u64, u64) {
+        (self.0[i].to_u64(), self.1[i])
+    }
+}
+
+impl Words for [[u64; 2]] {
+    fn len(&self) -> usize {
+        self.len()
+    }
+    #[inline(always)]
+    fn at(&self, i: usize) -> (u64, u64) {
+        (self[i][0], self[i][1])
     }
 }
 
@@ -268,25 +298,24 @@ impl Homac {
 
     /// Check a batch against the key stream at `base`: every residual
     /// `s(base, first + i) − (m[i] + σ[i]·Z)` must pass [`overflow_ok`]
-    /// (`world = 1` demands it be zero). A lane's slot receives the opened
-    /// sum `c[i] − pad(base, first + i) mod p`; whatever the slots hold
-    /// after a failing batch is meaningless. Fans out like
+    /// (`world = 1` demands it be zero), `m` the [`message`] of word `i` in
+    /// `MODE` (a received lane is its own message). A lane's slot receives
+    /// the opened sum `c[i] − pad(base, first + i) mod p`; whatever the
+    /// slots hold after a failing batch is meaningless. Fans out like
     /// [`Homac::tag_batch`]; one block per element is attributed even when
     /// a failing shard stops early (failures abort the collective — only
     /// honest totals matter).
-    fn verify_batch<W: RingWord, O: Slot, const MODE: u8>(
+    fn verify_batch<I: Words + ?Sized, O: Slot, const MODE: u8>(
         &self,
         base: u128,
         first: u64,
         (shift, world): (u32, u64),
-        agg: &[W],
-        tags: &[u64],
+        input: &I,
         out: &mut [O],
     ) -> bool {
-        assert_eq!(agg.len(), tags.len());
-        assert_eq!(agg.len(), out.len());
-        let _s = hear_telemetry::span!("homac_verify", elems = agg.len());
-        hear_telemetry::add(blocks_metric(self.prf.backend()), agg.len() as u64);
+        assert_eq!(input.len(), out.len());
+        let _s = hear_telemetry::span!("homac_verify", elems = out.len());
+        hear_telemetry::add(blocks_metric(self.prf.backend()), out.len() as u64);
         let all_ok = AtomicBool::new(true);
         // The chunk kernel: one contiguous run, keys a tile at a time.
         let kernel = |start: usize, out: &mut [O]| {
@@ -294,26 +323,23 @@ impl Homac {
                 return;
             }
             let mut ks = [0u128; TILE];
-            let end = start + out.len();
-            let (cs, sigmas) = (agg[start..end].chunks(TILE), tags[start..end].chunks(TILE));
-            let tiles = cs.zip(sigmas).zip(out.chunks_mut(TILE)).enumerate();
-            let ok = tiles.into_iter().all(|(t, ((cs, sigmas), os))| {
-                let j = (first + (start + t * TILE) as u64) as u128;
-                let ks = &mut ks[..cs.len()];
-                self.prf.fill_blocks_uncounted(base.wrapping_add(j), ks);
+            let ok = out.chunks_mut(TILE).enumerate().all(|(t, os)| {
+                let at = start + t * TILE;
+                let ks = &mut ks[..os.len()];
+                self.prf
+                    .fill_blocks_uncounted(base.wrapping_add((first + at as u64) as u128), ks);
                 // Branch-free within the tile: a failure costs at most one tile.
-                let elems = cs.iter().zip(sigmas).zip(os).zip(ks);
-                elems.fold(true, |ok, (((c, sigma), o), s)| {
-                    let c = c.to_u64();
-                    let m = if MODE == LANE {
-                        c
-                    } else {
-                        message::<MODE>(c, *s, 0)
+                let elems = os.iter_mut().zip(ks).enumerate();
+                elems.fold(true, |ok, (e, (o, s))| {
+                    let (c, sigma) = input.at(at + e);
+                    let m = match MODE {
+                        LANE => c,
+                        _ => message::<MODE>(c, *s, 0),
                     };
                     if MODE == LANE {
-                        o.opened(sub_p(c, lane_pad(*s, 0)));
+                        o.opened(reduce(fold(c) + 3 * HOMAC_P - lane_pad(*s, 0)));
                     }
-                    let got = fold(m) + mul_p(*sigma, self.z); // < 2p + 7
+                    let got = fold(m) + mul_p(sigma, self.z); // < 2p + 7
                     ok & overflow_ok(reduce(fold(*s as u64) + 3 * HOMAC_P - got), shift, world)
                 })
             });
@@ -322,7 +348,7 @@ impl Homac {
             }
         };
         WorkerPool::with_current(|pool| {
-            for_each_shard(pool, out, digest_shards(pool, agg.len()), kernel)
+            for_each_shard(pool, out, digest_shards(pool, input.len()), kernel)
         });
         record_verdict(all_ok.load(Ordering::Relaxed))
     }
@@ -388,15 +414,9 @@ impl Homac {
             world.saturating_sub(1) <= (HOMAC_P - 1) >> shift,
             "HoMAC overflow test needs (world − 1)·2^{shift} < p; world = {world}"
         );
-        let verdict = &mut vec![(); agg.len()];
-        self.verify_batch::<W, (), RING>(
-            keys.base_zero(),
-            first,
-            (shift, world),
-            agg,
-            tags,
-            verdict,
-        )
+        assert_eq!(agg.len(), tags.len());
+        let (base, verdict) = (keys.base_zero(), &mut vec![(); agg.len()]);
+        self.verify_batch::<_, (), RING>(base, first, (shift, world), &(agg, tags), verdict)
     }
 
     /// Verify non-cancelling tags: reconstructs all `P` key streams and scans
@@ -436,8 +456,9 @@ impl Homac {
     /// tags. One contributor means no wrap-around: `m + σ·Z ≡ s (mod p)`
     /// must hold exactly for the cell's message `m`.
     pub fn verify_shared(&self, base: u128, first: u64, cipher: &[u64], tags: &[u64]) -> bool {
+        assert_eq!(cipher.len(), tags.len());
         let verdict = &mut vec![(); cipher.len()];
-        self.verify_batch::<u64, (), CELL>(base, first, (0, 1), cipher, tags, verdict)
+        self.verify_batch::<_, (), CELL>(base, first, (0, 1), &(cipher, tags), verdict)
     }
 
     /// Seal a run of digest lanes into `out`, one `[lane, tag]` per half:
@@ -448,7 +469,7 @@ impl Homac {
     /// pass over the PRF — the same tile kernel as [`Homac::tag_into`].
     /// The network adds lanes and tags with [`Homac::combine`].
     pub fn seal_lanes(&self, keys: &CommKeys, first: u64, halves: &[u64], out: &mut Vec<[u64; 2]>) {
-        debug_assert!(
+        assert!(
             halves.iter().all(|h| h >> 32 == 0),
             "a lane carries 32 bits"
         );
@@ -456,22 +477,22 @@ impl Homac {
         self.tag_batch::<u64, [u64; 2], LANE>(keys.base_own(), next, first, halves, out);
     }
 
-    /// Open aggregated lanes sealed by [`Homac::seal_lanes`] at `first`:
-    /// every tag must verify exactly (residual zero, no overflow
-    /// candidates), and `out` (resized to `lanes`' length) receives each
-    /// lane with rank 0's pad removed — the sum over ranks of the sealed
-    /// halves, an exact integer while `world·2³² < p`. One verify-and-
-    /// decrypt pass over `base_zero`. On `false`, `out` is meaningless.
+    /// Open the aggregate of lanes sealed by [`Homac::seal_lanes`] at
+    /// `first`, as `[lane, tag]` pairs: every tag must verify exactly
+    /// (residual zero, no overflow candidates), and `out` (resized to the
+    /// pairs' length) receives each lane with rank 0's pad removed — the
+    /// sum over ranks of the sealed halves, an exact integer while
+    /// `world·2³² < p`. One verify-and-decrypt pass over `base_zero`. On
+    /// `false`, `out` is meaningless.
     pub fn open_lanes(
         &self,
         keys: &CommKeys,
         first: u64,
-        lanes: &[u64],
-        tags: &[u64],
+        sealed: &[[u64; 2]],
         out: &mut Vec<u64>,
     ) -> bool {
-        out.resize(lanes.len(), 0);
-        self.verify_batch::<u64, u64, LANE>(keys.base_zero(), first, (0, 1), lanes, tags, out)
+        out.resize(sealed.len(), 0);
+        self.verify_batch::<_, u64, LANE>(keys.base_zero(), first, (0, 1), sealed, out)
     }
 
     /// [`Homac::seal_lanes`] by its definition, one `eval_block` per key
@@ -493,18 +514,16 @@ impl Homac {
     }
 
     /// [`Homac::open_lanes`] by its definition, one `eval_block` per lane:
-    /// `None` unless `lane + σ·Z ≡ low64(k)` for every lane, else each
+    /// `None` unless `lane + σ·Z ≡ low64(k)` for every pair, else each
     /// `lane − high64(k) mod p`, `k = F(base_zero + first + i)`.
     pub fn open_lanes_scalar(
         &self,
         keys: &CommKeys,
         first: u64,
-        lanes: &[u64],
-        tags: &[u64],
+        sealed: &[[u64; 2]],
     ) -> Option<Vec<u64>> {
-        assert_eq!(lanes.len(), tags.len());
-        (lanes.iter().zip(tags).enumerate())
-            .map(|(i, (d, sigma))| {
+        (sealed.iter().enumerate())
+            .map(|(i, [d, sigma])| {
                 let k = self.block_at(keys.base_zero(), first + i as u64);
                 let ok = add_p(*d, mul_p(*sigma, self.z)) == reduce(k as u64);
                 ok.then(|| sub_p(*d, (k >> 64) as u64))
@@ -639,6 +658,75 @@ mod tests {
             let want = mul_p(sub_p(reduce(k as u64), m), homac.z_inv);
             assert_eq!(*sigma, want, "cell {i}");
         }
+    }
+
+    /// The lane mode against its definition, one `eval_block` per key
+    /// block: with `k`, `n` the blocks of lane `j` on the own and next
+    /// streams (`n = 0` for the last rank), the sealed lane is
+    /// `m + hi(k) − hi(n)` and its tag `(lo(k) − lo(n) − lane) / Z`;
+    /// opening the aggregate checks `lane + σ·Z ≡ lo(k₀)` and returns
+    /// `lane − hi(k₀)`, `k₀` rank 0's block. Three ranks (first, middle,
+    /// last), past a tile; the scalar references agree too.
+    #[test]
+    fn lanes_match_the_scalar_definition() {
+        let homac = Homac::generate(0x1A4E, Backend::AesSoft);
+        let keys = CommKeys::generate(3, 0x1A4F, Backend::AesSoft);
+        let first = (1u64 << 48) + 5;
+        let block = |base: u128, j: usize| homac.prf.eval_block(base + (first + j as u64) as u128);
+        let (hi, lo) = (|k: u128| (k >> 64) as u64, |k: u128| k as u64);
+        let rows: Vec<Vec<u64>> = (0..3u64)
+            .map(|r| {
+                (0..300u64)
+                    .map(|j| (j * 0x9E37_79B9 + r) & 0xFFFF_FFFF)
+                    .collect()
+            })
+            .collect();
+        let mut agg = vec![[0u64; 2]; 300];
+        for (r, (keys, row)) in keys.iter().zip(&rows).enumerate() {
+            let mut sealed = Vec::new();
+            homac.seal_lanes(keys, first, row, &mut sealed);
+            assert_eq!(
+                sealed,
+                homac.seal_lanes_scalar(keys, first, row),
+                "rank {r}"
+            );
+            for (j, (m, [d, sigma])) in row.iter().zip(&sealed).enumerate() {
+                let k = block(keys.base_own(), j);
+                let n = if r == 2 {
+                    0
+                } else {
+                    block(keys.base_next(), j)
+                };
+                let want = add_p(*m, sub_p(hi(k), hi(n)));
+                assert_eq!(*d, want, "rank {r} lane {j}");
+                let key = sub_p(lo(k), lo(n));
+                assert_eq!(
+                    *sigma,
+                    mul_p(sub_p(key, want), homac.z_inv),
+                    "rank {r} tag {j}"
+                );
+                let [lane, tag] = agg[j];
+                agg[j] = [Homac::combine(lane, *d), Homac::combine(tag, *sigma)];
+            }
+        }
+        let want: Vec<u64> = (0..300)
+            .map(|j| {
+                let ([lane, tag], k0) = (agg[j], block(keys[0].base_zero(), j));
+                assert_eq!(add_p(lane, mul_p(tag, homac.z)), reduce(lo(k0)));
+                sub_p(lane, hi(k0))
+            })
+            .collect();
+        assert_eq!(
+            want,
+            (0..300)
+                .map(|j| rows.iter().map(|r| r[j]).sum())
+                .collect::<Vec<u64>>()
+        );
+        let mut opened = Vec::new();
+        assert!(homac.open_lanes(&keys[1], first, &agg, &mut opened));
+        assert_eq!(opened, want);
+        let scalar = homac.open_lanes_scalar(&keys[2], first, &agg);
+        assert_eq!(scalar, Some(want));
     }
 
     /// `c` and `c ± p` are one residue mod p: a tag over the bare word

@@ -35,8 +35,9 @@ use std::mem::MaybeUninit;
 pub const DIGEST_LANES: usize = 4;
 
 /// PRF index base for the digest side-channel: the `L` used lanes of
-/// element `j` are sealed at indices `DIGEST_BASE + j·L + lane`, far above
-/// any payload index, so payload and digest keystreams never collide.
+/// element `j` are sealed at HoMAC PRF indices `DIGEST_BASE + j·L + lane`,
+/// far above any element index, so lane blocks never meet the blocks of
+/// ring-word tags a program computes at element indices in the same epoch.
 pub const DIGEST_BASE: u64 = 1 << 48;
 
 /// The lanes a scheme actually fills, as the array the engine's packets

@@ -170,12 +170,11 @@ mod tests {
     }
 
     /// The ±p forgery of DESIGN.md "The overflow test", mounted: every
-    /// packet's digest lane moves by ±p and its payload word by ∓1, which
-    /// kept a 64-bit ring lane's int-sum digest check (p ≡ −1 mod 2³²)
-    /// consistent while the HoMAC fold could not see the lane move. A lane
-    /// is a field element now: `d ± p` opens to the honest lane sum, and
-    /// the payload's ∓1 fails the digest check. Contract: the exact sum or
-    /// a `Verification` error on every rank.
+    /// packet's digest lane moves by ±p, the same residue, and its payload
+    /// word by ∓1 (p ≡ −1 mod 2³², so a lane checked only modulo p would
+    /// agree with the int-sum payload). A field lane shifted by ±p opens to
+    /// the honest lane sum, so the payload's ∓1 fails the digest check.
+    /// Contract: the exact sum or a `Verification` error on every rank.
     #[test]
     fn a_digest_lane_shifted_by_p_is_not_a_verified_sum() {
         let shift_by_p: hear_mpi::Corruptor = Arc::new(|payload: &mut dyn Any, _| {

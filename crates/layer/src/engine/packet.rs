@@ -83,17 +83,15 @@ pub(crate) fn digest_first<S: Scheme>(offset: usize) -> u64 {
 
 /// The verified path's staging set, leased from the [`ScratchArena`] for
 /// one call: wire ciphertexts, the decrypted block, the digest lanes
-/// (plain halves on the seal side, opened sums on the open side), the
-/// sealed `[lane, tag]` pairs, and the aggregate's lane/tag columns. The
-/// packets themselves are sealed straight into the transport's chunk
-/// vectors.
+/// (plain halves on the seal side, opened sums on the open side) and the
+/// `[lane, tag]` pairs (sealed on one side, the aggregate's on the
+/// other). The packets themselves are sealed straight into the
+/// transport's chunk vectors.
 pub(crate) struct VerifyScratch<S: Scheme + 'static> {
     pub(crate) wire: Vec<S::Wire>,
     pub(crate) dec: Vec<S::Input>,
     pub(crate) lanes: Vec<u64>,
     pub(crate) sealed: Vec<[u64; 2]>,
-    pub(crate) d_agg: Vec<u64>,
-    pub(crate) s_agg: Vec<u64>,
 }
 
 impl<S: Scheme + 'static> VerifyScratch<S> {
@@ -103,8 +101,6 @@ impl<S: Scheme + 'static> VerifyScratch<S> {
             dec: arena.take_vec(),
             lanes: arena.take_vec(),
             sealed: arena.take_vec(),
-            d_agg: arena.take_vec(),
-            s_agg: arena.take_vec(),
         }
     }
 
@@ -113,8 +109,6 @@ impl<S: Scheme + 'static> VerifyScratch<S> {
         arena.put_vec(self.dec);
         arena.put_vec(self.lanes);
         arena.put_vec(self.sealed);
-        arena.put_vec(self.d_agg);
-        arena.put_vec(self.s_agg);
     }
 }
 
@@ -198,15 +192,14 @@ pub(crate) fn open_block<S: Scheme + 'static>(
     vs: &mut VerifyScratch<S>,
 ) -> Result<(), EngineError> {
     vs.wire.clear();
-    vs.d_agg.clear();
-    vs.s_agg.clear();
+    vs.sealed.clear();
     for p in agg {
         vs.wire.push(p.c.clone());
-        vs.d_agg.extend_from_slice(p.d.as_ref());
-        vs.s_agg.extend_from_slice(p.s.as_ref());
+        let pairs = p.d.as_ref().iter().zip(p.s.as_ref());
+        vs.sealed.extend(pairs.map(|(d, s)| [*d, *s]));
     }
     let first = digest_first::<S>(offset);
-    if !homac.open_lanes(keys, first, &vs.d_agg, &vs.s_agg, &mut vs.lanes) {
+    if !homac.open_lanes(keys, first, &vs.sealed, &mut vs.lanes) {
         return Err(EngineError::Verification(VerificationError));
     }
     scheme.unmask_block(keys, offset as u64, &vs.wire, &mut vs.dec);
@@ -401,8 +394,39 @@ impl CellCodec for TaggedCells {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hear_core::{FloatProdScheme, HfpFormat, IntProdScheme, IntSumScheme, IntXorScheme};
+    use hear_core::{
+        FloatProdScheme, HfpFormat, IntProdScheme, IntSumScheme, IntXorScheme, RingWord, HOMAC_P,
+    };
     use hear_prf::Backend;
+
+    /// Two ranks seal `inputs` at `offset`, and the "network" folds the
+    /// packets: the honest aggregate.
+    fn honest_aggregate<S: Scheme + 'static>(
+        scheme: &mut S,
+        homac: &Homac,
+        keys: &[CommKeys],
+        offset: usize,
+        inputs: &[Vec<S::Input>; 2],
+        vs: &mut VerifyScratch<S>,
+    ) -> Vec<SchemePacket<S>> {
+        let sealed = [0, 1].map(|r| {
+            let mut packets = Vec::new();
+            seal_block(
+                scheme,
+                homac,
+                &keys[r],
+                offset,
+                &inputs[r],
+                vs,
+                &mut packets,
+            )
+            .unwrap();
+            packets
+        });
+        (sealed[0].iter().zip(&sealed[1]))
+            .map(|(a, b)| packet_op::<S>(a, b))
+            .collect()
+    }
 
     /// Two ranks seal a block, the "network" folds the packets, rank 0
     /// opens the aggregate — then again with one bit flipped in every
@@ -420,23 +444,7 @@ mod tests {
         let mut arena = ScratchArena::default();
         let mut vs = VerifyScratch::<S>::lease(&mut arena);
         let (mut scheme, offset) = (mk(), 5);
-        let sealed = [0, 1].map(|r| {
-            let mut packets = Vec::new();
-            seal_block(
-                &mut scheme,
-                &homac,
-                &keys[r],
-                offset,
-                &inputs[r],
-                &mut vs,
-                &mut packets,
-            )
-            .unwrap();
-            packets
-        });
-        let agg: Vec<SchemePacket<S>> = (sealed[0].iter().zip(&sealed[1]))
-            .map(|(a, b)| packet_op::<S>(a, b))
-            .collect();
+        let agg = honest_aggregate(&mut scheme, &homac, &keys, offset, &inputs, &mut vs);
         open_block(&mut scheme, &homac, &keys[0], 2, offset, &agg, &mut vs)
             .unwrap_or_else(|e| panic!("{}: honest aggregate rejected: {e}", S::NAME));
         assert_eq!(vs.dec.len(), inputs[0].len());
@@ -454,6 +462,77 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The forgeries of DESIGN.md "The overflow test", on an honest
+    /// two-rank aggregate: for every element and every lane, the lane moved
+    /// by δ and the payload word by δ mod 2ᵇ, δ ∈ {±8, ±p, ±2p}. To an
+    /// overflow test on 64-bit words ±8 is one honest wrap more or less
+    /// (2⁶⁴ ≡ 8 mod p), and ±p keeps a word's residue. A field lane either
+    /// changes residue (the MAC fails) or opens to the honest sum (the
+    /// digest check sees the payload move): every shift must be rejected.
+    fn no_lane_shift_opens<S, MS>(mk: MS, inputs: [Vec<S::Input>; 2])
+    where
+        S: Scheme + 'static,
+        S::Wire: RingWord,
+        MS: Fn() -> S,
+    {
+        let keys = CommKeys::generate(2, 0x8E1F, Backend::best_available());
+        let homac = Homac::generate(0x8E20, Backend::best_available());
+        let mut arena = ScratchArena::default();
+        let mut vs = VerifyScratch::<S>::lease(&mut arena);
+        let (mut scheme, offset) = (mk(), 3);
+        let agg = honest_aggregate(&mut scheme, &homac, &keys, offset, &inputs, &mut vs);
+        open_block(&mut scheme, &homac, &keys[0], 2, offset, &agg, &mut vs)
+            .unwrap_or_else(|e| panic!("{}: honest aggregate rejected: {e}", S::NAME));
+        let p = HOMAC_P;
+        let deltas = [8, p, 2 * p].map(|d| [d, d.wrapping_neg()]).concat();
+        let mut forged = Vec::new();
+        for (i, lane, delta) in (0..agg.len())
+            .flat_map(|i| (0..S::Lanes::LANES).map(move |lane| (i, lane)))
+            .flat_map(|(i, lane)| deltas.iter().map(move |d| (i, lane, *d)))
+        {
+            let mut bad = agg.clone();
+            let d = &mut bad[i].d.as_mut()[lane];
+            *d = d.wrapping_add(delta);
+            bad[i].c = S::Wire::from_u64_trunc(bad[i].c.to_u64().wrapping_add(delta));
+            match open_block(&mut scheme, &homac, &keys[0], 2, offset, &bad, &mut vs) {
+                Err(EngineError::Verification(_)) => {}
+                other => forged.push((i, lane, delta as i64, other.is_ok())),
+            }
+        }
+        assert!(
+            forged.is_empty(),
+            "{}: {} of {} shifts not rejected (element, lane, δ, opened): {forged:?}",
+            S::NAME,
+            forged.len(),
+            agg.len() * S::Lanes::LANES * deltas.len()
+        );
+    }
+
+    #[test]
+    fn a_lane_and_payload_shifted_together_never_open() {
+        use hear_core::{FixedCodec, FixedSumScheme};
+        let ints = |r: u64| -> Vec<u64> {
+            (0..40u64)
+                .map(|j| (j + 1 + 40 * r).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect()
+        };
+        no_lane_shift_opens(
+            IntSumScheme::<u32>::default,
+            [0, 1].map(|r| ints(r).iter().map(|x| *x as u32).collect()),
+        );
+        no_lane_shift_opens(IntSumScheme::<u64>::default, [0, 1].map(ints));
+        no_lane_shift_opens(
+            || FixedSumScheme::new(FixedCodec::new(20)),
+            [0, 1].map(|r| {
+                ints(r)
+                    .iter()
+                    .map(|x| (*x >> 24) as f64 * 1e-6 - 5e5)
+                    .collect()
+            }),
+        );
+        no_lane_shift_opens(IntXorScheme::<u64>::default, [0, 1].map(ints));
     }
 
     /// What the ring ships must not depend on how a block is cut: masking

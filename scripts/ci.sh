@@ -79,9 +79,10 @@ timeout 300 cargo run --release -q -p hear-bench --bin socket_smoke
 # parseable BENCH_crypto.json (the per-commit trajectory artifact), and
 # the fused one-pass mask kernels must not be slower than the split
 # fill-then-combine path (generous 1.25x tolerance — CI shares a core).
-# The same --gate run then holds the tiled HoMAC tag/verify kernel to
-# >= 2x its scalar reference at 64 Ki u64 words on one thread (same
-# tolerance; "homac_gate: SKIP" and exit 0 without AES-NI), and after it
+# The same --gate run then holds the tiled HoMAC lane seal/open kernel
+# (what verified packets run) to >= 2x its scalar reference at 64 Ki
+# lanes on one thread (same tolerance; "homac_gate: SKIP" and exit 0
+# without AES-NI; the ring-word tag/verify rows are reported only), and after it
 # the fused FloatSum encrypt/decrypt to >= 1.5x theirs at 64 Ki fp64(2,2)
 # elements ("float_gate: SKIP" likewise), then the two-stream
 # out-of-place mask to >= 1.3x copy + two in-place passes at 64 MiB of u32

@@ -336,8 +336,11 @@ fn bulk_verify_accepts_honest_batches_and_rejects_one_flipped_bit_anywhere() {
             let (mut agg, mut tags) = (agg.clone(), tags.clone());
             let (mut cells, mut shared_tags) = (c0.clone(), shared_tags.clone());
             for &i in &points {
-                // Any bit but 3: 2^64 ≡ 8 (mod p), so ±8 on a 64-bit word is
-                // one legal wrap of the data channel, by construction.
+                // Any bit but 3, because this is the public ring-word
+                // `verify`: 2^64 ≡ 8 (mod p), so its overflow test takes ±8
+                // on a 64-bit word for one honest wrap more or less. (The
+                // engine's field lanes have no such blind spot; see
+                // `lane_open_rejects_every_flipped_bit_of_lanes_and_tags`.)
                 let bit = 1u64 << (4 + i % 57);
                 agg[i] ^= bit;
                 assert!(!homac.verify(&keys[0], first, &agg, &tags), "{ctx} c[{i}]");
@@ -357,6 +360,59 @@ fn bulk_verify_accepts_honest_batches_and_rejects_one_flipped_bit_anywhere() {
                     "{ctx} shared σ[{i}]"
                 );
                 shared_tags[i] ^= bit;
+            }
+        });
+    }
+}
+
+/// The lane mode of the kernel, sealed and opened on every pool, against
+/// its scalar reference (one `eval_block` per key block) across every tile
+/// and shard boundary of `KERNEL_LENS`; then every bit position 0..64 —
+/// bit 3 included — flipped in a lane and in a tag, spread over the tamper
+/// points. A lane is a field element below p, so a flip moves it by a
+/// nonzero residue `±2^b mod p` and the exact open must reject each one.
+#[test]
+fn lane_open_rejects_every_flipped_bit_of_lanes_and_tags() {
+    let keys = CommKeys::generate(2, SEED ^ 0x0AC5, Backend::best_available());
+    let homac = Homac::generate(SEED ^ 0x0AC6, Backend::best_available());
+    let mut rng = TestRng::new(SEED ^ 2);
+    for n in KERNEL_LENS {
+        let first = rng.next_u64() >> 20;
+        let halves = [0, 1].map(|_| {
+            let words = random_words(&mut rng, n);
+            words.iter().map(|w| w >> 32).collect::<Vec<u64>>()
+        });
+        let sealed = [0, 1].map(|r| homac.seal_lanes_scalar(&keys[r], first, &halves[r]));
+        let agg: Vec<[u64; 2]> = (sealed[0].iter().zip(&sealed[1]))
+            .map(|([d0, s0], [d1, s1])| [Homac::combine(*d0, *d1), Homac::combine(*s0, *s1)])
+            .collect();
+        let sums: Vec<u64> = (halves[0].iter().zip(&halves[1]))
+            .map(|(a, b)| a + b)
+            .collect();
+        let scalar = homac.open_lanes_scalar(&keys[0], first, &agg);
+        assert_eq!(scalar.as_ref(), Some(&sums), "scalar n={n}");
+        let points = if n == 0 { Vec::new() } else { tamper_points(n) };
+        on_every_pool(|threads| {
+            let ctx = format!("n={n} threads={threads}");
+            for r in [0, 1] {
+                let mut out = vec![[0xDEAD; 2]; 3];
+                homac.seal_lanes(&keys[r], first, &halves[r], &mut out);
+                assert!(out == sealed[r], "{ctx} seal rank {r}");
+            }
+            let mut opened = vec![0xDEAD; 3];
+            assert!(
+                homac.open_lanes(&keys[0], first, &agg, &mut opened),
+                "{ctx}"
+            );
+            assert!(opened == sums, "{ctx} open");
+            let mut agg = agg.clone();
+            for (b, i) in (0..64).zip(points.iter().cycle()) {
+                for (column, name) in [(0, "lane"), (1, "σ")] {
+                    agg[*i][column] ^= 1 << b;
+                    let ok = homac.open_lanes(&keys[0], first, &agg, &mut opened);
+                    assert!(!ok, "{ctx} {name}[{i}] bit {b}");
+                    agg[*i][column] ^= 1 << b;
+                }
             }
         });
     }
