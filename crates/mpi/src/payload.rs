@@ -272,13 +272,41 @@ fn bytes_of_mut<T: Pod>(v: &mut [T]) -> &mut [u8] {
     unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast(), std::mem::size_of_val(v)) }
 }
 
-/// A zeroed `Vec<T>` whose byte image is `bytes` long, ready to be filled
-/// through [`bytes_of_mut`]; `None` when `bytes` is not a whole number of
-/// elements.
-fn pod_zeroed<T: Pod>(bytes: usize) -> Option<Vec<T>> {
-    bytes
-        .is_multiple_of(std::mem::size_of::<T>())
-        .then(|| vec![T::default(); bytes / std::mem::size_of::<T>()])
+/// The most a receive allocates before the bytes that fill it arrive. A
+/// frame header may claim up to `MAX_FRAME_LEN`; a peer that claims
+/// 200 MiB and sends 1 KiB must not cost 200 MiB. Frames up to this size
+/// keep one exact allocation.
+pub(crate) const UPFRONT_BYTES: usize = 1 << 20;
+
+/// Read `bytes` bytes of wire image into a `Vec<T>`: zeroed, at most
+/// [`UPFRONT_BYTES`] up front, doubled (capped at `bytes`) only once what
+/// it holds has arrived — no allocation exceeds the bytes received plus
+/// one growth step. `None` (nothing consumed) when `bytes` is not a whole
+/// number of elements; a stream that ends early is `UnexpectedEof`.
+fn pod_read_exact<T: Pod>(bytes: usize, r: &mut impl Read) -> Option<std::io::Result<Vec<T>>> {
+    let size = std::mem::size_of::<T>();
+    if !bytes.is_multiple_of(size) {
+        return None;
+    }
+    let n = bytes / size;
+    let mut v = vec![T::default(); n.min(UPFRONT_BYTES / size)];
+    let mut filled = 0;
+    Some(loop {
+        if let Err(e) = r.read_exact(bytes_of_mut(&mut v[filled..])) {
+            break Err(e);
+        }
+        filled = v.len();
+        if filled == n {
+            break Ok(v);
+        }
+        v.resize(n.min(2 * filled), T::default());
+    })
+}
+
+/// A frame's `len` payload bytes as they arrived, for a codec to decode
+/// later ([`pod_read_exact`]'s growth bound).
+pub(crate) fn read_bytes(len: usize, r: &mut impl Read) -> std::io::Result<Vec<u8>> {
+    pod_read_exact::<u8>(len, r).expect("every length is whole bytes")
 }
 
 /// Turn a wire image just written through [`bytes_of_mut`] into native
@@ -309,8 +337,7 @@ fn pod_damage<T: Pod>(x: &mut T, word: u64) {
 }
 
 fn pod_read<T: Pod>(len: usize, r: &mut impl Read) -> Option<std::io::Result<Box<dyn Any + Send>>> {
-    let mut v = pod_zeroed::<T>(len)?;
-    Some(r.read_exact(bytes_of_mut(&mut v)).map(|()| {
+    Some(pod_read_exact::<T>(len, r)?.map(|mut v| {
         pod_from_wire(&mut v);
         Box::new(v) as Box<dyn Any + Send>
     }))

@@ -532,17 +532,7 @@ impl Inner {
             std::io::copy(&mut r.by_ref().take(len as u64), &mut std::io::sink())?;
             return Ok(());
         }
-        let payload = match payload::read_primitive(header.type_id, len, r) {
-            Some(typed) => typed?,
-            None => {
-                let mut bytes = vec![0u8; len];
-                r.read_exact(&mut bytes)?;
-                Box::new(RawPayload {
-                    wire_id: header.type_id,
-                    bytes,
-                })
-            }
-        };
+        let payload = read_message(&header, r)?;
         let to = header.to as usize;
         if to < self.total {
             let extra = Duration::from_nanos(header.delay_ns as u64);
@@ -550,6 +540,21 @@ impl Inner {
         }
         Ok(())
     }
+}
+
+/// A `Msg` frame's payload, straight off the connection: a typed vector
+/// for a primitive type id, the raw bytes otherwise. A receive allocates
+/// as the bytes arrive, never the whole length a header claims up front
+/// (`payload::UPFRONT_BYTES`).
+fn read_message(header: &FrameHeader, r: &mut impl Read) -> std::io::Result<Box<dyn Any + Send>> {
+    let len = header.len as usize;
+    Ok(match payload::read_primitive(header.type_id, len, r) {
+        Some(typed) => typed?,
+        None => Box::new(RawPayload {
+            wire_id: header.type_id,
+            bytes: payload::read_bytes(len, r)?,
+        }),
+    })
 }
 
 /// A connection's read side as its reader thread sees it: every
@@ -1531,5 +1536,105 @@ mod tests {
             "elapsed {:?}",
             t0.elapsed()
         );
+    }
+
+    // The largest single allocation this thread has made: a counting
+    // global allocator for this crate's unit tests, thread-local so the
+    // reader threads and parallel tests never pollute a test's reading.
+    mod peak {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static PEAK: Cell<usize> = const { Cell::new(0) };
+        }
+
+        // `try_with`: the allocator also runs during TLS teardown.
+        fn note(bytes: usize) {
+            let _ = PEAK.try_with(|p| p.set(p.get().max(bytes)));
+        }
+
+        pub(super) struct PeakAlloc;
+
+        unsafe impl GlobalAlloc for PeakAlloc {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                unsafe { System.alloc(layout) }
+            }
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                unsafe { System.alloc_zeroed(layout) }
+            }
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                unsafe { System.dealloc(ptr, layout) }
+            }
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        /// The largest allocation this thread made while `f` ran.
+        pub(super) fn during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+            PEAK.with(|p| p.set(0));
+            let r = f();
+            (r, PEAK.with(Cell::get))
+        }
+    }
+
+    #[global_allocator]
+    static PEAK_ALLOC: peak::PeakAlloc = peak::PeakAlloc;
+
+    /// A header that claims 200 MiB, 1 KiB of payload, then EOF: a typed
+    /// error, no panic, and no allocation past the bytes received plus one
+    /// growth step — for a primitive type id (read straight into its typed
+    /// vector) and for a codec id (read as raw bytes). Over a live link the
+    /// peer behind the lie is dead and nobody else is.
+    #[test]
+    fn a_frame_claiming_200_mib_allocates_as_its_bytes_arrive() {
+        const CLAIM: u32 = 200 << 20;
+        const SENT: usize = 1 << 10;
+        let (u64_id, _) = wire::encode_payload(&vec![0u64]);
+        for type_id in [u64_id, 0x3FFF_FFF0] {
+            let header = FrameHeader {
+                kind: FrameKind::Msg,
+                type_id,
+                from: 1,
+                to: 0,
+                tag: 1,
+                delay_ns: 0,
+                len: CLAIM,
+            };
+            let mut stream = header.encode().to_vec();
+            stream.extend(std::iter::repeat_n(0xA5, SENT));
+            let (got, peak) = peak::during(|| {
+                let mut r = &stream[..];
+                let mut head = [0u8; HEADER_LEN];
+                r.read_exact(&mut head).unwrap();
+                let header = FrameHeader::decode(&head).expect("a legal length");
+                read_message(&header, &mut r).map(|_| ())
+            });
+            let err = got.expect_err("the payload ended early");
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::UnexpectedEof,
+                "{type_id:#x}"
+            );
+            assert!(
+                peak <= SENT + payload::UPFRONT_BYTES,
+                "{type_id:#x}: allocated {peak} B for {SENT} B received"
+            );
+        }
+
+        let (t, mut far) = raw_link(3, PATIENT);
+        let mut liar = msg_frame(1, 0, 1, &[0; SENT / 8]);
+        liar[28..32].copy_from_slice(&CLAIM.to_le_bytes());
+        far.write_all(&liar).unwrap();
+        far.shutdown(Shutdown::Write).unwrap();
+        assert_eq!(
+            t.recv_on(0, 1, 1, far_future()).unwrap_err(),
+            CommError::PeerDead { peer: 1 }
+        );
+        assert!(!t.is_dead(0) && !t.is_dead(2));
     }
 }
