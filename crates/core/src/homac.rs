@@ -132,63 +132,6 @@ fn lane_pad(k: u128, n: u128) -> u64 {
     fold(t) + HOMAC_P - 8 * borrow as u64
 }
 
-/// Where a kernel puts an element's result: a tag (`u64`), a sealed lane
-/// and its tag (`[u64; 2]`), an opened lane sum (`u64`), or nothing (`()`,
-/// a verdict alone).
-trait Slot: Copy + Default + Send {
-    #[inline(always)]
-    fn sealed(&mut self, _lane: u64, _tag: u64) {}
-    #[inline(always)]
-    fn opened(&mut self, _sum: u64) {}
-}
-
-impl Slot for () {}
-
-impl Slot for u64 {
-    #[inline(always)]
-    fn sealed(&mut self, _lane: u64, tag: u64) {
-        *self = tag;
-    }
-    #[inline(always)]
-    fn opened(&mut self, sum: u64) {
-        *self = sum;
-    }
-}
-
-impl Slot for [u64; 2] {
-    #[inline(always)]
-    fn sealed(&mut self, lane: u64, tag: u64) {
-        *self = [lane, tag];
-    }
-}
-
-/// What a verify pass reads per element: its word and its tag — a ring
-/// word and tag column side by side, or sealed `[lane, tag]` pairs.
-trait Words: Sync {
-    fn len(&self) -> usize;
-    fn at(&self, i: usize) -> (u64, u64);
-}
-
-impl<W: RingWord> Words for (&[W], &[u64]) {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    #[inline(always)]
-    fn at(&self, i: usize) -> (u64, u64) {
-        (self.0[i].to_u64(), self.1[i])
-    }
-}
-
-impl Words for [[u64; 2]] {
-    fn len(&self) -> usize {
-        self.len()
-    }
-    #[inline(always)]
-    fn at(&self, i: usize) -> (u64, u64) {
-        (self[i][0], self[i][1])
-    }
-}
-
 fn record_verdict(ok: bool) -> bool {
     hear_telemetry::incr(if ok { HomacVerifyPass } else { HomacVerifyFail });
     ok
@@ -247,27 +190,30 @@ impl Homac {
         self.prf.eval_block(base.wrapping_add(j as u128))
     }
 
-    /// Tag a batch into `out`: `out[i] = (s(own, j) − s(next, j) − m[i]) / Z`
-    /// at `j = first + i`, `m` the [`message`] of `cipher[i]` in `MODE`,
-    /// the second stream only for the cancelling variant; a lane's slot
-    /// also receives the sealed lane `m`. Fanned out over the current
-    /// worker pool above [`PAR_MIN_ELEMS`]: tags are pure in `(base, j)`
-    /// like the pads, so index ranges compute bit-identically on any
-    /// thread. Workers have no registry context; this thread attributes the
-    /// exact block total up front.
-    fn tag_batch<W: RingWord, O: Slot, const MODE: u8>(
+    /// Tag a batch: `σ[i] = (s(own, j) − s(next, j) − m[i]) / Z` at
+    /// `j = first + i`, `m` the [`message`] of `cipher[i]` in `MODE`, the
+    /// second stream only for the cancelling variant; `put(&mut out[i], m,
+    /// σ)` stores what the caller keeps (the tag, or a sealed lane and its
+    /// tag). Fanned out over the current worker pool above
+    /// [`PAR_MIN_ELEMS`]: tags are pure in `(base, j)` like the pads, so
+    /// index ranges compute bit-identically on any thread. Workers have no
+    /// registry context; this thread attributes the exact block total up
+    /// front.
+    fn tag_batch<W: RingWord, O: Default + Send, const MODE: u8>(
         &self,
         own: u128,
         next: Option<u128>,
         first: u64,
         cipher: &[W],
         out: &mut Vec<O>,
+        put: impl Fn(&mut O, u64, u64) + Sync,
     ) {
         let _s = hear_telemetry::span!("homac_tag", elems = cipher.len());
         let blocks = (1 + next.is_some() as u64) * cipher.len() as u64;
         hear_telemetry::add(blocks_metric(self.prf.backend()), blocks);
-        out.resize(cipher.len(), O::default()); // every slot is overwritten below
-                                                // The chunk kernel: one contiguous run, keys a tile at a time.
+        // Every slot is overwritten below.
+        out.resize_with(cipher.len(), O::default);
+        // The chunk kernel: one contiguous run, keys a tile at a time.
         let kernel = |start: usize, out: &mut [O]| {
             let mut ks = [0u128; TILE];
             // Stays zero without a second stream: nothing to subtract below.
@@ -287,7 +233,7 @@ impl Homac {
                     let (k, b1) = (*s as u64).overflowing_sub(*n as u64);
                     let (k, b2) = k.overflowing_sub(m);
                     let diff = fold(k) + HOMAC_P - 8 * (b1 as u64 + b2 as u64);
-                    o.sealed(m, mul_p(diff, self.z_inv));
+                    put(o, m, mul_p(diff, self.z_inv));
                 }
             }
         };
@@ -296,24 +242,24 @@ impl Homac {
         });
     }
 
-    /// Check a batch against the key stream at `base`: every residual
-    /// `s(base, first + i) − (m[i] + σ[i]·Z)` must pass [`overflow_ok`]
-    /// (`world = 1` demands it be zero), `m` the [`message`] of word `i` in
-    /// `MODE` (a received lane is its own message). A lane's slot receives
-    /// the opened sum `c[i] − pad(base, first + i) mod p`; whatever the
-    /// slots hold after a failing batch is meaningless. Fans out like
-    /// [`Homac::tag_batch`]; one block per element is attributed even when
-    /// a failing shard stops early (failures abort the collective — only
-    /// honest totals matter).
-    fn verify_batch<I: Words + ?Sized, O: Slot, const MODE: u8>(
+    /// Check a batch against the key stream at `base`: with `(c, σ) =
+    /// word(i)`, every residual `s(base, first + i) − (m + σ·Z)` must pass
+    /// [`overflow_ok`] (`world = 1` demands it be zero), `m` the
+    /// [`message`] of `c` in `MODE` (a received lane is its own message).
+    /// A lane's opened sum `c − pad(base, first + i) mod p` goes to
+    /// `put(&mut out[i], ·)`; whatever `out` holds after a failing batch is
+    /// meaningless. Fans out like [`Homac::tag_batch`]; one block per
+    /// element is attributed even when a failing shard stops early
+    /// (failures abort the collective — only honest totals matter).
+    fn verify_batch<O: Send, const MODE: u8>(
         &self,
         base: u128,
         first: u64,
         (shift, world): (u32, u64),
-        input: &I,
+        word: impl Fn(usize) -> (u64, u64) + Sync,
         out: &mut [O],
+        put: impl Fn(&mut O, u64) + Sync,
     ) -> bool {
-        assert_eq!(input.len(), out.len());
         let _s = hear_telemetry::span!("homac_verify", elems = out.len());
         hear_telemetry::add(blocks_metric(self.prf.backend()), out.len() as u64);
         let all_ok = AtomicBool::new(true);
@@ -331,13 +277,13 @@ impl Homac {
                 // Branch-free within the tile: a failure costs at most one tile.
                 let elems = os.iter_mut().zip(ks).enumerate();
                 elems.fold(true, |ok, (e, (o, s))| {
-                    let (c, sigma) = input.at(at + e);
+                    let (c, sigma) = word(at + e);
                     let m = match MODE {
                         LANE => c,
                         _ => message::<MODE>(c, *s, 0),
                     };
                     if MODE == LANE {
-                        o.opened(reduce(fold(c) + 3 * HOMAC_P - lane_pad(*s, 0)));
+                        put(o, reduce(fold(c) + 3 * HOMAC_P - lane_pad(*s, 0)));
                     }
                     let got = fold(m) + mul_p(sigma, self.z); // < 2p + 7
                     ok & overflow_ok(reduce(fold(*s as u64) + 3 * HOMAC_P - got), shift, world)
@@ -348,7 +294,8 @@ impl Homac {
             }
         };
         WorkerPool::with_current(|pool| {
-            for_each_shard(pool, out, digest_shards(pool, input.len()), kernel)
+            let nshards = digest_shards(pool, out.len());
+            for_each_shard(pool, out, nshards, kernel)
         });
         record_verdict(all_ok.load(Ordering::Relaxed))
     }
@@ -370,7 +317,8 @@ impl Homac {
         out: &mut Vec<u64>,
     ) {
         let next = (!keys.is_last()).then(|| keys.base_next());
-        self.tag_batch::<W, u64, RING>(keys.base_own(), next, first, cipher, out);
+        let own = keys.base_own();
+        self.tag_batch::<W, u64, RING>(own, next, first, cipher, out, |o, _, tag| *o = tag);
     }
 
     /// Non-cancelling tags (Θ(P) verification via [`Homac::verify_plain`]).
@@ -415,8 +363,9 @@ impl Homac {
             "HoMAC overflow test needs (world − 1)·2^{shift} < p; world = {world}"
         );
         assert_eq!(agg.len(), tags.len());
+        let word = |i: usize| (agg[i].to_u64(), tags[i]);
         let (base, verdict) = (keys.base_zero(), &mut vec![(); agg.len()]);
-        self.verify_batch::<_, (), RING>(base, first, (shift, world), &(agg, tags), verdict)
+        self.verify_batch::<(), RING>(base, first, (shift, world), word, verdict, |_, _| {})
     }
 
     /// Verify non-cancelling tags: reconstructs all `P` key streams and scans
@@ -449,7 +398,7 @@ impl Homac {
     /// other than the tagged one verifies (a tag over the bare word would
     /// also accept the cell shifted by `p`).
     pub fn tag_shared(&self, base: u128, first: u64, cipher: &[u64], out: &mut Vec<u64>) {
-        self.tag_batch::<u64, u64, CELL>(base, None, first, cipher, out);
+        self.tag_batch::<u64, u64, CELL>(base, None, first, cipher, out, |o, _, tag| *o = tag);
     }
 
     /// Verify single-origin ciphertexts against [`Homac::tag_shared`]
@@ -457,8 +406,8 @@ impl Homac {
     /// must hold exactly for the cell's message `m`.
     pub fn verify_shared(&self, base: u128, first: u64, cipher: &[u64], tags: &[u64]) -> bool {
         assert_eq!(cipher.len(), tags.len());
-        let verdict = &mut vec![(); cipher.len()];
-        self.verify_batch::<_, (), CELL>(base, first, (0, 1), &(cipher, tags), verdict)
+        let (word, verdict) = (|i: usize| (cipher[i], tags[i]), &mut vec![(); cipher.len()]);
+        self.verify_batch::<(), CELL>(base, first, (0, 1), word, verdict, |_, _| {})
     }
 
     /// Seal a run of digest lanes into `out`, one `[lane, tag]` per half:
@@ -474,7 +423,8 @@ impl Homac {
             "a lane carries 32 bits"
         );
         let next = (!keys.is_last()).then(|| keys.base_next());
-        self.tag_batch::<u64, [u64; 2], LANE>(keys.base_own(), next, first, halves, out);
+        let put = |o: &mut [u64; 2], lane, tag| *o = [lane, tag];
+        self.tag_batch::<u64, _, LANE>(keys.base_own(), next, first, halves, out, put);
     }
 
     /// Open the aggregate of lanes sealed by [`Homac::seal_lanes`] at
@@ -492,7 +442,8 @@ impl Homac {
         out: &mut Vec<u64>,
     ) -> bool {
         out.resize(sealed.len(), 0);
-        self.verify_batch::<_, u64, LANE>(keys.base_zero(), first, (0, 1), sealed, out)
+        let (base, word) = (keys.base_zero(), |i: usize| (sealed[i][0], sealed[i][1]));
+        self.verify_batch::<u64, LANE>(base, first, (0, 1), word, out, |o, sum| *o = sum)
     }
 
     /// [`Homac::seal_lanes`] by its definition, one `eval_block` per key
