@@ -57,9 +57,10 @@ fn reduce(x: u64) -> u64 {
     fold(x).checked_sub(HOMAC_P).unwrap_or(fold(x))
 }
 
+/// Two folds sum below 2^62 + 14, whose fold one subtract canonicalizes.
 #[inline]
 fn add_p(a: u64, b: u64) -> u64 {
-    reduce(reduce(a) + reduce(b))
+    reduce(fold(a) + fold(b))
 }
 
 #[inline]
@@ -110,13 +111,14 @@ const LANE: u8 = 2;
 /// one residue, so the bare word would let a cell shifted by `p` keep its
 /// tag; two halves below 2³² under a secret `Y` collide only when the
 /// cells are equal, or with probability 1/p); for a lane half `m < 2³²`
-/// the sealed lane `m + pad mod p` ([`lane_pad`]). A received lane is
-/// already that sum: verification passes lanes through as ring words.
+/// the sealed lane `m + pad` ([`lane_pad`]), left unreduced (below 2^63)
+/// so the tag need not wait for its reduction. A received lane is already
+/// that sum: verification passes lanes through as ring words.
 #[inline(always)]
 fn message<const MODE: u8>(c: u64, k: u128, n: u128) -> u64 {
     match MODE {
         CELL => (c & 0xFFFF_FFFF) + mul_p((k >> 64) as u64, c >> 32),
-        LANE => reduce(c + lane_pad(k, n)),
+        LANE => c + lane_pad(k, n),
         _ => c,
     }
 }
@@ -423,7 +425,7 @@ impl Homac {
             "a lane carries 32 bits"
         );
         let next = (!keys.is_last()).then(|| keys.base_next());
-        let put = |o: &mut [u64; 2], lane, tag| *o = [lane, tag];
+        let put = |o: &mut [u64; 2], lane, tag| *o = [reduce(lane), tag];
         self.tag_batch::<u64, _, LANE>(keys.base_own(), next, first, halves, out, put);
     }
 

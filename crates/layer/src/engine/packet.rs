@@ -61,9 +61,11 @@ pub(crate) use for_each_packet_shape;
 /// threads — can carry it as a plain function pointer.
 pub(crate) fn packet_op<S: Scheme>(a: &SchemePacket<S>, b: &SchemePacket<S>) -> SchemePacket<S> {
     let (mut d, mut s) = (a.d, a.s);
-    let ours = d.as_mut().iter_mut().chain(s.as_mut());
-    for (x, y) in ours.zip(b.d.as_ref().iter().chain(b.s.as_ref())) {
-        *x = Homac::combine(*x, *y);
+    for (d, bd) in d.as_mut().iter_mut().zip(b.d.as_ref()) {
+        *d = Homac::combine(*d, *bd);
+    }
+    for (s, bs) in s.as_mut().iter_mut().zip(b.s.as_ref()) {
+        *s = Homac::combine(*s, *bs);
     }
     Packet {
         c: S::op(&a.c, &b.c),
@@ -157,9 +159,9 @@ pub(crate) fn seal_block<S: Scheme + 'static>(
 
 /// [`seal_block`] chunk by chunk into the vectors the transport moves:
 /// chunk `c` of the block `input` (at global `offset`) is sealed at
-/// `offset + s_c`, so payload pads and lane indices are
-/// the whole block's — the packets on the wire do not change. Like
-/// [`super::mask_chunks`], every vector gets room for the largest chunk.
+/// `offset + s_c`, so payload pads and lane indices are the whole block's
+/// — the packets on the wire do not change. Like [`super::mask_chunks`],
+/// every vector gets room for the largest chunk.
 pub(crate) fn seal_chunks<S: Scheme + 'static>(
     scheme: &mut S,
     homac: &Homac,
