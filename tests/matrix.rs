@@ -740,8 +740,62 @@ where
 /// means to alter the wire re-records them and says so.
 #[test]
 fn the_ring_ships_the_ciphertext_it_always_did() {
-    const GOLDEN: [[(u64, u64); 2]; 3] = WIRE_GOLDEN;
     let ints = |r: usize, j: u64| (j + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (r as u64) << 7;
+    let got = wire_cells(|collective, cfg| {
+        vec![
+            wire_fingerprint(
+                IntSumScheme::<u32>::default,
+                |r, j| ints(r, j) as u32,
+                collective,
+                cfg,
+            ),
+            wire_fingerprint(IntXorScheme::<u64>::default, ints, collective, cfg),
+            wire_fingerprint(
+                || FloatSumScheme::new(HfpFormat::fp32(2, 2)),
+                |r, j| (j as f64 - 11.0) * 0.375 + r as f64,
+                collective,
+                cfg,
+            ),
+        ]
+    });
+    assert_eq!(
+        got, WIRE_GOLDEN,
+        "the wire changed: [allreduce, reduce-scatter, allgather] × [plain, verified]"
+    );
+}
+
+/// The fp64 layouts next to [`WIRE_GOLDEN`]'s fp32 one: the sum layout
+/// the sharded-SGD step runs and the product layout with a 53-bit
+/// significand, whose ⊗ and ⊘ round on every element. Recorded on the
+/// code before the float kernels moved onto the FPU, which must ship the
+/// same bits.
+#[test]
+fn the_fp64_float_rings_ship_the_ciphertext_they_always_did() {
+    let got = wire_cells(|collective, cfg| {
+        vec![
+            wire_fingerprint(
+                || FloatSumScheme::new(HfpFormat::fp64(2, 2)),
+                |r, j| (j as f64 - 11.0) * 0.375 + r as f64 / 3.0,
+                collective,
+                cfg,
+            ),
+            wire_fingerprint(
+                || FloatProdScheme::new(HfpFormat::fp64(0, 0)),
+                |r, j| 0.75 + j as f64 / 7.0 - r as f64 / 5.0,
+                collective,
+                cfg,
+            ),
+        ]
+    });
+    assert_eq!(
+        got, WIRE_GOLDEN_FP64,
+        "the fp64 wire changed: [allreduce, reduce-scatter, allgather] × [plain, verified]"
+    );
+}
+
+/// Sum `prints(collective, cfg)` over the three chunk modes into one
+/// `(messages, hash)` cell per [collective][plain, verified].
+fn wire_cells(prints: impl Fn(usize, EngineCfg) -> Vec<(u64, u64)>) -> [[(u64, u64); 2]; 3] {
     let mut got = [[(0u64, 0u64); 2]; 3];
     for (collective, row) in got.iter_mut().enumerate() {
         for (verified, cell) in row.iter_mut().enumerate() {
@@ -756,22 +810,7 @@ fn the_ring_ships_the_ciphertext_it_always_did() {
                 } else {
                     chunk
                 };
-                let prints = [
-                    wire_fingerprint(
-                        IntSumScheme::<u32>::default,
-                        |r, j| ints(r, j) as u32,
-                        collective,
-                        cfg,
-                    ),
-                    wire_fingerprint(IntXorScheme::<u64>::default, ints, collective, cfg),
-                    wire_fingerprint(
-                        || FloatSumScheme::new(HfpFormat::fp32(2, 2)),
-                        |r, j| (j as f64 - 11.0) * 0.375 + r as f64,
-                        collective,
-                        cfg,
-                    ),
-                ];
-                for (s, (msgs, hash)) in prints.into_iter().enumerate() {
+                for (s, (msgs, hash)) in prints(collective, cfg).into_iter().enumerate() {
                     // Salt by row so two rows cannot trade payloads.
                     let salted = hash.rotate_left((3 * c + s) as u32 * 7);
                     *cell = (cell.0 + msgs, cell.1.wrapping_add(salted));
@@ -779,10 +818,7 @@ fn the_ring_ships_the_ciphertext_it_always_did() {
             }
         }
     }
-    assert_eq!(
-        got, GOLDEN,
-        "the wire changed: [allreduce, reduce-scatter, allgather] × [plain, verified]"
-    );
+    got
 }
 
 /// See [`the_ring_ships_the_ciphertext_it_always_did`]. The verified
@@ -796,6 +832,13 @@ const WIRE_GOLDEN: [[(u64, u64); 2]; 3] = [
     [(360, 586154157334700590), (360, 1273394434798148319)],
     [(180, 12457890671684293508), (180, 7360872030798294580)],
     [(234, 7176228208755082272), (234, 7291702589270701377)],
+];
+
+/// See [`the_fp64_float_rings_ship_the_ciphertext_they_always_did`].
+const WIRE_GOLDEN_FP64: [[(u64, u64); 2]; 3] = [
+    [(240, 17429570738130253248), (240, 13901483091155442711)],
+    [(120, 4725613288271984713), (120, 8273558087446879453)],
+    [(156, 2301027528547359245), (156, 2358120745988007541)],
 ];
 
 // ---- randomized cell picking (satellite #3) ----------------------------
