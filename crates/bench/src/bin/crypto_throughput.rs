@@ -7,7 +7,8 @@
 //! crypto_throughput            # full sweep, writes BENCH_crypto.json
 //! crypto_throughput --gate     # fused must not be slower than split,
 //!                              # bulk HoMAC lanes ≥ 2× the scalar reference,
-//!                              # fused float cipher ≥ 1.5× its reference,
+//!                              # fused float cipher ≥ 3× its reference,
+//!                              # FPU ⊕ fold ≥ 1.25× the integer reference,
 //!                              # two-stream out-of-place mask ≥ 1.3× copy
 //!                              # + two in-place passes at 64 MiB,
 //!                              # VAES tile ≥ 1.2× the 128-bit tile at 1 MiB
@@ -33,9 +34,9 @@
 //!
 //! The `float_64Ki` rows time §5.3's float SUM over 64 Ki fp64(2, 2)
 //! elements on one thread: the fused `FloatSum` encrypt / decrypt and the
-//! branch-free `ops::add` fold against the scalar reference they are
-//! tested against (`noise_at` one block at a time, `hear_hfp`'s
-//! `ops::reference` kernels, `to_f64_by_scaling`).
+//! `ops::add` fold, whose significand work runs on the FPU, against the
+//! integer reference they are tested against (`noise_at` one block at a
+//! time, `hear_hfp`'s `ops::reference` kernels, `to_f64_by_scaling`).
 //!
 //! The `mask_64Mi` / `mask_1Mi` rows time the integer engine's mask and
 //! unmask as whole-payload passes over `u32` on one thread: the N-stream
@@ -153,10 +154,17 @@ fn bench_homac_lanes(c: &mut Criterion, group: &str, backend: Backend) {
 const FLOAT_ELEMS: usize = 64 * 1024;
 
 /// `--gate` floor for the fused float cipher over its scalar reference
-/// (before [`GATE_TOLERANCE`]). Measured ≈ 2.5× encrypt / ≈ 1.9× decrypt on
-/// AES-NI; the fold row is reported but not gated (its margin is the
-/// branch predictor's, which a shared CI core does not repeat).
-const FLOAT_MIN_SPEEDUP: f64 = 1.5;
+/// (before [`GATE_TOLERANCE`]), encrypt and decrypt. Measured 4.7–7.3× encrypt /
+/// 3.8–5.4× decrypt on AES-NI (three fast-budget gate runs) with the
+/// significands on the FPU.
+const FLOAT_MIN_SPEEDUP: f64 = 3.0;
+
+/// `--gate` floor for the ⊕ fold over the integer reference's (before
+/// [`GATE_TOLERANCE`]). The fold has no data-dependent jump left (the
+/// reference has one per rounding decision and a three-way ordering), so
+/// its margin no longer rests on the branch predictor. Measured 1.6–2.4×
+/// in the same runs (the fold streams 6 MiB, so the host's memory shows).
+const FLOAT_ADD_MIN_SPEEDUP: f64 = 1.25;
 
 /// Encrypt, decrypt and ⊕-fold rows, fused vs scalar, on the sharded-SGD
 /// layout. The aggregate is two ranks' ciphertexts folded, as the ring
@@ -198,7 +206,7 @@ fn bench_float(c: &mut Criterion, group: &str, backend: Backend) {
     });
     assert_eq!(ct, ct_ref, "fused encrypt must equal the scalar reference");
     let mut agg = ct.clone();
-    g.bench_function("add/branch_free", |b| {
+    g.bench_function("add/fpu", |b| {
         b.iter(|| {
             for ((s, a), o) in agg.iter_mut().zip(&ct).zip(&other) {
                 *s = ops::add(a, o);
@@ -213,10 +221,7 @@ fn bench_float(c: &mut Criterion, group: &str, backend: Backend) {
             }
         })
     });
-    assert_eq!(
-        agg, agg_ref,
-        "branch-free add must equal the scalar reference"
-    );
+    assert_eq!(agg, agg_ref, "FPU add must equal the integer reference");
     let mut pt = Vec::new();
     g.bench_function("decrypt/fused", |b| {
         b.iter(|| cipher.decrypt_f64(&keys[0], 0, &agg, &mut pt))
@@ -473,13 +478,15 @@ fn run_homac_gate(backend: Backend) -> ! {
 }
 
 /// `--gate`, third part: the fused float cipher must beat its scalar
-/// reference by [`FLOAT_MIN_SPEEDUP`] (within [`GATE_TOLERANCE`]) on encrypt
-/// and decrypt. Reached only where the HoMAC gate ran (AES-NI; it prints
-/// this gate's SKIP otherwise): on a software PRF the block cipher, not
-/// the staging and the HFP kernels, is the time.
+/// reference by [`FLOAT_MIN_SPEEDUP`] on encrypt and decrypt, and the ⊕
+/// fold the reference fold by [`FLOAT_ADD_MIN_SPEEDUP`] (each within
+/// [`GATE_TOLERANCE`]). Reached only where the HoMAC gate ran (AES-NI; it
+/// prints this gate's SKIP otherwise): on a software PRF the block cipher,
+/// not the staging and the HFP kernels, is the time.
 fn run_float_gate(backend: Backend) -> ! {
-    let floor = FLOAT_MIN_SPEEDUP / GATE_TOLERANCE;
-    let mut best = [0f64; 2];
+    let floors =
+        [FLOAT_MIN_SPEEDUP, FLOAT_MIN_SPEEDUP, FLOAT_ADD_MIN_SPEEDUP].map(|f| f / GATE_TOLERANCE);
+    let mut best = [0f64; 3];
     for attempt in 1..=3 {
         let mut c = Criterion::default();
         bench_float(&mut c, "gate_float", backend);
@@ -490,25 +497,25 @@ fn run_float_gate(backend: Backend) -> ! {
         let speedup = [
             ns("encrypt/scalar") / ns("encrypt/fused"),
             ns("decrypt/scalar") / ns("decrypt/fused"),
+            ns("add/scalar") / ns("add/fpu"),
         ];
         println!(
             "float_gate attempt {attempt}: fused is {:.2}x (encrypt) / {:.2}x (decrypt) the scalar \
-             reference at {FLOAT_ELEMS} fp64(2,2) elements, floor {floor:.2}x; \
-             add fold {:.2}x (not gated)",
-            speedup[0],
-            speedup[1],
-            ns("add/scalar") / ns("add/branch_free"),
+             reference at {FLOAT_ELEMS} fp64(2,2) elements, floor {:.2}x; add fold {:.2}x, \
+             floor {:.2}x",
+            speedup[0], speedup[1], floors[0], speedup[2], floors[2],
         );
-        if speedup.iter().all(|s| *s >= floor) {
+        if speedup.iter().zip(&floors).all(|(s, f)| s >= f) {
             println!("float_gate: OK");
             run_mask_gate(backend);
         }
-        best = [best[0].max(speedup[0]), best[1].max(speedup[1])];
+        best = std::array::from_fn(|i| best[i].max(speedup[i]));
     }
     eprintln!(
         "float_gate: FAIL — fused encrypt/decrypt reached {:.2}x / {:.2}x the scalar reference \
-         (floor {floor:.2}x); the fused float loop or the HFP kernels have regressed",
-        best[0], best[1]
+         (floor {:.2}x) and the add fold {:.2}x (floor {:.2}x); the fused float loop or the HFP \
+         kernels have regressed",
+        best[0], best[1], floors[0], best[2], floors[2]
     );
     std::process::exit(1);
 }

@@ -101,6 +101,95 @@ fn fused_noise_extend<const STREAMS: usize, I, O>(
     }
 }
 
+/// One format's element kernels, its widths read once per pass: the ⊗ and
+/// ⊘ of Eq. 5–7 on the significands ([`ops::mul_sig`], [`ops::div_sig`])
+/// with the exponents on the ciphertext ring — what `Hfp::from_f64`,
+/// [`ops::mul`] and [`ops::div`] compute, without their per-call width
+/// handling.
+#[derive(Clone, Copy)]
+struct Kernels {
+    plain: (u32, u32),
+    cew: u32,
+    cmw: u32,
+}
+
+impl Kernels {
+    fn new(fmt: HfpFormat) -> Self {
+        let (cew, cmw) = fmt.cipher_widths();
+        Kernels {
+            plain: fmt.plain_widths(),
+            cew,
+            cmw,
+        }
+    }
+
+    /// `v ⊗ n`: `v` encoded into the plaintext layout, times the noise.
+    #[inline(always)]
+    fn encrypt(self, v: f64, n: &Hfp) -> Result<Hfp, HfpError> {
+        let (sign, sig, e) = self.encode(v)?;
+        let (sig, k) = ops::mul_sig(sig, n.sig, self.cmw);
+        // Eq. 5: the exponents add on the ciphertext ring.
+        let shift = e + k - i64::from(self.plain.1) - i64::from(self.cmw);
+        Ok(self.cipher(sign ^ n.sign, n.exp.wrapping_add(shift as u64), sig))
+    }
+
+    /// `c ⊘ n` for a canonical ciphertext `c` of this format.
+    #[inline(always)]
+    fn strip(self, c: &Hfp, n: &Hfp) -> Hfp {
+        let (sig, k) = ops::div_sig(c.sig, n.sig, self.cmw);
+        self.cipher(
+            c.sign ^ n.sign,
+            c.exp.wrapping_sub(n.exp).wrapping_add(k as u64),
+            sig,
+        )
+    }
+
+    /// `(agg ⊘ n).to_f64()`. An aggregate of another format (a foreign
+    /// peer's, or [`ops::FOREIGN`] from a combine) decrypts to NaN; a zero
+    /// or a tampered significand takes [`ops::div`], which sends it to the
+    /// reference kernel.
+    #[inline(always)]
+    fn decrypt(self, agg: &Hfp, n: &Hfp) -> f64 {
+        if (agg.ew, agg.mw) != (self.cew, self.cmw) {
+            f64::NAN
+        } else if agg.sig >> self.cmw == 1 {
+            self.strip(agg, n).to_f64()
+        } else {
+            ops::div(agg, n, self.cew, self.cmw).to_f64()
+        }
+    }
+
+    /// `Hfp::from_f64(v, le, lm)` as (sign, significand, signed exponent).
+    /// A normal `v` under a layout that holds every `f64` exponent and all
+    /// 53 significand bits is read straight off its bits.
+    #[inline(always)]
+    fn encode(self, v: f64) -> Result<(bool, u64, i64), HfpError> {
+        let (le, lm) = self.plain;
+        let bits = v.to_bits();
+        let biased = (bits >> 52) & 0x7ff;
+        if lm == 52 && le >= 11 && biased.wrapping_sub(1) < 0x7fe {
+            return Ok((
+                bits >> 63 == 1,
+                bits & mask(52) | 1 << 52,
+                biased as i64 - 1023,
+            ));
+        }
+        let h = Hfp::from_f64(v, le, lm)?;
+        Ok((h.sign, h.sig, h.exponent()))
+    }
+
+    #[inline(always)]
+    fn cipher(self, sign: bool, exp: u64, sig: u64) -> Hfp {
+        Hfp {
+            sign,
+            exp: exp & mask(self.cew),
+            sig,
+            ew: self.cew,
+            mw: self.cmw,
+        }
+    }
+}
+
 /// Homomorphic float summation, Eq. (7).
 pub struct FloatSum {
     fmt: HfpFormat,
@@ -128,12 +217,11 @@ impl FloatSum {
         out: &mut Vec<Hfp>,
     ) -> Result<(), HfpError> {
         let _s = hear_telemetry::span!("encrypt", elems = x.len());
-        let (le, lm) = self.fmt.plain_widths();
-        let (cew, cmw) = self.fmt.cipher_widths();
+        let k = Kernels::new(self.fmt);
         let bases = [keys.base_collective()];
         out.clear();
-        fused_noise_extend(keys, bases, first, (cew, cmw), x, out, |&v, [n]| {
-            Ok(ops::mul(&Hfp::from_f64(v, le, lm)?, &n, cew, cmw))
+        fused_noise_extend(keys, bases, first, (k.cew, k.cmw), x, out, |&v, [n]| {
+            k.encrypt(v, &n)
         })
     }
 
@@ -147,7 +235,8 @@ impl FloatSum {
     }
 
     /// [`FloatSum::decrypt_f64`] into `dst` (same length as `agg`, need not
-    /// be initialised; every element of it is on return).
+    /// be initialised; every element of it is on return). An element of
+    /// another format decrypts to NaN.
     pub fn decrypt_f64_to(
         &self,
         keys: &CommKeys,
@@ -156,11 +245,12 @@ impl FloatSum {
         dst: &mut [MaybeUninit<f64>],
     ) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        let widths = self.fmt.cipher_widths();
-        strip_noise(keys, keys.base_collective(), first, widths, agg, dst, |v| v);
+        let k = Kernels::new(self.fmt);
+        strip_noise(keys, keys.base_collective(), first, k, agg, dst, |v| v);
     }
 
-    /// The operation the network applies: ring-exponent addition.
+    /// The operation the network applies: ring-exponent addition. Operands
+    /// of different widths give [`ops::FOREIGN`].
     #[inline]
     pub fn combine(a: &Hfp, b: &Hfp) -> Hfp {
         ops::add(a, b)
@@ -173,13 +263,13 @@ fn strip_noise(
     keys: &CommKeys,
     base: u128,
     first: u64,
-    (cew, cmw): (u32, u32),
+    k: Kernels,
     agg: &[Hfp],
     dst: &mut [MaybeUninit<f64>],
     post: impl Fn(f64) -> f64,
 ) {
-    fused_noise_pass(keys, [base], first, (cew, cmw), agg, dst, |c, [n]| {
-        Ok(post(ops::div(c, &n, cew, cmw).to_f64()))
+    fused_noise_pass(keys, [base], first, (k.cew, k.cmw), agg, dst, |c, [n]| {
+        Ok(post(k.decrypt(c, &n)))
     })
     .expect("stripping noise cannot fail");
 }
@@ -236,19 +326,18 @@ impl FloatProd {
         pre: impl Fn(f64) -> Result<f64, HfpError>,
     ) -> Result<(), HfpError> {
         let _s = hear_telemetry::span!("encrypt", elems = x.len());
-        let (le, lm) = self.fmt.plain_widths();
-        let (cew, cmw) = self.fmt.cipher_widths();
-        let own = |v: f64, n: &Hfp| -> Result<Hfp, HfpError> {
-            Ok(ops::mul(&Hfp::from_f64(pre(v)?, le, lm)?, n, cew, cmw))
-        };
+        let k = Kernels::new(self.fmt);
+        let widths = (k.cew, k.cmw);
         out.clear();
         if keys.is_last() {
             let bases = [keys.base_own()];
-            fused_noise_extend(keys, bases, first, (cew, cmw), x, out, |&v, [n]| own(v, &n))
+            fused_noise_extend(keys, bases, first, widths, x, out, |&v, [n]| {
+                k.encrypt(pre(v)?, &n)
+            })
         } else {
             let bases = [keys.base_own(), keys.base_next()];
-            fused_noise_extend(keys, bases, first, (cew, cmw), x, out, |&v, [n, next]| {
-                Ok(ops::div(&own(v, &n)?, &next, cew, cmw))
+            fused_noise_extend(keys, bases, first, widths, x, out, |&v, [n, next]| {
+                Ok(k.strip(&k.encrypt(pre(v)?, &n)?, &next))
             })
         }
     }
@@ -284,14 +373,18 @@ impl FloatProd {
         post: impl Fn(f64) -> f64,
     ) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        let widths = self.fmt.cipher_widths();
-        strip_noise(keys, keys.base_zero(), first, widths, agg, dst, post);
+        let k = Kernels::new(self.fmt);
+        strip_noise(keys, keys.base_zero(), first, k, agg, dst, post);
     }
 
+    /// ⊗ on the ciphertext ring. Operands of different widths give
+    /// [`ops::FOREIGN`], as [`FloatSum::combine`]'s do.
     #[inline]
     pub fn combine(a: &Hfp, b: &Hfp) -> Hfp {
-        let (ew, mw) = (a.ew, a.mw);
-        ops::mul(a, b, ew, mw)
+        if (a.ew, a.mw) != (b.ew, b.mw) {
+            return ops::FOREIGN;
+        }
+        ops::mul(a, b, a.ew, a.mw)
     }
 }
 
@@ -619,6 +712,29 @@ mod tests {
     }
 
     #[test]
+    fn foreign_widths_combine_to_foreign_and_decrypt_to_nan() {
+        let keys = keys(2);
+        let (sum, prod) = (HfpFormat::fp64(2, 2), HfpFormat::fp64(0, 0));
+        let (c_sum, c_prod) = (Hfp::one(13, 52), Hfp::one(11, 52));
+        let other = Hfp::one(10, 23);
+        assert_eq!(FloatSum::combine(&c_sum, &other), ops::FOREIGN);
+        assert_eq!(FloatProd::combine(&other, &c_prod), ops::FOREIGN);
+        assert_eq!(
+            FloatProd::combine(&ops::FOREIGN, &ops::FOREIGN),
+            ops::FOREIGN
+        );
+        let mut out = Vec::new();
+        for agg in [other, ops::FOREIGN] {
+            FloatSum::new(sum).decrypt_f64(&keys[0], 0, &[c_sum, agg], &mut out);
+            assert!(out[0].is_finite() && out[1].is_nan(), "{out:?}");
+            FloatProd::new(prod).decrypt_f64(&keys[0], 0, &[c_prod, agg], &mut out);
+            assert!(out[0].is_finite() && out[1].is_nan(), "{out:?}");
+            FloatSumExp::new(prod).decrypt_f64(&keys[0], 0, &[agg], &mut out);
+            assert!(out[0].is_nan(), "{out:?}");
+        }
+    }
+
+    #[test]
     fn block_offsets_compose_for_floats() {
         let ks = keys(2);
         let scheme = FloatSum::new(HfpFormat::fp32(2, 2));
@@ -633,9 +749,9 @@ mod tests {
     }
 }
 
-/// The float ciphers as first written — noise staged into a `Vec<Hfp>`,
-/// then a second pass over it with the scalar [`ops::reference`] kernels —
-/// kept as what the fused loop is tested against, bit for bit.
+/// The float ciphers as first written — noise one [`noise_at`] block at a
+/// time, the scalar [`ops::reference`] kernels, `to_f64_by_scaling` — kept
+/// as what the fused passes are tested against, bit for bit.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -643,22 +759,9 @@ mod reference {
 
     fn noise_fill_n(keys: &CommKeys, base: u128, first: u64, n: usize, fmt: HfpFormat) -> Vec<Hfp> {
         let (ew, mw) = fmt.cipher_widths();
-        let mut out = Vec::with_capacity(n);
-        const BATCH: usize = 256;
-        let mut blocks = [0u128; BATCH];
-        let mut j = first;
-        let mut left = n;
-        while left > 0 {
-            let take = left.min(BATCH);
-            keys.prf()
-                .fill_blocks(base.wrapping_add(j as u128), &mut blocks[..take]);
-            for b in &blocks[..take] {
-                out.push(noise_from_block(*b, ew, mw));
-            }
-            j += take as u64;
-            left -= take;
-        }
-        out
+        (first..first + n as u64)
+            .map(|j| noise_at(keys.prf(), base, j, ew, mw))
+            .collect()
     }
 
     pub fn sum_encrypt(
@@ -737,7 +840,7 @@ mod reference {
     }
 }
 
-/// The fused loop against [`reference`], over fp16 / fp32 / fp64 × γ ∈
+/// The fused passes against [`reference`], over fp16 / fp32 / fp64 × γ ∈
 /// {0, 2} at each cipher's δ, every rank position (first, middle, last —
 /// the product cipher's one- and two-stream passes), and slice lengths
 /// around the 256-block tile.
@@ -766,9 +869,11 @@ mod bit_identity {
 
     /// Plaintexts that fit `fmt`'s exponent field, with the encoder's
     /// special inputs mixed in: ±0, f64 subnormals, values that underflow
-    /// the layout and clamp to its smallest magnitude.
+    /// the layout and clamp to its smallest magnitude, and the layout's
+    /// largest finite value (`f64::MAX` for fp64).
     fn plaintexts(rng: &mut TestRng, fmt: HfpFormat, n: usize) -> Vec<f64> {
         let max_e = (1i32 << (fmt.le - 1)) - 2;
+        let largest = (2.0 - f64::powi(2.0, -(fmt.lm as i32))) * f64::powi(2.0, max_e + 1);
         (0..n)
             .map(|_| match rng.next_u64() % 16 {
                 0 => 0.0,
@@ -776,6 +881,8 @@ mod bit_identity {
                 2 => f64::from_bits(rng.next_u64() >> 12), // subnormal
                 3 => -f64::MIN_POSITIVE,
                 4 => f64::powi(2.0, -max_e - 3),
+                5 => largest,
+                6 => -largest,
                 _ => {
                     let m = 1.0 + rng.next_f64();
                     let e = rng.gen_range(-max_e..=max_e);
@@ -791,18 +898,42 @@ mod bit_identity {
     }
 
     /// Aggregates as the network would hand them back: any canonical
-    /// ciphertext, plus exact zeros (a full cancellation).
+    /// ciphertext, plus exact zeros (a full cancellation) and tampered
+    /// significands (the kernels' cold path).
     fn aggregates(rng: &mut TestRng, fmt: HfpFormat, n: usize) -> Vec<Hfp> {
         let (ew, mw) = fmt.cipher_widths();
         (0..n)
             .map(|_| {
-                if rng.next_u64().is_multiple_of(16) {
-                    Hfp::zero(ew, mw)
-                } else {
-                    noise_from_block(rng.next_u128(), ew, mw)
+                let mut c = noise_from_block(rng.next_u128(), ew, mw);
+                match rng.next_u64() % 16 {
+                    0 => c = Hfp::zero(ew, mw),
+                    1 => c.sig = rng.next_u64() & mask(mw + 3) | 1,
+                    _ => {}
                 }
+                c
             })
             .collect()
+    }
+
+    /// `x` with NaN or ±∞ at a random place: every cipher refuses it with
+    /// `NonFinite` and leaves `out` empty, as the reference refuses it.
+    fn refuses_non_finite(
+        rng: &mut TestRng,
+        x: &[f64],
+        encrypt: impl Fn(&[f64], &mut Vec<Hfp>) -> Result<(), HfpError>,
+        reference: impl Fn(&[f64]) -> Result<Vec<Hfp>, HfpError>,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        if x.is_empty() {
+            return Ok(());
+        }
+        let mut bad = x.to_vec();
+        let at = (rng.next_u64() % x.len() as u64) as usize;
+        bad[at] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(rng.next_u64() % 3) as usize];
+        let mut out = vec![Hfp::one(4, 4)];
+        prop_assert_eq!(encrypt(&bad, &mut out), Err(HfpError::NonFinite));
+        prop_assert!(out.is_empty(), "{} elements left", out.len());
+        prop_assert_eq!(reference(&bad), Err(HfpError::NonFinite));
+        Ok(())
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -823,6 +954,12 @@ mod bit_identity {
                     let mut ct = vec![Hfp::zero(1, 1)]; // stale content must go
                     cipher.encrypt_f64(k, first, &x, &mut ct).unwrap();
                     prop_assert_eq!(&ct, &reference::sum_encrypt(fmt, k, first, &x).unwrap());
+                    refuses_non_finite(
+                        &mut rng,
+                        &x,
+                        |x, out| cipher.encrypt_f64(k, first, x, out),
+                        |x| reference::sum_encrypt(fmt, k, first, x),
+                    )?;
                     let agg = aggregates(&mut rng, fmt, n);
                     let mut pt = vec![f64::NAN];
                     cipher.decrypt_f64(k, first, &agg, &mut pt);
@@ -843,11 +980,22 @@ mod bit_identity {
                     let mut ct = Vec::new();
                     prod.encrypt_f64(k, first, &x, &mut ct).unwrap();
                     prop_assert_eq!(&ct, &reference::prod_encrypt(fmt, k, first, &x).unwrap());
+                    refuses_non_finite(
+                        &mut rng,
+                        &x,
+                        |x, out| prod.encrypt_f64(k, first, x, out),
+                        |x| reference::prod_encrypt(fmt, k, first, x),
+                    )?;
                     // e^x must stay inside the layout's exponent range.
                     let span = f64::from(1u32 << (fmt.le - 1)) * 0.6;
                     let small: Vec<f64> = (0..n).map(|_| (rng.next_f64() - 0.5) * span).collect();
                     sum_exp.encrypt_f64(k, first, &small, &mut ct).unwrap();
                     prop_assert_eq!(&ct, &reference::sum_exp_encrypt(fmt, k, first, &small).unwrap());
+                    // e^NaN is NaN; e^±∞ leaves the range (or is exactly 0).
+                    let mut out = vec![Hfp::one(4, 4)];
+                    let bad = [small.as_slice(), &[f64::NAN]].concat();
+                    prop_assert!(sum_exp.encrypt_f64(k, first, &bad, &mut out).is_err());
+                    prop_assert!(out.is_empty());
                     let agg = aggregates(&mut rng, fmt, n);
                     let mut pt = Vec::new();
                     prod.decrypt_f64(k, first, &agg, &mut pt);

@@ -14,8 +14,11 @@
 //! * [`format`](mod@format) — [`HfpFormat`] / [`Hfp`] encode/decode and
 //!   wire layout,
 //! * [`ops`] — ⊗ ([`ops::mul`]), ciphertext addition ([`ops::add`]),
-//!   division/reciprocal for decryption,
+//!   division/reciprocal for decryption, all on IEEE `f64` significand
+//!   arithmetic,
 //! * [`f16`](mod@f16) — soft IEEE binary16 for FP16 workloads.
+
+#![forbid(unsafe_code)]
 
 pub mod f16;
 pub mod format;

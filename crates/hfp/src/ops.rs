@@ -4,51 +4,111 @@
 //!
 //! All exponent updates happen on the ring; nothing in this module caps or
 //! saturates an exponent — that is the security-critical property of HFP.
+//!
+//! The significand work is IEEE `f64` arithmetic. Significands are
+//! integers below 2⁵³, so each converts to `f64` exactly, and one IEEE
+//! multiply, divide or add of two of them returns the exact result
+//! rounded to nearest-even at 53 bits — the rounding every HFP operation
+//! specifies when `mw = 52`. A narrower format rounds that result again,
+//! to `mw + 1` bits, steered by the sign of the first rounding's error
+//! (`round_f64`), which makes the two roundings one. Exponents never
+//! enter the FPU: they stay on their ring in integer registers, and only
+//! the result's binade is read back from the `f64` exponent field.
+//! A significand outside `[2^mw, 2^{mw+1})` — only a tampered ciphertext
+//! has one — takes the integer [`mod@reference`] kernels instead, so every
+//! result, a tampered one included, is the bits those kernels give.
 
 use crate::format::Hfp;
 use crate::ringexp::{mask, ring_add, ring_from_i64, ring_sub, sign_extend};
 
-/// Normalize an exact intermediate significand `r` (an integer, any number
-/// of bits up to 128) into an `mw+1`-bit significand with RTNE rounding.
-///
-/// The value represented is `r × 2^{base_exp} / 2^{mw}` where `base_exp` is
-/// an `ew`-bit ring element; the returned `Hfp` preserves that value up to
-/// rounding, with the exponent adjusted on the ring.
-///
-/// Branch-free: which of "widen" and "narrow" applies, and whether the
-/// rounding increments, both depend on the data (a coin flip per element
-/// under encryption noise), so neither is decided by a jump. `r` is
-/// left-aligned; the top `mw+1` bits are kept, the next is the round bit,
-/// everything below is sticky. A short `r` (the widen case) left-aligns
-/// with zeros there, so the same expression rounds nothing away.
+/// Whether `h` takes the FPU path: a canonical significand (hidden one
+/// in place, nothing above it) of at most 53 bits.
 #[inline]
-fn normalize_round(r: u128, base_exp: u64, sign: bool, ew: u32, mw: u32) -> Hfp {
-    debug_assert!(
-        mw <= 62,
-        "the significand with its hidden one must fit 63 bits"
-    );
-    let nz = r != 0;
-    let lz = r.leading_zeros();
-    let aligned = r << (lz & 127);
-    let (hi, lo) = ((aligned >> 64) as u64, aligned as u64);
-    let kept = hi >> (63 - mw);
-    let round = (hi >> (62 - mw)) & 1;
-    let sticky = u64::from((hi & ((1u64 << (62 - mw)) - 1)) | lo != 0);
+fn on_fpu(h: &Hfp) -> bool {
+    h.mw <= 52 && h.sig >> h.mw == 1
+}
+
+/// A significand below 2⁵³ as the `f64` it equals. Through `i64`, x86-64
+/// converts in one instruction; `u64` needs a fix-up for the top bit.
+#[inline(always)]
+fn to_f64(sig: u64) -> f64 {
+    sig as i64 as f64
+}
+
+/// The 53-bit significand (hidden one attached) and the unbiased binade
+/// of a finite, normal `|q|`: `|q| = s53 × 2^{k − 52}`.
+#[inline(always)]
+fn f64_parts(q: f64) -> (u64, i64) {
+    let bits = q.to_bits();
+    let s53 = (bits & mask(52)) | 1 << 52;
+    (s53, ((bits >> 52) & 0x7ff) as i64 - 1023)
+}
+
+/// `−1`, `0` or `+1` as `x` is below, equal to or above `y`.
+#[inline(always)]
+fn sign_of(x: u128, y: u128) -> i64 {
+    i64::from(x > y) - i64::from(x < y)
+}
+
+/// `|q|` — an exact result on integer significands, rounded to nearest-even
+/// at 53 bits by the FPU; normal and nonzero — rounded to `mw + 1` bits:
+/// `(sig, k)` with `sig` in `[2^mw, 2^{mw+1})` and the result
+/// `sig × 2^{k − mw}`.
+///
+/// At `mw = 52` that is `|q|` itself. Below, `err` gives the sign of
+/// `exact − |q|`. The bits of `|q|` below the kept ones decide the
+/// rounding unless they are exactly half an ulp of the new width — a
+/// point on the 53-bit grid, so `|q|` lands on it exactly when the exact
+/// value lies on it or within half a 53-bit ulp of it. There the error's
+/// sign says on which side the exact value lies, and only a zero error is
+/// a tie. Appending that sign as one more bit below `|q|` (`2|q| ± 1`)
+/// makes an integer that rounds, with round and sticky bits as usual,
+/// exactly as the exact value does. `err` is not called at `mw = 52`.
+#[inline(always)]
+fn round_f64(q: f64, mw: u32, err: impl FnOnce() -> i64) -> (u64, i64) {
+    let (s53, k) = f64_parts(q);
+    if mw == 52 {
+        return (s53, k);
+    }
+    debug_assert!(mw < 52);
+    let t = (s53 << 1).wrapping_add(err() as u64);
+    let drop = 53 - mw;
+    let kept = t >> drop;
+    let round = (t >> (drop - 1)) & 1;
+    let sticky = u64::from(t & ((1 << (drop - 1)) - 1) != 0);
     let sig = kept + (round & (sticky | (kept & 1)));
     // A round-up out of an all-ones significand leaves exactly 2^{mw+1}.
     let carry = sig >> (mw + 1);
-    // The leading one moved from bit `127 − lz` to bit `mw` (+ carry).
-    let exp = base_exp
-        .wrapping_add(127 + carry)
-        .wrapping_sub(u64::from(lz + mw))
-        & mask(ew);
-    Hfp {
-        sign: sign & nz,
-        exp: if nz { exp } else { 0 },
-        sig: sig >> carry,
-        ew,
-        mw,
-    }
+    (sig >> carry, k + carry as i64)
+}
+
+/// `sa × sb` rounded to `mw + 1` bits, as `(sig, k)` (see [`round_f64`]):
+/// `sa × sb ≈ sig × 2^{k − mw}`. Both nonzero and below 2⁵³, `mw ≤ 52`.
+#[doc(hidden)]
+#[inline(always)]
+pub fn mul_sig(sa: u64, sb: u64, mw: u32) -> (u64, i64) {
+    let q = to_f64(sa) * to_f64(sb);
+    round_f64(q, mw, || {
+        // The exact product against `q` on one grid: a `q` below 2^53 is
+        // the exact product, so the two sides meet.
+        let (s53, k) = f64_parts(q);
+        let p = u128::from(sa) * u128::from(sb);
+        sign_of(p << (52 - k).max(0), u128::from(s53) << (k - 52).max(0))
+    })
+}
+
+/// `sa / sb` rounded to `mw + 1` bits, as `(sig, k)`: `sa / sb ≈
+/// sig × 2^{k − mw}`. Both nonzero and below 2⁵³, `mw ≤ 52`.
+#[doc(hidden)]
+#[inline(always)]
+pub fn div_sig(sa: u64, sb: u64, mw: u32) -> (u64, i64) {
+    let q = to_f64(sa) / to_f64(sb);
+    round_f64(q, mw, || {
+        // sa/sb − q has the sign of sa·2^{52−k} − s53·sb; both sides are
+        // below 2^106 because sa·2^{−k} < 2·sb.
+        let (s53, k) = f64_parts(q);
+        sign_of(u128::from(sa) << (52 - k), u128::from(s53) * u128::from(sb))
+    })
 }
 
 /// The ⊗ operator (Eq. 5): signs add mod 2, exponents add on the output
@@ -59,79 +119,45 @@ fn normalize_round(r: u128, base_exp: u64, sign: bool, ew: u32, mw: u32) -> Hfp 
 /// is the identity once a value already lives on the ciphertext ring.
 #[inline]
 pub fn mul(a: &Hfp, b: &Hfp, out_ew: u32, out_mw: u32) -> Hfp {
-    if a.is_zero() || b.is_zero() {
-        return Hfp::zero(out_ew, out_mw);
+    // A zero operand goes this way too: the reference returns zero.
+    if !(on_fpu(a) && on_fpu(b) && out_mw <= 52) {
+        return reference::mul(a, b, out_ew, out_mw);
     }
     let ea = sign_extend(a.exp, a.ew, out_ew);
     let eb = sign_extend(b.exp, b.ew, out_ew);
-    let p = (a.sig as u128) * (b.sig as u128);
-    // Value = p × 2^{ea+eb-mwa-mwb}; normalize_round wants base such that
-    // value = p × 2^{base-out_mw}.
-    let base = ring_add(
-        ring_add(ea, eb, out_ew),
-        ring_from_i64(out_mw as i64 - a.mw as i64 - b.mw as i64, out_ew),
-        out_ew,
-    );
-    normalize_round(p, base, a.sign ^ b.sign, out_ew, out_mw)
-}
-
-/// `num / d` and whether the remainder is nonzero, `d ≠ 0`.
-///
-/// `u128 / u128` and `u128 % u128` are two out-of-line software divisions.
-/// Whenever the quotient fits 64 bits — exactly when the numerator's high
-/// half is below the divisor — x86-64 does both in one `div`.
-#[inline]
-fn div_rem_nz(num: u128, d: u64) -> (u128, bool) {
-    #[cfg(target_arch = "x86_64")]
-    if ((num >> 64) as u64) < d {
-        let (q, rem): (u64, u64);
-        // SAFETY: `div` faults on a zero divisor or a quotient that does
-        // not fit `rax`; `high half < d` (checked above) excludes both.
-        // It touches no memory and only the named registers and flags.
-        unsafe {
-            std::arch::asm!(
-                "div {d}",
-                d = in(reg) d,
-                inout("rax") num as u64 => q,
-                inout("rdx") (num >> 64) as u64 => rem,
-                options(pure, nomem, nostack),
-            );
-        }
-        return (u128::from(q), rem != 0);
+    let (sig, k) = mul_sig(a.sig, b.sig, out_mw);
+    // |a ⊗ b| = sig × 2^{k − out_mw} × 2^{ea + eb − mwa − mwb}.
+    let shift = k - i64::from(a.mw) - i64::from(b.mw);
+    Hfp {
+        sign: a.sign ^ b.sign,
+        exp: ea.wrapping_add(eb).wrapping_add(shift as u64) & mask(out_ew),
+        sig,
+        ew: out_ew,
+        mw: out_mw,
     }
-    let d = u128::from(d);
-    (num / d, !num.is_multiple_of(d))
 }
 
 /// Division `a / b` with the same width conventions as [`mul`]; used by
 /// decryption to strip the noise.
 #[inline]
 pub fn div(a: &Hfp, b: &Hfp, out_ew: u32, out_mw: u32) -> Hfp {
-    assert!(!b.is_zero(), "HFP division by zero");
-    if a.is_zero() {
-        return Hfp::zero(out_ew, out_mw);
+    // So do zeros: the reference returns zero for a zero dividend and
+    // panics on a zero divisor.
+    if !(on_fpu(a) && on_fpu(b) && out_mw <= 52) {
+        return reference::div(a, b, out_ew, out_mw);
     }
     let ea = sign_extend(a.exp, a.ew, out_ew);
     let eb = sign_extend(b.exp, b.ew, out_ew);
-    // q ≈ (siga/sigb) << k, with the remainder folded into a sticky bit.
-    // k guarantees ≥ out_mw+2 quotient bits while keeping the shifted
-    // numerator within 128 bits even at fp64 widths (mw ≤ 52). For equal
-    // widths q < 2^{mw+3} ≤ 2^55, so the single hardware division always
-    // applies; only a narrow divisor under a wide output overflows it.
-    let k = out_mw + 2 + b.mw.saturating_sub(a.mw);
-    debug_assert!(a.mw + 1 + k < 128);
-    let (q, rem_nz) = div_rem_nz((a.sig as u128) << k, b.sig);
-    let r = (q << 1) | u128::from(rem_nz);
-    // Value = r × 2^{ea-eb-mwa+mwb-k-1}; base = that exponent + out_mw.
-    let base = ring_add(
-        ring_sub(ea, eb, out_ew),
-        ring_from_i64(
-            out_mw as i64 - a.mw as i64 + b.mw as i64 - k as i64 - 1,
-            out_ew,
-        ),
-        out_ew,
-    );
-    normalize_round(r, base, a.sign ^ b.sign, out_ew, out_mw)
+    let (sig, k) = div_sig(a.sig, b.sig, out_mw);
+    // |a ⊘ b| = sig × 2^{k − out_mw} × 2^{ea − eb − mwa + mwb}.
+    let shift = k - i64::from(a.mw) + i64::from(b.mw);
+    Hfp {
+        sign: a.sign ^ b.sign,
+        exp: ea.wrapping_sub(eb).wrapping_add(shift as u64) & mask(out_ew),
+        sig,
+        ew: out_ew,
+        mw: out_mw,
+    }
 }
 
 /// Reciprocal of a noise value (used by Eq. 7 decryption:
@@ -140,57 +166,84 @@ pub fn recip(b: &Hfp, out_ew: u32, out_mw: u32) -> Hfp {
     div(&Hfp::one(b.ew, b.mw), b, out_ew, out_mw)
 }
 
+/// What [`add`] returns for operands of different widths: zero-width, so
+/// it is no format's ciphertext. Every later [`add`] with it returns it
+/// again, and a float cipher decrypts it to NaN, which no digest check
+/// accepts. Honest ranks never produce one; a peer that ships a foreign
+/// width does.
+pub const FOREIGN: Hfp = Hfp {
+    sign: false,
+    exp: 0,
+    sig: 0,
+    ew: 0,
+    mw: 0,
+};
+
 /// Ciphertext-domain addition (§5.3.5) — the operation the untrusted
-/// network performs. Both operands must share the same widths. Exponent
-/// comparison uses the two-difference ring trick; mantissa alignment,
-/// addition/subtraction and renormalization otherwise follow ordinary
-/// floating-point addition, with every exponent adjustment on the ring.
+/// network performs. Operands of different widths give [`FOREIGN`].
+/// Exponent comparison uses the two-difference ring trick; mantissa
+/// alignment, addition/subtraction and renormalization otherwise follow
+/// ordinary floating-point addition, with every exponent adjustment on
+/// the ring.
 ///
 /// Which operand is larger and whether the signs agree are coin flips on
-/// ciphertexts, so both are selected with masks rather than jumps.
+/// ciphertexts, so neither is decided by a jump: the larger operand's
+/// significand is scaled by the gap with a mask-selected power of two,
+/// and the signs ride on the `f64`s into one IEEE addition.
 #[inline]
 pub fn add(a: &Hfp, b: &Hfp) -> Hfp {
-    assert_eq!(
-        (a.ew, a.mw),
-        (b.ew, b.mw),
-        "HFP addition requires equal widths"
-    );
+    if (a.ew, a.mw) != (b.ew, b.mw) {
+        return FOREIGN;
+    }
     let (ew, mw) = (a.ew, a.mw);
-    if a.is_zero() {
-        return *b;
+    // A zero operand goes this way too: the reference returns the other.
+    if !(on_fpu(a) && on_fpu(b)) {
+        return reference::add(a, b);
     }
-    if b.is_zero() {
-        return *a;
-    }
-    // Order operands: l has the ring-larger exponent (ties by significand;
-    // a tie at half the ring goes to `a`, as in `ring_cmp`).
+    // l, the operand with the ring-larger exponent, is `a` on a tie at
+    // half the ring, as in `ring_cmp`. At a zero gap which one is l does
+    // not matter: neither is scaled and the two exponents are one.
     let d12 = ring_sub(a.exp, b.exp, ew);
     let d21 = ring_sub(b.exp, a.exp, ew);
-    let a_larger = (d12 <= d21) & ((d12 != 0) | (a.sig >= b.sig));
-    let pick_b = u64::from(a_larger).wrapping_sub(1); // all ones iff b is l
-    let swap_sig = (a.sig ^ b.sig) & pick_b;
-    let (l_sig, s_sig) = (a.sig ^ swap_sig, b.sig ^ swap_sig);
+    let pick_b = u64::from(d12 <= d21).wrapping_sub(1); // all ones iff b is l
     let l_exp = a.exp ^ ((a.exp ^ b.exp) & pick_b);
-    let l_sign = (a.sign & a_larger) | (b.sign & !a_larger);
-    let s_sign = a.sign ^ b.sign ^ l_sign;
-    // Beyond mw+2 bits of misalignment the small operand only contributes
-    // a sticky bit; cap the shift so the intermediate fits 128 bits.
-    let gap = d12.min(d21).min(mw as u64 + 3) as u32;
-    let big = (l_sig as u128) << gap;
-    let small = s_sig as u128;
-    // `big ≥ small` for canonical operands; a tampered significand can
-    // invert it, and then the result takes the small operand's sign. An
-    // exact cancellation leaves r = 0, which normalizes to zero.
-    let same = u128::from(l_sign == s_sign).wrapping_neg();
-    let r = ((big + small) & same) | (big.abs_diff(small) & !same);
-    let sign = if (same == 0) & (big < small) {
-        s_sign
-    } else {
-        l_sign
+    // Beyond mw+2 bits of misalignment the small operand only decides the
+    // rounding; the shift is capped at mw+3, as the integer kernel's was,
+    // so the exact sum is the one it rounded.
+    let gap = d12.min(d21).min(u64::from(mw) + 3);
+    let scaled = |sig: u64, sign: bool, g: u64| {
+        let pow2 = f64::from_bits((1023 + g) << 52);
+        f64::from_bits((to_f64(sig) * pow2).to_bits() | u64::from(sign) << 63)
     };
-    // Value = r × 2^{el-gap-mw} = r × 2^{base-mw} with base = el - gap.
-    let base = ring_sub(l_exp, gap as u64, ew);
-    normalize_round(r, base, sign, ew, mw)
+    let x = scaled(a.sig, a.sign, gap & !pick_b);
+    let y = scaled(b.sig, b.sign, gap & pick_b);
+    let r = x + y;
+    let (sig, k) = round_f64(r, mw, || {
+        // The exact sum has at most 2·mw + 5 bits: up to 53 the FPU's
+        // rounding was exact.
+        if mw <= 24 {
+            return 0;
+        }
+        // TwoSum: x + y − r exactly, signed against |r|.
+        let yv = r - x;
+        let e = (x - (r - yv)) + (y - yv);
+        let away = (e.to_bits() ^ r.to_bits()) >> 63;
+        i64::from(e != 0.0) * (1 - 2 * away as i64)
+    });
+    // |a ⊕ b| = sig × 2^{k − mw} × 2^{l_exp − gap − mw}; an exact
+    // cancellation leaves r = 0, which is the zero value.
+    let nz = u64::from(r != 0.0).wrapping_neg();
+    let exp = l_exp
+        .wrapping_sub(gap)
+        .wrapping_add((k - i64::from(mw)) as u64)
+        & mask(ew);
+    Hfp {
+        sign: r.is_sign_negative() & (nz != 0),
+        exp: exp & nz,
+        sig: sig & nz,
+        ew,
+        mw,
+    }
 }
 
 /// Negation (sign flip; exact).
@@ -207,27 +260,33 @@ pub fn neg(a: &Hfp) -> Hfp {
 /// are truncated on the ring, which is only meaningful when the value is
 /// known to fit — callers check [`Hfp::exponent`] first.
 pub fn round_to(a: &Hfp, out_ew: u32, out_mw: u32) -> Hfp {
-    if a.is_zero() {
-        return Hfp::zero(out_ew, out_mw);
-    }
-    normalize_round(
-        a.sig as u128,
-        ring_add(
-            ring_from_i64(a.exponent(), out_ew),
-            ring_from_i64(out_mw as i64 - a.mw as i64, out_ew),
-            out_ew,
-        ),
-        a.sign,
+    let base = ring_add(
+        ring_from_i64(a.exponent(), out_ew),
+        ring_from_i64(out_mw as i64 - a.mw as i64, out_ew),
         out_ew,
-        out_mw,
-    )
+    );
+    if !(on_fpu(a) && out_mw <= 52) {
+        return reference::normalize_round(a.sig as u128, base, a.sign, out_ew, out_mw);
+    }
+    // A significand of at most 53 bits is its own f64: nothing rounds
+    // until the second rounding.
+    let (sig, k) = round_f64(to_f64(a.sig), out_mw, || 0);
+    Hfp {
+        sign: a.sign,
+        exp: ring_add(base, ring_from_i64(k - i64::from(out_mw), out_ew), out_ew),
+        sig,
+        ew: out_ew,
+        mw: out_mw,
+    }
 }
 
-/// The scalar kernels as first written — a jump per rounding decision, a
-/// three-way operand ordering, two software divisions. Kept as the
-/// reference the branch-free kernels above are property-tested against
-/// bit for bit (here and in `hear-core`'s float ciphers) and as the
-/// baseline `crypto_throughput`'s float rows time; nothing else calls it.
+/// The scalar kernels as first written — integer significands normalized
+/// in `u128`, a jump per rounding decision, a three-way operand ordering,
+/// two software divisions. Kept as the reference the FPU kernels above
+/// are property-tested against bit for bit (here and in `hear-core`'s
+/// float ciphers), as the baseline `crypto_throughput`'s float rows time,
+/// and as the cold path of a significand of 2⁵³ or more, which no `f64`
+/// holds.
 #[doc(hidden)]
 pub mod reference {
     use crate::format::Hfp;
@@ -645,9 +704,10 @@ mod proptests {
     }
 }
 
-/// The branch-free kernels against [`reference`], bit for bit, over every
+/// The FPU kernels against [`reference`], bit for bit, over every
 /// ciphertext layout of fp16 / fp32 / fp64 × δ ∈ {0, 2} × γ ∈ {0, 2}
-/// (fp64 with δ = 0, γ = 2 would need a 54-bit mantissa and does not exist).
+/// (fp64 with δ = 0, γ = 2 would need a 54-bit mantissa and does not exist)
+/// and one layout for every ciphertext mantissa width from 1 to 52 bits.
 #[cfg(test)]
 mod bit_identity {
     use super::*;
@@ -670,6 +730,20 @@ mod bit_identity {
             }
         }
         assert_eq!(v.len(), 11);
+        // Every re-rounding width the FPU path has, on exponent rings from
+        // 2 to 16 bits; δ and γ rotate, and a pair whose plaintext mantissa
+        // would leave 0..=52 bits gives way to the next.
+        for mw in 1..=52u32 {
+            let le = 2 + mw % 13;
+            let pairs = [(2, 2), (0, 2), (2, 0), (0, 0)];
+            let (delta, gamma) = (0..4)
+                .map(|i| pairs[(mw as usize + i) % 4])
+                .find(|&(d, g)| (d..=52).contains(&(mw + d).saturating_sub(g)) && mw + d >= g)
+                .expect("(0, 0) always fits");
+            let f = HfpFormat::new(le, mw + delta - gamma, delta, gamma);
+            assert_eq!(f.cipher_widths().1, mw);
+            v.push((f.plain_widths(), f.cipher_widths()));
+        }
         v
     }
 
@@ -727,28 +801,29 @@ mod bit_identity {
 
     proptest! {
         #[test]
-        fn normalize_round_equals_reference(seed in any::<u64>()) {
+        fn round_f64_equals_reference(seed in any::<u64>()) {
             let mut rng = TestRng::new(seed);
             for (_, (ew, mw)) in layouts() {
                 for _ in 0..64 {
-                    // Any length from empty to the full 128 bits; the bits
-                    // below the kept ones are zero (exact, and a tie when
-                    // the round bit is set), all ones, or random.
-                    let len = (rng.next_u64() % 129) as u32;
-                    let top = if len == 0 { 0 } else { u128::MAX >> (128 - len) };
-                    let low = top >> (mw + 1).min(127);
+                    // An exact result of one to 120 bits, its bits below the
+                    // kept ones zero (exact, and a tie when the round bit
+                    // is set), all ones, or random — rounded once by the
+                    // FPU's rules, then again to mw + 1 bits.
+                    let len = 1 + (rng.next_u64() % 120) as u32;
+                    let top = u128::MAX >> (128 - len);
+                    let low = top >> (mw + 1);
                     let r = match rng.next_u64() % 4 {
                         0 => rng.next_u128() & top & !low,
                         1 => (rng.next_u128() & top & !low) | (low ^ (low >> 1)),
                         2 => (rng.next_u128() & top) | low,
                         _ => rng.next_u128() & top,
-                    };
-                    let base = rng.next_u64() & mask(ew);
-                    let sign = rng.gen_bool(0.5);
+                    } | 1 << (len - 1);
+                    let q = r as f64;
+                    let (sig, k) = round_f64(q, mw, || sign_of(r, q as u128));
+                    let want = reference::normalize_round(r, 0, false, 64, mw);
                     prop_assert_eq!(
-                        normalize_round(r, base, sign, ew, mw),
-                        reference::normalize_round(r, base, sign, ew, mw),
-                        "r={:#x} base={} ew={} mw={}", r, base, ew, mw
+                        (sig, (k - i64::from(mw)) as u64), (want.sig, want.exp),
+                        "r={:#x} ew={} mw={}", r, ew, mw
                     );
                 }
             }
@@ -797,6 +872,9 @@ mod bit_identity {
                     match rng.next_u64() % 16 {
                         0 => a = Hfp::zero(a.ew, a.mw),
                         1 => b = Hfp::zero(b.ew, b.mw),
+                        // Tampered significands, below 2^53 and above.
+                        2 => a.sig = rng.next_u64() & mask(a.mw + 3),
+                        3 => b.sig = rng.next_u64(),
                         _ => {}
                     }
                     let (ew, mw) = cipher;
@@ -820,7 +898,7 @@ mod bit_identity {
                     let mut a = any_hfp(&mut rng, cipher);
                     let b_widths = match rng.next_u64() % 8 {
                         0 => plain,
-                        1 => (5, 10),
+                        1 if cipher.0 >= 5 => (5, 10),
                         _ => cipher,
                     };
                     let mut b = any_hfp(&mut rng, b_widths);
@@ -831,6 +909,10 @@ mod bit_identity {
                         // An exact quotient: no sticky bit.
                         1 => b.sig = 1 << b.mw,
                         2 => b = a,
+                        // Tampered significands, below 2^53 and above.
+                        3 => a.sig = rng.next_u64() & mask(a.mw + 3),
+                        4 => a.sig = rng.next_u64() | 1,
+                        5 => b.sig = rng.next_u64() | 1,
                         _ => {}
                     }
                     let (ew, mw) = cipher;
@@ -839,16 +921,6 @@ mod bit_identity {
                     );
                 }
             }
-        }
-
-        #[test]
-        fn div_rem_nz_equals_u128_division(num in any::<u128>(), d in 1u64.., shift in 0u32..128) {
-            // Both sides of the `high half < d` test, by shrinking the
-            // numerator until the quotient fits.
-            let num = num >> shift;
-            let wide = u128::from(d);
-            let q = num / wide;
-            prop_assert_eq!(div_rem_nz(num, d), (q, num - q * wide != 0));
         }
 
         #[test]
@@ -880,19 +952,40 @@ mod bit_identity {
     #[test]
     fn ties_round_to_even_and_carry_into_the_exponent() {
         // Directed twins of the random cases, with the expected values
-        // spelled out: kept = odd / even with exactly half an ulp below.
-        let (ew, mw) = (7, 8);
-        let tie = |kept: u128| (kept << 4) | 0b1000;
-        let up = normalize_round(tie(0b1_0000_0001), 0, false, ew, mw);
-        let down = normalize_round(tie(0b1_0000_0010), 0, false, ew, mw);
+        // spelled out: kept = odd / even with exactly half an ulp below,
+        // demoted from 12 stored bits to 8.
+        let tie = |kept: u64, sign: bool, e: i64| Hfp {
+            sign,
+            exp: ring_from_i64(e, 7),
+            sig: (kept << 4) | 0b1000,
+            ew: 7,
+            mw: 12,
+        };
+        let up = round_to(&tie(0b1_0000_0001, false, 0), 7, 8);
+        let down = round_to(&tie(0b1_0000_0010, false, 0), 7, 8);
         assert_eq!((up.sig, down.sig), (0b1_0000_0010, 0b1_0000_0010));
         // All ones rounds up to 2^{mw+1}: one more exponent step, and the
-        // step wraps the 7-bit ring.
-        let carried = normalize_round(tie(0b1_1111_1111), 123, true, ew, mw);
-        assert_eq!((carried.sig, carried.exp, carried.sign), (1 << mw, 0, true));
+        // step from the ring's largest exponent wraps to its smallest.
+        let all_ones = tie(0b1_1111_1111, true, 63);
+        let carried = round_to(&all_ones, 7, 8);
+        assert_eq!(
+            (carried.sig, carried.exponent(), carried.sign),
+            (1 << 8, -64, true)
+        );
+        let base = ring_from_i64(63 + 8 - 12, 7);
         assert_eq!(
             carried,
-            reference::normalize_round(tie(0b1_1111_1111), 123, true, ew, mw)
+            reference::normalize_round(u128::from(all_ones.sig), base, true, 7, 8)
         );
+    }
+
+    #[test]
+    fn add_of_foreign_widths_is_foreign_and_stays_so() {
+        let a = Hfp::one(13, 52);
+        let b = Hfp::one(10, 23);
+        assert_eq!(add(&a, &b), FOREIGN);
+        assert_eq!(add(&b, &a), FOREIGN);
+        assert_eq!(add(&FOREIGN, &a), FOREIGN);
+        assert_eq!(add(&FOREIGN, &FOREIGN), FOREIGN);
     }
 }

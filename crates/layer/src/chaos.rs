@@ -9,7 +9,7 @@
 
 use crate::engine::{EngineCfg, EngineError, Packet, RetryPolicy};
 use crate::secure::{ReduceAlgo, SecureComm};
-use hear_core::{CommKeys, Homac, IntSumScheme, HOMAC_P};
+use hear_core::{CommKeys, FloatSumScheme, Hfp, HfpFormat, Homac, IntSumScheme, HOMAC_P};
 use hear_mpi::{payload, FaultPlan, SimConfig, Simulator};
 use hear_prf::Backend;
 use std::any::Any;
@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 type IntSumPacket = Packet<u32, [u64; 1]>;
+type FloatSumPacket = Packet<Hfp, [u64; 2]>;
 
 fn packets_u32(n: usize) -> Vec<IntSumPacket> {
     (0..n)
@@ -57,6 +58,25 @@ fn verified_sum_under(
         .map(|j| (0..world as u32).map(|r| j * 3 + r).sum())
         .collect();
     (results, expected)
+}
+
+/// World-2 fp64(2, 2) float-sum allreduces of 16 elements under `plan`:
+/// every rank's result.
+fn float_sum_under(plan: FaultPlan, cfg: EngineCfg) -> Vec<Result<Vec<f64>, EngineError>> {
+    let sim = SimConfig::default().with_faults(plan);
+    Simulator::with_config(2, sim).run(|comm| {
+        let keys = CommKeys::generate(2, 0xF0E, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let homac = Homac::generate(0xF0F, Backend::best_available());
+        let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
+        let data: Vec<f64> = (0..16)
+            .map(|j| j as f64 * 0.5 - comm.rank() as f64)
+            .collect();
+        let mut scheme = FloatSumScheme::new(HfpFormat::fp64(2, 2));
+        sc.allreduce_with(&mut scheme, &data, cfg)
+    })
 }
 
 #[cfg(test)]
@@ -207,6 +227,55 @@ mod tests {
                     "rank {rank}: {e}"
                 ),
             }
+        }
+    }
+
+    /// One element of another float layer's widths — as a TCP peer can
+    /// send, since `(10, 23)` passes the decoder — reaches the combining
+    /// rank in place of an fp64(2, 2) ciphertext. ⊕ gives `ops::FOREIGN`
+    /// instead of panicking on the width mismatch, the cipher decrypts it
+    /// to NaN, and the verified path rejects it: a typed error on every
+    /// rank. Unverified, the call completes with NaN in that element.
+    #[test]
+    fn a_foreign_width_float_element_is_a_typed_error_not_a_panic() {
+        let foreign = |c: &mut Hfp| {
+            (c.ew, c.mw) = (10, 23);
+            (c.exp, c.sig) = (c.exp & 0x3FF, 1 << 23);
+        };
+        let verified: hear_mpi::Corruptor = Arc::new(move |payload: &mut dyn Any, _| {
+            if let Some(v) = payload.downcast_mut::<Vec<FloatSumPacket>>() {
+                v.iter_mut().take(1).for_each(|p| foreign(&mut p.c));
+            }
+            true
+        });
+        let plan = FaultPlan::seeded(5)
+            .corrupt_one_in(1)
+            .with_corruptor(verified);
+        let ecfg = EngineCfg::sync()
+            .verified()
+            .with_algo(ReduceAlgo::RecursiveDoubling)
+            .with_retry(RetryPolicy::retries(1).with_attempt_timeout(Duration::from_millis(500)));
+        for (rank, res) in float_sum_under(plan, ecfg).iter().enumerate() {
+            match res {
+                Err(EngineError::Verification(_)) => {}
+                other => panic!("rank {rank}: {other:?}"),
+            }
+        }
+        let plain: hear_mpi::Corruptor = Arc::new(move |payload: &mut dyn Any, _| {
+            if let Some(v) = payload.downcast_mut::<Vec<Hfp>>() {
+                v.iter_mut().take(1).for_each(foreign);
+            }
+            true
+        });
+        let plan = FaultPlan::seeded(5).corrupt_one_in(1).with_corruptor(plain);
+        let ecfg = EngineCfg::sync().with_algo(ReduceAlgo::RecursiveDoubling);
+        for (rank, res) in float_sum_under(plan, ecfg).iter().enumerate() {
+            let got = res.as_ref().unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+            assert!(got[0].is_nan(), "rank {rank}: {got:?}");
+            assert!(
+                got[1..].iter().all(|v| v.is_finite()),
+                "rank {rank}: {got:?}"
+            );
         }
     }
 }

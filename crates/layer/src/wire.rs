@@ -59,9 +59,11 @@ macro_rules! impl_wire_elem_int {
 }
 impl_wire_elem_int!(u8, u16, u32, u64);
 
-/// 25 bytes: sign, exp, sig, ew, mw. The exponent/significand are ring
-/// elements, so every bit pattern is admissible; only a non-boolean sign
-/// byte marks the cell undecodable.
+/// 25 bytes: sign, exp, sig, ew, mw. An element is decodable when its
+/// widths are ones an `HfpFormat` ciphertext can have (`ew` 2..=16, `mw`
+/// at most 52), its exponent lies on its `ew`-bit ring and its sign byte
+/// is a boolean; any significand is admissible. What a peer sends past
+/// that is `WireUndecodable` at the receive, before the combiner sees it.
 impl WireElem for Hfp {
     const BYTES: usize = 25;
     fn put(&self, out: &mut Vec<u8>) {
@@ -77,13 +79,15 @@ impl WireElem for Hfp {
             1 => true,
             _ => return None,
         };
-        Some(Hfp {
+        let h = Hfp {
             sign,
             exp: u64::from_le_bytes(b[1..9].try_into().ok()?),
             sig: u64::from_le_bytes(b[9..17].try_into().ok()?),
             ew: u32::from_le_bytes(b[17..21].try_into().ok()?),
             mw: u32::from_le_bytes(b[21..25].try_into().ok()?),
-        })
+        };
+        let in_range = (2..=16).contains(&h.ew) && h.mw <= 52 && h.exp >> h.ew == 0;
+        in_range.then_some(h)
     }
     /// An exponent bit-flip stays inside the `ew`-bit ring and shifts the
     /// decoded value by a power of two — far past any Table 2 tolerance.
@@ -268,7 +272,7 @@ mod tests {
         let v: Vec<Hfp> = (0..9)
             .map(|i| Hfp {
                 sign: i % 2 == 0,
-                exp: 0xABCD_0000 + i,
+                exp: 0x3F0 + i,
                 sig: (1 << 20) + i,
                 ew: 10,
                 mw: 20,
@@ -278,6 +282,33 @@ mod tests {
         assert_eq!(id, WIRE_ID_USER_BASE);
         let back = decode_payload(id, &bytes);
         assert_eq!(back.downcast_ref::<Vec<Hfp>>(), Some(&v));
+    }
+
+    /// A hostile peer's `Hfp` — widths no `HfpFormat` gives a ciphertext,
+    /// or an exponent off its ring — is `WireUndecodable` at the receive,
+    /// so the combiner never sees it; the honest element beside it decodes.
+    #[test]
+    fn an_out_of_range_hfp_is_undecodable() {
+        register_wire_types();
+        let honest = Hfp::one(13, 52);
+        let (id, bytes) = encode_payload(&vec![honest]);
+        let back = decode_payload(id, &bytes);
+        assert_eq!(back.downcast_ref::<Vec<Hfp>>(), Some(&vec![honest]));
+        for hostile in [
+            Hfp { ew: 40, ..honest },
+            Hfp { ew: 1, ..honest },
+            Hfp { ew: 0, ..honest },
+            Hfp { mw: 53, ..honest },
+            Hfp { mw: 4000, ..honest },
+            Hfp {
+                exp: 1 << 13,
+                ..honest
+            },
+        ] {
+            let (id, bytes) = encode_payload(&vec![honest, hostile]);
+            let got = decode_payload(id, &bytes);
+            assert!(got.is::<WireUndecodable>(), "{hostile:?}");
+        }
     }
 
     /// Bind every packet shape, as a program using all seven schemes would.
@@ -290,12 +321,38 @@ mod tests {
         (0..n).map(|_| rng.next_u64() as u8).collect()
     }
 
+    /// Random bytes for one element of `row`'s type. An element that leads
+    /// with an `Hfp` (its own entry and the float packet shapes) gets
+    /// widths and an exponent in range after its sign byte: random bytes
+    /// almost never have them.
+    fn random_elem(rng: &mut TestRng, row: &Row) -> Vec<u8> {
+        let mut b = random_bytes(rng, row.bytes);
+        let hfp_led = row.id == WIRE_ID_USER_BASE
+            || packet_shapes()
+                .iter()
+                .any(|s| s.wire_id == row.id && s.wire == std::any::type_name::<Hfp>());
+        if hfp_led {
+            let ew = 2 + (rng.next_u64() % 15) as u32;
+            let h = Hfp {
+                sign: false,
+                exp: rng.next_u64() & ((1 << ew) - 1),
+                sig: rng.next_u64(),
+                ew,
+                mw: (rng.next_u64() % 53) as u32,
+            };
+            let mut head = Vec::new();
+            h.put(&mut head);
+            b[1..Hfp::BYTES].copy_from_slice(&head[1..]);
+        }
+        b
+    }
+
     /// A valid wire image of `n` elements of `row`'s type: each element's
     /// bytes are drawn at random until the table's codec accepts them.
     fn valid_image(rng: &mut TestRng, row: &Row, n: usize) -> Vec<u8> {
         let mut image = Vec::with_capacity(n * row.bytes);
         for _ in 0..n {
-            let elem = std::iter::repeat_with(|| random_bytes(rng, row.bytes))
+            let elem = std::iter::repeat_with(|| random_elem(rng, row))
                 .find(|b| !decode_payload(row.id, b).is::<WireUndecodable>())
                 .expect("an endless search");
             image.extend(elem);
@@ -380,7 +437,7 @@ mod tests {
         fn sample(i: u64) -> Hfp {
             Hfp {
                 sign: i % 2 == 1,
-                exp: u64::MAX - i,
+                exp: 0xFF_u64.wrapping_sub(i) & 0xFF,
                 sig: (1 << 21) + i,
                 ew: 8,
                 mw: 21,

@@ -218,13 +218,15 @@ fn tcp_mesh_sync_ring_allreduce_of_4_mib_repeats() {
 /// A user-codec payload (`Vec<Hfp>`: read off the socket as one exact-size
 /// byte buffer, decoded only when the receiver asks) survives the hop as a
 /// direct message, ahead of and behind primitive traffic on the same link.
+/// Exponents wrap around their 11-bit ring (the decoder rejects one off
+/// it); significands take any bits.
 #[test]
 fn tcp_mesh_roundtrips_a_lazily_decoded_hfp_message() {
     hear::layer::wire::register_wire_types();
     let cells: Vec<Hfp> = (0..257u64)
         .map(|i| Hfp {
             sign: i % 3 == 0,
-            exp: 0xFFFF_0000_0000_0000 | i,
+            exp: (0x7F0 + i) & 0x7FF,
             sig: u64::MAX - i,
             ew: 11,
             mw: 52,
