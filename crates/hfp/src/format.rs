@@ -300,19 +300,15 @@ pub(crate) fn round_sig(sig: u64, from_mw: u32, to_mw: u32, exp: i64) -> (u64, i
     if to_mw >= from_mw {
         return (sig << (to_mw - from_mw), exp);
     }
+    // Whether the rounding increments, and whether that carries into the
+    // exponent, are coin flips per value: masks, not jumps.
     let drop = from_mw - to_mw;
     let kept = sig >> drop;
     let round = (sig >> (drop - 1)) & 1;
-    let sticky = sig & ((1u64 << (drop - 1)) - 1);
-    let mut out = kept;
-    if round == 1 && (sticky != 0 || kept & 1 == 1) {
-        out += 1;
-    }
-    if out >> (to_mw + 1) != 0 {
-        (out >> 1, exp + 1)
-    } else {
-        (out, exp)
-    }
+    let sticky = u64::from(sig & ((1u64 << (drop - 1)) - 1) != 0);
+    let out = kept + (round & (sticky | (kept & 1)));
+    let carry = out >> (to_mw + 1);
+    (out >> carry, exp + carry as i64)
 }
 
 #[cfg(test)]

@@ -89,11 +89,13 @@ fn round_f64(q: f64, mw: u32, err: impl FnOnce() -> i64) -> (u64, i64) {
 pub fn mul_sig(sa: u64, sb: u64, mw: u32) -> (u64, i64) {
     let q = to_f64(sa) * to_f64(sb);
     round_f64(q, mw, || {
-        // The exact product against `q` on one grid: a `q` below 2^53 is
-        // the exact product, so the two sides meet.
+        // A product below 2^53 (e.g. any fp16 or fp32 plaintext ⊗ noise) is
+        // exact; above, the exact product against `q` on one grid.
         let (s53, k) = f64_parts(q);
-        let p = u128::from(sa) * u128::from(sb);
-        sign_of(p << (52 - k).max(0), u128::from(s53) << (k - 52).max(0))
+        if k <= 52 {
+            return 0;
+        }
+        sign_of(u128::from(sa) * u128::from(sb), u128::from(s53) << (k - 52))
     })
 }
 
@@ -730,11 +732,13 @@ mod bit_identity {
             }
         }
         assert_eq!(v.len(), 11);
-        // Every re-rounding width the FPU path has, on exponent rings from
-        // 2 to 16 bits; δ and γ rotate, and a pair whose plaintext mantissa
-        // would leave 0..=52 bits gives way to the next.
+        // Every re-rounding width the FPU path has. The exponent ring is
+        // mostly wide enough (≥ 7 bits) for every gap up to past mw + 3;
+        // every fifth width gets a 2- to 7-bit ring instead. δ and γ
+        // rotate, and a pair whose plaintext mantissa would leave 0..=52
+        // bits gives way to the next.
         for mw in 1..=52u32 {
-            let le = 2 + mw % 13;
+            let le = if mw % 5 == 0 { 2 + mw % 4 } else { 7 + mw % 8 };
             let pairs = [(2, 2), (0, 2), (2, 0), (0, 0)];
             let (delta, gamma) = (0..4)
                 .map(|i| pairs[(mw as usize + i) % 4])
