@@ -991,7 +991,7 @@ mod bit_identity {
                     let small: Vec<f64> = (0..n).map(|_| (rng.next_f64() - 0.5) * span).collect();
                     sum_exp.encrypt_f64(k, first, &small, &mut ct).unwrap();
                     prop_assert_eq!(&ct, &reference::sum_exp_encrypt(fmt, k, first, &small).unwrap());
-                    // e^NaN is NaN; e^±∞ leaves the range (or is exactly 0).
+                    // e^NaN is NaN, which the encoder refuses.
                     let mut out = vec![Hfp::one(4, 4)];
                     let bad = [small.as_slice(), &[f64::NAN]].concat();
                     prop_assert!(sum_exp.encrypt_f64(k, first, &bad, &mut out).is_err());

@@ -31,7 +31,7 @@ fn on_fpu(h: &Hfp) -> bool {
 /// A significand below 2⁵³ as the `f64` it equals. Through `i64`, x86-64
 /// converts in one instruction; `u64` needs a fix-up for the top bit.
 #[inline(always)]
-fn to_f64(sig: u64) -> f64 {
+fn sig_f64(sig: u64) -> f64 {
     sig as i64 as f64
 }
 
@@ -87,7 +87,7 @@ fn round_f64(q: f64, mw: u32, err: impl FnOnce() -> i64) -> (u64, i64) {
 #[doc(hidden)]
 #[inline(always)]
 pub fn mul_sig(sa: u64, sb: u64, mw: u32) -> (u64, i64) {
-    let q = to_f64(sa) * to_f64(sb);
+    let q = sig_f64(sa) * sig_f64(sb);
     round_f64(q, mw, || {
         // A product below 2^53 (e.g. any fp16 or fp32 plaintext ⊗ noise) is
         // exact; above, the exact product against `q` on one grid.
@@ -104,7 +104,7 @@ pub fn mul_sig(sa: u64, sb: u64, mw: u32) -> (u64, i64) {
 #[doc(hidden)]
 #[inline(always)]
 pub fn div_sig(sa: u64, sb: u64, mw: u32) -> (u64, i64) {
-    let q = to_f64(sa) / to_f64(sb);
+    let q = sig_f64(sa) / sig_f64(sb);
     round_f64(q, mw, || {
         // sa/sb − q has the sign of sa·2^{52−k} − s53·sb; both sides are
         // below 2^106 because sa·2^{−k} < 2·sb.
@@ -210,12 +210,12 @@ pub fn add(a: &Hfp, b: &Hfp) -> Hfp {
     let pick_b = u64::from(d12 <= d21).wrapping_sub(1); // all ones iff b is l
     let l_exp = a.exp ^ ((a.exp ^ b.exp) & pick_b);
     // Beyond mw+2 bits of misalignment the small operand only decides the
-    // rounding; the shift is capped at mw+3, as the integer kernel's was,
-    // so the exact sum is the one it rounded.
+    // rounding; the shift is capped at mw+3, as the reference caps it, so
+    // the exact sum is the one the reference rounds.
     let gap = d12.min(d21).min(u64::from(mw) + 3);
     let scaled = |sig: u64, sign: bool, g: u64| {
         let pow2 = f64::from_bits((1023 + g) << 52);
-        f64::from_bits((to_f64(sig) * pow2).to_bits() | u64::from(sign) << 63)
+        f64::from_bits((sig_f64(sig) * pow2).to_bits() | u64::from(sign) << 63)
     };
     let x = scaled(a.sig, a.sign, gap & !pick_b);
     let y = scaled(b.sig, b.sign, gap & pick_b);
@@ -267,19 +267,7 @@ pub fn round_to(a: &Hfp, out_ew: u32, out_mw: u32) -> Hfp {
         ring_from_i64(out_mw as i64 - a.mw as i64, out_ew),
         out_ew,
     );
-    if !(on_fpu(a) && out_mw <= 52) {
-        return reference::normalize_round(a.sig as u128, base, a.sign, out_ew, out_mw);
-    }
-    // A significand of at most 53 bits is its own f64: nothing rounds
-    // until the second rounding.
-    let (sig, k) = round_f64(to_f64(a.sig), out_mw, || 0);
-    Hfp {
-        sign: a.sign,
-        exp: ring_add(base, ring_from_i64(k - i64::from(out_mw), out_ew), out_ew),
-        sig,
-        ew: out_ew,
-        mw: out_mw,
-    }
+    reference::normalize_round(a.sig as u128, base, a.sign, out_ew, out_mw)
 }
 
 /// The scalar kernels as first written — integer significands normalized
@@ -287,8 +275,8 @@ pub fn round_to(a: &Hfp, out_ew: u32, out_mw: u32) -> Hfp {
 /// two software divisions. Kept as the reference the FPU kernels above
 /// are property-tested against bit for bit (here and in `hear-core`'s
 /// float ciphers), as the baseline `crypto_throughput`'s float rows time,
-/// and as the cold path of a significand of 2⁵³ or more, which no `f64`
-/// holds.
+/// as the cold path of a non-canonical significand, and as [`round_to`],
+/// which nothing hot calls.
 #[doc(hidden)]
 pub mod reference {
     use crate::format::Hfp;
@@ -956,31 +944,34 @@ mod bit_identity {
     #[test]
     fn ties_round_to_even_and_carry_into_the_exponent() {
         // Directed twins of the random cases, with the expected values
-        // spelled out: kept = odd / even with exactly half an ulp below,
-        // demoted from 12 stored bits to 8.
-        let tie = |kept: u64, sign: bool, e: i64| Hfp {
-            sign,
-            exp: ring_from_i64(e, 7),
-            sig: (kept << 4) | 0b1000,
+        // spelled out: a 13-bit value whose kept 9 bits are odd / even with
+        // exactly half an ulp below, rounded as `round_f64` rounds.
+        let tie = |kept: u64| ((kept << 4) | 0b1000) as f64;
+        let round9 = |q: f64, err: i64| round_f64(q, 8, || err);
+        assert_eq!(round9(tie(0b1_0000_0001), 0), (0b1_0000_0010, 12));
+        assert_eq!(round9(tie(0b1_0000_0010), 0), (0b1_0000_0010, 12));
+        // The first rounding's error breaks the tie whatever the parity:
+        // an exact value above rounds up, one below rounds down.
+        assert_eq!(round9(tie(0b1_0000_0010), 1), (0b1_0000_0011, 12));
+        assert_eq!(round9(tie(0b1_0000_0001), -1), (0b1_0000_0001, 12));
+        // All ones rounds up to 2^{mw+1}: one binade more.
+        assert_eq!(round9(tie(0b1_1111_1111), 0), (1 << 8, 13));
+        // In ⊕ that step, from the 7-bit ring's largest exponent, wraps
+        // to its smallest: 511·2^9 + 511 = 2^18 − 1 rounds to 2^18.
+        let a = Hfp {
+            sign: true,
+            exp: ring_from_i64(63, 7),
+            sig: 0b1_1111_1111,
             ew: 7,
-            mw: 12,
+            mw: 8,
         };
-        let up = round_to(&tie(0b1_0000_0001, false, 0), 7, 8);
-        let down = round_to(&tie(0b1_0000_0010, false, 0), 7, 8);
-        assert_eq!((up.sig, down.sig), (0b1_0000_0010, 0b1_0000_0010));
-        // All ones rounds up to 2^{mw+1}: one more exponent step, and the
-        // step from the ring's largest exponent wraps to its smallest.
-        let all_ones = tie(0b1_1111_1111, true, 63);
-        let carried = round_to(&all_ones, 7, 8);
-        assert_eq!(
-            (carried.sig, carried.exponent(), carried.sign),
-            (1 << 8, -64, true)
-        );
-        let base = ring_from_i64(63 + 8 - 12, 7);
-        assert_eq!(
-            carried,
-            reference::normalize_round(u128::from(all_ones.sig), base, true, 7, 8)
-        );
+        let b = Hfp {
+            exp: ring_from_i64(54, 7),
+            ..a
+        };
+        let sum = add(&a, &b);
+        assert_eq!((sum.sig, sum.exponent(), sum.sign), (1 << 8, -64, true));
+        assert_eq!(sum, reference::add(&a, &b));
     }
 
     #[test]
