@@ -723,14 +723,14 @@ mod bit_identity {
         // Every re-rounding width the FPU path has. The exponent ring is
         // mostly wide enough (≥ 7 bits) for every gap up to past mw + 3;
         // every fifth width gets a 2- to 7-bit ring instead. δ and γ
-        // rotate, and a pair whose plaintext mantissa would leave 0..=52
-        // bits gives way to the next.
+        // rotate, and a pair whose plaintext mantissa `mw + δ − γ` would
+        // fall outside δ..=52 bits gives way to the next.
         for mw in 1..=52u32 {
             let le = if mw % 5 == 0 { 2 + mw % 4 } else { 7 + mw % 8 };
             let pairs = [(2, 2), (0, 2), (2, 0), (0, 0)];
             let (delta, gamma) = (0..4)
                 .map(|i| pairs[(mw as usize + i) % 4])
-                .find(|&(d, g)| (d..=52).contains(&(mw + d).saturating_sub(g)) && mw + d >= g)
+                .find(|&(d, g)| mw >= g && mw + d - g <= 52)
                 .expect("(0, 0) always fits");
             let f = HfpFormat::new(le, mw + delta - gamma, delta, gamma);
             assert_eq!(f.cipher_widths().1, mw);
