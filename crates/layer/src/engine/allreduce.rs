@@ -83,17 +83,26 @@ impl SecureComm {
         mut route: Route,
     ) -> Result<(), EngineError> {
         let (n, block) = (data.len(), cfg.block_len(data.len()));
+        let threads = SecureComm::pool_threads();
         // The Fig. 6 baseline (a `Blocked` allreduce) runs unspanned.
         let _span = match (route, cfg.chunk) {
-            (Route::Scatter, _) if cfg.verified => {
-                Some(span!("secure_reduce_scatter_verified", elems = n))
+            (Route::Scatter, _) if cfg.verified => Some(span!(
+                "secure_reduce_scatter_verified",
+                elems = n,
+                threads = threads
+            )),
+            (Route::Scatter, _) => {
+                Some(span!("secure_reduce_scatter", elems = n, threads = threads))
             }
-            (Route::Scatter, _) => Some(span!("secure_reduce_scatter", elems = n)),
-            (_, ChunkMode::Pipelined(b)) => Some(span!("pipeline", elems = n, block = b)),
-            (_, ChunkMode::Sync) if cfg.verified => {
-                Some(span!("secure_allreduce_verified", elems = n))
+            (_, ChunkMode::Pipelined(b)) => {
+                Some(span!("pipeline", elems = n, block = b, threads = threads))
             }
-            (_, ChunkMode::Sync) => Some(span!("secure_allreduce", elems = n)),
+            (_, ChunkMode::Sync) if cfg.verified => Some(span!(
+                "secure_allreduce_verified",
+                elems = n,
+                threads = threads
+            )),
+            (_, ChunkMode::Sync) => Some(span!("secure_allreduce", elems = n, threads = threads)),
             (_, ChunkMode::Blocked(_)) => None,
         };
         let homac = self.homac_for(cfg);

@@ -72,7 +72,8 @@ impl SecureComm {
             "alltoall requires one equal-length chunk per rank"
         );
         let l = data.len() / world;
-        let _span = hear_telemetry::span!("secure_alltoall", elems = data.len());
+        let threads = SecureComm::pool_threads();
+        let _span = hear_telemetry::span!("secure_alltoall", elems = data.len(), threads = threads);
         self.keys.advance();
         out.clear();
         // Prefill with the contribution: the rounds overwrite every slice.

@@ -288,11 +288,12 @@ impl SecureComm {
     }
 
     /// Execute one agreed shrink: rebase the key schedule over the
-    /// survivors at a fresh membership epoch, shrink the communicator,
-    /// and record the change (sticky eviction set, per-epoch counters, caller
-    /// report). `deferred` says this rank agreed to the shrink at the end
-    /// of a call it had completed and is only now entering the call its
-    /// peers re-run: they advanced the pad epoch once more (their failed
+    /// survivors at a fresh membership epoch, shrink the communicator
+    /// (and resize the lane to the survivors' share), and record the
+    /// change (sticky eviction set, per-epoch counters, caller report).
+    /// `deferred` says this rank agreed to the shrink at the end of a call
+    /// it had completed and is only now entering the call its peers
+    /// re-run: they advanced the pad epoch once more (their failed
     /// attempt of that call) before deriving the salt, which must match.
     fn shrink_to(&mut self, survivors: &[usize], deferred: bool) {
         let old_world = self.world();
@@ -319,6 +320,7 @@ impl SecureComm {
             self.degraded = true;
         }
         self.comm = self.comm.shrink(survivors);
+        self.fit_lane();
         self.keys = keys;
         self.lineage = survivors.iter().map(|&r| self.lineage[r]).collect();
         hear_telemetry::incr(hear_telemetry::Metric::MembershipEpochs);

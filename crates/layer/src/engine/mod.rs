@@ -102,6 +102,7 @@ pub(crate) use packet::{for_each_packet_shape, Packet, SchemePacket};
 use crate::secure::{ReduceAlgo, SecureComm};
 use hear_core::{Homac, Scheme};
 use hear_mpi::{CommError, Communicator, Request};
+use hear_prf::WorkerPool;
 use std::time::Instant;
 
 /// Two blocks in flight overlap encrypt(n+1) and decrypt(n−1) with the
@@ -110,20 +111,29 @@ pub(crate) const DEPTH: usize = 2;
 
 impl SecureComm {
     /// The contract every `*_with_into` entry point shares: run `attempt`
-    /// — inside the shrink-and-continue loop when `shrink` names the
-    /// policy — and on `Err` leave `out` empty (capacity kept): never the
-    /// caller's input, never part of a result.
+    /// on this rank's lane (see [`SecureComm`]'s module docs) — inside the
+    /// shrink-and-continue loop when `shrink` names the policy, each
+    /// re-run on the lane resized for the shrunk world — and on `Err`
+    /// leave `out` empty (capacity kept): never the caller's input, never
+    /// part of a result.
     fn run_into<T>(
         &mut self,
         out: &mut Vec<T>,
         shrink: Option<RetryPolicy>,
         mut attempt: impl FnMut(&mut SecureComm, &mut Vec<T>) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
+        let mut on_lane = |sc: &mut SecureComm| sc.on_lane(|sc| attempt(sc, out));
         match shrink {
-            Some(policy) => self.with_shrink(policy, |sc| attempt(sc, out)),
-            None => attempt(self, out),
+            Some(policy) => self.with_shrink(policy, on_lane),
+            None => on_lane(self),
         }
         .inspect_err(|_| out.clear())
+    }
+
+    /// The thread count of the pool this call's fan-out runs on: the lane,
+    /// or the caller's pinned pool. Recorded on each collective's span.
+    fn pool_threads() -> usize {
+        WorkerPool::with_current(WorkerPool::threads)
     }
 
     /// The HoMAC state a call runs under: `None` unless `cfg.verified`,

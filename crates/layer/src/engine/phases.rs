@@ -155,7 +155,9 @@ impl SecureComm {
         out: &mut Vec<S::Input>,
         cfg: EngineCfg,
     ) -> Result<(), EngineError> {
-        let _span = hear_telemetry::span!("secure_allgather", elems = mine.len());
+        let threads = SecureComm::pool_threads();
+        let _span =
+            hear_telemetry::span!("secure_allgather", elems = mine.len(), threads = threads);
         self.keys.advance();
         out.clear();
         if self.world() == 1 {

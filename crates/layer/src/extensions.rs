@@ -114,17 +114,19 @@ impl SecureComm {
     /// without INC). Only the root's return value is the reduction; other
     /// ranks receive `None`.
     pub fn reduce_sum_u32(&mut self, root: usize, data: &[u32]) -> Option<Vec<u32>> {
-        self.keys.advance();
-        let mut buf = Vec::with_capacity(data.len());
-        IntSum::encrypt_into(&self.keys, 0, data, &mut buf);
-        let mut agg = self
-            .comm
-            .reduce(root, buf, |a: &u32, b: &u32| a.wrapping_add(*b));
-        if self.comm.rank() != root {
-            return None;
-        }
-        IntSum::decrypt_in_place(&self.keys, 0, &mut agg, &mut Scratch::default());
-        Some(agg)
+        self.on_lane(|sc| {
+            sc.keys.advance();
+            let mut buf = Vec::with_capacity(data.len());
+            IntSum::encrypt_into(&sc.keys, 0, data, &mut buf);
+            let mut agg = sc
+                .comm
+                .reduce(root, buf, |a: &u32, b: &u32| a.wrapping_add(*b));
+            if sc.comm.rank() != root {
+                return None;
+            }
+            IntSum::decrypt_in_place(&sc.keys, 0, &mut agg, &mut Scratch::default());
+            Some(agg)
+        })
     }
 
     /// Encrypted broadcast (§8): the payload crosses the untrusted network

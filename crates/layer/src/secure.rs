@@ -15,10 +15,27 @@
 //! and the runtime-typed front doors over them
 //! ([`SecureComm::pmpi_allreduce`], see [`crate::dispatch`]); this module
 //! holds the communicator state they share.
+//!
+//! ## One lane per rank
+//!
+//! In the paper each rank is its own process and does its own crypto. Here
+//! ranks may share a process (the in-memory simulator) or a host (one
+//! `hear-launch` process per rank), so each [`SecureComm`] owns a *lane*: a
+//! [`WorkerPool`] of `max(1, B / world)` threads, where `B` is the process
+//! budget [`WorkerPool::global`] caches (`HEAR_THREADS`, else the core
+//! count). Every collective runs its mask and HoMAC fan-out on that lane,
+//! so in-process ranks never queue on each other's fork-join jobs and
+//! `world` ranks on one host use at most `B` threads between them. At
+//! `B / world ≤ 1` the lane is the inline degeneracy: no lock, no worker
+//! thread. A caller already inside a [`hear_prf::with_pool`] scope keeps
+//! its pool. Pads are pure in `(epoch, offset)`, so the lane's size never
+//! changes a ciphertext bit.
 
 use crate::arena::ScratchArena;
 use hear_core::{CommKeys, Homac};
 use hear_mpi::Communicator;
+use hear_prf::WorkerPool;
+use std::sync::Arc;
 
 /// Which allreduce algorithm carries the ciphertexts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,6 +105,14 @@ pub struct SecureComm {
     /// Survivor set of a shrink this rank agreed to at the end of a call
     /// it had completed; applied on entry to the next call.
     pub(crate) deferred_shrink: Option<Vec<usize>>,
+    /// This rank's fork-join pool, sized to its share of the process
+    /// budget (see the module docs); resized when a shrink changes it.
+    pub(crate) lane: Arc<WorkerPool>,
+}
+
+/// A rank's share of the process thread budget at `world` ranks.
+fn lane_threads(world: usize) -> usize {
+    (WorkerPool::global().threads() / world).max(1)
 }
 
 impl SecureComm {
@@ -115,7 +140,28 @@ impl SecureComm {
             membership_changes: Vec::new(),
             calls: 0,
             deferred_shrink: None,
+            lane: Arc::new(WorkerPool::new(lane_threads(comm_world))),
         }
+    }
+
+    /// Resize the lane to this rank's share at the current world, if that
+    /// share changed (a shrink left fewer ranks to split the budget).
+    pub(crate) fn fit_lane(&mut self) {
+        let threads = lane_threads(self.world());
+        if self.lane.threads() != threads {
+            self.lane = Arc::new(WorkerPool::new(threads));
+        }
+    }
+
+    /// Run `f` with this rank's lane installed as the thread's masking
+    /// pool, unless the caller already installed one with
+    /// [`hear_prf::with_pool`]: a pinned pool wins.
+    pub(crate) fn on_lane<R>(&mut self, f: impl FnOnce(&mut SecureComm) -> R) -> R {
+        if hear_prf::pool_scoped() {
+            return f(self);
+        }
+        let lane = Arc::clone(&self.lane);
+        hear_prf::with_pool(&lane, || f(self))
     }
 
     /// Whether the communicator has fallen back from in-network compute
@@ -399,5 +445,122 @@ mod narrow_lane_tests {
             assert_eq!(*s8, vec![150, 200u8.wrapping_mul(3)]);
             assert_eq!(*x16, vec![0xA5A5]); // odd count
         }
+    }
+}
+
+#[cfg(test)]
+mod lane_tests {
+    use super::*;
+    use crate::engine::{EngineCfg, PeerDeadPolicy, RetryPolicy};
+    use hear_core::IntSumScheme;
+    use hear_mpi::{FaultPlan, SimConfig, Simulator};
+    use hear_prf::{with_pool, Backend, PAR_MIN_BYTES};
+    use std::time::Duration;
+
+    /// Odd `u32` count past [`PAR_MIN_BYTES`]: the mask passes and the
+    /// HoMAC fan-out both shard on any pool of two or more threads.
+    const LEN: usize = PAR_MIN_BYTES / 4 + 13;
+
+    fn budget() -> usize {
+        WorkerPool::global().threads()
+    }
+
+    fn secure(comm: &Communicator, world: usize) -> SecureComm {
+        let keys = CommKeys::generate(world, 0x1A2E, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let homac = Homac::generate(0x1A2F, Backend::best_available());
+        SecureComm::new(comm.clone(), keys).with_homac(homac)
+    }
+
+    fn data(rank: usize) -> Vec<u32> {
+        (0..LEN as u32).map(|j| j ^ rank as u32).collect()
+    }
+
+    fn verified_ring() -> EngineCfg {
+        EngineCfg::sync()
+            .with_algo(crate::secure::ReduceAlgo::Ring)
+            .verified()
+    }
+
+    /// A lone rank gets the whole budget, and its fan-out runs on it.
+    #[test]
+    fn world_one_gets_the_whole_budget() {
+        let seen = Simulator::new(1).run(|comm| {
+            let mut sc = secure(comm, 1);
+            let got = sc.allreduce_with(&mut IntSumScheme::default(), &data(0), EngineCfg::sync());
+            assert_eq!(got.unwrap(), data(0));
+            (sc.lane.threads(), sc.lane.jobs())
+        });
+        let (threads, jobs) = seen[0];
+        assert_eq!(threads, budget());
+        assert_eq!(
+            jobs > 0,
+            budget() > 1,
+            "{jobs} jobs on a {threads}-thread lane"
+        );
+    }
+
+    /// At `world ≥ B` every rank's lane is the inline degeneracy: a
+    /// verified ring allreduce past both fan-out thresholds runs without a
+    /// fork-join job on any lane, so no lane spawns a `hear-worker-*`
+    /// thread.
+    #[test]
+    fn world_at_or_past_the_budget_runs_inline() {
+        let world = budget().max(2);
+        let seen = Simulator::new(world).run(move |comm| {
+            let mut sc = secure(comm, world);
+            let mut s = IntSumScheme::<u32>::default();
+            let got = sc.allreduce_with(&mut s, &data(comm.rank()), verified_ring());
+            assert_eq!(got.unwrap().len(), LEN);
+            (sc.lane.threads(), sc.lane.jobs())
+        });
+        for (rank, lane) in seen.iter().enumerate() {
+            assert_eq!(*lane, (1, 0), "rank {rank} of {world}");
+        }
+    }
+
+    /// A shrink from 2 to 1 hands the survivor the whole budget. (On a
+    /// one-thread budget both shares are 1 and nothing is resized.)
+    #[test]
+    fn a_shrink_resizes_the_lane() {
+        let plan = FaultPlan::seeded(3).kill_endpoint_after(1, 0);
+        let sim = Simulator::with_config(2, SimConfig::default().with_faults(plan));
+        let seen = sim.run(|comm| {
+            if comm.rank() == 1 {
+                return None;
+            }
+            let mut sc = secure(comm, 2);
+            let before = sc.lane.threads();
+            let policy = RetryPolicy::retries(0)
+                .with_attempt_timeout(Duration::from_secs(2))
+                .on_peer_dead(PeerDeadPolicy::ShrinkAndContinue);
+            let cfg = verified_ring().with_retry(policy);
+            let got = sc.allreduce_with(&mut IntSumScheme::default(), &data(0), cfg);
+            assert_eq!(got.unwrap(), data(0), "the survivor's own contribution");
+            assert_eq!(sc.world(), 1);
+            Some((before, sc.lane.threads()))
+        });
+        assert_eq!(seen[0], Some(((budget() / 2).max(1), budget())));
+    }
+
+    /// A pool the caller pinned with `with_pool` carries the call; the lane
+    /// stays idle.
+    #[test]
+    fn a_pinned_pool_wins_over_the_lane() {
+        let seen = Simulator::new(1).run(|comm| {
+            let pinned = WorkerPool::new(4);
+            let mut sc = secure(comm, 1);
+            with_pool(&pinned, || {
+                let mut s = IntSumScheme::<u32>::default();
+                sc.allreduce_with(&mut s, &data(0), EngineCfg::sync())
+                    .unwrap()
+            });
+            (pinned.jobs(), sc.lane.jobs())
+        });
+        let (pinned, lane) = seen[0];
+        assert!(pinned > 0, "the pinned 4-thread pool never fanned out");
+        assert_eq!(lane, 0);
     }
 }

@@ -34,8 +34,8 @@ pub mod shani;
 pub use kernels::{add_keystream_into, sub_keystream_into, xor_keystream_into, KernelWord, Stream};
 pub use par::{
     configured_threads, for_each_shard, par_add_keystream_into, par_fused_pass,
-    par_sub_keystream_into, par_xor_keystream_into, with_pool, Payload, WorkerPool, PAR_MIN_BYTES,
-    SHARD_BYTES,
+    par_sub_keystream_into, par_xor_keystream_into, pool_scoped, with_pool, Payload, WorkerPool,
+    PAR_MIN_BYTES, SHARD_BYTES,
 };
 
 /// A keyed pseudorandom function producing 128-bit blocks.

@@ -10,9 +10,13 @@
 //!
 //! The pool here is deliberately minimal:
 //!
-//! * persistent parked threads, sized by
-//!   [`std::thread::available_parallelism`] and overridable with the
-//!   `HEAR_THREADS` environment variable (read once, at first use);
+//! * persistent parked threads, spawned on first use; the process budget
+//!   is [`std::thread::available_parallelism`], overridable with the
+//!   `HEAR_THREADS` environment variable (read once, when the
+//!   [`WorkerPool::global`] pool that caches it is first touched);
+//! * one pool per submitter: an engine rank runs its fork-join jobs on a
+//!   pool of its own (its *lane*, `hear-layer` sizes it to the rank's share
+//!   of the budget), so in-process ranks never queue on each other's jobs;
 //! * fork-join [`WorkerPool::run`] with the *submitting* thread working as
 //!   shard zero's peer — `threads == 1` degenerates to an inline serial
 //!   loop with no synchronization at all;
@@ -32,6 +36,7 @@ use crate::{KernelWord, PrfCipher};
 use std::cell::Cell;
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
@@ -83,6 +88,13 @@ pub fn with_pool<R>(pool: &WorkerPool, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Whether this thread is inside a [`with_pool`] scope. A caller that
+/// would install a pool of its own (an engine rank's lane) leaves an
+/// enclosing scope in force instead, so explicitly pinned pools win.
+pub fn pool_scoped() -> bool {
+    POOL_OVERRIDE.with(|c| !c.get().is_null())
+}
+
 /// One claimable fork-join job. The function pointer is lifetime-erased;
 /// soundness argument at [`WorkerPool::run`].
 #[derive(Clone, Copy)]
@@ -114,10 +126,15 @@ struct Inner {
 pub struct WorkerPool {
     threads: usize,
     inner: Arc<Inner>,
-    /// Serializes fork-join jobs from concurrent in-process ranks.
+    /// Serializes fork-join jobs from threads that share this pool. An
+    /// engine rank submits only to its own lane, so engine calls never
+    /// contend here; threads that share [`WorkerPool::global`] or one
+    /// [`with_pool`] pool still take turns.
     submit: Mutex<()>,
     /// Lazily spawned worker handles (at most `threads − 1`).
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Jobs handed to the workers (the inline degeneracies not counted).
+    jobs: AtomicU64,
 }
 
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -140,6 +157,7 @@ impl WorkerPool {
             }),
             submit: Mutex::new(()),
             workers: Mutex::new(Vec::new()),
+            jobs: AtomicU64::new(0),
         }
     }
 
@@ -153,9 +171,10 @@ impl WorkerPool {
     /// [`with_pool`] override when inside one, [`WorkerPool::global`]
     /// otherwise — and run `f` on it. The consumers that auto-parallelize
     /// (the integer schemes' stream application, the HoMAC digest
-    /// fan-out) route through this so bit-identity suites can pin
-    /// explicit 1/2/4-thread pools without touching `HEAR_THREADS`
-    /// (which the global pool reads only once per process).
+    /// fan-out) route through this, so an engine rank's collective runs
+    /// on the lane it installs, and bit-identity suites can pin explicit
+    /// 1/2/4-thread pools without touching `HEAR_THREADS` (which the
+    /// global pool reads only once per process).
     pub fn with_current<R>(f: impl FnOnce(&WorkerPool) -> R) -> R {
         let p = POOL_OVERRIDE.with(Cell::get);
         if p.is_null() {
@@ -171,6 +190,13 @@ impl WorkerPool {
     /// The configured thread budget (including the submitting thread).
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Fork-join jobs this pool has fanned out to its workers so far; a
+    /// job that ran inline (one thread, one shard) is not counted. Workers
+    /// are spawned only for such a job, so a pool at 0 has spawned none.
+    pub fn jobs(&self) -> u64 {
+        self.jobs.load(Ordering::Relaxed)
     }
 
     /// Shard count for a buffer of `bytes`: one shard per [`SHARD_BYTES`],
@@ -215,6 +241,7 @@ impl WorkerPool {
         }
         let _job_turn = lock_unpoisoned(&self.submit);
         self.ensure_workers((self.threads - 1).min(nshards - 1));
+        self.jobs.fetch_add(1, Ordering::Relaxed);
 
         // SAFETY (lifetime erasure): the reference is published to worker
         // threads only through `State.job`, every executing shard is
@@ -652,7 +679,9 @@ mod tests {
         let outer = WorkerPool::new(2);
         let inner = WorkerPool::new(4);
         let global_threads = WorkerPool::with_current(WorkerPool::threads);
+        assert!(!pool_scoped());
         with_pool(&outer, || {
+            assert!(pool_scoped());
             assert_eq!(WorkerPool::with_current(WorkerPool::threads), 2);
             // Overrides nest; the inner scope restores the outer one.
             with_pool(&inner, || {
@@ -660,15 +689,31 @@ mod tests {
             });
             assert_eq!(WorkerPool::with_current(WorkerPool::threads), 2);
             // Spawned threads see the global, not this thread's override.
-            let seen = std::thread::spawn(|| WorkerPool::with_current(WorkerPool::threads))
-                .join()
-                .unwrap();
-            assert_eq!(seen, global_threads);
+            let seen = std::thread::spawn(|| {
+                (pool_scoped(), WorkerPool::with_current(WorkerPool::threads))
+            })
+            .join()
+            .unwrap();
+            assert_eq!(seen, (false, global_threads));
         });
+        assert!(!pool_scoped());
         assert_eq!(
             WorkerPool::with_current(WorkerPool::threads),
             global_threads
         );
+    }
+
+    #[test]
+    fn jobs_count_only_fan_outs() {
+        let serial = WorkerPool::new(1);
+        serial.run(8, &|_| {});
+        assert_eq!(serial.jobs(), 0);
+        let pool = WorkerPool::new(4);
+        pool.run(1, &|_| {}); // one shard runs inline
+        assert_eq!(pool.jobs(), 0);
+        pool.run(2, &|_| {});
+        pool.run(8, &|_| {});
+        assert_eq!(pool.jobs(), 2);
     }
 
     #[test]

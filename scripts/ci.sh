@@ -24,6 +24,12 @@ cargo test -q "$@"
 HEAR_TRANSPORT=tcp cargo test -q -p hear \
     --test matrix --test chaos --test collectives --test socket --test telemetry_e2e
 
+# The engine suites again on a 4-thread budget: at world 2 each rank then
+# fans out on its own 2-thread lane, two lanes at once, which neither the
+# default run on a 2-core host nor the benchmark ever does. (Keep this row
+# identical to the workflow's.)
+HEAR_THREADS=4 cargo test -q -p hear --test matrix --test collectives --test parallel_masking
+
 # The benchmark package (bench/, its own workspace) is the one consumer of
 # the engine's public API outside this workspace — it matches on
 # `ChunkMode` variants and reads `EngineCfg` fields — so an engine change

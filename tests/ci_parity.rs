@@ -1,10 +1,11 @@
 //! CI parity guard: `scripts/ci.sh` and `.github/workflows/ci.yml` run the
 //! same rows.
 //!
-//! Three groups of rows exist in both files with a "keep identical"
+//! Four groups of rows exist in both files with a "keep identical"
 //! comment beside them: the suites re-run over the TCP transport
-//! (`HEAR_TRANSPORT=tcp`), the benchmark package's build and test rows
-//! (with the `--skip` of its known flake), and the lint rows. This test
+//! (`HEAR_TRANSPORT=tcp`), the suites re-run on a 4-thread budget
+//! (`HEAR_THREADS=4`), the benchmark package's build and test rows (with
+//! the `--skip` of its known flake), and the lint rows. This test
 //! parses each file's shell commands with a small std-only scanner,
 //! drops what legitimately differs (the workflow's `+<toolchain>` and
 //! `--offline`; the script exports `CARGO_NET_OFFLINE` instead), and fails
@@ -86,7 +87,7 @@ fn workflow_commands(yml: &str) -> Vec<String> {
 }
 
 /// The row groups both files must carry identically.
-fn groups(commands: &[String]) -> [(&'static str, Vec<String>); 3] {
+fn groups(commands: &[String]) -> [(&'static str, Vec<String>); 4] {
     let pick = |keep: &dyn Fn(&str) -> bool| {
         let rows = commands.iter().filter(|c| keep(c));
         rows.cloned().collect::<Vec<_>>()
@@ -95,6 +96,10 @@ fn groups(commands: &[String]) -> [(&'static str, Vec<String>); 3] {
         (
             "TCP row",
             pick(&|c| c.starts_with("HEAR_TRANSPORT=tcp cargo test")),
+        ),
+        (
+            "thread-budget row",
+            pick(&|c| c.starts_with("HEAR_THREADS=4 cargo test")),
         ),
         (
             "benchmark-package rows",
@@ -129,7 +134,7 @@ fn ci_script_and_workflow_run_the_same_tcp_bench_and_lint_rows() {
 #[test]
 fn the_tcp_row_lists_every_transport_suite_and_the_bench_skips_one_test() {
     let script = shell_commands(read("scripts/ci.sh").lines());
-    let [(_, tcp), (_, bench), _] = groups(&script);
+    let [(_, tcp), _, (_, bench), _] = groups(&script);
     let suites: Vec<&str> = tcp[0]
         .split(" --test ")
         .skip(1)

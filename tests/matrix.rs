@@ -1308,11 +1308,13 @@ fn steady_state_parallel_masking_is_allocation_free_at_world_one() {
                 sc.allreduce_with_into(&mut s, &data, &mut out, EngineCfg::sync())
                     .unwrap();
             }
-            (allocs_on_this_thread() - before, out.len())
+            (allocs_on_this_thread() - before, out.len(), pool.jobs())
         })
     });
-    let (allocs, out_len) = zero_after_warmup[0];
+    let (allocs, out_len, jobs) = zero_after_warmup[0];
     assert_eq!(out_len, len);
+    // The pinned pool, not the communicator's own lane, carried the calls.
+    assert!(jobs > 0, "the pinned 4-thread pool never fanned out");
     assert_eq!(
         allocs, 0,
         "steady-state parallel-masked allreduce allocated {allocs} times on the rank thread"

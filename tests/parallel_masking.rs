@@ -11,6 +11,9 @@
 //! the 1-thread pool *is* the `HEAR_THREADS=1` degeneracy — `WorkerPool`
 //! sizes are indistinguishable from the env knob past construction, which
 //! `hear_prf`'s own env test pins separately.
+//!
+//! The suite also holds the engine to its lanes: a rank's collective never
+//! waits on a fork-join job some other thread submitted.
 
 use hear::core::{
     Backend, CommKeys, FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumExpScheme,
@@ -27,6 +30,22 @@ const LEN: usize = PAR_MIN_BYTES / 4 + 3;
 /// Odd stream offset so the leading partial block is non-empty too.
 const FIRST: u64 = 3;
 
+/// Whether a row pinned to a pool of two or more threads sharded on it:
+/// `fans_out` rows must (a serial pass would make their comparison
+/// vacuous), the others — IntProd's multiplicative noise and the fused
+/// float passes, which run on one thread — must not.
+fn assert_fan_out(pool: &WorkerPool, what: &str, fans_out: bool) {
+    if pool.threads() > 1 {
+        assert_eq!(
+            pool.jobs() > 0,
+            fans_out,
+            "{what}: {} fork-join jobs on the {}-thread pool",
+            pool.jobs(),
+            pool.threads()
+        );
+    }
+}
+
 /// Both ranks' wires plus the unmasked aggregate from one pool size.
 type PinOutcome<S> = (
     Vec<<S as Scheme>::Wire>,
@@ -36,8 +55,9 @@ type PinOutcome<S> = (
 
 /// Mask both ranks' inputs, combine the wires with the scheme's network
 /// op, unmask the aggregate with rank 0's keys — once per pool size — and
-/// demand every intermediate is identical across pool sizes.
-fn pin_scheme<S, MS>(mk: MS, inputs: [Vec<S::Input>; 2])
+/// demand every intermediate is identical across pool sizes. `fans_out`
+/// says whether the scheme's passes shard ([`assert_fan_out`]).
+fn pin_scheme<S, MS>(mk: MS, inputs: [Vec<S::Input>; 2], fans_out: bool)
 where
     S: Scheme,
     S::Input: PartialEq + std::fmt::Debug,
@@ -60,6 +80,7 @@ where
             (w0, w1, out)
         });
         assert_eq!(out.len(), inputs[0].len(), "{} threads={threads}", S::NAME);
+        assert_fan_out(&pool, S::NAME, fans_out);
         match &reference {
             None => reference = Some((w0, w1, out)),
             Some((rw0, rw1, rout)) => {
@@ -90,14 +111,14 @@ fn int_sum_parallel_masking_is_bit_identical() {
             .map(|j| j.wrapping_mul(0x9E37_79B9).wrapping_add(r as u32))
             .collect()
     });
-    pin_scheme(IntSumScheme::<u32>::default, inputs);
+    pin_scheme(IntSumScheme::<u32>::default, inputs, true);
 }
 
 #[test]
 fn int_prod_parallel_masking_is_bit_identical() {
     let inputs: [Vec<u64>; 2] =
         std::array::from_fn(|r| (0..LEN as u64).map(|j| 1 + (j + r as u64) % 9).collect());
-    pin_scheme(IntProdScheme::<u64>::default, inputs);
+    pin_scheme(IntProdScheme::<u64>::default, inputs, false);
 }
 
 #[test]
@@ -107,7 +128,7 @@ fn int_xor_parallel_masking_is_bit_identical() {
             .map(|j| j.wrapping_mul(0xDEAD_BEEF) ^ ((r as u32) << 13))
             .collect()
     });
-    pin_scheme(IntXorScheme::<u32>::default, inputs);
+    pin_scheme(IntXorScheme::<u32>::default, inputs, true);
 }
 
 #[test]
@@ -117,7 +138,7 @@ fn fixed_sum_parallel_masking_is_bit_identical() {
             .map(|j| (((r * LEN + j) % 8191) as f64 * 0.37).sin() * 4.0)
             .collect()
     });
-    pin_scheme(|| FixedSumScheme::new(FixedCodec::new(16)), inputs);
+    pin_scheme(|| FixedSumScheme::new(FixedCodec::new(16)), inputs, true);
 }
 
 #[test]
@@ -127,7 +148,7 @@ fn float_sum_v1_parallel_masking_is_bit_identical() {
             .map(|j| (((r * LEN + j) % 8191) as f64 * 0.17).cos() * 3.0 + 4.0)
             .collect()
     });
-    pin_scheme(|| FloatSumScheme::new(HfpFormat::fp32(2, 2)), inputs);
+    pin_scheme(|| FloatSumScheme::new(HfpFormat::fp32(2, 2)), inputs, false);
 }
 
 #[test]
@@ -137,7 +158,11 @@ fn float_sum_v2_parallel_masking_is_bit_identical() {
             .map(|j| (((r * LEN + j) % 8191) as f64 * 0.29).sin() * 0.4)
             .collect()
     });
-    pin_scheme(|| FloatSumExpScheme::new(HfpFormat::fp64(0, 0)), inputs);
+    pin_scheme(
+        || FloatSumExpScheme::new(HfpFormat::fp64(0, 0)),
+        inputs,
+        false,
+    );
 }
 
 #[test]
@@ -147,7 +172,11 @@ fn float_prod_parallel_masking_is_bit_identical() {
             .map(|j| 0.6 + (((r * LEN + j) % 8191) as f64 * 0.41).cos().abs())
             .collect()
     });
-    pin_scheme(|| FloatProdScheme::new(HfpFormat::fp64(0, 0)), inputs);
+    pin_scheme(
+        || FloatProdScheme::new(HfpFormat::fp64(0, 0)),
+        inputs,
+        false,
+    );
 }
 
 /// The HoMAC digest fan-out has its own parallel threshold
@@ -171,6 +200,7 @@ fn homac_tags_parallel_match_serial() {
             (tags, ok)
         });
         assert!(ok, "single-rank HoMAC verify failed at {threads} threads");
+        assert_fan_out(&pool, "HoMAC tag/verify", true);
         match &reference {
             None => reference = Some(tags),
             Some(r) => assert!(
@@ -179,6 +209,76 @@ fn homac_tags_parallel_match_serial() {
             ),
         }
     }
+}
+
+/// An engine call never waits on a fork-join job it did not submit. A
+/// thread that is no rank holds the process-wide pool inside a job parked
+/// on a flag; a world-2 verified ring allreduce past the HoMAC fan-out
+/// threshold must still finish before a deadline, because each rank fans
+/// out on its own lane. A watchdog releases the flag at the deadline, so
+/// ranks that queue behind the parked job fail the test instead of hanging
+/// it. On a one-thread budget the process-wide pool runs every job inline
+/// and holds no lock, so there the test passes trivially.
+#[test]
+fn an_engine_call_never_waits_on_a_job_it_did_not_submit() {
+    use hear::layer::{EngineCfg, ReduceAlgo, SecureComm};
+    use hear::mpi::Simulator;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    const DEADLINE: Duration = Duration::from_secs(20);
+    const N: usize = 1 << 17; // 4× the HoMAC fan-out threshold of 2^15
+    let pause = || std::thread::sleep(Duration::from_millis(1));
+    let held = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let holder = {
+        let (held, release) = (Arc::clone(&held), Arc::clone(&release));
+        std::thread::spawn(move || {
+            WorkerPool::global().run(2, &|_| {
+                held.store(true, Ordering::SeqCst);
+                while !release.load(Ordering::SeqCst) {
+                    pause();
+                }
+            })
+        })
+    };
+    while !held.load(Ordering::SeqCst) {
+        pause();
+    }
+    let start = Instant::now();
+    let watchdog = {
+        let release = Arc::clone(&release);
+        std::thread::spawn(move || {
+            while !release.load(Ordering::SeqCst) && start.elapsed() < DEADLINE {
+                pause();
+            }
+            release.store(true, Ordering::SeqCst);
+        })
+    };
+    let results = Simulator::new(2).run(|comm| {
+        let keys = CommKeys::generate(2, SEED ^ 0x57A2, Backend::best_available())
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let homac = Homac::generate(SEED ^ 0x57A3, Backend::best_available());
+        let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
+        let data: Vec<u32> = (0..N as u32).map(|j| j + comm.rank() as u32).collect();
+        let cfg = EngineCfg::sync().with_algo(ReduceAlgo::Ring).verified();
+        sc.allreduce_with(&mut IntSumScheme::default(), &data, cfg)
+    });
+    let elapsed = start.elapsed();
+    release.store(true, Ordering::SeqCst);
+    holder.join().unwrap();
+    watchdog.join().unwrap();
+    let want: Vec<u32> = (0..N as u32).map(|j| 2 * j + 1).collect();
+    for got in results {
+        assert!(got.unwrap() == want, "wrong aggregate");
+    }
+    assert!(
+        elapsed < DEADLINE,
+        "the allreduce took {elapsed:?}: a rank queued behind another thread's job"
+    );
 }
 
 // ---- the tiled HoMAC kernel against its scalar oracles -------------------

@@ -5,10 +5,13 @@
 //! per-block send/recv, reduce and decrypt on **every** rank, and the
 //! fabric byte counters must equal the ring collective's message schedule
 //! exactly. All emitted formats are re-parsed with the in-repo parsers.
+//! Every collective's top-level span also records the thread count of the
+//! rank's lane, its share of the process thread budget.
 
-use hear::core::{Backend, CommKeys, IntSumScheme};
+use hear::core::{Backend, CommKeys, Homac, IntSumScheme};
 use hear::layer::{EngineCfg, ReduceAlgo, SecureComm};
 use hear::mpi::{SimConfig, Simulator, TransportKind};
+use hear::prf::WorkerPool;
 use hear::telemetry::{export, parse, Gauge, Metric, Registry};
 
 const WORLD: usize = 4;
@@ -168,6 +171,57 @@ fn traced_pipelined_allreduce_covers_every_phase_on_every_rank() {
             .and_then(|n| n.as_f64()),
         Some(ring_bytes(p, ELEMS as u64) as f64)
     );
+}
+
+/// The top-level span of every collective — both reductions plain and
+/// verified, the pipeline, the allgather and the alltoall — carries the
+/// thread count of the pool its fan-out ran on: the rank's lane, `max(1,
+/// B / world)` of the process budget `B`. The chrome trace keeps it.
+#[test]
+fn every_collective_span_records_its_lane_threads() {
+    const W: usize = 2;
+    let reg = Registry::new_enabled();
+    let _ctx = reg.install(None);
+    Simulator::new(W).run(|comm| {
+        let keys = CommKeys::generate(W, 0x1a2e, Backend::AesSoft)
+            .into_iter()
+            .nth(comm.rank())
+            .unwrap();
+        let homac = Homac::generate(0x1a2f, Backend::AesSoft);
+        let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
+        let data: Vec<u32> = (0..8).map(|j| comm.rank() as u32 + j).collect();
+        let mut s = IntSumScheme::<u32>::default();
+        let sync = EngineCfg::sync();
+        for cfg in [sync, sync.verified()] {
+            sc.allreduce_with(&mut s, &data, cfg).unwrap();
+            sc.reduce_scatter_with(&mut s, &data, cfg).unwrap();
+        }
+        sc.allreduce_with(&mut s, &data, EngineCfg::pipelined(4))
+            .unwrap();
+        sc.allgather_with(&mut s, &data, sync).unwrap();
+        sc.alltoall_with(&mut s, &data, sync).unwrap();
+    });
+    let lane = (WorkerPool::global().threads() / W).max(1) as f64;
+    let trace = export::chrome_trace(&reg);
+    let events = parse::parse_chrome_trace(&trace).expect("trace must self-parse");
+    for name in [
+        "secure_allreduce",
+        "secure_allreduce_verified",
+        "secure_reduce_scatter",
+        "secure_reduce_scatter_verified",
+        "pipeline",
+        "secure_allgather",
+        "secure_alltoall",
+    ] {
+        for rank in 0..W as u64 {
+            let span = events
+                .iter()
+                .find(|e| e.ph == "X" && e.name == name && e.tid == rank)
+                .unwrap_or_else(|| panic!("no `{name}` span on rank {rank}"));
+            let threads = span.args.get("threads").and_then(|t| t.as_f64());
+            assert_eq!(threads, Some(lane), "`{name}` on rank {rank}");
+        }
+    }
 }
 
 #[test]
