@@ -793,6 +793,41 @@ fn the_fp64_float_rings_ship_the_ciphertext_they_always_did() {
     );
 }
 
+/// The three schemes neither golden above covers — the lossless product,
+/// the §5.2 fixed-point sum and the §5.3.4 exponential sum — built the way
+/// their matrix rows build them. Recorded on the code in which every cipher
+/// still had a standalone type beside its `Scheme` impl; folding each
+/// cipher into its impl must ship the same bits.
+#[test]
+fn the_other_schemes_ship_the_ciphertext_they_always_did() {
+    let got = wire_cells(|collective, cfg| {
+        vec![
+            wire_fingerprint(
+                IntProdScheme::<u64>::default,
+                |r, j| 1 + ((j + r as u64) % 9),
+                collective,
+                cfg,
+            ),
+            wire_fingerprint(
+                || FixedSumScheme::new(FixedCodec::new(20)),
+                |r, j| ((r as u64 * 13 + j) as f64 * 0.37).sin() * 4.0,
+                collective,
+                cfg,
+            ),
+            wire_fingerprint(
+                || FloatSumExpScheme::new(HfpFormat::fp64(0, 0)),
+                |r, j| ((r as u64 * 11 + j) as f64 * 0.29).sin() * 0.4,
+                collective,
+                cfg,
+            ),
+        ]
+    });
+    assert_eq!(
+        got, WIRE_GOLDEN_OTHERS,
+        "the wire changed: [allreduce, reduce-scatter, allgather] × [plain, verified]"
+    );
+}
+
 /// Sum `prints(collective, cfg)` over the three chunk modes into one
 /// `(messages, hash)` cell per [collective][plain, verified].
 fn wire_cells(prints: impl Fn(usize, EngineCfg) -> Vec<(u64, u64)>) -> [[(u64, u64); 2]; 3] {
@@ -839,6 +874,13 @@ const WIRE_GOLDEN_FP64: [[(u64, u64); 2]; 3] = [
     [(240, 17429570738130253248), (240, 13901483091155442711)],
     [(120, 4725613288271984713), (120, 8273558087446879453)],
     [(156, 2301027528547359245), (156, 2358120745988007541)],
+];
+
+/// See [`the_other_schemes_ship_the_ciphertext_they_always_did`].
+const WIRE_GOLDEN_OTHERS: [[(u64, u64); 2]; 3] = [
+    [(360, 13024483758065624588), (360, 2571754898556212077)],
+    [(180, 865257447820796363), (180, 16136435829243031771)],
+    [(234, 720050933689911127), (234, 292892174517644066)],
 ];
 
 // ---- randomized cell picking (satellite #3) ----------------------------
