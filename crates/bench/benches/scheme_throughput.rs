@@ -3,7 +3,7 @@
 //! per backend and message size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hear::core::{Backend, CommKeys, FloatSum, HfpFormat, IntSum, Scratch};
+use hear::core::{Backend, CommKeys, FloatSumScheme, HfpFormat, IntSum, Scheme, Scratch};
 
 fn bench_int_sum(c: &mut Criterion) {
     let mut g = c.benchmark_group("int_sum_encrypt");
@@ -48,12 +48,12 @@ fn bench_float_sum(c: &mut Criterion) {
     let elems = 16_384;
     g.throughput(Throughput::Bytes((elems * 4) as u64));
     let keys = CommKeys::generate(2, 1, Backend::best_available()).remove(0);
-    let scheme = FloatSum::new(HfpFormat::fp32(2, 2));
+    let mut scheme = FloatSumScheme::new(HfpFormat::fp32(2, 2));
     let vals: Vec<f64> = (0..elems).map(|i| i as f64 + 0.5).collect();
     let mut ct = Vec::new();
     g.bench_function("fp32_gamma2_64KiB", |b| {
         b.iter(|| {
-            scheme.encrypt_f64(&keys, 0, &vals, &mut ct).unwrap();
+            scheme.mask_slice(&keys, 0, &vals, &mut ct).unwrap();
             std::hint::black_box(ct.len())
         });
     });

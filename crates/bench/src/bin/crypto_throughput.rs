@@ -33,7 +33,7 @@
 //! `tag_plain` / `verify_plain`), reported only.
 //!
 //! The `float_64Ki` rows time §5.3's float SUM over 64 Ki fp64(2, 2)
-//! elements on one thread: the fused `FloatSum` encrypt / decrypt and the
+//! elements on one thread: `FloatSumScheme`'s fused mask / unmask and the
 //! `ops::add` fold, whose significand work runs on the FPU, against the
 //! integer reference they are tested against (`noise_at` one block at a
 //! time, `hear_hfp`'s `ops::reference` kernels, `to_f64_by_scaling`).
@@ -50,7 +50,7 @@
 //! memory-bound and the two nearly meet.
 
 use criterion::{black_box, Criterion, Throughput};
-use hear::core::{noise_at, CommKeys, FloatSum, Homac};
+use hear::core::{noise_at, CommKeys, FloatSumScheme, Homac, Scheme};
 use hear::hfp::ops::{self, reference};
 use hear::hfp::{Hfp, HfpFormat};
 use hear::prf::kernels::add_keystream_into;
@@ -173,7 +173,7 @@ fn bench_float(c: &mut Criterion, group: &str, backend: Backend) {
     let keys = CommKeys::generate(2, 0xF10A7, backend);
     let fmt = HfpFormat::fp64(2, 2);
     let ((le, lm), (cew, cmw)) = (fmt.plain_widths(), fmt.cipher_widths());
-    let cipher = FloatSum::new(fmt);
+    let mut cipher = FloatSumScheme::new(fmt);
     // Signs and magnitudes without a pattern (a branch predictor learns a
     // sine): a multiplicative hash of the index, in (−0.8, 0.8).
     let grads = |rank: u64| -> Vec<f64> {
@@ -186,13 +186,13 @@ fn bench_float(c: &mut Criterion, group: &str, backend: Backend) {
     };
     let (x, mut ct, mut other) = (grads(0), Vec::new(), Vec::new());
     cipher
-        .encrypt_f64(&keys[1], 0, &grads(1), &mut other)
+        .mask_slice(&keys[1], 0, &grads(1), &mut other)
         .unwrap();
     let noise = |j: usize| noise_at(keys[0].prf(), keys[0].base_collective(), j as u64, cew, cmw);
     let mut g = c.benchmark_group(group);
     g.throughput(Throughput::Bytes(8 * FLOAT_ELEMS as u64));
     g.bench_function("encrypt/fused", |b| {
-        b.iter(|| cipher.encrypt_f64(&keys[0], 0, &x, &mut ct).unwrap())
+        b.iter(|| cipher.mask_slice(&keys[0], 0, &x, &mut ct).unwrap())
     });
     let mut ct_ref: Vec<Hfp> = Vec::with_capacity(FLOAT_ELEMS);
     g.bench_function("encrypt/scalar", |b| {
@@ -224,7 +224,7 @@ fn bench_float(c: &mut Criterion, group: &str, backend: Backend) {
     assert_eq!(agg, agg_ref, "FPU add must equal the integer reference");
     let mut pt = Vec::new();
     g.bench_function("decrypt/fused", |b| {
-        b.iter(|| cipher.decrypt_f64(&keys[0], 0, &agg, &mut pt))
+        b.iter(|| cipher.unmask_slice(&keys[0], 0, &agg, &mut pt))
     });
     let mut pt_ref: Vec<f64> = Vec::with_capacity(FLOAT_ELEMS);
     g.bench_function("decrypt/scalar", |b| {

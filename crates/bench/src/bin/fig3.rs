@@ -6,7 +6,7 @@
 //!
 //! `HEAR_SCALE=full` multiplies trials ×10.
 
-use hear::core::{Backend, CommKeys, FloatProd, FloatSum, Hfp, HfpFormat};
+use hear::core::{Backend, CommKeys, FloatProdScheme, FloatSumScheme, Hfp, HfpFormat, Scheme};
 use hear::hfp::F16;
 use hear::num::{BigFloat, REFERENCE_PREC};
 use hear_bench::{exp_sampled_values, scale_factor, stats};
@@ -79,18 +79,18 @@ fn clamp_gamma(d: &Dtype, delta: u32, gamma: u32) -> u32 {
 /// summation chain need to be scaled with the same random number").
 fn hear_sum(d: &Dtype, gamma: u32, vals: &[f64], keys: &CommKeys) -> f64 {
     let fmt = HfpFormat::new(d.le, d.lm, 2, clamp_gamma(d, 2, gamma));
-    let scheme = FloatSum::new(fmt);
+    let mut scheme = FloatSumScheme::new(fmt);
     let (cew, cmw) = fmt.cipher_widths();
     let mut agg = Hfp::zero(cew, cmw);
     let mut ct = Vec::new();
     for v in vals {
         scheme
-            .encrypt_f64(keys, 0, &[*v], &mut ct)
+            .mask_slice(keys, 0, &[*v], &mut ct)
             .expect("in range");
-        agg = FloatSum::combine(&agg, &ct[0]);
+        agg = FloatSumScheme::op(&agg, &ct[0]);
     }
     let mut out = Vec::new();
-    scheme.decrypt_f64(keys, 0, std::slice::from_ref(&agg), &mut out);
+    scheme.unmask_slice(keys, 0, std::slice::from_ref(&agg), &mut out);
     out[0]
 }
 
@@ -99,12 +99,10 @@ fn hear_sum(d: &Dtype, gamma: u32, vals: &[f64], keys: &CommKeys) -> f64 {
 /// comparable with the addition column (the paper's pass-through loss).
 fn hear_mul_passthrough_sum(d: &Dtype, gamma: u32, vals: &[f64], keys: &CommKeys) -> f64 {
     let fmt = HfpFormat::new(d.le, d.lm, 0, clamp_gamma(d, 0, gamma));
-    let scheme = FloatProd::new(fmt);
+    let mut scheme = FloatProdScheme::new(fmt);
     let (mut ct, mut out) = (Vec::new(), Vec::new());
-    scheme
-        .encrypt_f64(keys, 0, vals, &mut ct)
-        .expect("in range");
-    scheme.decrypt_f64(keys, 0, &ct, &mut out);
+    scheme.mask_slice(keys, 0, vals, &mut ct).expect("in range");
+    scheme.unmask_slice(keys, 0, &ct, &mut out);
     out.iter().sum()
 }
 

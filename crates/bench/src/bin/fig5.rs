@@ -4,7 +4,7 @@
 //! across-size spread exactly as the paper's error bars do. Also reports
 //! the float-scheme throughput against the Aries per-rank line rate.
 
-use hear::core::{Backend, CommKeys, FloatSum, HfpFormat};
+use hear::core::{Backend, CommKeys, FloatSumScheme, HfpFormat, Scheme};
 use hear_bench::{gib_per_s, measure_backend, scale_factor, stats};
 use std::time::Instant;
 
@@ -58,18 +58,18 @@ fn main() {
         .into_iter()
         .next()
         .unwrap();
-    let scheme = FloatSum::new(HfpFormat::fp32(2, 2));
+    let mut scheme = FloatSumScheme::new(HfpFormat::fp32(2, 2));
     let vals: Vec<f64> = (0..262_144).map(|i| i as f64 * 0.001 + 1.0).collect();
     let mut ct = Vec::new();
     let t0 = Instant::now();
     for _ in 0..iters {
-        scheme.encrypt_f64(&keys, 0, &vals, &mut ct).unwrap();
+        scheme.mask_slice(&keys, 0, &vals, &mut ct).unwrap();
     }
     let fenc = vals.len() as f64 * 4.0 * iters as f64 / t0.elapsed().as_secs_f64();
     let mut out = Vec::new();
     let t0 = Instant::now();
     for _ in 0..iters {
-        scheme.decrypt_f64(&keys, 0, &ct, &mut out);
+        scheme.unmask_slice(&keys, 0, &ct, &mut out);
     }
     let fdec = vals.len() as f64 * 4.0 * iters as f64 / t0.elapsed().as_secs_f64();
     println!(

@@ -6,7 +6,7 @@
 //!
 //! Default N = 1M; `HEAR_SCALE=full` uses the paper's 10M.
 
-use hear::core::{Backend, CommKeys, FloatSum, HfpFormat, MpiOp};
+use hear::core::{Backend, CommKeys, FloatSumScheme, HfpFormat, MpiOp, Scheme};
 use hear::layer::{EngineCfg, SecureComm, TypedSlice, TypedVec};
 use hear::mpi::Simulator;
 use hear_bench::{exp_sampled_values, json_output, scale_factor};
@@ -23,7 +23,7 @@ fn main() {
         .into_iter()
         .next()
         .unwrap();
-    let scheme = FloatSum::new(HfpFormat::fp32(2, 2));
+    let mut scheme = FloatSumScheme::new(HfpFormat::fp32(2, 2));
     let mut total_rel = 0.0f64;
     let mut max_rel = 0.0f64;
     let batch = 65_536;
@@ -34,8 +34,8 @@ fn main() {
         let take = batch.min(n - done);
         let vals = exp_sampled_values(take, -20..20, seed);
         seed += 1;
-        scheme.encrypt_f64(&keys, 0, &vals, &mut ct).unwrap();
-        scheme.decrypt_f64(&keys, 0, &ct, &mut out);
+        scheme.mask_slice(&keys, 0, &vals, &mut ct).unwrap();
+        scheme.unmask_slice(&keys, 0, &ct, &mut out);
         for (v, o) in vals.iter().zip(&out) {
             let rel = ((o - v) / v).abs();
             total_rel += rel;

@@ -6,6 +6,12 @@
 //! number of involved processes determines the output scale
 //! (`P` factors of `2^{-f}` multiply to `2^{-Pf}`).
 
+use crate::int::IntSumScheme;
+use crate::keys::CommKeys;
+use crate::scheme::{Scheme, DIGEST_LANES};
+use hear_hfp::HfpError;
+use std::mem::MaybeUninit;
+
 /// Codec between `f64` values and scaled two's-complement integers carried
 /// on `u64` ring lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,11 +69,85 @@ impl FixedCodec {
     }
 }
 
+/// The §5.2 fixed-point codec riding on [`IntSumScheme`]: `f64` in, `u64`
+/// lanes on the wire. Bitwise-exact digest (the digest decodes the
+/// identical wrapped lane sum the unmask path decodes).
+pub struct FixedSumScheme {
+    codec: FixedCodec,
+    /// Encoded lanes on the way out, decrypted lanes on the way in.
+    lanes: Vec<u64>,
+}
+
+impl FixedSumScheme {
+    pub fn new(codec: FixedCodec) -> Self {
+        FixedSumScheme {
+            codec,
+            lanes: Vec::new(),
+        }
+    }
+}
+
+// SAFETY: `unmask_into` writes one decoded lane to each element of `dst`,
+// whose length it asserts.
+unsafe impl Scheme for FixedSumScheme {
+    type Input = f64;
+    type Wire = u64;
+    type Lanes = [u64; 2];
+
+    const NAME: &'static str = "fixed-sum";
+    const TABLE2_ROW: usize = 0;
+
+    fn mask_slice(
+        &mut self,
+        keys: &CommKeys,
+        first: u64,
+        input: &[f64],
+        out: &mut Vec<u64>,
+    ) -> Result<(), HfpError> {
+        self.codec.encode_slice(input, &mut self.lanes);
+        IntSumScheme::default().mask_slice(keys, first, &self.lanes, out)
+    }
+
+    fn unmask_into(
+        &mut self,
+        keys: &CommKeys,
+        first: u64,
+        agg: &[u64],
+        dst: &mut [MaybeUninit<f64>],
+    ) {
+        assert_eq!(agg.len(), dst.len());
+        IntSumScheme::default().unmask_slice(keys, first, agg, &mut self.lanes);
+        for (d, l) in dst.iter_mut().zip(&self.lanes) {
+            d.write(self.codec.decode(*l));
+        }
+    }
+
+    fn op(a: &u64, b: &u64) -> u64 {
+        a.wrapping_add(*b)
+    }
+
+    fn digest(&self, x: &f64, out: &mut [u64; DIGEST_LANES]) {
+        *out = [self.codec.encode(*x), 0, 0, 0];
+    }
+
+    fn digest_check(&self, result: &f64, lane_sums: &[u64; DIGEST_LANES], _world: usize) -> bool {
+        self.codec.decode(lane_sums[0]) == *result
+    }
+
+    fn cell_encode(x: &f64) -> u64 {
+        x.to_bits()
+    }
+
+    fn cell_decode(cell: u64) -> f64 {
+        f64::from_bits(cell)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::int::{IntProd, IntSum, Scratch};
-    use crate::keys::CommKeys;
+    use crate::int::IntProdScheme;
+    use crate::scheme::reduce_in_process;
     use hear_prf::Backend;
 
     #[test]
@@ -106,24 +186,12 @@ mod tests {
     fn encrypted_fixed_sum_end_to_end() {
         let c = FixedCodec::new(20);
         let keys = CommKeys::generate(3, 13, Backend::AesSoft);
-        let mut scratch = Scratch::default();
         let data = [
             vec![1.25, -3.5, 0.875],
             vec![2.5, 1.0, -0.125],
             vec![-1.0, 0.5, 4.0],
         ];
-        let mut agg = vec![0u64; 3];
-        let mut lanes = Vec::new();
-        for (rank, keys) in keys.iter().enumerate() {
-            c.encode_slice(&data[rank], &mut lanes);
-            IntSum::encrypt_in_place(keys, 0, &mut lanes, &mut scratch);
-            for (a, l) in agg.iter_mut().zip(&lanes) {
-                *a = a.wrapping_add(*l);
-            }
-        }
-        IntSum::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch);
-        let mut out = Vec::new();
-        c.decode_slice(&agg, &mut out);
+        let out = reduce_in_process(|| FixedSumScheme::new(c), &keys, &data);
         let expect = [2.75, -2.0, 4.75];
         for j in 0..3 {
             assert!(
@@ -140,18 +208,12 @@ mod tests {
         // 2 ranks: product scale is 2×frac_bits.
         let c = FixedCodec::new(12);
         let keys = CommKeys::generate(2, 17, Backend::AesSoft);
-        let mut scratch = Scratch::default();
         let data = [vec![1.5, 2.0], vec![3.0, 0.25]];
-        let mut agg = vec![1u64; 2];
-        let mut lanes = Vec::new();
-        for (rank, keys) in keys.iter().enumerate() {
-            c.encode_slice(&data[rank], &mut lanes);
-            IntProd::encrypt_in_place(keys, 0, &mut lanes, &mut scratch);
-            for (a, l) in agg.iter_mut().zip(&lanes) {
-                *a = a.wrapping_mul(*l);
-            }
-        }
-        IntProd::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch);
+        let lanes: Vec<Vec<u64>> = data
+            .iter()
+            .map(|d| d.iter().map(|v| c.encode(*v)).collect())
+            .collect();
+        let agg = reduce_in_process(IntProdScheme::default, &keys, &lanes);
         assert!((c.decode_prod(agg[0], 2) - 4.5).abs() < 1e-5);
         assert!((c.decode_prod(agg[1], 2) - 0.5).abs() < 1e-5);
     }

@@ -1,23 +1,25 @@
 //! Floating-point schemes (paper §5.3) on the HFP format.
 //!
-//! * [`FloatSum`] — Eq. (7): every rank multiplies by the *same* PRF noise
-//!   `F_ke(kc + j)` so the untrusted network can add ciphertexts with the
-//!   ring-exponent logic (δ = 2). Provides temporal and local safety but —
-//!   by construction — not global safety.
-//! * [`FloatProd`] — Eq. (6): per-rank noise with the cancelling technique
-//!   (δ = 0, no inflation). We implement the telescoping orientation
-//!   consistent with the stated Θ(1) decryption (see DESIGN.md).
-//! * [`FloatSumExp`] — §5.3.4 alternative addition: values are encoded as
-//!   `e^x` and reduced multiplicatively, trading precision and dynamic
-//!   range for global safety.
+//! * [`FloatSumScheme`] — Eq. (7): every rank multiplies by the *same* PRF
+//!   noise `F_ke(kc + j)` so the untrusted network can add ciphertexts with
+//!   the ring-exponent logic (δ = 2). Provides temporal and local safety
+//!   but — by construction — not global safety.
+//! * [`FloatProdScheme`] — Eq. (6): per-rank noise with the cancelling
+//!   technique (δ = 0, no inflation). We implement the telescoping
+//!   orientation consistent with the stated Θ(1) decryption (see
+//!   DESIGN.md).
+//! * [`FloatSumExpScheme`] — §5.3.4 alternative addition: values are
+//!   encoded as `e^x` and reduced multiplicatively, trading precision and
+//!   dynamic range for global safety.
 
 use crate::extend_with;
+use crate::fixed::FixedCodec;
 use crate::keys::CommKeys;
+use crate::scheme::{Scheme, DIGEST_LANES};
 use hear_hfp::format::{Hfp, HfpError, HfpFormat};
 use hear_hfp::ops;
 use hear_hfp::ringexp::mask;
 use hear_prf::{blocks_metric, Prf};
-use std::convert::Infallible;
 use std::mem::MaybeUninit;
 
 /// Derive an HFP noise value from one PRF block: uniform sign, uniform
@@ -190,232 +192,315 @@ impl Kernels {
     }
 }
 
-/// Homomorphic float summation, Eq. (7).
-pub struct FloatSum {
-    fmt: HfpFormat,
-}
-
-impl FloatSum {
-    /// `fmt` must be an addition layout (δ = 2).
-    pub fn new(fmt: HfpFormat) -> Self {
-        assert_eq!(fmt.delta, 2, "the addition scheme requires δ = 2 (§5.3.5)");
-        FloatSum { fmt }
-    }
-
-    pub fn format(&self) -> HfpFormat {
-        self.fmt
-    }
-
-    /// Encrypt: encode each f64 into the plaintext layout, then ⊗ with the
-    /// collective noise stream (no per-rank key — Eq. 7). On `Err`, `out`
-    /// is empty.
-    pub fn encrypt_f64(
-        &self,
-        keys: &CommKeys,
-        first: u64,
-        x: &[f64],
-        out: &mut Vec<Hfp>,
-    ) -> Result<(), HfpError> {
-        let _s = hear_telemetry::span!("encrypt", elems = x.len());
-        let k = Kernels::new(self.fmt);
-        let bases = [keys.base_collective()];
-        out.clear();
-        fused_noise_extend(keys, bases, first, (k.cew, k.cmw), x, out, |&v, [n]| {
-            k.encrypt(v, &n)
-        })
-    }
-
-    /// Decrypt an aggregated vector into `out` (cleared and filled):
-    /// divide by the collective noise.
-    pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
-        out.clear();
-        decrypt_extend(out, agg.len(), |dst| {
-            self.decrypt_f64_to(keys, first, agg, dst)
-        });
-    }
-
-    /// [`FloatSum::decrypt_f64`] into `dst` (same length as `agg`, need not
-    /// be initialised; every element of it is on return). An element of
-    /// another format decrypts to NaN.
-    pub fn decrypt_f64_to(
-        &self,
-        keys: &CommKeys,
-        first: u64,
-        agg: &[Hfp],
-        dst: &mut [MaybeUninit<f64>],
-    ) {
-        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        let k = Kernels::new(self.fmt);
-        strip_noise(keys, keys.base_collective(), first, k, agg, dst, |v| v);
-    }
-
-    /// The operation the network applies: ring-exponent addition. Operands
-    /// of different widths give [`ops::FOREIGN`].
-    #[inline]
-    pub fn combine(a: &Hfp, b: &Hfp) -> Hfp {
-        ops::add(a, b)
-    }
-}
-
 /// Shared decryption tail: `dst[i] = post((agg[i] ⊘ noise).to_f64())`,
-/// initialising all of `dst`.
+/// initialising all of `dst`. An element of another format decrypts to
+/// NaN.
 fn strip_noise(
     keys: &CommKeys,
     base: u128,
     first: u64,
-    k: Kernels,
+    fmt: HfpFormat,
     agg: &[Hfp],
     dst: &mut [MaybeUninit<f64>],
     post: impl Fn(f64) -> f64,
 ) {
+    let _s = hear_telemetry::span!("decrypt", elems = agg.len());
+    let k = Kernels::new(fmt);
     fused_noise_pass(keys, [base], first, (k.cew, k.cmw), agg, dst, |c, [n]| {
         Ok(post(k.decrypt(c, &n)))
     })
     .expect("stripping noise cannot fail");
 }
 
-/// The appending form of a float cipher's `decrypt_f64_to`.
-fn decrypt_extend(out: &mut Vec<f64>, n: usize, to: impl FnOnce(&mut [MaybeUninit<f64>])) {
-    // SAFETY: every `decrypt_f64_to` initialises all of `dst`
-    // ([`strip_noise`] cannot fail part-way).
-    let Ok(()) = unsafe {
-        extend_with::<_, Infallible>(out, n, |dst| {
-            to(dst);
-            Ok(())
-        })
-    };
+/// Quantized-digest tolerance: `world` quantization steps plus the
+/// scheme's Table 2 relative loss plus an absolute floor.
+#[inline]
+fn float_digest_ok(result: f64, decoded: f64, world: usize, res: f64, rel: f64, abs: f64) -> bool {
+    (decoded - result).abs() <= world as f64 * res + result.abs() * rel + abs
 }
 
-/// Homomorphic float product, Eq. (6) (telescoping orientation).
-pub struct FloatProd {
+/// Homomorphic float summation (Eq. 7, v1) as a [`Scheme`]; minor loss,
+/// quantized digest.
+pub struct FloatSumScheme {
     fmt: HfpFormat,
+    digest_codec: FixedCodec,
 }
 
-impl FloatProd {
-    /// `fmt` must be a multiplication layout (δ = 0).
+impl FloatSumScheme {
+    /// `fmt` must be an addition layout (δ = 2).
     pub fn new(fmt: HfpFormat) -> Self {
-        assert_eq!(fmt.delta, 0, "the multiplication scheme requires δ = 0");
-        FloatProd { fmt }
+        assert_eq!(fmt.delta, 2, "the addition scheme requires δ = 2 (§5.3.5)");
+        FloatSumScheme {
+            fmt,
+            digest_codec: FixedCodec::new(24),
+        }
     }
 
     pub fn format(&self) -> HfpFormat {
         self.fmt
     }
+}
 
-    /// Encrypt: ⊗ with this rank's noise and, on every rank but the last,
-    /// ⊘ by the next rank's (the cancelling pair). On `Err`, `out` is
-    /// empty.
-    pub fn encrypt_f64(
-        &self,
+// SAFETY: `unmask_into` initialises all of `dst` ([`strip_noise`]).
+unsafe impl Scheme for FloatSumScheme {
+    type Input = f64;
+    type Wire = Hfp;
+    type Lanes = [u64; 2];
+
+    const NAME: &'static str = "float-sum-v1";
+    const TABLE2_ROW: usize = 3;
+
+    /// Encode each f64 into the plaintext layout, then ⊗ with the
+    /// collective noise stream (no per-rank key — Eq. 7).
+    fn mask_slice(
+        &mut self,
         keys: &CommKeys,
         first: u64,
-        x: &[f64],
+        input: &[f64],
         out: &mut Vec<Hfp>,
     ) -> Result<(), HfpError> {
-        self.encrypt_mapped(keys, first, x, out, Ok)
+        let _s = hear_telemetry::span!("encrypt", elems = input.len());
+        let k = Kernels::new(self.fmt);
+        let bases = [keys.base_collective()];
+        out.clear();
+        fused_noise_extend(keys, bases, first, (k.cew, k.cmw), input, out, |&v, [n]| {
+            k.encrypt(v, &n)
+        })
     }
 
-    /// [`FloatProd::encrypt_f64`] of `pre(x[i])` — the hook through which
-    /// [`FloatSumExp`] exponentiates inside the same pass.
-    fn encrypt_mapped(
-        &self,
+    /// ⊘ the collective noise.
+    fn unmask_into(
+        &mut self,
         keys: &CommKeys,
         first: u64,
-        x: &[f64],
-        out: &mut Vec<Hfp>,
-        pre: impl Fn(f64) -> Result<f64, HfpError>,
-    ) -> Result<(), HfpError> {
-        let _s = hear_telemetry::span!("encrypt", elems = x.len());
-        let k = Kernels::new(self.fmt);
-        let widths = (k.cew, k.cmw);
-        out.clear();
-        if keys.is_last() {
-            let bases = [keys.base_own()];
-            fused_noise_extend(keys, bases, first, widths, x, out, |&v, [n]| {
-                k.encrypt(pre(v)?, &n)
-            })
-        } else {
-            let bases = [keys.base_own(), keys.base_next()];
-            fused_noise_extend(keys, bases, first, widths, x, out, |&v, [n, next]| {
-                Ok(k.strip(&k.encrypt(pre(v)?, &n)?, &next))
-            })
+        agg: &[Hfp],
+        dst: &mut [MaybeUninit<f64>],
+    ) {
+        strip_noise(
+            keys,
+            keys.base_collective(),
+            first,
+            self.fmt,
+            agg,
+            dst,
+            |v| v,
+        );
+    }
+
+    /// Ring-exponent addition. Operands of different widths give
+    /// [`ops::FOREIGN`].
+    fn op(a: &Hfp, b: &Hfp) -> Hfp {
+        ops::add(a, b)
+    }
+
+    fn digest(&self, x: &f64, out: &mut [u64; DIGEST_LANES]) {
+        *out = [self.digest_codec.encode(*x), 0, 0, 0];
+    }
+
+    fn digest_check(&self, result: &f64, lane_sums: &[u64; DIGEST_LANES], world: usize) -> bool {
+        let decoded = self.digest_codec.decode(lane_sums[0]);
+        float_digest_ok(
+            *result,
+            decoded,
+            world,
+            self.digest_codec.resolution(),
+            1e-4,
+            1e-9,
+        )
+    }
+
+    fn cell_encode(x: &f64) -> u64 {
+        x.to_bits()
+    }
+
+    fn cell_decode(cell: u64) -> f64 {
+        f64::from_bits(cell)
+    }
+}
+
+/// Eq. (6)'s encryption of `pre(x[i])`: ⊗ with this rank's noise and, on
+/// every rank but the last, ⊘ by the next rank's (the cancelling pair).
+/// [`FloatSumExpScheme`] exponentiates through `pre` inside the same pass.
+fn prod_mask(
+    fmt: HfpFormat,
+    keys: &CommKeys,
+    first: u64,
+    x: &[f64],
+    out: &mut Vec<Hfp>,
+    pre: impl Fn(f64) -> Result<f64, HfpError>,
+) -> Result<(), HfpError> {
+    let _s = hear_telemetry::span!("encrypt", elems = x.len());
+    let k = Kernels::new(fmt);
+    let widths = (k.cew, k.cmw);
+    out.clear();
+    if keys.is_last() {
+        let bases = [keys.base_own()];
+        fused_noise_extend(keys, bases, first, widths, x, out, |&v, [n]| {
+            k.encrypt(pre(v)?, &n)
+        })
+    } else {
+        let bases = [keys.base_own(), keys.base_next()];
+        fused_noise_extend(keys, bases, first, widths, x, out, |&v, [n, next]| {
+            Ok(k.strip(&k.encrypt(pre(v)?, &n)?, &next))
+        })
+    }
+}
+
+/// Homomorphic float product (Eq. 6, telescoping orientation) as a
+/// [`Scheme`]; minor loss. The digest carries the log-magnitude (products
+/// become sums) plus sign and zero counters.
+pub struct FloatProdScheme {
+    fmt: HfpFormat,
+    digest_codec: FixedCodec,
+}
+
+impl FloatProdScheme {
+    /// `fmt` must be a multiplication layout (δ = 0).
+    pub fn new(fmt: HfpFormat) -> Self {
+        assert_eq!(fmt.delta, 0, "the multiplication scheme requires δ = 0");
+        FloatProdScheme {
+            fmt,
+            digest_codec: FixedCodec::new(32),
         }
     }
 
-    /// Decrypt an aggregated vector into `out` (cleared and filled).
-    pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
-        out.clear();
-        decrypt_extend(out, agg.len(), |dst| {
-            self.decrypt_f64_to(keys, first, agg, dst)
-        });
+    pub fn format(&self) -> HfpFormat {
+        self.fmt
+    }
+}
+
+// SAFETY: `unmask_into` initialises all of `dst` ([`strip_noise`]).
+unsafe impl Scheme for FloatProdScheme {
+    type Input = f64;
+    type Wire = Hfp;
+    type Lanes = [u64; 4];
+
+    const NAME: &'static str = "float-prod";
+    const TABLE2_ROW: usize = 5;
+
+    fn mask_slice(
+        &mut self,
+        keys: &CommKeys,
+        first: u64,
+        input: &[f64],
+        out: &mut Vec<Hfp>,
+    ) -> Result<(), HfpError> {
+        prod_mask(self.fmt, keys, first, input, out, Ok)
     }
 
-    /// [`FloatProd::decrypt_f64`] into `dst` (see
-    /// [`FloatSum::decrypt_f64_to`]).
-    pub fn decrypt_f64_to(
-        &self,
+    /// ⊘ rank 0's noise, all that survives the telescoping product.
+    fn unmask_into(
+        &mut self,
         keys: &CommKeys,
         first: u64,
         agg: &[Hfp],
         dst: &mut [MaybeUninit<f64>],
     ) {
-        self.decrypt_mapped(keys, first, agg, dst, |v| v);
-    }
-
-    /// [`FloatProd::decrypt_f64_to`] of `post(result[i])` — the hook through
-    /// which [`FloatSumExp`] takes the logarithm inside the same pass.
-    fn decrypt_mapped(
-        &self,
-        keys: &CommKeys,
-        first: u64,
-        agg: &[Hfp],
-        dst: &mut [MaybeUninit<f64>],
-        post: impl Fn(f64) -> f64,
-    ) {
-        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        let k = Kernels::new(self.fmt);
-        strip_noise(keys, keys.base_zero(), first, k, agg, dst, post);
+        strip_noise(keys, keys.base_zero(), first, self.fmt, agg, dst, |v| v);
     }
 
     /// ⊗ on the ciphertext ring. Operands of different widths give
-    /// [`ops::FOREIGN`], as [`FloatSum::combine`]'s do.
-    #[inline]
-    pub fn combine(a: &Hfp, b: &Hfp) -> Hfp {
+    /// [`ops::FOREIGN`], as [`FloatSumScheme`]'s do.
+    fn op(a: &Hfp, b: &Hfp) -> Hfp {
         if (a.ew, a.mw) != (b.ew, b.mw) {
             return ops::FOREIGN;
         }
         ops::mul(a, b, a.ew, a.mw)
     }
+
+    fn digest(&self, x: &f64, out: &mut [u64; DIGEST_LANES]) {
+        let is_zero = *x == 0.0;
+        let log_mag = if is_zero {
+            0
+        } else {
+            self.digest_codec.encode(x.abs().ln())
+        };
+        *out = [
+            log_mag,
+            (x.is_sign_negative() && !is_zero) as u64 | ((is_zero as u64) << 32),
+            0,
+            0,
+        ];
+    }
+
+    fn digest_check(&self, result: &f64, lane_sums: &[u64; DIGEST_LANES], world: usize) -> bool {
+        let zero_count = lane_sums[1] >> 32;
+        if zero_count > 0 {
+            // A zero factor annihilates the product; the cipher only
+            // approximates zero, so accept any tiny magnitude.
+            return result.abs() < 1e-6;
+        }
+        if *result == 0.0 {
+            return false;
+        }
+        let neg_count = lane_sums[1] & 0xFFFF_FFFF;
+        if (*result < 0.0) != (neg_count & 1 == 1) {
+            return false;
+        }
+        let decoded = self.digest_codec.decode(lane_sums[0]);
+        float_digest_ok(
+            result.abs().ln(),
+            decoded,
+            world,
+            2.0 * self.digest_codec.resolution(),
+            0.0,
+            1e-4,
+        )
+    }
+
+    fn cell_encode(x: &f64) -> u64 {
+        x.to_bits()
+    }
+
+    fn cell_decode(cell: u64) -> f64 {
+        f64::from_bits(cell)
+    }
 }
 
-/// Alternative addition (§5.3.4): `x → e^x`, multiplicative reduction,
-/// `ln` after decryption. Useful for values in a small range (e.g.
-/// normalized ML weights); provides global safety, unlike [`FloatSum`].
-pub struct FloatSumExp {
-    prod: FloatProd,
+/// Alternative addition (§5.3.4, v2) as a [`Scheme`]: `x → e^x`,
+/// [`FloatProdScheme`]'s multiplicative reduction, `ln` after decryption.
+/// Useful for values in a small range (e.g. normalized ML weights);
+/// provides global safety, unlike [`FloatSumScheme`]. Medium loss, so the
+/// digest tolerance is looser than v1's.
+pub struct FloatSumExpScheme {
+    fmt: HfpFormat,
+    digest_codec: FixedCodec,
 }
 
-impl FloatSumExp {
+impl FloatSumExpScheme {
+    /// `fmt` must be a multiplication layout (δ = 0).
     pub fn new(fmt: HfpFormat) -> Self {
-        FloatSumExp {
-            prod: FloatProd::new(fmt),
+        assert_eq!(fmt.delta, 0, "the multiplication scheme requires δ = 0");
+        FloatSumExpScheme {
+            fmt,
+            digest_codec: FixedCodec::new(24),
         }
     }
 
     pub fn format(&self) -> HfpFormat {
-        self.prod.format()
+        self.fmt
     }
+}
+
+// SAFETY: `unmask_into` initialises all of `dst` ([`strip_noise`]).
+unsafe impl Scheme for FloatSumExpScheme {
+    type Input = f64;
+    type Wire = Hfp;
+    type Lanes = [u64; 2];
+
+    const NAME: &'static str = "float-sum-v2";
+    const TABLE2_ROW: usize = 4;
 
     /// On `Err` — including an `exp()` that leaves the scheme's dynamic
     /// range — `out` is empty.
-    pub fn encrypt_f64(
-        &self,
+    fn mask_slice(
+        &mut self,
         keys: &CommKeys,
         first: u64,
-        x: &[f64],
+        input: &[f64],
         out: &mut Vec<Hfp>,
     ) -> Result<(), HfpError> {
-        self.prod.encrypt_mapped(keys, first, x, out, |v| {
+        prod_mask(self.fmt, keys, first, input, out, |v| {
             let e = v.exp();
             if e.is_finite() && e != 0.0 {
                 Ok(e)
@@ -427,39 +512,60 @@ impl FloatSumExp {
         })
     }
 
-    /// Decrypt an aggregated vector into `out` (cleared and filled).
-    pub fn decrypt_f64(&self, keys: &CommKeys, first: u64, agg: &[Hfp], out: &mut Vec<f64>) {
-        out.clear();
-        decrypt_extend(out, agg.len(), |dst| {
-            self.decrypt_f64_to(keys, first, agg, dst)
-        });
-    }
-
-    /// [`FloatSumExp::decrypt_f64`] into `dst` (see
-    /// [`FloatSum::decrypt_f64_to`]).
-    pub fn decrypt_f64_to(
-        &self,
+    fn unmask_into(
+        &mut self,
         keys: &CommKeys,
         first: u64,
         agg: &[Hfp],
         dst: &mut [MaybeUninit<f64>],
     ) {
-        self.prod.decrypt_mapped(keys, first, agg, dst, f64::ln);
+        strip_noise(keys, keys.base_zero(), first, self.fmt, agg, dst, f64::ln);
     }
 
-    #[inline]
-    pub fn combine(a: &Hfp, b: &Hfp) -> Hfp {
-        FloatProd::combine(a, b)
+    fn op(a: &Hfp, b: &Hfp) -> Hfp {
+        FloatProdScheme::op(a, b)
+    }
+
+    fn digest(&self, x: &f64, out: &mut [u64; DIGEST_LANES]) {
+        *out = [self.digest_codec.encode(*x), 0, 0, 0];
+    }
+
+    fn digest_check(&self, result: &f64, lane_sums: &[u64; DIGEST_LANES], world: usize) -> bool {
+        let decoded = self.digest_codec.decode(lane_sums[0]);
+        float_digest_ok(
+            *result,
+            decoded,
+            world,
+            self.digest_codec.resolution(),
+            1e-3,
+            1e-6,
+        )
+    }
+
+    fn cell_encode(x: &f64) -> u64 {
+        x.to_bits()
+    }
+
+    fn cell_decode(cell: u64) -> f64 {
+        f64::from_bits(cell)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::reduce_in_process;
     use hear_prf::{Backend, PrfCipher};
 
     fn keys(world: usize) -> Vec<CommKeys> {
         CommKeys::generate(world, 0xBEEF, Backend::AesSoft)
+    }
+
+    /// The ciphertext of `x` at element 0.
+    fn masked<S: Scheme<Input = f64, Wire = Hfp>>(mut s: S, k: &CommKeys, x: &[f64]) -> Vec<Hfp> {
+        let mut ct = Vec::new();
+        s.mask_slice(k, 0, x, &mut ct).unwrap();
+        ct
     }
 
     #[test]
@@ -482,21 +588,7 @@ mod tests {
     /// Full encrypted allreduce for float sum: every rank encrypts, the
     /// network adds ciphertexts, one rank decrypts.
     fn float_sum_roundtrip(world: usize, fmt: HfpFormat, data: &[Vec<f64>]) -> Vec<f64> {
-        let keys = keys(world);
-        let scheme = FloatSum::new(fmt);
-        let n = data[0].len();
-        let (cew, cmw) = fmt.cipher_widths();
-        let mut agg = vec![Hfp::zero(cew, cmw); n];
-        let mut ct = Vec::new();
-        for (rank, keys) in keys.iter().enumerate() {
-            scheme.encrypt_f64(keys, 0, &data[rank], &mut ct).unwrap();
-            for (a, c) in agg.iter_mut().zip(ct.iter()) {
-                *a = FloatSum::combine(a, c);
-            }
-        }
-        let mut out = Vec::new();
-        scheme.decrypt_f64(&keys[0], 0, &agg, &mut out);
-        out
+        reduce_in_process(|| FloatSumScheme::new(fmt), &keys(world), data)
     }
 
     #[test]
@@ -559,10 +651,10 @@ mod tests {
     #[test]
     fn float_sum_rejects_nan() {
         let keys = keys(2);
-        let scheme = FloatSum::new(HfpFormat::fp32(2, 2));
+        let mut scheme = FloatSumScheme::new(HfpFormat::fp32(2, 2));
         let mut out = Vec::new();
         assert_eq!(
-            scheme.encrypt_f64(&keys[0], 0, &[f64::NAN], &mut out),
+            scheme.mask_slice(&keys[0], 0, &[f64::NAN], &mut out),
             Err(HfpError::NonFinite)
         );
     }
@@ -578,21 +670,7 @@ mod tests {
     }
 
     fn float_prod_roundtrip(world: usize, fmt: HfpFormat, data: &[Vec<f64>]) -> Vec<f64> {
-        let keys = keys(world);
-        let scheme = FloatProd::new(fmt);
-        let n = data[0].len();
-        let (cew, cmw) = fmt.cipher_widths();
-        let mut agg = vec![Hfp::one(cew, cmw); n];
-        let mut ct = Vec::new();
-        for (rank, keys) in keys.iter().enumerate() {
-            scheme.encrypt_f64(keys, 0, &data[rank], &mut ct).unwrap();
-            for (a, c) in agg.iter_mut().zip(ct.iter()) {
-                *a = FloatProd::combine(a, c);
-            }
-        }
-        let mut out = Vec::new();
-        scheme.decrypt_f64(&keys[0], 0, &agg, &mut out);
-        out
+        reduce_in_process(|| FloatProdScheme::new(fmt), &keys(world), data)
     }
 
     #[test]
@@ -645,20 +723,9 @@ mod tests {
 
     #[test]
     fn float_sum_exp_small_range() {
-        let keys = keys(2);
-        let scheme = FloatSumExp::new(HfpFormat::fp64(0, 0));
         let data = [vec![0.5, -0.25, 0.01], vec![0.1, 0.05, -0.02]];
-        let (cew, cmw) = scheme.format().cipher_widths();
-        let mut agg = vec![Hfp::one(cew, cmw); 3];
-        let mut ct = Vec::new();
-        for (rank, k) in keys.iter().enumerate() {
-            scheme.encrypt_f64(k, 0, &data[rank], &mut ct).unwrap();
-            for (a, c) in agg.iter_mut().zip(ct.iter()) {
-                *a = FloatSumExp::combine(a, c);
-            }
-        }
-        let mut out = Vec::new();
-        scheme.decrypt_f64(&keys[0], 0, &agg, &mut out);
+        let mk = || FloatSumExpScheme::new(HfpFormat::fp64(0, 0));
+        let out = reduce_in_process(mk, &keys(2), &data);
         let expect = [0.6, -0.2, -0.01];
         for j in 0..3 {
             assert!(
@@ -673,12 +740,10 @@ mod tests {
     #[test]
     fn float_sum_exp_rejects_out_of_range() {
         let keys = keys(2);
-        let scheme = FloatSumExp::new(HfpFormat::fp64(0, 0));
+        let mut scheme = FloatSumExpScheme::new(HfpFormat::fp64(0, 0));
         let mut out = Vec::new();
         // e^1000 overflows f64.
-        assert!(scheme
-            .encrypt_f64(&keys[0], 0, &[1000.0], &mut out)
-            .is_err());
+        assert!(scheme.mask_slice(&keys[0], 0, &[1000.0], &mut out).is_err());
     }
 
     #[test]
@@ -687,28 +752,28 @@ mod tests {
         // ciphertexts (no global safety — the paper's documented trade),
         // while Eq. 6 (per-rank noise) produces different ones.
         let keys = keys(3);
-        let sum = FloatSum::new(HfpFormat::fp32(2, 2));
-        let prod = FloatProd::new(HfpFormat::fp32(0, 0));
+        let sum = || FloatSumScheme::new(HfpFormat::fp32(2, 2));
+        let prod = || FloatProdScheme::new(HfpFormat::fp32(0, 0));
         let x = [std::f64::consts::PI];
-        let (mut c0, mut c1) = (Vec::new(), Vec::new());
-        sum.encrypt_f64(&keys[0], 0, &x, &mut c0).unwrap();
-        sum.encrypt_f64(&keys[1], 0, &x, &mut c1).unwrap();
-        assert_eq!(c0[0], c1[0], "Eq. 7 shares the noise stream");
-        prod.encrypt_f64(&keys[0], 0, &x, &mut c0).unwrap();
-        prod.encrypt_f64(&keys[1], 0, &x, &mut c1).unwrap();
-        assert_ne!(c0[0], c1[0], "Eq. 6 uses per-rank noise");
+        assert_eq!(
+            masked(sum(), &keys[0], &x),
+            masked(sum(), &keys[1], &x),
+            "Eq. 7 shares the noise stream"
+        );
+        assert_ne!(
+            masked(prod(), &keys[0], &x),
+            masked(prod(), &keys[1], &x),
+            "Eq. 6 uses per-rank noise"
+        );
     }
 
     #[test]
     fn temporal_safety_for_floats() {
         let mut ks = keys(2);
-        let scheme = FloatSum::new(HfpFormat::fp32(2, 2));
-        let x = [42.0];
-        let (mut c1, mut c2) = (Vec::new(), Vec::new());
-        scheme.encrypt_f64(&ks[0], 0, &x, &mut c1).unwrap();
+        let sum = || FloatSumScheme::new(HfpFormat::fp32(2, 2));
+        let c1 = masked(sum(), &ks[0], &[42.0]);
         ks[0].advance();
-        scheme.encrypt_f64(&ks[0], 0, &x, &mut c2).unwrap();
-        assert_ne!(c1[0], c2[0]);
+        assert_ne!(c1, masked(sum(), &ks[0], &[42.0]));
     }
 
     #[test]
@@ -717,35 +782,21 @@ mod tests {
         let (sum, prod) = (HfpFormat::fp64(2, 2), HfpFormat::fp64(0, 0));
         let (c_sum, c_prod) = (Hfp::one(13, 52), Hfp::one(11, 52));
         let other = Hfp::one(10, 23);
-        assert_eq!(FloatSum::combine(&c_sum, &other), ops::FOREIGN);
-        assert_eq!(FloatProd::combine(&other, &c_prod), ops::FOREIGN);
+        assert_eq!(FloatSumScheme::op(&c_sum, &other), ops::FOREIGN);
+        assert_eq!(FloatProdScheme::op(&other, &c_prod), ops::FOREIGN);
         assert_eq!(
-            FloatProd::combine(&ops::FOREIGN, &ops::FOREIGN),
+            FloatSumExpScheme::op(&ops::FOREIGN, &ops::FOREIGN),
             ops::FOREIGN
         );
         let mut out = Vec::new();
         for agg in [other, ops::FOREIGN] {
-            FloatSum::new(sum).decrypt_f64(&keys[0], 0, &[c_sum, agg], &mut out);
+            FloatSumScheme::new(sum).unmask_slice(&keys[0], 0, &[c_sum, agg], &mut out);
             assert!(out[0].is_finite() && out[1].is_nan(), "{out:?}");
-            FloatProd::new(prod).decrypt_f64(&keys[0], 0, &[c_prod, agg], &mut out);
+            FloatProdScheme::new(prod).unmask_slice(&keys[0], 0, &[c_prod, agg], &mut out);
             assert!(out[0].is_finite() && out[1].is_nan(), "{out:?}");
-            FloatSumExp::new(prod).decrypt_f64(&keys[0], 0, &[agg], &mut out);
+            FloatSumExpScheme::new(prod).unmask_slice(&keys[0], 0, &[agg], &mut out);
             assert!(out[0].is_nan(), "{out:?}");
         }
-    }
-
-    #[test]
-    fn block_offsets_compose_for_floats() {
-        let ks = keys(2);
-        let scheme = FloatSum::new(HfpFormat::fp32(2, 2));
-        let x: Vec<f64> = (1..=8).map(|v| v as f64).collect();
-        let mut whole = Vec::new();
-        scheme.encrypt_f64(&ks[0], 0, &x, &mut whole).unwrap();
-        let (mut p1, mut p2) = (Vec::new(), Vec::new());
-        scheme.encrypt_f64(&ks[0], 0, &x[..3], &mut p1).unwrap();
-        scheme.encrypt_f64(&ks[0], 3, &x[3..], &mut p2).unwrap();
-        assert_eq!(&whole[..3], &p1[..]);
-        assert_eq!(&whole[3..], &p2[..]);
     }
 }
 
@@ -920,7 +971,7 @@ mod bit_identity {
     fn refuses_non_finite(
         rng: &mut TestRng,
         x: &[f64],
-        encrypt: impl Fn(&[f64], &mut Vec<Hfp>) -> Result<(), HfpError>,
+        mut encrypt: impl FnMut(&[f64], &mut Vec<Hfp>) -> Result<(), HfpError>,
         reference: impl Fn(&[f64]) -> Result<Vec<Hfp>, HfpError>,
     ) -> Result<(), proptest::test_runner::TestCaseError> {
         if x.is_empty() {
@@ -948,21 +999,21 @@ mod bit_identity {
             let mut rng = TestRng::new(seed);
             let keys = CommKeys::generate(3, seed, Backend::best_available());
             for fmt in formats(2) {
-                let cipher = FloatSum::new(fmt);
+                let mut cipher = FloatSumScheme::new(fmt);
                 for (n, k) in LENGTHS.into_iter().zip(keys.iter().cycle()) {
                     let x = plaintexts(&mut rng, fmt, n);
                     let mut ct = vec![Hfp::zero(1, 1)]; // stale content must go
-                    cipher.encrypt_f64(k, first, &x, &mut ct).unwrap();
+                    cipher.mask_slice(k, first, &x, &mut ct).unwrap();
                     prop_assert_eq!(&ct, &reference::sum_encrypt(fmt, k, first, &x).unwrap());
                     refuses_non_finite(
                         &mut rng,
                         &x,
-                        |x, out| cipher.encrypt_f64(k, first, x, out),
+                        |x, out| cipher.mask_slice(k, first, x, out),
                         |x| reference::sum_encrypt(fmt, k, first, x),
                     )?;
                     let agg = aggregates(&mut rng, fmt, n);
                     let mut pt = vec![f64::NAN];
-                    cipher.decrypt_f64(k, first, &agg, &mut pt);
+                    cipher.unmask_slice(k, first, &agg, &mut pt);
                     let want = reference::decrypt(fmt, k, k.base_collective(), first, &agg);
                     prop_assert_eq!(bits(&pt), bits(&want));
                 }
@@ -974,61 +1025,38 @@ mod bit_identity {
             let mut rng = TestRng::new(seed);
             let keys = CommKeys::generate(3, seed, Backend::best_available());
             for fmt in formats(0) {
-                let (prod, sum_exp) = (FloatProd::new(fmt), FloatSumExp::new(fmt));
+                let (mut prod, mut sum_exp) = (FloatProdScheme::new(fmt), FloatSumExpScheme::new(fmt));
                 for (n, k) in LENGTHS.into_iter().zip(keys.iter().cycle()) {
                     let x = plaintexts(&mut rng, fmt, n);
                     let mut ct = Vec::new();
-                    prod.encrypt_f64(k, first, &x, &mut ct).unwrap();
+                    prod.mask_slice(k, first, &x, &mut ct).unwrap();
                     prop_assert_eq!(&ct, &reference::prod_encrypt(fmt, k, first, &x).unwrap());
                     refuses_non_finite(
                         &mut rng,
                         &x,
-                        |x, out| prod.encrypt_f64(k, first, x, out),
+                        |x, out| prod.mask_slice(k, first, x, out),
                         |x| reference::prod_encrypt(fmt, k, first, x),
                     )?;
                     // e^x must stay inside the layout's exponent range.
                     let span = f64::from(1u32 << (fmt.le - 1)) * 0.6;
                     let small: Vec<f64> = (0..n).map(|_| (rng.next_f64() - 0.5) * span).collect();
-                    sum_exp.encrypt_f64(k, first, &small, &mut ct).unwrap();
+                    sum_exp.mask_slice(k, first, &small, &mut ct).unwrap();
                     prop_assert_eq!(&ct, &reference::sum_exp_encrypt(fmt, k, first, &small).unwrap());
                     // e^NaN is NaN, which the encoder refuses.
                     let mut out = vec![Hfp::one(4, 4)];
                     let bad = [small.as_slice(), &[f64::NAN]].concat();
-                    prop_assert!(sum_exp.encrypt_f64(k, first, &bad, &mut out).is_err());
+                    prop_assert!(sum_exp.mask_slice(k, first, &bad, &mut out).is_err());
                     prop_assert!(out.is_empty());
                     let agg = aggregates(&mut rng, fmt, n);
                     let mut pt = Vec::new();
-                    prod.decrypt_f64(k, first, &agg, &mut pt);
+                    prod.unmask_slice(k, first, &agg, &mut pt);
                     let want = reference::decrypt(fmt, k, k.base_zero(), first, &agg);
                     prop_assert_eq!(bits(&pt), bits(&want));
-                    sum_exp.decrypt_f64(k, first, &agg, &mut pt);
+                    sum_exp.unmask_slice(k, first, &agg, &mut pt);
                     let want: Vec<f64> = want.iter().map(|v| v.ln()).collect();
                     prop_assert_eq!(bits(&pt), bits(&want));
                 }
             }
-        }
-
-        #[test]
-        fn blocks_compose_at_any_offset(seed in any::<u64>(), first in 1u64..1 << 40, split in 0usize..600) {
-            // [a, b] @ first ++ [c] @ first + 2 == [a, b, c] @ first, with
-            // the split anywhere relative to the tile.
-            let mut rng = TestRng::new(seed);
-            let keys = CommKeys::generate(2, seed, Backend::best_available());
-            let fmt = HfpFormat::fp64(2, 2);
-            let cipher = FloatSum::new(fmt);
-            let x = plaintexts(&mut rng, fmt, 600);
-            let (mut whole, mut head, mut tail) = (Vec::new(), Vec::new(), Vec::new());
-            cipher.encrypt_f64(&keys[0], first, &x, &mut whole).unwrap();
-            cipher.encrypt_f64(&keys[0], first, &x[..split], &mut head).unwrap();
-            cipher.encrypt_f64(&keys[0], first + split as u64, &x[split..], &mut tail).unwrap();
-            head.extend_from_slice(&tail);
-            prop_assert_eq!(&whole, &head);
-            let (mut whole_pt, mut head_pt, mut tail_pt) = (Vec::new(), Vec::new(), Vec::new());
-            cipher.decrypt_f64(&keys[1], first, &whole, &mut whole_pt);
-            cipher.decrypt_f64(&keys[1], first, &whole[..split], &mut head_pt);
-            cipher.decrypt_f64(&keys[1], first + split as u64, &whole[split..], &mut tail_pt);
-            head_pt.extend_from_slice(&tail_pt);
-            prop_assert_eq!(bits(&whole_pt), bits(&head_pt));
         }
     }
 
@@ -1039,46 +1067,53 @@ mod bit_identity {
         let keys = CommKeys::generate(2, 0xB10C, Backend::best_available());
         let metric = blocks_metric(keys[0].prf().backend());
         let x = vec![1.5; 777];
-        let counted = |run: &dyn Fn()| {
+        let counted = |run: &mut dyn FnMut()| {
             let reg = Registry::new_enabled();
             let _ctx = reg.install(Some(0));
             run();
             reg.counter(metric)
         };
-        let sum = FloatSum::new(HfpFormat::fp64(2, 2));
-        let prod = FloatProd::new(HfpFormat::fp64(0, 0));
-        let mut ct = Vec::new();
+        let mut sum = FloatSumScheme::new(HfpFormat::fp64(2, 2));
+        let mut prod = FloatProdScheme::new(HfpFormat::fp64(0, 0));
+        let (mut ct, mut pt) = (Vec::new(), Vec::new());
         assert_eq!(
-            counted(&|| sum.encrypt_f64(&keys[0], 5, &x, &mut Vec::new()).unwrap()),
+            counted(&mut || sum.mask_slice(&keys[0], 5, &x, &mut ct).unwrap()),
             777
         );
-        sum.encrypt_f64(&keys[0], 5, &x, &mut ct).unwrap();
         assert_eq!(
-            counted(&|| sum.decrypt_f64(&keys[0], 5, &ct, &mut Vec::new())),
+            counted(&mut || sum.unmask_slice(&keys[0], 5, &ct, &mut pt)),
             777
         );
         // Own + next stream on rank 0, own alone on the last rank.
         assert_eq!(
-            counted(&|| prod.encrypt_f64(&keys[0], 5, &x, &mut Vec::new()).unwrap()),
+            counted(&mut || prod.mask_slice(&keys[0], 5, &x, &mut ct).unwrap()),
             2 * 777
         );
         assert_eq!(
-            counted(&|| prod.encrypt_f64(&keys[1], 5, &x, &mut Vec::new()).unwrap()),
+            counted(&mut || prod.mask_slice(&keys[1], 5, &x, &mut ct).unwrap()),
             777
         );
-        prod.encrypt_f64(&keys[1], 5, &x, &mut ct).unwrap();
         assert_eq!(
-            counted(&|| prod.decrypt_f64(&keys[1], 5, &ct, &mut Vec::new())),
+            counted(&mut || prod.unmask_slice(&keys[1], 5, &ct, &mut pt)),
             777
         );
     }
 
     #[test]
     fn an_encode_error_leaves_no_partial_ciphertext() {
+        fn check<S: Scheme<Input = f64, Wire = Hfp>>(
+            mut s: S,
+            k: &CommKeys,
+            x: &[f64],
+        ) -> Result<(), HfpError> {
+            let mut out = vec![Hfp::one(4, 4); 3];
+            let got = s.mask_slice(k, 0, x, &mut out);
+            assert!(out.is_empty(), "{} left {} elements", S::NAME, out.len());
+            got
+        }
         let keys = CommKeys::generate(2, 0xE44, Backend::best_available());
         // The offender sits past the first tile, after 300 good elements.
         let mut x = vec![0.25; 400];
-        let stale = vec![Hfp::one(4, 4); 3];
         for (bad, err) in [
             (f64::NAN, HfpError::NonFinite),
             (f64::NEG_INFINITY, HfpError::NonFinite),
@@ -1086,28 +1121,23 @@ mod bit_identity {
         ] {
             x[300] = bad;
             for k in &keys {
-                let mut out = stale.clone();
-                let sum = FloatSum::new(HfpFormat::fp32(2, 2));
-                assert_eq!(sum.encrypt_f64(k, 0, &x, &mut out), Err(err));
-                assert!(out.is_empty(), "FloatSum left {} elements", out.len());
-                let mut out = stale.clone();
-                let prod = FloatProd::new(HfpFormat::fp32(0, 0));
-                assert_eq!(prod.encrypt_f64(k, 0, &x, &mut out), Err(err));
-                assert!(out.is_empty(), "FloatProd left {} elements", out.len());
+                let sum = FloatSumScheme::new(HfpFormat::fp32(2, 2));
+                assert_eq!(check(sum, k, &x), Err(err));
+                let prod = FloatProdScheme::new(HfpFormat::fp32(0, 0));
+                assert_eq!(check(prod, k, &x), Err(err));
             }
         }
         // e^1000 overflows f64 before the encoder ever sees it.
         x[300] = 1000.0;
-        let mut out = stale.clone();
-        let sum_exp = FloatSumExp::new(HfpFormat::fp64(0, 0));
-        assert!(sum_exp.encrypt_f64(&keys[0], 0, &x, &mut out).is_err());
-        assert!(out.is_empty(), "FloatSumExp left {} elements", out.len());
+        let sum_exp = FloatSumExpScheme::new(HfpFormat::fp64(0, 0));
+        assert!(check(sum_exp, &keys[0], &x).is_err());
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::scheme::reduce_in_process;
     use hear_prf::Backend;
     use proptest::prelude::*;
 
@@ -1121,19 +1151,8 @@ mod proptests {
             vals in proptest::collection::vec(0.1f64..10.0, 1..16),
         ) {
             let keys = CommKeys::generate(world, seed, Backend::AesSoft);
-            let fmt = HfpFormat::fp32(2, 2);
-            let scheme = FloatSum::new(fmt);
-            let (cew, cmw) = fmt.cipher_widths();
-            let mut agg = vec![Hfp::zero(cew, cmw); vals.len()];
-            let mut ct = Vec::new();
-            for k in &keys {
-                scheme.encrypt_f64(k, 0, &vals, &mut ct).unwrap();
-                for (a, c) in agg.iter_mut().zip(ct.iter()) {
-                    *a = FloatSum::combine(a, c);
-                }
-            }
-            let mut out = Vec::new();
-            scheme.decrypt_f64(&keys[0], 0, &agg, &mut out);
+            let mk = || FloatSumScheme::new(HfpFormat::fp32(2, 2));
+            let out = reduce_in_process(mk, &keys, &vec![vals.clone(); world]);
             for (j, got) in out.iter().enumerate() {
                 let expect = vals[j] * world as f64;
                 let rel = (got - expect).abs() / expect;
@@ -1148,19 +1167,8 @@ mod proptests {
             vals in proptest::collection::vec(0.5f64..2.0, 1..12),
         ) {
             let keys = CommKeys::generate(world, seed, Backend::AesSoft);
-            let fmt = HfpFormat::fp32(0, 0);
-            let scheme = FloatProd::new(fmt);
-            let (cew, cmw) = fmt.cipher_widths();
-            let mut agg = vec![Hfp::one(cew, cmw); vals.len()];
-            let mut ct = Vec::new();
-            for k in &keys {
-                scheme.encrypt_f64(k, 0, &vals, &mut ct).unwrap();
-                for (a, c) in agg.iter_mut().zip(ct.iter()) {
-                    *a = FloatProd::combine(a, c);
-                }
-            }
-            let mut out = Vec::new();
-            scheme.decrypt_f64(&keys[0], 0, &agg, &mut out);
+            let mk = || FloatProdScheme::new(HfpFormat::fp32(0, 0));
+            let out = reduce_in_process(mk, &keys, &vec![vals.clone(); world]);
             for (j, got) in out.iter().enumerate() {
                 let expect = vals[j].powi(world as i32);
                 let rel = (got - expect).abs() / expect;

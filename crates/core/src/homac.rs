@@ -496,23 +496,26 @@ impl Homac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::int::{IntSum, Scratch};
+    use crate::int::IntSumScheme;
+    use crate::scheme::Scheme;
 
     type Reduced<W> = (Vec<CommKeys>, KeyRegistry, Homac, Vec<W>, Vec<u64>);
 
     /// Encrypt and tag one row per rank (cancelling tags, or `plain`), then
     /// fold ciphertexts and tags the way the network would.
-    fn reduce_tagged<W: RingWord>(rows: &[Vec<W>], plain: bool) -> Reduced<W> {
+    fn reduce_tagged<W: RingWord + Default>(rows: &[Vec<W>], plain: bool) -> Reduced<W> {
         let (keys, reg) = CommKeys::generate_with_registry(rows.len(), 99, Backend::AesSoft);
         let homac = Homac::generate(1234, Backend::AesSoft);
         let mut agg = vec![W::zero(); rows[0].len()];
         let mut tags = vec![0u64; agg.len()];
         for (keys, row) in keys.iter().zip(rows) {
-            let mut buf = row.clone();
-            IntSum::encrypt_in_place(keys, 0, &mut buf, &mut Scratch::default());
+            let mut buf = Vec::new();
+            IntSumScheme::default()
+                .mask_slice(keys, 0, row, &mut buf)
+                .unwrap();
             let tag = if plain { Homac::tag_plain } else { Homac::tag };
             for (i, t) in tag(&homac, keys, 0, &buf).into_iter().enumerate() {
-                agg[i] = IntSum::combine(agg[i], buf[i]);
+                agg[i] = agg[i].wadd(buf[i]);
                 tags[i] = Homac::combine(tags[i], t);
             }
         }

@@ -9,11 +9,12 @@
 //! non-cancelling variant of Fig. 1 is provided as [`NaiveIntSum`] for the
 //! ablation benchmark (its decryption is Θ(P)).
 
-use crate::extend_with;
 use crate::keys::{CommKeys, KeyRegistry};
+use crate::scheme::{prod_digest, Scheme, DIGEST_LANES};
 use crate::word::RingWord;
+use hear_hfp::HfpError;
 use hear_prf::{par_fused_pass, Payload, Stream, WorkerPool};
-use std::convert::Infallible;
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 
 /// Fold the noise streams at `bases` into a payload — in place, or out of
@@ -42,11 +43,9 @@ fn fused_pass<W: RingWord, const N: usize>(
 }
 
 /// Reusable noise staging for [`NaiveIntSum`]'s Θ(P) decryption, the only
-/// cipher that still materialises a keystream. The fused ciphers stage
-/// nothing and [`IntProd`] stages through a stack tile, so they ignore the
-/// `&mut Scratch` their `*_in_place` forms take; the parameter stays
-/// because the standalone `bench/` harness calls
-/// `IntSum::{encrypt,decrypt}_in_place` with one.
+/// cipher that still materialises a keystream. [`IntSum`]'s in-place pair
+/// ignores the `&mut Scratch` it takes; the parameter stays because the
+/// standalone `bench/` harness calls that pair with one.
 pub struct Scratch<W> {
     noise: Vec<W>,
 }
@@ -72,7 +71,11 @@ impl<W: RingWord> Scratch<W> {
     }
 }
 
-/// Integer summation, Eq. (1).
+/// Integer summation, Eq. (1): the kernels under [`IntSumScheme`], plus an
+/// in-place pair — the one cipher surface left outside a [`Scheme`] impl.
+/// The pair stays because the standalone `bench/` package's staged
+/// pipeline (`bench/src/staged.rs`) calls it; the ablation and HoMAC
+/// benchmarks use it too. Once those run on `IntSumScheme` it can go.
 pub struct IntSum;
 
 impl IntSum {
@@ -100,9 +103,7 @@ impl IntSum {
     }
 
     /// Encrypt `buf` in place for this rank; element `j` of the global
-    /// vector is `buf[j - first]` (callers encrypting a pipelined block
-    /// pass the block's base index as `first`). `scratch` is unused (see
-    /// [`Scratch`]).
+    /// vector is `buf[j - first]`. `scratch` is unused (see [`Scratch`]).
     pub fn encrypt_in_place<W: RingWord>(
         keys: &CommKeys,
         first: u64,
@@ -112,14 +113,6 @@ impl IntSum {
         let _s = hear_telemetry::span!("encrypt", elems = buf.len());
         let _ = scratch; // fused path needs no noise staging
         Self::encrypt(keys, first, Payload::InPlace(buf));
-    }
-
-    /// Append the encryption of `input` to `out` — the bits
-    /// `extend_from_slice` + [`IntSum::encrypt_in_place`] would leave, with
-    /// each byte read once and written once.
-    pub fn encrypt_into<W: RingWord>(keys: &CommKeys, first: u64, input: &[W], out: &mut Vec<W>) {
-        let _s = hear_telemetry::span!("encrypt", elems = input.len());
-        Self::encrypt(keys, first, Payload::Extend(input, out));
     }
 
     /// Decrypt an aggregated vector in place: subtract rank 0's noise.
@@ -134,48 +127,78 @@ impl IntSum {
         let _ = scratch;
         Self::decrypt(keys, first, Payload::InPlace(agg));
     }
+}
 
-    /// Append the decryption of `agg` to `out` (see
-    /// [`IntSum::encrypt_into`]).
-    pub fn decrypt_into<W: RingWord>(keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        Self::decrypt(keys, first, Payload::Extend(agg, out));
-    }
+/// Integer summation (Eq. 1) as a [`Scheme`]; lossless, exact digest.
+#[derive(Default)]
+pub struct IntSumScheme<W: RingWord>(PhantomData<W>);
 
-    /// Decrypt `agg` into `dst` (same length), initialising every element
-    /// of it: the positional form of [`IntSum::decrypt_into`], for a window
-    /// of spare capacity the caller commits itself.
-    pub fn decrypt_to<W: RingWord>(
+// SAFETY: `unmask_into` initialises all of `dst` (a `Payload::Into` pass).
+unsafe impl<W: RingWord> Scheme for IntSumScheme<W> {
+    type Input = W;
+    type Wire = W;
+    type Lanes = W::Halves;
+
+    const NAME: &'static str = "int-sum";
+    const TABLE2_ROW: usize = 0;
+
+    fn mask_slice(
+        &mut self,
         keys: &CommKeys,
         first: u64,
-        agg: &[W],
-        dst: &mut [MaybeUninit<W>],
-    ) {
-        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        Self::decrypt(keys, first, Payload::Into(agg, dst));
+        input: &[W],
+        out: &mut Vec<W>,
+    ) -> Result<(), HfpError> {
+        let _s = hear_telemetry::span!("encrypt", elems = input.len());
+        out.clear();
+        IntSum::encrypt(keys, first, Payload::Extend(input, out));
+        Ok(())
     }
 
-    /// The associative operation the (untrusted) network applies.
-    #[inline]
-    pub fn combine<W: RingWord>(a: W, b: W) -> W {
-        a.wadd(b)
+    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
+        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
+        IntSum::decrypt(keys, first, Payload::Into(agg, dst));
+    }
+
+    fn op(a: &W, b: &W) -> W {
+        a.wadd(*b)
+    }
+
+    fn digest(&self, x: &W, out: &mut [u64; DIGEST_LANES]) {
+        *out = [x.to_u64(), 0, 0, 0];
+    }
+
+    fn digest_check(&self, result: &W, lane_sums: &[u64; DIGEST_LANES], _world: usize) -> bool {
+        // The wire sum and the lane sum wrap identically mod 2^b.
+        W::from_u64_trunc(lane_sums[0]) == *result
+    }
+
+    fn cell_encode(x: &W) -> u64 {
+        x.to_u64()
+    }
+
+    fn cell_decode(cell: u64) -> W {
+        W::from_u64_trunc(cell)
     }
 }
 
-/// Integer product, Eq. (2): noise enters as a power of the subgroup
-/// generator `g = 3`, whose order divides `2^{b−2}`, so every noise factor
-/// is odd and exactly invertible — the scheme stays lossless.
-pub struct IntProd;
-
-/// Elements per refill of [`IntProd`]'s stack tiles (2 KiB of `u64`
+/// Elements per refill of [`IntProdScheme`]'s stack tiles (2 KiB of `u64`
 /// factors, and as much again for the successor's noise).
 const PROD_TILE: usize = 256;
 
-impl IntProd {
+/// Integer product (Eq. 2) as a [`Scheme`]: noise enters as a power of the
+/// subgroup generator `g = 3`, whose order divides `2^{b−2}`, so every
+/// noise factor is odd and exactly invertible — the scheme stays lossless.
+/// Exact digest via the 2-adic decomposition `x = (−1)^s · 3^e · 2^v` in
+/// `Z_{2^b}` ([`prod_digest`]).
+#[derive(Default)]
+pub struct IntProdScheme<W: RingWord>(PhantomData<W>);
+
+impl<W: RingWord> IntProdScheme<W> {
     /// Fill `own` with the mask factors `g^(own − next)` (`g^own` on the
     /// last rank) of the `own.len()` elements at `first`; `next` (at least
     /// as long) stages the successor's noise.
-    fn mask_factors<W: RingWord>(keys: &CommKeys, first: u64, own: &mut [W], next: &mut [W]) {
+    fn mask_factors(keys: &CommKeys, first: u64, own: &mut [W], next: &mut [W]) {
         W::fill_noise(keys.prf(), keys.base_own(), first, own);
         if !keys.is_last() {
             let next = &mut next[..own.len()];
@@ -191,7 +214,7 @@ impl IntProd {
 
     /// Fill `zero` with the unmask factors `g^(−zero)` of the `zero.len()`
     /// elements at `first`.
-    fn unmask_factors<W: RingWord>(keys: &CommKeys, first: u64, zero: &mut [W], _: &mut [W]) {
+    fn unmask_factors(keys: &CommKeys, first: u64, zero: &mut [W], _: &mut [W]) {
         W::fill_noise(keys.prf(), keys.base_zero(), first, zero);
         for z in zero.iter_mut() {
             *z = W::GENERATOR.wpow(*z).inv_odd();
@@ -203,7 +226,7 @@ impl IntProd {
     /// then `apply` consumes the factors with the tile's offset into the
     /// call. The factors of element `j` depend on `j` alone, so tiling
     /// changes no bit, and nothing is allocated.
-    fn tiled<W: RingWord>(
+    fn tiled(
         keys: &CommKeys,
         first: u64,
         n: usize,
@@ -217,68 +240,37 @@ impl IntProd {
             apply(start, tile);
         }
     }
+}
 
-    /// `scratch` is unused (see [`Scratch`]).
-    pub fn encrypt_in_place<W: RingWord>(
+// SAFETY: `unmask_into` writes every element of `dst`, whose length it
+// asserts, one tile at a time.
+unsafe impl<W: RingWord> Scheme for IntProdScheme<W> {
+    type Input = W;
+    type Wire = W;
+    /// Exponent (both halves), valuation and sign count (low halves).
+    type Lanes = [u64; 5];
+
+    const NAME: &'static str = "int-prod";
+    const TABLE2_ROW: usize = 1;
+
+    /// `out[i] = input[i] · g^(own − next)`, without copying `input` first.
+    fn mask_slice(
+        &mut self,
         keys: &CommKeys,
         first: u64,
-        buf: &mut [W],
-        scratch: &mut Scratch<W>,
-    ) {
-        let _s = hear_telemetry::span!("encrypt", elems = buf.len());
-        let _ = scratch;
-        Self::tiled(keys, first, buf.len(), Self::mask_factors, |s, g| {
-            for (b, g) in buf[s..].iter_mut().zip(g) {
-                *b = b.wmul(*g);
-            }
-        });
-    }
-
-    /// Append the encryption of `input` to `out`: `out[i] = input[i] ·
-    /// g^(own − next)`, without copying `input` first.
-    pub fn encrypt_into<W: RingWord>(keys: &CommKeys, first: u64, input: &[W], out: &mut Vec<W>) {
+        input: &[W],
+        out: &mut Vec<W>,
+    ) -> Result<(), HfpError> {
         let _s = hear_telemetry::span!("encrypt", elems = input.len());
+        out.clear();
         out.reserve(input.len());
         Self::tiled(keys, first, input.len(), Self::mask_factors, |s, g| {
             out.extend(input[s..].iter().zip(g).map(|(x, g)| x.wmul(*g)));
         });
+        Ok(())
     }
 
-    /// `scratch` is unused (see [`Scratch`]).
-    pub fn decrypt_in_place<W: RingWord>(
-        keys: &CommKeys,
-        first: u64,
-        agg: &mut [W],
-        scratch: &mut Scratch<W>,
-    ) {
-        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        let _ = scratch;
-        Self::tiled(keys, first, agg.len(), Self::unmask_factors, |s, g| {
-            for (a, g) in agg[s..].iter_mut().zip(g) {
-                *a = a.wmul(*g);
-            }
-        });
-    }
-
-    /// Append the decryption of `agg` to `out`.
-    pub fn decrypt_into<W: RingWord>(keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        // SAFETY: `decrypt_to` initialises all of `dst`.
-        let Ok(()) = unsafe {
-            extend_with::<_, Infallible>(out, agg.len(), |dst| {
-                Self::decrypt_to(keys, first, agg, dst);
-                Ok(())
-            })
-        };
-    }
-
-    /// Decrypt `agg` into `dst` (same length), initialising every element
-    /// of it (see [`IntSum::decrypt_to`]).
-    pub fn decrypt_to<W: RingWord>(
-        keys: &CommKeys,
-        first: u64,
-        agg: &[W],
-        dst: &mut [MaybeUninit<W>],
-    ) {
+    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         assert_eq!(agg.len(), dst.len());
         Self::tiled(keys, first, agg.len(), Self::unmask_factors, |s, g| {
@@ -288,18 +280,70 @@ impl IntProd {
         });
     }
 
-    #[inline]
-    pub fn combine<W: RingWord>(a: W, b: W) -> W {
-        a.wmul(b)
+    fn op(a: &W, b: &W) -> W {
+        a.wmul(*b)
+    }
+
+    fn digest(&self, x: &W, out: &mut [u64; DIGEST_LANES]) {
+        let (e, v, s) = prod_digest(x.to_u64(), W::BITS);
+        *out = [e, v, s, 0];
+    }
+
+    fn digest_check(&self, result: &W, lane_sums: &[u64; DIGEST_LANES], _world: usize) -> bool {
+        let sum_v = lane_sums[1];
+        if sum_v >= W::BITS as u64 {
+            // Enough factors of two to annihilate the ring.
+            return *result == W::zero();
+        }
+        // (−1)^{Σs} · 3^{Σe} · 2^{Σv}; Σe mod 2^64 is sound because
+        // ord(3) = 2^{b−2} divides 2^64, and the odd part only matters
+        // mod 2^{b−Σv}, which the full-width product preserves.
+        let mut expect = W::GENERATOR.wpow(W::from_u64_trunc(lane_sums[0]));
+        if lane_sums[2] & 1 == 1 {
+            expect = W::zero().wsub(expect);
+        }
+        expect = expect.wmul(W::from_u64_trunc(1u64 << sum_v));
+        *result == expect
+    }
+
+    fn cell_encode(x: &W) -> u64 {
+        x.to_u64()
+    }
+
+    fn cell_decode(cell: u64) -> W {
+        W::from_u64_trunc(cell)
     }
 }
 
-/// Logical/binary XOR, Eq. (3) — structurally AES-CTR.
-pub struct IntXor;
+/// Logical/binary XOR (Eq. 3, structurally AES-CTR) as a [`Scheme`];
+/// lossless. The digest spreads each payload bit into its own 4-bit nibble
+/// counter, so the additive lane sum counts per-bit multiplicity and the
+/// XOR result must equal its parity — sound up to 15 ranks.
+#[derive(Default)]
+pub struct IntXorScheme<W: RingWord>(PhantomData<W>);
 
-impl IntXor {
-    /// `^F(own) ^F(next)` folded into `payload` in one pass.
-    fn encrypt<W: RingWord>(keys: &CommKeys, first: u64, payload: Payload<'_, W>) {
+// SAFETY: `unmask_into` initialises all of `dst` (a `Payload::Into` pass).
+unsafe impl<W: RingWord> Scheme for IntXorScheme<W> {
+    type Input = W;
+    type Wire = W;
+    type Lanes = [u64; 8];
+
+    const NAME: &'static str = "int-xor";
+    const TABLE2_ROW: usize = 2;
+    /// Nibble counters saturate at 15 contributions per bit.
+    const MAX_VERIFIED_WORLD: usize = 15;
+
+    /// `^F(own) ^F(next)` folded into the input in one pass.
+    fn mask_slice(
+        &mut self,
+        keys: &CommKeys,
+        first: u64,
+        input: &[W],
+        out: &mut Vec<W>,
+    ) -> Result<(), HfpError> {
+        let _s = hear_telemetry::span!("encrypt", elems = input.len());
+        out.clear();
+        let payload = Payload::Extend(input, out);
         if keys.is_last() {
             fused_pass(keys, [keys.base_own()], first, payload, |x, [own]| {
                 x.bxor(own)
@@ -310,67 +354,49 @@ impl IntXor {
                 x.bxor(own).bxor(next)
             });
         }
+        Ok(())
     }
 
     /// `^F(zero)`.
-    fn decrypt<W: RingWord>(keys: &CommKeys, first: u64, payload: Payload<'_, W>) {
+    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
+        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
+        let payload = Payload::Into(agg, dst);
         fused_pass(keys, [keys.base_zero()], first, payload, |x, [zero]| {
             x.bxor(zero)
         });
     }
 
-    /// `scratch` is unused (see [`Scratch`]).
-    pub fn encrypt_in_place<W: RingWord>(
-        keys: &CommKeys,
-        first: u64,
-        buf: &mut [W],
-        scratch: &mut Scratch<W>,
-    ) {
-        let _s = hear_telemetry::span!("encrypt", elems = buf.len());
-        let _ = scratch;
-        Self::encrypt(keys, first, Payload::InPlace(buf));
+    fn op(a: &W, b: &W) -> W {
+        a.bxor(*b)
     }
 
-    /// Append the encryption of `input` to `out` (see
-    /// [`IntSum::encrypt_into`]).
-    pub fn encrypt_into<W: RingWord>(keys: &CommKeys, first: u64, input: &[W], out: &mut Vec<W>) {
-        let _s = hear_telemetry::span!("encrypt", elems = input.len());
-        Self::encrypt(keys, first, Payload::Extend(input, out));
+    fn digest(&self, x: &W, out: &mut [u64; DIGEST_LANES]) {
+        *out = [0; DIGEST_LANES];
+        let bits = x.to_u64();
+        for k in 0..W::BITS as usize {
+            if (bits >> k) & 1 == 1 {
+                out[k / 16] |= 1u64 << (4 * (k % 16));
+            }
+        }
     }
 
-    /// `scratch` is unused (see [`Scratch`]).
-    pub fn decrypt_in_place<W: RingWord>(
-        keys: &CommKeys,
-        first: u64,
-        agg: &mut [W],
-        scratch: &mut Scratch<W>,
-    ) {
-        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        let _ = scratch;
-        Self::decrypt(keys, first, Payload::InPlace(agg));
+    fn digest_check(&self, result: &W, lane_sums: &[u64; DIGEST_LANES], _world: usize) -> bool {
+        let bits = result.to_u64();
+        for k in 0..W::BITS as usize {
+            let count = (lane_sums[k / 16] >> (4 * (k % 16))) & 0xF;
+            if count & 1 != (bits >> k) & 1 {
+                return false;
+            }
+        }
+        true
     }
 
-    /// Append the decryption of `agg` to `out`.
-    pub fn decrypt_into<W: RingWord>(keys: &CommKeys, first: u64, agg: &[W], out: &mut Vec<W>) {
-        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        Self::decrypt(keys, first, Payload::Extend(agg, out));
+    fn cell_encode(x: &W) -> u64 {
+        x.to_u64()
     }
 
-    /// Decrypt `agg` into `dst` (same length), initialising every element
-    /// of it (see [`IntSum::decrypt_to`]).
-    pub fn decrypt_to<W: RingWord>(
-        keys: &CommKeys,
-        first: u64,
-        agg: &[W],
-        dst: &mut [MaybeUninit<W>],
-    ) {
-        let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        Self::decrypt(keys, first, Payload::Into(agg, dst));
-    }
-
-    #[inline]
-    pub fn combine<W: RingWord>(a: W, b: W) -> W {
-        a.bxor(b)
+    fn cell_decode(cell: u64) -> W {
+        W::from_u64_trunc(cell)
     }
 }
 
@@ -418,24 +444,21 @@ impl NaiveIntSum {
 mod tests {
     use super::*;
     use crate::keys::CommKeys;
+    use crate::scheme::reduce_in_process;
     use hear_prf::Backend;
 
-    /// Simulate a full encrypted allreduce in-process: every rank encrypts,
-    /// the "network" folds with `combine`, one rank decrypts.
+    /// A full encrypted allreduce in-process: every rank encrypts, the
+    /// "network" folds with `op`, rank 0 decrypts.
     fn roundtrip_sum_u32(world: usize, data: &[Vec<u32>]) -> Vec<u32> {
         let keys = CommKeys::generate(world, 42, Backend::AesSoft);
-        let mut scratch = Scratch::default();
-        let n = data[0].len();
-        let mut agg = vec![0u32; n];
-        for (rank, keys) in keys.iter().enumerate() {
-            let mut buf = data[rank].clone();
-            IntSum::encrypt_in_place(keys, 0, &mut buf, &mut scratch);
-            for (a, c) in agg.iter_mut().zip(buf.iter()) {
-                *a = IntSum::combine(*a, *c);
-            }
-        }
-        IntSum::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch);
-        agg
+        reduce_in_process(IntSumScheme::default, &keys, data)
+    }
+
+    /// The ciphertext of `plain` under `keys`, at element 0.
+    fn masked<S: Scheme>(mut scheme: S, keys: &CommKeys, plain: &[S::Input]) -> Vec<S::Wire> {
+        let mut wire = Vec::new();
+        scheme.mask_slice(keys, 0, plain, &mut wire).unwrap();
+        wire
     }
 
     #[test]
@@ -462,125 +485,47 @@ mod tests {
 
     #[test]
     fn sum_signed_via_two_complement() {
-        use crate::word::{as_unsigned_i32, as_unsigned_i32_mut};
+        use crate::word::as_unsigned_i32;
         let keys = CommKeys::generate(2, 9, Backend::AesSoft);
-        let mut scratch = Scratch::default();
         let a = [-100i32, 50, i32::MIN];
         let b = [30i32, -80, -1];
-        let mut ca = a;
-        let mut cb = b;
-        IntSum::encrypt_in_place(&keys[0], 0, as_unsigned_i32_mut(&mut ca), &mut scratch);
-        IntSum::encrypt_in_place(&keys[1], 0, as_unsigned_i32_mut(&mut cb), &mut scratch);
-        let mut agg: Vec<u32> = as_unsigned_i32(&ca)
-            .iter()
-            .zip(as_unsigned_i32(&cb))
-            .map(|(x, y)| x.wrapping_add(*y))
-            .collect();
-        IntSum::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch);
+        let data = [as_unsigned_i32(&a).to_vec(), as_unsigned_i32(&b).to_vec()];
+        let agg = reduce_in_process(IntSumScheme::default, &keys, &data);
         let got: Vec<i32> = agg.iter().map(|v| *v as i32).collect();
         assert_eq!(got, vec![-70, -30, i32::MIN.wrapping_add(-1)]);
     }
 
-    #[test]
-    fn sum_block_offsets_compose() {
-        // Encrypting [0..8) in two blocks with first=0 and first=5 must
-        // equal encrypting the whole vector at once (pipelining relies on
-        // this).
-        let keys = CommKeys::generate(2, 3, Backend::AesSoft);
-        let mut scratch = Scratch::default();
-        let full: Vec<u32> = (0..8).collect();
-        let mut whole = full.clone();
-        IntSum::encrypt_in_place(&keys[0], 0, &mut whole, &mut scratch);
-        let mut part1 = full[..5].to_vec();
-        let mut part2 = full[5..].to_vec();
-        IntSum::encrypt_in_place(&keys[0], 0, &mut part1, &mut scratch);
-        IntSum::encrypt_in_place(&keys[0], 5, &mut part2, &mut scratch);
-        assert_eq!(&whole[..5], &part1[..]);
-        assert_eq!(&whole[5..], &part2[..]);
-    }
-
-    /// The appending form against "copy, then the in-place form": same
-    /// bits, prefix untouched, and composable at every split of the block.
-    fn check_forms<W: RingWord>(
-        keys: &CommKeys,
-        input: &[W],
-        in_place: impl Fn(&CommKeys, u64, &mut [W]),
-        into: impl Fn(&CommKeys, u64, &[W], &mut Vec<W>),
-    ) -> Vec<W> {
-        const FIRST: u64 = 5;
-        let mut want = input.to_vec();
-        in_place(keys, FIRST, &mut want);
-
-        let sentinel = W::from_u64_trunc(0xA5);
-        let mut got = vec![sentinel];
-        into(keys, FIRST, input, &mut got);
-        assert_eq!(got[0], sentinel, "prefix overwritten");
-        assert_eq!(got[1..], want);
-
-        for split in 0..=input.len() {
-            let mut parts = Vec::new();
-            into(keys, FIRST, &input[..split], &mut parts);
-            into(keys, FIRST + split as u64, &input[split..], &mut parts);
-            assert_eq!(parts, want, "split at {split}");
-        }
-        want
-    }
-
+    /// The in-place pair against [`IntSumScheme`]'s slice forms, and the
+    /// wire against Eq. (1) word by word from the scalar PRF: the bits are
+    /// `x + F(own) − F(next)` whatever the kernel does.
     #[test]
     fn into_forms_equal_copy_then_in_place_at_every_rank() {
         fn width<W: RingWord>() {
+            const FIRST: u64 = 5;
             let input: Vec<W> = (0..37u64)
                 .map(|i| W::from_u64_trunc(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7))
                 .collect();
             for world in 1..=4usize {
                 // The last rank masks with one stream, the others with two.
                 for keys in CommKeys::generate(world, 0xC0DE + world as u64, Backend::AesSoft) {
-                    let sum = check_forms(
-                        &keys,
-                        &input,
-                        |k, f, b| IntSum::encrypt_in_place(k, f, b, &mut Scratch::default()),
-                        IntSum::encrypt_into,
-                    );
-                    // Eq. (1) word by word from the scalar PRF: the wire bits
-                    // are `x + F(own) − F(next)` whatever the kernel does.
-                    for (i, (c, x)) in sum.iter().zip(&input).enumerate() {
-                        let j = 5 + i as u64;
+                    let mut scheme = IntSumScheme::<W>(PhantomData);
+                    let mut in_place = input.clone();
+                    IntSum::encrypt_in_place(&keys, FIRST, &mut in_place, &mut Scratch::default());
+                    let mut wire = Vec::new();
+                    scheme.mask_slice(&keys, FIRST, &input, &mut wire).unwrap();
+                    assert_eq!(wire, in_place, "world={world}");
+                    for (i, (c, x)) in wire.iter().zip(&input).enumerate() {
+                        let j = FIRST + i as u64;
                         let mut want = x.wadd(W::noise(keys.prf(), keys.base_own(), j));
                         if !keys.is_last() {
                             want = want.wsub(W::noise(keys.prf(), keys.base_next(), j));
                         }
                         assert_eq!(*c, want, "world={world} j={j}");
                     }
-                    check_forms(
-                        &keys,
-                        &input,
-                        |k, f, b| IntSum::decrypt_in_place(k, f, b, &mut Scratch::default()),
-                        IntSum::decrypt_into,
-                    );
-                    check_forms(
-                        &keys,
-                        &input,
-                        |k, f, b| IntXor::encrypt_in_place(k, f, b, &mut Scratch::default()),
-                        IntXor::encrypt_into,
-                    );
-                    check_forms(
-                        &keys,
-                        &input,
-                        |k, f, b| IntXor::decrypt_in_place(k, f, b, &mut Scratch::default()),
-                        IntXor::decrypt_into,
-                    );
-                    check_forms(
-                        &keys,
-                        &input,
-                        |k, f, b| IntProd::encrypt_in_place(k, f, b, &mut Scratch::default()),
-                        IntProd::encrypt_into,
-                    );
-                    check_forms(
-                        &keys,
-                        &input,
-                        |k, f, b| IntProd::decrypt_in_place(k, f, b, &mut Scratch::default()),
-                        IntProd::decrypt_into,
-                    );
+                    IntSum::decrypt_in_place(&keys, FIRST, &mut in_place, &mut Scratch::default());
+                    let mut plain = Vec::new();
+                    scheme.unmask_slice(&keys, FIRST, &wire, &mut plain);
+                    assert_eq!(plain, in_place, "world={world}");
                 }
             }
         }
@@ -594,20 +539,10 @@ mod tests {
     fn prod_roundtrip_u32_u64() {
         fn run<W: RingWord>(world: usize, vals: &[Vec<W>]) {
             let keys = CommKeys::generate(world, 11, Backend::AesSoft);
-            let mut scratch = Scratch::default();
-            let n = vals[0].len();
-            let mut agg = vec![W::one(); n];
-            for (rank, keys) in keys.iter().enumerate() {
-                let mut buf = vals[rank].clone();
-                IntProd::encrypt_in_place(keys, 0, &mut buf, &mut scratch);
-                for (a, c) in agg.iter_mut().zip(buf.iter()) {
-                    *a = IntProd::combine(*a, *c);
-                }
-            }
-            IntProd::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch);
-            for j in 0..n {
+            let agg = reduce_in_process(|| IntProdScheme(PhantomData), &keys, vals);
+            for (j, got) in agg.iter().enumerate() {
                 let expect = vals.iter().map(|v| v[j]).fold(W::one(), |a, b| a.wmul(b));
-                assert_eq!(agg[j], expect, "j={j}");
+                assert_eq!(*got, expect, "j={j}");
             }
         }
         run::<u32>(3, &[vec![2, 7, 0], vec![5, 3, 9], vec![4, 1, 6]]);
@@ -619,32 +554,18 @@ mod tests {
         // Even plaintexts are outside the subgroup but noise is always odd,
         // so they still decrypt exactly; zero stays zero.
         let keys = CommKeys::generate(2, 5, Backend::AesSoft);
-        let mut scratch = Scratch::default();
-        let mut a = vec![0u32, 8, 1024];
-        let mut b = vec![6u32, 2, 2];
-        IntProd::encrypt_in_place(&keys[0], 0, &mut a, &mut scratch);
-        IntProd::encrypt_in_place(&keys[1], 0, &mut b, &mut scratch);
-        let mut agg: Vec<u32> = a.iter().zip(&b).map(|(x, y)| x.wrapping_mul(*y)).collect();
-        IntProd::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch);
+        let data = [vec![0u32, 8, 1024], vec![6u32, 2, 2]];
+        let agg = reduce_in_process(IntProdScheme::default, &keys, &data);
         assert_eq!(agg, vec![0, 16, 2048]);
     }
 
     #[test]
     fn xor_roundtrip() {
         let keys = CommKeys::generate(4, 6, Backend::AesSoft);
-        let mut scratch = Scratch::default();
         let data: Vec<Vec<u64>> = (0..4)
             .map(|r| (0..7).map(|j| ((r as u64) << 32) | (j * 77)).collect())
             .collect();
-        let mut agg = vec![0u64; 7];
-        for (rank, keys) in keys.iter().enumerate() {
-            let mut buf = data[rank].clone();
-            IntXor::encrypt_in_place(keys, 0, &mut buf, &mut scratch);
-            for (a, c) in agg.iter_mut().zip(buf.iter()) {
-                *a = IntXor::combine(*a, *c);
-            }
-        }
-        IntXor::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch);
+        let agg = reduce_in_process(IntXorScheme::default, &keys, &data);
         for j in 0..7 {
             let expect = data.iter().map(|v| v[j]).fold(0, |a, b| a ^ b);
             assert_eq!(agg[j], expect);
@@ -669,18 +590,16 @@ mod tests {
         }
         NaiveIntSum::decrypt_in_place(&reg, 0, &mut agg, &mut scratch);
         assert_eq!(agg, vec![1 + 11 + 21, 2 + 12 + 22]);
+        assert_eq!(agg, reduce_in_process(IntSumScheme::default, &keys, &data));
     }
 
     #[test]
     fn temporal_safety_ciphertexts_change_across_epochs() {
         let mut keys = CommKeys::generate(2, 8, Backend::AesSoft);
-        let mut scratch = Scratch::default();
         let plain = vec![42u32; 16];
-        let mut c1 = plain.clone();
-        IntSum::encrypt_in_place(&keys[0], 0, &mut c1, &mut scratch);
+        let c1 = masked(IntSumScheme::default(), &keys[0], &plain);
         keys[0].advance();
-        let mut c2 = plain.clone();
-        IntSum::encrypt_in_place(&keys[0], 0, &mut c2, &mut scratch);
+        let c2 = masked(IntSumScheme::default(), &keys[0], &plain);
         assert_ne!(
             c1, c2,
             "same plaintext must encrypt differently across calls"
@@ -690,9 +609,7 @@ mod tests {
     #[test]
     fn local_safety_equal_elements_encrypt_differently() {
         let keys = CommKeys::generate(2, 8, Backend::AesSoft);
-        let mut scratch = Scratch::default();
-        let mut buf = vec![7u32; 64];
-        IntSum::encrypt_in_place(&keys[0], 0, &mut buf, &mut scratch);
+        let buf = masked(IntSumScheme::default(), &keys[0], &[7u32; 64]);
         let distinct: std::collections::HashSet<u32> = buf.iter().copied().collect();
         assert!(
             distinct.len() > 60,
@@ -703,12 +620,9 @@ mod tests {
     #[test]
     fn global_safety_ranks_encrypt_differently() {
         let keys = CommKeys::generate(3, 8, Backend::AesSoft);
-        let mut scratch = Scratch::default();
         let plain = vec![7u32; 32];
-        let mut c0 = plain.clone();
-        let mut c1 = plain.clone();
-        IntSum::encrypt_in_place(&keys[0], 0, &mut c0, &mut scratch);
-        IntSum::encrypt_in_place(&keys[1], 0, &mut c1, &mut scratch);
+        let c0 = masked(IntSumScheme::default(), &keys[0], &plain);
+        let c1 = masked(IntSumScheme::default(), &keys[1], &plain);
         assert_ne!(
             c0, c1,
             "different ranks must use different noise (global safety)"
@@ -718,17 +632,20 @@ mod tests {
     #[test]
     fn empty_vector_is_ok() {
         let keys = CommKeys::generate(2, 8, Backend::AesSoft);
-        let mut scratch = Scratch::default();
         let mut buf: Vec<u32> = vec![];
-        IntSum::encrypt_in_place(&keys[0], 0, &mut buf, &mut scratch);
-        IntSum::decrypt_in_place(&keys[0], 0, &mut buf, &mut scratch);
+        IntSum::encrypt_in_place(&keys[0], 0, &mut buf, &mut Scratch::default());
+        IntSum::decrypt_in_place(&keys[0], 0, &mut buf, &mut Scratch::default());
         assert!(buf.is_empty());
+        let mut scheme = IntSumScheme::<u32>::default();
+        let (mut wire, mut out) = (vec![1], vec![2]);
+        scheme.mask_slice(&keys[0], 0, &buf, &mut wire).unwrap();
+        scheme.unmask_slice(&keys[0], 0, &wire, &mut out);
+        assert!(wire.is_empty() && out.is_empty());
     }
 
-    /// `(ciphertext, decryption)` FNV-1a fingerprints of [`IntProd`] under
-    /// fixed keys at world 3 — ranks first, middle and last — over lengths
-    /// 0 / 1 / 255 / 256 / 257 / 1000 at `first = 13`, the in-place forms
-    /// checked against the appending ones on the way.
+    /// `(ciphertext, decryption)` FNV-1a fingerprints of [`IntProdScheme`]
+    /// under fixed keys at world 3 — ranks first, middle and last — over
+    /// lengths 0 / 1 / 255 / 256 / 257 / 1000 at `first = 13`.
     fn prod_prints<W: RingWord>() -> [(u64, u64); 3] {
         const FIRST: u64 = 13;
         let fnv = |h: u64, words: &[W]| {
@@ -740,6 +657,7 @@ mod tests {
             })
         };
         let keys = CommKeys::generate(3, 0x001D_7A11, Backend::AesSoft);
+        let mut scheme = IntProdScheme::<W>(PhantomData);
         let mut prints = [(0, 0); 3];
         for (k, print) in keys.iter().zip(&mut prints) {
             let (mut hc, mut hp) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
@@ -748,13 +666,8 @@ mod tests {
                     .map(|i| W::from_u64_trunc((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 5))
                     .collect();
                 let (mut ct, mut pt) = (Vec::new(), Vec::new());
-                IntProd::encrypt_into(k, FIRST, &input, &mut ct);
-                IntProd::decrypt_into(k, FIRST, &ct, &mut pt);
-                let mut in_place = input.clone();
-                IntProd::encrypt_in_place(k, FIRST, &mut in_place, &mut Scratch::default());
-                assert_eq!(in_place, ct, "len={len}");
-                IntProd::decrypt_in_place(k, FIRST, &mut in_place, &mut Scratch::default());
-                assert_eq!(in_place, pt, "len={len}");
+                scheme.mask_slice(k, FIRST, &input, &mut ct).unwrap();
+                scheme.unmask_slice(k, FIRST, &ct, &mut pt);
                 (hc, hp) = (fnv(hc ^ len, &ct), fnv(hp ^ len, &pt));
             }
             *print = (hc, hp);
@@ -791,6 +704,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::keys::CommKeys;
+    use crate::scheme::reduce_in_process;
     use hear_prf::Backend;
     use proptest::prelude::*;
 
@@ -804,16 +718,7 @@ mod proptests {
             seed in any::<u64>(),
         ) {
             let keys = CommKeys::generate(world, seed, Backend::AesSoft);
-            let mut scratch = Scratch::default();
-            let mut agg = vec![0u64; data.len()];
-            for keys in &keys {
-                let mut buf = data.clone();
-                IntSum::encrypt_in_place(keys, 0, &mut buf, &mut scratch);
-                for (a, c) in agg.iter_mut().zip(buf.iter()) {
-                    *a = a.wrapping_add(*c);
-                }
-            }
-            IntSum::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch);
+            let agg = reduce_in_process(IntSumScheme::default, &keys, &vec![data.clone(); world]);
             for (j, a) in agg.iter().enumerate() {
                 prop_assert_eq!(*a, data[j].wrapping_mul(world as u64));
             }
@@ -826,16 +731,7 @@ mod proptests {
         ) {
             // XOR of the same vector an even number of times is zero.
             let keys = CommKeys::generate(4, seed, Backend::AesSoft);
-            let mut scratch = Scratch::default();
-            let mut agg = vec![0u32; data.len()];
-            for keys in &keys {
-                let mut buf = data.clone();
-                IntXor::encrypt_in_place(keys, 0, &mut buf, &mut scratch);
-                for (a, c) in agg.iter_mut().zip(buf.iter()) {
-                    *a ^= *c;
-                }
-            }
-            IntXor::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch);
+            let agg = reduce_in_process(IntXorScheme::default, &keys, &vec![data; 4]);
             prop_assert!(agg.iter().all(|v| *v == 0));
         }
 
@@ -846,16 +742,7 @@ mod proptests {
             seed in any::<u64>(),
         ) {
             let keys = CommKeys::generate(world, seed, Backend::AesSoft);
-            let mut scratch = Scratch::default();
-            let mut agg = vec![1u32; data.len()];
-            for keys in &keys {
-                let mut buf = data.clone();
-                IntProd::encrypt_in_place(keys, 0, &mut buf, &mut scratch);
-                for (a, c) in agg.iter_mut().zip(buf.iter()) {
-                    *a = a.wrapping_mul(*c);
-                }
-            }
-            IntProd::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch);
+            let agg = reduce_in_process(IntProdScheme::default, &keys, &vec![data.clone(); world]);
             for (j, a) in agg.iter().enumerate() {
                 let mut expect = 1u32;
                 for _ in 0..world { expect = expect.wrapping_mul(data[j]); }

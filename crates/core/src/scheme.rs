@@ -2,9 +2,13 @@
 //!
 //! The paper's libhear exposes one interposed `MPI_Allreduce` and picks the
 //! cipher internally (§5, Table 2). This module gives that choice a type:
-//! a [`Scheme`] turns a plaintext block into wire values (`mask_block`),
-//! recovers plaintexts from an aggregated wire block (`unmask_into`) and
-//! names the associative operation the untrusted network applies (`op`).
+//! a [`Scheme`] turns a plaintext slice into wire values (`mask_slice`),
+//! recovers plaintexts from an aggregated wire slice (`unmask_into`,
+//! `unmask_slice`) and names the associative operation the untrusted
+//! network applies (`op`). Each Table 2 cipher is written once, as its
+//! `Scheme` impl next to its kernels: the integer ciphers in [`crate::int`],
+//! the fixed-point sum in [`crate::fixed`], the float ciphers in
+//! [`crate::float`].
 //! Everything else — reduction algorithm, blocked/pipelined chunking,
 //! HoMAC verification — composes orthogonally on top in the layer crate's
 //! engine, so a cell like "verified pipelined float sum on a switch tree"
@@ -21,14 +25,9 @@
 //! engine seals, ships and verifies only those.
 
 use crate::extend_with;
-use crate::fixed::FixedCodec;
-use crate::float::{FloatProd, FloatSum, FloatSumExp};
-use crate::int::{IntProd, IntSum, IntXor, Scratch};
 use crate::keys::CommKeys;
-use crate::word::RingWord;
-use hear_hfp::{Hfp, HfpError, HfpFormat};
+use hear_hfp::HfpError;
 use std::convert::Infallible;
-use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 
 /// Number of `u64` digest words per element in verified mode.
@@ -87,15 +86,15 @@ pub fn join_lanes(lanes: &[u64]) -> [u64; DIGEST_LANES] {
 
 /// A HEAR cipher as seen by the generic allreduce engine.
 ///
-/// `mask_block`/`unmask_into` are block-composable: masking `[a, b]` at
+/// `mask_slice`/`unmask_into` are block-composable: masking `[a, b]` at
 /// `first` and `[c]` at `first + 2` must equal masking `[a, b, c]` at
-/// `first` (pipelining and the ring's per-chunk masking rely on this, and
-/// every underlying cipher already guarantees it).
+/// `first` (pipelining and the ring's per-chunk masking rely on this), and
+/// likewise for unmasking.
 ///
 /// # Safety
 ///
 /// [`Scheme::unmask_into`] must initialise **every** element of the `dst`
-/// it is given: [`Scheme::unmask_extend`] and the engine commit that memory
+/// it is given: [`Scheme::unmask_slice`] and the engine commit that memory
 /// (`Vec::set_len`) on its return without looking at it again.
 pub unsafe trait Scheme {
     /// Caller-facing element type.
@@ -115,13 +114,15 @@ pub unsafe trait Scheme {
     /// Largest world size the digest stays sound for: the world whose
     /// honest lane sums stay exact in the HoMAC field (`world·2³² < p`,
     /// `world < 2²⁹`), lower where the digest itself saturates first (only
-    /// [`IntXor`]'s nibble counters do).
+    /// [`IntXorScheme`](crate::IntXorScheme)'s nibble counters do).
     const MAX_VERIFIED_WORLD: usize = (1 << 29) - 1;
 
-    /// Encrypt one block; element `j` of the global vector is
-    /// `input[j - first]`. On `Err` (a value the cipher cannot encode),
-    /// `out` is empty — never a prefix of a ciphertext.
-    fn mask_block(
+    /// Encrypt a slice of any length into `out`, cleared and filled;
+    /// element `j` of the global vector is `input[j - first]`. Every cipher
+    /// masks in one fused pass that allocates nothing beyond `out`'s
+    /// growth. On `Err` (a value the cipher cannot encode), `out` is empty
+    /// — never a prefix of a ciphertext.
+    fn mask_slice(
         &mut self,
         keys: &CommKeys,
         first: u64,
@@ -143,16 +144,16 @@ pub unsafe trait Scheme {
         dst: &mut [MaybeUninit<Self::Input>],
     );
 
-    /// Decrypt one aggregated block, **appending** the plaintexts to `out`
-    /// (what is already there stays untouched): reserve,
-    /// [`Scheme::unmask_into`] the spare capacity, commit.
-    fn unmask_extend(
+    /// Decrypt an aggregated slice of any length into `out`, cleared and
+    /// filled: [`Scheme::unmask_into`] on its spare capacity, committed.
+    fn unmask_slice(
         &mut self,
         keys: &CommKeys,
         first: u64,
         agg: &[Self::Wire],
         out: &mut Vec<Self::Input>,
     ) {
+        out.clear();
         // SAFETY: `unmask_into` initialises all of `dst` — the contract an
         // `unsafe impl Scheme` signs.
         let Ok(()) = unsafe {
@@ -161,18 +162,6 @@ pub unsafe trait Scheme {
                 Ok(())
             })
         };
-    }
-
-    /// Decrypt one aggregated block into `out`, cleared and filled.
-    fn unmask_block(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        agg: &[Self::Wire],
-        out: &mut Vec<Self::Input>,
-    ) {
-        out.clear();
-        self.unmask_extend(keys, first, agg, out);
     }
 
     /// The associative combiner the (untrusted) network applies. An
@@ -193,34 +182,6 @@ pub unsafe trait Scheme {
         world: usize,
     ) -> bool;
 
-    /// Encrypt an arbitrarily long slice in one call. Every cipher here
-    /// masks in a single fused pass that allocates nothing beyond `out`'s
-    /// growth, so this is [`Scheme::mask_block`] under the name the engine
-    /// uses for whole-call buffers; a scheme that needed bounded staging
-    /// would override it. On `Err`, `out` is empty.
-    fn mask_slice(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[Self::Input],
-        out: &mut Vec<Self::Wire>,
-    ) -> Result<(), HfpError> {
-        self.mask_block(keys, first, input, out)
-    }
-
-    /// Decrypt an arbitrarily long aggregated slice in one call into `out`,
-    /// cleared and filled; [`Scheme::unmask_block`] under the whole-call
-    /// name, like [`Scheme::mask_slice`].
-    fn unmask_slice(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        agg: &[Self::Wire],
-        out: &mut Vec<Self::Input>,
-    ) {
-        self.unmask_block(keys, first, agg, out);
-    }
-
     /// Encode one element as a raw `u64` cell for single-origin transport
     /// (allgather, alltoall): the data is never combined homomorphically,
     /// so the wire carries the exact bit pattern, XOR-padded on the
@@ -233,129 +194,27 @@ pub unsafe trait Scheme {
     fn cell_decode(cell: u64) -> Self::Input;
 }
 
-// ---------------------------------------------------------------------------
-// Integer sum
-// ---------------------------------------------------------------------------
-
-/// [`IntSum`] (Eq. 1) as a [`Scheme`]; lossless, exact digest.
-#[derive(Default)]
-pub struct IntSumScheme<W: RingWord>(PhantomData<W>);
-
-// SAFETY: `unmask_into` initialises all of `dst` (the cipher's `decrypt_to`).
-unsafe impl<W: RingWord> Scheme for IntSumScheme<W> {
-    type Input = W;
-    type Wire = W;
-    type Lanes = W::Halves;
-
-    const NAME: &'static str = "int-sum";
-    const TABLE2_ROW: usize = 0;
-
-    fn mask_block(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[W],
-        out: &mut Vec<W>,
-    ) -> Result<(), HfpError> {
-        out.clear();
-        IntSum::encrypt_into(keys, first, input, out);
-        Ok(())
+/// In-process encrypted allreduce for the unit tests: rank `r` (holding
+/// `keys[r]`) masks `data[r]` with a fresh `mk()`, the "network" folds the
+/// wires with `S::op`, rank 0 unmasks.
+#[cfg(test)]
+pub(crate) fn reduce_in_process<S: Scheme>(
+    mk: impl Fn() -> S,
+    keys: &[CommKeys],
+    data: &[Vec<S::Input>],
+) -> Vec<S::Input> {
+    let mut agg: Option<Vec<S::Wire>> = None;
+    for (k, x) in keys.iter().zip(data) {
+        let mut wire = Vec::new();
+        mk().mask_slice(k, 0, x, &mut wire).unwrap();
+        agg = Some(match agg {
+            None => wire,
+            Some(a) => a.iter().zip(&wire).map(|(x, y)| S::op(x, y)).collect(),
+        });
     }
-
-    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
-        IntSum::decrypt_to(keys, first, agg, dst);
-    }
-
-    fn op(a: &W, b: &W) -> W {
-        IntSum::combine(*a, *b)
-    }
-
-    fn digest(&self, x: &W, out: &mut [u64; DIGEST_LANES]) {
-        *out = [x.to_u64(), 0, 0, 0];
-    }
-
-    fn digest_check(&self, result: &W, lane_sums: &[u64; DIGEST_LANES], _world: usize) -> bool {
-        // The wire sum and the lane sum wrap identically mod 2^b.
-        W::from_u64_trunc(lane_sums[0]) == *result
-    }
-
-    fn cell_encode(x: &W) -> u64 {
-        x.to_u64()
-    }
-
-    fn cell_decode(cell: u64) -> W {
-        W::from_u64_trunc(cell)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Integer product
-// ---------------------------------------------------------------------------
-
-/// [`IntProd`] (Eq. 2) as a [`Scheme`]; lossless, exact digest via the
-/// 2-adic decomposition `x = (−1)^s · 3^e · 2^v` in `Z_{2^b}`.
-#[derive(Default)]
-pub struct IntProdScheme<W: RingWord>(PhantomData<W>);
-
-// SAFETY: `unmask_into` initialises all of `dst` (the cipher's `decrypt_to`).
-unsafe impl<W: RingWord> Scheme for IntProdScheme<W> {
-    type Input = W;
-    type Wire = W;
-    /// Exponent (both halves), valuation and sign count (low halves).
-    type Lanes = [u64; 5];
-
-    const NAME: &'static str = "int-prod";
-    const TABLE2_ROW: usize = 1;
-
-    fn mask_block(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[W],
-        out: &mut Vec<W>,
-    ) -> Result<(), HfpError> {
-        out.clear();
-        IntProd::encrypt_into(keys, first, input, out);
-        Ok(())
-    }
-
-    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
-        IntProd::decrypt_to(keys, first, agg, dst);
-    }
-
-    fn op(a: &W, b: &W) -> W {
-        IntProd::combine(*a, *b)
-    }
-
-    fn digest(&self, x: &W, out: &mut [u64; DIGEST_LANES]) {
-        let (e, v, s) = prod_digest(x.to_u64(), W::BITS);
-        *out = [e, v, s, 0];
-    }
-
-    fn digest_check(&self, result: &W, lane_sums: &[u64; DIGEST_LANES], _world: usize) -> bool {
-        let sum_v = lane_sums[1];
-        if sum_v >= W::BITS as u64 {
-            // Enough factors of two to annihilate the ring.
-            return *result == W::zero();
-        }
-        // (−1)^{Σs} · 3^{Σe} · 2^{Σv}; Σe mod 2^64 is sound because
-        // ord(3) = 2^{b−2} divides 2^64, and the odd part only matters
-        // mod 2^{b−Σv}, which the full-width product preserves.
-        let mut expect = W::GENERATOR.wpow(W::from_u64_trunc(lane_sums[0]));
-        if lane_sums[2] & 1 == 1 {
-            expect = W::zero().wsub(expect);
-        }
-        expect = expect.wmul(W::from_u64_trunc(1u64 << sum_v));
-        *result == expect
-    }
-
-    fn cell_encode(x: &W) -> u64 {
-        x.to_u64()
-    }
-
-    fn cell_decode(cell: u64) -> W {
-        W::from_u64_trunc(cell)
-    }
+    let mut out = Vec::new();
+    mk().unmask_slice(&keys[0], 0, &agg.unwrap_or_default(), &mut out);
+    out
 }
 
 /// Multiply on `Z_{2^b}` represented in the low bits of a `u64`.
@@ -419,431 +278,14 @@ pub fn prod_digest(x: u64, bits: u32) -> (u64, u64, u64) {
     (e, v, s)
 }
 
-// ---------------------------------------------------------------------------
-// Integer xor
-// ---------------------------------------------------------------------------
-
-/// [`IntXor`] (Eq. 3) as a [`Scheme`]; lossless. The digest spreads each
-/// payload bit into its own 4-bit nibble counter, so the additive lane sum
-/// counts per-bit multiplicity and the XOR result must equal its parity —
-/// sound up to 15 ranks.
-#[derive(Default)]
-pub struct IntXorScheme<W: RingWord>(PhantomData<W>);
-
-// SAFETY: `unmask_into` initialises all of `dst` (the cipher's `decrypt_to`).
-unsafe impl<W: RingWord> Scheme for IntXorScheme<W> {
-    type Input = W;
-    type Wire = W;
-    type Lanes = [u64; 8];
-
-    const NAME: &'static str = "int-xor";
-    const TABLE2_ROW: usize = 2;
-    /// Nibble counters saturate at 15 contributions per bit.
-    const MAX_VERIFIED_WORLD: usize = 15;
-
-    fn mask_block(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[W],
-        out: &mut Vec<W>,
-    ) -> Result<(), HfpError> {
-        out.clear();
-        IntXor::encrypt_into(keys, first, input, out);
-        Ok(())
-    }
-
-    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
-        IntXor::decrypt_to(keys, first, agg, dst);
-    }
-
-    fn op(a: &W, b: &W) -> W {
-        IntXor::combine(*a, *b)
-    }
-
-    fn digest(&self, x: &W, out: &mut [u64; DIGEST_LANES]) {
-        *out = [0; DIGEST_LANES];
-        let bits = x.to_u64();
-        for k in 0..W::BITS as usize {
-            if (bits >> k) & 1 == 1 {
-                out[k / 16] |= 1u64 << (4 * (k % 16));
-            }
-        }
-    }
-
-    fn digest_check(&self, result: &W, lane_sums: &[u64; DIGEST_LANES], _world: usize) -> bool {
-        let bits = result.to_u64();
-        for k in 0..W::BITS as usize {
-            let count = (lane_sums[k / 16] >> (4 * (k % 16))) & 0xF;
-            if count & 1 != (bits >> k) & 1 {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn cell_encode(x: &W) -> u64 {
-        x.to_u64()
-    }
-
-    fn cell_decode(cell: u64) -> W {
-        W::from_u64_trunc(cell)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fixed-point sum
-// ---------------------------------------------------------------------------
-
-/// The §5.2 fixed-point codec riding on [`IntSum`]: `f64` in, `u64` lanes
-/// on the wire. Bitwise-exact digest (the digest decodes the identical
-/// wrapped lane sum the unmask path decodes).
-pub struct FixedSumScheme {
-    codec: FixedCodec,
-    lanes: Vec<u64>,
-}
-
-impl FixedSumScheme {
-    pub fn new(codec: FixedCodec) -> Self {
-        FixedSumScheme {
-            codec,
-            lanes: Vec::new(),
-        }
-    }
-}
-
-// SAFETY: `unmask_into` writes one decoded lane to each element of `dst`,
-// whose length it asserts.
-unsafe impl Scheme for FixedSumScheme {
-    type Input = f64;
-    type Wire = u64;
-    type Lanes = [u64; 2];
-
-    const NAME: &'static str = "fixed-sum";
-    const TABLE2_ROW: usize = 0;
-
-    fn mask_block(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[f64],
-        out: &mut Vec<u64>,
-    ) -> Result<(), HfpError> {
-        self.codec.encode_slice(input, out);
-        IntSum::encrypt_in_place(keys, first, out, &mut Scratch::default());
-        Ok(())
-    }
-
-    fn unmask_into(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        agg: &[u64],
-        dst: &mut [MaybeUninit<f64>],
-    ) {
-        assert_eq!(agg.len(), dst.len());
-        self.lanes.clear();
-        IntSum::decrypt_into(keys, first, agg, &mut self.lanes);
-        for (d, l) in dst.iter_mut().zip(&self.lanes) {
-            d.write(self.codec.decode(*l));
-        }
-    }
-
-    fn op(a: &u64, b: &u64) -> u64 {
-        a.wrapping_add(*b)
-    }
-
-    fn digest(&self, x: &f64, out: &mut [u64; DIGEST_LANES]) {
-        *out = [self.codec.encode(*x), 0, 0, 0];
-    }
-
-    fn digest_check(&self, result: &f64, lane_sums: &[u64; DIGEST_LANES], _world: usize) -> bool {
-        self.codec.decode(lane_sums[0]) == *result
-    }
-
-    fn cell_encode(x: &f64) -> u64 {
-        x.to_bits()
-    }
-
-    fn cell_decode(cell: u64) -> f64 {
-        f64::from_bits(cell)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Float schemes
-// ---------------------------------------------------------------------------
-
-/// Quantized-digest tolerance: `world` quantization steps plus the
-/// scheme's Table 2 relative loss plus an absolute floor.
-#[inline]
-fn float_digest_ok(result: f64, decoded: f64, world: usize, res: f64, rel: f64, abs: f64) -> bool {
-    (decoded - result).abs() <= world as f64 * res + result.abs() * rel + abs
-}
-
-/// [`FloatSum`] (Eq. 7, v1) as a [`Scheme`]; minor loss, quantized digest.
-pub struct FloatSumScheme {
-    inner: FloatSum,
-    digest_codec: FixedCodec,
-}
-
-impl FloatSumScheme {
-    pub fn new(fmt: HfpFormat) -> Self {
-        FloatSumScheme {
-            inner: FloatSum::new(fmt),
-            digest_codec: FixedCodec::new(24),
-        }
-    }
-
-    pub fn format(&self) -> HfpFormat {
-        self.inner.format()
-    }
-}
-
-// SAFETY: `unmask_into` initialises all of `dst` (the cipher's
-// `decrypt_f64_to`).
-unsafe impl Scheme for FloatSumScheme {
-    type Input = f64;
-    type Wire = Hfp;
-    type Lanes = [u64; 2];
-
-    const NAME: &'static str = "float-sum-v1";
-    const TABLE2_ROW: usize = 3;
-
-    fn mask_block(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[f64],
-        out: &mut Vec<Hfp>,
-    ) -> Result<(), HfpError> {
-        self.inner.encrypt_f64(keys, first, input, out)
-    }
-
-    fn unmask_into(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        agg: &[Hfp],
-        dst: &mut [MaybeUninit<f64>],
-    ) {
-        self.inner.decrypt_f64_to(keys, first, agg, dst);
-    }
-
-    fn op(a: &Hfp, b: &Hfp) -> Hfp {
-        FloatSum::combine(a, b)
-    }
-
-    fn digest(&self, x: &f64, out: &mut [u64; DIGEST_LANES]) {
-        *out = [self.digest_codec.encode(*x), 0, 0, 0];
-    }
-
-    fn digest_check(&self, result: &f64, lane_sums: &[u64; DIGEST_LANES], world: usize) -> bool {
-        let decoded = self.digest_codec.decode(lane_sums[0]);
-        float_digest_ok(
-            *result,
-            decoded,
-            world,
-            self.digest_codec.resolution(),
-            1e-4,
-            1e-9,
-        )
-    }
-
-    fn cell_encode(x: &f64) -> u64 {
-        x.to_bits()
-    }
-
-    fn cell_decode(cell: u64) -> f64 {
-        f64::from_bits(cell)
-    }
-}
-
-/// [`FloatSumExp`] (§5.3.4, v2) as a [`Scheme`]; medium loss, so the
-/// digest tolerance is looser than v1's.
-pub struct FloatSumExpScheme {
-    inner: FloatSumExp,
-    digest_codec: FixedCodec,
-}
-
-impl FloatSumExpScheme {
-    pub fn new(fmt: HfpFormat) -> Self {
-        FloatSumExpScheme {
-            inner: FloatSumExp::new(fmt),
-            digest_codec: FixedCodec::new(24),
-        }
-    }
-
-    pub fn format(&self) -> HfpFormat {
-        self.inner.format()
-    }
-}
-
-// SAFETY: `unmask_into` initialises all of `dst` (the cipher's
-// `decrypt_f64_to`).
-unsafe impl Scheme for FloatSumExpScheme {
-    type Input = f64;
-    type Wire = Hfp;
-    type Lanes = [u64; 2];
-
-    const NAME: &'static str = "float-sum-v2";
-    const TABLE2_ROW: usize = 4;
-
-    fn mask_block(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[f64],
-        out: &mut Vec<Hfp>,
-    ) -> Result<(), HfpError> {
-        self.inner.encrypt_f64(keys, first, input, out)
-    }
-
-    fn unmask_into(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        agg: &[Hfp],
-        dst: &mut [MaybeUninit<f64>],
-    ) {
-        self.inner.decrypt_f64_to(keys, first, agg, dst);
-    }
-
-    fn op(a: &Hfp, b: &Hfp) -> Hfp {
-        FloatSumExp::combine(a, b)
-    }
-
-    fn digest(&self, x: &f64, out: &mut [u64; DIGEST_LANES]) {
-        *out = [self.digest_codec.encode(*x), 0, 0, 0];
-    }
-
-    fn digest_check(&self, result: &f64, lane_sums: &[u64; DIGEST_LANES], world: usize) -> bool {
-        let decoded = self.digest_codec.decode(lane_sums[0]);
-        float_digest_ok(
-            *result,
-            decoded,
-            world,
-            self.digest_codec.resolution(),
-            1e-3,
-            1e-6,
-        )
-    }
-
-    fn cell_encode(x: &f64) -> u64 {
-        x.to_bits()
-    }
-
-    fn cell_decode(cell: u64) -> f64 {
-        f64::from_bits(cell)
-    }
-}
-
-/// [`FloatProd`] (Eq. 6) as a [`Scheme`]; minor loss. The digest carries
-/// the log-magnitude (products become sums) plus sign and zero counters.
-pub struct FloatProdScheme {
-    inner: FloatProd,
-    digest_codec: FixedCodec,
-}
-
-impl FloatProdScheme {
-    pub fn new(fmt: HfpFormat) -> Self {
-        FloatProdScheme {
-            inner: FloatProd::new(fmt),
-            digest_codec: FixedCodec::new(32),
-        }
-    }
-
-    pub fn format(&self) -> HfpFormat {
-        self.inner.format()
-    }
-}
-
-// SAFETY: `unmask_into` initialises all of `dst` (the cipher's
-// `decrypt_f64_to`).
-unsafe impl Scheme for FloatProdScheme {
-    type Input = f64;
-    type Wire = Hfp;
-    type Lanes = [u64; 4];
-
-    const NAME: &'static str = "float-prod";
-    const TABLE2_ROW: usize = 5;
-
-    fn mask_block(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        input: &[f64],
-        out: &mut Vec<Hfp>,
-    ) -> Result<(), HfpError> {
-        self.inner.encrypt_f64(keys, first, input, out)
-    }
-
-    fn unmask_into(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        agg: &[Hfp],
-        dst: &mut [MaybeUninit<f64>],
-    ) {
-        self.inner.decrypt_f64_to(keys, first, agg, dst);
-    }
-
-    fn op(a: &Hfp, b: &Hfp) -> Hfp {
-        FloatProd::combine(a, b)
-    }
-
-    fn digest(&self, x: &f64, out: &mut [u64; DIGEST_LANES]) {
-        let is_zero = *x == 0.0;
-        let log_mag = if is_zero {
-            0
-        } else {
-            self.digest_codec.encode(x.abs().ln())
-        };
-        *out = [
-            log_mag,
-            (x.is_sign_negative() && !is_zero) as u64 | ((is_zero as u64) << 32),
-            0,
-            0,
-        ];
-    }
-
-    fn digest_check(&self, result: &f64, lane_sums: &[u64; DIGEST_LANES], world: usize) -> bool {
-        let zero_count = lane_sums[1] >> 32;
-        if zero_count > 0 {
-            // A zero factor annihilates the product; the cipher only
-            // approximates zero, so accept any tiny magnitude.
-            return result.abs() < 1e-6;
-        }
-        if *result == 0.0 {
-            return false;
-        }
-        let neg_count = lane_sums[1] & 0xFFFF_FFFF;
-        if (*result < 0.0) != (neg_count & 1 == 1) {
-            return false;
-        }
-        let decoded = self.digest_codec.decode(lane_sums[0]);
-        float_digest_ok(
-            result.abs().ln(),
-            decoded,
-            world,
-            2.0 * self.digest_codec.resolution(),
-            0.0,
-            1e-4,
-        )
-    }
-
-    fn cell_encode(x: &f64) -> u64 {
-        x.to_bits()
-    }
-
-    fn cell_decode(cell: u64) -> f64 {
-        f64::from_bits(cell)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumExpScheme, FloatSumScheme,
+        IntProdScheme, IntSumScheme, IntXorScheme,
+    };
+    use hear_hfp::{Hfp, HfpFormat};
     use hear_prf::Backend;
 
     #[test]
@@ -884,27 +326,14 @@ mod tests {
         }
     }
 
-    /// In-process encrypted allreduce over a [`Scheme`]: every rank masks,
-    /// the "network" folds with `S::op`, rank 0 unmasks.
+    /// In-process encrypted allreduce over a [`Scheme`] under fixed keys.
     fn roundtrip<S: Scheme>(
         mk: impl Fn() -> S,
         world: usize,
         data: &[Vec<S::Input>],
     ) -> Vec<S::Input> {
         let keys = CommKeys::generate(world, 0x5eed, Backend::AesSoft);
-        let mut agg: Option<Vec<S::Wire>> = None;
-        for (rank, k) in keys.iter().enumerate() {
-            let mut scheme = mk();
-            let mut wire = Vec::new();
-            scheme.mask_block(k, 0, &data[rank], &mut wire).unwrap();
-            agg = Some(match agg {
-                None => wire,
-                Some(a) => a.iter().zip(&wire).map(|(x, y)| S::op(x, y)).collect(),
-            });
-        }
-        let mut out = Vec::new();
-        mk().unmask_block(&keys[0], 0, &agg.unwrap(), &mut out);
-        out
+        reduce_in_process(mk, &keys, data)
     }
 
     /// Aggregate digests the way the engine does: lane-wise wrapping sum.
@@ -1156,99 +585,19 @@ mod tests {
         let mut scheme = FloatSumScheme::new(HfpFormat::fp32(2, 2));
         let x: Vec<f64> = (1..=8).map(f64::from).collect();
         let mut whole = Vec::new();
-        scheme.mask_block(&keys[0], 0, &x, &mut whole).unwrap();
+        scheme.mask_slice(&keys[0], 0, &x, &mut whole).unwrap();
         let (mut p1, mut p2) = (Vec::new(), Vec::new());
-        scheme.mask_block(&keys[0], 0, &x[..3], &mut p1).unwrap();
-        scheme.mask_block(&keys[0], 3, &x[3..], &mut p2).unwrap();
+        scheme.mask_slice(&keys[0], 0, &x[..3], &mut p1).unwrap();
+        scheme.mask_slice(&keys[0], 3, &x[3..], &mut p2).unwrap();
         assert_eq!(&whole[..3], &p1[..]);
         assert_eq!(&whole[3..], &p2[..]);
-    }
-
-    #[test]
-    fn slice_forms_equal_block_forms() {
-        // The slice forms must mask exactly like the block forms, past a
-        // tile boundary of the float loop and for the integer kernels.
-        let keys = CommKeys::generate(2, 0x51ce, Backend::AesSoft);
-
-        let mut fscheme = FloatSumScheme::new(HfpFormat::fp32(2, 2));
-        let fx: Vec<f64> = (0..300).map(|i| f64::from(i) * 0.25 - 30.0).collect();
-        let (mut by_block, mut by_slice) = (Vec::new(), Vec::new());
-        fscheme.mask_block(&keys[0], 3, &fx, &mut by_block).unwrap();
-        fscheme.mask_slice(&keys[0], 3, &fx, &mut by_slice).unwrap();
-        assert_eq!(by_block, by_slice);
-        let (mut un_block, mut un_slice) = (Vec::new(), Vec::new());
-        fscheme.unmask_block(&keys[0], 3, &by_block, &mut un_block);
-        fscheme.unmask_slice(&keys[0], 3, &by_block, &mut un_slice);
-        assert_eq!(un_block, un_slice);
-
-        let mut ischeme = IntSumScheme::<u32>::default();
-        let ix: Vec<u32> = (0..500u32).map(|i| i.wrapping_mul(977)).collect();
-        let (mut by_block, mut by_slice) = (Vec::new(), Vec::new());
-        ischeme.mask_block(&keys[1], 7, &ix, &mut by_block).unwrap();
-        ischeme.mask_slice(&keys[1], 7, &ix, &mut by_slice).unwrap();
-        assert_eq!(by_block, by_slice);
-    }
-
-    #[test]
-    fn unmask_extend_appends_and_the_block_forms_clear() {
-        // The engine appends blocks as they drain: what `out` already holds
-        // must survive, bit for bit, for every scheme; the `unmask_block` /
-        // `unmask_slice` wrappers keep their cleared-and-filled contract.
-        fn check<S: Scheme>(mut scheme: S, data: Vec<S::Input>) {
-            let cells = |v: &[S::Input]| v.iter().map(S::cell_encode).collect::<Vec<u64>>();
-            let keys = &CommKeys::generate(1, 0xE47, Backend::AesSoft)[0];
-            let mut wire = Vec::new();
-            scheme.mask_block(keys, 3, &data, &mut wire).unwrap();
-            let mut fresh = Vec::new();
-            scheme.unmask_block(keys, 3, &wire, &mut fresh);
-            assert_eq!(fresh.len(), data.len(), "{}", S::NAME);
-
-            let mut out = data[..2].to_vec();
-            scheme.unmask_extend(keys, 3, &wire, &mut out);
-            assert_eq!(cells(&out[..2]), cells(&data[..2]), "{} prefix", S::NAME);
-            assert_eq!(cells(&out[2..]), cells(&fresh), "{} tail", S::NAME);
-
-            scheme.unmask_block(keys, 3, &wire, &mut out);
-            assert_eq!(cells(&out), cells(&fresh), "{} unmask_block", S::NAME);
-            out.truncate(1);
-            scheme.unmask_slice(keys, 3, &wire, &mut out);
-            assert_eq!(cells(&out), cells(&fresh), "{} unmask_slice", S::NAME);
-
-            // The positional primitive, the way the ring engine drives it:
-            // uneven chunks of the block, last chunk first, each into its
-            // own place in the spare capacity, committed once at the end.
-            let mut out = data[..2].to_vec();
-            out.reserve(wire.len());
-            let cuts = [0, 1, 100, 257, wire.len()];
-            for w in cuts.windows(2).rev() {
-                let dst = &mut out.spare_capacity_mut()[w[0]..w[1]];
-                scheme.unmask_into(keys, 3 + w[0] as u64, &wire[w[0]..w[1]], dst);
-            }
-            // SAFETY: the chunks above cover `0..wire.len()` of the spare
-            // capacity and `unmask_into` initialises all it is given.
-            unsafe { out.set_len(2 + wire.len()) };
-            assert_eq!(cells(&out[..2]), cells(&data[..2]), "{} prefix", S::NAME);
-            assert_eq!(cells(&out[2..]), cells(&fresh), "{} positional", S::NAME);
-        }
-        let ints: Vec<u32> = (0..300u32).map(|i| i.wrapping_mul(977) | 1).collect();
-        let floats: Vec<f64> = (0..300).map(|i| f64::from(i) * 0.125 + 0.5).collect();
-        check(IntSumScheme::<u32>::default(), ints.clone());
-        check(IntProdScheme::<u32>::default(), ints.clone());
-        check(IntXorScheme::<u32>::default(), ints);
-        check(FixedSumScheme::new(FixedCodec::new(20)), floats.clone());
-        check(FloatSumScheme::new(HfpFormat::fp32(2, 2)), floats.clone());
-        check(
-            FloatSumExpScheme::new(HfpFormat::fp64(0, 0)),
-            floats.clone(),
-        );
-        check(FloatProdScheme::new(HfpFormat::fp64(0, 0)), floats);
     }
 
     #[test]
     fn a_failed_mask_leaves_the_wire_buffer_empty() {
         // The engine reuses `wire` across blocks and attempts: an encode
         // error must not leave a prefix of a ciphertext (or the previous
-        // block) in it, through either entry point of any float scheme.
+        // block) in it, for any float scheme.
         fn check<S: Scheme<Input = f64, Wire = Hfp>>(mut scheme: S, bad: f64) {
             let keys = CommKeys::generate(2, 0xE77, Backend::AesSoft);
             let mut x = vec![0.5; 300];
@@ -1256,21 +605,8 @@ mod tests {
             scheme.mask_slice(&keys[0], 0, &x, &mut wire).unwrap();
             assert_eq!(wire.len(), 300);
             x[280] = bad;
-            assert!(scheme.mask_block(&keys[0], 0, &x, &mut wire).is_err());
-            assert!(
-                wire.is_empty(),
-                "{}: mask_block left {}",
-                S::NAME,
-                wire.len()
-            );
-            wire.push(Hfp::one(4, 4));
             assert!(scheme.mask_slice(&keys[0], 0, &x, &mut wire).is_err());
-            assert!(
-                wire.is_empty(),
-                "{}: mask_slice left {}",
-                S::NAME,
-                wire.len()
-            );
+            assert!(wire.is_empty(), "{}: left {}", S::NAME, wire.len());
         }
         check(FloatSumScheme::new(HfpFormat::fp32(2, 2)), f64::NAN);
         check(FloatSumScheme::new(HfpFormat::fp32(2, 2)), 1e300);
@@ -1282,7 +618,118 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::word::RingWord;
+    use crate::{
+        FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumExpScheme, FloatSumScheme,
+        IntProdScheme, IntSumScheme, IntXorScheme,
+    };
+    use hear_hfp::HfpFormat;
+    use hear_prf::Backend;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use proptest::TestRng;
+
+    /// Elements per contract check: past two 256-element tiles of the
+    /// float and product passes.
+    const N: usize = 600;
+
+    /// The block contract of [`Scheme`] for one impl, at every rank
+    /// position of a world-3 key set (first, middle, last — the product and
+    /// XOR ciphers mask differently on the last rank):
+    ///
+    /// 1. masking `x[..split]` at `first` and `x[split..]` at
+    ///    `first + split` gives the wire of `x` at `first`; unmasking the
+    ///    two halves gives the plaintext of the whole, through
+    ///    `unmask_slice` and through `unmask_into` on windows of spare
+    ///    capacity filled last window first, as the ring engine drives it;
+    /// 2. `unmask_slice` leaves exactly `agg.len()` elements, whatever
+    ///    `out` held;
+    /// 3. each value of `bad` at `x[split]` fails `mask_slice` and leaves
+    ///    `out` empty.
+    ///
+    /// Plaintexts are compared through `cell_encode`, bit for bit.
+    fn keeps_the_contract<S: Scheme>(
+        mut scheme: S,
+        seed: u64,
+        first: u64,
+        split: usize,
+        draw: impl Fn(u64) -> S::Input,
+        bad: &[S::Input],
+    ) -> Result<(), TestCaseError> {
+        let mut rng = TestRng::new(seed);
+        let x: Vec<S::Input> = (0..N).map(|_| draw(rng.next_u64())).collect();
+        let cells = |v: &[S::Input]| v.iter().map(S::cell_encode).collect::<Vec<u64>>();
+        let name = S::NAME;
+        for keys in CommKeys::generate(3, seed, Backend::best_available()) {
+            let (mut wire, mut head, mut tail) = (Vec::new(), Vec::new(), Vec::new());
+            scheme.mask_slice(&keys, first, &x, &mut wire).unwrap();
+            scheme
+                .mask_slice(&keys, first, &x[..split], &mut head)
+                .unwrap();
+            scheme
+                .mask_slice(&keys, first + split as u64, &x[split..], &mut tail)
+                .unwrap();
+            head.extend_from_slice(&tail);
+            prop_assert_eq!(&head, &wire, "{} mask split at {}", name, split);
+
+            let mut whole = x[..3].to_vec();
+            scheme.unmask_slice(&keys, first, &wire, &mut whole);
+            prop_assert_eq!(whole.len(), N, "{} unmask_slice length", name);
+            let (mut head, mut tail) = (x[..1].to_vec(), Vec::new());
+            scheme.unmask_slice(&keys, first, &wire[..split], &mut head);
+            scheme.unmask_slice(&keys, first + split as u64, &wire[split..], &mut tail);
+            prop_assert_eq!(head.len(), split, "{} unmask_slice length", name);
+            head.extend_from_slice(&tail);
+            prop_assert_eq!(
+                cells(&head),
+                cells(&whole),
+                "{} unmask split at {}",
+                name,
+                split
+            );
+
+            let mut out = x[..2].to_vec();
+            out.reserve(N);
+            let cuts = [0, split / 2, split, N];
+            for w in cuts.windows(2).rev() {
+                let dst = &mut out.spare_capacity_mut()[w[0]..w[1]];
+                scheme.unmask_into(&keys, first + w[0] as u64, &wire[w[0]..w[1]], dst);
+            }
+            // SAFETY: the windows cover `0..N` of the spare capacity and
+            // `unmask_into` initialises all it is given.
+            unsafe { out.set_len(2 + N) };
+            prop_assert_eq!(cells(&out[..2]), cells(&x[..2]), "{} prefix", name);
+            prop_assert_eq!(cells(&out[2..]), cells(&whole), "{} positional", name);
+
+            for b in bad {
+                let mut x = x.clone();
+                x[split.min(N - 1)] = b.clone();
+                let mut out = wire.clone();
+                prop_assert!(scheme.mask_slice(&keys, first, &x, &mut out).is_err());
+                prop_assert!(out.is_empty(), "{}: {} elements left", name, out.len());
+            }
+        }
+        Ok(())
+    }
+
+    /// Ring words of every width, zeros and even values included.
+    fn word<W: RingWord>(bits: u64) -> W {
+        W::from_u64_trunc(bits)
+    }
+
+    /// Plaintexts for the fp64 layouts: ±0, f64 subnormals (which clamp to
+    /// the layout's smallest magnitude), `f64::MAX` and normal values.
+    fn float(bits: u64) -> f64 {
+        match bits % 16 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(bits >> 12),
+            3 => f64::MAX,
+            _ => (bits as i64 as f64) * 2f64.powi(-40),
+        }
+    }
+
+    const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -1327,6 +774,35 @@ mod proptests {
                 }
             }
             prop_assert!(scheme.digest_check(&(a ^ b ^ c), &sums, 3));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// [`keeps_the_contract`] over all seven impls (the integer ones
+        /// at several widths), any offset and any split.
+        #[test]
+        fn every_scheme_keeps_the_block_contract(
+            seed in any::<u64>(),
+            first in 0u64..1 << 40,
+            split in 0usize..=N,
+        ) {
+            keeps_the_contract(IntSumScheme::<u8>::default(), seed, first, split, word, &[])?;
+            keeps_the_contract(IntSumScheme::<u64>::default(), seed, first, split, word, &[])?;
+            keeps_the_contract(IntProdScheme::<u16>::default(), seed, first, split, word, &[])?;
+            keeps_the_contract(IntProdScheme::<u64>::default(), seed, first, split, word, &[])?;
+            keeps_the_contract(IntXorScheme::<u32>::default(), seed, first, split, word, &[])?;
+            let fixed = FixedSumScheme::new(FixedCodec::new(20));
+            let small = |bits: u64| (bits as i64 as f64) * 2f64.powi(-60);
+            keeps_the_contract(fixed, seed, first, split, small, &[])?;
+            let sum = FloatSumScheme::new(HfpFormat::fp64(2, 2));
+            keeps_the_contract(sum, seed, first, split, float, &NON_FINITE)?;
+            let prod = FloatProdScheme::new(HfpFormat::fp64(0, 0));
+            keeps_the_contract(prod, seed, first, split, float, &NON_FINITE)?;
+            // e^x must stay inside the layout: |x| < 8, and e^1000 does not.
+            let sum_exp = FloatSumExpScheme::new(HfpFormat::fp64(0, 0));
+            keeps_the_contract(sum_exp, seed, first, split, small, &[f64::NAN, 1000.0])?;
         }
     }
 }

@@ -334,57 +334,23 @@ impl RingWord for u8 {
 #[cfg(test)]
 mod narrow_tests {
     use super::*;
-    use crate::int::{IntProd, IntSum, IntXor, Scratch};
     use crate::keys::CommKeys;
+    use crate::scheme::{reduce_in_process, Scheme};
+    use crate::{IntProdScheme, IntSumScheme, IntXorScheme};
     use hear_prf::Backend;
 
-    fn roundtrip<W: RingWord>(
-        world: usize,
-        data: &[W],
-        op: fn(W, W) -> W,
-        scheme: Scheme,
-    ) -> Vec<W> {
+    /// Every one of `world` ranks contributes `data`.
+    fn roundtrip<S: Scheme + Default>(world: usize, data: &[S::Input]) -> Vec<S::Input> {
         let keys = CommKeys::generate(world, 33, Backend::AesSoft);
-        let mut scratch = Scratch::default();
-        let mut agg = vec![
-            if matches!(scheme, Scheme::Prod) {
-                W::one()
-            } else {
-                W::zero()
-            };
-            data.len()
-        ];
-        for keys in &keys {
-            let mut buf = data.to_vec();
-            match scheme {
-                Scheme::Sum => IntSum::encrypt_in_place(keys, 0, &mut buf, &mut scratch),
-                Scheme::Prod => IntProd::encrypt_in_place(keys, 0, &mut buf, &mut scratch),
-                Scheme::Xor => IntXor::encrypt_in_place(keys, 0, &mut buf, &mut scratch),
-            }
-            for (a, c) in agg.iter_mut().zip(&buf) {
-                *a = op(*a, *c);
-            }
-        }
-        match scheme {
-            Scheme::Sum => IntSum::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch),
-            Scheme::Prod => IntProd::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch),
-            Scheme::Xor => IntXor::decrypt_in_place(&keys[0], 0, &mut agg, &mut scratch),
-        }
-        agg
-    }
-
-    enum Scheme {
-        Sum,
-        Prod,
-        Xor,
+        reduce_in_process(S::default, &keys, &vec![data.to_vec(); world])
     }
 
     #[test]
     fn u16_all_schemes() {
         let data: Vec<u16> = (0..37).map(|j| j * 1000 + 17).collect();
-        let sum = roundtrip(3, &data, |a, b| a.wrapping_add(b), Scheme::Sum);
-        let prod = roundtrip(2, &data, |a, b| a.wrapping_mul(b), Scheme::Prod);
-        let xor = roundtrip(4, &data, |a, b| a ^ b, Scheme::Xor);
+        let sum = roundtrip::<IntSumScheme<u16>>(3, &data);
+        let prod = roundtrip::<IntProdScheme<u16>>(2, &data);
+        let xor = roundtrip::<IntXorScheme<u16>>(4, &data);
         for (j, d) in data.iter().enumerate() {
             assert_eq!(sum[j], d.wrapping_mul(3));
             assert_eq!(prod[j], d.wrapping_mul(*d));
@@ -395,15 +361,15 @@ mod narrow_tests {
     #[test]
     fn u8_all_schemes() {
         let data: Vec<u8> = (0..33).map(|j| (j * 7 + 3) as u8).collect();
-        let sum = roundtrip(5, &data, |a, b| a.wrapping_add(b), Scheme::Sum);
-        let xor = roundtrip(3, &data, |a, b| a ^ b, Scheme::Xor);
+        let sum = roundtrip::<IntSumScheme<u8>>(5, &data);
+        let xor = roundtrip::<IntXorScheme<u8>>(3, &data);
         for (j, d) in data.iter().enumerate() {
             assert_eq!(sum[j], d.wrapping_mul(5));
             assert_eq!(xor[j], *d); // odd count leaves one copy
         }
         // 8-bit multiplicative subgroup: generator 3 has order 2^6 = 64;
         // losslessness still holds for any plaintext.
-        let prod = roundtrip(2, &data, |a, b| a.wrapping_mul(b), Scheme::Prod);
+        let prod = roundtrip::<IntProdScheme<u8>>(2, &data);
         for (j, d) in data.iter().enumerate() {
             assert_eq!(prod[j], d.wrapping_mul(*d));
         }

@@ -114,7 +114,7 @@ pub fn measure_phases(
             if encrypted {
                 keys.advance();
                 scheme
-                    .mask_block(keys, 0, &buf, &mut wire)
+                    .mask_slice(keys, 0, &buf, &mut wire)
                     .expect("integer masking is infallible");
             }
         }
@@ -127,7 +127,7 @@ pub fn measure_phases(
         {
             let _s = hear_telemetry::span!("decrypt", elems = elems);
             if encrypted {
-                scheme.unmask_block(keys, 0, &agg, &mut dec);
+                scheme.unmask_slice(keys, 0, &agg, &mut dec);
                 std::mem::swap(&mut agg, &mut dec);
             }
         }

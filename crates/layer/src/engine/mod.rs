@@ -157,7 +157,7 @@ impl SecureComm {
         let sealed = scheme.mask_slice(&self.keys, 0, data, &mut wire);
         let result = match sealed {
             Ok(()) => {
-                scheme.unmask_extend(&self.keys, 0, &wire, out);
+                scheme.unmask_slice(&self.keys, 0, &wire, out);
                 Ok(())
             }
             Err(e) => Err(e.into()),

@@ -137,7 +137,7 @@ pub(crate) fn seal_block<S: Scheme + 'static>(
     vs: &mut VerifyScratch<S>,
     packets: &mut Vec<SchemePacket<S>>,
 ) -> Result<(), EngineError> {
-    scheme.mask_block(keys, offset as u64, input, &mut vs.wire)?;
+    scheme.mask_slice(keys, offset as u64, input, &mut vs.wire)?;
     vs.lanes.clear();
     let mut words = [0u64; DIGEST_LANES];
     for x in input {
@@ -204,7 +204,7 @@ pub(crate) fn open_block<S: Scheme + 'static>(
     if !homac.open_lanes(keys, first, &vs.sealed, &mut vs.lanes) {
         return Err(EngineError::Verification(VerificationError));
     }
-    scheme.unmask_block(keys, offset as u64, &vs.wire, &mut vs.dec);
+    scheme.unmask_slice(keys, offset as u64, &vs.wire, &mut vs.dec);
     // The lanes the scheme never fills were never sent: `join_lanes`
     // zero-extends.
     for (r, sums) in vs.dec.iter().zip(vs.lanes.chunks_exact(S::Lanes::LANES)) {

@@ -17,11 +17,11 @@ use crate::engine::{EngineCfg, EngineError};
 use crate::secure::SecureComm;
 use hear_core::derived::{moments_to_stats, variance_moments, MpiOp, UnsupportedOp};
 use hear_core::{
-    FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumScheme, HfpFormat, IntProdScheme, IntSum,
-    IntSumScheme, Scratch,
+    CommKeys, FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumScheme, HfpFormat,
+    IntProdScheme, IntSumScheme, Scheme,
 };
 use hear_mpi::Communicator;
-use hear_prf::{xor_keystream_into, Backend, Prf, PrfCipher};
+use hear_prf::{par_xor_keystream_into, xor_keystream_into, Backend, Prf, PrfCipher, WorkerPool};
 use std::collections::HashMap;
 
 /// Pad-coordinate stride between ranks in [`SecureComm::gather_encrypted`]:
@@ -116,16 +116,18 @@ impl SecureComm {
     pub fn reduce_sum_u32(&mut self, root: usize, data: &[u32]) -> Option<Vec<u32>> {
         self.on_lane(|sc| {
             sc.keys.advance();
-            let mut buf = Vec::with_capacity(data.len());
-            IntSum::encrypt_into(&sc.keys, 0, data, &mut buf);
-            let mut agg = sc
-                .comm
-                .reduce(root, buf, |a: &u32, b: &u32| a.wrapping_add(*b));
+            let mut scheme = IntSumScheme::<u32>::default();
+            let mut buf = Vec::new();
+            scheme
+                .mask_slice(&sc.keys, 0, data, &mut buf)
+                .expect("integer masking is infallible");
+            let agg = sc.comm.reduce(root, buf, IntSumScheme::<u32>::op);
             if sc.comm.rank() != root {
                 return None;
             }
-            IntSum::decrypt_in_place(&sc.keys, 0, &mut agg, &mut Scratch::default());
-            Some(agg)
+            let mut out = Vec::new();
+            scheme.unmask_slice(&sc.keys, 0, &agg, &mut out);
+            Some(out)
         })
     }
 
@@ -133,18 +135,19 @@ impl SecureComm {
     /// XOR-padded with the communicator's collective keystream; every rank
     /// holding the keys recovers it.
     pub fn bcast_encrypted(&mut self, root: usize, data: Vec<u32>) -> Vec<u32> {
-        self.keys.advance();
-        // XOR pad from the collective stream: same Eq. 3 machinery, keyed
-        // per epoch — temporal safety applies to broadcasts too.
-        let (prf, base) = (self.keys.prf(), self.keys.base_collective());
-        let mut buf = data;
-        if self.comm.rank() == root {
-            xor_keystream_into(prf, base, 0, &mut buf);
-        }
-        // Non-roots learn the length only on arrival; pad afterwards.
-        let mut out = self.comm.bcast(root, buf);
-        xor_keystream_into(prf, base, 0, &mut out);
-        out
+        self.on_lane(|sc| {
+            sc.keys.advance();
+            // XOR pad from the collective stream: same Eq. 3 machinery,
+            // keyed per epoch — temporal safety applies to broadcasts too.
+            let mut buf = data;
+            if sc.comm.rank() == root {
+                collective_pad(&sc.keys, 0, &mut buf);
+            }
+            // Non-roots learn the length only on arrival; pad afterwards.
+            let mut out = sc.comm.bcast(root, buf);
+            collective_pad(&sc.keys, 0, &mut out);
+            out
+        })
     }
 
     /// Encrypted gather to `root`. Per-rank noise streams cannot be
@@ -158,40 +161,50 @@ impl SecureComm {
             (data.len() as u64) < GATHER_STRIDE,
             "gather contribution too long"
         );
-        self.keys.advance();
-        let (prf, base) = (self.keys.prf(), self.keys.base_collective());
-        let mut buf = data;
-        xor_keystream_into(prf, base, self.comm.rank() as u64 * GATHER_STRIDE, &mut buf);
-        let mut gathered = self.comm.gather(root, buf);
-        if self.comm.rank() == root {
-            for (r, v) in gathered.iter_mut().enumerate() {
-                xor_keystream_into(prf, base, r as u64 * GATHER_STRIDE, v);
+        self.on_lane(|sc| {
+            sc.keys.advance();
+            let mut buf = data;
+            collective_pad(&sc.keys, sc.comm.rank() as u64 * GATHER_STRIDE, &mut buf);
+            let mut gathered = sc.comm.gather(root, buf);
+            if sc.comm.rank() == root {
+                for (r, v) in gathered.iter_mut().enumerate() {
+                    collective_pad(&sc.keys, r as u64 * GATHER_STRIDE, v);
+                }
             }
-        }
-        gathered
+            gathered
+        })
     }
 
     /// Encrypted scatter from `root` (§8): chunk `r` is padded with the
     /// collective stream at offset `r × len` (all chunks must share one
     /// length so offsets are unambiguous).
     pub fn scatter_encrypted(&mut self, root: usize, mut chunks: Vec<Vec<u32>>) -> Vec<u32> {
-        self.keys.advance();
-        let (prf, base) = (self.keys.prf(), self.keys.base_collective());
-        if self.comm.rank() == root {
-            let len = chunks.first().map_or(0, Vec::len);
-            assert!(
-                chunks.iter().all(|c| c.len() == len),
-                "scatter_encrypted requires equal chunk lengths"
-            );
-            for (r, c) in chunks.iter_mut().enumerate() {
-                xor_keystream_into(prf, base, (r * len) as u64, c);
+        self.on_lane(|sc| {
+            sc.keys.advance();
+            if sc.comm.rank() == root {
+                let len = chunks.first().map_or(0, Vec::len);
+                assert!(
+                    chunks.iter().all(|c| c.len() == len),
+                    "scatter_encrypted requires equal chunk lengths"
+                );
+                for (r, c) in chunks.iter_mut().enumerate() {
+                    collective_pad(&sc.keys, (r * len) as u64, c);
+                }
             }
-        }
-        let mut mine = self.comm.scatter(root, chunks);
-        let first = (self.comm.rank() * mine.len()) as u64;
-        xor_keystream_into(prf, base, first, &mut mine);
-        mine
+            let mut mine = sc.comm.scatter(root, chunks);
+            let first = (sc.comm.rank() * mine.len()) as u64;
+            collective_pad(&sc.keys, first, &mut mine);
+            mine
+        })
     }
+}
+
+/// XOR `buf` with the epoch's collective keystream from element `first`,
+/// sharded across the current pool (the rank's lane) once it is large
+/// enough to pay for it; the bits are the serial pad's.
+fn collective_pad(keys: &CommKeys, first: u64, buf: &mut [u32]) {
+    let (prf, base) = (keys.prf(), keys.base_collective());
+    WorkerPool::with_current(|pool| par_xor_keystream_into(pool, prf, base, first, buf));
 }
 
 /// One-to-one encrypted messaging (§8): a matrix of pairwise keys.
@@ -373,6 +386,46 @@ mod tests {
         });
         for r in &results {
             assert_eq!(*r, vec![0xDEAD_BEEF, 42]);
+        }
+    }
+
+    /// The pads of broadcast, gather and scatter fan out across the pool
+    /// the call runs on, like the engine's masks, once a buffer clears
+    /// `PAR_MIN_BYTES`; the payloads still round-trip.
+    #[test]
+    fn large_padded_collectives_fan_out_on_the_pool() {
+        use hear_prf::{with_pool, PAR_MIN_BYTES};
+        let len = PAR_MIN_BYTES / 4 + 3;
+        let payload = |r: usize| -> Vec<u32> { (0..len as u32).map(|j| j ^ r as u32).collect() };
+        let results = Simulator::new(2).run(move |comm| {
+            let mut sc = secure(comm, 9);
+            let pool = WorkerPool::new(2);
+            let r = comm.rank();
+            let mut jobs = Vec::new();
+            with_pool(&pool, || {
+                let sent = if r == 0 { payload(0) } else { Vec::new() };
+                assert_eq!(sc.bcast_encrypted(0, sent), payload(0));
+                jobs.push(pool.jobs());
+                let gathered = sc.gather_encrypted(0, payload(r));
+                if r == 0 {
+                    assert_eq!(gathered, [payload(0), payload(1)]);
+                }
+                jobs.push(pool.jobs());
+                let chunks = if r == 0 {
+                    vec![payload(2), payload(3)]
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(sc.scatter_encrypted(0, chunks), payload(2 + r));
+                jobs.push(pool.jobs());
+            });
+            jobs
+        });
+        for (rank, jobs) in results.iter().enumerate() {
+            assert!(
+                jobs[0] > 0 && jobs[1] > jobs[0] && jobs[2] > jobs[1],
+                "rank {rank}: pool jobs after bcast / gather / scatter {jobs:?}"
+            );
         }
     }
 

@@ -3,7 +3,7 @@
 //! baselines-vs-HEAR inflation comparison — the glue the experiment
 //! harnesses rely on.
 
-use hear::core::{map_adversary, Backend, CommKeys, FloatSum, Hfp, HfpFormat};
+use hear::core::{map_adversary, Backend, CommKeys, FloatSumScheme, Hfp, HfpFormat, Scheme};
 use hear::num::{BigFloat, BigUint, SplitMix64, REFERENCE_PREC};
 
 /// Reference-grade sum via BigFloat, as the Fig. 3 harness computes it.
@@ -27,18 +27,18 @@ fn hfp_sum_error_vs_bigfloat_reference_is_small_and_gamma_ordered() {
     let run = |gamma: u32| -> f64 {
         let fmt = HfpFormat::fp32(2, gamma);
         let keys = CommKeys::generate(1, 9, Backend::best_available());
-        let scheme = FloatSum::new(fmt);
+        let mut scheme = FloatSumScheme::new(fmt);
         let (cew, cmw) = fmt.cipher_widths();
         // Encrypt each value as slot 0 of its own "vector" and fold the
         // ciphertexts like the network would.
         let mut agg = Hfp::zero(cew, cmw);
         let mut ct = Vec::new();
         for v in &vals {
-            scheme.encrypt_f64(&keys[0], 0, &[*v], &mut ct).unwrap();
-            agg = FloatSum::combine(&agg, &ct[0]);
+            scheme.mask_slice(&keys[0], 0, &[*v], &mut ct).unwrap();
+            agg = FloatSumScheme::op(&agg, &ct[0]);
         }
         let mut out = Vec::new();
-        scheme.decrypt_f64(&keys[0], 0, &[agg], &mut out);
+        scheme.unmask_slice(&keys[0], 0, &[agg], &mut out);
         ((out[0] - reference) / reference).abs()
     };
 
@@ -74,16 +74,16 @@ fn native_f32_error_brackets_hear_error() {
 
     let fmt = HfpFormat::fp32(2, 2);
     let keys = CommKeys::generate(1, 10, Backend::best_available());
-    let scheme = FloatSum::new(fmt);
+    let mut scheme = FloatSumScheme::new(fmt);
     let (cew, cmw) = fmt.cipher_widths();
     let mut agg = Hfp::zero(cew, cmw);
     let mut ct = Vec::new();
     for v in &vals {
-        scheme.encrypt_f64(&keys[0], 0, &[*v], &mut ct).unwrap();
-        agg = FloatSum::combine(&agg, &ct[0]);
+        scheme.mask_slice(&keys[0], 0, &[*v], &mut ct).unwrap();
+        agg = FloatSumScheme::op(&agg, &ct[0]);
     }
     let mut out = Vec::new();
-    scheme.decrypt_f64(&keys[0], 0, &[agg], &mut out);
+    scheme.unmask_slice(&keys[0], 0, &[agg], &mut out);
     let hear_err = ((out[0] - reference) / reference).abs();
 
     assert!(

@@ -3,7 +3,8 @@
 //! on-wire bit packing — all through the full stack.
 
 use hear::core::{
-    derived, Backend, CommKeys, FloatSum, HfpFormat, IntSumScheme, MpiOp, UnsupportedOp,
+    derived, Backend, CommKeys, FloatSumScheme, HfpFormat, IntSumScheme, MpiOp, Scheme,
+    UnsupportedOp,
 };
 use hear::hfp::PackedHfp;
 use hear::layer::{EngineCfg, SecureComm, SecureP2p, TypedSlice, TypedVec};
@@ -172,10 +173,10 @@ fn packed_wire_roundtrip_through_network() {
             .nth(comm.rank())
             .unwrap();
         let fmt = HfpFormat::fp32(2, 2);
-        let scheme = FloatSum::new(fmt);
+        let mut scheme = FloatSumScheme::new(fmt);
         let mut ct = Vec::new();
         let vals = vec![1.5 + comm.rank() as f64, -2.25];
-        scheme.encrypt_f64(&keys, 0, &vals, &mut ct).unwrap();
+        scheme.mask_slice(&keys, 0, &vals, &mut ct).unwrap();
         let packed = PackedHfp::pack(&ct);
         // Ship raw words to the peer; rebuild the peer's pack on arrival.
         let peer = 1 - comm.rank();
@@ -186,10 +187,10 @@ fn packed_wire_roundtrip_through_network() {
         let agg: Vec<_> = ct
             .iter()
             .zip(&their_ct)
-            .map(|(a, b)| FloatSum::combine(a, b))
+            .map(|(a, b)| FloatSumScheme::op(a, b))
             .collect();
         let mut out = Vec::new();
-        scheme.decrypt_f64(&keys, 0, &agg, &mut out);
+        scheme.unmask_slice(&keys, 0, &agg, &mut out);
         out
     });
     for r in &results {

@@ -2,7 +2,10 @@
 //! the trusted side is misused. Wrong results must never decrypt silently
 //! when verification is on; API misuse must fail loudly, not corrupt data.
 
-use hear::core::{Backend, CommKeys, HfpError, HfpFormat, Homac, IntSum, IntSumScheme, Scratch};
+use hear::core::{
+    Backend, CommKeys, FloatSumScheme, HfpError, HfpFormat, Homac, IntSum, IntSumScheme, Scheme,
+    Scratch,
+};
 use hear::layer::{EngineCfg, SecureComm};
 use hear::mpi::Simulator;
 
@@ -71,23 +74,23 @@ fn desynchronized_epochs_produce_garbage_not_panics() {
 #[test]
 fn float_encrypt_rejects_non_finite_and_overflow() {
     let k = keys(1, 4);
-    let fs = hear::core::FloatSum::new(HfpFormat::fp32(2, 2));
+    let mut fs = FloatSumScheme::new(HfpFormat::fp32(2, 2));
     let mut out = Vec::new();
     assert_eq!(
-        fs.encrypt_f64(&k[0], 0, &[f64::NAN], &mut out),
+        fs.mask_slice(&k[0], 0, &[f64::NAN], &mut out),
         Err(HfpError::NonFinite)
     );
     assert_eq!(
-        fs.encrypt_f64(&k[0], 0, &[f64::INFINITY], &mut out),
+        fs.mask_slice(&k[0], 0, &[f64::INFINITY], &mut out),
         Err(HfpError::NonFinite)
     );
     assert!(matches!(
-        fs.encrypt_f64(&k[0], 0, &[1e300], &mut out),
+        fs.mask_slice(&k[0], 0, &[1e300], &mut out),
         Err(HfpError::ExponentOverflow(_))
     ));
     // A failing element anywhere in the vector aborts the whole call.
     assert!(fs
-        .encrypt_f64(&k[0], 0, &[1.0, 2.0, f64::NAN], &mut out)
+        .mask_slice(&k[0], 0, &[1.0, 2.0, f64::NAN], &mut out)
         .is_err());
 }
 

@@ -32,7 +32,7 @@ const FIRST: u64 = 3;
 
 /// Whether a row pinned to a pool of two or more threads sharded on it:
 /// `fans_out` rows must (a serial pass would make their comparison
-/// vacuous), the others — IntProd's multiplicative noise and the fused
+/// vacuous), the others — IntProdScheme's multiplicative noise and the fused
 /// float passes, which run on one thread — must not.
 fn assert_fan_out(pool: &WorkerPool, what: &str, fans_out: bool) {
     if pool.threads() > 1 {

@@ -5,8 +5,8 @@
 //! Plus basic ciphertext-distribution sanity (keystream uniformity).
 
 use hear::core::{
-    noise_at, Backend, CommKeys, FloatProd, FloatSum, Hfp, HfpFormat, IntProd, IntSum, IntXor,
-    Scratch,
+    noise_at, Backend, CommKeys, FloatProdScheme, FloatSumScheme, Hfp, HfpFormat, IntProdScheme,
+    IntSumScheme, IntXorScheme, Scheme,
 };
 use hear::prf::{Prf, PrfCipher};
 
@@ -14,16 +14,20 @@ fn keys(world: usize, seed: u64) -> Vec<CommKeys> {
     CommKeys::generate(world, seed, Backend::best_available())
 }
 
+/// `plain` masked by `scheme` under `keys`, at element 0.
+fn masked<S: Scheme>(mut scheme: S, keys: &CommKeys, plain: &[S::Input]) -> Vec<S::Wire> {
+    let mut wire = Vec::new();
+    scheme.mask_slice(keys, 0, plain, &mut wire).unwrap();
+    wire
+}
+
 /// Encrypt the same plaintext with every integer scheme; return ciphers.
 fn encrypt_all_int(keys: &CommKeys, plain: &[u32]) -> [Vec<u32>; 3] {
-    let mut scratch = Scratch::default();
-    let mut sum = plain.to_vec();
-    IntSum::encrypt_in_place(keys, 0, &mut sum, &mut scratch);
-    let mut prod = plain.to_vec();
-    IntProd::encrypt_in_place(keys, 0, &mut prod, &mut scratch);
-    let mut xor = plain.to_vec();
-    IntXor::encrypt_in_place(keys, 0, &mut xor, &mut scratch);
-    [sum, prod, xor]
+    [
+        masked(IntSumScheme::default(), keys, plain),
+        masked(IntProdScheme::default(), keys, plain),
+        masked(IntXorScheme::default(), keys, plain),
+    ]
 }
 
 #[test]
@@ -39,19 +43,14 @@ fn temporal_safety_all_schemes() {
         assert_ne!(a, b, "temporal safety violated");
     }
     // Floats, both schemes.
-    let fs = FloatSum::new(HfpFormat::fp32(2, 2));
-    let fp = FloatProd::new(HfpFormat::fp32(0, 0));
-    let (mut c1, mut c2) = (Vec::new(), Vec::new());
-    fs.encrypt_f64(&ks[0], 0, &[1.0], &mut c1).unwrap();
-    fp.encrypt_f64(&ks[0], 0, &[1.0], &mut c2).unwrap();
+    let fs = || FloatSumScheme::new(HfpFormat::fp32(2, 2));
+    let fp = || FloatProdScheme::new(HfpFormat::fp32(0, 0));
+    let (c1, c2) = (masked(fs(), &ks[0], &[1.0]), masked(fp(), &ks[0], &[1.0]));
     for k in &mut ks {
         k.advance();
     }
-    let (mut d1, mut d2) = (Vec::new(), Vec::new());
-    fs.encrypt_f64(&ks[0], 0, &[1.0], &mut d1).unwrap();
-    fp.encrypt_f64(&ks[0], 0, &[1.0], &mut d2).unwrap();
-    assert_ne!(c1, d1);
-    assert_ne!(c2, d2);
+    assert_ne!(c1, masked(fs(), &ks[0], &[1.0]));
+    assert_ne!(c2, masked(fp(), &ks[0], &[1.0]));
 }
 
 #[test]
@@ -67,10 +66,11 @@ fn local_safety_within_vector() {
         );
     }
     // Float SUM: equal values in different slots use different noise.
-    let fs = FloatSum::new(HfpFormat::fp32(2, 2));
-    let mut ct = Vec::new();
-    fs.encrypt_f64(&ks[0], 0, &vec![3.25f64; 64], &mut ct)
-        .unwrap();
+    let ct = masked(
+        FloatSumScheme::new(HfpFormat::fp32(2, 2)),
+        &ks[0],
+        &[3.25; 64],
+    );
     let distinct: std::collections::HashSet<u128> = ct.iter().map(Hfp::to_bits).collect();
     assert!(distinct.len() >= 60);
 }
@@ -88,17 +88,16 @@ fn global_safety_across_ranks_except_float_sum_v1() {
         }
     }
     // Float PROD: per-rank noise → distinct.
-    let fp = FloatProd::new(HfpFormat::fp32(0, 0));
-    let (mut c0, mut c1) = (Vec::new(), Vec::new());
-    fp.encrypt_f64(&ks[0], 0, &[2.5], &mut c0).unwrap();
-    fp.encrypt_f64(&ks[1], 0, &[2.5], &mut c1).unwrap();
-    assert_ne!(c0, c1);
+    let fp = || FloatProdScheme::new(HfpFormat::fp32(0, 0));
+    assert_ne!(masked(fp(), &ks[0], &[2.5]), masked(fp(), &ks[1], &[2.5]));
     // Float SUM v1: the documented exception — all ranks share the noise
     // stream (Eq. 7), so identical plaintexts produce identical wires.
-    let fs = FloatSum::new(HfpFormat::fp32(2, 2));
-    fs.encrypt_f64(&ks[0], 0, &[2.5], &mut c0).unwrap();
-    fs.encrypt_f64(&ks[1], 0, &[2.5], &mut c1).unwrap();
-    assert_eq!(c0, c1, "Eq. 7 intentionally lacks global safety");
+    let fs = || FloatSumScheme::new(HfpFormat::fp32(2, 2));
+    assert_eq!(
+        masked(fs(), &ks[0], &[2.5]),
+        masked(fs(), &ks[1], &[2.5]),
+        "Eq. 7 intentionally lacks global safety"
+    );
 }
 
 #[test]
@@ -127,20 +126,19 @@ fn ciphertext_sum_differs_from_plaintext_sum_on_the_wire() {
     // What the switch aggregates is NOT the plaintext aggregate: even the
     // network's intermediate results stay masked (rank-0 noise remains).
     let ks = keys(3, 0xD);
-    let mut scratch = Scratch::default();
     let data = vec![5u32, 10, 15];
     let mut wire_agg = vec![0u32; 3];
     for k in &ks {
-        let mut ct = data.clone();
-        IntSum::encrypt_in_place(k, 0, &mut ct, &mut scratch);
+        let ct = masked(IntSumScheme::default(), k, &data);
         for (a, c) in wire_agg.iter_mut().zip(&ct) {
             *a = a.wrapping_add(*c);
         }
     }
     let plain_agg: Vec<u32> = data.iter().map(|v| v * 3).collect();
     assert_ne!(wire_agg, plain_agg, "the aggregate itself must stay masked");
-    IntSum::decrypt_in_place(&ks[0], 0, &mut wire_agg, &mut scratch);
-    assert_eq!(wire_agg, plain_agg);
+    let mut out = Vec::new();
+    IntSumScheme::default().unmask_slice(&ks[0], 0, &wire_agg, &mut out);
+    assert_eq!(out, plain_agg);
 }
 
 #[test]
