@@ -118,10 +118,9 @@ pub unsafe trait Scheme {
     const MAX_VERIFIED_WORLD: usize = (1 << 29) - 1;
 
     /// Encrypt a slice of any length into `out`, cleared and filled;
-    /// element `j` of the global vector is `input[j - first]`. Every cipher
-    /// masks in one fused pass that allocates nothing beyond `out`'s
-    /// growth. On `Err` (a value the cipher cannot encode), `out` is empty
-    /// — never a prefix of a ciphertext.
+    /// element `j` of the global vector is `input[j - first]`. On `Err` (a
+    /// value the cipher cannot encode), `out` is empty — never a prefix of
+    /// a ciphertext.
     fn mask_slice(
         &mut self,
         keys: &CommKeys,
