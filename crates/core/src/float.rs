@@ -798,6 +798,20 @@ mod tests {
             assert!(out[0].is_nan(), "{out:?}");
         }
     }
+
+    #[test]
+    fn block_offsets_compose_for_floats() {
+        let ks = keys(2);
+        let mut scheme = FloatSumScheme::new(HfpFormat::fp32(2, 2));
+        let x: Vec<f64> = (1..=8).map(|v| v as f64).collect();
+        let mut whole = Vec::new();
+        scheme.mask_slice(&ks[0], 0, &x, &mut whole).unwrap();
+        let (mut p1, mut p2) = (Vec::new(), Vec::new());
+        scheme.mask_slice(&ks[0], 0, &x[..3], &mut p1).unwrap();
+        scheme.mask_slice(&ks[0], 3, &x[3..], &mut p2).unwrap();
+        assert_eq!(&whole[..3], &p1[..]);
+        assert_eq!(&whole[3..], &p2[..]);
+    }
 }
 
 /// The float ciphers as first written — noise one [`noise_at`] block at a
@@ -1057,6 +1071,29 @@ mod bit_identity {
                     prop_assert_eq!(bits(&pt), bits(&want));
                 }
             }
+        }
+
+        #[test]
+        fn blocks_compose_at_any_offset(seed in any::<u64>(), first in 1u64..1 << 40, split in 0usize..600) {
+            // [a, b] @ first ++ [c] @ first + 2 == [a, b, c] @ first, with
+            // the split anywhere relative to the tile.
+            let mut rng = TestRng::new(seed);
+            let keys = CommKeys::generate(2, seed, Backend::best_available());
+            let fmt = HfpFormat::fp64(2, 2);
+            let mut cipher = FloatSumScheme::new(fmt);
+            let x = plaintexts(&mut rng, fmt, 600);
+            let (mut whole, mut head, mut tail) = (Vec::new(), Vec::new(), Vec::new());
+            cipher.mask_slice(&keys[0], first, &x, &mut whole).unwrap();
+            cipher.mask_slice(&keys[0], first, &x[..split], &mut head).unwrap();
+            cipher.mask_slice(&keys[0], first + split as u64, &x[split..], &mut tail).unwrap();
+            head.extend_from_slice(&tail);
+            prop_assert_eq!(&whole, &head);
+            let (mut whole_pt, mut head_pt, mut tail_pt) = (Vec::new(), Vec::new(), Vec::new());
+            cipher.unmask_slice(&keys[1], first, &whole, &mut whole_pt);
+            cipher.unmask_slice(&keys[1], first, &whole[..split], &mut head_pt);
+            cipher.unmask_slice(&keys[1], first + split as u64, &whole[split..], &mut tail_pt);
+            head_pt.extend_from_slice(&tail_pt);
+            prop_assert_eq!(bits(&whole_pt), bits(&head_pt));
         }
     }
 

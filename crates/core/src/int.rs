@@ -499,6 +499,24 @@ mod tests {
     /// wire against Eq. (1) word by word from the scalar PRF: the bits are
     /// `x + F(own) − F(next)` whatever the kernel does.
     #[test]
+    fn sum_block_offsets_compose() {
+        // Encrypting [0..8) in two blocks with first=0 and first=5 must
+        // equal encrypting the whole vector at once (pipelining relies on
+        // this).
+        let keys = CommKeys::generate(2, 3, Backend::AesSoft);
+        let mut scratch = Scratch::default();
+        let full: Vec<u32> = (0..8).collect();
+        let mut whole = full.clone();
+        IntSum::encrypt_in_place(&keys[0], 0, &mut whole, &mut scratch);
+        let mut part1 = full[..5].to_vec();
+        let mut part2 = full[5..].to_vec();
+        IntSum::encrypt_in_place(&keys[0], 0, &mut part1, &mut scratch);
+        IntSum::encrypt_in_place(&keys[0], 5, &mut part2, &mut scratch);
+        assert_eq!(&whole[..5], &part1[..]);
+        assert_eq!(&whole[5..], &part2[..]);
+    }
+
+    #[test]
     fn into_forms_equal_copy_then_in_place_at_every_rank() {
         fn width<W: RingWord>() {
             const FIRST: u64 = 5;

@@ -593,6 +593,54 @@ mod tests {
     }
 
     #[test]
+    fn unmask_extend_appends_and_the_block_forms_clear() {
+        // The engine appends blocks as they drain: what `out` already holds
+        // must survive, bit for bit, for every scheme; `unmask_slice` keeps
+        // its cleared-and-filled contract.
+        fn check<S: Scheme>(mut scheme: S, data: Vec<S::Input>) {
+            let cells = |v: &[S::Input]| v.iter().map(S::cell_encode).collect::<Vec<u64>>();
+            let keys = &CommKeys::generate(1, 0xE47, Backend::AesSoft)[0];
+            let mut wire = Vec::new();
+            scheme.mask_slice(keys, 3, &data, &mut wire).unwrap();
+            let mut fresh = Vec::new();
+            scheme.unmask_slice(keys, 3, &wire, &mut fresh);
+            assert_eq!(fresh.len(), data.len(), "{}", S::NAME);
+
+            let mut out = data[..2].to_vec();
+            scheme.unmask_slice(keys, 3, &wire, &mut out);
+            assert_eq!(cells(&out), cells(&fresh), "{} unmask_slice", S::NAME);
+
+            // The positional primitive, the way the ring engine drives it:
+            // uneven chunks of the block, last chunk first, each into its
+            // own place in the spare capacity, committed once at the end.
+            let mut out = data[..2].to_vec();
+            out.reserve(wire.len());
+            let cuts = [0, 1, 100, 257, wire.len()];
+            for w in cuts.windows(2).rev() {
+                let dst = &mut out.spare_capacity_mut()[w[0]..w[1]];
+                scheme.unmask_into(keys, 3 + w[0] as u64, &wire[w[0]..w[1]], dst);
+            }
+            // SAFETY: the chunks above cover `0..wire.len()` of the spare
+            // capacity and `unmask_into` initialises all it is given.
+            unsafe { out.set_len(2 + wire.len()) };
+            assert_eq!(cells(&out[..2]), cells(&data[..2]), "{} prefix", S::NAME);
+            assert_eq!(cells(&out[2..]), cells(&fresh), "{} positional", S::NAME);
+        }
+        let ints: Vec<u32> = (0..300u32).map(|i| i.wrapping_mul(977) | 1).collect();
+        let floats: Vec<f64> = (0..300).map(|i| f64::from(i) * 0.125 + 0.5).collect();
+        check(IntSumScheme::<u32>::default(), ints.clone());
+        check(IntProdScheme::<u32>::default(), ints.clone());
+        check(IntXorScheme::<u32>::default(), ints);
+        check(FixedSumScheme::new(FixedCodec::new(20)), floats.clone());
+        check(FloatSumScheme::new(HfpFormat::fp32(2, 2)), floats.clone());
+        check(
+            FloatSumExpScheme::new(HfpFormat::fp64(0, 0)),
+            floats.clone(),
+        );
+        check(FloatProdScheme::new(HfpFormat::fp64(0, 0)), floats);
+    }
+
+    #[test]
     fn a_failed_mask_leaves_the_wire_buffer_empty() {
         // The engine reuses `wire` across blocks and attempts: an encode
         // error must not leave a prefix of a ciphertext (or the previous
