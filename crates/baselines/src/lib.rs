@@ -16,6 +16,8 @@
 //! out of scope and unnecessary for the table's conclusion, since the PHE
 //! row already shows the *best* case for classical HE failing R1/R3.
 
+#![forbid(unsafe_code)]
+
 pub mod elgamal;
 pub mod paillier;
 pub mod rsa;

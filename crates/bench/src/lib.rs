@@ -2,6 +2,8 @@
 //! host crypto-rate measurement (feeding measured numbers into the
 //! performance model), and small statistics/formatting utilities.
 
+#![forbid(unsafe_code)]
+
 use hear::core::{Backend, CommKeys, IntSum, Scratch};
 use hear::prf::{Prf, PrfCipher};
 use std::time::Instant;

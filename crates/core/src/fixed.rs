@@ -10,7 +10,6 @@ use crate::int::IntSumScheme;
 use crate::keys::CommKeys;
 use crate::scheme::{Scheme, DIGEST_LANES};
 use hear_hfp::HfpError;
-use std::mem::MaybeUninit;
 
 /// Codec between `f64` values and scaled two's-complement integers carried
 /// on `u64` ring lanes.
@@ -87,9 +86,7 @@ impl FixedSumScheme {
     }
 }
 
-// SAFETY: `unmask_into` writes one decoded lane to each element of `dst`,
-// whose length it asserts.
-unsafe impl Scheme for FixedSumScheme {
+impl Scheme for FixedSumScheme {
     type Input = f64;
     type Wire = u64;
     type Lanes = [u64; 2];
@@ -108,17 +105,11 @@ unsafe impl Scheme for FixedSumScheme {
         IntSumScheme::default().mask_slice(keys, first, &self.lanes, out)
     }
 
-    fn unmask_into(
-        &mut self,
-        keys: &CommKeys,
-        first: u64,
-        agg: &[u64],
-        dst: &mut [MaybeUninit<f64>],
-    ) {
+    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[u64], dst: &mut [f64]) {
         assert_eq!(agg.len(), dst.len());
         IntSumScheme::default().unmask_slice(keys, first, agg, &mut self.lanes);
         for (d, l) in dst.iter_mut().zip(&self.lanes) {
-            d.write(self.codec.decode(*l));
+            *d = self.codec.decode(*l);
         }
     }
 

@@ -503,7 +503,7 @@ mod tests {
 
     /// Encrypt and tag one row per rank (cancelling tags, or `plain`), then
     /// fold ciphertexts and tags the way the network would.
-    fn reduce_tagged<W: RingWord + Default>(rows: &[Vec<W>], plain: bool) -> Reduced<W> {
+    fn reduce_tagged<W: RingWord>(rows: &[Vec<W>], plain: bool) -> Reduced<W> {
         let (keys, reg) = CommKeys::generate_with_registry(rows.len(), 99, Backend::AesSoft);
         let homac = Homac::generate(1234, Backend::AesSoft);
         let mut agg = vec![W::zero(); rows[0].len()];

@@ -15,11 +15,10 @@ use crate::word::RingWord;
 use hear_hfp::HfpError;
 use hear_prf::{par_fused_pass, Payload, Stream, WorkerPool};
 use std::marker::PhantomData;
-use std::mem::MaybeUninit;
 
-/// Fold the noise streams at `bases` into a payload — in place, or out of
-/// place straight into a `Vec`'s spare capacity or a window of it — with
-/// **one** fused pass:
+/// Fold the noise streams at `bases` into a payload — in place, appended
+/// to a `Vec`, or into a slice of the payload's length — with **one**
+/// fused pass:
 /// `dst[i] ← f(src[i], [A[first + i], B[first + i]])`, each payload word
 /// read once and written once however many streams fold into it. Every
 /// stream is generated inside the pass, and the kernel accounts it.
@@ -130,11 +129,15 @@ impl IntSum {
 }
 
 /// Integer summation (Eq. 1) as a [`Scheme`]; lossless, exact digest.
-#[derive(Default)]
 pub struct IntSumScheme<W: RingWord>(PhantomData<W>);
 
-// SAFETY: `unmask_into` initialises all of `dst` (a `Payload::Into` pass).
-unsafe impl<W: RingWord> Scheme for IntSumScheme<W> {
+impl<W: RingWord> Default for IntSumScheme<W> {
+    fn default() -> Self {
+        IntSumScheme(PhantomData)
+    }
+}
+
+impl<W: RingWord> Scheme for IntSumScheme<W> {
     type Input = W;
     type Wire = W;
     type Lanes = W::Halves;
@@ -155,7 +158,7 @@ unsafe impl<W: RingWord> Scheme for IntSumScheme<W> {
         Ok(())
     }
 
-    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
+    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [W]) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         IntSum::decrypt(keys, first, Payload::Into(agg, dst));
     }
@@ -191,8 +194,13 @@ const PROD_TILE: usize = 256;
 /// noise factor is odd and exactly invertible — the scheme stays lossless.
 /// Exact digest via the 2-adic decomposition `x = (−1)^s · 3^e · 2^v` in
 /// `Z_{2^b}` ([`prod_digest`]).
-#[derive(Default)]
 pub struct IntProdScheme<W: RingWord>(PhantomData<W>);
+
+impl<W: RingWord> Default for IntProdScheme<W> {
+    fn default() -> Self {
+        IntProdScheme(PhantomData)
+    }
+}
 
 impl<W: RingWord> IntProdScheme<W> {
     /// Fill `own` with the mask factors `g^(own − next)` (`g^own` on the
@@ -242,9 +250,7 @@ impl<W: RingWord> IntProdScheme<W> {
     }
 }
 
-// SAFETY: `unmask_into` writes every element of `dst`, whose length it
-// asserts, one tile at a time.
-unsafe impl<W: RingWord> Scheme for IntProdScheme<W> {
+impl<W: RingWord> Scheme for IntProdScheme<W> {
     type Input = W;
     type Wire = W;
     /// Exponent (both halves), valuation and sign count (low halves).
@@ -270,12 +276,12 @@ unsafe impl<W: RingWord> Scheme for IntProdScheme<W> {
         Ok(())
     }
 
-    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
+    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [W]) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         assert_eq!(agg.len(), dst.len());
         Self::tiled(keys, first, agg.len(), Self::unmask_factors, |s, g| {
             for ((d, a), g) in dst[s..].iter_mut().zip(&agg[s..]).zip(g) {
-                d.write(a.wmul(*g));
+                *d = a.wmul(*g);
             }
         });
     }
@@ -319,11 +325,15 @@ unsafe impl<W: RingWord> Scheme for IntProdScheme<W> {
 /// lossless. The digest spreads each payload bit into its own 4-bit nibble
 /// counter, so the additive lane sum counts per-bit multiplicity and the
 /// XOR result must equal its parity — sound up to 15 ranks.
-#[derive(Default)]
 pub struct IntXorScheme<W: RingWord>(PhantomData<W>);
 
-// SAFETY: `unmask_into` initialises all of `dst` (a `Payload::Into` pass).
-unsafe impl<W: RingWord> Scheme for IntXorScheme<W> {
+impl<W: RingWord> Default for IntXorScheme<W> {
+    fn default() -> Self {
+        IntXorScheme(PhantomData)
+    }
+}
+
+impl<W: RingWord> Scheme for IntXorScheme<W> {
     type Input = W;
     type Wire = W;
     type Lanes = [u64; 8];
@@ -358,7 +368,7 @@ unsafe impl<W: RingWord> Scheme for IntXorScheme<W> {
     }
 
     /// `^F(zero)`.
-    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [MaybeUninit<W>]) {
+    fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [W]) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         let payload = Payload::Into(agg, dst);
         fused_pass(keys, [keys.base_zero()], first, payload, |x, [zero]| {
@@ -485,7 +495,7 @@ mod tests {
 
     #[test]
     fn sum_signed_via_two_complement() {
-        use crate::word::as_unsigned_i32;
+        use hear_prf::as_unsigned_i32;
         let keys = CommKeys::generate(2, 9, Backend::AesSoft);
         let a = [-100i32, 50, i32::MIN];
         let b = [30i32, -80, -1];
@@ -526,7 +536,7 @@ mod tests {
             for world in 1..=4usize {
                 // The last rank masks with one stream, the others with two.
                 for keys in CommKeys::generate(world, 0xC0DE + world as u64, Backend::AesSoft) {
-                    let mut scheme = IntSumScheme::<W>(PhantomData);
+                    let mut scheme = IntSumScheme::<W>::default();
                     let mut in_place = input.clone();
                     IntSum::encrypt_in_place(&keys, FIRST, &mut in_place, &mut Scratch::default());
                     let mut wire = Vec::new();
@@ -557,7 +567,7 @@ mod tests {
     fn prod_roundtrip_u32_u64() {
         fn run<W: RingWord>(world: usize, vals: &[Vec<W>]) {
             let keys = CommKeys::generate(world, 11, Backend::AesSoft);
-            let agg = reduce_in_process(|| IntProdScheme(PhantomData), &keys, vals);
+            let agg = reduce_in_process(IntProdScheme::default, &keys, vals);
             for (j, got) in agg.iter().enumerate() {
                 let expect = vals.iter().map(|v| v[j]).fold(W::one(), |a, b| a.wmul(b));
                 assert_eq!(*got, expect, "j={j}");
@@ -675,7 +685,7 @@ mod tests {
             })
         };
         let keys = CommKeys::generate(3, 0x001D_7A11, Backend::AesSoft);
-        let mut scheme = IntProdScheme::<W>(PhantomData);
+        let mut scheme = IntProdScheme::<W>::default();
         let mut prints = [(0, 0); 3];
         for (k, print) in keys.iter().zip(&mut prints) {
             let (mut hc, mut hp) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);

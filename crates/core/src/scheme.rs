@@ -24,11 +24,8 @@
 //! states how many of those eight lanes it fills ([`Scheme::Lanes`]); the
 //! engine seals, ships and verifies only those.
 
-use crate::extend_with;
 use crate::keys::CommKeys;
 use hear_hfp::HfpError;
-use std::convert::Infallible;
-use std::mem::MaybeUninit;
 
 /// Number of `u64` digest words per element in verified mode.
 pub const DIGEST_LANES: usize = 4;
@@ -90,13 +87,7 @@ pub fn join_lanes(lanes: &[u64]) -> [u64; DIGEST_LANES] {
 /// `first` and `[c]` at `first + 2` must equal masking `[a, b, c]` at
 /// `first` (pipelining and the ring's per-chunk masking rely on this), and
 /// likewise for unmasking.
-///
-/// # Safety
-///
-/// [`Scheme::unmask_into`] must initialise **every** element of the `dst`
-/// it is given: [`Scheme::unmask_slice`] and the engine commit that memory
-/// (`Vec::set_len`) on its return without looking at it again.
-pub unsafe trait Scheme {
+pub trait Scheme {
     /// Caller-facing element type.
     type Input: Clone + Send + 'static;
     /// On-the-wire element type the network reduces.
@@ -130,21 +121,21 @@ pub unsafe trait Scheme {
     ) -> Result<(), HfpError>;
 
     /// Decrypt one aggregated block into `dst`, which has `agg`'s length
-    /// and need not be initialised — the positional primitive: the engine
-    /// points it at the block's place in the spare capacity of the caller's
+    /// and whose old contents are overwritten unread — the positional
+    /// primitive: the engine points it at the block's place in the caller's
     /// result vector, so ring chunks can be decrypted as they arrive, in any
-    /// order. Initialises every element of `dst` (the trait's safety
-    /// contract); panics if the lengths differ.
+    /// order. Panics if the lengths differ.
     fn unmask_into(
         &mut self,
         keys: &CommKeys,
         first: u64,
         agg: &[Self::Wire],
-        dst: &mut [MaybeUninit<Self::Input>],
+        dst: &mut [Self::Input],
     );
 
-    /// Decrypt an aggregated slice of any length into `out`, cleared and
-    /// filled: [`Scheme::unmask_into`] on its spare capacity, committed.
+    /// Decrypt an aggregated slice of any length into `out`, which ends
+    /// exactly `agg.len()` long: [`Scheme::unmask_into`] on `out` resized.
+    /// An `out` that enters at that length is only overwritten.
     fn unmask_slice(
         &mut self,
         keys: &CommKeys,
@@ -152,15 +143,8 @@ pub unsafe trait Scheme {
         agg: &[Self::Wire],
         out: &mut Vec<Self::Input>,
     ) {
-        out.clear();
-        // SAFETY: `unmask_into` initialises all of `dst` — the contract an
-        // `unsafe impl Scheme` signs.
-        let Ok(()) = unsafe {
-            extend_with::<_, Infallible>(out, agg.len(), |dst| {
-                self.unmask_into(keys, first, agg, dst);
-                Ok(())
-            })
-        };
+        out.resize(agg.len(), Self::cell_decode(0));
+        self.unmask_into(keys, first, agg, out);
     }
 
     /// The associative combiner the (untrusted) network applies. An
@@ -594,9 +578,10 @@ mod tests {
 
     #[test]
     fn unmask_extend_appends_and_the_block_forms_clear() {
-        // The engine appends blocks as they drain: what `out` already holds
-        // must survive, bit for bit, for every scheme; `unmask_slice` keeps
-        // its cleared-and-filled contract.
+        // The engine writes blocks into their places as they drain: what
+        // `out` holds outside the block must survive, bit for bit, for every
+        // scheme; `unmask_slice` leaves exactly the block, whatever `out`
+        // held.
         fn check<S: Scheme>(mut scheme: S, data: Vec<S::Input>) {
             let cells = |v: &[S::Input]| v.iter().map(S::cell_encode).collect::<Vec<u64>>();
             let keys = &CommKeys::generate(1, 0xE47, Backend::AesSoft)[0];
@@ -612,17 +597,14 @@ mod tests {
 
             // The positional primitive, the way the ring engine drives it:
             // uneven chunks of the block, last chunk first, each into its
-            // own place in the spare capacity, committed once at the end.
+            // own place in a sized `out` that holds stale values.
             let mut out = data[..2].to_vec();
-            out.reserve(wire.len());
+            out.resize(2 + wire.len(), data[2].clone());
             let cuts = [0, 1, 100, 257, wire.len()];
             for w in cuts.windows(2).rev() {
-                let dst = &mut out.spare_capacity_mut()[w[0]..w[1]];
+                let dst = &mut out[2 + w[0]..2 + w[1]];
                 scheme.unmask_into(keys, 3 + w[0] as u64, &wire[w[0]..w[1]], dst);
             }
-            // SAFETY: the chunks above cover `0..wire.len()` of the spare
-            // capacity and `unmask_into` initialises all it is given.
-            unsafe { out.set_len(2 + wire.len()) };
             assert_eq!(cells(&out[..2]), cells(&data[..2]), "{} prefix", S::NAME);
             assert_eq!(cells(&out[2..]), cells(&fresh), "{} positional", S::NAME);
         }
@@ -687,8 +669,8 @@ mod proptests {
     /// 1. masking `x[..split]` at `first` and `x[split..]` at
     ///    `first + split` gives the wire of `x` at `first`; unmasking the
     ///    two halves gives the plaintext of the whole, through
-    ///    `unmask_slice` and through `unmask_into` on windows of spare
-    ///    capacity filled last window first, as the ring engine drives it;
+    ///    `unmask_slice` and through `unmask_into` on windows of a sized
+    ///    `out` filled last window first, as the ring engine drives it;
     /// 2. `unmask_slice` leaves exactly `agg.len()` elements, whatever
     ///    `out` held;
     /// 3. each value of `bad` at `x[split]` fails `mask_slice` and leaves
@@ -736,15 +718,12 @@ mod proptests {
             );
 
             let mut out = x[..2].to_vec();
-            out.reserve(N);
+            out.resize(2 + N, x[2].clone());
             let cuts = [0, split / 2, split, N];
             for w in cuts.windows(2).rev() {
-                let dst = &mut out.spare_capacity_mut()[w[0]..w[1]];
+                let dst = &mut out[2 + w[0]..2 + w[1]];
                 scheme.unmask_into(&keys, first + w[0] as u64, &wire[w[0]..w[1]], dst);
             }
-            // SAFETY: the windows cover `0..N` of the spare capacity and
-            // `unmask_into` initialises all it is given.
-            unsafe { out.set_len(2 + N) };
             prop_assert_eq!(cells(&out[..2]), cells(&x[..2]), "{} prefix", name);
             prop_assert_eq!(cells(&out[2..]), cells(&whole), "{} positional", name);
 

@@ -142,30 +142,6 @@ impl RingWord for u64 {
     }
 }
 
-/// Reinterpret a signed slice as its unsigned lane type (two's complement).
-pub fn as_unsigned_i32(data: &[i32]) -> &[u32] {
-    // SAFETY: i32 and u32 have identical layout and alignment.
-    unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u32, data.len()) }
-}
-
-/// Mutable variant of [`as_unsigned_i32`].
-pub fn as_unsigned_i32_mut(data: &mut [i32]) -> &mut [u32] {
-    // SAFETY: i32 and u32 have identical layout and alignment.
-    unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr() as *mut u32, data.len()) }
-}
-
-/// Reinterpret a signed slice as its unsigned lane type (two's complement).
-pub fn as_unsigned_i64(data: &[i64]) -> &[u64] {
-    // SAFETY: i64 and u64 have identical layout and alignment.
-    unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u64, data.len()) }
-}
-
-/// Mutable variant of [`as_unsigned_i64`].
-pub fn as_unsigned_i64_mut(data: &mut [i64]) -> &mut [u64] {
-    // SAFETY: i64 and u64 have identical layout and alignment.
-    unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr() as *mut u64, data.len()) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,27 +191,6 @@ mod tests {
     #[should_panic(expected = "odd")]
     fn inv_even_panics() {
         4u32.inv_odd();
-    }
-
-    #[test]
-    fn signed_reinterpretation_sums_correctly() {
-        // (-5) + 7 via unsigned wrapping equals the signed sum.
-        let a = [-5i32, i32::MIN, 100];
-        let b = [7i32, 1, -200];
-        let ua = as_unsigned_i32(&a);
-        let ub = as_unsigned_i32(&b);
-        for i in 0..3 {
-            let s = ua[i].wadd(ub[i]) as i32;
-            assert_eq!(s, a[i].wrapping_add(b[i]));
-        }
-    }
-
-    #[test]
-    fn mut_views_alias_original() {
-        let mut a = [-1i64, 5];
-        as_unsigned_i64_mut(&mut a)[0] = 7;
-        assert_eq!(a[0], 7);
-        assert_eq!(as_unsigned_i64(&a)[1], 5);
     }
 }
 

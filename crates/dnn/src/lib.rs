@@ -13,6 +13,8 @@
 //! further overlapping computation … with non-blocking HEAR
 //! communication").
 
+#![forbid(unsafe_code)]
+
 pub mod sharded;
 
 use hear_net::{ring_allreduce_time, Allocation, CryptoRates, Machine};

@@ -49,6 +49,8 @@
 //! assert!(sums.iter().all(|v| *v == Ok(TypedVec::I32(vec![10, 40]))));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use hear_baselines as baselines;
 pub use hear_core as core;
 pub use hear_dnn as dnn;

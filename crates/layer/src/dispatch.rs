@@ -16,10 +16,10 @@
 use crate::engine::{EngineCfg, EngineError};
 use crate::secure::{SecureComm, VerificationError};
 use hear_core::derived::{decode_logical, encode_bools, MpiOp, UnsupportedOp};
-use hear_core::word::{as_unsigned_i32, as_unsigned_i64};
 use hear_core::{
     FloatProdScheme, FloatSumScheme, HfpError, HfpFormat, IntProdScheme, IntSumScheme, IntXorScheme,
 };
+use hear_prf::{as_unsigned_i32, as_unsigned_i64};
 
 /// A borrowed, runtime-typed send buffer (the `void* sendbuf` +
 /// `MPI_Datatype` pair of the C API).
@@ -260,7 +260,7 @@ macro_rules! movement_front_door {
                 TypedSlice::I32(s) => self
                     .$method(
                         &mut IntSumScheme::<u32>::default(),
-                        hear_core::word::as_unsigned_i32(s),
+                        as_unsigned_i32(s),
                         cfg,
                     )
                     .map(|v| TypedVec::I32(v.into_iter().map(|x| x as i32).collect()))
@@ -268,7 +268,7 @@ macro_rules! movement_front_door {
                 TypedSlice::I64(s) => self
                     .$method(
                         &mut IntSumScheme::<u64>::default(),
-                        hear_core::word::as_unsigned_i64(s),
+                        as_unsigned_i64(s),
                         cfg,
                     )
                     .map(|v| TypedVec::I64(v.into_iter().map(|x| x as i64).collect()))

@@ -46,13 +46,13 @@ impl SecureComm {
     }
 
     /// [`SecureComm::allreduce_with`] writing into a caller-provided
-    /// vector. `out` is cleared and filled with the aggregate — each block
-    /// is unmasked straight into it, in order — and its capacity is reused
-    /// across calls, which makes the integer and float hot paths free of
-    /// heap allocation in steady state (the staging buffers come from the
-    /// arena, the output from the caller). On `Err`, `out` is empty
-    /// (capacity kept): never the caller's input, never a prefix of a
-    /// result. Under
+    /// vector. `out` is `resize`d to `data.len()` at entry and each block is
+    /// unmasked straight into its place in it, so an `out` reused at that
+    /// length is only overwritten, and its capacity is reused across calls,
+    /// which makes the integer and float hot paths free of heap allocation
+    /// in steady state (the staging buffers come from the arena, the output
+    /// from the caller). On `Err`, `out` is empty (capacity kept): never
+    /// the caller's input, never part of a result. Under
     /// [`PeerDeadPolicy::ShrinkAndContinue`](super::cfg::PeerDeadPolicy)
     /// a dead member triggers membership reconfiguration and a re-run
     /// over the survivors (see the engine's `membership` module).
@@ -72,8 +72,9 @@ impl SecureComm {
     /// One full attempt of a reduction towards `route` over the *current*
     /// membership — the allreduce, or the reduce-scatter on
     /// [`Route::Scatter`]. The public wrappers re-run it after a
-    /// shrink-and-continue reconfiguration; `out` is cleared at entry so a
-    /// re-run starts from a clean slate.
+    /// shrink-and-continue reconfiguration; `out` is sized at entry to this
+    /// attempt's result (a reduce-scatter's follows the world), and every
+    /// element of it is written before the attempt returns `Ok`.
     pub(crate) fn reduce_attempt<S: Scheme + 'static>(
         &mut self,
         scheme: &mut S,
@@ -119,7 +120,13 @@ impl SecureComm {
             crate::wire::ensure_packet_type::<S>();
         }
         self.keys.advance();
-        out.clear();
+        // The whole vector, or this rank's share of every block.
+        let share = |m| self.shard_bounds(m).1 - self.shard_bounds(m).0;
+        let len = match route {
+            Route::All(_) => n,
+            Route::Scatter => n / block * share(block) + share(n % block),
+        };
+        out.resize(len, S::cell_decode(0));
         if data.is_empty() {
             return Ok(());
         }
@@ -282,11 +289,13 @@ impl<S: Scheme + 'static> Codec<S> for Verified<S> {
 }
 
 /// A reduction of `data` in `block`-element blocks towards `route`,
-/// shipped by codec `K`.
+/// shipped by codec `K`, into `out` sized for the result.
 struct Reduce<'a, S: Scheme, K> {
     scheme: &'a mut S,
     data: &'a [S::Input],
-    out: &'a mut Vec<S::Input>,
+    out: &'a mut [S::Input],
+    /// Elements of `out` the blocks so far filled.
+    done: usize,
     block: usize,
     route: Route,
     codec: K,
@@ -296,7 +305,7 @@ impl<'a, S: Scheme, K> Reduce<'a, S, K> {
     fn new(
         scheme: &'a mut S,
         data: &'a [S::Input],
-        out: &'a mut Vec<S::Input>,
+        out: &'a mut [S::Input],
         block: usize,
         route: Route,
         codec: K,
@@ -305,6 +314,7 @@ impl<'a, S: Scheme, K> Reduce<'a, S, K> {
             scheme,
             data,
             out,
+            done: 0,
             block,
             route,
             codec,
@@ -363,7 +373,7 @@ impl<S: Scheme + 'static, K: Codec<S>> Blocks for Reduce<'_, S, K> {
         chunks: &mut Vec<Vec<K::Wire>>,
     ) -> Result<(), EngineError> {
         let (at, len, pieces) = self.landing(sc, k, chunks.len());
-        let mut window = OutWindow::new(self.out, at, len, pieces);
+        let mut window = OutWindow::new(self.out, &mut self.done, at, len, pieces);
         let (scheme, codec) = (&mut *self.scheme, &mut self.codec);
         let mut opened = Ok(());
         let open = |c: usize, agg: &[K::Wire]| {
@@ -398,7 +408,7 @@ impl<S: Scheme + 'static, K: Codec<S>> Blocks for Reduce<'_, S, K> {
             Route::Scatter => &chunks[sc.rank()..=sc.rank()],
         };
         let (at, len, pieces) = self.landing(sc, k, landed.len());
-        let mut window = OutWindow::new(self.out, at, len, pieces);
+        let mut window = OutWindow::new(self.out, &mut self.done, at, len, pieces);
         // Last chunk first: the descending order the window's claims check.
         for (c, agg) in landed.iter().enumerate().rev() {
             (self.codec).open(self.scheme, &sc.keys, sc.world(), c, agg, &mut window)?;

@@ -75,14 +75,14 @@ impl SecureComm {
         let threads = SecureComm::pool_threads();
         let _span = hear_telemetry::span!("secure_alltoall", elems = data.len(), threads = threads);
         self.keys.advance();
-        out.clear();
-        // Prefill with the contribution: the rounds overwrite every slice.
-        // (At world 1 the transpose is the identity, so this is also the
-        // complete zero-allocation local path.)
-        out.extend_from_slice(data);
         if world == 1 || l == 0 {
+            // The transpose is the identity.
+            out.clear();
+            out.extend_from_slice(data);
             return Ok(());
         }
+        // The rounds overwrite every slice, the own chunk's included.
+        out.resize(data.len(), S::cell_decode(0));
         let b = cfg.block_len(l);
         let nrounds = l.div_ceil(b) as u64;
         let base_tag = self.comm.reserve_coll_tags(nrounds);

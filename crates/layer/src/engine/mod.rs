@@ -55,12 +55,13 @@
 //! masked out of place from the caller's input straight into its chunk
 //! vectors (chunk `c` at pad offset `offset + s_c`), and each aggregated
 //! chunk is unmasked straight out of the vector it arrived in into its
-//! place in the spare capacity of the caller's `out`
-//! (`engine::window::OutWindow`). The verified reductions keep one staging
-//! copy (`VerifyScratch::dec`), because a chunk may reach `out` only after
-//! its digest check. Either way `out`'s length moves once per block, after
-//! its last chunk — as the ring hands them over, or, for a posted block,
-//! whose helper thread can open nothing, when the drain opens the chunks it
+//! place in the caller's `out` (`engine::window::OutWindow`), which the
+//! reduction `resize`s to its result at entry — a no-op for an `out`
+//! reused at that length. The verified reductions keep one staging copy
+//! (`VerifyScratch::dec`), because a chunk may reach `out` only after its
+//! digest check. Either way a block is committed once, after its last
+//! chunk — as the ring hands them over, or, for a posted block, whose
+//! helper thread can open nothing, when the drain opens the chunks it
 //! brought back. Whatever fails, every `*_into` entry point returns `Err`
 //! with `out` empty.
 //!

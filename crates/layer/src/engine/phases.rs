@@ -71,12 +71,13 @@ impl SecureComm {
     }
 
     /// [`SecureComm::reduce_scatter_with`] writing into a caller-provided
-    /// vector (cleared, then the per-block shares are appended in block
-    /// order). Steady-state allocation-free on the integer and float
-    /// paths, like the other `*_into` entry points: the chunk vectors the
-    /// block is masked into are arena leases, and the ring hands the share
-    /// back as the chunk vector it ends owning (`tests/matrix.rs` counts
-    /// both). Under
+    /// vector, `resize`d at entry to this rank's result and filled with the
+    /// per-block shares in block order, so an `out` reused at that length is
+    /// only overwritten. Steady-state allocation-free on the integer and
+    /// float paths, like the other `*_into` entry points: the chunk vectors
+    /// the block is masked into are arena leases, and the ring hands the
+    /// share back as the chunk vector it ends owning (`tests/matrix.rs`
+    /// counts both). Under
     /// [`PeerDeadPolicy::ShrinkAndContinue`](super::cfg::PeerDeadPolicy)
     /// a dead member triggers membership reconfiguration and a re-run
     /// over the survivors — note the share layout then follows the
@@ -147,7 +148,8 @@ impl SecureComm {
 
     /// One full allgather attempt over the current membership, its cells
     /// shipped by `codec` (the shrink-and-continue re-run target; `out` is
-    /// cleared at entry).
+    /// sized to the gathered length once the counts are in, and an `out`
+    /// that already has it is only overwritten).
     fn allgather_attempt<S: Scheme + 'static, K: CellCodec>(
         &mut self,
         codec: K,
@@ -159,9 +161,9 @@ impl SecureComm {
         let _span =
             hear_telemetry::span!("secure_allgather", elems = mine.len(), threads = threads);
         self.keys.advance();
-        out.clear();
         if self.world() == 1 {
             // Cells are lossless, so the local path is a plain copy.
+            out.clear();
             out.extend_from_slice(mine);
             return Ok(());
         }
@@ -194,8 +196,12 @@ impl SecureComm {
         // impossible into an error instead of an abort; with the capacity
         // already there it is free.
         let total = gathered_len::<S::Input>(&counts, self.rank(), mine.len())
-            .filter(|&total| out.try_reserve_exact(total).is_ok())
+            .filter(|&total| {
+                out.try_reserve_exact(total.saturating_sub(out.len()))
+                    .is_ok()
+            })
             .ok_or(EngineError::Verification(VerificationError))?;
+        out.resize(total, S::cell_decode(0));
         let mut starts: Vec<u64> = self.arena.take_vec();
         let mut at = 0u64;
         for c in &counts {
@@ -207,7 +213,6 @@ impl SecureComm {
             let b = cfg.block_len(longest);
             let nrounds = longest.div_ceil(b) as u64;
             let base_tag = self.comm.reserve_coll_tags(nrounds);
-            out.resize(total, S::cell_decode(0));
             let mut cs = CellScratch::lease(&mut self.arena);
             let mut g = Gather::<S, K> {
                 mine,

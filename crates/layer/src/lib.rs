@@ -15,6 +15,8 @@
 //! [`dispatch`]) route every supported `(datatype, op)` pair onto the
 //! engine.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod breakdown;
 #[cfg(test)]

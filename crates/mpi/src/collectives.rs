@@ -222,7 +222,8 @@ impl Communicator {
         // Fold the excess ranks into their even neighbours.
         let newrank: isize = if rank < 2 * rem {
             if rank % 2 == 1 {
-                self.try_send_internal(rank - 1, tag, acc.clone())?;
+                // `acc` is replaced by the neighbour's result on the unfold.
+                self.try_send_internal(rank - 1, tag, std::mem::take(&mut acc))?;
                 -1
             } else {
                 let other = self.try_recv_internal::<T>(rank + 1, tag, deadline)?;

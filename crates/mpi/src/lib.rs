@@ -22,6 +22,8 @@
 //! assert!(sums.iter().all(|v| v[0] == 10));
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod collectives;
 mod comm;
 mod error;

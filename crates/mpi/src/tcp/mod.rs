@@ -1556,20 +1556,27 @@ mod tests {
 
         pub(super) struct PeakAlloc;
 
+        // SAFETY: every method forwards to `System` with its own arguments;
+        // `note` only records a size and never allocates.
         unsafe impl GlobalAlloc for PeakAlloc {
             unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
                 note(layout.size());
+                // SAFETY: the caller's `alloc` contract, forwarded.
                 unsafe { System.alloc(layout) }
             }
             unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
                 note(layout.size());
+                // SAFETY: the caller's `alloc_zeroed` contract, forwarded.
                 unsafe { System.alloc_zeroed(layout) }
             }
             unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: `ptr` came from `System` through this allocator.
                 unsafe { System.dealloc(ptr, layout) }
             }
             unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
                 note(new_size);
+                // SAFETY: as for `dealloc`, plus the caller's `realloc`
+                // contract on `new_size`.
                 unsafe { System.realloc(ptr, layout, new_size) }
             }
         }

@@ -6,6 +6,8 @@
 //! or rates measured on this host) layered on top. Used by the Fig. 7/8
 //! scaling harnesses and by `hear-dnn` for the Fig. 9 training study.
 
+#![forbid(unsafe_code)]
+
 pub mod machine;
 pub mod model;
 pub mod probe;

@@ -13,6 +13,8 @@
 //! * [`prime`] — Miller–Rabin testing and prime generation for the
 //!   baseline cryptosystems.
 
+#![forbid(unsafe_code)]
+
 pub mod bigfloat;
 pub mod bigint;
 pub mod biguint;

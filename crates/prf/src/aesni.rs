@@ -38,9 +38,11 @@ pub struct AesNi128 {
     wide: bool,
 }
 
-// __m128i is plain old data; sharing the expanded schedule across rank
-// threads is safe.
+// SAFETY: both fields are plain old data (`round_keys`' `__m128i`s and the
+// `wide` flag), never mutated after construction, so moving the schedule
+// to another thread is sound.
 unsafe impl Send for AesNi128 {}
+// SAFETY: as for `Send`; shared references only read the two fields.
 unsafe impl Sync for AesNi128 {}
 
 /// Returns true when the CPU supports the AES-NI instructions (plus the

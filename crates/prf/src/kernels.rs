@@ -102,6 +102,20 @@ kernel_word!(u16, block_words_u16);
 kernel_word!(u32, block_words_u32);
 kernel_word!(u64, block_words_u64);
 
+/// Reinterpret a signed slice as its unsigned word type (two's complement),
+/// so signed data rides the integer ciphers without a copy.
+pub fn as_unsigned_i32(data: &[i32]) -> &[u32] {
+    // SAFETY: `i32` and `u32` have the same size and alignment, no padding,
+    // and every bit pattern is valid in both.
+    unsafe { std::slice::from_raw_parts(data.as_ptr().cast(), data.len()) }
+}
+
+/// [`as_unsigned_i32`] for 64-bit words.
+pub fn as_unsigned_i64(data: &[i64]) -> &[u64] {
+    // SAFETY: as in `as_unsigned_i32`, for `i64` and `u64`.
+    unsafe { std::slice::from_raw_parts(data.as_ptr().cast(), data.len()) }
+}
+
 /// Bytes-masked counter for a backend (family `hear_masked_bytes_total`).
 fn masked_metric(backend: Backend) -> Metric {
     match backend {
@@ -429,6 +443,18 @@ mod tests {
             sub_keystream_into(&prf, 42, 7, &mut buf);
             assert_eq!(buf, data);
         }
+    }
+
+    #[test]
+    fn signed_reinterpretation_sums_correctly() {
+        // (-5) + 7 via unsigned wrapping equals the signed sum.
+        let (a, b) = ([-5i32, i32::MIN, 100], [7i32, 1, -200]);
+        let (ua, ub) = (as_unsigned_i32(&a), as_unsigned_i32(&b));
+        for i in 0..3 {
+            assert_eq!(ua[i].wrapping_add(ub[i]) as i32, a[i].wrapping_add(b[i]));
+        }
+        let c = [-1i64, i64::MIN];
+        assert_eq!(as_unsigned_i64(&c), [u64::MAX, 1 << 63]);
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! aggregation-cancelling and decryption all use the same convention, so the
 //! telescoping in Eq. (1)–(3) holds bit-exactly.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod aes;
 #[cfg(target_arch = "x86_64")]
 pub mod aesni;
@@ -31,7 +33,10 @@ pub mod sha1;
 #[cfg(target_arch = "x86_64")]
 pub mod shani;
 
-pub use kernels::{add_keystream_into, sub_keystream_into, xor_keystream_into, KernelWord, Stream};
+pub use kernels::{
+    add_keystream_into, as_unsigned_i32, as_unsigned_i64, sub_keystream_into, xor_keystream_into,
+    KernelWord, Stream,
+};
 pub use par::{
     configured_threads, for_each_shard, par_add_keystream_into, par_fused_pass,
     par_sub_keystream_into, par_xor_keystream_into, pool_scoped, with_pool, Payload, WorkerPool,

@@ -243,7 +243,7 @@ impl WorkerPool {
         self.ensure_workers((self.threads - 1).min(nshards - 1));
         self.jobs.fetch_add(1, Ordering::Relaxed);
 
-        // SAFETY (lifetime erasure): the reference is published to worker
+        // SAFETY: lifetime erasure. The reference is published to worker
         // threads only through `State.job`, every executing shard is
         // tracked in `Job.active`, and this function does not return until
         // the job is unpublished with `next == nshards && active == 0`. No
@@ -355,8 +355,12 @@ fn worker_loop(inner: &Inner) {
 /// `*mut W` that may cross threads. Each shard reconstructs a slice over
 /// its own disjoint index range, so no two threads alias.
 struct SendPtr<W>(*mut W);
-unsafe impl<W> Send for SendPtr<W> {}
-unsafe impl<W> Sync for SendPtr<W> {}
+// SAFETY: the one field is the pointer. Every user derives disjoint
+// sub-slices from it, the pointee outlives the fork-join `run` that shares
+// it, and `W: Send` because other threads write `W`s through it.
+unsafe impl<W: Send> Send for SendPtr<W> {}
+// SAFETY: as for `Send`; the pointer itself is only read.
+unsafe impl<W: Send> Sync for SendPtr<W> {}
 
 impl<W> SendPtr<W> {
     /// Accessor (rather than field access) so closures capture the
@@ -427,11 +431,9 @@ pub enum Payload<'a, W> {
     /// `f(src[i], …)` appended to `out`, written straight into its spare
     /// capacity: no copy of `src` first, no zero-fill of `out`.
     Extend(&'a [W], &'a mut Vec<W>),
-    /// `dst[i] ← f(src[i], …)` for a destination of `src`'s length that
-    /// need not be initialised — a window of some vector's spare capacity
-    /// the caller commits (`set_len`) itself. The pass initialises every
-    /// element of `dst`.
-    Into(&'a [W], &'a mut [MaybeUninit<W>]),
+    /// `dst[i] ← f(src[i], …)` for a destination of `src`'s length, whose
+    /// old contents are overwritten unread.
+    Into(&'a [W], &'a mut [W]),
 }
 
 /// The N-stream fused pass across the pool: `dst[i] ← f(src[i], [A[first +
@@ -463,8 +465,10 @@ pub fn par_fused_pass<W, const N: usize, F>(
             // SAFETY: the pass above wrote every one of these words.
             unsafe { out.set_len(out.len() + src.len()) };
         }
-        // SAFETY: `src` is given, so `dst` need not be initialised.
-        Payload::Into(src, dst) => unsafe { par_pass(pool, streams, first, Some(src), dst, f) },
+        // SAFETY: `src` is given, so `dst` is only written.
+        Payload::Into(src, dst) => unsafe {
+            par_pass(pool, streams, first, Some(src), as_uninit(dst), f)
+        },
     }
 }
 

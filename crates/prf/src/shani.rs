@@ -55,6 +55,7 @@ impl Sha1NiPrf {
         let mut block = self.template;
         block[16..32].copy_from_slice(&x.to_be_bytes());
         // SAFETY: constructor verified the required CPU features.
+        // SAFETY: `available()` confirmed the SHA-NI features above.
         let state = unsafe { compress_ni(&block) };
         ((state[0] as u128) << 96)
             | ((state[1] as u128) << 64)
@@ -166,6 +167,7 @@ mod tests {
         block[..3].copy_from_slice(b"abc");
         block[3] = 0x80;
         block[56..64].copy_from_slice(&24u64.to_be_bytes());
+        // SAFETY: `available()` confirmed the SHA-NI features above.
         let state = unsafe { compress_ni(&block) };
         let expect = sha1(b"abc");
         let mut got = [0u8; 20];

@@ -39,6 +39,8 @@
 //!   `<prefix>.trace.json`, `<prefix>.prom`, `<prefix>.snapshot.json`.
 //! * `HEAR_TRACE_BUF` — per-lane span ring capacity (default 65536).
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod metrics;
 pub mod parse;

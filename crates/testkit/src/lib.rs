@@ -32,6 +32,8 @@
 //! | `HEAR_BENCH_FAST`     | Clamps benches to a smoke-run time budget     |
 //! | `HEAR_BENCH_DIR`      | Directory receiving `BENCH_*.json`            |
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod collection;
 mod macros;

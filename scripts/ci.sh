@@ -89,7 +89,7 @@ timeout 300 cargo run --release -q -p hear-bench --bin socket_smoke
 # (what verified packets run) to >= 2x its scalar reference at 64 Ki
 # lanes on one thread (same tolerance; "homac_gate: SKIP" and exit 0
 # without AES-NI; the ring-word tag/verify rows are reported only), and after it
-# the fused FloatSum encrypt/decrypt to >= 3x theirs and the FPU add fold
+# FloatSumScheme::mask_slice / unmask_slice to >= 3x theirs and the FPU add fold
 # to >= 1.25x the integer fold at 64 Ki fp64(2,2) elements ("float_gate:
 # SKIP" likewise), then the two-stream
 # out-of-place mask to >= 1.3x copy + two in-place passes at 64 MiB of u32

@@ -883,14 +883,50 @@ fn a_failed_call_leaves_out_empty() {
         failures >= calls,
         "the kills failed only {failures} of {calls} calls"
     );
+    // With no kill every reduction completes, and its `out` holds exactly
+    // the result whatever length it entered with: longer than the result
+    // and full of stale values, or shorter.
+    for coll in [Coll::Allreduce, Coll::ReduceScatter] {
+        for verified in [false, true] {
+            for (c, chunk) in [EngineCfg::sync(), EngineCfg::pipelined(BLOCK)]
+                .into_iter()
+                .enumerate()
+            {
+                let results = Simulator::new(WORLD).run(|comm| {
+                    let mut sc = shrink_sc(comm, 0xE3B7);
+                    let mut s = IntSumScheme::<u32>::default();
+                    let ecfg = chunk.with_algo(ReduceAlgo::Ring);
+                    let ecfg = if verified { ecfg.verified() } else { ecfg };
+                    let data = &int_in[comm.rank()];
+                    [vec![0xDEAD_BEEF; 3 * LEN], data[..3].to_vec()].map(|mut out| {
+                        let res = match coll {
+                            Coll::Allreduce => sc.allreduce_with_into(&mut s, data, &mut out, ecfg),
+                            _ => sc.reduce_scatter_with_into(&mut s, data, &mut out, ecfg),
+                        };
+                        res.map(|()| out)
+                    })
+                });
+                for (rank, outs) in results.iter().enumerate() {
+                    let want = match coll {
+                        Coll::Allreduce => int_exp.clone(),
+                        _ => shares(&int_exp, if c == 0 { LEN } else { BLOCK }, rank),
+                    };
+                    for (entry, out) in ["longer", "shorter"].iter().zip(outs) {
+                        let cell = format!("{coll:?} verified={verified} {chunk:?} rank {rank}");
+                        assert_eq!(out.as_ref(), Ok(&want), "{cell}: `out` entered {entry}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The ring hands each aggregated chunk to the engine once, as it passes,
 /// and the engine unmasks it there and then — so when a rank dies *during
 /// the allgather phase*, every survivor has already decrypted at least its
-/// own chunk (the first thing the phase does) into the spare capacity of
-/// `out`. None of that may be visible: under [`PeerDeadPolicy::Fail`] a
-/// failed call leaves `out` empty (its length never moved), plain and
+/// own chunk (the first thing the phase does) into its place in `out`.
+/// None of that may be visible: under [`PeerDeadPolicy::Fail`] a failed
+/// call leaves `out` empty (its entry point clears it), plain and
 /// verified, one block or several; a rank that was served every chunk
 /// before the death holds the exact sum.
 #[test]
