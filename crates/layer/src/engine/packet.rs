@@ -242,9 +242,9 @@ impl CellScratch {
 }
 
 /// Fill `pad` with `n` words of the epoch's collective keystream starting
-/// at word index `first`.
+/// at word index `first`. The keystream overwrites every word, so only
+/// growth is zero-filled.
 fn fill_pad(keys: &CommKeys, first: u64, n: usize, pad: &mut Vec<u64>) {
-    pad.clear();
     pad.resize(n, 0);
     keystream_u64(keys.prf(), keys.base_collective(), first, pad);
 }

@@ -209,12 +209,13 @@ impl Communicator {
         self.switch.clone()
     }
 
-    /// Launch the per-collective switch service tasks (one thread per
-    /// switch node). Exactly one rank does the spawning so each collective
-    /// gets one service; rank 0 is the deterministic choice. The deadline
-    /// bounds each node's waits so a broken tree sheds its service
-    /// threads instead of leaking them; a service that errors out simply
-    /// exits (the ranks below see the failure on their own receives).
+    /// Launch the per-collective switch service tasks (one helper per
+    /// switch node, from the same cache that runs posted jobs). Exactly
+    /// one rank does the launching so each collective gets one service;
+    /// rank 0 is the deterministic choice. The deadline bounds each node's
+    /// waits so a broken tree frees its helpers instead of holding them; a
+    /// service that errors out simply returns (the ranks below see the
+    /// failure on their own receives).
     pub(crate) fn spawn_switch_service<T, F>(
         &self,
         topo: &Arc<SwitchTopology>,
@@ -233,14 +234,14 @@ impl Communicator {
             let topo = topo.clone();
             let op = op.clone();
             let tele = hear_telemetry::spawn_context();
-            std::thread::spawn(move || {
+            crate::nonblocking::run_on_helper(Box::new(move |_lease| {
                 // Switch nodes are infrastructure, not ranks: record into
-                // the spawning rank's registry but under a rankless lane.
+                // the launching rank's registry but under a rankless lane.
                 let _tele = tele.map(|(reg, _)| reg.install(None));
                 let _ = crate::inc::switch_node_service::<T, F>(
                     &transport, &topo, node, tag, &op, deadline,
                 );
-            });
+            }));
         }
     }
 

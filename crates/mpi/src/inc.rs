@@ -268,7 +268,7 @@ impl Communicator {
             .switch_topology()
             .expect("allreduce_inc requires a switch-enabled simulator");
         // Kick the switch service for this collective (one service task per
-        // switch node, spawned by the simulator's switch executor).
+        // switch node, run on a helper thread from the posting cache).
         self.spawn_switch_service::<T, F>(&topo, tag, op, deadline);
         let leaf_node = topo.leaf_of_rank[self.rank()];
         let leaf = topo.base_endpoint + leaf_node;

@@ -42,6 +42,7 @@ pub struct Launcher {
     args: Vec<String>,
     envs: Vec<(String, String)>,
     shrink_tolerant: bool,
+    quiet: bool,
 }
 
 impl Launcher {
@@ -55,6 +56,7 @@ impl Launcher {
             args: Vec::new(),
             envs: Vec::new(),
             shrink_tolerant: false,
+            quiet: false,
         }
     }
 
@@ -100,6 +102,15 @@ impl Launcher {
         self
     }
 
+    /// Discard every child's stdout; stderr stays inherited, so panics
+    /// still reach the console. For children that are themselves test
+    /// binaries: their per-test result lines would otherwise interleave
+    /// with the parent harness's own.
+    pub fn quiet(mut self) -> Launcher {
+        self.quiet = true;
+        self
+    }
+
     /// Spawn the tree. Children start rendezvous immediately; supervise
     /// with [`Tree::wait`] (or poke individual ranks first, e.g.
     /// [`Tree::kill_rank`] for fault drills).
@@ -123,6 +134,9 @@ impl Launcher {
                 .env("HEAR_WORLD", self.world.to_string())
                 .env("HEAR_RENDEZVOUS_FILE", &rendezvous_file)
                 .stdin(Stdio::null());
+            if self.quiet {
+                cmd.stdout(Stdio::null());
+            }
             for (k, v) in &self.envs {
                 cmd.env(k, v);
             }

@@ -44,7 +44,7 @@ pub use fabric::{thread_transit_wait_nanos, NetConfig};
 pub use fault::{Corruptor, FaultPlan, WireSink};
 pub use inc::SwitchTopology;
 pub use launch::Launcher;
-pub use nonblocking::Request;
+pub use nonblocking::{helpers_started, Request};
 pub use simulator::{SimConfig, Simulator, TransportKind};
 pub use tcp::TcpTransport;
 pub use transport::{Envelope, Transport};

@@ -222,6 +222,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_lane_per_rank() {
+        let _serial = crate::registry::serial_enabled();
         let r = sample_registry();
         let trace = chrome_trace(&r);
         let parsed = crate::parse::parse_chrome_trace(&trace).expect("self-parse");
@@ -236,6 +237,7 @@ mod tests {
 
     #[test]
     fn prometheus_round_trips_through_parser() {
+        let _serial = crate::registry::serial_enabled();
         let r = sample_registry();
         let text = prometheus(&r);
         let samples = crate::parse::parse_prometheus(&text).expect("self-parse");
@@ -253,6 +255,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_valid_json_with_counters() {
+        let _serial = crate::registry::serial_enabled();
         let r = sample_registry();
         let snap = json_snapshot(&r);
         let v = crate::parse::parse_json(&snap).expect("valid json");

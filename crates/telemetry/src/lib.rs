@@ -102,6 +102,7 @@ mod tests {
     /// plain branch. Generous bound so debug builds and noisy CI pass.
     #[test]
     fn disabled_record_path_is_cheap() {
+        let _serial = registry::serial_enabled();
         if active() {
             return; // some other registry is live; measurement is moot
         }

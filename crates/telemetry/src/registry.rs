@@ -461,12 +461,23 @@ pub fn spawn_context() -> Option<(Registry, Option<usize>)> {
     })
 }
 
+/// Serialises the unit tests that enable a registry. [`active()`] reads a
+/// process-wide count, so a test asserting on it must not overlap another
+/// test holding an enabled registry. Take it first in the test, so it is
+/// released after the test's registries are dropped.
+#[cfg(test)]
+pub(crate) fn serial_enabled() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    lock_unpoisoned(&LOCK)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_by_default_and_toggles_active() {
+        let _serial = serial_enabled();
         let before = active();
         let r = Registry::new();
         assert!(!r.is_enabled());
@@ -478,6 +489,7 @@ mod tests {
 
     #[test]
     fn counters_record_only_under_installed_ctx() {
+        let _serial = serial_enabled();
         let r = Registry::new_enabled();
         add(Metric::FabricMsgs, 5); // no ctx, global disabled -> dropped
         {
@@ -491,6 +503,7 @@ mod tests {
 
     #[test]
     fn contexts_nest_and_shadow() {
+        let _serial = serial_enabled();
         let outer = Registry::new_enabled();
         let inner = Registry::new_enabled();
         let _go = outer.install(Some(1));
@@ -506,6 +519,7 @@ mod tests {
 
     #[test]
     fn gauges_and_histograms_record() {
+        let _serial = serial_enabled();
         let r = Registry::new_enabled();
         let _g = r.install(None);
         gauge_add(Gauge::PipelineInFlight, 3);
@@ -522,6 +536,7 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
+        let _serial = serial_enabled();
         let r = Registry::new_enabled();
         {
             let _g = r.install(Some(0));
@@ -535,6 +550,7 @@ mod tests {
 
     #[test]
     fn spawn_context_carries_rank() {
+        let _serial = serial_enabled();
         let r = Registry::new_enabled();
         let _g = r.install(Some(3));
         let (reg, rank) = spawn_context().expect("ctx installed");

@@ -162,6 +162,7 @@ mod tests {
 
     #[test]
     fn spans_record_name_args_depth_rank() {
+        let _serial = crate::registry::serial_enabled();
         let r = Registry::new_enabled();
         {
             let _g = r.install(Some(2));
@@ -200,6 +201,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_evicts_oldest() {
+        let _serial = crate::registry::serial_enabled();
         let r = Registry::new_enabled();
         let _g = r.install(Some(0));
         // Default cap is 65536; push a couple more than that.

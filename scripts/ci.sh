@@ -20,9 +20,11 @@ cargo test -q "$@"
 # the transport swapped for the loopback TCP socket mesh by the one
 # environment switch — the suites themselves are unchanged — plus the
 # socket and telemetry suites, whose TCP rows must not care about the
-# switch either. (Keep this list identical to the workflow's.)
+# switch either, and the helper-count suite, whose posted blocks then
+# wait on sockets. (Keep this list identical to the workflow's.)
 HEAR_TRANSPORT=tcp cargo test -q -p hear \
-    --test matrix --test chaos --test collectives --test socket --test telemetry_e2e
+    --test matrix --test chaos --test collectives --test socket --test telemetry_e2e \
+    --test posted_blocks
 
 # The engine suites again on a 4-thread budget: at world 2 each rank then
 # fans out on its own 2-thread lane, two lanes at once, which neither the

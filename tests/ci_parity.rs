@@ -142,7 +142,14 @@ fn the_tcp_row_lists_every_transport_suite_and_the_bench_skips_one_test() {
         .collect();
     assert_eq!(
         suites,
-        ["matrix", "chaos", "collectives", "socket", "telemetry_e2e"],
+        [
+            "matrix",
+            "chaos",
+            "collectives",
+            "socket",
+            "telemetry_e2e",
+            "posted_blocks"
+        ],
         "{tcp:?}"
     );
     let skips: Vec<&str> = bench

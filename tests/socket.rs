@@ -303,6 +303,7 @@ fn tcp_multi_process_verified_allreduce() {
     let exe = std::env::current_exe().expect("test binary path");
     let outcome = Launcher::new(3)
         .watchdog(Duration::from_secs(120))
+        .quiet()
         .program(exe)
         .args([
             "tcp_multi_process_verified_allreduce",
@@ -435,6 +436,7 @@ fn tcp_stale_peer_with_retired_packet_type_id_is_a_type_mismatch() {
     let exe = std::env::current_exe().expect("test binary path");
     let outcome = Launcher::new(2)
         .watchdog(Duration::from_secs(120))
+        .quiet()
         .program(exe)
         .args([
             "tcp_stale_peer_with_retired_packet_type_id_is_a_type_mismatch",
