@@ -17,6 +17,7 @@
 //! row already shows the *best* case for classical HE failing R1/R3.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod elgamal;
 pub mod paillier;

@@ -8,18 +8,18 @@
 
 use hear_num::{gen_prime, modinv, BigUint, SplitMix64};
 
-pub struct PaillierPublic {
-    pub n: BigUint,
-    pub n_sq: BigUint,
+struct PaillierPublic {
+    n: BigUint,
+    n_sq: BigUint,
 }
 
-pub struct PaillierSecret {
+struct PaillierSecret {
     lambda: BigUint,
     mu: BigUint,
 }
 
 pub struct Paillier {
-    pub public: PaillierPublic,
+    public: PaillierPublic,
     secret: PaillierSecret,
     pub key_bits: u64,
 }

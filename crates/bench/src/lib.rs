@@ -3,6 +3,7 @@
 //! performance model), and small statistics/formatting utilities.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 use hear::core::{Backend, CommKeys, IntSum, Scratch};
 use hear::prf::{Prf, PrfCipher};

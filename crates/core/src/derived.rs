@@ -116,17 +116,6 @@ pub fn moments_to_stats(sum: f64, sum_sq: f64, n: u64) -> (f64, f64) {
     (mean, sum_sq / n as f64 - mean * mean)
 }
 
-/// Mixed-mode preprocessing (§5.4's example): even ranks contribute `+x`,
-/// odd ranks `−x`, all through the one SUM reduction.
-pub fn signed_mode_encode(rank: usize, data: &[i64], out: &mut Vec<i64>) {
-    out.clear();
-    if rank.is_multiple_of(2) {
-        out.extend_from_slice(data);
-    } else {
-        out.extend(data.iter().map(|v| v.wrapping_neg()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,16 +176,5 @@ mod tests {
         let v: f64 = all.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / 6.0;
         assert!((mean - m).abs() < 1e-12);
         assert!((var - v).abs() < 1e-12);
-    }
-
-    #[test]
-    fn signed_mode() {
-        let mut out = Vec::new();
-        signed_mode_encode(0, &[5, -3], &mut out);
-        assert_eq!(out, vec![5, -3]);
-        signed_mode_encode(1, &[5, -3], &mut out);
-        assert_eq!(out, vec![-5, 3]);
-        signed_mode_encode(3, &[i64::MIN], &mut out);
-        assert_eq!(out, vec![i64::MIN]); // wrapping negation of MIN
     }
 }

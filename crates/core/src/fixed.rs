@@ -24,10 +24,6 @@ impl FixedCodec {
         FixedCodec { frac_bits }
     }
 
-    pub fn frac_bits(&self) -> u32 {
-        self.frac_bits
-    }
-
     /// Quantization step `2^{-f}`.
     pub fn resolution(&self) -> f64 {
         f64::powi(2.0, -(self.frac_bits as i32))
@@ -60,11 +56,6 @@ impl FixedCodec {
     pub fn encode_slice(&self, vals: &[f64], out: &mut Vec<u64>) {
         out.clear();
         out.extend(vals.iter().map(|v| self.encode(*v)));
-    }
-
-    pub fn decode_slice(&self, lanes: &[u64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(lanes.iter().map(|l| self.decode(*l)));
     }
 }
 

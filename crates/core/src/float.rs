@@ -818,7 +818,7 @@ mod reference {
             .collect()
     }
 
-    pub fn sum_encrypt(
+    pub(super) fn sum_encrypt(
         fmt: HfpFormat,
         keys: &CommKeys,
         first: u64,
@@ -835,7 +835,7 @@ mod reference {
         Ok(out)
     }
 
-    pub fn prod_encrypt(
+    pub(super) fn prod_encrypt(
         fmt: HfpFormat,
         keys: &CommKeys,
         first: u64,
@@ -862,7 +862,7 @@ mod reference {
         Ok(out)
     }
 
-    pub fn sum_exp_encrypt(
+    pub(super) fn sum_exp_encrypt(
         fmt: HfpFormat,
         keys: &CommKeys,
         first: u64,
@@ -878,7 +878,7 @@ mod reference {
     }
 
     /// Decryption of all three: divide by the stream at `base`.
-    pub fn decrypt(
+    pub(super) fn decrypt(
         fmt: HfpFormat,
         keys: &CommKeys,
         base: u128,

@@ -24,6 +24,7 @@
 //! (ring-word abstraction), [`properties`] (the Table 2 property matrix).
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod derived;
 pub mod fixed;

@@ -14,6 +14,7 @@
 //! communication").
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod sharded;
 

@@ -50,6 +50,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub use hear_baselines as baselines;
 pub use hear_core as core;

@@ -19,6 +19,7 @@
 //! * [`f16`](mod@f16) — soft IEEE binary16 for FP16 workloads.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod f16;
 pub mod format;

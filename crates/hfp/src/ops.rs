@@ -19,7 +19,7 @@
 //! result, a tampered one included, is the bits those kernels give.
 
 use crate::format::Hfp;
-use crate::ringexp::{mask, ring_add, ring_from_i64, ring_sub, sign_extend};
+use crate::ringexp::{mask, ring_sub, sign_extend};
 
 /// Whether `h` takes the FPU path: a canonical significand (hidden one
 /// in place, nothing above it) of at most 53 bits.
@@ -162,12 +162,6 @@ pub fn div(a: &Hfp, b: &Hfp, out_ew: u32, out_mw: u32) -> Hfp {
     }
 }
 
-/// Reciprocal of a noise value (used by Eq. 7 decryption:
-/// `F^{-1} = (-1)^{s_f} × 1/m_f × 2^{-e_f}`).
-pub fn recip(b: &Hfp, out_ew: u32, out_mw: u32) -> Hfp {
-    div(&Hfp::one(b.ew, b.mw), b, out_ew, out_mw)
-}
-
 /// What [`add`] returns for operands of different widths: zero-width, so
 /// it is no format's ciphertext. Every later [`add`] with it returns it
 /// again, and a float cipher decrypts it to NaN, which no digest check
@@ -257,26 +251,12 @@ pub fn neg(a: &Hfp) -> Hfp {
     out
 }
 
-/// Re-round a value into different widths (e.g. demote a decrypted result
-/// from the ciphertext ring back to the plaintext layout). Exponent bits
-/// are truncated on the ring, which is only meaningful when the value is
-/// known to fit — callers check [`Hfp::exponent`] first.
-pub fn round_to(a: &Hfp, out_ew: u32, out_mw: u32) -> Hfp {
-    let base = ring_add(
-        ring_from_i64(a.exponent(), out_ew),
-        ring_from_i64(out_mw as i64 - a.mw as i64, out_ew),
-        out_ew,
-    );
-    reference::normalize_round(a.sig as u128, base, a.sign, out_ew, out_mw)
-}
-
 /// The scalar kernels as first written — integer significands normalized
 /// in `u128`, a jump per rounding decision, a three-way operand ordering,
 /// two software divisions. Kept as the reference the FPU kernels above
 /// are property-tested against bit for bit (here and in `hear-core`'s
 /// float ciphers), as the baseline `crypto_throughput`'s float rows time,
-/// as the cold path of a non-canonical significand, and as [`round_to`],
-/// which nothing hot calls.
+/// and as the cold path of a non-canonical significand.
 #[doc(hidden)]
 pub mod reference {
     use crate::format::Hfp;
@@ -284,7 +264,7 @@ pub mod reference {
     use std::cmp::Ordering;
 
     #[inline]
-    pub fn normalize_round(r: u128, base_exp: u64, sign: bool, ew: u32, mw: u32) -> Hfp {
+    pub(super) fn normalize_round(r: u128, base_exp: u64, sign: bool, ew: u32, mw: u32) -> Hfp {
         if r == 0 {
             return Hfp::zero(ew, mw);
         }
@@ -421,6 +401,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ringexp::ring_from_i64;
 
     fn h(v: f64, ew: u32, mw: u32) -> Hfp {
         Hfp::from_f64(v, ew, mw).unwrap()
@@ -488,18 +469,6 @@ mod tests {
         // 1/3 in (8,23): compare against f32 semantics (same mantissa width).
         let r = div(&h(1.0, 8, 23), &h(3.0, 8, 23), 8, 23);
         assert_eq!(r.to_f64(), (1.0f32 / 3.0f32) as f64);
-    }
-
-    #[test]
-    fn recip_matches_div() {
-        let b = h(1.7, 10, 21);
-        let r1 = recip(&b, 10, 21);
-        let r2 = div(&Hfp::one(10, 21), &b, 10, 21);
-        assert_eq!(r1, r2);
-        // recip(recip(x)) ≈ x.
-        let back = recip(&r1, 10, 21);
-        let rel = (back.to_f64() - 1.7).abs() / 1.7;
-        assert!(rel < 1e-5, "rel {rel}");
     }
 
     #[test]
@@ -600,14 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn round_to_demotes() {
-        let wide = h(1.0 + f64::powi(2.0, -20), 10, 23);
-        let narrow = round_to(&wide, 5, 10);
-        assert_eq!(narrow.to_f64(), 1.0);
-        assert_eq!((narrow.ew, narrow.mw), (5, 10));
-    }
-
-    #[test]
     fn table3_mul_example() {
         // Table 3 (MPI_PROD, half precision): rank 1 value 1.125×2^9 with
         // noise 1.75×2^22 encrypts to 1.969×2^31 — but the printed table
@@ -702,7 +663,7 @@ mod proptests {
 mod bit_identity {
     use super::*;
     use crate::format::HfpFormat;
-    use crate::ringexp::mask;
+    use crate::ringexp::{mask, ring_add, ring_from_i64};
     use proptest::prelude::*;
     use proptest::TestRng;
 

@@ -33,12 +33,6 @@ pub fn ring_sub(a: u64, b: u64, w: u32) -> u64 {
     a.wrapping_sub(b) & mask(w)
 }
 
-/// `-a` on the `w`-bit ring.
-#[inline]
-pub fn ring_neg(a: u64, w: u32) -> u64 {
-    a.wrapping_neg() & mask(w)
-}
-
 /// Embed a signed value into the `w`-bit ring (two's complement).
 #[inline]
 pub fn ring_from_i64(v: i64, w: u32) -> u64 {
@@ -96,8 +90,6 @@ mod tests {
     fn ring_ops_wrap() {
         assert_eq!(ring_add(30, 5, 5), 3); // 35 mod 32
         assert_eq!(ring_sub(2, 5, 5), 29);
-        assert_eq!(ring_neg(1, 5), 31);
-        assert_eq!(ring_neg(0, 5), 0);
     }
 
     #[test]

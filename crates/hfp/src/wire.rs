@@ -19,7 +19,7 @@ pub struct PackedHfp {
 
 impl PackedHfp {
     /// Bits per element: sign + exponent + stored mantissa.
-    pub fn bits_per_element(ew: u32, mw: u32) -> u32 {
+    fn bits_per_element(ew: u32, mw: u32) -> u32 {
         1 + ew + mw
     }
 

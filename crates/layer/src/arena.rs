@@ -73,11 +73,6 @@ impl ScratchArena {
         }
         self.slots.push((id, Box::new(Some(v))));
     }
-
-    /// Number of slots (occupied or leased-out) across all types.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +103,7 @@ mod tests {
         let b: Vec<u64> = arena.take_vec();
         assert_eq!(b.capacity(), 0);
         arena.put_vec(b);
-        assert_eq!(arena.slot_count(), 2);
+        assert_eq!(arena.slots.len(), 2);
     }
 
     #[test]
@@ -121,13 +116,13 @@ mod tests {
         assert_ne!(a.as_ptr(), b.as_ptr());
         arena.put_vec(a);
         arena.put_vec(b);
-        assert_eq!(arena.slot_count(), 2);
+        assert_eq!(arena.slots.len(), 2);
         // Both parked buffers come back; no third slot appears.
         let a2: Vec<u8> = arena.take_vec();
         let b2: Vec<u8> = arena.take_vec();
         arena.put_vec(a2);
         arena.put_vec(b2);
-        assert_eq!(arena.slot_count(), 2);
+        assert_eq!(arena.slots.len(), 2);
     }
 
     #[test]
@@ -137,7 +132,7 @@ mod tests {
             let mut v: Vec<u64> = arena.take_vec();
             v.extend(0..128);
             arena.put_vec(v);
-            assert_eq!(arena.slot_count(), 1, "round {round}");
+            assert_eq!(arena.slots.len(), 1, "round {round}");
         }
     }
 }

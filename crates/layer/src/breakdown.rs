@@ -42,15 +42,6 @@ impl PhaseBreakdown {
         100.0 * crypto.as_secs_f64() / self.comm.as_secs_f64()
     }
 
-    /// Mean per-iteration latency of one full secured allreduce.
-    /// [`Duration::ZERO`] when no iterations ran.
-    pub fn per_iteration(&self) -> Duration {
-        if self.iterations == 0 {
-            return Duration::ZERO;
-        }
-        self.total() / self.iterations
-    }
-
     /// Fold a drained span stream into the accumulator. Only *top-level*
     /// spans (depth 0) with the five phase names count: the instrumented
     /// substrate emits nested spans with overlapping names (hear-core's
@@ -169,7 +160,6 @@ mod tests {
         assert!(b.encrypt > Duration::ZERO);
         assert!(b.decrypt > Duration::ZERO);
         assert!(b.total() >= b.comm);
-        assert!(b.per_iteration() > Duration::ZERO);
     }
 
     #[test]
@@ -206,24 +196,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(b.crypto_overhead_pct(), 0.0);
-    }
-
-    #[test]
-    fn zero_iterations_per_iteration_is_zero() {
-        // Satellite fix: iterations == 0 must not read as "1 iteration".
-        let b = PhaseBreakdown {
-            comm: Duration::from_millis(3),
-            iterations: 0,
-            ..Default::default()
-        };
-        assert_eq!(b.per_iteration(), Duration::ZERO);
-        // And the happy path still divides.
-        let b2 = PhaseBreakdown {
-            comm: Duration::from_millis(4),
-            iterations: 2,
-            ..Default::default()
-        };
-        assert_eq!(b2.per_iteration(), Duration::from_millis(2));
     }
 
     #[test]

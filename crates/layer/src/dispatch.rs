@@ -37,7 +37,7 @@ pub enum TypedSlice<'a> {
 }
 
 impl TypedSlice<'_> {
-    pub fn datatype_name(&self) -> &'static str {
+    fn datatype_name(&self) -> &'static str {
         match self {
             TypedSlice::U8(_) => "MPI_UINT8_T",
             TypedSlice::U16(_) => "MPI_UINT16_T",

@@ -175,13 +175,21 @@ impl SecureComm {
         // `allgather_with_into`), so the layout is checked before `out` is
         // sized by it.
         let counts_tag = self.comm.reserve_coll_tags(1);
-        let mut ones: Vec<usize> = self.arena.take_vec();
-        ones.resize(world, 1);
+        let mut counts = vec![0u64; world];
         let exchanged = loop {
             let tag = attempt_tag(counts_tag, 0, ctl.attempt);
-            let own = vec![mine.len() as u64];
-            match (self.comm).try_allgather_tagged(tag, own, &ones, ctl.deadline()) {
-                Ok(counts) => break Ok(counts),
+            let mut chunks: Vec<Vec<u64>> = vec![Vec::new(); world];
+            chunks[self.rank()].push(mine.len() as u64);
+            // A count that arrives as anything but one element is a damaged
+            // frame: a typed error, never a panic.
+            let mut one_each = true;
+            let visit = |c: usize, n: &[u64]| match n {
+                [n] => counts[c] = *n,
+                _ => one_each = false,
+            };
+            match (self.comm).try_allgather_chunks(tag, &mut chunks, visit, ctl.deadline()) {
+                Ok(()) if one_each => break Ok(()),
+                Ok(()) => break Err(EngineError::Verification(VerificationError)),
                 Err(e) => {
                     let step = ctl.on_error(EngineError::Comm(e));
                     if let Err(err) = self.take_step(step, None) {
@@ -190,8 +198,7 @@ impl SecureComm {
                 }
             }
         };
-        self.arena.put_vec(ones);
-        let counts = exchanged?;
+        exchanged?;
         // `try_reserve_exact` turns an allocation a lying count made
         // impossible into an error instead of an abort; with the capacity
         // already there it is free.

@@ -17,8 +17,8 @@ use crate::engine::{EngineCfg, EngineError};
 use crate::secure::SecureComm;
 use hear_core::derived::{moments_to_stats, variance_moments, MpiOp, UnsupportedOp};
 use hear_core::{
-    CommKeys, FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumScheme, HfpFormat,
-    IntProdScheme, IntSumScheme, Scheme,
+    CommKeys, FixedCodec, FixedSumScheme, FloatSumScheme, HfpFormat, IntProdScheme, IntSumScheme,
+    Scheme,
 };
 use hear_mpi::Communicator;
 use hear_prf::{par_xor_keystream_into, xor_keystream_into, Backend, Prf, PrfCipher, WorkerPool};
@@ -78,36 +78,6 @@ impl SecureComm {
         let flat: Vec<f64> = data.iter().flat_map(|&(re, im)| [re, im]).collect();
         let out = self.allreduce_with(&mut FloatSumScheme::new(fmt), &flat, EngineCfg::sync())?;
         Ok(out.chunks_exact(2).map(|c| (c[0], c[1])).collect())
-    }
-
-    /// Complex float *product* (the other half of Table 2's "Float,
-    /// Complex"): products are not component-wise, but in polar form they
-    /// decompose exactly onto the two HEAR float schemes — magnitudes
-    /// multiply (Eq. 6) while phases add (Eq. 7). Phases are reduced
-    /// mod 2π on decode.
-    pub fn allreduce_complex_prod(
-        &mut self,
-        data: &[(f64, f64)],
-    ) -> Result<Vec<(f64, f64)>, EngineError> {
-        let cfg = EngineCfg::sync();
-        let (mags, phases): (Vec<f64>, Vec<f64>) = data
-            .iter()
-            .map(|(re, im)| ((re * re + im * im).sqrt(), im.atan2(*re)))
-            .unzip();
-        // Magnitude channel: multiplicative scheme, δ=0 (fp64 for range —
-        // products of many magnitudes stress the exponent).
-        let mut mag = FloatProdScheme::new(HfpFormat::fp64(0, 0));
-        let mag_prod = self.allreduce_with(&mut mag, &mags, cfg)?;
-        // Phase channel: additive scheme; the sum of phases can exceed the
-        // fp32 plaintext range only after ~2^120 factors, so fp32 γ=2 is
-        // plenty.
-        let mut phase = FloatSumScheme::new(HfpFormat::fp32(2, 2));
-        let phase_sum = self.allreduce_with(&mut phase, &phases, cfg)?;
-        Ok(mag_prod
-            .iter()
-            .zip(&phase_sum)
-            .map(|(r, theta)| (r * theta.cos(), r * theta.sin()))
-            .collect())
     }
 
     /// Encrypted `MPI_Reduce(MPI_SUM)` to `root` (§8: like Allreduce,
@@ -251,11 +221,6 @@ impl SecureP2p {
         }
     }
 
-    /// Space cost in keys — Θ(N), as §8 notes.
-    pub fn key_count(&self) -> usize {
-        self.send_prf.len() + self.recv_prf.len()
-    }
-
     /// Send a u32 vector to `dst`, XOR-encrypted under the pair key with
     /// the current sequence number.
     pub fn send(&mut self, dst: usize, tag: u64, data: &[u32]) {
@@ -280,16 +245,10 @@ impl SecureP2p {
     }
 
     /// Encrypted atomic-style accumulate: ship an addend to the owner of a
-    /// counter (the §8 one-to-one atomic pattern). The owner applies it
-    /// with [`SecureP2p::drain_accumulate`].
+    /// counter (the §8 one-to-one atomic pattern). The owner receives it
+    /// with [`SecureP2p::recv`] and folds it in.
     pub fn accumulate(&mut self, owner: usize, tag: u64, addend: u32) {
         self.send(owner, tag, &[addend]);
-    }
-
-    /// Owner side: receive one accumulate from `src` and fold it.
-    pub fn drain_accumulate(&mut self, src: usize, tag: u64, counter: &mut u32) {
-        let v = self.recv(src, tag);
-        *counter = counter.wrapping_add(v[0]);
     }
 }
 
@@ -459,7 +418,8 @@ mod tests {
     fn p2p_roundtrip_and_temporal_safety() {
         let results = Simulator::new(2).run(|comm| {
             let mut p2p = SecureP2p::new(comm.clone(), 0x77, Backend::best_available());
-            assert_eq!(p2p.key_count(), 4);
+            // Θ(N) keys per rank, as §8 notes.
+            assert_eq!(p2p.send_prf.len() + p2p.recv_prf.len(), 4);
             if comm.rank() == 0 {
                 p2p.send(1, 1, &[7, 7, 7]);
                 p2p.send(1, 1, &[7, 7, 7]); // same payload again
@@ -502,8 +462,9 @@ mod tests {
             let mut p2p = SecureP2p::new(comm.clone(), 0x99, Backend::best_available());
             if comm.rank() == 0 {
                 let mut counter = 100u32;
-                p2p.drain_accumulate(1, 3, &mut counter);
-                p2p.drain_accumulate(2, 3, &mut counter);
+                for src in [1, 2] {
+                    counter = counter.wrapping_add(p2p.recv(src, 3)[0]);
+                }
                 counter
             } else {
                 p2p.accumulate(0, 3, comm.rank() as u32 * 10);
@@ -511,63 +472,6 @@ mod tests {
             }
         });
         assert_eq!(results[0], 100 + 10 + 20);
-    }
-}
-
-#[cfg(test)]
-mod complex_prod_tests {
-    use super::*;
-    use hear_core::CommKeys;
-    use hear_mpi::Simulator;
-
-    #[test]
-    fn complex_product_matches_reference() {
-        let world = 4;
-        let results = Simulator::new(world).run(move |comm| {
-            let keys = CommKeys::generate(world, 21, Backend::best_available())
-                .into_iter()
-                .nth(comm.rank())
-                .unwrap();
-            let mut sc = SecureComm::new(comm.clone(), keys);
-            // Per-rank factors with varied magnitude and phase.
-            let r = comm.rank() as f64;
-            let z = [(1.1 + 0.1 * r, 0.2 * r - 0.3), (0.8, -0.5 + 0.1 * r)];
-            let got = sc.allreduce_complex_prod(&z).unwrap();
-            // Plaintext reference through the same communicator.
-            let reference =
-                comm.allreduce(&z, |a, b| (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0));
-            (got, reference)
-        });
-        for (got, reference) in &results {
-            for (g, e) in got.iter().zip(reference) {
-                let mag = (e.0 * e.0 + e.1 * e.1).sqrt().max(1e-9);
-                assert!(
-                    ((g.0 - e.0).powi(2) + (g.1 - e.1).powi(2)).sqrt() / mag < 1e-3,
-                    "{g:?} vs {e:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rotation_composition() {
-        // Multiplying unit vectors composes rotations: P ranks each rotate
-        // by 2π/P; the product must come back to ~1+0i.
-        let world = 6;
-        let results = Simulator::new(world).run(move |comm| {
-            let keys = CommKeys::generate(world, 22, Backend::best_available())
-                .into_iter()
-                .nth(comm.rank())
-                .unwrap();
-            let mut sc = SecureComm::new(comm.clone(), keys);
-            let theta = std::f64::consts::TAU / world as f64;
-            sc.allreduce_complex_prod(&[(theta.cos(), theta.sin())])
-                .unwrap()
-        });
-        for r in &results {
-            assert!((r[0].0 - 1.0).abs() < 1e-3, "{:?}", r[0]);
-            assert!(r[0].1.abs() < 1e-3);
-        }
     }
 }
 

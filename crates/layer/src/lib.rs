@@ -16,6 +16,7 @@
 //! engine.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod arena;
 pub mod breakdown;

@@ -197,7 +197,7 @@ macro_rules! packet_shape_rows {
 
 /// Every verified-packet shape the seven schemes produce, in type-id
 /// order — the engine's one shape list, with sizes.
-pub fn packet_shapes() -> Vec<PacketShape> {
+fn packet_shapes() -> Vec<PacketShape> {
     let rows = for_each_packet_shape!(packet_shape_rows);
     rows.iter().enumerate().map(|(i, row)| row(i)).collect()
 }

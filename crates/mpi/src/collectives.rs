@@ -144,8 +144,9 @@ impl Communicator {
         buf
     }
 
-    /// Binomial-tree reduction to `root`; only the root's return value is
-    /// the reduced vector, other ranks get their (consumed) input back.
+    /// Binomial-tree reduction to `root`: the root returns the reduced
+    /// vector, every other rank sends its subtree's partial fold on by
+    /// move and returns an empty vector.
     pub fn reduce<T, F>(&self, root: usize, data: Vec<T>, op: F) -> Vec<T>
     where
         T: Clone + Send + 'static,
@@ -162,8 +163,8 @@ impl Communicator {
         while mask < world {
             if vrank & mask != 0 {
                 let parent = ((vrank & !mask) + root) % world;
-                self.send_internal(parent, tag, acc.clone());
-                break;
+                self.send_internal(parent, tag, acc);
+                return Vec::new();
             }
             let child_v = vrank | mask;
             if child_v < world {
@@ -528,70 +529,6 @@ impl Communicator {
         self.ring_allgather_kept(tag, chunks, deadline)
     }
 
-    /// Fallible tagged ring reduce-scatter on a deadline: every rank
-    /// passes the full vector; rank `r` returns the fully reduced
-    /// elements of chunk `r` (the [`ring_chunk_bounds`] layout) — the
-    /// ring allreduce's first phase, and the chunk vector it ends owning.
-    pub fn try_reduce_scatter_tagged<T, F>(
-        &self,
-        tag: u64,
-        data: &[T],
-        op: F,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<Vec<T>, crate::CommError>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        if self.world() == 1 || data.is_empty() {
-            return Ok(data.to_vec());
-        }
-        let mut chunks = Vec::new();
-        split_chunks(
-            &mut chunks,
-            data,
-            &ring_chunk_bounds(data.len(), self.world()),
-        );
-        self.try_reduce_scatter_chunks(tag, &mut chunks, op, deadline)?;
-        Ok(chunks.swap_remove(self.rank()))
-    }
-
-    /// Fallible tagged ring allgather with per-rank counts: `mine` is
-    /// this rank's `counts[rank]`-element contribution; every rank
-    /// returns the rank-ordered concatenation.
-    pub fn try_allgather_tagged<T>(
-        &self,
-        tag: u64,
-        mine: Vec<T>,
-        counts: &[usize],
-        deadline: Option<std::time::Instant>,
-    ) -> Result<Vec<T>, crate::CommError>
-    where
-        T: Clone + Send + 'static,
-    {
-        let (world, rank) = (self.world(), self.rank());
-        assert_eq!(counts.len(), world, "need one count per rank");
-        assert_eq!(
-            mine.len(),
-            counts[rank],
-            "contribution must match counts[rank]"
-        );
-        if world == 1 {
-            return Ok(mine);
-        }
-        let mut chunks: Vec<Vec<T>> = (0..world).map(|_| Vec::new()).collect();
-        chunks[rank] = mine;
-        let bounds = counts.iter().scan(0, |at, n| {
-            let start = *at;
-            *at += n;
-            Some((start, *at))
-        });
-        let mut out = Assembly::new(bounds.collect());
-        let place = |c: usize, chunk: &[T]| out.place(c, chunk);
-        self.try_allgather_chunks(tag, &mut chunks, place, deadline)?;
-        Ok(out.finish())
-    }
-
     /// Fallible tagged personalized all-to-all on a deadline:
     /// `chunks[r]` goes to rank `r`; slot `r` of the result is what rank
     /// `r` sent to us. Pairwise exchange — step `d` trades with the
@@ -669,14 +606,6 @@ impl Communicator {
             self.recv_internal::<T>(root, tag)
         }
     }
-
-    /// Personalized all-to-all: `chunks[r]` goes to rank `r`; the result's
-    /// slot `r` is what rank `r` sent to us.
-    pub fn alltoall<T: Clone + Send + 'static>(&self, chunks: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        let tag = self.next_coll_tag();
-        self.try_alltoall_tagged(tag, chunks, None)
-            .unwrap_or_else(|e| panic!("alltoall (tag {tag:#x}) failed: {e}"))
-    }
 }
 
 #[cfg(test)]
@@ -727,6 +656,11 @@ mod tests {
                 });
                 let expect_sum: u64 = (1..=world as u64).sum();
                 assert_eq!(results[root], vec![expect_sum, 10 * world as u64]);
+                for (r, got) in results.iter().enumerate() {
+                    if r != root {
+                        assert!(got.is_empty(), "world={world} root={root} rank={r}");
+                    }
+                }
             }
         }
     }
@@ -827,7 +761,8 @@ mod tests {
             let chunks: Vec<Vec<u32>> = (0..3)
                 .map(|dst| vec![(comm.rank() * 10 + dst) as u32])
                 .collect();
-            comm.alltoall(chunks)
+            let tag = comm.reserve_coll_tags(1);
+            comm.try_alltoall_tagged(tag, chunks, None).unwrap()
         });
         // Rank r's slot s must hold what rank s sent to r: s*10 + r.
         for (r, v) in results.iter().enumerate() {
@@ -839,6 +774,7 @@ mod tests {
 
     #[test]
     fn tagged_reduce_scatter_matches_blocking() {
+        use super::{ring_chunk_bounds, split_chunks};
         for world in [2usize, 3, 4] {
             for len in [5usize, 8, 11] {
                 let results = Simulator::new(world).run(move |comm| {
@@ -846,11 +782,12 @@ mod tests {
                         .map(|j| comm.rank() as u64 * 100 + j)
                         .collect();
                     let blocking = comm.reduce_scatter(&data, |a, b| a + b);
+                    let mut chunks = Vec::new();
+                    split_chunks(&mut chunks, &data, &ring_chunk_bounds(len, world));
                     let tag = comm.reserve_coll_tags(1);
-                    let tagged = comm
-                        .try_reduce_scatter_tagged(tag, &data, |a, b| a + b, None)
+                    comm.try_reduce_scatter_chunks(tag, &mut chunks, |a, b| a + b, None)
                         .unwrap();
-                    (blocking, tagged)
+                    (blocking, chunks.swap_remove(comm.rank()))
                 });
                 let mut covered = 0usize;
                 for (r, (blocking, tagged)) in results.iter().enumerate() {
@@ -864,21 +801,6 @@ mod tests {
                 }
                 assert_eq!(covered, len);
             }
-        }
-    }
-
-    #[test]
-    fn tagged_allgather_uneven_counts() {
-        let results = Simulator::new(4).run(|comm| {
-            let counts = [3usize, 0, 2, 1];
-            let mine: Vec<u32> = (0..counts[comm.rank()] as u32)
-                .map(|j| comm.rank() as u32 * 10 + j)
-                .collect();
-            let tag = comm.reserve_coll_tags(1);
-            comm.try_allgather_tagged(tag, mine, &counts, None).unwrap()
-        });
-        for v in &results {
-            assert_eq!(*v, vec![0, 1, 2, 20, 21, 30]);
         }
     }
 
@@ -967,13 +889,17 @@ mod tests {
         }
     }
 
+    /// The pairwise all-to-all against the blocking scatter from every
+    /// root in turn: slot `r` is what rank `r` scattered to us.
     #[test]
     fn tagged_alltoall_matches_blocking() {
         let results = Simulator::new(3).run(|comm| {
             let chunks: Vec<Vec<u32>> = (0..3)
                 .map(|dst| vec![(comm.rank() * 10 + dst) as u32, 7])
                 .collect();
-            let blocking = comm.alltoall(chunks.clone());
+            let blocking: Vec<Vec<u32>> = (0..3)
+                .map(|root| comm.scatter(root, chunks.clone()))
+                .collect();
             let tag = comm.reserve_coll_tags(1);
             let tagged = comm.try_alltoall_tagged(tag, chunks, None).unwrap();
             (blocking, tagged)
@@ -1010,75 +936,18 @@ impl Communicator {
         F: Fn(&T, &T) -> T,
     {
         let tag = self.next_coll_tag();
-        self.try_reduce_scatter_tagged(tag, data, op, None)
-            .unwrap_or_else(|e| panic!("reduce_scatter (tag {tag:#x}) failed: {e}"))
-    }
-
-    /// Inclusive prefix scan (MPI_Scan): rank `r` returns
-    /// `op(data_0, …, data_r)` element-wise, via the classical
-    /// Hillis–Steele doubling with partial-result separation.
-    pub fn scan<T, F>(&self, data: &[T], op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let tag = self.next_coll_tag();
-        self.inclusive_scan(tag, data, op)
-    }
-
-    /// Exclusive prefix scan (MPI_Exscan): rank 0's result is undefined in
-    /// MPI; here it returns `None`, other ranks get op over ranks 0..rank.
-    pub fn exscan<T, F>(&self, data: &[T], op: F) -> Option<Vec<T>>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let tag = self.next_coll_tag();
-        let (world, rank) = (self.world(), self.rank());
-        // Shift the inclusive scan down one rank, on the sub-tag above
-        // every doubling distance.
-        let inclusive = self.inclusive_scan(tag, data, op);
-        if rank + 1 < world {
-            self.send_internal(rank + 1, tag + 255, inclusive);
+        if self.world() == 1 || data.is_empty() {
+            return data.to_vec();
         }
-        if rank == 0 {
-            None
-        } else {
-            Some(self.recv_internal::<T>(rank - 1, tag + 255))
-        }
-    }
-
-    /// The inclusive scan behind [`Communicator::scan`] and
-    /// [`Communicator::exscan`] on the collective tag `tag`: classical
-    /// Hillis–Steele doubling with partial-result separation, distance
-    /// `dist` on sub-tag `tag + dist`.
-    fn inclusive_scan<T, F>(&self, tag: u64, data: &[T], op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let (world, rank) = (self.world(), self.rank());
-        assert!(
-            world <= 128,
-            "scan uses the 8-bit sub-tag space (dist <= 128)"
+        let mut chunks = Vec::new();
+        split_chunks(
+            &mut chunks,
+            data,
+            &ring_chunk_bounds(data.len(), self.world()),
         );
-        // `result` carries op over ranks 0..=rank; `partial` carries op
-        // over the contiguous window ending at rank (what we forward).
-        let mut result: Vec<T> = data.to_vec();
-        let mut partial: Vec<T> = data.to_vec();
-        let mut dist = 1usize;
-        while dist < world {
-            if rank + dist < world {
-                self.send_internal(rank + dist, tag + dist as u64, partial.clone());
-            }
-            if rank >= dist {
-                let incoming = self.recv_internal::<T>(rank - dist, tag + dist as u64);
-                fold_into(&mut result, &incoming, &op);
-                fold_into(&mut partial, &incoming, &op);
-            }
-            dist *= 2;
-        }
-        result
+        self.try_reduce_scatter_chunks(tag, &mut chunks, op, None)
+            .unwrap_or_else(|e| panic!("reduce_scatter (tag {tag:#x}) failed: {e}"));
+        chunks.swap_remove(self.rank())
     }
 }
 
@@ -1111,62 +980,6 @@ mod more_tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn scan_inclusive_prefixes() {
-        for world in [1usize, 2, 3, 5, 8] {
-            let results = Simulator::new(world)
-                .run(move |comm| comm.scan(&[comm.rank() as u64 + 1, 100], |a, b| a + b));
-            for (r, got) in results.iter().enumerate() {
-                let expect: u64 = (1..=r as u64 + 1).sum();
-                assert_eq!(got[0], expect, "world={world} rank={r}");
-                assert_eq!(got[1], 100 * (r as u64 + 1));
-            }
-        }
-    }
-
-    #[test]
-    fn scan_with_non_commutative_order() {
-        // Scan must respect rank order even for non-commutative ops:
-        // string-like concatenation encoded as (first, last) digit pairs —
-        // simpler: use subtraction-sensitive op f(a,b) = 2a + b which is
-        // associative? It is not; use matrix-like op: f(a,b)=a*10+b won't
-        // be associative either. Use min-prefix instead (commutative but
-        // order-revealing via distinct values per rank).
-        let results = Simulator::new(4)
-            .run(|comm| comm.scan(&[10u64 - comm.rank() as u64], |a, b| *a.min(b)));
-        for (r, got) in results.iter().enumerate() {
-            assert_eq!(
-                got[0],
-                10 - r as u64,
-                "prefix min is the latest rank's value"
-            );
-        }
-    }
-
-    #[test]
-    fn exscan_shifts_by_one() {
-        let results =
-            Simulator::new(4).run(|comm| comm.exscan(&[comm.rank() as u64 + 1], |a, b| a + b));
-        assert!(results[0].is_none());
-        for (r, res) in results.iter().enumerate().skip(1) {
-            let expect: u64 = (1..=r as u64).sum();
-            assert_eq!(res.as_ref().unwrap()[0], expect);
-        }
-    }
-
-    #[test]
-    fn scan_interleaves_with_other_collectives() {
-        let results = Simulator::new(3).run(|comm| {
-            let s = comm.scan(&[1u32], |a, b| a + b);
-            let a = comm.allreduce(&[1u32], |a, b| a + b);
-            let e = comm.exscan(&[1u32], |a, b| a + b);
-            (s[0], a[0], e.map(|v| v[0]))
-        });
-        assert_eq!(results[0], (1, 3, None));
-        assert_eq!(results[1], (2, 3, Some(1)));
-        assert_eq!(results[2], (3, 3, Some(2)));
     }
 
     #[test]

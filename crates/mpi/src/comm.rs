@@ -384,19 +384,6 @@ impl Communicator {
         Self::open_payload(env, src, tag)
     }
 
-    /// Combined send+recv (deadlock-free pairwise exchange).
-    pub fn sendrecv<T: Send + 'static>(
-        &self,
-        dst: usize,
-        send_tag: u64,
-        data: Vec<T>,
-        src: usize,
-        recv_tag: u64,
-    ) -> Vec<T> {
-        self.send(dst, send_tag, data);
-        self.recv(src, recv_tag)
-    }
-
     pub(crate) fn try_sendrecv_internal<T: Send + 'static>(
         &self,
         dst: usize,
@@ -511,7 +498,8 @@ mod tests {
     fn sendrecv_exchanges_between_pair() {
         let results = Simulator::new(2).run(|comm| {
             let partner = 1 - comm.rank();
-            comm.sendrecv(partner, 3, vec![comm.rank() as u32], partner, 3)
+            comm.try_sendrecv_internal(partner, 3, vec![comm.rank() as u32], partner, 3, None)
+                .unwrap()
         });
         assert_eq!(results[0], vec![1]);
         assert_eq!(results[1], vec![0]);

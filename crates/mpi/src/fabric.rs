@@ -94,10 +94,6 @@ impl NetConfig {
         }
     }
 
-    pub fn delay_for(&self, bytes: usize) -> Duration {
-        self.alpha + Duration::from_nanos((self.beta_ns_per_byte * bytes as f64) as u64)
-    }
-
     pub fn is_instant(&self) -> bool {
         self.alpha.is_zero() && self.beta_ns_per_byte == 0.0
     }
@@ -114,20 +110,26 @@ pub(crate) struct LinkClock {
 }
 
 impl LinkClock {
-    pub fn new(net: NetConfig) -> Self {
+    pub(crate) fn new(net: NetConfig) -> Self {
         LinkClock {
             net,
             busy_until: Mutex::new(HashMap::new()),
         }
     }
 
-    pub fn net(&self) -> &NetConfig {
+    pub(crate) fn net(&self) -> &NetConfig {
         &self.net
     }
 
     /// When a `bytes`-sized message sent now on `from → to` becomes
     /// consumable, including any injected extra delay.
-    pub fn available_at(&self, from: usize, to: usize, bytes: usize, extra: Duration) -> Instant {
+    pub(crate) fn available_at(
+        &self,
+        from: usize,
+        to: usize,
+        bytes: usize,
+        extra: Duration,
+    ) -> Instant {
         let now = Instant::now();
         if self.net.is_instant() {
             return now + extra;
@@ -179,7 +181,7 @@ pub(crate) struct Mailbox {
 }
 
 impl Mailbox {
-    pub fn deposit(&self, source: usize, tag: u64, env: Envelope) {
+    pub(crate) fn deposit(&self, source: usize, tag: u64, env: Envelope) {
         let mut st = lock_unpoisoned(&self.state);
         st.queues.entry((source, tag)).or_default().push_back(env);
         self.signal.notify_all();
@@ -187,12 +189,12 @@ impl Mailbox {
 
     /// Wake every parked receiver (used when an endpoint dies, so waits
     /// re-check death flags instead of sleeping out their slice).
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         self.signal.notify_all();
     }
 
     /// Number of `(source, tag)` queues currently held (each non-empty).
-    pub fn pending_queues(&self) -> usize {
+    pub(crate) fn pending_queues(&self) -> usize {
         lock_unpoisoned(&self.state).queues.len()
     }
 
@@ -202,7 +204,7 @@ impl Mailbox {
     /// Production receives go through [`Fabric::recv_on`] (deadline- and
     /// death-aware); this infallible form survives for mailbox unit tests.
     #[cfg(test)]
-    pub fn take(&self, source: usize, tag: u64) -> Envelope {
+    pub(crate) fn take(&self, source: usize, tag: u64) -> Envelope {
         let mut early = None;
         for _ in 0..128 {
             if let Some(env) = lock_unpoisoned(&self.state).pop_match(source, tag) {
@@ -225,17 +227,6 @@ impl Mailbox {
             std::thread::sleep(env.available_at - now);
         }
         env
-    }
-
-    /// Non-blocking probe.
-    #[cfg(test)]
-    pub fn try_take(&self, source: usize, tag: u64) -> Option<Envelope> {
-        let env = lock_unpoisoned(&self.state).pop_match(source, tag)?;
-        let now = Instant::now();
-        if env.available_at > now {
-            std::thread::sleep(env.available_at - now);
-        }
-        Some(env)
     }
 }
 
@@ -363,11 +354,11 @@ pub(crate) struct Fabric {
 
 impl Fabric {
     #[cfg(test)]
-    pub fn new(endpoints: usize, net: NetConfig) -> Self {
+    pub(crate) fn new(endpoints: usize, net: NetConfig) -> Self {
         Fabric::with_faults(endpoints, net, None)
     }
 
-    pub fn with_faults(endpoints: usize, net: NetConfig, faults: Option<FaultPlan>) -> Self {
+    pub(crate) fn with_faults(endpoints: usize, net: NetConfig, faults: Option<FaultPlan>) -> Self {
         let dead: Vec<AtomicBool> = (0..endpoints).map(|_| AtomicBool::new(false)).collect();
         if let Some(plan) = &faults {
             for ep in plan.dead_on_arrival() {
@@ -386,11 +377,11 @@ impl Fabric {
         }
     }
 
-    pub fn is_dead(&self, endpoint: usize) -> bool {
+    pub(crate) fn is_dead(&self, endpoint: usize) -> bool {
         self.dead[endpoint].load(Ordering::SeqCst)
     }
 
-    pub fn is_suspect(&self, endpoint: usize) -> bool {
+    pub(crate) fn is_suspect(&self, endpoint: usize) -> bool {
         self.suspect[endpoint].load(Ordering::SeqCst)
     }
 
@@ -398,7 +389,7 @@ impl Fabric {
     /// resolve to `PeerDead` instead of hanging. Idempotent. Used both by
     /// fault-plan kill triggers and by the simulator when a rank thread
     /// panics.
-    pub fn kill(&self, endpoint: usize) {
+    pub(crate) fn kill(&self, endpoint: usize) {
         if !self.dead[endpoint].swap(true, Ordering::SeqCst) {
             for mb in &self.mailboxes {
                 mb.wake();
@@ -411,7 +402,7 @@ impl Fabric {
         self.kill(endpoint);
     }
 
-    pub fn send_boxed(
+    pub(crate) fn send_boxed(
         &self,
         from: usize,
         to: usize,
@@ -479,7 +470,7 @@ impl Fabric {
     /// Receive on endpoint `me` a message matching `(source, tag)`,
     /// optionally bounded by a deadline. See [`recv_on_mailboxes`] for
     /// the matching and failure semantics.
-    pub fn recv_on(
+    pub(crate) fn recv_on(
         &self,
         me: usize,
         source: usize,
@@ -587,7 +578,7 @@ mod tests {
                 available_at: now,
             },
         );
-        assert!(mb.try_take(0, 3).is_none());
+        assert!(lock_unpoisoned(&mb.state).pop_match(0, 3).is_none());
         assert_eq!(*mb.take(0, 2).payload.downcast::<u8>().unwrap(), 20);
         assert_eq!(*mb.take(0, 1).payload.downcast::<u8>().unwrap(), 10);
     }
@@ -677,7 +668,11 @@ mod tests {
             alpha: Duration::from_nanos(1000),
             beta_ns_per_byte: 2.0,
         };
-        assert_eq!(net.delay_for(500), Duration::from_nanos(2000));
+        // An idle link: α plus β per byte, here 1000 + 2 × 500 ns.
+        let before = Instant::now();
+        let at = LinkClock::new(net).available_at(0, 1, 500, Duration::ZERO);
+        assert!(at >= before + Duration::from_nanos(2000));
+        assert!(at <= Instant::now() + Duration::from_nanos(2000));
         assert!(NetConfig::instant().is_instant());
         assert!(!NetConfig::aries_per_rank().is_instant());
     }

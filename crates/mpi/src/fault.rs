@@ -36,7 +36,7 @@ pub type WireSink = Arc<dyn Fn(String) + Send + Sync>;
 /// What the plan decided to do with one message (before kills are
 /// considered). `Deliver` means "no fault sampled".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     Deliver,
     Drop,
     Delay(Duration),

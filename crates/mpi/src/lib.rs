@@ -5,8 +5,9 @@
 //! [`Simulator`] spawns one thread per rank, each holding a
 //! [`Communicator`] with MPI-style point-to-point messaging (source + tag
 //! matching, non-overtaking), the classical collectives (binomial
-//! broadcast/reduce, recursive-doubling and ring allreduce, allgather,
-//! alltoall, scatter/gather, barrier), nonblocking requests, and — the
+//! broadcast/reduce, recursive-doubling and ring allreduce,
+//! reduce-scatter, allgather, scatter/gather, barrier, and the tagged
+//! pairwise all-to-all), nonblocking requests, and — the
 //! part that motivates HEAR — an in-network switch aggregation tree
 //! ([`inc`]) whose nodes hold **no key material** and fold only opaque
 //! (encrypted) vectors.
@@ -23,6 +24,7 @@
 //! ```
 
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(unreachable_pub)]
 
 mod collectives;
 mod comm;

@@ -150,7 +150,7 @@ pub enum Rendezvous {
 
 impl Rendezvous {
     /// `HEAR_PORT_BASE` (explicit port) or `HEAR_RENDEZVOUS_FILE`.
-    pub fn from_env() -> Option<Rendezvous> {
+    fn from_env() -> Option<Rendezvous> {
         if let Ok(p) = std::env::var("HEAR_PORT_BASE") {
             return p.parse::<u16>().ok().map(Rendezvous::Port);
         }

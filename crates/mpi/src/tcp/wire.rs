@@ -36,9 +36,9 @@ use crate::payload::{self, WIRE_ID_USER_BASE};
 use std::any::Any;
 
 /// First two bytes of every frame.
-pub const MAGIC: u16 = 0xAE57;
+const MAGIC: u16 = 0xAE57;
 /// Current wire protocol version.
-pub const VERSION: u8 = 1;
+const VERSION: u8 = 1;
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 32;
 /// Upper bound on a single frame's payload; anything larger is treated as
@@ -219,11 +219,6 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet parsed into a frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.off
-    }
-
     /// Pop the next complete frame, `Ok(None)` if more bytes are needed,
     /// or a fatal [`WireError`] if the stream is corrupt.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
@@ -393,7 +388,7 @@ mod tests {
             prop_assert_eq!(frame.header.from, from);
             prop_assert_eq!(&frame.payload, &payload);
             prop_assert!(dec.next_frame().unwrap().is_none());
-            prop_assert_eq!(dec.pending(), 0);
+            prop_assert_eq!(dec.buf.len() - dec.off, 0);
         }
     }
 

@@ -7,6 +7,7 @@
 //! scaling harnesses and by `hear-dnn` for the Fig. 9 training study.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod machine;
 pub mod model;

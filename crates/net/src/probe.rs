@@ -35,11 +35,6 @@ impl LinkEstimate {
     pub fn beta(&self) -> f64 {
         1.0 / self.bandwidth
     }
-
-    /// Predicted one-way time for an `n`-byte message on this link.
-    pub fn message_time(&self, n: usize) -> Duration {
-        Duration::from_secs_f64(self.alpha.as_secs_f64() + n as f64 * self.beta())
-    }
 }
 
 /// Measure (α, β) over a fresh TCP loopback connection.
@@ -165,18 +160,6 @@ mod tests {
         );
         assert_eq!(link.samples, 16);
         assert_eq!(link.bulk_bytes, 1 << 20);
-    }
-
-    #[test]
-    fn message_time_is_monotone_in_size() {
-        let link = LinkEstimate {
-            alpha: Duration::from_micros(20),
-            bandwidth: 1e9,
-            samples: 1,
-            bulk_bytes: 1,
-        };
-        assert!(link.message_time(1 << 20) > link.message_time(1 << 10));
-        assert!(link.message_time(0) >= link.alpha);
     }
 
     #[test]

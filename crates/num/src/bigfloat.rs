@@ -38,10 +38,6 @@ impl BigFloat {
         self.mant.is_zero()
     }
 
-    pub fn prec(&self) -> u32 {
-        self.prec
-    }
-
     pub fn is_negative(&self) -> bool {
         self.negative && !self.is_zero()
     }

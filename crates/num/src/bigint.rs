@@ -20,14 +20,14 @@ impl BigInt {
         }
     }
 
-    pub fn from_biguint(mag: BigUint) -> Self {
+    fn from_biguint(mag: BigUint) -> Self {
         BigInt {
             negative: false,
             mag,
         }
     }
 
-    pub fn from_i128(v: i128) -> Self {
+    fn from_i128(v: i128) -> Self {
         BigInt {
             negative: v < 0,
             mag: BigUint::from_u128(v.unsigned_abs()),
@@ -103,7 +103,7 @@ impl BigInt {
     }
 
     /// Reduce into `[0, m)`.
-    pub fn rem_euclid(&self, m: &BigUint) -> BigUint {
+    fn rem_euclid(&self, m: &BigUint) -> BigUint {
         let r = self.mag.rem(m);
         if self.is_negative() && !r.is_zero() {
             m.sub(&r)

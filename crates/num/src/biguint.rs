@@ -94,7 +94,8 @@ impl BigUint {
         }
     }
 
-    pub fn to_u128(&self) -> Option<u128> {
+    #[cfg(test)]
+    fn to_u128(&self) -> Option<u128> {
         match self.limbs.len() {
             0 => Some(0),
             1 => Some(self.limbs[0] as u128),
@@ -332,19 +333,7 @@ impl BigUint {
         a
     }
 
-    /// Parse a decimal string (test/display helper).
-    pub fn from_dec_str(s: &str) -> Option<BigUint> {
-        let mut out = BigUint::zero();
-        for ch in s.bytes() {
-            if !ch.is_ascii_digit() {
-                return None;
-            }
-            out = out.mul_u64(10).add(&BigUint::from_u64((ch - b'0') as u64));
-        }
-        Some(out)
-    }
-
-    pub fn to_dec_string(&self) -> String {
+    fn to_dec_string(&self) -> String {
         if self.is_zero() {
             return "0".to_string();
         }
@@ -501,10 +490,9 @@ mod tests {
     #[test]
     fn decimal_roundtrip() {
         let s = "123456789012345678901234567890123456789";
-        let v = BigUint::from_dec_str(s).unwrap();
+        let v = bu(123456789012345678901234567890123456789);
         assert_eq!(v.to_dec_string(), s);
         assert_eq!(BigUint::zero().to_dec_string(), "0");
-        assert!(BigUint::from_dec_str("12a").is_none());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!   baseline cryptosystems.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod bigfloat;
 pub mod bigint;

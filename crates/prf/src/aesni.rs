@@ -56,7 +56,7 @@ pub fn available() -> bool {
 
 /// Returns true when the CPU also has VAES and AVX2, so the bulk tiles of
 /// an [`AesNi128`] run two blocks per `VAESENC`.
-pub fn vaes_available() -> bool {
+fn vaes_available() -> bool {
     available()
         && std::arch::is_x86_feature_detected!("vaes")
         && std::arch::is_x86_feature_detected!("avx2")
@@ -292,29 +292,6 @@ impl AesNi128 {
         ]
     }
 
-    /// Encrypt eight independent blocks with the rounds interleaved
-    /// eight wide — enough in-flight blocks to saturate the AES unit's
-    /// latency×throughput product on every core since Haswell.
-    #[inline]
-    pub fn encrypt8(&self, blocks: [u128; 8]) -> [u128; 8] {
-        // SAFETY: see `encrypt_block`.
-        unsafe { self.encrypt8_inner(blocks) }
-    }
-
-    #[target_feature(enable = "aes,sse2,ssse3")]
-    unsafe fn encrypt8_inner(&self, blocks: [u128; 8]) -> [u128; 8] {
-        let mut s = [_mm_setzero_si128(); 8];
-        for (x, b) in s.iter_mut().zip(blocks.iter()) {
-            *x = load_be(*b);
-        }
-        aes_rounds!(self, s);
-        let mut out = [0u128; 8];
-        for (o, x) in out.iter_mut().zip(s.iter()) {
-            *o = store_be(*x);
-        }
-        out
-    }
-
     /// CTR batch: encrypt the eight counter blocks `base..base+8`
     /// (wrapping), generating the counters with SIMD adds instead of
     /// per-block `u128` arithmetic + byte-swap round trips.
@@ -462,10 +439,10 @@ mod tests {
             return;
         };
         let sw = Aes128::new(key);
-        let blocks: [u128; 8] = core::array::from_fn(|i| {
-            (i as u128 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835)
-        });
-        let out = hw.encrypt8(blocks);
+        // The eight-wide round interleave, through its CTR entry point.
+        let base = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835u128;
+        let blocks: [u128; 8] = core::array::from_fn(|i| base + i as u128);
+        let out = hw.encrypt_ctr8(base);
         for (i, b) in blocks.iter().enumerate() {
             assert_eq!(out[i], hw.encrypt_block(*b), "vs scalar, block {i}");
             assert_eq!(out[i], sw.encrypt_block(*b), "vs software, block {i}");

@@ -23,6 +23,7 @@
 //! telescoping in Eq. (1)–(3) holds bit-exactly.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(unreachable_pub)]
 
 pub mod aes;
 #[cfg(target_arch = "x86_64")]

@@ -201,7 +201,7 @@ impl WorkerPool {
 
     /// Shard count for a buffer of `bytes`: one shard per [`SHARD_BYTES`],
     /// capped by the thread budget.
-    pub fn shards_for(&self, bytes: usize) -> usize {
+    fn shards_for(&self, bytes: usize) -> usize {
         (bytes / SHARD_BYTES).clamp(1, self.threads)
     }
 

@@ -18,7 +18,7 @@ const H0: [u32; 5] = [
 
 /// One SHA-1 compression over a 64-byte block.
 #[inline]
-pub fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
     let mut w = [0u32; 80];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);

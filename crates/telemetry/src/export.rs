@@ -14,7 +14,7 @@ use std::path::PathBuf;
 
 /// Lane id used in the chrome trace for spans recorded by threads with no
 /// rank attribution (main thread, switch service).
-pub const UNTRACKED_TID: u64 = 999_999;
+const UNTRACKED_TID: u64 = 999_999;
 
 fn tid_of(rank: Option<usize>) -> u64 {
     match rank {

@@ -40,6 +40,7 @@
 //! * `HEAR_TRACE_BUF` — per-lane span ring capacity (default 65536).
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod export;
 pub mod metrics;
@@ -62,12 +63,12 @@ pub fn env_enabled() -> bool {
 
 /// Path prefix for trace dumps: `HEAR_TRACE_OUT`, defaulting to
 /// `hear_telemetry` in the working directory.
-pub fn out_prefix() -> String {
+fn out_prefix() -> String {
     std::env::var("HEAR_TRACE_OUT").unwrap_or_else(|_| "hear_telemetry".to_string())
 }
 
 /// If `HEAR_TRACE` is enabled, write all three exports of the global
-/// registry under [`out_prefix`] and return the paths written. No-op
+/// registry under `out_prefix()` and return the paths written. No-op
 /// (returns `None`) when tracing is off. Call this at the end of
 /// examples/binaries; it is the hook `scripts/ci.sh`'s traced smoke run
 /// relies on.

@@ -275,7 +275,7 @@ impl HistCell {
     }
 
     /// Index of the smallest power-of-two bucket holding `v`.
-    pub fn bucket_index(v: u64) -> usize {
+    fn bucket_index(v: u64) -> usize {
         if v <= 1 {
             0
         } else {

@@ -27,7 +27,7 @@ pub struct SpanArgs {
 }
 
 impl SpanArgs {
-    pub fn from_slice(args: &[(&'static str, u64)]) -> SpanArgs {
+    fn from_slice(args: &[(&'static str, u64)]) -> SpanArgs {
         debug_assert!(
             args.len() <= MAX_SPAN_ARGS,
             "span! supports at most {MAX_SPAN_ARGS} args"

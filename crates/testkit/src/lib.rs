@@ -33,6 +33,7 @@
 //! | `HEAR_BENCH_DIR`      | Directory receiving `BENCH_*.json`            |
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod bench;
 pub mod collection;

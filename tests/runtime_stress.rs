@@ -171,32 +171,6 @@ fn single_rank_world_supports_everything() {
 }
 
 #[test]
-fn large_vector_through_every_algorithm() {
-    let cfg = SimConfig::default().with_switch(4);
-    let n = 50_000usize;
-    let results = Simulator::with_config(4, cfg).run(move |comm| {
-        let data: Vec<u32> = (0..n as u32)
-            .map(|j| j.wrapping_mul(2_654_435_761))
-            .collect();
-        let run = |cfg| {
-            secure(comm, 5)
-                .allreduce_with(&mut IntSumScheme::default(), &data, cfg)
-                .unwrap()
-        };
-        let rd = run(EngineCfg::sync());
-        let ring = run(EngineCfg::sync().with_algo(ReduceAlgo::Ring));
-        let inc = run(EngineCfg::sync().with_algo(ReduceAlgo::Switch));
-        let piped = run(EngineCfg::pipelined(4096).with_algo(ReduceAlgo::Ring));
-        (rd, ring, inc, piped)
-    });
-    for (rd, ring, inc, piped) in &results {
-        assert_eq!(rd, ring);
-        assert_eq!(rd, inc);
-        assert_eq!(rd, piped);
-    }
-}
-
-#[test]
 fn per_communicator_keys_over_split() {
     // Paper §5 "Key Generation": initialization is per communicator, even
     // if some processes are already initialized in another one. Two
