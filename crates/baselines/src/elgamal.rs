@@ -79,7 +79,7 @@ impl ElGamal {
     }
 
     /// Two group elements per ciphertext.
-    pub fn ciphertext_bits(&self) -> u64 {
+    fn ciphertext_bits(&self) -> u64 {
         2 * self.key_bits
     }
 

@@ -84,7 +84,7 @@ impl Paillier {
     }
 
     /// Ciphertext size in bits (elements of Z_{n²}).
-    pub fn ciphertext_bits(&self) -> u64 {
+    fn ciphertext_bits(&self) -> u64 {
         2 * self.key_bits
     }
 

@@ -49,7 +49,7 @@ impl Rsa {
         a.mul(b).rem(&self.n)
     }
 
-    pub fn ciphertext_bits(&self) -> u64 {
+    fn ciphertext_bits(&self) -> u64 {
         self.key_bits
     }
 

@@ -104,6 +104,7 @@ impl Scheme for FixedSumScheme {
         }
     }
 
+    #[inline(always)]
     fn op(a: &u64, b: &u64) -> u64 {
         a.wrapping_add(*b)
     }

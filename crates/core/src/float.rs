@@ -292,6 +292,7 @@ impl Scheme for FloatSumScheme {
 
     /// Ring-exponent addition. Operands of different widths give
     /// [`ops::FOREIGN`].
+    #[inline(always)]
     fn op(a: &Hfp, b: &Hfp) -> Hfp {
         ops::add(a, b)
     }
@@ -397,6 +398,7 @@ impl Scheme for FloatProdScheme {
 
     /// ⊗ on the ciphertext ring. Operands of different widths give
     /// [`ops::FOREIGN`], as [`FloatSumScheme`]'s do.
+    #[inline(always)]
     fn op(a: &Hfp, b: &Hfp) -> Hfp {
         if (a.ew, a.mw) != (b.ew, b.mw) {
             return ops::FOREIGN;
@@ -511,6 +513,7 @@ impl Scheme for FloatSumExpScheme {
         strip_noise(keys, keys.base_zero(), first, self.fmt, agg, dst, f64::ln);
     }
 
+    #[inline(always)]
     fn op(a: &Hfp, b: &Hfp) -> Hfp {
         FloatProdScheme::op(a, b)
     }

@@ -163,6 +163,7 @@ impl<W: RingWord> Scheme for IntSumScheme<W> {
         IntSum::decrypt(keys, first, Payload::Into(agg, dst));
     }
 
+    #[inline(always)]
     fn op(a: &W, b: &W) -> W {
         a.wadd(*b)
     }
@@ -286,6 +287,7 @@ impl<W: RingWord> Scheme for IntProdScheme<W> {
         });
     }
 
+    #[inline(always)]
     fn op(a: &W, b: &W) -> W {
         a.wmul(*b)
     }
@@ -376,6 +378,7 @@ impl<W: RingWord> Scheme for IntXorScheme<W> {
         });
     }
 
+    #[inline(always)]
     fn op(a: &W, b: &W) -> W {
         a.bxor(*b)
     }

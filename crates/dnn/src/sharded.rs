@@ -37,7 +37,8 @@ impl StepStats {
     }
 
     /// Accumulate another step's timings (for averaging over a run).
-    pub fn accumulate(&mut self, other: &StepStats) {
+    #[cfg(test)]
+    fn accumulate(&mut self, other: &StepStats) {
         self.reduce_scatter += other.reduce_scatter;
         self.local_update += other.local_update;
         self.allgather += other.allgather;

@@ -155,7 +155,7 @@ impl Hfp {
 
     /// The smallest positive magnitude: `1.0 × 2^{-2^{ew-1}}`. Input zeros
     /// are encoded as this value (§5.3.6).
-    pub fn smallest(ew: u32, mw: u32) -> Self {
+    fn smallest(ew: u32, mw: u32) -> Self {
         Hfp {
             sign: false,
             exp: ring_from_i64(-(1i64 << (ew - 1)), ew),
@@ -176,8 +176,8 @@ impl Hfp {
             && (self.sig == 0 || (self.sig >> self.mw == 1 && self.sig >> (self.mw + 1) == 0))
     }
 
-    /// Encode a finite `f64` into the given widths. Zero becomes
-    /// [`Hfp::smallest`]; exponent underflow clamps to the smallest
+    /// Encode a finite `f64` into the given widths. Zero becomes the
+    /// smallest positive magnitude; exponent underflow clamps to the smallest
     /// magnitude; exponent overflow is an error.
     #[inline]
     pub fn from_f64(v: f64, ew: u32, mw: u32) -> Result<Self, HfpError> {

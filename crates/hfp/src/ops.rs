@@ -175,6 +175,15 @@ pub const FOREIGN: Hfp = Hfp {
     mw: 0,
 };
 
+/// [`add`] for an operand off the FPU path (a zero, or a significand that
+/// is not canonical in at most 53 bits): rare, so kept out of line, where
+/// it does not stop [`add`] from inlining into a per-element fold.
+#[cold]
+#[inline(never)]
+fn add_off_fpu(a: &Hfp, b: &Hfp) -> Hfp {
+    reference::add(a, b)
+}
+
 /// Ciphertext-domain addition (§5.3.5) — the operation the untrusted
 /// network performs. Operands of different widths give [`FOREIGN`].
 /// Exponent comparison uses the two-difference ring trick; mantissa
@@ -186,7 +195,7 @@ pub const FOREIGN: Hfp = Hfp {
 /// ciphertexts, so neither is decided by a jump: the larger operand's
 /// significand is scaled by the gap with a mask-selected power of two,
 /// and the signs ride on the `f64`s into one IEEE addition.
-#[inline]
+#[inline(always)]
 pub fn add(a: &Hfp, b: &Hfp) -> Hfp {
     if (a.ew, a.mw) != (b.ew, b.mw) {
         return FOREIGN;
@@ -194,7 +203,7 @@ pub fn add(a: &Hfp, b: &Hfp) -> Hfp {
     let (ew, mw) = (a.ew, a.mw);
     // A zero operand goes this way too: the reference returns the other.
     if !(on_fpu(a) && on_fpu(b)) {
-        return reference::add(a, b);
+        return add_off_fpu(a, b);
     }
     // l, the operand with the ring-larger exponent, is `a` on a tie at
     // half the ring, as in `ring_cmp`. At a zero gap which one is l does

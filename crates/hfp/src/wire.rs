@@ -23,12 +23,6 @@ impl PackedHfp {
         1 + ew + mw
     }
 
-    /// Total payload size in bytes (the bandwidth a NIC would see).
-    pub fn wire_bytes(&self) -> usize {
-        let bits = Self::bits_per_element(self.ew, self.mw) as usize * self.len;
-        bits.div_ceil(8)
-    }
-
     /// Pack a ciphertext slice. All elements must share the pack's widths
     /// and must be nonzero (HFP has no zero wire encoding; encoders map
     /// zero to the smallest magnitude first — see `Hfp::to_bits`).
@@ -114,7 +108,7 @@ mod tests {
         let v = vals(100, 10, 23);
         let p = PackedHfp::pack(&v);
         assert_eq!(p.unpack(), v);
-        assert_eq!(p.wire_bytes(), (34usize * 100).div_ceil(8));
+        assert_eq!(p.words.len(), (34usize * 100).div_ceil(64));
     }
 
     #[test]
@@ -130,7 +124,7 @@ mod tests {
     fn empty_and_single() {
         let p = PackedHfp::pack(&[]);
         assert_eq!(p.len, 0);
-        assert_eq!(p.wire_bytes(), 0);
+        assert!(p.words.is_empty());
         assert!(p.unpack().is_empty());
         let v = vals(1, 8, 23);
         assert_eq!(PackedHfp::pack(&v).unpack(), v);
@@ -138,14 +132,15 @@ mod tests {
 
     #[test]
     fn wire_size_shows_gamma_only_inflation() {
-        // 1000 FP32 plaintexts: 4000 bytes. γ=2 ciphertexts: 34 bits each
-        // → 4250 bytes = exactly 2 bits/element of inflation.
+        // 1000 FP32 plaintexts: 500 words. γ=2 ciphertexts: 34 bits each
+        // → 532 words (4256 bytes) = 2 bits/element of inflation, rounded
+        // up to one word.
         let ct = vals(1000, 10, 23);
         let packed = PackedHfp::pack(&ct);
-        assert_eq!(packed.wire_bytes(), 4250);
+        assert_eq!(packed.words.len(), (34usize * 1000).div_ceil(64));
         // γ=0 (δ=0 multiplicative layout): zero inflation.
         let ct = vals(1000, 8, 23);
-        assert_eq!(PackedHfp::pack(&ct).wire_bytes(), 4000);
+        assert_eq!(PackedHfp::pack(&ct).words.len(), 500);
     }
 
     #[test]

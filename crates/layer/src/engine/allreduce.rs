@@ -204,6 +204,7 @@ struct Plain;
 impl<S: Scheme + 'static> Codec<S> for Plain {
     type Wire = S::Wire;
 
+    #[inline(always)]
     fn op(a: &S::Wire, b: &S::Wire) -> S::Wire {
         S::op(a, b)
     }

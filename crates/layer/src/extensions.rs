@@ -243,13 +243,6 @@ impl SecureP2p {
         xor_keystream_into(&self.recv_prf[src], base, 0, &mut buf);
         buf
     }
-
-    /// Encrypted atomic-style accumulate: ship an addend to the owner of a
-    /// counter (the §8 one-to-one atomic pattern). The owner receives it
-    /// with [`SecureP2p::recv`] and folds it in.
-    pub fn accumulate(&mut self, owner: usize, tag: u64, addend: u32) {
-        self.send(owner, tag, &[addend]);
-    }
 }
 
 #[cfg(test)]
@@ -467,7 +460,7 @@ mod tests {
                 }
                 counter
             } else {
-                p2p.accumulate(0, 3, comm.rank() as u32 * 10);
+                p2p.send(0, 3, &[comm.rank() as u32 * 10]);
                 0
             }
         });

@@ -175,11 +175,6 @@ impl SecureComm {
         !self.evicted.is_empty()
     }
 
-    /// Ranks evicted so far, in original-world numbering.
-    pub fn evicted(&self) -> &[usize] {
-        &self.evicted
-    }
-
     /// Completed membership reconfigurations since the last call; each
     /// entry reports one shrink (who left, old and new world size).
     pub fn take_membership_changes(&mut self) -> Vec<crate::engine::MembershipChange> {
@@ -197,12 +192,6 @@ impl SecureComm {
 
     pub fn world(&self) -> usize {
         self.comm.world()
-    }
-
-    /// Access to the underlying (untrusted-side) communicator for
-    /// non-reduction traffic, which HEAR leaves to other mechanisms.
-    pub fn raw(&self) -> &Communicator {
-        &self.comm
     }
 }
 

@@ -107,7 +107,7 @@ impl SwitchTopology {
         }
     }
 
-    pub fn root(&self) -> usize {
+    fn root(&self) -> usize {
         self.nodes - 1
     }
 

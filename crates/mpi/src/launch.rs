@@ -84,12 +84,6 @@ impl Launcher {
         self
     }
 
-    /// Append one command-line argument for every child.
-    pub fn arg(mut self, arg: impl Into<String>) -> Launcher {
-        self.args.push(arg.into());
-        self
-    }
-
     /// Append command-line arguments for every child.
     pub fn args<I: IntoIterator<Item = S>, S: Into<String>>(mut self, args: I) -> Launcher {
         self.args.extend(args.into_iter().map(Into::into));

@@ -127,7 +127,8 @@ impl<R: Send + 'static> Request<R> {
     }
 
     /// True when the result is ready (wait will not block).
-    pub fn test(&self) -> bool {
+    #[cfg(test)]
+    fn test(&self) -> bool {
         lock_unpoisoned(&self.slot.result).is_some()
     }
 }

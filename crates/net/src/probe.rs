@@ -30,13 +30,6 @@ pub struct LinkEstimate {
     pub bulk_bytes: usize,
 }
 
-impl LinkEstimate {
-    /// Seconds per byte (the β of α + nβ·n).
-    pub fn beta(&self) -> f64 {
-        1.0 / self.bandwidth
-    }
-}
-
 /// Measure (α, β) over a fresh TCP loopback connection.
 ///
 /// `pings` round trips of a 1-byte message bound α; one `bulk_bytes`

@@ -38,7 +38,7 @@ impl BigFloat {
         self.mant.is_zero()
     }
 
-    pub fn is_negative(&self) -> bool {
+    fn is_negative(&self) -> bool {
         self.negative && !self.is_zero()
     }
 
@@ -105,7 +105,7 @@ impl BigFloat {
         self.mant = kept;
     }
 
-    pub fn neg(&self) -> BigFloat {
+    fn neg(&self) -> BigFloat {
         let mut out = self.clone();
         if !out.is_zero() {
             out.negative = !out.negative;

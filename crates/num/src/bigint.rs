@@ -38,15 +38,15 @@ impl BigInt {
         self.mag.is_zero()
     }
 
-    pub fn is_negative(&self) -> bool {
+    fn is_negative(&self) -> bool {
         self.negative && !self.mag.is_zero()
     }
 
-    pub fn magnitude(&self) -> &BigUint {
+    fn magnitude(&self) -> &BigUint {
         &self.mag
     }
 
-    pub fn neg(&self) -> BigInt {
+    fn neg(&self) -> BigInt {
         if self.mag.is_zero() {
             self.clone()
         } else {

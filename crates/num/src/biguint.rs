@@ -50,10 +50,6 @@ impl BigUint {
         b
     }
 
-    pub fn limbs(&self) -> &[u64] {
-        &self.limbs
-    }
-
     fn normalize(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();

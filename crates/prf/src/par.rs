@@ -31,7 +31,7 @@
 //! from the submitting thread, keeping every counter identical to the
 //! serial path.
 
-use crate::kernels::{as_uninit, count_pass, fused_blocks, pass_uncounted, Stream};
+use crate::kernels::{as_uninit, count_pass, fused_blocks, pass_uncounted, Stores, Stream};
 use crate::{KernelWord, PrfCipher};
 use std::cell::Cell;
 use std::mem::MaybeUninit;
@@ -44,6 +44,25 @@ use std::thread::JoinHandle;
 /// small-message regime applies and synchronization would cost more than
 /// the memory pass saves.
 pub const PAR_MIN_BYTES: usize = 1 << 20;
+
+/// Smallest whole output (bytes) a `Payload::Into` pass writes with
+/// streaming stores ([`Stores::Streaming`]), decided on the whole output
+/// before sharding so every shard of one pass stores alike.
+///
+/// Only `Into` streams: it writes a caller's result (the unmask into `out`),
+/// which the collective does not read again, so skipping the
+/// read-for-ownership and leaving the cache to the rest of the call wins.
+/// An `Extend` pass writes chunk vectors the ring folds and forwards next,
+/// and those are better left in cache. `large_mem` (2²⁴ `u32`, world 2, on
+/// a 2-vCPU Xeon), alternating 6 s runs: prefetch only 20.6–22.6 ms per
+/// call, streaming both passes 21.7–22.6, streaming `Into` only 17.5–19.3.
+///
+/// One-thread `Into` unmask sweep in isolation, ns per PRF block, plain →
+/// streaming: 4 MiB 1.07 → 1.40, 16 MiB 1.09 → 1.40, 32 MiB 1.47 → 1.47,
+/// 64 MiB 2.06 → 1.40 while the host's shared L3 was quiet; with busy
+/// neighbours streaming already won at 16 MiB (2.34 → 1.96). 32 MiB is
+/// where it stops losing in either state.
+pub(crate) const STREAM_MIN_BYTES: usize = 32 << 20;
 
 /// Target bytes per shard: coarse enough that the per-shard mutex claim is
 /// noise, fine enough that 4 shards exist at [`PAR_MIN_BYTES`].
@@ -441,9 +460,10 @@ pub enum Payload<'a, W> {
 /// payload word read once and written once. The exact serial telemetry
 /// totals are counted on the submitting thread, then uncounted kernels run
 /// over disjoint block-aligned shards; below [`PAR_MIN_BYTES`] or on a
-/// single-thread budget the one shard runs inline. Output and telemetry are
-/// identical to folding the streams one at a time with the serial
-/// [`crate::kernels`] wrappers.
+/// single-thread budget the one shard runs inline. An `Into` pass whose
+/// whole output reaches `STREAM_MIN_BYTES` streams its stores past the
+/// cache. Output and telemetry are identical to folding the streams
+/// one at a time with the serial [`crate::kernels`] wrappers.
 pub fn par_fused_pass<W, const N: usize, F>(
     pool: &WorkerPool,
     streams: &[Stream<'_>; N],
@@ -454,20 +474,43 @@ pub fn par_fused_pass<W, const N: usize, F>(
     W: KernelWord,
     F: Fn(W, [W; N]) -> W + Copy + Send + Sync,
 {
+    let stores = match &payload {
+        Payload::Into(src, _) if std::mem::size_of_val(*src) >= STREAM_MIN_BYTES => {
+            Stores::Streaming
+        }
+        _ => Stores::Cached,
+    };
+    fused_pass_storing(pool, streams, first, payload, f, stores);
+}
+
+/// [`par_fused_pass`] with the store decision given.
+pub(crate) fn fused_pass_storing<W, const N: usize, F>(
+    pool: &WorkerPool,
+    streams: &[Stream<'_>; N],
+    first: u64,
+    payload: Payload<'_, W>,
+    f: F,
+    stores: Stores,
+) where
+    W: KernelWord,
+    F: Fn(W, [W; N]) -> W + Copy + Send + Sync,
+{
     match payload {
         // SAFETY: `buf` is initialised.
-        Payload::InPlace(buf) => unsafe { par_pass(pool, streams, first, None, as_uninit(buf), f) },
+        Payload::InPlace(buf) => unsafe {
+            par_pass(pool, streams, first, None, as_uninit(buf), f, stores)
+        },
         Payload::Extend(src, out) => {
             out.reserve(src.len());
             let dst = &mut out.spare_capacity_mut()[..src.len()];
             // SAFETY: `src` is given, so `dst` need not be initialised.
-            unsafe { par_pass(pool, streams, first, Some(src), dst, f) };
+            unsafe { par_pass(pool, streams, first, Some(src), dst, f, stores) };
             // SAFETY: the pass above wrote every one of these words.
             unsafe { out.set_len(out.len() + src.len()) };
         }
         // SAFETY: `src` is given, so `dst` is only written.
         Payload::Into(src, dst) => unsafe {
-            par_pass(pool, streams, first, Some(src), as_uninit(dst), f)
+            par_pass(pool, streams, first, Some(src), as_uninit(dst), f, stores)
         },
     }
 }
@@ -482,6 +525,7 @@ unsafe fn par_pass<W, const N: usize, F>(
     src: Option<&[W]>,
     dst: &mut [MaybeUninit<W>],
     f: F,
+    stores: Stores,
 ) where
     W: KernelWord,
     F: Fn(W, [W; N]) -> W + Copy + Send + Sync,
@@ -492,7 +536,7 @@ unsafe fn par_pass<W, const N: usize, F>(
     count_pass::<W>(streams, first, len);
     if bytes < PAR_MIN_BYTES || pool.threads() == 1 || nshards == 1 {
         // SAFETY: forwarded contract.
-        return unsafe { pass_uncounted(streams, first, src, dst, f) };
+        return unsafe { pass_uncounted(streams, first, src, dst, f, stores) };
     }
     assert!(src.is_none_or(|s| s.len() == len));
     let ptr = SendPtr(dst.as_mut_ptr());
@@ -504,8 +548,10 @@ unsafe fn par_pass<W, const N: usize, F>(
         // SAFETY: shard ranges are disjoint, within `len`, and `dst`
         // outlives `run` (which joins before returning).
         let shard = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(s), e - s) };
-        // SAFETY: forwarded contract, on this shard's sub-range.
-        unsafe { pass_uncounted(streams, first + s as u64, src.map(|x| &x[s..e]), shard, f) };
+        let src = src.map(|x| &x[s..e]);
+        // SAFETY: forwarded contract, on this shard's sub-range. A
+        // streaming shard fences before it returns, so before the join.
+        unsafe { pass_uncounted(streams, first + s as u64, src, shard, f, stores) };
     });
 }
 

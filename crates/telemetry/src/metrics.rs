@@ -175,7 +175,7 @@ impl Metric {
 
     /// Fixed `key="value"` label distinguishing variants that share a
     /// Prometheus family, if any.
-    pub fn label(self) -> Option<(&'static str, &'static str)> {
+    fn label(self) -> Option<(&'static str, &'static str)> {
         match self {
             Metric::PrfBlocksAesSoft => Some(("backend", "aes_soft")),
             Metric::PrfBlocksAesNi => Some(("backend", "aes_ni")),
@@ -288,14 +288,6 @@ impl HistCell {
         self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
     }
 
     pub(crate) fn bucket(&self, i: usize) -> u64 {

@@ -354,15 +354,6 @@ pub struct PromSample {
     pub value: f64,
 }
 
-impl PromSample {
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
 fn valid_metric_name(s: &str) -> bool {
     !s.is_empty()
         && s.chars()
@@ -504,10 +495,12 @@ mod tests {
                     h_bucket{le=\"+Inf\"} 7\n";
         let samples = parse_prometheus(text).unwrap();
         assert_eq!(samples.len(), 3);
-        assert_eq!(samples[0].label("backend"), Some("aes_ni"));
+        let label = |s: &PromSample| s.labels.clone();
+        let pair = |k: &str, v: &str| vec![(k.to_string(), v.to_string())];
+        assert_eq!(label(&samples[0]), pair("backend", "aes_ni"));
         assert_eq!(samples[0].value, 42.0);
         assert_eq!(samples[1].value, -3.0);
-        assert_eq!(samples[2].label("le"), Some("+Inf"));
+        assert_eq!(label(&samples[2]), pair("le", "+Inf"));
     }
 
     #[test]

@@ -261,24 +261,6 @@ impl Registry {
         evs
     }
 
-    /// Zero every counter/gauge/histogram and clear all span rings.
-    pub fn reset(&self) {
-        for c in &self.inner.counters {
-            c.store(0, Ordering::Relaxed);
-        }
-        for g in &self.inner.gauges {
-            g.store(0, Ordering::Relaxed);
-        }
-        for h in &self.inner.hists {
-            h.reset();
-        }
-        for l in lock_unpoisoned(&self.inner.lanes).iter() {
-            let mut b = lock_unpoisoned(&l.buf);
-            b.ring.clear();
-            b.dropped = 0;
-        }
-    }
-
     /// Ranks that own at least one lane (sorted, deduplicated).
     pub fn lane_ranks(&self) -> Vec<Option<usize>> {
         let mut ranks: Vec<Option<usize>> = lock_unpoisoned(&self.inner.lanes)
@@ -532,20 +514,6 @@ mod tests {
         assert_eq!(r.hist_totals(Hist::FabricMsgBytes), (2, 556));
         assert_eq!(r.hist_bucket(Hist::FabricMsgBytes, 8), 1); // 256
         assert_eq!(r.hist_bucket(Hist::FabricMsgBytes, 9), 1); // 300
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let _serial = serial_enabled();
-        let r = Registry::new_enabled();
-        {
-            let _g = r.install(Some(0));
-            add(Metric::FabricBytes, 123);
-            let _s = crate::span!("x");
-        }
-        r.reset();
-        assert_eq!(r.counter(Metric::FabricBytes), 0);
-        assert!(r.span_events().is_empty());
     }
 
     #[test]

@@ -74,12 +74,6 @@ pub struct SpanEvent {
     pub args: SpanArgs,
 }
 
-impl SpanEvent {
-    pub fn duration(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.dur_ns)
-    }
-}
-
 struct LiveSpan {
     name: &'static str,
     args: SpanArgs,

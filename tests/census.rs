@@ -3,9 +3,12 @@
 //! A plain source scan, in the style of `tests/hermetic.rs`. It lists every
 //! `pub fn|struct|enum|trait|const|type|static` declared under `crates/`
 //! (outside `crates/bench` and `crates/testkit`, which are tooling) and
-//! fails on any item whose name, as a whole word, appears in no other `.rs`
-//! file under `crates/`, `tests/` or `examples/` and that is not on
-//! [`ALLOWLIST`]. A name that only `bench/` mentions counts as uncalled too:
+//! fails on any item that no other `.rs` file under `crates/`, `tests/` or
+//! `examples/` uses and that is not on [`ALLOWLIST`]. An item declared at
+//! the top level of a file is used where its name appears as a whole word;
+//! a method (a `pub fn` declared inside a block) only where it appears
+//! qualified, as `Type::name` or as a call `.name(` — so a method is not
+//! kept alive by an unrelated method, field or local of the same name. A name that only `bench/` mentions counts as uncalled too:
 //! the benchmark package is frozen between benchmark changes, so what it
 //! alone keeps alive is listed here, with a reason, until it retires.
 //!
@@ -88,6 +91,21 @@ const ALLOWLIST: &[(&str, &str, &str)] = &[
         "the plaintext twin of the ring workloads in bench/",
     ),
     (
+        "crates/mpi/src/collectives.rs",
+        "reduce_scatter",
+        "the plaintext reduce-scatter the `zero_step_mem` workload checks against",
+    ),
+    (
+        "crates/dnn/src/sharded.rs",
+        "step",
+        "the `zero_step_mem` workload's one call per step",
+    ),
+    (
+        "crates/dnn/src/sharded.rs",
+        "params",
+        "the `zero_step_mem` workload reads the replica after each step",
+    ),
+    (
         "crates/mpi/src/tcp/wire.rs",
         "FrameDecoder",
         "bench/ times the frame decoder; retire in ROADMAP 4",
@@ -150,6 +168,36 @@ fn words(text: &str) -> impl Iterator<Item = &str> {
         .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
 }
 
+/// The identifiers in `text` used the way a method is: after `::` (a
+/// path, `false`), or after `.` and followed by a call — `(`, or a
+/// turbofish `::<` (a method call, `true`).
+fn qualified_uses(text: &str) -> impl Iterator<Item = (&str, bool)> {
+    let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    let bytes = text.as_bytes();
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        while at < bytes.len() {
+            let start = at;
+            if !ident(bytes[at]) {
+                at += 1;
+                continue;
+            }
+            while at < bytes.len() && ident(bytes[at]) {
+                at += 1;
+            }
+            let (before, word, after) = (&text[..start], &text[start..at], &text[at..]);
+            let call = after.starts_with('(') || after.starts_with("::<");
+            if before.ends_with("::") {
+                return Some((word, false));
+            }
+            if before.ends_with('.') && call {
+                return Some((word, true));
+            }
+        }
+        None
+    })
+}
+
 /// The `pub` items a line declares: `(kind, name)` for
 /// `pub [unsafe|const|async ]*(fn|struct|enum|trait|const|type|static) name`.
 /// `pub(crate)` and friends are not exported and do not match.
@@ -181,12 +229,19 @@ struct Item {
     line: usize,
     kind: String,
     name: String,
+    /// A `pub fn` declared inside a block (an `impl` or a `trait`): used
+    /// only where it appears qualified.
+    method: bool,
 }
 
 struct Census {
     items: Vec<Item>,
     /// Identifier → the files (outside `bench/`) that mention it.
     named_in: BTreeMap<String, BTreeSet<String>>,
+    /// Identifier → the files (outside `bench/`) that use it qualified
+    /// ([`qualified_uses`]), a method call only where that file declares
+    /// no `fn` of the same name.
+    qualified_in: BTreeMap<String, BTreeSet<String>>,
     /// Identifiers `bench/` mentions.
     bench_names: BTreeSet<String>,
 }
@@ -201,8 +256,11 @@ impl Census {
         let mut census = Census {
             items: Vec::new(),
             named_in: BTreeMap::new(),
+            qualified_in: BTreeMap::new(),
             bench_names: BTreeSet::new(),
         };
+        let mut calls_in: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut own_fns: BTreeSet<(String, String)> = BTreeSet::new();
         for path in files {
             // This file names every allowlisted item; it calls none.
             if path == "tests/census.rs" {
@@ -219,6 +277,27 @@ impl Census {
                     files.insert(path.clone());
                 }
             }
+            for line in text.lines() {
+                let mut toks = line.split_whitespace();
+                while let Some(tok) = toks.next() {
+                    if tok == "fn" {
+                        if let Some(name) = toks.next().and_then(|t| words(t).next()) {
+                            own_fns.insert((path.clone(), name.to_string()));
+                        }
+                    }
+                }
+            }
+            for (w, call) in qualified_uses(&text) {
+                let index = if call {
+                    &mut calls_in
+                } else {
+                    &mut census.qualified_in
+                };
+                let files: &mut BTreeSet<String> = index.entry(w.to_string()).or_default();
+                if !files.contains(&path) {
+                    files.insert(path.clone());
+                }
+            }
             let tooling = path.starts_with("crates/bench/") || path.starts_with("crates/testkit/");
             if path.starts_with("crates/") && !tooling {
                 for (i, line) in text.lines().enumerate() {
@@ -228,17 +307,34 @@ impl Census {
                             line: i + 1,
                             kind: kind.to_string(),
                             name: name.to_string(),
+                            method: kind == "fn" && line.starts_with(char::is_whitespace),
                         });
                     }
                 }
             }
         }
+        // A `.name(` call in a file that declares a `fn name` of its own,
+        // public or not, is taken to call that one: `sum.accumulate(…)`
+        // next to `StepStats::accumulate` keeps no other type's
+        // `accumulate` alive.
+        for (name, files) in calls_in {
+            let foreign: Vec<String> = (files.into_iter())
+                .filter(|f| !own_fns.contains(&(f.clone(), name.clone())))
+                .collect();
+            census.qualified_in.entry(name).or_default().extend(foreign);
+        }
         census
     }
 
-    /// True when some file other than the item's own names it.
+    /// True when some file other than the item's own uses it: names it,
+    /// or for a method, names it qualified.
     fn called(&self, item: &Item) -> bool {
-        self.named_in
+        let index = if item.method {
+            &self.qualified_in
+        } else {
+            &self.named_in
+        };
+        index
             .get(&item.name)
             .is_some_and(|files| files.iter().any(|f| *f != item.path))
     }
@@ -337,4 +433,7 @@ fn the_declaration_scanner_reads_every_exported_form() {
     }
     let ws: Vec<&str> = words("a.b_c(2x, _d::E9)").collect();
     assert_eq!(ws, ["a", "b_c", "_d", "E9"]);
+    let text = "x.call(1); y.field; T::assoc; s.turbo::<u8>(); let bare = accumulate; z.m ()";
+    let qs: Vec<(&str, bool)> = qualified_uses(text).collect();
+    assert_eq!(qs, [("call", true), ("assoc", false), ("turbo", true)]);
 }

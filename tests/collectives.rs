@@ -4,11 +4,12 @@
 //! unverified over both the in-memory fabric and real TCP sockets.
 
 use hear::core::{
-    Backend, CommKeys, FloatProdScheme, FloatSumScheme, HfpFormat, Homac, IntSumScheme,
-    IntXorScheme, Scheme,
+    Backend, CommKeys, FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumExpScheme,
+    FloatSumScheme, HfpFormat, Homac, IntProdScheme, IntSumScheme, IntXorScheme, Scheme,
 };
-use hear::layer::{EngineCfg, ReduceAlgo, SecureComm};
-use hear::mpi::{Communicator, SimConfig, Simulator, TransportKind};
+use hear::layer::{EngineCfg, EngineError, ReduceAlgo, RetryPolicy, SecureComm};
+use hear::mpi::{Communicator, FaultPlan, SimConfig, Simulator, TransportKind};
+use std::sync::Arc;
 
 fn secure(comm: &Communicator, seed: u64) -> SecureComm {
     let keys = CommKeys::generate(comm.world(), seed, Backend::best_available())
@@ -365,5 +366,126 @@ fn tcp_allgather_float_cells_are_bit_exact() {
             })
             .collect();
         assert_eq!(*got, expect);
+    }
+}
+
+// ---- the allgather's own piece -------------------------------------------
+
+/// The allgather copies a rank's own piece from its input instead of
+/// opening the cells it sealed: every scheme's gathered vector — the own
+/// piece included — is the inputs bit for bit, blocking (`sync`) and
+/// posted (`pipelined`), bare and verified, with uneven counts.
+fn assert_gathered_bit_for_bit<S, MS, B>(mk_scheme: MS, inputs: &[Vec<S::Input>], bits: B)
+where
+    S: Scheme + 'static,
+    S::Input: Sync,
+    MS: Fn() -> S + Sync,
+    B: Fn(&S::Input) -> u64 + Sync,
+{
+    let want: Vec<u64> = inputs.iter().flatten().map(&bits).collect();
+    for cfg in [EngineCfg::sync(), EngineCfg::pipelined(3)] {
+        for cfg in [cfg, cfg.verified()] {
+            let results = Simulator::new(inputs.len()).run(|comm| {
+                let mut sc = secure(comm, 0x0E11);
+                let out = sc.allgather_with(&mut mk_scheme(), &inputs[comm.rank()], cfg);
+                out.expect("allgather")
+                    .iter()
+                    .map(&bits)
+                    .collect::<Vec<u64>>()
+            });
+            for (rank, got) in results.iter().enumerate() {
+                assert_eq!(*got, want, "{} {cfg:?} rank {rank}", S::NAME);
+            }
+        }
+    }
+}
+
+#[test]
+fn allgather_own_piece_is_the_input_bit_for_bit() {
+    const WORLD: usize = 3;
+    let specials = [
+        -0.0f64,
+        f64::from_bits(0x7FF8_0000_0000_1234), // NaN with payload
+        f64::from_bits(0xFFF0_0000_0000_0001), // signalling NaN, sign set
+        f64::INFINITY,
+        5e-324,
+        -1.5e300,
+        0.25,
+    ];
+    let floats: Vec<Vec<f64>> = (0..WORLD)
+        .map(|r| {
+            (0..8 + r)
+                .map(|i| specials[(i + r) % specials.len()] * if i > 6 { -1.0 } else { 1.0 })
+                .collect()
+        })
+        .collect();
+    let ints = |mul: u64| -> Vec<Vec<u64>> {
+        (0..WORLD)
+            .map(|r| {
+                (0..8 + r as u64)
+                    .map(|i| (i + 1).wrapping_mul(mul) ^ (r as u64) << 60)
+                    .collect()
+            })
+            .collect()
+    };
+    let fmt = HfpFormat::fp64(2, 2);
+    let f = |x: &f64| x.to_bits();
+    assert_gathered_bit_for_bit(|| FloatSumScheme::new(fmt), &floats, f);
+    let exact = HfpFormat::fp64(0, 0);
+    assert_gathered_bit_for_bit(|| FloatProdScheme::new(exact), &floats, f);
+    assert_gathered_bit_for_bit(|| FloatSumExpScheme::new(exact), &floats, f);
+    assert_gathered_bit_for_bit(|| FixedSumScheme::new(FixedCodec::new(16)), &floats, f);
+    let narrow = |v: Vec<Vec<u64>>| -> Vec<Vec<u32>> {
+        v.into_iter()
+            .map(|r| r.into_iter().map(|x| x as u32 | 1).collect())
+            .collect()
+    };
+    let w = |x: &u32| u64::from(*x);
+    assert_gathered_bit_for_bit(IntSumScheme::<u32>::default, &narrow(ints(0x9E37_79B9)), w);
+    assert_gathered_bit_for_bit(IntProdScheme::<u32>::default, &narrow(ints(0x85EB_CA6B)), w);
+    assert_gathered_bit_for_bit(IntXorScheme::<u32>::default, &narrow(ints(0xC2B2_AE35)), w);
+    assert_gathered_bit_for_bit(
+        IntSumScheme::<u64>::default,
+        &ints(0x9E37_79B9_7F4A_7C15),
+        |x| *x,
+    );
+}
+
+/// Not opening the own piece must not stop a piece tampered on the wire
+/// from failing the attempt: every cell message is damaged, every rank
+/// receives one, and each call fails typed with `out` left empty.
+#[test]
+fn a_piece_tampered_on_the_wire_still_fails_the_allgather() {
+    // The counts travel bare; damage only the cell pieces.
+    let spare_the_counts = |payload: &mut dyn std::any::Any, _: u64| payload.is::<Vec<u64>>();
+    for cfg in [EngineCfg::sync(), EngineCfg::pipelined(3)] {
+        let plan = FaultPlan::seeded(0x7A3)
+            .corrupt_one_in(1)
+            .with_corruptor(Arc::new(spare_the_counts));
+        let results =
+            Simulator::with_config(2, SimConfig::default().with_faults(plan)).run(|comm| {
+                let mut sc = secure(comm, 0x7A3);
+                let mine: Vec<u32> = (0..7).map(|i| i * 3 + comm.rank() as u32).collect();
+                let mut out = Vec::new();
+                let cfg = cfg.verified().with_retry(RetryPolicy::retries(0));
+                let res = sc.allgather_with_into(
+                    &mut IntSumScheme::<u32>::default(),
+                    &mine,
+                    &mut out,
+                    cfg,
+                );
+                (res, out)
+            });
+        for (rank, (res, out)) in results.iter().enumerate() {
+            assert!(
+                matches!(res, Err(EngineError::Verification(_))),
+                "{cfg:?} rank {rank}: a tampered piece was accepted: {res:?}"
+            );
+            assert!(
+                out.is_empty(),
+                "{cfg:?} rank {rank}: `out` holds {} elements",
+                out.len()
+            );
+        }
     }
 }
