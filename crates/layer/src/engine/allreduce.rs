@@ -250,6 +250,7 @@ struct Verified<S: Scheme + 'static> {
 impl<S: Scheme + 'static> Codec<S> for Verified<S> {
     type Wire = SchemePacket<S>;
 
+    #[inline(always)]
     fn op(a: &SchemePacket<S>, b: &SchemePacket<S>) -> SchemePacket<S> {
         packet_op::<S>(a, b)
     }

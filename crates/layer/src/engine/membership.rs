@@ -28,25 +28,27 @@
 //! survivor upstream of the victim in a one-round ring allgather, say)
 //! *completes* the full-world collective while its peers fail it. Such a
 //! rank must not walk away — its peers would wait out the agreement
-//! deadline and evict it too. So a rank that completes an attempt while
-//! the transport flags another member dead joins the agreement as well,
-//! and the gossip carries, next to the suspicion mask, where each rank
-//! stands: its collective-call counter and whether it still *needs* that
-//! call's result. The round settles the earliest call anyone still needs
-//! (`resume`): a rank that completed exactly that call discards its
-//! full-world result and re-runs with the others, so every survivor
-//! returns the same survivor-set aggregate; a rank whose peers are all
-//! already past its completed call (they finished it before the death
-//! and failed the next one) keeps its result and reconfigures on its way
-//! into that next call (the call that reports a [`MembershipChange`] is
-//! always the first to return a survivor-set aggregate). If
-//! some rank has *returned* from a call another still needs, nobody can
-//! serve the re-run: no one shrinks and the failed ranks surface their
-//! original typed error. And if the round shows that *nobody* failed
-//! anything — every survivor holds its result; the "corpse" is typically
-//! a peer process that finished the job's last collective and exited —
-//! the membership is left alone, exactly as if nobody had looked: a
-//! clean teardown is not a membership event.
+//! deadline and evict it too. So a rank that completes an attempt while the
+//! transport flags another member dead joins the agreement as well, and the
+//! gossip carries, next to the suspicion mask, where each rank stands: its
+//! collective-call counter, whether it still *needs* that call's result,
+//! and the furthest collective tag block it reserved (every survivor
+//! catches up to the furthest before it shrinks, so all derive the same
+//! shrunk context however far their attempts got). The round settles the
+//! earliest call anyone still needs (`resume`): a rank that completed
+//! exactly that call discards its full-world result and re-runs with the
+//! others, so every survivor returns the same survivor-set aggregate; a
+//! rank whose peers are all already past its completed call (they finished
+//! it before the death and failed the next one) keeps its result and
+//! reconfigures on its way into that next call (the call that reports a
+//! [`MembershipChange`] is always the first to return a survivor-set
+//! aggregate). If some rank has *returned* from a call another still needs,
+//! nobody can serve the re-run: no one shrinks and the failed ranks surface
+//! their original typed error. And if the round shows that *nobody* failed
+//! anything — every survivor holds its result; the "corpse" is typically a
+//! peer process that finished the job's last collective and exited — the
+//! membership is left alone, exactly as if nobody had looked: a clean
+//! teardown is not a membership event.
 //!
 //! ## Failure-detector assumption
 //!
@@ -103,6 +105,9 @@ struct Agreement {
     /// Members given up on because the agreement deadline ran out, not
     /// because the transport flags them dead.
     impatient: u64,
+    /// The furthest collective tag block any survivor has reserved
+    /// (`Communicator::reserve_coll_tags(0)`).
+    tags: u64,
 }
 
 impl Agreement {
@@ -178,9 +183,11 @@ impl SecureComm {
                 // into that one, so that here too the call that reports
                 // the change is the first to return a survivor-set
                 // aggregate.
+                self.catch_up_tags(agreed.tags);
                 self.deferred_shrink = Some(agreed.survivors);
                 return res;
             }
+            self.catch_up_tags(agreed.tags);
             self.shrink_to(&agreed.survivors, false);
         }
     }
@@ -230,6 +237,7 @@ impl SecureComm {
         );
         let (mut mask, mut impatient) = (0u64, 0u64);
         let (mut resume, mut furthest) = (need, call);
+        let mut tags = self.comm.reserve_coll_tags(0);
         for r in (0..world).filter(|&r| r != me) {
             if self.comm.is_peer_dead(r) {
                 mask |= 1 << r;
@@ -249,7 +257,7 @@ impl SecureComm {
             // receives pair up against the same snapshot on both ends.
             let stage_mask = mask;
             for r in (0..world).filter(|&r| r != me && stage_mask & (1 << r) == 0) {
-                let msg = vec![mask, resume, furthest, impatient];
+                let msg = vec![mask, resume, furthest, impatient, tags];
                 if self.comm.try_send_tagged(r, tag, msg).is_err() {
                     mask |= 1 << r;
                 }
@@ -263,11 +271,12 @@ impl SecureComm {
                     .try_recv_tagged::<u64>(r, tag, Some(Instant::now() + wait))
                     .as_deref()
                 {
-                    Ok(&[theirs, their_resume, their_furthest, their_impatient]) => {
+                    Ok(&[theirs, their_resume, their_furthest, their_impatient, their_tags]) => {
                         mask |= theirs;
                         resume = resume.min(their_resume);
                         furthest = furthest.max(their_furthest);
                         impatient |= their_impatient;
+                        tags = tags.max(their_tags);
                     }
                     Err(CommError::PeerDead { .. }) => mask |= 1 << r,
                     _ => {
@@ -284,6 +293,22 @@ impl SecureComm {
             resume,
             furthest,
             impatient,
+            tags,
+        }
+    }
+
+    /// Advance this rank's collective sequence to the furthest block any
+    /// survivor reserved, before a shrink. `Communicator::shrink` mixes
+    /// the sequence into the shrunk context, and an attempt reserves its
+    /// tags phase by phase (an allgather's data rounds only after its
+    /// counts exchange), so survivors whose attempts failed in different
+    /// phases would otherwise shrink onto different contexts and time out
+    /// in the re-run.
+    fn catch_up_tags(&self, furthest: u64) {
+        let mine = self.comm.reserve_coll_tags(0);
+        if furthest > mine {
+            self.comm
+                .reserve_coll_tags((furthest - mine) / COLL_BLOCK_TAG_STRIDE);
         }
     }
 
@@ -480,6 +505,60 @@ mod tests {
             assert_eq!(second.1, if rank == 0 { 1 } else { 2 }, "rank {rank}");
             assert_eq!(second.2, vec![3], "rank {rank}: survivor-set sum");
             assert_eq!(changes.len(), 1, "rank {rank} report");
+        }
+    }
+
+    /// The survivors' failed attempts stopped in different phases: rank 1
+    /// had reserved one more tag block than rank 0 (an allgather whose
+    /// counts exchange one rank passed and the other failed). They must
+    /// still shrink onto one context and meet in the re-run.
+    #[test]
+    fn survivors_that_failed_in_different_phases_rerun_together() {
+        let results = world_with_a_corpse().run(|comm| {
+            if comm.rank() == VICTIM {
+                return None;
+            }
+            let mut sc = secure(comm);
+            if comm.rank() == 1 {
+                sc.comm.reserve_coll_tags(1);
+            }
+            let (res, attempts, out) = call(&mut sc, shrink(), &[peer_dead()]);
+            Some((res, attempts, out, sc.world()))
+        });
+        for (rank, r) in results.iter().enumerate().take(VICTIM) {
+            let (res, attempts, out, world) = r.as_ref().unwrap();
+            assert!(res.is_ok(), "rank {rank}: {res:?}");
+            assert_eq!((*attempts, *world), (2, 2), "rank {rank}");
+            assert_eq!(out, &vec![3], "rank {rank}: survivor-set sum");
+        }
+    }
+
+    /// As `a_survivor_whose_peers_moved_on_keeps_its_result`, but rank 1's
+    /// failed attempt of call 2 had reserved its tags, as a real attempt
+    /// does before its first message: rank 0, which reconfigures only on
+    /// entering call 2, must still land on rank 1's shrunk context.
+    #[test]
+    fn a_deferred_shrink_lands_on_the_context_of_peers_that_moved_on() {
+        let results = world_with_a_corpse().run(|comm| {
+            if comm.rank() == VICTIM {
+                return None;
+            }
+            let mut sc = secure(comm);
+            if comm.rank() == 0 {
+                assert!(call(&mut sc, shrink(), &[Ok(())]).0.is_ok());
+                let second = call(&mut sc, shrink(), &[]);
+                Some((second.0, second.2, sc.world()))
+            } else {
+                assert!(call(&mut sc, RetryPolicy::default(), &[Ok(())]).0.is_ok());
+                sc.comm.reserve_coll_tags(1);
+                let second = call(&mut sc, shrink(), &[peer_dead()]);
+                Some((second.0, second.2, sc.world()))
+            }
+        });
+        for (rank, r) in results.iter().enumerate().take(VICTIM) {
+            let (res, out, world) = r.as_ref().unwrap();
+            assert!(res.is_ok(), "rank {rank}: {res:?}");
+            assert_eq!((out, *world), (&vec![3], 2), "rank {rank}");
         }
     }
 

@@ -59,6 +59,7 @@ pub(crate) use for_each_packet_shape;
 /// payload, field addition on every lane and tag. A non-capturing generic
 /// `fn`, so every transport — including the key-less switch service
 /// threads — can carry it as a plain function pointer.
+#[inline(always)]
 pub(crate) fn packet_op<S: Scheme>(a: &SchemePacket<S>, b: &SchemePacket<S>) -> SchemePacket<S> {
     let (mut d, mut s) = (a.d, a.s);
     for (d, bd) in d.as_mut().iter_mut().zip(b.d.as_ref()) {

@@ -27,7 +27,7 @@
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use crate::error::CommError;
@@ -39,6 +39,16 @@ use crate::transport::{Envelope, Transport};
 /// and it matches the `parking_lot` semantics this module started with).
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `try_lock` ignoring poisoning, like [`lock_unpoisoned`]; `None` while
+/// another thread holds the lock.
+pub(crate) fn try_lock_unpoisoned<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(guard)) => Some(guard.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
 }
 
 /// Upper bound on one condvar park: bounded so a receiver re-checks the
@@ -191,6 +201,13 @@ impl Mailbox {
     /// re-check death flags instead of sleeping out their slice).
     pub(crate) fn wake(&self) {
         self.signal.notify_all();
+    }
+
+    /// Whether a message matching `(source, tag)` is queued.
+    pub(crate) fn holds(&self, source: usize, tag: u64) -> bool {
+        lock_unpoisoned(&self.state)
+            .queues
+            .contains_key(&(source, tag))
     }
 
     /// Number of `(source, tag)` queues currently held (each non-empty).

@@ -23,23 +23,29 @@
 //! rank) measures the real round trip so deadline budgets derived from
 //! [`Transport::rtt_estimate`] stay meaningful over sockets.
 //!
-//! **The live data path is event-driven and single-copy.** Every socket is
-//! blocking. Each inbound connection has one reader thread parked in
-//! `read`: it reads the 32-byte header, then reads the payload straight
-//! into its final buffer — a typed, aligned `Vec<T>` for the built-in
-//! primitive codecs, one exact-size `Vec<u8>` (decoded lazily at
-//! `recv_on`) for registered user codecs — and deposits it into the same
-//! `Mailbox` array the in-memory fabric uses (so `recv_on` semantics —
-//! FIFO per `(source, tag)`, typed deadlines, death flags — are shared
-//! code, not reimplemented). A send writes header and payload with one
-//! vectored write under the connection's writer lock, primitive payloads
-//! borrowed in place. Readers never write and never wait for a rank
-//! thread, so every inbound byte is always drained and two ranks blocked
-//! in large writes to each other cannot deadlock.
+//! **The live data path is receiver-driven.** Every socket is blocking. A
+//! frame is read by whoever holds the connection's `rx` lock: the 32-byte
+//! header, then the payload straight into its final buffer — a typed,
+//! aligned `Vec<T>` for the built-in primitive codecs, one exact-size
+//! `Vec<u8>` (decoded lazily at `recv_on`) for registered user codecs —
+//! deposited into the same `Mailbox` array the in-memory fabric uses (so
+//! `recv_on` semantics — FIFO per `(source, tag)`, typed deadlines, death
+//! flags — are shared code, not reimplemented). A thread waiting in
+//! `recv_on` first polls its own inbound connection and takes every small
+//! frame whose bytes are all queued with one read into a 4 KiB buffer,
+//! parsing it from there (`Inner::poll_for`); the connection's reader
+//! thread reads the rest, and stays parked while a waiter polls so its
+//! wake-ups do not take the waiting ranks' cores. A send writes header and
+//! payload with one vectored write under the connection's writer lock,
+//! primitive payloads borrowed in place. Readers never write and never wait
+//! for a rank thread, and are parked for at most `READER_GRACE` after the
+//! last poll, so every inbound byte is drained and two ranks blocked in
+//! large writes to each other cannot deadlock.
 //!
 //! Failure mapping: EOF / read error / corrupt frame header on a
 //! connection marks the attributed peer dead and wakes every waiter, so
-//! blocked receives resolve to `CommError::PeerDead`; a payload that
+//! blocked receives resolve to `CommError::PeerDead` — but only after the
+//! waiter has read what the peer wrote before it died; a payload that
 //! cannot be decoded poisons only its own message (the matching receive
 //! gets `CommError::TypeMismatch`). A write that makes no progress for one
 //! heartbeat interval marks the peer *suspect* (slow, not dead); progress
@@ -57,13 +63,14 @@ use std::io::{IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use crate::error::CommError;
 use crate::fabric::{
-    count_delivery, lock_unpoisoned, recv_on_mailboxes, LinkClock, Mailbox, NetConfig,
+    count_delivery, lock_unpoisoned, recv_on_mailboxes, try_lock_unpoisoned, LinkClock, Mailbox,
+    NetConfig,
 };
 use crate::fault::{filter_send, FaultPlan, FaultState, SendDecision, SendVerdict};
 use crate::payload;
@@ -89,6 +96,43 @@ const SERVICE_STACK: usize = 128 << 10;
 /// A connection's encode scratch is kept between sends up to this size;
 /// one larger message does not pin its buffer for the life of the world.
 const SCRATCH_KEEP: usize = 4 << 20;
+
+/// Polling steps a thread waiting in `recv_on` takes on its inbound
+/// connection before it hands the connection back to the reader and
+/// parks on its mailbox. One step is a `try_lock`, one non-blocking
+/// `recv` (and one `read` when it takes a frame) and a `yield_now`: 128
+/// steps span about the 128-yield spin of `recv_on_mailboxes` that
+/// follows them.
+const POLL_STEPS: u32 = 128;
+
+/// How long a connection's reader stays parked after a waiting thread
+/// last polled the connection. It bounds how long an inbound byte can sit
+/// undrained once the waiters have gone, so it bounds a sender's stall on
+/// a full buffer too; it must also outlast the gap between one receive
+/// and the next, or the reader wakes in between and takes a core from a
+/// spinning rank. `small_tcp` / `large_tcp` `call_us` (median of three
+/// rounds of 10 s runs, 2 vCPUs; parent 10.39 µs / 2 659 µs; measured on
+/// a first cut that took a frame in four syscalls; EXPERIMENTS.md):
+///
+/// | grace | `small_tcp` µs | `large_tcp` µs |
+/// |---:|---:|---:|
+/// | 50 µs | 5.95 | 2 636 |
+/// | 200 µs | 5.59 | 2 655 |
+/// | 1 ms | 5.39 | 2 643 |
+/// | 5 ms | 5.23 | 2 647 |
+///
+/// 1 ms takes most of the gain at a fifth of 5 ms's drain bound.
+const READER_GRACE: Duration = Duration::from_millis(1);
+
+/// The largest frame, header included, a waiting thread reads itself:
+/// one look at the queue copies all of it, one `read` takes it. A larger
+/// frame is handed to the reader, and the reader keeps its connection
+/// until it reads one this small again. Frame buffers are allocated by
+/// whichever thread reads them, so letting every posted block's helper
+/// read `large_tcp`'s 128 KiB frames spreads their buffers over that many
+/// more malloc arenas: +1.5 MiB peak RSS there, none with one arena
+/// (EXPERIMENTS.md). The frames the receive path is short of are small.
+const WAITER_FRAME_MAX: usize = 4 << 10;
 
 fn setup_timeout() -> Duration {
     std::env::var("HEAR_TCP_SETUP_TIMEOUT_MS")
@@ -160,8 +204,9 @@ impl Rendezvous {
     }
 }
 
-/// The write side of one connection. The read side is a clone of
-/// `stream` owned by the connection's reader thread.
+/// One connection: the socket both directions share, the writer lock and
+/// the read side's state. The reader thread reads through a clone of
+/// `stream`; a waiting thread reads through `stream` itself.
 struct Conn {
     stream: TcpStream,
     /// Held for the whole of a frame write, so frames never interleave;
@@ -169,6 +214,7 @@ struct Conn {
     /// (`shutdown` goes through `stream` directly and needs no lock, so it
     /// also unblocks a writer stalled mid-frame.)
     tx: Mutex<Vec<u8>>,
+    rx: Rx,
 }
 
 impl Conn {
@@ -176,7 +222,175 @@ impl Conn {
         Conn {
             stream,
             tx: Mutex::new(Vec::new()),
+            rx: Rx {
+                lock: Mutex::new(vec![0; WAITER_FRAME_MAX]),
+                ..Rx::default()
+            },
         }
+    }
+}
+
+/// The read side of one connection, shared by its reader thread and the
+/// threads waiting in `recv_on` for a message from the peer behind it.
+#[derive(Default)]
+struct Rx {
+    /// Held for every read off the socket, so each frame is read whole by
+    /// one thread: the reader (which may block inside a frame) or a waiter
+    /// (which reads only a frame whose bytes are all queued). It guards
+    /// the waiters' look buffer, `WAITER_FRAME_MAX` bytes.
+    lock: Mutex<Vec<u8>>,
+    /// When a waiter last polled, in nanoseconds since `Inner::start`
+    /// (0: never). The reader stays parked within `READER_GRACE` of it.
+    polled_at: AtomicU64,
+    /// A waiter left the connection to the reader: it saw a frame it must
+    /// not read (one not yet whole, or larger than `WAITER_FRAME_MAX`), or
+    /// it stopped polling to park. The reader resumes at once, and waiters
+    /// skip the connection until the reader has read a frame a waiter
+    /// could have read.
+    handed_off: AtomicBool,
+    /// The reader thread, unparked by a hand-off.
+    reader: OnceLock<Thread>,
+    // `polled_at` and `handed_off` are stored `Release` and loaded
+    // `Acquire`, but publish nothing beyond themselves: frames are
+    // handed over by the `lock`, and a wake by `unpark` after the store.
+    /// Frames read whole by waiting threads and by the reader, hand-offs,
+    /// and streams a waiter found ended (EOF, corrupt header) first.
+    #[cfg(test)]
+    counts: [AtomicU64; 4],
+}
+
+#[cfg(test)]
+const WAITER_READS: usize = 0;
+#[cfg(test)]
+const READER_READS: usize = 1;
+#[cfg(test)]
+const HAND_OFFS: usize = 2;
+#[cfg(test)]
+const WAITER_ENDS: usize = 3;
+
+impl Rx {
+    /// How much longer the reader should stay parked, if a waiter polled
+    /// within `READER_GRACE` of `now` (nanoseconds since `Inner::start`)
+    /// and has not handed the connection back since.
+    fn grace_left(&self, now: u64) -> Option<Duration> {
+        if self.handed_off.load(Ordering::Acquire) {
+            return None;
+        }
+        let at = self.polled_at.load(Ordering::Acquire);
+        let since = now.saturating_sub(at);
+        let grace = READER_GRACE.as_nanos() as u64;
+        (at != 0 && since < grace).then(|| Duration::from_nanos(grace - since))
+    }
+
+    /// Give the connection back to the reader, waking it if it is parked.
+    fn hand_off(&self) {
+        if !self.handed_off.swap(true, Ordering::AcqRel) {
+            #[cfg(test)]
+            self.counts[HAND_OFFS].fetch_add(1, Ordering::Relaxed);
+            if let Some(reader) = self.reader.get() {
+                reader.unpark();
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn count(&self, which: usize) -> u64 {
+        self.counts[which].load(Ordering::Relaxed)
+    }
+}
+
+/// What a connection's receive queue holds, looked at without consuming
+/// a byte and without blocking.
+enum Queued {
+    /// No byte.
+    Nothing,
+    /// A whole frame of this many bytes, header included, all of them
+    /// copied into the look's buffer.
+    Whole(usize),
+    /// EOF or a corrupt header: `Inner::read_frame` fails on it at once.
+    Broken,
+    /// Part of a frame, a frame larger than the look's buffer, or a state
+    /// only a blocking read can resolve: the reader's to read.
+    Part,
+}
+
+/// Copy what is queued on `stream`, up to `look.len()` bytes, and say
+/// what it is.
+fn queued_frame(stream: &TcpStream, look: &mut [u8]) -> Queued {
+    let n = match sys::peek_now(stream, look) {
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+            ) =>
+        {
+            return Queued::Nothing
+        }
+        Err(_) => return Queued::Part,
+        Ok(0) => return Queued::Broken,
+        Ok(n) if n < HEADER_LEN => return Queued::Part,
+        Ok(n) => n,
+    };
+    let head = look[..HEADER_LEN].try_into().expect("a header's bytes");
+    match FrameHeader::decode(head) {
+        Err(_) => Queued::Broken,
+        Ok(h) if HEADER_LEN + h.len as usize <= n => Queued::Whole(HEADER_LEN + h.len as usize),
+        Ok(_) => Queued::Part,
+    }
+}
+
+/// The transport's one `unsafe` box: a look at a socket's receive queue
+/// that neither consumes nor blocks. `std` has no per-call non-blocking
+/// read, and `set_nonblocking` would flip the writers' side of the shared
+/// socket too, so this calls `recv(2)` with `MSG_PEEK | MSG_DONTWAIT`,
+/// both per-call flags, with Linux's values. Every other target takes the
+/// reader-only path (`SUPPORTED` is false and `peek_now` is `Unsupported`).
+#[cfg(target_os = "linux")]
+mod sys {
+    use std::ffi::{c_int, c_void};
+    use std::net::TcpStream;
+    use std::os::fd::AsRawFd;
+
+    extern "C" {
+        fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+    }
+
+    const MSG_PEEK: c_int = 0x02;
+    const MSG_DONTWAIT: c_int = 0x40;
+
+    pub(super) const SUPPORTED: bool = true;
+
+    /// Copy up to `buf.len()` queued bytes into `buf`, leaving them
+    /// queued: `Ok(0)` at EOF, `WouldBlock` when nothing is queued.
+    pub(super) fn peek_now(stream: &TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
+        // SAFETY: `buf` is a live, exclusively borrowed slice, so the
+        // kernel may write any of its `buf.len()` bytes; the descriptor
+        // is borrowed from `stream`, which outlives the call; the flags
+        // leave the socket's own (blocking) mode untouched.
+        let n = unsafe {
+            recv(
+                stream.as_raw_fd(),
+                buf.as_mut_ptr().cast(),
+                buf.len(),
+                MSG_PEEK | MSG_DONTWAIT,
+            )
+        };
+        if n < 0 {
+            Err(std::io::Error::last_os_error())
+        } else {
+            Ok(n as usize)
+        }
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod sys {
+    use std::net::TcpStream;
+
+    pub(super) const SUPPORTED: bool = false;
+
+    pub(super) fn peek_now(_: &TcpStream, _: &mut [u8]) -> std::io::Result<usize> {
+        Err(std::io::ErrorKind::Unsupported.into())
     }
 }
 
@@ -306,6 +520,8 @@ impl Inner {
         }
     }
 
+    /// The connection endpoint `from` writes to `to` on, which is also the
+    /// one `from` receives `to`'s frames on.
     fn conn_for(&self, from: usize, to: usize) -> Option<&Conn> {
         match &self.topo {
             Topology::Mesh { conns } => conns.get(from * self.total + to)?.as_ref(),
@@ -505,10 +721,8 @@ impl Inner {
                 self.mark_dead(peer);
                 continue;
             }
-            let _tx = match conn.tx.try_lock() {
-                Ok(tx) => tx,
-                Err(TryLockError::Poisoned(tx)) => tx.into_inner(),
-                Err(TryLockError::WouldBlock) => continue,
+            let Some(_tx) = try_lock_unpoisoned(&conn.tx) else {
+                continue;
             };
             let ping = FrameHeader::control(FrameKind::Ping, *me);
             if self.write_frame(peer, &conn.stream, ping, &[], true) {
@@ -517,11 +731,136 @@ impl Inner {
         }
     }
 
+    /// Nanoseconds since `start`, never 0 (`Rx::polled_at`'s "never").
+    fn now_ns(&self) -> u64 {
+        (self.start.elapsed().as_nanos() as u64).max(1)
+    }
+
+    /// The receiver-driven phase of `recv_on`: until a message matching
+    /// `(source, tag)` is in `me`'s mailbox, poll `conn` (the connection
+    /// from `source`) and read each frame whose bytes are all queued, for
+    /// at most `POLL_STEPS` steps. A waiter that got its message leaves
+    /// the reader parked; one that stops for any other reason (a frame it
+    /// must not read, the bound, a deadline, a death) hands the connection
+    /// back first, and `recv_on_mailboxes` then waits for the reader. A
+    /// dead `source` is drained first (`drain_dead`).
+    fn poll_for(&self, conn: &Conn, me: usize, source: usize, tag: u64, deadline: Option<Instant>) {
+        if !sys::SUPPORTED {
+            return;
+        }
+        let mailbox = &self.mailboxes[me];
+        for _ in 0..POLL_STEPS {
+            if mailbox.holds(source, tag) {
+                return;
+            }
+            if self.is_dead(source) {
+                self.drain_dead(conn, source);
+                break;
+            }
+            if self.is_dead(me)
+                || deadline.is_some_and(|d| Instant::now() >= d)
+                || !self.poll_step(conn, source)
+            {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        conn.rx.hand_off();
+    }
+
+    /// One polling step on the connection from `peer`: read its next
+    /// frame if all of it is queued. Never blocks: the `rx` lock is only
+    /// tried, and the look at the queue is non-blocking. Returns `false`
+    /// when the connection is the reader's to read (the reader is then
+    /// awake); `true` when polling may go on, whether or not a frame was
+    /// read.
+    fn poll_step(&self, conn: &Conn, peer: usize) -> bool {
+        let rx = &conn.rx;
+        if rx.handed_off.load(Ordering::Acquire) {
+            return false;
+        }
+        let Some(mut look) = try_lock_unpoisoned(&rx.lock) else {
+            // The reader is inside a frame, or another waiter is polling.
+            return true;
+        };
+        rx.polled_at.store(self.now_ns(), Ordering::Release);
+        match queued_frame(&conn.stream, &mut look) {
+            Queued::Nothing => true,
+            Queued::Part => false,
+            queued => self.read_queued(conn, peer, queued, &mut look),
+        }
+    }
+
+    /// Read every whole frame a dead `peer` left queued on `conn`: it was
+    /// written before the death flag went up, so it must still arrive, as
+    /// it does on the in-memory fabric. Without this a receiver that sees
+    /// the flag before the (possibly parked) reader has read the frame
+    /// would report `PeerDead` for a message that is already here. Waits
+    /// up to `POLL_STEPS` yields for the `rx` lock, whether or not the
+    /// connection was handed off, so a reader reading such a frame can
+    /// finish it.
+    fn drain_dead(&self, conn: &Conn, peer: usize) {
+        if !sys::SUPPORTED {
+            return;
+        }
+        for _ in 0..POLL_STEPS {
+            if let Some(mut look) = try_lock_unpoisoned(&conn.rx.lock) {
+                loop {
+                    let queued = match queued_frame(&conn.stream, &mut look) {
+                        Queued::Nothing | Queued::Part => return,
+                        queued => queued,
+                    };
+                    if !self.read_queued(conn, peer, queued, &mut look) {
+                        return;
+                    }
+                }
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Act on a `Whole` or `Broken` look at `conn`, under its `rx` lock:
+    /// a whole frame is taken off the socket by one read into `look` and
+    /// parsed from there. Returns whether the stream goes on: on EOF or a
+    /// corrupt header the peer is dead, as when the reader fails, and the
+    /// read side is shut so that the reader's next read is an EOF too and
+    /// it exits.
+    fn read_queued(&self, conn: &Conn, peer: usize, queued: Queued, look: &mut [u8]) -> bool {
+        let read = match queued {
+            Queued::Whole(total) => (&conn.stream)
+                .read_exact(&mut look[..total])
+                .and_then(|()| {
+                    self.note_heard(peer);
+                    self.read_frame(&mut &look[..total])
+                }),
+            _ => self.read_frame(&mut PeerStream {
+                inner: self,
+                stream: &conn.stream,
+                peer,
+            }),
+        };
+        if read.is_ok() {
+            #[cfg(test)]
+            conn.rx.counts[WAITER_READS].fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        if !self.shutdown.load(Ordering::SeqCst) {
+            #[cfg(test)]
+            if !self.is_dead(peer) {
+                conn.rx.counts[WAITER_ENDS].fetch_add(1, Ordering::Relaxed);
+            }
+            self.mark_dead(peer);
+        }
+        let _ = conn.stream.shutdown(Shutdown::Read);
+        false
+    }
+
     /// Read one frame off a connection and act on it: a `Msg` payload goes
     /// into its final buffer and then the destination mailbox; control
     /// frames only count as liveness evidence (their bytes were noted by
-    /// the reader), so a reader never has to write.
-    fn read_frame(&self, r: &mut impl Read) -> std::io::Result<()> {
+    /// the `PeerStream`), so a reader never has to write. Returns the
+    /// frame's payload length.
+    fn read_frame(&self, r: &mut impl Read) -> std::io::Result<usize> {
         let mut head = [0u8; HEADER_LEN];
         r.read_exact(&mut head)?;
         let header = FrameHeader::decode(&head)?;
@@ -530,7 +869,7 @@ impl Inner {
             // Live-phase `Ping`s, `Pong`s from older peers, stale setup
             // kinds: skip whatever payload the frame declares.
             std::io::copy(&mut r.by_ref().take(len as u64), &mut std::io::sink())?;
-            return Ok(());
+            return Ok(len);
         }
         let payload = read_message(&header, r)?;
         let to = header.to as usize;
@@ -538,7 +877,7 @@ impl Inner {
             let extra = Duration::from_nanos(header.delay_ns as u64);
             self.deposit(header.from as usize, to, header.tag, payload, len, extra);
         }
-        Ok(())
+        Ok(len)
     }
 }
 
@@ -557,7 +896,7 @@ fn read_message(header: &FrameHeader, r: &mut impl Read) -> std::io::Result<Box<
     })
 }
 
-/// A connection's read side as its reader thread sees it: every
+/// A connection's read side as the thread reading it sees it: every
 /// successful read is liveness evidence for the peer.
 struct PeerStream<'a> {
     inner: &'a Inner,
@@ -575,17 +914,62 @@ impl Read for PeerStream<'_> {
     }
 }
 
-/// One inbound connection's reader: parked in a blocking `read` until the
-/// peer's next frame, until the peer goes away (EOF, reset, or a corrupt
-/// header — an unrecoverable desync — all implicate `peer`), or until
-/// `Drop` shuts the socket down.
-fn reader_loop(inner: Arc<Inner>, stream: TcpStream, peer: usize) {
+/// One inbound connection's reader (the connection is `slot` of the
+/// topology's list, its peer `slot % total`). While waiters poll the
+/// connection — and for `READER_GRACE` after the last poll, unless one
+/// hands it back — the reader is parked and leaves the frames to them.
+/// Otherwise it waits for readability in a blocking `peek`, then reads
+/// one frame under the `rx` lock, blocking inside it if need be. It exits
+/// when the peer goes away (EOF, reset, or a corrupt header — an
+/// unrecoverable desync — all implicate `peer`), or when `Drop` shuts the
+/// socket down.
+fn reader_loop(inner: Arc<Inner>, stream: TcpStream, slot: usize) {
+    let peer = slot % inner.total;
+    let rx = &inner.topo.conns()[slot]
+        .as_ref()
+        .expect("a reader's connection exists")
+        .rx;
     let mut r = PeerStream {
         inner: &inner,
         stream: &stream,
         peer,
     };
-    while inner.read_frame(&mut r).is_ok() {}
+    loop {
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        // Once handed the connection, the reader reads as if no waiter
+        // existed: waiters skip it until the reader clears the flag.
+        if !rx.handed_off.load(Ordering::Acquire) {
+            if let Some(left) = rx.grace_left(inner.now_ns()) {
+                std::thread::park_timeout(left);
+                continue;
+            }
+            // Readable, at EOF, or broken: the read below tells which.
+            if let Err(e) = stream.peek(&mut [0u8]) {
+                if e.kind() == std::io::ErrorKind::Interrupted {
+                    continue;
+                }
+            }
+            if rx.grace_left(inner.now_ns()).is_some() {
+                continue; // a waiter started polling: the bytes are its
+            }
+        }
+        let _rx = lock_unpoisoned(&rx.lock);
+        if !rx.handed_off.load(Ordering::Acquire)
+            && matches!(queued_frame(&stream, &mut [0]), Queued::Nothing)
+        {
+            continue; // a waiter read them since the peek
+        }
+        let Ok(len) = inner.read_frame(&mut r) else {
+            break;
+        };
+        #[cfg(test)]
+        rx.counts[READER_READS].fetch_add(1, Ordering::Relaxed);
+        if HEADER_LEN + len <= WAITER_FRAME_MAX {
+            rx.handed_off.store(false, Ordering::Release);
+        }
+    }
     if !inner.shutdown.load(Ordering::SeqCst) {
         inner.mark_dead(peer);
     }
@@ -993,13 +1377,11 @@ impl TcpTransport {
                 .set_write_timeout(Some(inner.heartbeat.interval))?;
             // Frames on `conns[from * total + to]` (mesh) or `conns[to]`
             // (multi-process) come from endpoint `to`.
-            let (inner, stream, peer) =
-                (inner.clone(), conn.stream.try_clone()?, slot % inner.total);
-            transport
-                .threads
-                .push(spawn_service("hear-tcp-reader", move || {
-                    reader_loop(inner, stream, peer)
-                })?);
+            let (inner, stream) = (inner.clone(), conn.stream.try_clone()?);
+            let reader =
+                spawn_service("hear-tcp-reader", move || reader_loop(inner, stream, slot))?;
+            let _ = conn.rx.reader.set(reader.thread().clone());
+            transport.threads.push(reader);
         }
         if let Topology::Proc { .. } = inner.topo {
             let inner = inner.clone();
@@ -1065,15 +1447,33 @@ impl Transport for TcpTransport {
         deadline: Option<Instant>,
     ) -> Result<Envelope, CommError> {
         let inner = &*self.inner;
-        let mut env = recv_on_mailboxes(
-            &inner.mailboxes,
-            &|ep| inner.is_dead(ep),
-            &|ep| inner.is_suspect(ep),
-            me,
-            source,
-            tag,
-            deadline,
-        )?;
+        let conn = inner.conn_for(me, source);
+        if let Some(conn) = conn {
+            inner.poll_for(conn, me, source, tag, deadline);
+        }
+        let wait = || {
+            recv_on_mailboxes(
+                &inner.mailboxes,
+                &|ep| inner.is_dead(ep),
+                &|ep| inner.is_suspect(ep),
+                me,
+                source,
+                tag,
+                deadline,
+            )
+        };
+        let mut env = match (wait(), conn) {
+            // `source` died while this thread was parked: deliver what it
+            // wrote before that, if it is what this receive waits for.
+            (Err(CommError::PeerDead { peer }), Some(conn)) if peer == source => {
+                inner.drain_dead(conn, source);
+                if !inner.mailboxes[me].holds(source, tag) {
+                    return Err(CommError::PeerDead { peer });
+                }
+                wait()?
+            }
+            (res, _) => res?,
+        };
         // Socket-borne user-codec messages arrive encoded (see
         // `RawPayload`); primitive payloads and local deposits are already
         // typed and pass through untouched.
@@ -1121,8 +1521,9 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Shutting a socket down wakes its reader out of `read` (and a
-        // writer stalled on it out of `write`); the timer is parked.
+        // Shutting a socket down wakes its reader out of `peek` or `read`
+        // (and a writer stalled on it out of `write`); a reader inside its
+        // grace period and the timer are parked.
         for conn in self.inner.topo.conns().iter().flatten() {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
@@ -1261,6 +1662,225 @@ mod tests {
         assert!(!t.is_dead(0) && !t.is_dead(2));
     }
 
+    /// Bytes queued on `stream` (up to 64 KiB), left queued.
+    fn queued_len(stream: &TcpStream) -> usize {
+        sys::peek_now(stream, &mut [0; 1 << 16]).unwrap_or(0)
+    }
+
+    /// The read side of a `raw_link`'s one connection.
+    fn raw_rx(t: &TcpTransport) -> &Rx {
+        &t.inner.conn_for(0, 1).expect("the raw link").rx
+    }
+
+    /// Start a thread that waits until endpoint 0 polls the raw link, then
+    /// does `write` to the far end (which it hands back).
+    fn write_while_polled(
+        t: &Arc<TcpTransport>,
+        mut far: TcpStream,
+        write: impl FnOnce(&mut TcpStream) + Send + 'static,
+    ) -> JoinHandle<TcpStream> {
+        let t = t.clone();
+        std::thread::spawn(move || {
+            while raw_rx(&t).polled_at.load(Ordering::Acquire) == 0 {
+                std::thread::yield_now();
+            }
+            write(&mut far);
+            far
+        })
+    }
+
+    /// A frame that arrives while a rank waits is read by that rank, and
+    /// by no reader: the reader stays parked while the rank polls, and for
+    /// the grace period after, so the next frame stays queued for the next
+    /// waiter. Scheduling may still hand a frame to the reader (the writer
+    /// thread starting only after the polling bound, this thread stalling
+    /// past the grace period), so such a run is retried; one of twenty
+    /// must be clean.
+    #[test]
+    fn a_frame_arriving_while_a_rank_waits_is_read_by_that_rank() {
+        if !sys::SUPPORTED {
+            return;
+        }
+        for _ in 0..20 {
+            let (t, far) = raw_link(2, PATIENT);
+            let t = Arc::new(t);
+            let writer = write_while_polled(&t, far, |far| {
+                far.write_all(&msg_frame(1, 0, 5, &[42, 43])).unwrap();
+            });
+            let env = t.recv_on(0, 1, 5, far_future()).unwrap();
+            assert_eq!(*env.payload.downcast::<Vec<u64>>().unwrap(), vec![42, 43]);
+            let mut far = writer.join().unwrap();
+            let rx = raw_rx(&t);
+            let (waiter, reader) = (rx.count(WAITER_READS), rx.count(READER_READS));
+            assert_eq!(waiter + reader, 1, "one frame, one read");
+            if waiter != 1 || rx.count(HAND_OFFS) != 0 {
+                continue;
+            }
+            let next = msg_frame(1, 0, 6, &[44]);
+            far.write_all(&next).unwrap();
+            let t0 = Instant::now();
+            while t0.elapsed() < READER_GRACE / 5 {
+                std::hint::spin_loop();
+            }
+            let since_poll = t.inner.now_ns() - rx.polled_at.load(Ordering::Acquire);
+            if since_poll < READER_GRACE.as_nanos() as u64 {
+                let conn = t.inner.conn_for(0, 1).expect("the raw link");
+                assert_eq!(queued_len(&conn.stream), next.len());
+                assert_eq!(rx.count(READER_READS), 0, "the reader woke in its grace");
+                return;
+            }
+        }
+        panic!("in 20 runs no frame was read by its waiting rank alone");
+    }
+
+    /// Half a frame, then silence: a waiting rank never blocks inside it,
+    /// so its 50 ms receive ends on time (a header torn after 13 bytes, a
+    /// payload torn after 100), and the frame is delivered intact once the
+    /// rest arrives.
+    #[test]
+    fn a_torn_frame_cannot_hold_a_waiter_past_its_deadline() {
+        for split in [13, HEADER_LEN + 100] {
+            let (t, mut far) = raw_link(2, PATIENT);
+            let frame = msg_frame(1, 0, 5, &[7; 64]);
+            far.write_all(&frame[..split]).unwrap();
+            let t0 = Instant::now();
+            let err = t
+                .recv_on(0, 1, 5, Some(t0 + Duration::from_millis(50)))
+                .unwrap_err();
+            let took = t0.elapsed();
+            assert!(
+                matches!(
+                    err,
+                    CommError::Timeout { .. } | CommError::Disconnected { .. }
+                ),
+                "split {split}: {err}"
+            );
+            assert!(
+                took < Duration::from_millis(250),
+                "split {split}: a 50 ms receive took {took:?}"
+            );
+            far.write_all(&frame[split..]).unwrap();
+            let env = t.recv_on(0, 1, 5, far_future()).unwrap();
+            assert_eq!(*env.payload.downcast::<Vec<u64>>().unwrap(), vec![7; 64]);
+            assert!(!t.is_dead(1));
+        }
+    }
+
+    /// A frame over `WAITER_FRAME_MAX` is the reader's even when all of it
+    /// is queued (its buffer is then allocated on the reader thread), and
+    /// the reader keeps the connection until it has read a small frame.
+    /// The reader is parked, as after a poll, when both frames arrive.
+    #[test]
+    fn a_frame_over_the_waiter_limit_is_read_by_the_reader() {
+        let (t, mut far) = raw_link(2, PATIENT);
+        let rx = raw_rx(&t);
+        rx.polled_at.store(t.inner.now_ns(), Ordering::Release);
+        let big = vec![3u64; WAITER_FRAME_MAX / 8 + 1];
+        far.write_all(&msg_frame(1, 0, 1, &big)).unwrap();
+        far.write_all(&msg_frame(1, 0, 2, &[4])).unwrap();
+        for (tag, want) in [(1, big), (2, vec![4])] {
+            let env = t.recv_on(0, 1, tag, far_future()).unwrap();
+            assert_eq!(*env.payload.downcast::<Vec<u64>>().unwrap(), want);
+        }
+        assert_eq!((rx.count(WAITER_READS), rx.count(READER_READS)), (0, 2));
+    }
+
+    /// A corrupt header or an EOF seen by a waiting rank ends the stream as
+    /// it does for the reader: the peer behind it is dead, nobody else is.
+    /// As above, runs in which the reader saw it are retried; one of twenty
+    /// must have the waiter see it.
+    #[test]
+    fn a_corrupt_header_or_eof_seen_by_a_waiter_kills_exactly_that_peer() {
+        if !sys::SUPPORTED {
+            return;
+        }
+        for eof in [false, true] {
+            let seen_by_waiter = (0..20).any(|_| {
+                let (t, far) = raw_link(3, PATIENT);
+                let t = Arc::new(t);
+                let writer = write_while_polled(&t, far, move |far| {
+                    if eof {
+                        far.shutdown(Shutdown::Write).unwrap();
+                    } else {
+                        let mut bad = msg_frame(1, 0, 2, &[9]);
+                        bad[0] ^= 0xFF;
+                        far.write_all(&bad).unwrap();
+                    }
+                });
+                assert_eq!(
+                    t.recv_on(0, 1, 2, far_future()).unwrap_err(),
+                    CommError::PeerDead { peer: 1 },
+                    "eof {eof}"
+                );
+                let _far = writer.join().unwrap();
+                assert!(t.is_dead(1));
+                assert!(!t.is_dead(0) && !t.is_dead(2), "eof {eof}");
+                raw_rx(&t).count(WAITER_ENDS) == 1
+            });
+            assert!(seen_by_waiter, "eof {eof}: the reader saw it every time");
+        }
+    }
+
+    /// A frame its sender wrote before it died still arrives, as on the
+    /// in-memory fabric. Here the reader stays parked (a waiter polls, as
+    /// far as it knows) while the frame sits queued and the sender is
+    /// marked dead, so the waiting thread must not stop at the death flag
+    /// but read what is queued first.
+    #[test]
+    fn a_frame_queued_before_its_sender_died_is_still_delivered() {
+        if !sys::SUPPORTED {
+            return;
+        }
+        let (t, mut far) = raw_link(3, PATIENT);
+        let conn = t.inner.conn_for(0, 1).expect("the raw link");
+        let frame = msg_frame(1, 0, 4, &[5, 6, 7]);
+        conn.rx.polled_at.store(t.inner.now_ns(), Ordering::Release);
+        far.write_all(&frame).unwrap();
+        while queued_len(&conn.stream) < frame.len() {
+            conn.rx.polled_at.store(t.inner.now_ns(), Ordering::Release);
+            std::thread::yield_now();
+        }
+        conn.rx.polled_at.store(t.inner.now_ns(), Ordering::Release);
+        t.kill(1);
+        let env = t.recv_on(0, 1, 4, far_future()).unwrap();
+        assert_eq!(*env.payload.downcast::<Vec<u64>>().unwrap(), vec![5, 6, 7]);
+        assert_eq!(conn.rx.count(READER_READS), 0, "the reader stayed parked");
+        assert_eq!(
+            t.recv_on(0, 1, 4, far_future()).unwrap_err(),
+            CommError::PeerDead { peer: 1 }
+        );
+    }
+
+    /// Ping-pong leaves both readers parked in their grace period (every
+    /// waiter got its frame, none handed off); `Drop` straight after must
+    /// still join them within the bound of the test above.
+    #[test]
+    fn drop_right_after_waiters_polled_joins_parked_readers() {
+        let t = Arc::new(mesh(2));
+        let echo = {
+            let t = t.clone();
+            std::thread::spawn(move || {
+                for i in 0..100 {
+                    let env = t.recv_on(1, 0, i, far_future()).unwrap();
+                    t.send_boxed(1, 0, i, env.payload, 8);
+                }
+            })
+        };
+        for i in 0..100u64 {
+            t.send_boxed(0, 1, i, Box::new(vec![i]), 8);
+            t.recv_on(0, 1, i, far_future()).unwrap();
+        }
+        echo.join().unwrap();
+        let t = Arc::into_inner(t).expect("the last handle");
+        let t0 = Instant::now();
+        drop(t);
+        assert!(
+            t0.elapsed() < Duration::from_millis(100),
+            "drop took {:?}",
+            t0.elapsed()
+        );
+    }
+
     /// A frame with a `type_id` nobody registered is read off the stream
     /// whole and fails only its own receive, as a `TypeMismatch`; the
     /// frame behind it and the connection are fine.
@@ -1285,7 +1905,7 @@ mod tests {
         assert!(!comm.is_peer_dead(1));
     }
 
-    /// Every reader of a 4-endpoint mesh (12 of them) is parked in `read`
+    /// Every reader of a 4-endpoint mesh (12 of them) is blocked in `peek`
     /// with nothing to read; `Drop` must get them all out promptly.
     #[test]
     fn drop_unparks_readers_blocked_in_read() {
