@@ -33,7 +33,7 @@ fn bench_baselines(c: &mut Criterion) {
     });
     // HEAR's cost for an entire 1024-word vector, for contrast.
     let keys = CommKeys::generate(1, 1, Backend::best_available()).remove(0);
-    let mut scratch = Scratch::with_capacity(1024);
+    let mut scratch = Scratch::default();
     let mut buf = vec![7u32; 1024];
     c.bench_function("hear_encrypt_1024_words", |b| {
         b.iter(|| {

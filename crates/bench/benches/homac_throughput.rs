@@ -7,7 +7,7 @@ fn bench_homac(c: &mut Criterion) {
     const N: usize = 16_384;
     let keys = CommKeys::generate(1, 1, Backend::best_available()).remove(0);
     let homac = Homac::generate(2, Backend::best_available());
-    let mut scratch = Scratch::with_capacity(N);
+    let mut scratch = Scratch::default();
     let mut ct: Vec<u32> = (0..N as u32).collect();
     IntSum::encrypt_in_place(&keys, 0, &mut ct, &mut scratch);
     let tags = homac.tag(&keys, 0, &ct);

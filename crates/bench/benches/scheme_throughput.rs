@@ -14,7 +14,7 @@ fn bench_int_sum(c: &mut Criterion) {
                 continue;
             }
             let keys = CommKeys::generate(2, 1, backend).remove(0);
-            let mut scratch = Scratch::with_capacity(elems);
+            let mut scratch = Scratch::default();
             let mut buf = vec![7u32; elems];
             g.bench_function(BenchmarkId::new(format!("{backend:?}"), elems), |b| {
                 b.iter(|| {
@@ -32,7 +32,7 @@ fn bench_int_sum_decrypt(c: &mut Criterion) {
     let elems = 262_144;
     g.throughput(Throughput::Bytes((elems * 4) as u64));
     let keys = CommKeys::generate(2, 1, Backend::best_available()).remove(0);
-    let mut scratch = Scratch::with_capacity(elems);
+    let mut scratch = Scratch::default();
     let mut buf = vec![7u32; elems];
     g.bench_function("best_backend_1MiB", |b| {
         b.iter(|| {

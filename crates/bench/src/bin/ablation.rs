@@ -24,7 +24,7 @@ fn main() {
     for world in [2usize, 4, 8, 16, 32, 64] {
         let (keys, reg) =
             CommKeys::generate_with_registry(world, 0xAB1A, Backend::best_available());
-        let mut scratch = Scratch::with_capacity(n);
+        let mut scratch = Scratch::default();
         let mut buf = vec![1u32; n];
 
         let t0 = Instant::now();
@@ -41,7 +41,7 @@ fn main() {
 
         let t0 = Instant::now();
         for _ in 0..iters {
-            NaiveIntSum::decrypt_in_place(&reg, 0, &mut buf, &mut scratch);
+            NaiveIntSum::decrypt_in_place(&reg, 0, &mut buf);
         }
         let t_naive = t0.elapsed().as_secs_f64() / iters as f64;
 

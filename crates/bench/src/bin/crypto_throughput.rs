@@ -14,9 +14,11 @@
 //!                              # VAES tile ≥ 1.2× the 128-bit tile at 1 MiB
 //! ```
 //!
-//! The split path is what every scheme did before the fused kernels:
-//! `keystream_*` into a scratch vector, then a second wrapping-add pass —
-//! two passes over the payload, three over the keystream. The fused path
+//! The split path is what every scheme did before the fused kernels: the
+//! keystream into a scratch vector, then a second wrapping-add pass — two
+//! passes over the payload, three over the keystream. Its fill is
+//! [`hear::prf::keystream`], itself one kernel pass, so both rows run the
+//! same generator and the gate guards pass fusion alone. The fused path
 //! ([`hear::prf::kernels`]) folds each PRF block into the payload as it is
 //! generated, so the keystream never exists in memory; on AES-NI the
 //! blocks stay in SSE registers through the 8-wide pipeline. `HEAR_SCALE`
@@ -55,9 +57,8 @@ use hear::hfp::ops::{self, reference};
 use hear::hfp::{Hfp, HfpFormat};
 use hear::prf::kernels::add_keystream_into;
 use hear::prf::{
-    keystream_u16, keystream_u32, keystream_u64, keystream_u8, par_add_keystream_into,
-    par_fused_pass, par_sub_keystream_into, with_pool, Backend, Payload, PrfCipher, Stream,
-    WorkerPool,
+    keystream, par_add_keystream_into, par_fused_pass, par_sub_keystream_into, with_pool, Backend,
+    Payload, PrfCipher, Stream, WorkerPool,
 };
 
 /// Small payload: 64 KiB, the Fig. 5 sweet spot (big enough to leave L1,
@@ -326,7 +327,7 @@ fn bench_mask(c: &mut Criterion, group: &str, bytes: usize, backend: Backend) {
 }
 
 macro_rules! bench_width {
-    ($g:expr, $prf:expr, $bytes:expr, $ty:ty, $split:path) => {{
+    ($g:expr, $prf:expr, $bytes:expr, $ty:ty) => {{
         let n = $bytes / std::mem::size_of::<$ty>();
         let base: u128 = 0x5eed_0000;
         let mut payload: Vec<$ty> = (0..n).map(|j| j as $ty).collect();
@@ -340,7 +341,7 @@ macro_rules! bench_width {
         });
         $g.bench_function(format!("u{bits}/split"), |b| {
             b.iter(|| {
-                $split($prf, base, 0, &mut scratch[..]);
+                keystream($prf, base, 0, &mut scratch[..]);
                 for (p, k) in payload.iter_mut().zip(scratch.iter()) {
                     *p = p.wrapping_add(*k);
                 }
@@ -367,20 +368,20 @@ fn sweep(c: &mut Criterion) {
         let prf = PrfCipher::new(backend, 0xC0FFEE).expect("backend was filtered for availability");
         let mut g = c.benchmark_group(format!("mask_64KiB/{backend:?}"));
         g.throughput(Throughput::Bytes(PAYLOAD_BYTES as u64));
-        bench_width!(g, &prf, PAYLOAD_BYTES, u8, keystream_u8);
-        bench_width!(g, &prf, PAYLOAD_BYTES, u16, keystream_u16);
-        bench_width!(g, &prf, PAYLOAD_BYTES, u32, keystream_u32);
-        bench_width!(g, &prf, PAYLOAD_BYTES, u64, keystream_u64);
+        bench_width!(g, &prf, PAYLOAD_BYTES, u8);
+        bench_width!(g, &prf, PAYLOAD_BYTES, u16);
+        bench_width!(g, &prf, PAYLOAD_BYTES, u32);
+        bench_width!(g, &prf, PAYLOAD_BYTES, u64);
         g.finish();
     }
     if Backend::AesNi.is_available() {
         let prf = PrfCipher::new(Backend::AesNi, 0xC0FFEE).expect("availability checked");
         let mut g = c.benchmark_group("mask_4MiB/AesNi");
         g.throughput(Throughput::Bytes(BIG_PAYLOAD_BYTES as u64));
-        bench_width!(g, &prf, BIG_PAYLOAD_BYTES, u8, keystream_u8);
-        bench_width!(g, &prf, BIG_PAYLOAD_BYTES, u16, keystream_u16);
-        bench_width!(g, &prf, BIG_PAYLOAD_BYTES, u32, keystream_u32);
-        bench_width!(g, &prf, BIG_PAYLOAD_BYTES, u64, keystream_u64);
+        bench_width!(g, &prf, BIG_PAYLOAD_BYTES, u8);
+        bench_width!(g, &prf, BIG_PAYLOAD_BYTES, u16);
+        bench_width!(g, &prf, BIG_PAYLOAD_BYTES, u32);
+        bench_width!(g, &prf, BIG_PAYLOAD_BYTES, u64);
         g.finish();
     }
     bench_homac_lanes(c, "homac_64Ki", Backend::best_available());
@@ -402,7 +403,7 @@ fn run_gate() -> ! {
         let prf = PrfCipher::new(backend, 0xC0FFEE).expect("best backend always constructs");
         let mut g = c.benchmark_group("gate");
         g.throughput(Throughput::Bytes(PAYLOAD_BYTES as u64));
-        bench_width!(g, &prf, PAYLOAD_BYTES, u32, keystream_u32);
+        bench_width!(g, &prf, PAYLOAD_BYTES, u32);
         g.finish();
         let fused = c.stats("gate/u32/fused").expect("recorded").median_ns;
         let split = c.stats("gate/u32/split").expect("recorded").median_ns;

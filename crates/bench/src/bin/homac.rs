@@ -33,7 +33,7 @@ fn main() {
     // aggregate, so tag+verify can be timed without a network in the loop.
     let keys = CommKeys::generate(1, 0x5E5, Backend::best_available());
     let homac = Homac::generate(0xFACE, Backend::best_available());
-    let mut scratch = Scratch::with_capacity(n);
+    let mut scratch = Scratch::default();
 
     let mut ct: Vec<u32> = (0..n as u32).collect();
     IntSum::encrypt_in_place(&keys[0], 0, &mut ct, &mut scratch);

@@ -67,7 +67,7 @@ pub fn measure_backend(backend: Backend, buf_bytes: usize, iters: u32) -> Option
         return None;
     }
     let keys = CommKeys::generate(2, 0xBEEF, backend);
-    let mut scratch = Scratch::with_capacity(buf_bytes / 4);
+    let mut scratch = Scratch::default();
     let mut buf = vec![0x5aa5_1234u32; buf_bytes / 4];
 
     let t0 = Instant::now();

@@ -13,7 +13,7 @@ use crate::keys::{CommKeys, KeyRegistry};
 use crate::scheme::{prod_digest, Scheme, DIGEST_LANES};
 use crate::word::RingWord;
 use hear_hfp::HfpError;
-use hear_prf::{par_fused_pass, Payload, Stream, WorkerPool};
+use hear_prf::{par_fused_pass, par_sub_keystream_into, Payload, Stream, WorkerPool};
 use std::marker::PhantomData;
 
 /// Fold the noise streams at `bases` into a payload — in place, appended
@@ -41,32 +41,14 @@ fn fused_pass<W: RingWord, const N: usize>(
     WorkerPool::with_current(|pool| par_fused_pass(pool, &streams, first, payload, f));
 }
 
-/// Reusable noise staging for [`NaiveIntSum`]'s Θ(P) decryption, the only
-/// cipher that still materialises a keystream. [`IntSum`]'s in-place pair
-/// ignores the `&mut Scratch` it takes; the parameter stays because the
-/// standalone `bench/` harness calls that pair with one.
-pub struct Scratch<W> {
-    noise: Vec<W>,
-}
+/// An empty placeholder: no cipher stages a keystream. [`IntSum`]'s
+/// in-place pair takes a `&mut Scratch` only because the standalone
+/// `bench/` harness calls it with one.
+pub struct Scratch<W>(PhantomData<W>);
 
 impl<W: RingWord> Default for Scratch<W> {
     fn default() -> Self {
-        Scratch { noise: Vec::new() }
-    }
-}
-
-impl<W: RingWord> Scratch<W> {
-    pub fn with_capacity(n: usize) -> Self {
-        Scratch {
-            noise: vec![W::zero(); n],
-        }
-    }
-
-    fn ensure(&mut self, n: usize) -> &mut [W] {
-        if self.noise.len() < n {
-            self.noise.resize(n, W::zero());
-        }
-        &mut self.noise[..n]
+        Scratch(PhantomData)
     }
 }
 
@@ -107,10 +89,9 @@ impl IntSum {
         keys: &CommKeys,
         first: u64,
         buf: &mut [W],
-        scratch: &mut Scratch<W>,
+        _scratch: &mut Scratch<W>,
     ) {
         let _s = hear_telemetry::span!("encrypt", elems = buf.len());
-        let _ = scratch; // fused path needs no noise staging
         Self::encrypt(keys, first, Payload::InPlace(buf));
     }
 
@@ -120,10 +101,9 @@ impl IntSum {
         keys: &CommKeys,
         first: u64,
         agg: &mut [W],
-        scratch: &mut Scratch<W>,
+        _scratch: &mut Scratch<W>,
     ) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        let _ = scratch;
         Self::decrypt(keys, first, Payload::InPlace(agg));
     }
 }
@@ -186,10 +166,6 @@ impl<W: RingWord> Scheme for IntSumScheme<W> {
     }
 }
 
-/// Elements per refill of [`IntProdScheme`]'s stack tiles (2 KiB of `u64`
-/// factors, and as much again for the successor's noise).
-const PROD_TILE: usize = 256;
-
 /// Integer product (Eq. 2) as a [`Scheme`]: noise enters as a power of the
 /// subgroup generator `g = 3`, whose order divides `2^{b−2}`, so every
 /// noise factor is odd and exactly invertible — the scheme stays lossless.
@@ -203,54 +179,6 @@ impl<W: RingWord> Default for IntProdScheme<W> {
     }
 }
 
-impl<W: RingWord> IntProdScheme<W> {
-    /// Fill `own` with the mask factors `g^(own − next)` (`g^own` on the
-    /// last rank) of the `own.len()` elements at `first`; `next` (at least
-    /// as long) stages the successor's noise.
-    fn mask_factors(keys: &CommKeys, first: u64, own: &mut [W], next: &mut [W]) {
-        W::fill_noise(keys.prf(), keys.base_own(), first, own);
-        if !keys.is_last() {
-            let next = &mut next[..own.len()];
-            W::fill_noise(keys.prf(), keys.base_next(), first, next);
-            for (o, m) in own.iter_mut().zip(next.iter()) {
-                *o = o.wsub(*m);
-            }
-        }
-        for o in own.iter_mut() {
-            *o = W::GENERATOR.wpow(*o);
-        }
-    }
-
-    /// Fill `zero` with the unmask factors `g^(−zero)` of the `zero.len()`
-    /// elements at `first`.
-    fn unmask_factors(keys: &CommKeys, first: u64, zero: &mut [W], _: &mut [W]) {
-        W::fill_noise(keys.prf(), keys.base_zero(), first, zero);
-        for z in zero.iter_mut() {
-            *z = W::GENERATOR.wpow(*z).inv_odd();
-        }
-    }
-
-    /// Walk `n` elements at `first` one stack tile at a time: `factors`
-    /// fills a tile (its first element index, its factor slots, staging),
-    /// then `apply` consumes the factors with the tile's offset into the
-    /// call. The factors of element `j` depend on `j` alone, so tiling
-    /// changes no bit, and nothing is allocated.
-    fn tiled(
-        keys: &CommKeys,
-        first: u64,
-        n: usize,
-        factors: fn(&CommKeys, u64, &mut [W], &mut [W]),
-        mut apply: impl FnMut(usize, &[W]),
-    ) {
-        let (mut tile, mut staging) = ([W::zero(); PROD_TILE], [W::zero(); PROD_TILE]);
-        for start in (0..n).step_by(PROD_TILE) {
-            let tile = &mut tile[..PROD_TILE.min(n - start)];
-            factors(keys, first + start as u64, tile, &mut staging);
-            apply(start, tile);
-        }
-    }
-}
-
 impl<W: RingWord> Scheme for IntProdScheme<W> {
     type Input = W;
     type Wire = W;
@@ -260,7 +188,7 @@ impl<W: RingWord> Scheme for IntProdScheme<W> {
     const NAME: &'static str = "int-prod";
     const TABLE2_ROW: usize = 1;
 
-    /// `out[i] = input[i] · g^(own − next)`, without copying `input` first.
+    /// `x · g^(own − next)` (`x · g^own` on the last rank) in one pass.
     fn mask_slice(
         &mut self,
         keys: &CommKeys,
@@ -270,20 +198,27 @@ impl<W: RingWord> Scheme for IntProdScheme<W> {
     ) -> Result<(), HfpError> {
         let _s = hear_telemetry::span!("encrypt", elems = input.len());
         out.clear();
-        out.reserve(input.len());
-        Self::tiled(keys, first, input.len(), Self::mask_factors, |s, g| {
-            out.extend(input[s..].iter().zip(g).map(|(x, g)| x.wmul(*g)));
-        });
+        let payload = Payload::Extend(input, out);
+        let g = W::GENERATOR;
+        if keys.is_last() {
+            fused_pass(keys, [keys.base_own()], first, payload, |x, [own]| {
+                x.wmul(g.wpow(own))
+            });
+        } else {
+            let bases = [keys.base_own(), keys.base_next()];
+            fused_pass(keys, bases, first, payload, |x, [own, next]| {
+                x.wmul(g.wpow(own.wsub(next)))
+            });
+        }
         Ok(())
     }
 
+    /// `x · g^(−zero)`.
     fn unmask_into(&mut self, keys: &CommKeys, first: u64, agg: &[W], dst: &mut [W]) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        assert_eq!(agg.len(), dst.len());
-        Self::tiled(keys, first, agg.len(), Self::unmask_factors, |s, g| {
-            for ((d, a), g) in dst[s..].iter_mut().zip(&agg[s..]).zip(g) {
-                *d = a.wmul(*g);
-            }
+        let payload = Payload::Into(agg, dst);
+        fused_pass(keys, [keys.base_zero()], first, payload, |x, [zero]| {
+            x.wmul(W::GENERATOR.wpow(zero).inv_odd())
         });
     }
 
@@ -420,36 +355,26 @@ impl<W: RingWord> Scheme for IntXorScheme<W> {
 pub struct NaiveIntSum;
 
 impl NaiveIntSum {
-    /// `scratch` is unused (see [`Scratch`]).
-    pub fn encrypt_in_place<W: RingWord>(
-        keys: &CommKeys,
-        first: u64,
-        buf: &mut [W],
-        scratch: &mut Scratch<W>,
-    ) {
+    /// `+F(own)` alone: nothing cancels, so no rank folds in its successor's
+    /// stream.
+    pub fn encrypt_in_place<W: RingWord>(keys: &CommKeys, first: u64, buf: &mut [W]) {
         let _s = hear_telemetry::span!("encrypt", elems = buf.len());
-        let _ = scratch;
         let bases = [keys.base_own()];
         fused_pass(keys, bases, first, Payload::InPlace(buf), |x, [own]| {
             x.wadd(own)
         });
     }
 
-    /// Θ(P) decryption: needs the full key registry.
-    pub fn decrypt_in_place<W: RingWord>(
-        registry: &KeyRegistry,
-        first: u64,
-        agg: &mut [W],
-        scratch: &mut Scratch<W>,
-    ) {
+    /// Θ(P) decryption: needs the full key registry, and subtracts every
+    /// rank's stream, one fused pass each.
+    pub fn decrypt_in_place<W: RingWord>(registry: &KeyRegistry, first: u64, agg: &mut [W]) {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-        let noise = scratch.ensure(agg.len());
-        for rank in 0..registry.world() {
-            W::fill_noise(registry.prf(), registry.base_of(rank), first, noise);
-            for (a, n) in agg.iter_mut().zip(noise.iter()) {
-                *a = a.wsub(*n);
+        WorkerPool::with_current(|pool| {
+            for rank in 0..registry.world() {
+                let base = registry.base_of(rank);
+                par_sub_keystream_into(pool, registry.prf(), base, first, agg);
             }
-        }
+        });
     }
 }
 
@@ -529,6 +454,15 @@ mod tests {
         assert_eq!(&whole[5..], &part2[..]);
     }
 
+    /// Word `j` of the stream at `base`, by the scalar definition: word
+    /// `j mod PER` of block `F(base + ⌊j / PER⌋)`.
+    fn noise<W: RingWord>(keys: &CommKeys, base: u128, j: u64) -> W {
+        use hear_prf::Prf;
+        let per = W::PER_BLOCK as u64;
+        let block = keys.prf().eval_block(base.wrapping_add((j / per) as u128));
+        W::extract(block, (j % per) as usize)
+    }
+
     #[test]
     fn into_forms_equal_copy_then_in_place_at_every_rank() {
         fn width<W: RingWord>() {
@@ -547,9 +481,9 @@ mod tests {
                     assert_eq!(wire, in_place, "world={world}");
                     for (i, (c, x)) in wire.iter().zip(&input).enumerate() {
                         let j = FIRST + i as u64;
-                        let mut want = x.wadd(W::noise(keys.prf(), keys.base_own(), j));
+                        let mut want = x.wadd(noise(&keys, keys.base_own(), j));
                         if !keys.is_last() {
-                            want = want.wsub(W::noise(keys.prf(), keys.base_next(), j));
+                            want = want.wsub(noise(&keys, keys.base_next(), j));
                         }
                         assert_eq!(*c, want, "world={world} j={j}");
                     }
@@ -607,19 +541,18 @@ mod tests {
     fn naive_matches_cancelling_result() {
         let world = 3;
         let (keys, reg) = CommKeys::generate_with_registry(world, 77, Backend::AesSoft);
-        let mut scratch = Scratch::default();
         let data: Vec<Vec<u32>> = (0..world)
             .map(|r| vec![r as u32 * 10 + 1, r as u32 * 10 + 2])
             .collect();
         let mut agg = vec![0u32; 2];
         for (rank, keys) in keys.iter().enumerate() {
             let mut buf = data[rank].clone();
-            NaiveIntSum::encrypt_in_place(keys, 0, &mut buf, &mut scratch);
+            NaiveIntSum::encrypt_in_place(keys, 0, &mut buf);
             for (a, c) in agg.iter_mut().zip(buf.iter()) {
                 *a = a.wrapping_add(*c);
             }
         }
-        NaiveIntSum::decrypt_in_place(&reg, 0, &mut agg, &mut scratch);
+        NaiveIntSum::decrypt_in_place(&reg, 0, &mut agg);
         assert_eq!(agg, vec![1 + 11 + 21, 2 + 12 + 22]);
         assert_eq!(agg, reduce_in_process(IntSumScheme::default, &keys, &data));
     }
@@ -706,10 +639,10 @@ mod tests {
         prints
     }
 
-    /// The stack-tiled product cipher is bit-identical to the one it
-    /// replaced, which staged all `2n` factors in a heap [`Scratch`]: the
-    /// goldens were recorded by running [`prod_prints`] against that
-    /// implementation.
+    /// The fused product cipher is bit-identical to the ones before it (a
+    /// stack-tiled one, and one that staged all `2n` factors on the heap):
+    /// the goldens were recorded by running [`prod_prints`] against the
+    /// heap-staged implementation.
     #[test]
     fn prod_tiles_match_the_recorded_goldens() {
         assert_eq!(

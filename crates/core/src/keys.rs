@@ -302,13 +302,18 @@ mod tests {
 
     #[test]
     fn prf_streams_agree_across_ranks() {
-        use hear_prf::word_u32;
+        use hear_prf::{KernelWord, Prf};
         let keys = gen(3);
+        // Word `j` of a 32-bit stream: word `j mod 4` of block `F(base + ⌊j/4⌋)`.
+        let word = |k: &CommKeys, base: u128, j: u64| {
+            let block = k.prf().eval_block(base.wrapping_add((j / 4) as u128));
+            u32::extract(block, (j % 4) as usize)
+        };
         // Rank 0's cancellation noise for rank 1 equals rank 1's own noise.
         for j in 0..64 {
             assert_eq!(
-                word_u32(keys[0].prf(), keys[0].base_next(), j),
-                word_u32(keys[1].prf(), keys[1].base_own(), j)
+                word(&keys[0], keys[0].base_next(), j),
+                word(&keys[1], keys[1].base_own(), j)
             );
         }
     }

@@ -8,7 +8,7 @@
 //! signed sum coincide, so `i32`/`i64` buffers are encrypted by casting.
 
 use crate::scheme::LaneArray;
-use hear_prf::{KernelWord, Prf};
+use hear_prf::KernelWord;
 
 /// An unsigned machine word with the ring operations the schemes need.
 ///
@@ -25,18 +25,26 @@ pub trait RingWord:
     /// up to 32 bits, `[u64; 2]` for 64 ([`crate::scheme::split_lanes`]).
     type Halves: LaneArray;
 
-    fn zero() -> Self;
-    fn one() -> Self;
-    fn wadd(self, o: Self) -> Self;
-    fn wsub(self, o: Self) -> Self;
     fn wmul(self, o: Self) -> Self;
     fn from_u64_trunc(v: u64) -> Self;
     fn to_u64(self) -> u64;
 
-    /// Single noise word `F(base + j)` for element index `j`.
-    fn noise(prf: &dyn Prf, base: u128, j: u64) -> Self;
-    /// Bulk noise: `out[i] = noise(base, first + i)`.
-    fn fill_noise(prf: &dyn Prf, base: u128, first: u64, out: &mut [Self]);
+    #[inline]
+    fn zero() -> Self {
+        Self::from_u64_trunc(0)
+    }
+    #[inline]
+    fn one() -> Self {
+        Self::from_u64_trunc(1)
+    }
+    #[inline]
+    fn wadd(self, o: Self) -> Self {
+        KernelWord::wrapping_add(self, o)
+    }
+    #[inline]
+    fn wsub(self, o: Self) -> Self {
+        KernelWord::wrapping_sub(self, o)
+    }
 
     /// `self^e` on the ring (exponent reduced mod 2^b, which is sound for
     /// elements whose order divides 2^{b-2}).
@@ -74,73 +82,30 @@ pub trait RingWord:
     }
 }
 
-impl RingWord for u32 {
-    type Halves = [u64; 1];
-    const BITS: u32 = 32;
-    const GENERATOR: u32 = 3;
+macro_rules! ring_word {
+    ($($t:ty => $halves:ty),*) => {$(
+        impl RingWord for $t {
+            type Halves = $halves;
+            const BITS: u32 = <$t>::BITS;
+            const GENERATOR: $t = 3;
 
-    fn zero() -> Self {
-        0
-    }
-    fn one() -> Self {
-        1
-    }
-    fn wadd(self, o: Self) -> Self {
-        self.wrapping_add(o)
-    }
-    fn wsub(self, o: Self) -> Self {
-        self.wrapping_sub(o)
-    }
-    fn wmul(self, o: Self) -> Self {
-        self.wrapping_mul(o)
-    }
-    fn from_u64_trunc(v: u64) -> Self {
-        v as u32
-    }
-    fn to_u64(self) -> u64 {
-        self as u64
-    }
-    fn noise(prf: &dyn Prf, base: u128, j: u64) -> Self {
-        hear_prf::word_u32(prf, base, j)
-    }
-    fn fill_noise(prf: &dyn Prf, base: u128, first: u64, out: &mut [Self]) {
-        hear_prf::keystream_u32(prf, base, first, out);
-    }
+            #[inline]
+            fn wmul(self, o: Self) -> Self {
+                self.wrapping_mul(o)
+            }
+            #[inline]
+            fn from_u64_trunc(v: u64) -> Self {
+                v as $t
+            }
+            #[inline]
+            fn to_u64(self) -> u64 {
+                self as u64
+            }
+        }
+    )*};
 }
 
-impl RingWord for u64 {
-    type Halves = [u64; 2];
-    const BITS: u32 = 64;
-    const GENERATOR: u64 = 3;
-
-    fn zero() -> Self {
-        0
-    }
-    fn one() -> Self {
-        1
-    }
-    fn wadd(self, o: Self) -> Self {
-        self.wrapping_add(o)
-    }
-    fn wsub(self, o: Self) -> Self {
-        self.wrapping_sub(o)
-    }
-    fn wmul(self, o: Self) -> Self {
-        self.wrapping_mul(o)
-    }
-    fn from_u64_trunc(v: u64) -> Self {
-        v
-    }
-    fn to_u64(self) -> u64 {
-        self
-    }
-    fn noise(prf: &dyn Prf, base: u128, j: u64) -> Self {
-        hear_prf::word_u64(prf, base, j)
-    }
-    fn fill_noise(prf: &dyn Prf, base: u128, first: u64, out: &mut [Self]) {
-        hear_prf::keystream_u64(prf, base, first, out);
-    }
-}
+ring_word!(u8 => [u64; 1], u16 => [u64; 1], u32 => [u64; 1], u64 => [u64; 2]);
 
 #[cfg(test)]
 mod tests {
@@ -215,74 +180,6 @@ mod proptests {
             let v = v | 1;
             prop_assert_eq!(v.wmul(v.inv_odd()), 1u64);
         }
-    }
-}
-
-impl RingWord for u16 {
-    type Halves = [u64; 1];
-    const BITS: u32 = 16;
-    const GENERATOR: u16 = 3;
-
-    fn zero() -> Self {
-        0
-    }
-    fn one() -> Self {
-        1
-    }
-    fn wadd(self, o: Self) -> Self {
-        self.wrapping_add(o)
-    }
-    fn wsub(self, o: Self) -> Self {
-        self.wrapping_sub(o)
-    }
-    fn wmul(self, o: Self) -> Self {
-        self.wrapping_mul(o)
-    }
-    fn from_u64_trunc(v: u64) -> Self {
-        v as u16
-    }
-    fn to_u64(self) -> u64 {
-        self as u64
-    }
-    fn noise(prf: &dyn Prf, base: u128, j: u64) -> Self {
-        hear_prf::word_u16(prf, base, j)
-    }
-    fn fill_noise(prf: &dyn Prf, base: u128, first: u64, out: &mut [Self]) {
-        hear_prf::keystream_u16(prf, base, first, out);
-    }
-}
-
-impl RingWord for u8 {
-    type Halves = [u64; 1];
-    const BITS: u32 = 8;
-    const GENERATOR: u8 = 3;
-
-    fn zero() -> Self {
-        0
-    }
-    fn one() -> Self {
-        1
-    }
-    fn wadd(self, o: Self) -> Self {
-        self.wrapping_add(o)
-    }
-    fn wsub(self, o: Self) -> Self {
-        self.wrapping_sub(o)
-    }
-    fn wmul(self, o: Self) -> Self {
-        self.wrapping_mul(o)
-    }
-    fn from_u64_trunc(v: u64) -> Self {
-        v as u8
-    }
-    fn to_u64(self) -> u64 {
-        self as u64
-    }
-    fn noise(prf: &dyn Prf, base: u128, j: u64) -> Self {
-        hear_prf::word_u8(prf, base, j)
-    }
-    fn fill_noise(prf: &dyn Prf, base: u128, first: u64, out: &mut [Self]) {
-        hear_prf::keystream_u8(prf, base, first, out);
     }
 }
 

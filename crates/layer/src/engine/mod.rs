@@ -98,7 +98,7 @@ mod window;
 
 pub use cfg::{ChunkMode, EngineCfg, EngineError, PeerDeadPolicy, RetryPolicy};
 pub use membership::MembershipChange;
-pub(crate) use packet::{for_each_packet_shape, Packet, SchemePacket};
+pub(crate) use packet::{collective_pad, for_each_packet_shape, Packet, SchemePacket};
 
 use crate::secure::{ReduceAlgo, SecureComm};
 use hear_core::{Homac, Scheme};

@@ -20,7 +20,7 @@ use crate::secure::{Tagged, VerificationError};
 use hear_core::{
     join_lanes, split_lanes, CommKeys, Homac, LaneArray, Scheme, DIGEST_BASE, DIGEST_LANES,
 };
-use hear_prf::keystream_u64;
+use hear_prf::{par_fused_pass, KernelWord, Payload, Stream, WorkerPool};
 
 /// What the network reduces in verified mode: the payload ciphertext plus
 /// the sealed digest lanes and their HoMAC tags (§5.5's "(σ, c)" pair,
@@ -218,10 +218,9 @@ pub(crate) fn open_block<S: Scheme + 'static>(
 
 // ---- single-origin cell transport (allgather / alltoall) ----------------
 
-/// Staging set for the cell transport, leased for one call: the XOR pad
-/// slice and (verified mode) the split ciphertext/tag buffers.
+/// Staging set for the cell transport, leased for one call: the cells a
+/// piece is opened from and (verified mode) their tags.
 pub(crate) struct CellScratch {
-    pad: Vec<u64>,
     cells: Vec<u64>,
     sigmas: Vec<u64>,
 }
@@ -229,56 +228,48 @@ pub(crate) struct CellScratch {
 impl CellScratch {
     pub(crate) fn lease(arena: &mut ScratchArena) -> CellScratch {
         CellScratch {
-            pad: arena.take_vec(),
             cells: arena.take_vec(),
             sigmas: arena.take_vec(),
         }
     }
 
     pub(crate) fn restore(self, arena: &mut ScratchArena) {
-        arena.put_vec(self.pad);
         arena.put_vec(self.cells);
         arena.put_vec(self.sigmas);
     }
 }
 
-/// Fill `pad` with `n` words of the epoch's collective keystream starting
-/// at word index `first`. The keystream overwrites every word, so only
-/// growth is zero-filled.
-fn fill_pad(keys: &CommKeys, first: u64, n: usize, pad: &mut Vec<u64>) {
-    pad.resize(n, 0);
-    keystream_u64(keys.prf(), keys.base_collective(), first, pad);
+/// XOR word `first + i` of the epoch's collective keystream into word `i`
+/// of `payload`, in one fused pass sharded across the current pool (the
+/// rank's lane) once it is large enough to pay for it: the one generator
+/// of every single-origin pad — the cells here and the extension
+/// collectives' payloads.
+pub(crate) fn collective_pad<W: KernelWord>(keys: &CommKeys, first: u64, payload: Payload<'_, W>) {
+    let streams = [Stream {
+        prf: keys.prf(),
+        base: keys.base_collective(),
+    }];
+    WorkerPool::with_current(|pool| {
+        par_fused_pass(pool, &streams, first, payload, |c, [p]| c.bxor(p));
+    });
 }
 
 /// `sealed` ← the bare cells of `piece`: cell `j` is
 /// `cell_encode(piece[j]) XOR pad(first + j)`. Pad word indices are the
 /// element's position in the collective's global coordinate space, so
 /// every (origin, position) pair draws a distinct keystream word.
-fn pad_cells<S: Scheme>(
-    keys: &CommKeys,
-    first: u64,
-    piece: &[S::Input],
-    pad: &mut Vec<u64>,
-    sealed: &mut Vec<u64>,
-) {
-    fill_pad(keys, first, piece.len(), pad);
+fn pad_cells<S: Scheme>(keys: &CommKeys, first: u64, piece: &[S::Input], sealed: &mut Vec<u64>) {
     sealed.clear();
-    sealed.extend(piece.iter().zip(&*pad).map(|(x, p)| S::cell_encode(x) ^ p));
+    sealed.extend(piece.iter().map(S::cell_encode));
+    collective_pad(keys, first, Payload::InPlace(sealed));
 }
 
-/// The inverse of [`pad_cells`] at the same `first`, into `out` (of
-/// `cells`' length).
-fn unpad_cells<S: Scheme>(
-    keys: &CommKeys,
-    first: u64,
-    cells: &[u64],
-    pad: &mut Vec<u64>,
-    out: &mut [S::Input],
-) {
+/// `out[j] ← cell_decode(cells[j])`: the last step of opening a piece,
+/// once its cells are unpadded.
+fn decode_cells<S: Scheme>(cells: &[u64], out: &mut [S::Input]) {
     debug_assert_eq!(cells.len(), out.len());
-    fill_pad(keys, first, cells.len(), pad);
-    for ((o, c), p) in out.iter_mut().zip(cells).zip(&*pad) {
-        *o = S::cell_decode(c ^ p);
+    for (o, c) in out.iter_mut().zip(cells) {
+        *o = S::cell_decode(*c);
     }
 }
 
@@ -311,7 +302,8 @@ pub(crate) trait CellCodec {
     ) -> Result<(), EngineError>;
 }
 
-/// Padded `u64` cells ([`pad_cells`]), nothing else.
+/// Padded `u64` cells ([`pad_cells`]), nothing else; a piece opens with
+/// one fused pass from the received cells into the scratch cells.
 pub(crate) struct BareCells;
 
 impl CellCodec for BareCells {
@@ -322,10 +314,10 @@ impl CellCodec for BareCells {
         keys: &CommKeys,
         first: u64,
         piece: &[S::Input],
-        cs: &mut CellScratch,
+        _: &mut CellScratch,
         sealed: &mut Vec<u64>,
     ) {
-        pad_cells::<S>(keys, first, piece, &mut cs.pad, sealed);
+        pad_cells::<S>(keys, first, piece, sealed);
     }
 
     fn open<S: Scheme>(
@@ -336,7 +328,9 @@ impl CellCodec for BareCells {
         cs: &mut CellScratch,
         out: &mut [S::Input],
     ) -> Result<(), EngineError> {
-        unpad_cells::<S>(keys, first, cells, &mut cs.pad, out);
+        cs.cells.clear();
+        collective_pad(keys, first, Payload::Extend(cells, &mut cs.cells));
+        decode_cells::<S>(&cs.cells, out);
         Ok(())
     }
 }
@@ -359,7 +353,7 @@ impl CellCodec for TaggedCells {
         cs: &mut CellScratch,
         sealed: &mut Vec<Tagged<u64>>,
     ) {
-        pad_cells::<S>(keys, first, piece, &mut cs.pad, &mut cs.cells);
+        pad_cells::<S>(keys, first, piece, &mut cs.cells);
         let collective = keys.base_collective();
         self.0
             .tag_shared(collective, DIGEST_BASE + first, &cs.cells, &mut cs.sigmas);
@@ -389,7 +383,8 @@ impl CellCodec for TaggedCells {
         {
             return Err(EngineError::Verification(VerificationError));
         }
-        unpad_cells::<S>(keys, first, &cs.cells, &mut cs.pad, out);
+        collective_pad(keys, first, Payload::InPlace(&mut cs.cells));
+        decode_cells::<S>(&cs.cells, out);
         Ok(())
     }
 }

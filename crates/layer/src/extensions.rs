@@ -13,15 +13,14 @@
 //! collective stream, which the XOR allreduce scheme also draws on: every
 //! operation advances the keys first, so no two of them share an epoch.
 
-use crate::engine::{EngineCfg, EngineError};
+use crate::engine::{collective_pad, EngineCfg, EngineError};
 use crate::secure::SecureComm;
 use hear_core::derived::{moments_to_stats, variance_moments, MpiOp, UnsupportedOp};
 use hear_core::{
-    CommKeys, FixedCodec, FixedSumScheme, FloatSumScheme, HfpFormat, IntProdScheme, IntSumScheme,
-    Scheme,
+    FixedCodec, FixedSumScheme, FloatSumScheme, HfpFormat, IntProdScheme, IntSumScheme, Scheme,
 };
 use hear_mpi::Communicator;
-use hear_prf::{par_xor_keystream_into, xor_keystream_into, Backend, Prf, PrfCipher, WorkerPool};
+use hear_prf::{xor_keystream_into, Backend, Payload, Prf, PrfCipher};
 use std::collections::HashMap;
 
 /// Pad-coordinate stride between ranks in [`SecureComm::gather_encrypted`]:
@@ -111,11 +110,11 @@ impl SecureComm {
             // keyed per epoch — temporal safety applies to broadcasts too.
             let mut buf = data;
             if sc.comm.rank() == root {
-                collective_pad(&sc.keys, 0, &mut buf);
+                collective_pad(&sc.keys, 0, Payload::InPlace(&mut buf));
             }
             // Non-roots learn the length only on arrival; pad afterwards.
             let mut out = sc.comm.bcast(root, buf);
-            collective_pad(&sc.keys, 0, &mut out);
+            collective_pad(&sc.keys, 0, Payload::InPlace(&mut out));
             out
         })
     }
@@ -134,11 +133,15 @@ impl SecureComm {
         self.on_lane(|sc| {
             sc.keys.advance();
             let mut buf = data;
-            collective_pad(&sc.keys, sc.comm.rank() as u64 * GATHER_STRIDE, &mut buf);
+            collective_pad(
+                &sc.keys,
+                sc.comm.rank() as u64 * GATHER_STRIDE,
+                Payload::InPlace(&mut buf),
+            );
             let mut gathered = sc.comm.gather(root, buf);
             if sc.comm.rank() == root {
                 for (r, v) in gathered.iter_mut().enumerate() {
-                    collective_pad(&sc.keys, r as u64 * GATHER_STRIDE, v);
+                    collective_pad(&sc.keys, r as u64 * GATHER_STRIDE, Payload::InPlace(v));
                 }
             }
             gathered
@@ -158,23 +161,15 @@ impl SecureComm {
                     "scatter_encrypted requires equal chunk lengths"
                 );
                 for (r, c) in chunks.iter_mut().enumerate() {
-                    collective_pad(&sc.keys, (r * len) as u64, c);
+                    collective_pad(&sc.keys, (r * len) as u64, Payload::InPlace(c));
                 }
             }
             let mut mine = sc.comm.scatter(root, chunks);
             let first = (sc.comm.rank() * mine.len()) as u64;
-            collective_pad(&sc.keys, first, &mut mine);
+            collective_pad(&sc.keys, first, Payload::InPlace(&mut mine));
             mine
         })
     }
-}
-
-/// XOR `buf` with the epoch's collective keystream from element `first`,
-/// sharded across the current pool (the rank's lane) once it is large
-/// enough to pay for it; the bits are the serial pad's.
-fn collective_pad(keys: &CommKeys, first: u64, buf: &mut [u32]) {
-    let (prf, base) = (keys.prf(), keys.base_collective());
-    WorkerPool::with_current(|pool| par_xor_keystream_into(pool, prf, base, first, buf));
 }
 
 /// One-to-one encrypted messaging (§8): a matrix of pairwise keys.
@@ -346,7 +341,7 @@ mod tests {
     /// `PAR_MIN_BYTES`; the payloads still round-trip.
     #[test]
     fn large_padded_collectives_fan_out_on_the_pool() {
-        use hear_prf::{with_pool, PAR_MIN_BYTES};
+        use hear_prf::{with_pool, WorkerPool, PAR_MIN_BYTES};
         let len = PAR_MIN_BYTES / 4 + 3;
         let payload = |r: usize| -> Vec<u32> { (0..len as u32).map(|j| j ^ r as u32).collect() };
         let results = Simulator::new(2).run(move |comm| {

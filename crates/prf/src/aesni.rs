@@ -477,6 +477,24 @@ mod tests {
 
     #[test]
     fn keystream_tile8_words_match_block_splitters() {
+        use crate::KernelWord;
+        /// Word `k` of block `b` of the tile, native-endian at its offset,
+        /// against `W::extract` of the scalar block.
+        fn width<W: KernelWord>(hw: &AesNi128, base: u128, blocks: &[u128]) {
+            let (w, mut tile) = (std::mem::size_of::<W>(), [0u8; 128]);
+            hw.keystream_tile8(base, w, &mut tile);
+            for (b, blk) in blocks.iter().enumerate() {
+                for k in 0..W::PER_BLOCK {
+                    let off = 16 * b + w * k;
+                    let got = W::from_ne(&tile[off..off + w]);
+                    assert_eq!(
+                        got,
+                        W::extract(*blk, k),
+                        "w={w} base={base} block={b} word={k}"
+                    );
+                }
+            }
+        }
         let Some(hw) = AesNi128::new(77) else {
             eprintln!("AES-NI not available; skipping");
             return;
@@ -485,37 +503,10 @@ mod tests {
             let blocks: Vec<u128> = (0..8)
                 .map(|i| hw.encrypt_block(base.wrapping_add(i)))
                 .collect();
-            let mut tile = [0u8; 128];
-            // u8: the tile is the big-endian byte stream itself.
-            hw.keystream_tile8(base, 1, &mut tile);
-            for (b, blk) in blocks.iter().enumerate() {
-                assert_eq!(&tile[16 * b..16 * b + 16], &crate::block_words_u8(*blk));
-            }
-            // u16/u32/u64: native-endian words at their stream offsets.
-            hw.keystream_tile8(base, 2, &mut tile);
-            for (b, blk) in blocks.iter().enumerate() {
-                for (k, w) in crate::block_words_u16(*blk).iter().enumerate() {
-                    let off = 16 * b + 2 * k;
-                    let got = u16::from_ne_bytes(tile[off..off + 2].try_into().unwrap());
-                    assert_eq!(got, *w, "u16 base={base} block={b} word={k}");
-                }
-            }
-            hw.keystream_tile8(base, 4, &mut tile);
-            for (b, blk) in blocks.iter().enumerate() {
-                for (k, w) in crate::block_words_u32(*blk).iter().enumerate() {
-                    let off = 16 * b + 4 * k;
-                    let got = u32::from_ne_bytes(tile[off..off + 4].try_into().unwrap());
-                    assert_eq!(got, *w, "u32 base={base} block={b} word={k}");
-                }
-            }
-            hw.keystream_tile8(base, 8, &mut tile);
-            for (b, blk) in blocks.iter().enumerate() {
-                for (k, w) in crate::block_words_u64(*blk).iter().enumerate() {
-                    let off = 16 * b + 8 * k;
-                    let got = u64::from_ne_bytes(tile[off..off + 8].try_into().unwrap());
-                    assert_eq!(got, *w, "u64 base={base} block={b} word={k}");
-                }
-            }
+            width::<u8>(&hw, base, &blocks);
+            width::<u16>(&hw, base, &blocks);
+            width::<u32>(&hw, base, &blocks);
+            width::<u64>(&hw, base, &blocks);
         }
     }
     /// A wide (VAES) cipher and its narrow twin on the same key, or `None`

@@ -1,13 +1,13 @@
 //! Fused mask/unmask kernels: keystream generation and word-wise combine
 //! in one pass over memory.
 //!
-//! The split path the schemes used before this module — `keystream_*` into a
-//! scratch vector, then a second loop combining scratch with the payload —
-//! touches every payload byte twice and every keystream byte three times
-//! (write, read, discard). The fused kernel here generates each 128-bit PRF
-//! block, splits it into words, and immediately folds the words into the
-//! payload, so the keystream never exists in memory. On AES-NI the blocks
-//! additionally stay in SSE registers through an 8-wide pipeline
+//! A split path — [`keystream`] into a scratch vector, then a second loop
+//! combining scratch with the payload — touches every payload byte twice
+//! and every keystream byte three times (write, read, discard). The fused
+//! kernel here generates each 128-bit PRF block, splits it into words, and
+//! immediately folds the words into the payload, so the keystream never
+//! exists in memory. On AES-NI the blocks additionally stay in SSE
+//! registers through an 8-wide pipeline
 //! ([`crate::aesni::AesNi128::keystream_tile8`]) and only the swizzled
 //! native-endian words are stored, once, to a stack tile.
 //!
@@ -25,15 +25,15 @@
 //!
 //! ## Keystream convention
 //!
-//! Identical to [`crate::keystream_u32`] and friends: element `j` of a
-//! width-`w` stream is word `j mod per` of block `F(base + j/per)` with
-//! `per = 16/w`, words split big-endian (word 0 most significant). The
-//! property tests at the bottom pin every fused kernel to the split
-//! reference bit-for-bit.
+//! Element `j` of a width-`w` stream is word `j mod per` of block
+//! `F(base + j/per)` with `per = 16/w`, words split big-endian (word 0
+//! most significant; [`KernelWord::extract`]). These kernels are the only
+//! generator of such words: [`keystream`] is the plain fill, one pass that
+//! keeps the noise word. The property tests at the bottom pin every fused
+//! kernel to the split reference bit-for-bit.
 
 #[cfg(test)]
 use crate::Prf;
-use crate::{block_words_u16, block_words_u32, block_words_u64, block_words_u8};
 use crate::{blocks_metric, Backend, PrfCipher};
 use hear_telemetry::Metric;
 use std::mem::MaybeUninit;
@@ -68,14 +68,15 @@ pub unsafe trait KernelWord: Copy + Eq + std::fmt::Debug + Send + Sync + 'static
 }
 
 macro_rules! kernel_word {
-    ($t:ty, $splitter:ident) => {
+    ($($t:ty),*) => {$(
         // SAFETY: unsigned machine integers — no padding, all bit
         // patterns valid, widths 1/2/4/8 divide 16.
         unsafe impl KernelWord for $t {
             const PER_BLOCK: usize = 16 / std::mem::size_of::<$t>();
+            /// Word 0 is the block's most significant `BITS` bits.
             #[inline(always)]
             fn extract(block: u128, k: usize) -> $t {
-                $splitter(block)[k]
+                (block >> (128 - <$t>::BITS as usize * (k + 1))) as $t
             }
             #[inline(always)]
             fn wrapping_add(self, rhs: $t) -> $t {
@@ -94,13 +95,10 @@ macro_rules! kernel_word {
                 <$t>::from_ne_bytes(bytes.try_into().expect("width-sized chunk"))
             }
         }
-    };
+    )*};
 }
 
-kernel_word!(u8, block_words_u8);
-kernel_word!(u16, block_words_u16);
-kernel_word!(u32, block_words_u32);
-kernel_word!(u64, block_words_u64);
+kernel_word!(u8, u16, u32, u64);
 
 /// Reinterpret a signed slice as its unsigned word type (two's complement),
 /// so signed data rides the integer ciphers without a copy.
@@ -540,6 +538,12 @@ fn keystream_into<W: KernelWord>(
     count_pass::<W>(&streams, first, buf.len());
     // SAFETY: `buf` is initialised.
     unsafe { pass_uncounted(&streams, first, None, as_uninit(buf), f, Stores::Cached) }
+}
+
+/// `out[i] = stream[first + i]`: the keystream itself, for a caller that
+/// needs the noise words rather than a payload folded with them.
+pub fn keystream<W: KernelWord>(prf: &PrfCipher, base: u128, first: u64, out: &mut [W]) {
+    keystream_into(prf, base, first, out, |_, [k]| k);
 }
 
 /// `buf[i] ^= stream[first + i]` — fused XOR mask/unmask (Z_2 schemes).

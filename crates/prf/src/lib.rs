@@ -10,13 +10,14 @@
 //!   where the CPU has VAES,
 //! * [`sha1::Sha1Prf`] — the SHA-1 backend the paper measured and rejected,
 //! * [`PrfCipher`] — a backend-erased PRF with runtime CPU detection,
-//! * counter-mode keystream helpers ([`keystream_u32`], [`keystream_u64`],
-//!   [`word_u32`], [`word_u64`]) used by every scheme's hot path.
+//! * the fused counter-mode kernels ([`kernels`], [`par`]): the one
+//!   generator of integer-word keystream, folded into the payload as it
+//!   is made, on every scheme's hot path.
 //!
 //! ## Keystream convention
 //!
 //! Element `j` of an Allreduce vector is masked with noise
-//! `F_ke(ks + kc + j)`. The bulk helpers realise this as AES-CTR: for a
+//! `F_ke(ks + kc + j)`. The kernels realise this as AES-CTR: for a
 //! 32-bit datatype, block `⌊j/4⌋` of the stream `F_ke(base + ⌊j/4⌋)` is
 //! split into four words and word `j mod 4` masks element `j`. Encryption,
 //! aggregation-cancelling and decryption all use the same convention, so the
@@ -35,8 +36,8 @@ pub mod sha1;
 pub mod shani;
 
 pub use kernels::{
-    add_keystream_into, as_unsigned_i32, as_unsigned_i64, sub_keystream_into, xor_keystream_into,
-    KernelWord, Stream,
+    add_keystream_into, as_unsigned_i32, as_unsigned_i64, keystream, sub_keystream_into,
+    xor_keystream_into, KernelWord, Stream,
 };
 pub use par::{
     configured_threads, for_each_shard, par_add_keystream_into, par_fused_pass,
@@ -318,113 +319,10 @@ impl Prf for PrfCipher {
     }
 }
 
-/// Split a 128-bit PRF block into four 32-bit noise words (big-endian order:
-/// word 0 is the most significant).
-#[inline]
-pub fn block_words_u32(block: u128) -> [u32; 4] {
-    [
-        (block >> 96) as u32,
-        (block >> 64) as u32,
-        (block >> 32) as u32,
-        block as u32,
-    ]
-}
-
-/// Split a 128-bit PRF block into two 64-bit noise words.
-#[inline]
-pub fn block_words_u64(block: u128) -> [u64; 2] {
-    [(block >> 64) as u64, block as u64]
-}
-
-/// Noise word for a single 32-bit element `j` of the stream rooted at `base`.
-#[inline]
-pub fn word_u32<P: Prf + ?Sized>(prf: &P, base: u128, j: u64) -> u32 {
-    let block = prf.eval_block(base.wrapping_add((j / 4) as u128));
-    block_words_u32(block)[(j % 4) as usize]
-}
-
-/// Noise word for a single 64-bit element `j` of the stream rooted at `base`.
-#[inline]
-pub fn word_u64<P: Prf + ?Sized>(prf: &P, base: u128, j: u64) -> u64 {
-    let block = prf.eval_block(base.wrapping_add((j / 2) as u128));
-    block_words_u64(block)[(j % 2) as usize]
-}
-
-/// Fill `out` with the 32-bit keystream rooted at `base`, starting at element
-/// index `first`. `out[i]` equals `word_u32(prf, base, first + i)`.
-pub fn keystream_u32<P: Prf + ?Sized>(prf: &P, base: u128, first: u64, out: &mut [u32]) {
-    if out.is_empty() {
-        return;
-    }
-    hear_telemetry::add(
-        hear_telemetry::Metric::KeystreamBytes,
-        std::mem::size_of_val(out) as u64,
-    );
-    let mut idx = 0usize;
-    let mut j = first;
-    // Leading partial block.
-    while !j.is_multiple_of(4) && idx < out.len() {
-        out[idx] = word_u32(prf, base, j);
-        idx += 1;
-        j += 1;
-    }
-    // Bulk: whole blocks via fill_blocks in bounded stack batches.
-    const BATCH: usize = 256;
-    let mut blocks = [0u128; BATCH];
-    while out.len() - idx >= 4 {
-        let remaining_blocks = (out.len() - idx) / 4;
-        let n = remaining_blocks.min(BATCH);
-        prf.fill_blocks(base.wrapping_add((j / 4) as u128), &mut blocks[..n]);
-        for b in &blocks[..n] {
-            let words = block_words_u32(*b);
-            out[idx..idx + 4].copy_from_slice(&words);
-            idx += 4;
-            j += 4;
-        }
-    }
-    // Trailing partial block.
-    while idx < out.len() {
-        out[idx] = word_u32(prf, base, j);
-        idx += 1;
-        j += 1;
-    }
-}
-
-/// Fill `out` with the 64-bit keystream rooted at `base`, starting at element
-/// index `first`. `out[i]` equals `word_u64(prf, base, first + i)`.
-pub fn keystream_u64<P: Prf + ?Sized>(prf: &P, base: u128, first: u64, out: &mut [u64]) {
-    if out.is_empty() {
-        return;
-    }
-    hear_telemetry::add(
-        hear_telemetry::Metric::KeystreamBytes,
-        std::mem::size_of_val(out) as u64,
-    );
-    let mut idx = 0usize;
-    let mut j = first;
-    while !j.is_multiple_of(2) && idx < out.len() {
-        out[idx] = word_u64(prf, base, j);
-        idx += 1;
-        j += 1;
-    }
-    const BATCH: usize = 256;
-    let mut blocks = [0u128; BATCH];
-    while out.len() - idx >= 2 {
-        let remaining_blocks = (out.len() - idx) / 2;
-        let n = remaining_blocks.min(BATCH);
-        prf.fill_blocks(base.wrapping_add((j / 2) as u128), &mut blocks[..n]);
-        for b in &blocks[..n] {
-            let words = block_words_u64(*b);
-            out[idx..idx + 2].copy_from_slice(&words);
-            idx += 2;
-            j += 2;
-        }
-    }
-    while idx < out.len() {
-        out[idx] = word_u64(prf, base, j);
-        idx += 1;
-        j += 1;
-    }
+/// [`keystream`] of 64-bit words, under the name the standalone `bench/`
+/// harness calls.
+pub fn keystream_u64(prf: &PrfCipher, base: u128, first: u64, out: &mut [u64]) {
+    keystream(prf, base, first, out);
 }
 
 #[cfg(test)]
@@ -441,6 +339,27 @@ mod tests {
             v.push(ni);
         }
         v
+    }
+
+    /// The kernel fill of `len` words at `first` against the scalar
+    /// definition of word `j`: word `j mod PER` of block `F(base + ⌊j /
+    /// PER⌋)`, one block evaluated per word.
+    pub(super) fn check_keystream<W: KernelWord>(
+        prf: &PrfCipher,
+        base: u128,
+        first: u64,
+        len: usize,
+    ) {
+        let per = W::PER_BLOCK as u64;
+        let mut out = vec![W::extract(0, 0); len];
+        keystream(prf, base, first, &mut out);
+        for (i, o) in out.iter().enumerate() {
+            let j = first + i as u64;
+            let block = prf.eval_block(base.wrapping_add((j / per) as u128));
+            let want = W::extract(block, (j % per) as usize);
+            let backend = prf.backend();
+            assert_eq!(*o, want, "{backend:?} per={per} first={first} i={i}");
+        }
     }
 
     #[test]
@@ -469,11 +388,7 @@ mod tests {
     fn keystream_u32_matches_words_at_offsets() {
         for prf in backends() {
             for first in [0u64, 1, 2, 3, 4, 5, 7] {
-                let mut out = vec![0u32; 41];
-                keystream_u32(&prf, 99, first, &mut out);
-                for (i, o) in out.iter().enumerate() {
-                    assert_eq!(*o, word_u32(&prf, 99, first + i as u64));
-                }
+                check_keystream::<u32>(&prf, 99, first, 41);
             }
         }
     }
@@ -482,11 +397,7 @@ mod tests {
     fn keystream_u64_matches_words_at_offsets() {
         for prf in backends() {
             for first in [0u64, 1, 2, 3] {
-                let mut out = vec![0u64; 23];
-                keystream_u64(&prf, 7, first, &mut out);
-                for (i, o) in out.iter().enumerate() {
-                    assert_eq!(*o, word_u64(&prf, 7, first + i as u64));
-                }
+                check_keystream::<u64>(&prf, 7, first, 23);
             }
         }
     }
@@ -494,11 +405,9 @@ mod tests {
     #[test]
     fn keystream_empty_and_tiny() {
         let prf = PrfCipher::best(1);
-        let mut empty: [u32; 0] = [];
-        keystream_u32(&prf, 0, 0, &mut empty);
-        let mut one = [0u32; 1];
-        keystream_u32(&prf, 0, 3, &mut one);
-        assert_eq!(one[0], word_u32(&prf, 0, 3));
+        check_keystream::<u32>(&prf, 0, 0, 0);
+        check_keystream::<u32>(&prf, 0, 3, 1);
+        check_keystream::<u8>(&prf, 0, 15, 1);
     }
 
     #[test]
@@ -527,12 +436,12 @@ mod tests {
             let mut blocks = [0u128; 7];
             prf.fill_blocks(0, &mut blocks); // 7 blocks, counted once (no double count)
             let mut ks = [0u32; 10];
-            keystream_u32(&prf, 0, 0, &mut ks); // 40 bytes
+            keystream(&prf, 0, 0, &mut ks); // 40 bytes
         }
         assert_eq!(reg.counter(Metric::KeystreamBytes), 40);
-        // 1 (eval) + 7 (fill) + blocks evaluated by the keystream: 2 via
-        // the bulk fill_blocks plus one eval_block per trailing word (2).
-        assert_eq!(reg.counter(Metric::PrfBlocksAesSoft), 1 + 7 + 2 + 2);
+        // 1 (eval) + 7 (fill) + the keystream's block span: 10 words of 4
+        // per block touch 3 blocks, the partial third counted once.
+        assert_eq!(reg.counter(Metric::PrfBlocksAesSoft), 1 + 7 + 3);
         assert_eq!(reg.counter(Metric::PrfBlocksSha1), 0);
     }
 
@@ -549,27 +458,33 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::check_keystream;
     use super::*;
     use proptest::prelude::*;
 
     proptest! {
+        /// The kernel fill equals the scalar word at every phase `first
+        /// mod PER` of every width, for ragged lengths (up to past one
+        /// eight-block tile of bytes), on software AES and the best
+        /// backend.
         #[test]
-        fn keystream_u32_equals_per_word(base in any::<u64>(), first in 0u64..64, len in 0usize..200) {
-            let prf = PrfCipher::new(Backend::AesSoft, 0xabcd).unwrap();
-            let mut out = vec![0u32; len];
-            keystream_u32(&prf, base as u128, first, &mut out);
-            for (i, o) in out.iter().enumerate() {
-                prop_assert_eq!(*o, word_u32(&prf, base as u128, first + i as u64));
+        fn keystream_equals_the_scalar_word(
+            key in any::<u128>(),
+            base in any::<u128>(),
+            block in 0u64..1 << 40,
+            len in 0usize..300,
+        ) {
+            fn width<W: KernelWord>(prf: &PrfCipher, base: u128, block: u64, len: usize) {
+                let per = W::PER_BLOCK as u64;
+                for k in 0..per {
+                    check_keystream::<W>(prf, base, block * per + k, len);
+                }
             }
-        }
-
-        #[test]
-        fn keystream_u64_equals_per_word(base in any::<u64>(), first in 0u64..64, len in 0usize..200) {
-            let prf = PrfCipher::new(Backend::AesSoft, 0xabcd).unwrap();
-            let mut out = vec![0u64; len];
-            keystream_u64(&prf, base as u128, first, &mut out);
-            for (i, o) in out.iter().enumerate() {
-                prop_assert_eq!(*o, word_u64(&prf, base as u128, first + i as u64));
+            for prf in [PrfCipher::new(Backend::AesSoft, key).unwrap(), PrfCipher::best(key)] {
+                width::<u8>(&prf, base, block, len);
+                width::<u16>(&prf, base, block, len);
+                width::<u32>(&prf, base, block, len);
+                width::<u64>(&prf, base, block, len);
             }
         }
 
@@ -582,122 +497,16 @@ mod proptests {
     }
 }
 
-/// Split a 128-bit PRF block into eight 16-bit noise words (big-endian
-/// order, matching the u32/u64 splitters).
-#[inline]
-pub fn block_words_u16(block: u128) -> [u16; 8] {
-    let mut out = [0u16; 8];
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = (block >> (112 - 16 * i)) as u16;
-    }
-    out
-}
-
-/// Split a 128-bit PRF block into sixteen byte-sized noise words.
-#[inline]
-pub fn block_words_u8(block: u128) -> [u8; 16] {
-    block.to_be_bytes()
-}
-
-/// Noise word for a single 16-bit element `j` of the stream rooted at `base`.
-#[inline]
-pub fn word_u16<P: Prf + ?Sized>(prf: &P, base: u128, j: u64) -> u16 {
-    let block = prf.eval_block(base.wrapping_add((j / 8) as u128));
-    block_words_u16(block)[(j % 8) as usize]
-}
-
-/// Noise word for a single byte element `j` of the stream rooted at `base`.
-#[inline]
-pub fn word_u8<P: Prf + ?Sized>(prf: &P, base: u128, j: u64) -> u8 {
-    let block = prf.eval_block(base.wrapping_add((j / 16) as u128));
-    block_words_u8(block)[(j % 16) as usize]
-}
-
-/// Fill `out` with the 16-bit keystream rooted at `base`, starting at
-/// element index `first`.
-pub fn keystream_u16<P: Prf + ?Sized>(prf: &P, base: u128, first: u64, out: &mut [u16]) {
-    hear_telemetry::add(
-        hear_telemetry::Metric::KeystreamBytes,
-        std::mem::size_of_val(out) as u64,
-    );
-    fill_keystream(prf, base, first, out, 8, |block, k| {
-        block_words_u16(block)[k]
-    });
-}
-
-/// Fill `out` with the byte keystream rooted at `base`, starting at
-/// element index `first`.
-pub fn keystream_u8<P: Prf + ?Sized>(prf: &P, base: u128, first: u64, out: &mut [u8]) {
-    hear_telemetry::add(hear_telemetry::Metric::KeystreamBytes, out.len() as u64);
-    fill_keystream(prf, base, first, out, 16, |block, k| {
-        block_words_u8(block)[k]
-    });
-}
-
-/// Generic CTR fill: `out[i] = extract(eval_block(base + (first+i)/per), (first+i)%per)`.
-fn fill_keystream<W: Copy + Default, P: Prf + ?Sized>(
-    prf: &P,
-    base: u128,
-    first: u64,
-    out: &mut [W],
-    per: u64,
-    extract: impl Fn(u128, usize) -> W,
-) {
-    if out.is_empty() {
-        return;
-    }
-    let mut idx = 0usize;
-    let mut j = first;
-    // Leading partial block.
-    while !j.is_multiple_of(per) && idx < out.len() {
-        out[idx] = extract(
-            prf.eval_block(base.wrapping_add((j / per) as u128)),
-            (j % per) as usize,
-        );
-        idx += 1;
-        j += 1;
-    }
-    const BATCH: usize = 256;
-    let mut blocks = [0u128; BATCH];
-    while (out.len() - idx) as u64 >= per {
-        let remaining_blocks = ((out.len() - idx) as u64 / per) as usize;
-        let n = remaining_blocks.min(BATCH);
-        prf.fill_blocks(base.wrapping_add((j / per) as u128), &mut blocks[..n]);
-        for b in &blocks[..n] {
-            for k in 0..per as usize {
-                out[idx] = extract(*b, k);
-                idx += 1;
-            }
-            j += per;
-        }
-    }
-    while idx < out.len() {
-        out[idx] = extract(
-            prf.eval_block(base.wrapping_add((j / per) as u128)),
-            (j % per) as usize,
-        );
-        idx += 1;
-        j += 1;
-    }
-}
-
 #[cfg(test)]
 mod narrow_lane_tests {
+    use super::tests::check_keystream;
     use super::*;
 
     #[test]
     fn keystream_u16_matches_words() {
         let prf = PrfCipher::new(Backend::AesSoft, 0xAA).unwrap();
         for first in [0u64, 1, 5, 7, 8, 13] {
-            let mut out = vec![0u16; 37];
-            keystream_u16(&prf, 3, first, &mut out);
-            for (i, o) in out.iter().enumerate() {
-                assert_eq!(
-                    *o,
-                    word_u16(&prf, 3, first + i as u64),
-                    "first={first} i={i}"
-                );
-            }
+            check_keystream::<u16>(&prf, 3, first, 37);
         }
     }
 
@@ -705,20 +514,23 @@ mod narrow_lane_tests {
     fn keystream_u8_matches_words() {
         let prf = PrfCipher::new(Backend::AesSoft, 0xBB).unwrap();
         for first in [0u64, 1, 15, 16, 17] {
-            let mut out = vec![0u8; 53];
-            keystream_u8(&prf, 9, first, &mut out);
-            for (i, o) in out.iter().enumerate() {
-                assert_eq!(*o, word_u8(&prf, 9, first + i as u64));
-            }
+            check_keystream::<u8>(&prf, 9, first, 53);
         }
     }
 
+    /// `KernelWord::extract` splits a block big-endian: word 0 is its most
+    /// significant bits, at every width.
     #[test]
     fn narrow_words_are_consistent_slices_of_the_block() {
-        let prf = PrfCipher::new(Backend::AesSoft, 0xCC).unwrap();
-        let block = prf.eval_block(0);
-        assert_eq!(word_u8(&prf, 0, 0), (block >> 120) as u8);
-        assert_eq!(word_u16(&prf, 0, 7), block as u16);
-        assert_eq!(block_words_u16(block)[0], (block >> 112) as u16);
+        let block = u128::from_be_bytes(std::array::from_fn(|i| i as u8));
+        let bytes: [u8; 16] = std::array::from_fn(|k| u8::extract(block, k));
+        assert_eq!(bytes, block.to_be_bytes());
+        assert_eq!([0, 7].map(|k| u16::extract(block, k)), [0x0001, 0x0e0f]);
+        assert_eq!(
+            [0, 3].map(|k| u32::extract(block, k)),
+            [0x0001_0203, 0x0c0d_0e0f]
+        );
+        let halves = [0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f];
+        assert_eq!([0, 1].map(|k| u64::extract(block, k)), halves);
     }
 }

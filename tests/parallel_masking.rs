@@ -32,8 +32,8 @@ const FIRST: u64 = 3;
 
 /// Whether a row pinned to a pool of two or more threads sharded on it:
 /// `fans_out` rows must (a serial pass would make their comparison
-/// vacuous), the others — IntProdScheme's multiplicative noise and the fused
-/// float passes, which run on one thread — must not.
+/// vacuous), the others — the fused float passes, which run on one
+/// thread — must not.
 fn assert_fan_out(pool: &WorkerPool, what: &str, fans_out: bool) {
     if pool.threads() > 1 {
         assert_eq!(
@@ -118,7 +118,7 @@ fn int_sum_parallel_masking_is_bit_identical() {
 fn int_prod_parallel_masking_is_bit_identical() {
     let inputs: [Vec<u64>; 2] =
         std::array::from_fn(|r| (0..LEN as u64).map(|j| 1 + (j + r as u64) % 9).collect());
-    pin_scheme(IntProdScheme::<u64>::default, inputs, false);
+    pin_scheme(IntProdScheme::<u64>::default, inputs, true);
 }
 
 #[test]
@@ -207,6 +207,73 @@ fn homac_tags_parallel_match_serial() {
                 &tags == r,
                 "HoMAC tags diverge from serial at {threads} threads"
             ),
+        }
+    }
+}
+
+/// The single-origin cell codecs pad on the call's pool like every other
+/// integer pass: at world 2, with pieces of `PAR_MIN_BYTES` of `u64` cells
+/// and more, an allgather and an alltoall — bare and `verified()` — each
+/// add fork-join jobs to a pinned 2-thread pool, and every result equals
+/// the 1-thread pool's (and the contributed values, cells being lossless).
+#[test]
+fn cell_codecs_fan_out_and_match_serial() {
+    use hear::layer::{EngineCfg, SecureComm};
+    use hear::mpi::Simulator;
+
+    const CELLS: usize = PAR_MIN_BYTES / 8 + 3;
+    let contribution = |r: usize, len: usize| -> Vec<u64> {
+        (0..len as u64)
+            .map(|j| j.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ r as u64)
+            .collect()
+    };
+    let run = |threads: usize| {
+        Simulator::new(2).run(move |comm| {
+            let r = comm.rank();
+            let keys = CommKeys::generate(2, SEED ^ 0xCE11, Backend::best_available())
+                .into_iter()
+                .nth(r)
+                .unwrap();
+            let homac = Homac::generate(SEED ^ 0xCE12, Backend::best_available());
+            let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
+            let (piece, both) = (contribution(r, CELLS), contribution(r, 2 * CELLS));
+            let pool = WorkerPool::new(threads);
+            let (mut outs, mut jobs) = (Vec::new(), Vec::new());
+            with_pool(&pool, || {
+                for cfg in [EngineCfg::sync(), EngineCfg::sync().verified()] {
+                    let mut scheme = IntSumScheme::<u64>::default();
+                    outs.push(sc.allgather_with(&mut scheme, &piece, cfg).unwrap());
+                    jobs.push(pool.jobs());
+                    outs.push(sc.alltoall_with(&mut scheme, &both, cfg).unwrap());
+                    jobs.push(pool.jobs());
+                }
+            });
+            (outs, jobs)
+        })
+    };
+    let serial = run(1);
+    for (rank, (outs, _)) in serial.iter().enumerate() {
+        let gathered = [contribution(0, CELLS), contribution(1, CELLS)].concat();
+        let received: Vec<u64> = (0..2)
+            .flat_map(|src| contribution(src, 2 * CELLS)[rank * CELLS..][..CELLS].to_vec())
+            .collect();
+        for (call, out) in outs.iter().enumerate() {
+            let want = if call % 2 == 0 { &gathered } else { &received };
+            assert!(out == want, "rank {rank} call {call}: wrong result");
+        }
+    }
+    for (rank, (outs, jobs)) in run(2).iter().enumerate() {
+        assert!(
+            outs == &serial[rank].0,
+            "rank {rank}: results diverge from the 1-thread pool"
+        );
+        let mut before = 0;
+        for (call, &after) in jobs.iter().enumerate() {
+            assert!(
+                after > before,
+                "rank {rank} call {call}: no fork-join job on the 2-thread pool ({jobs:?})"
+            );
+            before = after;
         }
     }
 }
