@@ -57,8 +57,8 @@ use hear::hfp::ops::{self, reference};
 use hear::hfp::{Hfp, HfpFormat};
 use hear::prf::kernels::add_keystream_into;
 use hear::prf::{
-    keystream, par_add_keystream_into, par_fused_pass, par_sub_keystream_into, with_pool, Backend,
-    Payload, PrfCipher, Stream, WorkerPool,
+    keystream, par_add_keystream_into, par_fused_pass, with_pool, Backend, Payload, PrfCipher,
+    Stream, WorkerPool,
 };
 
 /// Small payload: 64 KiB, the Fig. 5 sweet spot (big enough to leave L1,
@@ -265,7 +265,7 @@ fn bench_mask(c: &mut Criterion, group: &str, bytes: usize, backend: Backend) {
     g.bench_function("two_stream/fused", |b| {
         b.iter(|| {
             fused.clear();
-            let payload = Payload::Extend(&src, &mut fused);
+            let payload = Payload::Extend(&src[..], &mut fused);
             par_fused_pass(&pool, &streams, 0, payload, |x, [a, b]| {
                 x.wrapping_add(a).wrapping_sub(b)
             });
@@ -276,7 +276,13 @@ fn bench_mask(c: &mut Criterion, group: &str, bytes: usize, backend: Backend) {
             copied.clear();
             copied.extend_from_slice(&src);
             par_add_keystream_into(&pool, &prf, own, 0, &mut copied);
-            par_sub_keystream_into(&pool, &prf, next, 0, &mut copied);
+            par_fused_pass(
+                &pool,
+                &[streams[1]],
+                0,
+                Payload::InPlace(&mut copied),
+                |x, [b]| x.wrapping_sub(b),
+            );
         })
     });
     assert!(
@@ -286,7 +292,7 @@ fn bench_mask(c: &mut Criterion, group: &str, bytes: usize, backend: Backend) {
     g.bench_function("one_stream/fused", |b| {
         b.iter(|| {
             fused.clear();
-            let payload = Payload::Extend(&src, &mut fused);
+            let payload = Payload::Extend(&src[..], &mut fused);
             par_fused_pass(&pool, &[streams[0]], 0, payload, |x, [a]| x.wrapping_sub(a));
         })
     });
@@ -294,7 +300,13 @@ fn bench_mask(c: &mut Criterion, group: &str, bytes: usize, backend: Backend) {
         b.iter(|| {
             copied.clear();
             copied.extend_from_slice(&src);
-            par_sub_keystream_into(&pool, &prf, own, 0, &mut copied);
+            par_fused_pass(
+                &pool,
+                &[streams[0]],
+                0,
+                Payload::InPlace(&mut copied),
+                |x, [a]| x.wrapping_sub(a),
+            );
         })
     });
     assert!(
@@ -308,7 +320,7 @@ fn bench_mask(c: &mut Criterion, group: &str, bytes: usize, backend: Backend) {
         g.bench_function("one_stream/fused_narrow_tile", |b| {
             b.iter(|| {
                 copied.clear();
-                let payload = Payload::Extend(&src, &mut copied);
+                let payload = Payload::Extend(&src[..], &mut copied);
                 par_fused_pass(&pool, &[streams[0]], 0, payload, |x, [a]| x.wrapping_sub(a));
             })
         });
@@ -316,7 +328,7 @@ fn bench_mask(c: &mut Criterion, group: &str, bytes: usize, backend: Backend) {
         g.bench_function("two_stream/fused_narrow_tile", |b| {
             b.iter(|| {
                 copied.clear();
-                let payload = Payload::Extend(&src, &mut copied);
+                let payload = Payload::Extend(&src[..], &mut copied);
                 par_fused_pass(&pool, &streams, 0, payload, |x, [a, b]| {
                     x.wrapping_add(a).wrapping_sub(b)
                 });

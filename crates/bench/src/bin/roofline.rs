@@ -112,7 +112,7 @@ fn masked_bps(pool: &WorkerPool, prf: &PrfCipher, bytes: usize, reps: usize) -> 
             pool,
             &streams,
             0,
-            Payload::Extend(&src, buf),
+            Payload::Extend(&src[..], buf),
             |x, [a, b]| x.wrapping_add(a).wrapping_sub(b),
         );
     };

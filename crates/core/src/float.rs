@@ -18,9 +18,8 @@ use crate::scheme::{Scheme, DIGEST_LANES};
 use hear_hfp::format::{Hfp, HfpError, HfpFormat};
 use hear_hfp::ops;
 use hear_hfp::ringexp::mask;
-use hear_prf::{blocks_metric, Prf};
-use std::cell::Cell;
-use std::ops::Range;
+use hear_prf::{par_block_pass, Payload, Prf, Stream, WorkerPool};
+use std::convert::Infallible;
 
 /// Derive an HFP noise value from one PRF block: uniform sign, uniform
 /// ring exponent, uniform mantissa (hidden one attached).
@@ -44,61 +43,28 @@ pub fn noise_at(prf: &dyn Prf, base: u128, j: u64, ew: u32, mw: u32) -> Hfp {
     noise_from_block(prf.eval_block(base.wrapping_add(j as u128)), ew, mw)
 }
 
-/// PRF blocks per refill of the fused loop's stack tile (4 KiB).
-const TILE: usize = 256;
-
-/// The one loop under every float cipher: walk `n` elements at `first` a
-/// stack tile at a time, and hand `tile` each tile's range `r` of the call
-/// with its PRF blocks — element `r.start + i` meets `blocks[i]`, block
-/// `base + first + r.start + i`: the coordinates [`noise_at`] uses, so
-/// blocks compose across calls. PRF blocks are attributed up front, one
-/// per element.
-fn fused_noise_pass(
+/// The one pass under every float cipher, a [`par_block_pass`] on the
+/// rank's pool: `dst[i] ← f(src[i], blocks)`, `blocks[s]` the block
+/// `F(bases[s] + first + i)` that [`noise_at`] reads, so blocks compose
+/// across calls. A failed mask (`Extend` to a cleared `out`) leaves `out`
+/// empty.
+fn noise_pass<S, D, E, const N: usize>(
     keys: &CommKeys,
-    base: u128,
+    bases: [u128; N],
     first: u64,
-    n: usize,
-    mut tile: impl FnMut(Range<usize>, &[u128]),
-) {
-    let prf = keys.prf();
-    hear_telemetry::add(blocks_metric(prf.backend()), n as u64);
-    let mut blocks = [0u128; TILE];
-    for s in (0..n).step_by(TILE) {
-        let blocks = &mut blocks[..TILE.min(n - s)];
-        prf.fill_blocks_uncounted(base.wrapping_add(u128::from(first + s as u64)), blocks);
-        tile(s..s + blocks.len(), blocks);
-    }
-}
-
-/// Encrypt `input` into `out`, cleared and filled with `f(x, noise)`: one
-/// `Vec::extend` over each [`fused_noise_pass`] tile's zipped slices. The
-/// first encode error skips the tiles after it and leaves `out` empty.
-fn noise_mask(
-    keys: &CommKeys,
-    base: u128,
-    first: u64,
-    k: Kernels,
-    input: &[f64],
-    out: &mut Vec<Hfp>,
-    f: impl Fn(f64, Hfp) -> Result<Hfp, HfpError> + Copy,
-) -> Result<(), HfpError> {
-    out.clear();
-    out.reserve(input.len());
-    // A `Cell`, so that the `move` closure below holds everything it reads
-    // by value: that is what keeps the extend loop as fast as a loop over a
-    // slice (captures by reference measured 1.2–1.5× as slow).
-    let failed = &Cell::new(Ok(()));
-    fused_noise_pass(keys, base, first, input.len(), |r, blocks| {
-        if failed.get().is_ok() {
-            out.extend(input[r].iter().zip(blocks).map(move |(&x, &b)| {
-                f(x, k.noise(b)).unwrap_or_else(|e| {
-                    failed.set(Err(e));
-                    ops::FOREIGN
-                })
-            }));
-        }
+    payload: Payload<'_, D, &[S]>,
+    f: impl Fn(S, [u128; N]) -> Result<D, E> + Copy + Sync,
+) -> Result<(), E>
+where
+    S: Copy + Sync + 'static,
+    D: Send + 'static,
+    E: Send,
+{
+    let streams = bases.map(|base| Stream {
+        prf: keys.prf(),
+        base,
     });
-    failed.get().inspect_err(|_| out.clear())
+    WorkerPool::with_current(|pool| par_block_pass(pool, &streams, first, payload, f))
 }
 
 /// One format's element kernels, its widths read once per pass: the ⊗ and
@@ -207,20 +173,14 @@ fn strip_noise(
     fmt: HfpFormat,
     agg: &[Hfp],
     dst: &mut [f64],
-    post: impl Fn(f64) -> f64,
+    post: impl Fn(f64) -> f64 + Copy + Sync,
 ) {
-    let _s = hear_telemetry::span!("decrypt", elems = agg.len());
-    assert_eq!(
-        agg.len(),
-        dst.len(),
-        "one result slot per aggregate element"
+    let (_s, k) = (
+        hear_telemetry::span!("decrypt", elems = agg.len()),
+        Kernels::new(fmt),
     );
-    let k = Kernels::new(fmt);
-    fused_noise_pass(keys, base, first, agg.len(), |r, blocks| {
-        for ((d, c), &b) in dst[r.clone()].iter_mut().zip(&agg[r]).zip(blocks) {
-            *d = post(k.decrypt(c, &k.noise(b)));
-        }
-    });
+    let decrypt = move |c, [b]: [u128; 1]| Ok::<_, Infallible>(post(k.decrypt(&c, &k.noise(b))));
+    let Ok(()) = noise_pass(keys, [base], first, Payload::Into(agg, dst), decrypt);
 }
 
 /// Quantized-digest tolerance: `world` quantization steps plus the
@@ -270,11 +230,15 @@ impl Scheme for FloatSumScheme {
         out: &mut Vec<Hfp>,
     ) -> Result<(), HfpError> {
         let _s = hear_telemetry::span!("encrypt", elems = input.len());
-        let k = Kernels::new(self.fmt);
-        let base = keys.base_collective();
-        noise_mask(keys, base, first, k, input, out, move |v, n| {
-            k.encrypt(v, &n)
-        })
+        let (k, base) = (Kernels::new(self.fmt), keys.base_collective());
+        out.clear();
+        noise_pass(
+            keys,
+            [base],
+            first,
+            Payload::Extend(input, out),
+            move |v, [n]| k.encrypt(v, &k.noise(n)),
+        )
     }
 
     /// ⊘ the collective noise.
@@ -323,31 +287,34 @@ impl Scheme for FloatSumScheme {
 }
 
 /// Eq. (6)'s encryption of `pre(x[i])`: ⊗ with this rank's noise and, on
-/// every rank but the last, ⊘ by the next rank's (the cancelling pair) in a
-/// second pass over `out` — element for element the expression one fused
-/// pass would evaluate, so the same bits. [`FloatSumExpScheme`]
-/// exponentiates through `pre` inside the first pass.
+/// every rank but the last, ⊘ by the next rank's (the cancelling pair) —
+/// one pass over both streams. [`FloatSumExpScheme`] exponentiates
+/// through `pre`.
 fn prod_mask(
     fmt: HfpFormat,
     keys: &CommKeys,
     first: u64,
     x: &[f64],
     out: &mut Vec<Hfp>,
-    pre: impl Fn(f64) -> Result<f64, HfpError> + Copy,
+    pre: impl Fn(f64) -> Result<f64, HfpError> + Copy + Sync,
 ) -> Result<(), HfpError> {
     let _s = hear_telemetry::span!("encrypt", elems = x.len());
-    let k = Kernels::new(fmt);
-    noise_mask(keys, keys.base_own(), first, k, x, out, move |v, n| {
-        k.encrypt(pre(v)?, &n)
-    })?;
-    if !keys.is_last() {
-        fused_noise_pass(keys, keys.base_next(), first, out.len(), |r, blocks| {
-            for (c, &b) in out[r].iter_mut().zip(blocks) {
-                *c = k.strip(c, &k.noise(b));
-            }
-        });
+    let (k, own) = (Kernels::new(fmt), keys.base_own());
+    out.clear();
+    let payload = Payload::Extend(x, out);
+    if keys.is_last() {
+        noise_pass(keys, [own], first, payload, move |v, [o]| {
+            k.encrypt(pre(v)?, &k.noise(o))
+        })
+    } else {
+        noise_pass(
+            keys,
+            [own, keys.base_next()],
+            first,
+            payload,
+            move |v, [o, n]| Ok(k.strip(&k.encrypt(pre(v)?, &k.noise(o))?, &k.noise(n))),
+        )
     }
-    Ok(())
 }
 
 /// Homomorphic float product (Eq. 6, telescoping orientation) as a
@@ -1091,16 +1058,26 @@ mod bit_identity {
 
     #[test]
     fn one_prf_block_per_element_and_stream() {
-        // The fused loop fills tiles uncounted and attributes once: the
+        // The block pass generates uncounted and attributes once: the
         // totals must be what the per-block counted fills added up to.
+        use hear_telemetry::Metric::{
+            PrfBlocksAesNi, PrfBlocksAesSoft, PrfBlocksSha1, PrfBlocksSha1Ni,
+        };
         let keys = CommKeys::generate(2, 0xB10C, Backend::best_available());
-        let metric = blocks_metric(keys[0].prf().backend());
         let x = vec![1.5; 777];
         let counted = |run: &mut dyn FnMut()| {
             let reg = Registry::new_enabled();
             let _ctx = reg.install(Some(0));
             run();
-            reg.counter(metric)
+            [
+                PrfBlocksAesSoft,
+                PrfBlocksAesNi,
+                PrfBlocksSha1,
+                PrfBlocksSha1Ni,
+            ]
+            .map(|m| reg.counter(m))
+            .iter()
+            .sum::<u64>()
         };
         let mut sum = FloatSumScheme::new(HfpFormat::fp64(2, 2));
         let mut prod = FloatProdScheme::new(HfpFormat::fp64(0, 0));

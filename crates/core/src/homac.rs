@@ -25,18 +25,20 @@
 //! demands a zero residual — one algebra, no candidates.
 //!
 //! The bulk entry points run one kernel per side (`tag_batch`,
-//! `verify_batch`, each with a const mode: ring word, cell or lane): keys
-//! come a `TILE` at a time through the bulk PRF fill (8-wide on AES-NI)
-//! and the field arithmetic is the Mersenne fold, no division.
+//! `verify_batch`, each with a const mode: ring word, cell or lane), each
+//! one `hear_prf::par_block_pass` on the rank's pool: keys come from the
+//! pad driver every other cipher uses (8-wide on AES-NI, sharded past
+//! `PAR_MIN_BYTES`), and the field arithmetic is the Mersenne fold, no
+//! division.
 //! [`Homac::tag_plain`] / [`Homac::verify_plain`] and the `*_scalar` lane
 //! functions stay scalar, one `eval_block` per key: the references the
 //! kernels are tested and gated against.
 
 use crate::keys::{CommKeys, KeyRegistry};
 use crate::word::RingWord;
-use hear_prf::{blocks_metric, for_each_shard, Backend, Prf, PrfCipher, WorkerPool};
+use hear_prf::{par_block_pass, Backend, Payload, Prf, PrfCipher, Source, Stream, WorkerPool};
 use hear_telemetry::Metric::{HomacVerifyFail, HomacVerifyPass};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::convert::Infallible;
 
 /// The HoMAC field modulus: the Mersenne prime `2^61 − 1` (λ = 61).
 pub const HOMAC_P: u64 = (1u64 << 61) - 1;
@@ -139,24 +141,6 @@ fn record_verdict(ok: bool) -> bool {
     ok
 }
 
-/// Keys derived per bulk PRF fill: 4 KiB of blocks on the stack.
-const TILE: usize = 256;
-
-/// Smallest tag/verify batch worth fanning out. Measured with the tiled
-/// kernel on AES-NI, one thread: ≈ 7 ns per element tagging on two key
-/// streams, ≈ 6 ns verifying — so 2^15 elements are ≈ 0.2 ms of serial work,
-/// the floor the mask kernels' `PAR_MIN_BYTES` sets (1 MiB at ≈ 5 GB/s), and
-/// where two threads first beat one here (≈ 160 µs against ≈ 250 µs).
-const PAR_MIN_ELEMS: usize = 1 << 15;
-
-/// One shard per half [`PAR_MIN_ELEMS`], capped by the pool; 1 below it.
-fn digest_shards(pool: &WorkerPool, n: usize) -> usize {
-    match n {
-        0..PAR_MIN_ELEMS => 1,
-        _ => (n / (PAR_MIN_ELEMS / 2)).clamp(1, pool.threads()),
-    }
-}
-
 /// Per-communicator HoMAC state: the verification key `Z` (with its field
 /// inverse) and the tag PRF. All ranks hold identical copies, distributed
 /// during the secure initialization alongside the encryption keys.
@@ -194,112 +178,92 @@ impl Homac {
 
     /// Tag a batch: `σ[i] = (s(own, j) − s(next, j) − m[i]) / Z` at
     /// `j = first + i`, `m` the [`message`] of `cipher[i]` in `MODE`, the
-    /// second stream only for the cancelling variant; `put(&mut out[i], m,
-    /// σ)` stores what the caller keeps (the tag, or a sealed lane and its
-    /// tag). Fanned out over the current worker pool above
-    /// [`PAR_MIN_ELEMS`]: tags are pure in `(base, j)` like the pads, so
-    /// index ranges compute bit-identically on any thread. Workers have no
-    /// registry context; this thread attributes the exact block total up
-    /// front.
-    fn tag_batch<W: RingWord, O: Default + Send, const MODE: u8>(
+    /// second stream only for the cancelling variant; `out` is cleared and
+    /// filled with `put(m, σ)`, what the caller keeps (the tag, or a sealed
+    /// lane and its tag). One block pass on the rank's pool: tags are pure
+    /// in `(base, j)` like the pads, so it shards like them.
+    fn tag_batch<W: RingWord, O: Send + 'static, const MODE: u8>(
         &self,
         own: u128,
         next: Option<u128>,
         first: u64,
         cipher: &[W],
         out: &mut Vec<O>,
-        put: impl Fn(&mut O, u64, u64) + Sync,
+        put: impl Fn(u64, u64) -> O + Copy + Sync,
     ) {
         let _s = hear_telemetry::span!("homac_tag", elems = cipher.len());
-        let blocks = (1 + next.is_some() as u64) * cipher.len() as u64;
-        hear_telemetry::add(blocks_metric(self.prf.backend()), blocks);
-        // Every slot is overwritten below.
-        out.resize_with(cipher.len(), O::default);
-        // The chunk kernel: one contiguous run, keys a tile at a time.
-        let kernel = |start: usize, out: &mut [O]| {
-            let mut ks = [0u128; TILE];
-            // Stays zero without a second stream: nothing to subtract below.
-            let mut kn = [0u128; TILE];
-            let run = &cipher[start..start + out.len()];
-            for (t, (cs, os)) in run.chunks(TILE).zip(out.chunks_mut(TILE)).enumerate() {
-                let j = (first + (start + t * TILE) as u64) as u128;
-                let (ks, kn) = (&mut ks[..cs.len()], &mut kn[..cs.len()]);
-                self.prf.fill_blocks_uncounted(own.wrapping_add(j), ks);
-                if let Some(next) = next {
-                    self.prf.fill_blocks_uncounted(next.wrapping_add(j), kn);
-                }
-                for (((c, o), s), n) in cs.iter().zip(os).zip(ks).zip(kn) {
-                    // s − n − m over the integers is k − 2^64·borrows, and
-                    // 2^64 ≡ 8; left unreduced, `mul_p` takes any u64.
-                    let m = message::<MODE>(c.to_u64(), *s, *n);
-                    let (k, b1) = (*s as u64).overflowing_sub(*n as u64);
-                    let (k, b2) = k.overflowing_sub(m);
-                    let diff = fold(k) + HOMAC_P - 8 * (b1 as u64 + b2 as u64);
-                    put(o, m, mul_p(diff, self.z_inv));
-                }
-            }
+        let z_inv = self.z_inv;
+        let tag = move |c: W, s: u128, n: u128| {
+            // s − n − m over the integers is k − 2^64·borrows, and 2^64 ≡ 8;
+            // left unreduced, `mul_p` takes any u64.
+            let m = message::<MODE>(c.to_u64(), s, n);
+            let (k, b1) = (s as u64).overflowing_sub(n as u64);
+            let (k, b2) = k.overflowing_sub(m);
+            let diff = fold(k) + HOMAC_P - 8 * (b1 as u64 + b2 as u64);
+            Ok::<_, Infallible>(put(m, mul_p(diff, z_inv)))
         };
-        WorkerPool::with_current(|pool| {
-            for_each_shard(pool, out, digest_shards(pool, cipher.len()), kernel)
+        let stream = |base| Stream {
+            prf: &self.prf,
+            base,
+        };
+        out.clear();
+        let payload = Payload::Extend(cipher, out);
+        let Ok(()) = WorkerPool::with_current(|pool| match next {
+            // Without a next stream there is nothing to subtract.
+            None => par_block_pass(pool, &[stream(own)], first, payload, move |c, [s]| {
+                tag(c, s, 0)
+            }),
+            Some(next) => {
+                let streams = [stream(own), stream(next)];
+                par_block_pass(pool, &streams, first, payload, move |c, [s, n]| {
+                    tag(c, s, n)
+                })
+            }
         });
     }
 
     /// Check a batch against the key stream at `base`: with `(c, σ) =
-    /// word(i)`, every residual `s(base, first + i) − (m + σ·Z)` must pass
-    /// [`overflow_ok`] (`world = 1` demands it be zero), `m` the
+    /// word(src[i])`, every residual `s(base, first + i) − (m + σ·Z)` must
+    /// pass [`overflow_ok`] (`world = 1` demands it be zero), `m` the
     /// [`message`] of `c` in `MODE` (a received lane is its own message).
-    /// A lane's opened sum `c − pad(base, first + i) mod p` goes to
-    /// `put(&mut out[i], ·)`; whatever `out` holds after a failing batch is
-    /// meaningless. Fans out like [`Homac::tag_batch`]; one block per
-    /// element is attributed even when a failing shard stops early
-    /// (failures abort the collective — only honest totals matter).
-    fn verify_batch<O: Send, const MODE: u8>(
+    /// `out` is cleared and filled with `put` of each lane's opened sum `c −
+    /// pad(base, first + i) mod p`; a checking-only pass keeps `()`, which
+    /// takes no memory. One block pass, like [`Homac::tag_batch`]; the first
+    /// failing element stops it and leaves `out` empty. One block per
+    /// element is attributed even then (failures abort the collective —
+    /// only honest totals matter).
+    fn verify_batch<S: Source<Item: 'static>, O: Send + 'static, const MODE: u8>(
         &self,
         base: u128,
         first: u64,
         (shift, world): (u32, u64),
-        word: impl Fn(usize) -> (u64, u64) + Sync,
-        out: &mut [O],
-        put: impl Fn(&mut O, u64) + Sync,
+        (src, word): (S, impl Fn(S::Item) -> (u64, u64) + Copy + Sync),
+        out: &mut Vec<O>,
+        put: impl Fn(u64) -> O + Copy + Sync,
     ) -> bool {
-        let _s = hear_telemetry::span!("homac_verify", elems = out.len());
-        hear_telemetry::add(blocks_metric(self.prf.backend()), out.len() as u64);
-        let all_ok = AtomicBool::new(true);
-        // The chunk kernel: one contiguous run, keys a tile at a time.
-        let kernel = |start: usize, out: &mut [O]| {
-            if !all_ok.load(Ordering::Relaxed) {
-                return;
-            }
-            let mut ks = [0u128; TILE];
-            let ok = out.chunks_mut(TILE).enumerate().all(|(t, os)| {
-                let at = start + t * TILE;
-                let ks = &mut ks[..os.len()];
-                self.prf
-                    .fill_blocks_uncounted(base.wrapping_add((first + at as u64) as u128), ks);
-                // Branch-free within the tile: a failure costs at most one tile.
-                let elems = os.iter_mut().zip(ks).enumerate();
-                elems.fold(true, |ok, (e, (o, s))| {
-                    let (c, sigma) = word(at + e);
-                    let m = match MODE {
-                        LANE => c,
-                        _ => message::<MODE>(c, *s, 0),
-                    };
-                    if MODE == LANE {
-                        put(o, reduce(fold(c) + 3 * HOMAC_P - lane_pad(*s, 0)));
-                    }
-                    let got = fold(m) + mul_p(sigma, self.z); // < 2p + 7
-                    ok & overflow_ok(reduce(fold(*s as u64) + 3 * HOMAC_P - got), shift, world)
-                })
-            });
-            if !ok {
-                all_ok.store(false, Ordering::Relaxed);
+        let _s = hear_telemetry::span!("homac_verify", elems = src.count());
+        let z = self.z;
+        let check = move |x, [s]: [u128; 1]| {
+            let (c, sigma) = word(x);
+            let m = match MODE {
+                LANE => c,
+                _ => message::<MODE>(c, s, 0),
+            };
+            let got = fold(m) + mul_p(sigma, z); // < 2p + 7
+            match overflow_ok(reduce(fold(s as u64) + 3 * HOMAC_P - got), shift, world) {
+                true => Ok(put(reduce(fold(c) + 3 * HOMAC_P - lane_pad(s, 0)))),
+                false => Err(()),
             }
         };
-        WorkerPool::with_current(|pool| {
-            let nshards = digest_shards(pool, out.len());
-            for_each_shard(pool, out, nshards, kernel)
-        });
-        record_verdict(all_ok.load(Ordering::Relaxed))
+        let stream = [Stream {
+            prf: &self.prf,
+            base,
+        }];
+        out.clear();
+        let payload = Payload::Extend(src, out);
+        let verdict =
+            WorkerPool::with_current(|pool| par_block_pass(pool, &stream, first, payload, check));
+        record_verdict(verdict.is_ok())
     }
 
     /// Cancelling tags for this rank's ciphertext block (Θ(1) verification).
@@ -320,7 +284,7 @@ impl Homac {
     ) {
         let next = (!keys.is_last()).then(|| keys.base_next());
         let own = keys.base_own();
-        self.tag_batch::<W, u64, RING>(own, next, first, cipher, out, |o, _, tag| *o = tag);
+        self.tag_batch::<W, u64, RING>(own, next, first, cipher, out, |_, tag| tag);
     }
 
     /// Non-cancelling tags (Θ(P) verification via [`Homac::verify_plain`]).
@@ -364,10 +328,16 @@ impl Homac {
             world.saturating_sub(1) <= (HOMAC_P - 1) >> shift,
             "HoMAC overflow test needs (world − 1)·2^{shift} < p; world = {world}"
         );
-        assert_eq!(agg.len(), tags.len());
-        let word = |i: usize| (agg[i].to_u64(), tags[i]);
-        let (base, verdict) = (keys.base_zero(), &mut vec![(); agg.len()]);
-        self.verify_batch::<(), RING>(base, first, (shift, world), word, verdict, |_, _| {})
+        let word = |(c, sigma): (W, u64)| (c.to_u64(), sigma);
+        let (base, units) = (keys.base_zero(), &mut Vec::new());
+        self.verify_batch::<_, (), RING>(
+            base,
+            first,
+            (shift, world),
+            ((agg, tags), word),
+            units,
+            |_| (),
+        )
     }
 
     /// Verify non-cancelling tags: reconstructs all `P` key streams and scans
@@ -400,16 +370,15 @@ impl Homac {
     /// other than the tagged one verifies (a tag over the bare word would
     /// also accept the cell shifted by `p`).
     pub fn tag_shared(&self, base: u128, first: u64, cipher: &[u64], out: &mut Vec<u64>) {
-        self.tag_batch::<u64, u64, CELL>(base, None, first, cipher, out, |o, _, tag| *o = tag);
+        self.tag_batch::<u64, u64, CELL>(base, None, first, cipher, out, |_, tag| tag);
     }
 
     /// Verify single-origin ciphertexts against [`Homac::tag_shared`]
     /// tags. One contributor means no wrap-around: `m + σ·Z ≡ s (mod p)`
     /// must hold exactly for the cell's message `m`.
     pub fn verify_shared(&self, base: u128, first: u64, cipher: &[u64], tags: &[u64]) -> bool {
-        assert_eq!(cipher.len(), tags.len());
-        let (word, verdict) = (|i: usize| (cipher[i], tags[i]), &mut vec![(); cipher.len()]);
-        self.verify_batch::<(), CELL>(base, first, (0, 1), word, verdict, |_, _| {})
+        let (src, units) = ((cipher, tags), &mut Vec::new());
+        self.verify_batch::<_, (), CELL>(base, first, (0, 1), (src, |x| x), units, |_| ())
     }
 
     /// Seal a run of digest lanes into `out`, one `[lane, tag]` per half:
@@ -417,7 +386,7 @@ impl Homac {
     /// field element `m + pad` and gets the cancelling tag of that lane, at
     /// PRF index `first + i` of this rank's own and next streams. Pad and
     /// tag key are the high and low halves of one block, so this is one
-    /// pass over the PRF — the same tile kernel as [`Homac::tag_into`].
+    /// pass over the PRF — the same kernel as [`Homac::tag_into`].
     /// The network adds lanes and tags with [`Homac::combine`].
     pub fn seal_lanes(&self, keys: &CommKeys, first: u64, halves: &[u64], out: &mut Vec<[u64; 2]>) {
         assert!(
@@ -425,17 +394,17 @@ impl Homac {
             "a lane carries 32 bits"
         );
         let next = (!keys.is_last()).then(|| keys.base_next());
-        let put = |o: &mut [u64; 2], lane, tag| *o = [reduce(lane), tag];
+        let put = |lane, tag| [reduce(lane), tag];
         self.tag_batch::<u64, _, LANE>(keys.base_own(), next, first, halves, out, put);
     }
 
     /// Open the aggregate of lanes sealed by [`Homac::seal_lanes`] at
     /// `first`, as `[lane, tag]` pairs: every tag must verify exactly
-    /// (residual zero, no overflow candidates), and `out` (resized to the
-    /// pairs' length) receives each lane with rank 0's pad removed — the
-    /// sum over ranks of the sealed halves, an exact integer while
-    /// `world·2³² < p`. One verify-and-decrypt pass over `base_zero`. On
-    /// `false`, `out` is meaningless.
+    /// (residual zero, no overflow candidates), and `out` (cleared) receives
+    /// each lane with rank 0's pad removed — the sum over ranks of the
+    /// sealed halves, an exact integer while `world·2³² < p`. One
+    /// verify-and-decrypt pass over `base_zero`. On `false`, `out` is
+    /// meaningless.
     pub fn open_lanes(
         &self,
         keys: &CommKeys,
@@ -443,9 +412,8 @@ impl Homac {
         sealed: &[[u64; 2]],
         out: &mut Vec<u64>,
     ) -> bool {
-        out.resize(sealed.len(), 0);
-        let (base, word) = (keys.base_zero(), |i: usize| (sealed[i][0], sealed[i][1]));
-        self.verify_batch::<u64, LANE>(base, first, (0, 1), word, out, |o, sum| *o = sum)
+        let (base, word) = (keys.base_zero(), |[lane, tag]: [u64; 2]| (lane, tag));
+        self.verify_batch::<_, u64, LANE>(base, first, (0, 1), (sealed, word), out, |sum| sum)
     }
 
     /// [`Homac::seal_lanes`] by its definition, one `eval_block` per key

@@ -13,7 +13,7 @@ use crate::keys::{CommKeys, KeyRegistry};
 use crate::scheme::{prod_digest, Scheme, DIGEST_LANES};
 use crate::word::RingWord;
 use hear_hfp::HfpError;
-use hear_prf::{par_fused_pass, par_sub_keystream_into, Payload, Stream, WorkerPool};
+use hear_prf::{par_fused_pass, Payload, Stream, WorkerPool};
 use std::marker::PhantomData;
 
 /// Fold the noise streams at `bases` into a payload — in place, appended
@@ -371,8 +371,13 @@ impl NaiveIntSum {
         let _s = hear_telemetry::span!("decrypt", elems = agg.len());
         WorkerPool::with_current(|pool| {
             for rank in 0..registry.world() {
-                let base = registry.base_of(rank);
-                par_sub_keystream_into(pool, registry.prf(), base, first, agg);
+                let streams = [Stream {
+                    prf: registry.prf(),
+                    base: registry.base_of(rank),
+                }];
+                par_fused_pass(pool, &streams, first, Payload::InPlace(agg), |x, [k]| {
+                    x.wsub(k)
+                });
             }
         });
     }

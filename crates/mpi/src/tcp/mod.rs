@@ -1007,51 +1007,52 @@ fn socket_pair() -> std::io::Result<(TcpStream, TcpStream)> {
     Ok((client, server))
 }
 
-/// `read_exact` with an absolute deadline (setup phase only).
-fn read_exact_deadline(
-    stream: &mut TcpStream,
-    mut buf: &mut [u8],
+/// A setup-phase stream whose reads wait until an absolute deadline at
+/// most, then fail `TimedOut`. A peer that closes reads as end of stream,
+/// which `read_exact` reports as `UnexpectedEof`.
+struct Deadline<'a> {
+    stream: &'a mut TcpStream,
     deadline: Instant,
-) -> std::io::Result<()> {
-    while !buf.is_empty() {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "setup deadline expired waiting for a frame",
-            ));
-        }
-        stream.set_read_timeout(Some((deadline - now).min(Duration::from_millis(100))))?;
-        match stream.read(buf) {
-            Ok(0) => {
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            let now = Instant::now();
+            if now >= self.deadline {
                 return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed during setup",
-                ))
+                    std::io::ErrorKind::TimedOut,
+                    "setup deadline expired waiting for a frame",
+                ));
             }
-            Ok(n) => buf = &mut buf[n..],
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
+            let wait = (self.deadline - now).min(Duration::from_millis(100));
+            self.stream.set_read_timeout(Some(wait))?;
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock
+                            | std::io::ErrorKind::TimedOut
+                            | std::io::ErrorKind::Interrupted
+                    ) => {}
+                read => return read,
+            }
         }
     }
-    Ok(())
 }
 
 /// Read exactly one setup frame (`Hello`, `Table`, `Ping`, `Pong`) — and
 /// not one byte more, so nothing the peer sends next is stranded in a
-/// buffer when the connection is handed to its reader thread.
+/// buffer when the connection is handed to its reader thread. Rank 0
+/// reads whoever dials its rendezvous port, so the payload is allocated
+/// as its bytes arrive ([`payload::read_bytes`]), whatever the header
+/// claims.
 fn read_frame_deadline(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<Frame> {
+    let mut r = Deadline { stream, deadline };
     let mut head = [0u8; HEADER_LEN];
-    read_exact_deadline(stream, &mut head, deadline)?;
+    r.read_exact(&mut head)?;
     let header = FrameHeader::decode(&head)?;
-    let mut payload = vec![0u8; header.len as usize];
-    read_exact_deadline(stream, &mut payload, deadline)?;
+    let payload = payload::read_bytes(header.len as usize, &mut r)?;
     Ok(Frame { header, payload })
 }
 
@@ -2263,5 +2264,80 @@ mod tests {
             CommError::PeerDead { peer: 1 }
         );
         assert!(!t.is_dead(0) && !t.is_dead(2));
+    }
+
+    /// `payload::read_primitive` and `payload::read_bytes` on hostile
+    /// input: every primitive type id and ids that are none, a claimed
+    /// length up to `MAX_FRAME_LEN`, and a body that is whole or cut short.
+    /// No panic; a short body is `UnexpectedEof`; and no allocation past
+    /// the bytes received plus `UPFRONT_BYTES`.
+    mod hostile_reads {
+        use super::*;
+        use hear_testkit::prelude::*;
+
+        /// Element size of each type id `read_primitive` reads; 0 where it
+        /// reads none (0x00, and 0x0C, `usize`, which is a codec).
+        const SIZES: [usize; 13] = [0, 1, 2, 4, 8, 16, 1, 2, 4, 8, 4, 8, 0];
+
+        proptest! {
+            #[test]
+            fn payload_reads_allocate_as_their_bytes_arrive(
+                id in 0u32..13,
+                claim in 0usize..=wire::MAX_FRAME_LEN as usize,
+                sent in 0usize..4096,
+                whole in any::<bool>(),
+            ) {
+                let (claim, sent) = match whole {
+                    true => (claim % 4096, claim % 4096),
+                    false => (claim.max(1), sent.min(claim.max(1) - 1)),
+                };
+                let body = vec![0x5A_u8; sent];
+                let ((prim, bytes), peak) = peak::during(|| {
+                    let prim = payload::read_primitive(id, claim, &mut &body[..]);
+                    let bytes = payload::read_bytes(claim, &mut &body[..]);
+                    (prim.map(|r| r.map(drop)), bytes.map(drop))
+                });
+                prop_assert!(
+                    peak <= sent + payload::UPFRONT_BYTES,
+                    "allocated {} B for {} B received", peak, sent
+                );
+                let size = SIZES[id as usize];
+                let reads = size != 0 && claim.is_multiple_of(size);
+                prop_assert_eq!(prim.is_some(), reads, "id {:#x} claim {}", id, claim);
+                if whole {
+                    prop_assert!(bytes.is_ok());
+                    prop_assert!(prim.is_none_or(|r| r.is_ok()));
+                } else {
+                    let eof = |r: std::io::Result<()>| {
+                        r.is_err_and(|e| e.kind() == std::io::ErrorKind::UnexpectedEof)
+                    };
+                    prop_assert!(eof(bytes), "read_bytes of {} / {}", sent, claim);
+                    prop_assert!(prim.is_none_or(eof), "read_primitive of {} / {}", sent, claim);
+                }
+            }
+        }
+    }
+
+    /// The setup reader too: rank 0's rendezvous listener reads a `Hello`
+    /// from whoever dials it. A header that claims 200 MiB, 1 KiB of
+    /// payload, then EOF is a typed error, and nothing was allocated past
+    /// the bytes received plus one growth step.
+    #[test]
+    fn a_setup_frame_claiming_200_mib_allocates_as_its_bytes_arrive() {
+        const SENT: usize = 1 << 10;
+        let (mut dialer, mut rank0) = socket_pair().unwrap();
+        let mut hello = FrameHeader::control(FrameKind::Hello, 1);
+        hello.len = 200 << 20;
+        dialer.write_all(&hello.encode()).unwrap();
+        dialer.write_all(&[0xA5; SENT]).unwrap();
+        dialer.shutdown(Shutdown::Write).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let (got, peak) = peak::during(|| read_frame_deadline(&mut rank0, deadline).map(|_| ()));
+        let err = got.expect_err("the payload ended early");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(
+            peak <= SENT + payload::UPFRONT_BYTES,
+            "allocated {peak} B for {SENT} B received"
+        );
     }
 }

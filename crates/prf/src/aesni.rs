@@ -267,31 +267,6 @@ impl AesNi128 {
         store_be(s[0])
     }
 
-    /// Encrypt four independent blocks, interleaving the rounds so the AES
-    /// unit pipeline stays full. `blocks` are big-endian u128s as elsewhere.
-    #[inline]
-    pub fn encrypt4(&self, blocks: [u128; 4]) -> [u128; 4] {
-        // SAFETY: see `encrypt_block`.
-        unsafe { self.encrypt4_inner(blocks) }
-    }
-
-    #[target_feature(enable = "aes,sse2,ssse3")]
-    unsafe fn encrypt4_inner(&self, blocks: [u128; 4]) -> [u128; 4] {
-        let mut s = [
-            load_be(blocks[0]),
-            load_be(blocks[1]),
-            load_be(blocks[2]),
-            load_be(blocks[3]),
-        ];
-        aes_rounds!(self, s);
-        [
-            store_be(s[0]),
-            store_be(s[1]),
-            store_be(s[2]),
-            store_be(s[3]),
-        ]
-    }
-
     /// CTR batch: encrypt the eight counter blocks `base..base+8`
     /// (wrapping), generating the counters with SIMD adds instead of
     /// per-block `u128` arithmetic + byte-swap round trips.
@@ -415,19 +390,6 @@ mod tests {
         for i in 0..2048u128 {
             let x = i.wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835);
             assert_eq!(hw.encrypt_block(x), sw.encrypt_block(x), "block {i}");
-        }
-    }
-
-    #[test]
-    fn encrypt4_matches_scalar() {
-        let Some(hw) = AesNi128::new(42) else {
-            eprintln!("AES-NI not available; skipping");
-            return;
-        };
-        let blocks = [1u128, u128::MAX, 0xdeadbeef, 1 << 100];
-        let out = hw.encrypt4(blocks);
-        for (i, b) in blocks.iter().enumerate() {
-            assert_eq!(out[i], hw.encrypt_block(*b));
         }
     }
 

@@ -10,9 +10,10 @@
 //!   where the CPU has VAES,
 //! * [`sha1::Sha1Prf`] — the SHA-1 backend the paper measured and rejected,
 //! * [`PrfCipher`] — a backend-erased PRF with runtime CPU detection,
-//! * the fused counter-mode kernels ([`kernels`], [`par`]): the one
-//!   generator of integer-word keystream, folded into the payload as it
-//!   is made, on every scheme's hot path.
+//! * the pad passes ([`kernels`], [`par`]) over [`Stream`]s: the one
+//!   generator of bulk PRF output — keystream words folded into integer
+//!   payloads, or whole blocks for the float ciphers and HoMAC — on one
+//!   sharded driver, on every scheme's hot path.
 //!
 //! ## Keystream convention
 //!
@@ -40,9 +41,8 @@ pub use kernels::{
     xor_keystream_into, KernelWord, Stream,
 };
 pub use par::{
-    configured_threads, for_each_shard, par_add_keystream_into, par_fused_pass,
-    par_sub_keystream_into, par_xor_keystream_into, pool_scoped, with_pool, Payload, WorkerPool,
-    PAR_MIN_BYTES, SHARD_BYTES,
+    configured_threads, par_add_keystream_into, par_block_pass, par_fused_pass, pool_scoped,
+    with_pool, Payload, Source, WorkerPool, PAR_MIN_BYTES,
 };
 
 /// A keyed pseudorandom function producing 128-bit blocks.
@@ -208,11 +208,12 @@ impl PrfCipher {
         self.backend
     }
 
-    /// Backend dispatch without the telemetry counter — the counted entry
-    /// points below account for blocks exactly once, whether they come in
-    /// one at a time or through the bulk fill.
+    /// PRF evaluation with no telemetry attribution: the counted entry
+    /// points account for blocks exactly once, and a caller that must not
+    /// count them at all (a peek at the next key epoch) calls this.
+    #[doc(hidden)]
     #[inline]
-    fn eval_uncounted(&self, x: u128) -> u128 {
+    pub fn eval_block_uncounted(&self, x: u128) -> u128 {
         match &self.inner {
             PrfImpl::Soft(a) => a.encrypt_block(x),
             #[cfg(target_arch = "x86_64")]
@@ -234,70 +235,33 @@ impl PrfCipher {
         }
     }
 
-    /// Statically dispatched bulk fill shared by the counted [`Prf`]
-    /// entry point and the uncounted one.
-    fn fill_blocks_impl(&self, base: u128, out: &mut [u128]) {
+    /// Statically dispatched bulk fill behind the counted [`Prf`] entry
+    /// point and, uncounted, the pad passes' [`Stream`]s.
+    #[inline]
+    pub(crate) fn fill_blocks_impl(&self, base: u128, out: &mut [u128]) {
         match &self.inner {
             #[cfg(target_arch = "x86_64")]
             PrfImpl::Ni(a) => {
-                let mut i = 0u128;
+                let done = out.len() / 8 * 8;
                 let mut chunks = out.chunks_exact_mut(8);
-                for c in &mut chunks {
-                    c.copy_from_slice(&a.encrypt_ctr8(base.wrapping_add(i)));
-                    i += 8;
+                for (k, c) in (&mut chunks).enumerate() {
+                    c.copy_from_slice(&a.encrypt_ctr8(base.wrapping_add(8 * k as u128)));
                 }
-                let rem = chunks.into_remainder();
-                if rem.len() >= 4 {
-                    let (four, rest) = rem.split_at_mut(4);
-                    four.copy_from_slice(&a.encrypt4([
-                        base.wrapping_add(i),
-                        base.wrapping_add(i + 1),
-                        base.wrapping_add(i + 2),
-                        base.wrapping_add(i + 3),
-                    ]));
-                    i += 4;
-                    for o in rest {
-                        *o = a.encrypt_block(base.wrapping_add(i));
-                        i += 1;
-                    }
-                } else {
-                    for o in rem {
-                        *o = a.encrypt_block(base.wrapping_add(i));
-                        i += 1;
-                    }
+                for (i, o) in chunks.into_remainder().iter_mut().enumerate() {
+                    *o = a.encrypt_block(base.wrapping_add((done + i) as u128));
                 }
             }
             _ => {
                 for (i, o) in out.iter_mut().enumerate() {
-                    *o = self.eval_uncounted(base.wrapping_add(i as u128));
+                    *o = self.eval_block_uncounted(base.wrapping_add(i as u128));
                 }
             }
         }
     }
-
-    /// PRF evaluation with no telemetry attribution, for callers that
-    /// count their blocks themselves — or, like a peek at the next key
-    /// epoch, must not count them at all.
-    #[doc(hidden)]
-    #[inline]
-    pub fn eval_block_uncounted(&self, x: u128) -> u128 {
-        self.eval_uncounted(x)
-    }
-
-    /// Bulk fill with no telemetry attribution; see
-    /// [`PrfCipher::eval_block_uncounted`].
-    #[doc(hidden)]
-    pub fn fill_blocks_uncounted(&self, base: u128, out: &mut [u128]) {
-        self.fill_blocks_impl(base, out);
-    }
 }
 
-/// Per-backend PRF block counter (family `hear_prf_blocks_total`). Public
-/// (but hidden) so the ciphers that generate through
-/// [`PrfCipher::fill_blocks_uncounted`] — HoMAC and the float schemes —
-/// can count their blocks once, up front, on the rank's own thread.
-#[doc(hidden)]
-pub fn blocks_metric(backend: Backend) -> hear_telemetry::Metric {
+/// Per-backend PRF block counter (family `hear_prf_blocks_total`).
+pub(crate) fn blocks_metric(backend: Backend) -> hear_telemetry::Metric {
     match backend {
         Backend::AesSoft => hear_telemetry::Metric::PrfBlocksAesSoft,
         Backend::AesNi => hear_telemetry::Metric::PrfBlocksAesNi,
@@ -310,7 +274,7 @@ impl Prf for PrfCipher {
     #[inline]
     fn eval_block(&self, x: u128) -> u128 {
         hear_telemetry::add(blocks_metric(self.backend), 1);
-        self.eval_uncounted(x)
+        self.eval_block_uncounted(x)
     }
 
     fn fill_blocks(&self, base: u128, out: &mut [u128]) {

@@ -1,4 +1,4 @@
-//! Zero-dependency worker pool and parallel mask kernels.
+//! Zero-dependency worker pool and the one driver of every pad pass.
 //!
 //! The fused kernels in [`crate::kernels`] are memory-bandwidth-bound: one
 //! AES-NI core sustains a few GB/s of keystream-combine, well below the
@@ -7,6 +7,10 @@
 //! of block `F(base + j/per)`, independent of who computes it — a large
 //! buffer can be cut at PRF-block boundaries and each contiguous range
 //! masked on a different core, bit-identically to the serial pass.
+//!
+//! Both pass bodies — words behind [`par_fused_pass`], whole blocks behind
+//! [`par_block_pass`] — run on one driver (`drive`), so every pad a rank
+//! derives in bulk is counted, sharded and stored by the same rules.
 //!
 //! The pool here is deliberately minimal:
 //!
@@ -31,12 +35,17 @@
 //! from the submitting thread, keeping every counter identical to the
 //! serial path.
 
-use crate::kernels::{as_uninit, count_pass, fused_blocks, pass_uncounted, Stores, Stream};
+use crate::kernels::{
+    as_uninit, block_pass_uncounted, block_span, count_pass, pass_uncounted, Stores, Stream,
+};
 use crate::{KernelWord, PrfCipher};
+use std::any::TypeId;
 use std::cell::Cell;
+use std::convert::Infallible;
 use std::mem::MaybeUninit;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
@@ -66,7 +75,7 @@ pub(crate) const STREAM_MIN_BYTES: usize = 32 << 20;
 
 /// Target bytes per shard: coarse enough that the per-shard mutex claim is
 /// noise, fine enough that 4 shards exist at [`PAR_MIN_BYTES`].
-pub const SHARD_BYTES: usize = 1 << 18;
+const SHARD_BYTES: usize = 1 << 18;
 
 /// Thread budget for this process: `HEAR_THREADS` when set (clamped to at
 /// least 1), else [`std::thread::available_parallelism`].
@@ -189,8 +198,8 @@ impl WorkerPool {
     /// Resolve the pool masking on this thread should use — the scoped
     /// [`with_pool`] override when inside one, [`WorkerPool::global`]
     /// otherwise — and run `f` on it. The consumers that auto-parallelize
-    /// (the integer schemes' stream application, the HoMAC digest
-    /// fan-out) route through this, so an engine rank's collective runs
+    /// (every scheme's mask and unmask, the cell pads, HoMAC's tag and
+    /// verify passes) route through this, so an engine rank's collective runs
     /// on the lane it installs, and bit-identity suites can pin explicit
     /// 1/2/4-thread pools without touching `HEAR_THREADS` (which the
     /// global pool reads only once per process).
@@ -389,81 +398,160 @@ impl<W> SendPtr<W> {
     }
 }
 
-/// Word range `[start, end)` of `buf` covered by shard `k` when the block
-/// span of `(first, len)` is cut into `nshards` contiguous block runs.
+/// Element range of a pass over `(first, len)`, `per` elements to a PRF
+/// block, covered by shard `k` when its block span is cut into `nshards`
+/// contiguous block runs.
 ///
 /// Cutting at *block* boundaries is what keeps the parallel pass
 /// bit-identical: shard `k`'s first element `j` still uses word `j mod
 /// per` of block `F(base + j/per)`, exactly as the serial pass would, and
-/// no block straddles two shards (so no combine is split mid-block).
-fn shard_word_range<W: KernelWord>(
-    first: u64,
-    len: usize,
-    nshards: usize,
-    k: usize,
-) -> (usize, usize) {
-    let per = W::PER_BLOCK as u64;
-    let first_block = first / per;
-    let nblocks = fused_blocks::<W>(first, len);
+/// no block straddles two shards (so no combine is split mid-block). A
+/// block pass (`per = 1`) may cut anywhere.
+fn shard_range(per: usize, first: u64, len: usize, nshards: usize, k: usize) -> Range<usize> {
+    let per64 = per as u64;
+    let first_block = first / per64;
+    let nblocks = block_span(per, first, len);
     let bps = nblocks.div_ceil(nshards as u64);
     let b0 = first_block + (k as u64 * bps).min(nblocks);
     let b1 = first_block + ((k as u64 + 1) * bps).min(nblocks);
-    let start = (b0 * per).max(first) - first;
-    let end = (b1 * per).max(first) - first;
-    ((start as usize).min(len), (end as usize).min(len))
+    let start = (b0 * per64).max(first) - first;
+    let end = (b1 * per64).max(first) - first;
+    (start as usize).min(len)..(end as usize).min(len)
 }
 
-/// Cut `buf` into `nshards` contiguous chunks and run `f(start, chunk)`
-/// across the pool, where `start` is the chunk's offset in `buf`. The
-/// degenerate cases (one shard, empty buffer) run inline. Used by
-/// consumers whose per-element work has no block-boundary constraint
-/// (e.g. HoMAC tags, one PRF block per element).
-pub fn for_each_shard<T, F>(pool: &WorkerPool, buf: &mut [T], nshards: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let len = buf.len();
-    if nshards <= 1 || pool.threads() == 1 || len == 0 {
-        f(0, buf);
-        return;
+/// What a pass reads: a slice, or two equal-length slices side by side
+/// (HoMAC checks ciphertexts against their tags).
+pub trait Source: Copy + Send + Sync {
+    type Item: Copy;
+    fn count(self) -> usize;
+    fn at(self, i: usize) -> Self::Item;
+    /// Elements `r` alone, renumbered from 0.
+    fn sub(self, r: Range<usize>) -> Self;
+}
+
+impl<T: Copy + Sync> Source for &[T] {
+    type Item = T;
+    fn count(self) -> usize {
+        self.len()
     }
-    let chunk = len.div_ceil(nshards);
-    let ptr = SendPtr(buf.as_mut_ptr());
-    pool.run(nshards, &|k| {
-        let s = (k * chunk).min(len);
-        let e = ((k + 1) * chunk).min(len);
-        if s >= e {
-            return;
-        }
-        // SAFETY: chunks are disjoint, in bounds, and `buf` outlives
-        // `run` (which joins before returning).
-        let shard = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(s), e - s) };
-        f(s, shard);
-    });
+    fn at(self, i: usize) -> T {
+        self[i]
+    }
+    fn sub(self, r: Range<usize>) -> Self {
+        &self[r]
+    }
 }
 
-/// What one fused pass reads and where its results land.
-pub enum Payload<'a, W> {
+impl<A: Copy + Sync, B: Copy + Sync> Source for (&[A], &[B]) {
+    type Item = (A, B);
+    fn count(self) -> usize {
+        assert_eq!(self.0.len(), self.1.len(), "paired sources of one length");
+        self.0.len()
+    }
+    fn at(self, i: usize) -> (A, B) {
+        (self.0[i], self.1[i])
+    }
+    fn sub(self, r: Range<usize>) -> Self {
+        (&self.0[r.clone()], &self.1[r])
+    }
+}
+
+/// What one pass reads and where its results land.
+pub enum Payload<'a, D, S = &'a [D]> {
     /// `buf[i] ← f(buf[i], …)`.
-    InPlace(&'a mut [W]),
+    InPlace(&'a mut [D]),
     /// `f(src[i], …)` appended to `out`, written straight into its spare
-    /// capacity: no copy of `src` first, no zero-fill of `out`.
-    Extend(&'a [W], &'a mut Vec<W>),
+    /// capacity: no copy of `src` first, no zero-fill of `out`. A failing
+    /// pass leaves `out` as it was.
+    Extend(S, &'a mut Vec<D>),
     /// `dst[i] ← f(src[i], …)` for a destination of `src`'s length, whose
     /// old contents are overwritten unread.
-    Into(&'a [W], &'a mut [W]),
+    Into(S, &'a mut [D]),
+}
+
+/// The one driver under both pass bodies, `per` elements to a PRF block
+/// (`W::PER_BLOCK`, or 1 for a block pass). On the submitting thread it
+/// counts the exact serial telemetry and decides the stores (an `Into`
+/// whose output reaches `STREAM_MIN_BYTES` streams; `stores` overrides).
+/// Past [`PAR_MIN_BYTES`] of keystream per stream it runs `body(first, src,
+/// dst, stores, stop)` on block-aligned shards across the pool, else
+/// inline; `src = None` means in place. `stop()` tells a shard that one
+/// before it failed, so the error returned is the serial pass's first.
+pub(crate) fn drive<D, S, E, const N: usize>(
+    pool: &WorkerPool,
+    streams: &[Stream<'_>; N],
+    per: usize,
+    first: u64,
+    payload: Payload<'_, D, S>,
+    stores: Option<Stores>,
+    body: impl Fn(u64, Option<S>, &mut [MaybeUninit<D>], Stores, &dyn Fn() -> bool) -> Result<(), E>
+        + Sync,
+) -> Result<(), E>
+where
+    D: Send,
+    S: Source,
+    E: Send,
+{
+    let stores = stores.unwrap_or(match &payload {
+        Payload::Into(_, dst) if std::mem::size_of_val(*dst) >= STREAM_MIN_BYTES => {
+            Stores::Streaming
+        }
+        _ => Stores::Cached,
+    });
+    let run = |src: Option<S>, dst: &mut [MaybeUninit<D>]| {
+        let (len, bytes) = (dst.len(), dst.len() * 16 / per);
+        count_pass(streams, per, first, len);
+        let nshards = pool.shards_for(bytes);
+        if bytes < PAR_MIN_BYTES || nshards == 1 {
+            return body(first, src, dst, stores, &|| false);
+        }
+        // `failed` (the lowest failing shard) publishes nothing, so
+        // `Relaxed`: the error itself travels under the mutex.
+        let (failed, error) = (AtomicUsize::new(usize::MAX), Mutex::new(None));
+        let ptr = SendPtr(dst.as_mut_ptr());
+        pool.run(nshards, &|k| {
+            let r = shard_range(per, first, len, nshards, k);
+            let stop = || failed.load(Ordering::Relaxed) < k;
+            if r.is_empty() || stop() {
+                return;
+            }
+            // SAFETY: shard ranges are disjoint, within `len`, and `dst`
+            // outlives `run` (which joins before returning).
+            let dst = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
+            let shard_first = first + r.start as u64;
+            if let Err(e) = body(shard_first, src.map(|s| s.sub(r)), dst, stores, &stop) {
+                failed.fetch_min(k, Ordering::Relaxed);
+                let mut slot = lock_unpoisoned(&error);
+                if slot.as_ref().is_none_or(|(j, _)| k < *j) {
+                    *slot = Some((k, e));
+                }
+            }
+        });
+        let error = error.into_inner().unwrap_or_else(|e| e.into_inner());
+        error.map_or(Ok(()), |(_, e)| Err(e))
+    };
+    match payload {
+        Payload::InPlace(buf) => run(None, as_uninit(buf)),
+        Payload::Extend(src, out) => {
+            let n = src.count();
+            out.reserve(n);
+            run(Some(src), &mut out.spare_capacity_mut()[..n])?;
+            // SAFETY: the pass succeeded, so it wrote every one of these.
+            unsafe { out.set_len(out.len() + n) };
+            Ok(())
+        }
+        Payload::Into(src, dst) => {
+            assert_eq!(src.count(), dst.len(), "one destination slot per element");
+            run(Some(src), as_uninit(dst))
+        }
+    }
 }
 
 /// The N-stream fused pass across the pool: `dst[i] ← f(src[i], [A[first +
 /// i], B[first + i]])` for the word streams `A`, `B` of `streams`, each
-/// payload word read once and written once. The exact serial telemetry
-/// totals are counted on the submitting thread, then uncounted kernels run
-/// over disjoint block-aligned shards; below [`PAR_MIN_BYTES`] or on a
-/// single-thread budget the one shard runs inline. An `Into` pass whose
-/// whole output reaches `STREAM_MIN_BYTES` streams its stores past the
-/// cache. Output and telemetry are identical to folding the streams
-/// one at a time with the serial [`crate::kernels`] wrappers.
+/// payload word read once and written once, run by the driver (`drive`).
+/// Output and telemetry are identical to folding the streams one at a
+/// time with the serial [`crate::kernels`] wrappers.
 pub fn par_fused_pass<W, const N: usize, F>(
     pool: &WorkerPool,
     streams: &[Stream<'_>; N],
@@ -474,85 +562,56 @@ pub fn par_fused_pass<W, const N: usize, F>(
     W: KernelWord,
     F: Fn(W, [W; N]) -> W + Copy + Send + Sync,
 {
-    let stores = match &payload {
-        Payload::Into(src, _) if std::mem::size_of_val(*src) >= STREAM_MIN_BYTES => {
-            Stores::Streaming
-        }
-        _ => Stores::Cached,
+    let body = |at, src, dst: &mut [MaybeUninit<W>], stores, _: &dyn Fn() -> bool| {
+        // SAFETY: the driver's in-place contract. A streaming pass fences
+        // before it returns, so before the join.
+        unsafe { pass_uncounted(streams, at, src, dst, f, stores) };
+        Ok::<_, Infallible>(())
     };
-    fused_pass_storing(pool, streams, first, payload, f, stores);
+    let Ok(()) = drive(pool, streams, W::PER_BLOCK, first, payload, None, body);
 }
 
-/// [`par_fused_pass`] with the store decision given.
-pub(crate) fn fused_pass_storing<W, const N: usize, F>(
+/// The block pass across the pool: `dst[i] ← f(src[i], [A[first + i],
+/// B[first + i]])` where `A`, `B` are the whole PRF blocks `F(base + j)`
+/// of `streams`, any source and destination types, run by the driver
+/// (`drive`) like every word pass: it counts `N` blocks per element up
+/// front, fans out under the same rule and returns the error of the first
+/// element `f` fails on (later elements may or may not have run). An
+/// in-place pass needs `f` to map a type to itself, and names its source
+/// type: `Payload::<_, &[_]>::InPlace(buf)`.
+pub fn par_block_pass<D, S, E, const N: usize, F>(
     pool: &WorkerPool,
     streams: &[Stream<'_>; N],
     first: u64,
-    payload: Payload<'_, W>,
+    payload: Payload<'_, D, S>,
     f: F,
-    stores: Stores,
-) where
-    W: KernelWord,
-    F: Fn(W, [W; N]) -> W + Copy + Send + Sync,
+) -> Result<(), E>
+where
+    D: Send + 'static,
+    S: Source<Item: 'static>,
+    E: Send,
+    F: Fn(S::Item, [u128; N]) -> Result<D, E> + Copy + Sync,
 {
-    match payload {
-        // SAFETY: `buf` is initialised.
-        Payload::InPlace(buf) => unsafe {
-            par_pass(pool, streams, first, None, as_uninit(buf), f, stores)
-        },
-        Payload::Extend(src, out) => {
-            out.reserve(src.len());
-            let dst = &mut out.spare_capacity_mut()[..src.len()];
-            // SAFETY: `src` is given, so `dst` need not be initialised.
-            unsafe { par_pass(pool, streams, first, Some(src), dst, f, stores) };
-            // SAFETY: the pass above wrote every one of these words.
-            unsafe { out.set_len(out.len() + src.len()) };
-        }
-        // SAFETY: `src` is given, so `dst` is only written.
-        Payload::Into(src, dst) => unsafe {
-            par_pass(pool, streams, first, Some(src), as_uninit(dst), f, stores)
-        },
+    if matches!(payload, Payload::InPlace(_)) {
+        assert_eq!(
+            TypeId::of::<S::Item>(),
+            TypeId::of::<D>(),
+            "in place, D is the item type"
+        );
     }
-}
-
-/// # Safety
-///
-/// As [`pass_uncounted`]: with `src = None`, `dst` must be initialised.
-unsafe fn par_pass<W, const N: usize, F>(
-    pool: &WorkerPool,
-    streams: &[Stream<'_>; N],
-    first: u64,
-    src: Option<&[W]>,
-    dst: &mut [MaybeUninit<W>],
-    f: F,
-    stores: Stores,
-) where
-    W: KernelWord,
-    F: Fn(W, [W; N]) -> W + Copy + Send + Sync,
-{
-    let len = dst.len();
-    let bytes = std::mem::size_of_val(dst);
-    let nshards = pool.shards_for(bytes);
-    count_pass::<W>(streams, first, len);
-    if bytes < PAR_MIN_BYTES || pool.threads() == 1 || nshards == 1 {
-        // SAFETY: forwarded contract.
-        return unsafe { pass_uncounted(streams, first, src, dst, f, stores) };
-    }
-    assert!(src.is_none_or(|s| s.len() == len));
-    let ptr = SendPtr(dst.as_mut_ptr());
-    pool.run(nshards, &|k| {
-        let (s, e) = shard_word_range::<W>(first, len, nshards, k);
-        if s >= e {
-            return;
-        }
-        // SAFETY: shard ranges are disjoint, within `len`, and `dst`
-        // outlives `run` (which joins before returning).
-        let shard = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(s), e - s) };
-        let src = src.map(|x| &x[s..e]);
-        // SAFETY: forwarded contract, on this shard's sub-range. A
-        // streaming shard fences before it returns, so before the join.
-        unsafe { pass_uncounted(streams, first + s as u64, src, shard, f, stores) };
-    });
+    drive(
+        pool,
+        streams,
+        1,
+        first,
+        payload,
+        None,
+        |at, src, dst, _, stop| {
+            // SAFETY: the driver's in-place contract, and there `S::Item` is
+            // `D` (asserted above).
+            unsafe { block_pass_uncounted(streams, at, src, dst, f, stop) }
+        },
+    )
 }
 
 /// Parallel [`crate::add_keystream_into`] (identical output and telemetry).
@@ -569,38 +628,10 @@ pub fn par_add_keystream_into<W: KernelWord>(
     });
 }
 
-/// Parallel [`crate::sub_keystream_into`] (identical output and telemetry).
-pub fn par_sub_keystream_into<W: KernelWord>(
-    pool: &WorkerPool,
-    prf: &PrfCipher,
-    base: u128,
-    first: u64,
-    buf: &mut [W],
-) {
-    let streams = [Stream { prf, base }];
-    par_fused_pass(pool, &streams, first, Payload::InPlace(buf), |x, [a]| {
-        x.wrapping_sub(a)
-    });
-}
-
-/// Parallel [`crate::xor_keystream_into`] (identical output and telemetry).
-pub fn par_xor_keystream_into<W: KernelWord>(
-    pool: &WorkerPool,
-    prf: &PrfCipher,
-    base: u128,
-    first: u64,
-    buf: &mut [W],
-) {
-    let streams = [Stream { prf, base }];
-    par_fused_pass(pool, &streams, first, Payload::InPlace(buf), |x, [a]| {
-        x.bxor(a)
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{add_keystream_into, sub_keystream_into, xor_keystream_into, Backend};
+    use crate::{add_keystream_into, sub_keystream_into, Backend};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     const KEY: u128 = 0x00aa_bb11_22cc_dd33_44ee_ff55_6677_8899;
@@ -661,11 +692,11 @@ mod tests {
         ] {
             let mut cursor = 0usize;
             for k in 0..nshards {
-                let (s, e) = shard_word_range::<u32>(first, len, nshards, k);
-                assert!(s <= e, "inverted range");
-                if s < e {
-                    assert_eq!(s, cursor, "gap before shard {k}");
-                    cursor = e;
+                let r = shard_range(4, first, len, nshards, k);
+                assert!(r.start <= r.end, "inverted range");
+                if !r.is_empty() {
+                    assert_eq!(r.start, cursor, "gap before shard {k}");
+                    cursor = r.end;
                 }
             }
             assert_eq!(cursor, len, "first={first} len={len} nshards={nshards}");
@@ -691,18 +722,6 @@ mod tests {
         let mut got = data.clone();
         par_add_keystream_into(&pool, &prf, base, first, &mut got);
         assert_eq!(want, got, "add threads={threads} len={len} first={first}");
-
-        let mut want = data.clone();
-        sub_keystream_into(&prf, base, first, &mut want);
-        let mut got = data.clone();
-        par_sub_keystream_into(&pool, &prf, base, first, &mut got);
-        assert_eq!(want, got, "sub threads={threads}");
-
-        let mut want = data.clone();
-        xor_keystream_into(&prf, base, first, &mut want);
-        let mut got = data.clone();
-        par_xor_keystream_into(&pool, &prf, base, first, &mut got);
-        assert_eq!(want, got, "xor threads={threads}");
     }
 
     #[test]

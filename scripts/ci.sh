@@ -87,7 +87,7 @@ timeout 300 cargo run --release -q -p hear-bench --bin socket_smoke
 # parseable BENCH_crypto.json (the per-commit trajectory artifact), and
 # the fused one-pass mask kernels must not be slower than the split
 # fill-then-combine path (generous 1.25x tolerance — CI shares a core).
-# The same --gate run then holds the tiled HoMAC lane seal/open kernel
+# The same --gate run then holds the HoMAC lane seal/open block pass
 # (what verified packets run) to >= 2x its scalar reference at 64 Ki
 # lanes on one thread (same tolerance; "homac_gate: SKIP" and exit 0
 # without AES-NI; the ring-word tag/verify rows are reported only), and after it

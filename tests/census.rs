@@ -12,6 +12,9 @@
 //! the benchmark package is frozen between benchmark changes, so what it
 //! alone keeps alive is listed here, with a reason, until it retires.
 //!
+//! A fourth test keeps bulk PRF output inside `hear-prf`: no library code
+//! elsewhere calls a bulk fill.
+//!
 //! The compiler guards the other half: every library crate has
 //! `#![deny(unreachable_pub)]`, so a `pub` item inside a private module
 //! must be `pub(crate)`. Together they keep "public" meaning "called".
@@ -412,6 +415,61 @@ fn every_allowlist_row_has_a_reason_and_is_still_needed() {
         stale.is_empty(),
         "ALLOWLIST rows whose item is gone or now has a caller; remove them:\n{}",
         stale.join("\n")
+    );
+}
+
+/// `text`'s lines, numbered from 1, outside `#[cfg(test)]` items (each
+/// skipped through its matching close brace, or its `;`).
+fn non_test_lines(text: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    let mut lines = text.lines().enumerate();
+    while let Some((i, line)) = lines.next() {
+        if line.trim_start().starts_with("#[cfg(test)]") {
+            let mut depth = 0;
+            for (_, l) in lines.by_ref() {
+                depth += l.matches('{').count() as i64 - l.matches('}').count() as i64;
+                if depth <= 0 && (l.contains('}') || l.trim_end().ends_with(';')) {
+                    break;
+                }
+            }
+            continue;
+        }
+        out.push((i + 1, line));
+    }
+    out
+}
+
+/// Bulk PRF output comes from `hear-prf`'s pad passes alone, through its
+/// `Stream`s, so a pad auditor has one place to hook: outside `crates/prf`
+/// (and the `crates/bench` tooling) no non-test code calls a bulk fill.
+/// Scalar `eval_block` calls (key progression, point-to-point keys, the
+/// scalar references) stay allowed.
+#[test]
+fn bulk_prf_blocks_come_from_hear_prf_alone() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    rust_files(&root, "crates", &mut files);
+    let library = |p: &&String| !p.starts_with("crates/prf/") && !p.starts_with("crates/bench/");
+    let mut fills = Vec::new();
+    for path in files.iter().filter(library) {
+        let text = fs::read_to_string(root.join(path)).expect("readable source");
+        for (n, line) in non_test_lines(&text) {
+            let code = line.split("//").next().unwrap_or_default();
+            if code.contains(".fill_blocks(") || code.contains("fill_blocks_uncounted") {
+                fills.push(format!("  {path}:{n}  {}", line.trim()));
+            }
+        }
+    }
+    assert!(
+        files.len() > 50,
+        "the scan found only {} files: is the repo layout unchanged?",
+        files.len()
+    );
+    assert!(
+        fills.is_empty(),
+        "bulk PRF fills outside hear-prf; derive the blocks in a \
+         `hear_prf::par_block_pass` over `Stream`s instead:\n{}",
+        fills.join("\n")
     );
 }
 

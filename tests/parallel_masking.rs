@@ -16,11 +16,17 @@
 //! waits on a fork-join job some other thread submitted.
 
 use hear::core::{
-    Backend, CommKeys, FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumExpScheme,
-    FloatSumScheme, HfpFormat, Homac, IntProdScheme, IntSumScheme, IntXorScheme, Scheme, HOMAC_P,
+    noise_at, Backend, CommKeys, FixedCodec, FixedSumScheme, FloatProdScheme, FloatSumExpScheme,
+    FloatSumScheme, HfpError, HfpFormat, Homac, IntProdScheme, IntSumScheme, IntXorScheme, Scheme,
+    HOMAC_P,
 };
-use hear::prf::{with_pool, WorkerPool, PAR_MIN_BYTES};
+use hear::prf::{
+    par_block_pass, with_pool, Payload, Prf, PrfCipher, Stream, WorkerPool, PAR_MIN_BYTES,
+};
+use hear::telemetry::{Metric, Registry};
+use proptest::prelude::*;
 use proptest::TestRng;
+use std::sync::OnceLock;
 
 const SEED: u64 = 0x009A_5CED;
 /// Odd element count whose smallest wire encoding (u32) still clears
@@ -32,8 +38,7 @@ const FIRST: u64 = 3;
 
 /// Whether a row pinned to a pool of two or more threads sharded on it:
 /// `fans_out` rows must (a serial pass would make their comparison
-/// vacuous), the others — the fused float passes, which run on one
-/// thread — must not.
+/// vacuous), the others must not.
 fn assert_fan_out(pool: &WorkerPool, what: &str, fans_out: bool) {
     if pool.threads() > 1 {
         assert_eq!(
@@ -148,7 +153,7 @@ fn float_sum_v1_parallel_masking_is_bit_identical() {
             .map(|j| (((r * LEN + j) % 8191) as f64 * 0.17).cos() * 3.0 + 4.0)
             .collect()
     });
-    pin_scheme(|| FloatSumScheme::new(HfpFormat::fp32(2, 2)), inputs, false);
+    pin_scheme(|| FloatSumScheme::new(HfpFormat::fp32(2, 2)), inputs, true);
 }
 
 #[test]
@@ -161,7 +166,7 @@ fn float_sum_v2_parallel_masking_is_bit_identical() {
     pin_scheme(
         || FloatSumExpScheme::new(HfpFormat::fp64(0, 0)),
         inputs,
-        false,
+        true,
     );
 }
 
@@ -172,16 +177,12 @@ fn float_prod_parallel_masking_is_bit_identical() {
             .map(|j| 0.6 + (((r * LEN + j) % 8191) as f64 * 0.41).cos().abs())
             .collect()
     });
-    pin_scheme(
-        || FloatProdScheme::new(HfpFormat::fp64(0, 0)),
-        inputs,
-        false,
-    );
+    pin_scheme(|| FloatProdScheme::new(HfpFormat::fp64(0, 0)), inputs, true);
 }
 
-/// The HoMAC digest fan-out has its own parallel threshold
-/// (`PAR_MIN_ELEMS` elements, not bytes): tags and the verify verdict at
-/// a length past it must be identical across 1/2/4-thread pools, and a
+/// The HoMAC passes fan out under the rule of every pad pass
+/// (`PAR_MIN_BYTES` of keystream per stream): tags and the verify verdict
+/// at a length past it must be identical across 1/2/4-thread pools, and a
 /// single-rank tag must verify against its own cipher on every pool.
 #[test]
 fn homac_tags_parallel_match_serial() {
@@ -295,7 +296,7 @@ fn an_engine_call_never_waits_on_a_job_it_did_not_submit() {
     use std::time::{Duration, Instant};
 
     const DEADLINE: Duration = Duration::from_secs(20);
-    const N: usize = 1 << 17; // 4× the HoMAC fan-out threshold of 2^15
+    const N: usize = 1 << 17; // 2× the block pass's fan-out threshold of 2^16
     let pause = || std::thread::sleep(Duration::from_millis(1));
     let held = Arc::new(AtomicBool::new(false));
     let release = Arc::new(AtomicBool::new(false));
@@ -348,12 +349,12 @@ fn an_engine_call_never_waits_on_a_job_it_did_not_submit() {
     );
 }
 
-// ---- the tiled HoMAC kernel against its scalar oracles -------------------
+// ---- the HoMAC kernel against its scalar oracles -------------------------
 
-/// Batch lengths around every boundary the bulk kernel has: empty, one
-/// element, a partial tile, one tile (256) and either side of it, the
-/// fan-out threshold (2^15) and either side of it, and a long odd batch
-/// that shards unevenly.
+/// Batch lengths around every boundary the bulk kernel has had: empty,
+/// one element, a partial run, one run (256) and either side of it, the
+/// old fan-out threshold (2^15) and either side of it, and a long odd
+/// batch that shards unevenly.
 const KERNEL_LENS: [usize; 9] = [0, 1, 7, 255, 256, 257, 32_767, 32_768, 100_003];
 
 fn random_words(rng: &mut TestRng, n: usize) -> Vec<u64> {
@@ -386,7 +387,7 @@ fn tamper_points(n: usize) -> Vec<usize> {
 /// rank. The last rank's cancelling tag *is* its plain tag; any other
 /// rank's is `(s_r − s_{r+1} − c)/Z`, i.e. its plain tag minus the next
 /// rank's plain tag of an all-zero block (`tag_plain` evaluates one PRF
-/// block per key and shares none of the tiled kernel's code).
+/// block per key and shares none of the block pass's code).
 #[test]
 fn bulk_tags_equal_the_scalar_oracle() {
     let keys = CommKeys::generate(3, SEED ^ 0x0AC1, Backend::best_available());
@@ -582,5 +583,229 @@ fn lane_open_rejects_every_flipped_bit_of_lanes_and_tags() {
                 }
             }
         });
+    }
+}
+
+// ---- the block pass against its scalar definitions -----------------------
+
+/// Elements at which a block pass starts to shard: [`PAR_MIN_BYTES`] of
+/// keystream per stream, one 16-byte block per element.
+const BLOCK_SHARD_MIN: usize = PAR_MIN_BYTES / 16;
+
+/// A 1-, a 2- and a 4-thread pool, made once for every case.
+fn pools() -> &'static [WorkerPool; 3] {
+    static POOLS: OnceLock<[WorkerPool; 3]> = OnceLock::new();
+    POOLS.get_or_init(|| [1, 2, 4].map(WorkerPool::new))
+}
+
+/// `run`'s result and the PRF blocks it counted (`hear_prf_blocks_total`,
+/// every backend) on a registry of its own.
+fn counted<R>(run: impl FnOnce() -> R) -> (R, u64) {
+    let reg = Registry::new_enabled();
+    let r = {
+        let _ctx = reg.install(Some(0));
+        run()
+    };
+    let backends = [
+        Metric::PrfBlocksAesSoft,
+        Metric::PrfBlocksAesNi,
+        Metric::PrfBlocksSha1,
+        Metric::PrfBlocksSha1Ni,
+    ];
+    (r, backends.map(|m| reg.counter(m)).iter().sum())
+}
+
+/// What the direct pass folds a block into an element with.
+fn mix(x: u64, block: u128) -> u64 {
+    x.rotate_left(9) ^ (block as u64).wrapping_add((block >> 64) as u64)
+}
+
+/// One direct `par_block_pass` of `N` streams over elements `0 .. len` in
+/// payload form `form` (in place, appended, into), with an `f` that fails
+/// on every element from `fail_at` on, against the scalar definition: one
+/// counted `eval_block` per element and stream.
+fn check_block_pass<const N: usize>(
+    pool: &WorkerPool,
+    first: u64,
+    len: usize,
+    form: usize,
+    fail_at: Option<usize>,
+) -> Result<(), TestCaseError> {
+    let prf = PrfCipher::best(u128::from(SEED));
+    let streams: [Stream<'_>; N] = std::array::from_fn(|s| Stream {
+        prf: &prf,
+        base: (s as u128 + 1) << 90,
+    });
+    let (want, scalar_blocks) = counted(|| {
+        (0..len as u64)
+            .map(|i| {
+                (streams.iter()).fold(i, |x, s| {
+                    mix(x, prf.eval_block(s.base + u128::from(first + i)))
+                })
+            })
+            .collect::<Vec<u64>>()
+    });
+    let f = move |x: u64, blocks: [u128; N]| match fail_at {
+        Some(at) if x >= at as u64 => Err(x),
+        _ => Ok(blocks.iter().fold(x, |x, b| mix(x, *b))),
+    };
+    let src: Vec<u64> = (0..len as u64).collect();
+    const PREFIX: u64 = 0xFEED;
+    let ((done, out), blocks) = counted(|| match form {
+        0 => {
+            let mut buf = src.clone();
+            let done = par_block_pass(
+                pool,
+                &streams,
+                first,
+                Payload::<_, &[_]>::InPlace(&mut buf),
+                f,
+            );
+            (done, buf)
+        }
+        1 => {
+            let mut out = vec![PREFIX];
+            let done = par_block_pass(
+                pool,
+                &streams,
+                first,
+                Payload::Extend(&src[..], &mut out),
+                f,
+            );
+            (done, out)
+        }
+        _ => {
+            let mut dst = vec![0; len];
+            let done = par_block_pass(pool, &streams, first, Payload::Into(&src[..], &mut dst), f);
+            (done, dst)
+        }
+    });
+    prop_assert_eq!(blocks, (N * len) as u64, "one block per element and stream");
+    let out = match form {
+        1 => {
+            prop_assert_eq!(out[0], PREFIX, "what the Vec held before");
+            out[1..].to_vec()
+        }
+        _ => out,
+    };
+    match fail_at {
+        None => {
+            prop_assert_eq!(done, Ok(()));
+            prop_assert!(out == want, "output differs from the scalar definition");
+            prop_assert_eq!(blocks, scalar_blocks);
+        }
+        Some(at) => {
+            prop_assert_eq!(done, Err(at as u64), "the first failing element's error");
+            match form {
+                1 => prop_assert!(out.is_empty(), "a failed Extend appended {}", out.len()),
+                _ => prop_assert!(out[..at] == want[..at], "elements before the failure"),
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// `par_block_pass`, and the ciphers on it, against their scalar
+    /// definitions — one `eval_block` per element and stream: the direct
+    /// pass (one or two streams, in place, appended or into), the float
+    /// unmask ([`noise_at`]), HoMAC's lane seal and open
+    /// (`seal_lanes_scalar`, `open_lanes_scalar`). Lengths fall either
+    /// side of the fan-out threshold, so shard cuts land at ragged places
+    /// on the 2- and 4-thread pools. A failing case makes `f` fail from a
+    /// random element on (an unencodable float, a tampered tag): the pass
+    /// must return that first element's error. Every pass counts one
+    /// block per element and stream, what its scalar definition counts.
+    #[test]
+    fn block_pass_equals_its_scalar_definitions(
+        first in 0u64..1 << 50,
+        len in 0usize..2 * BLOCK_SHARD_MIN,
+        pool in 0usize..3,
+        subject in 0usize..6,
+        two in any::<bool>(),
+        failing in any::<bool>(),
+        at in any::<usize>(),
+    ) {
+        let pool = &pools()[pool];
+        let fail_at = (failing && len > 0).then(|| at % len);
+        let seed = SEED ^ first;
+        match subject {
+            0..3 if two => check_block_pass::<2>(pool, first, len, subject, fail_at)?,
+            0..3 => check_block_pass::<1>(pool, first, len, subject, fail_at)?,
+            3 => {
+                // Each noise element ⊘ itself is exactly one.
+                let keys = CommKeys::generate(2, seed, Backend::best_available());
+                let fmt = HfpFormat::fp64(2, 2);
+                let (ew, mw) = fmt.cipher_widths();
+                let (k, base) = (&keys[0], keys[0].base_collective());
+                let (noise, scalar_blocks) = counted(|| {
+                    (0..len as u64)
+                        .map(|i| noise_at(k.prf(), base, first + i, ew, mw))
+                        .collect::<Vec<_>>()
+                });
+                let mut scheme = FloatSumScheme::new(fmt);
+                let (out, blocks) = counted(|| with_pool(pool, || {
+                    let mut out = vec![f64::NAN];
+                    scheme.unmask_slice(k, first, &noise, &mut out);
+                    out
+                }));
+                prop_assert!(out.iter().all(|v| *v == 1.0), "noise ⊘ noise is 1");
+                prop_assert_eq!(out.len(), len);
+                prop_assert_eq!(blocks, scalar_blocks);
+                if let Some(at) = fail_at {
+                    let mut x = vec![1.0; len];
+                    x[at] = f64::NAN;
+                    let mut ct = vec![noise[0]];
+                    let (got, blocks) = counted(|| with_pool(pool, || {
+                        scheme.mask_slice(k, first, &x, &mut ct)
+                    }));
+                    prop_assert_eq!(got, Err(HfpError::NonFinite));
+                    prop_assert!(ct.is_empty(), "a failed mask left {} elements", ct.len());
+                    prop_assert_eq!(blocks, len as u64);
+                }
+            }
+            4 => {
+                // Rank 0 seals on its own and next streams, the last rank
+                // on its own alone.
+                let keys = CommKeys::generate(3, seed, Backend::best_available());
+                let homac = Homac::generate(seed, Backend::best_available());
+                let k = if two { &keys[0] } else { &keys[2] };
+                let halves: Vec<u64> = (0..len as u64).map(|i| (i * 0x9E37_79B9) >> 32).collect();
+                let (want, scalar_blocks) = counted(|| homac.seal_lanes_scalar(k, first, &halves));
+                let (got, blocks) = counted(|| with_pool(pool, || {
+                    let mut out = vec![[1, 2]];
+                    homac.seal_lanes(k, first, &halves, &mut out);
+                    out
+                }));
+                prop_assert!(got == want, "sealed lanes differ from the scalar definition");
+                prop_assert_eq!(blocks, scalar_blocks);
+                prop_assert_eq!(blocks, ((1 + usize::from(two)) * len) as u64);
+            }
+            _ => {
+                // One rank: its sealed lanes are the aggregate.
+                let keys = CommKeys::generate(1, seed, Backend::best_available());
+                let homac = Homac::generate(seed, Backend::best_available());
+                let halves: Vec<u64> = (0..len as u64).map(|i| (i * 0x85EB_CA6B) >> 32).collect();
+                let mut sealed = homac.seal_lanes_scalar(&keys[0], first, &halves);
+                if let Some(at) = fail_at {
+                    sealed[at][1] ^= 1;
+                }
+                let (want, scalar_blocks) = counted(|| homac.open_lanes_scalar(&keys[0], first, &sealed));
+                let ((ok, out), blocks) = counted(|| with_pool(pool, || {
+                    let mut out = vec![7];
+                    let ok = homac.open_lanes(&keys[0], first, &sealed, &mut out);
+                    (ok, out)
+                }));
+                prop_assert_eq!(ok, fail_at.is_none());
+                prop_assert_eq!(blocks, len as u64);
+                if ok {
+                    prop_assert!(Some(&out) == want.as_ref(), "opened lanes differ from the scalar definition");
+                    prop_assert!(out == halves);
+                    prop_assert_eq!(blocks, scalar_blocks);
+                } else {
+                    prop_assert_eq!(want, None);
+                }
+            }
+        }
     }
 }
