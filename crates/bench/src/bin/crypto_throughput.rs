@@ -192,53 +192,55 @@ fn bench_float(c: &mut Criterion, group: &str, backend: Backend) {
     let noise = |j: usize| noise_at(keys[0].prf(), keys[0].base_collective(), j as u64, cew, cmw);
     let mut g = c.benchmark_group(group);
     g.throughput(Throughput::Bytes(8 * FLOAT_ELEMS as u64));
-    g.bench_function("encrypt/fused", |b| {
-        b.iter(|| cipher.mask_slice(&keys[0], 0, &x, &mut ct).unwrap())
+    with_pool(&WorkerPool::new(1), || {
+        g.bench_function("encrypt/fused", |b| {
+            b.iter(|| cipher.mask_slice(&keys[0], 0, &x, &mut ct).unwrap())
+        });
+        let mut ct_ref: Vec<Hfp> = Vec::with_capacity(FLOAT_ELEMS);
+        g.bench_function("encrypt/scalar", |b| {
+            b.iter(|| {
+                ct_ref.clear();
+                ct_ref.extend(x.iter().enumerate().map(|(j, v)| {
+                    let plain = Hfp::from_f64(*v, le, lm).expect("finite gradient");
+                    reference::mul(&plain, &noise(j), cew, cmw)
+                }));
+            })
+        });
+        assert_eq!(ct, ct_ref, "fused encrypt must equal the scalar reference");
+        let mut agg = ct.clone();
+        g.bench_function("add/fpu", |b| {
+            b.iter(|| {
+                for ((s, a), o) in agg.iter_mut().zip(&ct).zip(&other) {
+                    *s = ops::add(a, o);
+                }
+            })
+        });
+        let mut agg_ref = ct.clone();
+        g.bench_function("add/scalar", |b| {
+            b.iter(|| {
+                for ((s, a), o) in agg_ref.iter_mut().zip(&ct).zip(&other) {
+                    *s = reference::add(a, o);
+                }
+            })
+        });
+        assert_eq!(agg, agg_ref, "FPU add must equal the integer reference");
+        let mut pt = Vec::new();
+        g.bench_function("decrypt/fused", |b| {
+            b.iter(|| cipher.unmask_slice(&keys[0], 0, &agg, &mut pt))
+        });
+        let mut pt_ref: Vec<f64> = Vec::with_capacity(FLOAT_ELEMS);
+        g.bench_function("decrypt/scalar", |b| {
+            b.iter(|| {
+                pt_ref.clear();
+                pt_ref.extend(
+                    agg.iter()
+                        .enumerate()
+                        .map(|(j, a)| reference::div(a, &noise(j), cew, cmw).to_f64_by_scaling()),
+                );
+            })
+        });
+        assert_eq!(pt, pt_ref, "fused decrypt must equal the scalar reference");
     });
-    let mut ct_ref: Vec<Hfp> = Vec::with_capacity(FLOAT_ELEMS);
-    g.bench_function("encrypt/scalar", |b| {
-        b.iter(|| {
-            ct_ref.clear();
-            ct_ref.extend(x.iter().enumerate().map(|(j, v)| {
-                let plain = Hfp::from_f64(*v, le, lm).expect("finite gradient");
-                reference::mul(&plain, &noise(j), cew, cmw)
-            }));
-        })
-    });
-    assert_eq!(ct, ct_ref, "fused encrypt must equal the scalar reference");
-    let mut agg = ct.clone();
-    g.bench_function("add/fpu", |b| {
-        b.iter(|| {
-            for ((s, a), o) in agg.iter_mut().zip(&ct).zip(&other) {
-                *s = ops::add(a, o);
-            }
-        })
-    });
-    let mut agg_ref = ct.clone();
-    g.bench_function("add/scalar", |b| {
-        b.iter(|| {
-            for ((s, a), o) in agg_ref.iter_mut().zip(&ct).zip(&other) {
-                *s = reference::add(a, o);
-            }
-        })
-    });
-    assert_eq!(agg, agg_ref, "FPU add must equal the integer reference");
-    let mut pt = Vec::new();
-    g.bench_function("decrypt/fused", |b| {
-        b.iter(|| cipher.unmask_slice(&keys[0], 0, &agg, &mut pt))
-    });
-    let mut pt_ref: Vec<f64> = Vec::with_capacity(FLOAT_ELEMS);
-    g.bench_function("decrypt/scalar", |b| {
-        b.iter(|| {
-            pt_ref.clear();
-            pt_ref.extend(
-                agg.iter()
-                    .enumerate()
-                    .map(|(j, a)| reference::div(a, &noise(j), cew, cmw).to_f64_by_scaling()),
-            );
-        })
-    });
-    assert_eq!(pt, pt_ref, "fused decrypt must equal the scalar reference");
     g.finish();
 }
 

@@ -56,8 +56,8 @@ fn noise_pass<S, D, E, const N: usize>(
     f: impl Fn(S, [u128; N]) -> Result<D, E> + Copy + Sync,
 ) -> Result<(), E>
 where
-    S: Copy + Sync + 'static,
-    D: Send + 'static,
+    S: Copy + Sync,
+    D: Send,
     E: Send,
 {
     let streams = bases.map(|base| Stream {

@@ -182,7 +182,7 @@ impl Homac {
     /// filled with `put(m, σ)`, what the caller keeps (the tag, or a sealed
     /// lane and its tag). One block pass on the rank's pool: tags are pure
     /// in `(base, j)` like the pads, so it shards like them.
-    fn tag_batch<W: RingWord, O: Send + 'static, const MODE: u8>(
+    fn tag_batch<W: RingWord, O: Send, const MODE: u8>(
         &self,
         own: u128,
         next: Option<u128>,
@@ -232,7 +232,7 @@ impl Homac {
     /// failing element stops it and leaves `out` empty. One block per
     /// element is attributed even then (failures abort the collective —
     /// only honest totals matter).
-    fn verify_batch<S: Source<Item: 'static>, O: Send + 'static, const MODE: u8>(
+    fn verify_batch<S: Source, O: Send, const MODE: u8>(
         &self,
         base: u128,
         first: u64,

@@ -17,7 +17,8 @@
 //! streams of the §5.1.4 cancelling construction (`+F(own)`, `−F(next)`)
 //! in registers and writing straight into the destination is what makes a
 //! mask cost one read and one write per payload byte, whatever the stream
-//! count. The block body hands `f` whole PRF blocks instead. The parallel,
+//! count. The block body hands `f` whole PRF blocks instead, always out of
+//! place. The parallel,
 //! `Vec`-appending and N-stream entry points are in [`crate::par`]; the
 //! one-stream in-place wrappers here cover every scheme's combine flavour:
 //! [`add_keystream_into`] (encrypt for additive schemes, §5.1.1),
@@ -534,19 +535,14 @@ impl<W: KernelWord, const N: usize, F: Fn(W, [W; N]) -> W + Copy> Pass<'_, '_, W
 const BLOCK_RUN: usize = 256;
 
 /// The block body: `dst[i] ← f(src[i], [A[first + i], B[first + i]])` for
-/// the PRF blocks `F(base + j)` of `streams` (`src = None`: in place). The
-/// first `Err` of `f` ends the pass and is returned; so does `stop()`, asked
-/// once per run. `f` comes by value, so its captures stay in registers.
-///
-/// # Safety
-///
-/// With `src = None`, every element of `dst` must be initialised and
-/// `S::Item` must be `D`.
+/// the PRF blocks `F(base + j)` of `streams`. The first `Err` of `f` ends
+/// the pass and is returned; so does `stop()`, asked once per run. `f`
+/// comes by value, so its captures stay in registers.
 #[inline]
-pub(crate) unsafe fn block_pass_uncounted<S: Source, D, E, const N: usize>(
+pub(crate) fn block_pass_uncounted<S: Source, D, E, const N: usize>(
     streams: &[Stream<'_>; N],
     first: u64,
-    src: Option<S>,
+    src: S,
     dst: &mut [MaybeUninit<D>],
     f: impl Fn(S::Item, [u128; N]) -> Result<D, E>,
     stop: impl Fn() -> bool,
@@ -561,17 +557,10 @@ pub(crate) unsafe fn block_pass_uncounted<S: Source, D, E, const N: usize>(
             stream.blocks(first + at as u64, &mut b[..n]);
         }
         // Every view `n` long, so the loop keeps no bounds checks.
-        let (src, keys) = (src.map(|s| s.sub(at..at + n)), blocks.each_ref());
+        let (src, keys) = (src.sub(at..at + n), blocks.each_ref());
         let keys = keys.map(|b| &b[..n]);
         for i in 0..n {
-            let x = match src {
-                Some(src) => src.at(i),
-                // SAFETY: the in-place contract — `out[i]` holds an
-                // initialised `S::Item`, which is `Copy`, so reading it
-                // leaves it intact.
-                None => unsafe { out[i].as_ptr().cast::<S::Item>().read() },
-            };
-            out[i].write(f(x, keys.map(|k| k[i]))?);
+            out[i].write(f(src.at(i), keys.map(|k| k[i]))?);
         }
     }
     Ok(())

@@ -39,7 +39,6 @@ use crate::kernels::{
     as_uninit, block_pass_uncounted, block_span, count_pass, pass_uncounted, Stores, Stream,
 };
 use crate::{KernelWord, PrfCipher};
-use std::any::TypeId;
 use std::cell::Cell;
 use std::convert::Infallible;
 use std::mem::MaybeUninit;
@@ -458,7 +457,7 @@ impl<A: Copy + Sync, B: Copy + Sync> Source for (&[A], &[B]) {
 
 /// What one pass reads and where its results land.
 pub enum Payload<'a, D, S = &'a [D]> {
-    /// `buf[i] ← f(buf[i], …)`.
+    /// `buf[i] ← f(buf[i], …)`; word passes only.
     InPlace(&'a mut [D]),
     /// `f(src[i], …)` appended to `out`, written straight into its spare
     /// capacity: no copy of `src` first, no zero-fill of `out`. A failing
@@ -576,9 +575,12 @@ pub fn par_fused_pass<W, const N: usize, F>(
 /// of `streams`, any source and destination types, run by the driver
 /// (`drive`) like every word pass: it counts `N` blocks per element up
 /// front, fans out under the same rule and returns the error of the first
-/// element `f` fails on (later elements may or may not have run). An
-/// in-place pass needs `f` to map a type to itself, and names its source
-/// type: `Payload::<_, &[_]>::InPlace(buf)`.
+/// element `f` fails on (later elements may or may not have run). A block
+/// pass reads a source: `Extend` or `Into`.
+///
+/// # Panics
+///
+/// On `Payload::InPlace`.
 pub fn par_block_pass<D, S, E, const N: usize, F>(
     pool: &WorkerPool,
     streams: &[Stream<'_>; N],
@@ -587,18 +589,15 @@ pub fn par_block_pass<D, S, E, const N: usize, F>(
     f: F,
 ) -> Result<(), E>
 where
-    D: Send + 'static,
-    S: Source<Item: 'static>,
+    D: Send,
+    S: Source,
     E: Send,
     F: Fn(S::Item, [u128; N]) -> Result<D, E> + Copy + Sync,
 {
-    if matches!(payload, Payload::InPlace(_)) {
-        assert_eq!(
-            TypeId::of::<S::Item>(),
-            TypeId::of::<D>(),
-            "in place, D is the item type"
-        );
-    }
+    assert!(
+        !matches!(payload, Payload::InPlace(_)),
+        "a block pass reads a source: Extend or Into"
+    );
     drive(
         pool,
         streams,
@@ -607,9 +606,8 @@ where
         payload,
         None,
         |at, src, dst, _, stop| {
-            // SAFETY: the driver's in-place contract, and there `S::Item` is
-            // `D` (asserted above).
-            unsafe { block_pass_uncounted(streams, at, src, dst, f, stop) }
+            let src = src.expect("a sourced payload");
+            block_pass_uncounted(streams, at, src, dst, f, stop)
         },
     )
 }
