@@ -6,7 +6,8 @@
 //! ```text
 //! crypto_throughput            # full sweep, writes BENCH_crypto.json
 //! crypto_throughput --gate     # fused must not be slower than split,
-//!                              # bulk HoMAC lanes ≥ 2× the scalar reference,
+//!                              # HoMAC packet passes ≥ 2× the scalar
+//!                              # reference at 1 and 5 lanes,
 //!                              # fused float cipher ≥ 3× its reference,
 //!                              # FPU ⊕ fold ≥ 1.25× the integer reference,
 //!                              # two-stream out-of-place mask ≥ 1.3× copy
@@ -24,12 +25,16 @@
 //! blocks stay in SSE registers through the 8-wide pipeline. `HEAR_SCALE`
 //! and `HEAR_BENCH_FAST` budgets apply as for every other bench target.
 //!
-//! The `homac_64Ki` rows time §5.5's HoMAC over 64 Ki elements on one
-//! thread, the bulk kernel against the scalar reference it is tested
-//! against. The `lanes/*` rows are what the engine runs and what the gate
-//! holds: `Homac::seal_lanes` / `open_lanes` (tiled PRF fill, pad and tag
-//! from one block, exact residual) against `seal_lanes_scalar` /
-//! `open_lanes_scalar` (one block per key), on a two-rank aggregate. The
+//! The `homac_64Ki` rows time §5.5's HoMAC over 64 Ki lanes or elements on
+//! one thread, the bulk kernel against the scalar reference it is tested
+//! against. The `packets/l1/*` and `packets/l5/*` rows are what the
+//! engine's verified path runs and what the gate holds, at one lane an
+//! element (`u32` sum) and at five (`u8` product): `Homac::seal_pass`
+//! over the input and its ciphertext, writing finished packets, and
+//! `Homac::open_pass`, checking every tag and splitting the packets
+//! (tiled PRF fill, pad and tag from one block, exact residual), against
+//! the digest loop, `seal_lanes_scalar` / `open_lanes_scalar` (one block
+//! per key) and the zip / unzip around them, on a two-rank aggregate. The
 //! `tag/*` and `verify/*` rows are the public ring-word API
 //! (`Homac::tag_into` / `verify` with the Θ(1) overflow test against
 //! `tag_plain` / `verify_plain`), reported only.
@@ -52,7 +57,10 @@
 //! memory-bound and the two nearly meet.
 
 use criterion::{black_box, Criterion, Throughput};
-use hear::core::{noise_at, CommKeys, FloatSumScheme, Homac, Scheme};
+use hear::core::{
+    noise_at, split_lanes, CommKeys, FloatSumScheme, Homac, IntProdScheme, IntSumScheme, LaneArray,
+    Scheme, DIGEST_BASE, DIGEST_LANES,
+};
 use hear::hfp::ops::{self, reference};
 use hear::hfp::{Hfp, HfpFormat};
 use hear::prf::kernels::add_keystream_into;
@@ -77,13 +85,14 @@ const BIG_PAYLOAD_BYTES: usize = 4 * 1024 * 1024;
 /// `BENCH_crypto.json` tracks).
 const GATE_TOLERANCE: f64 = 1.25;
 
-/// HoMAC batch: 64 Ki elements — above the kernel's fan-out threshold, so
-/// the rows pin a one-thread pool.
+/// HoMAC batch: 64 Ki elements (lanes, on the packet rows) — above the
+/// kernel's fan-out threshold, so the rows pin a one-thread pool.
 const HOMAC_WORDS: usize = 64 * 1024;
 
-/// `--gate` floor for the bulk HoMAC lane kernel over the scalar reference
+/// `--gate` floor for the HoMAC packet passes over the scalar reference
 /// (before [`GATE_TOLERANCE`]): the reference shares the folded field
-/// arithmetic, so what the gate guards is the tiled 8-wide key derivation.
+/// arithmetic and the digest, so what the gate guards is the tiled 8-wide
+/// key derivation and the one pass that builds the packets.
 const HOMAC_MIN_SPEEDUP: f64 = 2.0;
 
 /// The ring-word tag and verify rows, bulk vs scalar, in a one-rank world
@@ -115,40 +124,145 @@ fn bench_homac(c: &mut Criterion, group: &str, backend: Backend) {
     g.finish();
 }
 
-/// The engine's lane rows, bulk vs scalar: rank 0 of a two-rank world
-/// seals 64 Ki 32-bit halves (own and next stream), and opens the two
-/// ranks' aggregate.
-fn bench_homac_lanes(c: &mut Criterion, group: &str, backend: Backend) {
+/// What the engine's verified transport ships an element as: its
+/// ciphertext, its sealed digest lanes and their tags.
+#[derive(Clone, Copy, PartialEq)]
+struct Packet<W, L> {
+    c: W,
+    d: L,
+    s: L,
+}
+
+/// The engine's packet rows, bulk vs scalar, for scheme `S` at `L =
+/// S::Lanes::LANES` lanes an element and 64 Ki lanes in all. Rank 0 of a
+/// two-rank world seals the masked block (own and next stream), and rank 0
+/// opens the two ranks' aggregate. Bulk is the pass the engine runs:
+/// `Homac::seal_pass` digests each element in registers and writes its
+/// finished packet, `Homac::open_pass` checks every tag and splits the
+/// packets into ciphertexts and opened lane sums. Scalar is the reference
+/// it is tested against: the digest loop, `seal_lanes_scalar` (one block
+/// per key) and a zip into packets; an unzip and `open_lanes_scalar`. The
+/// mask and unmask, the same on both sides, are left out.
+fn bench_homac_packets<S: Scheme>(
+    c: &mut Criterion,
+    group: &str,
+    backend: Backend,
+    mut scheme: S,
+    input: impl Fn(u64) -> S::Input,
+) {
+    let lanes = S::Lanes::LANES;
+    let (n, first) = (HOMAC_WORDS / lanes, DIGEST_BASE);
     let keys = CommKeys::generate(2, 0x5E5, backend);
     let homac = Homac::generate(0xFACE, backend);
-    let halves: Vec<u64> = (0..HOMAC_WORDS as u64)
-        .map(|j| j.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32)
+    let [(x, wire), (x1, wire1)] = [0, 1].map(|r| {
+        let x: Vec<S::Input> = (0..n as u64).map(|j| input(j * 2 + r as u64)).collect();
+        let mut wire = Vec::new();
+        (scheme.mask_slice(&keys[r], 0, &x, &mut wire)).expect("encodable");
+        (x, wire)
+    });
+    let scheme = &scheme;
+    let digests = |x: &[S::Input]| -> Vec<u64> {
+        let mut words = [0u64; DIGEST_LANES];
+        (x.iter())
+            .flat_map(|x| {
+                scheme.digest(x, &mut words);
+                split_lanes(&words).into_iter().take(lanes)
+            })
+            .collect()
+    };
+    let zip = |wire: &[S::Wire], sealed: &[[u64; 2]]| -> Vec<Packet<S::Wire, S::Lanes>> {
+        (wire.iter().zip(sealed.chunks_exact(lanes)))
+            .map(|(c, pairs)| {
+                let (mut d, mut s) = (S::Lanes::ZERO, S::Lanes::ZERO);
+                for (b, [lane, tag]) in pairs.iter().enumerate() {
+                    (d.as_mut()[b], s.as_mut()[b]) = (*lane, *tag);
+                }
+                Packet { c: *c, d, s }
+            })
+            .collect()
+    };
+    let p0 = zip(
+        &wire,
+        &homac.seal_lanes_scalar(&keys[0], first, &digests(&x)),
+    );
+    let p1 = zip(
+        &wire1,
+        &homac.seal_lanes_scalar(&keys[1], first, &digests(&x1)),
+    );
+    let agg: Vec<Packet<S::Wire, S::Lanes>> = (p0.iter().zip(&p1))
+        .map(|(a, b)| {
+            let (mut d, mut s) = (a.d, a.s);
+            for b_ in 0..lanes {
+                d.as_mut()[b_] = Homac::combine(a.d.as_ref()[b_], b.d.as_ref()[b_]);
+                s.as_mut()[b_] = Homac::combine(a.s.as_ref()[b_], b.s.as_ref()[b_]);
+            }
+            Packet {
+                c: S::op(&a.c, &b.c),
+                d,
+                s,
+            }
+        })
         .collect();
-    let sealed: Vec<_> = keys
-        .iter()
-        .map(|k| homac.seal_lanes_scalar(k, 0, &halves))
-        .collect();
-    let agg: Vec<[u64; 2]> = (sealed[0].iter().zip(&sealed[1]))
-        .map(|([d0, s0], [d1, s1])| [Homac::combine(*d0, *d1), Homac::combine(*s0, *s1)])
-        .collect();
-    let (mut out, mut opened) = (Vec::new(), Vec::new());
+    let (mut packets, mut opened) = (Vec::new(), (Vec::new(), Vec::new()));
     let mut g = c.benchmark_group(group);
-    g.throughput(Throughput::Bytes(4 * HOMAC_WORDS as u64));
+    g.throughput(Throughput::Bytes(4 * (n * lanes) as u64));
     with_pool(&WorkerPool::new(1), || {
-        g.bench_function("lanes/seal/bulk", |b| {
-            b.iter(|| homac.seal_lanes(&keys[0], 0, &halves, &mut out))
+        g.bench_function(format!("packets/l{lanes}/seal/bulk"), |b| {
+            b.iter(|| {
+                packets.clear();
+                let digest = |(x, _): &(S::Input, S::Wire)| scheme.digest_lanes(x);
+                let put = |(_, c), d, s| Packet { c, d, s };
+                homac.seal_pass(
+                    &keys[0],
+                    first,
+                    (&x[..], &wire[..]),
+                    &mut packets,
+                    digest,
+                    put,
+                );
+            })
         });
-        g.bench_function("lanes/seal/scalar", |b| {
-            b.iter(|| black_box(homac.seal_lanes_scalar(&keys[0], 0, &halves)))
+        g.bench_function(format!("packets/l{lanes}/seal/scalar"), |b| {
+            b.iter(|| {
+                let sealed = homac.seal_lanes_scalar(&keys[0], first, &digests(&x));
+                black_box(zip(&wire, &sealed))
+            })
         });
-        g.bench_function("lanes/open/bulk", |b| {
-            b.iter(|| assert!(homac.open_lanes(&keys[0], 0, &agg, &mut opened)))
+        g.bench_function(format!("packets/l{lanes}/open/bulk"), |b| {
+            b.iter(|| {
+                opened.0.clear();
+                opened.1.clear();
+                let sealed = |p: &Packet<S::Wire, S::Lanes>| (p.d, p.s);
+                let split = |p: Packet<S::Wire, S::Lanes>, sums| (p.c, sums);
+                let columns = (&mut opened.0, &mut opened.1);
+                assert!(homac.open_pass(&keys[0], first, &agg[..], columns, sealed, split));
+            })
         });
-        g.bench_function("lanes/open/scalar", |b| {
-            b.iter(|| assert!(homac.open_lanes_scalar(&keys[0], 0, &agg).is_some()))
+        g.bench_function(format!("packets/l{lanes}/open/scalar"), |b| {
+            b.iter(|| {
+                let wire: Vec<S::Wire> = agg.iter().map(|p| p.c).collect();
+                let pairs: Vec<[u64; 2]> = (agg.iter())
+                    .flat_map(|p| p.d.as_ref().iter().zip(p.s.as_ref()).map(|(d, s)| [*d, *s]))
+                    .collect();
+                let sums = homac.open_lanes_scalar(&keys[0], first, &pairs);
+                black_box((wire, sums.expect("honest aggregate")))
+            })
         });
     });
     g.finish();
+}
+
+/// The packet rows at one lane (`u32` integer sum, `verified_mem`'s
+/// scheme) and at five (`u8` integer product: its digest, a 2-adic
+/// logarithm, costs a few steps per element at 8 bits, against some 60 at
+/// 64, where it would be the time on both sides).
+fn bench_homac_lanes(c: &mut Criterion, group: &str, backend: Backend) {
+    bench_homac_packets(c, group, backend, IntSumScheme::<u32>::default(), |j| {
+        j.wrapping_mul(0x9E37_79B9) as u32
+    });
+    bench_homac_packets(c, group, backend, IntProdScheme::<u8>::default(), |j| {
+        (j.wrapping_mul(0x9E37_79B9) >> 24) as u8 | 1
+    });
 }
 
 /// Float batch: 64 Ki gradients (512 KiB of `f64`, 2 MiB of ciphertext).
@@ -442,11 +556,11 @@ fn run_gate() -> ! {
     std::process::exit(1);
 }
 
-/// `--gate`, second half: the bulk HoMAC lane kernel — the one the
-/// engine's verified packets run — must beat the scalar reference by
-/// [`HOMAC_MIN_SPEEDUP`] (within [`GATE_TOLERANCE`]) on both sides. Without
-/// AES-NI the bulk fill has no wide pipeline to feed, so the gate skips
-/// with a notice, like the roofline gate on a small host.
+/// `--gate`, second half: the HoMAC packet passes the engine's verified
+/// path runs must beat the scalar references by [`HOMAC_MIN_SPEEDUP`]
+/// (within [`GATE_TOLERANCE`]), seal and open, at one lane an element and
+/// at five. Without AES-NI the bulk fill has no wide pipeline to feed, so
+/// the gate skips with a notice, like the roofline gate on a small host.
 fn run_homac_gate(backend: Backend) -> ! {
     if backend != Backend::AesNi {
         println!(
@@ -459,35 +573,35 @@ fn run_homac_gate(backend: Backend) -> ! {
         std::process::exit(0);
     }
     let floor = HOMAC_MIN_SPEEDUP / GATE_TOLERANCE;
-    let mut best = [0f64; 2];
+    let rows = ["l1/seal", "l1/open", "l5/seal", "l5/open"];
+    let mut best = [0f64; 4];
     for attempt in 1..=3 {
         let mut c = Criterion::default();
         bench_homac_lanes(&mut c, "gate_homac", backend);
         let ns = |row: &str| {
             let stats = c
-                .stats(&format!("gate_homac/lanes/{row}"))
+                .stats(&format!("gate_homac/packets/{row}"))
                 .expect("recorded");
             stats.median_ns
         };
-        let speedup = [
-            ns("seal/scalar") / ns("seal/bulk"),
-            ns("open/scalar") / ns("open/bulk"),
-        ];
+        let speedup = rows.map(|row| ns(&format!("{row}/scalar")) / ns(&format!("{row}/bulk")));
         println!(
-            "homac_gate attempt {attempt}: bulk is {:.2}x (seal) / {:.2}x (open) the scalar \
-             reference at {HOMAC_WORDS} lanes, floor {floor:.2}x",
-            speedup[0], speedup[1]
+            "homac_gate attempt {attempt}: the packet passes are {:.2}x (seal) / {:.2}x (open) \
+             the scalar reference at 1 lane an element, {:.2}x / {:.2}x at 5, over {HOMAC_WORDS} \
+             lanes, floor {floor:.2}x",
+            speedup[0], speedup[1], speedup[2], speedup[3]
         );
         if speedup.iter().all(|s| *s >= floor) {
             println!("homac_gate: OK");
             run_float_gate(backend);
         }
-        best = [best[0].max(speedup[0]), best[1].max(speedup[1])];
+        best = std::array::from_fn(|i| best[i].max(speedup[i]));
     }
     eprintln!(
-        "homac_gate: FAIL — bulk lane seal/open reached {:.2}x / {:.2}x the scalar reference \
-         (floor {floor:.2}x); the tiled HoMAC kernel has regressed",
-        best[0], best[1]
+        "homac_gate: FAIL — the packet passes reached {:.2}x / {:.2}x (seal / open, 1 lane) and \
+         {:.2}x / {:.2}x (5 lanes) the scalar reference (floor {floor:.2}x); the HoMAC packet \
+         passes have regressed",
+        best[0], best[1], best[2], best[3]
     );
     std::process::exit(1);
 }

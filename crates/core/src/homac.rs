@@ -18,25 +18,28 @@
 //! fewer and blind to `+8·k` and `±p` on 64-bit words.
 //!
 //! The engine's verified packet does not use it. Its digest lanes are
-//! field elements from the start ([`Homac::seal_lanes`],
-//! [`Homac::open_lanes`]): a lane carries one 32-bit half of a digest
-//! word, its pad is the high half of the PRF block whose low half is the
-//! tag key, the network adds lanes and tags alike modulo `p`, and opening
-//! demands a zero residual — one algebra, no candidates.
+//! field elements from the start ([`Homac::seal_pass`],
+//! [`Homac::open_pass`]; [`Homac::seal_lanes`] and [`Homac::open_lanes`]
+//! on bare lanes): a lane carries one 32-bit half of a digest word, its
+//! pad is the high half of the PRF block whose low half is the tag key,
+//! the network adds lanes and tags alike modulo `p`, and opening demands a
+//! zero residual — one algebra, no candidates.
 //!
-//! The bulk entry points run one kernel per side (`tag_batch`,
-//! `verify_batch`, each with a const mode: ring word, cell or lane), each
-//! one `hear_prf::par_block_pass` on the rank's pool: keys come from the
-//! pad driver every other cipher uses (8-wide on AES-NI, sharded past
-//! `PAR_MIN_BYTES`), and the field arithmetic is the Mersenne fold, no
-//! division.
+//! Every bulk entry point is one block pass of the pad driver every other
+//! cipher uses (8-wide on AES-NI, sharded like the pads) on the rank's
+//! pool, with the Mersenne fold for field arithmetic, no division: one
+//! block an element for ring words and cells (`tag_batch`, `verify_batch`),
+//! one a lane for digest lanes, an element's lanes in one step.
 //! [`Homac::tag_plain`] / [`Homac::verify_plain`] and the `*_scalar` lane
 //! functions stay scalar, one `eval_block` per key: the references the
 //! kernels are tested and gated against.
 
 use crate::keys::{CommKeys, KeyRegistry};
+use crate::scheme::LaneArray;
 use crate::word::RingWord;
-use hear_prf::{par_block_pass, Backend, Payload, Prf, PrfCipher, Source, Stream, WorkerPool};
+use hear_prf::{
+    par_wide_block_pass, Append, Backend, BlockArray, Prf, PrfCipher, Source, Stream, WorkerPool,
+};
 use hear_telemetry::Metric::{HomacVerifyFail, HomacVerifyPass};
 use std::convert::Infallible;
 
@@ -100,34 +103,38 @@ fn overflow_ok(d: u64, shift: u32, world: u64) -> bool {
     d & ((1 << shift) - 1) == 0 && d >> shift < world
 }
 
-/// What the tile kernels take an element's word for: a summed ring word
-/// (the public `tag`/`verify`), a single-origin cell, or a digest lane.
+/// What the one-block kernels take an element's word for: a summed ring
+/// word (the public `tag`/`verify`) or a single-origin cell.
 const RING: u8 = 0;
 const CELL: u8 = 1;
-const LANE: u8 = 2;
 
 /// The field element a tag authenticates for word `c`, keyed by its PRF
-/// block `k` (own stream) and `n` (next stream, zero without one): the
-/// word itself for a ring word; for a cell `lo32(c) + Y·hi32(c)`, `Y` the
-/// high half of the block whose low half gives `s` (`c` and `c ± p` are
-/// one residue, so the bare word would let a cell shifted by `p` keep its
-/// tag; two halves below 2³² under a secret `Y` collide only when the
-/// cells are equal, or with probability 1/p); for a lane half `m < 2³²`
-/// the sealed lane `m + pad` ([`lane_pad`]), left unreduced (below 2^63)
-/// so the tag need not wait for its reduction. A received lane is already
-/// that sum: verification passes lanes through as ring words.
+/// block `k`: the word itself for a ring word; for a cell `lo32(c) +
+/// Y·hi32(c)`, `Y` the high half of `k`, whose low half gives `s` (`c` and
+/// `c ± p` are one residue, so the bare word would let a cell shifted by
+/// `p` keep its tag; two halves below 2³² under a secret `Y` collide only
+/// when the cells are equal, or with probability 1/p).
 #[inline(always)]
-fn message<const MODE: u8>(c: u64, k: u128, n: u128) -> u64 {
+fn message<const MODE: u8>(c: u64, k: u128) -> u64 {
     match MODE {
         CELL => (c & 0xFFFF_FFFF) + mul_p((k >> 64) as u64, c >> 32),
-        LANE => c + lane_pad(k, n),
         _ => c,
     }
 }
 
-/// A lane's pad: the high halves of its own and next PRF blocks, as the
-/// tag key `s − n` is their low halves. The network's sum of every rank's
-/// pad cancels to rank 0's `high64(F(base_zero + j))`. Unreduced, in
+/// The cancelling tag `(lo(s) − lo(n) − m) / Z` of any `u64` message `m`:
+/// the difference is `k − 2^64·borrows`, 2^64 ≡ 8, and `mul_p` takes it
+/// unreduced.
+#[inline(always)]
+fn tag_of(m: u64, s: u128, n: u128, z_inv: u64) -> u64 {
+    let (k, b1) = (s as u64).overflowing_sub(n as u64);
+    let (k, b2) = k.overflowing_sub(m);
+    mul_p(fold(k) + HOMAC_P - 8 * (b1 as u64 + b2 as u64), z_inv)
+}
+
+/// A lane's pad: the high halves of its own and next PRF blocks (`n` zero
+/// without a next stream), as the tag key `s − n` is their low halves.
+/// The network's sum of every rank's pad cancels to rank 0's `high64(F(base_zero + j))`. Unreduced, in
 /// `[p − 8, 2p + 7]`: the integer difference is the wrapping one less
 /// 2^64 on a borrow, and 2^64 ≡ 8.
 #[inline(always)]
@@ -176,93 +183,164 @@ impl Homac {
         self.prf.eval_block(base.wrapping_add(j as u128))
     }
 
+    /// The pass under every bulk entry point: `put(x, blocks)` appended for
+    /// each element `x` of `src`, `blocks[k]` its `B` blocks `first + i·B
+    /// ..` on the stream at `bases[k]`. One [`par_wide_block_pass`] on the
+    /// rank's pool: the first failing element stops it with nothing
+    /// appended.
+    fn pass<S: Source, O: Append, B: BlockArray, E: Send, const N: usize>(
+        &self,
+        bases: [u128; N],
+        first: u64,
+        src: S,
+        out: O,
+        put: impl Fn(S::Item, [B; N]) -> Result<O::Item, E> + Copy + Sync,
+    ) -> Result<(), E> {
+        let streams = bases.map(|base| Stream {
+            prf: &self.prf,
+            base,
+        });
+        WorkerPool::with_current(|pool| par_wide_block_pass(pool, &streams, first, src, out, put))
+    }
+
+    /// [`Homac::pass`] on the streams at `own` and `next`: `put(x, s, n)`,
+    /// with `n` zero when there is no next stream (the pass then draws from
+    /// `own` alone).
+    fn cancelling_pass<S: Source, O: Append, B: BlockArray, E: Send>(
+        &self,
+        (own, next): (u128, Option<u128>),
+        first: u64,
+        src: S,
+        out: O,
+        put: impl Fn(S::Item, B, B) -> Result<O::Item, E> + Copy + Sync,
+    ) -> Result<(), E> {
+        match next {
+            None => self.pass([own], first, src, out, move |x, [s]| put(x, s, B::ZERO)),
+            Some(next) => self.pass([own, next], first, src, out, move |x, [s, n]| put(x, s, n)),
+        }
+    }
+
     /// Tag a batch: `σ[i] = (s(own, j) − s(next, j) − m[i]) / Z` at
     /// `j = first + i`, `m` the [`message`] of `cipher[i]` in `MODE`, the
     /// second stream only for the cancelling variant; `out` is cleared and
-    /// filled with `put(m, σ)`, what the caller keeps (the tag, or a sealed
-    /// lane and its tag). One block pass on the rank's pool: tags are pure
-    /// in `(base, j)` like the pads, so it shards like them.
-    fn tag_batch<W: RingWord, O: Send, const MODE: u8>(
+    /// filled with the tags.
+    fn tag_batch<W: RingWord, const MODE: u8>(
         &self,
-        own: u128,
-        next: Option<u128>,
+        streams: (u128, Option<u128>),
         first: u64,
         cipher: &[W],
-        out: &mut Vec<O>,
-        put: impl Fn(u64, u64) -> O + Copy + Sync,
+        out: &mut Vec<u64>,
     ) {
         let _s = hear_telemetry::span!("homac_tag", elems = cipher.len());
         let z_inv = self.z_inv;
         let tag = move |c: W, s: u128, n: u128| {
-            // s − n − m over the integers is k − 2^64·borrows, and 2^64 ≡ 8;
-            // left unreduced, `mul_p` takes any u64.
-            let m = message::<MODE>(c.to_u64(), s, n);
-            let (k, b1) = (s as u64).overflowing_sub(n as u64);
-            let (k, b2) = k.overflowing_sub(m);
-            let diff = fold(k) + HOMAC_P - 8 * (b1 as u64 + b2 as u64);
-            Ok::<_, Infallible>(put(m, mul_p(diff, z_inv)))
-        };
-        let stream = |base| Stream {
-            prf: &self.prf,
-            base,
+            Ok::<_, Infallible>(tag_of(message::<MODE>(c.to_u64(), s), s, n, z_inv))
         };
         out.clear();
-        let payload = Payload::Extend(cipher, out);
-        let Ok(()) = WorkerPool::with_current(|pool| match next {
-            // Without a next stream there is nothing to subtract.
-            None => par_block_pass(pool, &[stream(own)], first, payload, move |c, [s]| {
-                tag(c, s, 0)
-            }),
-            Some(next) => {
-                let streams = [stream(own), stream(next)];
-                par_block_pass(pool, &streams, first, payload, move |c, [s, n]| {
-                    tag(c, s, n)
-                })
-            }
-        });
+        let Ok(()) = self.cancelling_pass(streams, first, cipher, out, tag);
     }
 
     /// Check a batch against the key stream at `base`: with `(c, σ) =
-    /// word(src[i])`, every residual `s(base, first + i) − (m + σ·Z)` must
+    /// src[i]`, every residual `s(base, first + i) − (m + σ·Z)` must
     /// pass [`overflow_ok`] (`world = 1` demands it be zero), `m` the
-    /// [`message`] of `c` in `MODE` (a received lane is its own message).
-    /// `out` is cleared and filled with `put` of each lane's opened sum `c −
-    /// pad(base, first + i) mod p`; a checking-only pass keeps `()`, which
-    /// takes no memory. One block pass, like [`Homac::tag_batch`]; the first
-    /// failing element stops it and leaves `out` empty. One block per
-    /// element is attributed even then (failures abort the collective —
-    /// only honest totals matter).
-    fn verify_batch<S: Source, O: Send, const MODE: u8>(
+    /// [`message`] of `c` in `MODE`. One block per element is attributed
+    /// even when an element fails (failures abort the collective — only
+    /// honest totals matter).
+    fn verify_batch<W: RingWord, const MODE: u8>(
         &self,
         base: u128,
         first: u64,
         (shift, world): (u32, u64),
-        (src, word): (S, impl Fn(S::Item) -> (u64, u64) + Copy + Sync),
-        out: &mut Vec<O>,
-        put: impl Fn(u64) -> O + Copy + Sync,
+        src: (&[W], &[u64]),
     ) -> bool {
         let _s = hear_telemetry::span!("homac_verify", elems = src.count());
         let z = self.z;
-        let check = move |x, [s]: [u128; 1]| {
-            let (c, sigma) = word(x);
-            let m = match MODE {
-                LANE => c,
-                _ => message::<MODE>(c, s, 0),
-            };
-            let got = fold(m) + mul_p(sigma, z); // < 2p + 7
+        let check = move |(c, sigma): (W, u64), [s]: [u128; 1]| {
+            let got = fold(message::<MODE>(c.to_u64(), s)) + mul_p(sigma, z); // < 2p + 7
             match overflow_ok(reduce(fold(s as u64) + 3 * HOMAC_P - got), shift, world) {
-                true => Ok(put(reduce(fold(c) + 3 * HOMAC_P - lane_pad(s, 0)))),
+                true => Ok(()),
                 false => Err(()),
             }
         };
-        let stream = [Stream {
-            prf: &self.prf,
-            base,
-        }];
-        out.clear();
-        let payload = Payload::Extend(src, out);
-        let verdict =
-            WorkerPool::with_current(|pool| par_block_pass(pool, &stream, first, payload, check));
+        let verdict = self.pass([base], first, src, &mut Vec::new(), check);
+        record_verdict(verdict.is_ok())
+    }
+
+    /// Seal the digest lanes of every element of `src`, appending `put(x,
+    /// lanes, tags)` to `out`: `halves(x)` gives element `i`'s `L` lanes
+    /// (32-bit halves of digest words), and lane `b` becomes the field
+    /// element `m + pad` and its cancelling tag at PRF index `first + i·L +
+    /// b` of this rank's own and next streams (pad and tag key are the high
+    /// and low halves of one block). The network adds lanes and tags with
+    /// [`Homac::combine`].
+    pub fn seal_pass<S, O, L>(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        src: S,
+        out: O,
+        halves: impl Fn(&S::Item) -> L + Copy + Sync,
+        put: impl Fn(S::Item, L, L) -> O::Item + Copy + Sync,
+    ) where
+        S: Source,
+        O: Append,
+        L: LaneArray,
+    {
+        let _s = hear_telemetry::span!("homac_tag", elems = src.count() * L::LANES);
+        let z_inv = self.z_inv;
+        // The sealed lane `m + pad` is left unreduced (below 2^63) for its
+        // tag, so the tag need not wait for the reduction.
+        let seal = move |x: S::Item, own: L::Blocks, next: L::Blocks| {
+            let (m, mut lanes, mut tags) = (halves(&x), L::ZERO, L::ZERO);
+            for b in 0..L::LANES {
+                let (s, n) = (own.as_ref()[b], next.as_ref()[b]);
+                debug_assert!(m.as_ref()[b] >> 32 == 0, "a lane carries 32 bits");
+                let lane = m.as_ref()[b] + lane_pad(s, n);
+                lanes.as_mut()[b] = reduce(lane);
+                tags.as_mut()[b] = tag_of(lane, s, n, z_inv);
+            }
+            Ok::<_, Infallible>(put(x, lanes, tags))
+        };
+        let streams = (keys.base_own(), (!keys.is_last()).then(|| keys.base_next()));
+        let Ok(()) = self.cancelling_pass(streams, first, src, out, seal);
+    }
+
+    /// Open the aggregates of lanes sealed by [`Homac::seal_pass`] at
+    /// `first`: with `(lanes, tags) = sealed(x)`, every tag must verify
+    /// exactly (residual zero), and `put(x, sums)` is appended to `out`,
+    /// `sums` the lanes less rank 0's pads — the sums over ranks of the
+    /// sealed halves, exact while `world·2³² < p`. On `false` nothing is
+    /// appended; one block a lane is attributed even then.
+    pub fn open_pass<S, O, L>(
+        &self,
+        keys: &CommKeys,
+        first: u64,
+        src: S,
+        out: O,
+        sealed: impl Fn(&S::Item) -> (L, L) + Copy + Sync,
+        put: impl Fn(S::Item, L) -> O::Item + Copy + Sync,
+    ) -> bool
+    where
+        S: Source,
+        O: Append,
+        L: LaneArray,
+    {
+        let _s = hear_telemetry::span!("homac_verify", elems = src.count() * L::LANES);
+        let z = self.z;
+        let open = move |x: S::Item, [k]: [L::Blocks; 1]| {
+            let ((lanes, tags), mut sums, mut bad) = (sealed(&x), L::ZERO, 0);
+            for b in 0..L::LANES {
+                let (s, lane) = (k.as_ref()[b], lanes.as_ref()[b]);
+                let got = fold(lane) + mul_p(tags.as_ref()[b], z); // < 2p + 7
+                bad |= reduce(fold(s as u64) + 3 * HOMAC_P - got);
+                sums.as_mut()[b] = reduce(fold(lane) + 3 * HOMAC_P - lane_pad(s, 0));
+            }
+            match bad {
+                0 => Ok(put(x, sums)),
+                _ => Err(()),
+            }
+        };
+        let verdict = self.pass([keys.base_zero()], first, src, out, open);
         record_verdict(verdict.is_ok())
     }
 
@@ -283,8 +361,7 @@ impl Homac {
         out: &mut Vec<u64>,
     ) {
         let next = (!keys.is_last()).then(|| keys.base_next());
-        let own = keys.base_own();
-        self.tag_batch::<W, u64, RING>(own, next, first, cipher, out, |_, tag| tag);
+        self.tag_batch::<W, RING>((keys.base_own(), next), first, cipher, out);
     }
 
     /// Non-cancelling tags (Θ(P) verification via [`Homac::verify_plain`]).
@@ -328,16 +405,7 @@ impl Homac {
             world.saturating_sub(1) <= (HOMAC_P - 1) >> shift,
             "HoMAC overflow test needs (world − 1)·2^{shift} < p; world = {world}"
         );
-        let word = |(c, sigma): (W, u64)| (c.to_u64(), sigma);
-        let (base, units) = (keys.base_zero(), &mut Vec::new());
-        self.verify_batch::<_, (), RING>(
-            base,
-            first,
-            (shift, world),
-            ((agg, tags), word),
-            units,
-            |_| (),
-        )
+        self.verify_batch::<W, RING>(keys.base_zero(), first, (shift, world), (agg, tags))
     }
 
     /// Verify non-cancelling tags: reconstructs all `P` key streams and scans
@@ -370,41 +438,33 @@ impl Homac {
     /// other than the tagged one verifies (a tag over the bare word would
     /// also accept the cell shifted by `p`).
     pub fn tag_shared(&self, base: u128, first: u64, cipher: &[u64], out: &mut Vec<u64>) {
-        self.tag_batch::<u64, u64, CELL>(base, None, first, cipher, out, |_, tag| tag);
+        self.tag_batch::<u64, CELL>((base, None), first, cipher, out);
     }
 
     /// Verify single-origin ciphertexts against [`Homac::tag_shared`]
     /// tags. One contributor means no wrap-around: `m + σ·Z ≡ s (mod p)`
     /// must hold exactly for the cell's message `m`.
     pub fn verify_shared(&self, base: u128, first: u64, cipher: &[u64], tags: &[u64]) -> bool {
-        let (src, units) = ((cipher, tags), &mut Vec::new());
-        self.verify_batch::<_, (), CELL>(base, first, (0, 1), (src, |x| x), units, |_| ())
+        self.verify_batch::<u64, CELL>(base, first, (0, 1), (cipher, tags))
     }
 
     /// Seal a run of digest lanes into `out`, one `[lane, tag]` per half:
     /// `halves[i] < 2³²` (one 32-bit half of a digest word) becomes the
     /// field element `m + pad` and gets the cancelling tag of that lane, at
-    /// PRF index `first + i` of this rank's own and next streams. Pad and
-    /// tag key are the high and low halves of one block, so this is one
-    /// pass over the PRF — the same kernel as [`Homac::tag_into`].
-    /// The network adds lanes and tags with [`Homac::combine`].
+    /// PRF index `first + i` of this rank's own and next streams — one lane
+    /// per element of [`Homac::seal_pass`].
     pub fn seal_lanes(&self, keys: &CommKeys, first: u64, halves: &[u64], out: &mut Vec<[u64; 2]>) {
         assert!(
             halves.iter().all(|h| h >> 32 == 0),
             "a lane carries 32 bits"
         );
-        let next = (!keys.is_last()).then(|| keys.base_next());
-        let put = |lane, tag| [reduce(lane), tag];
-        self.tag_batch::<u64, _, LANE>(keys.base_own(), next, first, halves, out, put);
+        out.clear();
+        self.seal_pass(keys, first, halves, out, |h| [*h], |_, [d], [s]| [d, s]);
     }
 
     /// Open the aggregate of lanes sealed by [`Homac::seal_lanes`] at
-    /// `first`, as `[lane, tag]` pairs: every tag must verify exactly
-    /// (residual zero, no overflow candidates), and `out` (cleared) receives
-    /// each lane with rank 0's pad removed — the sum over ranks of the
-    /// sealed halves, an exact integer while `world·2³² < p`. One
-    /// verify-and-decrypt pass over `base_zero`. On `false`, `out` is
-    /// meaningless.
+    /// `first`, as `[lane, tag]` pairs, into `out` (cleared): one lane per
+    /// element of [`Homac::open_pass`]. On `false`, `out` is meaningless.
     pub fn open_lanes(
         &self,
         keys: &CommKeys,
@@ -412,8 +472,9 @@ impl Homac {
         sealed: &[[u64; 2]],
         out: &mut Vec<u64>,
     ) -> bool {
-        let (base, word) = (keys.base_zero(), |[lane, tag]: [u64; 2]| (lane, tag));
-        self.verify_batch::<_, u64, LANE>(base, first, (0, 1), (sealed, word), out, |sum| sum)
+        out.clear();
+        let lane = |[d, s]: &[u64; 2]| ([*d], [*s]);
+        self.open_pass(keys, first, sealed, out, lane, |_, [sum]| sum)
     }
 
     /// [`Homac::seal_lanes`] by its definition, one `eval_block` per key
@@ -651,6 +712,34 @@ mod tests {
         assert_eq!(opened, want);
         let scalar = homac.open_lanes_scalar(&keys[2], first, &agg);
         assert_eq!(scalar, Some(want));
+    }
+
+    /// A pass fans out once it draws `PAR_MIN_BYTES` of PRF output across
+    /// all its streams: on a 2-thread pool a lane seal with a next stream
+    /// (two blocks a lane) shards at 2^15 lanes and runs inline at 2^14,
+    /// and an open (one block a lane) shards at 2^16 and not at 2^15.
+    #[test]
+    fn lane_passes_fan_out_on_the_blocks_they_draw() {
+        use hear_prf::{with_pool, WorkerPool, PAR_MIN_BYTES};
+        assert_eq!(PAR_MIN_BYTES, 1 << 20);
+        let keys = CommKeys::generate(2, 0xFA, Backend::best_available());
+        let homac = Homac::generate(0xFB, Backend::best_available());
+        let pool = WorkerPool::new(2);
+        let fans_out = |pass: &dyn Fn()| {
+            let jobs = pool.jobs();
+            with_pool(&pool, pass);
+            pool.jobs() > jobs
+        };
+        let seal =
+            |n: usize| fans_out(&|| homac.seal_lanes(&keys[0], 0, &vec![7; n], &mut Vec::new()));
+        let open = |n: usize| {
+            fans_out(&|| {
+                homac.open_lanes(&keys[0], 0, &vec![[0, 0]; n], &mut Vec::new());
+            })
+        };
+        assert!(!keys[0].is_last());
+        assert_eq!((seal(1 << 15), seal(1 << 14)), (true, false));
+        assert_eq!((open(1 << 16), open(1 << 15)), (true, false));
     }
 
     /// `c` and `c ± p` are one residue mod p: a tag over the bare word

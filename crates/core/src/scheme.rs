@@ -26,6 +26,7 @@
 
 use crate::keys::CommKeys;
 use hear_hfp::HfpError;
+use hear_prf::BlockArray;
 
 /// Number of `u64` digest words per element in verified mode.
 pub const DIGEST_LANES: usize = 4;
@@ -47,6 +48,9 @@ pub trait LaneArray:
     const LANES: usize;
     /// All lanes zero.
     const ZERO: Self;
+    /// One PRF block per lane, `[u128; LANES]`: what an element of the
+    /// HoMAC lane pass draws from each stream.
+    type Blocks: BlockArray + AsRef<[u128]>;
 }
 
 macro_rules! impl_lane_array {
@@ -54,6 +58,7 @@ macro_rules! impl_lane_array {
         impl LaneArray for [u64; $n] {
             const LANES: usize = $n;
             const ZERO: Self = [0; $n];
+            type Blocks = [u128; $n];
         }
     )+};
 }
@@ -87,11 +92,14 @@ pub fn join_lanes(lanes: &[u64]) -> [u64; DIGEST_LANES] {
 /// `first` and `[c]` at `first + 2` must equal masking `[a, b, c]` at
 /// `first` (pipelining and the ring's per-chunk masking rely on this), and
 /// likewise for unmasking.
-pub trait Scheme {
+///
+/// A pass's worker threads share the scheme and read its elements in place
+/// (a [`hear_prf::Source`]): `Sync` all through, the elements `Copy`.
+pub trait Scheme: Sync {
     /// Caller-facing element type.
-    type Input: Clone + Send + 'static;
+    type Input: Copy + Send + Sync + 'static;
     /// On-the-wire element type the network reduces.
-    type Wire: Clone + Send + PartialEq + std::fmt::Debug + 'static;
+    type Wire: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static;
     /// The prefix of the digest's lanes ([`split_lanes`]) this scheme
     /// uses: [`Scheme::digest`] must leave every lane at or past
     /// `Lanes::LANES` zero, which is what lets the engine drop them from
@@ -156,6 +164,17 @@ pub trait Scheme {
     /// reach [`Scheme::digest_check`] summed across ranks with wrapping
     /// `u64` addition.
     fn digest(&self, x: &Self::Input, out: &mut [u64; DIGEST_LANES]);
+
+    /// The lanes of `x`'s digest this scheme fills ([`split_lanes`]).
+    #[inline(always)]
+    fn digest_lanes(&self, x: &Self::Input) -> Self::Lanes {
+        let (mut words, mut lanes) = ([0u64; DIGEST_LANES], Self::Lanes::ZERO);
+        self.digest(x, &mut words);
+        lanes
+            .as_mut()
+            .copy_from_slice(&split_lanes(&words)[..Self::Lanes::LANES]);
+        lanes
+    }
 
     /// Check a decrypted result element against the aggregated lane sums.
     fn digest_check(
@@ -599,7 +618,7 @@ mod tests {
             // uneven chunks of the block, last chunk first, each into its
             // own place in a sized `out` that holds stale values.
             let mut out = data[..2].to_vec();
-            out.resize(2 + wire.len(), data[2].clone());
+            out.resize(2 + wire.len(), data[2]);
             let cuts = [0, 1, 100, 257, wire.len()];
             for w in cuts.windows(2).rev() {
                 let dst = &mut out[2 + w[0]..2 + w[1]];
@@ -718,7 +737,7 @@ mod proptests {
             );
 
             let mut out = x[..2].to_vec();
-            out.resize(2 + N, x[2].clone());
+            out.resize(2 + N, x[2]);
             let cuts = [0, split / 2, split, N];
             for w in cuts.windows(2).rev() {
                 let dst = &mut out[2 + w[0]..2 + w[1]];
@@ -729,7 +748,7 @@ mod proptests {
 
             for b in bad {
                 let mut x = x.clone();
-                x[split.min(N - 1)] = b.clone();
+                x[split.min(N - 1)] = *b;
                 let mut out = wire.clone();
                 prop_assert!(scheme.mask_slice(&keys, first, &x, &mut out).is_err());
                 prop_assert!(out.is_empty(), "{}: {} elements left", name, out.len());

@@ -18,7 +18,7 @@
 
 use super::cfg::{ChunkMode, EngineCfg, EngineError};
 use super::driver::Blocks;
-use super::packet::{open_block, packet_op, seal_chunks, SchemePacket, VerifyScratch};
+use super::packet::Verified;
 use super::phases::share_bounds;
 use super::retry::RetryCtl;
 use super::window::OutWindow;
@@ -26,7 +26,7 @@ use super::{
     chunk_count, mask_chunks, post_transport_chunks, transport_chunks, PostedChunks, Route,
 };
 use crate::secure::{ReduceAlgo, SecureComm};
-use hear_core::{CommKeys, Homac, Scheme};
+use hear_core::{CommKeys, Scheme};
 use hear_telemetry::span;
 use std::time::Instant;
 
@@ -154,10 +154,10 @@ impl SecureComm {
                 self.run_blocks(&mut r, nblocks, base_tag, ctl, cfg.chunk)
             }
             Some(homac) => {
-                let vs = VerifyScratch::lease(&mut self.arena);
-                let mut r = Reduce::new(scheme, data, out, block, route, Verified { homac, vs });
+                let codec = Verified::lease(homac, &mut self.arena);
+                let mut r = Reduce::new(scheme, data, out, block, route, codec);
                 let result = self.run_blocks(&mut r, nblocks, base_tag, ctl, cfg.chunk);
-                r.codec.vs.restore(&mut self.arena);
+                r.codec.restore(&mut self.arena);
                 result
             }
         }
@@ -166,7 +166,7 @@ impl SecureComm {
 
 /// How a reduction of scheme `S` ships a block: as plain ciphertexts
 /// ([`Plain`]) or as verified packets ([`Verified`]).
-trait Codec<S: Scheme>: 'static {
+pub(super) trait Codec<S: Scheme>: 'static {
     type Wire: Clone + Send + 'static;
 
     /// The combiner the (untrusted) network folds chunks with.
@@ -184,16 +184,18 @@ trait Codec<S: Scheme>: 'static {
         chunks: &mut [Vec<Self::Wire>],
     ) -> Result<(), EngineError>;
 
-    /// Open aggregated chunk `c` into its place in `window`, or reject it
-    /// (and write nothing there).
+    /// Open the aggregated chunk `agg`, whose first element sits at global
+    /// index `first`, into `dst` (its place in `out`, of its length), or
+    /// reject it — leaving anything in `dst`: the attempt fails, and a
+    /// retry or the call's failure overwrites or clears it.
     fn open(
         &mut self,
         scheme: &mut S,
         keys: &CommKeys,
         world: usize,
-        c: usize,
+        first: usize,
         agg: &[Self::Wire],
-        window: &mut OutWindow<'_, S::Input>,
+        dst: &mut [S::Input],
     ) -> Result<(), EngineError>;
 }
 
@@ -225,67 +227,11 @@ impl<S: Scheme + 'static> Codec<S> for Plain {
         scheme: &mut S,
         keys: &CommKeys,
         _world: usize,
-        c: usize,
+        first: usize,
         agg: &[S::Wire],
-        window: &mut OutWindow<'_, S::Input>,
+        dst: &mut [S::Input],
     ) -> Result<(), EngineError> {
-        window.unmask(scheme, keys, c, agg);
-        Ok(())
-    }
-}
-
-/// Verified packets (§5.5). A chunk decrypts into `vs.dec` and is copied to
-/// its place only once its digest check has passed — so no unverified
-/// plaintext is ever in the caller's vector, which is why this codec keeps
-/// the staging copy the plain one dropped. A rejected chunk fails the
-/// attempt; the ring still forwards it (the next rank runs its own check).
-/// A verification failure is retryable: the per-block digest already
-/// localized the damage to this block, so the resend retransmits exactly
-/// the failing packets (re-sealed to the identical ciphertext).
-struct Verified<S: Scheme + 'static> {
-    homac: Homac,
-    vs: VerifyScratch<S>,
-}
-
-impl<S: Scheme + 'static> Codec<S> for Verified<S> {
-    type Wire = SchemePacket<S>;
-
-    #[inline(always)]
-    fn op(a: &SchemePacket<S>, b: &SchemePacket<S>) -> SchemePacket<S> {
-        packet_op::<S>(a, b)
-    }
-
-    fn seal(
-        &mut self,
-        scheme: &mut S,
-        keys: &CommKeys,
-        offset: usize,
-        input: &[S::Input],
-        chunks: &mut [Vec<SchemePacket<S>>],
-    ) -> Result<(), EngineError> {
-        seal_chunks(
-            scheme,
-            &self.homac,
-            keys,
-            offset,
-            input,
-            &mut self.vs,
-            chunks,
-        )
-    }
-
-    fn open(
-        &mut self,
-        scheme: &mut S,
-        keys: &CommKeys,
-        world: usize,
-        c: usize,
-        agg: &[SchemePacket<S>],
-        window: &mut OutWindow<'_, S::Input>,
-    ) -> Result<(), EngineError> {
-        let first = window.first(c);
-        open_block(scheme, &self.homac, keys, world, first, agg, &mut self.vs)?;
-        window.place(c, &self.vs.dec);
+        scheme.unmask_into(keys, first as u64, agg, dst);
         Ok(())
     }
 }
@@ -380,7 +326,9 @@ impl<S: Scheme + 'static, K: Codec<S>> Blocks for Reduce<'_, S, K> {
         let mut opened = Ok(());
         let open = |c: usize, agg: &[K::Wire]| {
             if opened.is_ok() {
-                opened = codec.open(scheme, &sc.keys, sc.world(), c, agg, &mut window);
+                opened = window.open(c, agg.len(), |first, dst| {
+                    codec.open(scheme, &sc.keys, sc.world(), first, agg, dst)
+                });
             }
         };
         transport_chunks(&sc.comm, tag, chunks, self.route, K::op, open, deadline)?;
@@ -412,8 +360,11 @@ impl<S: Scheme + 'static, K: Codec<S>> Blocks for Reduce<'_, S, K> {
         let (at, len, pieces) = self.landing(sc, k, landed.len());
         let mut window = OutWindow::new(self.out, &mut self.done, at, len, pieces);
         // Last chunk first: the descending order the window's claims check.
+        let (scheme, codec) = (&mut *self.scheme, &mut self.codec);
         for (c, agg) in landed.iter().enumerate().rev() {
-            (self.codec).open(self.scheme, &sc.keys, sc.world(), c, agg, &mut window)?;
+            window.open(c, agg.len(), |first, dst| {
+                codec.open(scheme, &sc.keys, sc.world(), first, agg, dst)
+            })?;
         }
         window.commit();
         Ok(())

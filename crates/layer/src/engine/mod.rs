@@ -57,12 +57,14 @@
 //! chunk is unmasked straight out of the vector it arrived in into its
 //! place in the caller's `out` (`engine::window::OutWindow`), which the
 //! reduction `resize`s to its result at entry — a no-op for an `out`
-//! reused at that length. The verified reductions keep one staging copy
-//! (`VerifyScratch::dec`), because a chunk may reach `out` only after its
-//! digest check. Either way a block is committed once, after its last
-//! chunk — as the ring hands them over, or, for a posted block, whose
-//! helper thread can open nothing, when the drain opens the chunks it
-//! brought back. Whatever fails, every `*_into` entry point returns `Err`
+//! reused at that length. The verified reductions add one HoMAC pass a
+//! side: sealing writes finished packets into the chunk vectors, opening
+//! checks the tags and splits out the ciphertexts, which are unmasked into
+//! their place and digest-checked there. Either way a block is committed
+//! once, after its last chunk — as the ring hands them over, or, for a
+//! posted block, whose helper thread can open nothing, when the drain
+//! opens the chunks it brought back. Whatever fails (a rejected chunk may
+//! leave anything in its place), every `*_into` entry point returns `Err`
 //! with `out` empty.
 //!
 //! ## Verified transport
@@ -74,13 +76,15 @@
 //! integer and fixed-point data, quantized within the Table 2 lossiness
 //! for floats). Each word travels as its two 32-bit halves, and each half
 //! is a lane: a field element modulo the HoMAC prime, padded and tagged in
-//! one pass of the HoMAC kernel ([`hear_core::Homac::seal_lanes`]) at PRF
-//! indices offset by [`hear_core::DIGEST_BASE`] — disjoint from every
-//! payload index. The network reduces `(c, d, σ)` packets component-wise,
-//! lanes and tags modulo p; on receipt one kernel pass verifies every tag
-//! exactly and removes the pads (any tampering with `d` or `σ` is caught
-//! by the MAC), and the engine checks the decrypted payload against the
-//! rejoined lane sums (any tampering with `c` is caught by the digest). The single-origin collectives use the lighter
+//! one pass of the HoMAC kernel ([`hear_core::Homac::seal_pass`], which
+//! digests each element and writes its packet) at PRF indices offset by
+//! [`hear_core::DIGEST_BASE`] — disjoint from every payload index. The
+//! network reduces `(c, d, σ)` packets component-wise, lanes and tags
+//! modulo p; on receipt one kernel pass ([`hear_core::Homac::open_pass`])
+//! verifies every tag exactly and removes the pads (any tampering with `d`
+//! or `σ` is caught by the MAC), and the engine checks the decrypted
+//! payload against the rejoined lane sums (any tampering with `c` is
+//! caught by the digest). The single-origin collectives use the lighter
 //! [`Tagged`](crate::secure::Tagged) shape instead: a shared-stream MAC
 //! over each padded cell, verifiable by every rank. Zero-length inputs
 //! and single-rank communicators short-circuit uniformly before any

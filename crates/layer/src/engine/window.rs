@@ -6,15 +6,15 @@
 //! and then forwards it by move, so a chunk is decrypted when it passes or
 //! not at all. The reduction sizes `out` to its result's length at entry;
 //! [`OutWindow`] is the next block's `len` elements of it, from the cursor
-//! `done` on, cut with the ring's chunk layout: each chunk is unmasked (or,
-//! on the verified path, copied after its digest check) straight into its
-//! place, and the cursor moves once, in [`OutWindow::commit`], after the
-//! last chunk. A retry opens a new window over the same elements and
-//! overwrites them; a call that fails leaves `out` empty (its entry
-//! point's `run_into` clears it).
+//! `done` on, cut with the ring's chunk layout: each chunk is opened
+//! straight into its place (unmasked, and on the verified path
+//! digest-checked there), and the cursor moves once, in
+//! [`OutWindow::commit`], after the last chunk. A chunk that fails its
+//! check may leave anything in its place: a retry opens a new window over
+//! the same elements and overwrites them, and a call that fails leaves
+//! `out` empty (its entry point's `run_into` clears it).
 
 use super::phases::share_bounds;
-use hear_core::{CommKeys, Scheme};
 
 pub(crate) struct OutWindow<'a, T> {
     /// `out[done..done + len]`.
@@ -52,19 +52,21 @@ impl<'a, T> OutWindow<'a, T> {
         }
     }
 
-    /// Global index of chunk `c`'s first element — its pad coordinate.
-    pub(crate) fn first(&self, c: usize) -> usize {
-        self.at + share_bounds(self.out.len(), self.nchunks, c).0
-    }
-
-    /// Chunk `c`'s global first index and its place. Each chunk can be
-    /// claimed once: the first claim is free, every later one must be the
-    /// cyclic predecessor of the one before — the ring's arrival order — so
-    /// `nchunks` claims are `nchunks` distinct chunks, i.e. the whole
-    /// window. That [`OutWindow::commit`] never keeps an element an earlier
-    /// attempt or call left rests on this check, not on the transport's
-    /// good behaviour.
-    fn claim(&mut self, c: usize) -> (usize, &mut [T]) {
+    /// Open aggregated chunk `c`, which arrived `len` elements long, into
+    /// its place: `open(first, dst)`, where `first` is the global index of
+    /// its first element — its pad coordinate, what a whole-block pass
+    /// would have used. Each chunk can be opened once: the first is free,
+    /// every later one must be the cyclic predecessor of the one before —
+    /// the ring's arrival order — so `nchunks` opens are `nchunks` distinct
+    /// chunks, i.e. the whole window. That [`OutWindow::commit`] never
+    /// keeps an element an earlier attempt or call left rests on this
+    /// check, not on the transport's good behaviour.
+    pub(crate) fn open<E>(
+        &mut self,
+        c: usize,
+        len: usize,
+        open: impl FnOnce(usize, &mut [T]) -> Result<(), E>,
+    ) -> Result<(), E> {
         assert!(
             c < self.nchunks && self.placed < self.nchunks,
             "chunk {c} of {}",
@@ -78,41 +80,8 @@ impl<'a, T> OutWindow<'a, T> {
         self.placed += 1;
         self.last = c;
         let (s, e) = share_bounds(self.out.len(), self.nchunks, c);
-        (self.at + s, &mut self.out[s..e])
-    }
-
-    /// Decrypt aggregated chunk `c` into its place. The pad coordinate of
-    /// its element `j` is [`OutWindow::first`]` + j` — what a whole-block
-    /// unmask would have used.
-    pub(crate) fn unmask<S: Scheme<Input = T>>(
-        &mut self,
-        scheme: &mut S,
-        keys: &CommKeys,
-        c: usize,
-        agg: &[S::Wire],
-    ) {
-        let (first, dst) = self.claim(c);
-        assert_eq!(
-            agg.len(),
-            dst.len(),
-            "chunk {c} arrived with a wrong length"
-        );
-        scheme.unmask_into(keys, first as u64, agg, dst);
-    }
-
-    /// Copy the already decrypted (and, on the verified path, already
-    /// digest-checked) chunk `c` into its place.
-    pub(crate) fn place(&mut self, c: usize, plain: &[T])
-    where
-        T: Clone,
-    {
-        let (_, dst) = self.claim(c);
-        assert_eq!(
-            plain.len(),
-            dst.len(),
-            "chunk {c} decrypted to a wrong length"
-        );
-        dst.clone_from_slice(plain);
+        assert_eq!(len, e - s, "chunk {c} arrived with a wrong length");
+        open(self.at + s, &mut self.out[s..e])
     }
 
     /// Every chunk is in place: the cursor moves past the window.
@@ -125,6 +94,17 @@ impl<'a, T> OutWindow<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Copy> OutWindow<'_, T> {
+        /// Open chunk `c` as the values `plain`.
+        fn place(&mut self, c: usize, plain: &[T]) {
+            let put = |_, dst: &mut [T]| {
+                dst.copy_from_slice(plain);
+                Ok::<_, ()>(())
+            };
+            self.open(c, plain.len(), put).unwrap();
+        }
+    }
 
     #[test]
     fn chunks_land_in_place_in_ring_order_and_commit_once() {

@@ -35,7 +35,7 @@
 //! `F(base + j)` whole. The property tests at the bottom pin every fused
 //! kernel to the split reference bit-for-bit.
 
-use crate::par::Source;
+use crate::par::{Slots, Source};
 #[cfg(test)]
 use crate::Prf;
 use crate::{blocks_metric, Backend, PrfCipher};
@@ -529,39 +529,77 @@ impl<W: KernelWord, const N: usize, F: Fn(W, [W; N]) -> W + Copy> Pass<'_, '_, W
     }
 }
 
-/// Elements per run of the block body. Eight-block runs cost the HoMAC
+/// PRF blocks per run of the block body. Eight-block runs cost the HoMAC
 /// lane seal a third of its speed (`crypto_throughput --gate`, 2-vCPU
 /// Xeon: 2.06× the scalar reference at 8, 3.20× at 64, 3.16× at 256).
 const BLOCK_RUN: usize = 256;
 
-/// The block body: `dst[i] ← f(src[i], [A[first + i], B[first + i]])` for
-/// the PRF blocks `F(base + j)` of `streams`. The first `Err` of `f` ends
-/// the pass and is returned; so does `stop()`, asked once per run. `f`
-/// comes by value, so its captures stay in registers.
+/// The PRF blocks one element of a block pass draws from one stream: one
+/// `u128`, or `[u128; B]`, `B` consecutive blocks. A trait rather than a
+/// const generic, so that a caller can size it by an associated const of
+/// its own (stable Rust cannot write `[u128; T::LANES]`).
+pub trait BlockArray: Copy + Send + Sync + 'static {
+    /// Blocks per element, `B`.
+    const LEN: usize;
+    /// Every block zero.
+    const ZERO: Self;
+    /// `blocks` (a whole number of arrays long) as its arrays.
+    fn chunks(blocks: &[u128]) -> &[Self];
+}
+
+macro_rules! impl_block_array {
+    ($($n:literal),+) => {$(
+        impl BlockArray for [u128; $n] {
+            const LEN: usize = $n;
+            const ZERO: Self = [0; $n];
+            #[inline(always)]
+            fn chunks(blocks: &[u128]) -> &[Self] {
+                blocks.as_chunks::<$n>().0
+            }
+        }
+    )+};
+}
+impl_block_array!(1, 2, 3, 4, 5, 6, 7, 8);
+
+impl BlockArray for u128 {
+    const LEN: usize = 1;
+    const ZERO: Self = 0;
+    #[inline(always)]
+    fn chunks(blocks: &[u128]) -> &[Self] {
+        blocks
+    }
+}
+
+/// The block body: `dst[i] ← f(src[i], [A[i], B[i]])`, where `A[i]` is
+/// the array of the `LEN` blocks `F(base + first + i·LEN + b)` of the first
+/// stream, `B[i]` the second's. The first `Err` of `f` ends the pass and is
+/// returned; so does `stop()`, asked once per run. `f` comes by value, so
+/// its captures stay in registers.
 #[inline]
-pub(crate) fn block_pass_uncounted<S: Source, D, E, const N: usize>(
+pub(crate) fn block_pass_uncounted<S: Source, T: Slots, A: BlockArray, E, const N: usize>(
     streams: &[Stream<'_>; N],
     first: u64,
     src: S,
-    dst: &mut [MaybeUninit<D>],
-    f: impl Fn(S::Item, [u128; N]) -> Result<D, E>,
+    mut dst: T,
+    f: impl Fn(S::Item, [A; N]) -> Result<T::Item, E>,
     stop: impl Fn() -> bool,
 ) -> Result<(), E> {
     let mut blocks = [[0u128; BLOCK_RUN]; N];
-    for (run, out) in dst.chunks_mut(BLOCK_RUN).enumerate() {
-        if stop() {
-            break;
-        }
-        let (at, n) = (run * BLOCK_RUN, out.len());
+    let (run, mut at) = (BLOCK_RUN / A::LEN, 0);
+    while !dst.is_empty() && !stop() {
+        let n = run.min(dst.len());
+        let (mut out, rest) = dst.split_at(n);
+        dst = rest;
         for (stream, b) in streams.iter().zip(&mut blocks) {
-            stream.blocks(first + at as u64, &mut b[..n]);
+            stream.blocks(first + (at * A::LEN) as u64, &mut b[..n * A::LEN]);
         }
         // Every view `n` long, so the loop keeps no bounds checks.
         let (src, keys) = (src.sub(at..at + n), blocks.each_ref());
-        let keys = keys.map(|b| &b[..n]);
+        let keys = keys.map(|b| &A::chunks(&b[..n * A::LEN])[..n]);
         for i in 0..n {
-            out[i].write(f(src.at(i), keys.map(|k| k[i]))?);
+            out.put(i, f(src.at(i), keys.map(|k| k[i]))?);
         }
+        at += n;
     }
     Ok(())
 }

@@ -36,7 +36,8 @@
 //! serial path.
 
 use crate::kernels::{
-    as_uninit, block_pass_uncounted, block_span, count_pass, pass_uncounted, Stores, Stream,
+    as_uninit, block_pass_uncounted, block_span, count_pass, pass_uncounted, BlockArray, Stores,
+    Stream,
 };
 use crate::{KernelWord, PrfCipher};
 use std::cell::Cell;
@@ -379,24 +380,6 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// `*mut W` that may cross threads. Each shard reconstructs a slice over
-/// its own disjoint index range, so no two threads alias.
-struct SendPtr<W>(*mut W);
-// SAFETY: the one field is the pointer. Every user derives disjoint
-// sub-slices from it, the pointee outlives the fork-join `run` that shares
-// it, and `W: Send` because other threads write `W`s through it.
-unsafe impl<W: Send> Send for SendPtr<W> {}
-// SAFETY: as for `Send`; the pointer itself is only read.
-unsafe impl<W: Send> Sync for SendPtr<W> {}
-
-impl<W> SendPtr<W> {
-    /// Accessor (rather than field access) so closures capture the
-    /// `Sync` wrapper, not the raw pointer field (2021 disjoint capture).
-    fn get(&self) -> *mut W {
-        self.0
-    }
-}
-
 /// Element range of a pass over `(first, len)`, `per` elements to a PRF
 /// block, covered by shard `k` when its block span is cut into `nshards`
 /// contiguous block runs.
@@ -455,6 +438,145 @@ impl<A: Copy + Sync, B: Copy + Sync> Source for (&[A], &[B]) {
     }
 }
 
+/// Where a pass writes, one slot per element: a slice of uninitialised
+/// slots, or two side by side (a pass that yields two columns). The driver
+/// hands each shard a view of its own element range.
+pub trait Slots: Sized + Send {
+    type Item;
+    /// The slots as pointers that may cross threads.
+    type Raw: Copy + Send + Sync;
+    fn len(&self) -> usize;
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// The first `mid` slots, and the rest.
+    fn split_at(self, mid: usize) -> (Self, Self);
+    /// Write slot `i`.
+    fn put(&mut self, i: usize, x: Self::Item);
+    fn raw(&mut self) -> Self::Raw;
+    /// Slots `r` of `raw`, renumbered from 0.
+    ///
+    /// # Safety
+    ///
+    /// `r` lies within the slots `raw` was taken from, which outlive the
+    /// view, and no other live view overlaps it.
+    unsafe fn view(raw: Self::Raw, r: Range<usize>) -> Self;
+}
+
+/// `Raw` is the slots' address, its provenance exposed so that a view on
+/// another thread can take it back (`D: Send`, as other threads write
+/// `D`s through it).
+impl<D: Send> Slots for &mut [MaybeUninit<D>] {
+    type Item = D;
+    type Raw = usize;
+    fn len(&self) -> usize {
+        <[_]>::len(self)
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+    #[inline(always)]
+    fn put(&mut self, i: usize, x: D) {
+        self[i].write(x);
+    }
+    fn raw(&mut self) -> usize {
+        self.as_mut_ptr().expose_provenance()
+    }
+    unsafe fn view(raw: usize, r: Range<usize>) -> Self {
+        let at = std::ptr::with_exposed_provenance_mut::<MaybeUninit<D>>(raw);
+        // SAFETY: the caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(at.add(r.start), r.len()) }
+    }
+}
+
+impl<A: Slots, B: Slots> Slots for (A, B) {
+    type Item = (A::Item, B::Item);
+    type Raw = (A::Raw, B::Raw);
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let ((a0, a1), (b0, b1)) = (self.0.split_at(mid), self.1.split_at(mid));
+        ((a0, b0), (a1, b1))
+    }
+    #[inline(always)]
+    fn put(&mut self, i: usize, (a, b): Self::Item) {
+        self.0.put(i, a);
+        self.1.put(i, b);
+    }
+    fn raw(&mut self) -> Self::Raw {
+        (self.0.raw(), self.1.raw())
+    }
+    unsafe fn view((a, b): Self::Raw, r: Range<usize>) -> Self {
+        // SAFETY: the caller's contract, column by column.
+        unsafe { (A::view(a, r.clone()), B::view(b, r)) }
+    }
+}
+
+/// What a sourced pass appends its results to: a `Vec`, or two side by
+/// side (one column each), written straight into their spare capacity.
+pub trait Append {
+    type Item;
+    type Slots: Slots<Item = Self::Item>;
+    /// Room for `n` more, as the `n` slots past the end.
+    ///
+    /// # Safety
+    ///
+    /// The slots do not borrow `self`: it must not be touched again until
+    /// they are dropped.
+    unsafe fn spare(&mut self, n: usize) -> Self::Slots;
+    /// Take the `n` slots past the end in.
+    ///
+    /// # Safety
+    ///
+    /// All `n` were written since [`Append::spare`].
+    unsafe fn grow(&mut self, n: usize);
+}
+
+impl<'a, D: Send> Append for &'a mut Vec<D> {
+    type Item = D;
+    type Slots = &'a mut [MaybeUninit<D>];
+    unsafe fn spare(&mut self, n: usize) -> Self::Slots {
+        self.reserve(n);
+        let end = self.as_mut_ptr().wrapping_add(self.len()).cast();
+        // SAFETY: the `n` slots past the end are reserved, and the caller
+        // leaves the `Vec` alone while they live.
+        unsafe { std::slice::from_raw_parts_mut(end, n) }
+    }
+    unsafe fn grow(&mut self, n: usize) {
+        // SAFETY: the caller's contract.
+        unsafe { self.set_len(self.len() + n) };
+    }
+}
+
+impl<A: Append, B: Append> Append for (A, B) {
+    type Item = (A::Item, B::Item);
+    type Slots = (A::Slots, B::Slots);
+    unsafe fn spare(&mut self, n: usize) -> Self::Slots {
+        // SAFETY: forwarded, column by column.
+        unsafe { (self.0.spare(n), self.1.spare(n)) }
+    }
+    unsafe fn grow(&mut self, n: usize) {
+        // SAFETY: forwarded, column by column.
+        unsafe { (self.0.grow(n), self.1.grow(n)) };
+    }
+}
+
+/// Append `n` results to `out` with `run`, which writes every slot it is
+/// handed or fails; a failed run appends nothing.
+fn extend<O: Append, E>(
+    mut out: O,
+    n: usize,
+    run: impl FnOnce(O::Slots) -> Result<(), E>,
+) -> Result<(), E> {
+    // SAFETY: `out` is left alone until `run` has returned, and with it
+    // dropped the slots.
+    run(unsafe { out.spare(n) })?;
+    // SAFETY: the run succeeded, so it wrote every one of these.
+    unsafe { out.grow(n) };
+    Ok(())
+}
+
 /// What one pass reads and where its results land.
 pub enum Payload<'a, D, S = &'a [D]> {
     /// `buf[i] ← f(buf[i], …)`; word passes only.
@@ -470,12 +592,9 @@ pub enum Payload<'a, D, S = &'a [D]> {
 
 /// The one driver under both pass bodies, `per` elements to a PRF block
 /// (`W::PER_BLOCK`, or 1 for a block pass). On the submitting thread it
-/// counts the exact serial telemetry and decides the stores (an `Into`
-/// whose output reaches `STREAM_MIN_BYTES` streams; `stores` overrides).
-/// Past [`PAR_MIN_BYTES`] of keystream per stream it runs `body(first, src,
-/// dst, stores, stop)` on block-aligned shards across the pool, else
-/// inline; `src = None` means in place. `stop()` tells a shard that one
-/// before it failed, so the error returned is the serial pass's first.
+/// decides the stores (an `Into` whose output reaches `STREAM_MIN_BYTES`
+/// streams; `stores` overrides) and runs `body(first, src, dst, stores,
+/// stop)` through [`shard`]; `src = None` means in place.
 pub(crate) fn drive<D, S, E, const N: usize>(
     pool: &WorkerPool,
     streams: &[Stream<'_>; N],
@@ -497,53 +616,78 @@ where
         }
         _ => Stores::Cached,
     });
+    let body = |at, src, dst: &mut [MaybeUninit<D>], stop: &dyn Fn() -> bool| {
+        body(at, src, dst, stores, stop)
+    };
     let run = |src: Option<S>, dst: &mut [MaybeUninit<D>]| {
-        let (len, bytes) = (dst.len(), dst.len() * 16 / per);
-        count_pass(streams, per, first, len);
-        let nshards = pool.shards_for(bytes);
-        if bytes < PAR_MIN_BYTES || nshards == 1 {
-            return body(first, src, dst, stores, &|| false);
-        }
-        // `failed` (the lowest failing shard) publishes nothing, so
-        // `Relaxed`: the error itself travels under the mutex.
-        let (failed, error) = (AtomicUsize::new(usize::MAX), Mutex::new(None));
-        let ptr = SendPtr(dst.as_mut_ptr());
-        pool.run(nshards, &|k| {
-            let r = shard_range(per, first, len, nshards, k);
-            let stop = || failed.load(Ordering::Relaxed) < k;
-            if r.is_empty() || stop() {
-                return;
-            }
-            // SAFETY: shard ranges are disjoint, within `len`, and `dst`
-            // outlives `run` (which joins before returning).
-            let dst = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
-            let shard_first = first + r.start as u64;
-            if let Err(e) = body(shard_first, src.map(|s| s.sub(r)), dst, stores, &stop) {
-                failed.fetch_min(k, Ordering::Relaxed);
-                let mut slot = lock_unpoisoned(&error);
-                if slot.as_ref().is_none_or(|(j, _)| k < *j) {
-                    *slot = Some((k, e));
-                }
-            }
-        });
-        let error = error.into_inner().unwrap_or_else(|e| e.into_inner());
-        error.map_or(Ok(()), |(_, e)| Err(e))
+        shard(pool, streams, (per, 1), first, src, dst, body)
     };
     match payload {
         Payload::InPlace(buf) => run(None, as_uninit(buf)),
-        Payload::Extend(src, out) => {
-            let n = src.count();
-            out.reserve(n);
-            run(Some(src), &mut out.spare_capacity_mut()[..n])?;
-            // SAFETY: the pass succeeded, so it wrote every one of these.
-            unsafe { out.set_len(out.len() + n) };
-            Ok(())
-        }
+        Payload::Extend(src, out) => extend(out, src.count(), |dst| run(Some(src), dst)),
         Payload::Into(src, dst) => {
             assert_eq!(src.count(), dst.len(), "one destination slot per element");
             run(Some(src), as_uninit(dst))
         }
     }
+}
+
+/// Run one pass over the slots `dst`: count its exact serial telemetry on
+/// the submitting thread, then run `body(first, src, dst, stop)` inline or,
+/// once the pass draws [`PAR_MIN_BYTES`] of PRF output across all its
+/// streams, on shards across the pool. `(per, blocks)` is how elements
+/// meet blocks: `per` elements to a block (a word pass), or `blocks`
+/// consecutive blocks to an element (a block pass, `per = 1`). Word shards
+/// are cut at block boundaries, block shards at element boundaries; a
+/// shard at element `s` starts at stream index `first + s·blocks`.
+/// `stop()` tells a shard that one before it failed, so the error returned
+/// is the serial pass's first.
+fn shard<T, S, E, const N: usize>(
+    pool: &WorkerPool,
+    streams: &[Stream<'_>; N],
+    (per, blocks): (usize, usize),
+    first: u64,
+    src: Option<S>,
+    mut dst: T,
+    body: impl Fn(u64, Option<S>, T, &dyn Fn() -> bool) -> Result<(), E> + Sync,
+) -> Result<(), E>
+where
+    T: Slots,
+    S: Source,
+    E: Send,
+{
+    let len = dst.len();
+    count_pass(streams, per, first, len * blocks);
+    // What the pass draws: its block span on every stream.
+    let drawn = block_span(per, first, len * blocks) as usize * 16 * N;
+    let nshards = pool.shards_for(drawn);
+    if drawn < PAR_MIN_BYTES || nshards == 1 {
+        return body(first, src, dst, &|| false);
+    }
+    // `failed` (the lowest failing shard) publishes nothing, so
+    // `Relaxed`: the error itself travels under the mutex.
+    let (failed, error) = (AtomicUsize::new(usize::MAX), Mutex::new(None));
+    let raw = dst.raw();
+    pool.run(nshards, &|k| {
+        let r = shard_range(per, first, len, nshards, k);
+        let stop = || failed.load(Ordering::Relaxed) < k;
+        if r.is_empty() || stop() {
+            return;
+        }
+        let at = first + (r.start * blocks) as u64;
+        // SAFETY: shard ranges are disjoint, within `len`, and `dst`
+        // outlives `run` (which joins before returning).
+        let dst = unsafe { T::view(raw, r.clone()) };
+        if let Err(e) = body(at, src.map(|s| s.sub(r)), dst, &stop) {
+            failed.fetch_min(k, Ordering::Relaxed);
+            let mut slot = lock_unpoisoned(&error);
+            if slot.as_ref().is_none_or(|(j, _)| k < *j) {
+                *slot = Some((k, e));
+            }
+        }
+    });
+    let error = error.into_inner().unwrap_or_else(|e| e.into_inner());
+    error.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// The N-stream fused pass across the pool: `dst[i] ← f(src[i], [A[first +
@@ -598,6 +742,7 @@ where
         !matches!(payload, Payload::InPlace(_)),
         "a block pass reads a source: Extend or Into"
     );
+    let f = move |x, keys: [[u128; 1]; N]| f(x, keys.map(|[k]| k));
     drive(
         pool,
         streams,
@@ -610,6 +755,37 @@ where
             block_pass_uncounted(streams, at, src, dst, f, stop)
         },
     )
+}
+
+/// The block pass whose elements draw `A::LEN` consecutive blocks each:
+/// appends `f(src[i], [A_i, B_i])` to `out`, where `A_i` holds the blocks
+/// `F(base + first + i·LEN + b)`, `b < LEN`, of the first stream and `B_i`
+/// the second's — one `Vec`, or two side by side when `f` yields a pair
+/// ([`Append`]). Run by the same driver as every pass: `N·LEN` blocks per
+/// element counted up front, the fan-out rule on the blocks drawn, shards
+/// cut at element boundaries, and the first failing element's error
+/// returned with nothing appended.
+pub fn par_wide_block_pass<S, O, A, E, const N: usize, F>(
+    pool: &WorkerPool,
+    streams: &[Stream<'_>; N],
+    first: u64,
+    src: S,
+    out: O,
+    f: F,
+) -> Result<(), E>
+where
+    S: Source,
+    O: Append,
+    A: BlockArray,
+    E: Send,
+    F: Fn(S::Item, [A; N]) -> Result<O::Item, E> + Copy + Sync,
+{
+    let body = |at, src: Option<S>, dst, stop: &dyn Fn() -> bool| {
+        block_pass_uncounted(streams, at, src.expect("a source"), dst, f, stop)
+    };
+    extend(out, src.count(), |dst| {
+        shard(pool, streams, (1, A::LEN), first, Some(src), dst, body)
+    })
 }
 
 /// Parallel [`crate::add_keystream_into`] (identical output and telemetry).
@@ -629,7 +805,7 @@ pub fn par_add_keystream_into<W: KernelWord>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{add_keystream_into, sub_keystream_into, Backend};
+    use crate::{add_keystream_into, sub_keystream_into, Backend, Prf};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     const KEY: u128 = 0x00aa_bb11_22cc_dd33_44ee_ff55_6677_8899;
@@ -781,6 +957,85 @@ mod tests {
         pool.run(2, &|_| {});
         pool.run(8, &|_| {});
         assert_eq!(pool.jobs(), 2);
+    }
+
+    /// The wide block pass against its definition — element `i` draws
+    /// blocks `first + i·B .. first + (i + 1)·B` of each stream — into two
+    /// columns, either side of the fan-out point and on every pool; with
+    /// telemetry of `N·B` blocks an element, and a failing element's error
+    /// returned with nothing appended.
+    #[test]
+    fn wide_block_pass_draws_consecutive_blocks_per_element() {
+        use hear_telemetry::{Metric, Registry};
+        fn check<A: BlockArray + AsRef<[u128]>>(pool: &WorkerPool, len: usize, fail: Option<u64>) {
+            let prf = PrfCipher::new(Backend::best_available(), KEY).unwrap();
+            let streams = [3u128 << 80, 5 << 80].map(|base| Stream { prf: &prf, base });
+            let first = 7u64;
+            let src: Vec<u64> = (0..len as u64).collect();
+            let block = |s: usize, j: u64| prf.eval_block(streams[s].base + u128::from(j));
+            let want: Vec<(u64, u128)> = (0..len as u64)
+                .map(|i| {
+                    let j = first + i * A::LEN as u64;
+                    let b = (0..A::LEN as u64).map(|b| block(0, j + b) ^ block(1, j + b));
+                    (i, b.fold(0u128, |acc, x| acc.rotate_left(7) ^ x))
+                })
+                .collect();
+            let reg = Registry::new_enabled();
+            let (mut ids, mut mix) = (vec![9u64], Vec::new());
+            let done = {
+                let _ctx = reg.install(None);
+                par_wide_block_pass(
+                    pool,
+                    &streams,
+                    first,
+                    &src[..],
+                    (&mut ids, &mut mix),
+                    |i, [a, b]: [A; 2]| match fail {
+                        Some(at) if i >= at => Err(i),
+                        _ => {
+                            let pairs = a.as_ref().iter().zip(b.as_ref());
+                            Ok((
+                                i,
+                                pairs.fold(0u128, |acc, (a, b)| acc.rotate_left(7) ^ a ^ b),
+                            ))
+                        }
+                    },
+                )
+            };
+            let blocks =
+                reg.counter(Metric::PrfBlocksAesNi) + reg.counter(Metric::PrfBlocksAesSoft);
+            assert_eq!(blocks, (2 * A::LEN * len) as u64, "N·B blocks an element");
+            match fail {
+                None => {
+                    assert_eq!(done, Ok(()));
+                    assert_eq!(ids[0], 9, "what the column held before");
+                    let got: Vec<(u64, u128)> = ids[1..].iter().copied().zip(mix).collect();
+                    assert!(
+                        got == want,
+                        "B={} len={len} threads={}",
+                        A::LEN,
+                        pool.threads()
+                    );
+                }
+                Some(at) => {
+                    assert_eq!(done, Err(at), "the first failing element's error");
+                    assert_eq!((ids.len(), mix.len()), (1, 0), "a failed pass appended");
+                }
+            }
+        }
+        for pool in [1, 2, 4].map(WorkerPool::new) {
+            for len in [0, 1, 51, 52, 300] {
+                check::<[u128; 5]>(&pool, len, None);
+                check::<[u128; 2]>(&pool, len, None);
+            }
+            // Past the fan-out point: 2 streams × B blocks × 16 bytes.
+            let len = PAR_MIN_BYTES / (32 * 5) + 3;
+            let jobs = pool.jobs();
+            check::<[u128; 5]>(&pool, len, None);
+            assert_eq!(pool.jobs() > jobs, pool.threads() > 1);
+            check::<[u128; 5]>(&pool, len, Some(len as u64 / 2));
+            check::<[u128; 1]>(&pool, PAR_MIN_BYTES / 32 + 1, None);
+        }
     }
 
     #[test]

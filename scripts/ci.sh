@@ -87,10 +87,11 @@ timeout 300 cargo run --release -q -p hear-bench --bin socket_smoke
 # parseable BENCH_crypto.json (the per-commit trajectory artifact), and
 # the fused one-pass mask kernels must not be slower than the split
 # fill-then-combine path (generous 1.25x tolerance — CI shares a core).
-# The same --gate run then holds the HoMAC lane seal/open block pass
-# (what verified packets run) to >= 2x its scalar reference at 64 Ki
-# lanes on one thread (same tolerance; "homac_gate: SKIP" and exit 0
-# without AES-NI; the ring-word tag/verify rows are reported only), and after it
+# The same --gate run then holds the HoMAC packet passes (the seal and
+# open verified packets run) to >= 2x their scalar references at 1 and 5
+# lanes an element, 64 Ki lanes on one thread (same tolerance; "homac_gate:
+# SKIP" and exit 0 without AES-NI; the ring-word tag/verify rows are
+# reported only), and after it
 # FloatSumScheme::mask_slice / unmask_slice to >= 3x theirs and the FPU add fold
 # to >= 1.25x the integer fold at 64 Ki fp64(2,2) elements ("float_gate:
 # SKIP" likewise), then the two-stream

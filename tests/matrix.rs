@@ -1479,8 +1479,9 @@ fn steady_state_allreduce_over_tcp_allocates_flat_and_sends_in_place() {
 
 #[test]
 fn steady_state_verified_allreduce_allocations_stay_flat() {
-    // The verified path stages through `VerifyScratch`: seven arena
-    // vectors, three of them packet-sized, leased per call. They must come
+    // The verified path leases its codec's two staging vectors
+    // (ciphertexts and opened lane sums) and the packet-sized chunk vectors
+    // from the arena per call. They must come
     // back to the arena under their lane-sized packet type, or every call
     // would grow the staging set again: per call, the rank thread's
     // allocation count and bytes are flat, and nothing the size of the
