@@ -161,33 +161,40 @@ fn bench_homac_packets<S: Scheme>(
         (x, wire)
     });
     let scheme = &scheme;
-    let digests = |x: &[S::Input]| -> Vec<u64> {
+    // The scalar rows' steps, each into a buffer it clears, as the engine's
+    // are: only the references' own results are allocated per call.
+    let digests = |x: &[S::Input], out: &mut Vec<u64>| {
         let mut words = [0u64; DIGEST_LANES];
-        (x.iter())
-            .flat_map(|x| {
-                scheme.digest(x, &mut words);
-                split_lanes(&words).into_iter().take(lanes)
-            })
-            .collect()
+        out.clear();
+        out.extend(x.iter().flat_map(|x| {
+            scheme.digest(x, &mut words);
+            split_lanes(&words).into_iter().take(lanes)
+        }));
     };
-    let zip = |wire: &[S::Wire], sealed: &[[u64; 2]]| -> Vec<Packet<S::Wire, S::Lanes>> {
-        (wire.iter().zip(sealed.chunks_exact(lanes)))
-            .map(|(c, pairs)| {
+    let zip = |wire: &[S::Wire], sealed: &[[u64; 2]], out: &mut Vec<Packet<_, _>>| {
+        out.clear();
+        out.extend(
+            (wire.iter().zip(sealed.chunks_exact(lanes))).map(|(c, pairs)| {
                 let (mut d, mut s) = (S::Lanes::ZERO, S::Lanes::ZERO);
                 for (b, [lane, tag]) in pairs.iter().enumerate() {
                     (d.as_mut()[b], s.as_mut()[b]) = (*lane, *tag);
                 }
                 Packet { c: *c, d, s }
-            })
-            .collect()
+            }),
+        );
     };
-    let p0 = zip(
+    let (mut halves, mut p0, mut p1) = (Vec::new(), Vec::new(), Vec::new());
+    digests(&x, &mut halves);
+    zip(
         &wire,
-        &homac.seal_lanes_scalar(&keys[0], first, &digests(&x)),
+        &homac.seal_lanes_scalar(&keys[0], first, &halves),
+        &mut p0,
     );
-    let p1 = zip(
+    digests(&x1, &mut halves);
+    zip(
         &wire1,
-        &homac.seal_lanes_scalar(&keys[1], first, &digests(&x1)),
+        &homac.seal_lanes_scalar(&keys[1], first, &halves),
+        &mut p1,
     );
     let agg: Vec<Packet<S::Wire, S::Lanes>> = (p0.iter().zip(&p1))
         .map(|(a, b)| {
@@ -204,6 +211,7 @@ fn bench_homac_packets<S: Scheme>(
         })
         .collect();
     let (mut packets, mut opened) = (Vec::new(), (Vec::new(), Vec::new()));
+    let (mut column, mut pairs) = (Vec::new(), Vec::new());
     let mut g = c.benchmark_group(group);
     g.throughput(Throughput::Bytes(4 * (n * lanes) as u64));
     with_pool(&WorkerPool::new(1), || {
@@ -224,8 +232,10 @@ fn bench_homac_packets<S: Scheme>(
         });
         g.bench_function(format!("packets/l{lanes}/seal/scalar"), |b| {
             b.iter(|| {
-                let sealed = homac.seal_lanes_scalar(&keys[0], first, &digests(&x));
-                black_box(zip(&wire, &sealed))
+                digests(&x, &mut halves);
+                let sealed = homac.seal_lanes_scalar(&keys[0], first, &halves);
+                zip(&wire, &sealed, &mut packets);
+                black_box(&packets);
             })
         });
         g.bench_function(format!("packets/l{lanes}/open/bulk"), |b| {
@@ -240,12 +250,16 @@ fn bench_homac_packets<S: Scheme>(
         });
         g.bench_function(format!("packets/l{lanes}/open/scalar"), |b| {
             b.iter(|| {
-                let wire: Vec<S::Wire> = agg.iter().map(|p| p.c).collect();
-                let pairs: Vec<[u64; 2]> = (agg.iter())
-                    .flat_map(|p| p.d.as_ref().iter().zip(p.s.as_ref()).map(|(d, s)| [*d, *s]))
-                    .collect();
+                column.clear();
+                column.extend(agg.iter().map(|p| p.c));
+                pairs.clear();
+                pairs.extend(
+                    (agg.iter()).flat_map(|p| {
+                        (p.d.as_ref().iter().zip(p.s.as_ref())).map(|(d, s)| [*d, *s])
+                    }),
+                );
                 let sums = homac.open_lanes_scalar(&keys[0], first, &pairs);
-                black_box((wire, sums.expect("honest aggregate")))
+                black_box((&column, sums.expect("honest aggregate")));
             })
         });
     });

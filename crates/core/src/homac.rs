@@ -38,7 +38,8 @@ use crate::keys::{CommKeys, KeyRegistry};
 use crate::scheme::LaneArray;
 use crate::word::RingWord;
 use hear_prf::{
-    par_wide_block_pass, Append, Backend, BlockArray, Prf, PrfCipher, Source, Stream, WorkerPool,
+    par_block_pass, Append, Backend, BlockArray, Payload, Prf, PrfCipher, Source, Stream,
+    WorkerPool,
 };
 use hear_telemetry::Metric::{HomacVerifyFail, HomacVerifyPass};
 use std::convert::Infallible;
@@ -185,7 +186,7 @@ impl Homac {
 
     /// The pass under every bulk entry point: `put(x, blocks)` appended for
     /// each element `x` of `src`, `blocks[k]` its `B` blocks `first + i·B
-    /// ..` on the stream at `bases[k]`. One [`par_wide_block_pass`] on the
+    /// ..` on the stream at `bases[k]`. One [`par_block_pass`] on the
     /// rank's pool: the first failing element stops it with nothing
     /// appended.
     fn pass<S: Source, O: Append, B: BlockArray, E: Send, const N: usize>(
@@ -200,7 +201,8 @@ impl Homac {
             prf: &self.prf,
             base,
         });
-        WorkerPool::with_current(|pool| par_wide_block_pass(pool, &streams, first, src, out, put))
+        let payload = Payload::Extend(src, out);
+        WorkerPool::with_current(|pool| par_block_pass(pool, &streams, first, payload, put))
     }
 
     /// [`Homac::pass`] on the streams at `own` and `next`: `put(x, s, n)`,

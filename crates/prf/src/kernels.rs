@@ -580,16 +580,17 @@ pub(crate) fn block_pass_uncounted<S: Source, T: Slots, A: BlockArray, E, const 
     streams: &[Stream<'_>; N],
     first: u64,
     src: S,
-    mut dst: T,
+    dst: T,
     f: impl Fn(S::Item, [A; N]) -> Result<T::Item, E>,
     stop: impl Fn() -> bool,
 ) -> Result<(), E> {
     let mut blocks = [[0u128; BLOCK_RUN]; N];
-    let (run, mut at) = (BLOCK_RUN / A::LEN, 0);
-    while !dst.is_empty() && !stop() {
-        let n = run.min(dst.len());
-        let (mut out, rest) = dst.split_at(n);
-        dst = rest;
+    let run = BLOCK_RUN / A::LEN;
+    for (k, mut out) in dst.chunks(run).enumerate() {
+        if stop() {
+            break;
+        }
+        let (at, n) = (k * run, out.len());
         for (stream, b) in streams.iter().zip(&mut blocks) {
             stream.blocks(first + (at * A::LEN) as u64, &mut b[..n * A::LEN]);
         }
@@ -599,7 +600,6 @@ pub(crate) fn block_pass_uncounted<S: Source, T: Slots, A: BlockArray, E, const 
         for i in 0..n {
             out.put(i, f(src.at(i), keys.map(|k| k[i]))?);
         }
-        at += n;
     }
     Ok(())
 }

@@ -41,9 +41,8 @@ pub use kernels::{
     xor_keystream_into, BlockArray, KernelWord, Stream,
 };
 pub use par::{
-    configured_threads, par_add_keystream_into, par_block_pass, par_fused_pass,
-    par_wide_block_pass, pool_scoped, with_pool, Append, Payload, Slots, Source, WorkerPool,
-    PAR_MIN_BYTES,
+    configured_threads, par_add_keystream_into, par_block_pass, par_fused_pass, pool_scoped,
+    with_pool, Append, Payload, Slots, Source, WorkerPool, PAR_MIN_BYTES,
 };
 
 /// A keyed pseudorandom function producing 128-bit blocks.

@@ -9,8 +9,8 @@
 //! masked on a different core, bit-identically to the serial pass.
 //!
 //! Both pass bodies — words behind [`par_fused_pass`], whole blocks behind
-//! [`par_block_pass`] — run on one driver (`drive`), so every pad a rank
-//! derives in bulk is counted, sharded and stored by the same rules.
+//! [`par_block_pass`] — run on one driver (`shard`), so every pad a rank
+//! derives in bulk is counted and sharded in one place.
 //!
 //! The pool here is deliberately minimal:
 //!
@@ -49,9 +49,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
-/// Smallest buffer (bytes) worth parallelizing at all. Below this the §4
+/// Smallest pass (bytes) worth parallelizing at all. Below this the §4
 /// small-message regime applies and synchronization would cost more than
-/// the memory pass saves.
+/// the pass saves.
+///
+/// A word pass is sized by its payload, `len · 16 / per` bytes: the
+/// keystream of one stream, however many it folds. A block pass is sized by
+/// the PRF output it draws on all its streams, `len · B · 16 · N` bytes: its
+/// element work is the cipher's (a block element costs about four times
+/// what 16 bytes of word pass do), so a two-stream HoMAC lane seal fans out
+/// at 2¹⁵ lanes and its one-stream open at 2¹⁶.
 pub const PAR_MIN_BYTES: usize = 1 << 20;
 
 /// Smallest whole output (bytes) a `Payload::Into` pass writes with
@@ -449,8 +456,8 @@ pub trait Slots: Sized + Send {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// The first `mid` slots, and the rest.
-    fn split_at(self, mid: usize) -> (Self, Self);
+    /// The slots in runs of `n`, the last run shorter.
+    fn chunks(self, n: usize) -> impl Iterator<Item = Self>;
     /// Write slot `i`.
     fn put(&mut self, i: usize, x: Self::Item);
     fn raw(&mut self) -> Self::Raw;
@@ -472,8 +479,8 @@ impl<D: Send> Slots for &mut [MaybeUninit<D>] {
     fn len(&self) -> usize {
         <[_]>::len(self)
     }
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        self.split_at_mut(mid)
+    fn chunks(self, n: usize) -> impl Iterator<Item = Self> {
+        self.chunks_mut(n)
     }
     #[inline(always)]
     fn put(&mut self, i: usize, x: D) {
@@ -495,9 +502,8 @@ impl<A: Slots, B: Slots> Slots for (A, B) {
     fn len(&self) -> usize {
         self.0.len()
     }
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let ((a0, a1), (b0, b1)) = (self.0.split_at(mid), self.1.split_at(mid));
-        ((a0, b0), (a1, b1))
+    fn chunks(self, n: usize) -> impl Iterator<Item = Self> {
+        self.0.chunks(n).zip(self.1.chunks(n))
     }
     #[inline(always)]
     fn put(&mut self, i: usize, (a, b): Self::Item) {
@@ -516,7 +522,7 @@ impl<A: Slots, B: Slots> Slots for (A, B) {
 /// What a sourced pass appends its results to: a `Vec`, or two side by
 /// side (one column each), written straight into their spare capacity.
 pub trait Append {
-    type Item;
+    type Item: Send;
     type Slots: Slots<Item = Self::Item>;
     /// Room for `n` more, as the `n` slots past the end.
     ///
@@ -578,23 +584,24 @@ fn extend<O: Append, E>(
 }
 
 /// What one pass reads and where its results land.
-pub enum Payload<'a, D, S = &'a [D]> {
+pub enum Payload<'a, D, S = &'a [D], O = &'a mut Vec<D>> {
     /// `buf[i] ← f(buf[i], …)`; word passes only.
     InPlace(&'a mut [D]),
     /// `f(src[i], …)` appended to `out`, written straight into its spare
     /// capacity: no copy of `src` first, no zero-fill of `out`. A failing
-    /// pass leaves `out` as it was.
-    Extend(S, &'a mut Vec<D>),
+    /// pass leaves `out` as it was. A block pass may append to any
+    /// [`Append`] (two `Vec`s side by side when `f` yields a pair); a word
+    /// pass appends to one `Vec`.
+    Extend(S, O),
     /// `dst[i] ← f(src[i], …)` for a destination of `src`'s length, whose
     /// old contents are overwritten unread.
     Into(S, &'a mut [D]),
 }
 
-/// The one driver under both pass bodies, `per` elements to a PRF block
-/// (`W::PER_BLOCK`, or 1 for a block pass). On the submitting thread it
+/// A word pass, `per` elements to a PRF block: on the submitting thread it
 /// decides the stores (an `Into` whose output reaches `STREAM_MIN_BYTES`
 /// streams; `stores` overrides) and runs `body(first, src, dst, stores,
-/// stop)` through [`shard`]; `src = None` means in place.
+/// stop)` on the driver, [`shard`]; `src = None` means in place.
 pub(crate) fn drive<D, S, E, const N: usize>(
     pool: &WorkerPool,
     streams: &[Stream<'_>; N],
@@ -620,7 +627,7 @@ where
         body(at, src, dst, stores, stop)
     };
     let run = |src: Option<S>, dst: &mut [MaybeUninit<D>]| {
-        shard(pool, streams, (per, 1), first, src, dst, body)
+        shard(pool, streams, Shape::Words(per), first, src, dst, body)
     };
     match payload {
         Payload::InPlace(buf) => run(None, as_uninit(buf)),
@@ -632,20 +639,27 @@ where
     }
 }
 
-/// Run one pass over the slots `dst`: count its exact serial telemetry on
-/// the submitting thread, then run `body(first, src, dst, stop)` inline or,
-/// once the pass draws [`PAR_MIN_BYTES`] of PRF output across all its
-/// streams, on shards across the pool. `(per, blocks)` is how elements
-/// meet blocks: `per` elements to a block (a word pass), or `blocks`
-/// consecutive blocks to an element (a block pass, `per = 1`). Word shards
-/// are cut at block boundaries, block shards at element boundaries; a
-/// shard at element `s` starts at stream index `first + s·blocks`.
-/// `stop()` tells a shard that one before it failed, so the error returned
-/// is the serial pass's first.
+/// How a pass's elements meet the PRF blocks of each stream.
+#[derive(Clone, Copy)]
+pub(crate) enum Shape {
+    /// A word pass: `per` elements to a block.
+    Words(usize),
+    /// A block pass: `B` consecutive blocks to an element.
+    Blocks(usize),
+}
+
+/// The one driver: run one pass over the slots `dst`, counting its exact
+/// serial telemetry on the submitting thread, then running `body(first,
+/// src, dst, stop)` inline or, once the pass reaches [`PAR_MIN_BYTES`]
+/// (sized by its [`Shape`], as that constant says), on shards across the
+/// pool. Word shards are cut at block boundaries, block shards at element
+/// boundaries; a block shard at element `s` starts at stream index
+/// `first + s·B`. `stop()` tells a shard that one before it failed, so the
+/// error returned is the serial pass's first.
 fn shard<T, S, E, const N: usize>(
     pool: &WorkerPool,
     streams: &[Stream<'_>; N],
-    (per, blocks): (usize, usize),
+    shape: Shape,
     first: u64,
     src: Option<S>,
     mut dst: T,
@@ -657,11 +671,13 @@ where
     E: Send,
 {
     let len = dst.len();
+    let ((per, blocks), bytes) = match shape {
+        Shape::Words(per) => ((per, 1), len * 16 / per),
+        Shape::Blocks(b) => ((1, b), len * b * 16 * N),
+    };
     count_pass(streams, per, first, len * blocks);
-    // What the pass draws: its block span on every stream.
-    let drawn = block_span(per, first, len * blocks) as usize * 16 * N;
-    let nshards = pool.shards_for(drawn);
-    if drawn < PAR_MIN_BYTES || nshards == 1 {
+    let nshards = pool.shards_for(bytes);
+    if bytes < PAR_MIN_BYTES || nshards == 1 {
         return body(first, src, dst, &|| false);
     }
     // `failed` (the lowest failing shard) publishes nothing, so
@@ -714,78 +730,57 @@ pub fn par_fused_pass<W, const N: usize, F>(
     let Ok(()) = drive(pool, streams, W::PER_BLOCK, first, payload, None, body);
 }
 
-/// The block pass across the pool: `dst[i] ← f(src[i], [A[first + i],
-/// B[first + i]])` where `A`, `B` are the whole PRF blocks `F(base + j)`
-/// of `streams`, any source and destination types, run by the driver
-/// (`drive`) like every word pass: it counts `N` blocks per element up
-/// front, fans out under the same rule and returns the error of the first
-/// element `f` fails on (later elements may or may not have run). A block
-/// pass reads a source: `Extend` or `Into`.
+/// The block pass across the pool: `dst[i] ← f(src[i], [A_i, B_i])`, where
+/// `A_i` holds the `LEN` consecutive whole PRF blocks `F(base + first +
+/// i·LEN + b)`, `b < LEN`, of the first of `streams` and `B_i` the
+/// second's — a bare `u128` each at one block an element (the float
+/// ciphers), a `[u128; LEN]` for more ([`BlockArray`]; HoMAC's digest
+/// lanes) — any source and destination types. Run by the driver like every
+/// word pass: `N·LEN` blocks an element counted up front, the block-pass
+/// fan-out rule, shards cut at element boundaries, and the error of the
+/// first element `f` fails on returned (later elements may or may not have
+/// run; an `Extend` then appends nothing). A block pass reads a source:
+/// `Extend`, to any [`Append`], or `Into`.
 ///
 /// # Panics
 ///
 /// On `Payload::InPlace`.
-pub fn par_block_pass<D, S, E, const N: usize, F>(
+pub fn par_block_pass<D, S, O, A, E, const N: usize, F>(
     pool: &WorkerPool,
     streams: &[Stream<'_>; N],
     first: u64,
-    payload: Payload<'_, D, S>,
+    payload: Payload<'_, D, S, O>,
     f: F,
 ) -> Result<(), E>
 where
     D: Send,
     S: Source,
-    E: Send,
-    F: Fn(S::Item, [u128; N]) -> Result<D, E> + Copy + Sync,
-{
-    assert!(
-        !matches!(payload, Payload::InPlace(_)),
-        "a block pass reads a source: Extend or Into"
-    );
-    let f = move |x, keys: [[u128; 1]; N]| f(x, keys.map(|[k]| k));
-    drive(
-        pool,
-        streams,
-        1,
-        first,
-        payload,
-        None,
-        |at, src, dst, _, stop| {
-            let src = src.expect("a sourced payload");
-            block_pass_uncounted(streams, at, src, dst, f, stop)
-        },
-    )
-}
-
-/// The block pass whose elements draw `A::LEN` consecutive blocks each:
-/// appends `f(src[i], [A_i, B_i])` to `out`, where `A_i` holds the blocks
-/// `F(base + first + i·LEN + b)`, `b < LEN`, of the first stream and `B_i`
-/// the second's — one `Vec`, or two side by side when `f` yields a pair
-/// ([`Append`]). Run by the same driver as every pass: `N·LEN` blocks per
-/// element counted up front, the fan-out rule on the blocks drawn, shards
-/// cut at element boundaries, and the first failing element's error
-/// returned with nothing appended.
-pub fn par_wide_block_pass<S, O, A, E, const N: usize, F>(
-    pool: &WorkerPool,
-    streams: &[Stream<'_>; N],
-    first: u64,
-    src: S,
-    out: O,
-    f: F,
-) -> Result<(), E>
-where
-    S: Source,
-    O: Append,
+    O: Append<Item = D>,
     A: BlockArray,
     E: Send,
-    F: Fn(S::Item, [A; N]) -> Result<O::Item, E> + Copy + Sync,
+    F: Fn(S::Item, [A; N]) -> Result<D, E> + Copy + Sync,
 {
-    let body = |at, src: Option<S>, dst, stop: &dyn Fn() -> bool| {
-        block_pass_uncounted(streams, at, src.expect("a source"), dst, f, stop)
-    };
-    extend(out, src.count(), |dst| {
-        shard(pool, streams, (1, A::LEN), first, Some(src), dst, body)
-    })
+    fn run<S: Source, T: Slots, A: BlockArray, E: Send, const N: usize>(
+        (pool, streams, first): (&WorkerPool, &[Stream<'_>; N], u64),
+        src: S,
+        dst: T,
+        f: impl Fn(S::Item, [A; N]) -> Result<T::Item, E> + Copy + Sync,
+    ) -> Result<(), E> {
+        let body = |at, src: Option<S>, dst, stop: &dyn Fn() -> bool| {
+            block_pass_uncounted(streams, at, src.expect("a source"), dst, f, stop)
+        };
+        let shape = Shape::Blocks(A::LEN);
+        shard(pool, streams, shape, first, Some(src), dst, body)
+    }
+    let pass = (pool, streams, first);
+    match payload {
+        Payload::InPlace(_) => panic!("a block pass reads a source: Extend or Into"),
+        Payload::Extend(src, out) => extend(out, src.count(), |dst| run(pass, src, dst, f)),
+        Payload::Into(src, dst) => {
+            assert_eq!(src.count(), dst.len(), "one destination slot per element");
+            run(pass, src, as_uninit(dst), f)
+        }
+    }
 }
 
 /// Parallel [`crate::add_keystream_into`] (identical output and telemetry).
@@ -959,7 +954,7 @@ mod tests {
         assert_eq!(pool.jobs(), 2);
     }
 
-    /// The wide block pass against its definition — element `i` draws
+    /// The block pass of `B` blocks an element against its definition — element `i` draws
     /// blocks `first + i·B .. first + (i + 1)·B` of each stream — into two
     /// columns, either side of the fan-out point and on every pool; with
     /// telemetry of `N·B` blocks an element, and a failing element's error
@@ -984,12 +979,11 @@ mod tests {
             let (mut ids, mut mix) = (vec![9u64], Vec::new());
             let done = {
                 let _ctx = reg.install(None);
-                par_wide_block_pass(
+                par_block_pass(
                     pool,
                     &streams,
                     first,
-                    &src[..],
-                    (&mut ids, &mut mix),
+                    Payload::Extend(&src[..], (&mut ids, &mut mix)),
                     |i, [a, b]: [A; 2]| match fail {
                         Some(at) if i >= at => Err(i),
                         _ => {
@@ -1035,6 +1029,43 @@ mod tests {
             assert_eq!(pool.jobs() > jobs, pool.threads() > 1);
             check::<[u128; 5]>(&pool, len, Some(len as u64 / 2));
             check::<[u128; 1]>(&pool, PAR_MIN_BYTES / 32 + 1, None);
+        }
+    }
+
+    /// The fan-out rule by pass shape, on a 2-thread pool: a word pass
+    /// shards on its payload bytes, however many streams it folds; a block
+    /// pass on the blocks it draws on all its streams.
+    #[test]
+    fn word_passes_fan_out_on_the_payload_block_passes_on_the_blocks_drawn() {
+        let prf = PrfCipher::new(Backend::best_available(), KEY).unwrap();
+        let streams = [3u128 << 80, 5 << 80].map(|base| Stream { prf: &prf, base });
+        let pool = WorkerPool::new(2);
+        let fans_out = |pass: &dyn Fn()| {
+            let jobs = pool.jobs();
+            pass();
+            pool.jobs() > jobs
+        };
+        for (len, want) in [(PAR_MIN_BYTES / 4 - 4, false), (PAR_MIN_BYTES / 4, true)] {
+            let src = vec![0u32; len];
+            let word = || {
+                let mut out = Vec::new();
+                let payload = Payload::Extend(&src[..], &mut out);
+                par_fused_pass(&pool, &streams, 0, payload, |x, [a, b]| {
+                    x.wrapping_add(a).wrapping_sub(b)
+                });
+            };
+            assert_eq!(fans_out(&word), want, "two-stream word pass of {len} u32");
+        }
+        for (len, want) in [(PAR_MIN_BYTES / 32 - 1, false), (PAR_MIN_BYTES / 32, true)] {
+            let src = vec![0u64; len];
+            let block = || {
+                let mut out = Vec::new();
+                let payload = Payload::Extend(&src[..], &mut out);
+                let Ok(()) = par_block_pass(&pool, &streams, 0, payload, |x, [a, b]: [u128; 2]| {
+                    Ok::<_, Infallible>(x ^ (a ^ b) as u64)
+                });
+            };
+            assert_eq!(fans_out(&block), want, "two-stream block pass of {len}");
         }
     }
 

@@ -665,7 +665,8 @@ fn check_block_pass<const N: usize>(
         }
         _ => {
             let mut dst = vec![0; len];
-            let done = par_block_pass(pool, &streams, first, Payload::Into(&src[..], &mut dst), f);
+            let payload = Payload::<_, _>::Into(&src[..], &mut dst);
+            let done = par_block_pass(pool, &streams, first, payload, f);
             (done, dst)
         }
     });
@@ -811,6 +812,6 @@ fn a_block_pass_refuses_an_in_place_payload() {
         &[Stream { prf: &prf, base: 1 }],
         0,
         Payload::<_, &[u64]>::InPlace(&mut buf),
-        |x: u64, [b]| Ok::<_, ()>(x ^ b as u64),
+        |x: u64, [b]: [u128; 1]| Ok::<_, ()>(x ^ b as u64),
     );
 }
