@@ -954,11 +954,11 @@ mod tests {
         assert_eq!(pool.jobs(), 2);
     }
 
-    /// The block pass of `B` blocks an element against its definition — element `i` draws
-    /// blocks `first + i·B .. first + (i + 1)·B` of each stream — into two
-    /// columns, either side of the fan-out point and on every pool; with
-    /// telemetry of `N·B` blocks an element, and a failing element's error
-    /// returned with nothing appended.
+    /// The block pass of `B` blocks an element against its definition —
+    /// element `i` draws blocks `first + i·B .. first + (i + 1)·B` of each
+    /// stream — into two columns, either side of the fan-out point and on
+    /// every pool; with telemetry of `N·B` blocks an element, and a failing
+    /// element's error returned with nothing appended.
     #[test]
     fn wide_block_pass_draws_consecutive_blocks_per_element() {
         use hear_telemetry::{Metric, Registry};
