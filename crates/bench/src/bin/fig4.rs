@@ -1,84 +1,61 @@
 //! Figure 4 regenerator: critical-path latency breakdown of a 16 B
-//! MPI_Allreduce integer summation on two ranks —
-//! `mem_alloc / encrypt / comm / decrypt / mem_free` — for the SHA-1 and
-//! AES(-NI) PRF backends, with crypto overhead as a percentage of the
-//! communication time (the paper's 75.5 % vs 7.1 % annotation).
+//! MPI_Allreduce integer summation on two ranks — `encrypt / comm /
+//! decrypt / other` — for the SHA-1 and AES(-NI) PRF backends, with crypto
+//! overhead as a percentage of the communication time (the paper's 75.5 %
+//! vs 7.1 % annotation).
+//!
+//! Every bar is folded from the engine's own spans of real
+//! `SecureComm::allreduce_with` calls (`hear_bench::fig4_phases`); "other"
+//! is the rest of the call (arena, key advance, output window), where the
+//! paper had `mem_alloc` / `mem_free`. The baseline times a plain
+//! `Communicator::allreduce`.
 //!
 //! `HEAR_SCALE=full` multiplies iterations ×10.
 
-use hear::core::{Backend, CommKeys};
-use hear::layer::measure_phases;
-use hear::mpi::Simulator;
-use hear_bench::{json_output, scale_factor};
-
-fn run(backend: Option<Backend>, iters: u32) -> hear::layer::PhaseBreakdown {
-    let be = backend.unwrap_or(Backend::AesSoft);
-    let results = Simulator::new(2).run(move |comm| {
-        let mut keys = CommKeys::generate(2, 0xF04, be)
-            .into_iter()
-            .nth(comm.rank())
-            .unwrap();
-        measure_phases(comm, &mut keys, 4, iters, backend.is_some())
-    });
-    results[0]
-}
+use hear::core::Backend;
+use hear_bench::{crypto_overhead_pct, fig4_phases, json_output, scale_factor};
 
 fn main() {
     let iters = 10_000 * scale_factor() as u32;
     let json = json_output();
     if !json {
         println!("# Figure 4: 16 B MPI_Allreduce critical-path breakdown, 2 ranks, {iters} iters");
-        println!("# (per-iteration phase times in nanoseconds)");
+        println!("# (per-call phase times in nanoseconds, from the engine's spans)");
         println!(
-            "{:<22} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9}",
-            "variant", "mem_alloc", "encrypt", "comm", "decrypt", "mem_free", "total", "crypto%"
+            "{:<22} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9}",
+            "variant", "encrypt", "comm", "decrypt", "other", "total", "crypto%"
         );
     }
 
-    let mut variants: Vec<(String, Option<Backend>)> = vec![
-        ("Baseline (no crypto)".into(), None),
-        ("HEAR + SHA1".into(), Some(Backend::Sha1)),
-        ("HEAR + AES (soft)".into(), Some(Backend::AesSoft)),
+    let mut variants: Vec<(&str, Option<Backend>)> = vec![
+        ("Baseline (no crypto)", None),
+        ("HEAR + SHA1", Some(Backend::Sha1)),
+        ("HEAR + AES (soft)", Some(Backend::AesSoft)),
     ];
     if Backend::Sha1Ni.is_available() {
-        variants.push(("HEAR + SHA-NI".into(), Some(Backend::Sha1Ni)));
+        variants.push(("HEAR + SHA-NI", Some(Backend::Sha1Ni)));
     }
     if Backend::AesNi.is_available() {
-        variants.push(("HEAR + AES-NI".into(), Some(Backend::AesNi)));
+        variants.push(("HEAR + AES-NI", Some(Backend::AesNi)));
     }
 
     let mut rows = Vec::new();
     let mut sha_pct = None;
     let mut aes_pct = None;
-    for (name, backend) in &variants {
-        let b = run(*backend, iters);
-        let per = |d: std::time::Duration| d.as_nanos() as f64 / iters as f64;
-        let pct = b.crypto_overhead_pct();
+    for (name, backend) in variants {
+        let phases = fig4_phases(backend, 4, iters);
+        let pct = crypto_overhead_pct(&phases);
+        let [enc, comm, dec, other] = phases.map(|ns| ns as f64 / iters as f64);
+        let total = enc + comm + dec + other;
         if json {
             rows.push(format!(
-                "    {{\"variant\": \"{}\", \"mem_alloc_ns\": {:.1}, \"encrypt_ns\": {:.1}, \
-                 \"comm_ns\": {:.1}, \"decrypt_ns\": {:.1}, \"mem_free_ns\": {:.1}, \
-                 \"total_ns\": {:.1}, \"crypto_overhead_pct\": {:.2}}}",
-                name,
-                per(b.mem_alloc),
-                per(b.encrypt),
-                per(b.comm),
-                per(b.decrypt),
-                per(b.mem_free),
-                per(b.total()),
-                pct
+                "    {{\"variant\": \"{name}\", \"encrypt_ns\": {enc:.1}, \"comm_ns\": {comm:.1}, \
+                 \"decrypt_ns\": {dec:.1}, \"other_ns\": {other:.1}, \"total_ns\": {total:.1}, \
+                 \"crypto_overhead_pct\": {pct:.2}}}"
             ));
         } else {
             println!(
-                "{:<22} {:>10.0} {:>10.0} {:>10.0} {:>10.0} {:>10.0} {:>10.0} {:>8.1}%",
-                name,
-                per(b.mem_alloc),
-                per(b.encrypt),
-                per(b.comm),
-                per(b.decrypt),
-                per(b.mem_free),
-                per(b.total()),
-                pct
+                "{name:<22} {enc:>10.0} {comm:>10.0} {dec:>10.0} {other:>10.0} {total:>10.0} {pct:>8.1}%"
             );
         }
         if name.contains("SHA1") {
@@ -90,7 +67,7 @@ fn main() {
     }
     if json {
         println!(
-            "{{\n  \"figure\": \"fig4\",\n  \"iterations\": {iters},\n  \"unit\": \"ns_per_iteration\",\n  \"variants\": [\n{}\n  ]\n}}",
+            "{{\n  \"figure\": \"fig4\",\n  \"iterations\": {iters},\n  \"unit\": \"ns_per_call\",\n  \"variants\": [\n{}\n  ]\n}}",
             rows.join(",\n")
         );
         return;

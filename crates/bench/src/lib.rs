@@ -5,8 +5,11 @@
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
-use hear::core::{Backend, CommKeys, IntSum, Scratch};
+use hear::core::{Backend, CommKeys, IntSum, IntSumScheme, Scratch};
+use hear::layer::{EngineCfg, SecureComm};
+use hear::mpi::Simulator;
 use hear::prf::{Prf, PrfCipher};
+use hear::telemetry::{Registry, SpanEvent};
 use std::time::Instant;
 
 /// Simple statistics over a sample.
@@ -136,6 +139,87 @@ pub fn gib_per_s(bps: f64) -> f64 {
     bps / 1e9
 }
 
+/// Fold a drained span stream into the nanoseconds of Fig. 4's phases,
+/// `[encrypt, allreduce, decrypt, other]`. A call is a depth-0
+/// `secure_allreduce` span: its direct (depth-1) children of the first
+/// three names count to that phase, and the rest of its time — the arena,
+/// key advance and output window, which stand where the paper's
+/// `mem_alloc` / `mem_free` stood — to "other". A depth-0 `allreduce` (a
+/// plain `Communicator::allreduce`, the baseline) counts whole to
+/// `allreduce`. Deeper spans (the fabric's `send` / `recv`, the fold's
+/// `reduce`, a nested span that reuses a phase name) are inside a counted
+/// one and count no further.
+fn fold_fig4(events: &[SpanEvent], acc: &mut [u64; 4]) {
+    let phase = |ev: &SpanEvent| {
+        ["encrypt", "allreduce", "decrypt"]
+            .iter()
+            .position(|&p| p == ev.name)
+    };
+    for call in events.iter().filter(|e| e.depth == 0) {
+        match call.name {
+            "allreduce" => acc[1] += call.dur_ns,
+            "secure_allreduce" => {
+                let end = call.start_ns + call.dur_ns;
+                let mut inner = 0;
+                for ev in events.iter().filter(|e| {
+                    e.depth == 1
+                        && e.rank == call.rank
+                        && e.start_ns >= call.start_ns
+                        && e.start_ns + e.dur_ns <= end
+                }) {
+                    if let Some(i) = phase(ev) {
+                        acc[i] += ev.dur_ns;
+                        inner += ev.dur_ns;
+                    }
+                }
+                acc[3] += call.dur_ns.saturating_sub(inner);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Fig. 4's measurement on two ranks: `iters` calls of `elems` `u32`s,
+/// each rank under its own private [`Registry`] drained after every call;
+/// returns rank 0's phase totals in nanoseconds, in the order
+/// `[encrypt, allreduce, decrypt, other]`. With a backend each call is `SecureComm::allreduce_with` over
+/// `IntSumScheme` and that backend's `CommKeys`; with `None`, the
+/// baseline, a plain `Communicator::allreduce` of the same data.
+pub fn fig4_phases(backend: Option<Backend>, elems: usize, iters: u32) -> [u64; 4] {
+    let results = Simulator::new(2).run(move |comm| {
+        let reg = Registry::new_enabled();
+        let _ctx = reg.install(Some(comm.rank()));
+        let data: Vec<u32> = (0..elems as u32).collect();
+        let mut acc = [0u64; 4];
+        let mut secure = backend.map(|be| {
+            let keys = CommKeys::generate(2, 0xF04, be).swap_remove(comm.rank());
+            SecureComm::new(comm.clone(), keys)
+        });
+        for _ in 0..iters {
+            let out = match &mut secure {
+                Some(sc) => sc
+                    .allreduce_with(&mut IntSumScheme::default(), &data, EngineCfg::sync())
+                    .expect("a fault-free allreduce succeeds"),
+                None => comm.allreduce(&data, |a: &u32, b: &u32| a.wrapping_add(*b)),
+            };
+            std::hint::black_box(out);
+            fold_fig4(&reg.drain_span_events(), &mut acc);
+        }
+        acc
+    });
+    results[0]
+}
+
+/// Crypto time as a share of comm time, in percent: Fig. 4's annotation
+/// (75.5 % for SHA-1, 7.1 % for AES-NI on the paper's system). 0 when no
+/// comm time was folded, not a huge ratio.
+pub fn crypto_overhead_pct(phases: &[u64; 4]) -> f64 {
+    if phases[1] == 0 {
+        return 0.0;
+    }
+    100.0 * (phases[0] + phases[2]) as f64 / phases[1] as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,5 +262,74 @@ mod tests {
         assert!(r.dec_bps > r.enc_bps / 10.0);
         assert!(r.per_call_s > 0.0);
         assert!(measure_backend(Backend::Sha1, 16 * 1024, 2).is_some());
+    }
+
+    /// Every phase of a real engine call is seen: the fold finds the
+    /// engine's spans where it looks for them.
+    #[test]
+    fn phases_accumulate() {
+        let [enc, comm, dec, other] = fig4_phases(Some(Backend::AesSoft), 4, 50);
+        assert!(
+            enc > 0 && comm > 0 && dec > 0 && other > 0,
+            "{enc} {comm} {dec} {other}"
+        );
+    }
+
+    /// The baseline has comm time and no crypto, so a 0 % share.
+    #[test]
+    fn baseline_has_no_crypto_time() {
+        let base = fig4_phases(None, 4, 50);
+        assert_eq!((base[0], base[2], base[3]), (0, 0, 0), "baseline {base:?}");
+        assert!(base[1] > 0);
+        assert_eq!(crypto_overhead_pct(&base), 0.0);
+    }
+
+    /// The Fig. 4 headline: SHA-1's crypto phases are slower than AES's.
+    #[test]
+    fn sha1_costs_more_than_aes() {
+        let sha = fig4_phases(Some(Backend::Sha1), 4, 200);
+        let aes = fig4_phases(Some(Backend::AesSoft), 4, 200);
+        assert!(
+            sha[0] + sha[2] > aes[0] + aes[2],
+            "sha {sha:?} vs aes {aes:?}"
+        );
+    }
+
+    /// Zero folded comm time gives 0 %, not a division by (nearly) zero.
+    #[test]
+    fn zero_comm_overhead_is_zero_not_huge() {
+        assert_eq!(crypto_overhead_pct(&[5_000, 0, 5_000, 0]), 0.0);
+    }
+
+    /// Only a call's direct children count: a nested span reusing a phase
+    /// name (or any deeper span) is not counted twice, and a phase span
+    /// outside a call is not counted at all.
+    #[test]
+    fn fold_counts_direct_children_of_a_call_once() {
+        use hear::telemetry::span;
+        let reg = Registry::new_enabled();
+        {
+            let _g = reg.install(Some(0));
+            {
+                let _call = span!("secure_allreduce");
+                {
+                    let _outer = span!("encrypt");
+                    let _inner = span!("encrypt");
+                }
+                let _comm = span!("allreduce");
+                let _send = span!("send");
+            }
+            let _stray = span!("decrypt");
+        }
+        let evs = reg.drain_span_events();
+        assert_eq!(evs.len(), 6);
+        let dur = |name: &str, depth: u32| {
+            let ev = evs.iter().find(|e| e.name == name && e.depth == depth);
+            ev.unwrap().dur_ns
+        };
+        let mut acc = [0; 4];
+        fold_fig4(&evs, &mut acc);
+        let (enc, comm) = (dur("encrypt", 1), dur("allreduce", 1));
+        assert_eq!(acc, [enc, comm, 0, dur("secure_allreduce", 0) - enc - comm]);
     }
 }

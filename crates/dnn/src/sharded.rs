@@ -32,10 +32,6 @@ pub struct StepStats {
 }
 
 impl StepStats {
-    pub fn total(&self) -> Duration {
-        self.reduce_scatter + self.local_update + self.allgather
-    }
-
     /// Accumulate another step's timings (for averaging over a run).
     #[cfg(test)]
     fn accumulate(&mut self, other: &StepStats) {
@@ -222,7 +218,6 @@ mod tests {
             // Timings are measured: the communication phases actually ran.
             assert!(stats.reduce_scatter > Duration::ZERO, "rank {rank}");
             assert!(stats.allgather > Duration::ZERO, "rank {rank}");
-            assert!(stats.total() >= stats.local_update, "rank {rank}");
         }
     }
 

@@ -81,8 +81,12 @@ impl SecureComm {
 
     /// Encrypted `MPI_Reduce(MPI_SUM)` to `root` (§8: like Allreduce,
     /// without INC). Only the root's return value is the reduction; other
-    /// ranks receive `None`.
-    pub fn reduce_sum_u32(&mut self, root: usize, data: &[u32]) -> Option<Vec<u32>> {
+    /// ranks receive `None`. A dead peer is [`EngineError::Comm`].
+    pub fn reduce_sum_u32(
+        &mut self,
+        root: usize,
+        data: &[u32],
+    ) -> Result<Option<Vec<u32>>, EngineError> {
         self.on_lane(|sc| {
             sc.keys.advance();
             let mut scheme = IntSumScheme::<u32>::default();
@@ -90,20 +94,24 @@ impl SecureComm {
             scheme
                 .mask_slice(&sc.keys, 0, data, &mut buf)
                 .expect("integer masking is infallible");
-            let agg = sc.comm.reduce(root, buf, IntSumScheme::<u32>::op);
+            let agg = sc.comm.reduce(root, buf, IntSumScheme::<u32>::op)?;
             if sc.comm.rank() != root {
-                return None;
+                return Ok(None);
             }
             let mut out = Vec::new();
             scheme.unmask_slice(&sc.keys, 0, &agg, &mut out);
-            Some(out)
+            Ok(Some(out))
         })
     }
 
     /// Encrypted broadcast (§8): the payload crosses the untrusted network
     /// XOR-padded with the communicator's collective keystream; every rank
-    /// holding the keys recovers it.
-    pub fn bcast_encrypted(&mut self, root: usize, data: Vec<u32>) -> Vec<u32> {
+    /// holding the keys recovers it. A dead peer is [`EngineError::Comm`].
+    pub fn bcast_encrypted(
+        &mut self,
+        root: usize,
+        data: Vec<u32>,
+    ) -> Result<Vec<u32>, EngineError> {
         self.on_lane(|sc| {
             sc.keys.advance();
             // XOR pad from the collective stream: same Eq. 3 machinery,
@@ -113,9 +121,9 @@ impl SecureComm {
                 collective_pad(&sc.keys, 0, Payload::InPlace(&mut buf));
             }
             // Non-roots learn the length only on arrival; pad afterwards.
-            let mut out = sc.comm.bcast(root, buf);
+            let mut out = sc.comm.bcast(root, buf)?;
             collective_pad(&sc.keys, 0, Payload::InPlace(&mut out));
-            out
+            Ok(out)
         })
     }
 
@@ -124,8 +132,12 @@ impl SecureComm {
     /// pads with the *collective* stream instead, keeping Θ(1) keys: rank
     /// `r` at elements `r · 2⁴⁰ …`, a stride independent of the
     /// contribution lengths (which may differ), so no two ranks' pads
-    /// overlap.
-    pub fn gather_encrypted(&mut self, root: usize, data: Vec<u32>) -> Vec<Vec<u32>> {
+    /// overlap. A dead peer is [`EngineError::Comm`].
+    pub fn gather_encrypted(
+        &mut self,
+        root: usize,
+        data: Vec<u32>,
+    ) -> Result<Vec<Vec<u32>>, EngineError> {
         assert!(
             (data.len() as u64) < GATHER_STRIDE,
             "gather contribution too long"
@@ -138,20 +150,25 @@ impl SecureComm {
                 sc.comm.rank() as u64 * GATHER_STRIDE,
                 Payload::InPlace(&mut buf),
             );
-            let mut gathered = sc.comm.gather(root, buf);
+            let mut gathered = sc.comm.gather(root, buf)?;
             if sc.comm.rank() == root {
                 for (r, v) in gathered.iter_mut().enumerate() {
                     collective_pad(&sc.keys, r as u64 * GATHER_STRIDE, Payload::InPlace(v));
                 }
             }
-            gathered
+            Ok(gathered)
         })
     }
 
     /// Encrypted scatter from `root` (§8): chunk `r` is padded with the
     /// collective stream at offset `r × len` (all chunks must share one
-    /// length so offsets are unambiguous).
-    pub fn scatter_encrypted(&mut self, root: usize, mut chunks: Vec<Vec<u32>>) -> Vec<u32> {
+    /// length so offsets are unambiguous). A dead peer is
+    /// [`EngineError::Comm`].
+    pub fn scatter_encrypted(
+        &mut self,
+        root: usize,
+        mut chunks: Vec<Vec<u32>>,
+    ) -> Result<Vec<u32>, EngineError> {
         self.on_lane(|sc| {
             sc.keys.advance();
             if sc.comm.rank() == root {
@@ -164,10 +181,10 @@ impl SecureComm {
                     collective_pad(&sc.keys, (r * len) as u64, Payload::InPlace(c));
                 }
             }
-            let mut mine = sc.comm.scatter(root, chunks);
+            let mut mine = sc.comm.scatter(root, chunks)?;
             let first = (sc.comm.rank() * mine.len()) as u64;
             collective_pad(&sc.keys, first, Payload::InPlace(&mut mine));
-            mine
+            Ok(mine)
         })
     }
 }
@@ -309,6 +326,7 @@ mod tests {
             let results = Simulator::new(3).run(move |comm| {
                 let mut sc = secure(comm, 4);
                 sc.reduce_sum_u32(root, &[comm.rank() as u32 + 1, 10])
+                    .unwrap()
             });
             for (rank, r) in results.iter().enumerate() {
                 if rank == root {
@@ -329,7 +347,7 @@ mod tests {
             } else {
                 vec![]
             };
-            sc.bcast_encrypted(1, payload)
+            sc.bcast_encrypted(1, payload).unwrap()
         });
         for r in &results {
             assert_eq!(*r, vec![0xDEAD_BEEF, 42]);
@@ -351,9 +369,9 @@ mod tests {
             let mut jobs = Vec::new();
             with_pool(&pool, || {
                 let sent = if r == 0 { payload(0) } else { Vec::new() };
-                assert_eq!(sc.bcast_encrypted(0, sent), payload(0));
+                assert_eq!(sc.bcast_encrypted(0, sent).unwrap(), payload(0));
                 jobs.push(pool.jobs());
-                let gathered = sc.gather_encrypted(0, payload(r));
+                let gathered = sc.gather_encrypted(0, payload(r)).unwrap();
                 if r == 0 {
                     assert_eq!(gathered, [payload(0), payload(1)]);
                 }
@@ -363,7 +381,7 @@ mod tests {
                 } else {
                     Vec::new()
                 };
-                assert_eq!(sc.scatter_encrypted(0, chunks), payload(2 + r));
+                assert_eq!(sc.scatter_encrypted(0, chunks).unwrap(), payload(2 + r));
                 jobs.push(pool.jobs());
             });
             jobs
@@ -381,6 +399,7 @@ mod tests {
         let results = Simulator::new(3).run(|comm| {
             let mut sc = secure(comm, 6);
             sc.gather_encrypted(0, vec![comm.rank() as u32 * 11; 2])
+                .unwrap()
         });
         assert_eq!(results[0], vec![vec![0, 0], vec![11, 11], vec![22, 22]]);
     }
@@ -394,6 +413,7 @@ mod tests {
                 let mut sc = secure(comm, 7);
                 let r = comm.rank() as u32;
                 sc.gather_encrypted(root, (0..=r).map(|j| 100 * r + j).collect())
+                    .unwrap()
             });
             let expect: Vec<Vec<u32>> = (0..3u32)
                 .map(|r| (0..=r).map(|j| 100 * r + j).collect())
@@ -488,7 +508,7 @@ mod scatter_alltoall_tests {
             } else {
                 Vec::new()
             };
-            sc.scatter_encrypted(2, chunks)
+            sc.scatter_encrypted(2, chunks).unwrap()
         });
         for (r, got) in results.iter().enumerate() {
             assert_eq!(*got, vec![r as u32 * 10, r as u32 * 10 + 1]);

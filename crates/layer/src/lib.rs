@@ -9,8 +9,8 @@
 //! verification, all orthogonal), the typed [`arena::ScratchArena`]
 //! (allocation-free steady-state staging: paper §6's memory pool, as
 //! recycled `Vec`s), pipelined large-message transfers
-//! ([`EngineCfg::pipelined`], Fig. 6), and the critical-path phase
-//! instrumentation of Fig. 4 ([`breakdown`]). The runtime-typed PMPI
+//! ([`EngineCfg::pipelined`], Fig. 6), and the engine spans Fig. 4's
+//! critical-path breakdown is folded from. The runtime-typed PMPI
 //! front doors ([`SecureComm::pmpi_allreduce`] and its siblings in
 //! [`dispatch`]) route every supported `(datatype, op)` pair onto the
 //! engine.
@@ -19,7 +19,6 @@
 #![deny(unreachable_pub)]
 
 pub mod arena;
-pub mod breakdown;
 #[cfg(test)]
 mod chaos;
 pub mod dispatch;
@@ -29,7 +28,6 @@ pub mod secure;
 pub mod wire;
 
 pub use arena::ScratchArena;
-pub use breakdown::{measure_phases, PhaseBreakdown};
 pub use dispatch::{DispatchError, TypedSlice, TypedVec};
 pub use engine::{
     ChunkMode, EngineCfg, EngineError, MembershipChange, PeerDeadPolicy, RetryPolicy,

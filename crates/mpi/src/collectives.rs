@@ -37,49 +37,6 @@ fn split_chunks<T: Clone>(chunks: &mut Vec<Vec<T>>, data: &[T], bounds: &[(usize
     }
 }
 
-/// How a caller that wants one `Vec<T>` back leaves the chunk-owned core:
-/// the ring's `visit` hands over each chunk once, in ring order, and
-/// [`Assembly::place`] clones it to its bounds in the spare capacity of one
-/// allocation — no default-fill, no per-chunk copies to concatenate later.
-struct Assembly<T> {
-    out: Vec<T>,
-    bounds: Vec<(usize, usize)>,
-    placed: Vec<bool>,
-}
-
-impl<T: Clone> Assembly<T> {
-    /// `bounds` must tile `0..total` in order, as [`ring_chunk_bounds`] and
-    /// a running sum of counts do.
-    fn new(bounds: Vec<(usize, usize)>) -> Assembly<T> {
-        debug_assert!(bounds.windows(2).all(|w| w[0].1 == w[1].0) && bounds[0].0 == 0);
-        Assembly {
-            out: Vec::with_capacity(bounds[bounds.len() - 1].1),
-            placed: vec![false; bounds.len()],
-            bounds,
-        }
-    }
-
-    fn place(&mut self, c: usize, chunk: &[T]) {
-        let (s, e) = self.bounds[c];
-        assert_eq!(chunk.len(), e - s, "chunk {c} has the wrong length");
-        assert!(
-            !std::mem::replace(&mut self.placed[c], true),
-            "chunk {c} placed twice"
-        );
-        for (slot, x) in self.out.spare_capacity_mut()[s..e].iter_mut().zip(chunk) {
-            slot.write(x.clone());
-        }
-    }
-
-    fn finish(mut self) -> Vec<T> {
-        assert!(self.placed.iter().all(|&p| p), "a chunk never arrived");
-        // SAFETY: the bounds tile `0..total`, `total ≤ capacity`, and every
-        // chunk has been written to its bounds exactly once.
-        unsafe { self.out.set_len(self.bounds[self.bounds.len() - 1].1) };
-        self.out
-    }
-}
-
 /// How far ahead of the element being folded [`fold_into`] prefetches both
 /// operands, in bytes: far enough to cover a DRAM miss at the fold's rate.
 /// A 32 MiB `u32` fold on a 2-vCPU Xeon, median of 12 (quartiles): 4.91
@@ -125,7 +82,7 @@ fn fold_into<T, F: Fn(&T, &T) -> T>(dst: &mut [T], src: &[T], op: &F) {
 }
 
 impl Communicator {
-    /// Dissemination barrier: ⌈log₂ P⌉ rounds.
+    /// Dissemination barrier: ⌈log₂ P⌉ rounds. Panics if a peer dies.
     pub fn barrier(&self) {
         let tag = self.next_coll_tag();
         let _s = hear_telemetry::span!("barrier", tag = tag);
@@ -134,19 +91,28 @@ impl Communicator {
         while dist < world {
             let to = (rank + dist) % world;
             let from = (rank + world - dist) % world;
-            self.send_internal(to, tag, vec![0u8]);
-            let _ = self.recv_internal::<u8>(from, tag);
+            self.try_sendrecv_internal::<u8>(to, tag, vec![0], from, tag, None)
+                .unwrap_or_else(|e| panic!("barrier (tag {tag:#x}) failed: {e}"));
             dist *= 2;
         }
     }
 
-    /// Binomial-tree broadcast from `root`. Every rank returns the data.
-    pub fn bcast<T: Clone + Send + 'static>(&self, root: usize, data: Vec<T>) -> Vec<T> {
+    /// Binomial-tree broadcast from `root`: every rank returns the data. A
+    /// rank that cannot reach a child still serves its other children,
+    /// then returns the first error. A relay that cannot hear from its
+    /// parent has nothing to forward: it marks its own endpoint dead
+    /// before it returns the error, as a crash would, so its subtree gets
+    /// `PeerDead` instead of waiting on it forever.
+    pub fn bcast<T: Clone + Send + 'static>(
+        &self,
+        root: usize,
+        data: Vec<T>,
+    ) -> Result<Vec<T>, crate::CommError> {
         let tag = self.next_coll_tag();
         let _s = hear_telemetry::span!("bcast", root = root, tag = tag);
         let (world, rank) = (self.world(), self.rank());
         if world == 1 {
-            return data;
+            return Ok(data);
         }
         // Work in a rotated space where the root is rank 0 (canonical
         // MPICH binomial tree).
@@ -156,7 +122,11 @@ impl Communicator {
         while mask < world {
             if vrank & mask != 0 {
                 let parent = ((vrank - mask) + root) % world;
-                buf = self.recv_internal::<T>(parent, tag);
+                match self.try_recv_internal::<T>(parent, tag, None) {
+                    Ok(got) => buf = got,
+                    // Children sit below the lowest set bit of vrank.
+                    Err(e) => return Err(self.relay_failed(e, vrank + 1 < world && mask > 1)),
+                }
                 break;
             }
             mask <<= 1;
@@ -164,21 +134,25 @@ impl Communicator {
         // `mask` is now the lowest set bit of vrank (or ≥ world for the
         // root); children sit below it.
         mask >>= 1;
+        let mut sent = Ok(());
         while mask > 0 {
             let child_v = vrank + mask;
             if child_v < world {
                 let child = (child_v + root) % world;
-                self.send_internal(child, tag, buf.clone());
+                sent = sent.and(self.try_send_internal(child, tag, buf.clone()));
             }
             mask >>= 1;
         }
-        buf
+        sent.map(|()| buf)
     }
 
     /// Binomial-tree reduction to `root`: the root returns the reduced
     /// vector, every other rank sends its subtree's partial fold on by
-    /// move and returns an empty vector.
-    pub fn reduce<T, F>(&self, root: usize, data: Vec<T>, op: F) -> Vec<T>
+    /// move and returns an empty vector. A relay that cannot hear from a
+    /// child has no fold to send: it marks its own endpoint dead before it
+    /// returns the error, so its parent gets `PeerDead` instead of waiting
+    /// on it forever.
+    pub fn reduce<T, F>(&self, root: usize, data: Vec<T>, op: F) -> Result<Vec<T>, crate::CommError>
     where
         T: Clone + Send + 'static,
         F: Fn(&T, &T) -> T,
@@ -186,7 +160,7 @@ impl Communicator {
         let tag = self.next_coll_tag();
         let (world, rank) = (self.world(), self.rank());
         if world == 1 {
-            return data;
+            return Ok(data);
         }
         let vrank = (rank + world - root) % world;
         let mut acc = data;
@@ -194,37 +168,44 @@ impl Communicator {
         while mask < world {
             if vrank & mask != 0 {
                 let parent = ((vrank & !mask) + root) % world;
-                self.send_internal(parent, tag, acc);
-                return Vec::new();
+                self.try_send_internal(parent, tag, acc)?;
+                return Ok(Vec::new());
             }
             let child_v = vrank | mask;
             if child_v < world {
                 let child = (child_v + root) % world;
-                let other = self.recv_internal::<T>(child, tag);
+                let other = match self.try_recv_internal::<T>(child, tag, None) {
+                    Ok(other) => other,
+                    Err(e) => return Err(self.relay_failed(e, vrank != 0)),
+                };
                 fold_into(&mut acc, &other, &op);
             }
             mask <<= 1;
         }
-        acc
+        Ok(acc)
+    }
+
+    /// `e`, after a tree collective's relay failed: if a live rank still
+    /// waits for a message from it (`owed`), it marks its own endpoint
+    /// dead first, so that wait resolves to `PeerDead`.
+    fn relay_failed(&self, e: crate::CommError, owed: bool) -> crate::CommError {
+        if owed {
+            self.kill_self();
+        }
+        e
     }
 
     /// Recursive-doubling allreduce (MPICH's latency-optimal algorithm),
-    /// with the even/odd fold handling non-power-of-two worlds.
+    /// with the even/odd fold handling non-power-of-two worlds. Panics if
+    /// a peer dies; [`Communicator::try_allreduce_owned_tagged`] is the
+    /// fallible form.
     pub fn allreduce<T, F>(&self, data: &[T], op: F) -> Vec<T>
     where
         T: Clone + Send + 'static,
         F: Fn(&T, &T) -> T,
     {
         let tag = self.next_coll_tag();
-        self.allreduce_owned_tagged(tag, data.to_vec(), op)
-    }
-
-    pub(crate) fn allreduce_owned_tagged<T, F>(&self, tag: u64, data: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        self.try_allreduce_owned_tagged(tag, data, op, None)
+        self.try_allreduce_owned_tagged(tag, data.to_vec(), op, None)
             .unwrap_or_else(|e| panic!("recursive-doubling allreduce (tag {tag:#x}) failed: {e}"))
     }
 
@@ -290,33 +271,45 @@ impl Communicator {
     }
 
     /// Ring allreduce: reduce-scatter followed by allgather — the
-    /// bandwidth-optimal algorithm used for large messages. A split/concat
-    /// wrapper over the chunk-owned ring core.
+    /// bandwidth-optimal algorithm used for large messages. Panics if a
+    /// peer dies.
     pub fn allreduce_ring<T, F>(&self, data: &[T], op: F) -> Vec<T>
     where
         T: Clone + Send + 'static,
         F: Fn(&T, &T) -> T,
     {
         let tag = self.next_coll_tag();
-        self.allreduce_ring_tagged(tag, data, op)
+        let mut out = data.to_vec();
+        self.try_allreduce_ring_in_place(tag, &mut out, op)
+            .unwrap_or_else(|e| panic!("ring allreduce (tag {tag:#x}) failed: {e}"));
+        out
     }
 
-    pub(crate) fn allreduce_ring_tagged<T, F>(&self, tag: u64, data: &[T], op: F) -> Vec<T>
+    /// The ring allreduce of `buf`, into `buf`: the chunk-owned core runs
+    /// on a copy of each [`ring_chunk_bounds`] chunk, and its `visit`
+    /// clones every fully reduced chunk over that chunk's own place. On
+    /// `Err`, `buf` holds some input chunks and some reduced ones.
+    pub(crate) fn try_allreduce_ring_in_place<T, F>(
+        &self,
+        tag: u64,
+        buf: &mut [T],
+        op: F,
+    ) -> Result<(), crate::CommError>
     where
         T: Clone + Send + 'static,
         F: Fn(&T, &T) -> T,
     {
-        if self.world() == 1 || data.is_empty() {
-            return data.to_vec();
+        if self.world() == 1 || buf.is_empty() {
+            return Ok(());
         }
-        let bounds = ring_chunk_bounds(data.len(), self.world());
+        let bounds = ring_chunk_bounds(buf.len(), self.world());
         let mut chunks = Vec::new();
-        split_chunks(&mut chunks, data, &bounds);
-        let mut out = Assembly::new(bounds);
-        let place = |c: usize, chunk: &[T]| out.place(c, chunk);
+        split_chunks(&mut chunks, buf, &bounds);
+        let place = |c: usize, chunk: &[T]| {
+            let (s, e) = bounds[c];
+            buf[s..e].clone_from_slice(chunk);
+        };
         self.try_allreduce_ring_chunks(tag, &mut chunks, op, place, None)
-            .unwrap_or_else(|e| panic!("ring allreduce (tag {tag:#x}) failed: {e}"));
-        out.finish()
     }
 
     /// One ring circulation — THE ring hop loop, under both phases of the
@@ -601,41 +594,48 @@ impl Communicator {
 
     /// Gather to root: root returns all contributions ordered by rank,
     /// non-roots return an empty vec.
-    pub fn gather<T: Clone + Send + 'static>(&self, root: usize, data: Vec<T>) -> Vec<Vec<T>> {
+    pub fn gather<T: Clone + Send + 'static>(
+        &self,
+        root: usize,
+        data: Vec<T>,
+    ) -> Result<Vec<Vec<T>>, crate::CommError> {
         let tag = self.next_coll_tag();
-        if self.rank() == root {
-            let mut out = vec![Vec::new(); self.world()];
-            out[root] = data;
-            for (r, slot) in out.iter_mut().enumerate() {
-                if r != root {
-                    *slot = self.recv_internal::<T>(r, tag);
-                }
-            }
-            out
-        } else {
-            self.send_internal(root, tag, data);
-            Vec::new()
+        if self.rank() != root {
+            self.try_send_internal(root, tag, data)?;
+            return Ok(Vec::new());
         }
+        let mut out = vec![Vec::new(); self.world()];
+        out[root] = data;
+        for (r, slot) in out.iter_mut().enumerate() {
+            if r != root {
+                *slot = self.try_recv_internal::<T>(r, tag, None)?;
+            }
+        }
+        Ok(out)
     }
 
     /// Scatter from root: rank r receives `chunks[r]` (only root's `chunks`
-    /// argument is used).
-    pub fn scatter<T: Clone + Send + 'static>(&self, root: usize, chunks: Vec<Vec<T>>) -> Vec<T> {
+    /// argument is used). A root that cannot reach one rank still serves
+    /// the others, then returns the first error.
+    pub fn scatter<T: Clone + Send + 'static>(
+        &self,
+        root: usize,
+        chunks: Vec<Vec<T>>,
+    ) -> Result<Vec<T>, crate::CommError> {
         let tag = self.next_coll_tag();
-        if self.rank() == root {
-            assert_eq!(chunks.len(), self.world(), "need one chunk per rank");
-            let mut own = Vec::new();
-            for (r, chunk) in chunks.into_iter().enumerate() {
-                if r == root {
-                    own = chunk;
-                } else {
-                    self.send_internal(r, tag, chunk);
-                }
-            }
-            own
-        } else {
-            self.recv_internal::<T>(root, tag)
+        if self.rank() != root {
+            return self.try_recv_internal::<T>(root, tag, None);
         }
+        assert_eq!(chunks.len(), self.world(), "need one chunk per rank");
+        let (mut own, mut sent) = (Vec::new(), Ok(()));
+        for (r, chunk) in chunks.into_iter().enumerate() {
+            if r == root {
+                own = chunk;
+            } else {
+                sent = sent.and(self.try_send_internal(r, tag, chunk));
+            }
+        }
+        sent.map(|()| own)
     }
 }
 
@@ -664,7 +664,7 @@ mod tests {
                     } else {
                         Vec::new()
                     };
-                    comm.bcast(root, data)
+                    comm.bcast(root, data).unwrap()
                 });
                 for (r, v) in results.iter().enumerate() {
                     assert_eq!(
@@ -683,7 +683,7 @@ mod tests {
             for root in [0, world - 1] {
                 let results = Simulator::new(world).run(move |comm| {
                     let data: Vec<u64> = vec![comm.rank() as u64 + 1, 10];
-                    comm.reduce(root, data, |a, b| a + b)
+                    comm.reduce(root, data, |a, b| a + b).unwrap()
                 });
                 let expect_sum: u64 = (1..=world as u64).sum();
                 assert_eq!(results[root], vec![expect_sum, 10 * world as u64]);
@@ -741,6 +741,36 @@ mod tests {
         }
     }
 
+    /// The plaintext ring writes each reduced chunk over its own place in
+    /// an initialised buffer: with a non-`Copy` element every slot is
+    /// cloned over once and the value it held dropped. Empty vectors,
+    /// one element, fewer elements than ranks (empty chunks) and ragged
+    /// chunks, under a `max` the recursive doubling must agree with.
+    #[test]
+    fn allreduce_ring_of_strings_matches_recursive_doubling() {
+        let max = |a: &String, b: &String| a.max(b).clone();
+        for world in 1usize..=5 {
+            for len in [0, 1, world - 1, world + 2, 3 * world + 1] {
+                let results = Simulator::new(world).run(move |comm| {
+                    let data: Vec<String> = (0..len)
+                        .map(|j| format!("{:03}", (j * 7 + comm.rank() * 13) % 23))
+                        .collect();
+                    (comm.allreduce_ring(&data, max), comm.allreduce(&data, max))
+                });
+                let expect: Vec<String> = (0..len)
+                    .map(|j| {
+                        let top = (0..world).map(|r| (j * 7 + r * 13) % 23).max();
+                        format!("{:03}", top.unwrap())
+                    })
+                    .collect();
+                for (rank, (ring, rd)) in results.iter().enumerate() {
+                    assert_eq!(ring, rd, "world={world} len={len} rank={rank}");
+                    assert_eq!(ring, &expect, "world={world} len={len} rank={rank}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn allreduce_min_max_ops() {
         // The runtime supports any associative-commutative op (the HEAR
@@ -768,15 +798,17 @@ mod tests {
     #[test]
     fn gather_and_scatter() {
         let results = Simulator::new(3).run(|comm| {
-            let gathered = comm.gather(1, vec![comm.rank() as u32 * 2]);
-            let scattered = comm.scatter(
-                1,
-                if comm.rank() == 1 {
-                    vec![vec![10u32], vec![11], vec![12]]
-                } else {
-                    Vec::new()
-                },
-            );
+            let gathered = comm.gather(1, vec![comm.rank() as u32 * 2]).unwrap();
+            let scattered = comm
+                .scatter(
+                    1,
+                    if comm.rank() == 1 {
+                        vec![vec![10u32], vec![11], vec![12]]
+                    } else {
+                        Vec::new()
+                    },
+                )
+                .unwrap();
             (gathered, scattered)
         });
         assert_eq!(results[1].0, vec![vec![0], vec![2], vec![4]]);
@@ -929,7 +961,7 @@ mod tests {
                 .map(|dst| vec![(comm.rank() * 10 + dst) as u32, 7])
                 .collect();
             let blocking: Vec<Vec<u32>> = (0..3)
-                .map(|root| comm.scatter(root, chunks.clone()))
+                .map(|root| comm.scatter(root, chunks.clone()).unwrap())
                 .collect();
             let tag = comm.reserve_coll_tags(1);
             let tagged = comm.try_alltoall_tagged(tag, chunks, None).unwrap();
@@ -946,6 +978,7 @@ mod tests {
             let a = comm.allreduce(&[1u32], |a, b| a + b);
             let b = comm.allreduce(&[10u32], |a, b| a + b);
             let c = comm.bcast(0, if comm.rank() == 0 { vec![7u32] } else { vec![] });
+            let c = c.unwrap();
             (a[0], b[0], c[0])
         });
         for r in &results {

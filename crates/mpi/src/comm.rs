@@ -177,6 +177,13 @@ impl Communicator {
         self.transport.is_dead(self.endpoint(rank))
     }
 
+    /// Mark this rank's own endpoint dead, as a crash would: every peer
+    /// waiting on it gets [`CommError::PeerDead`], and its own sends and
+    /// receives fail from now on.
+    pub(crate) fn kill_self(&self) {
+        self.transport.kill(self.endpoint(self.rank));
+    }
+
     /// Checked send on an explicit full wire tag (collective tag space
     /// allowed) — the membership-agreement plumbing sends its suspicion
     /// masks on tags reserved via [`Communicator::reserve_coll_tags`].
@@ -347,7 +354,8 @@ impl Communicator {
     /// Blocking typed receive matching `(src, tag)`.
     pub fn recv<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
         assert!(tag < COLL_TAG_BASE, "user tags must be below 2^32");
-        self.recv_internal(src, tag)
+        self.try_recv_internal(src, tag, None)
+            .unwrap_or_else(|e| panic!("recv from rank {src} tag {tag:#x} failed: {e}"))
     }
 
     /// Deadline-bounded typed receive: returns [`CommError::Timeout`]
@@ -361,11 +369,6 @@ impl Communicator {
     ) -> Result<Vec<T>, CommError> {
         assert!(tag < COLL_TAG_BASE, "user tags must be below 2^32");
         self.try_recv_internal(src, tag, Some(Instant::now() + timeout))
-    }
-
-    pub(crate) fn recv_internal<T: Send + 'static>(&self, src: usize, tag: u64) -> Vec<T> {
-        self.try_recv_internal(src, tag, None)
-            .unwrap_or_else(|e| panic!("recv from rank {src} tag {tag:#x} failed: {e}"))
     }
 
     pub(crate) fn try_recv_internal<T: Send + 'static>(

@@ -173,7 +173,12 @@ impl Communicator {
         F: Fn(&T, &T) -> T + Send + 'static,
     {
         let tag = self.next_coll_tag();
-        self.post(move |comm| comm.allreduce_owned_tagged(tag, data, op))
+        self.post(move |comm| {
+            comm.try_allreduce_owned_tagged(tag, data, op, None)
+                .unwrap_or_else(|e| {
+                    panic!("recursive-doubling allreduce (tag {tag:#x}) failed: {e}")
+                })
+        })
     }
 
     /// Nonblocking ring allreduce (bandwidth-optimal; the variant libhear
@@ -184,7 +189,12 @@ impl Communicator {
         F: Fn(&T, &T) -> T + Send + 'static,
     {
         let tag = self.next_coll_tag();
-        self.post(move |comm| comm.allreduce_ring_tagged(tag, &data, op))
+        self.post(move |comm| {
+            let mut data = data;
+            comm.try_allreduce_ring_in_place(tag, &mut data, op)
+                .unwrap_or_else(|e| panic!("ring allreduce (tag {tag:#x}) failed: {e}"));
+            data
+        })
     }
 }
 

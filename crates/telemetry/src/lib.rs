@@ -1,7 +1,7 @@
 //! # hear-telemetry — zero-dependency tracing + metrics for the HEAR stack
 //!
 //! The paper's entire evaluation is an observability exercise: Fig. 4's
-//! `mem_alloc → encrypt → comm → decrypt → mem_free` breakdown, Fig. 5's
+//! `encrypt → comm → decrypt` breakdown of one call, Fig. 5's
 //! PRF throughput, Fig. 6's pipelining overlap. This crate is the
 //! substrate those measurements (and any future perf claim) stand on:
 //!
@@ -28,7 +28,7 @@
 //! (enables the process-global [`Registry::global`]) or create a private
 //! [`Registry::new_enabled`] and [`Registry::install`] it on the threads
 //! of interest, which *shadows* the global one and gives isolated,
-//! exact-count measurements (this is how `measure_phases` and the
+//! exact-count measurements (this is how Fig. 4's regenerator and the
 //! exact-schedule tests work).
 //!
 //! ## Environment

@@ -4,7 +4,7 @@
 //! plus a list of *lanes* — per-thread span ring buffers, each tagged with
 //! the MPI rank that produced it. There is one process-wide
 //! [`Registry::global()`] (enabled at first use iff `HEAR_TRACE` is set),
-//! and tests or `measure_phases` can create private registries for
+//! and tests or Fig. 4's regenerator can create private registries for
 //! isolated, exact-count measurements.
 //!
 //! Recording goes through a thread-local context stack: `install(rank)`
@@ -142,7 +142,7 @@ impl Registry {
     }
 
     /// A fresh, enabled registry — the usual choice for isolated
-    /// measurements (private exact-count tests, `measure_phases`).
+    /// measurements (private exact-count tests, Fig. 4's phase fold).
     pub fn new_enabled() -> Registry {
         Registry::new_with(true, DEFAULT_RING_CAP)
     }
@@ -185,7 +185,7 @@ impl Registry {
     /// Make this registry the recording target for the current thread,
     /// writing spans into a fresh lane attributed to `rank`. Returns a
     /// guard; recording reverts to the previous target when it drops.
-    /// Contexts nest (innermost wins), which is how `measure_phases`
+    /// Contexts nest (innermost wins), which is how Fig. 4's regenerator
     /// captures an isolated span stream even under global tracing.
     pub fn install(&self, rank: Option<usize>) -> CtxGuard {
         let lane = Arc::new(Lane::new(rank, self.inner.ring_cap));

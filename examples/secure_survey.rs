@@ -71,7 +71,7 @@ fn main() {
                     .count() as u32
             })
             .collect();
-        let tally = sc.reduce_sum_u32(0, &buckets);
+        let tally = sc.reduce_sum_u32(0, &buckets).unwrap();
 
         (mean, var, n, flags, counts, tally)
     });

@@ -1,79 +1,65 @@
 //! Result verification with HoMACs (paper §5.5): catching a malicious
-//! in-network reducer.
+//! network.
 //!
-//! HE is malleable — a compromised switch can perturb ciphertexts and the
-//! sum still "decrypts". This example runs an encrypted, *tagged*
-//! Allreduce where every ciphertext word travels with a homomorphic MAC;
-//! an honest reduction verifies, and three kinds of tampering (bit flip,
-//! element swap, replay of a stale aggregate) are all rejected.
+//! HE is malleable — a compromised switch or link can perturb ciphertexts
+//! and the sum still "decrypts". This example runs the engine's verified
+//! Allreduce (`SecureComm::with_homac` + `EngineCfg::verified()`): every
+//! ciphertext travels as a `(c, d, σ)` packet whose homomorphic tag the
+//! receiver checks before it unmasks. An honest network verifies and
+//! decrypts exactly; a network that corrupts packets in flight (a fault
+//! plan that damages every message) is rejected on every rank with
+//! `EngineError::Verification`, and no wrong sum reaches the caller.
 //!
 //! ```sh
 //! cargo run --release --example verified_allreduce
 //! ```
 
-use hear::core::{Backend, CommKeys, Homac, IntSum, Scratch};
-use hear::mpi::Simulator;
+use hear::core::{Backend, CommKeys, Homac, IntSumScheme};
+use hear::layer::{EngineCfg, EngineError, SecureComm};
+use hear::mpi::{FaultPlan, SimConfig, Simulator};
 
 const WORLD: usize = 4;
 
+/// One verified 6-element `u32` sum on every rank of a world whose
+/// network follows `cfg`.
+fn verified_sum(cfg: SimConfig) -> Vec<Result<Vec<u32>, EngineError>> {
+    Simulator::with_config(WORLD, cfg).run(|comm| {
+        let keys =
+            CommKeys::generate(WORLD, 0xFEED, Backend::best_available()).swap_remove(comm.rank());
+        let homac = Homac::generate(0x7A65, Backend::best_available());
+        let mut sc = SecureComm::new(comm.clone(), keys).with_homac(homac);
+        let data: Vec<u32> = (0..6).map(|j| comm.rank() as u32 * 100 + j).collect();
+        sc.allreduce_with(
+            &mut IntSumScheme::default(),
+            &data,
+            EngineCfg::sync().verified(),
+        )
+    })
+}
+
 fn main() {
     println!("== HoMAC-verified encrypted Allreduce over {WORLD} ranks ==\n");
-    let verdicts = Simulator::new(WORLD).run(|comm| {
-        let mut keys = CommKeys::generate(WORLD, 0xFEED, Backend::best_available())
-            .into_iter()
-            .nth(comm.rank())
-            .unwrap();
-        let homac = Homac::generate(0x7A65, Backend::best_available());
-        let mut scratch = Scratch::default();
+    let expected: Vec<u32> = (0..6)
+        .map(|j| (0..WORLD as u32).map(|r| r * 100 + j).sum())
+        .collect();
 
-        let data: Vec<u32> = (0..6).map(|j| comm.rank() as u32 * 100 + j).collect();
-
-        // Encrypt + tag; the network reduces the (c, σ) pairs.
-        keys.advance();
-        let mut ct = data.clone();
-        IntSum::encrypt_in_place(&keys, 0, &mut ct, &mut scratch);
-        let tags = homac.tag(&keys, 0, &ct);
-        let agg = comm.allreduce(&ct, |a, b| a.wrapping_add(*b));
-        let sigma = comm.allreduce(&tags, |a, b| Homac::combine(*a, *b));
-
-        // 1) Honest network: verification passes, result decrypts exactly.
-        let honest = homac.verify(&keys, 0, &agg, &sigma);
-        let mut result = agg.clone();
-        IntSum::decrypt_in_place(&keys, 0, &mut result, &mut scratch);
-        let expected: Vec<u32> = (0..6)
-            .map(|j| (0..WORLD as u32).map(|r| r * 100 + j).sum())
-            .collect();
-        assert_eq!(result, expected);
-
-        // 2) Bit-flip attack on the aggregate.
-        let mut flipped = agg.clone();
-        flipped[2] ^= 1;
-        let detect_flip = !homac.verify(&keys, 0, &flipped, &sigma);
-
-        // 3) Reordering attack (swap two reduced elements).
-        let mut swapped = agg.clone();
-        swapped.swap(0, 5);
-        let detect_swap = !homac.verify(&keys, 0, &swapped, &sigma);
-
-        // 4) Replay attack: serve last epoch's aggregate for this epoch.
-        //    Advance to the next collective and check the stale pair fails.
-        keys.advance();
-        let detect_replay = !homac.verify(&keys, 0, &agg, &sigma);
-
-        (honest, detect_flip, detect_swap, detect_replay)
-    });
-
-    for (rank, v) in verdicts.iter().enumerate() {
-        println!(
-            "rank {rank}: honest ✓ = {}, bit-flip caught = {}, swap caught = {}, replay caught = {}",
-            v.0, v.1, v.2, v.3
-        );
-        assert!(v.0 && v.1 && v.2 && v.3);
+    // 1) Honest network: every rank verifies and decrypts the exact sum.
+    for (rank, res) in verified_sum(SimConfig::default()).iter().enumerate() {
+        assert_eq!(res.as_ref().ok(), Some(&expected), "rank {rank}");
+        println!("honest network,   rank {rank}: verified ✓ {expected:?}");
     }
-    println!(
-        "\nOK: the tag channel costs {}x the 32-bit data channel ({}-bit field),",
-        Homac::inflation_for_width(32),
-        61
-    );
-    println!("the price §5.5 quotes for integrity on top of confidentiality.");
+
+    // 2) Tampering network: the fault plan damages one element of every
+    //    packet vector in flight. Each rank's aggregate fails its tag check.
+    let tamper = SimConfig::default().with_faults(FaultPlan::seeded(0xBAD).corrupt_one_in(1));
+    for (rank, res) in verified_sum(tamper).iter().enumerate() {
+        match res {
+            Err(EngineError::Verification(e)) => {
+                println!("tampered network, rank {rank}: rejected ✓ ({e})")
+            }
+            other => panic!("rank {rank}: tampering was not rejected: {other:?}"),
+        }
+    }
+
+    println!("\nOK: the honest sum verified and the tampered one was rejected on every rank.");
 }

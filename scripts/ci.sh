@@ -64,6 +64,15 @@ HEAR_TRACE=1 HEAR_TRACE_OUT="$smoke_dir/smoke" \
 cargo run --release -q -p hear-bench --bin trace_validate -- \
     "$smoke_dir/smoke.trace.json" "$smoke_dir/smoke.prom" "$smoke_dir/smoke.snapshot.json"
 
+# Fig. 4 smoke: the 16 B breakdown, folded from the engine's own spans of
+# real secure allreduce calls, must run and report a crypto share of comm
+# time on every variant row, one row per PRF backend plus the baseline.
+# (Keep these rows identical to the workflow's.)
+fig4_json="$(cargo run --release -q -p hear-bench --bin fig4 -- --json)"
+fig4_rows="$(grep -c '"variant"' <<<"$fig4_json")"
+test "$fig4_rows" -ge 3
+test "$(grep -cE '"crypto_overhead_pct": [0-9]+[.][0-9]+' <<<"$fig4_json")" -eq "$fig4_rows"
+
 # Composition-matrix smoke: every scheme × algorithm × chunking × HoMAC
 # cell through the one generic engine, checked against the plaintext
 # reference, plus the factored reduce-scatter/allgather/alltoall sweep.

@@ -1,11 +1,12 @@
 //! CI parity guard: `scripts/ci.sh` and `.github/workflows/ci.yml` run the
 //! same rows.
 //!
-//! Four groups of rows exist in both files with a "keep identical"
+//! Five groups of rows exist in both files with a "keep identical"
 //! comment beside them: the suites re-run over the TCP transport
 //! (`HEAR_TRANSPORT=tcp`), the suites re-run on a 4-thread budget
 //! (`HEAR_THREADS=4`), the benchmark package's build and test rows (with
-//! the `--skip` of its known flake), and the lint rows. This test
+//! the `--skip` of its known flake), the lint rows, and the Fig. 4 smoke
+//! and its output checks. This test
 //! parses each file's shell commands with a small std-only scanner,
 //! drops what legitimately differs (the workflow's `+<toolchain>` and
 //! `--offline`; the script exports `CARGO_NET_OFFLINE` instead), and fails
@@ -87,7 +88,7 @@ fn workflow_commands(yml: &str) -> Vec<String> {
 }
 
 /// The row groups both files must carry identically.
-fn groups(commands: &[String]) -> [(&'static str, Vec<String>); 4] {
+fn groups(commands: &[String]) -> [(&'static str, Vec<String>); 5] {
     let pick = |keep: &dyn Fn(&str) -> bool| {
         let rows = commands.iter().filter(|c| keep(c));
         rows.cloned().collect::<Vec<_>>()
@@ -112,6 +113,7 @@ fn groups(commands: &[String]) -> [(&'static str, Vec<String>); 4] {
             "lint rows",
             pick(&|c| c.starts_with("cargo fmt") || c.starts_with("cargo clippy")),
         ),
+        ("Fig. 4 smoke rows", pick(&|c| c.contains("fig4"))),
     ]
 }
 
@@ -134,7 +136,7 @@ fn ci_script_and_workflow_run_the_same_tcp_bench_and_lint_rows() {
 #[test]
 fn the_tcp_row_lists_every_transport_suite_and_the_bench_skips_one_test() {
     let script = shell_commands(read("scripts/ci.sh").lines());
-    let [(_, tcp), _, (_, bench), _] = groups(&script);
+    let [(_, tcp), _, (_, bench), _, _] = groups(&script);
     let suites: Vec<&str> = tcp[0]
         .split(" --test ")
         .skip(1)

@@ -100,15 +100,19 @@ fn secure_collectives_compose_in_one_program() {
     // allreduce, on one communicator.
     let results = Simulator::new(3).run(|comm| {
         let mut sc = secure(comm, 4);
-        let config = sc.bcast_encrypted(
-            0,
-            if comm.rank() == 0 {
-                vec![7, 13]
-            } else {
-                vec![]
-            },
-        );
-        let partial = sc.reduce_sum_u32(2, &[config[0] * (comm.rank() as u32 + 1)]);
+        let config = sc
+            .bcast_encrypted(
+                0,
+                if comm.rank() == 0 {
+                    vec![7, 13]
+                } else {
+                    vec![]
+                },
+            )
+            .unwrap();
+        let partial = sc
+            .reduce_sum_u32(2, &[config[0] * (comm.rank() as u32 + 1)])
+            .unwrap();
         let all = sc
             .allreduce_with(
                 &mut IntSumScheme::default(),
@@ -116,7 +120,7 @@ fn secure_collectives_compose_in_one_program() {
                 EngineCfg::sync(),
             )
             .unwrap();
-        let diag = sc.gather_encrypted(0, vec![comm.rank() as u32]);
+        let diag = sc.gather_encrypted(0, vec![comm.rank() as u32]).unwrap();
         (config, partial, all, diag)
     });
     for (rank, (config, partial, all, diag)) in results.iter().enumerate() {

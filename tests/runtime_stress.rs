@@ -154,7 +154,7 @@ fn single_rank_world_supports_everything() {
         let mut prod = FloatProdScheme::new(HfpFormat::fp32(0, 0));
         let c = sc.allreduce_with(&mut prod, &[2.5], cfg).unwrap()[0];
         let d = logical(&mut sc, &[true])[0];
-        let e = sc.reduce_sum_u32(0, &[9]).unwrap()[0];
+        let e = sc.reduce_sum_u32(0, &[9]).unwrap().unwrap()[0];
         let a = match a {
             Ok(TypedVec::I64(v)) => v[0],
             other => panic!("{other:?}"),

@@ -469,19 +469,23 @@ fn tcp_mesh_runs_extension_collectives() {
         let mut sc = SecureComm::new(comm.clone(), keys);
         let r = comm.rank() as u32;
 
-        let config = sc.bcast_encrypted(0, if r == 0 { vec![7, 13] } else { vec![] });
-        let partial = sc.reduce_sum_u32(2, &[config[0] * (r + 1), r]);
-        let diag = sc.gather_encrypted(0, vec![r, r * 10]);
-        let shard = sc.scatter_encrypted(
-            1,
-            if r == 1 {
-                (0..W as u32)
-                    .map(|dst| vec![dst * 100, dst * 100 + 1])
-                    .collect()
-            } else {
-                Vec::new()
-            },
-        );
+        let config = sc
+            .bcast_encrypted(0, if r == 0 { vec![7, 13] } else { vec![] })
+            .unwrap();
+        let partial = sc.reduce_sum_u32(2, &[config[0] * (r + 1), r]).unwrap();
+        let diag = sc.gather_encrypted(0, vec![r, r * 10]).unwrap();
+        let shard = sc
+            .scatter_encrypted(
+                1,
+                if r == 1 {
+                    (0..W as u32)
+                        .map(|dst| vec![dst * 100, dst * 100 + 1])
+                        .collect()
+                } else {
+                    Vec::new()
+                },
+            )
+            .unwrap();
         let chunks: Vec<u32> = (0..W as u32).map(|dst| r * 10 + dst).collect();
         let transposed = sc
             .alltoall_with(&mut IntSumScheme::default(), &chunks, EngineCfg::sync())
